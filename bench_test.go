@@ -303,21 +303,23 @@ func BenchmarkAblationSemantics(b *testing.B) {
 
 // BenchmarkSweepWarmVsCold quantifies the Engine's similarity-cache reuse
 // on a 3×3 f/γ grid: the cold leg runs one grid cell on a fresh Engine per
-// iteration (structural and item-pair caches rebuilt from scratch), the
-// warm leg runs the identical cell on an Engine pre-warmed by the full
-// Engine.Sweep grid. Both legs produce byte-identical results — only the
-// cache temperature differs. The legs are interleaved per iteration so
-// machine drift hits both equally. Reported metrics: µs per cell for each
-// leg and the cold/warm speedup (expect > 1; ~1.2× on the quick DBLP
-// profile on one core, more with longer content vectors).
+// iteration (structural path cache rebuilt from scratch), the warm leg runs
+// the identical cell on an Engine pre-warmed by the full Engine.Sweep grid.
+// Both legs produce byte-identical results — only the cache temperature
+// differs. The legs are interleaved per iteration so machine drift hits
+// both equally. Reported metrics: µs per cell for each leg and the
+// cold/warm speedup. The quick DBLP profile has 300 distinct tag-path
+// pairs, so the alignments a warm cell saves are a few percent of it
+// (~1.05×); the ratio is a tripwire for a warm engine turning slower than a
+// cold one, not a promised gain.
 func BenchmarkSweepWarmVsCold(b *testing.B) {
 	gen, _ := dataset.ByName("DBLP")
 	col := gen(dataset.Spec{Docs: 64, Seed: experiments.DataSeed})
 	corpus := col.BuildCorpus(dataset.ByHybrid, 32, 1)
 	// The measured cell is the structure-driven corner of the grid: Eq. 1
-	// degenerates to the structural term there, so the warm engine's memo
-	// replaces the whole per-pair computation and the reuse win is at its
-	// cleanest. The grid still spans hybrid settings, as a real sweep would.
+	// degenerates to the structural term there, so the warm path cache
+	// covers the whole per-pair computation. The grid still spans hybrid
+	// settings, as a real sweep would.
 	cell := ClusterOptions{K: col.K(dataset.ByHybrid), F: 1.0, Gamma: 0.7, Seed: 17, Workers: 1}
 	grid := SweepSpec{
 		Base:        cell,

@@ -166,27 +166,10 @@ func (e *Engine) ClassifyTransactions(ctx context.Context, trs []*Transaction, r
 
 	assign := make([]int, len(trs))
 	sims := make([]float64, len(trs))
-	nw := parallel.WorkerCount(opts.Workers, len(trs))
-	scratches := make([]*sim.Scratch, nw)
-	var queries []*sim.RepQuery
-	if ix != nil && ix.Enabled() {
-		queries = make([]*sim.RepQuery, nw)
-	}
+	ws := sim.BorrowScratches(parallel.WorkerCount(opts.Workers, len(trs)))
+	defer ws.Release()
 	err := parallel.ForCtxWorkers(ctx, opts.Workers, len(trs), func(w, i int) {
-		sc := scratches[w]
-		if sc == nil {
-			sc = sim.NewScratch()
-			scratches[w] = sc
-		}
-		var rq *sim.RepQuery
-		if queries != nil {
-			rq = queries[w]
-			if rq == nil {
-				rq = sim.NewRepQuery()
-				queries[w] = rq
-			}
-		}
-		assign[i], sims[i] = cluster.RelocateOneIndexed(cx, trs[i], reps, ix, rq, sc)
+		assign[i], sims[i] = cluster.RelocateOneIndexed(cx, trs[i], reps, ix, ws.Worker(w))
 	})
 	if err != nil {
 		return nil, fmt.Errorf("xmlclust: classify: %w: %w", ErrCanceled, err)

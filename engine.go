@@ -14,7 +14,6 @@ import (
 	"os"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"xmlclust/internal/core"
@@ -25,15 +24,11 @@ import (
 )
 
 // Engine is a reusable clustering handle bound to one corpus. It owns the
-// interning tables and a params-keyed similarity-context cache with two
-// reuse layers:
-//
-//   - the structural tag-path pair similarities of Eq. 3 depend only on the
-//     paths — never on (f, γ) — so every job on the same Engine shares one
-//     warm structural cache;
-//   - jobs that repeat a (F, Gamma) pair reuse the same similarity context,
-//     including its bounded item-pair memo of Eq. 1 values (cosine +
-//     structural + f-mix), the dominant cost of γ-matching.
+// interning tables and a params-keyed similarity-context cache: the
+// structural tag-path pair similarities of Eq. 3 depend only on the paths —
+// never on (f, γ) — so every job on the same Engine shares one warm
+// structural cache, and jobs that repeat a (F, Gamma) pair reuse the same
+// similarity context and its counters.
 //
 // Content vectors live in the corpus and are shared across all runs.
 // Sweep-heavy workloads (the paper's Sect. 5 protocol re-clusters one
@@ -47,9 +42,6 @@ type Engine struct {
 	opts    EngineOptions
 	paths   *sim.PathCache
 	labeled bool
-	// itemBudget is the engine-wide remaining-entry budget shared by every
-	// per-params item memo; nil when the memo is disabled.
-	itemBudget *atomic.Int64
 
 	mu       sync.Mutex
 	contexts map[sim.Params]*sim.Context
@@ -61,15 +53,6 @@ type EngineOptions struct {
 	// (0 = DefaultMaxCachedContexts, negative = unbounded). The bound only
 	// matters for adversarially large parameter grids.
 	MaxCachedContexts int
-	// ItemCachePairs is the ENGINE-WIDE budget for the item-similarity
-	// memos (Eq. 1 values; 0 = sim.DefaultItemCachePairs ≈ 1M pairs ≈
-	// 24 MB, negative = disable). One memo is only valid for one (F, Gamma)
-	// pair, so every per-params context draws from this single shared
-	// budget — a large sweep grid competes for the same capacity instead of
-	// multiplying it. The memo is what makes repeated runs at the same
-	// (F, Gamma) measurably faster; it never changes results, only wall
-	// time and memory.
-	ItemCachePairs int
 }
 
 // DefaultMaxCachedContexts bounds the per-Engine similarity-context cache
@@ -90,14 +73,6 @@ func NewEngine(corpus *Corpus, opts EngineOptions) (*Engine, error) {
 		opts:     opts,
 		paths:    sim.NewPathCache(),
 		contexts: map[sim.Params]*sim.Context{},
-	}
-	if opts.ItemCachePairs >= 0 {
-		pairs := opts.ItemCachePairs
-		if pairs == 0 {
-			pairs = sim.DefaultItemCachePairs
-		}
-		e.itemBudget = &atomic.Int64{}
-		e.itemBudget.Store(int64(pairs))
 	}
 	for _, tr := range corpus.Transactions {
 		if tr.Label >= 0 {
@@ -131,9 +106,6 @@ func (e *Engine) simContext(p sim.Params) *sim.Context {
 		}
 	}
 	cx := sim.NewContextShared(e.corpus, p, e.paths)
-	if e.itemBudget != nil {
-		cx.ItemCache = sim.NewItemSimCacheShared(e.itemBudget)
-	}
 	e.contexts[p] = cx
 	return cx
 }

@@ -248,28 +248,11 @@ func (d *DeltaState) Relocate(ctx context.Context, cx *sim.Context, s []*txn.Tra
 	}
 
 	nw := parallel.WorkerCount(workers, len(s))
-	scratches := make([]*sim.Scratch, nw)
-	var queries []*sim.RepQuery
-	indexed := ix != nil && ix.Enabled()
-	if indexed {
-		queries = make([]*sim.RepQuery, nw)
-	}
+	ws := sim.BorrowScratches(nw)
+	defer ws.Release()
 	skipped := make([]int64, nw)
 	err := parallel.ForCtxWorkers(ctx, workers, len(s), func(w, i int) {
-		sc := scratches[w]
-		if sc == nil {
-			sc = sim.NewScratch()
-			scratches[w] = sc
-		}
-		var rq *sim.RepQuery
-		if queries != nil {
-			rq = queries[w]
-			if rq == nil {
-				rq = sim.NewRepQuery()
-				queries[w] = rq
-			}
-		}
-		j, v, skip := d.relocateOneDelta(cx, s[i], reps, ix, rq, sc, d.bestJ[i], d.bestScore[i])
+		j, v, skip := d.relocateOneDelta(cx, s[i], reps, ix, ws.Worker(w), d.bestJ[i], d.bestScore[i])
 		d.bestJ[i], d.bestScore[i] = j, v
 		assign[i] = j
 		if skip {
@@ -292,27 +275,10 @@ func (d *DeltaState) Relocate(ctx context.Context, cx *sim.Context, s []*txn.Tra
 // fullPass runs the plain indexed relocation while recording every
 // document's (bestJ, bestScore) anchor.
 func (d *DeltaState) fullPass(ctx context.Context, cx *sim.Context, s []*txn.Transaction, reps []*txn.Transaction, workers int, ix *sim.RepIndex, assign []int) error {
-	nw := parallel.WorkerCount(workers, len(s))
-	scratches := make([]*sim.Scratch, nw)
-	var queries []*sim.RepQuery
-	if ix != nil && ix.Enabled() {
-		queries = make([]*sim.RepQuery, nw)
-	}
+	ws := sim.BorrowScratches(parallel.WorkerCount(workers, len(s)))
+	defer ws.Release()
 	return parallel.ForCtxWorkers(ctx, workers, len(s), func(w, i int) {
-		sc := scratches[w]
-		if sc == nil {
-			sc = sim.NewScratch()
-			scratches[w] = sc
-		}
-		var rq *sim.RepQuery
-		if queries != nil {
-			rq = queries[w]
-			if rq == nil {
-				rq = sim.NewRepQuery()
-				queries[w] = rq
-			}
-		}
-		j, v := RelocateOneIndexed(cx, s[i], reps, ix, rq, sc)
+		j, v := RelocateOneIndexed(cx, s[i], reps, ix, ws.Worker(w))
 		d.bestJ[i], d.bestScore[i] = j, v
 		assign[i] = j
 	})
@@ -342,14 +308,15 @@ func (d *DeltaState) snapshot(reps []*txn.Transaction) {
 // discipline therefore reproduces the full scan's result byte for byte. If
 // reps[bestJ0] itself changed, the anchor is void and the document runs a
 // full indexed scan.
-func (d *DeltaState) relocateOneDelta(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, ix *sim.RepIndex, rq *sim.RepQuery, sc *sim.Scratch, bestJ0 int, best0 float64) (int, float64, bool) {
+func (d *DeltaState) relocateOneDelta(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, ix *sim.RepIndex, sc *sim.Scratch, bestJ0 int, best0 float64) (int, float64, bool) {
 	if bestJ0 != TrashCluster && d.changed[bestJ0] {
-		j, v := RelocateOneIndexed(cx, tr, reps, ix, rq, sc)
+		j, v := RelocateOneIndexed(cx, tr, reps, ix, sc)
 		return j, v, false
 	}
 	best, bestJ := best0, bestJ0
 	evaluated := 0
 	if ix != nil && ix.Enabled() {
+		rq := sc.Query()
 		n := ix.Candidates(tr, rq)
 		for c := 0; c < n; c++ {
 			j, ub := rq.Candidate(c)

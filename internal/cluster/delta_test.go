@@ -210,8 +210,7 @@ func TestDeltaRelocateZeroAllocWarm(t *testing.T) {
 		d.changed[j] = false
 	}
 	sc := sim.NewScratch()
-	rq := sim.NewRepQuery()
-	j0, v0, skip := d.relocateOneDelta(cx, s[0], reps, ix, rq, sc, d.bestJ[0], d.bestScore[0])
+	j0, v0, skip := d.relocateOneDelta(cx, s[0], reps, ix, sc, d.bestJ[0], d.bestScore[0])
 	if !skip {
 		t.Fatalf("unchanged reps: document evaluated the kernel (got cluster %d score %v)", j0, v0)
 	}
@@ -219,7 +218,7 @@ func TestDeltaRelocateZeroAllocWarm(t *testing.T) {
 		t.Fatalf("skip returned (%d, %v), want the cached anchor (%d, %v)", j0, v0, d.bestJ[0], d.bestScore[0])
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		d.relocateOneDelta(cx, s[0], reps, ix, rq, sc, d.bestJ[0], d.bestScore[0])
+		d.relocateOneDelta(cx, s[0], reps, ix, sc, d.bestJ[0], d.bestScore[0])
 	}); avg != 0 {
 		t.Errorf("warm delta skip path allocates %.2f/op, want 0", avg)
 	}

@@ -76,10 +76,9 @@ func TestRelocateIndexEquivalence(t *testing.T) {
 				ix := sim.NewRepIndex()
 				ix.Build(cx, reps)
 				sc := sim.NewScratch()
-				rq := sim.NewRepQuery()
 				for i, tr := range s {
 					wantJ, wantV := RelocateOne(cx, tr, reps, sc)
-					gotJ, gotV := RelocateOneIndexed(cx, tr, reps, ix, rq, sc)
+					gotJ, gotV := RelocateOneIndexed(cx, tr, reps, ix, sc)
 					if gotJ != wantJ || gotV != wantV {
 						t.Fatalf("%s params %+v reps#%d doc %d: indexed (%d, %v) != flat (%d, %v)",
 							name, p, ri, i, gotJ, gotV, wantJ, wantV)
@@ -189,12 +188,11 @@ func TestRelocateOneIndexedZeroAllocWarm(t *testing.T) {
 		t.Fatal("index unexpectedly disabled")
 	}
 	sc := sim.NewScratch()
-	rq := sim.NewRepQuery()
 	for _, tr := range s {
-		RelocateOneIndexed(cx, tr, reps, ix, rq, sc)
+		RelocateOneIndexed(cx, tr, reps, ix, sc)
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		RelocateOneIndexed(cx, s[0], reps, ix, rq, sc)
+		RelocateOneIndexed(cx, s[0], reps, ix, sc)
 	}); avg != 0 {
 		t.Errorf("warm RelocateOneIndexed allocates %.2f/op, want 0", avg)
 	}

@@ -241,19 +241,15 @@ func generateTreeTuple(cfg RepConfig, ranked []rankedItem, c []*txn.Transaction)
 	// The objective Σ_{tr∈C} simγJ(tr, rep′) is the hot spot of
 	// representative generation: one transaction similarity per cluster
 	// member per refinement step. The terms are independent, so they are
-	// computed across the worker pool — each worker reusing one similarity
-	// Scratch across the whole refinement, so no step allocates per pair —
+	// computed across the worker pool — each worker reusing one pooled
+	// similarity Scratch across the whole refinement, so no step allocates —
 	// and reduced in index order (the float sum must not depend on the
 	// schedule).
-	scratches := make([]*sim.Scratch, parallel.WorkerCount(cfg.Workers, len(c)))
+	ws := sim.BorrowScratches(parallel.WorkerCount(cfg.Workers, len(c)))
+	defer ws.Release()
 	objective := func(rep *txn.Transaction) float64 {
 		return parallel.SumWorkers(cfg.Workers, len(c), func(w, i int) float64 {
-			sc := scratches[w]
-			if sc == nil {
-				sc = sim.NewScratch()
-				scratches[w] = sc
-			}
-			return cx.Transactions(c[i], rep, sc)
+			return cx.Transactions(c[i], rep, ws.Worker(w))
 		})
 	}
 	// Batch size: rank ties always travel together; under

@@ -142,8 +142,8 @@ func RelocateWorkers(cx *sim.Context, s []*txn.Transaction, reps []*txn.Transact
 // drawing transactions once ctx is done and the call returns ctx's error
 // with a partial (unusable) assignment. A nil ctx never cancels.
 //
-// Each worker owns one similarity Scratch (reused across every pair it
-// evaluates, so the scan allocates nothing per pair) and threads its
+// Each worker borrows one pooled similarity Scratch (reused across every
+// pair it evaluates, so the scan allocates nothing per pair) and threads its
 // running argmax through sim.TransactionsAtLeast: once a representative
 // has scored `best`, later representatives are abandoned as soon as the
 // kernel's exact upper bound proves they cannot strictly beat it. The
@@ -163,27 +163,10 @@ func RelocateCtx(ctx context.Context, cx *sim.Context, s []*txn.Transaction, rep
 // parameters; assignments are byte-identical with the index on or off.
 func RelocateCtxIndexed(ctx context.Context, cx *sim.Context, s []*txn.Transaction, reps []*txn.Transaction, workers int, ix *sim.RepIndex) ([]int, error) {
 	assign := make([]int, len(s))
-	nw := parallel.WorkerCount(workers, len(s))
-	scratches := make([]*sim.Scratch, nw)
-	var queries []*sim.RepQuery
-	if ix != nil && ix.Enabled() {
-		queries = make([]*sim.RepQuery, nw)
-	}
+	ws := sim.BorrowScratches(parallel.WorkerCount(workers, len(s)))
+	defer ws.Release()
 	err := parallel.ForCtxWorkers(ctx, workers, len(s), func(w, i int) {
-		sc := scratches[w]
-		if sc == nil {
-			sc = sim.NewScratch()
-			scratches[w] = sc
-		}
-		var rq *sim.RepQuery
-		if queries != nil {
-			rq = queries[w]
-			if rq == nil {
-				rq = sim.NewRepQuery()
-				queries[w] = rq
-			}
-		}
-		assign[i], _ = RelocateOneIndexed(cx, s[i], reps, ix, rq, sc)
+		assign[i], _ = RelocateOneIndexed(cx, s[i], reps, ix, ws.Worker(w))
 	})
 	if err != nil {
 		return nil, err
@@ -199,11 +182,8 @@ func RelocateCtxIndexed(ctx context.Context, cx *sim.Context, s []*txn.Transacti
 // incremental serving layer, so online assignments match what a batch
 // relocation would produce for the same representatives by construction.
 // The scan threads its running best through the branch-and-bound kernel;
-// sc may be nil (a scratch is then allocated per call).
+// sc may be nil (the kernel then borrows a pooled scratch per evaluation).
 func RelocateOne(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, sc *sim.Scratch) (int, float64) {
-	if sc == nil {
-		sc = sim.NewScratch()
-	}
 	best, bestJ := 0.0, TrashCluster
 	for j, rep := range reps {
 		if rep == nil || rep.Len() == 0 {
@@ -240,18 +220,17 @@ func RelocateOne(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, 
 // Counters.IndexCandidates, and the representatives never touched
 // (non-candidates plus bound-pruned candidates) to Counters.IndexSkipped;
 // the two sum to ix.Active() per call. A nil or disabled index falls back
-// to the flat scan (no counters move). rq may be nil (allocates per call);
-// pass a per-goroutine RepQuery on hot paths.
-func RelocateOneIndexed(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, ix *sim.RepIndex, rq *sim.RepQuery, sc *sim.Scratch) (int, float64) {
+// to the flat scan (no counters move). The index query runs on sc's own
+// query state (sim.Scratch.Query); sc may be nil (allocates per call) — pass
+// a per-goroutine Scratch on hot paths.
+func RelocateOneIndexed(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, ix *sim.RepIndex, sc *sim.Scratch) (int, float64) {
 	if ix == nil || !ix.Enabled() {
 		return RelocateOne(cx, tr, reps, sc)
 	}
 	if sc == nil {
 		sc = sim.NewScratch()
 	}
-	if rq == nil {
-		rq = sim.NewRepQuery()
-	}
+	rq := sc.Query()
 	n := ix.Candidates(tr, rq)
 	best, bestJ := 0.0, TrashCluster
 	evaluated := 0
@@ -392,22 +371,18 @@ func SSE(cx *sim.Context, s []*txn.Transaction, assign []int, reps []*txn.Transa
 }
 
 // SSEWorkers is SSE spread over a worker pool, each worker reusing one
-// similarity Scratch so the objective allocates nothing per pair. Terms are
-// reduced in index order (parallel.SumWorkers), so the float result is
-// byte-identical to the serial SSE for any worker count.
+// pooled similarity Scratch so the objective allocates nothing per pair.
+// Terms are reduced in index order (parallel.SumWorkers), so the float
+// result is byte-identical to the serial SSE for any worker count.
 func SSEWorkers(cx *sim.Context, s []*txn.Transaction, assign []int, reps []*txn.Transaction, workers int) float64 {
-	scratches := make([]*sim.Scratch, parallel.WorkerCount(workers, len(assign)))
+	ws := sim.BorrowScratches(parallel.WorkerCount(workers, len(assign)))
+	defer ws.Release()
 	return parallel.SumWorkers(workers, len(assign), func(w, i int) float64 {
 		a := assign[i]
 		if a < 0 || a >= len(reps) || reps[a] == nil {
 			return 1 // trash contributes maximal error
 		}
-		sc := scratches[w]
-		if sc == nil {
-			sc = sim.NewScratch()
-			scratches[w] = sc
-		}
-		return 1 - cx.Transactions(s[i], reps[a], sc)
+		return 1 - cx.Transactions(s[i], reps[a], ws.Worker(w))
 	})
 }
 

@@ -60,9 +60,9 @@ func (h *hookFns) RoundBoundary(st *core.SessionState) (*core.SessionState, erro
 	}
 	return nil, nil
 }
-func (h *hookFns) Control(env p2p.Envelope) (*core.SessionState, error)       { return nil, nil }
+func (h *hookFns) Control(env p2p.Envelope) (*core.SessionState, error)          { return nil, nil }
 func (h *hookFns) Deadline(ph core.Phase, round int) (*core.SessionState, error) { return nil, nil }
-func (h *hookFns) SendFailed(to, round int, err error) error                  { return err }
+func (h *hookFns) SendFailed(to, round int, err error) error                     { return err }
 
 func gobBytes(t *testing.T, st *core.SessionState) []byte {
 	t.Helper()

@@ -51,8 +51,7 @@ import (
 // paths).
 //
 // A Scratch is NOT safe for concurrent use; give each goroutine its own
-// (see parallel.ForCtxWorkers) or pass nil to borrow one from the shared
-// pool.
+// (see Scratches) or pass nil to borrow one from the shared pool.
 type Scratch struct {
 	vecs1, vecs2 []vector.Sparse // resolved TCU vector headers per position
 	simM         []float64       // row-major n1×n2 item similarities
@@ -107,7 +106,14 @@ type Scratch struct {
 	lastTab          *txn.ItemTable
 	lastVecVer       uint64
 	lastTr1, lastTr2 *txn.Transaction
+
+	query RepQuery
 }
+
+// Query returns the index-query state that travels with the scratch: an
+// indexed relocation needs both per worker, so they are borrowed, warmed and
+// returned together.
+func (sc *Scratch) Query() *RepQuery { return &sc.query }
 
 // NewScratch returns an empty kernel scratch; buffers are grown on first
 // use and reused afterwards.
@@ -130,6 +136,38 @@ func getScratch(sc *Scratch) (*Scratch, bool) {
 func putScratch(sc *Scratch, pooled bool) {
 	if pooled {
 		scratchPool.Put(sc)
+	}
+}
+
+// Scratches is the per-worker kernel state of one fork-join pass: slot w
+// belongs to the worker with dense id w (see parallel.ForCtxWorkers) and is
+// borrowed from the shared pool on that worker's first use. Once the pool is
+// warm a pass allocates no scratch at all — the resolved columns, the
+// structural memo and the index-query buffers survive from pass to pass and
+// from job to job instead of being rebuilt per relocation pass and per
+// representative. Workers touch only their own slot, so no locking is
+// needed; Release, called once the pass has joined, hands everything back.
+type Scratches []*Scratch
+
+// BorrowScratches returns an empty worker-indexed set for the given worker
+// count (parallel.WorkerCount).
+func BorrowScratches(workers int) Scratches { return make(Scratches, workers) }
+
+// Worker returns worker w's scratch, borrowing it on first use.
+func (ws Scratches) Worker(w int) *Scratch {
+	if ws[w] == nil {
+		ws[w] = scratchPool.Get().(*Scratch)
+	}
+	return ws[w]
+}
+
+// Release returns every borrowed scratch to the pool.
+func (ws Scratches) Release() {
+	for w, sc := range ws {
+		if sc != nil {
+			scratchPool.Put(sc)
+			ws[w] = nil
+		}
 	}
 }
 
@@ -392,6 +430,7 @@ func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch, threshold
 	for i := 0; i < n1; i++ {
 		if prune && float64(qualRows+(n1-i)+n2)/float64(u) <= threshold {
 			cx.Counters.PrunedRows.Add(int64(n1 - i))
+			cx.Counters.ItemSims.Add(int64(i) * int64(n2))
 			return 0, false
 		}
 		var structRow []float64
@@ -416,60 +455,33 @@ func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch, threshold
 		row := sc.simM[i*n2 : (i+1)*n2]
 		rowBest := -1.0
 		va := sc.vecs1[i]
-		if cx.ItemCache == nil {
-			// The tight loop: contiguous reads only — the tag-path slot
-			// column, the resolved vector headers and the similarity row.
-			// The arithmetic replicates Item (Eq. 1) operation for
-			// operation, so values are bit-identical to direct Item calls.
-			for j := range row {
-				s := 0.0
-				if f > 0 {
-					s += f * structRow[sc.tpIdx2[j]]
-				}
-				if f < 1 {
-					s += (1 - f) * vector.Cosine(va, vecs2[j])
-				}
-				row[j] = s
-				if s > rowBest {
-					rowBest = s
-				}
-				if s > colBest[j] {
-					colBest[j] = s
-				}
+		// The tight loop: contiguous reads only — the tag-path slot column,
+		// the resolved vector headers and the similarity row — and no shared
+		// state. The arithmetic replicates Item (Eq. 1) operation for
+		// operation, so evaluated values are bit-identical to direct Item
+		// calls. The content cosine is skipped when even a perfect one
+		// leaves the pair below γ: cosines are clamped to [0,1] and IEEE
+		// multiplication and addition are monotone, so s + (1−f) bounds the
+		// full value from above in floating point, not just in the reals.
+		// Only values ≥ γ ever set a mark or count a qualifying row, and a
+		// skipped pair stores its partial value, itself < γ — so marks,
+		// counts and row pruning are unchanged.
+		for j := range row {
+			s := 0.0
+			if f > 0 {
+				s += f * structRow[sc.tpIdx2[j]]
 			}
-		} else {
-			// Memoized variant: same arithmetic behind the item-pair cache,
-			// keys packed from the flat id slices.
-			ida := ids1[i]
-			for j := range row {
-				var s float64
-				key := packItemPair(ida, ids2[j])
-				if v, ok := cx.ItemCache.lookup(key); ok {
-					cx.Counters.ItemCacheHits.Add(1)
-					s = v
-				} else {
-					s = 0.0
-					if f > 0 {
-						s += f * structRow[sc.tpIdx2[j]]
-					}
-					if f < 1 {
-						s += (1 - f) * vector.Cosine(va, vecs2[j])
-					}
-					cx.ItemCache.store(key, s)
-				}
-				row[j] = s
-				if s > rowBest {
-					rowBest = s
-				}
-				if s > colBest[j] {
-					colBest[j] = s
-				}
+			if f < 1 && s+(1-f) >= gamma {
+				s += (1 - f) * vector.Cosine(va, vecs2[j])
+			}
+			row[j] = s
+			if s > rowBest {
+				rowBest = s
+			}
+			if s > colBest[j] {
+				colBest[j] = s
 			}
 		}
-		// One batched counter add per processed row instead of one atomic
-		// per pair: totals are identical (pruned rows never counted their
-		// pairs before either), contention is n2× lower.
-		cx.Counters.ItemSims.Add(int64(n2))
 		// Direction tr2 → tr1: the best matchers of tr1's item i within tr2.
 		// rowBest is final once the row is filled, so the marks are set here,
 		// ties all qualifying.
@@ -482,6 +494,10 @@ func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch, threshold
 			}
 		}
 	}
+	// One counter add per evaluation (here and at the bail-out above), not
+	// per pair or per row: the total is the pairs of the rows processed, and
+	// the shared cache line stays out of the loop.
+	cx.Counters.ItemSims.Add(int64(n1) * int64(n2))
 	// Direction tr1 → tr2: for each tr2 item (column j), the best matchers
 	// from tr1 — every row tying the column maximum qualifies.
 	for j := 0; j < n2; j++ {

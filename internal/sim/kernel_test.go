@@ -58,14 +58,24 @@ func randomKernelCorpus(rng *rand.Rand, nItems, nTxns int) *txn.Corpus {
 	return &txn.Corpus{Paths: paths, Items: items, Transactions: trs}
 }
 
-var kernelParamsGrid = []Params{
-	{F: 0, Gamma: 0},
-	{F: 0, Gamma: 0.9},
-	{F: 0.5, Gamma: 0.4},
-	{F: 0.5, Gamma: 0.8},
-	{F: 1, Gamma: 0.6},
-	{F: 1, Gamma: 0.999},
-}
+// kernelParamsGrid is what every oracle-equivalence suite sweeps: the full
+// f ∈ {0, 0.3, 0.5, 1} × γ ∈ {0, 0.5, 0.8, 1} product — every regime of the
+// kernel's content-cosine skip, from never (γ = 0, f = 0) through most pairs
+// (γ = 1) to no cosine at all (f = 1) — plus a few off-grid points.
+var kernelParamsGrid = func() []Params {
+	grid := []Params{
+		{F: 0, Gamma: 0.9},
+		{F: 0.5, Gamma: 0.4},
+		{F: 1, Gamma: 0.6},
+		{F: 1, Gamma: 0.999},
+	}
+	for _, f := range []float64{0, 0.3, 0.5, 1} {
+		for _, gamma := range []float64{0, 0.5, 0.8, 1} {
+			grid = append(grid, Params{F: f, Gamma: gamma})
+		}
+	}
+	return grid
+}()
 
 // TestMatchCountEqualsMatchSet pins the count-only kernel to the
 // materialized set on randomized corpora: MatchCount == len(MatchSet) ==
@@ -133,6 +143,47 @@ func TestTransactionsAtLeastExactDecisions(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestGammaBoundSkipBoundary pins the content-cosine skip itself (the grid
+// suites above pin that no result moves): it walks the edges on one item pair
+// with simS = 0.5 exactly (two-tag paths sharing the root) and cosine 1
+// (identical vectors), reading the stored Eq. 1 value out of the scratch.
+func TestGammaBoundSkipBoundary(t *testing.T) {
+	paths := xmltree.NewPathTable()
+	items := txn.NewItemTable(paths)
+	a := items.Intern(paths.Intern(xmltree.Path{"r", "a"}), "x")
+	b := items.Intern(paths.Intern(xmltree.Path{"r", "b"}), "x")
+	for _, id := range []txn.ItemID{a, b} {
+		items.SetVector(id, vector.FromMap(map[int32]float64{1: 1}))
+	}
+	tr1 := txn.NewTransaction([]txn.ItemID{a}, 0, 0, -1)
+	tr2 := txn.NewTransaction([]txn.ItemID{b}, 1, 0, -1)
+	corpus := &txn.Corpus{Paths: paths, Items: items, Transactions: []*txn.Transaction{tr1, tr2}}
+	for _, tc := range []struct {
+		name            string
+		f, gamma        float64
+		wantSim, wantEq float64
+	}{
+		// Bound 0.25 + 0.5 == γ exactly: the comparison is ≥, so the cosine
+		// is evaluated and the pair matches.
+		{"bound equals gamma", 0.5, 0.75, 0.75, 1},
+		// Bound 0.75 < γ: skipped, the structural part alone is stored.
+		{"bound below gamma", 0.5, 0.8, 0.25, 0},
+		// f = 1: Eq. 1 has no content term to skip or evaluate.
+		{"structure only", 1, 0.5, 0.5, 1},
+		// f = 0: the bound is 1, which no γ ≤ 1 exceeds — never skipped.
+		{"content only", 0, 1, 1, 1},
+	} {
+		cx := NewContext(corpus, Params{F: tc.f, Gamma: tc.gamma})
+		sc := NewScratch()
+		if got := cx.Transactions(tr1, tr2, sc); got != tc.wantEq || got != SeedTransactions(cx, tr1, tr2) {
+			t.Errorf("%s: Transactions = %v, want %v (oracle %v)", tc.name, got, tc.wantEq, SeedTransactions(cx, tr1, tr2))
+		}
+		if sc.simM[0] != tc.wantSim {
+			t.Errorf("%s: stored item similarity %v, want %v", tc.name, sc.simM[0], tc.wantSim)
 		}
 	}
 }

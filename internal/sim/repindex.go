@@ -320,7 +320,8 @@ func (ix *RepIndex) addTag(tag string, j, w int) {
 // RepQuery is the reusable per-goroutine state of index queries: the q1
 // counters, the candidate list with its upper bounds, the document-side
 // resolution buffers and the epoch-stamped term set for the lazy q2 pass.
-// Like Scratch it is not safe for concurrent use — give each worker its own.
+// Like Scratch it is not safe for concurrent use — every Scratch carries one
+// (Scratch.Query), so a worker that owns a scratch owns its query state too.
 type RepQuery struct {
 	q1   []int32
 	cand []int32

@@ -9,31 +9,30 @@
 //     enhanced-intersection match sets matchγ.
 //
 // A Context carries the parameters (f, γ) and the collection tables. The
-// implementation is organized as four performance tiers, from coldest to
+// implementation is organized as three performance tiers, from coldest to
 // hottest:
 //
 //  1. PathCache — the sharded store of Eq. 3 tag-path pair similarities,
 //     the precomputation Sect. 4.3.2 identifies as the key optimization.
 //     Values depend only on the paths and the Δ function, never on (f, γ),
 //     so one cache serves every parameter combination over a corpus.
-//  2. ItemSimCache — a bounded, per-(f, γ) memo of Eq. 1 item-pair values
-//     (content cosine + structural lookup + f-mix), enabled by Engine
-//     contexts; γ-matching re-asks the same pairs every relocation pass.
-//  3. The match kernel (kernel.go) — the allocation-free Eq. 4 inner loop.
-//     A per-goroutine Scratch holds the resolved columns, similarity
-//     matrix and match bitsets, grown in place and reused; MatchCount
-//     produces |matchγ| without materializing a set, and
+//  2. The match kernel (kernel.go) — the allocation-free, lock-free Eq. 4
+//     inner loop. A per-goroutine Scratch holds the resolved columns,
+//     similarity matrix and match bitsets, grown in place and reused;
+//     Eq. 1 values are recomputed per pair (cheaper than any shared memo
+//     probe) and the content cosine is skipped for pairs that cannot reach
+//     γ; MatchCount produces |matchγ| without materializing a set, and
 //     TransactionsAtLeast adds exact branch-and-bound row pruning for
 //     argmax callers. MatchSet remains as a thin materializing wrapper.
-//  4. The columnar layout (txn.Columnar) — builder-built corpora carry a
+//  3. The columnar layout (txn.Columnar) — builder-built corpora carry a
 //     struct-of-arrays arena of item ids and tag-path ids with each
 //     transaction as a [start,end) span, so the kernel's n1×n2 pass scans
 //     contiguous int32/float64 slices and never dereferences a *txn.Item;
 //     transactions without a span (synthetic representatives, literal test
 //     corpora) take a table-resolved fallback with identical output.
 //
-// None of the tiers ever changes a result: the caches store pure functions
-// of their keys, the kernel's count and pruning decisions are exact, and
+// None of the tiers ever changes a result: the cache stores pure functions
+// of its keys, the kernel's count and pruning decisions are exact, and
 // the columnar columns are derived copies of the item table (equivalence-
 // and allocation-guarded in kernel_test.go and CI, with SeedTransactions
 // in seed.go as the frozen pointer-based oracle).
@@ -61,12 +60,15 @@ type Params struct {
 // Counters tracks how much similarity work was performed; used by the
 // complexity experiments. All fields are updated atomically.
 type Counters struct {
-	ItemSims      atomic.Int64 // calls to Item (Eq. 1)
-	PathSims      atomic.Int64 // structural path alignments actually computed
-	TxnSims       atomic.Int64 // calls to Transactions/TransactionsAtLeast (Eq. 4)
-	CacheHits     atomic.Int64 // path-pair cache hits
-	CacheMisses   atomic.Int64
-	ItemCacheHits atomic.Int64 // item-pair cache hits (engine contexts only)
+	// ItemSims counts the algorithm's demand for Eq. 1 values: calls to Item
+	// plus every item pair in a kernel row that was processed (not pruned).
+	// It is not the number of cosines evaluated — the kernel skips the content
+	// cosine of pairs that provably cannot reach γ.
+	ItemSims    atomic.Int64
+	PathSims    atomic.Int64 // structural path alignments actually computed
+	TxnSims     atomic.Int64 // calls to Transactions/TransactionsAtLeast (Eq. 4)
+	CacheHits   atomic.Int64 // path-pair cache hits
+	CacheMisses atomic.Int64
 	// PrunedRows counts tr1 rows (one row = up to |tr2| Eq. 1 evaluations)
 	// skipped by TransactionsAtLeast's branch-and-bound bound — the work the
 	// assignment path avoided without changing any result.
@@ -125,17 +127,11 @@ type Context struct {
 	// sketched in Sect. 4.1.1/Sect. 6 of the paper.
 	TagSim semantics.TagSimilarity
 
-	// ItemCache, when non-nil, memoizes Eq. 1 item-pair similarities for
-	// this context. Items are interned content-addressed, so the cached
-	// value is a pure function of (pair, Params, TagSim) and results stay
-	// byte-identical with the cache on or off. Unlike the structural
-	// PathCache it must NOT be shared between contexts with different
-	// Params — Eq. 1 folds f and the γ threshold sits on top of it — which
-	// is why the engine keys its context cache by Params. Off by default:
-	// the paper-reproduction experiments count raw Eq. 1 evaluations and a
-	// memo layer would change the measured complexity profile. Set it
-	// before the context is used concurrently.
-	ItemCache *ItemSimCache
+	// Deprecated: goes with the next benchmark PR. The item-pair memo is
+	// gone (recomputing Eq. 1 is cheaper than probing it); nothing reads
+	// this field, NewItemSimCache or DefaultItemCachePairs — they only keep
+	// the frozen bench/ module compiling.
+	ItemCache *struct{}
 
 	cache *PathCache
 }
@@ -212,118 +208,15 @@ func shardOf(key pathPair) uint32 {
 	return h & (cacheShards - 1)
 }
 
-// itemPair packs an ordered item-id pair into one map key (ids are int32,
-// so the pair fits a uint64 exactly; uint64 keys hash measurably faster
-// than structs on the memo's hot path).
-type itemPair uint64
+// DefaultItemCachePairs sized the retired item-pair memo.
+//
+// Deprecated: goes with the next benchmark PR.
+const DefaultItemCachePairs = 0
 
-func packItemPair(a, b txn.ItemID) itemPair {
-	if b < a {
-		a, b = b, a
-	}
-	return itemPair(uint64(uint32(a))<<32 | uint64(uint32(b)))
-}
-
-// itemShard is one lock-striped slice of an ItemSimCache.
-type itemShard struct {
-	mu sync.RWMutex
-	m  map[itemPair]float64
-}
-
-// ItemSimCache is a bounded, sharded memo of Eq. 1 item-pair similarities.
-// It is the layer above PathCache: one entry saves the content cosine, the
-// structural lookup and the f-mix for a pair that recurs — and γ-matching
-// recomputes the same pairs every relocation pass, every round, every run.
-// The size cap bounds worst-case memory on huge item domains: once the
-// capacity is exhausted, further pairs are computed but not stored
-// (results do not change, only the hit rate). Because one memo is only
-// valid for one Params value, an engine holding many (F, Gamma) contexts
-// shares a single entry budget across all of their memos via
-// NewItemSimCacheShared — the aggregate footprint stays bounded no matter
-// how large the parameter grid grows.
-type ItemSimCache struct {
-	perShard int
-	budget   *atomic.Int64 // shared remaining-entry budget; nil = per-shard cap only
-	shards   [cacheShards]itemShard
-}
-
-// DefaultItemCachePairs is the default total capacity of an ItemSimCache
-// (≈ 24 MB of map payload at float64 values).
-const DefaultItemCachePairs = 1 << 20
-
-// NewItemSimCache creates an item-pair cache holding at most maxPairs
-// entries (0 or negative = DefaultItemCachePairs).
-func NewItemSimCache(maxPairs int) *ItemSimCache {
-	if maxPairs <= 0 {
-		maxPairs = DefaultItemCachePairs
-	}
-	per := maxPairs / cacheShards
-	if per < 1 {
-		per = 1
-	}
-	c := &ItemSimCache{perShard: per}
-	for i := range c.shards {
-		c.shards[i].m = make(map[itemPair]float64)
-	}
-	return c
-}
-
-// NewItemSimCacheShared creates an item-pair cache whose stores draw from
-// a shared remaining-entry budget: caches over many Params values then
-// compete for one aggregate capacity instead of multiplying it. The
-// budget must be initialized to the total number of entries allowed
-// across every cache sharing it.
-func NewItemSimCacheShared(budget *atomic.Int64) *ItemSimCache {
-	c := &ItemSimCache{perShard: int(^uint(0) >> 1), budget: budget}
-	for i := range c.shards {
-		c.shards[i].m = make(map[itemPair]float64)
-	}
-	return c
-}
-
-// Len returns the number of cached pair similarities.
-func (c *ItemSimCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-func itemShardOf(key itemPair) uint32 {
-	h := uint32(key>>32)*0x9e3779b1 ^ uint32(key)*0x85ebca77
-	h ^= h >> 16
-	return h & (cacheShards - 1)
-}
-
-func (c *ItemSimCache) lookup(key itemPair) (float64, bool) {
-	sh := &c.shards[itemShardOf(key)]
-	sh.mu.RLock()
-	s, ok := sh.m[key]
-	sh.mu.RUnlock()
-	return s, ok
-}
-
-func (c *ItemSimCache) store(key itemPair, s float64) {
-	if c.budget != nil && c.budget.Add(-1) < 0 {
-		c.budget.Add(1)
-		return
-	}
-	sh := &c.shards[itemShardOf(key)]
-	sh.mu.Lock()
-	_, dup := sh.m[key]
-	stored := !dup && len(sh.m) < c.perShard
-	if stored {
-		sh.m[key] = s
-	}
-	sh.mu.Unlock()
-	if !stored && c.budget != nil {
-		c.budget.Add(1) // refund: duplicate or full shard consumed no entry
-	}
-}
+// NewItemSimCache built the retired item-pair memo; it returns nil.
+//
+// Deprecated: goes with the next benchmark PR.
+func NewItemSimCache(int) *struct{} { return nil }
 
 // NewContext builds a similarity context over a corpus with a private
 // tag-path pair cache.
@@ -444,20 +337,9 @@ func (cx *Context) Content(a, b *txn.Item) float64 {
 	return vector.Cosine(a.Vector, b.Vector)
 }
 
-// Item returns sim(ei, ej) = f·simS + (1−f)·simC (Eq. 1), consulting the
-// optional item-pair memo first. Counters.ItemSims counts calls either way
-// (it measures the algorithm's demand, not the cache's effectiveness —
-// that is Counters.ItemCacheHits).
+// Item returns sim(ei, ej) = f·simS + (1−f)·simC (Eq. 1).
 func (cx *Context) Item(a, b *txn.Item) float64 {
 	cx.Counters.ItemSims.Add(1)
-	var key itemPair
-	if cx.ItemCache != nil {
-		key = packItemPair(a.ID, b.ID)
-		if s, ok := cx.ItemCache.lookup(key); ok {
-			cx.Counters.ItemCacheHits.Add(1)
-			return s
-		}
-	}
 	f := cx.Params.F
 	s := 0.0
 	if f > 0 {
@@ -465,9 +347,6 @@ func (cx *Context) Item(a, b *txn.Item) float64 {
 	}
 	if f < 1 {
 		s += (1 - f) * cx.Content(a, b)
-	}
-	if cx.ItemCache != nil {
-		cx.ItemCache.store(key, s)
 	}
 	return s
 }

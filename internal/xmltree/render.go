@@ -78,7 +78,8 @@ func renderNode(w io.Writer, n *Node, depth int) error {
 	return err
 }
 
-func escapeXML(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+// xmlEscaper is built once: a Replacer is safe for concurrent use, and
+// constructing one per value dominated the renderer's allocations.
+var xmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
+func escapeXML(s string) string { return xmlEscaper.Replace(s) }
