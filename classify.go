@@ -198,16 +198,8 @@ func (e *Engine) ClassifyTransactions(ctx context.Context, trs []*Transaction, r
 // frozen-itf online pass before classifying.
 func (e *Engine) ExtractTransactions(t *Tree, maxTuples int) []*Transaction {
 	res := tuple.Extract(t, tuple.Options{MaxTuplesPerTree: maxTuples})
-	out := make([]*Transaction, 0, len(res.Tuples))
-	for _, tt := range res.Tuples {
-		ids := make([]txn.ItemID, 0, len(tt.Leaves))
-		for _, lf := range tt.Leaves {
-			pid := e.corpus.Paths.Intern(lf.Path)
-			ids = append(ids, e.corpus.Items.Intern(pid, lf.Node.Value))
-		}
-		out = append(out, txn.NewTransaction(ids, -1, tt.Index, -1))
-	}
-	return out
+	var intern txn.LeafInterner // per call: classifies run concurrently
+	return intern.Transactions(e.corpus, t, res, -1, -1)
 }
 
 // Classify extracts a document's transactions against the engine's item

@@ -182,3 +182,44 @@ func TestEngineConcurrentClusterClassify(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestExtractTransactionsMatchesBuilder: decomposing the corpus's own
+// documents again must land on the item sets the builder made of them and
+// intern nothing — both go through txn.LeafInterner, the builder with a
+// scratch it keeps, ExtractTransactions with one per call.
+func TestExtractTransactionsMatchesBuilder(t *testing.T) {
+	var trees []*Tree
+	for _, d := range append([]string{
+		`<r><k>shared leaf</k><a>one</a><a>two</a><a>two</a></r>`, // 3 tuples, 2 distinct item sets
+	}, sampleDocs...) {
+		tree, err := ParseString(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, tree)
+	}
+	corpus := BuildCorpus(trees, CorpusOptions{})
+	eng, err := NewEngine(corpus, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := corpus.Items.Len()
+	next := 0
+	for doc, tree := range trees {
+		for _, tr := range eng.ExtractTransactions(tree, 0) {
+			if next >= len(corpus.Transactions) || corpus.Transactions[next].Doc != doc {
+				t.Fatalf("doc %d: more transient transactions than the builder made", doc)
+			}
+			if want := corpus.Transactions[next]; !tr.Equal(want) || tr.TupleIndex != want.TupleIndex || tr.Doc != -1 {
+				t.Fatalf("doc %d tuple %d: extracted %v, builder %v", doc, tr.TupleIndex, tr.Items, want.Items)
+			}
+			next++
+		}
+	}
+	if next != len(corpus.Transactions) {
+		t.Fatalf("extracted %d transactions, corpus has %d", next, len(corpus.Transactions))
+	}
+	if corpus.Items.Len() != items {
+		t.Fatalf("re-extraction interned %d new items", corpus.Items.Len()-items)
+	}
+}

@@ -3,6 +3,7 @@ package corpus
 import (
 	"archive/tar"
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
@@ -58,13 +59,20 @@ func (s *tarSource) Next() (*Document, error) {
 		if hdr.Typeflag != tar.TypeReg || !strings.HasSuffix(strings.ToLower(hdr.Name), ".xml") {
 			continue
 		}
-		data, err := io.ReadAll(s.tr)
-		if err != nil {
+		// The header's size sizes the buffer up front (capped: a header is
+		// untrusted input), with bytes.MinRead of slack so that the read
+		// that meets EOF does not grow it.
+		buf := bytes.NewBuffer(make([]byte, 0, min(hdr.Size, maxEntryPrealloc)+bytes.MinRead))
+		if _, err := buf.ReadFrom(s.tr); err != nil {
 			return nil, fmt.Errorf("corpus: %s: tar entry %s: %w", s.name, hdr.Name, err)
 		}
-		return bytesDoc(s.name+":"+hdr.Name, -1, data), nil
+		return bytesDoc(s.name+":"+hdr.Name, -1, buf.Bytes()), nil
 	}
 }
+
+// maxEntryPrealloc bounds what a tar header's claimed size may allocate
+// before any byte of the entry is read; larger entries grow as they arrive.
+const maxEntryPrealloc = 1 << 20
 
 func (s *tarSource) Close() error {
 	var first error

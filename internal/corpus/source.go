@@ -167,13 +167,20 @@ func (s *multiSource) Close() error {
 	return first
 }
 
+// bytesReadCloser is an in-memory document's reader. Unlike io.NopCloser it
+// keeps *bytes.Reader's ReadByte visible, so xml.NewDecoder reads it
+// directly instead of wrapping every document in a fresh bufio.Reader.
+type bytesReadCloser struct{ *bytes.Reader }
+
+func (bytesReadCloser) Close() error { return nil }
+
 // bytesDoc builds a raw-XML document over an in-memory buffer.
 func bytesDoc(name string, label int, data []byte) *Document {
 	return &Document{
 		Name:  name,
 		Label: label,
 		Open: func() (io.ReadCloser, error) {
-			return io.NopCloser(bytes.NewReader(data)), nil
+			return bytesReadCloser{bytes.NewReader(data)}, nil
 		},
 	}
 }

@@ -196,6 +196,53 @@ func TestTarSourcePlainAndGzip(t *testing.T) {
 	}
 }
 
+// TestTarEntryBuffering covers the two per-document constants of the tar
+// path: an entry is read whole whether or not it fits the buffer its header
+// sized (empty, small, larger than the preallocation cap, and cut short by
+// a damaged archive), and the reader a document opens is an io.ByteReader,
+// which is what keeps xml.NewDecoder from wrapping it in a bufio.Reader.
+func TestTarEntryBuffering(t *testing.T) {
+	big := "<a>" + strings.Repeat("x", maxEntryPrealloc+12345) + "</a>"
+	entries := map[string]string{"big.xml": big, "empty.xml": "", "small.xml": "<s>v</s>"}
+	data := makeTar(t, false, entries)
+	src, err := Tar(bytes.NewReader(data), "t.tar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	for _, name := range []string{"big.xml", "empty.xml", "small.xml"} {
+		d, err := src.Next()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rc, err := d.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := rc.(io.ByteReader); !ok {
+			t.Fatalf("%s opens as %T, which is no io.ByteReader", name, rc)
+		}
+		b, _ := io.ReadAll(rc)
+		rc.Close()
+		if string(b) != entries[name] {
+			t.Fatalf("%s: read %d bytes, want %d", name, len(b), len(entries[name]))
+		}
+	}
+	if _, err := src.Next(); err != io.EOF {
+		t.Fatalf("after the last entry: %v, want io.EOF", err)
+	}
+
+	// The archive ends in the middle of big.xml: an error, not a short document.
+	cut, err := Tar(bytes.NewReader(data[:len(data)/2]), "cut.tar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cut.Close()
+	if d, err := cut.Next(); err == nil || err == io.EOF {
+		t.Fatalf("truncated archive yielded %v, %v", d, err)
+	}
+}
+
 func TestTreesSourceLabels(t *testing.T) {
 	trees := []*xmltree.Tree{
 		xmltree.MustParseString("<a/>", xmltree.DefaultParseOptions()),

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -142,4 +143,40 @@ func TestHTTPErrors(t *testing.T) {
 	doJSON(t, http.MethodGet, srv.URL+"/v1/clusters/abc", nil, http.StatusBadRequest, nil)
 	// The trash alias works.
 	doJSON(t, http.MethodGet, srv.URL+"/v1/clusters/trash", nil, http.StatusOK, nil)
+}
+
+// TestHTTPDepthBomb sends 2.2 M nested elements — 15.4 MB, under the body
+// cap, so the request reaches the parser — to both endpoints that parse.
+// A tree that deep would overflow the stack of the first recursive walk,
+// which no recover catches; the parser must refuse it and the service must
+// keep serving.
+func TestHTTPDepthBomb(t *testing.T) {
+	_, srv := httpService(t)
+	const levels = 2_200_000
+	// Built by hand: json.Marshal would escape every '<' to six bytes and
+	// push the body over the cap.
+	var body bytes.Buffer
+	body.WriteString(`{"name":"bomb","xml":"`)
+	body.WriteString(strings.Repeat("<a>", levels))
+	body.WriteString("x")
+	body.WriteString(strings.Repeat("</a>", levels))
+	body.WriteString(`"}`)
+	if body.Len() >= maxBodyBytes {
+		t.Fatalf("bomb is %d bytes, not under the %d body cap", body.Len(), maxBodyBytes)
+	}
+	for _, path := range []string{"/v1/documents", "/v1/classify"} {
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body.Bytes()))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST %s: status %d (want 400): %s", path, resp.StatusCode, raw)
+		}
+	}
+	var info DocInfo
+	doJSON(t, http.MethodPost, srv.URL+"/v1/documents",
+		addDocumentRequest{Name: "after", XML: "<a><b>still serving</b></a>"}, http.StatusCreated, &info)
+	doJSON(t, http.MethodGet, fmt.Sprintf("%s/v1/documents/%d", srv.URL, info.ID), nil, http.StatusOK, nil)
 }

@@ -1,9 +1,11 @@
 package textproc
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestTokenizeBasic(t *testing.T) {
@@ -15,7 +17,7 @@ func TestTokenizeBasic(t *testing.T) {
 		{"XML-based   clustering", []string{"xml", "based", "clustering"}},
 		{"year 2003", []string{"year", "2003"}},
 		{"", nil},
-		{"a b c", nil}, // single-rune tokens dropped
+		{"a b c", nil}, // tokens shorter than two bytes dropped
 		{"K-means", []string{"means"}},
 		{"état Über", []string{"état", "über"}},
 		{"foo_bar", []string{"foo", "bar"}},
@@ -25,6 +27,97 @@ func TestTokenizeBasic(t *testing.T) {
 		got := Tokenize(c.in)
 		if !eqStrings(got, c.want) {
 			t.Errorf("Tokenize(%q) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
+// TestTokenizeShortTokenRule pins the rule every saved corpus depends on:
+// the cut is two BYTES, not two runes, so a lone multi-byte letter or digit
+// is a token while a lone ASCII one is noise.
+func TestTokenizeShortTokenRule(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []string
+	}{
+		{"é", []string{"é"}},
+		{"É", []string{"é"}},
+		{"a é 7 ٣ x", []string{"é", "٣"}}, // ٣ is ARABIC-INDIC DIGIT THREE
+		{"à la carte", []string{"à", "la", "carte"}},
+		{"İ", nil}, // lower-cases to the one-byte "i"
+		{"中 文", []string{"中", "文"}},
+	}
+	for _, c := range cases {
+		if got := Tokenize(c.in); !eqStrings(got, c.want) {
+			t.Errorf("Tokenize(%q) = %q, want %q", c.in, got, c.want)
+		}
+	}
+}
+
+// referenceTokenize is the tokenizer the Scanner replaced — a rune loop
+// over a strings.Builder — kept as the oracle for the property test below.
+func referenceTokenize(text string) []string {
+	var tokens []string
+	var b strings.Builder
+	flush := func() {
+		if b.Len() == 0 {
+			return
+		}
+		tok := b.String()
+		b.Reset()
+		if len(tok) < 2 {
+			return
+		}
+		tokens = append(tokens, tok)
+	}
+	for _, r := range text {
+		switch {
+		case unicode.IsLetter(r) || unicode.IsDigit(r):
+			b.WriteRune(unicode.ToLower(r))
+		default:
+			flush()
+		}
+	}
+	flush()
+	return tokens
+}
+
+// TestScannerMatchesReferenceTokenizer compares the two on random strings:
+// testing/quick's (runes drawn from all of Unicode, so mostly separators and
+// rare scripts) and strings over an alphabet dense in what the scanner
+// treats specially — ASCII it lower-cases by hand, multi-byte letters and
+// digits, case mappings that change the byte length, combining marks, and
+// bytes that are not UTF-8. One Scanner serves all strings, as in ingest.
+func TestScannerMatchesReferenceTokenizer(t *testing.T) {
+	var sc Scanner
+	scan := func(s string) []string {
+		var toks []string
+		sc.Reset(s)
+		for tok, ok := sc.Next(); ok; tok, ok = sc.Next() {
+			toks = append(toks, string(tok))
+		}
+		return toks
+	}
+	check := func(s string) bool {
+		want := referenceTokenize(s)
+		return eqStrings(scan(s), want) && eqStrings(Tokenize(s), want)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	alphabet := []string{
+		"a", "b", "Z", "Q", "0", "7", " ", " ", "-", "_", ".", "'", "\n", "\t",
+		"é", "É", "ß", "ẞ", "İ", "ı", "ǅ", "Σ", "ς", "Ж", "ж", "Ⱥ", "ⱥ",
+		"中", "文", "٣", "௧", "Ⅷ", "²", "\u0301", "\u200d", "\u00a0", "€",
+		"\xff", "\xc3", "\xe2\x82", "\xf0\x9f", "\x00",
+	}
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 20000; i++ {
+		var b strings.Builder
+		for n := rng.Intn(12); n > 0; n-- {
+			b.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		if s := b.String(); !check(s) {
+			t.Fatalf("%q: scanner %q, Tokenize %q, reference %q", s, scan(s), Tokenize(s), referenceTokenize(s))
 		}
 	}
 }

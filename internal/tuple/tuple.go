@@ -16,7 +16,10 @@ import (
 	"xmlclust/internal/xmltree"
 )
 
-// Leaf is one leaf retained by a tree tuple, together with its complete path.
+// Leaf is one leaf retained by a tree tuple, together with its complete
+// path. A leaf node retained by several tuples of one tree has its path
+// computed once: the Path slices of those Leaf values share one backing
+// array and are read-only.
 type Leaf struct {
 	Node *xmltree.Node
 	Path xmltree.Path
@@ -77,10 +80,14 @@ func Extract(t *xmltree.Tree, opts Options) Result {
 	vs, total := variants(t.Root, max)
 	res := Result{TotalCombinations: total, Truncated: total > int64(len(vs))}
 	res.Tuples = make([]*TreeTuple, len(vs))
+	paths := make([]xmltree.Path, len(t.Nodes)) // by Node.ID, filled at a leaf's first tuple
 	for i, v := range vs {
 		leaves := make([]Leaf, len(v))
 		for j, n := range v {
-			leaves[j] = Leaf{Node: n, Path: xmltree.NodePath(n)}
+			if paths[n.ID] == nil {
+				paths[n.ID] = xmltree.NodePath(n)
+			}
+			leaves[j] = Leaf{Node: n, Path: paths[n.ID]}
 		}
 		res.Tuples[i] = &TreeTuple{Source: t, Index: i, Leaves: leaves}
 	}

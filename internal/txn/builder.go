@@ -1,6 +1,8 @@
 package txn
 
 import (
+	"slices"
+
 	"xmlclust/internal/tuple"
 	"xmlclust/internal/xmltree"
 )
@@ -15,6 +17,41 @@ type DocSink interface {
 	ObserveDoc(doc int, trs []*Transaction)
 }
 
+// LeafInterner turns the tuples of one extracted document into transactions
+// over a corpus's item domain, interning each distinct leaf node once: a
+// leaf retained by many tuples resolves its ⟨path, answer⟩ pair at its first
+// occurrence (in tuple order, so interning order — hence every path and
+// item id — is that of a per-occurrence loop) and later tuples copy the id.
+// The zero value is ready; a LeafInterner is scratch to reuse across
+// documents, not safe for concurrent use.
+type LeafInterner struct {
+	byNode []ItemID // by Node.ID: item id + 1, 0 = leaf not met in this document
+	ids    []ItemID // the current tuple's ids, before NewTransaction copies them
+}
+
+// Transactions interns the leaves of res — which must be the tuple
+// extraction of t — into c's tables and returns one transaction per tuple,
+// in tuple order, carrying the given document id and label.
+func (li *LeafInterner) Transactions(c *Corpus, t *xmltree.Tree, res tuple.Result, doc, label int) []*Transaction {
+	li.byNode = slices.Grow(li.byNode[:0], len(t.Nodes))[:len(t.Nodes)]
+	clear(li.byNode)
+	out := make([]*Transaction, len(res.Tuples))
+	for i, tt := range res.Tuples {
+		ids := li.ids[:0]
+		for _, lf := range tt.Leaves {
+			id := li.byNode[lf.Node.ID]
+			if id == 0 {
+				id = c.Items.Intern(c.Paths.Intern(lf.Path), lf.Node.Value) + 1
+				li.byNode[lf.Node.ID] = id
+			}
+			ids = append(ids, id-1)
+		}
+		li.ids = ids
+		out[i] = NewTransaction(ids, doc, tt.Index, label)
+	}
+	return out
+}
+
 // Builder constructs a transactional corpus incrementally: Add one parsed
 // tree at a time, Finish once. Unlike the batch Build entry point, the
 // builder never retains the trees it is fed — each tree is released to the
@@ -27,11 +64,12 @@ type DocSink interface {
 // A Builder is not safe for concurrent use; parallel ingestion serializes
 // Add calls through an index-ordered merge (see internal/corpus).
 type Builder struct {
-	opts  BuildOptions
-	c     *Corpus
-	sinks []DocSink
-	docs  int
-	done  bool
+	opts   BuildOptions
+	c      *Corpus
+	sinks  []DocSink
+	intern LeafInterner
+	docs   int
+	done   bool
 }
 
 // NewBuilder creates an empty corpus builder.
@@ -122,13 +160,7 @@ func (b *Builder) AddExtracted(t *xmltree.Tree, res tuple.Result, label int) {
 		b.c.TruncatedDocs++
 	}
 	start := len(b.c.Transactions)
-	for _, tt := range res.Tuples {
-		ids := make([]ItemID, 0, len(tt.Leaves))
-		for _, lf := range tt.Leaves {
-			pid := b.c.Paths.Intern(lf.Path)
-			ids = append(ids, b.c.Items.Intern(pid, lf.Node.Value))
-		}
-		tr := NewTransaction(ids, docID, tt.Index, label)
+	for _, tr := range b.intern.Transactions(b.c, t, res, docID, label) {
 		// The columnar arena grows with every published transaction — here,
 		// not in Finish — so the online serving path (a reopened builder that
 		// appends documents forever without a second Finish) keeps the

@@ -228,3 +228,115 @@ func TestReopenBuilder(t *testing.T) {
 	}()
 	rb.Add(trees[0])
 }
+
+// perOccurrenceBuild is the interning loop as it stood before leaves were
+// interned once per node: every occurrence of a leaf in a tuple interns its
+// path and its item again. The reference for the once-per-leaf builder.
+func perOccurrenceBuild(trees []*xmltree.Tree, opts tuple.Options) *Corpus {
+	paths := xmltree.NewPathTable()
+	c := &Corpus{Paths: paths, Items: NewItemTable(paths), Terms: NewTermTable()}
+	for doc, t := range trees {
+		res := tuple.Extract(t, opts)
+		if res.Truncated {
+			c.TruncatedDocs++
+		}
+		if d := t.Depth(); d > c.MaxDepth {
+			c.MaxDepth = d
+		}
+		for _, tt := range res.Tuples {
+			var ids []ItemID
+			for _, lf := range tt.Leaves {
+				ids = append(ids, c.Items.Intern(c.Paths.Intern(xmltree.NodePath(lf.Node)), lf.Node.Value))
+			}
+			c.Transactions = append(c.Transactions, NewTransaction(ids, doc, tt.Index, -1))
+		}
+	}
+	return c
+}
+
+// TestBuilderInternsOncePerLeaf checks the shapes where interning a leaf
+// node once and copying its id could differ from interning every
+// occurrence: one leaf retained by many tuples, distinct leaf nodes that
+// are the same item, a truncated enumeration, and the scratch carrying
+// nothing over from a larger document to a smaller one.
+func TestBuilderInternsOncePerLeaf(t *testing.T) {
+	docs := []string{
+		// "shared" is one leaf node retained by all three tuples.
+		`<r><k>shared</k><a>one</a><a>two</a><a>three</a></r>`,
+		// Two different <a> leaves with the same path and answer, in
+		// different tuples (one tuple can never hold both): one item.
+		`<r><a>same</a><a>same</a><b>x</b></r>`,
+		// 3×3×2 = 18 combinations against a cap of 4.
+		`<r><a>1</a><a>2</a><a>3</a><b>1</b><b>2</b><b>3</b><c>1</c><c>2</c></r>`,
+		// Fewer nodes than its predecessor, and node ids that collide with it.
+		`<r><b>x</b></r>`,
+		`<r/>`,
+	}
+	opts := tuple.Options{MaxTuplesPerTree: 4}
+	var trees []*xmltree.Tree
+	for _, d := range docs {
+		trees = append(trees, xmltree.MustParseString(d, xmltree.DefaultParseOptions()))
+	}
+	b := NewBuilder(BuildOptions{Tuple: opts})
+	for _, tree := range trees {
+		b.Add(tree)
+	}
+	got, want := b.Finish(), perOccurrenceBuild(trees, opts)
+	if !bytes.Equal(corpusFingerprint(t, got), corpusFingerprint(t, want)) {
+		t.Fatal("once-per-leaf builder and per-occurrence interning save different corpora")
+	}
+	if got.TruncatedDocs != 1 {
+		t.Fatalf("TruncatedDocs = %d, want 1", got.TruncatedDocs)
+	}
+
+	byDoc := map[int][]*Transaction{}
+	for _, tr := range got.Transactions {
+		byDoc[tr.Doc] = append(byDoc[tr.Doc], tr)
+	}
+	// Doc 0: three tuples that all hold the item of the shared leaf.
+	kPath, _ := got.Paths.Lookup(xmltree.ParsePath("r.k.S"))
+	shared := got.Items.Intern(kPath, "shared")
+	if len(byDoc[0]) != 3 {
+		t.Fatalf("doc 0 has %d transactions, want 3", len(byDoc[0]))
+	}
+	for _, tr := range byDoc[0] {
+		if !tr.Contains(shared) || tr.Len() != 2 {
+			t.Fatalf("doc 0 tuple %d = %v, want the shared item plus one <a>", tr.TupleIndex, tr.Items)
+		}
+	}
+	// Doc 1: two tuples, equal as item sets.
+	if len(byDoc[1]) != 2 || !byDoc[1][0].Equal(byDoc[1][1]) {
+		t.Fatalf("doc 1: distinct leaf nodes with one ⟨path, answer⟩ did not intern to one item: %v", byDoc[1])
+	}
+	if len(byDoc[2]) != 4 {
+		t.Fatalf("doc 2 has %d transactions, want the cap of 4", len(byDoc[2]))
+	}
+	// Doc 3's only leaf is doc 1's <b>x</b> item, not whatever sat at its
+	// node id in the scratch.
+	if len(byDoc[3]) != 1 || byDoc[3][0].Len() != 1 || !byDoc[1][0].Contains(byDoc[3][0].Items[0]) {
+		t.Fatalf("doc 3 = %v", byDoc[3])
+	}
+	if len(byDoc[4]) != 1 || byDoc[4][0].Len() != 0 {
+		t.Fatalf("doc 4 (empty root) = %v, want one empty transaction", byDoc[4])
+	}
+
+	// A fresh interner over the finished tables — what classification of a
+	// document uses — resolves every document to the builder's id sets and
+	// interns nothing.
+	items, paths := got.Items.Len(), got.Paths.Len()
+	for doc, tree := range trees {
+		var li LeafInterner
+		trs := li.Transactions(got, tree, tuple.Extract(tree, opts), -1, -1)
+		if len(trs) != len(byDoc[doc]) {
+			t.Fatalf("doc %d: %d transient transactions, builder made %d", doc, len(trs), len(byDoc[doc]))
+		}
+		for i, tr := range trs {
+			if !tr.Equal(byDoc[doc][i]) || tr.Doc != -1 || tr.TupleIndex != byDoc[doc][i].TupleIndex {
+				t.Fatalf("doc %d tuple %d: transient %+v, builder %+v", doc, i, tr, byDoc[doc][i])
+			}
+		}
+	}
+	if got.Items.Len() != items || got.Paths.Len() != paths {
+		t.Fatal("re-extracting known documents interned new items or paths")
+	}
+}

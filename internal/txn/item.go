@@ -15,6 +15,16 @@
 // share one source of truth: the columnar blocks are derived columns of
 // the item table, refreshed through Corpus.RefreshColumnarWeights /
 // RefreshNewColumnarWeights after weighting passes.
+//
+// Interning is once per leaf node. A tree tuple collection repeats its
+// leaves — a leaf outside every repeated group is retained by every tuple
+// of its document — so the builder resolves each distinct leaf node of a
+// document to its item id once (LeafInterner, a scratch indexed by
+// Node.ID) and the tuples copy ids. Leaves are first met in tuple order,
+// which is the order a per-occurrence loop would intern them in, so path
+// and item ids do not depend on the shortcut. tuple.Extract works to the
+// same contract: the Path of a leaf is computed once per node and shared,
+// read-only, by every tuple.Leaf that refers to the node.
 package txn
 
 import (

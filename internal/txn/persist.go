@@ -76,21 +76,24 @@ func (c *Corpus) Save(w io.Writer) error {
 		TruncatedDocs: c.TruncatedDocs,
 		MaxDepth:      c.MaxDepth,
 	}
-	for i := 0; i < c.Paths.Len(); i++ {
-		wc.Paths = append(wc.Paths, c.Paths.Path(xmltree.PathID(i)).String())
+	wc.Paths = make([]string, c.Paths.Len())
+	for i := range wc.Paths {
+		wc.Paths[i] = c.Paths.Path(xmltree.PathID(i)).String()
 	}
-	for i := 0; i < c.Terms.Len(); i++ {
-		wc.Terms = append(wc.Terms, c.Terms.Term(int32(i)))
+	wc.Terms = make([]string, c.Terms.Len())
+	for i := range wc.Terms {
+		wc.Terms[i] = c.Terms.Term(int32(i))
 	}
-	for i := 0; i < c.Items.Len(); i++ {
+	wc.Items = make([]wireItem, c.Items.Len())
+	for i := range wc.Items {
 		it := c.Items.Get(ItemID(i))
-		wc.Items = append(wc.Items, wireItem{
+		wc.Items[i] = wireItem{
 			Path:         int32(it.Path),
 			Answer:       it.Answer,
 			Vector:       it.Vector.Entries(),
 			Synthetic:    it.Synthetic,
 			Constituents: it.Constituents,
-		})
+		}
 	}
 	total := 0
 	for _, tr := range c.Transactions {

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"slices"
 	"sort"
 
 	"xmlclust/internal/tuple"
@@ -36,7 +37,7 @@ func (t *Transaction) ColumnarSpan() (*Columnar, int32) { return t.cols, t.colSt
 // duplicated item ids.
 func NewTransaction(items []ItemID, doc, tupleIndex, label int) *Transaction {
 	sorted := append([]ItemID(nil), items...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	out := sorted[:0]
 	var prev ItemID = -1
 	for _, id := range sorted {

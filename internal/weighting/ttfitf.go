@@ -24,10 +24,28 @@
 // document state outlives its document — with Finalize applying the
 // collection-level factors at the end. Apply is the batch driver over the
 // same accumulator.
+//
+// The accumulator's state is dense. Term and item ids are dense integers,
+// so every table keyed by one is a slice indexed by it: n_{j,T} is a slice
+// that grows with the term table; each item carries its distinct terms in
+// first-seen order with its term frequencies and context sums in parallel
+// slices; the per-tuple and per-document counters n_{j,τ} and n_{j,XT} are
+// term-indexed arrays that each pass counts up and then counts back down to
+// zero; the items of the current document are marked by an epoch stamp.
+// Folding a document therefore costs its (item, term) occurrences and
+// touches no map. The one map left maps a raw token to its term id, so that
+// the stopword test, the stemmer and the term table are consulted once per
+// distinct token of the collection; it is read only while a new item's
+// answer is scanned. None of this changes a bit of the output: counts are
+// integers, and each (item, term) context sum still receives its addends in
+// occurrence order (reference_test.go holds the map-based fold this
+// replaced and demands identical bits).
 package weighting
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"xmlclust/internal/textproc"
 	"xmlclust/internal/txn"
@@ -55,52 +73,105 @@ type Stats struct {
 // resulting vectors are byte-identical to the historical batch pass:
 // per-item context sums accumulate in document order either way, and the
 // collection-level itf factor is only applied at the end.
+//
+// All state is dense. Term and item ids are dense, so everything keyed by
+// one is a slice indexed by it, and the per-document fold touches no map.
 type Accumulator struct {
 	c *txn.Corpus
-	// Per-item term multiset (tf map) and distinct-term list, extended
-	// lazily as interning grows the item table; term interning therefore
-	// happens in item-id order, keeping term ids deterministic.
-	itemTF    []map[int32]int
+	// Per-item state, extended lazily as interning grows the item table
+	// (term interning therefore happens in item-id order, keeping term ids
+	// deterministic). itemTerms[id] lists the item's distinct terms in
+	// first-seen order; itemTF[id] (term frequencies) and accCtx[id]
+	// (occurrence-context running sums, allocated at the item's first
+	// occurrence) are parallel to it:
+	// accCtx[id][k] = Σ over occurrences of exp(n_{j,τ}/N_τ)·(n_{j,XT}/N_XT).
 	itemTerms [][]int32
-	// Collection-level counters, following the tuple-multiplicity reading:
-	// N_T = Σ_τ N_τ and n_{j,T} = Σ_τ n_{j,τ}.
-	nT  int
-	njT map[int32]int
-	// Per-item occurrence-context running sums:
-	// ctx[t] = Σ over occurrences of exp(n_{j,τ}/N_τ)·(n_{j,XT}/N_XT).
-	accCtx []map[int32]float64
-	accN   []int
+	itemTF    [][]int32
+	accCtx    [][]float64
+	accN      []int
 	// weighted marks items whose vector a Finalize or WeighNew pass has
 	// already assigned; WeighNew only touches unmarked items.
 	weighted []bool
+	// Collection-level counters, following the tuple-multiplicity reading:
+	// N_T = Σ_τ N_τ and n_{j,T} = Σ_τ n_{j,τ}, the latter indexed by term.
+	nT  int
+	njT []int
+	// tokenTerm memoizes raw token → term id (−1 = stopword or dropped), so
+	// the stopword test, the stemmer and the term table run once per
+	// distinct token. It is read only when a new item appears, and it is
+	// bounded by the raw vocabulary.
+	tokenTerm map[string]int32
+	scan      textproc.Scanner
+	terms, tf []int32 // the answer being scanned, before it is cloned to size
+	// Per-document scratch. njTau and njXT are term-indexed counters that
+	// are all zero between uses (each user un-counts what it counted);
+	// docSeen[id] == docEpoch marks the items of the current document,
+	// listed once each in docItems.
+	njTau, njXT []int32
+	docSeen     []int32
+	docEpoch    int32
+	docItems    []txn.ItemID
 }
 
 // NewAccumulator creates an accumulator bound to the corpus under
 // construction (the interning tables must be the ones the transactions
 // reference).
 func NewAccumulator(c *txn.Corpus) *Accumulator {
-	return &Accumulator{c: c, njT: map[int32]int{}}
+	return &Accumulator{c: c, tokenTerm: map[string]int32{}}
+}
+
+// termOf resolves one raw token to its term id through the memo. A miss is
+// the only place a term id enters the accumulator, so it is also where the
+// term-indexed arrays grow to the term table.
+func (a *Accumulator) termOf(tok []byte) int32 {
+	if t, ok := a.tokenTerm[string(tok)]; ok {
+		return t
+	}
+	word, t := string(tok), int32(-1)
+	if term, ok := textproc.Term(word); ok {
+		t = a.c.Terms.Intern(term)
+		for n := a.c.Terms.Len(); len(a.njT) < n; {
+			a.njT = append(a.njT, 0)
+			a.njTau = append(a.njTau, 0)
+			a.njXT = append(a.njXT, 0)
+		}
+	}
+	a.tokenTerm[word] = t
+	return t
 }
 
 // syncItems extends the per-item state to cover items interned since the
 // last call, preprocessing their answers and interning their terms.
 func (a *Accumulator) syncItems() {
 	n := a.c.Items.Len()
-	for id := len(a.itemTF); id < n; id++ {
-		it := a.c.Items.Get(txn.ItemID(id))
-		tf := map[int32]int{}
-		for _, w := range textproc.Preprocess(it.Answer) {
-			tf[a.c.Terms.Intern(w)]++
-		}
-		a.itemTF = append(a.itemTF, tf)
-		terms := make([]int32, 0, len(tf))
-		for t := range tf {
+	for id := len(a.itemTerms); id < n; id++ {
+		terms, tf := a.terms[:0], a.tf[:0]
+		// njTau doubles as this answer's slot table: position+1 of a term
+		// already listed, 0 for a term not seen yet.
+		a.scan.Reset(a.c.Items.Get(txn.ItemID(id)).Answer)
+		for tok, ok := a.scan.Next(); ok; tok, ok = a.scan.Next() {
+			t := a.termOf(tok)
+			if t < 0 {
+				continue
+			}
+			if slot := a.njTau[t]; slot > 0 {
+				tf[slot-1]++
+				continue
+			}
 			terms = append(terms, t)
+			tf = append(tf, 1)
+			a.njTau[t] = int32(len(terms))
 		}
-		a.itemTerms = append(a.itemTerms, terms)
+		for _, t := range terms {
+			a.njTau[t] = 0
+		}
+		a.terms, a.tf = terms, tf
+		a.itemTerms = append(a.itemTerms, slices.Clone(terms))
+		a.itemTF = append(a.itemTF, slices.Clone(tf))
 		a.accCtx = append(a.accCtx, nil)
 		a.accN = append(a.accN, 0)
 		a.weighted = append(a.weighted, false)
+		a.docSeen = append(a.docSeen, 0)
 	}
 }
 
@@ -110,8 +181,9 @@ func (a *Accumulator) syncItems() {
 func (a *Accumulator) ObserveDoc(doc int, trs []*txn.Transaction) {
 	a.syncItems()
 
-	// Document-level counts over the document's distinct items.
-	docItems := map[txn.ItemID]struct{}{}
+	// Collection counts, and the document's distinct items.
+	a.docEpoch++
+	docItems := a.docItems[:0]
 	for _, tr := range trs {
 		a.nT += tr.Len()
 		for _, id := range tr.Items {
@@ -120,15 +192,19 @@ func (a *Accumulator) ObserveDoc(doc int, trs []*txn.Transaction) {
 			for _, t := range a.itemTerms[id] {
 				a.njT[t]++
 			}
-			docItems[id] = struct{}{}
+			if a.docSeen[id] != a.docEpoch {
+				a.docSeen[id] = a.docEpoch
+				docItems = append(docItems, id)
+			}
 		}
 	}
+	a.docItems = docItems
 	nXT := len(docItems)
 	if nXT == 0 {
 		return
 	}
-	njXT := map[int32]int{}
-	for id := range docItems {
+	njTau, njXT := a.njTau, a.njXT
+	for _, id := range docItems {
 		for _, t := range a.itemTerms[id] {
 			njXT[t]++
 		}
@@ -141,23 +217,33 @@ func (a *Accumulator) ObserveDoc(doc int, trs []*txn.Transaction) {
 		}
 		nTau := float64(tr.Len())
 		// n_{j,τ}: per-term count of TCUs (items) in this tuple.
-		njTau := map[int32]int{}
 		for _, id := range tr.Items {
 			for _, t := range a.itemTerms[id] {
 				njTau[t]++
 			}
 		}
 		for _, id := range tr.Items {
+			terms := a.itemTerms[id]
 			if a.accCtx[id] == nil {
-				a.accCtx[id] = map[int32]float64{}
+				a.accCtx[id] = make([]float64, len(terms))
 			}
 			a.accN[id]++
 			ctx := a.accCtx[id]
-			for _, t := range a.itemTerms[id] {
+			for k, t := range terms {
 				tupleFactor := math.Exp(float64(njTau[t]) / nTau)
 				treeFactor := float64(njXT[t]) / float64(nXT)
-				ctx[t] += tupleFactor * treeFactor
+				ctx[k] += tupleFactor * treeFactor
 			}
+		}
+		for _, id := range tr.Items {
+			for _, t := range a.itemTerms[id] {
+				njTau[t] = 0
+			}
+		}
+	}
+	for _, id := range docItems {
+		for _, t := range a.itemTerms[id] {
+			njXT[t] = 0
 		}
 	}
 }
@@ -167,21 +253,19 @@ func (a *Accumulator) ObserveDoc(doc int, trs []*txn.Transaction) {
 func (a *Accumulator) Finalize() Stats {
 	a.syncItems()
 	stats := Stats{TotalTCUs: a.nT}
-	for id := range a.itemTF {
+	for id := range a.itemTerms {
+		a.weighted[id] = true
 		if a.c.Items.Get(txn.ItemID(id)).Synthetic {
 			// Synthetic representative items carry vectors conflated at
 			// intern time; re-deriving them from the merged answer key
 			// would clobber the exact conflation.
-			a.weighted[id] = true
 			continue
 		}
-		a.weighted[id] = true
-		tf := a.itemTF[id]
-		if len(tf) == 0 {
+		if len(a.itemTerms[id]) == 0 {
 			stats.EmptyItems++
 			continue
 		}
-		a.c.Items.SetVector(txn.ItemID(id), a.weigh(id, tf, a.njT))
+		a.c.Items.SetVector(txn.ItemID(id), a.weigh(id))
 	}
 	// Every raw item's vector may have changed: bring the whole columnar
 	// weight column (per-position vector norms) back in sync.
@@ -190,12 +274,13 @@ func (a *Accumulator) Finalize() Stats {
 	return stats
 }
 
-// weigh computes one item's ttf.itf vector from its term-frequency map and
-// a collection-level document-frequency view.
-func (a *Accumulator) weigh(id int, tf map[int32]int, njT map[int32]int) vector.Sparse {
-	weights := make(map[int32]float64, len(tf))
-	for t, f := range tf {
-		nj := njT[t]
+// weigh computes one item's ttf.itf vector from its term frequencies, its
+// context sums and the current collection counters.
+func (a *Accumulator) weigh(id int) vector.Sparse {
+	terms := a.itemTerms[id]
+	entries := make([]vector.Entry, 0, len(terms))
+	for k, t := range terms {
+		nj := a.njT[t]
 		if nj < 1 {
 			// Term unseen by any observed document (transient classify-time
 			// items): treat it as occurring once so the idf stays finite.
@@ -204,14 +289,18 @@ func (a *Accumulator) weigh(id int, tf map[int32]int, njT map[int32]int) vector.
 		idf := math.Log(float64(a.nT) / float64(nj))
 		avgCtx := 1.0
 		if a.accN[id] > 0 {
-			avgCtx = a.accCtx[id][t] / float64(a.accN[id])
+			avgCtx = a.accCtx[id][k] / float64(a.accN[id])
 		}
-		w := float64(f) * avgCtx * idf
+		w := float64(a.itemTF[id][k]) * avgCtx * idf
 		if w > 0 {
-			weights[t] = w
+			entries = append(entries, vector.Entry{Term: t, Weight: w})
 		}
 	}
-	return vector.FromMap(weights)
+	if len(entries) == 0 {
+		return vector.Sparse{}
+	}
+	slices.SortFunc(entries, func(x, y vector.Entry) int { return cmp.Compare(x.Term, y.Term) })
+	return vector.FromEntries(entries)
 }
 
 // WeighNew assigns TCU vectors to the items interned since the last
@@ -227,7 +316,7 @@ func (a *Accumulator) weigh(id int, tf map[int32]int, njT map[int32]int) vector.
 func (a *Accumulator) WeighNew() int {
 	a.syncItems()
 	n := 0
-	for id := range a.itemTF {
+	for id := range a.itemTerms {
 		if a.weighted[id] {
 			continue
 		}
@@ -236,11 +325,10 @@ func (a *Accumulator) WeighNew() int {
 		if a.c.Items.Get(txn.ItemID(id)).Synthetic {
 			continue
 		}
-		tf := a.itemTF[id]
-		if len(tf) == 0 || a.nT == 0 {
+		if len(a.itemTerms[id]) == 0 || a.nT == 0 {
 			continue // zero vector: no text, or nothing observed yet
 		}
-		a.c.Items.SetVector(txn.ItemID(id), a.weigh(id, tf, a.njT))
+		a.c.Items.SetVector(txn.ItemID(id), a.weigh(id))
 	}
 	// Only never-weighted items changed, and older spans cannot reference
 	// them, so refreshing the positions appended since the last pass keeps

@@ -37,6 +37,9 @@ func FuzzParse(f *testing.F) {
 		`<a>&unknown;</a>`,      // undefined entity
 		`<?xml version="1.0"?>`, // prolog only
 		`<a>` + strings.Repeat("<d>", 50) + "deep" + strings.Repeat("</d>", 50) + `</a>`,
+		// One level past maxTreeDepth: rejected by the default mapping,
+		// accepted (flattened) where MaxDepth truncates the tree first.
+		strings.Repeat("<d>", maxTreeDepth) + "bomb",
 		"<a>\xff\xfe binary \x00 soup</a>",
 		`<a xmlns:x="u"><x:b x:k="v">ns</x:b></a>`,
 		`<!-- comment only -->`,

@@ -34,7 +34,15 @@ func DefaultParseOptions() ParseOptions {
 	return ParseOptions{ConcatenateText: true, KeepAttributes: true}
 }
 
-// Parse reads one XML document from r and builds its tree.
+// maxTreeDepth bounds the depth of a tree Parse will build. Tree walks
+// (Tree.Depth, tuple extraction, rendering) recurse once per level, and a
+// goroutine's stack overflowing is fatal to the process, not a panic a
+// caller can recover: a few megabytes of nested tags must fail here. The
+// paper's collections are under 20 deep.
+const maxTreeDepth = 10000
+
+// Parse reads one XML document from r and builds its tree. A document whose
+// tree would be deeper than maxTreeDepth is an error.
 func Parse(r io.Reader, opts ParseOptions) (*Tree, error) {
 	dec := xml.NewDecoder(r)
 	dec.Strict = false
@@ -59,6 +67,7 @@ func Parse(r io.Reader, opts ParseOptions) (*Tree, error) {
 	}
 	var stack []*frame
 	depth := 0
+	nodeDepth := 0 // open elements that are tree nodes (not inlined)
 	skipDepth := 0 // >0 while inside a stripped subtree
 
 	currentNode := func() *Node {
@@ -112,6 +121,10 @@ func Parse(r io.Reader, opts ParseOptions) (*Tree, error) {
 				stack = append(stack, &frame{node: nil})
 				continue
 			}
+			// The deepest node an element can hold is a leaf one level down.
+			if nodeDepth++; nodeDepth >= maxTreeDepth {
+				return nil, fmt.Errorf("xmltree: parse: tree deeper than %d levels", maxTreeDepth)
+			}
 			parent := currentNode()
 			var n *Node
 			if parent == nil {
@@ -149,6 +162,7 @@ func Parse(r io.Reader, opts ParseOptions) (*Tree, error) {
 			f := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if f.node != nil {
+				nodeDepth--
 				flushText(f)
 			} else if f.text.Len() > 0 {
 				// Inlined element: hoist pending text to the enclosing frame.

@@ -117,13 +117,14 @@ func ParsePath(s string) Path {
 
 // NodePath returns the label path from the root down to n.
 func NodePath(n *Node) Path {
-	var rev []string
+	depth := 0
 	for cur := n; cur != nil; cur = cur.Parent {
-		rev = append(rev, cur.Label)
+		depth++
 	}
-	p := make(Path, len(rev))
-	for i := range rev {
-		p[i] = rev[len(rev)-1-i]
+	p := make(Path, depth)
+	for cur := n; cur != nil; cur = cur.Parent {
+		depth--
+		p[depth] = cur.Label
 	}
 	return p
 }

@@ -193,6 +193,50 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// nested returns n nested <a> elements around one text leaf.
+func nested(n int) string {
+	return strings.Repeat("<a>", n) + "x" + strings.Repeat("</a>", n)
+}
+
+// TestParseDepthLimit pins the bound that keeps the recursive tree walks
+// off a fatal stack overflow: the deepest tree Parse builds has exactly
+// maxTreeDepth levels, one more element is an error, and the error arrives
+// without building the rest of a depth bomb.
+func TestParseDepthLimit(t *testing.T) {
+	tree, err := ParseString(nested(maxTreeDepth-1), DefaultParseOptions())
+	if err != nil {
+		t.Fatalf("tree of depth %d rejected: %v", maxTreeDepth, err)
+	}
+	if d := tree.Depth(); d != maxTreeDepth {
+		t.Fatalf("Depth() = %d, want %d", d, maxTreeDepth)
+	}
+	if _, err := ParseString(nested(maxTreeDepth), DefaultParseOptions()); err == nil {
+		t.Fatalf("tree of depth %d accepted", maxTreeDepth+1)
+	}
+	// 2.2 M levels, 15.4 MB: under cxkserve's 16 MB body cap.
+	if _, err := ParseString(nested(2_200_000), DefaultParseOptions()); err == nil {
+		t.Fatal("depth bomb accepted")
+	}
+	// Elements that add no tree level do not count: truncated below
+	// MaxDepth, inlined, or inside a stripped subtree.
+	for _, opts := range []ParseOptions{
+		{ConcatenateText: true, MaxDepth: 3},
+		{ConcatenateText: true, InlineTags: []string{"a"}},
+	} {
+		doc := "<r>" + nested(maxTreeDepth+5) + "</r>"
+		tree, err := ParseString(doc, opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		if d := tree.Depth(); d > 4 {
+			t.Fatalf("%+v: depth %d", opts, d)
+		}
+	}
+	if _, err := ParseString("<r>"+nested(maxTreeDepth+5)+"<k>v</k></r>", ParseOptions{StripTags: []string{"a"}}); err != nil {
+		t.Fatalf("stripped subtree counted towards the depth: %v", err)
+	}
+}
+
 func TestParseWhitespaceNormalization(t *testing.T) {
 	doc := "<a><b>  lots   of\n\t spaces  </b></a>"
 	tree, err := ParseString(doc, DefaultParseOptions())
