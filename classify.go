@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"xmlclust/internal/cluster"
-	"xmlclust/internal/parallel"
 	"xmlclust/internal/sim"
 	"xmlclust/internal/tuple"
 	"xmlclust/internal/txn"
@@ -147,15 +146,12 @@ func (e *Engine) ClassifyTransactions(ctx context.Context, trs []*Transaction, r
 		return nil, err
 	}
 	cx := e.simContext(sim.Params{F: opts.F, Gamma: opts.Gamma})
-	prunedBefore := cx.Counters.PrunedRows.Load()
-	reusesBefore := cx.Counters.ScratchReuses.Load()
-	candBefore := cx.Counters.IndexCandidates.Load()
-	skipBefore := cx.Counters.IndexSkipped.Load()
+	before := cx.Counters.Snapshot()
 
 	// Pick the index tier: a matching prebuilt index wins; otherwise build
 	// one for this call unless the mode forces the flat scan.
 	var ix *sim.RepIndex
-	if opts.IndexReps.enabled() {
+	if opts.IndexReps != RepIndexOff {
 		if opts.Index.matches(cx, reps) {
 			ix = opts.Index.ix
 		} else {
@@ -166,22 +162,18 @@ func (e *Engine) ClassifyTransactions(ctx context.Context, trs []*Transaction, r
 
 	assign := make([]int, len(trs))
 	sims := make([]float64, len(trs))
-	ws := sim.BorrowScratches(parallel.WorkerCount(opts.Workers, len(trs)))
-	defer ws.Release()
-	err := parallel.ForCtxWorkers(ctx, opts.Workers, len(trs), func(w, i int) {
-		assign[i], sims[i] = cluster.RelocateOneIndexed(cx, trs[i], reps, ix, ws.Worker(w))
-	})
-	if err != nil {
+	if err := cluster.RelocateScores(ctx, cx, trs, reps, opts.Workers, ix, assign, sims); err != nil {
 		return nil, fmt.Errorf("xmlclust: classify: %w: %w", ErrCanceled, err)
 	}
+	d := cx.Counters.Snapshot().Sub(before)
 	return &Classification{
 		Cluster:         MajorityCluster(assign),
 		Assign:          assign,
 		Sims:            sims,
-		PrunedRows:      cx.Counters.PrunedRows.Load() - prunedBefore,
-		ScratchReuses:   cx.Counters.ScratchReuses.Load() - reusesBefore,
-		IndexCandidates: cx.Counters.IndexCandidates.Load() - candBefore,
-		IndexSkipped:    cx.Counters.IndexSkipped.Load() - skipBefore,
+		PrunedRows:      d.PrunedRows,
+		ScratchReuses:   d.ScratchReuses,
+		IndexCandidates: d.IndexCandidates,
+		IndexSkipped:    d.IndexSkipped,
 	}, nil
 }
 

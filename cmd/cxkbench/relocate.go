@@ -91,7 +91,10 @@ func runRelocate(ds string, scale experiments.Scale, workers int, jsonPath strin
 
 		// Byte-identity pre-gate: the two paths must agree assignment for
 		// assignment before either is worth timing.
-		flatAssign := cluster.RelocateWorkers(cx, trs, reps, workers)
+		flatAssign, err := cluster.RelocateCtxIndexed(nil, cx, trs, reps, workers, nil)
+		if err != nil {
+			return err
+		}
 		ix := sim.NewRepIndex()
 		ix.Build(cx, reps)
 		idxAssign, err := cluster.RelocateCtxIndexed(nil, cx, trs, reps, workers, ix)
@@ -118,7 +121,7 @@ func runRelocate(ds string, scale experiments.Scale, workers int, jsonPath strin
 
 		flat := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cluster.RelocateWorkers(cx, trs, reps, workers)
+				cluster.RelocateCtxIndexed(nil, cx, trs, reps, workers, nil)
 			}
 		})
 		indexed := testing.Benchmark(func(b *testing.B) {

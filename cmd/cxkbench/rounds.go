@@ -120,7 +120,7 @@ func runRounds(ds string, scale experiments.Scale, workers int, jsonPath string,
 	if err != nil {
 		return err
 	}
-	delta, err := eng.Cluster(ctx, opt(xmlclust.DeltaRoundsOn))
+	delta, err := eng.Cluster(ctx, opt(xmlclust.DeltaRoundsAuto))
 	if err != nil {
 		return err
 	}
@@ -154,7 +154,7 @@ func runRounds(ds string, scale experiments.Scale, workers int, jsonPath string,
 	var lastReused, lastSkipped int64
 	primed := false
 	traj, err := eng.Cluster(ctx, func() xmlclust.ClusterOptions {
-		o := opt(xmlclust.DeltaRoundsOn)
+		o := opt(xmlclust.DeltaRoundsAuto)
 		o.Events = func(ev xmlclust.Event) {
 			if !primed {
 				lastReused, lastSkipped = ev.RepsReused, ev.DocsSkipped
@@ -208,7 +208,7 @@ func runRounds(ds string, scale experiments.Scale, workers int, jsonPath string,
 	})
 	deltaBench := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Cluster(ctx, opt(xmlclust.DeltaRoundsOn)); err != nil {
+			if _, err := eng.Cluster(ctx, opt(xmlclust.DeltaRoundsAuto)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -230,7 +230,7 @@ func runRounds(ds string, scale experiments.Scale, workers int, jsonPath string,
 	if err != nil {
 		return err
 	}
-	pd, err := eng.Cluster(ctx, peerOpt(xmlclust.DeltaRoundsOn))
+	pd, err := eng.Cluster(ctx, peerOpt(xmlclust.DeltaRoundsAuto))
 	if err != nil {
 		return err
 	}

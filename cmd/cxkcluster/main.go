@@ -43,8 +43,6 @@ func main() {
 		maxTup   = flag.Int("maxtuples", 0, "cap on tree tuples per document (0 = default)")
 		verbose  = flag.Bool("v", false, "print per-transaction assignments")
 		progress = flag.Bool("progress", false, "stream per-round progress events to stderr")
-		noIndex  = flag.Bool("no-rep-index", false, "disable the inverted representative index and scan all representatives per assignment (output is identical either way)")
-		noDelta  = flag.Bool("no-delta-rounds", false, "disable the cross-round delta engine and recompute every round from scratch (output is identical either way)")
 		saveTo   = flag.String("save", "", "write the preprocessed corpus to this file after building")
 		loadFm   = flag.String("load", "", "load a preprocessed corpus instead of parsing XML")
 	)
@@ -135,18 +133,10 @@ func main() {
 	if *progress {
 		events = progressPrinter()
 	}
-	indexMode := xmlclust.RepIndexAuto
-	if *noIndex {
-		indexMode = xmlclust.RepIndexOff
-	}
-	deltaMode := xmlclust.DeltaRoundsAuto
-	if *noDelta {
-		deltaMode = xmlclust.DeltaRoundsOff
-	}
 	res, err := eng.Cluster(ctx, xmlclust.ClusterOptions{
 		K: *k, F: *f, Gamma: *gamma, Peers: *peers, Workers: *workers,
 		Seed: *seed, UseTCP: *tcp, UnequalSplit: *unequal,
-		IndexReps: indexMode, DeltaRounds: deltaMode, Events: events,
+		Events: events,
 	})
 	if errors.Is(err, xmlclust.ErrCanceled) {
 		fmt.Fprintln(os.Stderr, "cxkcluster: interrupted, run aborted at a round boundary")

@@ -7,12 +7,9 @@
 //	cxkpeer -id 0 -peers host0:9000,host1:9000,host2:9000 -corpus corpus.gob -k 8
 //
 // Every process must be started with the same -peers table, -corpus data
-// and clustering flags (-k -f -gamma -seed -maxrounds -unequal
-// -no-delta-rounds): the data partition and per-peer seeds are derived
-// deterministically from them, so the process cluster reproduces the
-// in-process engine byte-identically. -no-delta-rounds in particular
-// changes the wire protocol, so a deployment that disagrees on it fails
-// fast at startup instead of producing a divergent run.
+// and clustering flags (-k -f -gamma -seed -maxrounds -unequal): the data
+// partition and per-peer seeds are derived deterministically from them, so
+// the process cluster reproduces the in-process engine byte-identically.
 //
 // Peer 0 is the coordinator: it plays node N0 (startup broadcast), collects
 // every peer's final assignment and prints the corpus-wide result to stdout
@@ -72,8 +69,6 @@ func main() {
 		startTO = flag.Duration("startup-timeout", 0, "how long to wait for the coordinator's startup message (0 = default, negative = none)")
 		dialTO  = flag.Duration("dial-timeout", 30*time.Second, "how long to wait for peer listeners to come up")
 		quiet   = flag.Bool("q", false, "suppress the per-peer summary on stderr")
-		noIndex = flag.Bool("no-rep-index", false, "disable the inverted representative index for this peer's assignment scans (purely local; output is identical either way)")
-		noDelta = flag.Bool("no-delta-rounds", false, "disable the cross-round delta engine, including the delta representative exchange (must match across ALL peers; output is identical either way)")
 
 		ckptDir   = flag.String("checkpoint-dir", "", "enable the elastic peer fabric: persist round-boundary checkpoints here (crash recovery, -resume/-join, graceful leave on SIGHUP)")
 		ckptEvery = flag.Int("checkpoint-every", 0, "checkpoint cadence in rounds (0 = every round; requires -checkpoint-dir)")
@@ -132,19 +127,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	indexMode := xmlclust.RepIndexAuto
-	if *noIndex {
-		indexMode = xmlclust.RepIndexOff
-	}
-	deltaMode := xmlclust.DeltaRoundsAuto
-	if *noDelta {
-		deltaMode = xmlclust.DeltaRoundsOff
-	}
 	res, err := eng.ClusterDistributed(ctx, xmlclust.DistributedOptions{
 		K: *k, F: *f, Gamma: *gamma,
 		ID: *id, PeerAddrs: addrs, Listen: *listen,
 		Workers: *workers, UnequalSplit: *unequal,
-		Seed: *seed, MaxRounds: *rounds, IndexReps: indexMode, DeltaRounds: deltaMode,
+		Seed: *seed, MaxRounds: *rounds,
 		RoundTimeout: *roundTO, StartupTimeout: *startTO, DialTimeout: *dialTO,
 		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery,
 		Resume: *resume, Join: *join, RecoveryWindows: *recWin,

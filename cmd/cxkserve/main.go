@@ -62,8 +62,6 @@ func main() {
 		drift   = flag.Float64("drift", 0, "dirty-transaction fraction that triggers a refresh (0 = default 0.25, negative = refresh on any drift)")
 		every   = flag.Duration("maintenance", serve.DefaultMaintenanceInterval, "maintenance loop interval")
 		quiet   = flag.Bool("q", false, "suppress the progress log on stderr")
-		noIndex = flag.Bool("no-rep-index", false, "disable the inverted representative index for all assignment scans (output is identical either way)")
-		noDelta = flag.Bool("no-delta-rounds", false, "disable the cross-round delta engine in refresh runs (output is identical either way)")
 		pprof   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the service listener")
 	)
 	flag.Parse()
@@ -73,18 +71,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "cxkserve: "+format+"\n", args...)
 		}
 	}
-	indexMode := xmlclust.RepIndexAuto
-	if *noIndex {
-		indexMode = xmlclust.RepIndexOff
-	}
-	deltaMode := xmlclust.DeltaRoundsAuto
-	if *noDelta {
-		deltaMode = xmlclust.DeltaRoundsOff
-	}
 	svc, err := serve.NewService(serve.Config{
 		K: *k, F: *f, Gamma: *gamma, Seed: *seed,
 		Workers: *workers, MaxRounds: *rounds, MaxTuplesPerTree: *maxTup,
-		DriftThreshold: *drift, IndexReps: indexMode, DeltaRounds: deltaMode,
+		DriftThreshold: *drift,
 		OnMaintenance: func(rs serve.RoundStats, err error) {
 			switch {
 			case err != nil:

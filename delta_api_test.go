@@ -76,7 +76,7 @@ func TestClusterDeltaModesIdentical(t *testing.T) {
 					alg, peers, want.RepsReused, want.DocsSkipped, want.DeltaRepBytes)
 			}
 			on := base
-			on.DeltaRounds = DeltaRoundsOn
+			on.DeltaRounds = DeltaRoundsAuto
 			got, err := eng.Cluster(ctx, on)
 			if err != nil {
 				t.Fatal(err)

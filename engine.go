@@ -274,13 +274,8 @@ func (e *Engine) Cluster(ctx context.Context, opts ClusterOptions) (*Result, err
 	// Jobs at the same (F, Gamma) share one context; when such jobs run
 	// concurrently (a sweep with K or Peers axes) the deltas attribute the
 	// overlap to whichever cell reads last — totals across cells stay exact.
-	prunedBefore := cx.Counters.PrunedRows.Load()
-	reusesBefore := cx.Counters.ScratchReuses.Load()
-	candBefore := cx.Counters.IndexCandidates.Load()
-	skipBefore := cx.Counters.IndexSkipped.Load()
-	reusedBefore := cx.Counters.RepsReused.Load()
-	docSkipBefore := cx.Counters.DocsSkipped.Load()
-	deltaBytesBefore := cx.Counters.DeltaRepBytes.Load()
+	before := cx.Counters.Snapshot()
+	tiers := tiersOf(opts.IndexReps, opts.DeltaRounds)
 
 	var res *core.Result
 	var err error
@@ -289,18 +284,14 @@ func (e *Engine) Cluster(ctx context.Context, opts ClusterOptions) (*Result, err
 		res, err = pkmeans.Run(ctx, cx, e.corpus, pkmeans.Options{
 			K: opts.K, Params: cx.Params, Peers: peers, Partition: part,
 			Seed: opts.Seed, MaxRounds: opts.MaxRounds, Transport: transport,
-			Workers: opts.Workers, IndexReps: opts.IndexReps.enabled(),
-			DeltaRounds: opts.DeltaRounds.enabled(),
-			Observer:    observer,
+			Workers: opts.Workers, Tiers: tiers, Observer: observer,
 		})
 	default:
 		res, err = core.Run(ctx, cx, e.corpus, core.Options{
 			K: opts.K, Params: cx.Params, Peers: peers, Partition: part,
 			Seed: opts.Seed, MaxRounds: opts.MaxRounds, Transport: transport,
 			Workers: opts.Workers, RoundTimeout: opts.RoundTimeout,
-			IndexReps:   opts.IndexReps.enabled(),
-			DeltaRounds: opts.DeltaRounds.enabled(),
-			Observer:    observer,
+			Tiers: tiers, Observer: observer,
 		})
 	}
 	if err != nil {
@@ -316,13 +307,7 @@ func (e *Engine) Cluster(ctx context.Context, opts ClusterOptions) (*Result, err
 		TrafficBytes:    bytes,
 		TrafficMsgs:     msgs,
 		K:               opts.K,
-		PrunedRows:      cx.Counters.PrunedRows.Load() - prunedBefore,
-		ScratchReuses:   cx.Counters.ScratchReuses.Load() - reusesBefore,
-		IndexCandidates: cx.Counters.IndexCandidates.Load() - candBefore,
-		IndexSkipped:    cx.Counters.IndexSkipped.Load() - skipBefore,
-		RepsReused:      cx.Counters.RepsReused.Load() - reusedBefore,
-		DocsSkipped:     cx.Counters.DocsSkipped.Load() - docSkipBefore,
-		DeltaRepBytes:   cx.Counters.DeltaRepBytes.Load() - deltaBytesBefore,
+		CounterSnapshot: cx.Counters.Snapshot().Sub(before),
 	}, nil
 }
 
@@ -392,9 +377,8 @@ func (e *Engine) ClusterDistributed(ctx context.Context, opts DistributedOptions
 		K: opts.K, Params: cx.Params, Peers: m, Partition: part,
 		Seed: opts.Seed, MaxRounds: opts.MaxRounds, Transport: node,
 		Workers: opts.Workers, RoundTimeout: rt, StartupTimeout: st,
-		IndexReps:   opts.IndexReps.enabled(),
-		DeltaRounds: opts.DeltaRounds.enabled(),
-		Observer:    serializedObserver(opts.Events),
+		Tiers:    tiersOf(opts.IndexReps, opts.DeltaRounds),
+		Observer: serializedObserver(opts.Events),
 	}
 	if opts.CheckpointDir != "" {
 		store, err := fabric.NewStore(opts.CheckpointDir)

@@ -35,7 +35,7 @@ func relocateFixture(b *testing.B, k int) (*sim.Context, []*txn.Transaction, []*
 	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.8})
 	rng := rand.New(rand.NewSource(11))
 	reps := SelectInitial(corpus.Transactions, k, rng)
-	RelocateWorkers(cx, corpus.Transactions, reps, 0) // warm the pair cache
+	flatRelocate(b, cx, corpus.Transactions, reps, 0) // warm the pair cache
 	return cx, corpus.Transactions, reps
 }
 
@@ -44,7 +44,7 @@ func benchmarkRelocate(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RelocateWorkers(cx, s, reps, workers)
+		flatRelocate(b, cx, s, reps, workers)
 	}
 }
 
@@ -96,10 +96,10 @@ func BenchmarkRelocateSpeedup(b *testing.B) {
 		fromSeed := seedRelocate(cx, s, reps)
 		seed += time.Since(t0)
 		t1 := time.Now()
-		want = RelocateWorkers(cx, s, reps, 1)
+		want = flatRelocate(b, cx, s, reps, 1)
 		serial += time.Since(t1)
 		t2 := time.Now()
-		got := RelocateWorkers(cx, s, reps, 4)
+		got := flatRelocate(b, cx, s, reps, 4)
 		parallel += time.Since(t2)
 		for j := range want {
 			if want[j] != got[j] {

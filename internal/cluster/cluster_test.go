@@ -53,6 +53,18 @@ func ctxFor(corpus *txn.Corpus, f, gamma float64) *sim.Context {
 	return sim.NewContext(corpus, sim.Params{F: f, Gamma: gamma})
 }
 
+// flatRelocate is the batch relocation without an index. A nil ctx never
+// cancels, so an error is a bug (t.Error: callers run on worker goroutines
+// too).
+func flatRelocate(t testing.TB, cx *sim.Context, s, reps []*txn.Transaction, workers int) []int {
+	t.Helper()
+	assign, err := RelocateCtxIndexed(nil, cx, s, reps, workers, nil)
+	if err != nil {
+		t.Error(err)
+	}
+	return assign
+}
+
 func TestConflateItemsGroupsByPath(t *testing.T) {
 	corpus := twoTopicDocs(t, 2)
 	cx := ctxFor(corpus, 0.5, 0.6)
@@ -276,7 +288,7 @@ func TestRelocateTrashAndArgmax(t *testing.T) {
 		ComputeLocalRepresentative(RepConfig{Ctx: cx}, papers),
 		ComputeLocalRepresentative(RepConfig{Ctx: cx}, reports),
 	}
-	assign := Relocate(cx, corpus.Transactions, reps)
+	assign := flatRelocate(t, cx, corpus.Transactions, reps, 1)
 	for i := 0; i < 3; i++ {
 		if assign[i] != 0 {
 			t.Errorf("paper %d assigned to %d", i, assign[i])
@@ -288,7 +300,7 @@ func TestRelocateTrashAndArgmax(t *testing.T) {
 		}
 	}
 	// Nil representatives are skipped; all-nil → trash.
-	assign = Relocate(cx, corpus.Transactions, []*txn.Transaction{nil, nil})
+	assign = flatRelocate(t, cx, corpus.Transactions, []*txn.Transaction{nil, nil}, 1)
 	for _, a := range assign {
 		if a != TrashCluster {
 			t.Errorf("expected trash with nil reps, got %d", a)
@@ -473,7 +485,7 @@ func assertClusteringsEqual(t *testing.T, label string, want, got *Clustering) {
 			t.Errorf("%s: size of cluster %d differs: %d vs %d", label, j, want.Sizes[j], got.Sizes[j])
 		}
 	}
-	if !repsEqual(want.Reps, got.Reps) {
+	if !RepsEqual(want.Reps, got.Reps) {
 		t.Errorf("%s: representatives differ", label)
 	}
 }
@@ -512,9 +524,9 @@ func TestRelocateWorkersEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	reps := SelectInitial(corpus.Transactions, 4, rng)
 	reps = append(reps, nil) // nil reps must never win, under any schedule
-	serial := Relocate(cx, corpus.Transactions, reps)
+	serial := flatRelocate(t, cx, corpus.Transactions, reps, 1)
 	for _, w := range []int{2, 3, 8, 0} {
-		got := RelocateWorkers(cx, corpus.Transactions, reps, w)
+		got := flatRelocate(t, cx, corpus.Transactions, reps, w)
 		for i := range serial {
 			if serial[i] != got[i] {
 				t.Fatalf("workers=%d: assignment %d differs: %d vs %d", w, i, serial[i], got[i])
@@ -561,10 +573,10 @@ func TestRelocateOneMatchesRelocate(t *testing.T) {
 		ComputeLocalRepresentative(RepConfig{Ctx: cx}, corpus.Transactions[:3]),
 		ComputeLocalRepresentative(RepConfig{Ctx: cx}, corpus.Transactions[3:]),
 	}
-	batch := Relocate(cx, corpus.Transactions, reps)
+	batch := flatRelocate(t, cx, corpus.Transactions, reps, 1)
 	sc := sim.NewScratch()
 	for i, tr := range corpus.Transactions {
-		gotJ, gotSim := RelocateOne(cx, tr, reps, sc)
+		gotJ, gotSim := RelocateOneIndexed(cx, tr, reps, nil, sc)
 		if gotJ != batch[i] {
 			t.Errorf("transaction %d: RelocateOne chose %d, Relocate chose %d", i, gotJ, batch[i])
 		}
@@ -581,16 +593,16 @@ func TestRelocateOneMatchesRelocate(t *testing.T) {
 			t.Errorf("transaction %d: RelocateOne sim %g, direct %g", i, gotSim, want)
 		}
 		// nil scratch must allocate and agree.
-		j2, s2 := RelocateOne(cx, tr, reps, nil)
+		j2, s2 := RelocateOneIndexed(cx, tr, reps, nil, nil)
 		if j2 != gotJ || s2 != gotSim {
 			t.Errorf("transaction %d: nil-scratch RelocateOne (%d,%g) != (%d,%g)", i, j2, s2, gotJ, gotSim)
 		}
 	}
 	// Nil and empty representative sets are trash.
-	if j, s := RelocateOne(cx, corpus.Transactions[0], nil, sc); j != TrashCluster || s != 0 {
+	if j, s := RelocateOneIndexed(cx, corpus.Transactions[0], nil, nil, sc); j != TrashCluster || s != 0 {
 		t.Errorf("empty reps: got (%d,%g)", j, s)
 	}
-	if j, _ := RelocateOne(cx, corpus.Transactions[0], []*txn.Transaction{nil, nil}, sc); j != TrashCluster {
+	if j, _ := RelocateOneIndexed(cx, corpus.Transactions[0], []*txn.Transaction{nil, nil}, nil, sc); j != TrashCluster {
 		t.Errorf("all-nil reps: got cluster %d", j)
 	}
 }

@@ -22,7 +22,7 @@ func TestXKMeansDeltaEquivalence(t *testing.T) {
 			for _, indexed := range []bool{false, true} {
 				got := XKMeans(cx, s, Config{
 					K: 5, MaxIter: 8, Seed: 11, Workers: workers,
-					IndexReps: indexed, DeltaRounds: true,
+					Tiers: Tiers{Index: indexed, Delta: true},
 				})
 				label := fmt.Sprintf("params %+v workers %d indexed %v", p, workers, indexed)
 				assertClusteringsEqual(t, label, plain, got)
@@ -45,7 +45,7 @@ func repTrajectory(cx *sim.Context, s []*txn.Transaction, k int, iters int) [][]
 }
 
 // TestDeltaRelocateEquivalence replays a run's representative trajectory
-// through one DeltaState and requires every round's assignment to be
+// through one Rounds engine and requires every round's assignment to be
 // byte-identical to a fresh full scan against the same representatives —
 // flat and indexed, workers 1 and 4 — while the skip counter proves the
 // cross-round cache is actually firing on the repeated (converged) set.
@@ -56,7 +56,7 @@ func TestDeltaRelocateEquivalence(t *testing.T) {
 	sets := repTrajectory(cx, s, 6, 5)
 	for _, indexed := range []bool{false, true} {
 		for _, workers := range []int{1, 4} {
-			d := NewDeltaState(6)
+			d := NewRounds(RepConfig{Ctx: cx, Workers: workers}, s, Tiers{Index: indexed, Delta: true})
 			skip0 := cx.Counters.DocsSkipped.Load()
 			for round, reps := range sets {
 				var ix *sim.RepIndex
@@ -68,7 +68,7 @@ func TestDeltaRelocateEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := d.Relocate(nil, cx, s, reps, workers, ix)
+				got, err := d.Assign(nil, reps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -87,9 +87,9 @@ func TestDeltaRelocateEquivalence(t *testing.T) {
 	}
 }
 
-// TestDeltaRelocateResetAndResize pins the invalidation paths: Reset drops
-// the anchors (the next call runs a full pass and stays correct), and a
-// representative set of a different size triggers the defensive reset
+// TestDeltaRelocateResetAndResize pins the invalidation paths: Invalidate
+// drops the anchors (the next call runs a full pass and stays correct), and
+// a representative set of a different size triggers the defensive reset
 // instead of folding against stale anchors.
 func TestDeltaRelocateResetAndResize(t *testing.T) {
 	corpus := tieHeavyCorpus(t, 40, 3)
@@ -97,19 +97,19 @@ func TestDeltaRelocateResetAndResize(t *testing.T) {
 	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
 	sets := repTrajectory(cx, s, 5, 3)
 
-	d := NewDeltaState(5)
+	d := NewRounds(RepConfig{Ctx: cx, Workers: 1}, s, Tiers{Delta: true})
 	for _, reps := range sets[:2] {
-		if _, err := d.Relocate(nil, cx, s, reps, 1, nil); err != nil {
+		if _, err := d.Assign(nil, reps); err != nil {
 			t.Fatal(err)
 		}
 	}
-	d.Reset()
+	d.Invalidate()
 	reps := sets[2]
 	want, err := RelocateCtxIndexed(nil, cx, s, reps, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.Relocate(nil, cx, s, reps, 1, nil)
+	got, err := d.Assign(nil, reps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,13 +119,13 @@ func TestDeltaRelocateResetAndResize(t *testing.T) {
 		}
 	}
 
-	// Shrunken representative set: d was sized for 5 clusters.
+	// Shrunken representative set: d's caches are sized for 5 clusters.
 	small := reps[:3]
 	want, err = RelocateCtxIndexed(nil, cx, s, small, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = d.Relocate(nil, cx, s, small, 1, nil)
+	got, err = d.Assign(nil, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,50 +136,53 @@ func TestDeltaRelocateResetAndResize(t *testing.T) {
 	}
 }
 
-// TestDeltaRepMemo pins layers 1 and 3: an unchanged membership fingerprint
-// returns the cached representative object (no recomputation, counter
-// moves), a changed one recomputes; same for the weighted global merge.
+// TestDeltaRepMemo pins caches 1 and 3: an unchanged membership returns the
+// cached representative object (no recomputation, counter moves), a changed
+// one recomputes; same for the weighted global merge.
 func TestDeltaRepMemo(t *testing.T) {
 	corpus := twoTopicDocs(t, 6)
 	s := corpus.Transactions
 	cx := ctxFor(corpus, 0.5, 0.6)
-	cfg := RepConfig{Ctx: cx, Workers: 1}
-	d := NewDeltaState(2)
+	d := NewRounds(RepConfig{Ctx: cx, Workers: 1}, s, Tiers{Delta: true})
+	if _, err := d.Assign(nil, []*txn.Transaction{s[0], s[6]}); err != nil {
+		t.Fatal(err) // sizes the engine for two clusters
+	}
 
-	membersA, membersB := s[:6], s[6:]
-	assign := make([]int, len(s))
-	for i := range assign {
+	// Cluster 0 holds the first six transactions (A) or the rest (B);
+	// everything else sits in the trash, so only cluster 0 is refined.
+	assignA, assignB := make([]int, len(s)), make([]int, len(s))
+	for i := range s {
+		assignA[i], assignB[i] = TrashCluster, TrashCluster
 		if i < 6 {
-			assign[i] = 0
+			assignA[i] = 0
 		} else {
-			assign[i] = 1
+			assignB[i] = 0
 		}
 	}
-	fps := d.MemberFingerprints(assign)
-	fpA, fpB := fps[0], fps[1]
 
 	reused0 := cx.Counters.RepsReused.Load()
-	repA := d.LocalRep(cfg, 0, fpA, membersA)
+	localsA, _ := d.LocalReps(assignA)
+	repA := localsA[0]
 	if repA == nil {
 		t.Fatal("nil representative for non-empty cluster")
 	}
-	if got := d.LocalRep(cfg, 0, fpA, membersA); got != repA {
+	if got, _ := d.LocalReps(assignA); got[0] != repA {
 		t.Error("unchanged membership did not return the memoized representative object")
 	}
 	if reused := cx.Counters.RepsReused.Load() - reused0; reused != 1 {
 		t.Errorf("RepsReused moved by %d, want 1", reused)
 	}
-	if got := d.LocalRep(cfg, 0, fpB, membersB); got == repA {
+	if got, _ := d.LocalReps(assignB); got[0] == repA {
 		t.Error("changed membership returned the stale memoized representative")
 	}
 
 	// Global-representative memo: identical (weight, items) inputs reuse.
 	reps := []WeightedRep{{Rep: repA, Weight: 6}}
-	g := d.GlobalRep(cfg, 0, reps)
-	if got := d.GlobalRep(cfg, 0, reps); got != g {
+	g := d.GlobalRep(0, reps)
+	if got := d.GlobalRep(0, reps); got != g {
 		t.Error("unchanged weighted inputs did not return the memoized global representative")
 	}
-	if got := d.GlobalRep(cfg, 0, []WeightedRep{{Rep: repA, Weight: 7}}); got == g && g != nil {
+	if got := d.GlobalRep(0, []WeightedRep{{Rep: repA, Weight: 7}}); got == g && g != nil {
 		// A weight change re-ranks: the memo must not serve the old object.
 		t.Error("changed weight returned the stale memoized global representative")
 	}
@@ -195,22 +198,19 @@ func TestDeltaRelocateZeroAllocWarm(t *testing.T) {
 	cx := ctxFor(corpus, 0.5, 0.6)
 	cl := XKMeans(cx, s, Config{K: 4, MaxIter: 3, Seed: 3, Workers: 1})
 	reps := cl.Reps
-	ix := sim.NewRepIndex()
-	ix.Build(cx, reps)
+	d := NewRounds(RepConfig{Ctx: cx, Workers: 1}, s, Tiers{Index: true, Delta: true})
+	if _, err := d.Assign(nil, reps); err != nil {
+		t.Fatal(err) // builds the index, primes the anchors
+	}
+	ix := d.ix
 	if !ix.Enabled() {
 		t.Fatal("index unexpectedly disabled")
 	}
-	d := NewDeltaState(4)
-	if _, err := d.Relocate(nil, cx, s, reps, 1, ix); err != nil {
-		t.Fatal(err) // primes the anchors
-	}
 	// No representative changed: every document must resolve from its
 	// anchor without touching the kernel.
-	for j := range d.changed {
-		d.changed[j] = false
-	}
+	clear(d.changed)
 	sc := sim.NewScratch()
-	j0, v0, skip := d.relocateOneDelta(cx, s[0], reps, ix, sc, d.bestJ[0], d.bestScore[0])
+	j0, v0, skip := relocateScan(cx, s[0], reps, ix, sc, d.bestJ[0], d.bestScore[0], d.changed)
 	if !skip {
 		t.Fatalf("unchanged reps: document evaluated the kernel (got cluster %d score %v)", j0, v0)
 	}
@@ -218,7 +218,7 @@ func TestDeltaRelocateZeroAllocWarm(t *testing.T) {
 		t.Fatalf("skip returned (%d, %v), want the cached anchor (%d, %v)", j0, v0, d.bestJ[0], d.bestScore[0])
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		d.relocateOneDelta(cx, s[0], reps, ix, sc, d.bestJ[0], d.bestScore[0])
+		relocateScan(cx, s[0], reps, ix, sc, d.bestJ[0], d.bestScore[0], d.changed)
 	}); avg != 0 {
 		t.Errorf("warm delta skip path allocates %.2f/op, want 0", avg)
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"xmlclust/internal/sim"
@@ -77,14 +78,14 @@ func TestRelocateIndexEquivalence(t *testing.T) {
 				ix.Build(cx, reps)
 				sc := sim.NewScratch()
 				for i, tr := range s {
-					wantJ, wantV := RelocateOne(cx, tr, reps, sc)
+					wantJ, wantV := RelocateOneIndexed(cx, tr, reps, nil, sc)
 					gotJ, gotV := RelocateOneIndexed(cx, tr, reps, ix, sc)
 					if gotJ != wantJ || gotV != wantV {
 						t.Fatalf("%s params %+v reps#%d doc %d: indexed (%d, %v) != flat (%d, %v)",
 							name, p, ri, i, gotJ, gotV, wantJ, wantV)
 					}
 				}
-				want := RelocateWorkers(cx, s, reps, 1)
+				want := flatRelocate(t, cx, s, reps, 1)
 				for _, workers := range []int{1, 4} {
 					got, err := RelocateCtxIndexed(nil, cx, s, reps, workers, ix)
 					if err != nil {
@@ -142,8 +143,8 @@ func TestXKMeansIndexEquivalence(t *testing.T) {
 		cx := sim.NewContext(corpus, p)
 		flat := XKMeans(cx, s, Config{K: 5, MaxIter: 5, Seed: 11, Workers: 1})
 		for _, workers := range []int{1, 4} {
-			indexed := XKMeans(cx, s, Config{K: 5, MaxIter: 5, Seed: 11, Workers: workers, IndexReps: true})
-			if !assignEqual(indexed.Assign, flat.Assign) {
+			indexed := XKMeans(cx, s, Config{K: 5, MaxIter: 5, Seed: 11, Workers: workers, Tiers: Tiers{Index: true}})
+			if !slices.Equal(indexed.Assign, flat.Assign) {
 				t.Fatalf("params %+v workers %d: indexed assignments diverge from flat", p, workers)
 			}
 			if len(indexed.Reps) != len(flat.Reps) {

@@ -3,24 +3,20 @@
 // GenerateTreeTuple and conflateItems — together with the centralized
 // XML transactional K-means variant the distributed algorithm builds on.
 //
-// # Delta-state contract
+// # The round engine
 //
-// DeltaState carries exact cross-round caches through a run's iterations:
-// a membership-fingerprinted representative memo (LocalRep / GlobalRep
-// return last round's representative verbatim when the inputs are
-// unchanged) and per-document relocation anchors (Relocate folds only the
-// representatives that changed since the previous call, skipping a
-// document outright when no changed representative's upper bound can beat
-// its cached anchor). The contract is byte-identity: for any call
-// sequence, results equal the memo-free computation exactly, including
-// the lowest-index tie rule. That holds only while the similarity context
-// (corpus, F, γ) and the cluster count stay fixed; a caller that changes
-// either must call Reset, and DeltaState defensively resets itself when
-// handed a representative slice of a different length. Callers also Reset
-// on any external invalidation of the run's continuity — a session
-// rollback, restore or epoch change, or a serving-layer refresh over a
-// rebuilt corpus. One DeltaState serves one sequential run; it is not
-// safe for concurrent use (worker parallelism happens inside Relocate).
+// Rounds (rounds.go) is the one copy of the relocate→refine round body:
+// Assign relocates the run's transactions against a representative set,
+// LocalReps and GlobalRep refine representatives. It owns what the speed
+// tiers (Tiers) carry between rounds — the representative index, the
+// membership-fingerprinted representative memos and the per-document
+// relocation anchors — under a byte-identity contract: for any call
+// sequence and any tier selection, results equal the flat, memo-free
+// computation exactly, including the lowest-index tie rule. XKMeans, the
+// CXK-means session and the PK-means peer all drive it. Underneath sit one
+// batch relocation (RelocateCtxIndexed / RelocateScores) and one
+// single-transaction scan (RelocateOneIndexed), which the serving layer's
+// classify path shares.
 package cluster
 
 import (

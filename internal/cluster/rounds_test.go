@@ -1,0 +1,157 @@
+package cluster
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"xmlclust/internal/sim"
+	"xmlclust/internal/txn"
+)
+
+var allTierValues = []Tiers{{}, {Index: true}, {Delta: true}, {Index: true, Delta: true}}
+
+// tierMatrixSets is a seeded sequence of representative sets exercising
+// every way one Assign can differ from the previous one: the same slice
+// again, one representative changed, a nil entry, an equal-content copy under
+// a new pointer, the representative that won the most documents replaced,
+// then random churn.
+func tierMatrixSets(cx *sim.Context, s []*txn.Transaction, k int) [][]*txn.Transaction {
+	rng := rand.New(rand.NewSource(41))
+	refined := XKMeans(cx, s, Config{K: k, MaxIter: 4, Seed: 41, Workers: 1}).Reps
+	cur := SelectInitial(s, k, rng)
+	sets := [][]*txn.Transaction{cur, cur}
+	next := func(mutate func(reps []*txn.Transaction)) {
+		cur = slices.Clone(cur)
+		mutate(cur)
+		sets = append(sets, cur)
+	}
+	next(func(reps []*txn.Transaction) { reps[2] = refined[2] })
+	next(func(reps []*txn.Transaction) { reps[4] = nil })
+	next(func(reps []*txn.Transaction) { reps[0] = txn.NewTransaction(reps[0].Items, -1, -1, -1) })
+	next(func(reps []*txn.Transaction) {
+		won := make([]int, k)
+		for _, a := range seedRelocate(cx, s, reps) {
+			if a >= 0 {
+				won[a]++
+			}
+		}
+		top := 0
+		for j := range won {
+			if won[j] > won[top] {
+				top = j
+			}
+		}
+		reps[top] = s[rng.Intn(len(s))]
+	})
+	for step := 0; step < 6; step++ {
+		next(func(reps []*txn.Transaction) {
+			for n := rng.Intn(3); n >= 0; n-- {
+				switch j := rng.Intn(k); rng.Intn(4) {
+				case 0:
+					reps[j] = nil
+				case 1:
+					reps[j] = refined[rng.Intn(k)]
+				default:
+					reps[j] = s[rng.Intn(len(s))]
+				}
+			}
+		})
+	}
+	return append(sets, cur) // converged: nothing changes
+}
+
+// TestRoundsTierMatrix is the whole-engine oracle: at every tier selection
+// and worker count, with and without an Invalidate in mid-sequence, every
+// Assign must equal the flat argmax over the seed similarity
+// (sim.SeedTransactions), and every LocalReps the tier-free, memo-free
+// representatives.
+func TestRoundsTierMatrix(t *testing.T) {
+	const k = 6
+	corpus := tieHeavyCorpus(t, 60, 29)
+	s := corpus.Transactions
+	for _, p := range []sim.Params{{F: 0.5, Gamma: 0.6}, {F: 0.5, Gamma: 0.4}, {F: 0.5, Gamma: 0}} {
+		cx := sim.NewContext(corpus, p)
+		sets := tierMatrixSets(cx, s, k)
+		wantAssign := make([][]int, len(sets))
+		wantLocals := make([][]*txn.Transaction, len(sets))
+		plain := NewRounds(RepConfig{Ctx: cx, Workers: 1}, s, Tiers{})
+		for step, reps := range sets {
+			wantAssign[step] = seedRelocate(cx, s, reps)
+			if _, err := plain.Assign(nil, reps); err != nil {
+				t.Fatal(err)
+			}
+			wantLocals[step], _ = plain.LocalReps(wantAssign[step])
+		}
+		for _, tiers := range allTierValues {
+			for _, workers := range []int{1, 4} {
+				for _, invalidateAt := range []int{-1, 3, 6} {
+					label := fmt.Sprintf("params %+v tiers %+v workers %d invalidate@%d", p, tiers, workers, invalidateAt)
+					r := NewRounds(RepConfig{Ctx: cx, Workers: workers}, s, tiers)
+					for step, reps := range sets {
+						if step == invalidateAt {
+							r.Invalidate()
+						}
+						got, err := r.Assign(nil, reps)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(got, wantAssign[step]) {
+							t.Fatalf("%s: step %d: assignment differs from the seed argmax\n got %v\nwant %v",
+								label, step, got, wantAssign[step])
+						}
+						if locals, _ := r.LocalReps(got); !RepsEqual(locals, wantLocals[step]) {
+							t.Fatalf("%s: step %d: local representatives differ from the memo-free ones", label, step)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRoundsAssignCanceled pins cancellation: an Assign under a done ctx
+// returns ctx's error, and the engine stays usable — a canceled pass leaves
+// the anchors partially rewritten, so whatever they hold afterwards must not
+// be trusted: the next Assign equals a fresh engine's answer.
+func TestRoundsAssignCanceled(t *testing.T) {
+	corpus := tieHeavyCorpus(t, 40, 5)
+	s := corpus.Transactions
+	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
+	sets := repTrajectory(cx, s, 5, 3)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tiers := range allTierValues {
+		for _, workers := range []int{1, 4} {
+			cfg := RepConfig{Ctx: cx, Workers: workers}
+			want, err := NewRounds(cfg, s, tiers).Assign(context.Background(), sets[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, primed := range []bool{false, true} {
+				r := NewRounds(cfg, s, tiers)
+				if primed {
+					if _, err := r.Assign(context.Background(), sets[0]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := r.Assign(canceled, sets[1]); !errors.Is(err, context.Canceled) {
+					t.Fatalf("tiers %+v workers %d primed %v: canceled Assign returned %v", tiers, workers, primed, err)
+				}
+				for i := range r.bestJ {
+					r.bestJ[i], r.bestScore[i] = TrashCluster, 1 // a pass torn mid-way
+				}
+				got, err := r.Assign(context.Background(), sets[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("tiers %+v workers %d primed %v: Assign after a canceled pass differs from a fresh engine", tiers, workers, primed)
+				}
+			}
+		}
+	}
+}

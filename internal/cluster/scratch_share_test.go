@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestSharedKernelStateEquivalence(t *testing.T) {
 	reps := SelectInitial(s, k, rand.New(rand.NewSource(5)))
 
 	round := func(workers int) ([]int, []*txn.Transaction) {
-		assign := RelocateWorkers(cx, s, reps, workers)
+		assign := flatRelocate(t, cx, s, reps, workers)
 		members := make([][]*txn.Transaction, len(reps))
 		for i, a := range assign {
 			if a >= 0 {
@@ -42,10 +43,10 @@ func TestSharedKernelStateEquivalence(t *testing.T) {
 	// will derive again, so their ids cannot depend on a schedule.
 	wantAssign, wantLocals := round(1)
 	check := func(label string, assign []int, locals []*txn.Transaction) {
-		if !assignEqual(wantAssign, assign) {
+		if !slices.Equal(wantAssign, assign) {
 			t.Errorf("%s: assignments differ from the serial round", label)
 		}
-		if !repsEqual(wantLocals, locals) {
+		if !RepsEqual(wantLocals, locals) {
 			t.Errorf("%s: representatives differ from the serial round", label)
 		}
 	}
@@ -77,7 +78,7 @@ func TestSharedKernelStateEquivalence(t *testing.T) {
 func TestXKMeansAllocationBound(t *testing.T) {
 	corpus, k := synthCorpus(t, "DBLP", 160)
 	cx := ctxFor(corpus, 0.5, 0.8)
-	cfg := Config{K: k, MaxIter: 8, Seed: 7, Workers: 2, IndexReps: true, DeltaRounds: true}
+	cfg := Config{K: k, MaxIter: 8, Seed: 7, Workers: 2, Tiers: Tiers{Index: true, Delta: true}}
 	XKMeans(cx, corpus.Transactions, cfg) // warm the path cache, the pool and the synthetic items
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"xmlclust/internal/parallel"
@@ -32,17 +33,9 @@ type Config struct {
 	// means one worker per CPU; 1 forces the serial path. Any value
 	// produces output byte-identical to Workers: 1 for a fixed Seed.
 	Workers int
-	// IndexReps builds a sim.RepIndex over the representatives each
-	// iteration and relocates through its candidate lists instead of the
-	// flat k-scan. Assignments and representatives are byte-identical
-	// either way (the index's bounds are exact); the index only changes how
-	// many representatives each document touches.
-	IndexReps bool
-	// DeltaRounds carries a DeltaState across iterations: unchanged cluster
-	// memberships reuse their memoized representatives and unchanged
-	// representatives skip re-evaluation in relocation (see delta.go).
-	// Output is byte-identical either way.
-	DeltaRounds bool
+	// Tiers selects the speed tiers of the round engine (see Rounds);
+	// assignments and representatives are byte-identical for every value.
+	Tiers Tiers
 }
 
 // DefaultMaxIter is the safety bound on clustering iterations.
@@ -119,89 +112,58 @@ func SelectInitial(s []*txn.Transaction, q int, rng *rand.Rand) []*txn.Transacti
 	return out
 }
 
-// Relocate performs the transaction-relocation step of Fig. 5 for a fixed
-// set of representatives: every transaction with zero similarity to all
-// representatives joins the trash cluster; the others join the argmax
+// RelocateCtxIndexed performs the transaction-relocation step of Fig. 5 for
+// a fixed set of representatives: every transaction with zero similarity to
+// all representatives joins the trash cluster; the others join the argmax
 // cluster (ties to the lowest index). nil reps never win.
-func Relocate(cx *sim.Context, s []*txn.Transaction, reps []*txn.Transaction) []int {
-	return RelocateWorkers(cx, s, reps, 1)
-}
-
-// RelocateWorkers is Relocate spread over a worker pool. Transactions are
-// independent under a fixed representative set, so each worker computes the
-// argmax for the indices it draws and writes into the pre-indexed slot of
-// the assignment slice; tie-breaking (lowest cluster index) happens inside
-// the per-transaction scan, so the result is byte-identical to the serial
-// Relocate for any worker count.
-func RelocateWorkers(cx *sim.Context, s []*txn.Transaction, reps []*txn.Transaction, workers int) []int {
-	assign, _ := RelocateCtx(nil, cx, s, reps, workers)
-	return assign
-}
-
-// RelocateCtx is RelocateWorkers with cooperative cancellation: workers stop
-// drawing transactions once ctx is done and the call returns ctx's error
-// with a partial (unusable) assignment. A nil ctx never cancels.
 //
-// Each worker borrows one pooled similarity Scratch (reused across every
-// pair it evaluates, so the scan allocates nothing per pair) and threads its
-// running argmax through sim.TransactionsAtLeast: once a representative
-// has scored `best`, later representatives are abandoned as soon as the
-// kernel's exact upper bound proves they cannot strictly beat it. The
-// bound is exact and ties still resolve to the lowest representative
-// index, so assignments stay byte-identical to an unpruned scan for any
-// worker count (pinned by TestRelocatePruningEquivalence).
-func RelocateCtx(ctx context.Context, cx *sim.Context, s []*txn.Transaction, reps []*txn.Transaction, workers int) ([]int, error) {
-	return RelocateCtxIndexed(ctx, cx, s, reps, workers, nil)
-}
-
-// RelocateCtxIndexed is RelocateCtx driven through a representative index:
-// each worker queries ix for the candidate representatives of its
-// transaction (sorted by exact upper bound) and runs the branch-and-bound
-// argmax over those, stopping as soon as the bounds prove no unseen
-// representative can win. A nil or disabled index falls back to the flat
-// scan. ix must have been built over exactly this reps slice under cx's
-// parameters; assignments are byte-identical with the index on or off.
+// Transactions are independent under a fixed representative set, so each
+// worker runs RelocateOneIndexed for the indices it draws, on one pooled
+// similarity Scratch, and writes into the pre-indexed slot of the
+// assignment: the result is byte-identical for any worker count. Workers
+// stop drawing transactions once ctx is done and the call returns ctx's
+// error; a nil ctx never cancels. ix must have been built over exactly this
+// reps slice under cx's parameters; a nil or disabled index is the flat
+// scan, with byte-identical assignments either way.
 func RelocateCtxIndexed(ctx context.Context, cx *sim.Context, s []*txn.Transaction, reps []*txn.Transaction, workers int, ix *sim.RepIndex) ([]int, error) {
 	assign := make([]int, len(s))
-	ws := sim.BorrowScratches(parallel.WorkerCount(workers, len(s)))
-	defer ws.Release()
-	err := parallel.ForCtxWorkers(ctx, workers, len(s), func(w, i int) {
-		assign[i], _ = RelocateOneIndexed(cx, s[i], reps, ix, ws.Worker(w))
-	})
-	if err != nil {
+	if err := RelocateScores(ctx, cx, s, reps, workers, ix, assign, nil); err != nil {
 		return nil, err
 	}
 	return assign, nil
 }
 
-// RelocateOne relocates a single transaction against a fixed representative
-// set: it returns the argmax cluster (ties to the lowest index, nil and
-// empty representatives never win, TrashCluster when every similarity is
-// zero) together with the winning similarity. This is the per-transaction
-// scan RelocateCtx runs — exposed as the single-document entry point of the
-// incremental serving layer, so online assignments match what a batch
-// relocation would produce for the same representatives by construction.
-// The scan threads its running best through the branch-and-bound kernel;
-// sc may be nil (the kernel then borrows a pooled scratch per evaluation).
-func RelocateOne(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, sc *sim.Scratch) (int, float64) {
-	best, bestJ := 0.0, TrashCluster
-	for j, rep := range reps {
-		if rep == nil || rep.Len() == 0 {
-			continue
+// RelocateScores is RelocateCtxIndexed writing into caller-owned slices:
+// assign[i] receives transaction i's cluster and, when scores is non-nil,
+// scores[i] the winning similarity (0 for trash). On error both are
+// partially written.
+func RelocateScores(ctx context.Context, cx *sim.Context, s []*txn.Transaction, reps []*txn.Transaction, workers int, ix *sim.RepIndex, assign []int, scores []float64) error {
+	ws := sim.BorrowScratches(parallel.WorkerCount(workers, len(s)))
+	defer ws.Release()
+	return parallel.ForCtxWorkers(ctx, workers, len(s), func(w, i int) {
+		j, v := RelocateOneIndexed(cx, s[i], reps, ix, ws.Worker(w))
+		assign[i] = j
+		if scores != nil {
+			scores[i] = v
 		}
-		v := cx.TransactionsAtLeast(tr, rep, best, sc)
-		if v > best {
-			best, bestJ = v, j
-		}
-	}
-	return bestJ, best
+	})
 }
 
-// RelocateOneIndexed is RelocateOne through a representative index: only
-// ix's candidates for tr are evaluated, in decreasing upper-bound order,
-// and the scan stops once the remaining bounds prove no unseen candidate
-// can strictly beat the running best — or tie it at a lower cluster index.
-// The result is byte-identical to RelocateOne for the same reps:
+// RelocateOneIndexed relocates a single transaction against a fixed
+// representative set: it returns the argmax cluster (ties to the lowest
+// index, nil and empty representatives never win, TrashCluster when every
+// similarity is zero) together with the winning similarity. It is the scan
+// every batch relocation runs per transaction — and the single-document
+// entry point of the serving layer, so online assignments match what a
+// batch relocation would produce for the same representatives by
+// construction.
+//
+// A nil or disabled index scans every representative in index order,
+// threading the running best through the branch-and-bound kernel (no index
+// counters move). Through an index only ix's candidates for tr are
+// evaluated, in decreasing upper-bound order, and the scan stops once the
+// remaining bounds prove no unseen candidate can strictly beat the running
+// best — or tie it at a lower cluster index. The result is byte-identical:
 //
 //   - every representative with nonzero similarity to tr is a candidate
 //     (sim.RepIndex's soundness guarantee), and a zero-similarity
@@ -219,27 +181,60 @@ func RelocateOne(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, 
 // Work accounting: evaluated candidates are added to
 // Counters.IndexCandidates, and the representatives never touched
 // (non-candidates plus bound-pruned candidates) to Counters.IndexSkipped;
-// the two sum to ix.Active() per call. A nil or disabled index falls back
-// to the flat scan (no counters move). The index query runs on sc's own
+// the two sum to ix.Active() per call. The index query runs on sc's own
 // query state (sim.Scratch.Query); sc may be nil (allocates per call) — pass
 // a per-goroutine Scratch on hot paths.
 func RelocateOneIndexed(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, ix *sim.RepIndex, sc *sim.Scratch) (int, float64) {
-	if ix == nil || !ix.Enabled() {
-		return RelocateOne(cx, tr, reps, sc)
+	j, v, _ := relocateScan(cx, tr, reps, ix, sc, TrashCluster, 0, nil)
+	return j, v
+}
+
+// relocateScan is the one candidate loop behind every relocation. With a nil
+// changed mask it is RelocateOneIndexed. With a mask, (bestJ, best) is the
+// document's anchor — its exact lowest-index argmax over the previous
+// representative set — and changed flags the representatives that differ
+// from that set: if reps[bestJ] is unchanged (or the anchor is the trash
+// cluster at 0), no unchanged representative can beat or lower-index-tie the
+// anchor, so only the changed ones are folded over it, with the same
+// threshold and tie discipline; if reps[bestJ] itself changed the anchor is
+// void and the scan starts over. skipped reports a document decided from
+// its anchor without a single kernel evaluation.
+func relocateScan(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, ix *sim.RepIndex, sc *sim.Scratch, bestJ int, best float64, changed []bool) (_ int, _ float64, skipped bool) {
+	if changed != nil && bestJ != TrashCluster && changed[bestJ] {
+		bestJ, best, changed = TrashCluster, 0, nil
 	}
-	if sc == nil {
-		sc = sim.NewScratch()
+	indexed := ix != nil && ix.Enabled()
+	n := len(reps)
+	var rq *sim.RepQuery
+	if indexed {
+		if sc == nil {
+			sc = sim.NewScratch()
+		}
+		rq = sc.Query()
+		n = ix.Candidates(tr, rq)
 	}
-	rq := sc.Query()
-	n := ix.Candidates(tr, rq)
-	best, bestJ := 0.0, TrashCluster
 	evaluated := 0
 	for c := 0; c < n; c++ {
-		j, ub := rq.Candidate(c)
-		if ub < best || (ub == best && j > bestJ) {
-			break
+		j := c
+		if indexed {
+			var ub float64
+			j, ub = rq.Candidate(c)
+			if ub < best || (ub == best && j > bestJ) {
+				break
+			}
+		} else if reps[j] == nil || reps[j].Len() == 0 {
+			continue
 		}
-		v := cx.TransactionsAtLeast(tr, reps[j], math.Nextafter(best, math.Inf(-1)), sc)
+		if changed != nil && !changed[j] {
+			continue // its score already lost to the anchor
+		}
+		// A tie only matters where it can claim a lower index: in index order
+		// anywhere, in the flat scan only below an anchor.
+		threshold := best
+		if indexed || j < bestJ {
+			threshold = math.Nextafter(best, math.Inf(-1))
+		}
+		v := cx.TransactionsAtLeast(tr, reps[j], threshold, sc)
 		evaluated++
 		if v > best {
 			best, bestJ = v, j
@@ -247,9 +242,11 @@ func RelocateOneIndexed(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transa
 			bestJ = j
 		}
 	}
-	cx.Counters.IndexCandidates.Add(int64(evaluated))
-	cx.Counters.IndexSkipped.Add(int64(ix.Active() - evaluated))
-	return bestJ, best
+	if indexed {
+		cx.Counters.IndexCandidates.Add(int64(evaluated))
+		cx.Counters.IndexSkipped.Add(int64(ix.Active() - evaluated))
+	}
+	return bestJ, best, changed != nil && evaluated == 0
 }
 
 // XKMeans runs the centralized transactional clustering: select k initial
@@ -262,105 +259,44 @@ func XKMeans(cx *sim.Context, s []*txn.Transaction, cfg Config) *Clustering {
 		maxIter = DefaultMaxIter
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	repCfg := RepConfig{Ctx: cx, Rule: cfg.Rule, Workers: cfg.Workers}
+	rounds := NewRounds(RepConfig{Ctx: cx, Rule: cfg.Rule, Workers: cfg.Workers}, s, cfg.Tiers)
 
 	reps := make([]*txn.Transaction, k)
-	for i, tr := range SelectInitial(s, k, rng) {
-		reps[i] = tr
-	}
+	copy(reps, SelectInitial(s, k, rng))
 	cl := &Clustering{Assign: make([]int, len(s)), Reps: reps}
 	for i := range cl.Assign {
 		cl.Assign[i] = TrashCluster
 	}
-	var ix *sim.RepIndex
-	if cfg.IndexReps {
-		ix = sim.NewRepIndex()
-	}
-	var ds *DeltaState
-	if cfg.DeltaRounds {
-		ds = NewDeltaState(k)
-	}
 	for iter := 0; iter < maxIter; iter++ {
 		cl.Iterations = iter + 1
-		if ix != nil {
-			ix.Build(cx, reps)
-		}
-		var assign []int
-		if ds != nil {
-			assign, _ = ds.Relocate(nil, cx, s, reps, cfg.Workers, ix)
-		} else {
-			assign, _ = RelocateCtxIndexed(nil, cx, s, reps, cfg.Workers, ix)
-		}
-		newReps := make([]*txn.Transaction, k)
-		members := make([][]*txn.Transaction, k)
-		for i, a := range assign {
-			if a >= 0 {
-				members[a] = append(members[a], s[i])
-			}
-		}
-		var memberFps []uint64
-		if ds != nil {
-			memberFps = ds.MemberFingerprints(assign)
-		}
-		// The cluster loop stays ordered: representative generation interns
-		// synthetic items, and interning order must not depend on the
-		// schedule (item ids are assigned sequentially). The worker pool
-		// parallelizes *inside* each representative computation — ranking
-		// and refinement objectives are where the similarity time goes.
-		for j := 0; j < k; j++ {
-			if len(members[j]) == 0 {
+		assign, _ := rounds.Assign(nil, reps) // a nil ctx never cancels
+		newReps, sizes := rounds.LocalReps(assign)
+		for j, size := range sizes {
+			if size == 0 {
 				newReps[j] = reps[j] // keep the old representative alive
-				continue
 			}
-			if ds != nil {
-				newReps[j] = ds.LocalRep(repCfg, j, memberFps[j], members[j])
-				continue
-			}
-			newReps[j] = ComputeLocalRepresentative(repCfg, members[j])
 		}
-		stable := assignEqual(assign, cl.Assign) && repsEqual(newReps, reps)
-		cl.Assign = assign
+		stable := slices.Equal(assign, cl.Assign) && RepsEqual(newReps, reps)
+		cl.Assign, cl.Reps, cl.Sizes = assign, newReps, sizes
 		reps = newReps
-		cl.Reps = reps
 		if stable {
 			break
-		}
-	}
-	cl.Sizes = make([]int, k)
-	for _, a := range cl.Assign {
-		if a >= 0 {
-			cl.Sizes[a]++
 		}
 	}
 	return cl
 }
 
-func assignEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// RepsEqual reports whether two representative slices hold the same item
+// sequences cluster by cluster (nil only equals nil).
+func RepsEqual(a, b []*txn.Transaction) bool {
+	return slices.EqualFunc(a, b, repEqual)
 }
 
-func repsEqual(a, b []*txn.Transaction) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		switch {
-		case a[i] == nil && b[i] == nil:
-		case a[i] == nil || b[i] == nil:
-			return false
-		case !a[i].Equal(b[i]):
-			return false
-		}
-	}
-	return true
+// repEqual reports whether two representatives are byte-identical. The
+// pointer check catches the common cases for free: memoized representatives
+// and kept-alive empty-cluster reps are the same object across rounds.
+func repEqual(a, b *txn.Transaction) bool {
+	return a == b || (a != nil && b != nil && a.Equal(b))
 }
 
 // SSE computes the K-means-style objective adapted to the transactional

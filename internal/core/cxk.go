@@ -38,22 +38,14 @@ type Options struct {
 	// with each other; Workers adds intra-peer parallelism on top, and the
 	// result stays byte-identical to Workers: 1 for a fixed Seed.
 	Workers int
-	// IndexReps relocates each round through an inverted representative
-	// index (sim.RepIndex) rebuilt after every refinement phase: documents
-	// only evaluate the representatives the index cannot prove losers, with
-	// assignments byte-identical to the flat scan. The index self-disables
-	// (falling back to the flat scan) at γ ≤ 0 or under semantic tag
-	// matchers.
-	IndexReps bool
-	// DeltaRounds carries a cross-round delta cache through every peer
-	// session (cluster.DeltaState): unchanged cluster memberships reuse their
-	// memoized representatives, documents whose cached best cluster provably
-	// still wins skip relocation outright, and unchanged local
-	// representatives travel as digest markers instead of full wire
-	// transactions. Assignments and representatives are byte-identical either
-	// way; every peer of a session must agree (enforced via
-	// StartMsg.DeltaExchange).
-	DeltaRounds bool
+	// Tiers selects the speed tiers of every peer's round engine
+	// (cluster.Rounds): Index relocates through an inverted representative
+	// index, Delta carries memoized representatives and relocation anchors
+	// across rounds and ships unchanged local representatives as digest
+	// markers instead of full wire transactions. Assignments and
+	// representatives are byte-identical for every value; every peer of a
+	// session must agree on Delta (enforced via StartMsg.DeltaExchange).
+	Tiers cluster.Tiers
 	// Transport overrides the default in-process channel transport.
 	Transport p2p.Transport
 	// SerializeCompute runs peers' compute sections under a mutual
@@ -293,8 +285,7 @@ func Run(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Options)
 			Seed:           opts.Seed + int64(i),
 			Rule:           opts.Rule,
 			Workers:        opts.Workers,
-			IndexReps:      opts.IndexReps,
-			DeltaRounds:    opts.DeltaRounds,
+			Tiers:          opts.Tiers,
 			RoundTimeout:   opts.RoundTimeout,
 			StartupTimeout: opts.StartupTimeout,
 			Expect:         expectationFrom(cx, corpus, opts),
@@ -345,13 +336,7 @@ func Run(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Options)
 		opts.Observer(Event{
 			Kind: EventDone, Peer: -1, Round: res.Rounds, Phase: PhaseDone,
 			SentMsgs: msgs, SentBytes: bytes,
-			PrunedRows:      cx.Counters.PrunedRows.Load(),
-			ScratchReuses:   cx.Counters.ScratchReuses.Load(),
-			IndexCandidates: cx.Counters.IndexCandidates.Load(),
-			IndexSkipped:    cx.Counters.IndexSkipped.Load(),
-			RepsReused:      cx.Counters.RepsReused.Load(),
-			DocsSkipped:     cx.Counters.DocsSkipped.Load(),
-			DeltaRepBytes:   cx.Counters.DeltaRepBytes.Load(),
+			CounterSnapshot: cx.Counters.Snapshot(),
 			Elapsed:         wall,
 		})
 	}
@@ -368,7 +353,7 @@ func startMsgFrom(cx *sim.Context, corpus *txn.Corpus, opts Options) StartMsg {
 		Seed:          opts.Seed,
 		Txns:          len(corpus.Transactions),
 		PartitionHash: PartitionFingerprint(opts.Partition),
-		DeltaExchange: opts.DeltaRounds,
+		DeltaExchange: opts.Tiers.Delta,
 	}
 }
 
@@ -382,6 +367,6 @@ func expectationFrom(cx *sim.Context, corpus *txn.Corpus, opts Options) *StartEx
 		Seed:          opts.Seed,
 		Txns:          len(corpus.Transactions),
 		PartitionHash: PartitionFingerprint(opts.Partition),
-		DeltaExchange: opts.DeltaRounds,
+		DeltaExchange: opts.Tiers.Delta,
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"xmlclust/internal/cluster"
 	"xmlclust/internal/dataset"
 	"xmlclust/internal/p2p"
 	"xmlclust/internal/sim"
@@ -17,9 +18,9 @@ func runCXKDelta(t testing.TB, cx *sim.Context, corpus *txn.Corpus, k, m int, se
 	t.Helper()
 	res, err := Run(context.Background(), cx, corpus, Options{
 		K: k, Params: cx.Params, Peers: m, Workers: workers,
-		Partition:   EqualPartition(len(corpus.Transactions), m, seed),
-		Seed:        seed,
-		DeltaRounds: delta, IndexReps: indexed,
+		Partition: EqualPartition(len(corpus.Transactions), m, seed),
+		Seed:      seed,
+		Tiers:     cluster.Tiers{Index: indexed, Delta: delta},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +126,7 @@ func TestRunPeerDeltaMismatchFails(t *testing.T) {
 				K: 2, Params: cx.Params, Peers: 2,
 				Partition: EqualPartition(len(corpus.Transactions), 2, 3),
 				Seed:      3, Transport: tr, RoundTimeout: 2 * time.Second,
-				DeltaRounds: delta,
+				Tiers: cluster.Tiers{Delta: delta},
 			}, id)
 			errc <- err
 		}(id, delta)
@@ -153,7 +154,7 @@ func TestDeltaMarkerWithoutCacheFails(t *testing.T) {
 	tr := p2p.NewChanTransport(2, nil)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
-	p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) { cfg.DeltaRounds = true })
+	p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) { cfg.Tiers.Delta = true })
 	s := newSession(p)
 	start := startMsgFor(2, 2)
 	start.DeltaExchange = true

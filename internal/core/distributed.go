@@ -98,8 +98,7 @@ func RunPeer(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Opti
 		Seed:           opts.Seed + int64(id),
 		Rule:           opts.Rule,
 		Workers:        opts.Workers,
-		IndexReps:      opts.IndexReps,
-		DeltaRounds:    opts.DeltaRounds,
+		Tiers:          opts.Tiers,
 		RoundTimeout:   opts.RoundTimeout,
 		StartupTimeout: opts.StartupTimeout,
 		Expect:         expectationFrom(cx, corpus, opts),

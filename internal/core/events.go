@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"time"
+
+	"xmlclust/internal/sim"
 )
 
 // EventKind discriminates the progress events a run emits.
@@ -64,25 +66,13 @@ type Event struct {
 	// traffic so far (cumulative over all completed accounting rounds).
 	SentMsgs, SentBytes int64
 	RecvMsgs, RecvBytes int64
-	// PrunedRows and ScratchReuses snapshot the similarity context's kernel
-	// counters at emission time: match-matrix rows skipped by the exact
-	// branch-and-bound of the assignment path, and kernel invocations that
-	// ran on a fully warm (zero-allocation) Scratch. In-process peers share
-	// one context, so these are run-wide running totals, not per-peer ones.
-	PrunedRows, ScratchReuses int64
-	// IndexCandidates and IndexSkipped snapshot the representative-index
-	// counters (IndexReps runs): representatives actually evaluated by
-	// index-guided relocation versus representatives the index proved could
-	// not win and never touched. Same run-wide running-total semantics as
-	// PrunedRows.
-	IndexCandidates, IndexSkipped int64
-	// RepsReused, DocsSkipped and DeltaRepBytes snapshot the delta-round
-	// counters (DeltaRounds runs): representatives returned verbatim from the
-	// cross-round memo, documents whose relocation was decided from the cached
-	// anchor with zero kernel evaluations, and wire bytes saved by shipping
-	// unchanged-representative digest markers instead of full representatives.
-	// Same run-wide running-total semantics as PrunedRows.
-	RepsReused, DocsSkipped, DeltaRepBytes int64
+	// CounterSnapshot holds the similarity context's tier counters at
+	// emission time (see sim.Counters for each field): PrunedRows and
+	// ScratchReuses of the kernel, IndexCandidates and IndexSkipped of the
+	// representative index, RepsReused, DocsSkipped and DeltaRepBytes of the
+	// delta rounds. In-process peers share one context, so these are
+	// run-wide running totals, not per-peer ones.
+	sim.CounterSnapshot
 	// Elapsed is the time since the session (or run, for Peer == -1)
 	// started.
 	Elapsed time.Duration

@@ -5,29 +5,33 @@
 // them so that the peers responsible for each cluster can compute the
 // global representatives collaboratively.
 //
-// # Delta rounds
+// # The round engine
 //
-// With Options.DeltaRounds on (the default at the public surface), each
-// peer threads a cluster.DeltaState through its rounds — memoized
-// representatives and anchored relocation — and the representative
-// exchange ships an unchanged representative as a digest marker
-// (UnchangedRep) instead of the full wire transaction. The mode is part
-// of the wire protocol: the coordinator announces it in
+// The relocate→refine half of every round runs on a cluster.Rounds, which
+// owns the speed tiers (Options.Tiers): the representative index and the
+// cross-round memos and relocation anchors. Output is byte-identical for
+// every tier value.
+//
+// With Tiers.Delta on (the default at the public surface) the
+// representative exchange additionally ships an unchanged representative
+// as a digest marker (UnchangedRep) instead of the full wire transaction.
+// That is part of the wire protocol: the coordinator announces it in
 // StartMsg.DeltaExchange, a peer configured differently rejects the
 // session with ErrConfigMismatch, and a marker the receiver never cached
 // (or whose digest disagrees) fails the round with ErrUnexpectedMessage.
-// Output is byte-identical with the engine on or off. The delta caches
-// assume round-over-round continuity, so any break invalidates them:
-// installing a checkpoint or a coordinator state stream (restore, crash
-// recovery, -join), a membership epoch change, and worker errors all
-// drop the DeltaState and both exchange caches, and the next round
-// recomputes and re-ships everything from scratch.
+// The engine's caches and the exchange caches assume round-over-round
+// continuity, so any break invalidates them: installing a checkpoint or a
+// coordinator state stream (restore, crash recovery, -join) and a
+// membership epoch change call Rounds.Invalidate and drop both exchange
+// caches, and the next round recomputes and re-ships everything from
+// scratch.
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"xmlclust/internal/cluster"
+	"xmlclust/internal/fnv"
 	"xmlclust/internal/p2p"
 	"xmlclust/internal/txn"
 	"xmlclust/internal/vector"
@@ -138,17 +142,9 @@ type cachedWireRep struct {
 // representatives produce equal sequences). Senders key their sent-rep
 // caches on it and receivers verify delta-exchange markers against it.
 func wireDigest(w WireTxn) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := fnv.Offset
 	for _, id := range w.Items {
-		v := uint64(id)
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= prime64
-		}
+		h = fnv.Mix(h, uint64(id))
 	}
 	return h
 }
@@ -208,24 +204,13 @@ func fromWire(items *txn.ItemTable, w WireTxn) *txn.Transaction {
 // cross-process equality check behind the fabric's recovery-equivalence
 // gate — synthetic item ids are process-local, raw constituents are not.
 func RepsDigest(items *txn.ItemTable, reps []*txn.Transaction) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= prime64
-		}
-	}
+	h := fnv.Offset
 	for _, rep := range reps {
-		mix(^uint64(0)) // representative separator
-		w := toWire(items, rep)
-		ids := append([]txn.ItemID(nil), w.Items...)
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		h = fnv.Mix(h, ^uint64(0)) // representative separator
+		ids := slices.Clone(toWire(items, rep).Items)
+		slices.Sort(ids)
 		for _, id := range ids {
-			mix(uint64(id))
+			h = fnv.Mix(h, uint64(id))
 		}
 	}
 	return h

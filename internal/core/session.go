@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"xmlclust/internal/cluster"
+	"xmlclust/internal/fnv"
 	"xmlclust/internal/p2p"
 	"xmlclust/internal/sim"
 	"xmlclust/internal/txn"
@@ -37,16 +39,11 @@ type PeerConfig struct {
 	Rule cluster.ReturnRule
 	// Workers bounds intra-peer parallelism (see Options.Workers).
 	Workers int
-	// IndexReps relocates through an inverted representative index rebuilt
-	// once per round (see Options.IndexReps); assignments are byte-identical
-	// either way.
-	IndexReps bool
-	// DeltaRounds carries a cluster.DeltaState across rounds (representative
-	// memoization + delta relocation) and ships unchanged local
-	// representatives as digest markers instead of full wire transactions
-	// (see Options.DeltaRounds). Output is byte-identical either way; every
-	// peer of a session must agree (StartMsg.DeltaExchange).
-	DeltaRounds bool
+	// Tiers selects the speed tiers of the peer's round engine (see
+	// Options.Tiers). Tiers.Delta also ships unchanged local representatives
+	// as digest markers, so every peer of a session must agree on it
+	// (StartMsg.DeltaExchange).
+	Tiers cluster.Tiers
 	// RoundTimeout bounds every blocking receive of the session; a peer
 	// that waits longer fails with ErrRoundDeadline instead of hanging on
 	// a dead neighbour. 0 disables the deadline (trusted in-process runs).
@@ -116,7 +113,7 @@ func (e *StartExpectation) check(msg StartMsg) error {
 	case msg.PartitionHash != e.PartitionHash:
 		return fmt.Errorf("%w: data partition diverges from N0's (check the split flags)", ErrConfigMismatch)
 	case msg.DeltaExchange != e.DeltaExchange:
-		return fmt.Errorf("%w: delta exchange %v here, %v at N0 (check -no-delta-rounds)",
+		return fmt.Errorf("%w: delta exchange %v here, %v at N0 (every peer must run the same delta-rounds mode)",
 			ErrConfigMismatch, e.DeltaExchange, msg.DeltaExchange)
 	}
 	return nil
@@ -125,21 +122,11 @@ func (e *StartExpectation) check(msg StartMsg) error {
 // PartitionFingerprint hashes a data partition (FNV-1a over part sizes and
 // indices) so peers can cross-check that they derived the same split.
 func PartitionFingerprint(part [][]int) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= prime64
-		}
-	}
+	h := fnv.Offset
 	for _, p := range part {
-		mix(^uint64(0)) // part separator
+		h = fnv.Mix(h, ^uint64(0)) // part separator
 		for _, idx := range p {
-			mix(uint64(idx))
+			h = fnv.Mix(h, uint64(idx))
 		}
 	}
 	return h
@@ -227,21 +214,19 @@ type session struct {
 	objective float64
 
 	// Protocol state (Fig. 5 notation in the comments of peer fields).
-	k          int
-	m          int
-	zs         [][]int
-	zi         []int
-	global     []*txn.Transaction // g_1..g_k
-	localRp    []*txn.Transaction // ℓ_i1..ℓ_ik
-	newLocalRp []*txn.Transaction // scratch for the current round
-	sizes      []int              // |C_i_j|
-	assign     []int              // local assignment
-	rounds     int
-	report     PeerReport
-	// repIndex is the per-round inverted representative index (IndexReps);
-	// rebuilt at each relocation phase over the fixed globals, its arrays
-	// reused across rounds.
-	repIndex *sim.RepIndex
+	k       int
+	m       int
+	zs      [][]int
+	zi      []int
+	global  []*txn.Transaction // g_1..g_k
+	localRp []*txn.Transaction // ℓ_i1..ℓ_ik
+	sizes   []int              // |C_i_j|
+	assign  []int              // local assignment
+	rounds  int
+	report  PeerReport
+	// engine runs the relocate→refine half of every round and owns what the
+	// speed tiers carry across rounds; invalidated on every install.
+	engine *cluster.Rounds
 	// seenStates fingerprints past local-representative states. Fig. 5
 	// terminates on exact representative stability; greedy representative
 	// refinement can cycle through a short orbit of states instead of
@@ -253,10 +238,6 @@ type session struct {
 	changed     bool
 	bySender    []map[int]WeightedWireRep
 	anyContinue bool
-	// delta carries the cross-round memoization caches (DeltaRounds):
-	// per-cluster representative memos, per-document relocation anchors and
-	// the global-representative merge memo. Reset on every rollback/install.
-	delta *cluster.DeltaState
 	// sentRepDigest / recvRepCache implement the delta representative
 	// exchange: per (destination, cluster) the digest of the last full
 	// representative shipped, and per (sender, cluster) the last full wire
@@ -287,10 +268,13 @@ type session struct {
 
 func newSession(p *Peer) *session {
 	s := &session{
-		p:          p,
-		phase:      PhaseStartup,
-		t0:         time.Now(),
-		m:          p.cfg.Transport.Peers(),
+		p:     p,
+		phase: PhaseStartup,
+		t0:    time.Now(),
+		m:     p.cfg.Transport.Peers(),
+		engine: cluster.NewRounds(
+			cluster.RepConfig{Ctx: p.cfg.Ctx, Rule: p.cfg.Rule, Workers: p.cfg.Workers},
+			p.cfg.Local, p.cfg.Tiers),
 		epoch:      p.cfg.Epoch,
 		seenStates: map[uint64]struct{}{},
 		pendGlobal: map[int][]GlobalRepsMsg{},
@@ -312,18 +296,11 @@ func (s *session) emit(kind EventKind, round int, objective float64) {
 		return
 	}
 	sm, sb, rm, rb := s.report.TrafficTotals()
-	ctrs := &s.p.cfg.Ctx.Counters
 	obs(Event{
 		Kind: kind, Peer: s.p.cfg.ID, Round: round, Phase: s.phase,
 		Objective: objective,
 		SentMsgs:  sm, SentBytes: sb, RecvMsgs: rm, RecvBytes: rb,
-		PrunedRows:      ctrs.PrunedRows.Load(),
-		ScratchReuses:   ctrs.ScratchReuses.Load(),
-		IndexCandidates: ctrs.IndexCandidates.Load(),
-		IndexSkipped:    ctrs.IndexSkipped.Load(),
-		RepsReused:      ctrs.RepsReused.Load(),
-		DocsSkipped:     ctrs.DocsSkipped.Load(),
-		DeltaRepBytes:   ctrs.DeltaRepBytes.Load(),
+		CounterSnapshot: s.p.cfg.Ctx.Counters.Snapshot(),
 		Elapsed:         time.Since(s.t0),
 	})
 }
@@ -471,66 +448,24 @@ func (s *session) broadcastGlobals(ctx context.Context) error {
 // section without finishing the corpus scan.
 func (s *session) relocate(ctx context.Context) error {
 	cfg := &s.p.cfg
-	repCfg := cluster.RepConfig{Ctx: cfg.Ctx, Rule: cfg.Rule, Workers: cfg.Workers}
-	if cfg.DeltaRounds && s.delta == nil {
-		s.delta = cluster.NewDeltaState(s.k)
-	}
+	var newLocalRp []*txn.Transaction
 	var relocErr error
 	s.compute(s.round, func() {
-		// The globals are fixed for the whole relocation loop, so one index
-		// build serves every pass of this round. The session keeps the index
-		// across rounds: rebuilds reuse its slabs and maps.
-		var ix *sim.RepIndex
-		if cfg.IndexReps {
-			if s.repIndex == nil {
-				s.repIndex = sim.NewRepIndex()
-			}
-			s.repIndex.Build(cfg.Ctx, s.global)
-			ix = s.repIndex
-		}
+		// The globals are fixed for the whole loop, so the engine builds its
+		// index once, and the pass that finds the fixpoint resolves every
+		// document from its anchor.
 		for {
-			var assign []int
-			var err error
-			if s.delta != nil {
-				// The delta state spans rounds AND the passes of this loop:
-				// pass 2 over unchanged globals short-circuits to the cached
-				// anchors (every document skipped), reproducing the fixpoint
-				// check at zero kernel cost.
-				assign, err = s.delta.Relocate(ctx, cfg.Ctx, cfg.Local, s.global, cfg.Workers, ix)
-			} else {
-				assign, err = cluster.RelocateCtxIndexed(ctx, cfg.Ctx, cfg.Local, s.global, cfg.Workers, ix)
-			}
+			assign, err := s.engine.Assign(ctx, s.global)
 			if err != nil {
 				relocErr = fmt.Errorf("%w: %w", ErrCanceled, err)
 				return
 			}
-			if intsEqual(assign, s.assign) {
+			if slices.Equal(assign, s.assign) {
 				break
 			}
 			s.assign = assign
 		}
-		members := make([][]*txn.Transaction, s.k)
-		for i, a := range s.assign {
-			if a >= 0 {
-				members[a] = append(members[a], cfg.Local[i])
-			}
-		}
-		var memberFps []uint64
-		if s.delta != nil {
-			memberFps = s.delta.MemberFingerprints(s.assign)
-		}
-		for j := 0; j < s.k; j++ {
-			s.sizes[j] = len(members[j])
-			if len(members[j]) == 0 {
-				s.newLocalRp[j] = nil
-				continue
-			}
-			if s.delta != nil {
-				s.newLocalRp[j] = s.delta.LocalRep(repCfg, j, memberFps[j], members[j])
-				continue
-			}
-			s.newLocalRp[j] = cluster.ComputeLocalRepresentative(repCfg, members[j])
-		}
+		newLocalRp, s.sizes = s.engine.LocalReps(s.assign)
 	})
 	if relocErr != nil {
 		return relocErr
@@ -541,8 +476,8 @@ func (s *session) relocate(ctx context.Context) error {
 		// it the paper's SimulatedTime metric).
 		s.objective = cluster.SSEWorkers(cfg.Ctx, cfg.Local, s.assign, s.global, cfg.Workers)
 	}
-	s.changed = !repSliceEqual(s.newLocalRp, s.localRp)
-	copy(s.localRp, s.newLocalRp)
+	s.changed = !cluster.RepsEqual(newLocalRp, s.localRp)
+	s.localRp = newLocalRp
 	if s.changed {
 		fp := fingerprintReps(s.localRp)
 		if _, cycle := s.seenStates[fp]; cycle {
@@ -577,7 +512,7 @@ func (s *session) exchangeLocals(ctx context.Context) error {
 					continue
 				}
 				w := toWire(s.items(), s.localRp[j])
-				if s.p.cfg.DeltaRounds {
+				if s.p.cfg.Tiers.Delta {
 					if s.sentRepDigest == nil {
 						s.sentRepDigest = make([]map[int]uint64, s.m)
 					}
@@ -649,7 +584,7 @@ func (s *session) exchangeLocals(ctx context.Context) error {
 // cached — and fails the session rather than risking a silently divergent
 // refinement.
 func (s *session) expandLocalReps(msg LocalRepsMsg) (map[int]WeightedWireRep, error) {
-	if !s.p.cfg.DeltaRounds {
+	if !s.p.cfg.Tiers.Delta {
 		return msg.Reps, nil
 	}
 	if s.recvRepCache == nil {
@@ -689,7 +624,6 @@ func (s *session) expandLocalReps(msg LocalRepsMsg) (map[int]WeightedWireRep, er
 func (s *session) refineGlobals(ctx context.Context) error {
 	_ = ctx // pure local compute; cancellation is observed at the next receive
 	cfg := &s.p.cfg
-	repCfg := cluster.RepConfig{Ctx: cfg.Ctx, Rule: cfg.Rule, Workers: cfg.Workers}
 	s.compute(s.round, func() {
 		for _, j := range s.zi {
 			var reps []cluster.WeightedRep
@@ -707,13 +641,7 @@ func (s *session) refineGlobals(ctx context.Context) error {
 			if len(reps) == 0 {
 				continue // keep the previous global representative
 			}
-			var g *txn.Transaction
-			if s.delta != nil {
-				g = s.delta.GlobalRep(repCfg, j, reps)
-			} else {
-				g = cluster.ComputeGlobalRepresentative(repCfg, reps)
-			}
-			if g != nil {
+			if g := s.engine.GlobalRep(j, reps); g != nil {
 				s.global[j] = g
 			}
 		}
@@ -939,9 +867,6 @@ func (s *session) growRound(round int) {
 		s.report.RecvMsgsByRound = append(s.report.RecvMsgsByRound, 0)
 	}
 	s.report.LocalTransactions = len(s.p.cfg.Local)
-	if s.newLocalRp == nil {
-		s.newLocalRp = make([]*txn.Transaction, s.k)
-	}
 }
 
 // compute runs fn under the optional compute token, accounting its wall
@@ -1056,56 +981,18 @@ func (s *session) nextLocal(ctx context.Context, round int) (LocalRepsMsg, error
 	}
 }
 
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // fingerprintReps hashes a representative slice (FNV-1a over item ids and
 // separators) for cycle detection.
 func fingerprintReps(reps []*txn.Transaction) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= prime64
-		}
-	}
+	h := fnv.Offset
 	for _, rep := range reps {
-		mix(^uint64(0)) // cluster separator
+		h = fnv.Mix(h, ^uint64(0)) // cluster separator
 		if rep == nil {
 			continue
 		}
 		for _, id := range rep.Items {
-			mix(uint64(id))
+			h = fnv.Mix(h, uint64(id))
 		}
 	}
 	return h
-}
-
-func repSliceEqual(a, b []*txn.Transaction) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		switch {
-		case a[i] == nil && b[i] == nil:
-		case a[i] == nil || b[i] == nil:
-			return false
-		case !a[i].Equal(b[i]):
-			return false
-		}
-	}
-	return true
 }

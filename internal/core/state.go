@@ -147,7 +147,6 @@ func (s *session) install(st *SessionState) error {
 	copy(s.sizes, st.Sizes)
 	s.global = unwireReps(s.items(), st.Global)
 	s.localRp = unwireReps(s.items(), st.LocalRp)
-	s.newLocalRp = nil
 	s.seenStates = make(map[uint64]struct{}, len(st.SeenStates))
 	for _, fp := range st.SeenStates {
 		s.seenStates[fp] = struct{}{}
@@ -157,11 +156,11 @@ func (s *session) install(st *SessionState) error {
 	s.anyContinue = false
 	s.pendGlobal = map[int][]GlobalRepsMsg{}
 	s.pendLocal = map[int][]LocalRepsMsg{}
-	// The delta-round caches anchor to the abandoned attempt's assignments and
-	// shipped representatives: drop them, so the first post-install round runs
-	// the full scans and ships full representatives on every link (relocate
-	// re-creates the delta state lazily, sized to the installed k).
-	s.delta = nil
+	// The engine's caches and the exchange caches anchor to the abandoned
+	// attempt's assignments and shipped representatives: drop them, so the
+	// first post-install round runs the full scans and ships full
+	// representatives on every link.
+	s.engine.Invalidate()
 	s.sentRepDigest = nil
 	s.recvRepCache = nil
 	s.phase = PhaseBroadcastGlobals

@@ -10,6 +10,7 @@ import (
 	"sort"
 
 	"xmlclust/internal/core"
+	"xmlclust/internal/fnv"
 )
 
 // Typed checkpoint failures, matched with errors.Is.
@@ -28,24 +29,13 @@ var (
 // processes with equal fingerprints replay byte-identically from any common
 // checkpoint; everything else is ErrCheckpointMismatch territory.
 func ConfigFingerprint(k, peers int, f, gamma float64, seed int64, txns int, partitionHash uint64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= prime64
-		}
+	h := fnv.Offset
+	for _, v := range [...]uint64{
+		uint64(k), uint64(peers), math.Float64bits(f), math.Float64bits(gamma),
+		uint64(seed), uint64(txns), partitionHash,
+	} {
+		h = fnv.Mix(h, v)
 	}
-	mix(uint64(k))
-	mix(uint64(peers))
-	mix(math.Float64bits(f))
-	mix(math.Float64bits(gamma))
-	mix(uint64(seed))
-	mix(uint64(txns))
-	mix(partitionHash)
 	return h
 }
 

@@ -124,3 +124,18 @@ func TestConfigFingerprintDistinguishes(t *testing.T) {
 		t.Error("fingerprint is not deterministic")
 	}
 }
+
+// TestFingerprintGoldenValues pins the FNV-1a fold bit for bit:
+// PartitionFingerprint travels in StartMsg between processes and
+// ConfigFingerprint is persisted in every checkpoint, so a change of either
+// value silently splits a mixed-version deployment or orphans a store.
+func TestFingerprintGoldenValues(t *testing.T) {
+	part := core.PartitionFingerprint([][]int{{0, 2, 5}, {1, 3, 4}})
+	if want := uint64(0x165600243ee54394); part != want {
+		t.Errorf("PartitionFingerprint = %#x, want %#x", part, want)
+	}
+	cfg := ConfigFingerprint(4, 3, 0.5, 0.6, 7, 100, part)
+	if want := uint64(0xf5b7d43e31a7b0b6); cfg != want {
+		t.Errorf("ConfigFingerprint = %#x, want %#x", cfg, want)
+	}
+}

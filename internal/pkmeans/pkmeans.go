@@ -57,17 +57,11 @@ type Options struct {
 	Rule      cluster.ReturnRule
 	// Workers bounds each peer's intra-peer parallelism (see core.Options).
 	Workers int
-	// IndexReps enables the inverted representative index for the local
-	// assignment step (see core.Options.IndexReps); assignments are
-	// byte-identical either way.
-	IndexReps bool
-	// DeltaRounds carries a cross-round delta cache through each peer's
-	// iteration (see core.Options.DeltaRounds): unchanged memberships reuse
-	// memoized representatives and documents whose cached best center provably
-	// still wins skip the assignment scan. Assignments are byte-identical
-	// either way. PK-means ships all k representatives all-to-all every round
-	// by design, so the delta representative exchange does not apply here.
-	DeltaRounds      bool
+	// Tiers selects the speed tiers of each peer's local K-means step (see
+	// core.Options.Tiers); assignments are byte-identical for every value.
+	// PK-means ships all k representatives all-to-all every round by design,
+	// so the delta representative exchange does not apply here.
+	Tiers            cluster.Tiers
 	Transport        p2p.Transport
 	SerializeCompute bool
 	// SSEEpsilon is the stop threshold on the global SSE change.
@@ -120,6 +114,7 @@ func Run(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Options)
 		computeToken <- struct{}{}
 	}
 
+	repCfg := cluster.RepConfig{Ctx: cx, Rule: opts.Rule, Workers: opts.Workers}
 	peers := make([]*peer, m)
 	for i := 0; i < m; i++ {
 		local := make([]*txn.Transaction, len(opts.Partition[i]))
@@ -127,33 +122,43 @@ func Run(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Options)
 			local[j] = corpus.Transactions[idx]
 		}
 		peers[i] = &peer{
-			id: i, cx: cx, local: local, globalIdx: opts.Partition[i],
+			id: i, local: local, globalIdx: opts.Partition[i],
 			transport: transport, sizer: sizer(corpus.Items),
 			k: opts.K, maxRounds: maxRounds, seed: opts.Seed + int64(i),
-			rule: opts.Rule, workers: opts.Workers, eps: eps, computeToken: computeToken,
-			indexReps:   opts.IndexReps,
-			deltaRounds: opts.DeltaRounds,
-			zi:          core.ResponsibilityPartition(opts.K, m)[i],
-			observer:    opts.Observer,
+			repCfg: repCfg, eps: eps, computeToken: computeToken,
+			engine:   cluster.NewRounds(repCfg, local, opts.Tiers),
+			zi:       core.ResponsibilityPartition(opts.K, m)[i],
+			observer: opts.Observer,
 		}
 	}
 
+	// The first peer to fail cancels the others: they would otherwise wait
+	// for its next message until the caller's ctx dies.
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	t0 := time.Now()
 	var wg sync.WaitGroup
-	errs := make([]error, m)
+	var failed sync.Once
+	var firstErr error
 	for i := 0; i < m; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = peers[i].run(ctx)
+			if err := peers[i].run(ctx); err != nil {
+				failed.Do(func() {
+					firstErr = fmt.Errorf("pkmeans: peer %d: %w", i, err)
+					cancel()
+				})
+			}
 		}(i)
 	}
 	wg.Wait()
 	wall := time.Since(t0)
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("pkmeans: peer %d: %w", i, err)
-		}
+	if firstErr != nil {
+		return nil, firstErr
 	}
 
 	res := &core.Result{
@@ -179,13 +184,7 @@ func Run(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Options)
 		opts.Observer(core.Event{
 			Kind: core.EventDone, Peer: -1, Round: res.Rounds, Phase: core.PhaseDone,
 			SentMsgs: msgs, SentBytes: bytes,
-			PrunedRows:      cx.Counters.PrunedRows.Load(),
-			ScratchReuses:   cx.Counters.ScratchReuses.Load(),
-			IndexCandidates: cx.Counters.IndexCandidates.Load(),
-			IndexSkipped:    cx.Counters.IndexSkipped.Load(),
-			RepsReused:      cx.Counters.RepsReused.Load(),
-			DocsSkipped:     cx.Counters.DocsSkipped.Load(),
-			DeltaRepBytes:   cx.Counters.DeltaRepBytes.Load(),
+			CounterSnapshot: cx.Counters.Snapshot(),
 			Elapsed:         wall,
 		})
 	}
@@ -210,7 +209,6 @@ func sizer(items *txn.ItemTable) p2p.Sizer {
 
 type peer struct {
 	id           int
-	cx           *sim.Context
 	local        []*txn.Transaction
 	globalIdx    []int
 	transport    p2p.Transport
@@ -219,14 +217,10 @@ type peer struct {
 	zi           []int
 	maxRounds    int
 	seed         int64
-	rule         cluster.ReturnRule
-	workers      int
+	repCfg       cluster.RepConfig
 	eps          float64
 	computeToken chan struct{}
-	indexReps    bool
-	repIndex     *sim.RepIndex
-	deltaRounds  bool
-	delta        *cluster.DeltaState
+	engine       *cluster.Rounds // the local K-means step and its speed tiers
 
 	observer core.Observer
 	t0       time.Time
@@ -247,28 +241,17 @@ func (p *peer) emit(kind core.EventKind, round int, objective float64) {
 	p.observer(core.Event{
 		Kind: kind, Peer: p.id, Round: round, Objective: objective,
 		SentMsgs: sm, SentBytes: sb, RecvMsgs: rm, RecvBytes: rb,
-		PrunedRows:      p.cx.Counters.PrunedRows.Load(),
-		ScratchReuses:   p.cx.Counters.ScratchReuses.Load(),
-		IndexCandidates: p.cx.Counters.IndexCandidates.Load(),
-		IndexSkipped:    p.cx.Counters.IndexSkipped.Load(),
-		RepsReused:      p.cx.Counters.RepsReused.Load(),
-		DocsSkipped:     p.cx.Counters.DocsSkipped.Load(),
-		DeltaRepBytes:   p.cx.Counters.DeltaRepBytes.Load(),
+		CounterSnapshot: p.repCfg.Ctx.Counters.Snapshot(),
 		Elapsed:         time.Since(p.t0),
 	})
 }
 
 // canceled reports a done ctx as a core.ErrCanceled-wrapping error.
 func canceled(ctx context.Context) error {
-	if ctx == nil {
-		return nil
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("%w: %w", core.ErrCanceled, err)
 	}
-	select {
-	case <-ctx.Done():
-		return fmt.Errorf("%w: %w", core.ErrCanceled, ctx.Err())
-	default:
-		return nil
-	}
+	return nil
 }
 
 func (p *peer) run(ctx context.Context) error {
@@ -280,7 +263,6 @@ func (p *peer) run(ctx context.Context) error {
 	for i := range p.assign {
 		p.assign[i] = cluster.TrashCluster
 	}
-	repCfg := cluster.RepConfig{Ctx: p.cx, Rule: p.rule, Workers: p.workers}
 
 	// Round 0: agree on the k initial centers. Peer i seeds the clusters in
 	// its responsibility range from its local data and broadcasts them.
@@ -296,7 +278,9 @@ func (p *peer) run(ctx context.Context) error {
 		if h == p.id {
 			continue
 		}
-		p.send(0, h, RepsMsg{From: p.id, Round: 0, Reps: initial, Initial: true})
+		if err := p.send(0, h, RepsMsg{From: p.id, Round: 0, Reps: initial, Initial: true}); err != nil {
+			return err
+		}
 	}
 	for received := 0; received < m-1; {
 		msg, err := p.next(ctx, 0)
@@ -329,59 +313,34 @@ func (p *peer) run(ctx context.Context) error {
 		p.emit(core.EventRoundStart, round-1, 0)
 
 		// Local K-means step against the shared centers.
-		var localReps map[int]core.WeightedWireRep
+		localReps := map[int]core.WeightedWireRep{}
 		var localSSE float64
+		var relocErr error
 		p.compute(round, func() {
-			var ix *sim.RepIndex
-			if p.indexReps {
-				if p.repIndex == nil {
-					p.repIndex = sim.NewRepIndex()
-				}
-				p.repIndex.Build(p.cx, p.global)
-				ix = p.repIndex
+			p.assign, relocErr = p.engine.Assign(ctx, p.global)
+			if relocErr != nil {
+				return
 			}
-			if p.deltaRounds && p.delta == nil {
-				p.delta = cluster.NewDeltaState(p.k)
-			}
-			if p.delta != nil {
-				p.assign, _ = p.delta.Relocate(nil, p.cx, p.local, p.global, p.workers, ix)
-			} else {
-				p.assign, _ = cluster.RelocateCtxIndexed(nil, p.cx, p.local, p.global, p.workers, ix)
-			}
-			members := make([][]*txn.Transaction, p.k)
-			for i, a := range p.assign {
-				if a >= 0 {
-					members[a] = append(members[a], p.local[i])
-				}
-			}
-			var memberFps []uint64
-			if p.delta != nil {
-				memberFps = p.delta.MemberFingerprints(p.assign)
-			}
-			localReps = map[int]core.WeightedWireRep{}
-			for j := 0; j < p.k; j++ {
-				if len(members[j]) == 0 {
-					continue
-				}
-				var rep *txn.Transaction
-				if p.delta != nil {
-					rep = p.delta.LocalRep(repCfg, j, memberFps[j], members[j])
-				} else {
-					rep = cluster.ComputeLocalRepresentative(repCfg, members[j])
-				}
+			reps, sizes := p.engine.LocalReps(p.assign)
+			for j, rep := range reps {
 				if rep != nil {
-					localReps[j] = core.WeightedWireRep{Rep: wireOf(rep), Weight: len(members[j])}
+					localReps[j] = core.WeightedWireRep{Rep: wireOf(rep), Weight: sizes[j]}
 				}
 			}
-			localSSE = cluster.SSEWorkers(p.cx, p.local, p.assign, p.global, p.workers)
+			localSSE = cluster.SSEWorkers(p.repCfg.Ctx, p.local, p.assign, p.global, p.repCfg.Workers)
 		})
+		if relocErr != nil {
+			return fmt.Errorf("%w: %w", core.ErrCanceled, relocErr)
+		}
 
 		// All-to-all exchange: every peer ships all k local reps + SSE.
 		for h := 0; h < m; h++ {
 			if h == p.id {
 				continue
 			}
-			p.send(round, h, RepsMsg{From: p.id, Round: round, Reps: localReps, SSE: localSSE})
+			if err := p.send(round, h, RepsMsg{From: p.id, Round: round, Reps: localReps, SSE: localSSE}); err != nil {
+				return err
+			}
 		}
 		// Per-peer slots keep aggregation order deterministic: every peer
 		// must compute bit-identical global SSEs (the stop rule) and
@@ -415,7 +374,7 @@ func (p *peer) run(ctx context.Context) error {
 				if len(perCluster[j]) == 0 {
 					continue
 				}
-				if g := cluster.ComputeGlobalRepresentative(repCfg, perCluster[j]); g != nil {
+				if g := cluster.ComputeGlobalRepresentative(p.repCfg, perCluster[j]); g != nil {
 					p.global[j] = g
 				}
 			}
@@ -458,12 +417,16 @@ func (p *peer) compute(round int, fn func()) {
 	p.report.ComputeByRound[round] += time.Since(t0)
 }
 
-func (p *peer) send(round, to int, payload any) {
+// send delivers a payload and accounts it. A transport failure fails the
+// peer: the receiver would otherwise wait for this message until the
+// caller's ctx dies, and every other peer with it.
+func (p *peer) send(round, to int, payload any) error {
 	if err := p.transport.Send(p.id, to, payload); err != nil {
-		return
+		return fmt.Errorf("%w: round %d to peer %d: %v", core.ErrSend, round, to, err)
 	}
 	p.report.SentMsgsByRound[round]++
 	p.report.SentBytesByRound[round] += p.sizer(payload)
+	return nil
 }
 
 func (p *peer) next(ctx context.Context, round int) (RepsMsg, error) {
@@ -471,10 +434,6 @@ func (p *peer) next(ctx context.Context, round int) (RepsMsg, error) {
 		msg := q[0]
 		p.pending[round] = q[1:]
 		return msg, nil
-	}
-	var ctxDone <-chan struct{}
-	if ctx != nil {
-		ctxDone = ctx.Done()
 	}
 	for {
 		var env p2p.Envelope
@@ -484,7 +443,7 @@ func (p *peer) next(ctx context.Context, round int) (RepsMsg, error) {
 				return RepsMsg{}, fmt.Errorf("transport closed while awaiting reps")
 			}
 			env = e
-		case <-ctxDone:
+		case <-ctx.Done():
 			return RepsMsg{}, fmt.Errorf("%w: %w", core.ErrCanceled, ctx.Err())
 		}
 		msg, ok := env.Payload.(RepsMsg)

@@ -2,12 +2,16 @@ package pkmeans
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"xmlclust/internal/cluster"
 	"xmlclust/internal/core"
 	"xmlclust/internal/eval"
+	"xmlclust/internal/p2p"
 	"xmlclust/internal/sim"
 	"xmlclust/internal/txn"
 	"xmlclust/internal/weighting"
@@ -242,5 +246,50 @@ func TestPKWorkersEquivalence(t *testing.T) {
 				t.Errorf("workers=%d: rep %d differs", w, j)
 			}
 		}
+	}
+}
+
+// failingTransport fails exactly one Send — the failAt-th — and delivers
+// every other message.
+type failingTransport struct {
+	p2p.Transport
+	sends  atomic.Int32
+	failAt int32
+}
+
+func (f *failingTransport) Send(from, to int, payload any) error {
+	if f.sends.Add(1) == f.failAt {
+		return errors.New("injected send failure")
+	}
+	return f.Transport.Send(from, to, payload)
+}
+
+// TestPKSendFailureFailsRun pins the send-error path: one lost message —
+// in the seeding exchange or in a later round — must fail the whole run
+// with core.ErrSend promptly, not leave the other peers waiting for it
+// until the caller's context dies (this one never does).
+func TestPKSendFailureFailsRun(t *testing.T) {
+	corpus, _ := miniCorpus(t, 8)
+	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
+	for _, failAt := range []int32{2, 9} { // round 0 ships 6 messages
+		tr := &failingTransport{Transport: p2p.NewChanTransport(3, nil), failAt: failAt}
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(context.Background(), cx, corpus, Options{
+				K: 2, Params: cx.Params, Peers: 3, Transport: tr,
+				Partition: core.EqualPartition(len(corpus.Transactions), 3, 7),
+				Seed:      7,
+			})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, core.ErrSend) {
+				t.Errorf("send %d failed: Run returned %v, want an error wrapping core.ErrSend", failAt, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("send %d failed: Run still blocked after 30s", failAt)
+		}
+		tr.Close()
 	}
 }

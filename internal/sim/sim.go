@@ -108,6 +108,44 @@ type Counters struct {
 	DeltaRepBytes atomic.Int64
 }
 
+// CounterSnapshot is a plain copy of the tier counters a run reports: it is
+// embedded in progress events and job results, so a counter added here (and
+// to Snapshot and Sub) reaches every surface. See Counters for the meaning
+// of each field.
+type CounterSnapshot struct {
+	PrunedRows, ScratchReuses              int64
+	IndexCandidates, IndexSkipped          int64
+	RepsReused, DocsSkipped, DeltaRepBytes int64
+}
+
+// Snapshot reads the reported counters. Each load is atomic; the set is not
+// read as one transaction, which is fine for running totals.
+func (c *Counters) Snapshot() CounterSnapshot {
+	return CounterSnapshot{
+		PrunedRows:      c.PrunedRows.Load(),
+		ScratchReuses:   c.ScratchReuses.Load(),
+		IndexCandidates: c.IndexCandidates.Load(),
+		IndexSkipped:    c.IndexSkipped.Load(),
+		RepsReused:      c.RepsReused.Load(),
+		DocsSkipped:     c.DocsSkipped.Load(),
+		DeltaRepBytes:   c.DeltaRepBytes.Load(),
+	}
+}
+
+// Sub returns the per-field difference s − before: the work between two
+// snapshots of the same context.
+func (s CounterSnapshot) Sub(before CounterSnapshot) CounterSnapshot {
+	return CounterSnapshot{
+		PrunedRows:      s.PrunedRows - before.PrunedRows,
+		ScratchReuses:   s.ScratchReuses - before.ScratchReuses,
+		IndexCandidates: s.IndexCandidates - before.IndexCandidates,
+		IndexSkipped:    s.IndexSkipped - before.IndexSkipped,
+		RepsReused:      s.RepsReused - before.RepsReused,
+		DocsSkipped:     s.DocsSkipped - before.DocsSkipped,
+		DeltaRepBytes:   s.DeltaRepBytes - before.DeltaRepBytes,
+	}
+}
+
 // Context evaluates similarities for one corpus under fixed Params.
 // It is safe for concurrent use: peers and intra-peer workers share one
 // Context, so the tag-path pair cache is sharded to keep concurrent

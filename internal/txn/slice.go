@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"xmlclust/internal/fnv"
 	"xmlclust/internal/xmltree"
 )
 
@@ -80,31 +81,21 @@ func (cs *ColumnarSlice) Bytes() int64 {
 // column blocks) so peers can cross-check a transfer cheaply before the
 // full column comparison.
 func (cs *ColumnarSlice) Fingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= prime64
-		}
-	}
+	h := fnv.Offset
 	for _, idx := range cs.Indices {
-		mix(uint64(idx))
+		h = fnv.Mix(h, uint64(idx))
 	}
-	mix(^uint64(0))
+	h = fnv.Mix(h, ^uint64(0))
 	for _, o := range cs.Offsets {
-		mix(uint64(o))
+		h = fnv.Mix(h, uint64(o))
 	}
-	mix(^uint64(0))
+	h = fnv.Mix(h, ^uint64(0))
 	for _, id := range cs.ItemIDs {
-		mix(uint64(id))
+		h = fnv.Mix(h, uint64(id))
 	}
-	mix(^uint64(0))
+	h = fnv.Mix(h, ^uint64(0))
 	for _, tp := range cs.TagPathIDs {
-		mix(uint64(tp))
+		h = fnv.Mix(h, uint64(tp))
 	}
 	return h
 }

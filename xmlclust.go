@@ -66,6 +66,7 @@ import (
 	"xmlclust/internal/cluster"
 	"xmlclust/internal/corpus"
 	"xmlclust/internal/eval"
+	"xmlclust/internal/sim"
 	"xmlclust/internal/tuple"
 	"xmlclust/internal/txn"
 	"xmlclust/internal/weighting"
@@ -268,15 +269,9 @@ const (
 	// where its premises fail (γ = 0, semantic tag matchers), falling back
 	// to the flat branch-and-bound scan.
 	RepIndexAuto RepIndexMode = iota
-	// RepIndexOn behaves like RepIndexAuto (the index always self-disables
-	// where it would be unsound); it exists to state the intent explicitly.
-	RepIndexOn
 	// RepIndexOff forces the flat scan over all representatives.
 	RepIndexOff
 )
-
-// enabled reports whether the mode asks for the index.
-func (m RepIndexMode) enabled() bool { return m != RepIndexOff }
 
 // DeltaRoundsMode selects whether runs carry the convergence-aware delta
 // caches across rounds: unchanged cluster memberships reuse their memoized
@@ -291,16 +286,15 @@ type DeltaRoundsMode int
 const (
 	// DeltaRoundsAuto (the zero value) enables the delta engine.
 	DeltaRoundsAuto DeltaRoundsMode = iota
-	// DeltaRoundsOn behaves like DeltaRoundsAuto; it exists to state the
-	// intent explicitly.
-	DeltaRoundsOn
 	// DeltaRoundsOff recomputes every round from scratch and ships every
 	// representative in full.
 	DeltaRoundsOff
 )
 
-// enabled reports whether the mode asks for the delta engine.
-func (m DeltaRoundsMode) enabled() bool { return m != DeltaRoundsOff }
+// tiersOf maps the two public modes onto the round engine's tier selection.
+func tiersOf(index RepIndexMode, delta DeltaRoundsMode) cluster.Tiers {
+	return cluster.Tiers{Index: index != RepIndexOff, Delta: delta != DeltaRoundsOff}
+}
 
 // ClusterOptions configures a clustering run.
 type ClusterOptions struct {
@@ -376,34 +370,23 @@ type Result struct {
 	TrafficMsgs  int64
 	// K echoes the cluster count.
 	K int
-	// PrunedRows counts the match-matrix rows (≈ item-similarity
-	// evaluations × representative size) the assignment path skipped via
-	// the similarity kernel's exact branch-and-bound — work saved without
-	// changing any assignment. ScratchReuses counts kernel invocations that
-	// ran on a fully warm, zero-allocation Scratch. Both are deltas of the
-	// job's similarity context; jobs of one Sweep that share a (F, Gamma)
-	// context and run concurrently may attribute overlap to one cell, but
-	// the totals across cells are exact.
-	PrunedRows    int64
-	ScratchReuses int64
-	// IndexCandidates and IndexSkipped are the representative-index deltas
-	// of this job: representatives the index-guided relocation actually
-	// evaluated with the kernel versus representatives it proved could not
-	// win and never touched. Both are zero when IndexReps is RepIndexOff or
-	// the index self-disabled. The same concurrency attribution caveat as
-	// PrunedRows applies.
-	IndexCandidates int64
-	IndexSkipped    int64
-	// RepsReused, DocsSkipped and DeltaRepBytes are the delta-round deltas of
-	// this job: representatives returned verbatim from the cross-round memo
+	// CounterSnapshot holds the job's deltas of the similarity context's
+	// tier counters. PrunedRows counts the match-matrix rows (≈
+	// item-similarity evaluations × representative size) the assignment
+	// path skipped via the kernel's exact branch-and-bound, ScratchReuses
+	// the kernel invocations that ran on a fully warm, zero-allocation
+	// Scratch. IndexCandidates and IndexSkipped count the representatives
+	// the index-guided relocation evaluated versus those it proved could
+	// not win and never touched (both zero when IndexReps is RepIndexOff or
+	// the index self-disabled). RepsReused, DocsSkipped and DeltaRepBytes
+	// count representatives returned verbatim from the cross-round memo
 	// (local and global), documents whose relocation was decided from the
 	// cached anchor with zero kernel evaluations, and modeled wire bytes
-	// saved by shipping unchanged-representative digest markers. All zero
-	// when DeltaRounds is DeltaRoundsOff. The same concurrency attribution
-	// caveat as PrunedRows applies.
-	RepsReused    int64
-	DocsSkipped   int64
-	DeltaRepBytes int64
+	// saved by shipping unchanged-representative digest markers (all zero
+	// when DeltaRounds is DeltaRoundsOff). Jobs of one Sweep that share a
+	// (F, Gamma) context and run concurrently may attribute overlap to one
+	// cell, but the totals across cells are exact.
+	sim.CounterSnapshot
 }
 
 // Cluster runs one clustering job on a throwaway Engine and blocks until
