@@ -28,9 +28,8 @@ type ClassifyOptions struct {
 	MaxTuplesPerTree int
 	// IndexReps selects the inverted representative index for the scan
 	// (default RepIndexAuto = on; the assignment is byte-identical in every
-	// mode). Without a prebuilt Index the index is built per call — worth it
-	// from a few dozen representatives up; pass RepIndexOff for tiny rep
-	// sets on hot paths.
+	// mode). Without a prebuilt Index the index is built per call, at the
+	// cost of one pass over the representatives' vectors.
 	IndexReps RepIndexMode
 	// Index, when non-nil, is a prebuilt representative index from
 	// Engine.BuildRepIndex. It is used only when it matches this call — same
@@ -46,23 +45,27 @@ type ClassifyOptions struct {
 // of ClassifyOptions.IndexReps for serving layers that classify a stream of
 // documents against frozen representatives. Build it with
 // Engine.BuildRepIndex and pass it via ClassifyOptions.Index. A RepIndex is
-// immutable after construction and safe for concurrent use; items interned
-// after it was built (online document adds) are handled soundly by
-// construction, so it never needs eager rebuilding — rebuild only when the
-// representative set changes.
+// immutable after construction and safe for concurrent use; items, terms and
+// tag paths interned after it was built (online document adds) are handled
+// soundly by construction, so it never needs eager rebuilding — rebuild when
+// the representative set changes. It holds the representatives' term
+// weights: should a weighting pass rewrite the vector of an item a
+// representative carries, the index notices, reports itself disabled and
+// scans fall back to the flat path until it is rebuilt.
 type RepIndex struct {
 	ix   *sim.RepIndex
 	cx   *sim.Context
 	reps []*Transaction
 }
 
-// Enabled reports whether the index is active — false when the premises of
-// the pruning bound fail for the (F, Gamma) it was built with (γ = 0 or a
-// semantic tag matcher), in which case scans fall back to the flat path.
+// Enabled reports whether the index is active — false for the (F, Gamma) it
+// cannot answer (γ = 0 or a semantic tag matcher) and after a rewrite of a
+// representative item's vector, in which cases scans fall back to the flat
+// path.
 func (ri *RepIndex) Enabled() bool { return ri != nil && ri.ix.Enabled() }
 
-// Entries reports the number of inverted-index postings keys (distinct
-// tags + distinct terms) the index holds.
+// Entries reports the number of inverted-index keys (distinct terms +
+// distinct tag paths) the index holds.
 func (ri *RepIndex) Entries() int {
 	if ri == nil {
 		return 0
@@ -132,8 +135,7 @@ type Classification struct {
 
 // ClassifyTransactions assigns each transaction to its most similar
 // representative — the relocation step of CXK-means under a frozen
-// representative set, sharing the engine's warm similarity caches and the
-// branch-and-bound kernel. It is read-only with respect to clustering
+// representative set, sharing the engine's warm similarity caches. It is read-only with respect to clustering
 // state: no assignment, representative or corpus transaction is touched,
 // so it is safe to call concurrently with Cluster jobs on the same engine
 // (the serving layer does exactly that). ctx cancels the scan with an

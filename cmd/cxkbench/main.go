@@ -20,9 +20,9 @@
 // bench-regression smoke and the input of the bench trajectory.
 //
 // The rounds experiment benchmarks the cross-round delta engine (memoized
-// representatives, anchored relocation, digest-marker exchange) against
-// full per-round recomputation, gates on byte-identical output plus the
-// final round's document-skip fraction, and writes BENCH_rounds.json.
+// representatives, the repeated-pass shortcut, digest-marker exchange)
+// against full per-round recomputation, gates on byte-identical output and
+// the full-job speedup, and writes BENCH_rounds.json.
 package main
 
 import (

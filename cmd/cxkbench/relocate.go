@@ -19,14 +19,15 @@ import (
 type relocatePoint struct {
 	K int `json:"k"`
 	// FlatNsPerPass / IndexedNsPerPass time one full relocation pass over
-	// every transaction (flat branch-and-bound scan vs index-guided scan;
-	// the indexed time includes the per-pass index rebuild, exactly as the
-	// clustering loop pays it each refinement phase).
+	// every transaction (flat branch-and-bound scan over the dense kernel vs
+	// posting-list scoring; the indexed time includes the per-pass index
+	// rebuild, exactly as the clustering loop pays it each refinement
+	// phase).
 	FlatNsPerPass    float64 `json:"flat_ns_per_pass"`
 	IndexedNsPerPass float64 `json:"indexed_ns_per_pass"`
 	// EvaluatedRepsPerDoc / SkippedRepsPerDoc average the index counters of
-	// one pass: representatives the kernel actually scored per document vs
-	// representatives the candidate bound proved could not win.
+	// one pass: representatives a document scored above zero against vs
+	// representatives its sweep never touched (they score exactly zero).
 	EvaluatedRepsPerDoc float64 `json:"evaluated_reps_per_doc"`
 	SkippedRepsPerDoc   float64 `json:"skipped_reps_per_doc"`
 	Speedup             float64 `json:"speedup"`
@@ -52,10 +53,10 @@ type relocateBench struct {
 
 // relocateKs are the representative-set sizes the experiment scans — the
 // axis along which the flat scan's O(n·k) cost grows while the indexed
-// scan's grows with the candidates that share anything with each document.
+// scan's grows with the posting lists of each document's terms.
 var relocateKs = []int{8, 64, 256, 1024}
 
-// runRelocate benchmarks index-guided relocation against the flat
+// runRelocate benchmarks posting-list relocation against the flat
 // branch-and-bound scan on a generated corpus across representative-set
 // sizes. Representatives are transactions sampled deterministically from
 // the corpus (the same proxy for a frozen representative set at every k).
@@ -85,7 +86,7 @@ func runRelocate(ds string, scale experiments.Scale, workers int, jsonPath strin
 	fmt.Printf("Relocation — indexed vs flat scan (%s, hybrid, f=%g γ=%g, %d txns)\n",
 		ds, r.F, r.Gamma, len(trs))
 	fmt.Printf("%6s %14s %14s %9s %14s %14s\n",
-		"k", "flat ns/pass", "index ns/pass", "speedup", "evaluated/doc", "skipped/doc")
+		"k", "flat ns/pass", "index ns/pass", "speedup", "nonzero/doc", "zero/doc")
 	for _, k := range relocateKs {
 		reps := sampleReps(rng, trs, k)
 

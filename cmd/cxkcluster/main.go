@@ -202,7 +202,7 @@ func progressPrinter() func(xmlclust.Event) {
 			line := fmt.Sprintf("  peer %d round %d: objective %.4f, sent %d msgs / %d B",
 				ev.Peer, ev.Round+1, ev.Objective, ev.SentMsgs, ev.SentBytes)
 			if dc, ds := ev.IndexCandidates-lastCand, ev.IndexSkipped-lastSkip; dc+ds > 0 {
-				line += fmt.Sprintf(", reps evaluated %d / skipped %d", dc, ds)
+				line += fmt.Sprintf(", reps scored non-zero %d / untouched %d", dc, ds)
 				lastCand, lastSkip = ev.IndexCandidates, ev.IndexSkipped
 			}
 			if dr, dd := ev.RepsReused-lastReused, ev.DocsSkipped-lastDocSkip; dr+dd > 0 {
@@ -212,7 +212,7 @@ func progressPrinter() func(xmlclust.Event) {
 			fmt.Fprintf(os.Stderr, "%s, %v elapsed\n", line, ev.Elapsed.Round(time.Millisecond))
 		case xmlclust.EventDone:
 			if ev.Peer == -1 {
-				fmt.Fprintf(os.Stderr, "done: %d rounds in %v (kernel: %d matrix rows pruned, %d warm-scratch reuses; index: %d reps evaluated, %d skipped; delta: %d reps reused, %d docs skipped, %d B saved)\n",
+				fmt.Fprintf(os.Stderr, "done: %d rounds in %v (kernel: %d matrix rows pruned, %d warm-scratch reuses; index: %d reps scored non-zero, %d untouched; delta: %d reps reused, %d docs skipped, %d B saved)\n",
 					ev.Round, ev.Elapsed.Round(time.Millisecond), ev.PrunedRows, ev.ScratchReuses,
 					ev.IndexCandidates, ev.IndexSkipped, ev.RepsReused, ev.DocsSkipped, ev.DeltaRepBytes)
 			}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"xmlclust/internal/sim"
@@ -188,38 +189,53 @@ func TestDeltaRepMemo(t *testing.T) {
 	}
 }
 
-// TestDeltaRelocateZeroAllocWarm extends the CI allocation guards to the
-// delta skip path: with warm scratch and query state and no changed
-// representative able to reach the document, deciding a document from its
-// cached anchor performs zero heap allocations and zero kernel evaluations.
-func TestDeltaRelocateZeroAllocWarm(t *testing.T) {
+// TestRoundsUnchangedRepsShortcut pins the whole-pass shortcut and extends
+// the CI allocation guards to it: an Assign against the representative set of
+// the previous pass — the same slice or an equal-content copy — returns that
+// pass's assignment without scoring a single document and without a heap
+// allocation, and a changed representative ends it.
+func TestRoundsUnchangedRepsShortcut(t *testing.T) {
 	corpus := twoTopicDocs(t, 12)
 	s := corpus.Transactions
 	cx := ctxFor(corpus, 0.5, 0.6)
-	cl := XKMeans(cx, s, Config{K: 4, MaxIter: 3, Seed: 3, Workers: 1})
-	reps := cl.Reps
-	d := NewRounds(RepConfig{Ctx: cx, Workers: 1}, s, Tiers{Index: true, Delta: true})
-	if _, err := d.Assign(nil, reps); err != nil {
-		t.Fatal(err) // builds the index, primes the anchors
-	}
-	ix := d.ix
-	if !ix.Enabled() {
-		t.Fatal("index unexpectedly disabled")
-	}
-	// No representative changed: every document must resolve from its
-	// anchor without touching the kernel.
-	clear(d.changed)
-	sc := sim.NewScratch()
-	j0, v0, skip := relocateScan(cx, s[0], reps, ix, sc, d.bestJ[0], d.bestScore[0], d.changed)
-	if !skip {
-		t.Fatalf("unchanged reps: document evaluated the kernel (got cluster %d score %v)", j0, v0)
-	}
-	if j0 != d.bestJ[0] || v0 != d.bestScore[0] {
-		t.Fatalf("skip returned (%d, %v), want the cached anchor (%d, %v)", j0, v0, d.bestJ[0], d.bestScore[0])
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		relocateScan(cx, s[0], reps, ix, sc, d.bestJ[0], d.bestScore[0], d.changed)
-	}); avg != 0 {
-		t.Errorf("warm delta skip path allocates %.2f/op, want 0", avg)
+	reps := XKMeans(cx, s, Config{K: 4, MaxIter: 3, Seed: 3, Workers: 1}).Reps
+	for _, tiers := range []Tiers{{Delta: true}, {Index: true, Delta: true}} {
+		r := NewRounds(RepConfig{Ctx: cx, Workers: 1}, s, tiers)
+		first, err := r.Assign(nil, reps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copied := slices.Clone(reps)
+		copied[0] = txn.NewTransaction(reps[0].Items, -1, -1, -1)
+		before := cx.Counters.Snapshot()
+		txnSims, itemSims := cx.Counters.TxnSims.Load(), cx.Counters.ItemSims.Load()
+		if avg := testing.AllocsPerRun(50, func() {
+			if got, _ := r.Assign(nil, copied); !slices.Equal(got, first) {
+				t.Fatalf("tiers %+v: shortcut assignment differs from the pass it repeats", tiers)
+			}
+		}); avg != 0 {
+			t.Errorf("tiers %+v: unchanged-representatives Assign allocates %.2f/op, want 0", tiers, avg)
+		}
+		d := cx.Counters.Snapshot().Sub(before)
+		if d.DocsSkipped == 0 || d.DocsSkipped%int64(len(s)) != 0 {
+			t.Errorf("tiers %+v: DocsSkipped moved by %d, want a multiple of %d", tiers, d.DocsSkipped, len(s))
+		}
+		if d.IndexCandidates != 0 || d.IndexSkipped != 0 || d.PrunedRows != 0 ||
+			cx.Counters.TxnSims.Load() != txnSims || cx.Counters.ItemSims.Load() != itemSims {
+			t.Errorf("tiers %+v: the shortcut scored documents: %+v", tiers, d)
+		}
+		changed := slices.Clone(reps)
+		changed[1] = s[0]
+		before = cx.Counters.Snapshot()
+		got, err := r.Assign(nil, changed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := cx.Counters.Snapshot().Sub(before); d.DocsSkipped != 0 {
+			t.Errorf("tiers %+v: a changed representative skipped %d documents", tiers, d.DocsSkipped)
+		}
+		if want := flatRelocate(t, cx, s, changed, 1); !slices.Equal(got, want) {
+			t.Errorf("tiers %+v: assignment after a changed representative differs from the flat scan", tiers)
+		}
 	}
 }

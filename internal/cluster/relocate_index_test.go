@@ -40,20 +40,104 @@ func tieHeavyCorpus(t testing.TB, n int, seed int64) *txn.Corpus {
 	return corpus
 }
 
-// indexParamsGrid covers every regime of the representative index: tag-only
-// qualification (f ≥ γ), term-only (1−f ≥ γ), both-channel AND (γ above
-// each individually), the exact f = γ boundary, γ = 0 (index disabled, flat
-// fallback) and an unreachable γ (no candidates at all).
+// indexParamsGrid covers both channels of posting-list scoring: pairs that
+// need a shared term (f < γ), pairs that structure alone carries (f ≥ γ, the
+// exact f = γ boundary included), structure only (f = 1), content only
+// (f = 0), γ = 0 (index disabled, flat fallback) and γ = 1.
 var indexParamsGrid = []sim.Params{
-	{F: 0.5, Gamma: 0.6}, // AND regime: needs tag AND term sharing
-	{F: 0.5, Gamma: 0.4}, // tag or term alone qualifies
-	{F: 0.5, Gamma: 0.9}, // high-γ AND regime
+	{F: 0.5, Gamma: 0.6}, // needs a shared term
+	{F: 0.5, Gamma: 0.4}, // structure alone can qualify
+	{F: 0.5, Gamma: 0.9}, // high γ
 	{F: 1, Gamma: 0.7},   // structure only
 	{F: 0, Gamma: 0.4},   // content only
-	{F: 0.6, Gamma: 0.6}, // f = γ boundary (tagQ inclusive edge)
-	{F: 0.3, Gamma: 0.7}, // termQ false, tagQ false, bothQ true
+	{F: 0.6, Gamma: 0.6}, // f = γ boundary
+	{F: 0.3, Gamma: 0.7}, // γ well above f
 	{F: 0.5, Gamma: 0},   // index disabled: flat fallback
 	{F: 0.5, Gamma: 1},   // γ = 1 edge
+}
+
+// TestSweepScoresEqualKernelAndSeed is the differential suite of posting-list
+// scoring on weighted corpora: on the tie-heavy corpus and on generated
+// hybrid DBLP, over f ∈ {0, 0.3, 0.5, 1} × γ ∈ {0.5, 0.8, 1}, the sweep's
+// score of every (document, representative) pair equals cx.Transactions and
+// sim.SeedTransactions bit for bit. The representative sets mix refined
+// synthetic representatives (conflated vectors), raw documents (items common
+// to both sides), a nil and an empty entry. (internal/sim's
+// TestRepIndexSoundness covers zero vectors, empty tag paths and interning
+// after Build on the table-built corpus.)
+func TestSweepScoresEqualKernelAndSeed(t *testing.T) {
+	dblp, k := synthCorpus(t, "DBLP", 40)
+	corpora := []struct {
+		name   string
+		corpus *txn.Corpus
+		k      int
+	}{{"tieHeavy", tieHeavyCorpus(t, 60, 17), 6}, {"hybridDBLP", dblp, k}}
+	for _, c := range corpora {
+		s := c.corpus.Transactions
+		for _, f := range []float64{0, 0.3, 0.5, 1} {
+			for _, gamma := range []float64{0.5, 0.8, 1} {
+				cx := sim.NewContext(c.corpus, sim.Params{F: f, Gamma: gamma})
+				reps := XKMeans(cx, s, Config{K: c.k, MaxIter: 2, Seed: 31, Workers: 1}).Reps
+				reps = append(reps, s[0], s[len(s)/2], nil, txn.NewTransaction(nil, -1, -1, -1))
+				ix := sim.NewRepIndex()
+				ix.Build(cx, reps)
+				if !ix.Enabled() {
+					t.Fatalf("%s f=%v γ=%v: index disabled", c.name, f, gamma)
+				}
+				rq := sim.NewRepQuery()
+				for i, tr := range s {
+					got := make([]float64, len(reps))
+					for c, n := 0, ix.Candidates(tr, rq); c < n; c++ {
+						j, v := rq.Candidate(c)
+						got[j] = v
+					}
+					for j, rep := range reps {
+						if rep == nil {
+							continue
+						}
+						want := cx.Transactions(tr, rep, nil)
+						if seed := sim.SeedTransactions(cx, tr, rep); seed != want {
+							t.Fatalf("%s f=%v γ=%v doc %d rep %d: kernel %v != seed %v", c.name, f, gamma, i, j, want, seed)
+						}
+						if got[j] != want {
+							t.Fatalf("%s f=%v γ=%v doc %d rep %d: sweep %v != kernel %v", c.name, f, gamma, i, j, got[j], want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRelocateStaleIndexEqualsFlat: once a weighting pass has rewritten the
+// vector of an item a representative carries, relocation through the index
+// built before the rewrite must equal the flat scan over the new vectors — the
+// index steps aside instead of scoring with stale weights.
+func TestRelocateStaleIndexEqualsFlat(t *testing.T) {
+	corpus := tieHeavyCorpus(t, 40, 3)
+	s := corpus.Transactions
+	cx := sim.NewContext(corpus, sim.Params{F: 0.3, Gamma: 0.5})
+	reps := []*txn.Transaction{s[0], s[1], s[2], s[3]}
+	ix := sim.NewRepIndex()
+	ix.Build(cx, reps)
+	before := flatRelocate(t, cx, s, reps, 1)
+	// Swap the vectors of two items of a raw representative: both now carry
+	// weights the postings do not.
+	a, b := corpus.Items.Get(reps[0].Items[0]), corpus.Items.Get(reps[1].Items[len(reps[1].Items)-1])
+	va, vb := a.Vector, b.Vector
+	corpus.Items.SetVector(a.ID, vb)
+	corpus.Items.SetVector(b.ID, va)
+	want := flatRelocate(t, cx, s, reps, 1)
+	if slices.Equal(before, want) {
+		t.Fatal("the rewrite changed no assignment; the test would pass on stale weights")
+	}
+	got, err := RelocateCtxIndexed(nil, cx, s, reps, 4, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatal("relocation through an index built before the rewrite differs from the flat scan")
+	}
 }
 
 // TestRelocateIndexEquivalence pins the index-guided relocation

@@ -9,8 +9,8 @@
 // Assign relocates the run's transactions against a representative set,
 // LocalReps and GlobalRep refine representatives. It owns what the speed
 // tiers (Tiers) carry between rounds — the representative index, the
-// membership-fingerprinted representative memos and the per-document
-// relocation anchors — under a byte-identity contract: for any call
+// membership-fingerprinted representative memos and the last relocation
+// pass — under a byte-identity contract: for any call
 // sequence and any tier selection, results equal the flat, memo-free
 // computation exactly, including the lowest-index tie rule. XKMeans, the
 // CXK-means session and the PK-means peer all drive it. Underneath sit one
@@ -20,7 +20,9 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
+	"sync"
 
 	"xmlclust/internal/parallel"
 	"xmlclust/internal/sim"
@@ -64,6 +66,11 @@ type RepConfig struct {
 	// byte-identical for any value: ranks are written into pre-indexed
 	// slots and objective sums are reduced in index order.
 	Workers int
+	// dense makes the refinement objective run the dense Eq. 4 kernel per
+	// member instead of posting-list scoring. Rounds sets it when
+	// Tiers.Index is off, so that a tiers-off run is the dense kernel end to
+	// end; the zero RepConfig scores through postings.
+	dense bool
 }
 
 // rankedItem pairs an item with its rank value.
@@ -72,54 +79,55 @@ type rankedItem struct {
 	rank float64
 }
 
-// pathGroups indexes a set of items by their complete path, recording the
-// per-path item count h (the set PC/PT of Fig. 6).
-type pathGroups struct {
-	counts map[xmltree.PathID]int
-	// tagOf caches the tag path of each complete path present.
-	tagOf map[xmltree.PathID]xmltree.PathID
-}
-
-func groupByPath(items []*txn.Item) pathGroups {
-	pg := pathGroups{counts: map[xmltree.PathID]int{}, tagOf: map[xmltree.PathID]xmltree.PathID{}}
+// structuralRanks computes rankS(e) = Σ{h : group p' with simS(e,·) ≥ γ}/|PC|
+// for every item of IC, where the groups are IC's distinct complete paths
+// and h their item counts (the set PC of Fig. 6). simS depends only on tag
+// paths, so the integer sum is computed once per distinct tag path — against
+// the per-tag-path totals of h — and shared by the items under it.
+func structuralRanks(cx *sim.Context, items []*txn.Item) map[xmltree.PathID]float64 {
+	paths := map[xmltree.PathID]struct{}{}
+	hByTag := map[xmltree.PathID]int{}
+	var tags []xmltree.PathID // first-seen order
 	for _, it := range items {
-		pg.counts[it.Path]++
-		pg.tagOf[it.Path] = it.TagPath
-	}
-	return pg
-}
-
-// structuralRank computes rankS(e) = Σ{h : group p' with simS(e,·) ≥ γ}/|PC|.
-// simS depends only on tag paths, so the sum runs over distinct paths.
-func structuralRank(cx *sim.Context, e *txn.Item, pg pathGroups) float64 {
-	if len(pg.counts) == 0 {
-		return 0
+		paths[it.Path] = struct{}{}
+		if _, ok := hByTag[it.TagPath]; !ok {
+			tags = append(tags, it.TagPath)
+		}
+		hByTag[it.TagPath]++
 	}
 	gamma := cx.Params.Gamma
-	sum := 0
-	for p, h := range pg.counts {
-		if cx.TagPathSim(e.TagPath, pg.tagOf[p]) >= gamma {
-			sum += h
+	ranks := make(map[xmltree.PathID]float64, len(tags))
+	for _, tp := range tags {
+		sum := 0
+		for _, tq := range tags {
+			if cx.TagPathSim(tp, tq) >= gamma {
+				sum += hByTag[tq]
+			}
 		}
+		ranks[tp] = float64(sum) / float64(len(paths))
 	}
-	return float64(sum) / float64(len(pg.counts))
+	return ranks
 }
 
 // contentRankSums precomputes Σ_{e'∈I} normalized(u_{e'}) so that
 // rankC(e) = Σ_{e'} cos(u_e,u_{e'}) = normalized(u_e)·Σ — turning the
 // quadratic cosine pass of Fig. 6 into a linear one.
 func contentRankSums(items []*txn.Item) vector.Sparse {
-	acc := map[int32]float64{}
+	n := 0
 	for _, it := range items {
-		n := it.Vector.Norm()
-		if n == 0 {
+		n += it.Vector.Len()
+	}
+	parts := make([]vector.Entry, 0, n)
+	for _, it := range items {
+		norm := it.Vector.Norm()
+		if norm == 0 {
 			continue
 		}
 		for _, e := range it.Vector.Entries() {
-			acc[e.Term] += e.Weight / n
+			parts = append(parts, vector.Entry{Term: e.Term, Weight: e.Weight / norm})
 		}
 	}
-	return vector.FromMap(acc)
+	return vector.Collect(parts)
 }
 
 func contentRank(e *txn.Item, sum vector.Sparse) float64 {
@@ -133,21 +141,18 @@ func contentRank(e *txn.Item, sum vector.Sparse) float64 {
 // distinctItems returns the union of items over the transactions, sorted by
 // id (the set IC of Fig. 6).
 func distinctItems(trs []*txn.Transaction, tab *txn.ItemTable) []*txn.Item {
-	seen := map[txn.ItemID]struct{}{}
+	n := 0
 	for _, tr := range trs {
-		for _, id := range tr.Items {
-			seen[id] = struct{}{}
-		}
+		n += len(tr.Items)
 	}
-	ids := make([]txn.ItemID, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
+	ids := make([]txn.ItemID, 0, n)
+	for _, tr := range trs {
+		ids = append(ids, tr.Items...)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
 	items := make([]*txn.Item, len(ids))
-	for i, id := range ids {
-		items[i] = tab.Get(id)
-	}
+	tab.Resolve(ids, items)
 	return items
 }
 
@@ -164,13 +169,13 @@ func ComputeLocalRepresentative(cfg RepConfig, c []*txn.Transaction) *txn.Transa
 	if len(items) == 0 {
 		return nil
 	}
-	pg := groupByPath(items)
+	rankS := structuralRanks(cx, items)
 	csum := contentRankSums(items)
 	f := cx.Params.F
 	ranked := make([]rankedItem, len(items))
 	parallel.For(cfg.Workers, len(items), func(i int) {
 		it := items[i]
-		r := f*structuralRank(cx, it, pg) + (1-f)*contentRank(it, csum)
+		r := f*rankS[it.TagPath] + (1-f)*contentRank(it, csum)
 		ranked[i] = rankedItem{id: it.ID, rank: r}
 	})
 	sortRanked(ranked)
@@ -204,13 +209,13 @@ func ComputeGlobalRepresentative(cfg RepConfig, reps []WeightedRep) *txn.Transac
 	}
 	cx := cfg.Ctx
 	items := distinctItems(trs, cx.Items)
-	pg := groupByPath(items)
+	rankS := structuralRanks(cx, items)
 	csum := contentRankSums(items)
 	f := cx.Params.F
 	ranked := make([]rankedItem, len(items))
 	parallel.For(cfg.Workers, len(items), func(i int) {
 		it := items[i]
-		base := f*structuralRank(cx, it, pg) + (1-f)*contentRank(it, csum)
+		base := f*rankS[it.TagPath] + (1-f)*contentRank(it, csum)
 		ranked[i] = rankedItem{id: it.ID, rank: float64(weightOf[it.ID]) * base}
 	})
 	sortRanked(ranked)
@@ -236,17 +241,42 @@ func generateTreeTuple(cfg RepConfig, ranked []rankedItem, c []*txn.Transaction)
 	trmax := txn.MaxTransactionLen(c)
 	// The objective Σ_{tr∈C} simγJ(tr, rep′) is the hot spot of
 	// representative generation: one transaction similarity per cluster
-	// member per refinement step. The terms are independent, so they are
-	// computed across the worker pool — each worker reusing one pooled
-	// similarity Scratch across the whole refinement, so no step allocates —
-	// and reduced in index order (the float sum must not depend on the
-	// schedule).
+	// member per refinement step. The candidate rep′ is fixed for a step, so
+	// it is indexed once — a one-representative sim.RepIndex, borrowed for the
+	// whole refinement — and every member is scored with one sweep of its
+	// terms, bit-identical to the dense kernel (which runs instead when the
+	// index is disabled or cfg.dense is set). The terms are independent, so
+	// they are computed across the worker pool — each worker reusing one
+	// pooled similarity Scratch across the whole refinement, so no step
+	// allocates — and reduced in index order (the float sum must not depend
+	// on the schedule).
 	ws := sim.BorrowScratches(parallel.WorkerCount(cfg.Workers, len(c)))
 	defer ws.Release()
+	var one *oneRepIndex
+	if !cfg.dense {
+		one = oneRepIndexPool.Get().(*oneRepIndex)
+		defer oneRepIndexPool.Put(one)
+	}
+	var cand *txn.Transaction // rep′ of the current step
+	term := func(w, i int) float64 {
+		if one == nil {
+			return cx.Transactions(c[i], cand, ws.Worker(w))
+		}
+		rq := ws.Worker(w).Query()
+		one.ix.Candidates(c[i], rq)
+		_, v := rq.Best()
+		return v
+	}
 	objective := func(rep *txn.Transaction) float64 {
-		return parallel.SumWorkers(cfg.Workers, len(c), func(w, i int) float64 {
-			return cx.Transactions(c[i], rep, ws.Worker(w))
-		})
+		cand = rep
+		if one != nil {
+			one.reps[0] = rep
+			one.ix.Build(cx, one.reps[:])
+			if !one.ix.Enabled() {
+				one = nil
+			}
+		}
+		return parallel.SumWorkers(cfg.Workers, len(c), term)
 	}
 	// Batch size: rank ties always travel together; under
 	// ReturnBestObjective batches additionally have a minimum size so the
@@ -260,7 +290,7 @@ func generateTreeTuple(cfg RepConfig, ranked []rankedItem, c []*txn.Transaction)
 	}
 
 	var (
-		chosen  []txn.ItemID // raw constituent ids accumulated so far
+		chosen  conflation // the raw constituent ids accumulated so far
 		rep     = txn.NewTransaction(nil, -1, -1, -1)
 		repPrev *txn.Transaction
 		s, sNew float64
@@ -279,10 +309,10 @@ func generateTreeTuple(cfg RepConfig, ranked []rankedItem, c []*txn.Transaction)
 		repPrev = rep
 		s = sNew
 		for _, ri := range ranked[i:j] {
-			chosen = append(chosen, cx.Items.Get(ri.id).Flatten()...)
+			chosen.add(cx.Items, cx.Items.Get(ri.id).Flatten())
 		}
 		i = j
-		repNew := ConflateItems(cx.Items, chosen)
+		repNew := chosen.transaction(cx.Items)
 		lastNew = repNew
 		if cfg.Rule == ReturnBestObjective {
 			if repNew.Len() > trmax && bestRep != nil {
@@ -325,6 +355,15 @@ func nonEmpty(preferred, fallback *txn.Transaction) *txn.Transaction {
 	return fallback
 }
 
+// oneRepIndex is the refinement objective's index over its one candidate,
+// pooled so that a refinement allocates no posting storage.
+type oneRepIndex struct {
+	ix   *sim.RepIndex
+	reps [1]*txn.Transaction
+}
+
+var oneRepIndexPool = sync.Pool{New: func() any { return &oneRepIndex{ix: sim.NewRepIndex()} }}
+
 // ConflateItems implements the conflateItems procedure of Fig. 6: the input
 // raw item ids are grouped by complete path; each group becomes one item
 // whose content is the union of the group's contents (answers unioned,
@@ -332,37 +371,93 @@ func nonEmpty(preferred, fallback *txn.Transaction) *txn.Transaction {
 // raw item itself. The result is a synthetic transaction in tree-tuple form
 // (every path distinct).
 func ConflateItems(tab *txn.ItemTable, rawIDs []txn.ItemID) *txn.Transaction {
-	byPath := map[xmltree.PathID][]txn.ItemID{}
-	seen := map[txn.ItemID]struct{}{}
-	var paths []xmltree.PathID
-	for _, id := range rawIDs {
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		seen[id] = struct{}{}
-		p := tab.Get(id).Path
-		if _, ok := byPath[p]; !ok {
-			paths = append(paths, p)
-		}
-		byPath[p] = append(byPath[p], id)
+	var c conflation
+	c.add(tab, rawIDs)
+	return c.transaction(tab)
+}
+
+// conflation is a growing conflateItems input: the per-path groups of the raw
+// ids added so far, with the item each group conflated to last time.
+// generateTreeTuple conflates a growing id set once per refinement step;
+// carrying the groups across steps re-merges only the groups that grew.
+type conflation struct {
+	seen   map[txn.ItemID]struct{}
+	byPath map[xmltree.PathID]*pathGroup
+	paths  []xmltree.PathID // first-seen order: the order new items intern in
+}
+
+type pathGroup struct {
+	ids  []txn.ItemID
+	item txn.ItemID // what ids conflate to; valid unless grew
+	grew bool
+}
+
+// add puts raw item ids into their path groups; ids already present are
+// ignored.
+func (c *conflation) add(tab *txn.ItemTable, rawIDs []txn.ItemID) {
+	if c.seen == nil {
+		c.seen = map[txn.ItemID]struct{}{}
+		c.byPath = map[xmltree.PathID]*pathGroup{}
 	}
-	out := make([]txn.ItemID, 0, len(paths))
-	for _, p := range paths {
-		group := byPath[p]
-		if len(group) == 1 {
-			out = append(out, group[0])
+	for _, id := range rawIDs {
+		if _, dup := c.seen[id]; dup {
 			continue
 		}
-		sort.Slice(group, func(i, j int) bool { return group[i] < group[j] })
-		answers := make([]string, len(group))
-		merged := vector.Sparse{}
-		for i, id := range group {
-			it := tab.Get(id)
-			answers[i] = it.Answer
-			merged = vector.Add(merged, it.Vector)
+		c.seen[id] = struct{}{}
+		p := tab.Get(id).Path
+		g := c.byPath[p]
+		if g == nil {
+			g = &pathGroup{}
+			c.byPath[p] = g
+			c.paths = append(c.paths, p)
 		}
-		key := txn.MergedAnswerKey(answers)
-		out = append(out, tab.InternSynthetic(p, key, merged, group))
+		g.ids = append(g.ids, id)
+		g.grew = true
+	}
+}
+
+// transaction conflates the groups into a tree-tuple-form transaction. A
+// group that grew is merged afresh — constituents in ascending id order, so
+// the summed vector has the bits a one-shot conflation gives it — unless the
+// content-addressed item it merges to is interned already, which the
+// (path, merged answer key) lookup tells before any vector is summed.
+func (c *conflation) transaction(tab *txn.ItemTable) *txn.Transaction {
+	out := make([]txn.ItemID, 0, len(c.paths))
+	for _, p := range c.paths {
+		g := c.byPath[p]
+		if g.grew {
+			g.grew = false
+			g.item = conflateGroup(tab, p, g.ids)
+		}
+		out = append(out, g.item)
 	}
 	return txn.NewTransaction(out, -1, -1, -1)
+}
+
+// conflateGroup returns the item the raw ids at one complete path conflate
+// to, sorting ids in place.
+func conflateGroup(tab *txn.ItemTable, p xmltree.PathID, ids []txn.ItemID) txn.ItemID {
+	if len(ids) == 1 {
+		return ids[0]
+	}
+	slices.Sort(ids)
+	items := make([]*txn.Item, len(ids))
+	tab.Resolve(ids, items)
+	answers := make([]string, len(ids))
+	for i, it := range items {
+		answers[i] = it.Answer
+	}
+	key := txn.MergedAnswerKey(answers)
+	if id, ok := tab.Lookup(p, key); ok {
+		return id
+	}
+	n := 0
+	for _, it := range items {
+		n += it.Vector.Len()
+	}
+	parts := make([]vector.Entry, 0, n)
+	for _, it := range items {
+		parts = append(parts, it.Vector.Entries()...)
+	}
+	return tab.InternSynthetic(p, key, vector.Collect(parts), ids)
 }

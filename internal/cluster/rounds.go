@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"xmlclust/internal/fnv"
-	"xmlclust/internal/parallel"
 	"xmlclust/internal/sim"
 	"xmlclust/internal/txn"
 )
@@ -14,13 +13,13 @@ import (
 // relocation scan. Every combination produces byte-identical assignments
 // and representatives; the tiers only change how much work a round costs.
 type Tiers struct {
-	// Index relocates through a sim.RepIndex over the representatives:
-	// documents evaluate only the candidates the index cannot prove losers.
+	// Index scores documents through posting lists over the representatives
+	// (sim.RepIndex) — in relocation and in the refinement objective — instead
+	// of running the dense Eq. 4 kernel per (document, representative) pair.
 	// The index disables itself at γ ≤ 0 or under semantic tag matchers.
 	Index bool
-	// Delta carries memoized representatives and per-document relocation
-	// anchors from round to round, so a round that changes little costs
-	// little.
+	// Delta carries memoized representatives and the last relocation pass
+	// from round to round, so a round that changes nothing costs nothing.
 	Delta bool
 }
 
@@ -37,16 +36,11 @@ type Tiers struct {
 //     identical item sequence, so downstream interning order — and every
 //     later representative — is unaffected by the skip.
 //
-//  2. Relocation anchors: per document, the (cluster, score) of the previous
-//     Assign plus the representative set they were computed against. A
-//     cached score is exact (the winner is always evaluated above the
-//     branch-and-bound threshold) and remains the lowest-index argmax over
-//     every UNCHANGED representative: none of them could beat it last time
-//     and none of their scores moved. So only CHANGED representatives are
-//     folded over the anchor, and when the index's upper bounds prove none
-//     of them can beat it the document costs zero kernel evaluations
-//     (Counters.DocsSkipped). A document whose own winner changed runs the
-//     full scan.
+//  2. The last relocation pass: the assignment and the representative set
+//     it was computed against. An Assign against an equal set returns that
+//     assignment without scoring a document (Counters.DocsSkipped) — the
+//     steady state of the within-round fixpoint loop and of converged
+//     sessions.
 //
 //  3. Global-representative memo: per cluster, a fingerprint of the
 //     (weight, representative items) inputs of ComputeGlobalRepresentative.
@@ -69,10 +63,8 @@ type Rounds struct {
 
 	local, global repMemo
 	fps           []uint64
-	prevReps      []*txn.Transaction // the set the anchors hold for; nil = none
-	changed       []bool
-	bestJ         []int
-	bestScore     []float64
+	prevReps      []*txn.Transaction // the set prevAssign holds for; nil = none
+	prevAssign    []int
 }
 
 // repMemo is a per-cluster memo of representatives keyed by an input
@@ -88,13 +80,10 @@ type repMemo []struct {
 // of every pass. The cluster count is the length of the representative
 // slice handed to Assign.
 func NewRounds(cfg RepConfig, s []*txn.Transaction, tiers Tiers) *Rounds {
+	cfg.dense = !tiers.Index
 	r := &Rounds{cfg: cfg, s: s, tiers: tiers}
 	if tiers.Index {
 		r.ix = sim.NewRepIndex()
-	}
-	if tiers.Delta {
-		r.bestJ = make([]int, len(s))
-		r.bestScore = make([]float64, len(s))
 	}
 	return r
 }
@@ -113,11 +102,13 @@ func (r *Rounds) Invalidate() {
 // joins its argmax cluster (ties to the lowest index, nil and empty
 // representatives never win) or TrashCluster when every similarity is zero.
 // The index is rebuilt only when reps differs by pointer from the set it was
-// last built over, so the passes of a fixpoint loop over fixed
-// representatives share one build — and under Tiers.Delta the second pass
-// resolves every document from its anchor. A done ctx aborts the pass with
-// ctx's error (nil never cancels); the engine stays usable, the next Assign
-// scans in full.
+// last built over (or a weighting pass rewrote one of their vectors), so the
+// passes of a fixpoint loop over fixed representatives share one build — and
+// under Tiers.Delta the second pass is the first one's result. The returned
+// slice is the engine's record of the pass: it is never written again, and
+// callers must not modify it. A done ctx aborts the pass with ctx's error
+// (nil never cancels); the engine stays usable, the next Assign scans in
+// full.
 func (r *Rounds) Assign(ctx context.Context, reps []*txn.Transaction) ([]int, error) {
 	cx := r.cfg.Ctx
 	if len(reps) != r.k {
@@ -126,73 +117,27 @@ func (r *Rounds) Assign(ctx context.Context, reps []*txn.Transaction) ([]int, er
 		r.prevReps = nil
 		if r.tiers.Delta {
 			r.local, r.global = make(repMemo, r.k), make(repMemo, r.k)
-			r.changed = make([]bool, r.k)
 		}
 	}
-	if r.ix != nil && !slices.Equal(r.ixReps, reps) {
-		// Built over a private copy: callers replace entries of reps in place.
+	if r.prevReps != nil && RepsEqual(r.prevReps, reps) {
+		cx.Counters.DocsSkipped.Add(int64(len(r.s)))
+		return r.prevAssign, nil
+	}
+	if r.ix != nil && !(slices.Equal(r.ixReps, reps) && r.ix.Enabled()) {
+		// Built over a private copy: callers replace entries of reps in
+		// place. A disabled index rebuilds in O(1), a stale one afresh.
 		r.ixReps = append(r.ixReps[:0], reps...)
 		r.ix.Build(cx, r.ixReps)
 	}
 	assign := make([]int, len(r.s))
-	if !r.tiers.Delta {
-		if err := RelocateScores(ctx, cx, r.s, reps, r.cfg.Workers, r.ix, assign, nil); err != nil {
-			return nil, err
-		}
-		return assign, nil
-	}
-	if err := r.reanchor(ctx, reps); err != nil {
-		r.prevReps = nil // the anchors are half old, half new
+	if err := RelocateScores(ctx, cx, r.s, reps, r.cfg.Workers, r.ix, assign, nil); err != nil {
+		r.prevReps = nil
 		return nil, err
 	}
-	copy(assign, r.bestJ)
+	if r.tiers.Delta {
+		r.prevReps, r.prevAssign = append(r.prevReps[:0], reps...), assign
+	}
 	return assign, nil
-}
-
-// reanchor moves the per-document anchors (bestJ, bestScore) from prevReps
-// to reps: a full pass when there are none, otherwise a fold of the changed
-// representatives over each anchor.
-func (r *Rounds) reanchor(ctx context.Context, reps []*txn.Transaction) error {
-	cx, workers := r.cfg.Ctx, r.cfg.Workers
-	if r.prevReps == nil {
-		if err := RelocateScores(ctx, cx, r.s, reps, workers, r.ix, r.bestJ, r.bestScore); err != nil {
-			return err
-		}
-		r.prevReps = slices.Clone(reps)
-		return nil
-	}
-	nChanged := 0
-	for j := range reps {
-		r.changed[j] = !repEqual(r.prevReps[j], reps[j])
-		if r.changed[j] {
-			nChanged++
-		}
-	}
-	if nChanged == 0 {
-		// Every anchor is the exact argmax over an unchanged set: the steady
-		// state of the within-round fixpoint loop and of converged sessions.
-		cx.Counters.DocsSkipped.Add(int64(len(r.s)))
-		return nil
-	}
-	nw := parallel.WorkerCount(workers, len(r.s))
-	ws := sim.BorrowScratches(nw)
-	defer ws.Release()
-	skipped := make([]int64, nw)
-	err := parallel.ForCtxWorkers(ctx, workers, len(r.s), func(w, i int) {
-		var skip bool
-		r.bestJ[i], r.bestScore[i], skip = relocateScan(cx, r.s[i], reps, r.ix, ws.Worker(w), r.bestJ[i], r.bestScore[i], r.changed)
-		if skip {
-			skipped[w]++
-		}
-	})
-	if err != nil {
-		return err
-	}
-	for _, c := range skipped {
-		cx.Counters.DocsSkipped.Add(c)
-	}
-	copy(r.prevReps, reps)
-	return nil
 }
 
 // LocalReps is the refinement step for the clustering assign (an Assign

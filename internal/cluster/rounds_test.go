@@ -114,9 +114,9 @@ func TestRoundsTierMatrix(t *testing.T) {
 }
 
 // TestRoundsAssignCanceled pins cancellation: an Assign under a done ctx
-// returns ctx's error, and the engine stays usable — a canceled pass leaves
-// the anchors partially rewritten, so whatever they hold afterwards must not
-// be trusted: the next Assign equals a fresh engine's answer.
+// returns ctx's error, and the engine stays usable — a canceled pass is not
+// remembered as the last one, so the next Assign against the same
+// representatives scans in full and equals a fresh engine's answer.
 func TestRoundsAssignCanceled(t *testing.T) {
 	corpus := tieHeavyCorpus(t, 40, 5)
 	s := corpus.Transactions
@@ -140,9 +140,6 @@ func TestRoundsAssignCanceled(t *testing.T) {
 				}
 				if _, err := r.Assign(canceled, sets[1]); !errors.Is(err, context.Canceled) {
 					t.Fatalf("tiers %+v workers %d primed %v: canceled Assign returned %v", tiers, workers, primed, err)
-				}
-				for i := range r.bestJ {
-					r.bestJ[i], r.bestScore[i] = TrashCluster, 1 // a pass torn mid-way
 				}
 				got, err := r.Assign(context.Background(), sets[1])
 				if err != nil {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -124,7 +123,7 @@ func SelectInitial(s []*txn.Transaction, q int, rng *rand.Rand) []*txn.Transacti
 // stop drawing transactions once ctx is done and the call returns ctx's
 // error; a nil ctx never cancels. ix must have been built over exactly this
 // reps slice under cx's parameters; a nil or disabled index is the flat
-// scan, with byte-identical assignments either way.
+// scan over the dense kernel, with byte-identical assignments either way.
 func RelocateCtxIndexed(ctx context.Context, cx *sim.Context, s []*txn.Transaction, reps []*txn.Transaction, workers int, ix *sim.RepIndex) ([]int, error) {
 	assign := make([]int, len(s))
 	if err := RelocateScores(ctx, cx, s, reps, workers, ix, assign, nil); err != nil {
@@ -160,93 +159,38 @@ func RelocateScores(ctx context.Context, cx *sim.Context, s []*txn.Transaction, 
 //
 // A nil or disabled index scans every representative in index order,
 // threading the running best through the branch-and-bound kernel (no index
-// counters move). Through an index only ix's candidates for tr are
-// evaluated, in decreasing upper-bound order, and the scan stops once the
-// remaining bounds prove no unseen candidate can strictly beat the running
-// best — or tie it at a lower cluster index. The result is byte-identical:
+// counters move). Through an index one sweep of tr's terms over the posting
+// lists yields tr's exact similarity to every representative it does not
+// score 0 against (sim.RepIndex), and the winner is their lowest-index
+// argmax — which is what the flat scan arrives at, since its running best
+// starts at 0 and only strict improvements move it.
 //
-//   - every representative with nonzero similarity to tr is a candidate
-//     (sim.RepIndex's soundness guarantee), and a zero-similarity
-//     representative can never win the flat scan either (best starts at 0
-//     and only strict improvements move it);
-//   - the kernel threshold is nudged one ulp below the running best, so a
-//     candidate that exactly ties is always evaluated to completion and can
-//     claim the tie when its index is lower — the flat scan's lowest-index
-//     rule, reached from a different evaluation order;
-//   - the early exit only fires when a candidate's bound is strictly below
-//     best, or equal to it at a higher index: the (UB desc, index asc)
-//     candidate order makes every remaining candidate lose by the same
-//     argument.
-//
-// Work accounting: evaluated candidates are added to
-// Counters.IndexCandidates, and the representatives never touched
-// (non-candidates plus bound-pruned candidates) to Counters.IndexSkipped;
-// the two sum to ix.Active() per call. The index query runs on sc's own
-// query state (sim.Scratch.Query); sc may be nil (allocates per call) — pass
-// a per-goroutine Scratch on hot paths.
+// Work accounting: the representatives scored above 0 are added to
+// Counters.IndexCandidates and the others, which the sweep never touched, to
+// Counters.IndexSkipped; the two sum to ix.Active() per call. The query runs
+// on sc's own query state (sim.Scratch.Query); sc may be nil (allocates per
+// call) — pass a per-goroutine Scratch on hot paths.
 func RelocateOneIndexed(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, ix *sim.RepIndex, sc *sim.Scratch) (int, float64) {
-	j, v, _ := relocateScan(cx, tr, reps, ix, sc, TrashCluster, 0, nil)
-	return j, v
-}
-
-// relocateScan is the one candidate loop behind every relocation. With a nil
-// changed mask it is RelocateOneIndexed. With a mask, (bestJ, best) is the
-// document's anchor — its exact lowest-index argmax over the previous
-// representative set — and changed flags the representatives that differ
-// from that set: if reps[bestJ] is unchanged (or the anchor is the trash
-// cluster at 0), no unchanged representative can beat or lower-index-tie the
-// anchor, so only the changed ones are folded over it, with the same
-// threshold and tie discipline; if reps[bestJ] itself changed the anchor is
-// void and the scan starts over. skipped reports a document decided from
-// its anchor without a single kernel evaluation.
-func relocateScan(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transaction, ix *sim.RepIndex, sc *sim.Scratch, bestJ int, best float64, changed []bool) (_ int, _ float64, skipped bool) {
-	if changed != nil && bestJ != TrashCluster && changed[bestJ] {
-		bestJ, best, changed = TrashCluster, 0, nil
-	}
-	indexed := ix != nil && ix.Enabled()
-	n := len(reps)
-	var rq *sim.RepQuery
-	if indexed {
+	if ix != nil && ix.Enabled() {
 		if sc == nil {
 			sc = sim.NewScratch()
 		}
-		rq = sc.Query()
-		n = ix.Candidates(tr, rq)
+		rq := sc.Query()
+		n := ix.Candidates(tr, rq)
+		cx.Counters.IndexCandidates.Add(int64(n))
+		cx.Counters.IndexSkipped.Add(int64(ix.Active() - n))
+		return rq.Best() // (-1, 0) without a candidate: the trash cluster
 	}
-	evaluated := 0
-	for c := 0; c < n; c++ {
-		j := c
-		if indexed {
-			var ub float64
-			j, ub = rq.Candidate(c)
-			if ub < best || (ub == best && j > bestJ) {
-				break
-			}
-		} else if reps[j] == nil || reps[j].Len() == 0 {
+	bestJ, best := TrashCluster, 0.0
+	for j, rep := range reps {
+		if rep == nil || rep.Len() == 0 {
 			continue
 		}
-		if changed != nil && !changed[j] {
-			continue // its score already lost to the anchor
-		}
-		// A tie only matters where it can claim a lower index: in index order
-		// anywhere, in the flat scan only below an anchor.
-		threshold := best
-		if indexed || j < bestJ {
-			threshold = math.Nextafter(best, math.Inf(-1))
-		}
-		v := cx.TransactionsAtLeast(tr, reps[j], threshold, sc)
-		evaluated++
-		if v > best {
-			best, bestJ = v, j
-		} else if v == best && j < bestJ {
-			bestJ = j
+		if v := cx.TransactionsAtLeast(tr, rep, best, sc); v > best {
+			bestJ, best = j, v
 		}
 	}
-	if indexed {
-		cx.Counters.IndexCandidates.Add(int64(evaluated))
-		cx.Counters.IndexSkipped.Add(int64(ix.Active() - evaluated))
-	}
-	return bestJ, best, changed != nil && evaluated == 0
+	return bestJ, best
 }
 
 // XKMeans runs the centralized transactional clustering: select k initial

@@ -39,10 +39,10 @@ type Options struct {
 	// result stays byte-identical to Workers: 1 for a fixed Seed.
 	Workers int
 	// Tiers selects the speed tiers of every peer's round engine
-	// (cluster.Rounds): Index relocates through an inverted representative
-	// index, Delta carries memoized representatives and relocation anchors
-	// across rounds and ships unchanged local representatives as digest
-	// markers instead of full wire transactions. Assignments and
+	// (cluster.Rounds): Index scores documents through posting lists over the
+	// representatives, Delta carries memoized representatives and the last
+	// relocation pass across rounds and ships unchanged local representatives
+	// as digest markers instead of full wire transactions. Assignments and
 	// representatives are byte-identical for every value; every peer of a
 	// session must agree on Delta (enforced via StartMsg.DeltaExchange).
 	Tiers cluster.Tiers

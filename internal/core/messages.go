@@ -8,8 +8,8 @@
 // # The round engine
 //
 // The relocate→refine half of every round runs on a cluster.Rounds, which
-// owns the speed tiers (Options.Tiers): the representative index and the
-// cross-round memos and relocation anchors. Output is byte-identical for
+// owns the speed tiers (Options.Tiers): the representative index, the
+// cross-round memos and the last relocation pass. Output is byte-identical for
 // every tier value.
 //
 // With Tiers.Delta on (the default at the public surface) the

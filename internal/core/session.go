@@ -452,8 +452,8 @@ func (s *session) relocate(ctx context.Context) error {
 	var relocErr error
 	s.compute(s.round, func() {
 		// The globals are fixed for the whole loop, so the engine builds its
-		// index once, and the pass that finds the fixpoint resolves every
-		// document from its anchor.
+		// index once, and the pass that confirms the fixpoint is the one
+		// before it, returned as is.
 		for {
 			assign, err := s.engine.Assign(ctx, s.global)
 			if err != nil {

@@ -28,15 +28,23 @@ func Resolve(workers int) int {
 	return workers
 }
 
+// block is how many consecutive indices a worker draws at a time. The work
+// items of the clustering hot paths cost about a microsecond each, less than
+// starting a goroutine or contending on the shared counter: drawing them one
+// by one, or forking for a handful of them, spends more in the scheduler than
+// in the work.
+const block = 16
+
 // WorkerCount reports how many workers the fork-join primitives will
 // actually spawn for a knob value and a work-item count: Resolve(workers)
-// capped at n, never below 1. Callers use it to size per-worker state (one
+// capped at one worker per block of indices, never below 1 — so a range of
+// at most one block runs inline. Callers use it to size per-worker state (one
 // similarity Scratch per worker, for example) before handing the state out
 // by worker id in ForWorkers/ForCtxWorkers/SumWorkers.
 func WorkerCount(workers, n int) int {
 	w := Resolve(workers)
-	if w > n {
-		w = n
+	if blocks := (n + block - 1) / block; w > blocks {
+		w = blocks
 	}
 	if w < 1 {
 		w = 1
@@ -49,11 +57,11 @@ func WorkerCount(workers, n int) int {
 // runs inline with no goroutines, so the serial path stays allocation- and
 // scheduler-free.
 //
-// Scheduling is dynamic (workers draw the next index from a shared atomic
-// counter), which balances loads whose per-index cost varies — e.g. cluster
-// members of very different transaction lengths. fn must be safe to call
-// concurrently and must confine its writes to state owned by index i;
-// under that contract the result is independent of the schedule.
+// Scheduling is dynamic (workers draw the next block of indices from a
+// shared atomic counter), which balances loads whose per-index cost varies —
+// e.g. cluster members of very different transaction lengths. fn must be
+// safe to call concurrently and must confine its writes to state owned by
+// index i; under that contract the result is independent of the schedule.
 func For(workers, n int, fn func(i int)) {
 	ForWorkers(workers, n, func(_, i int) { fn(i) })
 }
@@ -66,34 +74,12 @@ func For(workers, n int, fn func(i int)) {
 // never influence results, only performance (the similarity kernel's
 // Scratch is the canonical example). The serial path runs as worker 0.
 func ForWorkers(workers, n int, fn func(worker, i int)) {
-	workers = WorkerCount(workers, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
+	forBlocks(nil, workers, n, fn)
 }
 
-// ForCtx is For with cooperative cancellation: before drawing each index,
-// workers (and the inline serial path) check ctx and stop scheduling new
-// work once it is done, then return ctx's error. Indices already in flight
+// ForCtx is For with cooperative cancellation: before drawing each block of
+// indices, workers (and the inline serial path) check ctx and stop scheduling
+// new work once it is done, then return ctx's error. Indices already in flight
 // run to completion, so fn never races with the return; on a non-nil error
 // the output slots are incomplete and the caller must discard them. A nil
 // ctx (or one that can never be canceled) degenerates to For.
@@ -104,22 +90,33 @@ func ForCtx(ctx context.Context, workers, n int, fn func(i int)) error {
 // ForCtxWorkers combines ForWorkers' per-worker state hook with ForCtx's
 // cooperative cancellation (see both for the contracts).
 func ForCtxWorkers(ctx context.Context, workers, n int, fn func(worker, i int)) error {
-	if ctx == nil || ctx.Done() == nil {
-		ForWorkers(workers, n, fn)
+	if ctx == nil {
+		forBlocks(nil, workers, n, fn)
 		return nil
 	}
-	done := ctx.Done()
+	if forBlocks(ctx.Done(), workers, n, fn) {
+		return ctx.Err()
+	}
+	return nil
+}
+
+// forBlocks is the one fork-join loop: it runs fn over [0,n) block by block
+// and reports whether a worker found done closed before drawing a block (a
+// nil done never is).
+func forBlocks(done <-chan struct{}, workers, n int, fn func(worker, i int)) bool {
 	workers = WorkerCount(workers, n)
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
+		for lo := 0; lo < n; lo += block {
 			select {
 			case <-done:
-				return ctx.Err()
+				return true
 			default:
 			}
-			fn(0, i)
+			for i := lo; i < min(lo+block, n); i++ {
+				fn(0, i)
+			}
 		}
-		return nil
+		return false
 	}
 	var next atomic.Int64
 	var canceled atomic.Bool
@@ -135,19 +132,18 @@ func ForCtxWorkers(ctx context.Context, workers, n int, fn func(worker, i int)) 
 					return
 				default:
 				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				lo := (int(next.Add(1)) - 1) * block
+				if lo >= n {
 					return
 				}
-				fn(w, i)
+				for i := lo; i < min(lo+block, n); i++ {
+					fn(w, i)
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if canceled.Load() {
-		return ctx.Err()
-	}
-	return nil
+	return canceled.Load()
 }
 
 // Sum evaluates fn(i) for every i in [0,n) across workers and returns
@@ -165,7 +161,7 @@ func Sum(workers, n int, fn func(i int) float64) float64 {
 // terms are still reduced in ascending index order, so the float result is
 // byte-identical to the serial loop for any worker count and any schedule.
 func SumWorkers(workers, n int, fn func(worker, i int) float64) float64 {
-	if WorkerCount(workers, n) <= 1 || n <= 1 {
+	if WorkerCount(workers, n) <= 1 {
 		s := 0.0
 		for i := 0; i < n; i++ {
 			s += fn(0, i)

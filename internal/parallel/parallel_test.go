@@ -126,9 +126,11 @@ func TestWorkerCount(t *testing.T) {
 	for _, tc := range []struct{ workers, n, want int }{
 		{1, 100, 1},
 		{4, 100, 4},
-		{8, 3, 3},
+		{8, 100, 7}, // one worker per block of 16 indices at most
+		{8, 16, 1},  // a single block runs inline
+		{8, 17, 2},
 		{4, 0, 1},
-		{-1, 2, cpuCapped}, // <1 resolves to the CPU count, capped at n
+		{-1, 32, cpuCapped}, // <1 resolves to the CPU count, capped at the blocks
 	} {
 		if got := WorkerCount(tc.workers, tc.n); got != tc.want {
 			t.Errorf("WorkerCount(%d, %d) = %d, want %d", tc.workers, tc.n, got, tc.want)

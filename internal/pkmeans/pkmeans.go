@@ -374,7 +374,7 @@ func (p *peer) run(ctx context.Context) error {
 				if len(perCluster[j]) == 0 {
 					continue
 				}
-				if g := cluster.ComputeGlobalRepresentative(p.repCfg, perCluster[j]); g != nil {
+				if g := p.engine.GlobalRep(j, perCluster[j]); g != nil {
 					p.global[j] = g
 				}
 			}

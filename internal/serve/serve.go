@@ -138,16 +138,16 @@ type Stats struct {
 	// representative index (postings keys and covered representatives; both
 	// zero when the index is off or no refresh has run).
 	// IndexCandidates / IndexSkipped total the index counters over every
-	// request and maintenance round: representatives evaluated with the
-	// kernel vs representatives proven unable to win and never touched.
+	// request and maintenance round: representatives scored above zero vs
+	// representatives scoring exactly zero and never touched.
 	IndexEntries    int   `json:"index_entries"`
 	IndexedReps     int   `json:"indexed_reps"`
 	IndexCandidates int64 `json:"index_candidates"`
 	IndexSkipped    int64 `json:"index_skipped"`
 	// RepsReused / DocsSkipped / DeltaRepBytes total the delta-round counters
 	// over every refresh run: representatives reused verbatim from the
-	// cross-round memo, documents decided from their cached relocation anchor
-	// with zero kernel evaluations, and modeled wire bytes saved by
+	// cross-round memo, documents of relocation passes answered by the
+	// previous pass without scoring, and modeled wire bytes saved by
 	// unchanged-representative markers (zero for single-peer refreshes).
 	RepsReused    int64 `json:"reps_reused"`
 	DocsSkipped   int64 `json:"docs_skipped"`

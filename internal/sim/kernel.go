@@ -9,10 +9,11 @@ import (
 	"xmlclust/internal/xmltree"
 )
 
-// This file is the transaction-similarity kernel: the single allocation-free
-// inner loop behind Eq. 4 that every hot path of the system funnels into
-// (Relocate's argmax scans, the refinement objectives of GenerateTreeTuple,
-// the SSE stopping rules). The kernel computes the γ-matching marks of a
+// This file is the dense transaction-similarity kernel: the allocation-free
+// n1×n2 inner loop behind Eq. 4 — the public Transactions API, the SSE
+// stopping rules, and the flat path of relocation and of the refinement
+// objective (their fast path is posting-list scoring, repindex.go, which is
+// pinned against this kernel bit for bit). The kernel computes the γ-matching marks of a
 // transaction pair in one row-major pass over the item-similarity matrix and
 // exposes three readings of them:
 //
@@ -77,20 +78,8 @@ type Scratch struct {
 	structM        []float64
 	structDone     []uint64
 
-	// structKey/structVal form a scratch-local, lock-free L1-resident memo
-	// of Eq. 3 tag-path pair similarities layered over the shared sharded
-	// PathCache: the same pairs recur across every representative of a
-	// relocation scan and across the transactions a worker draws, and a
-	// direct-mapped probe here replaces a RWMutex + map probe there. Values
-	// are the PathCache's own (pure functions of the pair), so results are
-	// bit-identical; collisions simply overwrite (it is a cache of a
-	// cache). Allocated on first structural use, fixed size afterwards.
-	// The memo is only valid for one Context — PathIDs are table-relative
-	// and Δ is pluggable — so lastCx guards it and a context switch clears
-	// it (rare: a scratch normally lives inside one clustering pass).
-	structKey []uint64 // packed ordered pair + 1; 0 = empty slot
-	structVal []float64
-	lastCx    *Context
+	// memo is the scratch-local layer over the shared PathCache (structMemo).
+	memo structMemo
 
 	// lastTab/lastVecVer/lastTr1/lastTr2 memoize the column resolution of
 	// the previous call: transactions are immutable after construction and
@@ -112,8 +101,11 @@ type Scratch struct {
 
 // Query returns the index-query state that travels with the scratch: an
 // indexed relocation needs both per worker, so they are borrowed, warmed and
-// returned together.
-func (sc *Scratch) Query() *RepQuery { return &sc.query }
+// returned together. The query shares the scratch's structural memo.
+func (sc *Scratch) Query() *RepQuery {
+	sc.query.memo = &sc.memo
+	return &sc.query
+}
 
 // NewScratch returns an empty kernel scratch; buffers are grown on first
 // use and reused afterwards.
@@ -178,108 +170,84 @@ func setBit(b []uint64, i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 
 func hasBit(b []uint64, i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
+// grow returns b with length n, reallocating only when capacity is short, in
+// which case *warm (when non-nil) is cleared. Contents are unspecified:
+// callers overwrite every element they read.
+func grow[T any](b []T, n int, warm *bool) []T {
+	if cap(b) >= n {
+		return b[:n]
+	}
+	if warm != nil {
+		*warm = false
+	}
+	return make([]T, n)
+}
+
 // ensure sizes every buffer for an n1×n2 pair, growing only when capacity
 // is insufficient, and reports whether the call reused a fully warm scratch
 // (no buffer grew).
 func (sc *Scratch) ensure(n1, n2 int) bool {
-	reused := true
-	if cap(sc.vecs1) < n1 {
-		sc.vecs1 = make([]vector.Sparse, n1)
-		reused = false
-	} else {
-		sc.vecs1 = sc.vecs1[:n1]
-	}
-	if cap(sc.vecs2) < n2 {
-		sc.vecs2 = make([]vector.Sparse, n2)
-		reused = false
-	} else {
-		sc.vecs2 = sc.vecs2[:n2]
-	}
-	if cap(sc.simM) < n1*n2 {
-		sc.simM = make([]float64, n1*n2)
-		reused = false
-	} else {
-		sc.simM = sc.simM[:n1*n2]
-	}
-	if cap(sc.colBest) < n2 {
-		sc.colBest = make([]float64, n2)
-		reused = false
-	} else {
-		sc.colBest = sc.colBest[:n2]
-	}
-	if w := words(n1); cap(sc.mark1) < w {
-		sc.mark1 = make([]uint64, w)
-		reused = false
-	} else {
-		sc.mark1 = sc.mark1[:w]
-	}
-	if w := words(n2); cap(sc.mark2) < w {
-		sc.mark2 = make([]uint64, w)
-		reused = false
-	} else {
-		sc.mark2 = sc.mark2[:w]
-	}
-	if cap(sc.tpRaw1) < n1 {
-		sc.tpRaw1 = make([]xmltree.PathID, n1)
-		reused = false
-	} else {
-		sc.tpRaw1 = sc.tpRaw1[:n1]
-	}
-	if cap(sc.tpRaw2) < n2 {
-		sc.tpRaw2 = make([]xmltree.PathID, n2)
-		reused = false
-	} else {
-		sc.tpRaw2 = sc.tpRaw2[:n2]
-	}
-	if cap(sc.tp1) < n1 {
-		sc.tp1 = make([]xmltree.PathID, n1)
-		reused = false
-	} else {
-		sc.tp1 = sc.tp1[:n1]
-	}
-	if cap(sc.tp2) < n2 {
-		sc.tp2 = make([]xmltree.PathID, n2)
-		reused = false
-	} else {
-		sc.tp2 = sc.tp2[:n2]
-	}
-	if cap(sc.tpIdx1) < n1 {
-		sc.tpIdx1 = make([]int32, n1)
-		reused = false
-	} else {
-		sc.tpIdx1 = sc.tpIdx1[:n1]
-	}
-	if cap(sc.tpIdx2) < n2 {
-		sc.tpIdx2 = make([]int32, n2)
-		reused = false
-	} else {
-		sc.tpIdx2 = sc.tpIdx2[:n2]
-	}
-	if cap(sc.structM) < n1*n2 {
-		sc.structM = make([]float64, n1*n2)
-		reused = false
-	} else {
-		sc.structM = sc.structM[:n1*n2]
-	}
-	if w := words(n1); cap(sc.structDone) < w {
-		sc.structDone = make([]uint64, w)
-		reused = false
-	} else {
-		sc.structDone = sc.structDone[:w]
-	}
-	return reused
+	warm := true
+	sc.vecs1 = grow(sc.vecs1, n1, &warm)
+	sc.vecs2 = grow(sc.vecs2, n2, &warm)
+	sc.simM = grow(sc.simM, n1*n2, &warm)
+	sc.colBest = grow(sc.colBest, n2, &warm)
+	sc.mark1 = grow(sc.mark1, words(n1), &warm)
+	sc.mark2 = grow(sc.mark2, words(n2), &warm)
+	sc.tpRaw1 = grow(sc.tpRaw1, n1, &warm)
+	sc.tpRaw2 = grow(sc.tpRaw2, n2, &warm)
+	sc.tp1 = grow(sc.tp1, n1, &warm)
+	sc.tp2 = grow(sc.tp2, n2, &warm)
+	sc.tpIdx1 = grow(sc.tpIdx1, n1, &warm)
+	sc.tpIdx2 = grow(sc.tpIdx2, n2, &warm)
+	sc.structM = grow(sc.structM, n1*n2, &warm)
+	sc.structDone = grow(sc.structDone, words(n1), &warm)
+	return warm
 }
 
-// structCacheSize is the slot count of the scratch-local structural memo
-// (a power of two; 4096 slots ≈ 64 KiB per Scratch).
+// structMemo is a goroutine-local, lock-free, L1-resident memo of Eq. 3
+// tag-path pair similarities layered over the shared sharded PathCache: the
+// same pairs recur across every representative of a relocation scan and
+// across the transactions a worker draws, and a direct-mapped probe here
+// replaces a RWMutex + map probe there. Values are the PathCache's own (pure
+// functions of the pair), so results are bit-identical; collisions simply
+// overwrite (it is a cache of a cache). Allocated on first structural use,
+// fixed size afterwards. The memo is only valid for one Context — PathIDs are
+// table-relative and Δ is pluggable — so bind clears it on a context switch
+// (rare: a scratch normally lives inside one clustering pass).
+type structMemo struct {
+	key []uint64 // packed ordered pair + 1; 0 = empty slot
+	val []float64
+	cx  *Context
+}
+
+// structCacheSize is the slot count of the memo (a power of two; 4096 slots
+// ≈ 64 KiB).
 const structCacheSize = 1 << 12
 
-// structSim returns the Eq. 3 similarity of two interned tag paths through
-// the scratch-local memo, falling back to (and refilling from) the
-// context's shared path cache. Contexts with UseCache off (the path-cache
-// ablation) bypass the memo too — it is a cache of a cache, and the
-// ablation's uncached arm must keep measuring real alignment work.
-func (sc *Scratch) structSim(cx *Context, pa, pb xmltree.PathID) float64 {
+// bind readies the memo for cx and reports whether it had to allocate.
+// Contexts with UseCache off (the path-cache ablation) bypass the memo — it
+// is a cache of a cache, and the ablation's uncached arm must keep measuring
+// real alignment work — so nothing is readied for them.
+func (m *structMemo) bind(cx *Context) (grew bool) {
+	if !cx.UseCache {
+		return false
+	}
+	if m.key == nil {
+		m.key = make([]uint64, structCacheSize)
+		m.val = make([]float64, structCacheSize)
+		grew = true
+	} else if m.cx != cx {
+		clear(m.key)
+	}
+	m.cx = cx
+	return grew
+}
+
+// sim returns the Eq. 3 similarity of two interned tag paths through the
+// memo, falling back to (and refilling from) cx's shared path cache. The memo
+// must be bound to cx.
+func (m *structMemo) sim(cx *Context, pa, pb xmltree.PathID) float64 {
 	if !cx.UseCache {
 		return cx.TagPathSim(pa, pb)
 	}
@@ -292,12 +260,12 @@ func (sc *Scratch) structSim(cx *Context, pa, pb xmltree.PathID) float64 {
 	key := (uint64(uint32(a))<<32 | uint64(uint32(b))) + 1
 	h := key * 0x9e3779b97f4a7c15
 	slot := (h >> 32) & (structCacheSize - 1)
-	if sc.structKey[slot] == key {
-		return sc.structVal[slot]
+	if m.key[slot] == key {
+		return m.val[slot]
 	}
 	v := cx.TagPathSim(pa, pb)
-	sc.structKey[slot] = key
-	sc.structVal[slot] = v
+	m.key[slot] = key
+	m.val[slot] = v
 	return v
 }
 
@@ -381,10 +349,7 @@ func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch, threshold
 	keep1 := sameCols && sc.lastTr1 == tr1
 	keep2 := sameCols && sc.lastTr2 == tr2
 	reused := sc.ensure(n1, n2)
-	useStructMemo := f > 0 && cx.UseCache
-	if useStructMemo && sc.structKey == nil {
-		sc.structKey = make([]uint64, structCacheSize)
-		sc.structVal = make([]float64, structCacheSize)
+	if f > 0 && sc.memo.bind(cx) {
 		reused = false
 	}
 	if reused {
@@ -416,14 +381,6 @@ func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch, threshold
 			sc.structDone[d] = 0
 		}
 	}
-	if useStructMemo {
-		if sc.lastCx != cx {
-			for s := range sc.structKey {
-				sc.structKey[s] = 0
-			}
-		}
-		sc.lastCx = cx
-	}
 	ids1, ids2 := tr1.Items, tr2.Items
 	vecs2 := sc.vecs2
 	qualRows := 0
@@ -445,7 +402,7 @@ func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch, threshold
 			if !hasBit(sc.structDone, d1) {
 				tpa := sc.tp1[d1]
 				for d := 0; d < sc.nd2; d++ {
-					structRow[d] = sc.structSim(cx, tpa, sc.tp2[d])
+					structRow[d] = sc.memo.sim(cx, tpa, sc.tp2[d])
 				}
 				setBit(sc.structDone, d1)
 			}

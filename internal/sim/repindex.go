@@ -1,8 +1,9 @@
 package sim
 
 import (
-	"math/bits"
-	"sort"
+	"math"
+	"sync"
+	"sync/atomic"
 
 	"xmlclust/internal/semantics"
 	"xmlclust/internal/txn"
@@ -10,605 +11,616 @@ import (
 	"xmlclust/internal/xmltree"
 )
 
-// This file implements the inverted representative index behind sub-linear
-// relocation: the K-tree-inspired candidate structure that lets a document
-// evaluate only the representatives it could possibly join instead of all k
-// of them, while keeping every assignment byte-identical to the flat scan.
+// This file implements posting-list scoring: an inverted file over the TCU
+// terms of a set of representatives, and a scorer that turns one sweep of a
+// document's terms into the document's exact Eq. 4 similarity to every
+// representative. It is what relocation and the refinement objective run on;
+// the dense n1×n2 kernel (kernel.go) stays as the flat path, the oracle and
+// the public Transactions API.
 //
-// The index inverts the *item similarity* structure of Eq. 1 rather than raw
-// item ids: under the paper's exact Δ, an item pair can only reach the
-// γ-matching threshold (Eq. 2) if the two items share a tag (structural term
-// of Eq. 3 is zero otherwise) and/or share a TCU vector term (the cosine of
-// Eq. 1 is zero otherwise). Which of the two channels can carry a pair to γ
-// depends only on (f, γ):
+// # Why a sweep is exact
 //
-//	tagQ:  f ≥ γ         — a tag-only match can qualify (simS ≤ 1, so the
-//	                       structural term is at most f);
-//	termQ: (1−f) ≥ γ     — a term-only match can qualify;
-//	bothQ: f+(1−f) ≥ γ   — a pair sharing both channels can qualify.
+// Eq. 4 only ever looks at item pairs whose Eq. 1 similarity reaches γ: a
+// row or column maximum below γ sets no mark, and marks sit on entries equal
+// to a maximum that did reach it. So with γ > 0 the matrix below γ never
+// influences the result, and a pair (document item e, representative item
+// e′) can reach γ through exactly two channels:
 //
-// The three predicates are evaluated with the same float64 expressions whose
-// rounded values bound the kernel's arithmetic (f·simS ≤ f exactly,
-// (1-f)·cos ≤ (1-f) exactly, and their sum ≤ fl(f+(1-f)) by IEEE
-// monotonicity), so exclusion is sound: when a predicate is false, no pair
-// relying on that channel combination can reach γ in the kernel either.
+//	(a) a shared TCU term — otherwise the content cosine of Eq. 1 is 0;
+//	(b) structure alone — f·simS(e, e′) ≥ γ with cosine 0, possible only
+//	    when f ≥ γ because simS ≤ 1.
 //
-// Build inverts the representatives once per refinement phase: a bitset over
-// representatives per tag (tag → reps whose items' tag paths contain it,
-// folded into one bitset per interned tag path) and per TCU term (term →
-// reps whose items' vectors carry it). A query then makes one pass over the
-// document's positions, ORing the regime-appropriate bitsets:
+// Channel (a): Build stores, per term, the (representative position, weight)
+// pairs that carry it. For a document item the scorer walks the item's
+// vector in ascending term order and adds wa·wb into an accumulator per
+// touched position. Per position the additions happen in the order of
+// vector.Dot's merge walk, so every dot product — and with the stored norm
+// every cosine and, through the kernel's own expression, every Eq. 1 value —
+// has the kernel's bits. Channel (b): Build also keeps, per distinct tag
+// path of the representatives, the positions under it; per distinct tag path
+// of the document f·simS is evaluated once against each, and the lists that
+// reach γ are enumerated, skipping positions channel (a) already scored.
+// Together the two channels visit every pair that can reach γ, for every
+// (f, γ) with γ > 0, zero vectors included.
 //
-//	Q_i = (tagQ ? T_i : 0) | (termQ ? M_i : 0) | (T_i & M_i if only bothQ)
+// The pairs that did reach γ are then grouped by representative, and row and
+// column maxima, tie marks, the correction for item ids held by both sides
+// and count/|tr ∪ rep| are derived from that sparse list exactly as
+// matchKernel derives them from the dense matrix. A representative without
+// such a pair scores 0 and is never touched; one with a pair scores above 0.
+// Relocation is a lowest-index argmax over the scores (RepQuery.Best).
 //
-// where T_i is the rep-bitset of position i's tag path and M_i the OR of its
-// vector terms' rep-bitsets. q1[j] = |{i : j ∈ Q_i}| counts the document
-// positions that could possibly be γ-marked against representative j.
+// # Staleness contract
 //
-// The key soundness fact (the reason no rep-side postings are needed to FIND
-// candidates): sim(doc, rep_j) > 0 implies q1[j] ≥ 1 in every regime — a
-// marked rep item needs a partner position i with sim ≥ γ pairwise, position
-// i's global T_i/M_i indicators dominate the pairwise ones, and the regime
-// predicate the pair used is exactly the one that folded that channel into
-// Q_i. Candidates are therefore {j : q1[j] > 0}; representatives sharing
-// nothing with the document are never touched at all.
-//
-// Per candidate the index completes an exact upper bound on Eq. 4:
-//
-//	UB_j = (q1[j] + q2[j]) / |tr ∪ rep_j|
-//
-// with q2[j] bounding the markable rep-side positions (rep length when tagQ
-// — every rep position might tag-match — otherwise the count of rep
-// positions sharing at least one vector term with the document, read from
-// per-position term lists stored at Build). |matchγ| ≤ q1+q2 by the same
-// domination argument, the divisor is the same integer u the kernel divides
-// by, and IEEE division is monotone in an integer numerator at fixed
-// divisor — so UB_j ≥ simγJ(tr, rep_j) holds exactly, never approximately.
-// The relocation loop (cluster.RelocateOneIndexed) walks candidates in
-// (UB desc, j asc) order and stops when the bound proves no unseen candidate
-// can beat — or tie at a lower index than — the running best.
-//
-// Staleness contract: the index depends only on the representatives' resolved
-// columns at Build time (representatives are immutable between refinement
-// phases) and on nothing of the document side, which is resolved fresh per
-// query. Items, terms or tag paths interned AFTER Build (serve's online
-// adds) are handled soundly: an unknown tag path falls back to the
-// all-active-reps bitset, and an unknown term simply cannot occur in any
-// representative, so its zero contribution is exact.
+// Postings hold weights, so the index depends on the representatives'
+// vectors as they were at Build. Representatives are immutable between
+// refinement phases, but a weighting pass may rewrite the vector of a raw
+// item a representative carries. Build records ItemTable.VecVersion; when it
+// has moved, Enabled compares the captured vector headers with the table
+// (O(representative positions), once per version) and the index either
+// carries on — serve's online adds weight new items only — or reports itself
+// disabled until the next Build, which sends callers down the flat path.
+// Nothing of the document side is stored, it is resolved per query; terms and
+// tag paths interned after Build are sound by construction: such a term has
+// no posting, and simS against such a tag path is computed directly.
 type RepIndex struct {
 	cx   *Context
 	reps []*txn.Transaction
 
-	k      int  // len(reps)
-	w      int  // bitset words per rep set
+	on     bool // γ > 0 and exact Δ at Build
 	active int  // non-nil, non-empty reps (the flat scan's real workload)
-	on     bool // gamma > 0 and exact Δ — otherwise queries fall back to flat
 
-	tagQ, termQ, bothQ bool
-	needT, needM       bool // which doc-side channels Q_i consults
-	needQ2             bool // rep-side per-position term lists required
+	// Staleness: checked is the table vector version the captured headers
+	// were last found current at, stale latches a rewrite of one of them.
+	checked atomic.Uint64
+	stale   atomic.Bool
+	mu      sync.Mutex // serializes revalidation
 
-	repLen    []int32  // rep length per j (0 = inactive)
-	allActive []uint64 // bitset of active reps (unknown-tag-path fallback)
+	// Positions: representative j owns the global positions
+	// posOff[j]..posOff[j+1], in the order of its Items.
+	posOff []int32
+	repOf  []int32         // position → representative
+	vecs   []vector.Sparse // position → vector header captured at Build
+	norm   []float64       // position → vector norm
+	tpSlot []int32         // position → slot of its tag path in tps
 
-	// tag → rep bitset, folded per interned tag path into pathBits (one
-	// w-word slab entry per PathID known at Build). The map persists across
-	// Builds — values are zeroed and refilled, keys accumulate the schema's
-	// tag vocabulary — so steady-state rebuilds allocate nothing.
-	tagReps  map[string][]uint64
-	pathsLen int
-	pathBits []uint64
+	// Distinct tag paths of the representatives and, in CSR form, the
+	// positions under each (channel b). pathSlot maps a PathID known at
+	// Build to slot+1.
+	tps      []xmltree.PathID
+	pathSlot []int32
+	tpOff    []int32
+	tpPos    []int32
 
-	// term → rep bitset as a slot map plus a flat slab (slot*w..slot*w+w).
-	termSlot map[int32]int32
-	termBits []uint64
-	nslots   int
+	// Postings in CSR form (channel a): termSlot maps a term id known at
+	// Build to slot+1, terms lists the distinct terms, and slot s covers
+	// postPos/postW[postOff[s]:postOff[s+1]].
+	terms    []int32
+	termSlot []int32
+	postOff  []int32
+	postPos  []int32
+	postW    []float64
 
-	// Per-position term lists of the representatives, for the lazy q2 pass
-	// (only built when needQ2): global position p of rep j covers
-	// posTerms[posTermOff[p]:posTermOff[p+1]], with rep j's positions being
-	// repPosOff[j]..repPosOff[j+1].
-	repPosOff  []int32
-	posTermOff []int32
-	posTerms   []int32
-
-	// Build-time resolution buffers, reused across Builds.
-	bTps  []xmltree.PathID
-	bVecs []vector.Sparse
+	bTps []xmltree.PathID // Build-time tag-path column, reused
 }
-
-// emptyPathTag is the synthetic tag under which empty tag paths are indexed:
-// PathSim(empty, empty) = 1 under every Δ, so two empty paths behave like a
-// shared tag. Real XML tag names are never empty, so the sentinel cannot
-// collide.
-const emptyPathTag = ""
 
 // NewRepIndex returns an empty representative index; Build populates it and
 // may be called repeatedly (per refinement phase), reusing all internal
 // arrays.
-func NewRepIndex() *RepIndex {
-	return &RepIndex{
-		tagReps:  make(map[string][]uint64),
-		termSlot: make(map[int32]int32),
+func NewRepIndex() *RepIndex { return &RepIndex{} }
+
+// Enabled reports whether the index answers queries: γ must be positive (at
+// γ ≤ 0 every pair matches and nothing is sparse), the tag similarity must be
+// the paper's exact Δ (the equivalence suites cover no other), and no
+// representative vector may have been rewritten since Build (see the
+// staleness contract). When false, callers use the flat scan.
+func (ix *RepIndex) Enabled() bool {
+	if !ix.on || ix.stale.Load() {
+		return false
 	}
+	ver := ix.cx.Items.VecVersion()
+	return ver == ix.checked.Load() || ix.revalidate(ver)
 }
 
-// Enabled reports whether the index can answer queries exactly: γ must be
-// positive (at γ ≤ 0 every pair matches and candidate pruning is
-// meaningless) and the tag similarity must be the paper's exact Δ (semantic
-// matchers can score disjoint-tag paths above zero, which would break the
-// shared-channel premise). When false, callers use the flat scan.
-func (ix *RepIndex) Enabled() bool { return ix.on }
+// revalidate compares the captured vector headers with the table after its
+// vector version moved to ver.
+func (ix *RepIndex) revalidate(ver uint64) bool {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if ix.stale.Load() {
+		return false
+	}
+	if ix.checked.Load() == ver {
+		return true
+	}
+	for j, rep := range ix.reps {
+		if rep == nil {
+			continue
+		}
+		if !ix.cx.Items.SameVectors(rep.Items, ix.vecs[ix.posOff[j]:ix.posOff[j+1]]) {
+			ix.stale.Store(true)
+			return false
+		}
+	}
+	ix.checked.Store(ver)
+	return true
+}
 
 // Active returns the number of representatives the last Build indexed
 // (non-nil, non-empty) — the per-document workload of the flat scan.
 func (ix *RepIndex) Active() int { return ix.active }
 
-// Entries returns the posting-list size of the index: distinct tags plus
-// distinct TCU terms carrying a representative bitset. Exposed by the serve
+// Entries returns the size of the index: distinct TCU terms with a posting
+// list plus distinct tag paths with a position list. Exposed by the serve
 // stats endpoint.
-func (ix *RepIndex) Entries() int { return len(ix.tagReps) + ix.nslots }
-
-// Context returns the similarity context the index was built against.
-func (ix *RepIndex) Context() *Context { return ix.cx }
-
-// Reps returns the representative slice the index was built over. The slice
-// is the caller's; the index never mutates it.
-func (ix *RepIndex) Reps() []*txn.Transaction { return ix.reps }
+func (ix *RepIndex) Entries() int { return len(ix.terms) + len(ix.tps) }
 
 // Build (re)builds the index over reps under cx's parameters. It is called
 // once per refinement phase — representatives change once per round while
-// documents query n times, which is the asymmetry that makes the inversion
-// pay. Build is not safe for concurrent use with queries; callers rebuild
-// between relocation passes.
+// documents query n times — and once per candidate by the refinement
+// objective, so it costs O(postings) and a warm rebuild allocates nothing.
+// Build is not safe for concurrent use with queries; callers rebuild between
+// passes.
 func (ix *RepIndex) Build(cx *Context, reps []*txn.Transaction) {
+	// Unmap the previous build's terms and tag paths: O(what it held), not
+	// O(vocabulary).
+	for _, t := range ix.terms {
+		ix.termSlot[t] = 0
+	}
+	for _, tp := range ix.tps {
+		ix.pathSlot[tp] = 0
+	}
+	ix.terms, ix.tps = ix.terms[:0], ix.tps[:0]
+
 	ix.cx, ix.reps = cx, reps
-	k := len(reps)
-	ix.k = k
-	w := words(k)
-	ix.w = w
-	f, gamma := cx.Params.F, cx.Params.Gamma
 	_, exact := cx.TagSim.(semantics.Exact)
-	ix.on = gamma > 0 && exact
+	ix.on = cx.Params.Gamma > 0 && exact
 	ix.active = 0
+	ix.stale.Store(false)
 	if !ix.on {
 		return
 	}
-	// Regime predicates, with the kernel's own float expressions (see the
-	// file comment for why these exact expressions make exclusion sound).
-	ix.tagQ = f >= gamma
-	ix.termQ = 1-f >= gamma
-	ix.bothQ = f+(1-f) >= gamma
-	// Q_i needs the tag channel unless term-sharing alone decides (termQ
-	// covers bothQ pairs too when tagQ is false), and the term channel
-	// unless tag-sharing alone decides. Note tagQ ⇒ bothQ and termQ ⇒ bothQ
-	// (adding the other channel's slack never lowers the bound).
-	ix.needT = ix.tagQ || (ix.bothQ && !ix.termQ)
-	ix.needM = ix.termQ || (ix.bothQ && !ix.tagQ)
-	ix.needQ2 = !ix.tagQ && ix.bothQ
-	if !ix.bothQ {
-		// No pair can reach γ at all: every similarity is 0 and every
-		// document relocates to the trash cluster, flat scan included.
-		// Candidates() returns no candidates without any structure.
-		return
-	}
+	// Version first: a rewrite racing the resolution below shows as a moved
+	// version, and the header comparison then catches it.
+	ix.checked.Store(cx.Items.VecVersion())
 
-	ix.repLen = resizeI32(ix.repLen, k)
-	ix.allActive = resizeU64(ix.allActive, w)
-	maxLen := 0
+	ix.posOff = ix.posOff[:0]
+	n := 0
+	for _, rep := range reps {
+		ix.posOff = append(ix.posOff, int32(n))
+		if rep != nil && rep.Len() > 0 {
+			ix.active++
+			n += rep.Len()
+		}
+	}
+	ix.posOff = append(ix.posOff, int32(n))
+	ix.repOf = grow(ix.repOf, n, nil)
+	ix.vecs = grow(ix.vecs, n, nil)
+	ix.norm = grow(ix.norm, n, nil)
+	ix.tpSlot = grow(ix.tpSlot, n, nil)
+	ix.bTps = grow(ix.bTps, n, nil)
 	for j, rep := range reps {
-		if rep == nil || rep.Len() == 0 {
+		a, b := ix.posOff[j], ix.posOff[j+1]
+		if a == b {
 			continue
 		}
-		ix.repLen[j] = int32(rep.Len())
-		setBit(ix.allActive, j)
-		ix.active++
-		if rep.Len() > maxLen {
-			maxLen = rep.Len()
-		}
-	}
-
-	// Zero the persistent tag bitsets (stale tags keep zeroed entries —
-	// harmless under OR — so the map never needs rebuilding).
-	if ix.needT {
-		for tag, b := range ix.tagReps {
-			if cap(b) < w {
-				ix.tagReps[tag] = make([]uint64, w)
-				continue
-			}
-			b = b[:w]
-			for x := range b {
-				b[x] = 0
-			}
-			ix.tagReps[tag] = b
-		}
-	}
-	if ix.needM {
-		clear(ix.termSlot)
-		ix.termBits = ix.termBits[:0]
-		ix.nslots = 0
-	}
-	if ix.needQ2 {
-		ix.repPosOff = append(ix.repPosOff[:0], 0)
-		ix.posTermOff = append(ix.posTermOff[:0], 0)
-		ix.posTerms = ix.posTerms[:0]
-	}
-
-	if cap(ix.bTps) < maxLen {
-		ix.bTps = make([]xmltree.PathID, maxLen)
-		ix.bVecs = make([]vector.Sparse, maxLen)
-	}
-	for j, rep := range reps {
-		if rep == nil || rep.Len() == 0 {
-			if ix.needQ2 {
-				ix.repPosOff = append(ix.repPosOff, int32(len(ix.posTermOff)-1))
-			}
-			continue
-		}
-		n := rep.Len()
-		tps, vecs := ix.bTps[:n], ix.bVecs[:n]
 		// ResolveColumns handles spanless transactions too — representatives
 		// are synthetic and never carry a columnar span.
-		cx.Items.ResolveColumns(rep.Items, tps, vecs)
-		if ix.needT {
-			for _, tp := range tps {
-				path := cx.Paths.Path(tp)
-				if len(path) == 0 {
-					ix.addTag(emptyPathTag, j, w)
-					continue
-				}
-				for _, tag := range path {
-					ix.addTag(tag, j, w)
-				}
-			}
-		}
-		if ix.needM {
-			for _, v := range vecs {
-				for _, en := range v.Entries() {
-					slot, ok := ix.termSlot[en.Term]
-					if !ok {
-						slot = int32(ix.nslots)
-						ix.nslots++
-						ix.termSlot[en.Term] = slot
-						ix.termBits = appendZeroWords(ix.termBits, w)
-					}
-					setBit(ix.termBits[int(slot)*w:int(slot)*w+w], j)
-				}
-			}
-		}
-		if ix.needQ2 {
-			for _, v := range vecs {
-				for _, en := range v.Entries() {
-					ix.posTerms = append(ix.posTerms, en.Term)
-				}
-				ix.posTermOff = append(ix.posTermOff, int32(len(ix.posTerms)))
-			}
-			ix.repPosOff = append(ix.repPosOff, int32(len(ix.posTermOff)-1))
+		cx.Items.ResolveColumns(rep.Items, ix.bTps[a:b], ix.vecs[a:b])
+		for p := a; p < b; p++ {
+			ix.repOf[p] = int32(j)
 		}
 	}
 
-	// Fold tag bitsets into one bitset per interned tag path: position i's
-	// T_i is then a single slab read. Built for every PathID known now;
-	// paths interned later fall back to allActive at query time.
-	if ix.needT {
-		P := cx.Paths.Len()
-		ix.pathsLen = P
-		ix.pathBits = resizeU64(ix.pathBits, P*w)
-		for p := 0; p < P; p++ {
-			dst := ix.pathBits[p*w : p*w+w]
-			path := cx.Paths.Path(xmltree.PathID(p))
-			if len(path) == 0 {
-				orInto(dst, ix.tagReps[emptyPathTag])
-				continue
+	// Slots and list lengths, then offsets, then the fill: postOff/tpOff
+	// double as fill cursors and are shifted back afterwards.
+	ix.postOff, ix.tpOff = ix.postOff[:0], ix.tpOff[:0]
+	for p := 0; p < n; p++ {
+		ix.norm[p] = ix.vecs[p].Norm()
+		tp := ix.bTps[p]
+		if int(tp) >= len(ix.pathSlot) {
+			ix.pathSlot = growMap(ix.pathSlot, int(tp))
+		}
+		if ix.pathSlot[tp] == 0 {
+			ix.tps = append(ix.tps, tp)
+			ix.tpOff = append(ix.tpOff, 0)
+			ix.pathSlot[tp] = int32(len(ix.tps))
+		}
+		q := ix.pathSlot[tp] - 1
+		ix.tpSlot[p] = q
+		ix.tpOff[q]++
+		for _, en := range ix.vecs[p].Entries() {
+			if int(en.Term) >= len(ix.termSlot) {
+				ix.termSlot = growMap(ix.termSlot, int(en.Term))
 			}
-			for _, tag := range path {
-				orInto(dst, ix.tagReps[tag])
+			if ix.termSlot[en.Term] == 0 {
+				ix.terms = append(ix.terms, en.Term)
+				ix.postOff = append(ix.postOff, 0)
+				ix.termSlot[en.Term] = int32(len(ix.terms))
 			}
+			ix.postOff[ix.termSlot[en.Term]-1]++
 		}
 	}
+	ix.tpOff = append(ix.tpOff, 0)
+	ix.postOff = append(ix.postOff, 0)
+	ix.tpPos = grow(ix.tpPos, int(exclusiveSums(ix.tpOff)), nil)
+	nPost := int(exclusiveSums(ix.postOff))
+	ix.postPos = grow(ix.postPos, nPost, nil)
+	ix.postW = grow(ix.postW, nPost, nil)
+	for p := 0; p < n; p++ {
+		q := ix.tpSlot[p]
+		ix.tpPos[ix.tpOff[q]] = int32(p)
+		ix.tpOff[q]++
+		for _, en := range ix.vecs[p].Entries() {
+			s := ix.termSlot[en.Term] - 1
+			ix.postPos[ix.postOff[s]] = int32(p)
+			ix.postW[ix.postOff[s]] = en.Weight
+			ix.postOff[s]++
+		}
+	}
+	shiftBack(ix.tpOff)
+	shiftBack(ix.postOff)
 }
 
-func (ix *RepIndex) addTag(tag string, j, w int) {
-	b, ok := ix.tagReps[tag]
-	if !ok {
-		b = make([]uint64, w)
-		ix.tagReps[tag] = b
+// exclusiveSums turns the list lengths in off[:len-1] into start offsets in
+// place (off[len-1] becomes the total, which is returned).
+func exclusiveSums(off []int32) int32 {
+	var sum int32
+	for i, c := range off {
+		off[i] = sum
+		sum += c
 	}
-	setBit(b, j)
+	return sum
 }
 
-// RepQuery is the reusable per-goroutine state of index queries: the q1
-// counters, the candidate list with its upper bounds, the document-side
-// resolution buffers and the epoch-stamped term set for the lazy q2 pass.
-// Like Scratch it is not safe for concurrent use — every Scratch carries one
-// (Scratch.Query), so a worker that owns a scratch owns its query state too.
+// shiftBack undoes a fill that advanced every start offset to its list's
+// end: off[i] holds end(i) = start(i+1), so the starts move one slot up.
+func shiftBack(off []int32) {
+	copy(off[1:], off[:len(off)-1])
+	off[0] = 0
+}
+
+// growMap extends a zero-means-absent id map so that index id is valid, with
+// headroom so that a run of fresh ids does not reallocate each time.
+func growMap(m []int32, id int) []int32 {
+	grown := make([]int32, id+1+id/2)
+	copy(grown, m)
+	return grown
+}
+
+// pair is one (document row, representative position) entry of the item
+// similarity matrix that reached γ, linked into its representative's list.
+type pair struct {
+	next int32 // next pair of the same representative, -1 at the end
+	row  int32
+	col  int32 // position within the representative
+	s    float64
+}
+
+// RepQuery is the reusable per-goroutine state of index queries: the sweep
+// accumulators, the sparse list of γ-reaching pairs, the per-representative
+// evaluation buffers and the scores of the last query. Like Scratch it is
+// not safe for concurrent use — every Scratch carries one (Scratch.Query),
+// so a worker that owns a scratch owns its query state too. Buffers grow on
+// first use and are reused afterwards (warm queries allocate nothing).
 type RepQuery struct {
-	q1   []int32
-	cand []int32
-	ub   []float64
+	cand  []int32 // representatives scored above 0 by the last query
+	score []float64
 
-	vecs   []vector.Sparse
-	tpRaw  []xmltree.PathID
-	tps    []xmltree.PathID
-	tpIdx  []int32
-	tpBits []uint64 // per-distinct-tag-path rep bitsets (nd × w)
-	qBits  []uint64
-	mBits  []uint64
+	// Document side, resolved per query.
+	vecs  []vector.Sparse
+	tpRaw []xmltree.PathID
+	tps   []xmltree.PathID
+	tpIdx []int32
 
-	stamp []uint32 // per-term epoch stamps for the lazy q2 membership test
-	epoch uint32
+	// Sweep state. A position's accumulator is live for the current row iff
+	// stamp[p] == epoch; a representative's pair list is live for the current
+	// document iff repMark[j] == mark (the epoch of the document's first
+	// row). Epochs only grow, so state left by an earlier query — against
+	// any index — never reads as live.
+	epoch   uint32
+	acc     []float64
+	stamp   []uint32
+	touched []int32
+	repMark []uint32
+	head    []int32
+	pairs   []pair
+
+	// f·simS per (distinct document tag path, distinct representative tag
+	// path), filled on demand: live iff fsMark[x] == mark. qualOff/qual list,
+	// per distinct document tag path, the representative tag paths whose
+	// f·simS reaches γ (channel b; empty when f < γ).
+	fs      []float64
+	fsMark  []uint32
+	qualOff []int32
+	qual    []int32
+
+	// Per-representative evaluation buffers; all zero between evaluations.
+	rowBest, colBest []float64
+	mark1, mark2     []uint64
+
+	memo *structMemo
 }
 
-// NewRepQuery returns an empty query scratch; buffers grow on first use and
-// are reused afterwards (warm queries allocate nothing).
+// NewRepQuery returns an empty query scratch.
 func NewRepQuery() *RepQuery { return &RepQuery{} }
 
-// Len, Less, Swap implement sort.Interface over the candidate list:
-// descending upper bound, ascending representative index on ties — exactly
-// the order in which the relocation loop's early exit is sound.
-func (rq *RepQuery) Len() int { return len(rq.cand) }
-
-func (rq *RepQuery) Less(a, b int) bool {
-	if rq.ub[a] != rq.ub[b] {
-		return rq.ub[a] > rq.ub[b]
-	}
-	return rq.cand[a] < rq.cand[b]
-}
-
-func (rq *RepQuery) Swap(a, b int) {
-	rq.cand[a], rq.cand[b] = rq.cand[b], rq.cand[a]
-	rq.ub[a], rq.ub[b] = rq.ub[b], rq.ub[a]
-}
-
-// Candidate returns the i-th candidate (0 ≤ i < Candidates' return): the
-// representative index and its exact upper bound on simγJ.
+// Candidate returns the i-th result of the last query (0 ≤ i < Candidates'
+// return): a representative index and its exact, non-zero simγJ. The order
+// is unspecified.
 func (rq *RepQuery) Candidate(i int) (int, float64) {
-	return int(rq.cand[i]), rq.ub[i]
+	return int(rq.cand[i]), rq.score[i]
 }
 
-// reset prepares the scratch for a new query against ix. q1 is sparse-reset
-// through the previous candidate list (the only entries that became
-// nonzero), so a query costs O(candidates), not O(k).
-func (rq *RepQuery) reset(ix *RepIndex) {
-	if len(rq.q1) != ix.k {
-		rq.q1 = make([]int32, ix.k)
-	} else {
-		for _, j := range rq.cand {
-			rq.q1[j] = 0
+// Best returns the relocation argmax of the last query: the representative
+// with the highest score, the lowest index among ties, or (-1, 0) when every
+// representative scored 0. It is what a flat scan in index order keeping
+// strict improvements over 0 arrives at.
+func (rq *RepQuery) Best() (int, float64) {
+	bestJ, best := -1, 0.0
+	for c, j := range rq.cand {
+		if v := rq.score[c]; v > best || (v == best && int(j) < bestJ) {
+			bestJ, best = int(j), v
 		}
 	}
-	rq.cand = rq.cand[:0]
-	rq.ub = rq.ub[:0]
-	w := ix.w
-	if cap(rq.qBits) < w {
-		rq.qBits = make([]uint64, w)
-		rq.mBits = make([]uint64, w)
-	} else {
-		rq.qBits = rq.qBits[:w]
-		rq.mBits = rq.mBits[:w]
+	return bestJ, best
+}
+
+// prepare sizes the query state for a document of n1 items with nd distinct
+// tag paths against ix. Grown stamp arrays start at zero, which no live epoch
+// equals.
+func (rq *RepQuery) prepare(ix *RepIndex, n1, nd int) {
+	if n := len(ix.repOf); len(rq.stamp) < n {
+		rq.stamp = make([]uint32, n)
+		rq.acc = make([]float64, n)
+	}
+	if k := len(ix.reps); len(rq.repMark) < k {
+		rq.repMark = make([]uint32, k)
+		rq.head = make([]int32, k)
+	}
+	if n := nd * len(ix.tps); len(rq.fsMark) < n {
+		rq.fsMark = make([]uint32, n)
+		rq.fs = make([]float64, n)
+	}
+	if len(rq.rowBest) < n1 {
+		rq.rowBest = make([]float64, n1)
+		rq.mark1 = make([]uint64, words(n1))
 	}
 }
 
-func (rq *RepQuery) ensureDoc(n int) {
-	if cap(rq.vecs) < n {
-		rq.vecs = make([]vector.Sparse, n)
-		rq.tpRaw = make([]xmltree.PathID, n)
-		rq.tps = make([]xmltree.PathID, n)
-		rq.tpIdx = make([]int32, n)
-	} else {
-		rq.vecs = rq.vecs[:n]
-		rq.tpRaw = rq.tpRaw[:n]
-		rq.tps = rq.tps[:n]
-		rq.tpIdx = rq.tpIdx[:n]
-	}
-}
-
-func (rq *RepQuery) bumpEpoch() {
-	rq.epoch++
-	if rq.epoch == 0 { // wrapped: every stale stamp would read as current
-		for i := range rq.stamp {
-			rq.stamp[i] = 0
-		}
-		rq.epoch = 1
-	}
-}
-
-func (rq *RepQuery) stampTerm(t int32) {
-	if int(t) >= len(rq.stamp) {
-		grown := make([]uint32, int(t)+1+len(rq.stamp)/2)
-		copy(grown, rq.stamp)
-		rq.stamp = grown
-	}
-	rq.stamp[t] = rq.epoch
-}
-
-func (rq *RepQuery) stamped(t int32) bool {
-	return int(t) < len(rq.stamp) && rq.stamp[t] == rq.epoch
-}
-
-// Candidates fills rq with the representatives that could possibly win tr's
-// relocation argmax — every rep with nonzero similarity to tr is included —
-// sorted by (upper bound desc, rep index asc), and returns their count.
-// Candidate i is read with rq.Candidate(i). The bounds are exact (see the
-// file comment): UB ≥ simγJ(tr, rep) holds in IEEE arithmetic, not just in
-// real arithmetic, so strict comparisons against them reproduce the flat
-// scan's decisions byte for byte.
+// Candidates scores tr against every representative of the index, fills rq
+// with the representatives whose Eq. 4 similarity to tr is above 0 and
+// returns their count. Candidate i is read with rq.Candidate(i) and the
+// relocation winner with rq.Best(). Every score is bit-identical to
+// Context.Transactions(tr, rep); the index must be Enabled.
 func (ix *RepIndex) Candidates(tr *txn.Transaction, rq *RepQuery) int {
-	rq.reset(ix)
+	rq.cand, rq.score = rq.cand[:0], rq.score[:0]
 	n1 := tr.Len()
-	if n1 == 0 || ix.active == 0 || !ix.bothQ {
+	if n1 == 0 || ix.active == 0 {
 		return 0
 	}
-	rq.ensureDoc(n1)
-	w := ix.w
 	cx := ix.cx
+	f, gamma := cx.Params.F, cx.Params.Gamma
 
-	// Resolve the document side exactly as the kernel does (columnar span
-	// when available, table fallback otherwise), minus the kernel's
-	// ColumnarResolves accounting — this resolution feeds the index, not an
-	// Eq. 4 evaluation.
-	var src []xmltree.PathID
-	if cols, start := tr.ColumnarSpan(); cols != nil {
-		if ix.needM {
-			cx.Items.ResolveVectors(tr.Items, rq.vecs)
-		}
-		src = cols.TagPathSpan(start, n1)
-	} else {
-		cx.Items.ResolveColumns(tr.Items, rq.tpRaw, rq.vecs)
-		src = rq.tpRaw
-	}
-
+	// Resolve the document side as the kernel does: columnar span when
+	// available, table fallback otherwise.
+	rq.vecs = grow(rq.vecs, n1, nil)
+	rq.tps = grow(rq.tps, n1, nil)
+	rq.tpIdx = grow(rq.tpIdx, n1, nil)
 	nd := 0
-	if ix.needT {
-		nd = indexTagPaths(src, rq.tps, rq.tpIdx)
-		if need := nd * w; cap(rq.tpBits) < need {
-			rq.tpBits = make([]uint64, need)
-		} else {
-			rq.tpBits = rq.tpBits[:need]
+	if cols, start := tr.ColumnarSpan(); cols != nil {
+		cx.Items.ResolveVectors(tr.Items, rq.vecs)
+		if f > 0 {
+			nd = indexTagPaths(cols.TagPathSpan(start, n1), rq.tps, rq.tpIdx)
 		}
+	} else {
+		rq.tpRaw = grow(rq.tpRaw, n1, nil)
+		cx.Items.ResolveColumns(tr.Items, rq.tpRaw, rq.vecs)
+		if f > 0 {
+			nd = indexTagPaths(rq.tpRaw, rq.tps, rq.tpIdx)
+		}
+	}
+	rq.prepare(ix, n1, nd)
+	if f > 0 {
+		if rq.memo == nil {
+			rq.memo = new(structMemo)
+		}
+		rq.memo.bind(cx)
+	}
+	nq := len(ix.tps)
+	// One epoch per row. Should the counter be about to wrap, every stale
+	// stamp would read as live again: clear them and start over.
+	if rq.epoch > math.MaxUint32-uint32(n1) {
+		clear(rq.stamp)
+		clear(rq.repMark)
+		clear(rq.fsMark)
+		rq.epoch = 0
+	}
+	mark := rq.epoch + 1 // the first row's epoch names the document
+	rq.pairs = rq.pairs[:0]
+
+	// Channel (b) set-up: which representative tag paths reach γ on
+	// structure alone, per distinct document tag path. f·simS ≤ f, so there
+	// are none when f < γ.
+	structural := f >= gamma
+	if structural {
+		rq.qualOff, rq.qual = rq.qualOff[:0], rq.qual[:0]
 		for d := 0; d < nd; d++ {
-			dst := rq.tpBits[d*w : d*w+w]
-			if p := int(rq.tps[d]); p < ix.pathsLen {
-				copy(dst, ix.pathBits[p*w:p*w+w])
-			} else {
-				// Interned after Build (serve's online adds): no sound
-				// per-tag information, so admit every active rep.
-				copy(dst, ix.allActive)
+			rq.qualOff = append(rq.qualOff, int32(len(rq.qual)))
+			for q := 0; q < nq; q++ {
+				x := d*nq + q
+				rq.fs[x] = f * rq.memo.sim(cx, rq.tps[d], ix.tps[q])
+				rq.fsMark[x] = mark
+				if rq.fs[x] >= gamma {
+					rq.qual = append(rq.qual, int32(q))
+				}
 			}
 		}
+		rq.qualOff = append(rq.qualOff, int32(len(rq.qual)))
 	}
 
-	// One pass over the document's positions, accumulating q1.
+	evaluated := 0
 	for i := 0; i < n1; i++ {
-		qb := rq.qBits
-		var mb []uint64
-		if ix.needM {
-			mb = rq.mBits
-			for x := range mb {
-				mb[x] = 0
+		rq.epoch++
+		epoch := rq.epoch
+		d := 0
+		if f > 0 {
+			d = int(rq.tpIdx[i])
+		}
+		if f < 1 {
+			// Channel (a): sweep the row's terms over the postings.
+			va := rq.vecs[i]
+			touched := rq.touched[:0]
+			for _, en := range va.Entries() {
+				if int(en.Term) >= len(ix.termSlot) {
+					continue // interned after Build: in no representative
+				}
+				s := ix.termSlot[en.Term] - 1
+				if s < 0 {
+					continue
+				}
+				wa := en.Weight
+				lo, hi := ix.postOff[s], ix.postOff[s+1]
+				pos, ws := ix.postPos[lo:hi], ix.postW[lo:hi]
+				for x, p := range pos {
+					// Products are rounded before they are added, as in
+					// vector.Dot; the first one lands on 0 + product.
+					w := float64(wa * ws[x])
+					if rq.stamp[p] != epoch {
+						rq.stamp[p] = epoch
+						rq.acc[p] = w
+						touched = append(touched, p)
+					} else {
+						rq.acc[p] += w
+					}
+				}
 			}
-			for _, en := range rq.vecs[i].Entries() {
-				if slot, ok := ix.termSlot[en.Term]; ok {
-					orInto(mb, ix.termBits[int(slot)*w:int(slot)*w+w])
+			rq.touched = touched
+			evaluated += len(touched)
+			na := va.Norm()
+			for _, p := range touched {
+				// Eq. 1, operation for operation as in matchKernel.
+				s := 0.0
+				if f > 0 {
+					x := d*nq + int(ix.tpSlot[p])
+					if rq.fsMark[x] != mark {
+						rq.fsMark[x] = mark
+						rq.fs[x] = f * rq.memo.sim(cx, rq.tps[d], ix.tps[ix.tpSlot[p]])
+					}
+					s += rq.fs[x]
+				}
+				if s+(1-f) >= gamma {
+					c := rq.acc[p] / (na * ix.norm[p])
+					if c > 1 {
+						c = 1
+					} else if c < 0 {
+						c = 0
+					}
+					s += (1 - f) * c
+				}
+				if s >= gamma {
+					rq.addPair(ix, mark, i, p, s)
 				}
 			}
 		}
-		var tb []uint64
-		if ix.needT {
-			d := int(rq.tpIdx[i])
-			tb = rq.tpBits[d*w : d*w+w]
-		}
-		switch {
-		case ix.tagQ && ix.termQ:
-			for x := range qb {
-				qb[x] = tb[x] | mb[x]
-			}
-		case ix.tagQ:
-			for x := range qb {
-				qb[x] = tb[x]
-			}
-		case ix.termQ:
-			for x := range qb {
-				qb[x] = mb[x]
-			}
-		default: // only bothQ: both channels must be present
-			for x := range qb {
-				qb[x] = tb[x] & mb[x]
-			}
-		}
-		for x, word := range qb {
-			for word != 0 {
-				j := x<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				if rq.q1[j] == 0 {
-					rq.cand = append(rq.cand, int32(j))
+		if structural {
+			// Channel (b): positions under a qualifying tag path that the
+			// sweep did not touch have cosine 0, so their Eq. 1 value is
+			// f·simS itself (adding (1−f)·0 leaves it unchanged).
+			for _, q := range rq.qual[rq.qualOff[d]:rq.qualOff[d+1]] {
+				s := rq.fs[d*nq+int(q)]
+				for _, p := range ix.tpPos[ix.tpOff[q]:ix.tpOff[q+1]] {
+					if rq.stamp[p] != epoch {
+						rq.addPair(ix, mark, i, p, s)
+						evaluated++
+					}
 				}
-				rq.q1[j]++
 			}
 		}
-	}
-	if len(rq.cand) == 0 {
-		return 0
 	}
 
-	// Lazy rep side: stamp the document's term set once, then bound the
-	// markable positions of each candidate.
-	if ix.needQ2 {
-		rq.bumpEpoch()
-		for i := 0; i < n1; i++ {
-			for _, en := range rq.vecs[i].Entries() {
-				rq.stampTerm(en.Term)
-			}
-		}
+	for _, j := range rq.cand {
+		rq.score = append(rq.score, rq.evaluate(tr, ix.reps[j], rq.head[j]))
 	}
-	for _, j32 := range rq.cand {
-		j := int(j32)
-		q := rq.q1[j]
-		if ix.tagQ {
-			q += ix.repLen[j]
-		} else {
-			q += ix.lazyQ2(j, rq)
-		}
-		u := txn.UnionSize(tr, ix.reps[j])
-		rq.ub = append(rq.ub, float64(q)/float64(u))
-	}
-	// sort.Sort on the pointer receiver: the interface conversion boxes a
-	// pointer, so a warm query stays allocation-free (sort.Slice would
-	// allocate its closure).
-	sort.Sort(rq)
+	cx.Counters.ItemSims.Add(int64(evaluated))
+	cx.Counters.TxnSims.Add(int64(len(rq.cand)))
 	return len(rq.cand)
 }
 
-// lazyQ2 counts the positions of rep j sharing at least one TCU term with
-// the (stamped) document — the rep-side bound when tag-only matches cannot
-// qualify.
-func (ix *RepIndex) lazyQ2(j int, rq *RepQuery) int32 {
-	var q int32
-	for p := ix.repPosOff[j]; p < ix.repPosOff[j+1]; p++ {
-		for _, t := range ix.posTerms[ix.posTermOff[p]:ix.posTermOff[p+1]] {
-			if rq.stamped(t) {
-				q++
-				break
-			}
+// addPair records that document row i and global position p scored s ≥ γ.
+// The first pair of a representative makes it a candidate.
+func (rq *RepQuery) addPair(ix *RepIndex, mark uint32, i int, p int32, s float64) {
+	j := ix.repOf[p]
+	next := int32(-1)
+	if rq.repMark[j] == mark {
+		next = rq.head[j]
+	} else {
+		rq.repMark[j] = mark
+		rq.cand = append(rq.cand, j)
+	}
+	rq.head[j] = int32(len(rq.pairs))
+	rq.pairs = append(rq.pairs, pair{next: next, row: int32(i), col: p - ix.posOff[j], s: s})
+}
+
+// evaluate computes simγJ(tr, rep) from rep's list of γ-reaching pairs,
+// which starts at pairs[head], the way matchKernel does from the dense
+// matrix: row and column maxima (maxima below γ set no mark, and every list
+// entry is ≥ γ > 0, so zeroed buffers stand in for the absent entries), a
+// mark on every entry equal to its row's or its column's maximum, one count
+// per marked row and marked column, minus the item ids marked on both sides,
+// over |tr ∪ rep|. The three walks are order-independent, so the list's
+// reverse insertion order does not matter.
+func (rq *RepQuery) evaluate(tr, rep *txn.Transaction, head int32) float64 {
+	n1, n2 := tr.Len(), rep.Len()
+	if len(rq.colBest) < n2 {
+		rq.colBest = make([]float64, n2)
+		rq.mark2 = make([]uint64, words(n2))
+	}
+	rowBest, colBest, mark1, mark2 := rq.rowBest, rq.colBest, rq.mark1, rq.mark2
+	for x := head; x >= 0; x = rq.pairs[x].next {
+		e := &rq.pairs[x]
+		if e.s > rowBest[e.row] {
+			rowBest[e.row] = e.s
+		}
+		if e.s > colBest[e.col] {
+			colBest[e.col] = e.s
 		}
 	}
-	return q
-}
-
-func orInto(dst, src []uint64) {
-	if src == nil {
-		return
+	count := 0
+	for x := head; x >= 0; x = rq.pairs[x].next {
+		e := &rq.pairs[x]
+		if e.s == rowBest[e.row] && !hasBit(mark2, int(e.col)) {
+			setBit(mark2, int(e.col))
+			count++
+		}
+		if e.s == colBest[e.col] && !hasBit(mark1, int(e.row)) {
+			setBit(mark1, int(e.row))
+			count++
+		}
 	}
-	for x := range dst {
-		dst[x] |= src[x]
+	// matchγ is a set of item ids: an id held by both sides and marked from
+	// both directions counts once. The same merge walk sizes the union.
+	ids1, ids2 := tr.Items, rep.Items
+	common := 0
+	for i, j := 0, 0; i < n1 && j < n2; {
+		switch {
+		case ids1[i] == ids2[j]:
+			common++
+			if hasBit(mark1, i) && hasBit(mark2, j) {
+				count--
+			}
+			i++
+			j++
+		case ids1[i] < ids2[j]:
+			i++
+		default:
+			j++
+		}
 	}
-}
-
-func appendZeroWords(b []uint64, n int) []uint64 {
-	for i := 0; i < n; i++ {
-		b = append(b, 0)
+	for x := head; x >= 0; x = rq.pairs[x].next {
+		e := &rq.pairs[x]
+		rowBest[e.row], colBest[e.col] = 0, 0
+		mark1[e.row>>6], mark2[e.col>>6] = 0, 0
 	}
-	return b
-}
-
-func resizeI32(b []int32, n int) []int32 {
-	if cap(b) < n {
-		return make([]int32, n)
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = 0
-	}
-	return b
-}
-
-func resizeU64(b []uint64, n int) []uint64 {
-	if cap(b) < n {
-		return make([]uint64, n)
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = 0
-	}
-	return b
+	return float64(count) / float64(n1+n2-common)
 }

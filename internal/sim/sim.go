@@ -9,7 +9,7 @@
 //     enhanced-intersection match sets matchγ.
 //
 // A Context carries the parameters (f, γ) and the collection tables. The
-// implementation is organized as three performance tiers, from coldest to
+// implementation is organized as four performance tiers, from coldest to
 // hottest:
 //
 //  1. PathCache — the sharded store of Eq. 3 tag-path pair similarities,
@@ -30,12 +30,20 @@
 //     contiguous int32/float64 slices and never dereferences a *txn.Item;
 //     transactions without a span (synthetic representatives, literal test
 //     corpora) take a table-resolved fallback with identical output.
+//  4. Posting-list scoring (repindex.go) — RepIndex inverts the TCU terms of
+//     a representative set, and one sweep of a document's terms yields its
+//     exact Eq. 4 similarity to every representative: only item pairs that
+//     share a term, or that structure alone carries to γ, are ever looked
+//     at. Relocation and the refinement objective run on it; the dense
+//     kernel of tier 2 is the flat path (index off, γ ≤ 0, semantic Δ), the
+//     oracle and the public Transactions API.
 //
 // None of the tiers ever changes a result: the cache stores pure functions
-// of its keys, the kernel's count and pruning decisions are exact, and
-// the columnar columns are derived copies of the item table (equivalence-
-// and allocation-guarded in kernel_test.go and CI, with SeedTransactions
-// in seed.go as the frozen pointer-based oracle).
+// of its keys, the kernel's count and pruning decisions are exact, the
+// columnar columns are derived copies of the item table, and the sweep
+// reproduces the kernel's arithmetic operation for operation (equivalence-
+// and allocation-guarded in kernel_test.go, repindex_test.go and CI, with
+// SeedTransactions in seed.go as the frozen pointer-based oracle).
 package sim
 
 import (
@@ -60,18 +68,23 @@ type Params struct {
 // Counters tracks how much similarity work was performed; used by the
 // complexity experiments. All fields are updated atomically.
 type Counters struct {
-	// ItemSims counts the algorithm's demand for Eq. 1 values: calls to Item
-	// plus every item pair in a kernel row that was processed (not pruned).
-	// It is not the number of cosines evaluated — the kernel skips the content
-	// cosine of pairs that provably cannot reach γ.
-	ItemSims    atomic.Int64
-	PathSims    atomic.Int64 // structural path alignments actually computed
-	TxnSims     atomic.Int64 // calls to Transactions/TransactionsAtLeast (Eq. 4)
+	// ItemSims counts the Eq. 1 values looked at: calls to Item, every item
+	// pair in a kernel row that was processed (not pruned), and every item
+	// pair a RepIndex sweep touched. It is not the number of cosines
+	// evaluated — both skip the content cosine of pairs that provably cannot
+	// reach γ.
+	ItemSims atomic.Int64
+	PathSims atomic.Int64 // structural path alignments actually computed
+	// TxnSims counts Eq. 4 values produced: calls to Transactions and
+	// TransactionsAtLeast, plus the representatives a RepIndex query scored
+	// above zero.
+	TxnSims     atomic.Int64
 	CacheHits   atomic.Int64 // path-pair cache hits
 	CacheMisses atomic.Int64
 	// PrunedRows counts tr1 rows (one row = up to |tr2| Eq. 1 evaluations)
 	// skipped by TransactionsAtLeast's branch-and-bound bound — the work the
-	// assignment path avoided without changing any result.
+	// flat relocation scan avoided without changing any result. Posting-list
+	// scoring has no rows to prune and never moves it.
 	PrunedRows atomic.Int64
 	// ScratchReuses counts kernel invocations that ran on a fully warm
 	// Scratch (no buffer had to grow) — the zero-allocation steady state.
@@ -81,14 +94,12 @@ type Counters struct {
 	// per-position through the item table — the observable proof that the
 	// contiguous-scan fast path is actually taken (tests assert it).
 	ColumnarResolves atomic.Int64
-	// IndexCandidates counts representatives actually evaluated with the
-	// kernel by index-guided relocation scans; IndexSkipped counts the
-	// representatives those scans proved could not win — either absent from
-	// the candidate list (no qualifying overlap with the document) or cut
-	// off by the sorted upper-bound early exit — and therefore never
-	// touched. Their sum per document equals the active representative
-	// count, so IndexCandidates/documents is the evaluated-reps/doc metric
-	// of the relocate bench.
+	// IndexCandidates counts the representatives that relocation through a
+	// RepIndex scored above zero; IndexSkipped counts the others — no item
+	// pair with the document reaches γ, so they score exactly zero and the
+	// sweep never touched them. Their sum per document equals the active
+	// representative count, so IndexCandidates/documents is the
+	// non-zero-reps/doc metric of the relocate bench.
 	IndexCandidates atomic.Int64
 	IndexSkipped    atomic.Int64
 	// RepsReused counts cluster representatives reused verbatim from the
@@ -96,10 +107,10 @@ type Counters struct {
 	// was unchanged since the representative was last refined — each reuse
 	// skips the full rank + generateTreeTuple objective loop.
 	RepsReused atomic.Int64
-	// DocsSkipped counts documents whose relocation was decided entirely
-	// from the previous round's cached (cluster, score) without a single
-	// kernel evaluation: every representative that could beat the cached
-	// winner was unchanged since that score was recorded.
+	// DocsSkipped counts the documents of relocation passes that were not
+	// run at all: the representative set equalled that of the previous pass,
+	// so its assignment was returned as is (cluster.Rounds under
+	// Tiers.Delta).
 	DocsSkipped atomic.Int64
 	// DeltaRepBytes counts exchange bytes saved by the delta representative
 	// exchange: for every local representative shipped as an "unchanged"

@@ -29,7 +29,7 @@ package txn
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -137,6 +137,14 @@ func (it *ItemTable) Intern(path xmltree.PathID, answer string) ItemID {
 	return id
 }
 
+// Lookup returns the id of the item ⟨path, answer⟩ if it is interned.
+func (it *ItemTable) Lookup(path xmltree.PathID, answer string) (ItemID, bool) {
+	it.mu.RLock()
+	id, ok := it.byKey[itemKey{path: path, answer: answer}]
+	it.mu.RUnlock()
+	return id, ok
+}
+
 // InternSynthetic interns a conflated item carrying a pre-merged vector and
 // its raw constituent decomposition. The answer must already be the
 // canonical merged-answer key so equal conflations intern to equal ids.
@@ -209,6 +217,21 @@ func (it *ItemTable) ResolveColumns(ids []ItemID, tps []xmltree.PathID, vecs []v
 	it.mu.RUnlock()
 }
 
+// SameVectors reports whether vecs (len(ids)) still are the table's vectors
+// of ids — vector.Same position by position, under one lock acquisition. A
+// holder of copied vector headers calls it after VecVersion moved to learn
+// whether the rewrite touched any of its items.
+func (it *ItemTable) SameVectors(ids []ItemID, vecs []vector.Sparse) bool {
+	it.mu.RLock()
+	defer it.mu.RUnlock()
+	for i, id := range ids {
+		if !vector.Same(it.vecs[id], vecs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // VecVersion returns the monotone count of SetVector calls. Kernel
 // scratches pair it with the table identity to decide whether a memoized
 // transaction resolution is still current.
@@ -233,18 +256,14 @@ func (it *ItemTable) SetVector(id ItemID, v vector.Sparse) {
 // MergedAnswerKey canonicalizes a set of answers for conflated items: the
 // distinct answers, sorted, joined with the unit separator.
 func MergedAnswerKey(answers []string) string {
-	set := map[string]struct{}{}
+	distinct := make([]string, 0, len(answers))
 	for _, a := range answers {
 		if a != "" {
-			set[a] = struct{}{}
+			distinct = append(distinct, a)
 		}
 	}
-	distinct := make([]string, 0, len(set))
-	for a := range set {
-		distinct = append(distinct, a)
-	}
-	sort.Strings(distinct)
-	return strings.Join(distinct, "\x1f")
+	slices.Sort(distinct)
+	return strings.Join(slices.Compact(distinct), "\x1f")
 }
 
 // String renders an item for debugging.

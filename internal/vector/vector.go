@@ -4,8 +4,10 @@
 package vector
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -85,7 +87,42 @@ func (v Sparse) computeNorm() float64 {
 // Norm returns the Euclidean norm.
 func (v Sparse) Norm() float64 { return v.norm }
 
-// Dot returns the inner product of two sparse vectors in O(len(a)+len(b)).
+// Collect sums components given in any term order into a vector: parts is
+// stable-sorted by term and each run of one term is added up left to right,
+// so per term the weights are added in the order they were listed — the bits
+// that adding the vectors they came from one after the other with Add gives,
+// without the intermediate vectors. Sums that cancel to zero are dropped. The
+// result takes over parts' memory.
+func Collect(parts []Entry) Sparse {
+	slices.SortStableFunc(parts, func(a, b Entry) int { return cmp.Compare(a.Term, b.Term) })
+	sums := parts[:0]
+	for i := 0; i < len(parts); {
+		sum := parts[i]
+		for i++; i < len(parts) && parts[i].Term == sum.Term; i++ {
+			sum.Weight += parts[i].Weight
+		}
+		if sum.Weight != 0 {
+			sums = append(sums, sum)
+		}
+	}
+	v := Sparse{entries: sums}
+	v.norm = v.computeNorm()
+	return v
+}
+
+// Same reports whether a and b are one vector value: the same component
+// array and the same norm. Vectors are immutable, so Same vectors are equal;
+// equal vectors built apart are not Same.
+func Same(a, b Sparse) bool {
+	return len(a.entries) == len(b.entries) && a.norm == b.norm &&
+		(len(a.entries) == 0 || &a.entries[0] == &b.entries[0])
+}
+
+// Dot returns the inner product of two sparse vectors in O(len(a)+len(b)):
+// the products of the shared terms, rounded one by one and added in ascending
+// term order. sim.RepIndex accumulates the same products in the same order
+// from posting lists and must land on the same bits, so the explicit
+// conversion stays: it keeps a compiler from fusing multiply and add.
 func Dot(a, b Sparse) float64 {
 	var s float64
 	i, j := 0, 0
@@ -93,7 +130,7 @@ func Dot(a, b Sparse) float64 {
 		ta, tb := a.entries[i].Term, b.entries[j].Term
 		switch {
 		case ta == tb:
-			s += a.entries[i].Weight * b.entries[j].Weight
+			s += float64(a.entries[i].Weight * b.entries[j].Weight)
 			i++
 			j++
 		case ta < tb:

@@ -211,3 +211,36 @@ func BenchmarkCosine(b *testing.B) {
 		Cosine(x, y)
 	}
 }
+
+// TestCollectMatchesRepeatedAdd: Collect over the concatenated components of
+// a vector list has the bits of adding the vectors one after the other —
+// including components that cancel and zero vectors in the list.
+func TestCollectMatchesRepeatedAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		var vs []Sparse
+		for n := rng.Intn(7); n >= 0; n-- {
+			m := map[int32]float64{}
+			for k := rng.Intn(6); k > 0; k-- {
+				w := rng.Float64()*3 - 1
+				if rng.Intn(8) == 0 {
+					w = 0.5 // exact values, so that some sums cancel
+				} else if rng.Intn(8) == 0 {
+					w = -0.5
+				}
+				m[int32(rng.Intn(9))] = w
+			}
+			vs = append(vs, FromMap(m))
+		}
+		want := Sparse{}
+		var parts []Entry
+		for _, v := range vs {
+			want = Add(want, v)
+			parts = append(parts, v.Entries()...)
+		}
+		got := Collect(parts)
+		if !Equal(got, want) || got.Norm() != want.Norm() {
+			t.Fatalf("trial %d: Collect = %v (norm %v), repeated Add = %v (norm %v)", trial, got, got.Norm(), want, want.Norm())
+		}
+	}
+}

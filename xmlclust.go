@@ -256,12 +256,13 @@ const (
 	PKMeans
 )
 
-// RepIndexMode selects whether assignment scans use the inverted
-// representative index (sub-linear candidate generation with exact
-// bound-based pruning). The index never changes a single assignment —
-// candidates are evaluated with the same exact kernel and ties still
-// resolve to the lowest representative index — so the only observable
-// difference is wall time and the IndexSkipped/IndexCandidates counters.
+// RepIndexMode selects whether documents are scored through the inverted
+// representative index — posting lists over the representatives' TCU terms,
+// swept once per document — in relocation and in the refinement objective.
+// The index never changes a single assignment or representative — its scores
+// are bit-identical to the dense kernel's and ties still resolve to the
+// lowest representative index — so the only observable difference is wall
+// time and the IndexSkipped/IndexCandidates counters.
 type RepIndexMode int
 
 const (
@@ -269,15 +270,17 @@ const (
 	// where its premises fail (γ = 0, semantic tag matchers), falling back
 	// to the flat branch-and-bound scan.
 	RepIndexAuto RepIndexMode = iota
-	// RepIndexOff forces the flat scan over all representatives.
+	// RepIndexOff forces the flat scan over all representatives and the
+	// dense kernel in the refinement objective.
 	RepIndexOff
 )
 
 // DeltaRoundsMode selects whether runs carry the convergence-aware delta
 // caches across rounds: unchanged cluster memberships reuse their memoized
-// representatives, documents whose cached best cluster provably still wins
-// skip the relocation scan, and (CXK-means) unchanged local representatives
-// travel between peers as digest markers instead of full wire transactions.
+// representatives, a relocation pass against the representatives of the
+// previous one returns its assignment, and (CXK-means) unchanged local
+// representatives travel between peers as digest markers instead of full
+// wire transactions.
 // The delta engine never changes a single assignment or representative — the
 // only observable differences are wall time, wire bytes and the
 // RepsReused/DocsSkipped/DeltaRepBytes counters.
@@ -375,13 +378,14 @@ type Result struct {
 	// item-similarity evaluations × representative size) the assignment
 	// path skipped via the kernel's exact branch-and-bound, ScratchReuses
 	// the kernel invocations that ran on a fully warm, zero-allocation
-	// Scratch. IndexCandidates and IndexSkipped count the representatives
-	// the index-guided relocation evaluated versus those it proved could
-	// not win and never touched (both zero when IndexReps is RepIndexOff or
-	// the index self-disabled). RepsReused, DocsSkipped and DeltaRepBytes
-	// count representatives returned verbatim from the cross-round memo
-	// (local and global), documents whose relocation was decided from the
-	// cached anchor with zero kernel evaluations, and modeled wire bytes
+	// Scratch (flat path only: posting-list scoring moves neither).
+	// IndexCandidates and IndexSkipped count the representatives that
+	// relocation through the index scored above zero versus those that score
+	// exactly zero and were never touched (both zero when IndexReps is
+	// RepIndexOff or the index self-disabled). RepsReused, DocsSkipped and
+	// DeltaRepBytes count representatives returned verbatim from the
+	// cross-round memo (local and global), documents of relocation passes
+	// answered by the previous pass without scoring, and modeled wire bytes
 	// saved by shipping unchanged-representative digest markers (all zero
 	// when DeltaRounds is DeltaRoundsOff). Jobs of one Sweep that share a
 	// (F, Gamma) context and run concurrently may attribute overlap to one
