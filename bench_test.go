@@ -260,7 +260,7 @@ func BenchmarkPipelineDBLP(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		corpus := BuildCorpus(col.Trees, CorpusOptions{Labels: labels, MaxTuplesPerTree: 32})
-		res, err := Cluster(corpus, ClusterOptions{K: k, F: 0.5, Gamma: 0.8, Seed: int64(i)})
+		res, err := freshEngine(b, corpus).Cluster(context.Background(), ClusterOptions{K: k, F: 0.5, Gamma: 0.8, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -26,10 +26,11 @@ type ClassifyOptions struct {
 	// (0 = tuple package default). It should match the cap the corpus was
 	// built with so documents decompose the same way on both paths.
 	MaxTuplesPerTree int
-	// IndexReps selects the inverted representative index for the scan
-	// (default RepIndexAuto = on; the assignment is byte-identical in every
-	// mode). Without a prebuilt Index the index is built per call, at the
-	// cost of one pass over the representatives' vectors.
+	// IndexReps selects how the scan scores: through the inverted
+	// representative index (default RepIndexAuto) or, with RepIndexOff, with
+	// the dense reference kernel; the assignment is byte-identical. Without a
+	// prebuilt Index the index is built per call, at the cost of one pass
+	// over the representatives' vectors.
 	IndexReps RepIndexMode
 	// Index, when non-nil, is a prebuilt representative index from
 	// Engine.BuildRepIndex. It is used only when it matches this call — same
@@ -122,13 +123,9 @@ type Classification struct {
 	Assign []int
 	// Sims holds the winning similarity per transaction (0 for trash).
 	Sims []float64
-	// PrunedRows and ScratchReuses are the similarity-kernel counter deltas
-	// of this call (see Result for their meaning; the same concurrency
-	// attribution caveat applies).
-	PrunedRows    int64
-	ScratchReuses int64
 	// IndexCandidates and IndexSkipped are the representative-index deltas
-	// of this call (see Result; zero when the scan ran flat).
+	// of this call (see Result for their meaning and the concurrency
+	// attribution caveat; zero when the scan ran the dense kernel).
 	IndexCandidates int64
 	IndexSkipped    int64
 }
@@ -150,8 +147,8 @@ func (e *Engine) ClassifyTransactions(ctx context.Context, trs []*Transaction, r
 	cx := e.simContext(sim.Params{F: opts.F, Gamma: opts.Gamma})
 	before := cx.Counters.Snapshot()
 
-	// Pick the index tier: a matching prebuilt index wins; otherwise build
-	// one for this call unless the mode forces the flat scan.
+	// A matching prebuilt index wins; otherwise build one for this call
+	// unless the mode asks for the reference kernel.
 	var ix *sim.RepIndex
 	if opts.IndexReps != RepIndexOff {
 		if opts.Index.matches(cx, reps) {
@@ -172,8 +169,6 @@ func (e *Engine) ClassifyTransactions(ctx context.Context, trs []*Transaction, r
 		Cluster:         MajorityCluster(assign),
 		Assign:          assign,
 		Sims:            sims,
-		PrunedRows:      d.PrunedRows,
-		ScratchReuses:   d.ScratchReuses,
 		IndexCandidates: d.IndexCandidates,
 		IndexSkipped:    d.IndexSkipped,
 	}, nil

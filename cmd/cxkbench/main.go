@@ -18,11 +18,6 @@
 // numbers (ns/op, allocs/op, speedup-vs-seed, clustering F-measure) as a
 // machine-readable JSON artifact and gating on a minimum speedup — the CI
 // bench-regression smoke and the input of the bench trajectory.
-//
-// The rounds experiment benchmarks the cross-round delta engine (memoized
-// representatives, the repeated-pass shortcut, digest-marker exchange)
-// against full per-round recomputation, gates on byte-identical output and
-// the full-job speedup, and writes BENCH_rounds.json.
 package main
 
 import (
@@ -40,12 +35,12 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: fig7 | fig8 | table1 | table2 | gamma | rules | cache | workers | semantics | cost | sweep | kernel | relocate | rounds | all")
+		exp     = flag.String("exp", "all", "experiment: fig7 | fig8 | table1 | table2 | gamma | rules | cache | workers | semantics | cost | sweep | kernel | relocate | all")
 		ds      = flag.String("dataset", "", "restrict to one corpus (fig7/fig8/gamma/workers/sweep/kernel)")
 		scaleFl = flag.String("scale", "quick", "profile: quick | paper")
 		workers = flag.Int("workers", 1, "intra-peer worker goroutines, also used as ingest workers for corpus preparation (0 = one per CPU); results are identical for any value")
-		jsonFl  = flag.String("json", "", "write the kernel/relocate/rounds experiment's results as JSON to this path (e.g. BENCH_kernel.json)")
-		minSpd  = flag.Float64("min-speedup", 0, "kernel/relocate/rounds experiment: exit non-zero if the gated speedup (vs seed / at k=256 / vs full rounds) falls below this bar (0 = no gate)")
+		jsonFl  = flag.String("json", "", "write the kernel/relocate experiment's results as JSON to this path (e.g. BENCH_kernel.json)")
+		minSpd  = flag.Float64("min-speedup", 0, "kernel/relocate experiment: exit non-zero if the gated speedup (vs seed / at k=256) falls below this bar (0 = no gate)")
 	)
 	flag.Parse()
 	if *jsonFl != "" {
@@ -184,14 +179,6 @@ func main() {
 		check(runRelocate(d, scale, *workers, *jsonFl, *minSpd))
 		fmt.Println()
 	}
-	if want("rounds") {
-		d := "DBLP"
-		if *ds != "" {
-			d = canonical(*ds)
-		}
-		check(runRounds(d, scale, *workers, *jsonFl, *minSpd))
-		fmt.Println()
-	}
 }
 
 // runSweep drives the public Engine.Sweep surface over an f×γ grid on one
@@ -217,11 +204,11 @@ func runSweep(ds string, scale experiments.Scale, workers int) error {
 		return err
 	}
 	fmt.Printf("Engine sweep — f×γ grid (%s, hybrid, centralized, k=%d)\n", ds, spec.Base.K)
-	fmt.Printf("%6s %6s %12s %8s %12s %10s %12s\n", "f", "γ", "F-measure", "trash", "wall", "pruned", "warm-reuse")
+	fmt.Printf("%6s %6s %12s %8s %12s\n", "f", "γ", "F-measure", "trash", "wall")
 	for _, c := range cells {
-		fmt.Printf("%6.1f %6.1f %12.3f %8.2f %12s %10d %12d\n",
+		fmt.Printf("%6.1f %6.1f %12.3f %8.2f %12s\n",
 			c.Options.F, c.Options.Gamma, c.Scores.FMeasure, c.Scores.Trash,
-			c.Result.WallTime.Round(time.Microsecond), c.Result.PrunedRows, c.Result.ScratchReuses)
+			c.Result.WallTime.Round(time.Microsecond))
 	}
 	fmt.Printf("%d cells in %v elapsed (%v summed cell wall time); %d structural pair sims cached\n",
 		len(cells), time.Since(t0).Round(time.Millisecond),

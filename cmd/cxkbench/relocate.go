@@ -19,8 +19,8 @@ import (
 type relocatePoint struct {
 	K int `json:"k"`
 	// FlatNsPerPass / IndexedNsPerPass time one full relocation pass over
-	// every transaction (flat branch-and-bound scan over the dense kernel vs
-	// posting-list scoring; the indexed time includes the per-pass index
+	// every transaction (flat scan over the dense kernel vs posting-list
+	// scoring; the indexed time includes the per-pass index
 	// rebuild, exactly as the clustering loop pays it each refinement
 	// phase).
 	FlatNsPerPass    float64 `json:"flat_ns_per_pass"`
@@ -56,8 +56,8 @@ type relocateBench struct {
 // scan's grows with the posting lists of each document's terms.
 var relocateKs = []int{8, 64, 256, 1024}
 
-// runRelocate benchmarks posting-list relocation against the flat
-// branch-and-bound scan on a generated corpus across representative-set
+// runRelocate benchmarks posting-list relocation against the flat scan over
+// the dense kernel on a generated corpus across representative-set
 // sizes. Representatives are transactions sampled deterministically from
 // the corpus (the same proxy for a frozen representative set at every k).
 // Before any timing it asserts that both paths produce byte-identical
@@ -89,16 +89,21 @@ func runRelocate(ds string, scale experiments.Scale, workers int, jsonPath strin
 		"k", "flat ns/pass", "index ns/pass", "speedup", "nonzero/doc", "zero/doc")
 	for _, k := range relocateKs {
 		reps := sampleReps(rng, trs, k)
+		// One relocation pass of every transaction, flat when ix is nil.
+		relocate := func(ix *sim.RepIndex) ([]int, error) {
+			assign := make([]int, len(trs))
+			return assign, cluster.RelocateScores(nil, cx, trs, reps, workers, ix, assign, nil)
+		}
 
 		// Byte-identity pre-gate: the two paths must agree assignment for
 		// assignment before either is worth timing.
-		flatAssign, err := cluster.RelocateCtxIndexed(nil, cx, trs, reps, workers, nil)
+		flatAssign, err := relocate(nil)
 		if err != nil {
 			return err
 		}
 		ix := sim.NewRepIndex()
 		ix.Build(cx, reps)
-		idxAssign, err := cluster.RelocateCtxIndexed(nil, cx, trs, reps, workers, ix)
+		idxAssign, err := relocate(ix)
 		if err != nil {
 			return err
 		}
@@ -113,7 +118,7 @@ func runRelocate(ds string, scale experiments.Scale, workers int, jsonPath strin
 		// One instrumented pass for the evaluated/skipped-per-doc averages.
 		candBefore := cx.Counters.IndexCandidates.Load()
 		skipBefore := cx.Counters.IndexSkipped.Load()
-		if _, err := cluster.RelocateCtxIndexed(nil, cx, trs, reps, workers, ix); err != nil {
+		if _, err := relocate(ix); err != nil {
 			return err
 		}
 		perDoc := float64(len(trs))
@@ -122,13 +127,13 @@ func runRelocate(ds string, scale experiments.Scale, workers int, jsonPath strin
 
 		flat := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cluster.RelocateCtxIndexed(nil, cx, trs, reps, workers, nil)
+				relocate(nil)
 			}
 		})
 		indexed := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ix.Build(cx, reps) // rebuilt per pass, as the clustering loop pays it
-				if _, err := cluster.RelocateCtxIndexed(nil, cx, trs, reps, workers, ix); err != nil {
+				if _, err := relocate(ix); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -212,8 +212,8 @@ func progressPrinter() func(xmlclust.Event) {
 			fmt.Fprintf(os.Stderr, "%s, %v elapsed\n", line, ev.Elapsed.Round(time.Millisecond))
 		case xmlclust.EventDone:
 			if ev.Peer == -1 {
-				fmt.Fprintf(os.Stderr, "done: %d rounds in %v (kernel: %d matrix rows pruned, %d warm-scratch reuses; index: %d reps scored non-zero, %d untouched; delta: %d reps reused, %d docs skipped, %d B saved)\n",
-					ev.Round, ev.Elapsed.Round(time.Millisecond), ev.PrunedRows, ev.ScratchReuses,
+				fmt.Fprintf(os.Stderr, "done: %d rounds in %v (index: %d reps scored non-zero, %d untouched; delta: %d reps reused, %d docs skipped, %d B saved)\n",
+					ev.Round, ev.Elapsed.Round(time.Millisecond),
 					ev.IndexCandidates, ev.IndexSkipped, ev.RepsReused, ev.DocsSkipped, ev.DeltaRepBytes)
 			}
 		}

@@ -90,16 +90,9 @@ func runChaos(t *testing.T, freshStore bool) {
 		victim    = 2
 		failRound = 2
 	)
-	// Delta OFF reference: the spawned peer processes run the default delta
-	// engine (anchored relocation + digest-marker exchange), and the digest
-	// comparison below must hold across modes even through crash recovery.
-	ref, err := xmlclust.Cluster(corpus, xmlclust.ClusterOptions{
-		K: k, F: 0.5, Gamma: 0.6, Peers: m, Seed: seed,
-		DeltaRounds: xmlclust.DeltaRoundsOff,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The digest comparison below must hold across engines even through
+	// crash recovery.
+	ref := referenceRun(t, corpus, xmlclust.ClusterOptions{K: k, F: 0.5, Gamma: 0.6, Peers: m, Seed: seed})
 	if ref.Rounds <= failRound {
 		t.Fatalf("reference run converged in %d rounds; the failpoint at round %d would outlive the session — pick a harder corpus",
 			ref.Rounds, failRound)
@@ -163,7 +156,7 @@ func runChaos(t *testing.T, freshStore bool) {
 	}
 
 	// The victim must die by SIGKILL, not converge or error out.
-	err = procs[victim].Wait()
+	err := procs[victim].Wait()
 	if err == nil {
 		t.Fatal("victim exited cleanly; the failpoint never fired")
 	}

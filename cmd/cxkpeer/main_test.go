@@ -16,6 +16,24 @@ import (
 	"xmlclust"
 )
 
+// referenceRun is the in-process run the peer processes are compared with, on
+// the reference engine (DeltaRoundsOff) while the spawned processes run the
+// default fast one with its digest-marker exchange over real TCP — so every
+// equality against it gates cross-engine byte-identity end to end.
+func referenceRun(t *testing.T, corpus *xmlclust.Corpus, opts xmlclust.ClusterOptions) *xmlclust.Result {
+	t.Helper()
+	eng, err := xmlclust.NewEngine(corpus, xmlclust.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.DeltaRounds = xmlclust.DeltaRoundsOff
+	res, err := eng.Cluster(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // e2eDocs is a small two-topic collection, separable at k=2.
 func e2eDocs() []string {
 	var docs []string
@@ -181,16 +199,7 @@ func TestE2EThreeProcessEquivalence(t *testing.T) {
 	bin := buildPeerBinary(t, dir)
 	corpus, corpusPath := e2eCorpus(t, dir)
 	const k, seed = 2, 4
-	// The reference runs with the delta engine OFF while the spawned peer
-	// processes run the default (delta ON, digest-marker exchange over real
-	// TCP) — the equality below gates cross-mode byte-identity end to end.
-	want, err := xmlclust.Cluster(corpus, xmlclust.ClusterOptions{
-		K: k, F: 0.5, Gamma: 0.7, Peers: 3, Seed: seed,
-		DeltaRounds: xmlclust.DeltaRoundsOff,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := referenceRun(t, corpus, xmlclust.ClusterOptions{K: k, F: 0.5, Gamma: 0.7, Peers: 3, Seed: seed})
 	got := runThreeProcs(t, bin, corpusPath, k, seed)
 	assertAssignEqual(t, got, want.Assign, "gob corpus")
 }
@@ -225,15 +234,7 @@ func TestE2ERawDirectoryCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k, seed = 2, 4
-	// Delta OFF reference vs default-ON peer processes, as in
-	// TestE2EThreeProcessEquivalence.
-	want, err := xmlclust.Cluster(corpus, xmlclust.ClusterOptions{
-		K: k, F: 0.5, Gamma: 0.7, Peers: 3, Seed: seed,
-		DeltaRounds: xmlclust.DeltaRoundsOff,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := referenceRun(t, corpus, xmlclust.ClusterOptions{K: k, F: 0.5, Gamma: 0.7, Peers: 3, Seed: seed})
 	got := runThreeProcs(t, bin, xmlDir, k, seed)
 	assertAssignEqual(t, got, want.Assign, "raw directory corpus")
 }

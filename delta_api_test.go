@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xmlclust/internal/dataset"
+	"xmlclust/internal/sim"
 )
 
 // deltaTestCorpus builds a generated corpus big enough for several
@@ -48,51 +49,50 @@ func assertSameClustering(t *testing.T, label string, want, got *Result) {
 	}
 }
 
-// TestClusterDeltaModesIdentical is the public-API byte-identity gate of
-// the delta-round engine: Engine.Cluster with DeltaRounds on and off must
-// agree exactly — assignments, rounds, representatives — for both
-// algorithms (collaborative XK-means and the PK-means baseline) and for
-// centralized as well as multi-peer runs.
+// TestClusterDeltaModesIdentical is the public-API byte-identity gate of the
+// one engine switch: IndexReps: RepIndexOff alone and DeltaRounds:
+// DeltaRoundsOff alone each select the reference engine end to end — the
+// default run's assignment, rounds and representatives (RepsDigest included)
+// with every fast-engine counter at zero — for collaborative XK-means over
+// three peers and for the PK-means baseline.
 func TestClusterDeltaModesIdentical(t *testing.T) {
 	corpus, k := deltaTestCorpus(t)
-	eng, err := NewEngine(corpus, EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := freshEngine(t, corpus)
 	ctx := context.Background()
 	for _, alg := range []Algorithm{CXKMeans, PKMeans} {
-		for _, peers := range []int{1, 3} {
-			base := ClusterOptions{
-				K: k, F: 0.5, Gamma: 0.7, Peers: peers, Seed: 9, Algorithm: alg,
-			}
-			off := base
-			off.DeltaRounds = DeltaRoundsOff
-			want, err := eng.Cluster(ctx, off)
+		base := ClusterOptions{K: k, F: 0.5, Gamma: 0.7, Peers: 3, Seed: 9, Algorithm: alg}
+		def, err := eng.Cluster(ctx, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if def.Rounds >= 3 && (def.IndexCandidates == 0 || def.RepsReused+def.DocsSkipped == 0) {
+			t.Errorf("alg %v: %d-round default run never scored through the index or hit a memo", alg, def.Rounds)
+		}
+		for label, off := range map[string]func(*ClusterOptions){
+			"IndexReps off":   func(o *ClusterOptions) { o.IndexReps = RepIndexOff },
+			"DeltaRounds off": func(o *ClusterOptions) { o.DeltaRounds = DeltaRoundsOff },
+		} {
+			opts := base
+			off(&opts)
+			ref, err := eng.Cluster(ctx, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want.RepsReused != 0 || want.DocsSkipped != 0 || want.DeltaRepBytes != 0 {
-				t.Errorf("alg %v peers %d: delta-off run reported delta counters (%d, %d, %d)",
-					alg, peers, want.RepsReused, want.DocsSkipped, want.DeltaRepBytes)
+			label = fmt.Sprintf("alg %v, %s", alg, label)
+			assertSameClustering(t, label, def, ref)
+			if a, b := RepsDigest(corpus, def.Reps), RepsDigest(corpus, ref.Reps); a != b {
+				t.Errorf("%s: RepsDigest %016x, default run %016x", label, b, a)
 			}
-			on := base
-			on.DeltaRounds = DeltaRoundsAuto
-			got, err := eng.Cluster(ctx, on)
-			if err != nil {
-				t.Fatal(err)
+			if ref.CounterSnapshot != (sim.CounterSnapshot{}) {
+				t.Errorf("%s: a reference run moved fast-engine counters: %+v", label, ref.CounterSnapshot)
 			}
-			assertSameClustering(t, fmt.Sprintf("alg %v peers %d", alg, peers), want, got)
-			if got.Rounds >= 3 && got.RepsReused+got.DocsSkipped == 0 {
-				t.Errorf("alg %v peers %d: %d-round delta run never hit a cache",
-					alg, peers, got.Rounds)
-			}
-			if alg == CXKMeans && peers > 1 && got.Rounds >= 3 {
-				if got.DeltaRepBytes <= 0 {
-					t.Errorf("peers %d: no representative shipped as a digest marker", peers)
+			if alg == CXKMeans && def.Rounds >= 3 {
+				if def.DeltaRepBytes <= 0 {
+					t.Errorf("%s: the default run shipped no representative as a digest marker", label)
 				}
-				if got.TrafficBytes >= want.TrafficBytes {
-					t.Errorf("peers %d: delta exchange did not reduce modeled traffic (%d B vs %d B)",
-						peers, got.TrafficBytes, want.TrafficBytes)
+				if def.TrafficBytes >= ref.TrafficBytes {
+					t.Errorf("%s: the delta exchange did not reduce modeled traffic (%d B vs %d B)",
+						label, def.TrafficBytes, ref.TrafficBytes)
 				}
 			}
 		}
@@ -100,18 +100,17 @@ func TestClusterDeltaModesIdentical(t *testing.T) {
 }
 
 // TestClusterDeltaDefaultOn pins the zero value: ClusterOptions without an
-// explicit DeltaRounds mode runs the delta engine (DeltaRoundsAuto), and
-// the legacy Cluster wrapper inherits the same behavior with identical
-// output to an explicit DeltaRoundsOff run.
+// explicit mode runs the fast engine, on a fresh Engine too, with output
+// identical to an explicit DeltaRoundsOff run.
 func TestClusterDeltaDefaultOn(t *testing.T) {
 	corpus, k := deltaTestCorpus(t)
 	opts := ClusterOptions{K: k, F: 0.5, Gamma: 0.7, Seed: 9}
-	def, err := Cluster(corpus, opts)
+	def, err := freshEngine(t, corpus).Cluster(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.DeltaRounds = DeltaRoundsOff
-	off, err := Cluster(corpus, opts)
+	off, err := freshEngine(t, corpus).Cluster(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

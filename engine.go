@@ -241,9 +241,8 @@ func serializedObserver(fn func(Event)) core.Observer {
 // a nil ctx never cancels. Progress is streamed through opts.Events when
 // set.
 //
-// For a fixed seed the result is byte-identical to a run on a fresh engine
-// (and to the deprecated Cluster free function): the caches only memoize
-// pure functions of the corpus.
+// For a fixed seed the result is byte-identical to a run on a fresh engine:
+// the caches only memoize pure functions of the corpus.
 func (e *Engine) Cluster(ctx context.Context, opts ClusterOptions) (*Result, error) {
 	if err := ValidateClusterOptions(opts); err != nil {
 		return nil, err
@@ -275,7 +274,7 @@ func (e *Engine) Cluster(ctx context.Context, opts ClusterOptions) (*Result, err
 	// concurrently (a sweep with K or Peers axes) the deltas attribute the
 	// overlap to whichever cell reads last — totals across cells stay exact.
 	before := cx.Counters.Snapshot()
-	tiers := tiersOf(opts.IndexReps, opts.DeltaRounds)
+	fast := fastRun(opts.IndexReps, opts.DeltaRounds)
 
 	var res *core.Result
 	var err error
@@ -284,14 +283,14 @@ func (e *Engine) Cluster(ctx context.Context, opts ClusterOptions) (*Result, err
 		res, err = pkmeans.Run(ctx, cx, e.corpus, pkmeans.Options{
 			K: opts.K, Params: cx.Params, Peers: peers, Partition: part,
 			Seed: opts.Seed, MaxRounds: opts.MaxRounds, Transport: transport,
-			Workers: opts.Workers, Tiers: tiers, Observer: observer,
+			Workers: opts.Workers, Fast: fast, Observer: observer,
 		})
 	default:
 		res, err = core.Run(ctx, cx, e.corpus, core.Options{
 			K: opts.K, Params: cx.Params, Peers: peers, Partition: part,
 			Seed: opts.Seed, MaxRounds: opts.MaxRounds, Transport: transport,
 			Workers: opts.Workers, RoundTimeout: opts.RoundTimeout,
-			Tiers: tiers, Observer: observer,
+			Fast: fast, Observer: observer,
 		})
 	}
 	if err != nil {
@@ -377,7 +376,7 @@ func (e *Engine) ClusterDistributed(ctx context.Context, opts DistributedOptions
 		K: opts.K, Params: cx.Params, Peers: m, Partition: part,
 		Seed: opts.Seed, MaxRounds: opts.MaxRounds, Transport: node,
 		Workers: opts.Workers, RoundTimeout: rt, StartupTimeout: st,
-		Tiers:    tiersOf(opts.IndexReps, opts.DeltaRounds),
+		Fast:     fastRun(opts.IndexReps, opts.DeltaRounds),
 		Observer: serializedObserver(opts.Events),
 	}
 	if opts.CheckpointDir != "" {

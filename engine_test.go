@@ -37,11 +37,22 @@ func assertSameResult(t *testing.T, want, got *Result, label string) {
 	}
 }
 
-// TestEngineMatchesLegacyCluster is the API-equivalence contract: a shared
-// Engine — including one whose caches are already warm from prior runs with
-// other parameters — produces output byte-identical to the deprecated
-// Cluster free function for the same options and seed.
-func TestEngineMatchesLegacyCluster(t *testing.T) {
+// freshEngine returns a throwaway Engine over corpus: what a test that wants
+// one job and no shared caches runs it on.
+func freshEngine(t testing.TB, corpus *Corpus) *Engine {
+	t.Helper()
+	eng, err := NewEngine(corpus, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// TestEngineWarmMatchesFresh is the cache-purity contract: a shared Engine —
+// including one whose caches are already warm from prior runs with other
+// parameters — produces output byte-identical to a fresh Engine's for the
+// same options and seed.
+func TestEngineWarmMatchesFresh(t *testing.T) {
 	corpus := sampleCorpus(t)
 	eng, err := NewEngine(corpus, EngineOptions{})
 	if err != nil {
@@ -58,7 +69,7 @@ func TestEngineMatchesLegacyCluster(t *testing.T) {
 		{K: 2, F: 0.5, Gamma: 0.6, Peers: 3, Seed: 4},
 		{K: 3, F: 0.2, Gamma: 0.7, Peers: 2, Seed: 11, Algorithm: PKMeans},
 	} {
-		want, err := Cluster(corpus, opts)
+		want, err := freshEngine(t, corpus).Cluster(context.Background(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +77,7 @@ func TestEngineMatchesLegacyCluster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameResult(t, want, got, "warm engine vs legacy")
+		assertSameResult(t, want, got, "warm engine vs fresh")
 		// And once more on the now-warmer engine: cache warmth must never
 		// leak into results.
 		again, err := eng.Cluster(context.Background(), opts)
@@ -112,8 +123,6 @@ func TestEngineValidation(t *testing.T) {
 		}
 		_, err := eng.Cluster(context.Background(), c.opts)
 		check(err, "Engine.Cluster")
-		_, err = Cluster(corpus, c.opts)
-		check(err, "legacy Cluster")
 		_, err = eng.ClusterDistributed(context.Background(), DistributedOptions{
 			K: c.opts.K, F: c.opts.F, Gamma: c.opts.Gamma,
 			PeerAddrs: []string{"127.0.0.1:0"},
@@ -165,8 +174,6 @@ func TestRunOptionsValidation(t *testing.T) {
 		t.Run(c.field, func(t *testing.T) {
 			check(t, ValidateClusterOptions(c.opts), c.field)
 			_, err := eng.Cluster(context.Background(), c.opts)
-			check(t, err, c.field)
-			_, err = Cluster(corpus, c.opts)
 			check(t, err, c.field)
 			_, err = eng.Sweep(context.Background(), SweepSpec{Base: c.opts})
 			check(t, err, c.field)

@@ -56,9 +56,10 @@ func BenchmarkRelocateWorkers8(b *testing.B) { benchmarkRelocate(b, 8) }
 // seedRelocate is the seed relocation loop over sim.SeedTransactions (the
 // frozen pre-kernel Eq. 4 snapshot in internal/sim/seed.go, shared with
 // the kernel property tests and cxkbench's kernel experiment): every pair
-// evaluated to completion, no scratch reuse, no pruning.
-func seedRelocate(cx *sim.Context, s []*txn.Transaction, reps []*txn.Transaction) []int {
-	assign := make([]int, len(s))
+// evaluated to completion, no scratch reuse. It also returns the seed
+// objective of the pass, Σ in index order of 1 − the winning similarity.
+func seedRelocate(cx *sim.Context, s []*txn.Transaction, reps []*txn.Transaction) ([]int, float64) {
+	assign, objective := make([]int, len(s)), 0.0
 	for i, tr := range s {
 		best, bestJ := 0.0, TrashCluster
 		for j, rep := range reps {
@@ -71,8 +72,9 @@ func seedRelocate(cx *sim.Context, s []*txn.Transaction, reps []*txn.Transaction
 			}
 		}
 		assign[i] = bestJ
+		objective += 1 - best
 	}
-	return assign
+	return assign, objective
 }
 
 // BenchmarkRelocateSpeedup times the seed-kernel serial, the zero-alloc
@@ -93,7 +95,7 @@ func BenchmarkRelocateSpeedup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		fromSeed := seedRelocate(cx, s, reps)
+		fromSeed, _ := seedRelocate(cx, s, reps)
 		seed += time.Since(t0)
 		t1 := time.Now()
 		want = flatRelocate(b, cx, s, reps, 1)

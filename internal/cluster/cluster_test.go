@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"xmlclust/internal/dataset"
@@ -53,16 +54,73 @@ func ctxFor(corpus *txn.Corpus, f, gamma float64) *sim.Context {
 	return sim.NewContext(corpus, sim.Params{F: f, Gamma: gamma})
 }
 
-// flatRelocate is the batch relocation without an index. A nil ctx never
+// relocate is one batch relocation pass, flat when ix is nil. A nil ctx never
 // cancels, so an error is a bug (t.Error: callers run on worker goroutines
 // too).
-func flatRelocate(t testing.TB, cx *sim.Context, s, reps []*txn.Transaction, workers int) []int {
+func relocate(t testing.TB, cx *sim.Context, s, reps []*txn.Transaction, workers int, ix *sim.RepIndex) []int {
 	t.Helper()
-	assign, err := RelocateCtxIndexed(nil, cx, s, reps, workers, nil)
-	if err != nil {
+	assign := make([]int, len(s))
+	if err := RelocateScores(nil, cx, s, reps, workers, ix, assign, nil); err != nil {
 		t.Error(err)
 	}
 	return assign
+}
+
+func flatRelocate(t testing.TB, cx *sim.Context, s, reps []*txn.Transaction, workers int) []int {
+	t.Helper()
+	return relocate(t, cx, s, reps, workers, nil)
+}
+
+// clustering is the outcome of one centralized run (see xkmeans).
+type clustering struct {
+	Assign     []int
+	Reps       []*txn.Transaction
+	Sizes      []int
+	Iterations int
+}
+
+// runCfg parameterizes xkmeans: cluster count, iteration bound (0 = 20),
+// seed of the initial selection, worker bound and engine mode.
+type runCfg struct {
+	K, MaxIter int
+	Seed       int64
+	Workers    int
+	Fast       bool
+}
+
+// xkmeans is the centralized XK-means of [33,32] driven through Rounds, the
+// one helper every whole-clustering test of this package goes through: select
+// k initial representatives from distinct documents, then alternate
+// relocation and refinement until assignments and representatives are stable.
+func xkmeans(cx *sim.Context, s []*txn.Transaction, cfg runCfg) *clustering {
+	maxIter := cfg.MaxIter
+	if maxIter <= 0 {
+		maxIter = 20
+	}
+	rounds := NewRounds(RepConfig{Ctx: cx, Workers: cfg.Workers}, s, cfg.Fast)
+	reps := make([]*txn.Transaction, cfg.K)
+	copy(reps, SelectInitial(s, cfg.K, rand.New(rand.NewSource(cfg.Seed))))
+	cl := &clustering{Assign: make([]int, len(s)), Reps: reps}
+	for i := range cl.Assign {
+		cl.Assign[i] = TrashCluster
+	}
+	for iter := 0; iter < maxIter; iter++ {
+		cl.Iterations = iter + 1
+		assign, _ := rounds.Assign(nil, reps) // a nil ctx never cancels
+		newReps, sizes := rounds.LocalReps(assign)
+		for j, size := range sizes {
+			if size == 0 {
+				newReps[j] = reps[j] // keep the old representative alive
+			}
+		}
+		stable := slices.Equal(assign, cl.Assign) && RepsEqual(newReps, reps)
+		cl.Assign, cl.Reps, cl.Sizes = assign, newReps, sizes
+		reps = newReps
+		if stable {
+			break
+		}
+	}
+	return cl
 }
 
 func TestConflateItemsGroupsByPath(t *testing.T) {
@@ -314,18 +372,18 @@ func TestXKMeansTwoGroups(t *testing.T) {
 	// An unlucky seed can draw both initial representatives from one group
 	// (the other group then lands in the trash cluster, which is legitimate
 	// behavior); pick the first seed whose initial selection spans both.
-	var cl *Clustering
+	var cl *clustering
 	for seed := int64(0); seed < 10; seed++ {
 		init := SelectInitial(corpus.Transactions, 2, rand.New(rand.NewSource(seed)))
 		if len(init) == 2 && (init[0].Doc < 5) != (init[1].Doc < 5) {
-			cl = XKMeans(cx, corpus.Transactions, Config{K: 2, Seed: seed})
+			cl = xkmeans(cx, corpus.Transactions, runCfg{K: 2, Seed: seed})
 			break
 		}
 	}
 	if cl == nil {
 		t.Fatal("no seed produced cross-group initial representatives")
 	}
-	if cl.Iterations == 0 || cl.Iterations > DefaultMaxIter {
+	if cl.Iterations == 0 || cl.Iterations > 20 {
 		t.Fatalf("iterations = %d", cl.Iterations)
 	}
 	// Perfect separation: each group lands in one cluster.
@@ -355,8 +413,8 @@ func TestXKMeansTwoGroups(t *testing.T) {
 func TestXKMeansDeterministic(t *testing.T) {
 	corpus := twoTopicDocs(t, 4)
 	cx := ctxFor(corpus, 0.5, 0.6)
-	a := XKMeans(cx, corpus.Transactions, Config{K: 2, Seed: 11})
-	b := XKMeans(cx, corpus.Transactions, Config{K: 2, Seed: 11})
+	a := xkmeans(cx, corpus.Transactions, runCfg{K: 2, Seed: 11})
+	b := xkmeans(cx, corpus.Transactions, runCfg{K: 2, Seed: 11})
 	for i := range a.Assign {
 		if a.Assign[i] != b.Assign[i] {
 			t.Fatal("assignments differ across identical runs")
@@ -367,7 +425,7 @@ func TestXKMeansDeterministic(t *testing.T) {
 func TestXKMeansKOne(t *testing.T) {
 	corpus := twoTopicDocs(t, 3)
 	cx := ctxFor(corpus, 0.5, 0.5)
-	cl := XKMeans(cx, corpus.Transactions, Config{K: 1, Seed: 1})
+	cl := xkmeans(cx, corpus.Transactions, runCfg{K: 1, Seed: 1})
 	nonTrash := 0
 	for _, a := range cl.Assign {
 		if a == 0 {
@@ -384,33 +442,24 @@ func TestSSE(t *testing.T) {
 	cx := ctxFor(corpus, 0.5, 0.6)
 	papers := corpus.Transactions[:3]
 	rep := ComputeLocalRepresentative(RepConfig{Ctx: cx}, papers)
-	assign := []int{0, 0, 0}
-	sse := SSE(cx, papers, assign, []*txn.Transaction{rep})
-	if sse < 0 || sse > 3 {
-		t.Errorf("sse = %v out of range", sse)
-	}
-	// Trash assignments contribute 1 each.
-	sseTrash := SSE(cx, papers, []int{-1, -1, -1}, []*txn.Transaction{rep})
-	if sseTrash != 3 {
-		t.Errorf("trash sse = %v, want 3", sseTrash)
-	}
-}
-
-func TestMembersAndSortedSizes(t *testing.T) {
-	corpus := twoTopicDocs(t, 3)
-	cx := ctxFor(corpus, 0.5, 0.6)
-	cl := XKMeans(cx, corpus.Transactions, Config{K: 2, Seed: 3})
-	total := 0
-	for j := 0; j < 2; j++ {
-		total += len(cl.Members(corpus.Transactions, j))
-	}
-	if total > len(corpus.Transactions) {
-		t.Errorf("members exceed transactions")
-	}
-	sizes := SortedClusterSizes(cl)
-	for i := 1; i < len(sizes); i++ {
-		if sizes[i-1] < sizes[i] {
-			t.Errorf("sizes not descending: %v", sizes)
+	for _, fast := range []bool{true, false} {
+		r := NewRounds(RepConfig{Ctx: cx}, papers, fast)
+		if _, err := r.Assign(nil, []*txn.Transaction{rep}); err != nil {
+			t.Fatal(err)
+		}
+		want := 0.0
+		for _, tr := range papers {
+			want += 1 - cx.Transactions(tr, rep, nil)
+		}
+		if sse := r.Objective(); sse != want || sse < 0 || sse >= 3 {
+			t.Errorf("fast %v: objective = %v, want %v in [0,3)", fast, sse, want)
+		}
+		// Trash assignments contribute 1 each.
+		if _, err := r.Assign(nil, []*txn.Transaction{nil}); err != nil {
+			t.Fatal(err)
+		}
+		if sse := r.Objective(); sse != 3 {
+			t.Errorf("fast %v: trash objective = %v, want 3", fast, sse)
 		}
 	}
 }
@@ -444,7 +493,7 @@ func BenchmarkXKMeans(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		XKMeans(cx, corpus.Transactions, Config{K: 2, Seed: int64(i)})
+		xkmeans(cx, corpus.Transactions, runCfg{K: 2, Seed: int64(i)})
 	}
 }
 
@@ -467,7 +516,7 @@ func synthCorpus(t testing.TB, ds string, docs int) (*txn.Corpus, int) {
 // assertClusteringsEqual fails unless the two clusterings are
 // byte-identical: same assignments, sizes, iteration count and
 // representative item sets.
-func assertClusteringsEqual(t *testing.T, label string, want, got *Clustering) {
+func assertClusteringsEqual(t *testing.T, label string, want, got *clustering) {
 	t.Helper()
 	if want.Iterations != got.Iterations {
 		t.Errorf("%s: iterations %d vs %d", label, want.Iterations, got.Iterations)
@@ -507,9 +556,9 @@ func TestXKMeansWorkersEquivalence(t *testing.T) {
 		corpus, k := synthCorpus(t, tc.ds, tc.docs)
 		cx := ctxFor(corpus, 0.5, 0.7)
 		for _, seed := range []int64{3, 17} {
-			serial := XKMeans(cx, corpus.Transactions, Config{K: k, Seed: seed, Workers: 1})
+			serial := xkmeans(cx, corpus.Transactions, runCfg{K: k, Seed: seed, Workers: 1})
 			for _, w := range []int{2, 4, 0} {
-				par := XKMeans(cx, corpus.Transactions, Config{K: k, Seed: seed, Workers: w})
+				par := xkmeans(cx, corpus.Transactions, runCfg{K: k, Seed: seed, Workers: w})
 				assertClusteringsEqual(t, fmt.Sprintf("%s seed=%d workers=%d", tc.ds, seed, w), serial, par)
 			}
 		}
@@ -564,8 +613,8 @@ func TestRepresentativeWorkersEquivalence(t *testing.T) {
 
 // TestRelocateOneMatchesRelocate pins the single-transaction kernel (the
 // serving layer's classify path) to the batch relocation it was factored out
-// of: same winner, and a winning similarity consistent with a direct
-// TransactionsAtLeast evaluation.
+// of: same winner, and a winning similarity equal to a direct Transactions
+// evaluation.
 func TestRelocateOneMatchesRelocate(t *testing.T) {
 	corpus := twoTopicDocs(t, 3)
 	cx := ctxFor(corpus, 0.5, 0.6)
@@ -587,8 +636,8 @@ func TestRelocateOneMatchesRelocate(t *testing.T) {
 			continue
 		}
 		// The reported similarity must be the exact pairwise value of the
-		// winner (threshold −1 disables pruning for the reference value).
-		want := cx.TransactionsAtLeast(tr, reps[gotJ], -1, sc)
+		// winner.
+		want := cx.Transactions(tr, reps[gotJ], sc)
 		if gotSim != want {
 			t.Errorf("transaction %d: RelocateOne sim %g, direct %g", i, gotSim, want)
 		}

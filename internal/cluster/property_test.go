@@ -159,24 +159,26 @@ func TestPropertyRepresentativeSizeBound(t *testing.T) {
 	}
 }
 
-// TestPropertySSEBounds: the SSE objective is within [0, |S|].
+// TestPropertySSEBounds: the SSE objective of a relocation pass against any
+// representative set, nil entries included, is within [0, |S|].
 func TestPropertySSEBounds(t *testing.T) {
 	corpus := twoTopicDocs(t, 4)
 	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
 	s := corpus.Transactions
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		k := 1 + rng.Intn(3)
-		reps := make([]*txn.Transaction, k)
+		reps := make([]*txn.Transaction, 1+rng.Intn(3))
 		for j := range reps {
-			reps[j] = s[rng.Intn(len(s))]
+			if rng.Intn(4) > 0 {
+				reps[j] = s[rng.Intn(len(s))]
+			}
 		}
-		assign := make([]int, len(s))
-		for i := range assign {
-			assign[i] = rng.Intn(k+1) - 1
+		r := NewRounds(RepConfig{Ctx: cx}, s, seed%2 == 0)
+		if _, err := r.Assign(nil, reps); err != nil {
+			return false
 		}
-		v := SSE(cx, s, assign, reps)
-		return v >= 0 && v <= float64(len(s))+1e-9
+		v := r.Objective()
+		return v >= 0 && v <= float64(len(s))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -77,7 +77,7 @@ func TestSweepScoresEqualKernelAndSeed(t *testing.T) {
 		for _, f := range []float64{0, 0.3, 0.5, 1} {
 			for _, gamma := range []float64{0.5, 0.8, 1} {
 				cx := sim.NewContext(c.corpus, sim.Params{F: f, Gamma: gamma})
-				reps := XKMeans(cx, s, Config{K: c.k, MaxIter: 2, Seed: 31, Workers: 1}).Reps
+				reps := xkmeans(cx, s, runCfg{K: c.k, MaxIter: 2, Seed: 31, Workers: 1}).Reps
 				reps = append(reps, s[0], s[len(s)/2], nil, txn.NewTransaction(nil, -1, -1, -1))
 				ix := sim.NewRepIndex()
 				ix.Build(cx, reps)
@@ -131,11 +131,7 @@ func TestRelocateStaleIndexEqualsFlat(t *testing.T) {
 	if slices.Equal(before, want) {
 		t.Fatal("the rewrite changed no assignment; the test would pass on stale weights")
 	}
-	got, err := RelocateCtxIndexed(nil, cx, s, reps, 4, ix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(got, want) {
+	if got := relocate(t, cx, s, reps, 4, ix); !slices.Equal(got, want) {
 		t.Fatal("relocation through an index built before the rewrite differs from the flat scan")
 	}
 }
@@ -156,7 +152,7 @@ func TestRelocateIndexEquivalence(t *testing.T) {
 			cx := sim.NewContext(corpus, p)
 			rng := rand.New(rand.NewSource(31))
 			initial := SelectInitial(s, 6, rng)
-			cl := XKMeans(cx, s, Config{K: 6, MaxIter: 3, Seed: 31, Workers: 1})
+			cl := xkmeans(cx, s, runCfg{K: 6, MaxIter: 3, Seed: 31, Workers: 1})
 			for ri, reps := range [][]*txn.Transaction{initial, cl.Reps} {
 				ix := sim.NewRepIndex()
 				ix.Build(cx, reps)
@@ -171,10 +167,7 @@ func TestRelocateIndexEquivalence(t *testing.T) {
 				}
 				want := flatRelocate(t, cx, s, reps, 1)
 				for _, workers := range []int{1, 4} {
-					got, err := RelocateCtxIndexed(nil, cx, s, reps, workers, ix)
-					if err != nil {
-						t.Fatal(err)
-					}
+					got := relocate(t, cx, s, reps, workers, ix)
 					for i := range want {
 						if got[i] != want[i] {
 							t.Fatalf("%s params %+v reps#%d workers %d: indexed assignment diverges at %d: %d != %d",
@@ -194,7 +187,7 @@ func TestRelocateIndexCounters(t *testing.T) {
 	corpus := tieHeavyCorpus(t, 40, 3)
 	s := corpus.Transactions
 	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
-	cl := XKMeans(cx, s, Config{K: 5, MaxIter: 3, Seed: 7, Workers: 1})
+	cl := xkmeans(cx, s, runCfg{K: 5, MaxIter: 3, Seed: 7, Workers: 1})
 	ix := sim.NewRepIndex()
 	ix.Build(cx, cl.Reps)
 	if !ix.Enabled() {
@@ -202,9 +195,7 @@ func TestRelocateIndexCounters(t *testing.T) {
 	}
 	cand0 := cx.Counters.IndexCandidates.Load()
 	skip0 := cx.Counters.IndexSkipped.Load()
-	if _, err := RelocateCtxIndexed(nil, cx, s, cl.Reps, 4, ix); err != nil {
-		t.Fatal(err)
-	}
+	relocate(t, cx, s, cl.Reps, 4, ix)
 	cand := cx.Counters.IndexCandidates.Load() - cand0
 	skip := cx.Counters.IndexSkipped.Load() - skip0
 	if total := cand + skip; total != int64(ix.Active())*int64(len(s)) {
@@ -213,46 +204,6 @@ func TestRelocateIndexCounters(t *testing.T) {
 	}
 	if cand <= 0 {
 		t.Fatal("no candidates evaluated — relocation cannot have assigned anything")
-	}
-}
-
-// TestXKMeansIndexEquivalence runs the full clustering loop with the
-// representative index on and off and requires byte-identical assignments
-// AND representatives (item id sequences, not just set equality) for
-// workers ∈ {1, 4}.
-func TestXKMeansIndexEquivalence(t *testing.T) {
-	corpus := tieHeavyCorpus(t, 50, 23)
-	s := corpus.Transactions
-	for _, p := range []sim.Params{{F: 0.5, Gamma: 0.6}, {F: 0.5, Gamma: 0.3}, {F: 1, Gamma: 0.7}} {
-		cx := sim.NewContext(corpus, p)
-		flat := XKMeans(cx, s, Config{K: 5, MaxIter: 5, Seed: 11, Workers: 1})
-		for _, workers := range []int{1, 4} {
-			indexed := XKMeans(cx, s, Config{K: 5, MaxIter: 5, Seed: 11, Workers: workers, Tiers: Tiers{Index: true}})
-			if !slices.Equal(indexed.Assign, flat.Assign) {
-				t.Fatalf("params %+v workers %d: indexed assignments diverge from flat", p, workers)
-			}
-			if len(indexed.Reps) != len(flat.Reps) {
-				t.Fatalf("params %+v workers %d: rep count %d != %d", p, workers, len(indexed.Reps), len(flat.Reps))
-			}
-			for j := range flat.Reps {
-				a, b := indexed.Reps[j], flat.Reps[j]
-				switch {
-				case a == nil && b == nil:
-					continue
-				case a == nil || b == nil:
-					t.Fatalf("params %+v workers %d: rep %d nil-ness differs", p, workers, j)
-				}
-				if len(a.Items) != len(b.Items) {
-					t.Fatalf("params %+v workers %d: rep %d length %d != %d", p, workers, j, len(a.Items), len(b.Items))
-				}
-				for x := range a.Items {
-					if a.Items[x] != b.Items[x] {
-						t.Fatalf("params %+v workers %d: rep %d item %d: %d != %d",
-							p, workers, j, x, a.Items[x], b.Items[x])
-					}
-				}
-			}
-		}
 	}
 }
 
@@ -265,7 +216,7 @@ func TestRelocateOneIndexedZeroAllocWarm(t *testing.T) {
 	corpus := twoTopicDocs(t, 12)
 	s := corpus.Transactions
 	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
-	cl := XKMeans(cx, s, Config{K: 4, MaxIter: 3, Seed: 3, Workers: 1})
+	cl := xkmeans(cx, s, runCfg{K: 4, MaxIter: 3, Seed: 3, Workers: 1})
 	reps := cl.Reps
 	ix := sim.NewRepIndex()
 	ix.Build(cx, reps)

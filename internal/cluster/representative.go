@@ -1,20 +1,21 @@
 // Package cluster implements the cluster-representative machinery of
 // Fig. 6 — ComputeLocalRepresentative, ComputeGlobalRepresentative,
-// GenerateTreeTuple and conflateItems — together with the centralized
-// XML transactional K-means variant the distributed algorithm builds on.
+// GenerateTreeTuple and conflateItems — and the relocate→refine round body
+// of Fig. 5 the distributed algorithms build on.
 //
 // # The round engine
 //
-// Rounds (rounds.go) is the one copy of the relocate→refine round body:
-// Assign relocates the run's transactions against a representative set,
-// LocalReps and GlobalRep refine representatives. It owns what the speed
-// tiers (Tiers) carry between rounds — the representative index, the
-// membership-fingerprinted representative memos and the last relocation
-// pass — under a byte-identity contract: for any call
-// sequence and any tier selection, results equal the flat, memo-free
-// computation exactly, including the lowest-index tie rule. XKMeans, the
-// CXK-means session and the PK-means peer all drive it. Underneath sit one
-// batch relocation (RelocateCtxIndexed / RelocateScores) and one
+// Rounds (rounds.go) is the one copy of that body: Assign relocates the
+// run's transactions against a representative set, LocalReps and GlobalRep
+// refine representatives, Objective reads the clustering objective off the
+// last relocation. It comes in two modes with one job each. The fast engine
+// serves: posting-list scoring, the membership-fingerprinted representative
+// memos and the last relocation pass carried between rounds. The reference
+// engine specifies: the dense kernel, nothing carried. For any call sequence
+// both give the same bytes, including the lowest-index tie rule
+// (TestRoundsTierMatrix). The CXK-means session and the PK-means peer drive
+// it; the centralized algorithm of [33,32] is a session with one peer.
+// Underneath sit one batch relocation (RelocateScores) and one
 // single-transaction scan (RelocateOneIndexed), which the serving layer's
 // classify path shares.
 package cluster
@@ -67,9 +68,9 @@ type RepConfig struct {
 	// slots and objective sums are reduced in index order.
 	Workers int
 	// dense makes the refinement objective run the dense Eq. 4 kernel per
-	// member instead of posting-list scoring. Rounds sets it when
-	// Tiers.Index is off, so that a tiers-off run is the dense kernel end to
-	// end; the zero RepConfig scores through postings.
+	// member instead of posting-list scoring. A reference Rounds sets it, so
+	// that a reference run is the dense kernel end to end; the zero RepConfig
+	// scores through postings.
 	dense bool
 }
 

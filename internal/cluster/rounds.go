@@ -9,24 +9,14 @@ import (
 	"xmlclust/internal/txn"
 )
 
-// Tiers selects the exact speed tiers a Rounds engine stacks on the flat
-// relocation scan. Every combination produces byte-identical assignments
-// and representatives; the tiers only change how much work a round costs.
-type Tiers struct {
-	// Index scores documents through posting lists over the representatives
-	// (sim.RepIndex) — in relocation and in the refinement objective — instead
-	// of running the dense Eq. 4 kernel per (document, representative) pair.
-	// The index disables itself at γ ≤ 0 or under semantic tag matchers.
-	Index bool
-	// Delta carries memoized representatives and the last relocation pass
-	// from round to round, so a round that changes nothing costs nothing.
-	Delta bool
-}
-
-// Rounds is the relocate→refine round engine of Fig. 5 shared by XKMeans,
-// the CXK-means session and the PK-means peer: one run's transaction set
-// and representative configuration, plus the state the tiers carry between
-// rounds — the representative index, and under Tiers.Delta three caches:
+// Rounds is the relocate→refine round engine of Fig. 5 shared by the
+// CXK-means session and the PK-means peer: one run's transaction set and
+// representative configuration, in one of two modes fixed at construction.
+//
+// A fast engine scores documents through posting lists over the
+// representatives (sim.RepIndex) — in relocation and in the refinement
+// objective — and carries three caches from round to round, so a round that
+// changes nothing costs nothing:
 //
 //  1. Local-representative memo: per cluster, the fingerprint of its member
 //     transaction indices and the representative computed for exactly that
@@ -45,26 +35,32 @@ type Tiers struct {
 //  3. Global-representative memo: per cluster, a fingerprint of the
 //     (weight, representative items) inputs of ComputeGlobalRepresentative.
 //
-// The contract is byte-identity: for any call sequence, results equal the
-// tier-free computation exactly, including the lowest-index tie rule. It
-// holds while the similarity context and the transaction slice stay fixed
-// and representatives are immutable once handed in; call Invalidate when
-// the run's continuity breaks (a session rollback, restore or epoch
+// A reference engine is the specification the fast one is checked against:
+// the dense Eq. 4 kernel per (document, representative) pair in relocation
+// and in the objective, every pass scanned in full, every representative
+// recomputed.
+//
+// The contract is byte-identity: for any call sequence, a fast engine's
+// results equal a reference engine's exactly, including the lowest-index tie
+// rule. It holds while the similarity context and the transaction slice stay
+// fixed and representatives are immutable once handed in; call Invalidate
+// when the run's continuity breaks (a session rollback, restore or epoch
 // change). A Rounds serves one sequential run and is not safe for
 // concurrent use — worker parallelism happens inside its methods.
 type Rounds struct {
-	cfg   RepConfig
-	s     []*txn.Transaction
-	tiers Tiers
-	k     int // len(reps) of the latest Assign
+	cfg  RepConfig
+	s    []*txn.Transaction
+	fast bool
+	k    int // len(reps) of the latest Assign
 
-	ix     *sim.RepIndex      // nil without Tiers.Index
+	ix     *sim.RepIndex      // nil in a reference engine
 	ixReps []*txn.Transaction // the set ix was built over
 
-	local, global repMemo
+	local, global repMemo // nil in a reference engine
 	fps           []uint64
 	prevReps      []*txn.Transaction // the set prevAssign holds for; nil = none
 	prevAssign    []int
+	scores        []float64 // winning similarity per transaction, latest pass
 }
 
 // repMemo is a per-cluster memo of representatives keyed by an input
@@ -77,12 +73,12 @@ type repMemo []struct {
 
 // NewRounds returns the round engine for one run over the transactions s:
 // cfg carries the similarity context, the return rule and the worker bound
-// of every pass. The cluster count is the length of the representative
-// slice handed to Assign.
-func NewRounds(cfg RepConfig, s []*txn.Transaction, tiers Tiers) *Rounds {
-	cfg.dense = !tiers.Index
-	r := &Rounds{cfg: cfg, s: s, tiers: tiers}
-	if tiers.Index {
+// of every pass, fast selects the fast engine over the reference one. The
+// cluster count is the length of the representative slice handed to Assign.
+func NewRounds(cfg RepConfig, s []*txn.Transaction, fast bool) *Rounds {
+	cfg.dense = !fast
+	r := &Rounds{cfg: cfg, s: s, fast: fast}
+	if fast {
 		r.ix = sim.NewRepIndex()
 	}
 	return r
@@ -104,7 +100,7 @@ func (r *Rounds) Invalidate() {
 // The index is rebuilt only when reps differs by pointer from the set it was
 // last built over (or a weighting pass rewrote one of their vectors), so the
 // passes of a fixpoint loop over fixed representatives share one build — and
-// under Tiers.Delta the second pass is the first one's result. The returned
+// on a fast engine the second pass is the first one's result. The returned
 // slice is the engine's record of the pass: it is never written again, and
 // callers must not modify it. A done ctx aborts the pass with ctx's error
 // (nil never cancels); the engine stays usable, the next Assign scans in
@@ -115,7 +111,7 @@ func (r *Rounds) Assign(ctx context.Context, reps []*txn.Transaction) ([]int, er
 		// A different cluster count voids every per-cluster cache.
 		r.k = len(reps)
 		r.prevReps = nil
-		if r.tiers.Delta {
+		if r.fast {
 			r.local, r.global = make(repMemo, r.k), make(repMemo, r.k)
 		}
 	}
@@ -130,21 +126,35 @@ func (r *Rounds) Assign(ctx context.Context, reps []*txn.Transaction) ([]int, er
 		r.ix.Build(cx, r.ixReps)
 	}
 	assign := make([]int, len(r.s))
-	if err := RelocateScores(ctx, cx, r.s, reps, r.cfg.Workers, r.ix, assign, nil); err != nil {
+	r.scores = slices.Grow(r.scores[:0], len(r.s))[:len(r.s)]
+	if err := RelocateScores(ctx, cx, r.s, reps, r.cfg.Workers, r.ix, assign, r.scores); err != nil {
 		r.prevReps = nil
 		return nil, err
 	}
-	if r.tiers.Delta {
+	if r.fast {
 		r.prevReps, r.prevAssign = append(r.prevReps[:0], reps...), assign
 	}
 	return assign, nil
 }
 
+// Objective is the K-means-style clustering objective of the latest
+// completed Assign: Σ over the transactions, in index order, of
+// 1 − simγJ(tr, its representative), a trash assignment contributing 1. It is
+// a by-product of relocation — the winning similarities are kept, nothing is
+// scored again — and the PK-means stop rule and the progress events read it.
+func (r *Rounds) Objective() float64 {
+	sum := 0.0
+	for _, v := range r.scores {
+		sum += 1 - v
+	}
+	return sum
+}
+
 // LocalReps is the refinement step for the clustering assign (an Assign
 // result): the local representative and the size of every cluster, nil and
-// 0 for an empty one. Under Tiers.Delta a cluster whose membership is
-// unchanged since its representative was last computed gets that very
-// object back (Counters.RepsReused).
+// 0 for an empty one. A cluster whose membership is unchanged since its
+// representative was last computed gets that very object back
+// (Counters.RepsReused).
 func (r *Rounds) LocalReps(assign []int) (reps []*txn.Transaction, sizes []int) {
 	members := make([][]*txn.Transaction, r.k)
 	r.fps = slices.Grow(r.fps[:0], r.k)[:r.k]
@@ -174,9 +184,9 @@ func (r *Rounds) LocalReps(assign []int) (reps []*txn.Transaction, sizes []int) 
 }
 
 // GlobalRep merges the weighted local representatives of cluster j into its
-// global representative (ComputeGlobalRepresentative); under Tiers.Delta the
-// previous merge is returned when every weight and item sequence is
-// unchanged (Counters.RepsReused).
+// global representative (ComputeGlobalRepresentative); the previous merge is
+// returned when every weight and item sequence is unchanged
+// (Counters.RepsReused).
 func (r *Rounds) GlobalRep(j int, weighted []WeightedRep) *txn.Transaction {
 	return r.memoized(r.global, j, weightedRepsFingerprint(weighted), func() *txn.Transaction {
 		return ComputeGlobalRepresentative(r.cfg, weighted)
@@ -184,8 +194,8 @@ func (r *Rounds) GlobalRep(j int, weighted []WeightedRep) *txn.Transaction {
 }
 
 // memoized is the one memo-or-compute switch: entry j of m is served while
-// its input fingerprint holds, and recomputed otherwise. Without Tiers.Delta
-// m is nil and every call computes.
+// its input fingerprint holds, and recomputed otherwise. In a reference
+// engine m is nil and every call computes.
 func (r *Rounds) memoized(m repMemo, j int, fp uint64, compute func() *txn.Transaction) *txn.Transaction {
 	if m == nil {
 		return compute()

@@ -12,8 +12,6 @@ import (
 	"xmlclust/internal/txn"
 )
 
-var allTierValues = []Tiers{{}, {Index: true}, {Delta: true}, {Index: true, Delta: true}}
-
 // tierMatrixSets is a seeded sequence of representative sets exercising
 // every way one Assign can differ from the previous one: the same slice
 // again, one representative changed, a nil entry, an equal-content copy under
@@ -21,7 +19,7 @@ var allTierValues = []Tiers{{}, {Index: true}, {Delta: true}, {Index: true, Delt
 // then random churn.
 func tierMatrixSets(cx *sim.Context, s []*txn.Transaction, k int) [][]*txn.Transaction {
 	rng := rand.New(rand.NewSource(41))
-	refined := XKMeans(cx, s, Config{K: k, MaxIter: 4, Seed: 41, Workers: 1}).Reps
+	refined := xkmeans(cx, s, runCfg{K: k, MaxIter: 4, Seed: 41, Workers: 1}).Reps
 	cur := SelectInitial(s, k, rng)
 	sets := [][]*txn.Transaction{cur, cur}
 	next := func(mutate func(reps []*txn.Transaction)) {
@@ -34,7 +32,8 @@ func tierMatrixSets(cx *sim.Context, s []*txn.Transaction, k int) [][]*txn.Trans
 	next(func(reps []*txn.Transaction) { reps[0] = txn.NewTransaction(reps[0].Items, -1, -1, -1) })
 	next(func(reps []*txn.Transaction) {
 		won := make([]int, k)
-		for _, a := range seedRelocate(cx, s, reps) {
+		assign, _ := seedRelocate(cx, s, reps)
+		for _, a := range assign {
 			if a >= 0 {
 				won[a]++
 			}
@@ -64,11 +63,12 @@ func tierMatrixSets(cx *sim.Context, s []*txn.Transaction, k int) [][]*txn.Trans
 	return append(sets, cur) // converged: nothing changes
 }
 
-// TestRoundsTierMatrix is the whole-engine oracle: at every tier selection
-// and worker count, with and without an Invalidate in mid-sequence, every
-// Assign must equal the flat argmax over the seed similarity
-// (sim.SeedTransactions), and every LocalReps the tier-free, memo-free
-// representatives.
+// TestRoundsTierMatrix is the whole-engine oracle: on the fast and on the
+// reference engine, at one and four workers, with and without an Invalidate
+// in mid-sequence, every Assign must equal the flat argmax over the seed
+// similarity (sim.SeedTransactions), every Objective the seed objective
+// Σ(1 − SeedTransactions) bit for bit, and every LocalReps the reference
+// engine's memo-free representatives.
 func TestRoundsTierMatrix(t *testing.T) {
 	const k = 6
 	corpus := tieHeavyCorpus(t, 60, 29)
@@ -77,20 +77,21 @@ func TestRoundsTierMatrix(t *testing.T) {
 		cx := sim.NewContext(corpus, p)
 		sets := tierMatrixSets(cx, s, k)
 		wantAssign := make([][]int, len(sets))
+		wantObjective := make([]float64, len(sets))
 		wantLocals := make([][]*txn.Transaction, len(sets))
-		plain := NewRounds(RepConfig{Ctx: cx, Workers: 1}, s, Tiers{})
+		plain := NewRounds(RepConfig{Ctx: cx, Workers: 1}, s, false)
 		for step, reps := range sets {
-			wantAssign[step] = seedRelocate(cx, s, reps)
+			wantAssign[step], wantObjective[step] = seedRelocate(cx, s, reps)
 			if _, err := plain.Assign(nil, reps); err != nil {
 				t.Fatal(err)
 			}
 			wantLocals[step], _ = plain.LocalReps(wantAssign[step])
 		}
-		for _, tiers := range allTierValues {
+		for _, fast := range []bool{true, false} {
 			for _, workers := range []int{1, 4} {
 				for _, invalidateAt := range []int{-1, 3, 6} {
-					label := fmt.Sprintf("params %+v tiers %+v workers %d invalidate@%d", p, tiers, workers, invalidateAt)
-					r := NewRounds(RepConfig{Ctx: cx, Workers: workers}, s, tiers)
+					label := fmt.Sprintf("params %+v fast %v workers %d invalidate@%d", p, fast, workers, invalidateAt)
+					r := NewRounds(RepConfig{Ctx: cx, Workers: workers}, s, fast)
 					for step, reps := range sets {
 						if step == invalidateAt {
 							r.Invalidate()
@@ -102,6 +103,9 @@ func TestRoundsTierMatrix(t *testing.T) {
 						if !slices.Equal(got, wantAssign[step]) {
 							t.Fatalf("%s: step %d: assignment differs from the seed argmax\n got %v\nwant %v",
 								label, step, got, wantAssign[step])
+						}
+						if obj := r.Objective(); obj != wantObjective[step] {
+							t.Fatalf("%s: step %d: objective %v, seed objective %v", label, step, obj, wantObjective[step])
 						}
 						if locals, _ := r.LocalReps(got); !RepsEqual(locals, wantLocals[step]) {
 							t.Fatalf("%s: step %d: local representatives differ from the memo-free ones", label, step)
@@ -124,29 +128,29 @@ func TestRoundsAssignCanceled(t *testing.T) {
 	sets := repTrajectory(cx, s, 5, 3)
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, tiers := range allTierValues {
+	for _, fast := range []bool{true, false} {
 		for _, workers := range []int{1, 4} {
 			cfg := RepConfig{Ctx: cx, Workers: workers}
-			want, err := NewRounds(cfg, s, tiers).Assign(context.Background(), sets[1])
+			want, err := NewRounds(cfg, s, fast).Assign(context.Background(), sets[1])
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, primed := range []bool{false, true} {
-				r := NewRounds(cfg, s, tiers)
+				r := NewRounds(cfg, s, fast)
 				if primed {
 					if _, err := r.Assign(context.Background(), sets[0]); err != nil {
 						t.Fatal(err)
 					}
 				}
 				if _, err := r.Assign(canceled, sets[1]); !errors.Is(err, context.Canceled) {
-					t.Fatalf("tiers %+v workers %d primed %v: canceled Assign returned %v", tiers, workers, primed, err)
+					t.Fatalf("fast %v workers %d primed %v: canceled Assign returned %v", fast, workers, primed, err)
 				}
 				got, err := r.Assign(context.Background(), sets[1])
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !slices.Equal(got, want) {
-					t.Errorf("tiers %+v workers %d primed %v: Assign after a canceled pass differs from a fresh engine", tiers, workers, primed)
+					t.Errorf("fast %v workers %d primed %v: Assign after a canceled pass differs from a fresh engine", fast, workers, primed)
 				}
 			}
 		}

@@ -78,16 +78,16 @@ func TestSharedKernelStateEquivalence(t *testing.T) {
 func TestXKMeansAllocationBound(t *testing.T) {
 	corpus, k := synthCorpus(t, "DBLP", 160)
 	cx := ctxFor(corpus, 0.5, 0.8)
-	cfg := Config{K: k, MaxIter: 8, Seed: 7, Workers: 2, Tiers: Tiers{Index: true, Delta: true}}
-	XKMeans(cx, corpus.Transactions, cfg) // warm the path cache, the pool and the synthetic items
+	cfg := runCfg{K: k, MaxIter: 8, Seed: 7, Workers: 2, Fast: true}
+	xkmeans(cx, corpus.Transactions, cfg) // warm the path cache, the pool and the synthetic items
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	XKMeans(cx, corpus.Transactions, cfg)
+	xkmeans(cx, corpus.Transactions, cfg)
 	runtime.ReadMemStats(&after)
 	const boundMB = 16
 	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > boundMB {
-		t.Errorf("one XKMeans job allocated %.1f MB, want at most %d MB", mb, boundMB)
+		t.Errorf("one clustering job allocated %.1f MB, want at most %d MB", mb, boundMB)
 	} else {
-		t.Logf("one XKMeans job allocated %.1f MB (bound %d MB)", mb, boundMB)
+		t.Logf("one clustering job allocated %.1f MB (bound %d MB)", mb, boundMB)
 	}
 }

@@ -38,14 +38,15 @@ type Options struct {
 	// with each other; Workers adds intra-peer parallelism on top, and the
 	// result stays byte-identical to Workers: 1 for a fixed Seed.
 	Workers int
-	// Tiers selects the speed tiers of every peer's round engine
-	// (cluster.Rounds): Index scores documents through posting lists over the
-	// representatives, Delta carries memoized representatives and the last
-	// relocation pass across rounds and ships unchanged local representatives
-	// as digest markers instead of full wire transactions. Assignments and
-	// representatives are byte-identical for every value; every peer of a
-	// session must agree on Delta (enforced via StartMsg.DeltaExchange).
-	Tiers cluster.Tiers
+	// Fast runs every peer on the fast engine end to end: posting-list
+	// scoring instead of the dense kernel, representatives and the last
+	// relocation pass memoized across rounds (see cluster.Rounds), unchanged
+	// local representatives on the wire as digest markers. Without it the
+	// run is the reference: dense kernel, nothing memoized, every
+	// representative shipped in full. Assignments and representatives are
+	// byte-identical either way; every peer of a session must agree
+	// (enforced via StartMsg.DeltaExchange).
+	Fast bool
 	// Transport overrides the default in-process channel transport.
 	Transport p2p.Transport
 	// SerializeCompute runs peers' compute sections under a mutual
@@ -285,7 +286,7 @@ func Run(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Options)
 			Seed:           opts.Seed + int64(i),
 			Rule:           opts.Rule,
 			Workers:        opts.Workers,
-			Tiers:          opts.Tiers,
+			Fast:           opts.Fast,
 			RoundTimeout:   opts.RoundTimeout,
 			StartupTimeout: opts.StartupTimeout,
 			Expect:         expectationFrom(cx, corpus, opts),
@@ -353,7 +354,7 @@ func startMsgFrom(cx *sim.Context, corpus *txn.Corpus, opts Options) StartMsg {
 		Seed:          opts.Seed,
 		Txns:          len(corpus.Transactions),
 		PartitionHash: PartitionFingerprint(opts.Partition),
-		DeltaExchange: opts.Tiers.Delta,
+		DeltaExchange: opts.Fast,
 	}
 }
 
@@ -367,6 +368,6 @@ func expectationFrom(cx *sim.Context, corpus *txn.Corpus, opts Options) *StartEx
 		Seed:          opts.Seed,
 		Txns:          len(corpus.Transactions),
 		PartitionHash: PartitionFingerprint(opts.Partition),
-		DeltaExchange: opts.Tiers.Delta,
+		DeltaExchange: opts.Fast,
 	}
 }

@@ -7,20 +7,19 @@ import (
 	"testing"
 	"time"
 
-	"xmlclust/internal/cluster"
 	"xmlclust/internal/dataset"
 	"xmlclust/internal/p2p"
 	"xmlclust/internal/sim"
 	"xmlclust/internal/txn"
 )
 
-func runCXKDelta(t testing.TB, cx *sim.Context, corpus *txn.Corpus, k, m int, seed int64, workers int, delta, indexed bool) *Result {
+func runCXKDelta(t testing.TB, cx *sim.Context, corpus *txn.Corpus, k, m int, seed int64, workers int, fast bool) *Result {
 	t.Helper()
 	res, err := Run(context.Background(), cx, corpus, Options{
 		K: k, Params: cx.Params, Peers: m, Workers: workers,
 		Partition: EqualPartition(len(corpus.Transactions), m, seed),
 		Seed:      seed,
-		Tiers:     cluster.Tiers{Index: indexed, Delta: delta},
+		Fast:      fast,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -30,11 +29,11 @@ func runCXKDelta(t testing.TB, cx *sim.Context, corpus *txn.Corpus, k, m int, se
 
 // TestRunDeltaEquivalence asserts the collaborative engine produces
 // byte-identical results — assignments, rounds AND representative item
-// sequences — with the delta-round engine on and off, across network sizes,
-// worker counts, both relocation paths and several corpora. This is the
-// session-level byte-identity gate of the delta rounds (the relocation
-// anchors, the representative memo and the digest-marker exchange all run
-// in the delta configuration here).
+// sequences — on the fast and on the reference engine, across network sizes,
+// worker counts and several corpora. This is the session-level byte-identity
+// gate (posting-list scoring, the representative memos, the whole-pass
+// shortcut and the digest-marker exchange all run in the fast configuration
+// here).
 func TestRunDeltaEquivalence(t *testing.T) {
 	type corpusCase struct {
 		name   string
@@ -57,19 +56,16 @@ func TestRunDeltaEquivalence(t *testing.T) {
 	for _, c := range cases {
 		cx := sim.NewContext(c.corpus, sim.Params{F: 0.5, Gamma: 0.7})
 		for _, m := range []int{1, 3} {
-			plain := runCXKDelta(t, cx, c.corpus, c.k, m, 9, 1, false, false)
+			plain := runCXKDelta(t, cx, c.corpus, c.k, m, 9, 1, false)
 			for _, workers := range []int{1, 4} {
-				for _, indexed := range []bool{false, true} {
-					got := runCXKDelta(t, cx, c.corpus, c.k, m, 9, workers, true, indexed)
-					label := fmt.Sprintf("%s m=%d workers=%d indexed=%v delta", c.name, m, workers, indexed)
-					assertResultsEqual(t, label, plain, got)
-				}
+				got := runCXKDelta(t, cx, c.corpus, c.k, m, 9, workers, true)
+				assertResultsEqual(t, fmt.Sprintf("%s m=%d workers=%d fast", c.name, m, workers), plain, got)
 			}
 		}
 	}
 }
 
-// TestRunDeltaCountersAndTraffic pins the observable effects of the delta
+// TestRunDeltaCountersAndTraffic pins the observable effects of the fast
 // engine on a multi-peer run: the reuse/skip counters move, unchanged
 // representatives ship as digest markers (modeled bytes saved), and the
 // total modeled traffic drops below the full-shipping run's.
@@ -80,13 +76,13 @@ func TestRunDeltaCountersAndTraffic(t *testing.T) {
 	k := col.K(dataset.ByHybrid)
 
 	cxOff := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.7})
-	off := runCXKDelta(t, cxOff, corpus, k, 3, 9, 1, false, false)
-	if got := cxOff.Counters.RepsReused.Load() + cxOff.Counters.DocsSkipped.Load() + cxOff.Counters.DeltaRepBytes.Load(); got != 0 {
-		t.Fatalf("delta-off run moved delta counters: %d", got)
+	off := runCXKDelta(t, cxOff, corpus, k, 3, 9, 1, false)
+	if d := cxOff.Counters.Snapshot(); d != (sim.CounterSnapshot{}) {
+		t.Fatalf("reference run moved the fast engine's counters: %+v", d)
 	}
 
 	cxOn := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.7})
-	on := runCXKDelta(t, cxOn, corpus, k, 3, 9, 1, true, false)
+	on := runCXKDelta(t, cxOn, corpus, k, 3, 9, 1, true)
 	assertResultsEqual(t, "counters run", off, on)
 	if on.Rounds < 3 {
 		t.Skipf("run converged in %d rounds; too short to exercise the caches", on.Rounds)
@@ -111,25 +107,25 @@ func TestRunDeltaCountersAndTraffic(t *testing.T) {
 }
 
 // TestRunPeerDeltaMismatchFails drives the wire-protocol agreement check:
-// a peer that disables delta rounds while the coordinator announces the
-// delta exchange (or vice versa) must fail fast with ErrConfigMismatch
-// instead of stalling on markers it cannot expand.
+// a reference peer under a coordinator that announces the delta exchange of
+// a fast run (or vice versa) must fail fast with ErrConfigMismatch instead
+// of stalling on markers it cannot expand.
 func TestRunPeerDeltaMismatchFails(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
 	tr := p2p.NewChanTransport(2, Sizer(corpus.Items))
 	defer tr.Close()
 	errc := make(chan error, 2)
-	for id, delta := range map[int]bool{0: true, 1: false} {
-		go func(id int, delta bool) {
+	for id, fast := range map[int]bool{0: true, 1: false} {
+		go func(id int, fast bool) {
 			cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
 			_, err := RunPeer(context.Background(), cx, corpus, Options{
 				K: 2, Params: cx.Params, Peers: 2,
 				Partition: EqualPartition(len(corpus.Transactions), 2, 3),
 				Seed:      3, Transport: tr, RoundTimeout: 2 * time.Second,
-				Tiers: cluster.Tiers{Delta: delta},
+				Fast: fast,
 			}, id)
 			errc <- err
-		}(id, delta)
+		}(id, fast)
 	}
 	sawMismatch := false
 	for i := 0; i < 2; i++ {
@@ -154,7 +150,7 @@ func TestDeltaMarkerWithoutCacheFails(t *testing.T) {
 	tr := p2p.NewChanTransport(2, nil)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
-	p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) { cfg.Tiers.Delta = true })
+	p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) { cfg.Fast = true })
 	s := newSession(p)
 	start := startMsgFor(2, 2)
 	start.DeltaExchange = true

@@ -98,7 +98,7 @@ func RunPeer(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Opti
 		Seed:           opts.Seed + int64(id),
 		Rule:           opts.Rule,
 		Workers:        opts.Workers,
-		Tiers:          opts.Tiers,
+		Fast:           opts.Fast,
 		RoundTimeout:   opts.RoundTimeout,
 		StartupTimeout: opts.StartupTimeout,
 		Expect:         expectationFrom(cx, corpus, opts),

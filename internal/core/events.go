@@ -66,12 +66,11 @@ type Event struct {
 	// traffic so far (cumulative over all completed accounting rounds).
 	SentMsgs, SentBytes int64
 	RecvMsgs, RecvBytes int64
-	// CounterSnapshot holds the similarity context's tier counters at
-	// emission time (see sim.Counters for each field): PrunedRows and
-	// ScratchReuses of the kernel, IndexCandidates and IndexSkipped of the
-	// representative index, RepsReused, DocsSkipped and DeltaRepBytes of the
-	// delta rounds. In-process peers share one context, so these are
-	// run-wide running totals, not per-peer ones.
+	// CounterSnapshot holds the similarity context's work counters at
+	// emission time (see sim.Counters for each field): IndexCandidates and
+	// IndexSkipped of the representative index, RepsReused and DocsSkipped of
+	// the round engine, DeltaRepBytes of the exchange. In-process peers share
+	// one context, so these are run-wide running totals, not per-peer ones.
 	sim.CounterSnapshot
 	// Elapsed is the time since the session (or run, for Peer == -1)
 	// started.

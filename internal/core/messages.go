@@ -7,14 +7,14 @@
 //
 // # The round engine
 //
-// The relocate→refine half of every round runs on a cluster.Rounds, which
-// owns the speed tiers (Options.Tiers): the representative index, the
-// cross-round memos and the last relocation pass. Output is byte-identical for
-// every tier value.
+// The relocate→refine half of every round runs on a cluster.Rounds: the
+// fast engine (posting-list scoring, cross-round memos, the last relocation
+// pass) with Options.Fast set, the reference engine the fast one is checked
+// against without. Output is byte-identical either way.
 //
-// With Tiers.Delta on (the default at the public surface) the
-// representative exchange additionally ships an unchanged representative
-// as a digest marker (UnchangedRep) instead of the full wire transaction.
+// A fast session additionally ships an unchanged representative as a digest
+// marker (UnchangedRep) instead of the full wire transaction; a reference
+// session puts every representative on the wire in full.
 // That is part of the wire protocol: the coordinator announces it in
 // StartMsg.DeltaExchange, a peer configured differently rejects the
 // session with ErrConfigMismatch, and a marker the receiver never cached
@@ -68,10 +68,10 @@ type StartMsg struct {
 	PartitionHash uint64
 	// DeltaExchange announces that the run ships unchanged local
 	// representatives as digest markers (LocalRepsMsg.Unchanged) instead of
-	// full wire transactions. Every peer must agree: a receiver that does
-	// not maintain the delta cache cannot resolve a marker, so a mixed
-	// deployment fails fast at startup (StartExpectation.check) instead of
-	// mid-round.
+	// full wire transactions — true for a fast run, false for a reference
+	// one. Every peer must agree: a receiver that does not maintain the
+	// delta cache cannot resolve a marker, so a mixed deployment fails fast
+	// at startup (StartExpectation.check) instead of mid-round.
 	DeltaExchange bool
 }
 

@@ -39,11 +39,11 @@ type PeerConfig struct {
 	Rule cluster.ReturnRule
 	// Workers bounds intra-peer parallelism (see Options.Workers).
 	Workers int
-	// Tiers selects the speed tiers of the peer's round engine (see
-	// Options.Tiers). Tiers.Delta also ships unchanged local representatives
-	// as digest markers, so every peer of a session must agree on it
-	// (StartMsg.DeltaExchange).
-	Tiers cluster.Tiers
+	// Fast selects the fast engine over the reference one (see
+	// Options.Fast). It changes what travels — a fast peer ships unchanged
+	// local representatives as digest markers — so every peer of a session
+	// must agree on it (StartMsg.DeltaExchange).
+	Fast bool
 	// RoundTimeout bounds every blocking receive of the session; a peer
 	// that waits longer fails with ErrRoundDeadline instead of hanging on
 	// a dead neighbour. 0 disables the deadline (trusted in-process runs).
@@ -63,8 +63,7 @@ type PeerConfig struct {
 	ComputeToken chan struct{}
 	// Observer, when non-nil, receives progress events (phase changes,
 	// round boundaries, termination). Peers run concurrently, so it must be
-	// safe for concurrent calls. Enabling it also turns on the per-round
-	// local objective computation reported in RoundEnd events.
+	// safe for concurrent calls.
 	Observer Observer
 	// Epoch is the membership epoch the session starts in (0 for a fresh
 	// session; a recovered session starts in the epoch of its restored
@@ -113,7 +112,7 @@ func (e *StartExpectation) check(msg StartMsg) error {
 	case msg.PartitionHash != e.PartitionHash:
 		return fmt.Errorf("%w: data partition diverges from N0's (check the split flags)", ErrConfigMismatch)
 	case msg.DeltaExchange != e.DeltaExchange:
-		return fmt.Errorf("%w: delta exchange %v here, %v at N0 (every peer must run the same delta-rounds mode)",
+		return fmt.Errorf("%w: delta exchange %v here, %v at N0 (fast and reference peers cannot share a session)",
 			ErrConfigMismatch, e.DeltaExchange, msg.DeltaExchange)
 	}
 	return nil
@@ -210,7 +209,7 @@ type session struct {
 	deadline time.Time // armed at every blocking-receive phase entry
 
 	// objective is the peer's local clustering objective after the latest
-	// relocation pass; maintained only when an Observer is configured.
+	// relocation loop; maintained only when an Observer is configured.
 	objective float64
 
 	// Protocol state (Fig. 5 notation in the comments of peer fields).
@@ -224,8 +223,8 @@ type session struct {
 	assign  []int              // local assignment
 	rounds  int
 	report  PeerReport
-	// engine runs the relocate→refine half of every round and owns what the
-	// speed tiers carry across rounds; invalidated on every install.
+	// engine runs the relocate→refine half of every round and owns what is
+	// carried across rounds; invalidated on every install.
 	engine *cluster.Rounds
 	// seenStates fingerprints past local-representative states. Fig. 5
 	// terminates on exact representative stability; greedy representative
@@ -274,7 +273,7 @@ func newSession(p *Peer) *session {
 		m:     p.cfg.Transport.Peers(),
 		engine: cluster.NewRounds(
 			cluster.RepConfig{Ctx: p.cfg.Ctx, Rule: p.cfg.Rule, Workers: p.cfg.Workers},
-			p.cfg.Local, p.cfg.Tiers),
+			p.cfg.Local, p.cfg.Fast),
 		epoch:      p.cfg.Epoch,
 		seenStates: map[uint64]struct{}{},
 		pendGlobal: map[int][]GlobalRepsMsg{},
@@ -471,10 +470,7 @@ func (s *session) relocate(ctx context.Context) error {
 		return relocErr
 	}
 	if cfg.Observer != nil {
-		// Outside the compute section on purpose: the per-round objective
-		// is instrumentation and must not inflate ComputeByRound (and with
-		// it the paper's SimulatedTime metric).
-		s.objective = cluster.SSEWorkers(cfg.Ctx, cfg.Local, s.assign, s.global, cfg.Workers)
+		s.objective = s.engine.Objective()
 	}
 	s.changed = !cluster.RepsEqual(newLocalRp, s.localRp)
 	s.localRp = newLocalRp
@@ -512,7 +508,7 @@ func (s *session) exchangeLocals(ctx context.Context) error {
 					continue
 				}
 				w := toWire(s.items(), s.localRp[j])
-				if s.p.cfg.Tiers.Delta {
+				if s.p.cfg.Fast {
 					if s.sentRepDigest == nil {
 						s.sentRepDigest = make([]map[int]uint64, s.m)
 					}
@@ -584,7 +580,7 @@ func (s *session) exchangeLocals(ctx context.Context) error {
 // cached — and fails the session rather than risking a silently divergent
 // refinement.
 func (s *session) expandLocalReps(msg LocalRepsMsg) (map[int]WeightedWireRep, error) {
-	if !s.p.cfg.Tiers.Delta {
+	if !s.p.cfg.Fast {
 		return msg.Reps, nil
 	}
 	if s.recvRepCache == nil {

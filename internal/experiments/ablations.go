@@ -127,12 +127,8 @@ type WorkersPoint struct {
 	// worker count (the engine guarantees byte-identical assignments).
 	F       float64
 	Speedup float64 // serial wall time / this wall time
-	// PrunedRows counts match-matrix rows the kernel's branch-and-bound
-	// skipped (identical for every worker count — the bound is exact and
-	// each worker threads its own running argmax).
-	PrunedRows int64
 	// AllocsPerDoc is the heap-allocation delta of the run divided by the
-	// corpus document count — the kernel-win axis of the ablation next to
+	// corpus document count — the allocation axis of the ablation next to
 	// the parallelism axis (speedup).
 	AllocsPerDoc float64
 }
@@ -165,7 +161,6 @@ func WorkersAblation(ds string, workerCounts []int, scale Scale, seed int64) ([]
 				}
 			}
 			pt.F = r.F
-			pt.PrunedRows = r.PrunedRows
 		}
 		out = append(out, pt)
 	}
@@ -177,20 +172,17 @@ func WorkersAblation(ds string, workerCounts []int, scale Scale, seed int64) ([]
 	return out, nil
 }
 
-// WriteWorkersAblation renders the sweep. Alongside the parallelism win
-// (speedup) it quantifies the kernel win: pruned-rows (match-matrix rows
-// the exact branch-and-bound skipped — constant across worker counts) and
-// allocs/doc (heap allocations per corpus document — near-constant in
-// corpus size once the zero-allocation kernel owns the hot path).
+// WriteWorkersAblation renders the sweep: the parallelism win (speedup)
+// beside allocs/doc (heap allocations per corpus document — near-constant in
+// corpus size, since scoring allocates nothing).
 func WriteWorkersAblation(w io.Writer, ds string, pts []WorkersPoint) {
 	fmt.Fprintf(w, "Ablation — intra-peer workers (%s, hybrid, centralized)\n", ds)
-	fmt.Fprintf(w, "%8s %14s %14s %9s %8s %12s %11s\n",
-		"workers", "wall", "compute", "speedup", "F", "pruned-rows", "allocs/doc")
+	fmt.Fprintf(w, "%8s %14s %14s %9s %8s %11s\n",
+		"workers", "wall", "compute", "speedup", "F", "allocs/doc")
 	for _, p := range pts {
-		fmt.Fprintf(w, "%8d %14s %14s %8.2fx %8.3f %12d %11.0f\n",
+		fmt.Fprintf(w, "%8d %14s %14s %8.2fx %8.3f %11.0f\n",
 			p.Workers, p.WallTime.Round(time.Microsecond),
-			p.Compute.Round(time.Microsecond), p.Speedup, p.F,
-			p.PrunedRows, p.AllocsPerDoc)
+			p.Compute.Round(time.Microsecond), p.Speedup, p.F, p.AllocsPerDoc)
 	}
 }
 

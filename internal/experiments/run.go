@@ -85,10 +85,6 @@ type RunResult struct {
 	// PathSims counts Eq. 3 alignments actually computed (not served by
 	// the path cache) — the direct measure the cache ablation reports.
 	PathSims int64
-	// PrunedRows counts match-matrix rows skipped by the similarity
-	// kernel's exact branch-and-bound during relocation (work avoided with
-	// byte-identical output).
-	PrunedRows int64
 	// Mallocs is the process-wide heap-allocation delta across the
 	// clustering run (runtime.MemStats.Mallocs) — with the zero-allocation
 	// kernel it scales with rounds and representatives, not with
@@ -227,25 +223,24 @@ func ExecuteCtx(ctx context.Context, spec RunSpec) (RunResult, error) {
 		computeSum += res.Peers[i].TotalCompute()
 	}
 	return RunResult{
-		F:          cont.FMeasure(),
-		Purity:     cont.Purity(),
-		NMI:        cont.NMI(),
-		Trash:      eval.TrashFraction(pc.labels, res.Assign),
-		Rounds:     res.Rounds,
-		SimTime:    res.SimulatedTime(p2p.DefaultTimeModel()),
-		WallTime:   res.WallTime,
-		Compute:    computeSum,
-		Bytes:      bytes,
-		Msgs:       msgs,
-		Txns:       n,
-		Docs:       pc.docs,
-		K:          k,
-		ItemSims:   cx.Counters.ItemSims.Load(),
-		TxnSims:    cx.Counters.TxnSims.Load(),
-		CacheHits:  cx.Counters.CacheHits.Load(),
-		PathSims:   cx.Counters.PathSims.Load(),
-		PrunedRows: cx.Counters.PrunedRows.Load(),
-		Mallocs:    memAfter.Mallocs - memBefore.Mallocs,
+		F:         cont.FMeasure(),
+		Purity:    cont.Purity(),
+		NMI:       cont.NMI(),
+		Trash:     eval.TrashFraction(pc.labels, res.Assign),
+		Rounds:    res.Rounds,
+		SimTime:   res.SimulatedTime(p2p.DefaultTimeModel()),
+		WallTime:  res.WallTime,
+		Compute:   computeSum,
+		Bytes:     bytes,
+		Msgs:      msgs,
+		Txns:      n,
+		Docs:      pc.docs,
+		K:         k,
+		ItemSims:  cx.Counters.ItemSims.Load(),
+		TxnSims:   cx.Counters.TxnSims.Load(),
+		CacheHits: cx.Counters.CacheHits.Load(),
+		PathSims:  cx.Counters.PathSims.Load(),
+		Mallocs:   memAfter.Mallocs - memBefore.Mallocs,
 	}, nil
 }
 

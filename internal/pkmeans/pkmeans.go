@@ -57,11 +57,11 @@ type Options struct {
 	Rule      cluster.ReturnRule
 	// Workers bounds each peer's intra-peer parallelism (see core.Options).
 	Workers int
-	// Tiers selects the speed tiers of each peer's local K-means step (see
-	// core.Options.Tiers); assignments are byte-identical for every value.
-	// PK-means ships all k representatives all-to-all every round by design,
-	// so the delta representative exchange does not apply here.
-	Tiers            cluster.Tiers
+	// Fast runs each peer's local K-means step on the fast engine instead
+	// of the reference one (see core.Options.Fast); assignments are
+	// byte-identical either way. PK-means ships all k representatives
+	// all-to-all every round by design, so nothing changes on the wire.
+	Fast             bool
 	Transport        p2p.Transport
 	SerializeCompute bool
 	// SSEEpsilon is the stop threshold on the global SSE change.
@@ -126,7 +126,7 @@ func Run(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Options)
 			transport: transport, sizer: sizer(corpus.Items),
 			k: opts.K, maxRounds: maxRounds, seed: opts.Seed + int64(i),
 			repCfg: repCfg, eps: eps, computeToken: computeToken,
-			engine:   cluster.NewRounds(repCfg, local, opts.Tiers),
+			engine:   cluster.NewRounds(repCfg, local, opts.Fast),
 			zi:       core.ResponsibilityPartition(opts.K, m)[i],
 			observer: opts.Observer,
 		}
@@ -220,7 +220,7 @@ type peer struct {
 	repCfg       cluster.RepConfig
 	eps          float64
 	computeToken chan struct{}
-	engine       *cluster.Rounds // the local K-means step and its speed tiers
+	engine       *cluster.Rounds // the local K-means step
 
 	observer core.Observer
 	t0       time.Time
@@ -327,7 +327,7 @@ func (p *peer) run(ctx context.Context) error {
 					localReps[j] = core.WeightedWireRep{Rep: wireOf(rep), Weight: sizes[j]}
 				}
 			}
-			localSSE = cluster.SSEWorkers(p.repCfg.Ctx, p.local, p.assign, p.global, p.repCfg.Workers)
+			localSSE = p.engine.Objective()
 		})
 		if relocErr != nil {
 			return fmt.Errorf("%w: %w", core.ErrCanceled, relocErr)

@@ -62,11 +62,9 @@ type classifyRequest struct {
 }
 
 type classifyResponse struct {
-	Cluster       int       `json:"cluster"`
-	Assign        []int     `json:"assign"`
-	Sims          []float64 `json:"sims"`
-	PrunedRows    int64     `json:"pruned_rows"`
-	ScratchReuses int64     `json:"scratch_reuses"`
+	Cluster int       `json:"cluster"`
+	Assign  []int     `json:"assign"`
+	Sims    []float64 `json:"sims"`
 }
 
 type clusterResponse struct {
@@ -139,10 +137,7 @@ func (h *handler) classify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, classifyResponse{
-		Cluster: res.Cluster, Assign: res.Assign, Sims: res.Sims,
-		PrunedRows: res.PrunedRows, ScratchReuses: res.ScratchReuses,
-	})
+	writeJSON(w, http.StatusOK, classifyResponse{Cluster: res.Cluster, Assign: res.Assign, Sims: res.Sims})
 }
 
 func (h *handler) queryCluster(w http.ResponseWriter, r *http.Request) {

@@ -6,8 +6,8 @@
 // through a reopened txn.Builder (shared interning tables), folds the
 // document into the ttf.itf accumulator, weights the unseen items with the
 // frozen-itf online pass (weighting.Accumulator.WeighNew) and assigns the
-// new transactions to the current representatives with the branch-and-bound
-// relocation kernel. RemoveDocument tombstones a document. Classify is the
+// new transactions to the current representatives with one posting-list
+// sweep each. RemoveDocument tombstones a document. Classify is the
 // read-only probe: it scores a document against the current representatives
 // without changing any clustering state.
 //
@@ -70,17 +70,13 @@ type Config struct {
 	// maintenance round refreshes the representatives
 	// (0 = DefaultDriftThreshold; negative = refresh on any drift at all).
 	DriftThreshold float64
-	// IndexReps selects the inverted representative index for every
-	// assignment scan the service runs — refreshes, online adds, classify
-	// probes and maintenance re-relocations (default RepIndexAuto = on).
-	// Each refresh prebuilds the index once against the new representative
-	// set; assignments are byte-identical in every mode.
+	// IndexReps selects the engine of everything the service computes —
+	// refreshes, online adds, classify probes and maintenance re-relocations:
+	// the fast one (default RepIndexAuto; each refresh prebuilds the
+	// representative index once against the new representative set) or, with
+	// RepIndexOff, the dense reference kernel throughout. Assignments and
+	// representatives are byte-identical.
 	IndexReps xmlclust.RepIndexMode
-	// DeltaRounds selects the cross-round delta engine for every refresh run
-	// (default DeltaRoundsAuto = on): late refresh rounds reuse memoized
-	// representatives and skip provably settled documents. Assignments and
-	// representatives are byte-identical in every mode.
-	DeltaRounds xmlclust.DeltaRoundsMode
 	// Events, when non-nil, receives the clustering progress events of every
 	// refresh run (see xmlclust.ClusterOptions.Events).
 	Events func(xmlclust.Event)
@@ -130,10 +126,6 @@ type Stats struct {
 	Refreshes         int `json:"refreshes"`
 	MaintenanceRounds int `json:"maintenance_rounds"`
 	Reassigned        int `json:"reassigned"`
-	// PrunedRows / ScratchReuses total the similarity-kernel counters over
-	// every request and maintenance round (see xmlclust.Result).
-	PrunedRows    int64 `json:"pruned_rows"`
-	ScratchReuses int64 `json:"scratch_reuses"`
 	// IndexEntries / IndexedReps describe the current prebuilt
 	// representative index (postings keys and covered representatives; both
 	// zero when the index is off or no refresh has run).
@@ -144,7 +136,7 @@ type Stats struct {
 	IndexedReps     int   `json:"indexed_reps"`
 	IndexCandidates int64 `json:"index_candidates"`
 	IndexSkipped    int64 `json:"index_skipped"`
-	// RepsReused / DocsSkipped / DeltaRepBytes total the delta-round counters
+	// RepsReused / DocsSkipped / DeltaRepBytes total the round-engine counters
 	// over every refresh run: representatives reused verbatim from the
 	// cross-round memo, documents of relocation passes answered by the
 	// previous pass without scoring, and modeled wire bytes saved by
@@ -167,8 +159,6 @@ type RoundStats struct {
 	// case RefreshRounds is the clustering round count of the refresh run.
 	Refreshed       bool  `json:"refreshed"`
 	RefreshRounds   int   `json:"refresh_rounds"`
-	PrunedRows      int64 `json:"pruned_rows"`
-	ScratchReuses   int64 `json:"scratch_reuses"`
 	IndexCandidates int64 `json:"index_candidates"`
 	IndexSkipped    int64 `json:"index_skipped"`
 }
@@ -223,8 +213,6 @@ type Service struct {
 	refreshes  int
 	rounds     int
 	reassigned int
-	pruned     int64
-	reuses     int64
 	idxCand    int64
 	idxSkip    int64
 	repsReused int64
@@ -250,7 +238,7 @@ func (cfg Config) clusterOptions() xmlclust.ClusterOptions {
 	return xmlclust.ClusterOptions{
 		K: cfg.K, F: cfg.F, Gamma: cfg.Gamma,
 		Seed: cfg.Seed, Workers: cfg.Workers, MaxRounds: cfg.MaxRounds,
-		IndexReps: cfg.IndexReps, DeltaRounds: cfg.DeltaRounds, Events: cfg.Events,
+		IndexReps: cfg.IndexReps, Events: cfg.Events,
 	}
 }
 
@@ -324,8 +312,6 @@ func (s *Service) AddDocument(ctx context.Context, name string, xmlData []byte, 
 		return s.docInfoLocked(id), err
 	}
 	sn.assign = append(sn.assign, res.Assign...)
-	s.pruned += res.PrunedRows
-	s.reuses += res.ScratchReuses
 	s.idxCand += res.IndexCandidates
 	s.idxSkip += res.IndexSkipped
 	return s.docInfoLocked(id), nil
@@ -377,8 +363,6 @@ func (s *Service) Classify(ctx context.Context, xmlData []byte) (*xmlclust.Class
 	if err != nil {
 		return nil, err
 	}
-	s.pruned += res.PrunedRows
-	s.reuses += res.ScratchReuses
 	s.idxCand += res.IndexCandidates
 	s.idxSkip += res.IndexSkipped
 	return res, nil
@@ -454,7 +438,6 @@ func (s *Service) Stats() Stats {
 		LiveTxns: s.snap.liveTxns, DirtyDocs: len(s.dirty), DirtyTxns: s.dirtyTxns,
 		Drift:     s.driftLocked(),
 		Refreshes: s.refreshes, MaintenanceRounds: s.rounds, Reassigned: s.reassigned,
-		PrunedRows: s.pruned, ScratchReuses: s.reuses,
 		IndexEntries: s.snap.idx.Entries(), IndexedReps: s.snap.idx.Reps(),
 		IndexCandidates: s.idxCand, IndexSkipped: s.idxSkip,
 		RepsReused: s.repsReused, DocsSkipped: s.docsSkip, DeltaRepBytes: s.deltaBytes,
@@ -534,8 +517,6 @@ func (s *Service) MaintenanceRound(ctx context.Context) (RoundStats, error) {
 				rs.Reassigned++
 			}
 		}
-		rs.PrunedRows += res.PrunedRows
-		rs.ScratchReuses += res.ScratchReuses
 		rs.IndexCandidates += res.IndexCandidates
 		rs.IndexSkipped += res.IndexSkipped
 		delete(s.dirty, id)
@@ -559,8 +540,6 @@ func (s *Service) MaintenanceRound(ctx context.Context) (RoundStats, error) {
 	}
 	s.rounds++
 	s.reassigned += rs.Reassigned
-	s.pruned += rs.PrunedRows
-	s.reuses += rs.ScratchReuses
 	s.idxCand += rs.IndexCandidates
 	s.idxSkip += rs.IndexSkipped
 	return rs, nil
@@ -619,8 +598,6 @@ func (s *Service) refreshLocked(ctx context.Context) (int, error) {
 			return 0, err
 		}
 		assign, reps, rounds = res.Assign, res.Reps, res.Rounds
-		s.pruned += res.PrunedRows
-		s.reuses += res.ScratchReuses
 		s.idxCand += res.IndexCandidates
 		s.idxSkip += res.IndexSkipped
 		s.repsReused += res.RepsReused

@@ -78,11 +78,10 @@ func TestColumnarMatchesFallback(t *testing.T) {
 	}
 }
 
-// TestSetVectorInvalidatesWarmScratch: the scratch memo snapshots resolved
-// vector headers by value, so an in-place SetVector between two calls on
-// the same pair must not be served from the stale memo — the version
-// counter has to force a re-resolve, and the warm result must match a
-// fresh-scratch evaluation exactly.
+// TestSetVectorInvalidatesWarmScratch: the kernel carries nothing from call
+// to call — resolved vector headers are value copies, so an in-place
+// SetVector between two calls on the same pair and the same scratch must
+// show in the second, which has to match a fresh-scratch evaluation exactly.
 func TestSetVectorInvalidatesWarmScratch(t *testing.T) {
 	cx, corpus := buildCtx(t, 0.5, 0.6)
 	trs := corpus.Transactions
@@ -98,7 +97,7 @@ func TestSetVectorInvalidatesWarmScratch(t *testing.T) {
 	warm := cx.Transactions(tr1, tr2, sc)
 	fresh := cx.Transactions(tr1, tr2, NewScratch())
 	if warm != fresh {
-		t.Fatalf("warm scratch served a stale vector memo: warm %v, fresh %v (pre-mutation %v)",
+		t.Fatalf("warm scratch served stale vectors: warm %v, fresh %v (pre-mutation %v)",
 			warm, fresh, before)
 	}
 }

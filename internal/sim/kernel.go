@@ -9,21 +9,21 @@ import (
 	"xmlclust/internal/xmltree"
 )
 
-// This file is the dense transaction-similarity kernel: the allocation-free
-// n1×n2 inner loop behind Eq. 4 — the public Transactions API, the SSE
-// stopping rules, and the flat path of relocation and of the refinement
-// objective (their fast path is posting-list scoring, repindex.go, which is
-// pinned against this kernel bit for bit). The kernel computes the γ-matching marks of a
-// transaction pair in one row-major pass over the item-similarity matrix and
-// exposes three readings of them:
+// This file is the dense transaction-similarity kernel, the reference
+// implementation of Eq. 4: the public Transactions API, what posting-list
+// scoring (repindex.go) is pinned against bit for bit, and what relocation
+// and the refinement objective run where the sweep cannot (γ ≤ 0, semantic Δ,
+// a stale index) or must not (a reference run). It computes the γ-matching
+// marks of a transaction pair in one row-major pass over the full
+// item-similarity matrix — every row, every call, nothing carried from one
+// call to the next — and exposes three readings of them:
 //
-//   - MatchCount: |matchγ| — all the assignment path ever needs;
-//   - TransactionsAtLeast: simγJ with exact branch-and-bound row pruning
-//     against a caller-supplied threshold;
-//   - MatchSet: the materialized id set, for the few callers (representative
-//     conflation, tests) that genuinely need set membership.
+//   - MatchCount: |matchγ|;
+//   - Transactions: simγJ = |matchγ| / |tr1 ∪ tr2|;
+//   - MatchSet: the materialized id set, the readable specification of the
+//     match semantics.
 //
-// The inner loop is columnar: a transaction pair is resolved once into flat
+// The pass is columnar: a transaction pair is resolved per call into flat
 // per-position arrays — item ids straight from the sorted Items slices, tag
 // paths from the corpus's columnar arena (txn.Columnar) when the
 // transaction carries a span, TCU vector headers bulk-copied from the item
@@ -32,8 +32,8 @@ import (
 // pointer-based layout survives only in the SeedTransactions oracle this
 // kernel is benchmarked and equivalence-tested against.
 //
-// Tie rule (shared by all three readings): an item e ∈ tr_i belongs to
-// matchγ(tr_i→tr_j) iff some e_h ∈ tr_j has sim(e, e_h) ≥ γ and no other
+// Tie rule (shared by all three readings and by the sweep): an item e ∈ tr_i
+// belongs to matchγ(tr_i→tr_j) iff some e_h ∈ tr_j has sim(e, e_h) ≥ γ and no other
 // item of tr_i matches that e_h strictly better — ties all qualify, i.e.
 // every item whose similarity equals the per-row/per-column maximum is
 // marked, not just the first one found. The count-only path reproduces the
@@ -64,37 +64,19 @@ type Scratch struct {
 	// transaction has no columnar span and they must be resolved from the
 	// item table (span transactions read the arena block directly, zero
 	// copies). tp1/tp2 and tpIdx1/tpIdx2 are the deduplicated view either
-	// way: each side's distinct tag paths (tp1[:nd1], tp2[:nd2]) with
-	// per-position slot indices, plus the d1×d2 structural similarity
-	// matrix filled lazily one d1-row at a time (structDone tracks filled
-	// rows). Tree-tuple items share tag paths heavily (every author of an
-	// article, say), so one Eq. 3 probe per distinct tag-path pair replaces
-	// one per item pair — same float64 values, an order of magnitude fewer
-	// sharded-cache probes on same-schema corpora.
+	// way: each side's distinct tag paths with per-position slot indices,
+	// plus the d1×d2 structural similarity matrix. Tree-tuple items share
+	// tag paths heavily (every author of an article, say), so one Eq. 3
+	// probe per distinct tag-path pair replaces one per item pair — same
+	// float64 values, an order of magnitude fewer probes on same-schema
+	// corpora.
 	tpRaw1, tpRaw2 []xmltree.PathID
 	tp1, tp2       []xmltree.PathID
 	tpIdx1, tpIdx2 []int32
-	nd1, nd2       int
 	structM        []float64
-	structDone     []uint64
 
 	// memo is the scratch-local layer over the shared PathCache (structMemo).
 	memo structMemo
-
-	// lastTab/lastVecVer/lastTr1/lastTr2 memoize the column resolution of
-	// the previous call: transactions are immutable after construction and
-	// the interning table is append-only, so when the same side recurs —
-	// tr1 is fixed across a Relocate argmax scan, the candidate
-	// representative is fixed across a refinement-objective pass — the
-	// resolved columns are reused without touching the table lock. The
-	// vector headers are value copies, so unlike the old pointer memo they
-	// would NOT see an in-place SetVector; lastVecVer pins the table's
-	// vector version at resolution time and any weighting pass since then
-	// forces a re-resolve. Holding the *Transaction references also keeps
-	// the memo keys from being reused by the allocator.
-	lastTab          *txn.ItemTable
-	lastVecVer       uint64
-	lastTr1, lastTr2 *txn.Transaction
 
 	query RepQuery
 }
@@ -170,39 +152,31 @@ func setBit(b []uint64, i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 
 func hasBit(b []uint64, i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// grow returns b with length n, reallocating only when capacity is short, in
-// which case *warm (when non-nil) is cleared. Contents are unspecified:
-// callers overwrite every element they read.
-func grow[T any](b []T, n int, warm *bool) []T {
+// grow returns b with length n, reallocating only when capacity is short.
+// Contents are unspecified: callers overwrite every element they read.
+func grow[T any](b []T, n int) []T {
 	if cap(b) >= n {
 		return b[:n]
-	}
-	if warm != nil {
-		*warm = false
 	}
 	return make([]T, n)
 }
 
 // ensure sizes every buffer for an n1×n2 pair, growing only when capacity
-// is insufficient, and reports whether the call reused a fully warm scratch
-// (no buffer grew).
-func (sc *Scratch) ensure(n1, n2 int) bool {
-	warm := true
-	sc.vecs1 = grow(sc.vecs1, n1, &warm)
-	sc.vecs2 = grow(sc.vecs2, n2, &warm)
-	sc.simM = grow(sc.simM, n1*n2, &warm)
-	sc.colBest = grow(sc.colBest, n2, &warm)
-	sc.mark1 = grow(sc.mark1, words(n1), &warm)
-	sc.mark2 = grow(sc.mark2, words(n2), &warm)
-	sc.tpRaw1 = grow(sc.tpRaw1, n1, &warm)
-	sc.tpRaw2 = grow(sc.tpRaw2, n2, &warm)
-	sc.tp1 = grow(sc.tp1, n1, &warm)
-	sc.tp2 = grow(sc.tp2, n2, &warm)
-	sc.tpIdx1 = grow(sc.tpIdx1, n1, &warm)
-	sc.tpIdx2 = grow(sc.tpIdx2, n2, &warm)
-	sc.structM = grow(sc.structM, n1*n2, &warm)
-	sc.structDone = grow(sc.structDone, words(n1), &warm)
-	return warm
+// is insufficient.
+func (sc *Scratch) ensure(n1, n2 int) {
+	sc.vecs1 = grow(sc.vecs1, n1)
+	sc.vecs2 = grow(sc.vecs2, n2)
+	sc.simM = grow(sc.simM, n1*n2)
+	sc.colBest = grow(sc.colBest, n2)
+	sc.mark1 = grow(sc.mark1, words(n1))
+	sc.mark2 = grow(sc.mark2, words(n2))
+	sc.tpRaw1 = grow(sc.tpRaw1, n1)
+	sc.tpRaw2 = grow(sc.tpRaw2, n2)
+	sc.tp1 = grow(sc.tp1, n1)
+	sc.tp2 = grow(sc.tp2, n2)
+	sc.tpIdx1 = grow(sc.tpIdx1, n1)
+	sc.tpIdx2 = grow(sc.tpIdx2, n2)
+	sc.structM = grow(sc.structM, n1*n2)
 }
 
 // structMemo is a goroutine-local, lock-free, L1-resident memo of Eq. 3
@@ -225,23 +199,21 @@ type structMemo struct {
 // ≈ 64 KiB).
 const structCacheSize = 1 << 12
 
-// bind readies the memo for cx and reports whether it had to allocate.
-// Contexts with UseCache off (the path-cache ablation) bypass the memo — it
-// is a cache of a cache, and the ablation's uncached arm must keep measuring
-// real alignment work — so nothing is readied for them.
-func (m *structMemo) bind(cx *Context) (grew bool) {
+// bind readies the memo for cx. Contexts with UseCache off (the path-cache
+// ablation) bypass the memo — it is a cache of a cache, and the ablation's
+// uncached arm must keep measuring real alignment work — so nothing is
+// readied for them.
+func (m *structMemo) bind(cx *Context) {
 	if !cx.UseCache {
-		return false
+		return
 	}
 	if m.key == nil {
 		m.key = make([]uint64, structCacheSize)
 		m.val = make([]float64, structCacheSize)
-		grew = true
 	} else if m.cx != cx {
 		clear(m.key)
 	}
 	m.cx = cx
-	return grew
 }
 
 // sim returns the Eq. 3 similarity of two interned tag paths through the
@@ -312,117 +284,54 @@ func (cx *Context) resolveSide(tr *txn.Transaction, vecs []vector.Sparse, tpRaw,
 }
 
 // matchKernel computes the γ-matching marks of (tr1, tr2) into sc and
-// returns |matchγ| plus whether the pass ran to completion.
-//
-// When threshold ≥ 0 (and u > 0), the pass is branch-and-bound over the
-// rows of tr1: before computing row i it checks the exact upper bound
-//
-//	UB(i) = qualRows(i) + (n1 − i) + n2
-//
-// where qualRows(i) counts processed rows whose best similarity reached γ.
-// The bound is sound without any assumption on the unseen similarities:
-// a tr1 item can only be marked if its row maximum reaches γ (so marked
-// processed rows ≤ qualRows(i), and each unprocessed row adds at most
-// itself), while a single unprocessed row can — through exact similarity
-// ties, which all qualify — mark arbitrarily many tr2 columns, so the
-// column side admits no bound tighter than n2 until the last row is done.
-// (The tie cases are precisely why the folklore "2 new marks per remaining
-// row" bound is unsound; this kernel never trades exactness for pruning.)
-// As soon as UB(i)/u ≤ threshold even a perfect remainder cannot beat the
-// threshold, the remaining rows are skipped and Counters.PrunedRows grows
-// by the rows saved. Integer count and same-divisor IEEE division make the
-// bailout decision exact: the true similarity can never exceed the bound's
-// quotient, so callers comparing with a strict > observe byte-identical
-// decisions with pruning on or off.
-func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch, threshold float64, u int) (int, bool) {
+// returns |matchγ|.
+func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch) int {
 	n1, n2 := tr1.Len(), tr2.Len()
 	if n1 == 0 || n2 == 0 {
-		return 0, true
+		return 0
 	}
-	f := cx.Params.F
-	// The resolution memo is current only if the table is the same one AND
-	// no SetVector ran since the columns were copied (the headers are value
-	// copies; a weighting pass rewrites vectors in place and must not be
-	// served stale — see lastVecVer).
-	vecVer := cx.Items.VecVersion()
-	sameCols := sc.lastTab == cx.Items && sc.lastVecVer == vecVer
-	keep1 := sameCols && sc.lastTr1 == tr1
-	keep2 := sameCols && sc.lastTr2 == tr2
-	reused := sc.ensure(n1, n2)
-	if f > 0 && sc.memo.bind(cx) {
-		reused = false
+	f, gamma := cx.Params.F, cx.Params.Gamma
+	sc.ensure(n1, n2)
+	nd1 := cx.resolveSide(tr1, sc.vecs1, sc.tpRaw1, sc.tp1, sc.tpIdx1)
+	nd2 := cx.resolveSide(tr2, sc.vecs2, sc.tpRaw2, sc.tp2, sc.tpIdx2)
+	if f > 0 {
+		// One Eq. 3 probe per distinct (tr1, tr2) tag-path pair:
+		// structM[d1*nd2+d2] is exactly the Eq. 3 term of every position pair
+		// whose tag paths sit in slots (d1, d2).
+		sc.memo.bind(cx)
+		for d1 := 0; d1 < nd1; d1++ {
+			for d2 := 0; d2 < nd2; d2++ {
+				sc.structM[d1*nd2+d2] = sc.memo.sim(cx, sc.tp1[d1], sc.tp2[d2])
+			}
+		}
 	}
-	if reused {
-		cx.Counters.ScratchReuses.Add(1)
-	}
-	if !keep1 {
-		sc.nd1 = cx.resolveSide(tr1, sc.vecs1, sc.tpRaw1, sc.tp1, sc.tpIdx1)
-	}
-	if !keep2 {
-		sc.nd2 = cx.resolveSide(tr2, sc.vecs2, sc.tpRaw2, sc.tp2, sc.tpIdx2)
-	}
-	sc.lastTab, sc.lastVecVer, sc.lastTr1, sc.lastTr2 = cx.Items, vecVer, tr1, tr2
 	colBest := sc.colBest
 	for j := range colBest {
 		colBest[j] = -1
 	}
 	mark1, mark2 := sc.mark1, sc.mark2
-	for i := range mark1 {
-		mark1[i] = 0
-	}
-	for j := range mark2 {
-		mark2[j] = 0
-	}
+	clear(mark1)
+	clear(mark2)
 
-	gamma := cx.Params.Gamma
-	prune := threshold >= 0 && u > 0
-	if f > 0 {
-		for d := range sc.structDone[:words(sc.nd1)] {
-			sc.structDone[d] = 0
-		}
-	}
 	ids1, ids2 := tr1.Items, tr2.Items
 	vecs2 := sc.vecs2
-	qualRows := 0
 	for i := 0; i < n1; i++ {
-		if prune && float64(qualRows+(n1-i)+n2)/float64(u) <= threshold {
-			cx.Counters.PrunedRows.Add(int64(n1 - i))
-			cx.Counters.ItemSims.Add(int64(i) * int64(n2))
-			return 0, false
-		}
-		var structRow []float64
+		structRow := sc.structM[:nd2] // unread at f == 0
 		if f > 0 {
-			// One Eq. 3 probe per distinct (tr1, tr2) tag-path pair: the d1
-			// structural row is filled on the first item row that needs it
-			// and reused by every later row sharing the tag path.
-			// structRow[d] is exactly the Eq. 3 term of every position pair
-			// whose tag paths sit in slots (d1, d).
 			d1 := int(sc.tpIdx1[i])
-			structRow = sc.structM[d1*sc.nd2 : d1*sc.nd2+sc.nd2]
-			if !hasBit(sc.structDone, d1) {
-				tpa := sc.tp1[d1]
-				for d := 0; d < sc.nd2; d++ {
-					structRow[d] = sc.memo.sim(cx, tpa, sc.tp2[d])
-				}
-				setBit(sc.structDone, d1)
-			}
-		} else {
-			structRow = sc.structM[:sc.nd2] // unread at f == 0
+			structRow = sc.structM[d1*nd2 : d1*nd2+nd2]
 		}
 		row := sc.simM[i*n2 : (i+1)*n2]
 		rowBest := -1.0
 		va := sc.vecs1[i]
-		// The tight loop: contiguous reads only — the tag-path slot column,
-		// the resolved vector headers and the similarity row — and no shared
-		// state. The arithmetic replicates Item (Eq. 1) operation for
-		// operation, so evaluated values are bit-identical to direct Item
-		// calls. The content cosine is skipped when even a perfect one
-		// leaves the pair below γ: cosines are clamped to [0,1] and IEEE
-		// multiplication and addition are monotone, so s + (1−f) bounds the
-		// full value from above in floating point, not just in the reals.
-		// Only values ≥ γ ever set a mark or count a qualifying row, and a
-		// skipped pair stores its partial value, itself < γ — so marks,
-		// counts and row pruning are unchanged.
+		// The arithmetic replicates Item (Eq. 1) operation for operation, so
+		// evaluated values are bit-identical to direct Item calls. The content
+		// cosine is skipped when even a perfect one leaves the pair below γ:
+		// cosines are clamped to [0,1] and IEEE multiplication and addition
+		// are monotone, so s + (1−f) bounds the full value from above in
+		// floating point, not just in the reals. Only values ≥ γ ever set a
+		// mark, and a skipped pair stores its partial value, itself < γ — so
+		// the marks are unchanged.
 		for j := range row {
 			s := 0.0
 			if f > 0 {
@@ -443,7 +352,6 @@ func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch, threshold
 		// rowBest is final once the row is filled, so the marks are set here,
 		// ties all qualifying.
 		if rowBest >= gamma {
-			qualRows++
 			for j, s := range row {
 				if s == rowBest {
 					setBit(mark2, j)
@@ -451,9 +359,8 @@ func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch, threshold
 			}
 		}
 	}
-	// One counter add per evaluation (here and at the bail-out above), not
-	// per pair or per row: the total is the pairs of the rows processed, and
-	// the shared cache line stays out of the loop.
+	// One counter add per evaluation, not per pair or per row: the shared
+	// cache line stays out of the loop.
 	cx.Counters.ItemSims.Add(int64(n1) * int64(n2))
 	// Direction tr1 → tr2: for each tr2 item (column j), the best matchers
 	// from tr1 — every row tying the column maximum qualifies.
@@ -495,7 +402,7 @@ func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch, threshold
 			j++
 		}
 	}
-	return count, true
+	return count
 }
 
 // MatchCount returns |matchγ(tr1, tr2)| — exactly len(MatchSet(tr1, tr2)) —
@@ -503,7 +410,7 @@ func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch, threshold
 // pass a per-goroutine Scratch on hot paths to stay allocation-free.
 func (cx *Context) MatchCount(tr1, tr2 *txn.Transaction, sc *Scratch) int {
 	sc, pooled := getScratch(sc)
-	n, _ := cx.matchKernel(tr1, tr2, sc, -1, 0)
+	n := cx.matchKernel(tr1, tr2, sc)
 	putScratch(sc, pooled)
 	return n
 }
@@ -511,10 +418,9 @@ func (cx *Context) MatchCount(tr1, tr2 *txn.Transaction, sc *Scratch) int {
 // MatchSet computes matchγ(tr1, tr2) = matchγ(tr1→tr2) ∪ matchγ(tr2→tr1):
 // the set of γ-shared items (see the kernel comment for the tie rule). It
 // is a thin materializing wrapper over the count kernel. No production
-// path needs the set anymore — the assignment and objective paths use
-// MatchCount / TransactionsAtLeast — but it stays exported as the
-// readable specification of the match semantics and the oracle the
-// equivalence tests pin the count-only kernel against.
+// path needs the set — it stays exported as the readable specification of
+// the match semantics and the oracle the equivalence tests pin the
+// count-only kernel against.
 func (cx *Context) MatchSet(tr1, tr2 *txn.Transaction) map[txn.ItemID]struct{} {
 	n1, n2 := tr1.Len(), tr2.Len()
 	shared := make(map[txn.ItemID]struct{}, n1+n2)
@@ -522,7 +428,7 @@ func (cx *Context) MatchSet(tr1, tr2 *txn.Transaction) map[txn.ItemID]struct{} {
 		return shared
 	}
 	sc, pooled := getScratch(nil)
-	cx.matchKernel(tr1, tr2, sc, -1, 0)
+	cx.matchKernel(tr1, tr2, sc)
 	for i := 0; i < n1; i++ {
 		if hasBit(sc.mark1, i) {
 			shared[tr1.Items[i]] = struct{}{}
@@ -547,35 +453,5 @@ func (cx *Context) Transactions(tr1, tr2 *txn.Transaction, sc *Scratch) float64 
 	if u == 0 {
 		return 0
 	}
-	sc, pooled := getScratch(sc)
-	n, _ := cx.matchKernel(tr1, tr2, sc, -1, u)
-	putScratch(sc, pooled)
-	return float64(n) / float64(u)
-}
-
-// TransactionsAtLeast is Transactions with exact branch-and-bound pruning:
-// it returns simγJ(tr1, tr2) whenever that value can exceed threshold, and
-// bails out early — returning threshold itself — as soon as the running
-// upper bound proves even a perfect remainder cannot beat it. Callers that
-// keep a running maximum and compare with a strict `>` (Relocate's argmax
-// over representatives) therefore make byte-identical decisions with
-// pruning on or off; ties keep resolving to the earlier candidate either
-// way. A negative threshold disables pruning, making the call exactly
-// equivalent to Transactions.
-//
-// The skipped work is counted in Counters.PrunedRows (tr1 rows whose item
-// similarities were never evaluated).
-func (cx *Context) TransactionsAtLeast(tr1, tr2 *txn.Transaction, threshold float64, sc *Scratch) float64 {
-	cx.Counters.TxnSims.Add(1)
-	u := txn.UnionSize(tr1, tr2)
-	if u == 0 {
-		return 0
-	}
-	sc, pooled := getScratch(sc)
-	n, completed := cx.matchKernel(tr1, tr2, sc, threshold, u)
-	putScratch(sc, pooled)
-	if !completed {
-		return threshold
-	}
-	return float64(n) / float64(u)
+	return float64(cx.MatchCount(tr1, tr2, sc)) / float64(u)
 }

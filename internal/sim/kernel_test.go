@@ -16,8 +16,8 @@ import (
 
 // randomKernelCorpus builds a synthetic corpus straight from the interning
 // tables: nItems items over a deliberately small path and vector vocabulary
-// (so exact similarity ties — the case that makes naive pruning bounds
-// unsound — occur constantly) and nTxns random transactions over them,
+// (so exact similarity ties — where every tied item must be marked — occur
+// constantly) and nTxns random transactions over them,
 // including empty and single-item ones.
 func randomKernelCorpus(rng *rand.Rand, nItems, nTxns int) *txn.Corpus {
 	paths := xmltree.NewPathTable()
@@ -80,8 +80,7 @@ var kernelParamsGrid = func() []Params {
 // TestMatchCountEqualsMatchSet pins the count-only kernel to the
 // materialized set on randomized corpora: MatchCount == len(MatchSet) ==
 // len(referenceMatchSet) for every pair and every params combination, and
-// the three Eq. 4 readings (Transactions, TransactionsAtLeast with a
-// negative threshold, the seed reference) agree bit for bit.
+// Transactions agrees with the seed reference bit for bit.
 func TestMatchCountEqualsMatchSet(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -108,38 +107,6 @@ func TestMatchCountEqualsMatchSet(t *testing.T) {
 					want := SeedTransactions(cx, tr1, tr2)
 					if got := cx.Transactions(tr1, tr2, sc); got != want {
 						t.Fatalf("seed %d params %+v: Transactions = %v, reference %v", seed, p, got, want)
-					}
-					if got := cx.TransactionsAtLeast(tr1, tr2, -1, sc); got != want {
-						t.Fatalf("seed %d params %+v: TransactionsAtLeast(-1) = %v, reference %v",
-							seed, p, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestTransactionsAtLeastExactDecisions verifies the branch-and-bound
-// contract on random thresholds: whenever the true similarity exceeds the
-// threshold the pruned call must return it exactly, and whenever it bails
-// the returned value must not beat the threshold under a strict >
-// comparison — the two cases an argmax caller distinguishes.
-func TestTransactionsAtLeastExactDecisions(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	corpus := randomKernelCorpus(rng, 50, 16)
-	for _, p := range kernelParamsGrid {
-		cx := NewContext(corpus, p)
-		sc := NewScratch()
-		for _, tr1 := range corpus.Transactions {
-			for _, tr2 := range corpus.Transactions {
-				full := cx.Transactions(tr1, tr2, sc)
-				for _, thr := range []float64{0, rng.Float64(), full, 0.99, 1} {
-					got := cx.TransactionsAtLeast(tr1, tr2, thr, sc)
-					if full > thr && got != full {
-						t.Fatalf("params %+v thr %v: pruned call returned %v, want exact %v", p, thr, got, full)
-					}
-					if full <= thr && got > thr {
-						t.Fatalf("params %+v thr %v: bailed call returned %v > threshold (true %v)", p, thr, got, full)
 					}
 				}
 			}
@@ -188,43 +155,11 @@ func TestGammaBoundSkipBoundary(t *testing.T) {
 	}
 }
 
-// TestPrunedRowsCounterAdvances: a high threshold against a dissimilar pair
-// must actually skip rows, and the skips must be visible in the counter.
-func TestPrunedRowsCounterAdvances(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	corpus := randomKernelCorpus(rng, 60, 20)
-	cx := NewContext(corpus, Params{F: 0.5, Gamma: 0.9})
-	sc := NewScratch()
-	before := cx.Counters.PrunedRows.Load()
-	for _, tr1 := range corpus.Transactions {
-		for _, tr2 := range corpus.Transactions {
-			cx.TransactionsAtLeast(tr1, tr2, 0.97, sc)
-		}
-	}
-	if cx.Counters.PrunedRows.Load() == before {
-		t.Error("PrunedRows never advanced despite a near-1 threshold")
-	}
-}
-
-// TestScratchReusesCounter: the second kernel call on the same scratch and
-// shape must count as a warm reuse.
-func TestScratchReusesCounter(t *testing.T) {
-	cx, corpus := buildCtx(t, 0.5, 0.6)
-	trs := corpus.Transactions
-	sc := NewScratch()
-	cx.Transactions(trs[0], trs[1], sc)
-	before := cx.Counters.ScratchReuses.Load()
-	cx.Transactions(trs[0], trs[1], sc)
-	if cx.Counters.ScratchReuses.Load() != before+1 {
-		t.Error("second call on a warm scratch did not count as a reuse")
-	}
-}
-
 // TestTransactionsZeroAllocWarmScratch is the allocation-regression guard
 // (run standalone in the CI lint job): with a warm caller-owned Scratch and
 // a warm path cache, Transactions must perform exactly zero heap
-// allocations per evaluation. MatchCount and TransactionsAtLeast share the
-// kernel and are pinned too.
+// allocations per evaluation. MatchCount shares the kernel and is pinned
+// too.
 func TestTransactionsZeroAllocWarmScratch(t *testing.T) {
 	cx, corpus := buildCtx(t, 0.5, 0.6)
 	trs := corpus.Transactions
@@ -244,11 +179,6 @@ func TestTransactionsZeroAllocWarmScratch(t *testing.T) {
 		cx.MatchCount(trs[0], trs[1], sc)
 	}); avg != 0 {
 		t.Errorf("MatchCount with warm scratch allocates %.2f/op, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		cx.TransactionsAtLeast(trs[0], trs[1], 0.5, sc)
-	}); avg != 0 {
-		t.Errorf("TransactionsAtLeast with warm scratch allocates %.2f/op, want 0", avg)
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // terms of a set of representatives, and a scorer that turns one sweep of a
 // document's terms into the document's exact Eq. 4 similarity to every
 // representative. It is what relocation and the refinement objective run on;
-// the dense n1×n2 kernel (kernel.go) stays as the flat path, the oracle and
-// the public Transactions API.
+// the dense n1×n2 kernel (kernel.go) is its reference, its fallback and the
+// public Transactions API.
 //
 // # Why a sweep is exact
 //
@@ -194,11 +194,11 @@ func (ix *RepIndex) Build(cx *Context, reps []*txn.Transaction) {
 		}
 	}
 	ix.posOff = append(ix.posOff, int32(n))
-	ix.repOf = grow(ix.repOf, n, nil)
-	ix.vecs = grow(ix.vecs, n, nil)
-	ix.norm = grow(ix.norm, n, nil)
-	ix.tpSlot = grow(ix.tpSlot, n, nil)
-	ix.bTps = grow(ix.bTps, n, nil)
+	ix.repOf = grow(ix.repOf, n)
+	ix.vecs = grow(ix.vecs, n)
+	ix.norm = grow(ix.norm, n)
+	ix.tpSlot = grow(ix.tpSlot, n)
+	ix.bTps = grow(ix.bTps, n)
 	for j, rep := range reps {
 		a, b := ix.posOff[j], ix.posOff[j+1]
 		if a == b {
@@ -243,10 +243,10 @@ func (ix *RepIndex) Build(cx *Context, reps []*txn.Transaction) {
 	}
 	ix.tpOff = append(ix.tpOff, 0)
 	ix.postOff = append(ix.postOff, 0)
-	ix.tpPos = grow(ix.tpPos, int(exclusiveSums(ix.tpOff)), nil)
+	ix.tpPos = grow(ix.tpPos, int(exclusiveSums(ix.tpOff)))
 	nPost := int(exclusiveSums(ix.postOff))
-	ix.postPos = grow(ix.postPos, nPost, nil)
-	ix.postW = grow(ix.postW, nPost, nil)
+	ix.postPos = grow(ix.postPos, nPost)
+	ix.postW = grow(ix.postW, nPost)
 	for p := 0; p < n; p++ {
 		q := ix.tpSlot[p]
 		ix.tpPos[ix.tpOff[q]] = int32(p)
@@ -404,9 +404,9 @@ func (ix *RepIndex) Candidates(tr *txn.Transaction, rq *RepQuery) int {
 
 	// Resolve the document side as the kernel does: columnar span when
 	// available, table fallback otherwise.
-	rq.vecs = grow(rq.vecs, n1, nil)
-	rq.tps = grow(rq.tps, n1, nil)
-	rq.tpIdx = grow(rq.tpIdx, n1, nil)
+	rq.vecs = grow(rq.vecs, n1)
+	rq.tps = grow(rq.tps, n1)
+	rq.tpIdx = grow(rq.tpIdx, n1)
 	nd := 0
 	if cols, start := tr.ColumnarSpan(); cols != nil {
 		cx.Items.ResolveVectors(tr.Items, rq.vecs)
@@ -414,7 +414,7 @@ func (ix *RepIndex) Candidates(tr *txn.Transaction, rq *RepQuery) int {
 			nd = indexTagPaths(cols.TagPathSpan(start, n1), rq.tps, rq.tpIdx)
 		}
 	} else {
-		rq.tpRaw = grow(rq.tpRaw, n1, nil)
+		rq.tpRaw = grow(rq.tpRaw, n1)
 		cx.Items.ResolveColumns(tr.Items, rq.tpRaw, rq.vecs)
 		if f > 0 {
 			nd = indexTagPaths(rq.tpRaw, rq.tps, rq.tpIdx)

@@ -8,42 +8,37 @@
 //   - the γ-shared-item transaction similarity simγJ (Eq. 4) built on the
 //     enhanced-intersection match sets matchγ.
 //
-// A Context carries the parameters (f, γ) and the collection tables. The
-// implementation is organized as four performance tiers, from coldest to
-// hottest:
+// A Context carries the parameters (f, γ) and the collection tables. Eq. 4 is
+// implemented twice, and each implementation has one job:
 //
-//  1. PathCache — the sharded store of Eq. 3 tag-path pair similarities,
-//     the precomputation Sect. 4.3.2 identifies as the key optimization.
-//     Values depend only on the paths and the Δ function, never on (f, γ),
-//     so one cache serves every parameter combination over a corpus.
-//  2. The match kernel (kernel.go) — the allocation-free, lock-free Eq. 4
-//     inner loop. A per-goroutine Scratch holds the resolved columns,
-//     similarity matrix and match bitsets, grown in place and reused;
-//     Eq. 1 values are recomputed per pair (cheaper than any shared memo
-//     probe) and the content cosine is skipped for pairs that cannot reach
-//     γ; MatchCount produces |matchγ| without materializing a set, and
-//     TransactionsAtLeast adds exact branch-and-bound row pruning for
-//     argmax callers. MatchSet remains as a thin materializing wrapper.
-//  3. The columnar layout (txn.Columnar) — builder-built corpora carry a
-//     struct-of-arrays arena of item ids and tag-path ids with each
-//     transaction as a [start,end) span, so the kernel's n1×n2 pass scans
-//     contiguous int32/float64 slices and never dereferences a *txn.Item;
-//     transactions without a span (synthetic representatives, literal test
-//     corpora) take a table-resolved fallback with identical output.
-//  4. Posting-list scoring (repindex.go) — RepIndex inverts the TCU terms of
-//     a representative set, and one sweep of a document's terms yields its
-//     exact Eq. 4 similarity to every representative: only item pairs that
-//     share a term, or that structure alone carries to γ, are ever looked
-//     at. Relocation and the refinement objective run on it; the dense
-//     kernel of tier 2 is the flat path (index off, γ ≤ 0, semantic Δ), the
-//     oracle and the public Transactions API.
+//   - The sweep (repindex.go) serves. RepIndex inverts the TCU terms of a
+//     representative set, and one sweep of a document's terms over the
+//     posting lists yields its exact Eq. 4 similarity to every
+//     representative: only item pairs that share a term, or that structure
+//     alone carries to γ, are ever looked at. Every production relocation,
+//     refinement objective and classification runs on it.
+//   - The dense kernel (kernel.go) specifies. It fills the whole n1×n2 item
+//     similarity matrix of one transaction pair, row by row, and reads the
+//     marks off it: the public Transactions API, the reference the sweep is
+//     pinned against bit for bit, and the fallback where the sweep cannot run
+//     (γ ≤ 0, a semantic Δ, an index whose weights went stale). It carries no
+//     state from call to call and skips no row; SeedTransactions (seed.go) is
+//     the frozen pointer-based oracle behind both.
 //
-// None of the tiers ever changes a result: the cache stores pure functions
-// of its keys, the kernel's count and pruning decisions are exact, the
-// columnar columns are derived copies of the item table, and the sweep
-// reproduces the kernel's arithmetic operation for operation (equivalence-
-// and allocation-guarded in kernel_test.go, repindex_test.go and CI, with
-// SeedTransactions in seed.go as the frozen pointer-based oracle).
+// Underneath both sit PathCache — the sharded store of Eq. 3 tag-path pair
+// similarities, the precomputation Sect. 4.3.2 identifies as the key
+// optimization; values depend only on the paths and Δ, never on (f, γ), so
+// one cache serves every parameter combination over a corpus — with a
+// direct-mapped per-goroutine probe in front of it (structMemo), and the
+// columnar layout (txn.Columnar): builder-built corpora carry a
+// struct-of-arrays arena of item ids and tag-path ids, so both engines
+// resolve a document into contiguous slices and never dereference a
+// *txn.Item; transactions without a span (synthetic representatives, literal
+// test corpora) take a table-resolved fallback with identical output.
+//
+// Neither engine, nor anything under them, ever changes a result
+// (equivalence- and allocation-guarded in kernel_test.go, repindex_test.go,
+// internal/cluster's TestRoundsTierMatrix and CI).
 package sim
 
 import (
@@ -69,26 +64,16 @@ type Params struct {
 // complexity experiments. All fields are updated atomically.
 type Counters struct {
 	// ItemSims counts the Eq. 1 values looked at: calls to Item, every item
-	// pair in a kernel row that was processed (not pruned), and every item
-	// pair a RepIndex sweep touched. It is not the number of cosines
-	// evaluated — both skip the content cosine of pairs that provably cannot
-	// reach γ.
+	// pair of a kernel pass, and every item pair a RepIndex sweep touched. It
+	// is not the number of cosines evaluated — both skip the content cosine
+	// of pairs that provably cannot reach γ.
 	ItemSims atomic.Int64
 	PathSims atomic.Int64 // structural path alignments actually computed
-	// TxnSims counts Eq. 4 values produced: calls to Transactions and
-	// TransactionsAtLeast, plus the representatives a RepIndex query scored
-	// above zero.
+	// TxnSims counts Eq. 4 values produced: calls to Transactions, plus the
+	// representatives a RepIndex query scored above zero.
 	TxnSims     atomic.Int64
 	CacheHits   atomic.Int64 // path-pair cache hits
 	CacheMisses atomic.Int64
-	// PrunedRows counts tr1 rows (one row = up to |tr2| Eq. 1 evaluations)
-	// skipped by TransactionsAtLeast's branch-and-bound bound — the work the
-	// flat relocation scan avoided without changing any result. Posting-list
-	// scoring has no rows to prune and never moves it.
-	PrunedRows atomic.Int64
-	// ScratchReuses counts kernel invocations that ran on a fully warm
-	// Scratch (no buffer had to grow) — the zero-allocation steady state.
-	ScratchReuses atomic.Int64
 	// ColumnarResolves counts kernel side resolutions that read tag paths
 	// straight from a corpus's columnar arena span instead of resolving
 	// per-position through the item table — the observable proof that the
@@ -103,14 +88,13 @@ type Counters struct {
 	IndexCandidates atomic.Int64
 	IndexSkipped    atomic.Int64
 	// RepsReused counts cluster representatives reused verbatim from the
-	// delta-round memo because the cluster's membership (and the context)
+	// round engine's memo because the cluster's membership (and the context)
 	// was unchanged since the representative was last refined — each reuse
 	// skips the full rank + generateTreeTuple objective loop.
 	RepsReused atomic.Int64
 	// DocsSkipped counts the documents of relocation passes that were not
 	// run at all: the representative set equalled that of the previous pass,
-	// so its assignment was returned as is (cluster.Rounds under
-	// Tiers.Delta).
+	// so its assignment was returned as is (cluster.Rounds).
 	DocsSkipped atomic.Int64
 	// DeltaRepBytes counts exchange bytes saved by the delta representative
 	// exchange: for every local representative shipped as an "unchanged"
@@ -124,17 +108,19 @@ type Counters struct {
 // to Snapshot and Sub) reaches every surface. See Counters for the meaning
 // of each field.
 type CounterSnapshot struct {
-	PrunedRows, ScratchReuses              int64
 	IndexCandidates, IndexSkipped          int64
 	RepsReused, DocsSkipped, DeltaRepBytes int64
+
+	// Deprecated: goes with the next benchmark PR. The kernel prunes no rows
+	// any more; the field is always zero and only keeps the frozen bench/
+	// module compiling.
+	PrunedRows int64
 }
 
 // Snapshot reads the reported counters. Each load is atomic; the set is not
 // read as one transaction, which is fine for running totals.
 func (c *Counters) Snapshot() CounterSnapshot {
 	return CounterSnapshot{
-		PrunedRows:      c.PrunedRows.Load(),
-		ScratchReuses:   c.ScratchReuses.Load(),
 		IndexCandidates: c.IndexCandidates.Load(),
 		IndexSkipped:    c.IndexSkipped.Load(),
 		RepsReused:      c.RepsReused.Load(),
@@ -147,8 +133,6 @@ func (c *Counters) Snapshot() CounterSnapshot {
 // snapshots of the same context.
 func (s CounterSnapshot) Sub(before CounterSnapshot) CounterSnapshot {
 	return CounterSnapshot{
-		PrunedRows:      s.PrunedRows - before.PrunedRows,
-		ScratchReuses:   s.ScratchReuses - before.ScratchReuses,
 		IndexCandidates: s.IndexCandidates - before.IndexCandidates,
 		IndexSkipped:    s.IndexSkipped - before.IndexSkipped,
 		RepsReused:      s.RepsReused - before.RepsReused,
@@ -410,5 +394,5 @@ func (cx *Context) Matched(a, b *txn.Item) bool {
 	return cx.Item(a, b) >= cx.Params.Gamma
 }
 
-// MatchSet, MatchCount, Transactions and TransactionsAtLeast — the Eq. 4
-// surface — live in kernel.go with the allocation-free match kernel.
+// MatchSet, MatchCount and Transactions — the Eq. 4 surface — live in
+// kernel.go with the dense match kernel.

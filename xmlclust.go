@@ -57,7 +57,6 @@
 package xmlclust
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -256,47 +255,44 @@ const (
 	PKMeans
 )
 
-// RepIndexMode selects whether documents are scored through the inverted
-// representative index — posting lists over the representatives' TCU terms,
-// swept once per document — in relocation and in the refinement objective.
-// The index never changes a single assignment or representative — its scores
-// are bit-identical to the dense kernel's and ties still resolve to the
-// lowest representative index — so the only observable difference is wall
-// time and the IndexSkipped/IndexCandidates counters.
+// RepIndexMode and DeltaRoundsMode are two names for one switch between the
+// two engines a job can run on. The fast engine (the default) scores
+// documents through posting lists over the representatives' TCU terms, swept
+// once per document, in relocation and in the refinement objective; reuses
+// the memoized representative of every cluster whose membership did not
+// change; answers a relocation pass against unchanged representatives with
+// the previous pass; and (CXK-means) ships unchanged local representatives
+// between peers as digest markers. The reference engine — selected by
+// RepIndexOff or DeltaRoundsOff, either one or both — runs the dense Eq. 4
+// kernel on every (document, representative) pair, recomputes every round
+// from scratch and ships every representative in full. The two produce the
+// same assignments and representatives byte for byte; what differs is wall
+// time, wire bytes and the work counters of Result, all of which read zero on
+// a reference run. Two fields exist because the benchmark sets both by name.
 type RepIndexMode int
 
 const (
-	// RepIndexAuto (the zero value) enables the index; it self-disables
-	// where its premises fail (γ = 0, semantic tag matchers), falling back
-	// to the flat branch-and-bound scan.
+	// RepIndexAuto (the zero value) selects the fast engine; posting-list
+	// scoring steps aside where its premises fail (γ = 0, semantic tag
+	// matchers) and those scans run the dense kernel.
 	RepIndexAuto RepIndexMode = iota
-	// RepIndexOff forces the flat scan over all representatives and the
-	// dense kernel in the refinement objective.
+	// RepIndexOff selects the reference engine.
 	RepIndexOff
 )
 
-// DeltaRoundsMode selects whether runs carry the convergence-aware delta
-// caches across rounds: unchanged cluster memberships reuse their memoized
-// representatives, a relocation pass against the representatives of the
-// previous one returns its assignment, and (CXK-means) unchanged local
-// representatives travel between peers as digest markers instead of full
-// wire transactions.
-// The delta engine never changes a single assignment or representative — the
-// only observable differences are wall time, wire bytes and the
-// RepsReused/DocsSkipped/DeltaRepBytes counters.
+// DeltaRoundsMode: see RepIndexMode.
 type DeltaRoundsMode int
 
 const (
-	// DeltaRoundsAuto (the zero value) enables the delta engine.
+	// DeltaRoundsAuto (the zero value) selects the fast engine.
 	DeltaRoundsAuto DeltaRoundsMode = iota
-	// DeltaRoundsOff recomputes every round from scratch and ships every
-	// representative in full.
+	// DeltaRoundsOff selects the reference engine.
 	DeltaRoundsOff
 )
 
-// tiersOf maps the two public modes onto the round engine's tier selection.
-func tiersOf(index RepIndexMode, delta DeltaRoundsMode) cluster.Tiers {
-	return cluster.Tiers{Index: index != RepIndexOff, Delta: delta != DeltaRoundsOff}
+// fastRun maps the two public mode fields onto the one engine switch.
+func fastRun(index RepIndexMode, delta DeltaRoundsMode) bool {
+	return index != RepIndexOff && delta != DeltaRoundsOff
 }
 
 // ClusterOptions configures a clustering run.
@@ -322,13 +318,10 @@ type ClusterOptions struct {
 	UnequalSplit bool
 	// Seed makes runs reproducible.
 	Seed int64
-	// IndexReps selects the inverted representative index for the
-	// relocation scans (default RepIndexAuto = on). Assignments are
-	// byte-identical in every mode; see RepIndexMode.
-	IndexReps RepIndexMode
-	// DeltaRounds selects the cross-round delta engine (default
-	// DeltaRoundsAuto = on). Assignments and representatives are
-	// byte-identical in every mode; see DeltaRoundsMode.
+	// IndexReps and DeltaRounds select the engine: the zero values run the
+	// fast one, RepIndexOff or DeltaRoundsOff (either) the reference one.
+	// Assignments and representatives are byte-identical; see RepIndexMode.
+	IndexReps   RepIndexMode
 	DeltaRounds DeltaRoundsMode
 	// Algorithm selects CXK-means (default) or the PK-means baseline.
 	Algorithm Algorithm
@@ -349,8 +342,8 @@ type ClusterOptions struct {
 	// PhaseChange and RepsExchanged, plus one run-level Done (Peer == -1)
 	// with the final round count, total traffic and elapsed time. Calls are
 	// serialized — the callback never runs concurrently with itself — but
-	// arrive from the job's goroutines, not the caller's. Enabling events
-	// adds one objective evaluation per peer round.
+	// arrive from the job's goroutines, not the caller's. The objective is a
+	// by-product of relocation, so enabling events costs the callbacks only.
 	Events func(Event)
 }
 
@@ -374,39 +367,18 @@ type Result struct {
 	// K echoes the cluster count.
 	K int
 	// CounterSnapshot holds the job's deltas of the similarity context's
-	// tier counters. PrunedRows counts the match-matrix rows (≈
-	// item-similarity evaluations × representative size) the assignment
-	// path skipped via the kernel's exact branch-and-bound, ScratchReuses
-	// the kernel invocations that ran on a fully warm, zero-allocation
-	// Scratch (flat path only: posting-list scoring moves neither).
-	// IndexCandidates and IndexSkipped count the representatives that
-	// relocation through the index scored above zero versus those that score
-	// exactly zero and were never touched (both zero when IndexReps is
-	// RepIndexOff or the index self-disabled). RepsReused, DocsSkipped and
+	// work counters. IndexCandidates and IndexSkipped count the
+	// representatives that relocation through the index scored above zero
+	// versus those that score exactly zero and were never touched (both zero
+	// where the index stepped aside). RepsReused, DocsSkipped and
 	// DeltaRepBytes count representatives returned verbatim from the
 	// cross-round memo (local and global), documents of relocation passes
 	// answered by the previous pass without scoring, and modeled wire bytes
-	// saved by shipping unchanged-representative digest markers (all zero
-	// when DeltaRounds is DeltaRoundsOff). Jobs of one Sweep that share a
+	// saved by shipping unchanged-representative digest markers. All five
+	// are zero on a reference run. Jobs of one Sweep that share a
 	// (F, Gamma) context and run concurrently may attribute overlap to one
 	// cell, but the totals across cells are exact.
 	sim.CounterSnapshot
-}
-
-// Cluster runs one clustering job on a throwaway Engine and blocks until
-// it completes. The result is byte-identical to Engine.Cluster with the
-// same options and seed.
-//
-// Deprecated: build an Engine with NewEngine and call Engine.Cluster. A
-// shared Engine reuses the similarity caches across runs (sweeps get
-// measurably faster) and takes a context.Context for cancellation; this
-// wrapper rebuilds everything per call and cannot be canceled.
-func Cluster(corpus *Corpus, opts ClusterOptions) (*Result, error) {
-	eng, err := NewEngine(corpus, EngineOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return eng.Cluster(context.Background(), opts)
 }
 
 // DefaultRoundTimeout is the per-round receive deadline distributed peer
@@ -444,16 +416,14 @@ type DistributedOptions struct {
 	UnequalSplit bool
 	// Seed makes the run reproducible (and must match across processes).
 	Seed int64
-	// IndexReps selects the inverted representative index for this peer's
-	// relocation scans (default RepIndexAuto = on). Purely local to the
-	// process — it changes no assignment and no wire message, so peers may
-	// mix modes freely.
-	IndexReps RepIndexMode
-	// DeltaRounds selects the cross-round delta engine (default
-	// DeltaRoundsAuto = on). Unlike IndexReps it changes the wire protocol
-	// (unchanged representatives travel as digest markers), so every process
-	// of a deployment must agree — a mismatch fails fast at startup with a
-	// configuration error instead of computing silently wrong refinements.
+	// IndexReps and DeltaRounds select this peer's engine (see
+	// ClusterOptions): RepIndexOff or DeltaRoundsOff, either one, runs the
+	// reference engine. The choice is part of the wire protocol — a fast peer
+	// ships unchanged representatives as digest markers, a reference peer
+	// cannot resolve them — so every process of a deployment must agree: a
+	// mismatch fails fast at startup with a configuration error instead of
+	// computing silently wrong refinements.
+	IndexReps   RepIndexMode
 	DeltaRounds DeltaRoundsMode
 	// MaxRounds bounds the collaborative loop (0 = default; negative values
 	// are rejected with an *OptionsError).
@@ -543,21 +513,6 @@ type DistributedResult struct {
 	// the same corpus mean identical final representatives. The recovery
 	// equivalence gate compares exactly this.
 	RepsDigest uint64
-}
-
-// ClusterDistributed runs ONE peer of a multi-process CXK-means cluster on
-// a throwaway Engine (see Engine.ClusterDistributed and cmd/cxkpeer).
-//
-// Deprecated: build an Engine with NewEngine and call
-// Engine.ClusterDistributed — it takes a context.Context, so a daemon can
-// shut the session down gracefully on SIGINT. This wrapper cannot be
-// canceled.
-func ClusterDistributed(corpus *Corpus, opts DistributedOptions) (*DistributedResult, error) {
-	eng, err := NewEngine(corpus, EngineOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return eng.ClusterDistributed(context.Background(), opts)
 }
 
 // DocumentClusters aggregates a per-transaction assignment to per-document

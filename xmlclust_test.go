@@ -2,6 +2,7 @@ package xmlclust
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -42,7 +43,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 	bestF := -1.0
 	for seed := int64(1); seed <= 5; seed++ {
-		res, err := Cluster(corpus, ClusterOptions{K: 2, F: 0.5, Gamma: 0.6, Seed: seed})
+		res, err := freshEngine(t, corpus).Cluster(context.Background(), ClusterOptions{K: 2, F: 0.5, Gamma: 0.6, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +58,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 func TestClusterMultiPeer(t *testing.T) {
 	corpus := sampleCorpus(t)
-	res, err := Cluster(corpus, ClusterOptions{K: 2, F: 0.5, Gamma: 0.6, Peers: 3, Seed: 4})
+	res, err := freshEngine(t, corpus).Cluster(context.Background(), ClusterOptions{K: 2, F: 0.5, Gamma: 0.6, Peers: 3, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestClusterMultiPeer(t *testing.T) {
 // with the in-process engine for the same parameters.
 func TestClusterDistributed(t *testing.T) {
 	corpus := sampleCorpus(t)
-	want, err := Cluster(corpus, ClusterOptions{K: 2, F: 0.5, Gamma: 0.6, Peers: 3, Seed: 4})
+	want, err := freshEngine(t, corpus).Cluster(context.Background(), ClusterOptions{K: 2, F: 0.5, Gamma: 0.6, Peers: 3, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,9 +102,10 @@ func TestClusterDistributed(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
+		eng := freshEngine(t, corpus) // one per simulated process
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = ClusterDistributed(corpus, DistributedOptions{
+			results[i], errs[i] = eng.ClusterDistributed(context.Background(), DistributedOptions{
 				K: 2, F: 0.5, Gamma: 0.6, ID: i, PeerAddrs: addrs, Seed: 4,
 			})
 		}(i)
@@ -161,7 +163,7 @@ func TestDistributedFabricValidation(t *testing.T) {
 	for _, tc := range bad {
 		opts := base
 		tc.mutate(&opts)
-		if _, err := ClusterDistributed(corpus, opts); err == nil {
+		if _, err := freshEngine(t, corpus).ClusterDistributed(context.Background(), opts); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
@@ -169,7 +171,7 @@ func TestDistributedFabricValidation(t *testing.T) {
 	opts := base
 	opts.CheckpointDir = t.TempDir()
 	opts.Resume = true
-	if _, err := ClusterDistributed(corpus, opts); !errors.Is(err, ErrCoordinatorLost) {
+	if _, err := freshEngine(t, corpus).ClusterDistributed(context.Background(), opts); !errors.Is(err, ErrCoordinatorLost) {
 		t.Errorf("coordinator resume: want ErrCoordinatorLost, got %v", err)
 	}
 
@@ -180,14 +182,14 @@ func TestDistributedFabricValidation(t *testing.T) {
 	opts.Listen = "127.0.0.1:0"
 	opts.CheckpointDir = t.TempDir()
 	opts.Resume = true
-	if _, err := ClusterDistributed(corpus, opts); !errors.Is(err, ErrNoCheckpoint) {
+	if _, err := freshEngine(t, corpus).ClusterDistributed(context.Background(), opts); !errors.Is(err, ErrNoCheckpoint) {
 		t.Errorf("resume from empty store: want ErrNoCheckpoint, got %v", err)
 	}
 }
 
 func TestClusterPKMeansBaseline(t *testing.T) {
 	corpus := sampleCorpus(t)
-	res, err := Cluster(corpus, ClusterOptions{
+	res, err := freshEngine(t, corpus).Cluster(context.Background(), ClusterOptions{
 		K: 2, F: 0.5, Gamma: 0.6, Peers: 2, Seed: 4, Algorithm: PKMeans,
 	})
 	if err != nil {
@@ -200,7 +202,7 @@ func TestClusterPKMeansBaseline(t *testing.T) {
 
 func TestClusterOverTCP(t *testing.T) {
 	corpus := sampleCorpus(t)
-	res, err := Cluster(corpus, ClusterOptions{
+	res, err := freshEngine(t, corpus).Cluster(context.Background(), ClusterOptions{
 		K: 2, F: 0.5, Gamma: 0.6, Peers: 2, Seed: 4, UseTCP: true,
 	})
 	if err != nil {
@@ -213,7 +215,7 @@ func TestClusterOverTCP(t *testing.T) {
 
 func TestClusterValidation(t *testing.T) {
 	corpus := sampleCorpus(t)
-	if _, err := Cluster(corpus, ClusterOptions{K: 0}); err == nil {
+	if _, err := freshEngine(t, corpus).Cluster(context.Background(), ClusterOptions{K: 0}); err == nil {
 		t.Error("K=0 should fail")
 	}
 }
@@ -447,11 +449,11 @@ func TestSaveLoadCorpus(t *testing.T) {
 		t.Fatalf("transactions %d != %d", len(back.Transactions), len(corpus.Transactions))
 	}
 	// A loaded corpus clusters identically to the original.
-	a, err := Cluster(corpus, ClusterOptions{K: 2, F: 0.5, Gamma: 0.6, Seed: 4})
+	a, err := freshEngine(t, corpus).Cluster(context.Background(), ClusterOptions{K: 2, F: 0.5, Gamma: 0.6, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Cluster(back, ClusterOptions{K: 2, F: 0.5, Gamma: 0.6, Seed: 4})
+	b, err := freshEngine(t, back).Cluster(context.Background(), ClusterOptions{K: 2, F: 0.5, Gamma: 0.6, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +469,7 @@ func TestSaveLoadCorpus(t *testing.T) {
 func TestClusterWorkersEquivalence(t *testing.T) {
 	corpus := sampleCorpus(t)
 	run := func(workers int) *Result {
-		res, err := Cluster(corpus, ClusterOptions{
+		res, err := freshEngine(t, corpus).Cluster(context.Background(), ClusterOptions{
 			K: 2, F: 0.5, Gamma: 0.6, Peers: 2, Workers: workers, Seed: 11,
 		})
 		if err != nil {
@@ -585,7 +587,7 @@ func TestClusterFromStreamingCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Cluster(c, ClusterOptions{K: 2, F: 0.5, Gamma: 0.6, Seed: 3, Peers: 2})
+	res, err := freshEngine(t, c).Cluster(context.Background(), ClusterOptions{K: 2, F: 0.5, Gamma: 0.6, Seed: 3, Peers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
