@@ -15,7 +15,7 @@ import (
 )
 
 // kernelBench is the machine-readable record the kernel experiment emits
-// with -json: the similarity-kernel micro numbers (columnar warm/cold and
+// with -json: the similarity-kernel micro numbers (kernel warm/cold and
 // the frozen seed baseline on the same pair stream), the derived
 // speedup-vs-seed ratio the CI regression smoke gates on, and the
 // F-measure of a full clustering run on the same corpus — so a kernel
@@ -36,7 +36,7 @@ type kernelBench struct {
 }
 
 // runKernel measures the transaction-similarity kernel on a generated
-// corpus: the columnar warm path (one reused Scratch), the cold path (a
+// corpus: the warm path (one reused Scratch), the cold path (a
 // fresh Scratch per evaluation) and the frozen seed implementation, all on
 // the identical transaction pair stream, then runs one full clustering to
 // attach an accuracy figure. It first re-verifies kernel-vs-seed equality
@@ -107,10 +107,10 @@ func runKernel(ds string, scale experiments.Scale, workers int, jsonPath string,
 		SpeedupVsSeed: float64(seed.NsPerOp()) / float64(warm.NsPerOp()),
 		FMeasure:      scores.FMeasure,
 	}
-	fmt.Printf("Similarity kernel — columnar vs seed (%s, hybrid, f=0.5 γ=0.8, %d txns)\n", ds, len(trs))
+	fmt.Printf("Similarity kernel — dense kernel vs seed (%s, hybrid, f=0.5 γ=0.8, %d txns)\n", ds, len(trs))
 	fmt.Printf("%-22s %12s %12s\n", "variant", "ns/op", "allocs/op")
-	fmt.Printf("%-22s %12d %12d\n", "columnar warm", warm.NsPerOp(), warm.AllocsPerOp())
-	fmt.Printf("%-22s %12d %12d\n", "columnar cold", cold.NsPerOp(), cold.AllocsPerOp())
+	fmt.Printf("%-22s %12d %12d\n", "kernel warm", warm.NsPerOp(), warm.AllocsPerOp())
+	fmt.Printf("%-22s %12d %12d\n", "kernel cold", cold.NsPerOp(), cold.AllocsPerOp())
 	fmt.Printf("%-22s %12d %12d\n", "seed (pointer-based)", seed.NsPerOp(), seed.AllocsPerOp())
 	fmt.Printf("speedup-vs-seed %.2fx, clustering F-measure %.3f\n", r.SpeedupVsSeed, r.FMeasure)
 

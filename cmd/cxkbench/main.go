@@ -13,7 +13,7 @@
 // f×γ grid over its shared similarity caches (Engine.Sweep), printing the
 // per-cell scores and the cache warmth the grid accumulated.
 //
-// The kernel experiment benchmarks the columnar similarity kernel against
+// The kernel experiment benchmarks the dense similarity kernel against
 // the frozen seed implementation on one corpus, optionally writing the
 // numbers (ns/op, allocs/op, speedup-vs-seed, clustering F-measure) as a
 // machine-readable JSON artifact and gating on a minimum speedup — the CI

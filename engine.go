@@ -39,7 +39,6 @@ import (
 // same time (Sweep does exactly that).
 type Engine struct {
 	corpus  *Corpus
-	opts    EngineOptions
 	paths   *sim.PathCache
 	labeled bool
 
@@ -47,30 +46,22 @@ type Engine struct {
 	contexts map[sim.Params]*sim.Context
 }
 
-// EngineOptions configures an Engine.
-type EngineOptions struct {
-	// MaxCachedContexts bounds the params-keyed similarity-context cache
-	// (0 = DefaultMaxCachedContexts, negative = unbounded). The bound only
-	// matters for adversarially large parameter grids.
-	MaxCachedContexts int
-}
+// EngineOptions configures an Engine. Nothing is configurable today; every
+// caller passes the zero value.
+type EngineOptions struct{}
 
-// DefaultMaxCachedContexts bounds the per-Engine similarity-context cache
-// when EngineOptions.MaxCachedContexts is zero.
-const DefaultMaxCachedContexts = 256
+// maxCachedContexts bounds the params-keyed similarity-context cache of an
+// Engine. The bound only matters for adversarially large parameter grids.
+const maxCachedContexts = 256
 
 // NewEngine binds a reusable clustering engine to a corpus. The corpus must
 // not be mutated while the engine is in use.
-func NewEngine(corpus *Corpus, opts EngineOptions) (*Engine, error) {
+func NewEngine(corpus *Corpus, _ EngineOptions) (*Engine, error) {
 	if corpus == nil {
 		return nil, fmt.Errorf("xmlclust: NewEngine: nil corpus")
 	}
-	if opts.MaxCachedContexts == 0 {
-		opts.MaxCachedContexts = DefaultMaxCachedContexts
-	}
 	e := &Engine{
 		corpus:   corpus,
-		opts:     opts,
 		paths:    sim.NewPathCache(),
 		contexts: map[sim.Params]*sim.Context{},
 	}
@@ -99,7 +90,7 @@ func (e *Engine) simContext(p sim.Params) *sim.Context {
 	if cx, ok := e.contexts[p]; ok {
 		return cx
 	}
-	if max := e.opts.MaxCachedContexts; max > 0 && len(e.contexts) >= max {
+	if len(e.contexts) >= maxCachedContexts {
 		for k := range e.contexts { // evict one arbitrary entry; values are cheap to rebuild
 			delete(e.contexts, k)
 			break
@@ -137,8 +128,7 @@ var (
 )
 
 // OptionsError reports an option field outside its legal range. It is the
-// typed validation failure of every Engine entry point (and of the legacy
-// wrappers, which delegate to them).
+// typed validation failure of every Engine entry point.
 type OptionsError struct {
 	// Field names the offending option (e.g. "K", "F", "Gamma").
 	Field string

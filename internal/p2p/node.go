@@ -227,10 +227,12 @@ func (n *Node) readLoop(conn net.Conn) {
 			n.droppedStale.Add(1)
 			continue
 		}
+		// Counted before delivery, so a receiver that reads RecvStats right
+		// after taking the envelope already sees it.
+		n.recv.Messages.Add(1)
+		n.recv.Bytes.Add(sz)
 		select {
 		case n.inbox <- Envelope{From: f.From, To: f.To, Epoch: f.Epoch, Bytes: sz, Payload: f.Payload}:
-			n.recv.Messages.Add(1)
-			n.recv.Bytes.Add(sz)
 		case <-n.done:
 			return
 		}

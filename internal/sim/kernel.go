@@ -23,14 +23,14 @@ import (
 //   - MatchSet: the materialized id set, the readable specification of the
 //     match semantics.
 //
-// The pass is columnar: a transaction pair is resolved per call into flat
-// per-position arrays — item ids straight from the sorted Items slices, tag
-// paths from the corpus's columnar arena (txn.Columnar) when the
-// transaction carries a span, TCU vector headers bulk-copied from the item
-// table's vector column — and the n1×n2 pass then reads only contiguous
-// slices. No *txn.Item is dereferenced anywhere on the hot path; the
-// pointer-based layout survives only in the SeedTransactions oracle this
-// kernel is benchmarked and equivalence-tested against.
+// Operands come from one place: each transaction of the pair is resolved per
+// call (side.resolve, shared with the sweep) into flat per-position arrays —
+// item ids straight from the sorted Items slice, tag paths and TCU vector
+// headers bulk-copied from the item table's two id-indexed columns under one
+// lock — and the n1×n2 pass then reads only contiguous slices. No *txn.Item
+// is dereferenced anywhere on the hot path; the pointer-based layout survives
+// only in the SeedTransactions oracle this kernel is benchmarked and
+// equivalence-tested against.
 //
 // Tie rule (shared by all three readings and by the sweep): an item e ∈ tr_i
 // belongs to matchγ(tr_i→tr_j) iff some e_h ∈ tr_j has sim(e, e_h) ≥ γ and no other
@@ -43,37 +43,53 @@ import (
 // both directions — is subtracted by a merge walk over the two sorted id
 // slices.
 
-// Scratch is the reusable working state of the match kernel: the resolved
-// per-position vector and tag-path columns, the n1×n2 similarity matrix,
-// the per-column maxima and the two direction-mark bitsets. All buffers are
-// grown in place and reused across calls, so a warm Scratch makes
-// Transactions allocation-free (the CI allocation guard pins this at
-// exactly 0 allocs/op on both the columnar and the fallback resolution
-// paths).
+// side is one transaction resolved for an Eq. 4 engine: the per-position
+// TCU vector headers and tag paths of its items, copied out of the item
+// table's columns, and the deduplicated view of the tag paths — the distinct
+// ones in first-occurrence order with a slot index per position. Tree-tuple
+// items share tag paths heavily (every author of an article, say), so one
+// Eq. 3 probe per distinct tag-path pair replaces one per item pair — same
+// float64 values, an order of magnitude fewer probes on same-schema corpora.
+// Buffers are grown in place and reused from one resolve to the next.
+type side struct {
+	vecs  []vector.Sparse  // position → TCU vector header
+	tpRaw []xmltree.PathID // position → tag path
+	tps   []xmltree.PathID // distinct tag paths; tps[:nd] is live
+	tpIdx []int32          // position → slot in tps
+	nd    int              // distinct tag paths; 0 when they were not wanted
+}
+
+// resolve fills s with tr's columns. The tag-path dedup is skipped when
+// wantTagPaths is false (f = 0: Eq. 1 has no structural term to probe for).
+func (s *side) resolve(cx *Context, tr *txn.Transaction, wantTagPaths bool) {
+	n := tr.Len()
+	s.vecs = grow(s.vecs, n)
+	s.tpRaw = grow(s.tpRaw, n)
+	cx.Items.ResolveColumns(tr.Items, s.tpRaw, s.vecs)
+	s.nd = 0
+	if wantTagPaths {
+		s.tps = grow(s.tps, n)
+		s.tpIdx = grow(s.tpIdx, n)
+		s.nd = indexTagPaths(s.tpRaw, s.tps, s.tpIdx)
+	}
+}
+
+// Scratch is the reusable working state of the match kernel: the two
+// resolved sides, the n1×n2 similarity matrix, the d1×d2 structural
+// similarity matrix over the sides' distinct tag paths, the per-column maxima
+// and the two direction-mark bitsets. All buffers are grown in place and
+// reused across calls, so a warm Scratch makes Transactions allocation-free
+// (the CI allocation guard pins this at exactly 0 allocs/op).
 //
 // A Scratch is NOT safe for concurrent use; give each goroutine its own
 // (see Scratches) or pass nil to borrow one from the shared pool.
 type Scratch struct {
-	vecs1, vecs2 []vector.Sparse // resolved TCU vector headers per position
-	simM         []float64       // row-major n1×n2 item similarities
-	colBest      []float64       // per-column maximum over the rows seen so far
-	mark1        []uint64        // bitset over tr1 positions (direction tr1→tr2)
-	mark2        []uint64        // bitset over tr2 positions (direction tr2→tr1)
-
-	// tpRaw1/tpRaw2 hold the per-position tag paths of a side when the
-	// transaction has no columnar span and they must be resolved from the
-	// item table (span transactions read the arena block directly, zero
-	// copies). tp1/tp2 and tpIdx1/tpIdx2 are the deduplicated view either
-	// way: each side's distinct tag paths with per-position slot indices,
-	// plus the d1×d2 structural similarity matrix. Tree-tuple items share
-	// tag paths heavily (every author of an article, say), so one Eq. 3
-	// probe per distinct tag-path pair replaces one per item pair — same
-	// float64 values, an order of magnitude fewer probes on same-schema
-	// corpora.
-	tpRaw1, tpRaw2 []xmltree.PathID
-	tp1, tp2       []xmltree.PathID
-	tpIdx1, tpIdx2 []int32
-	structM        []float64
+	s1, s2  side
+	simM    []float64 // row-major n1×n2 item similarities
+	structM []float64 // row-major d1×d2 Eq. 3 values of the distinct tag paths
+	colBest []float64 // per-column maximum over the rows seen so far
+	mark1   []uint64  // bitset over tr1 positions (direction tr1→tr2)
+	mark2   []uint64  // bitset over tr2 positions (direction tr2→tr1)
 
 	// memo is the scratch-local layer over the shared PathCache (structMemo).
 	memo structMemo
@@ -161,22 +177,14 @@ func grow[T any](b []T, n int) []T {
 	return make([]T, n)
 }
 
-// ensure sizes every buffer for an n1×n2 pair, growing only when capacity
-// is insufficient.
-func (sc *Scratch) ensure(n1, n2 int) {
-	sc.vecs1 = grow(sc.vecs1, n1)
-	sc.vecs2 = grow(sc.vecs2, n2)
+// ensure sizes the pair buffers for n1×n2 items over d1×d2 distinct tag
+// paths, growing only when capacity is insufficient.
+func (sc *Scratch) ensure(n1, n2, d1, d2 int) {
 	sc.simM = grow(sc.simM, n1*n2)
+	sc.structM = grow(sc.structM, d1*d2)
 	sc.colBest = grow(sc.colBest, n2)
 	sc.mark1 = grow(sc.mark1, words(n1))
 	sc.mark2 = grow(sc.mark2, words(n2))
-	sc.tpRaw1 = grow(sc.tpRaw1, n1)
-	sc.tpRaw2 = grow(sc.tpRaw2, n2)
-	sc.tp1 = grow(sc.tp1, n1)
-	sc.tp2 = grow(sc.tp2, n2)
-	sc.tpIdx1 = grow(sc.tpIdx1, n1)
-	sc.tpIdx2 = grow(sc.tpIdx2, n2)
-	sc.structM = grow(sc.structM, n1*n2)
 }
 
 // structMemo is a goroutine-local, lock-free, L1-resident memo of Eq. 3
@@ -244,8 +252,7 @@ func (m *structMemo) sim(cx *Context, pa, pb xmltree.PathID) float64 {
 // indexTagPaths fills tps[:] with the distinct tag paths of src and idx
 // with each position's slot, returning the distinct count. Linear-scan
 // dedup: the distinct count is small (tree tuples repeat tag paths) and
-// the scan allocates nothing. src is either a columnar arena block or the
-// scratch's table-resolved tpRaw buffer — a flat int32 scan either way.
+// the scan allocates nothing.
 func indexTagPaths(src, tps []xmltree.PathID, idx []int32) int {
 	nd := 0
 	for j, tp := range src {
@@ -266,23 +273,6 @@ func indexTagPaths(src, tps []xmltree.PathID, idx []int32) int {
 	return nd
 }
 
-// resolveSide fills one side's scratch columns — per-position TCU vector
-// headers plus the deduplicated tag-path index — and returns the distinct
-// tag-path count. Span transactions read their tag-path block straight out
-// of the corpus's columnar arena (no table lock, no copy) and bulk-copy
-// the vector headers from the table's vector column; spanless transactions
-// (synthetic representatives, hand-assembled corpora, classify-time
-// transients) resolve both columns from the table under one lock.
-func (cx *Context) resolveSide(tr *txn.Transaction, vecs []vector.Sparse, tpRaw, tps []xmltree.PathID, idx []int32) int {
-	if cols, start := tr.ColumnarSpan(); cols != nil {
-		cx.Items.ResolveVectors(tr.Items, vecs)
-		cx.Counters.ColumnarResolves.Add(1)
-		return indexTagPaths(cols.TagPathSpan(start, len(tr.Items)), tps, idx)
-	}
-	cx.Items.ResolveColumns(tr.Items, tpRaw, vecs)
-	return indexTagPaths(tpRaw, tps, idx)
-}
-
 // matchKernel computes the γ-matching marks of (tr1, tr2) into sc and
 // returns |matchγ|.
 func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch) int {
@@ -291,9 +281,11 @@ func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch) int {
 		return 0
 	}
 	f, gamma := cx.Params.F, cx.Params.Gamma
-	sc.ensure(n1, n2)
-	nd1 := cx.resolveSide(tr1, sc.vecs1, sc.tpRaw1, sc.tp1, sc.tpIdx1)
-	nd2 := cx.resolveSide(tr2, sc.vecs2, sc.tpRaw2, sc.tp2, sc.tpIdx2)
+	s1, s2 := &sc.s1, &sc.s2
+	s1.resolve(cx, tr1, f > 0)
+	s2.resolve(cx, tr2, f > 0)
+	nd1, nd2 := s1.nd, s2.nd
+	sc.ensure(n1, n2, nd1, nd2)
 	if f > 0 {
 		// One Eq. 3 probe per distinct (tr1, tr2) tag-path pair:
 		// structM[d1*nd2+d2] is exactly the Eq. 3 term of every position pair
@@ -301,7 +293,7 @@ func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch) int {
 		sc.memo.bind(cx)
 		for d1 := 0; d1 < nd1; d1++ {
 			for d2 := 0; d2 < nd2; d2++ {
-				sc.structM[d1*nd2+d2] = sc.memo.sim(cx, sc.tp1[d1], sc.tp2[d2])
+				sc.structM[d1*nd2+d2] = sc.memo.sim(cx, s1.tps[d1], s2.tps[d2])
 			}
 		}
 	}
@@ -314,16 +306,16 @@ func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch) int {
 	clear(mark2)
 
 	ids1, ids2 := tr1.Items, tr2.Items
-	vecs2 := sc.vecs2
+	vecs2, tpIdx2 := s2.vecs, s2.tpIdx
 	for i := 0; i < n1; i++ {
-		structRow := sc.structM[:nd2] // unread at f == 0
+		var structRow []float64 // unread at f == 0
 		if f > 0 {
-			d1 := int(sc.tpIdx1[i])
+			d1 := int(s1.tpIdx[i])
 			structRow = sc.structM[d1*nd2 : d1*nd2+nd2]
 		}
 		row := sc.simM[i*n2 : (i+1)*n2]
 		rowBest := -1.0
-		va := sc.vecs1[i]
+		va := s1.vecs[i]
 		// The arithmetic replicates Item (Eq. 1) operation for operation, so
 		// evaluated values are bit-identical to direct Item calls. The content
 		// cosine is skipped when even a perfect one leaves the pair below γ:
@@ -335,7 +327,7 @@ func (cx *Context) matchKernel(tr1, tr2 *txn.Transaction, sc *Scratch) int {
 		for j := range row {
 			s := 0.0
 			if f > 0 {
-				s += f * structRow[sc.tpIdx2[j]]
+				s += f * structRow[tpIdx2[j]]
 			}
 			if f < 1 && s+(1-f) >= gamma {
 				s += (1 - f) * vector.Cosine(va, vecs2[j])

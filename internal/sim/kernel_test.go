@@ -182,18 +182,37 @@ func TestTransactionsZeroAllocWarmScratch(t *testing.T) {
 	}
 }
 
+// TestSetVectorInvalidatesWarmScratch: the kernel carries nothing from call
+// to call — resolved vector headers are value copies, so an in-place
+// SetVector between two calls on the same pair and the same scratch must
+// show in the second, which has to match a fresh-scratch evaluation exactly.
+func TestSetVectorInvalidatesWarmScratch(t *testing.T) {
+	cx, corpus := buildCtx(t, 0.5, 0.6)
+	trs := corpus.Transactions
+	tr1, tr2 := trs[0], trs[1]
+	if tr1.Len() == 0 {
+		t.Fatal("fixture transaction is empty")
+	}
+	sc := NewScratch()
+	before := cx.Transactions(tr1, tr2, sc)
+	// Redirect one of tr1's items to an orthogonal vector: cosine against
+	// everything it used to resemble drops, so the pair similarity must move.
+	cx.Items.SetVector(tr1.Items[0], vector.FromMap(map[int32]float64{1 << 20: 1}))
+	warm := cx.Transactions(tr1, tr2, sc)
+	fresh := cx.Transactions(tr1, tr2, NewScratch())
+	if warm != fresh {
+		t.Fatalf("warm scratch served stale vectors: warm %v, fresh %v (pre-mutation %v)",
+			warm, fresh, before)
+	}
+}
+
 // kernelBenchFixture prepares a mid-sized random corpus and a warmed
 // context so the benchmarks measure the kernel, not first-touch cache
-// fills. columnar selects the layout: spans attached (the production
-// builder/Load shape, contiguous-scan resolution) or the bare pointer
-// table (the fallback for hand-assembled transaction sets).
-func kernelBenchFixture(b *testing.B, columnar bool) (*Context, []*txn.Transaction) {
+// fills.
+func kernelBenchFixture(b *testing.B) (*Context, []*txn.Transaction) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(5))
 	corpus := randomKernelCorpus(rng, 120, 32)
-	if columnar {
-		corpus.RebuildColumnar()
-	}
 	cx := NewContext(corpus, Params{F: 0.5, Gamma: 0.7})
 	sc := NewScratch()
 	for _, tr1 := range corpus.Transactions {
@@ -207,7 +226,7 @@ func kernelBenchFixture(b *testing.B, columnar bool) (*Context, []*txn.Transacti
 // BenchmarkMatchKernelCold evaluates every pair with a fresh Scratch per
 // evaluation — the price of first-touch buffer growth.
 func BenchmarkMatchKernelCold(b *testing.B) {
-	cx, trs := kernelBenchFixture(b, true)
+	cx, trs := kernelBenchFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -217,27 +236,10 @@ func BenchmarkMatchKernelCold(b *testing.B) {
 	}
 }
 
-// BenchmarkMatchKernelWarm is the steady state on the production layout:
-// one Scratch reused across evaluations, transactions carrying columnar
-// spans, 0 allocs/op.
+// BenchmarkMatchKernelWarm is the steady state: one Scratch reused across
+// evaluations, 0 allocs/op.
 func BenchmarkMatchKernelWarm(b *testing.B) {
-	cx, trs := kernelBenchFixture(b, true)
-	sc := NewScratch()
-	cx.Transactions(trs[0], trs[1], sc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr1 := trs[i%len(trs)]
-		tr2 := trs[(i+7)%len(trs)]
-		cx.Transactions(tr1, tr2, sc)
-	}
-}
-
-// BenchmarkMatchKernelWarmFallback is the same steady state through the
-// pointer-table fallback (no spans) — the cost of losing the contiguous
-// tag-path scan, visible next to the columnar number.
-func BenchmarkMatchKernelWarmFallback(b *testing.B) {
-	cx, trs := kernelBenchFixture(b, false)
+	cx, trs := kernelBenchFixture(b)
 	sc := NewScratch()
 	cx.Transactions(trs[0], trs[1], sc)
 	b.ReportAllocs()
@@ -253,7 +255,7 @@ func BenchmarkMatchKernelWarmFallback(b *testing.B) {
 // stream — the baseline the kernel's allocs/op and ns/op are judged
 // against.
 func BenchmarkMatchKernelSeed(b *testing.B) {
-	cx, trs := kernelBenchFixture(b, true)
+	cx, trs := kernelBenchFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -204,8 +204,6 @@ func (ix *RepIndex) Build(cx *Context, reps []*txn.Transaction) {
 		if a == b {
 			continue
 		}
-		// ResolveColumns handles spanless transactions too — representatives
-		// are synthetic and never carry a columnar span.
 		cx.Items.ResolveColumns(rep.Items, ix.bTps[a:b], ix.vecs[a:b])
 		for p := a; p < b; p++ {
 			ix.repOf[p] = int32(j)
@@ -307,11 +305,7 @@ type RepQuery struct {
 	cand  []int32 // representatives scored above 0 by the last query
 	score []float64
 
-	// Document side, resolved per query.
-	vecs  []vector.Sparse
-	tpRaw []xmltree.PathID
-	tps   []xmltree.PathID
-	tpIdx []int32
+	doc side // the document, resolved per query
 
 	// Sweep state. A position's accumulator is live for the current row iff
 	// stamp[p] == epoch; a representative's pair list is live for the current
@@ -402,24 +396,9 @@ func (ix *RepIndex) Candidates(tr *txn.Transaction, rq *RepQuery) int {
 	cx := ix.cx
 	f, gamma := cx.Params.F, cx.Params.Gamma
 
-	// Resolve the document side as the kernel does: columnar span when
-	// available, table fallback otherwise.
-	rq.vecs = grow(rq.vecs, n1)
-	rq.tps = grow(rq.tps, n1)
-	rq.tpIdx = grow(rq.tpIdx, n1)
-	nd := 0
-	if cols, start := tr.ColumnarSpan(); cols != nil {
-		cx.Items.ResolveVectors(tr.Items, rq.vecs)
-		if f > 0 {
-			nd = indexTagPaths(cols.TagPathSpan(start, n1), rq.tps, rq.tpIdx)
-		}
-	} else {
-		rq.tpRaw = grow(rq.tpRaw, n1)
-		cx.Items.ResolveColumns(tr.Items, rq.tpRaw, rq.vecs)
-		if f > 0 {
-			nd = indexTagPaths(rq.tpRaw, rq.tps, rq.tpIdx)
-		}
-	}
+	doc := &rq.doc
+	doc.resolve(cx, tr, f > 0)
+	nd := doc.nd
 	rq.prepare(ix, n1, nd)
 	if f > 0 {
 		if rq.memo == nil {
@@ -449,7 +428,7 @@ func (ix *RepIndex) Candidates(tr *txn.Transaction, rq *RepQuery) int {
 			rq.qualOff = append(rq.qualOff, int32(len(rq.qual)))
 			for q := 0; q < nq; q++ {
 				x := d*nq + q
-				rq.fs[x] = f * rq.memo.sim(cx, rq.tps[d], ix.tps[q])
+				rq.fs[x] = f * rq.memo.sim(cx, doc.tps[d], ix.tps[q])
 				rq.fsMark[x] = mark
 				if rq.fs[x] >= gamma {
 					rq.qual = append(rq.qual, int32(q))
@@ -465,11 +444,11 @@ func (ix *RepIndex) Candidates(tr *txn.Transaction, rq *RepQuery) int {
 		epoch := rq.epoch
 		d := 0
 		if f > 0 {
-			d = int(rq.tpIdx[i])
+			d = int(doc.tpIdx[i])
 		}
 		if f < 1 {
 			// Channel (a): sweep the row's terms over the postings.
-			va := rq.vecs[i]
+			va := doc.vecs[i]
 			touched := rq.touched[:0]
 			for _, en := range va.Entries() {
 				if int(en.Term) >= len(ix.termSlot) {
@@ -505,7 +484,7 @@ func (ix *RepIndex) Candidates(tr *txn.Transaction, rq *RepQuery) int {
 					x := d*nq + int(ix.tpSlot[p])
 					if rq.fsMark[x] != mark {
 						rq.fsMark[x] = mark
-						rq.fs[x] = f * rq.memo.sim(cx, rq.tps[d], ix.tps[ix.tpSlot[p]])
+						rq.fs[x] = f * rq.memo.sim(cx, doc.tps[d], ix.tps[ix.tpSlot[p]])
 					}
 					s += rq.fs[x]
 				}

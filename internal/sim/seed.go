@@ -4,7 +4,7 @@ import "xmlclust/internal/txn"
 
 // This file is the frozen seed (pre-kernel, pointer-based) implementation
 // of the Eq. 4 similarity, kept verbatim as one shared oracle: the
-// property tests pin the columnar kernel's output against it pair by pair,
+// property tests pin the dense kernel's output against it pair by pair,
 // BenchmarkRelocateSpeedup and cxkbench's kernel experiment report
 // throughput against it (the speedup-vs-seed metric with its ≥1.3× CI
 // bar). It allocates two item slices, an n1×n2 matrix and a result map per

@@ -29,12 +29,13 @@
 // similarities, the precomputation Sect. 4.3.2 identifies as the key
 // optimization; values depend only on the paths and Δ, never on (f, γ), so
 // one cache serves every parameter combination over a corpus — with a
-// direct-mapped per-goroutine probe in front of it (structMemo), and the
-// columnar layout (txn.Columnar): builder-built corpora carry a
-// struct-of-arrays arena of item ids and tag-path ids, so both engines
-// resolve a document into contiguous slices and never dereference a
-// *txn.Item; transactions without a span (synthetic representatives, literal
-// test corpora) take a table-resolved fallback with identical output.
+// direct-mapped per-goroutine probe in front of it (structMemo). Operands
+// come from one place for both engines: a transaction is its sorted item ids,
+// and side.resolve (kernel.go) copies the tag path and TCU vector header of
+// each id out of the item table's two flat columns (ItemTable.ResolveColumns)
+// into contiguous per-position slices — a document, a synthetic
+// representative and a classify-time transient all take the same path, and
+// neither engine ever dereferences a *txn.Item.
 //
 // Neither engine, nor anything under them, ever changes a result
 // (equivalence- and allocation-guarded in kernel_test.go, repindex_test.go,
@@ -74,11 +75,6 @@ type Counters struct {
 	TxnSims     atomic.Int64
 	CacheHits   atomic.Int64 // path-pair cache hits
 	CacheMisses atomic.Int64
-	// ColumnarResolves counts kernel side resolutions that read tag paths
-	// straight from a corpus's columnar arena span instead of resolving
-	// per-position through the item table — the observable proof that the
-	// contiguous-scan fast path is actually taken (tests assert it).
-	ColumnarResolves atomic.Int64
 	// IndexCandidates counts the representatives that relocation through a
 	// RepIndex scored above zero; IndexSkipped counts the others — no item
 	// pair with the document reaches γ, so they score exactly zero and the

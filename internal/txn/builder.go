@@ -81,7 +81,6 @@ func NewBuilder(opts BuildOptions) *Builder {
 			Paths: paths,
 			Items: NewItemTable(paths),
 			Terms: NewTermTable(),
-			cols:  &Columnar{},
 		},
 	}
 }
@@ -103,12 +102,6 @@ func ReopenBuilder(c *Corpus, nextDoc int, opts BuildOptions) *Builder {
 	}
 	if nextDoc < 0 {
 		panic("txn: ReopenBuilder with negative next document id")
-	}
-	if c.cols == nil {
-		// Hand-assembled or legacy-loaded corpora resume without a columnar
-		// view; build one covering the existing transactions so the reopened
-		// corpus gets (and keeps extending) the contiguous-scan path.
-		c.RebuildColumnar()
 	}
 	return &Builder{opts: opts, c: c, docs: nextDoc}
 }
@@ -160,14 +153,7 @@ func (b *Builder) AddExtracted(t *xmltree.Tree, res tuple.Result, label int) {
 		b.c.TruncatedDocs++
 	}
 	start := len(b.c.Transactions)
-	for _, tr := range b.intern.Transactions(b.c, t, res, docID, label) {
-		// The columnar arena grows with every published transaction — here,
-		// not in Finish — so the online serving path (a reopened builder that
-		// appends documents forever without a second Finish) keeps the
-		// contiguous-scan layout current too.
-		b.c.cols.appendSpan(b.c.Items, tr)
-		b.c.Transactions = append(b.c.Transactions, tr)
-	}
+	b.c.Transactions = append(b.c.Transactions, b.intern.Transactions(b.c, t, res, docID, label)...)
 	for _, s := range b.sinks {
 		s.ObserveDoc(docID, b.c.Transactions[start:])
 	}

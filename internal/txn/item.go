@@ -5,16 +5,15 @@
 // leaves. Items are interned collection-wide so that identical
 // path/answer combinations map to one identifier (cf. Fig. 4(b)).
 //
-// The package maintains two views of the transaction set. The
-// pointer-based view (Transaction.Items resolving through ItemTable) is
-// the mutation and bookkeeping surface. The columnar view (Columnar) is a
-// struct-of-arrays arena — contiguous item-id, tag-path and weight blocks
-// with transactions as [start, end) spans — kept current by the builder on
-// every published transaction; it is the similarity kernel's scan layout
-// and the gob persistence format (format 2, see persist.go). Both views
-// share one source of truth: the columnar blocks are derived columns of
-// the item table, refreshed through Corpus.RefreshColumnarWeights /
-// RefreshNewColumnarWeights after weighting passes.
+// A transaction has one sparse form: Transaction.Items, the sorted ids of
+// its items. What the similarity engines read about an item — its tag path
+// and its TCU vector — sits in two flat columns of the ItemTable indexed by
+// id, so resolving a transaction (ItemTable.ResolveColumns) is one pass over
+// contiguous arrays under one lock. Those columns are the columnar layout;
+// nothing per corpus mirrors them. Persistence writes the transaction set
+// as columnar blocks (one flat id arena plus an offset table, see
+// persist.go) and Load aliases the restored transactions into that one
+// decoded arena.
 //
 // Interning is once per leaf node. A tree tuple collection repeats its
 // leaves — a leaf outside every repeated group is retained by every tuple
@@ -82,7 +81,7 @@ type itemKey struct {
 //
 // Besides the canonical *Item records the table maintains two parallel
 // columns — tag paths and TCU vectors indexed by id — so the similarity
-// kernel's bulk resolution reads flat arrays instead of dereferencing an
+// engines' bulk resolution reads flat arrays instead of dereferencing an
 // Item per element. The columns are plain derived copies of the Item
 // fields, kept in lock step by Intern/InternSynthetic/SetVector.
 type ItemTable struct {
@@ -94,10 +93,8 @@ type ItemTable struct {
 	// Columns of items, indexed by id.
 	tagPaths []xmltree.PathID
 	vecs     []vector.Sparse
-	// vecVer counts SetVector calls; similarity scratches key their
-	// resolved-vector memos on it so a weighting pass (which rewrites
-	// vectors in place) invalidates every memo instead of silently serving
-	// stale content similarities.
+	// vecVer counts SetVector calls, so a holder of copied vector headers
+	// notices a weighting pass that rewrote vectors in place (VecVersion).
 	vecVer atomic.Uint64
 }
 
@@ -192,22 +189,10 @@ func (it *ItemTable) Resolve(ids []ItemID, out []*Item) {
 	it.mu.RUnlock()
 }
 
-// ResolveVectors fills out (which must have len(ids)) with the TCU vectors
-// of ids under a single lock acquisition, reading the flat vector column —
-// the similarity kernel's per-transaction content resolution: no *Item is
-// touched, and the copied headers stay valid however the table grows.
-func (it *ItemTable) ResolveVectors(ids []ItemID, out []vector.Sparse) {
-	it.mu.RLock()
-	for i, id := range ids {
-		out[i] = it.vecs[id]
-	}
-	it.mu.RUnlock()
-}
-
 // ResolveColumns fills tps and vecs (each len(ids)) with the tag-path and
-// vector columns of ids under one lock acquisition — the kernel's fallback
-// resolution for transactions without a columnar span (synthetic
-// representatives, hand-assembled corpora, classify-time transients).
+// vector columns of ids under one lock acquisition — how both Eq. 4 engines
+// fetch the operands of a transaction: no *Item is touched, and the copied
+// headers stay valid however the table grows.
 func (it *ItemTable) ResolveColumns(ids []ItemID, tps []xmltree.PathID, vecs []vector.Sparse) {
 	it.mu.RLock()
 	for i, id := range ids {
@@ -232,9 +217,9 @@ func (it *ItemTable) SameVectors(ids []ItemID, vecs []vector.Sparse) bool {
 	return true
 }
 
-// VecVersion returns the monotone count of SetVector calls. Kernel
-// scratches pair it with the table identity to decide whether a memoized
-// transaction resolution is still current.
+// VecVersion returns the monotone count of SetVector calls. sim.RepIndex
+// records it at Build and, once it has moved, checks with SameVectors whether
+// the vectors its postings were built from are still the table's.
 func (it *ItemTable) VecVersion() uint64 { return it.vecVer.Load() }
 
 // Len returns the number of interned items.

@@ -10,12 +10,12 @@ import (
 	"xmlclust/internal/xmltree"
 )
 
-// persistFormat versions the on-disk corpus encoding. Format 1 stored one
-// wireTransaction record per transaction; format 2 stores the transaction
-// set as columnar blocks (one flat id arena plus an offset table), which
-// gob encodes as three contiguous slices instead of a length-prefixed
-// struct per transaction — smaller streams, and decoding is a near-memcpy.
-// Load accepts both.
+// persistFormat versions the on-disk corpus encoding. Format 2 stores the
+// transaction set as columnar blocks (one flat id arena plus an offset
+// table and three per-transaction columns), which gob encodes as contiguous
+// slices instead of a length-prefixed struct per transaction. Format 1, the
+// array-of-structs layout it replaced, is no longer read: Load reports it as
+// version skew like any other unknown format.
 const persistFormat = 2
 
 // ErrCorruptCorpus tags every structural-corruption error Load returns —
@@ -34,14 +34,15 @@ type wireCorpus struct {
 	Paths  []string
 	Terms  []string
 	Items  []wireItem
-	// Transactions is the format-1 array-of-structs encoding; nil in
-	// format-2 streams (gob omits empty slices).
+	// Transactions is never written and never read. It was the format-1
+	// array-of-structs block and stays declared because gob's type
+	// descriptor — the first bytes of every stream — names every field of
+	// wireCorpus: dropping it would change the bytes of every saved corpus.
 	Transactions []wireTransaction
-	// Format-2 columnar transaction blocks: TxnItems is the flat arena of
-	// item ids, transaction i spanning [TxnOffsets[i], TxnOffsets[i+1]);
-	// docs, tuple indices and labels are parallel per-transaction columns.
-	// Tag paths and weights are not persisted — they are derived columns,
-	// rebuilt from the item table on load.
+	// Columnar transaction blocks: TxnItems is the flat arena of item ids,
+	// transaction i spanning [TxnOffsets[i], TxnOffsets[i+1]); docs, tuple
+	// indices and labels are parallel per-transaction columns. Tag paths are
+	// not persisted — they are a column of the item table.
 	TxnItems      []ItemID
 	TxnOffsets    []int32
 	TxnDocs       []int32
@@ -59,6 +60,8 @@ type wireItem struct {
 	Constituents []ItemID
 }
 
+// wireTransaction only completes the gob type descriptor of wireCorpus (see
+// wireCorpus.Transactions).
 type wireTransaction struct {
 	Items      []ItemID
 	Doc        int
@@ -67,9 +70,9 @@ type wireTransaction struct {
 }
 
 // Save serializes the corpus (without source trees) so preprocessing can be
-// done once and reused across clustering runs. The transaction set is
-// written as format-2 columnar blocks derived from Transactions directly,
-// so hand-assembled corpora save identically to builder-built ones.
+// done once and reused across clustering runs. The columnar blocks are
+// derived from Transactions, so a corpus saves the same bytes however it was
+// assembled — built, loaded or written as a literal.
 func (c *Corpus) Save(w io.Writer) error {
 	wc := wireCorpus{
 		Format:        persistFormat,
@@ -122,18 +125,16 @@ func corrupt(format string, args ...any) error {
 	return fmt.Errorf("txn: load corpus: %w: %s", ErrCorruptCorpus, fmt.Sprintf(format, args...))
 }
 
-// Load deserializes a corpus written by Save — the current columnar format
-// or the legacy format 1. The returned corpus has no source trees;
-// everything the clustering pipeline needs is restored, including
-// interning-table identities and the columnar similarity view. Damaged
-// streams fail with an error wrapping ErrCorruptCorpus, never a panic or a
-// silently short corpus.
+// Load deserializes a corpus written by Save. The returned corpus has no
+// source trees; everything the clustering pipeline needs is restored,
+// including interning-table identities. Damaged streams fail with an error
+// wrapping ErrCorruptCorpus, never a panic or a silently short corpus.
 func Load(r io.Reader) (*Corpus, error) {
 	var wc wireCorpus
 	if err := gob.NewDecoder(r).Decode(&wc); err != nil {
 		return nil, fmt.Errorf("txn: load corpus: %w: %w", ErrCorruptCorpus, err)
 	}
-	if wc.Format != persistFormat && wc.Format != 1 {
+	if wc.Format != persistFormat {
 		return nil, fmt.Errorf("txn: unsupported corpus format %d", wc.Format)
 	}
 	paths := xmltree.NewPathTable()
@@ -176,45 +177,18 @@ func Load(r io.Reader) (*Corpus, error) {
 		TruncatedDocs: wc.TruncatedDocs,
 		MaxDepth:      wc.MaxDepth,
 	}
-	var err error
-	if wc.Format == 1 {
-		err = loadTransactionsV1(c, &wc)
-	} else {
-		err = loadTransactionsColumnar(c, &wc)
-	}
-	if err != nil {
+	if err := loadTransactions(c, &wc); err != nil {
 		return nil, err
-	}
-	if c.cols == nil {
-		c.RebuildColumnar()
 	}
 	return c, nil
 }
 
-// loadTransactionsV1 restores the legacy array-of-structs transaction
-// encoding; the columnar view is rebuilt by the caller.
-func loadTransactionsV1(c *Corpus, wc *wireCorpus) error {
-	n := c.Items.Len()
-	for i, wt := range wc.Transactions {
-		for _, id := range wt.Items {
-			if id < 0 || int(id) >= n {
-				return corrupt("transaction %d references unknown item %d", i, id)
-			}
-		}
-		c.Transactions = append(c.Transactions, &Transaction{
-			Items: wt.Items, Doc: wt.Doc, TupleIndex: wt.TupleIndex, Label: wt.Label,
-		})
-	}
-	return nil
-}
-
-// loadTransactionsColumnar validates and restores the format-2 blocks: the
-// offset table must tile the id arena exactly, the per-transaction columns
-// must agree on the transaction count, and every span must hold strictly
-// ascending ids within the item table. Transactions alias the flat arena
-// (capacity-clamped so no span can grow into its neighbor), which also
-// becomes the in-memory columnar view — one backing array end to end.
-func loadTransactionsColumnar(c *Corpus, wc *wireCorpus) error {
+// loadTransactions validates and restores the columnar blocks: the offset
+// table must tile the id arena exactly, the per-transaction columns must
+// agree on the transaction count, and every span must hold strictly
+// ascending ids within the item table. Transactions alias the one decoded
+// arena, capacity-clamped so no span can grow into its neighbor.
+func loadTransactions(c *Corpus, wc *wireCorpus) error {
 	nTx := 0
 	switch {
 	case len(wc.TxnOffsets) == 0:
@@ -235,19 +209,14 @@ func loadTransactionsColumnar(c *Corpus, wc *wireCorpus) error {
 			nTx, len(wc.TxnDocs), len(wc.TxnTuples), len(wc.TxnLabels))
 	}
 	nItems := c.Items.Len()
-	co := &Columnar{
-		itemIDs:    wc.TxnItems,
-		tagPathIDs: make([]xmltree.PathID, len(wc.TxnItems)),
-		weights:    make([]float64, len(wc.TxnItems)),
-		offsets:    wc.TxnOffsets,
-	}
-	if nTx == 0 {
-		co.offsets = []int32{0}
-	}
 	for i := 0; i < nTx; i++ {
+		// lo ≥ 0 by induction: the table starts at 0 and no span is negative.
 		lo, hi := wc.TxnOffsets[i], wc.TxnOffsets[i+1]
 		if hi < lo {
 			return corrupt("transaction %d spans [%d, %d): negative length", i, lo, hi)
+		}
+		if int(hi) > len(wc.TxnItems) {
+			return corrupt("transaction %d spans [%d, %d) beyond the arena of %d positions", i, lo, hi, len(wc.TxnItems))
 		}
 		span := wc.TxnItems[lo:hi:hi]
 		var prev ItemID = -1
@@ -265,21 +234,7 @@ func loadTransactionsColumnar(c *Corpus, wc *wireCorpus) error {
 			Doc:        int(wc.TxnDocs[i]),
 			TupleIndex: int(wc.TxnTuples[i]),
 			Label:      int(wc.TxnLabels[i]),
-			cols:       co,
-			colStart:   lo,
 		})
 	}
-	c.Items.mu.RLock()
-	for i, id := range co.itemIDs {
-		co.tagPathIDs[i] = c.Items.tagPaths[id]
-		co.weights[i] = c.Items.vecs[id].Norm()
-	}
-	c.Items.mu.RUnlock()
-	co.refreshed = len(co.itemIDs)
-	// Publish the tag-path header for the kernel's lock-free span reads —
-	// the restored transactions carry spans without going through appendSpan.
-	h := co.tagPathIDs
-	co.tagPathsPub.Store(&h)
-	c.cols = co
 	return nil
 }

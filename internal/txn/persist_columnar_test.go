@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
-	"math/rand"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -111,6 +111,13 @@ func TestLoadCorruptColumnarBlocks(t *testing.T) {
 			mention: "negative length",
 		},
 		{
+			// An interior offset past the arena with a consistent final one:
+			// the span must be rejected before it is sliced.
+			name:    "offsets-overshoot",
+			mutate:  func(wc *wireCorpus) { wc.TxnOffsets[1] = int32(len(wc.TxnItems)) + 1000000 },
+			mention: "beyond the arena",
+		},
+		{
 			name: "item-id-out-of-range",
 			mutate: func(wc *wireCorpus) {
 				wc.TxnItems[0] = ItemID(len(wc.Items) + 7)
@@ -187,117 +194,35 @@ func TestLoadCorruptColumnarBlocks(t *testing.T) {
 }
 
 // TestLoadFormatVersionSkewIsNotCorruption pins the error taxonomy: an
-// unknown format number is version skew, reported without the corruption
-// sentinel so callers can tell "upgrade your reader" from "your file is
-// damaged".
+// unknown format number — a future one, or the retired format 1 — is version
+// skew, reported without the corruption sentinel so callers can tell
+// "upgrade your reader" from "your file is damaged".
 func TestLoadFormatVersionSkewIsNotCorruption(t *testing.T) {
 	_, wc := savedPaperStream(t)
-	wc.Format = persistFormat + 41
-	_, err := Load(reencode(t, wc))
-	if err == nil {
-		t.Fatal("future format loaded")
-	}
-	if errors.Is(err, ErrCorruptCorpus) {
-		t.Fatalf("version skew misreported as corruption: %v", err)
+	for _, format := range []int{persistFormat + 41, 1} {
+		wc.Format = format
+		_, err := Load(reencode(t, wc))
+		if err == nil {
+			t.Fatalf("format %d loaded", format)
+		}
+		if errors.Is(err, ErrCorruptCorpus) {
+			t.Fatalf("format %d: version skew misreported as corruption: %v", format, err)
+		}
+		if want := fmt.Sprintf("unsupported corpus format %d", format); !strings.Contains(err.Error(), want) {
+			t.Fatalf("format %d: error %q does not say %q", format, err, want)
+		}
 	}
 }
 
-// TestLoadLegacyFormat1Stream: a stream written by the previous release
-// (format 1, one record per transaction) still loads, reproduces the same
-// transaction set, and gains a columnar view on load.
-func TestLoadLegacyFormat1Stream(t *testing.T) {
-	c := buildPaperCorpus(t)
-	_, wc := savedPaperStream(t)
-	legacy := wc
-	legacy.Format = 1
-	legacy.TxnItems, legacy.TxnOffsets = nil, nil
-	legacy.TxnDocs, legacy.TxnTuples, legacy.TxnLabels = nil, nil, nil
-	for i := 0; i+1 < len(wc.TxnOffsets); i++ {
-		lo, hi := wc.TxnOffsets[i], wc.TxnOffsets[i+1]
-		legacy.Transactions = append(legacy.Transactions, wireTransaction{
-			Items:      wc.TxnItems[lo:hi],
-			Doc:        int(wc.TxnDocs[i]),
-			TupleIndex: int(wc.TxnTuples[i]),
-			Label:      int(wc.TxnLabels[i]),
-		})
+// TestSaveKeepsGobDescriptor: the gob type descriptor heads
+// every saved corpus, so the never-populated wireCorpus.Transactions is part
+// of the bytes files are compared by; deleting the field would change them.
+func TestSaveKeepsGobDescriptor(t *testing.T) {
+	stream, wc := savedPaperStream(t)
+	if !bytes.Contains(stream, []byte("\x0cTransactions")) {
+		t.Fatal("saved stream's type descriptor no longer names the Transactions field")
 	}
-	back, err := Load(reencode(t, legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Transactions) != len(c.Transactions) {
-		t.Fatalf("legacy load has %d transactions, want %d", len(back.Transactions), len(c.Transactions))
-	}
-	for i, tr := range c.Transactions {
-		if !tr.Equal(back.Transactions[i]) {
-			t.Fatalf("legacy transaction %d differs", i)
-		}
-	}
-	assertColumnarMirrors(t, back)
-}
-
-// TestColumnarEncodingSmaller pins the size win of the columnar format on
-// a DBLP-shaped sample (many small bibliographic records): re-encoding the
-// same corpus with the legacy one-record-per-transaction layout must be
-// strictly larger than the format-2 stream Save writes, since gob charges
-// each wireTransaction a type tag, field numbers and a length prefix that
-// the flat arena pays once. The observed delta is logged for the README's
-// perf table.
-func TestColumnarEncodingSmaller(t *testing.T) {
-	rng := rand.New(rand.NewSource(160))
-	b := NewBuilder(BuildOptions{})
-	addRandomDocs(t, b, rng, 160)
-	c := b.Finish()
-
-	var v2 bytes.Buffer
-	if err := c.Save(&v2); err != nil {
-		t.Fatal(err)
-	}
-	var wc wireCorpus
-	if err := gob.NewDecoder(bytes.NewReader(v2.Bytes())).Decode(&wc); err != nil {
-		t.Fatal(err)
-	}
-	legacy := wc
-	legacy.Format = 1
-	for i := 0; i+1 < len(wc.TxnOffsets); i++ {
-		lo, hi := wc.TxnOffsets[i], wc.TxnOffsets[i+1]
-		legacy.Transactions = append(legacy.Transactions, wireTransaction{
-			Items:      wc.TxnItems[lo:hi],
-			Doc:        int(wc.TxnDocs[i]),
-			TupleIndex: int(wc.TxnTuples[i]),
-			Label:      int(wc.TxnLabels[i]),
-		})
-	}
-	legacy.TxnItems, legacy.TxnOffsets = nil, nil
-	legacy.TxnDocs, legacy.TxnTuples, legacy.TxnLabels = nil, nil, nil
-	v1 := reencode(t, legacy)
-
-	if v2.Len() >= v1.Len() {
-		t.Fatalf("columnar stream (%d bytes) not smaller than legacy (%d bytes)", v2.Len(), v1.Len())
-	}
-	t.Logf("%d transactions: format 1 %d bytes, format 2 %d bytes (%.1f%% smaller)",
-		len(c.Transactions), v1.Len(), v2.Len(), 100*(1-float64(v2.Len())/float64(v1.Len())))
-}
-
-// TestLoadedCorpusHasColumnarView: a format-2 round trip restores the
-// contiguous-scan view directly from the wire blocks, satisfying the same
-// position-by-position invariants as a builder-built corpus.
-func TestLoadedCorpusHasColumnarView(t *testing.T) {
-	c := buildPaperCorpus(t)
-	back := roundtrip(t, c)
-	assertColumnarMirrors(t, back)
-	// The flat wire arena backs both the view and every transaction: the
-	// span recorded on each transaction must address its own items.
-	for _, tr := range back.Transactions {
-		cols, start := tr.ColumnarSpan()
-		if cols == nil {
-			t.Fatal("restored transaction has no span")
-		}
-		tps := cols.TagPathSpan(start, tr.Len())
-		for j, id := range tr.Items {
-			if tps[j] != back.Items.Get(id).TagPath {
-				t.Fatalf("restored span tag path mismatch at %d", j)
-			}
-		}
+	if wc.Transactions != nil {
+		t.Fatalf("Save populated the retired format-1 block with %d records", len(wc.Transactions))
 	}
 }

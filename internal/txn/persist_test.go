@@ -10,15 +10,26 @@ import (
 	"xmlclust/internal/xmltree"
 )
 
+// roundtrip saves c, loads it back and checks that the loaded corpus saves
+// the very bytes it was loaded from — the stream is pinned as a fixed point
+// of Load∘Save, with no reference to any in-memory layout.
 func roundtrip(t *testing.T, c *Corpus) *Corpus {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := c.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
+	saved := bytes.Clone(buf.Bytes())
 	back, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := back.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved, again.Bytes()) {
+		t.Fatalf("re-saved corpus differs from the %d-byte stream it was loaded from (%d bytes)", len(saved), again.Len())
 	}
 	return back
 }

@@ -8,19 +8,17 @@ import (
 	"xmlclust/internal/xmltree"
 )
 
-// ColumnarSlice is a standalone, gob-encodable extract of the columnar
-// arena covering a subset of corpus transactions — the unit the elastic
-// peer fabric streams when handing a partition slice to a joining peer. It
-// reuses the format-2 block layout (item-id and tag-path-id columns with
-// span offsets), so producing one from an arena-backed corpus is a
-// near-memcpy of the selected spans.
+// ColumnarSlice is a standalone, gob-encodable extract of a subset of corpus
+// transactions in the block layout of the persisted corpus (an item-id
+// column with span offsets) plus the tag-path column of those ids from the
+// item table — the unit the elastic peer fabric streams when handing a
+// partition slice to a joining peer.
 //
 // Every process of a distributed session loads the same corpus, so the
 // receiver does not install the blocks: it rebuilds the same slice locally
 // and verifies the transfer column-by-column (VerifyColumnarSlice),
 // turning a diverging corpus or partition into a typed error instead of
-// silently wrong clustering. Weights are excluded on purpose — they are
-// derived state (L2 norms) and carry no identity beyond the ids.
+// silently wrong clustering.
 type ColumnarSlice struct {
 	// Indices are the corpus transaction indices, in slice order.
 	Indices []int
@@ -32,9 +30,7 @@ type ColumnarSlice struct {
 }
 
 // ColumnarSlice extracts the column blocks of the given transaction
-// indices. Arena-backed corpora copy published spans; hand-assembled or
-// gob-restored corpora without a columnar view fall back to per-transaction
-// table resolution, producing identical blocks.
+// indices.
 func (c *Corpus) ColumnarSlice(idxs []int) (*ColumnarSlice, error) {
 	cs := &ColumnarSlice{
 		Indices: append([]int(nil), idxs...),
@@ -45,21 +41,12 @@ func (c *Corpus) ColumnarSlice(idxs []int) (*ColumnarSlice, error) {
 			return nil, fmt.Errorf("txn: slice index %d outside corpus of %d transactions", idx, len(c.Transactions))
 		}
 		tr := c.Transactions[idx]
-		// The item column of a span is exactly tr.Items (appendSpan copies
-		// it), so only the tag-path block needs resolving: from the arena
-		// when the transaction owns a span, else from the item table.
 		cs.ItemIDs = append(cs.ItemIDs, tr.Items...)
-		if tr.cols != nil {
-			cs.TagPathIDs = append(cs.TagPathIDs, tr.cols.TagPathSpan(tr.colStart, len(tr.Items))...)
-		} else {
-			tps := make([]xmltree.PathID, len(tr.Items))
-			c.Items.mu.RLock()
-			for i, id := range tr.Items {
-				tps[i] = c.Items.tagPaths[id]
-			}
-			c.Items.mu.RUnlock()
-			cs.TagPathIDs = append(cs.TagPathIDs, tps...)
+		c.Items.mu.RLock()
+		for _, id := range tr.Items {
+			cs.TagPathIDs = append(cs.TagPathIDs, c.Items.tagPaths[id])
 		}
+		c.Items.mu.RUnlock()
 		if len(cs.ItemIDs) > math.MaxInt32 {
 			return nil, fmt.Errorf("txn: columnar slice exceeds int32 positions")
 		}

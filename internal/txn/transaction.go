@@ -18,20 +18,7 @@ type Transaction struct {
 	TupleIndex int
 	// Label is the ground-truth class index when known, else -1.
 	Label int
-
-	// cols/colStart locate the transaction's [colStart, colStart+len(Items))
-	// span inside its corpus's columnar arena. nil cols means no span —
-	// synthetic representatives, hand-assembled corpora and gob-decoded
-	// transactions (unexported fields never travel) — and similarity then
-	// resolves through the item table instead of the arena.
-	cols     *Columnar
-	colStart int32
 }
-
-// ColumnarSpan returns the transaction's columnar arena and span start
-// (nil, 0 when the transaction has no span). The span always covers exactly
-// len(Items) positions holding the same ids as Items.
-func (t *Transaction) ColumnarSpan() (*Columnar, int32) { return t.cols, t.colStart }
 
 // NewTransaction builds a transaction from possibly unsorted, possibly
 // duplicated item ids.
@@ -89,16 +76,13 @@ func (t *Transaction) Equal(o *Transaction) bool {
 	return true
 }
 
-// Clone returns a deep copy. The columnar span carries over: the clone
-// holds the same item set, so the original's arena block describes it too.
+// Clone returns a deep copy.
 func (t *Transaction) Clone() *Transaction {
 	return &Transaction{
 		Items:      append([]ItemID(nil), t.Items...),
 		Doc:        t.Doc,
 		TupleIndex: t.TupleIndex,
 		Label:      t.Label,
-		cols:       t.cols,
-		colStart:   t.colStart,
 	}
 }
 
@@ -116,10 +100,6 @@ type Corpus struct {
 	TruncatedDocs int
 	// MaxDepth is the maximum tree depth over the collection.
 	MaxDepth int
-
-	// cols is the columnar (SoA) view of Transactions, maintained by the
-	// builder and Load; nil for hand-assembled corpora (see Columnar).
-	cols *Columnar
 }
 
 // BuildOptions configures corpus construction.

@@ -267,9 +267,6 @@ func (a *Accumulator) Finalize() Stats {
 		}
 		a.c.Items.SetVector(txn.ItemID(id), a.weigh(id))
 	}
-	// Every raw item's vector may have changed: bring the whole columnar
-	// weight column (per-position vector norms) back in sync.
-	a.c.RefreshColumnarWeights()
 	stats.Vocabulary = a.c.Terms.Len()
 	return stats
 }
@@ -330,10 +327,6 @@ func (a *Accumulator) WeighNew() int {
 		}
 		a.c.Items.SetVector(txn.ItemID(id), a.weigh(id))
 	}
-	// Only never-weighted items changed, and older spans cannot reference
-	// them, so refreshing the positions appended since the last pass keeps
-	// the whole weight column current without an arena-wide scan per add.
-	a.c.RefreshNewColumnarWeights()
 	return n
 }
 

@@ -38,9 +38,6 @@
 //		Gammas: []float64{0.6, 0.7, 0.8},
 //	})
 //
-// The deprecated free functions Cluster and ClusterDistributed remain as
-// thin wrappers over a throwaway Engine and produce byte-identical results.
-//
 // # Ingestion
 //
 // Ingestion is a bounded-memory pipeline: documents stream out of the
