@@ -187,11 +187,11 @@ func main() {
 
 // progressPrinter renders the engine's event stream as one stderr line per
 // completed peer round plus start/termination markers. Events arrive
-// serialized, so no extra locking is needed. The index and delta counters on
+// serialized, so no extra locking is needed. The index and memo counters on
 // events are run-wide running totals; the printer differences consecutive
-// events to report the work done (and skipped) since the last line.
+// events to report the work done (and saved) since the last line.
 func progressPrinter() func(xmlclust.Event) {
-	var lastCand, lastSkip, lastReused, lastDocSkip int64
+	var lastCand, lastSkip, lastReused int64
 	return func(ev xmlclust.Event) {
 		switch ev.Kind {
 		case xmlclust.EventRoundStart:
@@ -205,16 +205,16 @@ func progressPrinter() func(xmlclust.Event) {
 				line += fmt.Sprintf(", reps scored non-zero %d / untouched %d", dc, ds)
 				lastCand, lastSkip = ev.IndexCandidates, ev.IndexSkipped
 			}
-			if dr, dd := ev.RepsReused-lastReused, ev.DocsSkipped-lastDocSkip; dr+dd > 0 {
-				line += fmt.Sprintf(", delta: %d reps reused / %d docs skipped", dr, dd)
-				lastReused, lastDocSkip = ev.RepsReused, ev.DocsSkipped
+			if dr := ev.RepsReused - lastReused; dr > 0 {
+				line += fmt.Sprintf(", %d reps reused", dr)
+				lastReused = ev.RepsReused
 			}
 			fmt.Fprintf(os.Stderr, "%s, %v elapsed\n", line, ev.Elapsed.Round(time.Millisecond))
 		case xmlclust.EventDone:
 			if ev.Peer == -1 {
-				fmt.Fprintf(os.Stderr, "done: %d rounds in %v (index: %d reps scored non-zero, %d untouched; delta: %d reps reused, %d docs skipped, %d B saved)\n",
+				fmt.Fprintf(os.Stderr, "done: %d rounds in %v (index: %d reps scored non-zero, %d untouched; %d reps reused)\n",
 					ev.Round, ev.Elapsed.Round(time.Millisecond),
-					ev.IndexCandidates, ev.IndexSkipped, ev.RepsReused, ev.DocsSkipped, ev.DeltaRepBytes)
+					ev.IndexCandidates, ev.IndexSkipped, ev.RepsReused)
 			}
 		}
 	}

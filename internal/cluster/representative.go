@@ -9,12 +9,13 @@
 // run's transactions against a representative set, LocalReps and GlobalRep
 // refine representatives, Objective reads the clustering objective off the
 // last relocation. It comes in two modes with one job each. The fast engine
-// serves: posting-list scoring, the membership-fingerprinted representative
-// memos and the last relocation pass carried between rounds. The reference
-// engine specifies: the dense kernel, nothing carried. For any call sequence
-// both give the same bytes, including the lowest-index tie rule
-// (TestRoundsTierMatrix). The CXK-means session and the PK-means peer drive
-// it; the centralized algorithm of [33,32] is a session with one peer.
+// serves, and is two things: posting-list scoring, and one memo carried
+// between rounds — the local representative of every cluster, keyed by the
+// fingerprint of its membership. The reference engine specifies: the dense
+// kernel, nothing carried. For any call sequence both give the same bytes,
+// including the lowest-index tie rule (TestRoundsTierMatrix). The CXK-means
+// session and the PK-means peer drive it; the centralized algorithm of
+// [33,32] is a session with one peer.
 // Underneath sit one batch relocation (RelocateScores) and one
 // single-transaction scan (RelocateOneIndexed), which the serving layer's
 // classify path shares.

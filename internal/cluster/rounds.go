@@ -13,58 +13,40 @@ import (
 // CXK-means session and the PK-means peer: one run's transaction set and
 // representative configuration, in one of two modes fixed at construction.
 //
-// A fast engine scores documents through posting lists over the
-// representatives (sim.RepIndex) — in relocation and in the refinement
-// objective — and carries three caches from round to round, so a round that
-// changes nothing costs nothing:
-//
-//  1. Local-representative memo: per cluster, the fingerprint of its member
-//     transaction indices and the representative computed for exactly that
-//     membership. Reuse is exact by a pure-replay argument: recomputing for
-//     the same members under the same context would re-intern identical
-//     content-addressed synthetic items (no table change) and re-derive the
-//     identical item sequence, so downstream interning order — and every
-//     later representative — is unaffected by the skip.
-//
-//  2. The last relocation pass: the assignment and the representative set
-//     it was computed against. An Assign against an equal set returns that
-//     assignment without scoring a document (Counters.DocsSkipped) — the
-//     steady state of the within-round fixpoint loop and of converged
-//     sessions.
-//
-//  3. Global-representative memo: per cluster, a fingerprint of the
-//     (weight, representative items) inputs of ComputeGlobalRepresentative.
+// A fast engine is two things. It scores documents through posting lists over
+// the representatives (sim.RepIndex) — in relocation and in the refinement
+// objective. And it keeps one memo from round to round: per cluster, the
+// fingerprint of its member transaction indices and the local representative
+// computed for exactly that membership. Reuse is exact by a pure-replay
+// argument: recomputing for the same members under the same context would
+// re-intern identical content-addressed synthetic items (no table change) and
+// re-derive the identical item sequence, so downstream interning order — and
+// every later representative — is unaffected by the skip. Being a pure
+// function of the membership, an entry cannot go stale, whatever the run does
+// between two rounds (rollback, restore, epoch change).
 //
 // A reference engine is the specification the fast one is checked against:
 // the dense Eq. 4 kernel per (document, representative) pair in relocation
-// and in the objective, every pass scanned in full, every representative
-// recomputed.
+// and in the objective, every representative recomputed.
 //
 // The contract is byte-identity: for any call sequence, a fast engine's
 // results equal a reference engine's exactly, including the lowest-index tie
 // rule. It holds while the similarity context and the transaction slice stay
-// fixed and representatives are immutable once handed in; call Invalidate
-// when the run's continuity breaks (a session rollback, restore or epoch
-// change). A Rounds serves one sequential run and is not safe for
-// concurrent use — worker parallelism happens inside its methods.
+// fixed. A Rounds serves one sequential run and is not safe for concurrent
+// use — worker parallelism happens inside its methods.
 type Rounds struct {
-	cfg  RepConfig
-	s    []*txn.Transaction
-	fast bool
-	k    int // len(reps) of the latest Assign
+	cfg RepConfig
+	s   []*txn.Transaction
+	k   int // len(reps) of the latest Assign
 
-	ix     *sim.RepIndex      // nil in a reference engine
-	ixReps []*txn.Transaction // the set ix was built over
-
-	local, global repMemo // nil in a reference engine
-	fps           []uint64
-	prevReps      []*txn.Transaction // the set prevAssign holds for; nil = none
-	prevAssign    []int
-	scores        []float64 // winning similarity per transaction, latest pass
+	ix     *sim.RepIndex // nil in a reference engine
+	local  repMemo       // nil in a reference engine
+	fps    []uint64
+	scores []float64 // winning similarity per transaction, latest pass
 }
 
-// repMemo is a per-cluster memo of representatives keyed by an input
-// fingerprint.
+// repMemo is the per-cluster memo of local representatives, keyed by the
+// fingerprint of the cluster's membership.
 type repMemo []struct {
 	set bool
 	fp  uint64
@@ -77,62 +59,37 @@ type repMemo []struct {
 // cluster count is the length of the representative slice handed to Assign.
 func NewRounds(cfg RepConfig, s []*txn.Transaction, fast bool) *Rounds {
 	cfg.dense = !fast
-	r := &Rounds{cfg: cfg, s: s, fast: fast}
+	r := &Rounds{cfg: cfg, s: s}
 	if fast {
 		r.ix = sim.NewRepIndex()
 	}
 	return r
 }
 
-// Invalidate forgets everything carried over from earlier calls: the next
-// Assign rebuilds the index and scans in full, the next representatives are
-// recomputed. No answer changes, only its cost.
-func (r *Rounds) Invalidate() {
-	r.ixReps = r.ixReps[:0]
-	r.prevReps = nil
-	clear(r.local)
-	clear(r.global)
-}
-
 // Assign is the relocation step of Fig. 5 against reps: every transaction
 // joins its argmax cluster (ties to the lowest index, nil and empty
 // representatives never win) or TrashCluster when every similarity is zero.
-// The index is rebuilt only when reps differs by pointer from the set it was
-// last built over (or a weighting pass rewrote one of their vectors), so the
-// passes of a fixpoint loop over fixed representatives share one build — and
-// on a fast engine the second pass is the first one's result. The returned
-// slice is the engine's record of the pass: it is never written again, and
-// callers must not modify it. A done ctx aborts the pass with ctx's error
-// (nil never cancels); the engine stays usable, the next Assign scans in
-// full.
+// Relocation against a fixed set is a pure function of that set, so one pass
+// is the fixpoint; a fast engine builds its index over reps first (O(postings),
+// microseconds beside the pass). The returned slice is the caller's. A done
+// ctx aborts the pass with ctx's error (nil never cancels) and the engine
+// stays usable.
 func (r *Rounds) Assign(ctx context.Context, reps []*txn.Transaction) ([]int, error) {
 	cx := r.cfg.Ctx
 	if len(reps) != r.k {
-		// A different cluster count voids every per-cluster cache.
+		// A different cluster count voids the per-cluster memo.
 		r.k = len(reps)
-		r.prevReps = nil
-		if r.fast {
-			r.local, r.global = make(repMemo, r.k), make(repMemo, r.k)
+		if r.ix != nil {
+			r.local = make(repMemo, r.k)
 		}
 	}
-	if r.prevReps != nil && RepsEqual(r.prevReps, reps) {
-		cx.Counters.DocsSkipped.Add(int64(len(r.s)))
-		return r.prevAssign, nil
-	}
-	if r.ix != nil && !(slices.Equal(r.ixReps, reps) && r.ix.Enabled()) {
-		// Built over a private copy: callers replace entries of reps in
-		// place. A disabled index rebuilds in O(1), a stale one afresh.
-		r.ixReps = append(r.ixReps[:0], reps...)
-		r.ix.Build(cx, r.ixReps)
+	if r.ix != nil {
+		r.ix.Build(cx, reps)
 	}
 	assign := make([]int, len(r.s))
 	r.scores = slices.Grow(r.scores[:0], len(r.s))[:len(r.s)]
 	if err := RelocateScores(ctx, cx, r.s, reps, r.cfg.Workers, r.ix, assign, r.scores); err != nil {
-		r.prevReps = nil
 		return nil, err
-	}
-	if r.fast {
-		r.prevReps, r.prevAssign = append(r.prevReps[:0], reps...), assign
 	}
 	return assign, nil
 }
@@ -152,9 +109,9 @@ func (r *Rounds) Objective() float64 {
 
 // LocalReps is the refinement step for the clustering assign (an Assign
 // result): the local representative and the size of every cluster, nil and
-// 0 for an empty one. A cluster whose membership is unchanged since its
-// representative was last computed gets that very object back
-// (Counters.RepsReused).
+// 0 for an empty one. On a fast engine a cluster whose membership is
+// unchanged since its representative was last computed gets that very object
+// back (Counters.RepsReused).
 func (r *Rounds) LocalReps(assign []int) (reps []*txn.Transaction, sizes []int) {
 	members := make([][]*txn.Transaction, r.k)
 	r.fps = slices.Grow(r.fps[:0], r.k)[:r.k]
@@ -174,55 +131,25 @@ func (r *Rounds) LocalReps(assign []int) (reps []*txn.Transaction, sizes []int) 
 	// inside each representative computation.
 	for j, mem := range members {
 		sizes[j] = len(mem)
-		if len(mem) > 0 {
-			reps[j] = r.memoized(r.local, j, r.fps[j], func() *txn.Transaction {
-				return ComputeLocalRepresentative(r.cfg, mem)
-			})
+		if len(mem) == 0 {
+			continue
+		}
+		if r.local != nil && r.local[j].set && r.local[j].fp == r.fps[j] {
+			r.cfg.Ctx.Counters.RepsReused.Add(1)
+			reps[j] = r.local[j].rep
+			continue
+		}
+		reps[j] = ComputeLocalRepresentative(r.cfg, mem)
+		if r.local != nil {
+			r.local[j].set, r.local[j].fp, r.local[j].rep = true, r.fps[j], reps[j]
 		}
 	}
 	return reps, sizes
 }
 
-// GlobalRep merges the weighted local representatives of cluster j into its
-// global representative (ComputeGlobalRepresentative); the previous merge is
-// returned when every weight and item sequence is unchanged
-// (Counters.RepsReused).
-func (r *Rounds) GlobalRep(j int, weighted []WeightedRep) *txn.Transaction {
-	return r.memoized(r.global, j, weightedRepsFingerprint(weighted), func() *txn.Transaction {
-		return ComputeGlobalRepresentative(r.cfg, weighted)
-	})
-}
-
-// memoized is the one memo-or-compute switch: entry j of m is served while
-// its input fingerprint holds, and recomputed otherwise. In a reference
-// engine m is nil and every call computes.
-func (r *Rounds) memoized(m repMemo, j int, fp uint64, compute func() *txn.Transaction) *txn.Transaction {
-	if m == nil {
-		return compute()
-	}
-	if e := m[j]; e.set && e.fp == fp {
-		r.cfg.Ctx.Counters.RepsReused.Add(1)
-		return e.rep
-	}
-	rep := compute()
-	m[j].set, m[j].fp, m[j].rep = true, fp, rep
-	return rep
-}
-
-// weightedRepsFingerprint hashes the inputs of ComputeGlobalRepresentative:
-// every contributing (weight, representative item sequence) in slice order,
-// with separators so (nil, rep) and (rep, nil) hash differently.
-func weightedRepsFingerprint(reps []WeightedRep) uint64 {
-	h := fnv.Offset
-	for _, wr := range reps {
-		h = fnv.Mix(h, ^uint64(0)) // separator
-		h = fnv.Mix(h, uint64(wr.Weight))
-		if wr.Rep == nil {
-			continue
-		}
-		for _, id := range wr.Rep.Items {
-			h = fnv.Mix(h, uint64(id))
-		}
-	}
-	return h
+// GlobalRep merges the weighted local representatives of one cluster into its
+// global representative: ComputeGlobalRepresentative under the engine's
+// configuration.
+func (r *Rounds) GlobalRep(weighted []WeightedRep) *txn.Transaction {
+	return ComputeGlobalRepresentative(r.cfg, weighted)
 }

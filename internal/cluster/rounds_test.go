@@ -64,11 +64,10 @@ func tierMatrixSets(cx *sim.Context, s []*txn.Transaction, k int) [][]*txn.Trans
 }
 
 // TestRoundsTierMatrix is the whole-engine oracle: on the fast and on the
-// reference engine, at one and four workers, with and without an Invalidate
-// in mid-sequence, every Assign must equal the flat argmax over the seed
-// similarity (sim.SeedTransactions), every Objective the seed objective
-// Σ(1 − SeedTransactions) bit for bit, and every LocalReps the reference
-// engine's memo-free representatives.
+// reference engine, at one and four workers, every Assign must equal the flat
+// argmax over the seed similarity (sim.SeedTransactions), every Objective the
+// seed objective Σ(1 − SeedTransactions) bit for bit, and every LocalReps the
+// reference engine's memo-free representatives.
 func TestRoundsTierMatrix(t *testing.T) {
 	const k = 6
 	corpus := tieHeavyCorpus(t, 60, 29)
@@ -89,27 +88,22 @@ func TestRoundsTierMatrix(t *testing.T) {
 		}
 		for _, fast := range []bool{true, false} {
 			for _, workers := range []int{1, 4} {
-				for _, invalidateAt := range []int{-1, 3, 6} {
-					label := fmt.Sprintf("params %+v fast %v workers %d invalidate@%d", p, fast, workers, invalidateAt)
-					r := NewRounds(RepConfig{Ctx: cx, Workers: workers}, s, fast)
-					for step, reps := range sets {
-						if step == invalidateAt {
-							r.Invalidate()
-						}
-						got, err := r.Assign(nil, reps)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !slices.Equal(got, wantAssign[step]) {
-							t.Fatalf("%s: step %d: assignment differs from the seed argmax\n got %v\nwant %v",
-								label, step, got, wantAssign[step])
-						}
-						if obj := r.Objective(); obj != wantObjective[step] {
-							t.Fatalf("%s: step %d: objective %v, seed objective %v", label, step, obj, wantObjective[step])
-						}
-						if locals, _ := r.LocalReps(got); !RepsEqual(locals, wantLocals[step]) {
-							t.Fatalf("%s: step %d: local representatives differ from the memo-free ones", label, step)
-						}
+				label := fmt.Sprintf("params %+v fast %v workers %d", p, fast, workers)
+				r := NewRounds(RepConfig{Ctx: cx, Workers: workers}, s, fast)
+				for step, reps := range sets {
+					got, err := r.Assign(nil, reps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, wantAssign[step]) {
+						t.Fatalf("%s: step %d: assignment differs from the seed argmax\n got %v\nwant %v",
+							label, step, got, wantAssign[step])
+					}
+					if obj := r.Objective(); obj != wantObjective[step] {
+						t.Fatalf("%s: step %d: objective %v, seed objective %v", label, step, obj, wantObjective[step])
+					}
+					if locals, _ := r.LocalReps(got); !RepsEqual(locals, wantLocals[step]) {
+						t.Fatalf("%s: step %d: local representatives differ from the memo-free ones", label, step)
 					}
 				}
 			}
@@ -118,9 +112,8 @@ func TestRoundsTierMatrix(t *testing.T) {
 }
 
 // TestRoundsAssignCanceled pins cancellation: an Assign under a done ctx
-// returns ctx's error, and the engine stays usable — a canceled pass is not
-// remembered as the last one, so the next Assign against the same
-// representatives scans in full and equals a fresh engine's answer.
+// returns ctx's error, and the engine stays usable — the next Assign against
+// the same representatives equals a fresh engine's answer.
 func TestRoundsAssignCanceled(t *testing.T) {
 	corpus := tieHeavyCorpus(t, 40, 5)
 	s := corpus.Transactions

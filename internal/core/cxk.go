@@ -38,14 +38,12 @@ type Options struct {
 	// with each other; Workers adds intra-peer parallelism on top, and the
 	// result stays byte-identical to Workers: 1 for a fixed Seed.
 	Workers int
-	// Fast runs every peer on the fast engine end to end: posting-list
-	// scoring instead of the dense kernel, representatives and the last
-	// relocation pass memoized across rounds (see cluster.Rounds), unchanged
-	// local representatives on the wire as digest markers. Without it the
-	// run is the reference: dense kernel, nothing memoized, every
-	// representative shipped in full. Assignments and representatives are
-	// byte-identical either way; every peer of a session must agree
-	// (enforced via StartMsg.DeltaExchange).
+	// Fast runs every peer on the fast engine: posting-list scoring instead
+	// of the dense kernel, local representatives memoized across rounds (see
+	// cluster.Rounds). Without it the run is the reference: dense kernel,
+	// nothing memoized. Assignments, representatives and every byte on the
+	// wire are identical either way, so the choice is each peer's own — RunPeer
+	// processes of one session need not agree on it.
 	Fast bool
 	// Transport overrides the default in-process channel transport.
 	Transport p2p.Transport
@@ -354,7 +352,6 @@ func startMsgFrom(cx *sim.Context, corpus *txn.Corpus, opts Options) StartMsg {
 		Seed:          opts.Seed,
 		Txns:          len(corpus.Transactions),
 		PartitionHash: PartitionFingerprint(opts.Partition),
-		DeltaExchange: opts.Fast,
 	}
 }
 
@@ -368,6 +365,5 @@ func expectationFrom(cx *sim.Context, corpus *txn.Corpus, opts Options) *StartEx
 		Seed:          opts.Seed,
 		Txns:          len(corpus.Transactions),
 		PartitionHash: PartitionFingerprint(opts.Partition),
-		DeltaExchange: opts.Fast,
 	}
 }

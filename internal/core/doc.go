@@ -16,24 +16,29 @@
 // selects q_i = |Z_i| initial global representatives from its local
 // transactions, drawn from distinct source documents. On a real network a
 // fast neighbour's round message can overtake the StartMsg (FIFO holds per
-// connection, not across connections); startup buffers such messages.
+// connection, not across connections); startup holds such messages back and
+// accepts them — vetted and accounted like any other — once k is known.
 //
 // Each round has four phases:
 //
 //	Phase 1  broadcast  — peer i sends {g_j | j ∈ Z_i} to every other peer
 //	                      and waits for the complementing m−1 messages, so
 //	                      each peer holds all k global representatives.
-//	Phase 2  relocate   — relocation against the fixed globals (zero
-//	                      similarity ⇒ trash cluster k+1) until the local
-//	                      assignment is a fixpoint, then one local
-//	                      representative ℓ_ij per non-empty cluster.
+//	Phase 2  relocate   — one relocation pass against the globals (zero
+//	                      similarity ⇒ trash cluster k+1), then one local
+//	                      representative ℓ_ij per non-empty cluster. The
+//	                      globals are fixed for the round and a transaction's
+//	                      cluster depends on nothing else, so the pass is a
+//	                      pure function of them: running it again returns
+//	                      the same assignment, i.e. one pass is the fixpoint.
 //	Phase 3  exchange   — if no ℓ_ij changed (or the state revisits a
 //	                      previous fingerprint), peer i broadcasts an empty
 //	                      LocalRepsMsg with FlagDone; otherwise it sends
-//	                      each peer h the pairs {(ℓ_ij, |C_ij|) | j ∈ Z_h}.
-//	                      Every peer receives exactly m−1 LocalRepsMsg per
-//	                      round, so the pattern is symmetric and the rounds
-//	                      self-synchronize without a barrier.
+//	                      each peer h the pairs {(ℓ_ij, |C_ij|) | j ∈ Z_h},
+//	                      every representative in full, every round, on
+//	                      every engine. Every peer receives exactly m−1
+//	                      LocalRepsMsg per round, so the pattern is symmetric
+//	                      and the rounds self-synchronize without a barrier.
 //	Phase 4  refine     — if any flag was FlagContinue, peer i recomputes
 //	                      g_j = ComputeGlobalRepresentative over the
 //	                      received weighted locals (in peer-id order, for
@@ -50,11 +55,18 @@
 // multi-process runs are byte-identical to in-process runs.
 //
 // Message reordering. A peer may run one phase ahead of a slow neighbour;
-// nextGlobal/nextLocal buffer out-of-phase envelopes per (round, type), and
-// a terminated peer's post-session AssignMsg is parked for the coordinator's
-// collection step. The protocol therefore tolerates any interleaving a
-// FIFO-per-pair transport can produce (exercised by the DelayTransport
-// robustness tests).
+// every round message goes through accept, which buffers it per (round,
+// type) for nextGlobal/nextLocal, and a terminated peer's post-session
+// AssignMsg is parked for the coordinator's collection step. The protocol
+// therefore tolerates any interleaving a FIFO-per-pair transport can produce
+// (exercised by the DelayTransport robustness tests).
+//
+// Untrusted numbers. Frames arrive from a TCP port anyone on the host can
+// dial, and the session indexes with what they say. accept therefore vets
+// every round message before anything is grown or indexed by it: the sender
+// is the transport-level sender and in [0, m), the round in [0, MaxRounds),
+// cluster ids in [0, k), wire item ids inside the interning table. A
+// violation fails the session with ErrUnexpectedMessage.
 //
 // Failure handling. Sends propagate transport errors and fail the session
 // (a silent drop would starve the receiving peer); receives honour the
@@ -64,6 +76,7 @@
 // Accounting. Every peer records, per round: compute time (optionally
 // serialized across peers via a token so measurements are not polluted by
 // host-core oversubscription), modeled sent/received bytes and message
-// counts. Result.SimulatedTime folds these into the paper's runtime
-// metric: Σ_rounds (max_i compute + max_i wire-time).
+// counts — a received message is counted where it is accepted, whichever
+// path it took there. Result.SimulatedTime folds these into the paper's
+// runtime metric: Σ_rounds (max_i compute + max_i wire-time).
 package core

@@ -68,9 +68,9 @@ type Event struct {
 	RecvMsgs, RecvBytes int64
 	// CounterSnapshot holds the similarity context's work counters at
 	// emission time (see sim.Counters for each field): IndexCandidates and
-	// IndexSkipped of the representative index, RepsReused and DocsSkipped of
-	// the round engine, DeltaRepBytes of the exchange. In-process peers share
-	// one context, so these are run-wide running totals, not per-peer ones.
+	// IndexSkipped of the representative index, RepsReused of the round
+	// engine. In-process peers share one context, so these are run-wide
+	// running totals, not per-peer ones.
 	sim.CounterSnapshot
 	// Elapsed is the time since the session (or run, for Peer == -1)
 	// started.

@@ -8,26 +8,22 @@
 // # The round engine
 //
 // The relocate→refine half of every round runs on a cluster.Rounds: the
-// fast engine (posting-list scoring, cross-round memos, the last relocation
-// pass) with Options.Fast set, the reference engine the fast one is checked
-// against without. Output is byte-identical either way.
+// fast engine (posting-list scoring, the local-representative memo) with
+// Options.Fast set, the reference engine the fast one is checked against
+// without. Output is byte-identical either way, and so is everything on the
+// wire: every representative travels in full on every engine, in one wire
+// form, so the engine is a peer's own business — fast and reference peers can
+// share a session. What the engine carries between rounds is a pure function
+// of cluster memberships, so installing a checkpoint or a coordinator state
+// stream (restore, crash recovery, -join) and a membership epoch change have
+// nothing to invalidate.
 //
-// A fast session additionally ships an unchanged representative as a digest
-// marker (UnchangedRep) instead of the full wire transaction; a reference
-// session puts every representative on the wire in full.
-// That is part of the wire protocol: the coordinator announces it in
-// StartMsg.DeltaExchange, a peer configured differently rejects the
-// session with ErrConfigMismatch, and a marker the receiver never cached
-// (or whose digest disagrees) fails the round with ErrUnexpectedMessage.
-// The engine's caches and the exchange caches assume round-over-round
-// continuity, so any break invalidates them: installing a checkpoint or a
-// coordinator state stream (restore, crash recovery, -join) and a
-// membership epoch change call Rounds.Invalidate and drop both exchange
-// caches, and the next round recomputes and re-ships everything from
-// scratch.
+// No frame carries a protocol version: all processes of a session are
+// expected to run one build.
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"xmlclust/internal/cluster"
@@ -66,13 +62,6 @@ type StartMsg struct {
 	Txns int
 	// PartitionHash fingerprints the data partition S_1..S_m.
 	PartitionHash uint64
-	// DeltaExchange announces that the run ships unchanged local
-	// representatives as digest markers (LocalRepsMsg.Unchanged) instead of
-	// full wire transactions — true for a fast run, false for a reference
-	// one. Every peer must agree: a receiver that does not maintain the
-	// delta cache cannot resolve a marker, so a mixed deployment fails fast
-	// at startup (StartExpectation.check) instead of mid-round.
-	DeltaExchange bool
 }
 
 // GlobalRepsMsg broadcasts the global representatives a peer is responsible
@@ -103,50 +92,12 @@ type LocalRepsMsg struct {
 	Flag  Flag
 	// Reps maps cluster id → (representative, |C_i_j|).
 	Reps map[int]WeightedWireRep
-	// Unchanged maps cluster id → digest marker for representatives that
-	// are byte-identical to the last full representative this sender shipped
-	// to this destination for that cluster (delta exchange; only sent when
-	// the StartMsg negotiated DeltaExchange). The weight still travels —
-	// cluster sizes can change while the representative does not.
-	Unchanged map[int]UnchangedRep
 }
 
 // WeightedWireRep pairs a representative with its local cluster size.
 type WeightedWireRep struct {
 	Rep    WireTxn
 	Weight int
-}
-
-// UnchangedRep is the delta-exchange marker for one unchanged local
-// representative: the digest of the full wire form the receiver already
-// holds, plus the (possibly updated) cluster size.
-type UnchangedRep struct {
-	Weight int
-	Digest uint64
-}
-
-// unchangedRepSize models the wire cost of one delta-exchange marker:
-// cluster id + weight + digest.
-const unchangedRepSize = 24
-
-// cachedWireRep is a receiver-side delta-exchange cache entry: the last full
-// wire representative a sender shipped for one cluster, with its digest so
-// incoming UnchangedRep markers can be verified before reuse.
-type cachedWireRep struct {
-	wire WireTxn
-	dig  uint64
-}
-
-// wireDigest fingerprints a wire transaction's flattened raw item ids
-// (FNV-1a, order-sensitive — toWire is deterministic, so equal
-// representatives produce equal sequences). Senders key their sent-rep
-// caches on it and receivers verify delta-exchange markers against it.
-func wireDigest(w WireTxn) uint64 {
-	h := fnv.Offset
-	for _, id := range w.Items {
-		h = fnv.Mix(h, uint64(id))
-	}
-	return h
 }
 
 // AssignMsg reports a peer's final local assignment to the coordinator
@@ -166,6 +117,38 @@ func init() {
 	p2p.RegisterWireType(GlobalRepsMsg{})
 	p2p.RegisterWireType(LocalRepsMsg{})
 	p2p.RegisterWireType(AssignMsg{})
+}
+
+// CheckHeader vets the sender and the round a received round message claims,
+// before anything is grown or indexed by them: the sender must be the one the
+// transport saw and a peer id in [0, peers), the round in [0, rounds). Frames
+// come from a port anyone on the host can dial, so a violation is an error
+// (ErrUnexpectedMessage), never a panic or an allocation.
+func CheckHeader(env p2p.Envelope, from, round, peers, rounds int) error {
+	if from != env.From || from < 0 || from >= peers {
+		return fmt.Errorf("%w: %T claims sender %d on a frame from peer %d (of %d)",
+			ErrUnexpectedMessage, env.Payload, from, env.From, peers)
+	}
+	if round < 0 || round >= rounds {
+		return fmt.Errorf("%w: %T from peer %d for round %d, outside [0,%d)",
+			ErrUnexpectedMessage, env.Payload, from, round, rounds)
+	}
+	return nil
+}
+
+// CheckWireRep vets one received representative: its cluster id must lie in
+// [0, k) and every wire item id in the interning table of nItems items.
+func CheckWireRep(j, k int, w WireTxn, nItems int) error {
+	if j < 0 || j >= k {
+		return fmt.Errorf("%w: representative for cluster %d, outside [0,%d)", ErrUnexpectedMessage, j, k)
+	}
+	for _, id := range w.Items {
+		if id < 0 || int(id) >= nItems {
+			return fmt.Errorf("%w: representative for cluster %d names item %d, outside [0,%d)",
+				ErrUnexpectedMessage, j, id, nItems)
+		}
+	}
+	return nil
 }
 
 // toWire converts a transaction to its wire form: the flattened raw item
@@ -249,7 +232,6 @@ func Sizer(items *txn.ItemTable) p2p.Sizer {
 			for _, r := range m.Reps {
 				n += 16 + WireTxnSize(items, r.Rep)
 			}
-			n += int64(unchangedRepSize * len(m.Unchanged))
 			return n
 		case AssignMsg:
 			return int64(24 + 8*len(m.Assign))

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"time"
 
 	"xmlclust/internal/cluster"
@@ -40,9 +39,8 @@ type PeerConfig struct {
 	// Workers bounds intra-peer parallelism (see Options.Workers).
 	Workers int
 	// Fast selects the fast engine over the reference one (see
-	// Options.Fast). It changes what travels — a fast peer ships unchanged
-	// local representatives as digest markers — so every peer of a session
-	// must agree on it (StartMsg.DeltaExchange).
+	// Options.Fast). It is local to the peer: nothing of it travels, and fast
+	// and reference peers can share a session.
 	Fast bool
 	// RoundTimeout bounds every blocking receive of the session; a peer
 	// that waits longer fails with ErrRoundDeadline instead of hanging on
@@ -94,7 +92,6 @@ type StartExpectation struct {
 	Seed          int64
 	Txns          int
 	PartitionHash uint64
-	DeltaExchange bool
 }
 
 // check compares the expectation against a received StartMsg.
@@ -111,9 +108,6 @@ func (e *StartExpectation) check(msg StartMsg) error {
 		return fmt.Errorf("%w: corpus has %d transactions here, %d at N0", ErrConfigMismatch, e.Txns, msg.Txns)
 	case msg.PartitionHash != e.PartitionHash:
 		return fmt.Errorf("%w: data partition diverges from N0's (check the split flags)", ErrConfigMismatch)
-	case msg.DeltaExchange != e.DeltaExchange:
-		return fmt.Errorf("%w: delta exchange %v here, %v at N0 (fast and reference peers cannot share a session)",
-			ErrConfigMismatch, e.DeltaExchange, msg.DeltaExchange)
 	}
 	return nil
 }
@@ -223,8 +217,7 @@ type session struct {
 	assign  []int              // local assignment
 	rounds  int
 	report  PeerReport
-	// engine runs the relocate→refine half of every round and owns what is
-	// carried across rounds; invalidated on every install.
+	// engine runs the relocate→refine half of every round.
 	engine *cluster.Rounds
 	// seenStates fingerprints past local-representative states. Fig. 5
 	// terminates on exact representative stability; greedy representative
@@ -237,20 +230,13 @@ type session struct {
 	changed     bool
 	bySender    []map[int]WeightedWireRep
 	anyContinue bool
-	// sentRepDigest / recvRepCache implement the delta representative
-	// exchange: per (destination, cluster) the digest of the last full
-	// representative shipped, and per (sender, cluster) the last full wire
-	// representative received with its digest — so an UnchangedRep marker
-	// resolves to the cached wire form. Both reset on install: the first
-	// post-rollback round ships full representatives again on every link.
-	sentRepDigest []map[int]uint64
-	recvRepCache  []map[int]cachedWireRep
 
 	// Message reordering buffers: peers may run ahead by one phase, so
-	// envelopes are buffered per (round, type). A peer that terminates
-	// ahead of this one may even deliver its post-session AssignMsg while
-	// this session still drains the final round; those are parked in
-	// pendAssign for the post-session consumer (see RunPeer).
+	// messages are buffered per (round, type) once accept has vetted and
+	// accounted them. A peer that terminates ahead of this one may even
+	// deliver its post-session AssignMsg while this session still drains the
+	// final round; those are parked in pendAssign for the post-session
+	// consumer (see RunPeer).
 	pendGlobal map[int][]GlobalRepsMsg
 	pendLocal  map[int][]LocalRepsMsg
 	pendAssign []AssignMsg
@@ -336,11 +322,12 @@ func (s *session) step(ctx context.Context) error {
 // startup awaits N0's StartMsg, initializes the protocol state and selects
 // the initial global representatives this peer is responsible for. Round
 // messages from fast neighbours may overtake the StartMsg on a real network
-// (FIFO holds per connection, not across connections), so they are buffered
-// rather than rejected.
+// (FIFO holds per connection, not across connections), so they are held back
+// rather than rejected, and accepted once k is known.
 func (s *session) startup(ctx context.Context) error {
 	s.armStartupDeadline()
 	var startMsg StartMsg
+	var early []p2p.Envelope
 awaitStart:
 	for {
 		env, err := s.recvEnvelope(ctx)
@@ -351,12 +338,8 @@ awaitStart:
 		case StartMsg:
 			startMsg = msg
 			break awaitStart
-		case GlobalRepsMsg:
-			s.pendGlobal[msg.Round] = append(s.pendGlobal[msg.Round], msg)
-		case LocalRepsMsg:
-			s.pendLocal[msg.Round] = append(s.pendLocal[msg.Round], msg)
-		case AssignMsg:
-			s.pendAssign = append(s.pendAssign, msg)
+		case GlobalRepsMsg, LocalRepsMsg, AssignMsg:
+			early = append(early, env)
 		default:
 			return fmt.Errorf("%w: expected StartMsg, got %T", ErrUnexpectedMessage, env.Payload)
 		}
@@ -387,6 +370,11 @@ awaitStart:
 	rng := rand.New(rand.NewSource(s.p.cfg.Seed))
 	for idx, tr := range cluster.SelectInitial(s.p.cfg.Local, len(s.zi), rng) {
 		s.global[s.zi[idx]] = tr
+	}
+	for _, env := range early {
+		if err := s.accept(env); err != nil {
+			return err
+		}
 	}
 	s.phase = PhaseBroadcastGlobals
 	return nil
@@ -440,30 +428,23 @@ func (s *session) broadcastGlobals(ctx context.Context) error {
 	return nil
 }
 
-// relocate is protocol phase 2: the local relocation loop against the fixed
-// globals, followed by the local representative of every non-empty cluster.
-// The relocation passes are cancellable: ctx is checked between passes and
-// inside the parallel fork-join, so a canceled session aborts the compute
-// section without finishing the corpus scan.
+// relocate is protocol phase 2: one relocation pass against the globals,
+// followed by the local representative of every non-empty cluster. The
+// globals are fixed for the round and relocation against a fixed set is a
+// pure function of it, so the pass is its own fixpoint. It is cancellable:
+// ctx is checked inside the parallel fork-join, so a canceled session aborts
+// the compute section without finishing the corpus scan.
 func (s *session) relocate(ctx context.Context) error {
 	cfg := &s.p.cfg
 	var newLocalRp []*txn.Transaction
 	var relocErr error
 	s.compute(s.round, func() {
-		// The globals are fixed for the whole loop, so the engine builds its
-		// index once, and the pass that confirms the fixpoint is the one
-		// before it, returned as is.
-		for {
-			assign, err := s.engine.Assign(ctx, s.global)
-			if err != nil {
-				relocErr = fmt.Errorf("%w: %w", ErrCanceled, err)
-				return
-			}
-			if slices.Equal(assign, s.assign) {
-				break
-			}
-			s.assign = assign
+		assign, err := s.engine.Assign(ctx, s.global)
+		if err != nil {
+			relocErr = fmt.Errorf("%w: %w", ErrCanceled, err)
+			return
 		}
+		s.assign = assign
 		newLocalRp, s.sizes = s.engine.LocalReps(s.assign)
 	})
 	if relocErr != nil {
@@ -501,39 +482,12 @@ func (s *session) exchangeLocals(ctx context.Context) error {
 		}
 		msg := LocalRepsMsg{From: id, Round: s.round, Flag: flag}
 		if s.changed {
-			reps := map[int]WeightedWireRep{}
-			var unchanged map[int]UnchangedRep
+			msg.Reps = map[int]WeightedWireRep{}
 			for _, j := range s.zs[h] {
-				if s.localRp[j] == nil {
-					continue
+				if s.localRp[j] != nil {
+					msg.Reps[j] = WeightedWireRep{Rep: toWire(s.items(), s.localRp[j]), Weight: s.sizes[j]}
 				}
-				w := toWire(s.items(), s.localRp[j])
-				if s.p.cfg.Fast {
-					if s.sentRepDigest == nil {
-						s.sentRepDigest = make([]map[int]uint64, s.m)
-					}
-					if s.sentRepDigest[h] == nil {
-						s.sentRepDigest[h] = map[int]uint64{}
-					}
-					dig := wireDigest(w)
-					if prev, ok := s.sentRepDigest[h][j]; ok && prev == dig {
-						// The receiver still holds this exact wire form: ship a
-						// digest marker instead of the full representative. The
-						// weight travels regardless — cluster sizes can change
-						// while the representative does not.
-						if unchanged == nil {
-							unchanged = map[int]UnchangedRep{}
-						}
-						unchanged[j] = UnchangedRep{Weight: s.sizes[j], Digest: dig}
-						s.p.cfg.Ctx.Counters.DeltaRepBytes.Add(16 + WireTxnSize(s.items(), w) - unchangedRepSize)
-						continue
-					}
-					s.sentRepDigest[h][j] = dig
-				}
-				reps[j] = WeightedWireRep{Rep: w, Weight: s.sizes[j]}
 			}
-			msg.Reps = reps
-			msg.Unchanged = unchanged
 		}
 		if err := s.send(s.round, h, msg); err != nil {
 			return err
@@ -554,11 +508,7 @@ func (s *session) exchangeLocals(ctx context.Context) error {
 		if msg.Flag == FlagContinue {
 			s.anyContinue = true
 		}
-		reps, err := s.expandLocalReps(msg)
-		if err != nil {
-			return err
-		}
-		s.bySender[msg.From] = reps
+		s.bySender[msg.From] = msg.Reps
 		received++
 	}
 	s.emit(EventRepsExchanged, s.round, 0)
@@ -570,48 +520,6 @@ func (s *session) exchangeLocals(ctx context.Context) error {
 	}
 	s.phase = PhaseRefineGlobals
 	return nil
-}
-
-// expandLocalReps resolves a received LocalRepsMsg into the full per-cluster
-// representative map, expanding delta-exchange markers from the per-sender
-// cache and refreshing that cache with every full representative received.
-// A marker with no matching cache entry is a protocol violation — the sender
-// believes it shipped a full representative earlier that this peer never
-// cached — and fails the session rather than risking a silently divergent
-// refinement.
-func (s *session) expandLocalReps(msg LocalRepsMsg) (map[int]WeightedWireRep, error) {
-	if !s.p.cfg.Fast {
-		return msg.Reps, nil
-	}
-	if s.recvRepCache == nil {
-		s.recvRepCache = make([]map[int]cachedWireRep, s.m)
-	}
-	cache := s.recvRepCache[msg.From]
-	if cache == nil {
-		cache = map[int]cachedWireRep{}
-		s.recvRepCache[msg.From] = cache
-	}
-	for j, wr := range msg.Reps {
-		cache[j] = cachedWireRep{wire: wr.Rep, dig: wireDigest(wr.Rep)}
-	}
-	if len(msg.Unchanged) == 0 {
-		return msg.Reps, nil
-	}
-	// In-process transports deliver the sender's own map object: merge into a
-	// fresh map, never into msg.Reps.
-	merged := make(map[int]WeightedWireRep, len(msg.Reps)+len(msg.Unchanged))
-	for j, wr := range msg.Reps {
-		merged[j] = wr
-	}
-	for j, u := range msg.Unchanged {
-		c, ok := cache[j]
-		if !ok || c.dig != u.Digest {
-			return nil, fmt.Errorf("%w: delta marker for cluster %d from peer %d has no matching cached representative",
-				ErrUnexpectedMessage, j, msg.From)
-		}
-		merged[j] = WeightedWireRep{Rep: c.wire, Weight: u.Weight}
-	}
-	return merged, nil
 }
 
 // refineGlobals is protocol phase 4: compute the global representatives for
@@ -637,7 +545,7 @@ func (s *session) refineGlobals(ctx context.Context) error {
 			if len(reps) == 0 {
 				continue // keep the previous global representative
 			}
-			if g := s.engine.GlobalRep(j, reps); g != nil {
+			if g := s.engine.GlobalRep(reps); g != nil {
 				s.global[j] = g
 			}
 		}
@@ -835,17 +743,12 @@ func (s *session) rejoin(ctx context.Context) error {
 		}
 		// Anything surfacing here carries the session's pre-admission epoch:
 		// leftovers of the slot's previous occupant. They predate the view
-		// the joiner will be admitted under, and install drops the buffers —
-		// parking them is bookkeeping, not acceptance. (New-epoch traffic
-		// racing ahead of the state transfer is parked inside recvEnvelope
-		// and replayed by takeFuture after the install.)
-		switch msg := env.Payload.(type) {
-		case GlobalRepsMsg:
-			s.pendGlobal[msg.Round] = append(s.pendGlobal[msg.Round], msg)
-		case LocalRepsMsg:
-			s.pendLocal[msg.Round] = append(s.pendLocal[msg.Round], msg)
-		case AssignMsg, StartMsg:
-			// Superseded by the incoming state transfer.
+		// the joiner will be admitted under and are superseded by the
+		// incoming state transfer. (New-epoch traffic racing ahead of the
+		// state transfer is parked inside recvEnvelope and replayed by
+		// takeFuture after the install.)
+		switch env.Payload.(type) {
+		case GlobalRepsMsg, LocalRepsMsg, AssignMsg, StartMsg:
 		default:
 			return fmt.Errorf("%w: %T while awaiting rejoin state", ErrUnexpectedMessage, env.Payload)
 		}
@@ -907,74 +810,83 @@ func (s *session) size(payload any) int64 {
 // process).
 func (s *session) items() *txn.ItemTable { return s.p.cfg.Ctx.Items }
 
-func (s *session) recvAccount(round int, env p2p.Envelope) {
-	if round < 0 || s.k == 0 {
-		return // startup message, before the protocol state exists
+// accept is where every round message is consumed, whether it came straight
+// off the transport or was held back until the StartMsg: the numbers it
+// claims are vetted against the session's dimensions before anything is grown
+// or indexed by them (frames arrive from a port anyone on the host can dial),
+// it is accounted to its round, and it is buffered under (type, round) for
+// nextGlobal / nextLocal. A violation fails the session with
+// ErrUnexpectedMessage.
+func (s *session) accept(env p2p.Envelope) error {
+	nItems := s.items().Len()
+	var round int
+	switch msg := env.Payload.(type) {
+	case GlobalRepsMsg:
+		if err := CheckHeader(env, msg.From, msg.Round, s.m, s.p.cfg.MaxRounds); err != nil {
+			return err
+		}
+		for j, w := range msg.Reps {
+			if err := CheckWireRep(j, s.k, w, nItems); err != nil {
+				return err
+			}
+		}
+		round = msg.Round
+		s.pendGlobal[round] = append(s.pendGlobal[round], msg)
+	case LocalRepsMsg:
+		if err := CheckHeader(env, msg.From, msg.Round, s.m, s.p.cfg.MaxRounds); err != nil {
+			return err
+		}
+		for j, wr := range msg.Reps {
+			if err := CheckWireRep(j, s.k, wr.Rep, nItems); err != nil {
+				return err
+			}
+		}
+		round = msg.Round
+		s.pendLocal[round] = append(s.pendLocal[round], msg)
+	case AssignMsg:
+		s.pendAssign = append(s.pendAssign, msg) // vetted by collectAssignments
+		return nil
+	default:
+		return fmt.Errorf("%w: %T in phase %s", ErrUnexpectedMessage, env.Payload, s.phase)
 	}
 	s.growRound(round)
 	s.report.RecvMsgsByRound[round]++
 	s.report.RecvBytesByRound[round] += s.size(env.Payload)
+	return nil
 }
 
-// nextGlobal returns the next GlobalRepsMsg for the given round, buffering
-// out-of-phase messages.
+// nextGlobal returns the next GlobalRepsMsg for the given round, accepting
+// (and thereby buffering) whatever arrives in the meantime.
 func (s *session) nextGlobal(ctx context.Context, round int) (GlobalRepsMsg, error) {
-	if q := s.pendGlobal[round]; len(q) > 0 {
-		msg := q[0]
-		s.pendGlobal[round] = q[1:]
-		return msg, nil
-	}
-	for {
-		env, err := s.recvEnvelope(ctx)
-		if err != nil {
+	for len(s.pendGlobal[round]) == 0 {
+		if err := s.acceptNext(ctx); err != nil {
 			return GlobalRepsMsg{}, err
 		}
-		switch msg := env.Payload.(type) {
-		case GlobalRepsMsg:
-			s.recvAccount(msg.Round, env)
-			if msg.Round == round {
-				return msg, nil
-			}
-			s.pendGlobal[msg.Round] = append(s.pendGlobal[msg.Round], msg)
-		case LocalRepsMsg:
-			s.recvAccount(msg.Round, env)
-			s.pendLocal[msg.Round] = append(s.pendLocal[msg.Round], msg)
-		case AssignMsg:
-			s.pendAssign = append(s.pendAssign, msg)
-		default:
-			return GlobalRepsMsg{}, fmt.Errorf("%w: %T while awaiting global reps", ErrUnexpectedMessage, env.Payload)
-		}
 	}
+	q := s.pendGlobal[round]
+	s.pendGlobal[round] = q[1:]
+	return q[0], nil
 }
 
 // nextLocal returns the next LocalRepsMsg for the given round.
 func (s *session) nextLocal(ctx context.Context, round int) (LocalRepsMsg, error) {
-	if q := s.pendLocal[round]; len(q) > 0 {
-		msg := q[0]
-		s.pendLocal[round] = q[1:]
-		return msg, nil
-	}
-	for {
-		env, err := s.recvEnvelope(ctx)
-		if err != nil {
+	for len(s.pendLocal[round]) == 0 {
+		if err := s.acceptNext(ctx); err != nil {
 			return LocalRepsMsg{}, err
 		}
-		switch msg := env.Payload.(type) {
-		case LocalRepsMsg:
-			s.recvAccount(msg.Round, env)
-			if msg.Round == round {
-				return msg, nil
-			}
-			s.pendLocal[msg.Round] = append(s.pendLocal[msg.Round], msg)
-		case GlobalRepsMsg:
-			s.recvAccount(msg.Round, env)
-			s.pendGlobal[msg.Round] = append(s.pendGlobal[msg.Round], msg)
-		case AssignMsg:
-			s.pendAssign = append(s.pendAssign, msg)
-		default:
-			return LocalRepsMsg{}, fmt.Errorf("%w: %T while awaiting local reps", ErrUnexpectedMessage, env.Payload)
-		}
 	}
+	q := s.pendLocal[round]
+	s.pendLocal[round] = q[1:]
+	return q[0], nil
+}
+
+// acceptNext blocks for one envelope and accepts it.
+func (s *session) acceptNext(ctx context.Context) error {
+	env, err := s.recvEnvelope(ctx)
+	if err != nil {
+		return err
+	}
+	return s.accept(env)
 }
 
 // fingerprintReps hashes a representative slice (FNV-1a over item ids and

@@ -258,7 +258,8 @@ func TestSessionTerminatesWhenAllDone(t *testing.T) {
 // on separate TCP connections a fast neighbour's round-0 broadcast (or even
 // a post-session AssignMsg) can overtake the coordinator's StartMsg. The
 // startup phase must buffer, not reject, and the buffered broadcast must
-// feed phase 1 afterwards.
+// feed phase 1 afterwards — and count as received in its round like any other
+// (the per-round counts are inputs of Result.SimulatedTime).
 func TestSessionStartupBuffersEarlyMessages(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
 	tr := p2p.NewChanTransport(2, nil)
@@ -268,7 +269,8 @@ func TestSessionStartupBuffersEarlyMessages(t *testing.T) {
 	s := newSession(p)
 	rep := toWire(corpus.Items, corpus.Transactions[part[1][0]])
 	// The neighbour's broadcast and a stray assignment report arrive first.
-	if err := tr.Send(1, 0, GlobalRepsMsg{From: 1, Round: 0, Reps: map[int]WireTxn{1: rep}}); err != nil {
+	early := GlobalRepsMsg{From: 1, Round: 0, Reps: map[int]WireTxn{1: rep}}
+	if err := tr.Send(1, 0, early); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Send(1, 0, AssignMsg{From: 1, Rounds: 1}); err != nil {
@@ -295,6 +297,121 @@ func TestSessionStartupBuffersEarlyMessages(t *testing.T) {
 	}
 	if s.phase != PhaseRelocate || s.global[1] == nil {
 		t.Fatalf("buffered broadcast not consumed: phase=%s", s.phase)
+	}
+	if msgs, bytes := s.report.RecvMsgsByRound[0], s.report.RecvBytesByRound[0]; msgs != 1 || bytes != Sizer(corpus.Items)(early) {
+		t.Errorf("the broadcast that overtook the StartMsg is accounted as %d messages / %d B in round 0, want 1 / %d",
+			msgs, bytes, Sizer(corpus.Items)(early))
+	}
+}
+
+// TestReceivedCountsMatchSentUnderDelays: in a converged 3-peer run whose
+// sends are randomly delayed — RunPeer processes, so round messages can
+// overtake the coordinator's StartMsg — every peer must account, round by
+// round, exactly the messages the other two sent it, and the fleet as many
+// modeled bytes received as sent.
+func TestReceivedCountsMatchSentUnderDelays(t *testing.T) {
+	corpus, _ := miniCorpus(t, 6)
+	const m = 3
+	tr := p2p.NewDelayTransport(p2p.NewChanTransport(m, Sizer(corpus.Items)), 2*time.Millisecond, 99)
+	defer tr.Close()
+	res := runFleet(t, tr, corpus, 2, 4, make([]bool, m))
+	for r := 0; r < res[0].Rounds; r++ {
+		var sentBytes, recvBytes int64
+		for i := range res {
+			// The pattern is symmetric: a peer sends each of the others one
+			// GlobalRepsMsg and one LocalRepsMsg per round.
+			var want int64
+			for h := range res {
+				if h != i {
+					want += res[h].Report.SentMsgsByRound[r] / (m - 1)
+				}
+			}
+			if got := res[i].Report.RecvMsgsByRound[r]; got != want || want != 2*(m-1) {
+				t.Errorf("round %d: peer %d accounted %d received messages, the others sent it %d", r, i, got, want)
+			}
+			sentBytes += res[i].Report.SentBytesByRound[r]
+			recvBytes += res[i].Report.RecvBytesByRound[r]
+		}
+		if sentBytes != recvBytes {
+			t.Errorf("round %d: %d modeled bytes sent, %d received", r, sentBytes, recvBytes)
+		}
+	}
+}
+
+// TestSessionRejectsMalformedFrames: a frame's own numbers are used as
+// indices only after they are vetted. Each malformed round message — sent
+// before or after the StartMsg — must fail the session with
+// ErrUnexpectedMessage inside the deadline, never panic or allocate by what
+// the frame claims.
+func TestSessionRejectsMalformedFrames(t *testing.T) {
+	corpus, _ := miniCorpus(t, 4)
+	part := EqualPartition(len(corpus.Transactions), 2, 1)
+	good := toWire(corpus.Items, corpus.Transactions[part[1][0]])
+	pastTable := WireTxn{Items: []txn.ItemID{txn.ItemID(corpus.Items.Len())}}
+	global := func(from, round, j int, w WireTxn) any {
+		return GlobalRepsMsg{From: from, Round: round, Reps: map[int]WireTxn{j: w}}
+	}
+	local := func(from, round, j int, w WireTxn) any {
+		return LocalRepsMsg{From: from, Round: round, Reps: map[int]WeightedWireRep{j: {Rep: w, Weight: 1}}}
+	}
+	cases := []struct {
+		name string
+		from int // the sender the transport reports
+		msg  any
+	}{
+		{"global: round far past MaxRounds", 1, global(1, 1<<31, 1, good)},
+		{"global: negative round", 1, global(1, -1, 1, good)},
+		{"global: sender past m", 7, global(7, 0, 1, good)},
+		{"global: negative sender", -1, global(-1, 0, 1, good)},
+		{"global: sender is not the frame's", 1, global(0, 0, 1, good)},
+		{"global: cluster past k", 1, global(1, 0, 2, good)},
+		{"global: negative cluster", 1, global(1, 0, -1, good)},
+		{"global: item past the table", 1, global(1, 0, 1, pastTable)},
+		{"global: negative item", 1, global(1, 0, 1, WireTxn{Items: []txn.ItemID{-1}})},
+		{"local: round far past MaxRounds", 1, local(1, 1<<31, 0, good)},
+		{"local: sender past m", 2, local(2, 0, 0, good)},
+		{"local: cluster past k", 1, local(1, 0, 1<<20, good)},
+		{"local: item past the table", 1, local(1, 0, 0, pastTable)},
+	}
+	for _, c := range cases {
+		for _, beforeStart := range []bool{true, false} {
+			tr := p2p.NewChanTransport(2, nil)
+			if beforeStart {
+				if err := tr.Send(c.from, 0, c.msg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tr.Send(0, 0, startMsgFor(2, 2)); err != nil {
+				t.Fatal(err)
+			}
+			if !beforeStart {
+				if err := tr.Send(c.from, 0, c.msg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Peer 1's well-formed round-0 traffic, so that a LocalRepsMsg case
+			// is reached: only the malformed frame can fail the session.
+			for _, msg := range []any{global(1, 0, 1, good), LocalRepsMsg{From: 1, Round: 0, Flag: FlagDone}} {
+				if err := tr.Send(1, 0, msg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) { cfg.RoundTimeout = 5 * time.Second })
+			errc := make(chan error, 1)
+			go func() {
+				_, err := p.RunSession(context.Background())
+				errc <- err
+			}()
+			select {
+			case err := <-errc:
+				if !errors.Is(err, ErrUnexpectedMessage) {
+					t.Errorf("%s (before the StartMsg: %v): want ErrUnexpectedMessage, got %v", c.name, beforeStart, err)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatalf("%s (before the StartMsg: %v): session neither failed nor finished", c.name, beforeStart)
+			}
+			tr.Close()
+		}
 	}
 }
 

@@ -156,13 +156,6 @@ func (s *session) install(st *SessionState) error {
 	s.anyContinue = false
 	s.pendGlobal = map[int][]GlobalRepsMsg{}
 	s.pendLocal = map[int][]LocalRepsMsg{}
-	// The engine's caches and the exchange caches anchor to the abandoned
-	// attempt's assignments and shipped representatives: drop them, so the
-	// first post-install round runs the full scans and ships full
-	// representatives on every link.
-	s.engine.Invalidate()
-	s.sentRepDigest = nil
-	s.recvRepCache = nil
 	s.phase = PhaseBroadcastGlobals
 	return nil
 }

@@ -374,7 +374,7 @@ func (p *peer) run(ctx context.Context) error {
 				if len(perCluster[j]) == 0 {
 					continue
 				}
-				if g := p.engine.GlobalRep(j, perCluster[j]); g != nil {
+				if g := p.engine.GlobalRep(perCluster[j]); g != nil {
 					p.global[j] = g
 				}
 			}
@@ -448,7 +448,18 @@ func (p *peer) next(ctx context.Context, round int) (RepsMsg, error) {
 		}
 		msg, ok := env.Payload.(RepsMsg)
 		if !ok {
-			return RepsMsg{}, fmt.Errorf("unexpected message %T", env.Payload)
+			return RepsMsg{}, fmt.Errorf("%w: %T", core.ErrUnexpectedMessage, env.Payload)
+		}
+		// Vet what the frame claims before anything is grown or indexed by it
+		// (rounds run 0..maxRounds here, the seeding round included).
+		if err := core.CheckHeader(env, msg.From, msg.Round, p.transport.Peers(), p.maxRounds+1); err != nil {
+			return RepsMsg{}, err
+		}
+		nItems := p.repCfg.Ctx.Items.Len()
+		for j, wr := range msg.Reps {
+			if err := core.CheckWireRep(j, p.k, wr.Rep, nItems); err != nil {
+				return RepsMsg{}, err
+			}
 		}
 		p.growRound(msg.Round)
 		p.report.RecvMsgsByRound[msg.Round]++

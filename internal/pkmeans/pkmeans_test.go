@@ -293,3 +293,56 @@ func TestPKSendFailureFailsRun(t *testing.T) {
 		tr.Close()
 	}
 }
+
+// TestPKRejectsMalformedFrames: a frame's own numbers are used as indices
+// only after they are vetted. Each malformed RepsMsg waiting in a peer's inbox
+// must fail the run with core.ErrUnexpectedMessage inside the deadline, never
+// panic or allocate by what the frame claims.
+func TestPKRejectsMalformedFrames(t *testing.T) {
+	corpus, _ := miniCorpus(t, 4)
+	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
+	good := core.WireTxn{Items: corpus.Transactions[0].Items}
+	pastTable := core.WireTxn{Items: []txn.ItemID{txn.ItemID(corpus.Items.Len())}}
+	msg := func(from, round, j int, w core.WireTxn) RepsMsg {
+		return RepsMsg{From: from, Round: round, Reps: map[int]core.WeightedWireRep{j: {Rep: w, Weight: 1}}, Initial: round == 0}
+	}
+	cases := []struct {
+		name string
+		from int // the sender the transport reports
+		msg  RepsMsg
+	}{
+		{"round far past MaxRounds", 1, msg(1, 1<<31, 0, good)},
+		{"negative round", 1, msg(1, -1, 0, good)},
+		{"sender past m", 5, msg(5, 1, 0, good)},
+		{"negative sender", -1, msg(-1, 1, 0, good)},
+		{"sender is not the frame's", 1, msg(0, 0, 0, good)},
+		{"cluster past k", 1, msg(1, 0, 2, good)},
+		{"negative cluster", 1, msg(1, 1, -1, good)},
+		{"item past the table", 1, msg(1, 0, 1, pastTable)},
+		{"negative item", 1, msg(1, 1, 1, core.WireTxn{Items: []txn.ItemID{-1}})},
+	}
+	for _, c := range cases {
+		tr := p2p.NewChanTransport(2, nil)
+		if err := tr.Send(c.from, 0, c.msg); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(context.Background(), cx, corpus, Options{
+				K: 2, Params: cx.Params, Peers: 2, Transport: tr,
+				Partition: core.EqualPartition(len(corpus.Transactions), 2, 7),
+				Seed:      7,
+			})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, core.ErrUnexpectedMessage) {
+				t.Errorf("%s: Run returned %v, want an error wrapping core.ErrUnexpectedMessage", c.name, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s: Run still blocked after 20s", c.name)
+		}
+		tr.Close()
+	}
+}

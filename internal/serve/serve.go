@@ -136,14 +136,9 @@ type Stats struct {
 	IndexedReps     int   `json:"indexed_reps"`
 	IndexCandidates int64 `json:"index_candidates"`
 	IndexSkipped    int64 `json:"index_skipped"`
-	// RepsReused / DocsSkipped / DeltaRepBytes total the round-engine counters
-	// over every refresh run: representatives reused verbatim from the
-	// cross-round memo, documents of relocation passes answered by the
-	// previous pass without scoring, and modeled wire bytes saved by
-	// unchanged-representative markers (zero for single-peer refreshes).
-	RepsReused    int64 `json:"reps_reused"`
-	DocsSkipped   int64 `json:"docs_skipped"`
-	DeltaRepBytes int64 `json:"delta_rep_bytes"`
+	// RepsReused totals, over every refresh run, the local representatives
+	// reused verbatim from the round engine's memo.
+	RepsReused int64 `json:"reps_reused"`
 }
 
 // RoundStats reports one maintenance round.
@@ -216,8 +211,6 @@ type Service struct {
 	idxCand    int64
 	idxSkip    int64
 	repsReused int64
-	docsSkip   int64
-	deltaBytes int64
 }
 
 // NewService validates the configuration and returns an empty service
@@ -440,7 +433,7 @@ func (s *Service) Stats() Stats {
 		Refreshes: s.refreshes, MaintenanceRounds: s.rounds, Reassigned: s.reassigned,
 		IndexEntries: s.snap.idx.Entries(), IndexedReps: s.snap.idx.Reps(),
 		IndexCandidates: s.idxCand, IndexSkipped: s.idxSkip,
-		RepsReused: s.repsReused, DocsSkipped: s.docsSkip, DeltaRepBytes: s.deltaBytes,
+		RepsReused:   s.repsReused,
 		ClusterSizes: make([]int, s.cfg.K),
 	}
 	for id, rec := range s.docs {
@@ -601,8 +594,6 @@ func (s *Service) refreshLocked(ctx context.Context) (int, error) {
 		s.idxCand += res.IndexCandidates
 		s.idxSkip += res.IndexSkipped
 		s.repsReused += res.RepsReused
-		s.docsSkip += res.DocsSkipped
-		s.deltaBytes += res.DeltaRepBytes
 	}
 
 	// Prebuild the representative index once per refresh: every classify

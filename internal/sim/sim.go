@@ -88,15 +88,6 @@ type Counters struct {
 	// was unchanged since the representative was last refined — each reuse
 	// skips the full rank + generateTreeTuple objective loop.
 	RepsReused atomic.Int64
-	// DocsSkipped counts the documents of relocation passes that were not
-	// run at all: the representative set equalled that of the previous pass,
-	// so its assignment was returned as is (cluster.Rounds).
-	DocsSkipped atomic.Int64
-	// DeltaRepBytes counts exchange bytes saved by the delta representative
-	// exchange: for every local representative shipped as an "unchanged"
-	// digest marker instead of a re-flattened wire transaction, the full
-	// wire size minus the marker size is added here.
-	DeltaRepBytes atomic.Int64
 }
 
 // CounterSnapshot is a plain copy of the tier counters a run reports: it is
@@ -104,13 +95,13 @@ type Counters struct {
 // to Snapshot and Sub) reaches every surface. See Counters for the meaning
 // of each field.
 type CounterSnapshot struct {
-	IndexCandidates, IndexSkipped          int64
-	RepsReused, DocsSkipped, DeltaRepBytes int64
+	IndexCandidates, IndexSkipped, RepsReused int64
 
-	// Deprecated: goes with the next benchmark PR. The kernel prunes no rows
-	// any more; the field is always zero and only keeps the frozen bench/
-	// module compiling.
-	PrunedRows int64
+	// Deprecated: go with the next benchmark PR. The kernel prunes no rows,
+	// no relocation pass is skipped and no representative travels as a digest
+	// marker any more; the fields are always zero and only keep the frozen
+	// bench/ module compiling.
+	PrunedRows, DocsSkipped, DeltaRepBytes int64
 }
 
 // Snapshot reads the reported counters. Each load is atomic; the set is not
@@ -120,8 +111,6 @@ func (c *Counters) Snapshot() CounterSnapshot {
 		IndexCandidates: c.IndexCandidates.Load(),
 		IndexSkipped:    c.IndexSkipped.Load(),
 		RepsReused:      c.RepsReused.Load(),
-		DocsSkipped:     c.DocsSkipped.Load(),
-		DeltaRepBytes:   c.DeltaRepBytes.Load(),
 	}
 }
 
@@ -132,8 +121,6 @@ func (s CounterSnapshot) Sub(before CounterSnapshot) CounterSnapshot {
 		IndexCandidates: s.IndexCandidates - before.IndexCandidates,
 		IndexSkipped:    s.IndexSkipped - before.IndexSkipped,
 		RepsReused:      s.RepsReused - before.RepsReused,
-		DocsSkipped:     s.DocsSkipped - before.DocsSkipped,
-		DeltaRepBytes:   s.DeltaRepBytes - before.DeltaRepBytes,
 	}
 }
 

@@ -255,17 +255,15 @@ const (
 // RepIndexMode and DeltaRoundsMode are two names for one switch between the
 // two engines a job can run on. The fast engine (the default) scores
 // documents through posting lists over the representatives' TCU terms, swept
-// once per document, in relocation and in the refinement objective; reuses
-// the memoized representative of every cluster whose membership did not
-// change; answers a relocation pass against unchanged representatives with
-// the previous pass; and (CXK-means) ships unchanged local representatives
-// between peers as digest markers. The reference engine — selected by
-// RepIndexOff or DeltaRoundsOff, either one or both — runs the dense Eq. 4
-// kernel on every (document, representative) pair, recomputes every round
-// from scratch and ships every representative in full. The two produce the
-// same assignments and representatives byte for byte; what differs is wall
-// time, wire bytes and the work counters of Result, all of which read zero on
-// a reference run. Two fields exist because the benchmark sets both by name.
+// once per document, in relocation and in the refinement objective, and
+// reuses the memoized local representative of every cluster whose membership
+// did not change. The reference engine — selected by RepIndexOff or
+// DeltaRoundsOff, either one or both — runs the dense Eq. 4 kernel on every
+// (document, representative) pair and recomputes every representative. The
+// two produce the same assignments, representatives and wire traffic byte for
+// byte; what differs is wall time and the work counters of Result, all of
+// which read zero on a reference run. Two fields exist because the benchmark
+// sets both by name.
 type RepIndexMode int
 
 const (
@@ -367,12 +365,11 @@ type Result struct {
 	// work counters. IndexCandidates and IndexSkipped count the
 	// representatives that relocation through the index scored above zero
 	// versus those that score exactly zero and were never touched (both zero
-	// where the index stepped aside). RepsReused, DocsSkipped and
-	// DeltaRepBytes count representatives returned verbatim from the
-	// cross-round memo (local and global), documents of relocation passes
-	// answered by the previous pass without scoring, and modeled wire bytes
-	// saved by shipping unchanged-representative digest markers. All five
-	// are zero on a reference run. Jobs of one Sweep that share a
+	// where the index stepped aside). RepsReused counts local
+	// representatives returned verbatim from the round engine's memo because
+	// their cluster's membership had not changed. All three are zero on a
+	// reference run (and DocsSkipped, DeltaRepBytes and PrunedRows on every
+	// run: nothing writes them any more). Jobs of one Sweep that share a
 	// (F, Gamma) context and run concurrently may attribute overlap to one
 	// cell, but the totals across cells are exact.
 	sim.CounterSnapshot
@@ -415,11 +412,10 @@ type DistributedOptions struct {
 	Seed int64
 	// IndexReps and DeltaRounds select this peer's engine (see
 	// ClusterOptions): RepIndexOff or DeltaRoundsOff, either one, runs the
-	// reference engine. The choice is part of the wire protocol — a fast peer
-	// ships unchanged representatives as digest markers, a reference peer
-	// cannot resolve them — so every process of a deployment must agree: a
-	// mismatch fails fast at startup with a configuration error instead of
-	// computing silently wrong refinements.
+	// reference engine. The choice is local: both engines put the same bytes
+	// on the wire, so the processes of a deployment need not agree on it.
+	// What they must share is the build — no frame carries a protocol
+	// version.
 	IndexReps   RepIndexMode
 	DeltaRounds DeltaRoundsMode
 	// MaxRounds bounds the collaborative loop (0 = default; negative values
