@@ -162,17 +162,9 @@ func seedService(svc *serve.Service, path string) (int, error) {
 		if err != nil {
 			return n, err
 		}
-		if doc.Open == nil {
-			return n, fmt.Errorf("seed document %q yields a pre-parsed tree; cxkserve needs raw XML", doc.Name)
-		}
-		rc, err := doc.Open()
+		raw, err := doc.Raw()
 		if err != nil {
-			return n, err
-		}
-		raw, err := io.ReadAll(rc)
-		rc.Close()
-		if err != nil {
-			return n, err
+			return n, fmt.Errorf("seed document %q: %w", doc.Name, err)
 		}
 		if _, err := svc.AddDocument(context.Background(), doc.Name, raw, doc.Label); err != nil {
 			return n, fmt.Errorf("seed document %q: %w", doc.Name, err)

@@ -66,7 +66,7 @@ func (s *tarSource) Next() (*Document, error) {
 		if _, err := buf.ReadFrom(s.tr); err != nil {
 			return nil, fmt.Errorf("corpus: %s: tar entry %s: %w", s.name, hdr.Name, err)
 		}
-		return bytesDoc(s.name+":"+hdr.Name, -1, buf.Bytes()), nil
+		return &Document{Name: s.name + ":" + hdr.Name, Label: -1, Data: buf.Bytes()}, nil
 	}
 }
 

@@ -8,7 +8,6 @@
 package corpus
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"io/fs"
@@ -20,9 +19,10 @@ import (
 	"xmlclust/internal/xmltree"
 )
 
-// Document is one unit yielded by a Source: either raw XML obtained through
-// Open, or an already-parsed Tree (in-process generators). Exactly one of
-// the two is set.
+// Document is one unit yielded by a Source: raw XML the source already
+// holds in memory (Data), raw XML obtained through Open, or an
+// already-parsed Tree (in-process generators). Exactly one of the three is
+// set.
 type Document struct {
 	// Name identifies the document (file path, archive entry, generator id).
 	Name string
@@ -30,9 +30,30 @@ type Document struct {
 	Label int
 	// Tree is the pre-parsed form; nil when the document is raw XML.
 	Tree *xmltree.Tree
-	// Open returns a reader over the raw XML; nil when Tree is set. It may
-	// be called at most once, from any goroutine.
+	// Data is the raw XML of a document that is in memory anyway (an
+	// archive entry); it is parsed in place, no reader around it.
+	Data []byte
+	// Open returns a reader over the raw XML of a document that is not in
+	// memory yet (a file). It may be called at most once, from any
+	// goroutine.
 	Open func() (io.ReadCloser, error)
+}
+
+// Raw returns the document's raw XML: Data, or everything Open's reader
+// yields. A pre-parsed document has none.
+func (d *Document) Raw() ([]byte, error) {
+	if d.Data != nil {
+		return d.Data, nil
+	}
+	if d.Open == nil {
+		return nil, fmt.Errorf("corpus: %s is a pre-parsed tree, not raw XML", d.Name)
+	}
+	rc, err := d.Open()
+	if err != nil {
+		return nil, err
+	}
+	defer rc.Close()
+	return io.ReadAll(rc)
 }
 
 // Source yields the documents of a corpus one at a time, in a deterministic
@@ -165,22 +186,4 @@ func (s *multiSource) Close() error {
 		}
 	}
 	return first
-}
-
-// bytesReadCloser is an in-memory document's reader. Unlike io.NopCloser it
-// keeps *bytes.Reader's ReadByte visible, so xml.NewDecoder reads it
-// directly instead of wrapping every document in a fresh bufio.Reader.
-type bytesReadCloser struct{ *bytes.Reader }
-
-func (bytesReadCloser) Close() error { return nil }
-
-// bytesDoc builds a raw-XML document over an in-memory buffer.
-func bytesDoc(name string, label int, data []byte) *Document {
-	return &Document{
-		Name:  name,
-		Label: label,
-		Open: func() (io.ReadCloser, error) {
-			return bytesReadCloser{bytes.NewReader(data)}, nil
-		},
-	}
 }

@@ -175,13 +175,10 @@ func TestTarSourcePlainAndGzip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rc, err := d.Open()
-			if err != nil {
-				t.Fatal(err)
+			if d.Open != nil || d.Tree != nil {
+				t.Fatalf("%s: an archive entry is in memory, it needs no Open and is no Tree", d.Name)
 			}
-			b, _ := io.ReadAll(rc)
-			rc.Close()
-			got = append(got, d.Name+"="+string(b))
+			got = append(got, d.Name+"="+string(d.Data))
 		}
 		src.Close()
 		want := []string{"test.tar:a.xml=<a>one</a>", "test.tar:sub/b.xml=<b>two</b>"}
@@ -199,8 +196,8 @@ func TestTarSourcePlainAndGzip(t *testing.T) {
 // TestTarEntryBuffering covers the two per-document constants of the tar
 // path: an entry is read whole whether or not it fits the buffer its header
 // sized (empty, small, larger than the preallocation cap, and cut short by
-// a damaged archive), and the reader a document opens is an io.ByteReader,
-// which is what keeps xml.NewDecoder from wrapping it in a bufio.Reader.
+// a damaged archive), and the document hands out those bytes themselves —
+// even an empty entry is Data, not a document of unknown size.
 func TestTarEntryBuffering(t *testing.T) {
 	big := "<a>" + strings.Repeat("x", maxEntryPrealloc+12345) + "</a>"
 	entries := map[string]string{"big.xml": big, "empty.xml": "", "small.xml": "<s>v</s>"}
@@ -215,17 +212,8 @@ func TestTarEntryBuffering(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		rc, err := d.Open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := rc.(io.ByteReader); !ok {
-			t.Fatalf("%s opens as %T, which is no io.ByteReader", name, rc)
-		}
-		b, _ := io.ReadAll(rc)
-		rc.Close()
-		if string(b) != entries[name] {
-			t.Fatalf("%s: read %d bytes, want %d", name, len(b), len(entries[name]))
+		if d.Data == nil || string(d.Data) != entries[name] {
+			t.Fatalf("%s: Data holds %d bytes (nil: %v), want %d", name, len(d.Data), d.Data == nil, len(entries[name]))
 		}
 	}
 	if _, err := src.Next(); err != io.EOF {

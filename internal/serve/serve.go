@@ -271,7 +271,7 @@ func emptySnapshot(cfg Config) (*snapshot, error) {
 // maintenance round accounts for it in the drift. label is the optional
 // ground-truth class (−1 = unknown).
 func (s *Service) AddDocument(ctx context.Context, name string, xmlData []byte, label int) (DocInfo, error) {
-	tree, err := xmlclust.ParseString(string(xmlData))
+	tree, err := xmlclust.ParseBytes(xmlData)
 	if err != nil {
 		return DocInfo{}, fmt.Errorf("serve: add %q: %w", name, err)
 	}
@@ -343,7 +343,7 @@ func (s *Service) RemoveDocument(id int) (DocInfo, error) {
 // the document is NOT added — though unseen paths/items/terms are interned
 // (append-only) and weighted with frozen itf factors.
 func (s *Service) Classify(ctx context.Context, xmlData []byte) (*xmlclust.Classification, error) {
-	tree, err := xmlclust.ParseString(string(xmlData))
+	tree, err := xmlclust.ParseBytes(xmlData)
 	if err != nil {
 		return nil, fmt.Errorf("serve: classify: %w", err)
 	}
@@ -563,7 +563,7 @@ func (s *Service) refreshLocked(ctx context.Context) (int, error) {
 		if rec.removed {
 			continue
 		}
-		tree, err := xmlclust.ParseString(string(rec.xml))
+		tree, err := xmlclust.ParseBytes(rec.xml)
 		if err != nil {
 			return 0, fmt.Errorf("serve: refresh: reparse %q: %w", rec.name, err)
 		}

@@ -1,10 +1,13 @@
 package xmltree
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
 	"strings"
+	"sync"
+	"unicode/utf8"
 )
 
 // ParseOptions controls how raw XML is mapped onto the tree model.
@@ -44,159 +47,129 @@ const maxTreeDepth = 10000
 // Parse reads one XML document from r and builds its tree. A document whose
 // tree would be deeper than maxTreeDepth is an error.
 func Parse(r io.Reader, opts ParseOptions) (*Tree, error) {
-	dec := xml.NewDecoder(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("xmltree: parse: %w", err)
+	}
+	return ParseBytes(data, opts)
+}
+
+// ParseBytes is Parse over a document already in memory; data is only read,
+// and the tree keeps no reference to it.
+//
+// The document is first read by the byte scanner (scan.go), which knows the
+// strict, well-formed UTF-8 subset of XML that nearly all documents lie in.
+// At the first byte outside that subset the scanner declines and the
+// document is read again from its first byte by encoding/xml, configured as
+// leniently as it goes: unbalanced and auto-closing HTML tags, HTML entity
+// names, name spaces, CDATA, DOCTYPE and declared charsets are its business.
+// Both feed the same builder, so which one read a document cannot be told
+// from the tree.
+func ParseBytes(data []byte, opts ParseOptions) (*Tree, error) {
+	p := parsers.Get().(*parser)
+	defer p.release()
+	if t, ok := p.scanTree(data, opts); ok {
+		return t, nil
+	}
+	return p.decodeTree(data, opts)
+}
+
+// parser is a builder with the scratch of its two token sources. Parsers
+// are pooled: a warm one reads a document without allocating anything but
+// the tree.
+type parser struct {
+	builder
+	scanner
+}
+
+func newParser() *parser {
+	return &parser{scanner: scanner{elems: map[string]string{}, attrs: map[string]string{}}}
+}
+
+var parsers = sync.Pool{New: func() any { return newParser() }}
+
+func (p *parser) release() {
+	p.reset(ParseOptions{})
+	parsers.Put(p)
+}
+
+// scanTree builds the tree of data from the scanner's tokens; !ok means the
+// scanner declined, or the builder refused the document (the decoder will
+// get it to refuse it again, in the same words).
+func (p *parser) scanTree(data []byte, opts ParseOptions) (t *Tree, ok bool) {
+	p.reset(opts)
+	if !p.scan(data) {
+		return nil, false
+	}
+	t, err := p.finish()
+	return t, err == nil
+}
+
+// decodeTree builds the tree of data from encoding/xml's tokens.
+func (p *parser) decodeTree(data []byte, opts ParseOptions) (*Tree, error) {
+	p.reset(opts)
+	dec := xml.NewDecoder(bytes.NewReader(data))
 	dec.Strict = false
 	dec.AutoClose = xml.HTMLAutoClose
 	dec.Entity = xml.HTMLEntity
-
-	strip := make(map[string]bool, len(opts.StripTags))
-	for _, s := range opts.StripTags {
-		strip[s] = true
-	}
-	inline := make(map[string]bool, len(opts.InlineTags))
-	for _, s := range opts.InlineTags {
-		inline[s] = true
-	}
-
-	t := &Tree{}
-	// stack holds the chain of open elements; text accumulates per level
-	// when ConcatenateText is on.
-	type frame struct {
-		node *Node // nil when the element is inlined (text hoists upward)
-		text strings.Builder
-	}
-	var stack []*frame
-	depth := 0
-	nodeDepth := 0 // open elements that are tree nodes (not inlined)
-	skipDepth := 0 // >0 while inside a stripped subtree
-
-	currentNode := func() *Node {
-		for i := len(stack) - 1; i >= 0; i-- {
-			if stack[i].node != nil {
-				return stack[i].node
-			}
-		}
-		return nil
-	}
-	currentFrame := func() *frame {
-		for i := len(stack) - 1; i >= 0; i-- {
-			if stack[i].node != nil {
-				return stack[i]
-			}
-		}
-		return nil
-	}
-	flushText := func(f *frame) {
-		if f == nil || f.node == nil {
-			return
-		}
-		txt := strings.TrimSpace(f.text.String())
-		f.text.Reset()
-		if txt != "" {
-			t.AddText(f.node, collapseSpace(txt))
-		}
-	}
-
+	dec.CharsetReader = charsetReader
 	for {
 		tok, err := dec.Token()
 		if err == io.EOF {
-			break
+			return p.finish()
 		}
 		if err != nil {
 			return nil, fmt.Errorf("xmltree: parse: %w", err)
 		}
 		switch el := tok.(type) {
 		case xml.StartElement:
-			if skipDepth > 0 {
-				skipDepth++
+			attrs, err := p.start(el.Name.Local)
+			if err != nil {
+				return nil, err
+			}
+			if !attrs {
 				continue
 			}
-			name := el.Name.Local
-			if strip[name] {
-				skipDepth = 1
-				continue
-			}
-			depth++
-			if inline[name] || (opts.MaxDepth > 0 && depth > opts.MaxDepth) {
-				stack = append(stack, &frame{node: nil})
-				continue
-			}
-			// The deepest node an element can hold is a leaf one level down.
-			if nodeDepth++; nodeDepth >= maxTreeDepth {
-				return nil, fmt.Errorf("xmltree: parse: tree deeper than %d levels", maxTreeDepth)
-			}
-			parent := currentNode()
-			var n *Node
-			if parent == nil {
-				if t.Root != nil {
-					return nil, fmt.Errorf("xmltree: multiple root elements (second: %s)", name)
+			for _, a := range el.Attr {
+				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
+					continue
 				}
-				n = t.NewNode(Element, name, "", nil)
-				t.Root = n
-			} else {
-				if !opts.ConcatenateText {
-					// Text seen so far at the parent becomes its own leaf
-					// before the child opens, preserving document order.
-					flushText(currentFrame())
-				}
-				n = t.AddElement(parent, name)
+				p.attr("@"+a.Name.Local, []byte(a.Value))
 			}
-			if opts.KeepAttributes {
-				for _, a := range el.Attr {
-					if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-						continue
-					}
-					t.AddAttribute(n, a.Name.Local, collapseSpace(strings.TrimSpace(a.Value)))
-				}
-			}
-			stack = append(stack, &frame{node: n})
 		case xml.EndElement:
-			if skipDepth > 0 {
-				skipDepth--
-				continue
-			}
-			if len(stack) == 0 {
+			if !p.end() {
 				return nil, fmt.Errorf("xmltree: unbalanced end element %s", el.Name.Local)
 			}
-			depth--
-			f := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if f.node != nil {
-				nodeDepth--
-				flushText(f)
-			} else if f.text.Len() > 0 {
-				// Inlined element: hoist pending text to the enclosing frame.
-				if pf := currentFrame(); pf != nil {
-					pf.text.WriteByte(' ')
-					pf.text.WriteString(f.text.String())
-				}
-			}
 		case xml.CharData:
-			if skipDepth > 0 || len(stack) == 0 {
-				continue
-			}
-			f := stack[len(stack)-1]
-			target := f
-			if f.node == nil {
-				if cf := currentFrame(); cf != nil {
-					target = cf
-				}
-			}
-			if target.text.Len() > 0 {
-				target.text.WriteByte(' ')
-			}
-			target.text.WriteString(string(el))
+			p.chars(el)
 		}
 	}
-	if t.Root == nil {
-		return nil, fmt.Errorf("xmltree: document has no root element")
+}
+
+// charsetReader reads the single-byte charsets whose bytes are their own
+// code points — ISO-8859-1, which real dblp.xml declares, and its subset
+// US-ASCII — by widening each byte to a rune. The decoder hands it the
+// in-memory rest of the document, so it converts in one go.
+func charsetReader(charset string, r io.Reader) (io.Reader, error) {
+	switch strings.ToLower(charset) {
+	case "iso-8859-1", "iso8859-1", "iso_8859-1", "latin1", "latin-1", "l1", "us-ascii", "ascii":
+	default:
+		return nil, fmt.Errorf("xmltree: only UTF-8, ISO-8859-1 and US-ASCII documents are read")
 	}
-	return t, nil
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	wide := make([]byte, 0, len(raw)+len(raw)/8)
+	for _, c := range raw {
+		wide = utf8.AppendRune(wide, rune(c))
+	}
+	return bytes.NewReader(wide), nil
 }
 
 // ParseString parses an XML document held in a string.
 func ParseString(s string, opts ParseOptions) (*Tree, error) {
-	return Parse(strings.NewReader(s), opts)
+	return ParseBytes([]byte(s), opts)
 }
 
 // MustParseString is ParseString that panics on error; for tests and
@@ -207,9 +180,4 @@ func MustParseString(s string, opts ParseOptions) *Tree {
 		panic(err)
 	}
 	return t
-}
-
-// collapseSpace normalizes internal whitespace runs to single spaces.
-func collapseSpace(s string) string {
-	return strings.Join(strings.Fields(s), " ")
 }

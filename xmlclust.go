@@ -124,6 +124,12 @@ func ParseString(s string) (*Tree, error) {
 	return xmltree.ParseString(s, xmltree.DefaultParseOptions())
 }
 
+// ParseBytes parses an XML document held in memory with default options.
+// data is only read, and the tree keeps no reference to it.
+func ParseBytes(data []byte) (*Tree, error) {
+	return xmltree.ParseBytes(data, xmltree.DefaultParseOptions())
+}
+
 // CorpusOptions controls preprocessing.
 type CorpusOptions struct {
 	// MaxTuplesPerTree caps tree tuple extraction per document
@@ -166,8 +172,8 @@ type Document = corpus.Document
 
 // IngestStats describes one streaming ingestion run: corpus sizes,
 // throughput (DocsPerSec), truncation and the peak number of parsed
-// documents queued in the reorder buffer (bounded by the worker window,
-// never by the corpus size).
+// documents queued between the workers and the merge (bounded by two
+// batches of documents per worker, never by the corpus size).
 type IngestStats = corpus.Stats
 
 // DirSource walks root recursively and yields every *.xml file in lexical
@@ -197,9 +203,9 @@ func OpenSource(path string) (Source, error) { return corpus.Open(path) }
 
 // BuildCorpusFromSource streams every document of src through the full
 // preprocessing pipeline — parse, tuple extraction, transactional model,
-// ttf.itf weighting — holding only O(IngestWorkers) parsed trees in memory
-// at any instant, so corpus size is bounded by the transactional model and
-// not by the XML. Parsing and extraction fan out over
+// ttf.itf weighting — holding only O(IngestWorkers) batches of parsed trees
+// in memory at any instant, so corpus size is bounded by the transactional
+// model and not by the XML. Parsing and extraction fan out over
 // CorpusOptions.IngestWorkers goroutines behind an index-ordered merge:
 // the corpus is byte-identical to BuildCorpus on the same documents in the
 // same order, for any worker count.
