@@ -224,11 +224,12 @@ func BenchmarkAblationPathCache(b *testing.B) {
 }
 
 // BenchmarkAblationWorkers sweeps the intra-peer worker count on the
-// centralized DBLP run (the Relocate/representative-bound path) and
-// reports the wall-clock speedup over the serial engine. The F column of
-// the printed table must not move: Workers is exact, the parallel engine
-// produces byte-identical output. On a single-core host the speedup
-// degenerates to ~1.0; with 4+ cores expect ≥ 1.5× at 4 workers.
+// centralized DBLP run and reports the wall-clock speedup over the serial
+// engine. The F column of the printed table must not move: Workers is
+// exact, any count produces byte-identical output. Workers bounds the
+// relocation pass only — representative refinement, where the time is, forks
+// nothing — so expect about 1.0× at any count: the metric is there to show a
+// fork that costs more than it saves, not to promise a speedup.
 func BenchmarkAblationWorkers(b *testing.B) {
 	scale := benchScale()
 	for i := 0; i < b.N; i++ {

@@ -24,7 +24,7 @@ import (
 // relocateFixture prepares a DBLP-like corpus, k initial representatives
 // and a warmed similarity context, so the benchmarks measure steady-state
 // relocation rather than first-touch cache fills.
-func relocateFixture(b *testing.B, k int) (*sim.Context, []*txn.Transaction, []*txn.Transaction) {
+func relocateFixture(b testing.TB, k int) (*sim.Context, []*txn.Transaction, []*txn.Transaction) {
 	b.Helper()
 	gen, ok := dataset.ByName("DBLP")
 	if !ok {
@@ -117,10 +117,14 @@ func BenchmarkRelocateSpeedup(b *testing.B) {
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 }
 
-func benchmarkLocalRep(b *testing.B, workers int) {
+// BenchmarkLocalRepresentative times one warm local representative — half
+// the relocate fixture as one cluster, its synthetic items interned already —
+// and reports its allocations: the refinement share of the tracked perf
+// surface (CI runs it beside BenchmarkRelocateSpeedup).
+func BenchmarkLocalRepresentative(b *testing.B) {
 	cx, s, _ := relocateFixture(b, 8)
 	members := s[:len(s)/2]
-	cfg := RepConfig{Ctx: cx, Workers: workers}
+	cfg := RepConfig{Ctx: cx}
 	ComputeLocalRepresentative(cfg, members) // intern synthetics once
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -128,6 +132,3 @@ func benchmarkLocalRep(b *testing.B, workers int) {
 		ComputeLocalRepresentative(cfg, members)
 	}
 }
-
-func BenchmarkLocalRepresentativeWorkers1(b *testing.B) { benchmarkLocalRep(b, 1) }
-func BenchmarkLocalRepresentativeWorkers4(b *testing.B) { benchmarkLocalRep(b, 4) }

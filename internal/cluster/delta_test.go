@@ -115,3 +115,42 @@ func TestDeltaRepMemo(t *testing.T) {
 		t.Error("changed membership returned the stale memoized representative")
 	}
 }
+
+// TestDeltaRepMemoChecksSize: the memo reuses a representative on a matching
+// 64-bit membership fingerprint, so a collision would hand a cluster another
+// cluster's representative without a trace. The member count is compared
+// beside it: an entry with the right fingerprint and the wrong size —
+// injected, collisions do not come on demand — is recomputed.
+func TestDeltaRepMemoChecksSize(t *testing.T) {
+	corpus := twoTopicDocs(t, 6)
+	s := corpus.Transactions
+	cx := ctxFor(corpus, 0.5, 0.6)
+	d := NewRounds(RepConfig{Ctx: cx, Workers: 1}, s, true)
+	if _, err := d.Assign(nil, []*txn.Transaction{s[0], s[6]}); err != nil {
+		t.Fatal(err)
+	}
+	assign := make([]int, len(s))
+	for i := range s {
+		assign[i] = TrashCluster
+		if i < 6 {
+			assign[i] = 0
+		}
+	}
+	locals, _ := d.LocalReps(assign)
+	want := locals[0]
+
+	imposter := txn.NewTransaction(s[7].Items, -1, -1, -1)
+	d.local[0].rep, d.local[0].size = imposter, d.local[0].size+1
+	reused0 := cx.Counters.RepsReused.Load()
+	got, _ := d.LocalReps(assign)
+	if got[0] == imposter {
+		t.Fatal("an entry of another size was reused on its fingerprint alone")
+	}
+	if !got[0].Equal(want) || cx.Counters.RepsReused.Load() != reused0 {
+		t.Errorf("the cluster was not recomputed: got %v, want %v", got[0].Items, want.Items)
+	}
+	// The recomputation repaired the entry.
+	if again, _ := d.LocalReps(assign); again[0] != got[0] {
+		t.Error("the recomputed representative was not memoized")
+	}
+}

@@ -11,22 +11,38 @@
 // last relocation. It comes in two modes with one job each. The fast engine
 // serves, and is two things: posting-list scoring, and one memo carried
 // between rounds — the local representative of every cluster, keyed by the
-// fingerprint of its membership. The reference engine specifies: the dense
-// kernel, nothing carried. For any call sequence both give the same bytes,
-// including the lowest-index tie rule (TestRoundsTierMatrix). The CXK-means
-// session and the PK-means peer drive it; the centralized algorithm of
-// [33,32] is a session with one peer.
+// fingerprint and size of its membership. The reference engine specifies: the
+// dense kernel, nothing carried. For any call sequence both give the same
+// bytes, including the lowest-index tie rule (TestRoundsTierMatrix). The
+// CXK-means session and the PK-means peer drive it; the centralized algorithm
+// of [33,32] is a session with one peer.
 // Underneath sit one batch relocation (RelocateScores) and one
 // single-transaction scan (RelocateOneIndexed), which the serving layer's
 // classify path shares.
+//
+// # Refinement
+//
+// GenerateTreeTuple evaluates Σ_{tr∈C} simγJ(tr, rep′) once per greedy step.
+// The fast engine indexes what stays fixed across the steps, the cluster:
+// sim.MemberIndex holds the members' distinct items as one posting file and,
+// per item, the member rows that carry it. A step sweeps only the items of
+// rep′ that are new (a path group that did not grow keeps its item id, hence
+// its column of γ-reaching Eq. 1 values), scatters the columns over the
+// holders and evaluates each member from its exact pairs: (new columns × their
+// postings) + (pairs that reach γ). It is exact because a pair's shared terms
+// are met in ascending order whichever vector is walked, so products add up
+// in vector.Dot's order; because marks and the common-id correction are
+// re-derived from exact pair values every step; and because the sum over
+// members is serial and in member order (TestRefinementObjectiveStepByStep).
+// Nothing forks inside a representative — its work items cost about a
+// microsecond, less than a goroutine — so RepConfig.Workers bounds relocation
+// only.
 package cluster
 
 import (
 	"slices"
 	"sort"
-	"sync"
 
-	"xmlclust/internal/parallel"
 	"xmlclust/internal/sim"
 	"xmlclust/internal/txn"
 	"xmlclust/internal/vector"
@@ -63,16 +79,19 @@ const (
 type RepConfig struct {
 	Ctx  *sim.Context
 	Rule ReturnRule
-	// Workers bounds the goroutines used for item ranking and refinement
-	// objectives (0/negative = one per CPU, 1 = serial). The output is
-	// byte-identical for any value: ranks are written into pre-indexed
-	// slots and objective sums are reduced in index order.
+	// Workers bounds the goroutines of a relocation pass (Rounds.Assign;
+	// 0/negative = one per CPU, 1 = serial), with byte-identical output for
+	// any value. Computing a representative forks nothing: ranking and every
+	// refinement step are serial, whatever Workers says.
 	Workers int
 	// dense makes the refinement objective run the dense Eq. 4 kernel per
-	// member instead of posting-list scoring. A reference Rounds sets it, so
-	// that a reference run is the dense kernel end to end; the zero RepConfig
-	// scores through postings.
+	// member per step instead of the member index. A reference Rounds sets it,
+	// so that a reference run is the dense kernel end to end; the zero
+	// RepConfig scores through postings.
 	dense bool
+	// observe, when set, is told every refinement step's candidate and its
+	// objective value (the step-by-step equivalence tests).
+	observe func(rep *txn.Transaction, objective float64)
 }
 
 // rankedItem pairs an item with its rank value.
@@ -175,11 +194,10 @@ func ComputeLocalRepresentative(cfg RepConfig, c []*txn.Transaction) *txn.Transa
 	csum := contentRankSums(items)
 	f := cx.Params.F
 	ranked := make([]rankedItem, len(items))
-	parallel.For(cfg.Workers, len(items), func(i int) {
-		it := items[i]
+	for i, it := range items {
 		r := f*rankS[it.TagPath] + (1-f)*contentRank(it, csum)
 		ranked[i] = rankedItem{id: it.ID, rank: r}
-	})
+	}
 	sortRanked(ranked)
 	return generateTreeTuple(cfg, ranked, c)
 }
@@ -215,11 +233,10 @@ func ComputeGlobalRepresentative(cfg RepConfig, reps []WeightedRep) *txn.Transac
 	csum := contentRankSums(items)
 	f := cx.Params.F
 	ranked := make([]rankedItem, len(items))
-	parallel.For(cfg.Workers, len(items), func(i int) {
-		it := items[i]
+	for i, it := range items {
 		base := f*rankS[it.TagPath] + (1-f)*contentRank(it, csum)
 		ranked[i] = rankedItem{id: it.ID, rank: float64(weightOf[it.ID]) * base}
-	})
+	}
 	sortRanked(ranked)
 	return generateTreeTuple(cfg, ranked, trs)
 }
@@ -241,44 +258,32 @@ func sortRanked(r []rankedItem) {
 func generateTreeTuple(cfg RepConfig, ranked []rankedItem, c []*txn.Transaction) *txn.Transaction {
 	cx := cfg.Ctx
 	trmax := txn.MaxTransactionLen(c)
-	// The objective Σ_{tr∈C} simγJ(tr, rep′) is the hot spot of
-	// representative generation: one transaction similarity per cluster
-	// member per refinement step. The candidate rep′ is fixed for a step, so
-	// it is indexed once — a one-representative sim.RepIndex, borrowed for the
-	// whole refinement — and every member is scored with one sweep of its
-	// terms, bit-identical to the dense kernel (which runs instead when the
-	// index is disabled or cfg.dense is set). The terms are independent, so
-	// they are computed across the worker pool — each worker reusing one
-	// pooled similarity Scratch across the whole refinement, so no step
-	// allocates — and reduced in index order (the float sum must not depend
-	// on the schedule).
-	ws := sim.BorrowScratches(parallel.WorkerCount(cfg.Workers, len(c)))
-	defer ws.Release()
-	var one *oneRepIndex
+	// The objective Σ_{tr∈C} simγJ(tr, rep′), once per refinement step. The
+	// members are fixed for the whole refinement and rep′ changes by a few
+	// items a step, so the cluster is indexed once (sim.MemberIndex, in a
+	// pooled scratch) and a step scores only the items of rep′ that are new —
+	// bit-identical to the dense kernel per member, which runs instead where
+	// the index cannot serve or cfg.dense is set. Either way the sum is serial
+	// and in member order.
+	sc := sim.BorrowScratch()
+	defer sc.Release()
+	var mx *sim.MemberIndex
 	if !cfg.dense {
-		one = oneRepIndexPool.Get().(*oneRepIndex)
-		defer oneRepIndexPool.Put(one)
-	}
-	var cand *txn.Transaction // rep′ of the current step
-	term := func(w, i int) float64 {
-		if one == nil {
-			return cx.Transactions(c[i], cand, ws.Worker(w))
-		}
-		rq := ws.Worker(w).Query()
-		one.ix.Candidates(c[i], rq)
-		_, v := rq.Best()
-		return v
+		mx = sc.Members(cx, c)
 	}
 	objective := func(rep *txn.Transaction) float64 {
-		cand = rep
-		if one != nil {
-			one.reps[0] = rep
-			one.ix.Build(cx, one.reps[:])
-			if !one.ix.Enabled() {
-				one = nil
+		s := 0.0
+		if mx != nil {
+			s = mx.Objective(rep)
+		} else {
+			for _, tr := range c {
+				s += cx.Transactions(tr, rep, sc)
 			}
 		}
-		return parallel.SumWorkers(cfg.Workers, len(c), term)
+		if cfg.observe != nil {
+			cfg.observe(rep, s)
+		}
+		return s
 	}
 	// Batch size: rank ties always travel together; under
 	// ReturnBestObjective batches additionally have a minimum size so the
@@ -356,15 +361,6 @@ func nonEmpty(preferred, fallback *txn.Transaction) *txn.Transaction {
 	}
 	return fallback
 }
-
-// oneRepIndex is the refinement objective's index over its one candidate,
-// pooled so that a refinement allocates no posting storage.
-type oneRepIndex struct {
-	ix   *sim.RepIndex
-	reps [1]*txn.Transaction
-}
-
-var oneRepIndexPool = sync.Pool{New: func() any { return &oneRepIndex{ix: sim.NewRepIndex()} }}
 
 // ConflateItems implements the conflateItems procedure of Fig. 6: the input
 // raw item ids are grouped by complete path; each group becomes one item

@@ -13,9 +13,10 @@ import (
 // CXK-means session and the PK-means peer: one run's transaction set and
 // representative configuration, in one of two modes fixed at construction.
 //
-// A fast engine is two things. It scores documents through posting lists over
-// the representatives (sim.RepIndex) — in relocation and in the refinement
-// objective. And it keeps one memo from round to round: per cluster, the
+// A fast engine is two things. It scores through posting lists — documents
+// against the representatives in relocation (sim.RepIndex), representative
+// items against the cluster in the refinement objective (sim.MemberIndex).
+// And it keeps one memo from round to round: per cluster, the
 // fingerprint of its member transaction indices and the local representative
 // computed for exactly that membership. Reuse is exact by a pure-replay
 // argument: recomputing for the same members under the same context would
@@ -33,7 +34,7 @@ import (
 // results equal a reference engine's exactly, including the lowest-index tie
 // rule. It holds while the similarity context and the transaction slice stay
 // fixed. A Rounds serves one sequential run and is not safe for concurrent
-// use — worker parallelism happens inside its methods.
+// use — the one fork is the relocation pass inside Assign.
 type Rounds struct {
 	cfg RepConfig
 	s   []*txn.Transaction
@@ -46,11 +47,14 @@ type Rounds struct {
 }
 
 // repMemo is the per-cluster memo of local representatives, keyed by the
-// fingerprint of the cluster's membership.
+// fingerprint of the cluster's membership and its member count: the one place
+// where two memberships hashing alike would change a result silently, so the
+// 64-bit fingerprint does not stand alone. An entry of size 0 is unset — empty
+// clusters have no representative to keep.
 type repMemo []struct {
-	set bool
-	fp  uint64
-	rep *txn.Transaction
+	fp   uint64
+	size int
+	rep  *txn.Transaction
 }
 
 // NewRounds returns the round engine for one run over the transactions s:
@@ -125,23 +129,23 @@ func (r *Rounds) LocalReps(assign []int) (reps []*txn.Transaction, sizes []int) 
 		}
 	}
 	reps, sizes = make([]*txn.Transaction, r.k), make([]int, r.k)
-	// The cluster loop stays ordered: representative generation interns
-	// synthetic items, and interning order must not depend on the schedule
-	// (item ids are assigned sequentially). The worker pool parallelizes
-	// inside each representative computation.
+	// The cluster loop is ordered and serial: representative generation
+	// interns synthetic items, and interning order must not depend on a
+	// schedule (item ids are assigned sequentially). Nothing forks inside a
+	// representative computation either.
 	for j, mem := range members {
 		sizes[j] = len(mem)
 		if len(mem) == 0 {
 			continue
 		}
-		if r.local != nil && r.local[j].set && r.local[j].fp == r.fps[j] {
+		if r.local != nil && r.local[j].size == len(mem) && r.local[j].fp == r.fps[j] {
 			r.cfg.Ctx.Counters.RepsReused.Add(1)
 			reps[j] = r.local[j].rep
 			continue
 		}
 		reps[j] = ComputeLocalRepresentative(r.cfg, mem)
 		if r.local != nil {
-			r.local[j].set, r.local[j].fp, r.local[j].rep = true, r.fps[j], reps[j]
+			r.local[j].fp, r.local[j].size, r.local[j].rep = r.fps[j], len(mem), reps[j]
 		}
 	}
 	return reps, sizes

@@ -32,11 +32,11 @@ type Options struct {
 	Seed int64
 	// Rule selects the GenerateTreeTuple return reading.
 	Rule cluster.ReturnRule
-	// Workers bounds the goroutines each peer uses for its local
-	// similarity-heavy loops (relocation, ranking, refinement objectives).
-	// 0/negative = one per CPU, 1 = serial. Peers always run concurrently
-	// with each other; Workers adds intra-peer parallelism on top, and the
-	// result stays byte-identical to Workers: 1 for a fixed Seed.
+	// Workers bounds the goroutines each peer uses for its relocation
+	// passes (refinement is serial). 0/negative = one per CPU, 1 = serial.
+	// Peers always run concurrently with each other; Workers adds intra-peer
+	// parallelism on top, and the result stays byte-identical to Workers: 1
+	// for a fixed Seed.
 	Workers int
 	// Fast runs every peer on the fast engine: posting-list scoring instead
 	// of the dense kernel, local representatives memoized across rounds (see

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"xmlclust/internal/cluster"
 	"xmlclust/internal/p2p"
 	"xmlclust/internal/txn"
 )
@@ -114,12 +115,12 @@ func (s *session) capture() *SessionState {
 	}
 }
 
-// install replaces the session's protocol state with st and re-enters the
-// round loop at st.Round under st.Epoch: reorder buffers are reset (traffic
-// from the abandoned attempt belongs to a dead epoch), the transport's
-// epoch stamp is advanced, and parked future-epoch envelopes become
-// deliverable. The inverse of capture.
-func (s *session) install(st *SessionState) error {
+// vet checks a state against this session before any of it is assigned: a
+// checkpoint file or a streamed join state is bytes this process did not
+// write, and its numbers become slice indices (cluster ids into
+// representative slices, item ids into the interning table on
+// re-conflation). A state that fails wraps ErrUnexpectedMessage.
+func (s *session) vet(st *SessionState) error {
 	id := s.p.cfg.ID
 	if st.K <= 0 || len(st.Zs) != s.m || id >= len(st.Zs) {
 		return fmt.Errorf("%w: state for %d peers, transport has %d (peer %d)",
@@ -129,10 +130,46 @@ func (s *session) install(st *SessionState) error {
 		return fmt.Errorf("%w: state carries %d assignments for %d local transactions",
 			ErrUnexpectedMessage, len(st.Assign), len(s.p.cfg.Local))
 	}
-	if len(st.Global) != st.K || len(st.LocalRp) != st.K {
-		return fmt.Errorf("%w: state carries %d/%d representatives for k = %d",
-			ErrUnexpectedMessage, len(st.Global), len(st.LocalRp), st.K)
+	if len(st.Global) != st.K || len(st.LocalRp) != st.K || len(st.Sizes) != st.K {
+		return fmt.Errorf("%w: state carries %d/%d representatives and %d sizes for k = %d",
+			ErrUnexpectedMessage, len(st.Global), len(st.LocalRp), len(st.Sizes), st.K)
 	}
+	for i, a := range st.Assign {
+		if a != cluster.TrashCluster && (a < 0 || a >= st.K) {
+			return fmt.Errorf("%w: state assigns transaction %d to cluster %d, outside [0,%d)",
+				ErrUnexpectedMessage, i, a, st.K)
+		}
+	}
+	for peer, z := range st.Zs {
+		for _, j := range z {
+			if j < 0 || j >= st.K {
+				return fmt.Errorf("%w: state makes peer %d responsible for cluster %d, outside [0,%d)",
+					ErrUnexpectedMessage, peer, j, st.K)
+			}
+		}
+	}
+	nItems := s.items().Len()
+	for _, reps := range [][]WireTxn{st.Global, st.LocalRp} {
+		for j, w := range reps {
+			if err := CheckWireRep(j, st.K, w, nItems); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// install replaces the session's protocol state with st and re-enters the
+// round loop at st.Round under st.Epoch: reorder buffers are reset (traffic
+// from the abandoned attempt belongs to a dead epoch), the transport's
+// epoch stamp is advanced, and parked future-epoch envelopes become
+// deliverable. The inverse of capture. A state that does not pass vet leaves
+// the session as it was.
+func (s *session) install(st *SessionState) error {
+	if err := s.vet(st); err != nil {
+		return err
+	}
+	id := s.p.cfg.ID
 	s.epoch = st.Epoch
 	if es, ok := s.p.cfg.Transport.(p2p.EpochSetter); ok {
 		es.SetEpoch(id, s.epoch)
@@ -143,8 +180,7 @@ func (s *session) install(st *SessionState) error {
 	s.round = st.Round
 	s.rounds = st.Rounds
 	s.assign = append([]int(nil), st.Assign...)
-	s.sizes = make([]int, s.k)
-	copy(s.sizes, st.Sizes)
+	s.sizes = append([]int(nil), st.Sizes...)
 	s.global = unwireReps(s.items(), st.Global)
 	s.localRp = unwireReps(s.items(), st.LocalRp)
 	s.seenStates = make(map[uint64]struct{}, len(st.SeenStates))

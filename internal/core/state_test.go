@@ -11,6 +11,7 @@ import (
 
 	"xmlclust/internal/cluster"
 	"xmlclust/internal/p2p"
+	"xmlclust/internal/txn"
 )
 
 // testHooks adapts closures to the Hooks interface.
@@ -317,5 +318,85 @@ func TestSessionDeadlineHookExtends(t *testing.T) {
 	}
 	if calls != 3 {
 		t.Errorf("deadline hook called %d times, want 3", calls)
+	}
+}
+
+// TestSessionInstallVetsState: a state is bytes this process did not write —
+// a checkpoint file, a streamed join state — and its numbers index slices and
+// the interning table. One corruption per field: every one must come back as
+// ErrUnexpectedMessage before anything is assigned (no panic, the session
+// exactly as it was), from RunSession's Initial install and from a rollback
+// alike.
+func TestSessionInstallVetsState(t *testing.T) {
+	_, states := runSolo(t, 11)
+	good := states[len(states)-1]
+	corpus, _ := miniCorpus(t, 6)
+	part := EqualPartition(len(corpus.Transactions), 1, 11)
+	clone := func() *SessionState {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(good); err != nil {
+			t.Fatal(err)
+		}
+		st := new(SessionState)
+		if err := gob.NewDecoder(&buf).Decode(st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	pastTable := txn.ItemID(corpus.Items.Len() + 1<<20)
+	withItem := func(reps []WireTxn, id txn.ItemID) {
+		reps[len(reps)-1] = WireTxn{Items: []txn.ItemID{0, id}}
+	}
+	cases := []struct {
+		name    string
+		corrupt func(st *SessionState)
+	}{
+		{"K zero", func(st *SessionState) { st.K = 0 }},
+		{"K past the representatives", func(st *SessionState) { st.K++ }},
+		{"Zs for another peer count", func(st *SessionState) { st.Zs = append(st.Zs, []int{0}) }},
+		{"Zs cluster past K", func(st *SessionState) { st.Zs[0][0] = st.K }},
+		{"Zs negative cluster", func(st *SessionState) { st.Zs[0][0] = -1 }},
+		{"Assign too short", func(st *SessionState) { st.Assign = st.Assign[1:] }},
+		{"Assign past K", func(st *SessionState) { st.Assign[0] = st.K }},
+		{"Assign below the trash cluster", func(st *SessionState) { st.Assign[0] = -2 }},
+		{"Sizes too short", func(st *SessionState) { st.Sizes = st.Sizes[1:] }},
+		{"Sizes too long", func(st *SessionState) { st.Sizes = append(st.Sizes, 0) }},
+		{"Global too short", func(st *SessionState) { st.Global = st.Global[1:] }},
+		{"Global item past the table", func(st *SessionState) { withItem(st.Global, pastTable) }},
+		{"Global negative item", func(st *SessionState) { withItem(st.Global, -1) }},
+		{"LocalRp too long", func(st *SessionState) { st.LocalRp = append(st.LocalRp, WireTxn{}) }},
+		{"LocalRp item past the table", func(st *SessionState) { withItem(st.LocalRp, pastTable) }},
+		{"LocalRp negative item", func(st *SessionState) { withItem(st.LocalRp, -3) }},
+	}
+	for _, c := range cases {
+		bad := clone()
+		c.corrupt(bad)
+
+		tr := p2p.NewChanTransport(1, nil)
+		p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) { cfg.Seed, cfg.Initial = 11, bad })
+		if _, err := p.RunSession(context.Background()); !errors.Is(err, ErrUnexpectedMessage) {
+			t.Errorf("%s: RunSession returned %v, want an error wrapping ErrUnexpectedMessage", c.name, err)
+		}
+
+		// Mid-run: a session that holds a good state keeps all of it.
+		s := newSession(testPeer(corpus, tr, 0, part, nil))
+		if err := s.install(clone()); err != nil {
+			t.Fatalf("%s: the uncorrupted state does not install: %v", c.name, err)
+		}
+		before := s.capture()
+		if err := s.install(bad); !errors.Is(err, ErrUnexpectedMessage) {
+			t.Errorf("%s: install returned %v, want an error wrapping ErrUnexpectedMessage", c.name, err)
+		}
+		var a, b bytes.Buffer
+		if err := gob.NewEncoder(&a).Encode(before); err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewEncoder(&b).Encode(s.capture()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("%s: a rejected state changed the session", c.name)
+		}
+		tr.Close()
 	}
 }

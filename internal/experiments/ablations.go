@@ -134,7 +134,8 @@ type WorkersPoint struct {
 }
 
 // WorkersAblation sweeps the intra-peer worker count on a centralized run
-// (m = 1 isolates the Relocate/representative loops from communication).
+// (m = 1 isolates the relocation pass, the one loop Workers forks, from
+// communication).
 // Runs are repeated and the minimum wall time kept, so the sweep is robust
 // against scheduler noise; the F column must stay constant across rows —
 // the parallel engine is exact, not approximate.

@@ -198,6 +198,44 @@ func TestCheckpointRestoreEveryBoundary(t *testing.T) {
 	}
 }
 
+// TestCorruptCheckpointSurfacesOnRestore: a checkpoint file is bytes on a
+// disk, and the fingerprint only vouches for the configuration it was written
+// under. One that decodes and passes the fingerprint but names an item the
+// corpus does not have must fail the restoring session with
+// core.ErrUnexpectedMessage — not panic it inside re-conflation.
+func TestCorruptCheckpointSurfacesOnRestore(t *testing.T) {
+	corpus := fabricCorpus(t, 24, 5)
+	part := core.EqualPartition(len(corpus.Transactions), 1, 5)
+	_, states := runPair(t, corpus, part, 3, nil)
+	st := states[0][len(states[0])-1]
+	st.Global[0] = core.WireTxn{Items: []txn.ItemID{txn.ItemID(corpus.Items.Len() + 1<<20)}}
+
+	store, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(0, 7, st); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := store.Load(0, st.Round, 7)
+	if err != nil {
+		t.Fatalf("the store vouches for fingerprint and slot only, yet Load failed: %v", err)
+	}
+	tr := p2p.NewChanTransport(1, nil)
+	defer tr.Close()
+	local := make([]*txn.Transaction, len(part[0]))
+	for j, idx := range part[0] {
+		local[j] = corpus.Transactions[idx]
+	}
+	peer := core.NewPeer(core.PeerConfig{
+		ID: 0, Ctx: sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6}), Local: local, Transport: tr,
+		Sizer: core.Sizer(corpus.Items), Seed: 1, Hooks: &hookFns{}, Initial: loaded,
+	})
+	if _, err := peer.RunSession(context.Background()); !errors.Is(err, core.ErrUnexpectedMessage) {
+		t.Fatalf("restore from a corrupt checkpoint returned %v, want an error wrapping core.ErrUnexpectedMessage", err)
+	}
+}
+
 // ---------------------------------------------------------------- recovery
 
 var errTestCrash = errors.New("fabric test: simulated crash")

@@ -1,15 +1,16 @@
-// Package parallel provides the deterministic fork-join primitives the
-// clustering hot paths are built on.
+// Package parallel provides the two deterministic fork-join primitives the
+// pipeline is built on, one per loop whose work items are worth a goroutine.
 //
-// The paper's CXK-means is a parallel algorithm by construction — every
-// peer clusters its local transaction set independently — and Sect. 4.3
-// observes that similarity computation, not iteration count, dominates the
-// cost. The primitives here parallelize exactly those similarity-bound
-// loops while preserving bit-for-bit reproducibility: work items are
-// identified by index, every worker writes only into the slot of the index
-// it drew, and floating-point reductions are re-associated in index order
-// by the caller (see Sum). Consequently a run with N workers produces
-// output byte-identical to the serial run, for any N.
+// ForCtxWorkers forks the relocation pass: transactions are independent under
+// a fixed representative set, every worker writes only into the slot of the
+// index it drew, and so a pass with N workers is byte-identical to the serial
+// one, for any N. OrderedStream (stream.go) forks ingest: documents are parsed
+// and their tuples extracted on workers, and delivered in input order to the
+// one goroutine that interns. Nothing else forks: the loops of representative
+// refinement have work items of about a microsecond, less than a fork costs,
+// and run serially. A reduction over forked terms would have to add them in
+// index order (float addition is not associative, so a schedule-dependent order
+// would leak into results).
 package parallel
 
 import (
@@ -40,7 +41,7 @@ const block = 16
 // capped at one worker per block of indices, never below 1 — so a range of
 // at most one block runs inline. Callers use it to size per-worker state (one
 // similarity Scratch per worker, for example) before handing the state out
-// by worker id in ForWorkers/ForCtxWorkers/SumWorkers.
+// by worker id in ForCtxWorkers.
 func WorkerCount(workers, n int) int {
 	w := Resolve(workers)
 	if blocks := (n + block - 1) / block; w > blocks {
@@ -52,71 +53,47 @@ func WorkerCount(workers, n int) int {
 	return w
 }
 
-// For runs fn(i) for every i in [0,n), spread over the given number of
-// workers. workers < 1 resolves to the CPU count; workers == 1 (or n ≤ 1)
-// runs inline with no goroutines, so the serial path stays allocation- and
-// scheduler-free.
+// ForCtxWorkers runs fn(worker, i) for every i in [0,n), spread over the
+// given number of workers. workers < 1 resolves to the CPU count; workers == 1
+// (or a range of at most one block) runs inline with no goroutines, so the
+// serial path stays allocation- and scheduler-free.
 //
 // Scheduling is dynamic (workers draw the next block of indices from a
 // shared atomic counter), which balances loads whose per-index cost varies —
-// e.g. cluster members of very different transaction lengths. fn must be
-// safe to call concurrently and must confine its writes to state owned by
-// index i; under that contract the result is independent of the schedule.
-func For(workers, n int, fn func(i int)) {
-	ForWorkers(workers, n, func(_, i int) { fn(i) })
-}
-
-// ForWorkers is For with a per-worker state hook: fn additionally receives
-// the dense id (in [0, WorkerCount(workers, n))) of the worker executing
-// the index, so callers can give every worker goroutine private mutable
-// state — scratch buffers, counters — without locking. Which worker draws
-// which index is schedule-dependent; the per-worker state must therefore
-// never influence results, only performance (the similarity kernel's
-// Scratch is the canonical example). The serial path runs as worker 0.
-func ForWorkers(workers, n int, fn func(worker, i int)) {
-	forBlocks(nil, workers, n, fn)
-}
-
-// ForCtx is For with cooperative cancellation: before drawing each block of
-// indices, workers (and the inline serial path) check ctx and stop scheduling
-// new work once it is done, then return ctx's error. Indices already in flight
-// run to completion, so fn never races with the return; on a non-nil error
-// the output slots are incomplete and the caller must discard them. A nil
-// ctx (or one that can never be canceled) degenerates to For.
-func ForCtx(ctx context.Context, workers, n int, fn func(i int)) error {
-	return ForCtxWorkers(ctx, workers, n, func(_, i int) { fn(i) })
-}
-
-// ForCtxWorkers combines ForWorkers' per-worker state hook with ForCtx's
-// cooperative cancellation (see both for the contracts).
+// transactions of very different lengths. fn must be safe to call
+// concurrently and must confine its writes to state owned by index i; under
+// that contract the result is independent of the schedule.
+//
+// worker is the dense id (in [0, WorkerCount(workers, n))) of the goroutine
+// executing the index, so callers can give each one private mutable state —
+// scratch buffers, counters — without locking. Which worker draws which index
+// is schedule-dependent; per-worker state must therefore never influence
+// results, only performance (the similarity kernel's Scratch is the canonical
+// example). The serial path runs as worker 0.
+//
+// Cancellation is cooperative: before drawing each block, workers (and the
+// inline serial path) check ctx, stop scheduling new work once it is done,
+// and the call returns ctx's error. Indices in flight run to completion, so
+// fn never races with the return; on a non-nil error the output slots are
+// incomplete and the caller must discard them. A nil ctx never cancels.
 func ForCtxWorkers(ctx context.Context, workers, n int, fn func(worker, i int)) error {
-	if ctx == nil {
-		forBlocks(nil, workers, n, fn)
-		return nil
+	var done <-chan struct{} // a nil channel is never ready
+	if ctx != nil {
+		done = ctx.Done()
 	}
-	if forBlocks(ctx.Done(), workers, n, fn) {
-		return ctx.Err()
-	}
-	return nil
-}
-
-// forBlocks is the one fork-join loop: it runs fn over [0,n) block by block
-// and reports whether a worker found done closed before drawing a block (a
-// nil done never is).
-func forBlocks(done <-chan struct{}, workers, n int, fn func(worker, i int)) bool {
 	workers = WorkerCount(workers, n)
 	if workers <= 1 {
 		for lo := 0; lo < n; lo += block {
 			select {
 			case <-done:
-				return true
+				return ctx.Err()
 			default:
 			}
 			for i := lo; i < min(lo+block, n); i++ {
 				fn(0, i)
 			}
 		}
-		return false
+		return nil
 	}
 	var next atomic.Int64
 	var canceled atomic.Bool
@@ -143,38 +120,8 @@ func forBlocks(done <-chan struct{}, workers, n int, fn func(worker, i int)) boo
 		}(w)
 	}
 	wg.Wait()
-	return canceled.Load()
-}
-
-// Sum evaluates fn(i) for every i in [0,n) across workers and returns
-// Σ fn(i) accumulated in ascending index order. Computing the terms in
-// parallel but reducing them serially keeps the floating-point result
-// identical to the serial loop — addition is not associative, so a
-// schedule-dependent reduction order would leak into cluster objectives
-// and break run-to-run reproducibility.
-func Sum(workers, n int, fn func(i int) float64) float64 {
-	return SumWorkers(workers, n, func(_, i int) float64 { return fn(i) })
-}
-
-// SumWorkers is Sum with the per-worker state hook of ForWorkers: fn
-// receives the executing worker's dense id alongside the index, and the
-// terms are still reduced in ascending index order, so the float result is
-// byte-identical to the serial loop for any worker count and any schedule.
-func SumWorkers(workers, n int, fn func(worker, i int) float64) float64 {
-	if WorkerCount(workers, n) <= 1 {
-		s := 0.0
-		for i := 0; i < n; i++ {
-			s += fn(0, i)
-		}
-		return s
+	if canceled.Load() {
+		return ctx.Err()
 	}
-	terms := make([]float64, n)
-	ForWorkers(workers, n, func(w, i int) {
-		terms[i] = fn(w, i)
-	})
-	s := 0.0
-	for _, t := range terms {
-		s += t
-	}
-	return s
+	return nil
 }

@@ -7,10 +7,18 @@ import (
 	"testing"
 )
 
+// forAll is ForCtxWorkers under the nil context, which never cancels.
+func forAll(workers, n int, fn func(worker, i int)) {
+	var never context.Context
+	if err := ForCtxWorkers(never, workers, n, fn); err != nil {
+		panic(err)
+	}
+}
+
 func TestForCtxNilAndBackground(t *testing.T) {
 	for _, ctx := range []context.Context{nil, context.Background()} {
 		var n atomic.Int64
-		if err := ForCtx(ctx, 4, 100, func(i int) { n.Add(1) }); err != nil {
+		if err := ForCtxWorkers(ctx, 4, 100, func(_, i int) { n.Add(1) }); err != nil {
 			t.Fatalf("uncancelable ctx returned %v", err)
 		}
 		if n.Load() != 100 {
@@ -23,7 +31,7 @@ func TestForCtxCancelStopsEarly(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var n atomic.Int64
-		err := ForCtx(ctx, workers, 10000, func(i int) {
+		err := ForCtxWorkers(ctx, workers, 10000, func(_, i int) {
 			if n.Add(1) == 10 {
 				cancel()
 			}
@@ -42,7 +50,7 @@ func TestForCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var n atomic.Int64
-	if err := ForCtx(ctx, 4, 100, func(i int) { n.Add(1) }); err == nil {
+	if err := ForCtxWorkers(ctx, 4, 100, func(_, i int) { n.Add(1) }); err == nil {
 		t.Fatal("pre-canceled ctx returned nil")
 	}
 	if n.Load() != 0 {
@@ -68,7 +76,7 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8, 100} {
 		for _, n := range []int{0, 1, 2, 5, 97, 1000} {
 			hits := make([]atomic.Int32, n)
-			For(workers, n, func(i int) { hits[i].Add(1) })
+			forAll(workers, n, func(_, i int) { hits[i].Add(1) })
 			for i := range hits {
 				if got := hits[i].Load(); got != 1 {
 					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, got)
@@ -81,40 +89,13 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 func TestForSlotWritesMatchSerial(t *testing.T) {
 	const n = 513
 	want := make([]int, n)
-	For(1, n, func(i int) { want[i] = i * i })
+	forAll(1, n, func(_, i int) { want[i] = i * i })
 	got := make([]int, n)
-	For(8, n, func(i int) { got[i] = i * i })
+	forAll(8, n, func(_, i int) { got[i] = i * i })
 	for i := range want {
 		if want[i] != got[i] {
 			t.Fatalf("slot %d: serial %d parallel %d", i, want[i], got[i])
 		}
-	}
-}
-
-func TestSumMatchesSerialOrder(t *testing.T) {
-	// Terms of wildly different magnitudes expose any reduction reorder.
-	const n = 2048
-	term := func(i int) float64 {
-		v := float64(i%17) * 1e-9
-		if i%5 == 0 {
-			v += float64(i) * 1e6
-		}
-		return v
-	}
-	serial := 0.0
-	for i := 0; i < n; i++ {
-		serial += term(i)
-	}
-	for _, workers := range []int{1, 2, 4, 16} {
-		if got := Sum(workers, n, term); got != serial {
-			t.Fatalf("workers=%d: Sum = %v, serial = %v (must be bit-identical)", workers, got, serial)
-		}
-	}
-}
-
-func TestSumEmpty(t *testing.T) {
-	if got := Sum(4, 0, func(int) float64 { return 1 }); got != 0 {
-		t.Fatalf("Sum over empty range = %v", got)
 	}
 }
 
@@ -146,7 +127,7 @@ func TestForWorkersIDsAndCoverage(t *testing.T) {
 		nw := WorkerCount(workers, n)
 		var ran [n]atomic.Int64
 		var badID atomic.Bool
-		ForWorkers(workers, n, func(w, i int) {
+		forAll(workers, n, func(w, i int) {
 			if w < 0 || w >= nw {
 				badID.Store(true)
 			}
@@ -170,24 +151,13 @@ func TestForWorkersPerWorkerStateIsPrivate(t *testing.T) {
 	const n = 1000
 	nw := WorkerCount(4, n)
 	sums := make([]int, nw)
-	ForWorkers(4, n, func(w, i int) { sums[w] += i })
+	forAll(4, n, func(w, i int) { sums[w] += i })
 	total := 0
 	for _, s := range sums {
 		total += s
 	}
 	if want := n * (n - 1) / 2; total != want {
 		t.Fatalf("per-worker sums total %d, want %d", total, want)
-	}
-}
-
-func TestSumWorkersMatchesSum(t *testing.T) {
-	const n = 999
-	term := func(i int) float64 { return float64(i%13) * 1e-7 }
-	want := Sum(1, n, term)
-	for _, workers := range []int{2, 8} {
-		if got := SumWorkers(workers, n, func(_, i int) float64 { return term(i) }); got != want {
-			t.Fatalf("workers=%d: SumWorkers = %v, want %v (bit-identical)", workers, got, want)
-		}
 	}
 }
 

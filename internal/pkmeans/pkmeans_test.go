@@ -302,7 +302,9 @@ func TestPKRejectsMalformedFrames(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
 	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
 	good := core.WireTxn{Items: corpus.Transactions[0].Items}
-	pastTable := core.WireTxn{Items: []txn.ItemID{txn.ItemID(corpus.Items.Len())}}
+	// Far past it: the cases share one corpus, and a run that gets as far as
+	// refining before it fails interns synthetic items into the table.
+	pastTable := core.WireTxn{Items: []txn.ItemID{txn.ItemID(corpus.Items.Len() + 1<<20)}}
 	msg := func(from, round, j int, w core.WireTxn) RepsMsg {
 		return RepsMsg{From: from, Round: round, Reps: map[int]core.WeightedWireRep{j: {Rep: w, Weight: 1}}, Initial: round == 0}
 	}

@@ -94,7 +94,10 @@ type Scratch struct {
 	// memo is the scratch-local layer over the shared PathCache (structMemo).
 	memo structMemo
 
-	query RepQuery
+	// Index-side state, pooled and warmed with the scratch: the query state of
+	// posting-list scoring and the refinement objective's member index.
+	query   RepQuery
+	members MemberIndex
 }
 
 // Query returns the index-query state that travels with the scratch: an
@@ -129,6 +132,13 @@ func putScratch(sc *Scratch, pooled bool) {
 	}
 }
 
+// BorrowScratch takes one scratch from the shared pool for a serial pass — a
+// refinement, say.
+func BorrowScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+
+// Release hands a borrowed scratch back; the caller must not use it afterwards.
+func (sc *Scratch) Release() { scratchPool.Put(sc) }
+
 // Scratches is the per-worker kernel state of one fork-join pass: slot w
 // belongs to the worker with dense id w (see parallel.ForCtxWorkers) and is
 // borrowed from the shared pool on that worker's first use. Once the pool is
@@ -146,7 +156,7 @@ func BorrowScratches(workers int) Scratches { return make(Scratches, workers) }
 // Worker returns worker w's scratch, borrowing it on first use.
 func (ws Scratches) Worker(w int) *Scratch {
 	if ws[w] == nil {
-		ws[w] = scratchPool.Get().(*Scratch)
+		ws[w] = BorrowScratch()
 	}
 	return ws[w]
 }
@@ -155,7 +165,7 @@ func (ws Scratches) Worker(w int) *Scratch {
 func (ws Scratches) Release() {
 	for w, sc := range ws {
 		if sc != nil {
-			scratchPool.Put(sc)
+			sc.Release()
 			ws[w] = nil
 		}
 	}

@@ -14,9 +14,10 @@ import (
 // This file implements posting-list scoring: an inverted file over the TCU
 // terms of a set of representatives, and a scorer that turns one sweep of a
 // document's terms into the document's exact Eq. 4 similarity to every
-// representative. It is what relocation and the refinement objective run on;
-// the dense n1×n2 kernel (kernel.go) is its reference, its fallback and the
-// public Transactions API.
+// representative. It is what relocation runs on, and — through MemberIndex,
+// which points the same sweep at a cluster's members — the refinement
+// objective; the dense n1×n2 kernel (kernel.go) is its reference, its
+// fallback and the public Transactions API.
 //
 // # Why a sweep is exact
 //
@@ -69,6 +70,10 @@ type RepIndex struct {
 
 	on     bool // γ > 0 and exact Δ at Build
 	active int  // non-nil, non-empty reps (the flat scan's real workload)
+	// transposed marks the index a MemberIndex keeps over cluster members:
+	// the indexed side is the documents and the queries are representative
+	// items, so Eq. 3 takes its operands the other way round (fsim).
+	transposed bool
 
 	// Staleness: checked is the table vector version the captured headers
 	// were last found current at, stale latches a rewrite of one of them.
@@ -173,8 +178,7 @@ func (ix *RepIndex) Build(cx *Context, reps []*txn.Transaction) {
 	ix.terms, ix.tps = ix.terms[:0], ix.tps[:0]
 
 	ix.cx, ix.reps = cx, reps
-	_, exact := cx.TagSim.(semantics.Exact)
-	ix.on = cx.Params.Gamma > 0 && exact
+	ix.on = sweepable(cx)
 	ix.active = 0
 	ix.stale.Store(false)
 	if !ix.on {
@@ -258,6 +262,13 @@ func (ix *RepIndex) Build(cx *Context, reps []*txn.Transaction) {
 	}
 	shiftBack(ix.tpOff)
 	shiftBack(ix.postOff)
+}
+
+// sweepable reports whether posting-list scoring serves cx: γ must be
+// positive and Δ the paper's exact one (see Enabled).
+func sweepable(cx *Context) bool {
+	_, exact := cx.TagSim.(semantics.Exact)
+	return cx.Params.Gamma > 0 && exact
 }
 
 // exclusiveSums turns the list lengths in off[:len-1] into start offsets in
@@ -388,7 +399,23 @@ func (rq *RepQuery) prepare(ix *RepIndex, n1, nd int) {
 // relocation winner with rq.Best(). Every score is bit-identical to
 // Context.Transactions(tr, rep); the index must be Enabled.
 func (ix *RepIndex) Candidates(tr *txn.Transaction, rq *RepQuery) int {
-	rq.cand, rq.score = rq.cand[:0], rq.score[:0]
+	evaluated := ix.sweep(tr, rq)
+	rq.score = rq.score[:0]
+	for _, j := range rq.cand {
+		rq.score = append(rq.score, rq.evaluate(tr, ix.reps[j], rq.head[j]))
+	}
+	ix.cx.Counters.ItemSims.Add(int64(evaluated))
+	ix.cx.Counters.TxnSims.Add(int64(len(rq.cand)))
+	return len(rq.cand)
+}
+
+// sweep is the posting-list pass of a query: it leaves in rq.pairs every
+// (row of tr, indexed position) pair whose Eq. 1 value reaches γ — row by
+// row, linked per representative from rq.head — and in rq.cand the
+// representatives that have one, and returns the number of pairs it looked
+// at.
+func (ix *RepIndex) sweep(tr *txn.Transaction, rq *RepQuery) (evaluated int) {
+	rq.cand, rq.pairs = rq.cand[:0], rq.pairs[:0]
 	n1 := tr.Len()
 	if n1 == 0 || ix.active == 0 {
 		return 0
@@ -416,7 +443,6 @@ func (ix *RepIndex) Candidates(tr *txn.Transaction, rq *RepQuery) int {
 		rq.epoch = 0
 	}
 	mark := rq.epoch + 1 // the first row's epoch names the document
-	rq.pairs = rq.pairs[:0]
 
 	// Channel (b) set-up: which representative tag paths reach γ on
 	// structure alone, per distinct document tag path. f·simS ≤ f, so there
@@ -428,7 +454,7 @@ func (ix *RepIndex) Candidates(tr *txn.Transaction, rq *RepQuery) int {
 			rq.qualOff = append(rq.qualOff, int32(len(rq.qual)))
 			for q := 0; q < nq; q++ {
 				x := d*nq + q
-				rq.fs[x] = f * rq.memo.sim(cx, doc.tps[d], ix.tps[q])
+				rq.fs[x] = ix.fsim(rq, d, q)
 				rq.fsMark[x] = mark
 				if rq.fs[x] >= gamma {
 					rq.qual = append(rq.qual, int32(q))
@@ -438,7 +464,6 @@ func (ix *RepIndex) Candidates(tr *txn.Transaction, rq *RepQuery) int {
 		rq.qualOff = append(rq.qualOff, int32(len(rq.qual)))
 	}
 
-	evaluated := 0
 	for i := 0; i < n1; i++ {
 		rq.epoch++
 		epoch := rq.epoch
@@ -484,7 +509,7 @@ func (ix *RepIndex) Candidates(tr *txn.Transaction, rq *RepQuery) int {
 					x := d*nq + int(ix.tpSlot[p])
 					if rq.fsMark[x] != mark {
 						rq.fsMark[x] = mark
-						rq.fs[x] = f * rq.memo.sim(cx, doc.tps[d], ix.tps[ix.tpSlot[p]])
+						rq.fs[x] = ix.fsim(rq, d, int(ix.tpSlot[p]))
 					}
 					s += rq.fs[x]
 				}
@@ -518,12 +543,20 @@ func (ix *RepIndex) Candidates(tr *txn.Transaction, rq *RepQuery) int {
 		}
 	}
 
-	for _, j := range rq.cand {
-		rq.score = append(rq.score, rq.evaluate(tr, ix.reps[j], rq.head[j]))
+	return evaluated
+}
+
+// fsim is f·simS between the query's distinct tag path d and the index's tag
+// path q. Eq. 3 is always called as (document path, representative path), the
+// way the dense kernel calls it: the pair cache keeps whichever orientation it
+// sees first, and Eq. 3's sum runs over the first path's tags before the
+// second's.
+func (ix *RepIndex) fsim(rq *RepQuery, d, q int) float64 {
+	a, b := rq.doc.tps[d], ix.tps[q]
+	if ix.transposed {
+		a, b = b, a
 	}
-	cx.Counters.ItemSims.Add(int64(evaluated))
-	cx.Counters.TxnSims.Add(int64(len(rq.cand)))
-	return len(rq.cand)
+	return ix.cx.Params.F * rq.memo.sim(ix.cx, a, b)
 }
 
 // addPair records that document row i and global position p scored s ≥ γ.

@@ -15,8 +15,11 @@
 //     representative set, and one sweep of a document's terms over the
 //     posting lists yields its exact Eq. 4 similarity to every
 //     representative: only item pairs that share a term, or that structure
-//     alone carries to γ, are ever looked at. Every production relocation,
-//     refinement objective and classification runs on it.
+//     alone carries to γ, are ever looked at. Every production relocation
+//     and classification runs on it, and so does the refinement objective —
+//     turned round: MemberIndex (memberindex.go) indexes a cluster's members
+//     once and sweeps each new item of the candidate representative through
+//     them.
 //   - The dense kernel (kernel.go) specifies. It fills the whole n1×n2 item
 //     similarity matrix of one transaction pair, row by row, and reads the
 //     marks off it: the public Transactions API, the reference the sweep is
@@ -67,11 +70,15 @@ type Counters struct {
 	// ItemSims counts the Eq. 1 values looked at: calls to Item, every item
 	// pair of a kernel pass, and every item pair a RepIndex sweep touched. It
 	// is not the number of cosines evaluated — both skip the content cosine
-	// of pairs that provably cannot reach γ.
+	// of pairs that provably cannot reach γ. A MemberIndex adds the pairs a
+	// new column touched — once per (representative item, distinct cluster
+	// item), not once per member row and step — so a refinement counts far
+	// fewer than one scored member by member would.
 	ItemSims atomic.Int64
 	PathSims atomic.Int64 // structural path alignments actually computed
 	// TxnSims counts Eq. 4 values produced: calls to Transactions, plus the
-	// representatives a RepIndex query scored above zero.
+	// representatives a RepIndex query scored above zero, plus — per
+	// refinement step — the members a MemberIndex scored above zero.
 	TxnSims     atomic.Int64
 	CacheHits   atomic.Int64 // path-pair cache hits
 	CacheMisses atomic.Int64

@@ -4,12 +4,11 @@
 package vector
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Entry is a single (term id, weight) component of a sparse vector.
@@ -88,13 +87,18 @@ func (v Sparse) computeNorm() float64 {
 func (v Sparse) Norm() float64 { return v.norm }
 
 // Collect sums components given in any term order into a vector: parts is
-// stable-sorted by term and each run of one term is added up left to right,
-// so per term the weights are added in the order they were listed — the bits
-// that adding the vectors they came from one after the other with Add gives,
-// without the intermediate vectors. Sums that cancel to zero are dropped. The
-// result takes over parts' memory.
+// put in term order stably and each run of one term is added up left to
+// right, so per term the weights are added in the order they were listed — the
+// bits that adding the vectors they came from one after the other with Add
+// gives, without the intermediate vectors. Sums that cancel to zero are
+// dropped. The result takes over parts' memory.
+//
+// Callers list whole vectors one after the other, so parts is a concatenation
+// of ascending runs and the ordering is a stable merge of those runs, not a
+// comparison sort: O(n log runs), nothing to do for one run. Unsorted input is
+// many short runs, so the result is the stable sort's whatever comes in.
 func Collect(parts []Entry) Sparse {
-	slices.SortStableFunc(parts, func(a, b Entry) int { return cmp.Compare(a.Term, b.Term) })
+	mergeRuns(parts)
 	sums := parts[:0]
 	for i := 0; i < len(parts); {
 		sum := parts[i]
@@ -108,6 +112,64 @@ func Collect(parts []Entry) Sparse {
 	v := Sparse{entries: sums}
 	v.norm = v.computeNorm()
 	return v
+}
+
+// mergeSpace is the pooled working memory of mergeRuns: the run boundaries
+// and the buffer the passes alternate with.
+type mergeSpace struct {
+	bounds []int
+	buf    []Entry
+}
+
+var mergePool = sync.Pool{New: func() any { return new(mergeSpace) }}
+
+// mergeRuns orders parts by term, stably: it finds the maximal non-descending
+// runs and merges neighbours pairwise, bottom up, until one is left. On equal
+// terms the left run goes first, which keeps listing order.
+func mergeRuns(parts []Entry) {
+	sp := mergePool.Get().(*mergeSpace)
+	defer mergePool.Put(sp)
+	bounds := append(sp.bounds[:0], 0)
+	for i := 1; i < len(parts); i++ {
+		if parts[i].Term < parts[i-1].Term {
+			bounds = append(bounds, i)
+		}
+	}
+	bounds = append(bounds, len(parts))
+	sp.bounds = bounds
+	if len(bounds) <= 2 {
+		return
+	}
+	if cap(sp.buf) < len(parts) {
+		sp.buf = make([]Entry, len(parts))
+	}
+	src, dst := parts, sp.buf[:len(parts)]
+	for len(bounds) > 2 {
+		// Run r spans src[bounds[r]:bounds[r+1]]; the merged boundaries
+		// overwrite the list from the front, behind the reads.
+		merged := bounds[:1]
+		for r := 0; r+1 < len(bounds); r += 2 {
+			lo, mid, hi := bounds[r], bounds[r+1], bounds[r+1]
+			if r+2 < len(bounds) {
+				hi = bounds[r+2]
+			}
+			a, b, k := src[lo:mid], src[mid:hi], lo
+			for ; len(a) > 0 && len(b) > 0; k++ {
+				if b[0].Term < a[0].Term {
+					dst[k], b = b[0], b[1:]
+				} else {
+					dst[k], a = a[0], a[1:]
+				}
+			}
+			k += copy(dst[k:], a)
+			copy(dst[k:], b)
+			merged = append(merged, hi)
+		}
+		bounds, src, dst = merged, dst, src
+	}
+	if &src[0] != &parts[0] {
+		copy(parts, src)
+	}
 }
 
 // Same reports whether a and b are one vector value: the same component

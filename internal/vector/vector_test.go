@@ -1,8 +1,10 @@
 package vector
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -242,5 +244,93 @@ func TestCollectMatchesRepeatedAdd(t *testing.T) {
 		if !Equal(got, want) || got.Norm() != want.Norm() {
 			t.Fatalf("trial %d: Collect = %v (norm %v), repeated Add = %v (norm %v)", trial, got, got.Norm(), want, want.Norm())
 		}
+	}
+}
+
+// collectByStableSort is Collect as it was before it merged runs, kept
+// verbatim as the oracle of TestCollectMatchesStableSort.
+func collectByStableSort(parts []Entry) Sparse {
+	slices.SortStableFunc(parts, func(a, b Entry) int { return cmp.Compare(a.Term, b.Term) })
+	sums := parts[:0]
+	for i := 0; i < len(parts); {
+		sum := parts[i]
+		for i++; i < len(parts) && parts[i].Term == sum.Term; i++ {
+			sum.Weight += parts[i].Weight
+		}
+		if sum.Weight != 0 {
+			sums = append(sums, sum)
+		}
+	}
+	v := Sparse{entries: sums}
+	v.norm = v.computeNorm()
+	return v
+}
+
+// TestCollectMatchesStableSort: the run merge gives the entries and the norm
+// of the stable sort it replaced, bit for bit, on whatever comes in —
+// concatenations of ascending runs (the callers' shape), runs that repeat a
+// term, fully unsorted input, one run, nothing — with negative weights and
+// weights chosen so that the per-term order of addition shows in the bits and
+// some sums cancel to zero.
+func TestCollectMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	weight := func() float64 {
+		switch rng.Intn(6) {
+		case 0:
+			return 0.5
+		case 1:
+			return -0.5
+		case 2:
+			return 1e16 // absorbs small addends: (a+b)+c != a+(b+c)
+		case 3:
+			return -1e16
+		}
+		return rng.Float64()*3 - 1
+	}
+	cancelled, repeatedInRun, unsorted := 0, 0, 0
+	for trial := 0; trial < 3000; trial++ {
+		var parts []Entry
+		vocab := 1 + rng.Intn(12)
+		switch shape := rng.Intn(4); shape {
+		case 0: // unsorted
+			for n := rng.Intn(40); n > 0; n-- {
+				parts = append(parts, Entry{Term: int32(rng.Intn(vocab)), Weight: weight()})
+			}
+			unsorted++
+		default: // runs, ascending; shape 1 lets a run repeat a term
+			for runs := rng.Intn(9); runs > 0; runs-- {
+				for term := 0; term < vocab; term++ {
+					for times := 0; rng.Intn(2) == 0; times++ {
+						parts = append(parts, Entry{Term: int32(term), Weight: weight()})
+						if shape != 1 {
+							break
+						}
+						if times > 0 {
+							repeatedInRun++
+						}
+					}
+				}
+			}
+		}
+		listed := map[int32]bool{}
+		for _, e := range parts {
+			listed[e.Term] = true
+		}
+		want := collectByStableSort(slices.Clone(parts))
+		if want.Len() < len(listed) {
+			cancelled++
+		}
+		got := Collect(parts)
+		if got.Len() != want.Len() || math.Float64bits(got.Norm()) != math.Float64bits(want.Norm()) {
+			t.Fatalf("trial %d: Collect = %v (norm %v), stable sort = %v (norm %v)", trial, got, got.Norm(), want, want.Norm())
+		}
+		for i, e := range got.Entries() {
+			if w := want.Entries()[i]; e.Term != w.Term || math.Float64bits(e.Weight) != math.Float64bits(w.Weight) {
+				t.Fatalf("trial %d entry %d: Collect has %v, stable sort %v", trial, i, e, w)
+			}
+		}
+	}
+	if cancelled == 0 || repeatedInRun == 0 || unsorted == 0 {
+		t.Fatalf("generator missed a shape: cancelled %d, repeated-in-run %d, unsorted %d", cancelled, repeatedInRun, unsorted)
 	}
 }

@@ -307,12 +307,12 @@ type ClusterOptions struct {
 	Gamma float64
 	// Peers is the number of P2P nodes; 1 = centralized (default 1).
 	Peers int
-	// Workers bounds the goroutines each peer uses for its local
-	// similarity-heavy loops (relocation, item ranking, representative
-	// refinement). 0 means one worker per CPU; 1 forces the serial path;
-	// negative values are rejected with an *OptionsError. For a fixed Seed
-	// the clustering output is byte-identical for every legal Workers
-	// value — only the wall time changes.
+	// Workers bounds the goroutines each peer uses for its relocation
+	// passes (representative refinement is serial, its work items being
+	// cheaper than a fork). 0 means one worker per CPU; 1 forces the
+	// serial path; negative values are rejected with an *OptionsError. For
+	// a fixed Seed the clustering output is byte-identical for every legal
+	// Workers value — only the wall time changes.
 	Workers int
 	// UnequalSplit distributes data in the paper's skewed scenario (half
 	// the peers hold twice the data).
