@@ -2,12 +2,12 @@
 // plus a labels.tsv with the three reference classifications, so the
 // datasets can be inspected or fed to cxkcluster — and/or streams the
 // generated collection through the ingestion pipeline to a preprocessed
-// corpus gob ready for cxkcluster/cxkpeer, with no XML round-trip.
+// corpus file ready for cxkcluster/cxkpeer, with no XML round-trip.
 //
 // Usage:
 //
 //	cxkgen -dataset dblp [-docs 240] [-seed 424242] -out ./corpus
-//	cxkgen -dataset ieee -corpus ieee.gob -kind hybrid -out ""
+//	cxkgen -dataset ieee -corpus ieee.cxk -kind hybrid -out ""
 package main
 
 import (
@@ -28,7 +28,7 @@ func main() {
 		docs    = flag.Int("docs", 0, "number of documents (0 = corpus default)")
 		seed    = flag.Int64("seed", 424242, "generation seed")
 		out     = flag.String("out", "corpus", "output directory for XML + labels.tsv (\"\" = skip XML emission)")
-		gobOut  = flag.String("corpus", "", "also stream the collection through the ingestion pipeline and save the preprocessed corpus gob here")
+		cxkOut  = flag.String("corpus", "", "also stream the collection through the ingestion pipeline and save the preprocessed corpus file here")
 		kind    = flag.String("kind", "hybrid", "reference classification for -corpus labels: structure | content | hybrid")
 		maxTup  = flag.Int("maxtuples", 0, "cap on tree tuples per document for -corpus (0 = default)")
 		ingestW = flag.Int("ingest-workers", 0, "parse/extract workers for -corpus (0 = one per CPU); the corpus is identical for any value")
@@ -39,8 +39,8 @@ func main() {
 	if !ok {
 		fatal(fmt.Errorf("unknown dataset %q (have: %v)", *name, dataset.Names()))
 	}
-	if *out == "" && *gobOut == "" {
-		fatal(fmt.Errorf("nothing to do: pass -out for XML files and/or -corpus for a preprocessed gob"))
+	if *out == "" && *cxkOut == "" {
+		fatal(fmt.Errorf("nothing to do: pass -out for XML files and/or -corpus for a preprocessed corpus file"))
 	}
 	col := gen(dataset.Spec{Docs: *docs, Seed: *seed})
 
@@ -76,7 +76,7 @@ func main() {
 			len(col.Trees), col.Name, col.NumStruct, col.NumContent, col.NumHybrid, *out)
 	}
 
-	if *gobOut != "" {
+	if *cxkOut != "" {
 		ck, err := classKind(*kind)
 		if err != nil {
 			fatal(err)
@@ -88,7 +88,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		f, err := os.Create(*gobOut)
+		f, err := os.Create(*cxkOut)
 		if err != nil {
 			fatal(err)
 		}
@@ -99,7 +99,7 @@ func main() {
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("ingested %s; saved %s-labeled corpus to %s\n", stats.String(), ck, *gobOut)
+		fmt.Printf("ingested %s; saved %s-labeled corpus to %s\n", stats.String(), ck, *cxkOut)
 	}
 }
 

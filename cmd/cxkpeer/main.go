@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	cxkpeer -id 0 -peers host0:9000,host1:9000,host2:9000 -corpus corpus.gob -k 8
+//	cxkpeer -id 0 -peers host0:9000,host1:9000,host2:9000 -corpus corpus.cxk -k 8
 //
 // Every process must be started with the same -peers table, -corpus data
 // and clustering flags (-k -f -gamma -seed -maxrounds -unequal): the data
@@ -14,7 +14,7 @@
 // Peer 0 is the coordinator: it plays node N0 (startup broadcast), collects
 // every peer's final assignment and prints the corpus-wide result to stdout
 // as "transaction<TAB>cluster" lines (cluster −1 is the trash cluster).
-// -corpus accepts either the gob produced by `cxkcluster -save` (preprocess
+// -corpus accepts either the file produced by `cxkcluster -save` (preprocess
 // once, ship the file to every peer) or raw data — a directory walked
 // recursively for *.xml, a tar/tar.gz archive, or a single XML file —
 // which every peer ingests through the streaming pipeline; identical input
@@ -55,7 +55,7 @@ func main() {
 		id      = flag.Int("id", 0, "this peer's id in [0, #peers)")
 		peers   = flag.String("peers", "", "comma-separated peer address table, index = peer id (required)")
 		listen  = flag.String("listen", "", "local listen address (default: the -peers entry for -id)")
-		corpusF = flag.String("corpus", "", "corpus gob from `cxkcluster -save`, or a directory / tar[.gz] archive / XML file to ingest (required)")
+		corpusF = flag.String("corpus", "", "corpus file from `cxkcluster -save`, or a directory / tar[.gz] archive / XML file to ingest (required)")
 		maxTup  = flag.Int("maxtuples", 0, "cap on tree tuples per document when ingesting raw XML (0 = default; must match across peers)")
 		ingestW = flag.Int("ingest-workers", 0, "parse/extract workers when ingesting raw XML (0 = one per CPU); the corpus is identical for any value")
 		k       = flag.Int("k", 4, "number of clusters")

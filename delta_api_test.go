@@ -1,8 +1,10 @@
 package xmlclust
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"xmlclust/internal/dataset"
@@ -112,5 +114,64 @@ func TestClusterDeltaDefaultOn(t *testing.T) {
 	assertSameClustering(t, "default vs off", off, def)
 	if def.Rounds >= 3 && def.RepsReused == 0 {
 		t.Errorf("default-mode %d-round run never hit the memo: the default is not on", def.Rounds)
+	}
+}
+
+// TestLoadedCorpusClustersAsBuilt: a corpus that went through the file is the
+// built one to everything above it — same assignments, rounds and RepsDigest
+// for three seeds, both engines, one peer and
+// three — and what clustering conflates into the loaded tables saves to a
+// fixed point of Load∘Save.
+func TestLoadedCorpusClustersAsBuilt(t *testing.T) {
+	built, k := deltaTestCorpus(t)
+	var file bytes.Buffer
+	if err := SaveCorpus(&file, built); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadCorpus(bytes.NewReader(file.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, peers := range []int{1, 3} {
+			for _, mode := range []DeltaRoundsMode{DeltaRoundsAuto, DeltaRoundsOff} {
+				opts := ClusterOptions{K: k, F: 0.5, Gamma: 0.7, Peers: peers, Seed: seed, DeltaRounds: mode}
+				want, err := freshEngine(t, built).Cluster(ctx, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := freshEngine(t, loaded).Cluster(ctx, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("seed %d, %d peers, delta mode %v", seed, peers, mode)
+				if got.Rounds != want.Rounds || !slices.Equal(got.Assign, want.Assign) {
+					t.Errorf("%s: %d rounds and assignments %v from the loaded corpus, %d and %v from the built one",
+						label, got.Rounds, got.Assign, want.Rounds, want.Assign)
+				}
+				// Synthetic ids depend on which peer conflates first; the digest is over raw constituents.
+				if a, b := RepsDigest(built, want.Reps), RepsDigest(loaded, got.Reps); a != b {
+					t.Errorf("%s: RepsDigest %016x from the loaded corpus, %016x from the built one", label, b, a)
+				}
+			}
+		}
+	}
+	var clustered, again bytes.Buffer
+	if err := SaveCorpus(&clustered, loaded); err != nil {
+		t.Fatal(err)
+	}
+	if clustered.Len() <= file.Len() {
+		t.Fatalf("clustering conflated nothing into the loaded tables (%d bytes, %d before)", clustered.Len(), file.Len())
+	}
+	back, err := LoadCorpus(bytes.NewReader(clustered.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveCorpus(&again, back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(clustered.Bytes(), again.Bytes()) {
+		t.Fatal("the loaded-then-clustered corpus does not re-save to the bytes it loads back from")
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"xmlclust/internal/txn"
@@ -106,6 +107,18 @@ func rankedWith(items []*txn.Item, rank func(i int) float64) []rankedItem {
 		out[i] = rankedItem{id: it.ID, rank: rank(i)}
 	}
 	return out
+}
+
+// TestSortRankedOrder: rank descending, then item id ascending — a total
+// order over a ranking's distinct ids, so whichever sort implements it, the
+// sequence is one; in particular ties must not come out in input order.
+func TestSortRankedOrder(t *testing.T) {
+	r := []rankedItem{{7, 0.5}, {3, 2}, {9, 0.5}, {1, 0.5}, {4, 2}, {8, 0}, {2, 3}}
+	want := []rankedItem{{2, 3}, {3, 2}, {4, 2}, {1, 0.5}, {7, 0.5}, {9, 0.5}, {8, 0}}
+	sortRanked(r)
+	if !slices.Equal(r, want) {
+		t.Fatalf("sortRanked = %v, want %v", r, want)
+	}
 }
 
 // constituents flattens a representative back to the raw item ids it was

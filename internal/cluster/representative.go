@@ -40,8 +40,8 @@
 package cluster
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"xmlclust/internal/sim"
 	"xmlclust/internal/txn"
@@ -242,13 +242,16 @@ func ComputeGlobalRepresentative(cfg RepConfig, reps []WeightedRep) *txn.Transac
 }
 
 // sortRanked orders by rank descending, breaking ties by item id for
-// determinism.
+// determinism. Ids in a ranking are distinct, so the order is total.
 func sortRanked(r []rankedItem) {
-	sort.Slice(r, func(i, j int) bool {
-		if r[i].rank != r[j].rank {
-			return r[i].rank > r[j].rank
+	slices.SortFunc(r, func(a, b rankedItem) int {
+		switch {
+		case a.rank > b.rank:
+			return -1
+		case a.rank < b.rank:
+			return 1
 		}
-		return r[i].id < r[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 }
 

@@ -59,14 +59,23 @@ func (s *tarSource) Next() (*Document, error) {
 		if hdr.Typeflag != tar.TypeReg || !strings.HasSuffix(strings.ToLower(hdr.Name), ".xml") {
 			continue
 		}
-		// The header's size sizes the buffer up front (capped: a header is
-		// untrusted input), with bytes.MinRead of slack so that the read
-		// that meets EOF does not grow it.
-		buf := bytes.NewBuffer(make([]byte, 0, min(hdr.Size, maxEntryPrealloc)+bytes.MinRead))
-		if _, err := buf.ReadFrom(s.tr); err != nil {
+		// A header is untrusted input: its size sizes the buffer only up to
+		// maxEntryPrealloc. An entry within that is read into exactly the
+		// bytes it declares — the tar reader yields no more, and fewer are a
+		// truncated archive; a larger one grows as it arrives.
+		var data []byte
+		if hdr.Size <= maxEntryPrealloc {
+			data = make([]byte, hdr.Size)
+			_, err = io.ReadFull(s.tr, data)
+		} else {
+			buf := bytes.NewBuffer(make([]byte, 0, maxEntryPrealloc))
+			_, err = buf.ReadFrom(s.tr)
+			data = buf.Bytes()
+		}
+		if err != nil {
 			return nil, fmt.Errorf("corpus: %s: tar entry %s: %w", s.name, hdr.Name, err)
 		}
-		return &Document{Name: s.name + ":" + hdr.Name, Label: -1, Data: buf.Bytes()}, nil
+		return &Document{Name: s.name + ":" + hdr.Name, Label: -1, Data: data}, nil
 	}
 }
 

@@ -487,3 +487,31 @@ func TestBuildAllocationBound(t *testing.T) {
 		t.Logf("building 500 DBLP documents allocated %.1f MB (bound %.1f MB)", mb, boundMB)
 	}
 }
+
+// TestSavedBytesAcrossGenerators pins tuple extraction from above: the saved
+// corpus of every generator at four tuple caps — one alternative per tree, a
+// cap that truncates, one that mostly does not, the default — hashes to what
+// it hashed to with the extraction of the commit before tuple.variants lost
+// its per-element map (same format, recorded in CHANGES.md). A variant out of
+// order or a leaf short moves an item id, and with it every byte behind.
+func TestSavedBytesAcrossGenerators(t *testing.T) {
+	want := map[string]string{
+		"DBLP/1": "4608e4c73cca40c3", "DBLP/3": "6ef4075e8e4062c4", "DBLP/17": "6ef4075e8e4062c4", "DBLP/0": "6ef4075e8e4062c4",
+		"IEEE/1": "686f5228af899df2", "IEEE/3": "276e54d2bb6155b0", "IEEE/17": "9eb0caba858b86c8", "IEEE/0": "94f670df5c7eb188",
+		"Wikipedia/1": "8929f6fce61dae7e", "Wikipedia/3": "e30590d7512f8d69", "Wikipedia/17": "488816d2477e4e1f", "Wikipedia/0": "488816d2477e4e1f",
+		"Shakespeare/1": "0332acce9721cbb2", "Shakespeare/3": "78e210c77551a281", "Shakespeare/17": "6b6462ef61d303f4", "Shakespeare/0": "b385208f1bfec51c",
+	}
+	for _, g := range []struct {
+		name string
+		docs int
+	}{{"DBLP", 400}, {"IEEE", 12}, {"Wikipedia", 400}, {"Shakespeare", 12}} {
+		gen, _ := dataset.ByName(g.name)
+		for _, max := range []int{1, 3, 17, 0} {
+			key := fmt.Sprintf("%s/%d", g.name, max)
+			c := gen(dataset.Spec{Docs: g.docs, Seed: 26}).BuildCorpus(dataset.ByHybrid, max, 2)
+			if got := fmt.Sprintf("%x", sha256.Sum256(saveBytes(t, c)))[:16]; got != want[key] {
+				t.Errorf("%s: saved corpus hashes to %s, want %s", key, got, want[key])
+			}
+		}
+	}
+}

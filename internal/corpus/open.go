@@ -8,13 +8,13 @@ import (
 )
 
 // Kind classifies what a filesystem path holds, so CLIs can route a single
-// -corpus/positional argument to the right ingestion source (or to the gob
+// -corpus/positional argument to the right ingestion source (or to the saved
 // corpus loader).
 type Kind int
 
 const (
 	// KindUnknown is anything the sniffer does not recognize — callers with
-	// a fallback format (e.g. a saved corpus gob) try that.
+	// a fallback format (e.g. a saved corpus file) try that.
 	KindUnknown Kind = iota
 	// KindDir is a directory (walked recursively for *.xml).
 	KindDir

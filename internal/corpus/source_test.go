@@ -231,6 +231,27 @@ func TestTarEntryBuffering(t *testing.T) {
 	}
 }
 
+// TestTarSmallEntryCutShort: an entry under the preallocation cap is read
+// into exactly the bytes its header declares, so an archive that ends inside
+// it must be an error naming the entry — not a document padded with zeros.
+func TestTarSmallEntryCutShort(t *testing.T) {
+	doc := "<s>" + strings.Repeat("v", 600) + "</s>"
+	data := makeTar(t, false, map[string]string{"first.xml": "<f/>", "small.xml": doc})
+	// first.xml: a header and one padded block; small.xml's header; then 100 of its bytes.
+	src, err := Tar(bytes.NewReader(data[:3*512+100]), "cut.tar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	if d, err := src.Next(); err != nil || string(d.Data) != "<f/>" || cap(d.Data) != len(d.Data) {
+		t.Fatalf("the entry before the cut: %v, %v", d, err)
+	}
+	d, err := src.Next()
+	if err == nil || err == io.EOF || !strings.Contains(err.Error(), "tar entry small.xml") {
+		t.Fatalf("an entry cut short yielded %v, %v", d, err)
+	}
+}
+
 func TestTreesSourceLabels(t *testing.T) {
 	trees := []*xmltree.Tree{
 		xmltree.MustParseString("<a/>", xmltree.DefaultParseOptions()),

@@ -12,6 +12,8 @@ package tuple
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"xmlclust/internal/xmltree"
 )
@@ -77,10 +79,19 @@ func Extract(t *xmltree.Tree, opts Options) Result {
 	if t.Root == nil {
 		return Result{}
 	}
-	vs, total := variants(t.Root, max)
+	x := extractors.Get().(*extractor)
+	defer extractors.Put(x)
+	x.max = max
+	if len(x.slots) > maxSlots {
+		clear(x.slots)
+	}
+	x.groupOf = slices.Grow(x.groupOf[:0], len(t.Nodes))[:len(t.Nodes)]
+	paths := slices.Grow(x.paths[:0], len(t.Nodes))[:len(t.Nodes)] // by Node.ID, filled at a leaf's first tuple
+	clear(paths)
+	x.paths = paths
+	vs, total := x.variants(t.Root)
 	res := Result{TotalCombinations: total, Truncated: total > int64(len(vs))}
 	res.Tuples = make([]*TreeTuple, len(vs))
-	paths := make([]xmltree.Path, len(t.Nodes)) // by Node.ID, filled at a leaf's first tuple
 	for i, v := range vs {
 		leaves := make([]Leaf, len(v))
 		for j, n := range v {
@@ -110,9 +121,40 @@ func ExtractAll(trees []*xmltree.Tree, opts Options) ([]*TreeTuple, []Result) {
 // variant is the leaf set of one subtree alternative, in document order.
 type variant []*xmltree.Node
 
+// group is the alternatives the children of one element that share a label
+// contribute, and their untruncated count.
+type group struct {
+	alts  []variant
+	total int64
+}
+
+// slot is the group of a label among the children of one element.
+type slot struct{ stamp, group int }
+
+// extractor is the working memory of Extract, pooled across calls. Nothing in
+// it is made per element: labels resolve to groups through one table whose
+// entries carry the stamp of the element they were filed for — stamped, not
+// cleared, so grouping is linear in an element's children however many labels
+// they carry — every child keeps its group in a column by Node.ID, and the
+// groups of the elements on the recursion path stack up in one slice.
+type extractor struct {
+	max     int
+	slots   map[string]slot
+	stamp   int   // of the element being grouped; 0 is no element's
+	groupOf []int // by Node.ID of a child: its group within its parent
+	paths   []xmltree.Path
+	groups  []group // zero beyond its length
+}
+
+var extractors = sync.Pool{New: func() any { return &extractor{slots: make(map[string]slot)} }}
+
+// maxSlots bounds the label table a pooled extractor carries from one
+// document to the next, as xmltree bounds its scanner's.
+const maxSlots = 4096
+
 // variants returns up to max leaf-set alternatives for the subtree rooted at
 // n, together with the untruncated total count.
-func variants(n *xmltree.Node, max int) ([]variant, int64) {
+func (x *extractor) variants(n *xmltree.Node) ([]variant, int64) {
 	if n.IsLeaf() {
 		return []variant{{n}}, 1
 	}
@@ -121,68 +163,68 @@ func variants(n *xmltree.Node, max int) ([]variant, int64) {
 		return []variant{{}}, 1
 	}
 	// Group children by label, preserving first-seen order.
-	type group struct {
-		alts  []variant
-		total int64
-	}
-	order := make([]string, 0, 4)
-	groups := make(map[string]*group, 4)
+	base, ngroups := len(x.groups), 0
+	x.stamp++
 	for _, c := range n.Children {
-		g, ok := groups[c.Label]
-		if !ok {
-			g = &group{}
-			groups[c.Label] = g
-			order = append(order, c.Label)
+		s := x.slots[c.Label]
+		if s.stamp != x.stamp {
+			s = slot{stamp: x.stamp, group: ngroups}
+			x.slots[c.Label] = s
+			ngroups++
 		}
-		cv, ct := variants(c, max)
-		g.alts = append(g.alts, cv...)
+		x.groupOf[c.ID] = s.group
+	}
+	x.groups = slices.Grow(x.groups, ngroups)[:base+ngroups]
+	for _, c := range n.Children {
+		cv, ct := x.variants(c)
+		g := &x.groups[base+x.groupOf[c.ID]] // taken after the call: the stack may have moved
+		if g.alts == nil {
+			g.alts = cv // the child's own slice: nothing else holds it
+		} else {
+			g.alts = append(g.alts, cv...)
+		}
 		g.total = satAdd(g.total, ct)
-		if len(g.alts) > max {
-			g.alts = g.alts[:max]
+		if len(g.alts) > x.max {
+			g.alts = g.alts[:x.max]
 		}
 	}
-	total := int64(1)
-	for _, lbl := range order {
-		total = satMul(total, groups[lbl].total)
-	}
+	groups := x.groups[base:]
 	// Mixed-radix cross product over groups, deterministic order, capped.
 	// The enumerable count is bounded by the product of the (possibly
 	// already truncated) per-group alternative counts.
-	radices := make([]int, len(order))
-	enumerable := int64(1)
-	for i, lbl := range order {
-		radices[i] = len(groups[lbl].alts)
-		enumerable = satMul(enumerable, int64(radices[i]))
+	total, enumerable := int64(1), int64(1)
+	for _, g := range groups {
+		total = satMul(total, g.total)
+		enumerable = satMul(enumerable, int64(len(g.alts)))
 	}
-	limit := total
-	if limit > int64(max) {
-		limit = int64(max)
-	}
-	if limit > enumerable {
-		limit = enumerable
-	}
-	out := make([]variant, 0, limit)
-	for idx := int64(0); idx < limit; idx++ {
-		rem := idx
-		v := variant{}
-		ok := true
-		for gi := len(order) - 1; gi >= 0; gi-- {
-			r := int64(radices[gi])
-			if r == 0 {
-				ok = false
-				break
+	limit := min(total, int64(x.max), enumerable)
+	// Under one label the element's alternatives are that group's as they
+	// stand (variants are read-only once returned); under several, one
+	// variant per combination, the last group the least significant digit:
+	// one walk sizes the variant, a second fills it.
+	out := groups[0].alts
+	if len(groups) > 1 {
+		out = make([]variant, limit)
+		for idx := range out {
+			size, rem := 0, idx
+			for gi := len(groups) - 1; gi >= 0; gi-- {
+				alts := groups[gi].alts
+				size += len(alts[rem%len(alts)])
+				rem /= len(alts)
 			}
-			pick := rem % r
-			rem /= r
-			v = append(v, groups[order[gi]].alts[pick]...)
+			v, rem := make(variant, 0, size), idx
+			for gi := len(groups) - 1; gi >= 0; gi-- {
+				alts := groups[gi].alts
+				v = append(v, alts[rem%len(alts)]...)
+				rem /= len(alts)
+			}
+			// Restore document order of leaves (groups were visited reversed).
+			sortByDocOrder(v)
+			out[idx] = v
 		}
-		if !ok {
-			break
-		}
-		// Restore document order of leaves (groups were visited reversed).
-		sortByDocOrder(v)
-		out = append(out, v)
 	}
+	clear(groups) // only out outlives this element
+	x.groups = x.groups[:base]
 	return out, total
 }
 

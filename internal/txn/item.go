@@ -10,10 +10,10 @@
 // and its TCU vector — sits in two flat columns of the ItemTable indexed by
 // id, so resolving a transaction (ItemTable.ResolveColumns) is one pass over
 // contiguous arrays under one lock. Those columns are the columnar layout;
-// nothing per corpus mirrors them. Persistence writes the transaction set
-// as columnar blocks (one flat id arena plus an offset table, see
-// persist.go) and Load aliases the restored transactions into that one
-// decoded arena.
+// nothing per corpus mirrors them, and the corpus file is those columns:
+// checksummed blocks of offset columns and arenas (layout in persist.go).
+// Load checks every index, then slices the arenas — one string, one array
+// per column, capacity-clamped spans — so a loaded table keeps growing.
 //
 // Interning is once per leaf node. A tree tuple collection repeats its
 // leaves — a leaf outside every repeated group is retained by every tuple

@@ -2,7 +2,9 @@ package txn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"strings"
 	"testing"
 
@@ -92,11 +94,21 @@ func TestPersistEmptyCorpus(t *testing.T) {
 }
 
 func TestLoadGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not a gob stream")); err == nil {
-		t.Error("garbage should fail")
+	if _, err := Load(strings.NewReader("not a corpus stream")); !errors.Is(err, ErrCorruptCorpus) {
+		t.Errorf("garbage: %v, want ErrCorruptCorpus", err)
 	}
-	if _, err := Load(bytes.NewReader(nil)); err == nil {
-		t.Error("empty stream should fail")
+	if _, err := Load(bytes.NewReader(nil)); !errors.Is(err, ErrCorruptCorpus) {
+		t.Errorf("empty stream: %v, want ErrCorruptCorpus", err)
+	}
+	// What a file of the retired gob format looks like to this reader: a
+	// stream without the magic, reported as such with the way out.
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(struct{ Format int }{2}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(&old)
+	if !errors.Is(err, ErrCorruptCorpus) || !strings.Contains(err.Error(), "regenerate it from its XML") {
+		t.Errorf("gob stream: %v, want ErrCorruptCorpus naming the way out", err)
 	}
 }
 
@@ -106,8 +118,6 @@ func TestLoadWrongFormat(t *testing.T) {
 	if err := c.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the format by re-encoding with a bumped version marker: the
-	// easiest reliable corruption is truncating the stream.
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, err := Load(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated stream should fail")
@@ -116,15 +126,10 @@ func TestLoadWrongFormat(t *testing.T) {
 
 func TestLoadFutureFormat(t *testing.T) {
 	// A corpus written by a future release bumps persistFormat; today's
-	// reader must reject it with a readable error, not a gob panic or a
-	// silent misread. gob tolerates unknown fields, so the envelope decodes
-	// and the Format check is what must fire.
-	wc := wireCorpus{Format: persistFormat + 41, Paths: []string{"a.S"}}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wc); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Load(&buf)
+	// reader must reject it with a readable error, not a misread of blocks
+	// it does not know: the version check fires before any block is read.
+	stream := binary.LittleEndian.AppendUint32([]byte(persistMagic), persistFormat+41)
+	_, err := Load(bytes.NewReader(append(stream, "blocks of a layout yet to come"...)))
 	if err == nil {
 		t.Fatal("future persistFormat must not load")
 	}
@@ -138,26 +143,13 @@ func TestLoadRejectsDanglingConstituents(t *testing.T) {
 	it0 := c.Items.Get(0)
 	c.Items.InternSynthetic(it0.Path, MergedAnswerKey([]string{"x", "y"}),
 		vector.FromMap(map[int32]float64{0: 1}), []ItemID{0, 1})
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var wc wireCorpus
-	if err := gob.NewDecoder(&buf).Decode(&wc); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the synthetic item's decomposition to a forward reference.
-	syn := len(wc.Items) - 1
-	if !wc.Items[syn].Synthetic {
-		t.Fatal("expected last item to be the synthetic one")
-	}
-	wc.Items[syn].Constituents = []ItemID{ItemID(len(wc.Items) + 5)}
-	var corrupted bytes.Buffer
-	if err := gob.NewEncoder(&corrupted).Encode(wc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(&corrupted); err == nil {
-		t.Fatal("dangling synthetic constituent must not load")
+	blocks := savedBlocks(t, c)
+	// Corrupt the synthetic item's decomposition — the last two ids of the
+	// constituent arena — to a forward reference.
+	cons := blocks[blkConstituents]
+	binary.LittleEndian.PutUint32(cons[len(cons)-4:], uint32(c.Items.Len()+5))
+	if _, err := Load(bytes.NewReader(joinBlocks(persistFormat, blocks))); !errors.Is(err, ErrCorruptCorpus) {
+		t.Fatalf("dangling synthetic constituent: %v, want ErrCorruptCorpus", err)
 	} else if !strings.Contains(err.Error(), "constituent") {
 		t.Fatalf("unhelpful error: %v", err)
 	}

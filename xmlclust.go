@@ -218,7 +218,7 @@ func BuildCorpusFromSource(src Source, opts CorpusOptions) (*Corpus, IngestStats
 	})
 }
 
-// OpenCorpus loads a preprocessed corpus gob (as written by SaveCorpus /
+// OpenCorpus loads a preprocessed corpus file (as written by SaveCorpus /
 // `cxkcluster -save`), or — when path holds a directory, tar[.gz] archive
 // or XML document instead — builds the corpus on the fly via the streaming
 // ingestion pipeline. Deployments can therefore point cxkpeer straight at
