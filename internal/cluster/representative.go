@@ -20,6 +20,17 @@
 // single-transaction scan (RelocateOneIndexed), which the serving layer's
 // classify path shares.
 //
+// # Ranking
+//
+// Both representative functions rank IC, the cluster's distinct items, through
+// one pooled view of arrays indexed by item, tag-path, path and term id, and
+// conflate through pooled path groups whose merged-answer keys stay sorted as
+// ids arrive. Every rank and every conflated item has the bits of the
+// map-and-merge code this replaced, kept verbatim in reference_test.go as the
+// oracle; the argument sits beside each replacement. An array is zeroed by
+// walking what one computation touched, grows with the table and has one
+// borrower at a time: nothing is shared by concurrent jobs or carried over.
+//
 // # Refinement
 //
 // GenerateTreeTuple evaluates Σ_{tr∈C} simγJ(tr, rep′) once per greedy step.
@@ -34,14 +45,16 @@
 // in vector.Dot's order; because marks and the common-id correction are
 // re-derived from exact pair values every step; and because the sum over
 // members is serial and in member order (TestRefinementObjectiveStepByStep).
-// Nothing forks inside a representative — its work items cost about a
-// microsecond, less than a goroutine — so RepConfig.Workers bounds relocation
-// only.
+// Nothing forks inside a representative — its work items, ranking included,
+// cost about a microsecond, less than a goroutine — so RepConfig.Workers
+// bounds relocation only.
 package cluster
 
 import (
 	"cmp"
 	"slices"
+	"strings"
+	"sync"
 
 	"xmlclust/internal/sim"
 	"xmlclust/internal/txn"
@@ -100,81 +113,154 @@ type rankedItem struct {
 	rank float64
 }
 
-// structuralRanks computes rankS(e) = Σ{h : group p' with simS(e,·) ≥ γ}/|PC|
-// for every item of IC, where the groups are IC's distinct complete paths
-// and h their item counts (the set PC of Fig. 6). simS depends only on tag
-// paths, so the integer sum is computed once per distinct tag path — against
-// the per-tag-path totals of h — and shared by the items under it.
-func structuralRanks(cx *sim.Context, items []*txn.Item) map[xmltree.PathID]float64 {
-	paths := map[xmltree.PathID]struct{}{}
-	hByTag := map[xmltree.PathID]int{}
-	var tags []xmltree.PathID // first-seen order
-	for _, it := range items {
-		paths[it.Path] = struct{}{}
-		if _, ok := hByTag[it.TagPath]; !ok {
-			tags = append(tags, it.TagPath)
-		}
-		hByTag[it.TagPath]++
-	}
-	gamma := cx.Params.Gamma
-	ranks := make(map[xmltree.PathID]float64, len(tags))
-	for _, tp := range tags {
-		sum := 0
-		for _, tq := range tags {
-			if cx.TagPathSim(tp, tq) >= gamma {
-				sum += hByTag[tq]
+// view is the pooled working state of one ranking. Between two rankings
+// every id-indexed array is all zero.
+type view struct {
+	in     []bool       // item id → collected into IC
+	weight []int        // item id → Σ weights of the representatives carrying it
+	ids    []txn.ItemID // IC, ascending
+	items  []*txn.Item  // IC's records
+
+	seenPath []bool           // complete path id → met in IC
+	tagSlot  []int32          // tag path id → slot + 1
+	tags     []xmltree.PathID // slot → tag path, in the order IC meets them
+	h        []int            // slot → IC's items under the tag path
+	rankS    []float64        // slot → rankS
+	sum      []float64        // term id → Σ_{e′∈IC} normalized(u_e′)
+	ranked   []rankedItem
+}
+
+var viewPool = sync.Pool{New: func() any { return new(view) }}
+
+// collect sets IC to the distinct items of trs, ascending by id: an id is
+// stamped when first met, so only distinct ids are sorted.
+func (v *view) collect(tab *txn.ItemTable, trs []*txn.Transaction) {
+	ids := v.ids[:0]
+	for _, tr := range trs {
+		for _, id := range tr.Items {
+			if v.in = fit(v.in, int(id)); !v.in[id] {
+				v.in[id] = true
+				ids = append(ids, id)
 			}
 		}
-		ranks[tp] = float64(sum) / float64(len(paths))
 	}
-	return ranks
+	for _, id := range ids {
+		v.in[id] = false
+	}
+	slices.Sort(ids)
+	v.ids, v.items = ids, slices.Grow(v.items[:0], len(ids))[:len(ids)]
+	tab.Resolve(ids, v.items)
 }
 
-// contentRankSums precomputes Σ_{e'∈I} normalized(u_{e'}) so that
-// rankC(e) = Σ_{e'} cos(u_e,u_{e'}) = normalized(u_e)·Σ — turning the
-// quadratic cosine pass of Fig. 6 into a linear one.
-func contentRankSums(items []*txn.Item) vector.Sparse {
-	n := 0
-	for _, it := range items {
-		n += it.Vector.Len()
-	}
-	parts := make([]vector.Entry, 0, n)
-	for _, it := range items {
-		norm := it.Vector.Norm()
-		if norm == 0 {
-			continue
+// rank returns IC ranked by f·rankS + (1−f)·rankC (Fig. 6), each rank times
+// the item's weight when weighted, in sortRanked's order. The slice lives in
+// v.
+func (v *view) rank(cx *sim.Context, weighted bool) []rankedItem {
+	v.rankStructure(cx)
+	v.sumContent()
+	f := cx.Params.F
+	ranked := v.ranked[:0]
+	for _, it := range v.items {
+		r := f*v.rankS[v.tagSlot[it.TagPath]-1] + (1-f)*v.content(it)
+		if weighted {
+			r = float64(v.weight[it.ID]) * r
+			v.weight[it.ID] = 0
 		}
-		for _, e := range it.Vector.Entries() {
-			parts = append(parts, vector.Entry{Term: e.Term, Weight: e.Weight / norm})
+		ranked = append(ranked, rankedItem{id: it.ID, rank: r})
+	}
+	v.ranked = ranked
+	sortRanked(ranked)
+	for _, tp := range v.tags {
+		v.tagSlot[tp] = 0
+	}
+	for _, it := range v.items {
+		if it.Vector.Norm() != 0 { // what sumContent added
+			for _, e := range it.Vector.Entries() {
+				v.sum[e.Term] = 0
+			}
 		}
 	}
-	return vector.Collect(parts)
+	return ranked
 }
 
-func contentRank(e *txn.Item, sum vector.Sparse) float64 {
+// rankStructure computes rankS(e) = Σ{h : group p' with simS(e,·) ≥ γ}/|PC|
+// once per tag-path slot of IC, where the groups are IC's distinct complete
+// paths and h their item counts (the set PC of Fig. 6); simS depends only on
+// tag paths. Slots are numbered as IC, ascending, meets the tag paths, and
+// Eq. 3 is asked for each ordered pair of slots in that order: the pairs and
+// the order of the map-keyed ranking this replaced, so the path cache keeps
+// the same orientations and every sim.Counters field moves as it did.
+func (v *view) rankStructure(cx *sim.Context) {
+	tags, h, paths := v.tags[:0], v.h[:0], 0
+	for _, it := range v.items {
+		if v.seenPath = fit(v.seenPath, int(it.Path)); !v.seenPath[it.Path] {
+			v.seenPath[it.Path] = true
+			paths++
+		}
+		if v.tagSlot = fit(v.tagSlot, int(it.TagPath)); v.tagSlot[it.TagPath] == 0 {
+			tags, h = append(tags, it.TagPath), append(h, 0)
+			v.tagSlot[it.TagPath] = int32(len(tags))
+		}
+		h[v.tagSlot[it.TagPath]-1]++
+	}
+	for _, it := range v.items {
+		v.seenPath[it.Path] = false
+	}
+	v.tags, v.h, v.rankS = tags, h, v.rankS[:0]
+	for _, tp := range tags {
+		sum := 0
+		for b, tq := range tags {
+			if cx.TagPathSim(tp, tq) >= cx.Params.Gamma {
+				sum += h[b]
+			}
+		}
+		v.rankS = append(v.rankS, float64(sum)/float64(paths))
+	}
+}
+
+// sumContent adds Σ_{e′∈IC} normalized(u_e′) up per term, so that
+// rankC(e) = Σ_{e′} cos(u_e,u_e′) = normalized(u_e)·Σ: Fig. 6's quadratic
+// cosine pass made linear. Each term's sum has the bits vector.Collect gave
+// it: items come in id order, so the addends come in Collect's order, and a
+// sum starts at 0, where 0 + x = x. Zero-norm items are skipped, as they were.
+func (v *view) sumContent() {
+	for _, it := range v.items {
+		if norm := it.Vector.Norm(); norm != 0 {
+			for _, e := range it.Vector.Entries() {
+				v.sum = fit(v.sum, int(e.Term))
+				v.sum[e.Term] += e.Weight / norm
+			}
+		}
+	}
+}
+
+// content is rankC(e) = u_e·Σ / ‖u_e‖ with the bits vector.Dot gave against
+// the collected sum. Every term of an item with a nonzero norm is in Σ, so
+// walking e's terms in ascending order meets the terms Dot's merge walk
+// shared, in its order, with the same rounded products; a term whose sum
+// cancelled — dropped by Collect, skipped by Dot — reads 0 here and adds ±0,
+// which leaves the running sum (never −0) as it was.
+func (v *view) content(e *txn.Item) float64 {
 	n := e.Vector.Norm()
 	if n == 0 {
 		return 0
 	}
-	return vector.Dot(e.Vector, sum) / n
+	s := 0.0
+	for _, en := range e.Vector.Entries() {
+		s += float64(en.Weight * v.sum[en.Term]) // rounded before the add, as in Dot
+	}
+	return s / n
 }
 
-// distinctItems returns the union of items over the transactions, sorted by
-// id (the set IC of Fig. 6).
-func distinctItems(trs []*txn.Transaction, tab *txn.ItemTable) []*txn.Item {
-	n := 0
-	for _, tr := range trs {
-		n += len(tr.Items)
+// fit returns s with index i valid: zero-extended, with headroom so that a
+// run of fresh ids does not reallocate each time.
+func fit[T any](s []T, i int) []T {
+	if i < len(s) {
+		return s
 	}
-	ids := make([]txn.ItemID, 0, n)
-	for _, tr := range trs {
-		ids = append(ids, tr.Items...)
-	}
-	slices.Sort(ids)
-	ids = slices.Compact(ids)
-	items := make([]*txn.Item, len(ids))
-	tab.Resolve(ids, items)
-	return items
+	grown := make([]T, i+1+i/2)
+	copy(grown, s)
+	return grown
 }
 
 // ComputeLocalRepresentative implements the homonymous function of Fig. 6:
@@ -182,24 +268,14 @@ func distinctItems(trs []*txn.Transaction, tab *txn.ItemTable) []*txn.Item {
 // a tree-tuple-shaped representative. A nil result means the cluster was
 // empty.
 func ComputeLocalRepresentative(cfg RepConfig, c []*txn.Transaction) *txn.Transaction {
-	if len(c) == 0 {
-		return nil
+	v := viewPool.Get().(*view)
+	v.collect(cfg.Ctx.Items, c)
+	var rep *txn.Transaction
+	if len(v.ids) > 0 {
+		rep = generateTreeTuple(cfg, v.rank(cfg.Ctx, false), c)
 	}
-	cx := cfg.Ctx
-	items := distinctItems(c, cx.Items)
-	if len(items) == 0 {
-		return nil
-	}
-	rankS := structuralRanks(cx, items)
-	csum := contentRankSums(items)
-	f := cx.Params.F
-	ranked := make([]rankedItem, len(items))
-	for i, it := range items {
-		r := f*rankS[it.TagPath] + (1-f)*contentRank(it, csum)
-		ranked[i] = rankedItem{id: it.ID, rank: r}
-	}
-	sortRanked(ranked)
-	return generateTreeTuple(cfg, ranked, c)
+	viewPool.Put(v)
+	return rep
 }
 
 // WeightedRep is a local representative with its cluster size |C_i_j|, as
@@ -213,32 +289,31 @@ type WeightedRep struct {
 // per-node local representatives of one cluster, weighting item ranks by
 // the summed sizes of the clusters whose representatives carry the item.
 func ComputeGlobalRepresentative(cfg RepConfig, reps []WeightedRep) *txn.Transaction {
+	v := viewPool.Get().(*view)
+	var rep *txn.Transaction
+	if trs := v.collectReps(cfg.Ctx.Items, reps); len(trs) > 0 {
+		rep = generateTreeTuple(cfg, v.rank(cfg.Ctx, true), trs)
+	}
+	viewPool.Put(v)
+	return rep
+}
+
+// collectReps sets IC to the items of reps' non-empty representatives,
+// weighs each by the summed weights of those carrying it, and returns those
+// representatives.
+func (v *view) collectReps(tab *txn.ItemTable, reps []WeightedRep) []*txn.Transaction {
 	var trs []*txn.Transaction
-	weightOf := map[txn.ItemID]int{}
 	for _, wr := range reps {
-		if wr.Rep == nil || wr.Rep.Len() == 0 {
-			continue
+		if wr.Rep != nil && wr.Rep.Len() > 0 {
+			trs = append(trs, wr.Rep)
+			for _, id := range wr.Rep.Items {
+				v.weight = fit(v.weight, int(id))
+				v.weight[id] += wr.Weight
+			}
 		}
-		trs = append(trs, wr.Rep)
-		for _, id := range wr.Rep.Items {
-			weightOf[id] += wr.Weight
-		}
 	}
-	if len(trs) == 0 {
-		return nil
-	}
-	cx := cfg.Ctx
-	items := distinctItems(trs, cx.Items)
-	rankS := structuralRanks(cx, items)
-	csum := contentRankSums(items)
-	f := cx.Params.F
-	ranked := make([]rankedItem, len(items))
-	for i, it := range items {
-		base := f*rankS[it.TagPath] + (1-f)*contentRank(it, csum)
-		ranked[i] = rankedItem{id: it.ID, rank: float64(weightOf[it.ID]) * base}
-	}
-	sortRanked(ranked)
-	return generateTreeTuple(cfg, ranked, trs)
+	v.collect(tab, trs)
+	return trs
 }
 
 // sortRanked orders by rank descending, breaking ties by item id for
@@ -259,6 +334,13 @@ func sortRanked(r []rankedItem) {
 // sorted by descending rank. c supplies |trmax| and the refinement
 // objective Σ_{tr∈C} simγJ(tr, rep′).
 func generateTreeTuple(cfg RepConfig, ranked []rankedItem, c []*txn.Transaction) *txn.Transaction {
+	chosen := conflationPool.Get().(*conflation) // the raw constituent ids accumulated so far
+	rep := refine(cfg, ranked, c, chosen)
+	chosen.release() // not deferred: a panic must not pool half-zeroed arrays
+	return rep
+}
+
+func refine(cfg RepConfig, ranked []rankedItem, c []*txn.Transaction, chosen *conflation) *txn.Transaction {
 	cx := cfg.Ctx
 	trmax := txn.MaxTransactionLen(c)
 	// The objective Σ_{tr∈C} simγJ(tr, rep′), once per refinement step. The
@@ -300,7 +382,6 @@ func generateTreeTuple(cfg RepConfig, ranked []rankedItem, c []*txn.Transaction)
 	}
 
 	var (
-		chosen  conflation // the raw constituent ids accumulated so far
 		rep     = txn.NewTransaction(nil, -1, -1, -1)
 		repPrev *txn.Transaction
 		s, sNew float64
@@ -319,7 +400,12 @@ func generateTreeTuple(cfg RepConfig, ranked []rankedItem, c []*txn.Transaction)
 		repPrev = rep
 		s = sNew
 		for _, ri := range ranked[i:j] {
-			chosen.add(cx.Items, cx.Items.Get(ri.id).Flatten())
+			// An item adds its raw constituents: itself when raw (Item.Flatten).
+			if it := cx.Items.Get(ri.id); it.Constituents == nil {
+				chosen.addItem(it)
+			} else {
+				chosen.add(cx.Items, it.Constituents)
+			}
 		}
 		i = j
 		repNew := chosen.transaction(cx.Items)
@@ -372,48 +458,64 @@ func nonEmpty(preferred, fallback *txn.Transaction) *txn.Transaction {
 // raw item itself. The result is a synthetic transaction in tree-tuple form
 // (every path distinct).
 func ConflateItems(tab *txn.ItemTable, rawIDs []txn.ItemID) *txn.Transaction {
-	var c conflation
+	c := conflationPool.Get().(*conflation)
 	c.add(tab, rawIDs)
-	return c.transaction(tab)
+	tr := c.transaction(tab)
+	c.release()
+	return tr
 }
 
 // conflation is a growing conflateItems input: the per-path groups of the raw
 // ids added so far, with the item each group conflated to last time.
 // generateTreeTuple conflates a growing id set once per refinement step;
 // carrying the groups across steps re-merges only the groups that grew.
+// release zeroes the id-indexed arrays by walking the groups.
 type conflation struct {
-	seen   map[txn.ItemID]struct{}
-	byPath map[xmltree.PathID]*pathGroup
-	paths  []xmltree.PathID // first-seen order: the order new items intern in
+	seen   []bool      // raw item id → in a group
+	slot   []int32     // complete path id → group index + 1
+	groups []pathGroup // first-met order: the order new items intern in
+	items  []*txn.Item // a merged group's records
+	out    []txn.ItemID
 }
 
+var conflationPool = sync.Pool{New: func() any { return new(conflation) }}
+
 type pathGroup struct {
-	ids  []txn.ItemID
-	item txn.ItemID // what ids conflate to; valid unless grew
-	grew bool
+	path    xmltree.PathID
+	ids     []txn.ItemID
+	answers []string   // ids' distinct non-empty answers, ascending
+	item    txn.ItemID // what ids conflate to; valid unless grew
+	grew    bool
 }
 
 // add puts raw item ids into their path groups; ids already present are
 // ignored.
 func (c *conflation) add(tab *txn.ItemTable, rawIDs []txn.ItemID) {
-	if c.seen == nil {
-		c.seen = map[txn.ItemID]struct{}{}
-		c.byPath = map[xmltree.PathID]*pathGroup{}
-	}
 	for _, id := range rawIDs {
-		if _, dup := c.seen[id]; dup {
-			continue
-		}
-		c.seen[id] = struct{}{}
-		p := tab.Get(id).Path
-		g := c.byPath[p]
-		if g == nil {
-			g = &pathGroup{}
-			c.byPath[p] = g
-			c.paths = append(c.paths, p)
-		}
-		g.ids = append(g.ids, id)
-		g.grew = true
+		c.addItem(tab.Get(id))
+	}
+}
+
+// addItem puts a raw item into its path group unless it is there. The
+// group's answers stay the list txn.MergedAnswerKey makes of its items'
+// answers — sorted, "" left out, each once — by insertion in place. (Raw ids
+// at one path carry distinct answers anyway: items are interned by ⟨path,
+// answer⟩.)
+func (c *conflation) addItem(it *txn.Item) {
+	if c.seen = fit(c.seen, int(it.ID)); c.seen[it.ID] {
+		return
+	}
+	c.seen[it.ID] = true
+	if c.slot = fit(c.slot, int(it.Path)); c.slot[it.Path] == 0 {
+		c.groups = slices.Grow(c.groups, 1)[:len(c.groups)+1] // a group past len keeps its buffers
+		g := &c.groups[len(c.groups)-1]
+		g.path, g.ids, g.answers = it.Path, g.ids[:0], g.answers[:0]
+		c.slot[it.Path] = int32(len(c.groups))
+	}
+	g := &c.groups[c.slot[it.Path]-1]
+	g.ids, g.grew = append(g.ids, it.ID), true
+	if k, dup := slices.BinarySearch(g.answers, it.Answer); it.Answer != "" && !dup {
+		g.answers = slices.Insert(g.answers, k, it.Answer)
 	}
 }
 
@@ -421,44 +523,50 @@ func (c *conflation) add(tab *txn.ItemTable, rawIDs []txn.ItemID) {
 // group that grew is merged afresh — constituents in ascending id order, so
 // the summed vector has the bits a one-shot conflation gives it — unless the
 // content-addressed item it merges to is interned already, which the
-// (path, merged answer key) lookup tells before any vector is summed.
+// (path, merged answer key) lookup tells before any vector is summed. The key
+// is the group's answer list joined: txn.MergedAnswerKey of its answers.
 func (c *conflation) transaction(tab *txn.ItemTable) *txn.Transaction {
-	out := make([]txn.ItemID, 0, len(c.paths))
-	for _, p := range c.paths {
-		g := c.byPath[p]
+	c.out = c.out[:0]
+	for k := range c.groups {
+		g := &c.groups[k]
 		if g.grew {
 			g.grew = false
-			g.item = conflateGroup(tab, p, g.ids)
+			g.item = c.merge(tab, g)
 		}
-		out = append(out, g.item)
+		c.out = append(c.out, g.item)
 	}
-	return txn.NewTransaction(out, -1, -1, -1)
+	return txn.NewTransaction(c.out, -1, -1, -1)
 }
 
-// conflateGroup returns the item the raw ids at one complete path conflate
-// to, sorting ids in place.
-func conflateGroup(tab *txn.ItemTable, p xmltree.PathID, ids []txn.ItemID) txn.ItemID {
-	if len(ids) == 1 {
-		return ids[0]
+func (c *conflation) merge(tab *txn.ItemTable, g *pathGroup) txn.ItemID {
+	if len(g.ids) == 1 {
+		return g.ids[0]
 	}
-	slices.Sort(ids)
-	items := make([]*txn.Item, len(ids))
-	tab.Resolve(ids, items)
-	answers := make([]string, len(ids))
-	for i, it := range items {
-		answers[i] = it.Answer
-	}
-	key := txn.MergedAnswerKey(answers)
-	if id, ok := tab.Lookup(p, key); ok {
+	key := strings.Join(g.answers, "\x1f")
+	if id, ok := tab.Lookup(g.path, key); ok {
 		return id
 	}
+	slices.Sort(g.ids)
+	c.items = slices.Grow(c.items[:0], len(g.ids))[:len(g.ids)]
+	tab.Resolve(g.ids, c.items)
 	n := 0
-	for _, it := range items {
+	for _, it := range c.items {
 		n += it.Vector.Len()
 	}
 	parts := make([]vector.Entry, 0, n)
-	for _, it := range items {
+	for _, it := range c.items {
 		parts = append(parts, it.Vector.Entries()...)
 	}
-	return tab.InternSynthetic(p, key, vector.Collect(parts), ids)
+	return tab.InternSynthetic(g.path, key, vector.Collect(parts), g.ids)
+}
+
+func (c *conflation) release() {
+	for _, g := range c.groups {
+		c.slot[g.path] = 0
+		for _, id := range g.ids {
+			c.seen[id] = false
+		}
+	}
+	c.groups = c.groups[:0]
+	conflationPool.Put(c)
 }

@@ -51,6 +51,10 @@ const (
 	// maxFrameBody bounds a frame body so a corrupted or hostile length
 	// header cannot exhaust memory.
 	maxFrameBody = 1 << 30
+	// maxFramePrealloc bounds what a declared length may allocate before the
+	// bytes it announces have arrived: a body is read in chunks of at most
+	// this size, each allocated once the one before it is full.
+	maxFramePrealloc = 64 << 10
 )
 
 // writeFrame encodes f as one length-prefixed frame and writes it with a
@@ -86,12 +90,21 @@ func readFrame(r io.Reader) (wireFrame, int64, error) {
 	if body > maxFrameBody {
 		return wireFrame{}, 0, fmt.Errorf("p2p: frame body of %d bytes exceeds limit", body)
 	}
-	b := make([]byte, body)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return wireFrame{}, 0, err
+	// The length is untrusted — on the handshake it arrives before the peer
+	// is identified — so it sizes no buffer beyond maxFramePrealloc.
+	var chunks [][]byte
+	for left := body; left > 0; {
+		c := make([]byte, min(left, maxFramePrealloc))
+		if _, err := io.ReadFull(r, c); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the header promised a body
+			}
+			return wireFrame{}, 0, err
+		}
+		chunks, left = append(chunks, c), left-uint64(len(c))
 	}
 	var f wireFrame
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&f); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(bytes.Join(chunks, nil))).Decode(&f); err != nil {
 		return wireFrame{}, 0, fmt.Errorf("p2p: decode frame: %w", err)
 	}
 	return f, int64(frameHeaderSize) + int64(body), nil
