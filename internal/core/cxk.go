@@ -93,6 +93,27 @@ type PeerReport struct {
 	LocalTransactions int
 }
 
+// GrowRound extends the per-round slices to cover round and records the
+// local set's size. Idempotent: messages can arrive a phase ahead of the
+// local round.
+func (pr *PeerReport) GrowRound(round, localTxns int) {
+	for len(pr.ComputeByRound) <= round {
+		pr.ComputeByRound = append(pr.ComputeByRound, 0)
+		pr.SentBytesByRound = append(pr.SentBytesByRound, 0)
+		pr.RecvBytesByRound = append(pr.RecvBytesByRound, 0)
+		pr.SentMsgsByRound = append(pr.SentMsgsByRound, 0)
+		pr.RecvMsgsByRound = append(pr.RecvMsgsByRound, 0)
+	}
+	pr.LocalTransactions = localTxns
+}
+
+// Timed runs fn and adds its wall time to round's compute time.
+func (pr *PeerReport) Timed(round int, fn func()) {
+	t0 := time.Now()
+	fn()
+	pr.ComputeByRound[round] += time.Since(t0)
+}
+
 // TotalCompute sums compute time across rounds.
 func (pr *PeerReport) TotalCompute() time.Duration {
 	var d time.Duration
@@ -236,22 +257,15 @@ func ResponsibilityPartition(k, m int) [][]int {
 // Cancellation of ctx aborts every session at its next safe boundary and
 // Run returns an error wrapping ErrCanceled; a nil ctx never cancels.
 func Run(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Options) (*Result, error) {
+	if err := opts.check(); err != nil {
+		return nil, err
+	}
 	m := opts.Peers
-	if m <= 0 {
-		return nil, fmt.Errorf("core: need at least one peer, got %d", m)
-	}
-	if opts.K <= 0 {
-		return nil, fmt.Errorf("core: need k ≥ 1, got %d", opts.K)
-	}
-	if len(opts.Partition) != m {
-		return nil, fmt.Errorf("core: partition has %d parts for %d peers", len(opts.Partition), m)
-	}
 	transport := opts.Transport
 	if transport == nil {
 		transport = p2p.NewChanTransport(m, Sizer(corpus.Items))
 		defer transport.Close()
 	}
-	sizer := Sizer(corpus.Items)
 
 	// Node N0 startup (Fig. 5): define Z_1..Z_m and ship parameters. Peer 0
 	// plays N0 — the paper notes any peer can perform this trivial duty.
@@ -270,27 +284,9 @@ func Run(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Options)
 
 	peers := make([]*Peer, m)
 	for i := 0; i < m; i++ {
-		local := make([]*txn.Transaction, len(opts.Partition[i]))
-		for j, idx := range opts.Partition[i] {
-			local[j] = corpus.Transactions[idx]
-		}
-		peers[i] = NewPeer(PeerConfig{
-			ID:             i,
-			Ctx:            cx,
-			Local:          local,
-			Transport:      transport,
-			Sizer:          sizer,
-			MaxRounds:      opts.MaxRounds,
-			Seed:           opts.Seed + int64(i),
-			Rule:           opts.Rule,
-			Workers:        opts.Workers,
-			Fast:           opts.Fast,
-			RoundTimeout:   opts.RoundTimeout,
-			StartupTimeout: opts.StartupTimeout,
-			Expect:         expectationFrom(cx, corpus, opts),
-			ComputeToken:   computeToken,
-			Observer:       opts.Observer,
-		})
+		cfg := peerConfig(cx, corpus, opts, i)
+		cfg.Transport, cfg.ComputeToken = transport, computeToken
+		peers[i] = NewPeer(cfg)
 	}
 
 	t0 := time.Now()
@@ -340,6 +336,35 @@ func Run(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Options)
 		})
 	}
 	return res, nil
+}
+
+// check rejects the options neither Run nor RunPeer can run.
+func (opts *Options) check() error {
+	switch {
+	case opts.Peers <= 0:
+		return fmt.Errorf("core: need at least one peer, got %d", opts.Peers)
+	case opts.K <= 0:
+		return fmt.Errorf("core: need k ≥ 1, got %d", opts.K)
+	case len(opts.Partition) != opts.Peers:
+		return fmt.Errorf("core: partition has %d parts for %d peers", len(opts.Partition), opts.Peers)
+	}
+	return nil
+}
+
+// peerConfig derives peer id's configuration from the run's options, the
+// same for Run and RunPeer: S_i is partition part id, the seed is Seed+id.
+// The transport and the fabric fields are the caller's.
+func peerConfig(cx *sim.Context, corpus *txn.Corpus, opts Options, id int) PeerConfig {
+	local := make([]*txn.Transaction, len(opts.Partition[id]))
+	for j, idx := range opts.Partition[id] {
+		local[j] = corpus.Transactions[idx]
+	}
+	return PeerConfig{
+		ID: id, Ctx: cx, Local: local, Sizer: Sizer(corpus.Items), MaxRounds: opts.MaxRounds,
+		Seed: opts.Seed + int64(id), Rule: opts.Rule, Workers: opts.Workers, Fast: opts.Fast,
+		RoundTimeout: opts.RoundTimeout, StartupTimeout: opts.StartupTimeout,
+		Expect: expectationFrom(cx, corpus, opts), Observer: opts.Observer,
+	}
 }
 
 // startMsgFrom builds node N0's StartMsg for a run configuration.

@@ -209,7 +209,8 @@ func TestReferenceSessionRelocatesOncePerRound(t *testing.T) {
 	part := EqualPartition(len(corpus.Transactions), 1, 7)
 	p := testPeer(corpus, tr, 0, part, nil)
 	cx := p.cfg.Ctx
-	s := newSession(p)
+	st := newStepper(p, p.cfg.Transport.Peers())
+	s := st.s
 	if err := tr.Send(0, 0, startMsgFor(2, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -218,9 +219,7 @@ func TestReferenceSessionRelocatesOncePerRound(t *testing.T) {
 	rounds := 0
 	for s.phase != PhaseDone {
 		if s.phase != PhaseRelocate {
-			if err := s.step(context.Background()); err != nil {
-				t.Fatal(err)
-			}
+			st.phase(t)
 			continue
 		}
 		rounds++
@@ -231,9 +230,7 @@ func TestReferenceSessionRelocatesOncePerRound(t *testing.T) {
 			}
 		}
 		before := cx.Counters.TxnSims.Load()
-		if err := s.step(context.Background()); err != nil {
-			t.Fatal(err)
-		}
+		st.phase(t)
 		got := cx.Counters.TxnSims.Load() - before
 		if _, err := replay.Assign(nil, s.global); err != nil {
 			t.Fatal(err)

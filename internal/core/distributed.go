@@ -45,18 +45,12 @@ type PeerResult struct {
 // to assemble the corpus-wide assignment in PeerResult.Global.
 // Non-coordinator peers send their AssignMsg and return their local result.
 func RunPeer(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Options, id int) (*PeerResult, error) {
-	m := opts.Peers
-	if m <= 0 {
-		return nil, fmt.Errorf("core: need at least one peer, got %d", m)
+	if err := opts.check(); err != nil {
+		return nil, err
 	}
+	m := opts.Peers
 	if id < 0 || id >= m {
 		return nil, fmt.Errorf("core: peer id %d outside [0,%d)", id, m)
-	}
-	if opts.K <= 0 {
-		return nil, fmt.Errorf("core: need k ≥ 1, got %d", opts.K)
-	}
-	if len(opts.Partition) != m {
-		return nil, fmt.Errorf("core: partition has %d parts for %d peers", len(opts.Partition), m)
 	}
 	if opts.Transport == nil {
 		return nil, fmt.Errorf("core: RunPeer needs an explicit transport (one p2p.Node per process)")
@@ -67,8 +61,6 @@ func RunPeer(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Opti
 	if id == 0 && (opts.Rejoin || opts.Initial != nil) {
 		return nil, fmt.Errorf("core: the coordinator cannot rejoin or resume (%w on coordinator death)", ErrCoordinatorLost)
 	}
-	sizer := Sizer(corpus.Items)
-
 	if id == 0 {
 		start := startMsgFrom(cx, corpus, opts)
 		for i := 0; i < m; i++ {
@@ -84,30 +76,9 @@ func RunPeer(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Opti
 		}
 	}
 
-	local := make([]*txn.Transaction, len(opts.Partition[id]))
-	for j, idx := range opts.Partition[id] {
-		local[j] = corpus.Transactions[idx]
-	}
-	peer := NewPeer(PeerConfig{
-		ID:             id,
-		Ctx:            cx,
-		Local:          local,
-		Transport:      opts.Transport,
-		Sizer:          sizer,
-		MaxRounds:      opts.MaxRounds,
-		Seed:           opts.Seed + int64(id),
-		Rule:           opts.Rule,
-		Workers:        opts.Workers,
-		Fast:           opts.Fast,
-		RoundTimeout:   opts.RoundTimeout,
-		StartupTimeout: opts.StartupTimeout,
-		Expect:         expectationFrom(cx, corpus, opts),
-		Observer:       opts.Observer,
-		Epoch:          opts.Epoch,
-		Initial:        opts.Initial,
-		Rejoin:         opts.Rejoin,
-		Hooks:          opts.Hooks,
-	})
+	cfg := peerConfig(cx, corpus, opts, id)
+	cfg.Transport, cfg.Epoch, cfg.Initial, cfg.Rejoin, cfg.Hooks = opts.Transport, opts.Epoch, opts.Initial, opts.Rejoin, opts.Hooks
+	peer := NewPeer(cfg)
 
 	t0 := time.Now()
 	sres, err := peer.RunSession(ctx)

@@ -1,13 +1,18 @@
 // Protocol notes — the Fig. 5 message pattern as implemented.
 //
-// The protocol runs as an explicit phase engine: every peer is a Peer
-// (NewPeer) whose RunSession executes a session — a state machine advancing
-// startup → (broadcast-globals → relocate → exchange-locals →
-// refine-globals)* → done, with one method per phase, per-phase receive
-// deadlines (PeerConfig.RoundTimeout) and typed errors (SessionError
-// wrapping ErrRoundDeadline / ErrTransportClosed / ErrUnexpectedMessage /
-// ErrSend). Two drivers sit on top: Run executes all m sessions in one
-// process over a shared transport, RunPeer executes exactly one session per
+// The protocol is split into a machine and a driver. The machine
+// (machine.go) is peer i's session as a pure step function: Step takes one
+// input — a delivered envelope, a fired timer, a finished compute, a state to
+// install — and returns what to do next: sends, a timer to arm, events, and
+// at most one request it then waits on (a round boundary, a compute, done).
+// It advances startup → (broadcast-globals → relocate → exchange-locals →
+// refine-globals)* → done and holds the reorder and epoch buffers, but no
+// goroutine, clock, context or transport. Peer.RunSession is the driver: it
+// reads the transport under ctx, owns the receive deadlines
+// (PeerConfig.RoundTimeout), runs compute requests on cluster.Rounds, calls
+// the fabric Hooks and wraps failures in SessionError (ErrRoundDeadline /
+// ErrTransportClosed / ErrUnexpectedMessage / ErrSend). Run executes all m
+// sessions in one process over a shared transport, RunPeer exactly one per
 // OS process over a p2p.Node (see cmd/cxkpeer).
 //
 // Startup. The orchestrator (playing node N₀, which the paper notes can be
@@ -56,7 +61,7 @@
 //
 // Message reordering. A peer may run one phase ahead of a slow neighbour;
 // every round message goes through accept, which buffers it per (round,
-// type) for nextGlobal/nextLocal, and a terminated peer's post-session
+// type) until its phase collects it, and a terminated peer's post-session
 // AssignMsg is parked for the coordinator's collection step. The protocol
 // therefore tolerates any interleaving a FIFO-per-pair transport can produce
 // (exercised by the DelayTransport robustness tests).

@@ -61,16 +61,15 @@ func TestSessionStartupPhase(t *testing.T) {
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
 	p := testPeer(corpus, tr, 0, part, nil)
-	s := newSession(p)
+	st := newStepper(p, p.cfg.Transport.Peers())
+	s := st.s
 	if s.phase != PhaseStartup {
 		t.Fatalf("fresh session in %s", s.phase)
 	}
 	if err := tr.Send(0, 0, startMsgFor(2, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.step(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	st.phase(t)
 	if s.phase != PhaseBroadcastGlobals {
 		t.Fatalf("after startup: %s", s.phase)
 	}
@@ -99,21 +98,18 @@ func TestSessionBroadcastGlobalsPhase(t *testing.T) {
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
 	p := testPeer(corpus, tr, 0, part, nil)
-	s := newSession(p)
+	st := newStepper(p, p.cfg.Transport.Peers())
+	s := st.s
 	if err := tr.Send(0, 0, startMsgFor(2, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.step(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	st.phase(t)
 	// Pre-queue peer 1's broadcast: it owns cluster 1.
 	rep := toWire(corpus.Items, corpus.Transactions[part[1][0]])
 	if err := tr.Send(1, 0, GlobalRepsMsg{From: 1, Round: 0, Reps: map[int]WireTxn{1: rep}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.step(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	st.phase(t)
 	if s.phase != PhaseRelocate {
 		t.Fatalf("after broadcast-globals: %s", s.phase)
 	}
@@ -144,7 +140,8 @@ func TestSessionRelocateAndExchangePhases(t *testing.T) {
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
 	p := testPeer(corpus, tr, 0, part, nil)
-	s := newSession(p)
+	st := newStepper(p, p.cfg.Transport.Peers())
+	s := st.s
 	if err := tr.Send(0, 0, startMsgFor(2, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -153,13 +150,9 @@ func TestSessionRelocateAndExchangePhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s.phase != PhaseRelocate {
-		if err := s.step(context.Background()); err != nil {
-			t.Fatal(err)
-		}
+		st.phase(t)
 	}
-	if err := s.step(context.Background()); err != nil { // relocate
-		t.Fatal(err)
-	}
+	st.phase(t) // relocate
 	if s.phase != PhaseExchangeLocals {
 		t.Fatalf("after relocate: %s", s.phase)
 	}
@@ -183,9 +176,7 @@ func TestSessionRelocateAndExchangePhases(t *testing.T) {
 	if err := tr.Send(1, 0, LocalRepsMsg{From: 1, Round: 0, Flag: FlagDone}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.step(context.Background()); err != nil { // exchange-locals
-		t.Fatal(err)
-	}
+	st.phase(t) // exchange-locals
 	if s.phase != PhaseRefineGlobals {
 		t.Fatalf("after exchange-locals: %s", s.phase)
 	}
@@ -209,9 +200,7 @@ func TestSessionRelocateAndExchangePhases(t *testing.T) {
 		t.Fatal("no exchange message sent to peer 1")
 	}
 	// Refine advances the round and loops back to phase 1.
-	if err := s.step(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	st.phase(t)
 	if s.phase != PhaseBroadcastGlobals || s.round != 1 {
 		t.Fatalf("after refine-globals: %s round %d", s.phase, s.round)
 	}
@@ -225,7 +214,8 @@ func TestSessionTerminatesWhenAllDone(t *testing.T) {
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
 	p := testPeer(corpus, tr, 0, part, nil)
-	s := newSession(p)
+	st := newStepper(p, p.cfg.Transport.Peers())
+	s := st.s
 	if err := tr.Send(0, 0, startMsgFor(2, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -234,17 +224,13 @@ func TestSessionTerminatesWhenAllDone(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s.phase != PhaseExchangeLocals {
-		if err := s.step(context.Background()); err != nil {
-			t.Fatal(err)
-		}
+		st.phase(t)
 	}
-	s.changed = false // force local stability
+	s.changed, s.anyContinue = false, false // force local stability
 	if err := tr.Send(1, 0, LocalRepsMsg{From: 1, Round: 0, Flag: FlagDone}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.step(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	st.phase(t)
 	if s.phase != PhaseDone {
 		t.Fatalf("all-done exchange left session in %s", s.phase)
 	}
@@ -266,7 +252,8 @@ func TestSessionStartupBuffersEarlyMessages(t *testing.T) {
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
 	p := testPeer(corpus, tr, 0, part, nil)
-	s := newSession(p)
+	st := newStepper(p, p.cfg.Transport.Peers())
+	s := st.s
 	rep := toWire(corpus.Items, corpus.Transactions[part[1][0]])
 	// The neighbour's broadcast and a stray assignment report arrive first.
 	early := GlobalRepsMsg{From: 1, Round: 0, Reps: map[int]WireTxn{1: rep}}
@@ -279,9 +266,7 @@ func TestSessionStartupBuffersEarlyMessages(t *testing.T) {
 	if err := tr.Send(0, 0, startMsgFor(2, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.step(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	st.phase(t)
 	if s.phase != PhaseBroadcastGlobals {
 		t.Fatalf("after startup: %s", s.phase)
 	}
@@ -292,9 +277,7 @@ func TestSessionStartupBuffersEarlyMessages(t *testing.T) {
 		t.Fatalf("early AssignMsg not buffered: %d", len(s.pendAssign))
 	}
 	// Phase 1 must complete from the buffer alone — no further messages.
-	if err := s.step(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	st.phase(t)
 	if s.phase != PhaseRelocate || s.global[1] == nil {
 		t.Fatalf("buffered broadcast not consumed: phase=%s", s.phase)
 	}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"xmlclust/internal/cluster"
 	"xmlclust/internal/p2p"
@@ -43,7 +43,7 @@ type SessionState struct {
 
 // ControlPayload marks message types that belong to the session-control
 // plane (membership, checkpointing, recovery) rather than the clustering
-// protocol itself. The session routes them to the configured Hooks from any
+// protocol itself. RunSession routes them to the configured Hooks from any
 // blocking receive, in any phase, regardless of epoch — control traffic is
 // what moves a session BETWEEN epochs.
 type ControlPayload interface {
@@ -53,8 +53,8 @@ type ControlPayload interface {
 // Hooks lets a fabric layer ride along with a peer session: observe round
 // boundaries (checkpointing), consume control messages (membership and
 // recovery traffic), and decide what happens when a receive deadline
-// expires (failure detection). All methods are called from the session's
-// own goroutine; a returned *SessionState makes the session abandon its
+// expires (failure detection). All methods are called from the goroutine
+// running RunSession; a returned *SessionState makes the session abandon its
 // current round and install that state — the rollback/rejoin primitive.
 type Hooks interface {
 	// RoundBoundary is invoked at the entry of every round, before the
@@ -79,16 +79,6 @@ type Hooks interface {
 	SendFailed(to, round int, err error) error
 }
 
-// rollbackError carries an installable state up the phase-method stack to
-// the RunSession loop. It never escapes RunSession.
-type rollbackError struct {
-	st *SessionState
-}
-
-func (e *rollbackError) Error() string {
-	return fmt.Sprintf("core: rollback to epoch %d round %d", e.st.Epoch, e.st.Round)
-}
-
 // capture snapshots the session's restorable state. Valid at round
 // boundaries only (protocol state initialized, no round in flight).
 func (s *session) capture() *SessionState {
@@ -100,7 +90,7 @@ func (s *session) capture() *SessionState {
 	for fp := range s.seenStates {
 		seen = append(seen, fp)
 	}
-	sort.Slice(seen, func(i, j int) bool { return seen[i] < seen[j] })
+	slices.Sort(seen)
 	return &SessionState{
 		Epoch:      s.epoch,
 		Round:      s.round,
@@ -109,8 +99,8 @@ func (s *session) capture() *SessionState {
 		Zs:         zs,
 		Assign:     append([]int(nil), s.assign...),
 		Sizes:      append([]int(nil), s.sizes...),
-		Global:     wireReps(s.items(), s.global),
-		LocalRp:    wireReps(s.items(), s.localRp),
+		Global:     wireReps(s.items, s.global),
+		LocalRp:    wireReps(s.items, s.localRp),
 		SeenStates: seen,
 	}
 }
@@ -121,14 +111,13 @@ func (s *session) capture() *SessionState {
 // representative slices, item ids into the interning table on
 // re-conflation). A state that fails wraps ErrUnexpectedMessage.
 func (s *session) vet(st *SessionState) error {
-	id := s.p.cfg.ID
-	if st.K <= 0 || len(st.Zs) != s.m || id >= len(st.Zs) {
+	if st.K <= 0 || len(st.Zs) != s.m || s.id >= len(st.Zs) {
 		return fmt.Errorf("%w: state for %d peers, transport has %d (peer %d)",
-			ErrUnexpectedMessage, len(st.Zs), s.m, id)
+			ErrUnexpectedMessage, len(st.Zs), s.m, s.id)
 	}
-	if len(st.Assign) != len(s.p.cfg.Local) {
+	if len(st.Assign) != len(s.local) {
 		return fmt.Errorf("%w: state carries %d assignments for %d local transactions",
-			ErrUnexpectedMessage, len(st.Assign), len(s.p.cfg.Local))
+			ErrUnexpectedMessage, len(st.Assign), len(s.local))
 	}
 	if len(st.Global) != st.K || len(st.LocalRp) != st.K || len(st.Sizes) != st.K {
 		return fmt.Errorf("%w: state carries %d/%d representatives and %d sizes for k = %d",
@@ -148,7 +137,7 @@ func (s *session) vet(st *SessionState) error {
 			}
 		}
 	}
-	nItems := s.items().Len()
+	nItems := s.items.Len()
 	for _, reps := range [][]WireTxn{st.Global, st.LocalRp} {
 		for j, w := range reps {
 			if err := CheckWireRep(j, st.K, w, nItems); err != nil {
@@ -161,37 +150,23 @@ func (s *session) vet(st *SessionState) error {
 
 // install replaces the session's protocol state with st and re-enters the
 // round loop at st.Round under st.Epoch: reorder buffers are reset (traffic
-// from the abandoned attempt belongs to a dead epoch), the transport's
-// epoch stamp is advanced, and parked future-epoch envelopes become
-// deliverable. The inverse of capture. A state that does not pass vet leaves
-// the session as it was.
+// from the abandoned attempt belongs to a dead epoch) and parked
+// future-epoch envelopes become deliverable. The inverse of capture. A state
+// that does not pass vet leaves the session as it was.
 func (s *session) install(st *SessionState) error {
 	if err := s.vet(st); err != nil {
 		return err
 	}
-	id := s.p.cfg.ID
-	s.epoch = st.Epoch
-	if es, ok := s.p.cfg.Transport.(p2p.EpochSetter); ok {
-		es.SetEpoch(id, s.epoch)
-	}
-	s.k = st.K
-	s.zs = st.Zs
-	s.zi = st.Zs[id]
-	s.round = st.Round
-	s.rounds = st.Rounds
-	s.assign = append([]int(nil), st.Assign...)
-	s.sizes = append([]int(nil), st.Sizes...)
-	s.global = unwireReps(s.items(), st.Global)
-	s.localRp = unwireReps(s.items(), st.LocalRp)
+	s.epoch, s.k, s.zs, s.zi = st.Epoch, st.K, st.Zs, st.Zs[s.id]
+	s.round, s.rounds = st.Round, st.Rounds
+	s.assign, s.sizes = append([]int(nil), st.Assign...), append([]int(nil), st.Sizes...)
+	s.global, s.localRp = unwireReps(s.items, st.Global), unwireReps(s.items, st.LocalRp)
 	s.seenStates = make(map[uint64]struct{}, len(st.SeenStates))
 	for _, fp := range st.SeenStates {
 		s.seenStates[fp] = struct{}{}
 	}
-	s.changed = false
-	s.bySender = nil
-	s.anyContinue = false
-	s.pendGlobal = map[int][]GlobalRepsMsg{}
-	s.pendLocal = map[int][]LocalRepsMsg{}
+	s.changed, s.bySender, s.anyContinue, s.early = false, nil, false, nil
+	s.pendGlobal, s.pendLocal = map[int][]GlobalRepsMsg{}, map[int][]LocalRepsMsg{}
 	s.phase = PhaseBroadcastGlobals
 	return nil
 }

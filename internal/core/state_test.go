@@ -246,7 +246,8 @@ func TestSessionEpochFiltering(t *testing.T) {
 			return nil, nil
 		}}
 	})
-	s := newSession(p)
+	st := newStepper(p, p.cfg.Transport.Peers())
+	s := st.s
 	if s.epoch != 1 {
 		t.Fatalf("session epoch = %d, want 1", s.epoch)
 	}
@@ -268,9 +269,7 @@ func TestSessionEpochFiltering(t *testing.T) {
 	if err := tr.Send(0, 0, startMsgFor(2, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.step(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	st.phase(t)
 	if s.phase != PhaseBroadcastGlobals {
 		t.Fatalf("after startup: %s", s.phase)
 	}

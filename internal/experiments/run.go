@@ -202,12 +202,14 @@ func ExecuteCtx(ctx context.Context, spec RunSpec) (RunResult, error) {
 			K: k, Params: cx.Params, Peers: spec.Peers, Partition: part,
 			Seed: spec.Seed, Rule: spec.Rule, Workers: spec.Workers,
 			SerializeCompute: true,
+			Fast:             false, // the reference engine: timings follow the paper's cost model
 		})
 	default:
 		res, err = core.Run(ctx, cx, pc.corpus, core.Options{
 			K: k, Params: cx.Params, Peers: spec.Peers, Partition: part,
 			Seed: spec.Seed, Rule: spec.Rule, Workers: spec.Workers,
 			SerializeCompute: true,
+			Fast:             false, // the reference engine: timings follow the paper's cost model
 		})
 	}
 	if err != nil {

@@ -55,6 +55,7 @@ func SemanticsAblation(scale Scale, seed int64) ([]SemanticsPoint, error) {
 				K: k, Params: cx.Params, Peers: 1, Workers: scale.Workers,
 				Partition: core.EqualPartition(len(corpus.Transactions), 1, s),
 				Seed:      s, Rule: cluster.ReturnBestObjective,
+				Fast: false, // the reference engine, as every paper experiment runs
 			})
 			if err != nil {
 				return nil, fmt.Errorf("semantics ablation %s: %w", mt.name, err)

@@ -273,7 +273,7 @@ func (p *peer) run(ctx context.Context) error {
 		p.global[j] = tr
 		initial[j] = core.WeightedWireRep{Rep: wireOf(tr), Weight: 1}
 	}
-	p.growRound(0)
+	p.report.GrowRound(0, len(p.local))
 	for h := 0; h < m; h++ {
 		if h == p.id {
 			continue
@@ -307,7 +307,7 @@ func (p *peer) run(ctx context.Context) error {
 			return err // clean round-boundary abort
 		}
 		p.rounds = round + 1 // rounds counts the seeding round too
-		p.growRound(round)
+		p.report.GrowRound(round, len(p.local))
 		// Event.Round is 0-based (see core.Event); the local round counter
 		// is 1-based because round 0 is the seeding exchange.
 		p.emit(core.EventRoundStart, round-1, 0)
@@ -396,25 +396,12 @@ func (p *peer) run(ctx context.Context) error {
 	return nil
 }
 
-func (p *peer) growRound(round int) {
-	for len(p.report.ComputeByRound) <= round {
-		p.report.ComputeByRound = append(p.report.ComputeByRound, 0)
-		p.report.SentBytesByRound = append(p.report.SentBytesByRound, 0)
-		p.report.RecvBytesByRound = append(p.report.RecvBytesByRound, 0)
-		p.report.SentMsgsByRound = append(p.report.SentMsgsByRound, 0)
-		p.report.RecvMsgsByRound = append(p.report.RecvMsgsByRound, 0)
-	}
-	p.report.LocalTransactions = len(p.local)
-}
-
 func (p *peer) compute(round int, fn func()) {
 	if p.computeToken != nil {
 		<-p.computeToken
 		defer func() { p.computeToken <- struct{}{} }()
 	}
-	t0 := time.Now()
-	fn()
-	p.report.ComputeByRound[round] += time.Since(t0)
+	p.report.Timed(round, fn)
 }
 
 // send delivers a payload and accounts it. A transport failure fails the
@@ -440,7 +427,7 @@ func (p *peer) next(ctx context.Context, round int) (RepsMsg, error) {
 		select {
 		case e, ok := <-p.transport.Recv(p.id):
 			if !ok {
-				return RepsMsg{}, fmt.Errorf("transport closed while awaiting reps")
+				return RepsMsg{}, fmt.Errorf("%w while awaiting reps", core.ErrTransportClosed)
 			}
 			env = e
 		case <-ctx.Done():
@@ -461,7 +448,7 @@ func (p *peer) next(ctx context.Context, round int) (RepsMsg, error) {
 				return RepsMsg{}, err
 			}
 		}
-		p.growRound(msg.Round)
+		p.report.GrowRound(msg.Round, len(p.local))
 		p.report.RecvMsgsByRound[msg.Round]++
 		p.report.RecvBytesByRound[msg.Round] += p.sizer(msg)
 		if msg.Round == round {

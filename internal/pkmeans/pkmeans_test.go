@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -291,6 +292,57 @@ func TestPKSendFailureFailsRun(t *testing.T) {
 			t.Fatalf("send %d failed: Run still blocked after 30s", failAt)
 		}
 		tr.Close()
+	}
+}
+
+// closingTransport hands every peer one receive stream that ends when the
+// transport is closed, as a network transport's does when its node shuts
+// down. Sends go to the wrapped transport, which stays open so that a send
+// racing the close cannot fail the run first, and are never read; listening
+// is closed once a peer first asks for its stream.
+type closingTransport struct {
+	p2p.Transport
+	recv      chan p2p.Envelope
+	listening chan struct{}
+	once      sync.Once
+}
+
+func (c *closingTransport) Recv(int) <-chan p2p.Envelope {
+	c.once.Do(func() { close(c.listening) })
+	return c.recv
+}
+
+func (c *closingTransport) Close() error {
+	close(c.recv)
+	return nil
+}
+
+// TestPKTransportClosedIsTyped: a receive stream that ends under a running
+// PK-means peer fails the run with an error wrapping core.ErrTransportClosed,
+// as it does a CXK-means session.
+func TestPKTransportClosedIsTyped(t *testing.T) {
+	corpus, _ := miniCorpus(t, 4)
+	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
+	tr := &closingTransport{Transport: p2p.NewChanTransport(2, nil),
+		recv: make(chan p2p.Envelope), listening: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(context.Background(), cx, corpus, Options{
+			K: 2, Params: cx.Params, Peers: 2, Transport: tr,
+			Partition: core.EqualPartition(len(corpus.Transactions), 2, 7),
+			Seed:      7,
+		})
+		done <- err
+	}()
+	<-tr.listening
+	tr.Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, core.ErrTransportClosed) {
+			t.Errorf("Run returned %v, want an error wrapping core.ErrTransportClosed", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("Run still blocked after its transport closed")
 	}
 }
 
