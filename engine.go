@@ -19,7 +19,6 @@ import (
 	"xmlclust/internal/core"
 	"xmlclust/internal/fabric"
 	"xmlclust/internal/p2p"
-	"xmlclust/internal/pkmeans"
 	"xmlclust/internal/sim"
 )
 
@@ -266,23 +265,12 @@ func (e *Engine) Cluster(ctx context.Context, opts ClusterOptions) (*Result, err
 	before := cx.Counters.Snapshot()
 	fast := fastRun(opts.IndexReps, opts.DeltaRounds)
 
-	var res *core.Result
-	var err error
-	switch opts.Algorithm {
-	case PKMeans:
-		res, err = pkmeans.Run(ctx, cx, e.corpus, pkmeans.Options{
-			K: opts.K, Params: cx.Params, Peers: peers, Partition: part,
-			Seed: opts.Seed, MaxRounds: opts.MaxRounds, Transport: transport,
-			Workers: opts.Workers, Fast: fast, Observer: observer,
-		})
-	default:
-		res, err = core.Run(ctx, cx, e.corpus, core.Options{
-			K: opts.K, Params: cx.Params, Peers: peers, Partition: part,
-			Seed: opts.Seed, MaxRounds: opts.MaxRounds, Transport: transport,
-			Workers: opts.Workers, RoundTimeout: opts.RoundTimeout,
-			Fast: fast, Observer: observer,
-		})
-	}
+	res, err := core.Run(ctx, cx, e.corpus, core.Options{
+		K: opts.K, Params: cx.Params, Peers: peers, Partition: part,
+		Seed: opts.Seed, MaxRounds: opts.MaxRounds, Transport: transport,
+		Workers: opts.Workers, RoundTimeout: opts.RoundTimeout,
+		Fast: fast, PKMeans: opts.Algorithm == PKMeans, Observer: observer,
+	})
 	if err != nil {
 		return nil, err
 	}

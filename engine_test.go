@@ -286,94 +286,75 @@ func TestEngineCancellation(t *testing.T) {
 // convergence before the event callback cancels it.
 const DefaultMaxRoundsForTest = 1000
 
-// TestEngineEvents asserts the event-stream contract: round events per
-// peer, exactly one trailing run-level Done, and serialized callbacks (the
-// slice below is appended to without locking — the race detector guards
-// the serialization guarantee).
+// TestEngineEvents asserts the event-stream contract, for both algorithms:
+// round events per peer, exactly one trailing run-level Done, and serialized
+// callbacks (the slice below is appended to without locking — the race
+// detector guards the serialization guarantee).
 func TestEngineEvents(t *testing.T) {
 	corpus := sampleCorpus(t)
 	eng, err := NewEngine(corpus, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []Event
-	res, err := eng.Cluster(context.Background(), ClusterOptions{
-		K: 2, F: 0.5, Gamma: 0.6, Peers: 2, Seed: 4,
-		Events: func(ev Event) { events = append(events, ev) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("no events emitted")
-	}
-	last := events[len(events)-1]
-	if last.Kind != EventDone || last.Peer != -1 {
-		t.Errorf("last event should be the run-level Done, got kind=%v peer=%d", last.Kind, last.Peer)
-	}
-	if last.Round != res.Rounds {
-		t.Errorf("run Done reports %d rounds, result has %d", last.Round, res.Rounds)
-	}
-	if last.Elapsed <= 0 {
-		t.Error("run Done carries no elapsed time")
-	}
-	if last.SentMsgs != res.TrafficMsgs || last.SentBytes != res.TrafficBytes {
-		t.Errorf("run Done traffic (%d msgs/%d B) != result traffic (%d/%d)",
-			last.SentMsgs, last.SentBytes, res.TrafficMsgs, res.TrafficBytes)
-	}
-	counts := map[EventKind]int{}
-	peerDone := 0
-	for _, ev := range events {
-		counts[ev.Kind]++
-		if ev.Kind == EventDone && ev.Peer >= 0 {
-			peerDone++
+	for _, alg := range []Algorithm{CXKMeans, PKMeans} {
+		var events []Event
+		res, err := eng.Cluster(context.Background(), ClusterOptions{
+			K: 2, F: 0.5, Gamma: 0.6, Peers: 2, Seed: 4, Algorithm: alg,
+			Events: func(ev Event) { events = append(events, ev) },
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ev.Peer < -1 || ev.Peer >= 2 {
-			t.Errorf("event with out-of-range peer %d", ev.Peer)
+		if len(events) == 0 {
+			t.Fatalf("alg %v: no events emitted", alg)
 		}
-	}
-	if got := counts[EventRoundStart]; got != 2*res.Rounds {
-		t.Errorf("RoundStart count %d, want peers×rounds = %d", got, 2*res.Rounds)
-	}
-	if got := counts[EventRoundEnd]; got != 2*res.Rounds {
-		t.Errorf("RoundEnd count %d, want peers×rounds = %d", got, 2*res.Rounds)
-	}
-	if counts[EventRepsExchanged] != 2*res.Rounds {
-		t.Errorf("RepsExchanged count %d, want %d", counts[EventRepsExchanged], 2*res.Rounds)
-	}
-	if counts[EventPhaseChange] == 0 {
-		t.Error("no PhaseChange events")
-	}
-	if peerDone != 2 {
-		t.Errorf("peer-level Done count %d, want 2", peerDone)
-	}
-	// RoundEnd events carry the local objective (strictly positive on this
-	// corpus: no peer clusters its slice perfectly in round 1).
-	sawObjective := false
-	for _, ev := range events {
-		if ev.Kind == EventRoundEnd && ev.Objective > 0 {
-			sawObjective = true
+		last := events[len(events)-1]
+		if last.Kind != EventDone || last.Peer != -1 {
+			t.Errorf("alg %v: last event should be the run-level Done, got kind=%v peer=%d", alg, last.Kind, last.Peer)
 		}
-	}
-	if !sawObjective {
-		t.Error("no RoundEnd event carried a positive objective")
-	}
-
-	// The PK-means baseline emits round events too.
-	events = nil
-	_, err = eng.Cluster(context.Background(), ClusterOptions{
-		K: 2, F: 0.5, Gamma: 0.6, Peers: 2, Seed: 4, Algorithm: PKMeans,
-		Events: func(ev Event) { events = append(events, ev) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pk := map[EventKind]int{}
-	for _, ev := range events {
-		pk[ev.Kind]++
-	}
-	if pk[EventRoundStart] == 0 || pk[EventRoundEnd] == 0 || pk[EventDone] == 0 {
-		t.Errorf("PK-means event counts incomplete: %v", pk)
+		if last.Round != res.Rounds {
+			t.Errorf("alg %v: run Done reports %d rounds, result has %d", alg, last.Round, res.Rounds)
+		}
+		if last.Elapsed <= 0 {
+			t.Errorf("alg %v: run Done carries no elapsed time", alg)
+		}
+		if last.SentMsgs != res.TrafficMsgs || last.SentBytes != res.TrafficBytes {
+			t.Errorf("alg %v: run Done traffic (%d msgs/%d B) != result traffic (%d/%d)",
+				alg, last.SentMsgs, last.SentBytes, res.TrafficMsgs, res.TrafficBytes)
+		}
+		counts := map[EventKind]int{}
+		peerDone := 0
+		for _, ev := range events {
+			counts[ev.Kind]++
+			if ev.Kind == EventDone && ev.Peer >= 0 {
+				peerDone++
+			}
+			if ev.Peer < -1 || ev.Peer >= 2 {
+				t.Errorf("alg %v: event with out-of-range peer %d", alg, ev.Peer)
+			}
+		}
+		for _, kind := range []EventKind{EventRoundStart, EventRoundEnd, EventRepsExchanged} {
+			if got := counts[kind]; got != 2*res.Rounds {
+				t.Errorf("alg %v: %v count %d, want peers×rounds = %d", alg, kind, got, 2*res.Rounds)
+			}
+		}
+		if counts[EventPhaseChange] == 0 {
+			t.Errorf("alg %v: no PhaseChange events", alg)
+		}
+		if peerDone != 2 {
+			t.Errorf("alg %v: peer-level Done count %d, want 2", alg, peerDone)
+		}
+		// RoundEnd events carry the local objective (strictly positive on
+		// this corpus: no peer clusters its slice perfectly in round 1).
+		sawObjective := false
+		for _, ev := range events {
+			if ev.Kind == EventRoundEnd && ev.Objective > 0 {
+				sawObjective = true
+			}
+		}
+		if !sawObjective {
+			t.Errorf("alg %v: no RoundEnd event carried a positive objective", alg)
+		}
 	}
 }
 

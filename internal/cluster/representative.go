@@ -13,8 +13,8 @@
 // between rounds — the local representative of every cluster, keyed by the
 // fingerprint and size of its membership. The reference engine specifies: the
 // dense kernel, nothing carried. For any call sequence both give the same
-// bytes, including the lowest-index tie rule (TestRoundsTierMatrix). The
-// CXK-means session and the PK-means peer drive it; the centralized algorithm
+// bytes, including the lowest-index tie rule (TestRoundsTierMatrix). The peer
+// session drives it, for CXK-means and PK-means; the centralized algorithm
 // of [33,32] is a session with one peer.
 // Underneath sit one batch relocation (RelocateScores) and one
 // single-transaction scan (RelocateOneIndexed), which the serving layer's

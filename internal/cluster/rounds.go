@@ -9,8 +9,8 @@ import (
 	"xmlclust/internal/txn"
 )
 
-// Rounds is the relocate→refine round engine of Fig. 5 shared by the
-// CXK-means session and the PK-means peer: one run's transaction set and
+// Rounds is the relocate→refine round engine of Fig. 5 behind the peer
+// session, under CXK-means and PK-means alike: one run's transaction set and
 // representative configuration, in one of two modes fixed at construction.
 //
 // A fast engine is two things. It scores through posting lists — documents

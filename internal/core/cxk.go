@@ -45,6 +45,12 @@ type Options struct {
 	// wire are identical either way, so the choice is each peer's own — RunPeer
 	// processes of one session need not agree on it.
 	Fast bool
+	// PKMeans runs the non-collaborative baseline of Sect. 5.5.3 on the same
+	// session instead of CXK-means (see doc.go): every peer owns every
+	// cluster, local representatives go all-to-all, and the run stops on the
+	// summed objective. Run only: neither the StartMsg nor a SessionState
+	// carries it, so RunPeer rejects it.
+	PKMeans bool
 	// Transport overrides the default in-process channel transport.
 	Transport p2p.Transport
 	// SerializeCompute runs peers' compute sections under a mutual
@@ -248,7 +254,8 @@ func ResponsibilityPartition(k, m int) [][]int {
 	return zs
 }
 
-// Run executes CXK-means as a thin driver over the session engine: it plays
+// Run executes CXK-means (or, with PKMeans, the PK-means baseline) as a thin
+// driver over the session engine: it plays
 // node N0 (startup), builds one Peer per partition part and runs all m
 // sessions concurrently over the shared transport. The corpus supplies the
 // transaction set S and interning tables; cx must be a similarity context
@@ -361,7 +368,7 @@ func peerConfig(cx *sim.Context, corpus *txn.Corpus, opts Options, id int) PeerC
 	}
 	return PeerConfig{
 		ID: id, Ctx: cx, Local: local, Sizer: Sizer(corpus.Items), MaxRounds: opts.MaxRounds,
-		Seed: opts.Seed + int64(id), Rule: opts.Rule, Workers: opts.Workers, Fast: opts.Fast,
+		Seed: opts.Seed + int64(id), Rule: opts.Rule, Workers: opts.Workers, Fast: opts.Fast, PKMeans: opts.PKMeans,
 		RoundTimeout: opts.RoundTimeout, StartupTimeout: opts.StartupTimeout,
 		Expect: expectationFrom(cx, corpus, opts), Observer: opts.Observer,
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -141,12 +143,17 @@ func TestResponsibilityPartition(t *testing.T) {
 }
 
 func runCXK(t testing.TB, corpus *txn.Corpus, k, m int, seed int64) *Result {
+	return runPolicy(t, corpus, k, m, seed, false)
+}
+
+// runPolicy runs CXK-means, or the PK-means policy when pk is set.
+func runPolicy(t testing.TB, corpus *txn.Corpus, k, m int, seed int64, pk bool) *Result {
 	t.Helper()
 	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
 	res, err := Run(context.Background(), cx, corpus, Options{
 		K: k, Params: cx.Params, Peers: m,
 		Partition: EqualPartition(len(corpus.Transactions), m, seed),
-		Seed:      seed,
+		Seed:      seed, PKMeans: pk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,12 +164,12 @@ func runCXK(t testing.TB, corpus *txn.Corpus, k, m int, seed int64) *Result {
 // bestOverSeeds runs a few seeds and returns the best F-measure result —
 // centroid seeding is luck-sensitive (the paper averages 10 runs); accuracy
 // assertions care that the algorithm *can* separate the data.
-func bestOverSeeds(t testing.TB, corpus *txn.Corpus, labels []int, k, m int) (*Result, float64) {
+func bestOverSeeds(t testing.TB, corpus *txn.Corpus, labels []int, k, m int, pk bool) (*Result, float64) {
 	t.Helper()
 	var best *Result
 	bestF := -1.0
 	for seed := int64(1); seed <= 5; seed++ {
-		res := runCXK(t, corpus, k, m, seed)
+		res := runPolicy(t, corpus, k, m, seed, pk)
 		if f := eval.FMeasure(labels, res.Assign, k); f > bestF {
 			bestF, best = f, res
 		}
@@ -170,63 +177,144 @@ func bestOverSeeds(t testing.TB, corpus *txn.Corpus, labels []int, k, m int) (*R
 	return best, bestF
 }
 
+// The round bounds below allow DefaultMaxRounds+1: PK-means counts its
+// seeding round.
+
 func TestSinglePeerMatchesCentralizedShape(t *testing.T) {
 	corpus, labels := miniCorpus(t, 6)
-	res, f := bestOverSeeds(t, corpus, labels, 2, 1)
-	if res.Rounds == 0 || res.Rounds > DefaultMaxRounds {
-		t.Fatalf("rounds = %d", res.Rounds)
-	}
-	if len(res.Assign) != len(corpus.Transactions) {
-		t.Fatalf("assign length %d", len(res.Assign))
-	}
-	if f < 0.9 {
-		t.Errorf("centralized F = %v on separable data", f)
-	}
-	// No communication for m=1.
-	msgs, bytes := res.TotalTraffic()
-	if msgs != 0 || bytes != 0 {
-		t.Errorf("m=1 traffic: %d msgs %d bytes", msgs, bytes)
+	for _, pk := range []bool{false, true} {
+		res, f := bestOverSeeds(t, corpus, labels, 2, 1, pk)
+		if res.Rounds == 0 || res.Rounds > DefaultMaxRounds+1 {
+			t.Fatalf("pk=%v: rounds = %d", pk, res.Rounds)
+		}
+		if len(res.Assign) != len(corpus.Transactions) {
+			t.Fatalf("pk=%v: assign length %d", pk, len(res.Assign))
+		}
+		if f < 0.9 {
+			t.Errorf("pk=%v: centralized F = %v on separable data", pk, f)
+		}
+		// No communication for m=1.
+		msgs, bytes := res.TotalTraffic()
+		if msgs != 0 || bytes != 0 {
+			t.Errorf("pk=%v: m=1 traffic: %d msgs %d bytes", pk, msgs, bytes)
+		}
 	}
 }
 
 func TestMultiPeerTerminatesAndClusters(t *testing.T) {
 	corpus, labels := miniCorpus(t, 8)
-	for _, m := range []int{2, 3, 5} {
-		res, f := bestOverSeeds(t, corpus, labels, 2, m)
-		if res.Rounds == 0 || res.Rounds > DefaultMaxRounds {
-			t.Fatalf("m=%d rounds = %d", m, res.Rounds)
-		}
-		if f < 0.6 {
-			t.Errorf("m=%d F = %v too low", m, f)
-		}
-		msgs, bytes := res.TotalTraffic()
-		if msgs == 0 || bytes == 0 {
-			t.Errorf("m=%d produced no traffic", m)
+	for _, pk := range []bool{false, true} {
+		for _, m := range []int{2, 3, 5} {
+			res, f := bestOverSeeds(t, corpus, labels, 2, m, pk)
+			if res.Rounds == 0 || res.Rounds > DefaultMaxRounds+1 {
+				t.Fatalf("pk=%v m=%d rounds = %d", pk, m, res.Rounds)
+			}
+			if f < 0.6 {
+				t.Errorf("pk=%v m=%d F = %v too low", pk, m, f)
+			}
+			msgs, bytes := res.TotalTraffic()
+			if msgs == 0 || bytes == 0 {
+				t.Errorf("pk=%v m=%d produced no traffic", pk, m)
+			}
 		}
 	}
 }
 
 func TestEveryTransactionAssignedOrTrash(t *testing.T) {
 	corpus, _ := miniCorpus(t, 5)
-	res := runCXK(t, corpus, 2, 3, 4)
-	for i, a := range res.Assign {
-		if a != cluster.TrashCluster && (a < 0 || a >= 2) {
-			t.Errorf("transaction %d has invalid assignment %d", i, a)
+	for _, pk := range []bool{false, true} {
+		res := runPolicy(t, corpus, 2, 3, 4, pk)
+		for i, a := range res.Assign {
+			if a != cluster.TrashCluster && (a < 0 || a >= 2) {
+				t.Errorf("pk=%v: transaction %d has invalid assignment %d", pk, i, a)
+			}
 		}
 	}
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	corpus, _ := miniCorpus(t, 6)
-	a := runCXK(t, corpus, 2, 3, 9)
-	b := runCXK(t, corpus, 2, 3, 9)
-	if a.Rounds != b.Rounds {
-		t.Errorf("rounds differ: %d vs %d", a.Rounds, b.Rounds)
-	}
-	for i := range a.Assign {
-		if a.Assign[i] != b.Assign[i] {
-			t.Fatalf("assignment %d differs across identical runs", i)
+	for _, pk := range []bool{false, true} {
+		a := runPolicy(t, corpus, 2, 3, 9, pk)
+		b := runPolicy(t, corpus, 2, 3, 9, pk)
+		if a.Rounds != b.Rounds {
+			t.Errorf("pk=%v: rounds differ: %d vs %d", pk, a.Rounds, b.Rounds)
 		}
+		for i := range a.Assign {
+			if a.Assign[i] != b.Assign[i] {
+				t.Fatalf("pk=%v: assignment %d differs across identical runs", pk, i)
+			}
+		}
+	}
+}
+
+// TestPKTrafficExceedsCXK verifies the defining property of the
+// non-collaborative baseline: all-to-all representative exchange moves
+// strictly more data than CXK's responsibility-partitioned pattern at the
+// same network size (Sect. 5.5.3, Fig. 8).
+func TestPKTrafficExceedsCXK(t *testing.T) {
+	corpus, _ := miniCorpus(t, 10)
+	pk, cxk := runPolicy(t, corpus, 2, 5, 3, true), runPolicy(t, corpus, 2, 5, 3, false)
+	_, pkBytes := pk.TotalTraffic()
+	_, cxkBytes := cxk.TotalTraffic()
+	pkPerRound := float64(pkBytes) / float64(pk.Rounds)
+	cxkPerRound := float64(cxkBytes) / float64(cxk.Rounds)
+	if pkPerRound <= cxkPerRound {
+		t.Errorf("PK per-round traffic %.0f should exceed CXK %.0f", pkPerRound, cxkPerRound)
+	}
+}
+
+// closingTransport hands every peer one receive stream that ends when the
+// transport is closed, as a network transport's does when its node shuts
+// down. Sends go to the wrapped transport, which stays open so that a send
+// racing the close cannot fail the run first, and are never read; listening
+// is closed once a peer first asks for its stream.
+type closingTransport struct {
+	p2p.Transport
+	recv      chan p2p.Envelope
+	listening chan struct{}
+	once      sync.Once
+}
+
+func (c *closingTransport) Recv(int) <-chan p2p.Envelope {
+	c.once.Do(func() { close(c.listening) })
+	return c.recv
+}
+
+func (c *closingTransport) Close() error {
+	close(c.recv)
+	return nil
+}
+
+// TestRunTransportClosedIsTyped: a receive stream that ends under a running
+// session fails the run with an error wrapping ErrTransportClosed, under
+// either policy.
+func TestRunTransportClosedIsTyped(t *testing.T) {
+	corpus, _ := miniCorpus(t, 4)
+	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
+	for _, pk := range []bool{false, true} {
+		tr := &closingTransport{Transport: p2p.NewChanTransport(2, nil),
+			recv: make(chan p2p.Envelope), listening: make(chan struct{})}
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(context.Background(), cx, corpus, Options{
+				K: 2, Params: cx.Params, Peers: 2, Transport: tr, PKMeans: pk,
+				Partition: EqualPartition(len(corpus.Transactions), 2, 7),
+				Seed:      7,
+			})
+			done <- err
+		}()
+		<-tr.listening
+		tr.Close()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrTransportClosed) {
+				t.Errorf("pk=%v: Run returned %v, want an error wrapping ErrTransportClosed", pk, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("pk=%v: Run still blocked after its transport closed", pk)
+		}
+		tr.Transport.Close()
 	}
 }
 
@@ -342,31 +430,33 @@ func TestSimulatedTimePositive(t *testing.T) {
 
 func TestPeerReportsConsistent(t *testing.T) {
 	corpus, _ := miniCorpus(t, 6)
-	res := runCXK(t, corpus, 2, 3, 8)
-	totalLocal := 0
-	for i := range res.Peers {
-		pr := &res.Peers[i]
-		totalLocal += pr.LocalTransactions
-		if len(pr.SentMsgsByRound) != len(pr.SentBytesByRound) {
-			t.Errorf("peer %d slices misaligned", i)
+	for _, pk := range []bool{false, true} {
+		res := runPolicy(t, corpus, 2, 3, 8, pk)
+		totalLocal := 0
+		for i := range res.Peers {
+			pr := &res.Peers[i]
+			totalLocal += pr.LocalTransactions
+			if len(pr.SentMsgsByRound) != len(pr.SentBytesByRound) {
+				t.Errorf("pk=%v: peer %d slices misaligned", pk, i)
+			}
+			if pr.TotalCompute() <= 0 {
+				t.Errorf("pk=%v: peer %d no compute recorded", pk, i)
+			}
 		}
-		if pr.TotalCompute() <= 0 {
-			t.Errorf("peer %d no compute recorded", i)
+		if totalLocal != len(corpus.Transactions) {
+			t.Errorf("pk=%v: local transactions sum %d != %d", pk, totalLocal, len(corpus.Transactions))
 		}
-	}
-	if totalLocal != len(corpus.Transactions) {
-		t.Errorf("local transactions sum %d != %d", totalLocal, len(corpus.Transactions))
-	}
-	// Conservation: total sent messages equals total received messages.
-	var sent, recv int64
-	for i := range res.Peers {
-		for r := range res.Peers[i].SentMsgsByRound {
-			sent += res.Peers[i].SentMsgsByRound[r]
-			recv += res.Peers[i].RecvMsgsByRound[r]
+		// Conservation: total sent messages equals total received messages.
+		var sent, recv int64
+		for i := range res.Peers {
+			for r := range res.Peers[i].SentMsgsByRound {
+				sent += res.Peers[i].SentMsgsByRound[r]
+				recv += res.Peers[i].RecvMsgsByRound[r]
+			}
 		}
-	}
-	if sent != recv {
-		t.Errorf("message conservation violated: sent=%d recv=%d", sent, recv)
+		if sent != recv || sent == 0 {
+			t.Errorf("pk=%v: message conservation violated: sent=%d recv=%d", pk, sent, recv)
+		}
 	}
 }
 
@@ -474,12 +564,12 @@ func TestRunUnderMessageDelays(t *testing.T) {
 
 // ---------------------------------------------------------------- Workers
 
-func runCXKWorkers(t testing.TB, cx *sim.Context, corpus *txn.Corpus, k, m int, seed int64, workers int) *Result {
+func runWorkers(t testing.TB, cx *sim.Context, corpus *txn.Corpus, k, m int, seed int64, workers int, pk bool) *Result {
 	t.Helper()
 	res, err := Run(context.Background(), cx, corpus, Options{
 		K: k, Params: cx.Params, Peers: m, Workers: workers,
 		Partition: EqualPartition(len(corpus.Transactions), m, seed),
-		Seed:      seed,
+		Seed:      seed, PKMeans: pk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -511,9 +601,9 @@ func assertResultsEqual(t *testing.T, label string, want, got *Result) {
 	}
 }
 
-// TestRunWorkersEquivalence asserts that the collaborative engine produces
-// byte-identical results for any intra-peer worker count, across network
-// sizes and several synthetic corpora.
+// TestRunWorkersEquivalence asserts that the session produces byte-identical
+// results for any intra-peer worker count, under either policy, across
+// network sizes and several synthetic corpora.
 func TestRunWorkersEquivalence(t *testing.T) {
 	type corpusCase struct {
 		name   string
@@ -535,11 +625,13 @@ func TestRunWorkersEquivalence(t *testing.T) {
 	}
 	for _, c := range cases {
 		cx := sim.NewContext(c.corpus, sim.Params{F: 0.5, Gamma: 0.7})
-		for _, m := range []int{1, 3} {
-			serial := runCXKWorkers(t, cx, c.corpus, c.k, m, 9, 1)
-			for _, w := range []int{4, 0} {
-				got := runCXKWorkers(t, cx, c.corpus, c.k, m, 9, w)
-				assertResultsEqual(t, fmt.Sprintf("%s m=%d workers=%d", c.name, m, w), serial, got)
+		for _, pk := range []bool{false, true} {
+			for _, m := range []int{1, 3} {
+				serial := runWorkers(t, cx, c.corpus, c.k, m, 9, 1, pk)
+				for _, w := range []int{4, 0} {
+					got := runWorkers(t, cx, c.corpus, c.k, m, 9, w, pk)
+					assertResultsEqual(t, fmt.Sprintf("%s pk=%v m=%d workers=%d", c.name, pk, m, w), serial, got)
+				}
 			}
 		}
 	}

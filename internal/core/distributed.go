@@ -55,6 +55,9 @@ func RunPeer(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Opti
 	if opts.Transport == nil {
 		return nil, fmt.Errorf("core: RunPeer needs an explicit transport (one p2p.Node per process)")
 	}
+	if opts.PKMeans {
+		return nil, fmt.Errorf("core: RunPeer runs CXK-means only; PK-means runs in process (Run)")
+	}
 	if tp := opts.Transport.Peers(); tp != m {
 		return nil, fmt.Errorf("core: transport has %d peers, options say %d", tp, m)
 	}

@@ -123,6 +123,11 @@ func TestRunPeerValidation(t *testing.T) {
 	if _, err := RunPeer(ctx, cx, corpus, withTr, 5); err == nil {
 		t.Error("peer id outside range should fail")
 	}
+	pk := withTr
+	pk.PKMeans = true
+	if _, err := RunPeer(ctx, cx, corpus, pk, 0); err == nil {
+		t.Error("the PK-means policy should fail: neither the StartMsg nor a checkpoint carries it")
+	}
 	bad := withTr
 	bad.K = 0
 	if _, err := RunPeer(ctx, cx, corpus, bad, 0); err == nil {

@@ -52,6 +52,20 @@
 //	                      identical at every peer, so termination is
 //	                      consistent.
 //
+// PK-means. The non-collaborative baseline of Sect. 5.5.3 (Dhillon & Modha's
+// parallel K-means with simγJ and XML representatives) is a policy of this
+// machine, Options.PKMeans, not a second runtime. Round 0 only seeds: phase 1
+// as above, after which every peer is responsible for every cluster. Every
+// later round skips phase 1, relocates, sends every non-empty ℓ_ij to every
+// peer together with its local objective (LocalRepsMsg.Objective), and
+// refines all k globals from the same peer-ordered inputs, redundantly on
+// every peer. The flags give way to the summed objective: the run stops once
+// Σ_i objective_i, added in peer order so every peer gets the same bits,
+// moves by at most 1e-9 or repeats an earlier round's sum. The seeding round
+// counts, so MaxRounds caps the run at MaxRounds+1 rounds. Neither the
+// StartMsg nor a SessionState carries the policy, so RunPeer and the fabric
+// run CXK-means only.
+//
 // Wire form. Representatives travel as flattened raw item ids: synthetic
 // (conflated) items are interned per process, so toWire decomposes them
 // into their raw constituents — stable across every process that loaded the
@@ -70,8 +84,8 @@
 // dial, and the session indexes with what they say. accept therefore vets
 // every round message before anything is grown or indexed by it: the sender
 // is the transport-level sender and in [0, m), the round in [0, MaxRounds),
-// cluster ids in [0, k), wire item ids inside the interning table. A
-// violation fails the session with ErrUnexpectedMessage.
+// cluster ids in [0, k), wire item ids inside the interning table, the
+// objective finite. A violation fails the session with ErrUnexpectedMessage.
 //
 // Failure handling. Sends propagate transport errors and fail the session
 // (a silent drop would starve the receiving peer); receives honour the

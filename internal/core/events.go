@@ -60,7 +60,7 @@ type Event struct {
 	Phase Phase
 	// Objective is the peer's local clustering objective — the K-means-style
 	// sum Σ (1 − simγJ(tr, rep)) over the peer's transactions — populated on
-	// RoundEnd (and on pkmeans round events). Lower is better.
+	// RoundEnd and the peer-level Done. Lower is better.
 	Objective float64
 	// SentMsgs/SentBytes/RecvMsgs/RecvBytes total the peer's modeled
 	// traffic so far (cumulative over all completed accounting rounds).

@@ -67,8 +67,8 @@ func TestRunObserverEvents(t *testing.T) {
 	}
 }
 
-// TestRunObserverIdenticalOutput asserts that observing a run (which turns
-// on the per-round objective computation) never changes its output.
+// TestRunObserverIdenticalOutput asserts that observing a run never changes
+// its output.
 func TestRunObserverIdenticalOutput(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
 	run := func(observer Observer) *Result {

@@ -196,27 +196,30 @@ func lockstep(t *testing.T, corpus *txn.Corpus, opts Options, schedule int64) *R
 // TestLockstepMatchesRun: the machine has no hidden I/O. Stepped on one
 // goroutine under 20 delivery schedules per configuration, with no
 // transport, timer or goroutine of its own, it ends where Run's concurrent
-// sessions end: same assignments, representatives and round count.
+// sessions end: same assignments, representatives and round count, under
+// either policy.
 func TestLockstepMatchesRun(t *testing.T) {
 	gen, _ := dataset.ByName("DBLP")
 	corpus := gen(dataset.Spec{Docs: 30, Seed: 29}).BuildCorpus(dataset.ByHybrid, 8, 1)
 	params := sim.Params{F: 0.5, Gamma: 0.6}
-	for _, m := range []int{1, 3, 4} {
-		for _, k := range []int{2, 5, 8} {
-			for seed := int64(1); seed <= 20; seed++ {
-				opts := Options{
-					K: k, Params: params, Peers: m, Seed: seed, Workers: 1, Fast: seed%2 == 0,
-					Partition: EqualPartition(len(corpus.Transactions), m, seed),
-				}
-				want, err := Run(context.Background(), sim.NewContext(corpus, params), corpus, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := lockstep(t, corpus, opts, seed*7919+int64(m))
-				if !slices.Equal(got.Assign, want.Assign) || got.Rounds != want.Rounds ||
-					RepsDigest(corpus.Items, got.Reps) != RepsDigest(corpus.Items, want.Reps) {
-					t.Errorf("m=%d k=%d seed=%d: lockstep ended in %d rounds, Run in %d, or assignments or representatives differ",
-						m, k, seed, got.Rounds, want.Rounds)
+	for _, pk := range []bool{false, true} {
+		for _, m := range []int{1, 3, 4} {
+			for _, k := range []int{2, 5, 8} {
+				for seed := int64(1); seed <= 20; seed++ {
+					opts := Options{
+						K: k, Params: params, Peers: m, Seed: seed, Workers: 1, Fast: seed%2 == 0, PKMeans: pk,
+						Partition: EqualPartition(len(corpus.Transactions), m, seed),
+					}
+					want, err := Run(context.Background(), sim.NewContext(corpus, params), corpus, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := lockstep(t, corpus, opts, seed*7919+int64(m))
+					if !slices.Equal(got.Assign, want.Assign) || got.Rounds != want.Rounds ||
+						RepsDigest(corpus.Items, got.Reps) != RepsDigest(corpus.Items, want.Reps) {
+						t.Errorf("pk=%v m=%d k=%d seed=%d: lockstep ended in %d rounds, Run in %d, or assignments or representatives differ",
+							pk, m, k, seed, got.Rounds, want.Rounds)
+					}
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -49,6 +50,7 @@ type (
 type session struct {
 	id, m, maxRounds int
 	seed             int64
+	pk               bool // the PK-means policy (PeerConfig.PKMeans)
 	local            []*txn.Transaction
 	items            *txn.ItemTable
 	sizer            p2p.Sizer
@@ -61,8 +63,9 @@ type session struct {
 	out        []any
 
 	// objective is the peer's local clustering objective after the latest
-	// relocation; computed only when an Observer is configured.
-	objective float64
+	// relocation; prevTotal is PK-means's objective summed over the peers in
+	// the previous round (+Inf before the first).
+	objective, prevTotal float64
 
 	// Protocol state (Fig. 5 notation in the comments of peer fields).
 	k       int
@@ -78,12 +81,14 @@ type session struct {
 	// terminates on exact representative stability; greedy representative
 	// refinement can cycle through a short orbit of states instead of
 	// reaching a fixpoint, so a revisited state is treated as stable
-	// (guaranteeing termination without changing converged results).
+	// (guaranteeing termination without changing converged results). Under
+	// PK-means it holds the bits of past summed objectives, which can orbit
+	// for the same reason.
 	seenStates map[uint64]struct{}
 	// changed / bySender / anyContinue carry intermediate per-round state
 	// between the Relocate, ExchangeLocals and RefineGlobals phases.
 	changed     bool
-	bySender    []map[int]WeightedWireRep
+	bySender    []LocalRepsMsg
 	anyContinue bool
 
 	// Reordering buffers: peers may run ahead by one phase, so messages are
@@ -113,12 +118,15 @@ type session struct {
 // boundary of its round.
 func newMachine(cfg *PeerConfig, m int) (*session, []any) {
 	s := &session{
-		id: cfg.ID, m: m, maxRounds: cfg.MaxRounds, seed: cfg.Seed, local: cfg.Local,
+		id: cfg.ID, m: m, maxRounds: cfg.MaxRounds, seed: cfg.Seed, pk: cfg.PKMeans, local: cfg.Local,
 		items: cfg.Ctx.Items, sizer: cfg.Sizer, expect: cfg.Expect,
-		phase: PhaseStartup, epoch: cfg.Epoch,
+		phase: PhaseStartup, epoch: cfg.Epoch, prevTotal: math.Inf(1),
 		seenStates: map[uint64]struct{}{},
 		pendGlobal: map[int][]GlobalRepsMsg{},
 		pendLocal:  map[int][]LocalRepsMsg{},
+	}
+	if s.pk {
+		s.maxRounds++ // the seeding round counts
 	}
 	if cfg.Rejoin {
 		s.phase = PhaseRejoin
@@ -297,11 +305,18 @@ func (s *session) startup(msg StartMsg) error {
 
 // broadcastGlobals is protocol phase 1 past its boundary: send the global
 // representatives this peer is responsible for; collect gathers the others'.
+// Under PK-means only the seeding round broadcasts: afterwards every peer
+// refines every global itself.
 func (s *session) broadcastGlobals() {
 	s.atBoundary = false
 	s.rounds = s.round + 1
 	s.report.GrowRound(s.round, len(s.local))
 	s.emit(EventRoundStart, s.round, 0)
+	s.received = 0
+	if s.pk && s.round > 0 {
+		s.received = s.m - 1
+		return
+	}
 	own := map[int]WireTxn{}
 	for _, j := range s.zi {
 		own[j] = toWire(s.items, s.global[j])
@@ -312,7 +327,26 @@ func (s *session) broadcastGlobals() {
 		}
 	}
 	s.arm(false)
-	s.received = 0
+}
+
+// seeded closes PK-means's seeding round: every peer now holds the k initial
+// globals, and from here on every peer is responsible for every cluster, so
+// exchangeLocals sends each peer every local representative and refinement
+// covers all k globals. zs is replaced, not edited: in-process peers share
+// the StartMsg's slices.
+func (s *session) seeded() {
+	all := make([]int, s.k)
+	for j := range all {
+		all[j] = j
+	}
+	s.zi, s.zs = all, make([][]int, s.m)
+	for h := range s.zs {
+		s.zs[h] = all
+	}
+	s.emit(EventRepsExchanged, s.round, 0)
+	s.emit(EventRoundEnd, s.round, 0)
+	s.round++
+	s.enter(PhaseBroadcastGlobals)
 }
 
 // relocated closes protocol phase 2: one relocation pass against the
@@ -323,7 +357,9 @@ func (s *session) relocated(c computed) {
 	s.assign, s.sizes, s.objective = c.assign, c.sizes, c.objective
 	s.changed = !cluster.RepsEqual(c.localRp, s.localRp)
 	s.localRp = c.localRp
-	if s.changed {
+	if s.pk {
+		s.changed = true // PK-means stops on the summed objective alone
+	} else if s.changed {
 		fp := fingerprintReps(s.localRp)
 		if _, cycle := s.seenStates[fp]; cycle {
 			s.changed = false
@@ -344,7 +380,7 @@ func (s *session) exchangeLocals() {
 		if h == s.id {
 			continue
 		}
-		msg := LocalRepsMsg{From: s.id, Round: s.round, Flag: flag}
+		msg := LocalRepsMsg{From: s.id, Round: s.round, Flag: flag, Objective: s.objective}
 		if s.changed {
 			msg.Reps = map[int]WeightedWireRep{}
 			for _, j := range s.zs[h] {
@@ -358,7 +394,8 @@ func (s *session) exchangeLocals() {
 	// Per-sender slots keep the representative input order deterministic
 	// regardless of message arrival order (reproducibility for a fixed
 	// seed; floating-point aggregation is order-sensitive).
-	s.bySender = make([]map[int]WeightedWireRep, s.m)
+	s.bySender = make([]LocalRepsMsg, s.m)
+	s.bySender[s.id].Objective = s.objective
 	s.anyContinue = s.changed
 	s.arm(false)
 	s.received = 0
@@ -381,7 +418,11 @@ func (s *session) collect() error {
 				s.global[j] = fromWire(s.items, w)
 			}
 		}
-		s.enter(PhaseRelocate)
+		if s.pk && s.round == 0 {
+			s.seeded()
+		} else {
+			s.enter(PhaseRelocate)
+		}
 	case s.phase == PhaseExchangeLocals:
 		for ; s.received < s.m-1; s.received++ {
 			q := s.pendLocal[s.round]
@@ -392,7 +433,7 @@ func (s *session) collect() error {
 			if q[0].Flag == FlagContinue {
 				s.anyContinue = true
 			}
-			s.bySender[q[0].From] = q[0].Reps
+			s.bySender[q[0].From] = q[0]
 		}
 		s.emit(EventRepsExchanged, s.round, 0)
 		if !s.anyContinue {
@@ -414,7 +455,7 @@ func (s *session) refineInputs(j int) []cluster.WeightedRep {
 			if s.localRp[j] != nil {
 				reps = append(reps, cluster.WeightedRep{Rep: s.localRp[j], Weight: s.sizes[j]})
 			}
-		} else if wr, ok := s.bySender[h][j]; ok {
+		} else if wr, ok := s.bySender[h].Reps[j]; ok {
 			reps = append(reps, cluster.WeightedRep{Rep: fromWire(s.items, wr.Rep), Weight: wr.Weight})
 		}
 	}
@@ -428,14 +469,37 @@ func (s *session) refined(c computed) {
 			s.global[j] = c.refined[i]
 		}
 	}
+	stop := s.pk && s.converged()
 	s.bySender = nil
 	s.emit(EventRoundEnd, s.round, s.objective)
 	s.round++
-	if s.round >= s.maxRounds {
+	if stop || s.round >= s.maxRounds {
 		s.enter(PhaseDone)
 	} else {
 		s.enter(PhaseBroadcastGlobals)
 	}
+}
+
+// converged is the PK-means stop rule, taken after the round's refinement:
+// the local objectives summed in peer order (so every peer computes the same
+// bits) moved by at most 1e-9 since the previous round, or repeat an
+// earlier round's sum — the greedy XML representative update is not monotone
+// like the Euclidean mean, so the sum can orbit.
+func (s *session) converged() bool {
+	total := 0.0
+	for _, msg := range s.bySender {
+		total += msg.Objective
+	}
+	if math.Abs(total-s.prevTotal) <= 1e-9 {
+		return true
+	}
+	bits := math.Float64bits(total)
+	if _, cycle := s.seenStates[bits]; cycle {
+		return true
+	}
+	s.seenStates[bits] = struct{}{}
+	s.prevTotal = total
+	return false
 }
 
 func (s *session) emit(kind EventKind, round int, objective float64) {
@@ -479,6 +543,10 @@ func (s *session) accept(env p2p.Envelope) error {
 	case LocalRepsMsg:
 		if err := CheckHeader(env, msg.From, msg.Round, s.m, s.maxRounds); err != nil {
 			return err
+		}
+		if math.IsNaN(msg.Objective) || math.IsInf(msg.Objective, 0) {
+			return fmt.Errorf("%w: LocalRepsMsg from peer %d carries objective %v",
+				ErrUnexpectedMessage, msg.From, msg.Objective)
 		}
 		for j, wr := range msg.Reps {
 			if err := CheckWireRep(j, s.k, wr.Rep, nItems); err != nil {

@@ -92,6 +92,9 @@ type LocalRepsMsg struct {
 	Flag  Flag
 	// Reps maps cluster id → (representative, |C_i_j|).
 	Reps map[int]WeightedWireRep
+	// Objective is the sender's local clustering objective after the round's
+	// relocation; the PK-means stop rule sums it over the peers.
+	Objective float64
 }
 
 // WeightedWireRep pairs a representative with its local cluster size.

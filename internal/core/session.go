@@ -40,6 +40,9 @@ type PeerConfig struct {
 	// Options.Fast). It is local to the peer: nothing of it travels, and fast
 	// and reference peers can share a session.
 	Fast bool
+	// PKMeans runs the session under the PK-means policy (see
+	// Options.PKMeans).
+	PKMeans bool
 	// RoundTimeout bounds every blocking receive of the session; a peer
 	// that waits longer fails with ErrRoundDeadline instead of hanging on
 	// a dead neighbour. 0 disables the deadline (trusted in-process runs).
@@ -271,8 +274,8 @@ func (d *driver) boundary(ctx context.Context) (err error) {
 
 // compute answers a compute request under the optional compute token and
 // accounts its wall time to the request's round: one relocation pass against
-// the globals and the local representatives (plus the objective, if
-// observed), or the global representatives of the clusters the peer owns.
+// the globals, the local representatives and the objective, or the global
+// representatives of the clusters the peer owns.
 func (d *driver) compute(ctx context.Context, c compute) (err error) {
 	if err := canceled(ctx); err != nil {
 		return err
@@ -297,9 +300,7 @@ func (d *driver) compute(ctx context.Context, c compute) (err error) {
 			return
 		}
 		out.localRp, out.sizes = d.engine.LocalReps(out.assign)
-		if d.cfg.Observer != nil {
-			out.objective = d.engine.Objective()
-		}
+		out.objective = d.engine.Objective()
 	})
 	d.in = out
 	return err

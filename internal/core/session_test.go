@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -355,6 +356,8 @@ func TestSessionRejectsMalformedFrames(t *testing.T) {
 		{"local: sender past m", 2, local(2, 0, 0, good)},
 		{"local: cluster past k", 1, local(1, 0, 1<<20, good)},
 		{"local: item past the table", 1, local(1, 0, 0, pastTable)},
+		{"local: NaN objective", 1, LocalRepsMsg{From: 1, Round: 0, Objective: math.NaN()}},
+		{"local: infinite objective", 1, LocalRepsMsg{From: 1, Round: 0, Objective: math.Inf(-1)}},
 	}
 	for _, c := range cases {
 		for _, beforeStart := range []bool{true, false} {
@@ -425,41 +428,45 @@ func TestSessionStartupRejectsBadMessage(t *testing.T) {
 }
 
 // TestSessionDeadPeerTimeout: peer 2 never starts, so the running peers
-// must fail their sessions with ErrRoundDeadline instead of hanging.
+// must fail their sessions with ErrRoundDeadline instead of hanging — under
+// PK-means too, whose seeding round waits on peer 2's initial globals.
 func TestSessionDeadPeerTimeout(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
-	tr := p2p.NewChanTransport(3, nil)
-	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 3, 1)
 	start := startMsgFor(2, 3)
-	for i := 0; i < 3; i++ {
-		if err := tr.Send(0, i, start); err != nil {
-			t.Fatal(err)
-		}
-	}
-	errc := make(chan error, 2)
-	for _, id := range []int{0, 1} {
-		p := testPeer(corpus, tr, id, part, func(cfg *PeerConfig) {
-			cfg.RoundTimeout = 100 * time.Millisecond
-		})
-		go func() {
-			_, err := p.RunSession(context.Background())
-			errc <- err
-		}()
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-errc:
-			if !errors.Is(err, ErrRoundDeadline) {
-				t.Errorf("want ErrRoundDeadline, got %v", err)
+	for _, pk := range []bool{false, true} {
+		tr := p2p.NewChanTransport(3, nil)
+		for i := 0; i < 3; i++ {
+			if err := tr.Send(0, i, start); err != nil {
+				t.Fatal(err)
 			}
-			var se *SessionError
-			if !errors.As(err, &se) || se.Phase != PhaseBroadcastGlobals {
-				t.Errorf("deadline not attributed to broadcast-globals: %+v", err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("dead peer hung the session despite RoundTimeout")
 		}
+		errc := make(chan error, 2)
+		for _, id := range []int{0, 1} {
+			p := testPeer(corpus, tr, id, part, func(cfg *PeerConfig) {
+				cfg.RoundTimeout = 100 * time.Millisecond
+				cfg.PKMeans = pk
+			})
+			go func() {
+				_, err := p.RunSession(context.Background())
+				errc <- err
+			}()
+		}
+		for i := 0; i < 2; i++ {
+			select {
+			case err := <-errc:
+				if !errors.Is(err, ErrRoundDeadline) {
+					t.Errorf("pk=%v: want ErrRoundDeadline, got %v", pk, err)
+				}
+				var se *SessionError
+				if !errors.As(err, &se) || se.Phase != PhaseBroadcastGlobals {
+					t.Errorf("pk=%v: deadline not attributed to broadcast-globals: %+v", pk, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("pk=%v: dead peer hung the session despite RoundTimeout", pk)
+			}
+		}
+		tr.Close()
 	}
 }
 
@@ -509,27 +516,29 @@ func (f *failingTransport) Send(from, to int, payload any) error {
 
 // TestSessionSendFailurePropagates: a failed send must fail the session
 // with ErrSend instead of being silently swallowed (the old engine dropped
-// the error and left the receiving peer to starve).
+// the error and left the receiving peer to starve), under either policy.
 func TestSessionSendFailurePropagates(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
-	inner := p2p.NewChanTransport(2, nil)
-	defer inner.Close()
-	tr := &failingTransport{Transport: inner, failTo: 1}
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
-	if err := inner.Send(0, 0, startMsgFor(2, 2)); err != nil {
-		t.Fatal(err)
-	}
-	p := testPeer(corpus, tr, 0, part, nil)
-	_, err := p.RunSession(context.Background())
-	if err == nil {
-		t.Fatal("send failure must fail the session")
-	}
-	if !errors.Is(err, ErrSend) {
-		t.Errorf("want ErrSend, got %v", err)
-	}
-	var se *SessionError
-	if !errors.As(err, &se) || se.Phase != PhaseBroadcastGlobals {
-		t.Errorf("send failure not attributed to broadcast-globals: %+v", err)
+	for _, pk := range []bool{false, true} {
+		inner := p2p.NewChanTransport(2, nil)
+		tr := &failingTransport{Transport: inner, failTo: 1}
+		if err := inner.Send(0, 0, startMsgFor(2, 2)); err != nil {
+			t.Fatal(err)
+		}
+		p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) { cfg.PKMeans = pk })
+		_, err := p.RunSession(context.Background())
+		inner.Close()
+		if err == nil {
+			t.Fatalf("pk=%v: send failure must fail the session", pk)
+		}
+		if !errors.Is(err, ErrSend) {
+			t.Errorf("pk=%v: want ErrSend, got %v", pk, err)
+		}
+		var se *SessionError
+		if !errors.As(err, &se) || se.Phase != PhaseBroadcastGlobals {
+			t.Errorf("pk=%v: send failure not attributed to broadcast-globals: %+v", pk, err)
+		}
 	}
 }
 

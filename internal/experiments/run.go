@@ -16,7 +16,6 @@ import (
 	"xmlclust/internal/dataset"
 	"xmlclust/internal/eval"
 	"xmlclust/internal/p2p"
-	"xmlclust/internal/pkmeans"
 	"xmlclust/internal/sim"
 	"xmlclust/internal/txn"
 )
@@ -195,23 +194,13 @@ func ExecuteCtx(ctx context.Context, spec RunSpec) (RunResult, error) {
 		part = core.EqualPartition(n, spec.Peers, spec.Seed)
 	}
 
-	var res *core.Result
-	switch spec.Algorithm {
-	case PK:
-		res, err = pkmeans.Run(ctx, cx, pc.corpus, pkmeans.Options{
-			K: k, Params: cx.Params, Peers: spec.Peers, Partition: part,
-			Seed: spec.Seed, Rule: spec.Rule, Workers: spec.Workers,
-			SerializeCompute: true,
-			Fast:             false, // the reference engine: timings follow the paper's cost model
-		})
-	default:
-		res, err = core.Run(ctx, cx, pc.corpus, core.Options{
-			K: k, Params: cx.Params, Peers: spec.Peers, Partition: part,
-			Seed: spec.Seed, Rule: spec.Rule, Workers: spec.Workers,
-			SerializeCompute: true,
-			Fast:             false, // the reference engine: timings follow the paper's cost model
-		})
-	}
+	res, err := core.Run(ctx, cx, pc.corpus, core.Options{
+		K: k, Params: cx.Params, Peers: spec.Peers, Partition: part,
+		Seed: spec.Seed, Rule: spec.Rule, Workers: spec.Workers,
+		SerializeCompute: true,
+		Fast:             false, // the reference engine: timings follow the paper's cost model
+		PKMeans:          spec.Algorithm == PK,
+	})
 	if err != nil {
 		return RunResult{}, err
 	}

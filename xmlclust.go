@@ -254,7 +254,12 @@ type Algorithm int
 const (
 	// CXKMeans is the paper's collaborative distributed algorithm.
 	CXKMeans Algorithm = iota
-	// PKMeans is the non-collaborative parallel K-means baseline.
+	// PKMeans is the non-collaborative parallel K-means baseline of
+	// Sect. 5.5.3, run on the same peer session as CXK-means: every peer owns
+	// every cluster, local representatives go all-to-all each round, and the
+	// job stops once the objective summed over the peers stops moving. Its
+	// round count includes a first round that only broadcasts the initial
+	// representatives, so MaxRounds caps it at MaxRounds+1.
 	PKMeans
 )
 
