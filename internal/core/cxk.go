@@ -296,23 +296,35 @@ func Run(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Options)
 		peers[i] = NewPeer(cfg)
 	}
 
+	// The first session to fail cancels the others: they would otherwise wait
+	// for its next message until the caller's ctx dies.
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	t0 := time.Now()
 	var wg sync.WaitGroup
+	var failed sync.Once
+	var firstErr error
 	results := make([]*SessionResult, m)
-	errs := make([]error, m)
 	for i := 0; i < m; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = peers[i].RunSession(ctx)
+			var err error
+			if results[i], err = peers[i].RunSession(ctx); err != nil {
+				failed.Do(func() {
+					firstErr = err
+					cancel()
+				})
+			}
 		}(i)
 	}
 	wg.Wait()
 	wall := time.Since(t0)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if firstErr != nil {
+		return nil, firstErr
 	}
 
 	res := &Result{

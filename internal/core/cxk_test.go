@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -177,73 +178,90 @@ func bestOverSeeds(t testing.TB, corpus *txn.Corpus, labels []int, k, m int, pk 
 	return best, bestF
 }
 
-// The round bounds below allow DefaultMaxRounds+1: PK-means counts its
-// seeding round.
+// roundCap bounds a run's rounds under the default MaxRounds: PK-means
+// counts its seeding round.
+func roundCap(pk bool) int {
+	if pk {
+		return DefaultMaxRounds + 1
+	}
+	return DefaultMaxRounds
+}
 
-func TestSinglePeerMatchesCentralizedShape(t *testing.T) {
+func TestSinglePeerMatchesCentralizedShape(t *testing.T) { checkSinglePeer(t, false) }
+
+func TestPKSinglePeer(t *testing.T) { checkSinglePeer(t, true) }
+
+func checkSinglePeer(t *testing.T, pk bool) {
 	corpus, labels := miniCorpus(t, 6)
-	for _, pk := range []bool{false, true} {
-		res, f := bestOverSeeds(t, corpus, labels, 2, 1, pk)
-		if res.Rounds == 0 || res.Rounds > DefaultMaxRounds+1 {
-			t.Fatalf("pk=%v: rounds = %d", pk, res.Rounds)
-		}
-		if len(res.Assign) != len(corpus.Transactions) {
-			t.Fatalf("pk=%v: assign length %d", pk, len(res.Assign))
-		}
-		if f < 0.9 {
-			t.Errorf("pk=%v: centralized F = %v on separable data", pk, f)
-		}
-		// No communication for m=1.
-		msgs, bytes := res.TotalTraffic()
-		if msgs != 0 || bytes != 0 {
-			t.Errorf("pk=%v: m=1 traffic: %d msgs %d bytes", pk, msgs, bytes)
-		}
+	res, f := bestOverSeeds(t, corpus, labels, 2, 1, pk)
+	if res.Rounds == 0 || res.Rounds > roundCap(pk) {
+		t.Fatalf("rounds = %d", res.Rounds)
+	}
+	if len(res.Assign) != len(corpus.Transactions) {
+		t.Fatalf("assign length %d", len(res.Assign))
+	}
+	if f < 0.9 {
+		t.Errorf("centralized F = %v on separable data", f)
+	}
+	// No communication for m=1.
+	msgs, bytes := res.TotalTraffic()
+	if msgs != 0 || bytes != 0 {
+		t.Errorf("m=1 traffic: %d msgs %d bytes", msgs, bytes)
 	}
 }
 
-func TestMultiPeerTerminatesAndClusters(t *testing.T) {
+func TestMultiPeerTerminatesAndClusters(t *testing.T) { checkMultiPeer(t, false) }
+
+func TestPKMultiPeerTerminates(t *testing.T) { checkMultiPeer(t, true) }
+
+func checkMultiPeer(t *testing.T, pk bool) {
 	corpus, labels := miniCorpus(t, 8)
-	for _, pk := range []bool{false, true} {
-		for _, m := range []int{2, 3, 5} {
-			res, f := bestOverSeeds(t, corpus, labels, 2, m, pk)
-			if res.Rounds == 0 || res.Rounds > DefaultMaxRounds+1 {
-				t.Fatalf("pk=%v m=%d rounds = %d", pk, m, res.Rounds)
-			}
-			if f < 0.6 {
-				t.Errorf("pk=%v m=%d F = %v too low", pk, m, f)
-			}
-			msgs, bytes := res.TotalTraffic()
-			if msgs == 0 || bytes == 0 {
-				t.Errorf("pk=%v m=%d produced no traffic", pk, m)
-			}
+	for _, m := range []int{2, 3, 5} {
+		res, f := bestOverSeeds(t, corpus, labels, 2, m, pk)
+		if res.Rounds == 0 || res.Rounds > roundCap(pk) {
+			t.Fatalf("m=%d rounds = %d", m, res.Rounds)
+		}
+		if f < 0.6 {
+			t.Errorf("m=%d F = %v too low", m, f)
+		}
+		msgs, bytes := res.TotalTraffic()
+		if msgs == 0 || bytes == 0 {
+			t.Errorf("m=%d produced no traffic", m)
 		}
 	}
 }
 
-func TestEveryTransactionAssignedOrTrash(t *testing.T) {
+func TestEveryTransactionAssignedOrTrash(t *testing.T) { checkAssignmentsValid(t, false) }
+
+func TestPKAssignmentsValid(t *testing.T) { checkAssignmentsValid(t, true) }
+
+func checkAssignmentsValid(t *testing.T, pk bool) {
 	corpus, _ := miniCorpus(t, 5)
-	for _, pk := range []bool{false, true} {
-		res := runPolicy(t, corpus, 2, 3, 4, pk)
-		for i, a := range res.Assign {
-			if a != cluster.TrashCluster && (a < 0 || a >= 2) {
-				t.Errorf("pk=%v: transaction %d has invalid assignment %d", pk, i, a)
-			}
+	res := runPolicy(t, corpus, 2, 3, 4, pk)
+	if len(res.Assign) != len(corpus.Transactions) {
+		t.Fatalf("assign length %d", len(res.Assign))
+	}
+	for i, a := range res.Assign {
+		if a != cluster.TrashCluster && (a < 0 || a >= 2) {
+			t.Errorf("transaction %d has invalid assignment %d", i, a)
 		}
 	}
 }
 
-func TestDeterministicAcrossRuns(t *testing.T) {
+func TestDeterministicAcrossRuns(t *testing.T) { checkDeterministic(t, false) }
+
+func TestPKDeterministic(t *testing.T) { checkDeterministic(t, true) }
+
+func checkDeterministic(t *testing.T, pk bool) {
 	corpus, _ := miniCorpus(t, 6)
-	for _, pk := range []bool{false, true} {
-		a := runPolicy(t, corpus, 2, 3, 9, pk)
-		b := runPolicy(t, corpus, 2, 3, 9, pk)
-		if a.Rounds != b.Rounds {
-			t.Errorf("pk=%v: rounds differ: %d vs %d", pk, a.Rounds, b.Rounds)
-		}
-		for i := range a.Assign {
-			if a.Assign[i] != b.Assign[i] {
-				t.Fatalf("pk=%v: assignment %d differs across identical runs", pk, i)
-			}
+	a := runPolicy(t, corpus, 2, 3, 9, pk)
+	b := runPolicy(t, corpus, 2, 3, 9, pk)
+	if a.Rounds != b.Rounds {
+		t.Errorf("rounds differ: %d vs %d", a.Rounds, b.Rounds)
+	}
+	for i := range a.Assign {
+		if a.Assign[i] != b.Assign[i] {
+			t.Fatalf("assignment %d differs across identical runs", i)
 		}
 	}
 }
@@ -315,6 +333,112 @@ func TestRunTransportClosedIsTyped(t *testing.T) {
 			t.Fatalf("pk=%v: Run still blocked after its transport closed", pk)
 		}
 		tr.Transport.Close()
+	}
+}
+
+// nthSendFailingTransport fails exactly one Send — the failAt-th — and
+// delivers every other message.
+type nthSendFailingTransport struct {
+	p2p.Transport
+	sends  atomic.Int32
+	failAt int32
+}
+
+func (f *nthSendFailingTransport) Send(from, to int, payload any) error {
+	if f.sends.Add(1) == f.failAt {
+		return errors.New("injected send failure")
+	}
+	return f.Transport.Send(from, to, payload)
+}
+
+// TestPKSendFailureFailsRun pins the send-error path of a PK-means run: one
+// lost message — in the seeding exchange or in a later round — must fail the
+// whole run with ErrSend promptly, not leave the other peers waiting for it
+// until the caller's context dies (this one never does).
+func TestPKSendFailureFailsRun(t *testing.T) {
+	corpus, _ := miniCorpus(t, 8)
+	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
+	// Run first sends the 3 StartMsgs; the seeding round then ships 6
+	// messages, sends 4 to 9.
+	for _, failAt := range []int32{5, 12} {
+		tr := &nthSendFailingTransport{Transport: p2p.NewChanTransport(3, nil), failAt: failAt}
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(context.Background(), cx, corpus, Options{
+				K: 2, Params: cx.Params, Peers: 3, Transport: tr, PKMeans: true,
+				Partition: EqualPartition(len(corpus.Transactions), 3, 7),
+				Seed:      7,
+			})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrSend) {
+				t.Errorf("send %d failed: Run returned %v, want an error wrapping ErrSend", failAt, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("send %d failed: Run still blocked after 30s", failAt)
+		}
+		tr.Close()
+	}
+}
+
+// TestPKRejectsMalformedFrames: a frame's own numbers are used as indices
+// only after they are vetted. Each malformed frame waiting in a peer's inbox —
+// the seeding round's GlobalRepsMsg or a later round's LocalRepsMsg — must
+// fail a PK-means run with ErrUnexpectedMessage inside the deadline, never
+// panic or allocate by what the frame claims.
+func TestPKRejectsMalformedFrames(t *testing.T) {
+	corpus, _ := miniCorpus(t, 4)
+	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
+	good := WireTxn{Items: corpus.Transactions[0].Items}
+	// Far past it: the cases share one corpus, and a run that gets as far as
+	// refining before it fails interns synthetic items into the table.
+	pastTable := WireTxn{Items: []txn.ItemID{txn.ItemID(corpus.Items.Len() + 1<<20)}}
+	msg := func(from, round, j int, w WireTxn) any {
+		if round == 0 {
+			return GlobalRepsMsg{From: from, Round: round, Reps: map[int]WireTxn{j: w}}
+		}
+		return LocalRepsMsg{From: from, Round: round, Reps: map[int]WeightedWireRep{j: {Rep: w, Weight: 1}}}
+	}
+	cases := []struct {
+		name string
+		from int // the sender the transport reports
+		msg  any
+	}{
+		{"round far past MaxRounds", 1, msg(1, 1<<31, 0, good)},
+		{"negative round", 1, msg(1, -1, 0, good)},
+		{"sender past m", 5, msg(5, 1, 0, good)},
+		{"negative sender", -1, msg(-1, 1, 0, good)},
+		{"sender is not the frame's", 1, msg(0, 0, 0, good)},
+		{"cluster past k", 1, msg(1, 0, 2, good)},
+		{"negative cluster", 1, msg(1, 1, -1, good)},
+		{"item past the table", 1, msg(1, 0, 1, pastTable)},
+		{"negative item", 1, msg(1, 1, 1, WireTxn{Items: []txn.ItemID{-1}})},
+	}
+	for _, c := range cases {
+		tr := p2p.NewChanTransport(2, nil)
+		if err := tr.Send(c.from, 0, c.msg); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(context.Background(), cx, corpus, Options{
+				K: 2, Params: cx.Params, Peers: 2, Transport: tr, PKMeans: true,
+				Partition: EqualPartition(len(corpus.Transactions), 2, 7),
+				Seed:      7,
+			})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrUnexpectedMessage) {
+				t.Errorf("%s: Run returned %v, want an error wrapping ErrUnexpectedMessage", c.name, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s: Run still blocked after 20s", c.name)
+		}
+		tr.Close()
 	}
 }
 
@@ -400,16 +524,20 @@ func TestRunOverTCPTransport(t *testing.T) {
 	}
 }
 
-func TestRunValidation(t *testing.T) {
+func TestRunValidation(t *testing.T) { checkRunValidation(t, false) }
+
+func TestPKValidation(t *testing.T) { checkRunValidation(t, true) }
+
+func checkRunValidation(t *testing.T, pk bool) {
 	corpus, _ := miniCorpus(t, 2)
 	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
-	if _, err := Run(context.Background(), cx, corpus, Options{K: 2, Peers: 0}); err == nil {
+	if _, err := Run(context.Background(), cx, corpus, Options{K: 2, Peers: 0, PKMeans: pk}); err == nil {
 		t.Error("peers=0 should fail")
 	}
-	if _, err := Run(context.Background(), cx, corpus, Options{K: 0, Peers: 1}); err == nil {
+	if _, err := Run(context.Background(), cx, corpus, Options{K: 0, Peers: 1, PKMeans: pk}); err == nil {
 		t.Error("k=0 should fail")
 	}
-	if _, err := Run(context.Background(), cx, corpus, Options{K: 2, Peers: 2, Partition: make([][]int, 1)}); err == nil {
+	if _, err := Run(context.Background(), cx, corpus, Options{K: 2, Peers: 2, Partition: make([][]int, 1), PKMeans: pk}); err == nil {
 		t.Error("partition mismatch should fail")
 	}
 }
@@ -428,35 +556,37 @@ func TestSimulatedTimePositive(t *testing.T) {
 	}
 }
 
-func TestPeerReportsConsistent(t *testing.T) {
+func TestPeerReportsConsistent(t *testing.T) { checkPeerReports(t, false) }
+
+func TestPKPeerReportsConsistent(t *testing.T) { checkPeerReports(t, true) }
+
+func checkPeerReports(t *testing.T, pk bool) {
 	corpus, _ := miniCorpus(t, 6)
-	for _, pk := range []bool{false, true} {
-		res := runPolicy(t, corpus, 2, 3, 8, pk)
-		totalLocal := 0
-		for i := range res.Peers {
-			pr := &res.Peers[i]
-			totalLocal += pr.LocalTransactions
-			if len(pr.SentMsgsByRound) != len(pr.SentBytesByRound) {
-				t.Errorf("pk=%v: peer %d slices misaligned", pk, i)
-			}
-			if pr.TotalCompute() <= 0 {
-				t.Errorf("pk=%v: peer %d no compute recorded", pk, i)
-			}
+	res := runPolicy(t, corpus, 2, 3, 8, pk)
+	totalLocal := 0
+	for i := range res.Peers {
+		pr := &res.Peers[i]
+		totalLocal += pr.LocalTransactions
+		if len(pr.SentMsgsByRound) != len(pr.SentBytesByRound) {
+			t.Errorf("peer %d slices misaligned", i)
 		}
-		if totalLocal != len(corpus.Transactions) {
-			t.Errorf("pk=%v: local transactions sum %d != %d", pk, totalLocal, len(corpus.Transactions))
+		if pr.TotalCompute() <= 0 {
+			t.Errorf("peer %d no compute recorded", i)
 		}
-		// Conservation: total sent messages equals total received messages.
-		var sent, recv int64
-		for i := range res.Peers {
-			for r := range res.Peers[i].SentMsgsByRound {
-				sent += res.Peers[i].SentMsgsByRound[r]
-				recv += res.Peers[i].RecvMsgsByRound[r]
-			}
+	}
+	if totalLocal != len(corpus.Transactions) {
+		t.Errorf("local transactions sum %d != %d", totalLocal, len(corpus.Transactions))
+	}
+	// Conservation: total sent messages equals total received messages.
+	var sent, recv int64
+	for i := range res.Peers {
+		for r := range res.Peers[i].SentMsgsByRound {
+			sent += res.Peers[i].SentMsgsByRound[r]
+			recv += res.Peers[i].RecvMsgsByRound[r]
 		}
-		if sent != recv || sent == 0 {
-			t.Errorf("pk=%v: message conservation violated: sent=%d recv=%d", pk, sent, recv)
-		}
+	}
+	if sent != recv || sent == 0 {
+		t.Errorf("message conservation violated: sent=%d recv=%d", sent, recv)
 	}
 }
 
@@ -602,9 +732,13 @@ func assertResultsEqual(t *testing.T, label string, want, got *Result) {
 }
 
 // TestRunWorkersEquivalence asserts that the session produces byte-identical
-// results for any intra-peer worker count, under either policy, across
-// network sizes and several synthetic corpora.
-func TestRunWorkersEquivalence(t *testing.T) {
+// results for any intra-peer worker count, across network sizes and several
+// synthetic corpora; TestPKWorkersEquivalence asserts it under PK-means.
+func TestRunWorkersEquivalence(t *testing.T) { checkWorkersEquivalence(t, false) }
+
+func TestPKWorkersEquivalence(t *testing.T) { checkWorkersEquivalence(t, true) }
+
+func checkWorkersEquivalence(t *testing.T, pk bool) {
 	type corpusCase struct {
 		name   string
 		corpus *txn.Corpus
@@ -625,13 +759,11 @@ func TestRunWorkersEquivalence(t *testing.T) {
 	}
 	for _, c := range cases {
 		cx := sim.NewContext(c.corpus, sim.Params{F: 0.5, Gamma: 0.7})
-		for _, pk := range []bool{false, true} {
-			for _, m := range []int{1, 3} {
-				serial := runWorkers(t, cx, c.corpus, c.k, m, 9, 1, pk)
-				for _, w := range []int{4, 0} {
-					got := runWorkers(t, cx, c.corpus, c.k, m, 9, w, pk)
-					assertResultsEqual(t, fmt.Sprintf("%s pk=%v m=%d workers=%d", c.name, pk, m, w), serial, got)
-				}
+		for _, m := range []int{1, 3} {
+			serial := runWorkers(t, cx, c.corpus, c.k, m, 9, 1, pk)
+			for _, w := range []int{4, 0} {
+				got := runWorkers(t, cx, c.corpus, c.k, m, 9, w, pk)
+				assertResultsEqual(t, fmt.Sprintf("%s m=%d workers=%d", c.name, m, w), serial, got)
 			}
 		}
 	}
