@@ -18,9 +18,9 @@ import (
 )
 
 // Chaos e2e: a 4-process cluster loses one peer to SIGKILL mid-session and
-// recovers — by -resume (the replacement reuses the victim's checkpoint
-// store) or by -join (a storeless replacement gets the state streamed by the
-// coordinator). The gate is the tentpole equivalence: final corpus-wide
+// recovers by -join — on the victim's surviving checkpoint directory or on a
+// fresh one; either way the replacement installs the coordinator's replica
+// of the slot. The gate is the recovery equivalence: final corpus-wide
 // assignments AND representatives byte-identical to the uninterrupted
 // in-process run.
 
@@ -165,15 +165,14 @@ func runChaos(t *testing.T, freshStore bool) {
 		t.Fatalf("victim did not die by SIGKILL: %v (%v)", err, procs[victim].ProcessState)
 	}
 
-	// Start the replacement. -resume restarts from the victim's surviving
-	// checkpoint store; -join takes over the slot with a fresh store and
-	// receives the state + partition slice from the coordinator.
-	mode := "-resume"
+	// Start the replacement with -join, on the victim's surviving
+	// checkpoint directory or on a fresh one.
+	mode := "-join on the victim's store"
 	if freshStore {
-		mode = "-join"
+		mode = "-join on a fresh store"
 		ckptDirs[victim] = filepath.Join(dir, "ckpt-joiner")
 	}
-	replacement := start(victim, mode)
+	replacement := start(victim, "-join")
 
 	for _, id := range []int{0, 1, 3} {
 		if err := procs[id].Wait(); err != nil {

@@ -21,15 +21,20 @@
 // yields identical corpora on every peer, so no separate preprocessing
 // step is required.
 //
+// Every peer digests its own corpus (transaction items, complete paths and
+// answer text) into the startup message; a peer whose corpus differs from
+// the coordinator's fails at startup with a configuration mismatch instead
+// of clustering other data. Corpora never travel between peers.
+//
 // -checkpoint-dir enables the elastic peer fabric: round-boundary
 // checkpoints (cadence -checkpoint-every) persisted locally and replicated
-// to the coordinator, so the session survives peer loss. A crashed peer's
-// slot is retaken by restarting with -resume (reuses the surviving
-// checkpoint store) or, from a fresh machine, with -join (the coordinator
-// streams the slot state and partition slice). SIGHUP requests a graceful
-// leave: the peer hands its state to the coordinator at the next boundary
-// and exits 0. Recovery is bounded by -recovery-windows extra round
-// timeouts. -debug-addr serves the fabric counters over HTTP (GET
+// to the coordinator, so the session survives peer loss. A lost peer's slot
+// is retaken by a process started with -join, on a fresh machine or on the
+// old -checkpoint-dir alike: the coordinator hands it the slot's replicated
+// state at the rollback barrier. SIGHUP requests a graceful leave: the peer
+// replicates its checkpoint at the next boundary and exits 0, and a -join
+// replacement takes over. Recovery is bounded by -recovery-windows extra
+// round timeouts. -debug-addr serves the fabric counters over HTTP (GET
 // /v1/stats), -reps-out writes the final representatives digest (the
 // recovery-equivalence artifact), and -failpoint-round is a chaos drill
 // that SIGKILLs the process at a given round boundary — the CI recovery
@@ -70,10 +75,9 @@ func main() {
 		dialTO  = flag.Duration("dial-timeout", 30*time.Second, "how long to wait for peer listeners to come up")
 		quiet   = flag.Bool("q", false, "suppress the per-peer summary on stderr")
 
-		ckptDir   = flag.String("checkpoint-dir", "", "enable the elastic peer fabric: persist round-boundary checkpoints here (crash recovery, -resume/-join, graceful leave on SIGHUP)")
+		ckptDir   = flag.String("checkpoint-dir", "", "enable the elastic peer fabric: persist round-boundary checkpoints here (crash recovery, -join, graceful leave on SIGHUP)")
 		ckptEvery = flag.Int("checkpoint-every", 0, "checkpoint cadence in rounds (0 = every round; requires -checkpoint-dir)")
-		resume    = flag.Bool("resume", false, "rejoin a running session from the local -checkpoint-dir after a crash (not valid on peer 0)")
-		join      = flag.Bool("join", false, "take over this peer's slot as a fresh process: the coordinator streams the slot state and partition slice (not valid on peer 0)")
+		join      = flag.Bool("join", false, "take over this peer's slot in a running session, after a crash or a leave: the coordinator hands over the slot's replicated state (not valid on peer 0)")
 		recWin    = flag.Int("recovery-windows", 0, "extra round-timeout windows granted to recovery before giving up (0 = default 2)")
 		debugAddr = flag.String("debug-addr", "", "serve fabric counters over HTTP at this address (GET /v1/stats; requires -checkpoint-dir)")
 		dbgPprof  = flag.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/ on -debug-addr")
@@ -109,8 +113,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// SIGHUP requests a graceful leave: the peer hands its state to the
-	// coordinator at the next checkpoint boundary and exits cleanly, so a
+	// SIGHUP requests a graceful leave: the peer replicates its checkpoint to
+	// the coordinator at the next checkpoint boundary and exits cleanly, so a
 	// replacement can -join the slot without a rollback storm.
 	var leaveCh chan struct{}
 	if *ckptDir != "" {
@@ -134,7 +138,7 @@ func main() {
 		Seed: *seed, MaxRounds: *rounds,
 		RoundTimeout: *roundTO, StartupTimeout: *startTO, DialTimeout: *dialTO,
 		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery,
-		Resume: *resume, Join: *join, RecoveryWindows: *recWin,
+		Join: *join, RecoveryWindows: *recWin,
 		Leave: leaveCh, DebugAddr: *debugAddr, FailpointRound: *failRound,
 		DebugPprof: *dbgPprof,
 	})
@@ -143,7 +147,7 @@ func main() {
 		os.Exit(130)
 	}
 	if errors.Is(err, xmlclust.ErrLeft) {
-		fmt.Fprintf(os.Stderr, "cxkpeer %d: left the session gracefully, state handed to the coordinator\n", *id)
+		fmt.Fprintf(os.Stderr, "cxkpeer %d: left the session gracefully, checkpoint replicated to the coordinator\n", *id)
 		return
 	}
 	if err != nil {

@@ -122,7 +122,8 @@ var (
 	// ErrCheckpointMismatch reports a checkpoint (or join) from a different
 	// run configuration: restoring it would diverge silently.
 	ErrCheckpointMismatch = fabric.ErrCheckpointMismatch
-	// ErrNoCheckpoint reports a Resume with no usable local checkpoint.
+	// ErrNoCheckpoint reports that a survivor's store lacks the checkpoint
+	// of the rollback barrier round.
 	ErrNoCheckpoint = fabric.ErrNoCheckpoint
 )
 
@@ -304,6 +305,14 @@ func (e *Engine) ClusterDistributed(ctx context.Context, opts DistributedOptions
 	if err := validateRunOptions(opts.MaxRounds, opts.Workers, 0); err != nil {
 		return nil, err
 	}
+	for _, f := range []struct {
+		name  string
+		value int
+	}{{"CheckpointEvery", opts.CheckpointEvery}, {"RecoveryWindows", opts.RecoveryWindows}, {"FailpointRound", opts.FailpointRound}} {
+		if f.value < 0 {
+			return nil, &OptionsError{Field: f.name, Value: float64(f.value), Reason: "must not be negative; use 0 for the default"}
+		}
+	}
 	m := len(opts.PeerAddrs)
 	if m == 0 {
 		return nil, fmt.Errorf("xmlclust: need at least one peer address")
@@ -311,14 +320,11 @@ func (e *Engine) ClusterDistributed(ctx context.Context, opts DistributedOptions
 	if opts.ID < 0 || opts.ID >= m {
 		return nil, fmt.Errorf("xmlclust: peer id %d outside [0,%d)", opts.ID, m)
 	}
-	if opts.Resume && opts.Join {
-		return nil, fmt.Errorf("xmlclust: Resume and Join are mutually exclusive")
+	if opts.CheckpointDir == "" && (opts.Join || opts.Leave != nil || opts.DebugAddr != "" || opts.FailpointRound > 0) {
+		return nil, fmt.Errorf("xmlclust: Join/Leave/DebugAddr/FailpointRound need the fabric — set CheckpointDir")
 	}
-	if opts.CheckpointDir == "" && (opts.Resume || opts.Join || opts.Leave != nil || opts.DebugAddr != "" || opts.FailpointRound > 0) {
-		return nil, fmt.Errorf("xmlclust: Resume/Join/Leave/DebugAddr/FailpointRound need the fabric — set CheckpointDir")
-	}
-	if opts.ID == 0 && (opts.Resume || opts.Join) {
-		return nil, fmt.Errorf("xmlclust: peer 0 cannot resume or join (%w on coordinator death)", ErrCoordinatorLost)
+	if opts.ID == 0 && opts.Join {
+		return nil, fmt.Errorf("xmlclust: peer 0 cannot join (%w on coordinator death)", ErrCoordinatorLost)
 	}
 	listen := opts.Listen
 	if listen == "" {
@@ -357,6 +363,9 @@ func (e *Engine) ClusterDistributed(ctx context.Context, opts DistributedOptions
 		Fast:     fastRun(opts.IndexReps, opts.DeltaRounds),
 		Observer: serializedObserver(opts.Events),
 	}
+	// The one digest of this process's corpus: the startup check and the
+	// fabric's fingerprint share it.
+	start := core.NewStartMsg(cx, e.corpus, copts)
 	if opts.CheckpointDir != "" {
 		store, err := fabric.NewStore(opts.CheckpointDir)
 		if err != nil {
@@ -364,26 +373,15 @@ func (e *Engine) ClusterDistributed(ctx context.Context, opts DistributedOptions
 		}
 		fab, err := fabric.NewPeer(fabric.Config{
 			ID: opts.ID, Transport: node, Store: store,
-			Corpus: e.corpus, Partition: part,
-			Fingerprint: fabric.ConfigFingerprint(opts.K, m, opts.F, opts.Gamma,
-				opts.Seed, n, core.PartitionFingerprint(part)),
+			Fingerprint: fabric.ConfigFingerprint(start.K, m, start.F, start.Gamma,
+				start.Seed, start.Txns, start.PartitionHash),
 			Every:           opts.CheckpointEvery,
 			RecoveryWindows: opts.RecoveryWindows,
 		})
 		if err != nil {
 			return nil, err
 		}
-		if opts.Resume {
-			latest, err := store.LatestRound(opts.ID)
-			if err != nil {
-				return nil, err
-			}
-			if latest < 0 {
-				return nil, fmt.Errorf("%w for peer %d in %s (a fresh process joins with Join)",
-					ErrNoCheckpoint, opts.ID, opts.CheckpointDir)
-			}
-		}
-		if opts.Resume || opts.Join {
+		if opts.Join {
 			if err := fab.SendJoin(); err != nil {
 				return nil, err
 			}
@@ -416,13 +414,12 @@ func (e *Engine) ClusterDistributed(ctx context.Context, opts DistributedOptions
 			go srv.Serve(dln)
 			defer srv.Close()
 		}
-		defer func() { fab.Metrics().AddStaleDrops(node.DroppedStale()) }()
 		copts.Hooks = fab
 		if opts.FailpointRound > 0 {
 			copts.Hooks = &failpointHooks{Hooks: fab, round: opts.FailpointRound}
 		}
 	}
-	pres, err := core.RunPeer(ctx, cx, e.corpus, copts, opts.ID)
+	pres, err := core.RunPeer(ctx, cx, e.corpus, copts, start, opts.ID)
 	if err != nil {
 		return nil, err
 	}

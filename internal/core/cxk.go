@@ -276,7 +276,7 @@ func Run(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Options)
 
 	// Node N0 startup (Fig. 5): define Z_1..Z_m and ship parameters. Peer 0
 	// plays N0 — the paper notes any peer can perform this trivial duty.
-	start := startMsgFrom(cx, corpus, opts)
+	start := NewStartMsg(cx, corpus, opts)
 	for i := 0; i < m; i++ {
 		if err := transport.Send(0, i, start); err != nil {
 			return nil, err
@@ -291,7 +291,7 @@ func Run(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Options)
 
 	peers := make([]*Peer, m)
 	for i := 0; i < m; i++ {
-		cfg := peerConfig(cx, corpus, opts, i)
+		cfg := peerConfig(cx, corpus, opts, &start, i)
 		cfg.Transport, cfg.ComputeToken = transport, computeToken
 		peers[i] = NewPeer(cfg)
 	}
@@ -371,9 +371,10 @@ func (opts *Options) check() error {
 }
 
 // peerConfig derives peer id's configuration from the run's options, the
-// same for Run and RunPeer: S_i is partition part id, the seed is Seed+id.
-// The transport and the fabric fields are the caller's.
-func peerConfig(cx *sim.Context, corpus *txn.Corpus, opts Options, id int) PeerConfig {
+// same for Run and RunPeer: S_i is partition part id, the seed is Seed+id,
+// and start is the run's StartMsg, which the peer checks N0's against. The
+// transport and the fabric fields are the caller's.
+func peerConfig(cx *sim.Context, corpus *txn.Corpus, opts Options, start *StartMsg, id int) PeerConfig {
 	local := make([]*txn.Transaction, len(opts.Partition[id]))
 	for j, idx := range opts.Partition[id] {
 		local[j] = corpus.Transactions[idx]
@@ -382,12 +383,14 @@ func peerConfig(cx *sim.Context, corpus *txn.Corpus, opts Options, id int) PeerC
 		ID: id, Ctx: cx, Local: local, Sizer: Sizer(corpus.Items), MaxRounds: opts.MaxRounds,
 		Seed: opts.Seed + int64(id), Rule: opts.Rule, Workers: opts.Workers, Fast: opts.Fast, PKMeans: opts.PKMeans,
 		RoundTimeout: opts.RoundTimeout, StartupTimeout: opts.StartupTimeout,
-		Expect: expectationFrom(cx, corpus, opts), Observer: opts.Observer,
+		Expect: start, Observer: opts.Observer,
 	}
 }
 
-// startMsgFrom builds node N0's StartMsg for a run configuration.
-func startMsgFrom(cx *sim.Context, corpus *txn.Corpus, opts Options) StartMsg {
+// NewStartMsg builds node N0's StartMsg for a run configuration. Every
+// process of a run computes it once: it digests the corpus
+// (PartitionFingerprint), so it costs one pass over the partition's items.
+func NewStartMsg(cx *sim.Context, corpus *txn.Corpus, opts Options) StartMsg {
 	return StartMsg{
 		Zs:            ResponsibilityPartition(opts.K, opts.Peers),
 		K:             opts.K,
@@ -395,19 +398,6 @@ func startMsgFrom(cx *sim.Context, corpus *txn.Corpus, opts Options) StartMsg {
 		Gamma:         cx.Params.Gamma,
 		Seed:          opts.Seed,
 		Txns:          len(corpus.Transactions),
-		PartitionHash: PartitionFingerprint(opts.Partition),
-	}
-}
-
-// expectationFrom pins the run parameters a peer launched with this
-// configuration must see in the StartMsg.
-func expectationFrom(cx *sim.Context, corpus *txn.Corpus, opts Options) *StartExpectation {
-	return &StartExpectation{
-		K:             opts.K,
-		F:             cx.Params.F,
-		Gamma:         cx.Params.Gamma,
-		Seed:          opts.Seed,
-		Txns:          len(corpus.Transactions),
-		PartitionHash: PartitionFingerprint(opts.Partition),
+		PartitionHash: PartitionFingerprint(corpus, opts.Partition),
 	}
 }

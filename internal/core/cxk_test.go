@@ -768,3 +768,25 @@ func checkWorkersEquivalence(t *testing.T, pk bool) {
 		}
 	}
 }
+
+var fingerprintSink uint64
+
+// BenchmarkPartitionFingerprint times the corpus digest every process of a
+// run computes once (NewStartMsg), on a 500-document DBLP corpus split over
+// three peers.
+func BenchmarkPartitionFingerprint(b *testing.B) {
+	gen, _ := dataset.ByName("DBLP")
+	corpus := gen(dataset.Spec{Docs: 500, Seed: 1}).BuildCorpus(dataset.ByHybrid, 8, 1)
+	part := EqualPartition(len(corpus.Transactions), 3, 1)
+	refs := 0
+	for _, tr := range corpus.Transactions {
+		refs += len(tr.Items)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fingerprintSink = PartitionFingerprint(corpus, part)
+	}
+	b.ReportMetric(float64(len(corpus.Transactions)), "txns")
+	b.ReportMetric(float64(refs), "item-refs")
+}

@@ -125,7 +125,7 @@ func runFleet(t *testing.T, tr p2p.Transport, corpus *txn.Corpus, k int, seed in
 		go func(id int) {
 			defer wg.Done()
 			cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.7})
-			results[id], errs[id] = RunPeer(context.Background(), cx, corpus, Options{
+			results[id], errs[id] = runPeer(context.Background(), cx, corpus, Options{
 				K: k, Params: cx.Params, Peers: m, Partition: part,
 				Seed: seed, Transport: tr, RoundTimeout: 30 * time.Second,
 				Fast: fast[id],

@@ -38,13 +38,16 @@ type PeerResult struct {
 // All processes must be configured identically (same corpus, K, seed,
 // partition and round limit); the partition and per-peer seeds are derived
 // exactly as in Run, so a multi-process run is byte-identical to the
-// in-process engine for the same parameters.
+// in-process engine for the same parameters. start is this process's
+// NewStartMsg(cx, corpus, opts), computed once by the caller, which may need
+// its corpus digest elsewhere too (the fabric's configuration fingerprint);
+// a peer whose start differs from N0's fails with ErrConfigMismatch.
 //
-// Peer 0 is the coordinator: it plays node N0 (broadcasting StartMsg) and,
+// Peer 0 is the coordinator: it plays node N0 (broadcasting start) and,
 // after its own session terminates, collects every other peer's AssignMsg
 // to assemble the corpus-wide assignment in PeerResult.Global.
 // Non-coordinator peers send their AssignMsg and return their local result.
-func RunPeer(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Options, id int) (*PeerResult, error) {
+func RunPeer(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Options, start StartMsg, id int) (*PeerResult, error) {
 	if err := opts.check(); err != nil {
 		return nil, err
 	}
@@ -65,7 +68,6 @@ func RunPeer(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Opti
 		return nil, fmt.Errorf("core: the coordinator cannot rejoin or resume (%w on coordinator death)", ErrCoordinatorLost)
 	}
 	if id == 0 {
-		start := startMsgFrom(cx, corpus, opts)
 		for i := 0; i < m; i++ {
 			// The dial inside Send is not ctx-aware (it bounds itself with
 			// the transport's DialTimeout), so cancellation is observed
@@ -79,7 +81,7 @@ func RunPeer(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Opti
 		}
 	}
 
-	cfg := peerConfig(cx, corpus, opts, id)
+	cfg := peerConfig(cx, corpus, opts, &start, id)
 	cfg.Transport, cfg.Epoch, cfg.Initial, cfg.Rejoin, cfg.Hooks = opts.Transport, opts.Epoch, opts.Initial, opts.Rejoin, opts.Hooks
 	peer := NewPeer(cfg)
 

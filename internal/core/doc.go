@@ -23,6 +23,13 @@
 // fast neighbour's round message can overtake the StartMsg (FIFO holds per
 // connection, not across connections); startup holds such messages back and
 // accepts them — vetted and accounted like any other — once k is known.
+// Every process computes its own StartMsg once per Run or RunPeer call
+// (NewStartMsg) and compares N0's with it: k, f, γ, the seed, |S| and
+// PartitionFingerprint, a digest of the data partition and of the corpus
+// content it covers, down to each item's complete path and answer text. Peers
+// exchange representatives, never data, so this digest is how a peer learns
+// that it loaded a corpus other than N0's; it then fails at startup with
+// ErrConfigMismatch.
 //
 // Each round has four phases:
 //

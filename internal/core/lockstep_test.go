@@ -137,9 +137,9 @@ func lockstep(t *testing.T, corpus *txn.Corpus, opts Options, schedule int64) *R
 	peers := make([]*stepper, m)
 	deadlines := make([]int, m)
 	links := make([][]p2p.Envelope, m*m) // from*m + to
-	start := startMsgFrom(cx, corpus, opts)
+	start := NewStartMsg(cx, corpus, opts)
 	for i := range peers {
-		peers[i] = newStepper(NewPeer(peerConfig(cx, corpus, opts, i)), m)
+		peers[i] = newStepper(NewPeer(peerConfig(cx, corpus, opts, &start, i)), m)
 		links[i] = append(links[i], p2p.Envelope{From: 0, To: i, Payload: start})
 	}
 	rng := rand.New(rand.NewSource(schedule))

@@ -54,7 +54,7 @@ type session struct {
 	local            []*txn.Transaction
 	items            *txn.ItemTable
 	sizer            p2p.Sizer
-	expect           *StartExpectation
+	expect           *StartMsg
 
 	phase      Phase
 	round      int
@@ -276,7 +276,7 @@ func (s *session) startup(msg StartMsg) error {
 			ErrUnexpectedMessage, len(msg.Zs), s.m, s.id)
 	}
 	if s.expect != nil {
-		if err := s.expect.check(msg); err != nil {
+		if err := checkStart(s.expect, msg); err != nil {
 			return err
 		}
 	}

@@ -33,9 +33,8 @@ const (
 	PhaseDone
 	// PhaseRejoin awaits a recovery state instead of a StartMsg: a peer
 	// launched with PeerConfig.Rejoin parks protocol traffic and waits for
-	// the fabric hooks to deliver an installable SessionState (resume from
-	// a local checkpoint is installed before the loop ever runs; a fresh
-	// joiner waits here for the coordinator's state transfer).
+	// the fabric hooks to deliver an installable SessionState — the
+	// coordinator's replica of the slot, handed over at admission.
 	PhaseRejoin
 )
 

@@ -52,11 +52,12 @@ type PeerConfig struct {
 	// much longer than RoundTimeout. 0 falls back to RoundTimeout;
 	// negative disables the startup deadline.
 	StartupTimeout time.Duration
-	// Expect, when non-nil, pins the run parameters this peer was
-	// launched with; a StartMsg that disagrees fails the session with
-	// ErrConfigMismatch instead of computing silently wrong assignments
-	// (every process of a distributed run must share one configuration).
-	Expect *StartExpectation
+	// Expect, when non-nil, is the StartMsg this peer computed for its own
+	// configuration (NewStartMsg); a StartMsg from N0 that disagrees fails
+	// the session with ErrConfigMismatch instead of computing silently wrong
+	// assignments (every process of a distributed run must share one
+	// configuration and one corpus).
+	Expect *StartMsg
 	// ComputeToken, when non-nil, serializes compute sections across peers
 	// so per-peer timings stay clean on oversubscribed hosts.
 	ComputeToken chan struct{}
@@ -71,7 +72,9 @@ type PeerConfig struct {
 	Epoch int
 	// Initial, when non-nil, is a restored SessionState the session
 	// installs instead of running startup: the peer skips the StartMsg wait
-	// and re-enters the round loop at Initial.Round (cxkpeer -resume).
+	// and re-enters the round loop at Initial.Round. A process rejoining a
+	// running session uses Rejoin instead, and installs the coordinator's
+	// replica.
 	Initial *SessionState
 	// Rejoin makes the session await a recovery state transfer (delivered
 	// through Hooks.Control) instead of a StartMsg: the state machine
@@ -85,43 +88,60 @@ type PeerConfig struct {
 	Hooks Hooks
 }
 
-// StartExpectation pins the parameters a peer expects node N0 to announce.
-type StartExpectation struct {
-	K             int
-	F             float64
-	Gamma         float64
-	Seed          int64
-	Txns          int
-	PartitionHash uint64
-}
-
-// check compares the expectation against a received StartMsg.
-func (e *StartExpectation) check(msg StartMsg) error {
+// checkStart compares N0's StartMsg with the one this peer computed for its
+// own configuration.
+func checkStart(want *StartMsg, got StartMsg) error {
 	switch {
-	case msg.K != e.K:
-		return fmt.Errorf("%w: k = %d here, %d at N0", ErrConfigMismatch, e.K, msg.K)
-	case msg.F != e.F || msg.Gamma != e.Gamma:
+	case got.K != want.K:
+		return fmt.Errorf("%w: k = %d here, %d at N0", ErrConfigMismatch, want.K, got.K)
+	case got.F != want.F || got.Gamma != want.Gamma:
 		return fmt.Errorf("%w: (f, γ) = (%v, %v) here, (%v, %v) at N0",
-			ErrConfigMismatch, e.F, e.Gamma, msg.F, msg.Gamma)
-	case msg.Seed != e.Seed:
-		return fmt.Errorf("%w: seed = %d here, %d at N0", ErrConfigMismatch, e.Seed, msg.Seed)
-	case msg.Txns != e.Txns:
-		return fmt.Errorf("%w: corpus has %d transactions here, %d at N0", ErrConfigMismatch, e.Txns, msg.Txns)
-	case msg.PartitionHash != e.PartitionHash:
-		return fmt.Errorf("%w: data partition diverges from N0's (check the split flags)", ErrConfigMismatch)
+			ErrConfigMismatch, want.F, want.Gamma, got.F, got.Gamma)
+	case got.Seed != want.Seed:
+		return fmt.Errorf("%w: seed = %d here, %d at N0", ErrConfigMismatch, want.Seed, got.Seed)
+	case got.Txns != want.Txns:
+		return fmt.Errorf("%w: corpus has %d transactions here, %d at N0", ErrConfigMismatch, want.Txns, got.Txns)
+	case got.PartitionHash != want.PartitionHash:
+		return fmt.Errorf("%w: data partition or corpus content diverges from N0's (check the corpus and the split flags)", ErrConfigMismatch)
 	}
 	return nil
 }
 
-// PartitionFingerprint hashes a data partition (FNV-1a over part sizes and
-// indices) so peers can cross-check that they derived the same split.
-func PartitionFingerprint(part [][]int) uint64 {
+// PartitionFingerprint digests a data partition together with the corpus
+// content it covers: the transaction indices of every part, each
+// transaction's item ids, and each referenced item's complete path and answer
+// text (FNV-1a). Item ids are interned in first-seen order, so two corpora of
+// one shape can agree on every id and still differ in every answer; the text
+// is what tells them apart. Each item is folded once, in id order, after the
+// partition.
+func PartitionFingerprint(corpus *txn.Corpus, part [][]int) uint64 {
 	h := fnv.Offset
+	seen := make([]bool, corpus.Items.Len())
 	for _, p := range part {
 		h = fnv.Mix(h, ^uint64(0)) // part separator
 		for _, idx := range p {
 			h = fnv.Mix(h, uint64(idx))
+			items := corpus.Transactions[idx].Items
+			h = fnv.Mix(h, uint64(len(items)))
+			for _, id := range items {
+				h = fnv.Mix(h, uint64(id))
+				seen[id] = true
+			}
 		}
+	}
+	paths := corpus.Items.Paths()
+	for id, ok := range seen {
+		if !ok {
+			continue
+		}
+		it := corpus.Items.Get(txn.ItemID(id))
+		h = fnv.Mix(h, uint64(id))
+		path := paths.Path(it.Path)
+		h = fnv.Mix(h, uint64(len(path)))
+		for _, step := range path {
+			h = fnv.MixString(h, step)
+		}
+		h = fnv.MixString(h, it.Answer)
 	}
 	return h
 }

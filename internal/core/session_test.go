@@ -577,15 +577,14 @@ func TestSessionConfigMismatch(t *testing.T) {
 	tr := p2p.NewChanTransport(1, nil)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 1, 1)
-	p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) {
-		cfg.Expect = &StartExpectation{
-			K: 2, F: 0.5, Gamma: 0.6, Seed: 5, // coordinator announces seed 0
-			Txns: len(corpus.Transactions), PartitionHash: PartitionFingerprint(part),
-		}
-	})
 	msg := startMsgFor(2, 1)
 	msg.Txns = len(corpus.Transactions)
-	msg.PartitionHash = PartitionFingerprint(part)
+	msg.PartitionHash = PartitionFingerprint(corpus, part)
+	p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) {
+		want := msg
+		want.Seed = 5 // coordinator announces seed 0
+		cfg.Expect = &want
+	})
 	if err := tr.Send(0, 0, msg); err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +609,7 @@ func TestRunPeerSeedMismatchFails(t *testing.T) {
 	for id, seed := range map[int]int64{0: 3, 1: 5} {
 		go func(id int, seed int64) {
 			cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
-			_, err := RunPeer(context.Background(), cx, corpus, Options{
+			_, err := runPeer(context.Background(), cx, corpus, Options{
 				K: 2, Params: cx.Params, Peers: 2,
 				Partition: EqualPartition(len(corpus.Transactions), 2, seed),
 				Seed:      seed, Transport: tr, RoundTimeout: 2 * time.Second,

@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"xmlclust/internal/core"
 	"xmlclust/internal/fnv"
@@ -25,9 +24,11 @@ var (
 )
 
 // ConfigFingerprint condenses the run parameters a checkpoint depends on
-// into one comparable value (FNV-1a, like core.PartitionFingerprint). Two
-// processes with equal fingerprints replay byte-identically from any common
-// checkpoint; everything else is ErrCheckpointMismatch territory.
+// into one comparable value (FNV-1a). partitionHash is
+// core.PartitionFingerprint, which digests the corpus content as well as the
+// split, so two processes with equal fingerprints loaded the same data and
+// replay byte-identically from any common checkpoint; everything else is
+// ErrCheckpointMismatch territory.
 func ConfigFingerprint(k, peers int, f, gamma float64, seed int64, txns int, partitionHash uint64) uint64 {
 	h := fnv.Offset
 	for _, v := range [...]uint64{
@@ -48,8 +49,9 @@ type checkpoint struct {
 }
 
 // Store persists round-boundary checkpoints, one gob file per (slot,
-// round), written atomically (temp file + rename) so a crash mid-write
-// never leaves a truncated checkpoint that a restore would trip over.
+// round), written atomically (temp file synced, then renamed) so a crash
+// mid-write never leaves a truncated checkpoint that a restore would trip
+// over.
 type Store struct {
 	dir string
 }
@@ -84,6 +86,11 @@ func (st *Store) Save(slot int, fp uint64, state *core.SessionState) error {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("fabric: checkpoint encode: %w", err)
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return fmt.Errorf("fabric: checkpoint sync: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
@@ -120,46 +127,4 @@ func (st *Store) Load(slot, round int, fp uint64) (*core.SessionState, error) {
 		return nil, fmt.Errorf("%w: file for slot %d carries slot %d", ErrCheckpointMismatch, slot, cp.Slot)
 	}
 	return &cp.State, nil
-}
-
-// Rounds lists the slot's checkpointed rounds in ascending order.
-func (st *Store) Rounds(slot int) ([]int, error) {
-	entries, err := os.ReadDir(st.dir)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: checkpoint scan: %w", err)
-	}
-	var rounds []int
-	for _, e := range entries {
-		var s, r int
-		if n, _ := fmt.Sscanf(e.Name(), "ckpt-%d-r%d.gob", &s, &r); n == 2 && s == slot {
-			rounds = append(rounds, r)
-		}
-	}
-	sort.Ints(rounds)
-	return rounds, nil
-}
-
-// LatestRound returns the slot's newest checkpointed round, or -1 when the
-// store holds none.
-func (st *Store) LatestRound(slot int) (int, error) {
-	rounds, err := st.Rounds(slot)
-	if err != nil {
-		return -1, err
-	}
-	if len(rounds) == 0 {
-		return -1, nil
-	}
-	return rounds[len(rounds)-1], nil
-}
-
-// Latest restores the slot's newest checkpoint.
-func (st *Store) Latest(slot int, fp uint64) (*core.SessionState, error) {
-	round, err := st.LatestRound(slot)
-	if err != nil {
-		return nil, err
-	}
-	if round < 0 {
-		return nil, fmt.Errorf("%w for slot %d in %s", ErrNoCheckpoint, slot, st.dir)
-	}
-	return st.Load(slot, round, fp)
 }

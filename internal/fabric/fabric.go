@@ -13,21 +13,24 @@
 // the equivalence the recovery tests enforce.
 //
 // Roles. Peer 0 (the coordinator) is the membership authority: members
-// replicate their boundary checkpoints to it, joins and leaves funnel
-// through it, and on failure it computes the rollback barrier — the newest
-// round C that every slot can restore — bumps the membership epoch and
-// broadcasts ResumeMsg (survivors restore locally) or SliceMsg (a storeless
-// joiner receives the slot state plus its partition slice in the columnar
-// format-2 layout, verified against the joiner's own corpus). Coordinator
+// replicate their boundary checkpoints to it (a leave is one more such
+// checkpoint), joins funnel through it, and on failure it computes the
+// rollback barrier — the newest round C every slot has replicated — bumps
+// the membership epoch and broadcasts ResumeMsg. Survivors restore round C
+// from their own store; a joining process, whatever its disk holds,
+// installs the slot's replica at C, which the ResumeMsg carries. Data never
+// travels: every process loads its own corpus, and the run fingerprint
+// (ConfigFingerprint) folds a digest of that corpus's content, so the
+// coordinator drops a join from a process whose corpus differs. Coordinator
 // death is not recovered from: members fail with core.ErrCoordinatorLost.
 package fabric
 
 import (
 	"fmt"
+	"slices"
 
 	"xmlclust/internal/core"
 	"xmlclust/internal/p2p"
-	"xmlclust/internal/txn"
 )
 
 // Defaults for the tunable knobs of Config.
@@ -49,21 +52,17 @@ type Config struct {
 	Transport p2p.Transport
 	// Store is the local checkpoint store.
 	Store *Store
-	// Corpus is the locally loaded corpus (partition slices are built and
-	// verified against it).
-	Corpus *txn.Corpus
-	// Partition is the full responsibility partition Z_1..Z_m.
-	Partition [][]int
 	// Fingerprint is the run-configuration fingerprint (ConfigFingerprint);
-	// checkpoints and joins under a different fingerprint are rejected.
+	// checkpoints, replicas and joins under a different fingerprint are
+	// rejected.
 	Fingerprint uint64
-	// Every is the checkpoint cadence in rounds (default DefaultEvery).
+	// Every is the checkpoint cadence in rounds (0 = DefaultEvery).
 	// Replication to the coordinator happens at the same cadence, so the
 	// rollback barrier is always locally restorable by every survivor.
 	Every int
 	// RecoveryWindows is how many extra receive windows a stalled peer
-	// grants recovery before failing with core.ErrRecoveryTimeout (default
-	// DefaultRecoveryWindows).
+	// grants recovery before failing with core.ErrRecoveryTimeout
+	// (0 = DefaultRecoveryWindows).
 	RecoveryWindows int
 	// Metrics receives the fabric counters (optional).
 	Metrics *Metrics
@@ -103,20 +102,20 @@ func NewPeer(cfg Config) (*Peer, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("fabric: need a checkpoint store")
 	}
-	if cfg.Corpus == nil {
-		return nil, fmt.Errorf("fabric: need the corpus")
+	if cfg.Every < 0 || cfg.RecoveryWindows < 0 {
+		return nil, fmt.Errorf("fabric: negative cadence %d or recovery windows %d", cfg.Every, cfg.RecoveryWindows)
 	}
-	if len(cfg.Partition) != m {
-		return nil, fmt.Errorf("fabric: partition has %d parts for %d peers", len(cfg.Partition), m)
-	}
-	if cfg.Every <= 0 {
+	if cfg.Every == 0 {
 		cfg.Every = DefaultEvery
 	}
-	if cfg.RecoveryWindows <= 0 {
+	if cfg.RecoveryWindows == 0 {
 		cfg.RecoveryWindows = DefaultRecoveryWindows
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = &Metrics{}
+	}
+	if sc, ok := cfg.Transport.(staleCounter); ok {
+		cfg.Metrics.stale = sc
 	}
 	p := &Peer{cfg: cfg, coordinator: cfg.ID == 0}
 	if p.coordinator {
@@ -133,15 +132,15 @@ func NewPeer(cfg Config) (*Peer, error) {
 func (p *Peer) Metrics() *Metrics { return p.cfg.Metrics }
 
 // RequestLeave asks for a graceful departure: at the next cadence-aligned
-// round boundary the peer hands its final state to the coordinator and the
-// session terminates with core.ErrLeft.
+// round boundary the peer replicates its checkpoint to the coordinator as
+// usual and the session terminates with core.ErrLeft. The slot's replica
+// then waits there for a replacement's join.
 func (p *Peer) RequestLeave() { p.leave.set() }
 
-// SendJoin announces this peer to the coordinator as a (re)joining process
-// for its slot and must be called before the session runs (with
-// core.Options.Rejoin set). A local checkpoint store whose newest
-// checkpoint fails the fingerprint check surfaces ErrCheckpointMismatch
-// here, before the coordinator is bothered.
+// SendJoin announces this peer to the coordinator as a process taking over
+// its slot and must be called before the session runs (with
+// core.Options.Rejoin set). Whatever the local store holds, the joiner
+// installs the coordinator's replica of the slot.
 func (p *Peer) SendJoin() error {
 	if p.coordinator {
 		return fmt.Errorf("fabric: the coordinator cannot join (%w on coordinator death)", core.ErrCoordinatorLost)
@@ -151,18 +150,7 @@ func (p *Peer) SendJoin() error {
 }
 
 func (p *Peer) sendJoinMsg() error {
-	latest, err := p.cfg.Store.LatestRound(p.cfg.ID)
-	if err != nil {
-		return err
-	}
-	if latest >= 0 {
-		// Restorability check up front: a stale store from a different run
-		// must not advertise rounds the coordinator would then barrier on.
-		if _, err := p.cfg.Store.Load(p.cfg.ID, latest, p.cfg.Fingerprint); err != nil {
-			return err
-		}
-	}
-	msg := JoinMsg{Slot: p.cfg.ID, HasStore: latest >= 0, Latest: latest, Fingerprint: p.cfg.Fingerprint}
+	msg := JoinMsg{Slot: p.cfg.ID, Fingerprint: p.cfg.Fingerprint}
 	if err := sendCtl(p.cfg.Transport, p.cfg.ID, 0, msg); err != nil {
 		return fmt.Errorf("%w: join announcement: %v", core.ErrCoordinatorLost, err)
 	}
@@ -170,8 +158,8 @@ func (p *Peer) sendJoinMsg() error {
 }
 
 // RoundBoundary implements core.Hooks: checkpoint at the configured
-// cadence, replicate to the coordinator, honor leave requests, and (on the
-// coordinator) admit pending joins.
+// cadence, replicate to the coordinator, honor a leave request after the
+// replica is sent, and (on the coordinator) admit pending joins.
 func (p *Peer) RoundBoundary(st *core.SessionState) (*core.SessionState, error) {
 	m := p.cfg.Metrics
 	m.rounds.Add(1)
@@ -200,18 +188,13 @@ func (p *Peer) RoundBoundary(st *core.SessionState) (*core.SessionState, error) 
 	}
 
 	if onCadence {
-		if p.leave.isSet() {
-			if err := sendCtl(p.cfg.Transport, p.cfg.ID, 0, LeaveMsg{
-				Slot: p.cfg.ID, Fingerprint: p.cfg.Fingerprint, State: *st,
-			}); err != nil {
-				return nil, fmt.Errorf("%w: leave handoff: %v", core.ErrCoordinatorLost, err)
-			}
-			return nil, core.ErrLeft
-		}
 		if err := sendCtl(p.cfg.Transport, p.cfg.ID, 0, CheckpointMsg{
 			Slot: p.cfg.ID, Fingerprint: p.cfg.Fingerprint, State: *st,
 		}); err != nil {
 			return nil, fmt.Errorf("%w: checkpoint replication: %v", core.ErrCoordinatorLost, err)
+		}
+		if p.leave.isSet() {
+			return nil, core.ErrLeft
 		}
 	}
 	return nil, nil
@@ -228,20 +211,6 @@ func (p *Peer) Control(env p2p.Envelope) (*core.SessionState, error) {
 			return nil, fmt.Errorf("%w: replica from slot %d under fingerprint %016x, this run is %016x",
 				ErrCheckpointMismatch, msg.Slot, msg.Fingerprint, p.cfg.Fingerprint)
 		}
-		st := msg.State
-		p.record(msg.Slot, &st)
-		return nil, nil
-
-	case LeaveMsg:
-		if !p.coordinator {
-			return nil, nil
-		}
-		if msg.Fingerprint != p.cfg.Fingerprint {
-			return nil, fmt.Errorf("%w: leave handoff from slot %d under a foreign fingerprint",
-				ErrCheckpointMismatch, msg.Slot)
-		}
-		// The departing peer's final state becomes the slot's checkpoint
-		// until a replacement joins; the stalled round then barriers on it.
 		st := msg.State
 		p.record(msg.Slot, &st)
 		return nil, nil
@@ -277,14 +246,33 @@ func (p *Peer) Control(env p2p.Envelope) (*core.SessionState, error) {
 		if p.coordinator {
 			return nil, nil
 		}
+		if msg.Fingerprint != p.cfg.Fingerprint {
+			return nil, fmt.Errorf("%w: resume under fingerprint %016x, this run is %016x",
+				ErrCheckpointMismatch, msg.Fingerprint, p.cfg.Fingerprint)
+		}
+		if msg.State == nil && p.joining.isSet() {
+			// A survivors' barrier that raced this join: a joiner installs
+			// only the replica its own admission carries.
+			return nil, nil
+		}
 		for _, slot := range msg.Joined {
 			if slot != p.cfg.ID {
 				resetConn(p.cfg.Transport, slot)
 			}
 		}
-		st, err := p.cfg.Store.Load(p.cfg.ID, msg.Round, p.cfg.Fingerprint)
-		if err != nil {
-			return nil, err
+		st := msg.State
+		if st != nil {
+			// The replica becomes this process's own checkpoint, so a later
+			// barrier at the same round restores it locally like a survivor.
+			if err := p.cfg.Store.Save(p.cfg.ID, p.cfg.Fingerprint, st); err != nil {
+				return nil, err
+			}
+			p.cfg.Metrics.ckptWritten.Add(1)
+		} else {
+			var err error
+			if st, err = p.cfg.Store.Load(p.cfg.ID, msg.Round, p.cfg.Fingerprint); err != nil {
+				return nil, err
+			}
 		}
 		st.Epoch = msg.Epoch
 		p.cfg.Metrics.ckptLoaded.Add(1)
@@ -292,30 +280,6 @@ func (p *Peer) Control(env p2p.Envelope) (*core.SessionState, error) {
 		p.windows = 0
 		p.suspected = false
 		return st, nil
-
-	case SliceMsg:
-		if p.coordinator {
-			return nil, nil
-		}
-		if msg.Fingerprint != p.cfg.Fingerprint {
-			return nil, fmt.Errorf("%w: state transfer under fingerprint %016x, this run is %016x",
-				ErrCheckpointMismatch, msg.Fingerprint, p.cfg.Fingerprint)
-		}
-		if err := p.cfg.Corpus.VerifyColumnarSlice(&msg.Slice); err != nil {
-			return nil, err
-		}
-		st := msg.State
-		st.Epoch = msg.Epoch
-		if err := p.cfg.Store.Save(p.cfg.ID, p.cfg.Fingerprint, &st); err != nil {
-			return nil, err
-		}
-		p.cfg.Metrics.ckptWritten.Add(1)
-		p.cfg.Metrics.rebalanced.Add(msg.Slice.Bytes())
-		p.cfg.Metrics.ckptLoaded.Add(1)
-		p.joining.clear()
-		p.windows = 0
-		p.suspected = false
-		return &st, nil
 	}
 	return nil, nil
 }
@@ -403,68 +367,38 @@ func (p *Peer) barrier() int {
 
 // admit computes the rollback barrier for the pending joins, bumps the
 // epoch, broadcasts the recovery fan-out and returns the coordinator's own
-// state at the barrier for installation. Returns (nil, nil) when some slot
-// has nothing to barrier on yet — the joins stay queued for the next
-// boundary or window.
+// state at the barrier for installation. Every joining slot gets its replica
+// at the barrier in its ResumeMsg; survivors restore theirs locally. Returns
+// (nil, nil) when some slot has nothing to barrier on yet — the joins stay
+// queued for the next boundary or window.
 func (p *Peer) admit() (*core.SessionState, error) {
-	// Per-slot constraint: survivors restore from their own store (≤ their
-	// replicated latest); a joining slot can additionally restore from its
-	// surviving store, so its constraint is the better of the two.
-	joining := make(map[int]JoinMsg, len(p.pending))
-	for _, j := range p.pending {
-		joining[j.Slot] = j
-	}
-	c := int(^uint(0) >> 1)
-	for slot, r := range p.latest {
-		if j, ok := joining[slot]; ok && j.HasStore && j.Latest > r {
-			r = j.Latest
-		}
-		if r < c {
-			c = r
-		}
-	}
+	c := p.barrier()
 	if c < 0 {
 		return nil, nil
 	}
-
 	newEpoch := p.epoch + 1
 	joined := make([]int, 0, len(p.pending))
 	for _, j := range p.pending {
 		joined = append(joined, j.Slot)
 	}
-	for _, j := range p.pending {
-		if j.HasStore && j.Latest >= c {
-			if err := sendCtl(p.cfg.Transport, 0, j.Slot, ResumeMsg{Epoch: newEpoch, Round: c, Joined: joined}); err != nil {
-				// The joiner died again; its next announcement re-queues it.
-				continue
-			}
-			continue
-		}
-		st := p.replica[j.Slot][c]
+	resume := ResumeMsg{Epoch: newEpoch, Round: c, Joined: joined, Fingerprint: p.cfg.Fingerprint}
+	for _, slot := range joined {
+		st := p.replica[slot][c]
 		if st == nil {
-			return nil, fmt.Errorf("fabric: no replica for joining slot %d at barrier round %d", j.Slot, c)
+			return nil, fmt.Errorf("fabric: no replica for joining slot %d at barrier round %d", slot, c)
 		}
-		slice, err := p.cfg.Corpus.ColumnarSlice(p.cfg.Partition[j.Slot])
-		if err != nil {
-			return nil, err
-		}
-		out := *st
-		out.Epoch = newEpoch
-		if err := sendCtl(p.cfg.Transport, 0, j.Slot, SliceMsg{
-			Slot: j.Slot, Epoch: newEpoch, Round: c,
-			Fingerprint: p.cfg.Fingerprint, State: out, Slice: *slice,
-		}); err != nil {
-			continue
-		}
-		p.cfg.Metrics.rebalanced.Add(slice.Bytes())
+		msg, replica := resume, *st
+		msg.State = &replica
+		// A joiner that died again misses its admission; its next
+		// announcement re-queues it.
+		_ = sendCtl(p.cfg.Transport, 0, slot, msg)
 	}
 	for slot := 1; slot < p.cfg.Transport.Peers(); slot++ {
-		if _, isJoining := joining[slot]; isJoining {
-			continue
+		if !slices.Contains(joined, slot) {
+			// A survivor that died since its last replica misses the resume;
+			// its replacement's join triggers the next barrier.
+			_ = sendCtl(p.cfg.Transport, 0, slot, resume)
 		}
-		// A survivor that died since its last replica misses the resume;
-		// its replacement's join triggers the next barrier.
-		_ = sendCtl(p.cfg.Transport, 0, slot, ResumeMsg{Epoch: newEpoch, Round: c, Joined: joined})
 	}
 
 	own := p.replica[0][c]

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -25,6 +26,13 @@ import (
 // identical across documents and similarity ties abound — exactly the
 // regime where a nondeterministic restore would diverge visibly.
 func fabricCorpus(t testing.TB, docs int, seed int64) *txn.Corpus {
+	return fabricCorpusWith(t, docs, seed, func(s string) string { return s })
+}
+
+// fabricCorpusWith builds fabricCorpus with every answer passed through
+// word. An injective word keeps the corpus's shape — transactions, item ids
+// and tag paths — and changes only its answer text.
+func fabricCorpusWith(t testing.TB, docs int, seed int64, word func(string) string) *txn.Corpus {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	authors := []string{"alice cooper", "bob dylan", "carol king"}
@@ -33,11 +41,12 @@ func fabricCorpus(t testing.TB, docs int, seed int64) *txn.Corpus {
 	var trees []*xmltree.Tree
 	for i := 0; i < docs; i++ {
 		g := rng.Intn(len(topics))
-		doc := fmt.Sprintf(`<db><paper key="p%d">
+		doc := fmt.Sprintf(`<db><paper key="%s">
 			<writer>%s</writer>
-			<name>%s number%d</name>
+			<name>%s</name>
 			<venue>%s</venue>
-		</paper></db>`, i, authors[g], topics[g], rng.Intn(3), venues[rng.Intn(len(venues))])
+		</paper></db>`, word(fmt.Sprintf("p%d", i)), word(authors[g]),
+			word(fmt.Sprintf("%s number%d", topics[g], rng.Intn(3))), word(venues[rng.Intn(len(venues))]))
 		tree, err := xmltree.ParseString(doc, xmltree.DefaultParseOptions())
 		if err != nil {
 			t.Fatal(err)
@@ -279,22 +288,54 @@ func buildNodes(t *testing.T, m int) ([]*p2p.Node, []string) {
 	return nodes, addrs
 }
 
-func TestRecoveryAfterCrashResume(t *testing.T) { testRecovery(t, false) }
-func TestRecoveryAfterCrashJoin(t *testing.T)   { testRecovery(t, true) }
+func TestRecoveryAfterCrashResume(t *testing.T) { testRecovery(t, recoveryCase{}) }
+func TestRecoveryAfterCrashJoin(t *testing.T)   { testRecovery(t, recoveryCase{freshStore: true}) }
+
+// TestGracefulLeaveThenJoin: a member asked to leave replicates its
+// checkpoint at the next boundary and ends with core.ErrLeft; a fresh
+// process takes the slot with a join, and the session ends as if nobody had
+// left.
+func TestGracefulLeaveThenJoin(t *testing.T) {
+	testRecovery(t, recoveryCase{leave: true, freshStore: true})
+}
+
+// TestJoinWithDivergentCorpusNotAdmitted: a replacement whose corpus has the
+// session's shape but other answer text carries another fingerprint, so the
+// coordinator never admits it — it restores nothing, and the stalled session
+// fails instead of clustering two different corpora together.
+func TestJoinWithDivergentCorpusNotAdmitted(t *testing.T) {
+	testRecovery(t, recoveryCase{freshStore: true, divergent: true})
+}
+
+// recoveryCase selects how testRecovery loses and replaces its victim.
+type recoveryCase struct {
+	// leave makes the victim depart gracefully instead of crashing.
+	leave bool
+	// freshStore starts the replacement on an empty checkpoint directory
+	// instead of the victim's.
+	freshStore bool
+	// divergent gives the replacement a corpus of the same shape whose
+	// answers are spelled backwards.
+	divergent bool
+}
 
 // testRecovery is the recovery-equivalence gate: a 4-peer session over real
-// TCP nodes loses a peer at a round boundary; a replacement process takes
-// the slot back — restoring from the victim's surviving checkpoint store
-// (resume) or receiving the coordinator's state transfer (join) — and the
-// final corpus-wide assignments and representatives must be byte-identical
-// to an uninterrupted run.
-func testRecovery(t *testing.T, freshStore bool) {
+// TCP nodes loses a peer at a round boundary; a replacement process joins
+// the slot — on the victim's surviving checkpoint directory or on a fresh
+// one, either way installing the coordinator's replica — and the final
+// corpus-wide assignments and representatives must be byte-identical to an
+// uninterrupted run.
+func testRecovery(t *testing.T, tc recoveryCase) {
 	corpus := fabricCorpus(t, 32, 9)
-	const m, k, victim, crashRound = 4, 4, 2, 1
+	const m, k, victim, lossRound = 4, 4, 2, 1
 	seed := int64(3)
 	roundTimeout := 1200 * time.Millisecond
 	params := sim.Params{F: 0.5, Gamma: 0.6}
 	part := core.EqualPartition(len(corpus.Transactions), m, seed)
+	opts := core.Options{
+		K: k, Params: params, Peers: m, Partition: part, Seed: seed,
+		RoundTimeout: roundTimeout, StartupTimeout: 10 * time.Second,
+	}
 
 	// Uninterrupted reference (the in-process driver is byte-identical to
 	// the multi-process deployment for the same parameters).
@@ -305,8 +346,8 @@ func testRecovery(t *testing.T, freshStore bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Rounds <= crashRound {
-		t.Fatalf("reference converged in %d rounds; nothing to crash mid-session", ref.Rounds)
+	if ref.Rounds <= lossRound {
+		t.Fatalf("reference converged in %d rounds; nothing to lose mid-session", ref.Rounds)
 	}
 	refDigest := core.RepsDigest(corpus.Items, ref.Reps)
 
@@ -320,59 +361,91 @@ func testRecovery(t *testing.T, freshStore bool) {
 	for i := range dirs {
 		dirs[i] = t.TempDir()
 	}
-	fp := ConfigFingerprint(k, m, params.F, params.Gamma, seed, len(corpus.Transactions), core.PartitionFingerprint(part))
 
-	runPeer := func(id int, node *p2p.Node, hooks core.Hooks, rejoin bool) (*core.PeerResult, error) {
-		// Each peer gets its own similarity context, like one OS process per
-		// peer in a real deployment.
+	// runPeer is one OS process of the deployment: its own corpus, its own
+	// similarity context, its own StartMsg and fingerprint.
+	runPeer := func(id int, corpus *txn.Corpus, node *p2p.Node, dir string, wrap func(*Peer) core.Hooks, join bool) (*core.PeerResult, *Peer, error) {
 		cx := sim.NewContext(corpus, params)
-		return core.RunPeer(context.Background(), cx, corpus, core.Options{
-			K: k, Params: params, Peers: m, Partition: part, Seed: seed,
-			Transport: node, RoundTimeout: roundTimeout, StartupTimeout: 10 * time.Second,
-			Hooks: hooks, Rejoin: rejoin,
-		}, id)
+		o := opts
+		o.Transport, o.Rejoin = node, join
+		start := core.NewStartMsg(cx, corpus, o)
+		store, err := NewStore(dir)
+		if err != nil {
+			return nil, nil, err
+		}
+		fab, err := NewPeer(Config{
+			ID: id, Transport: node, Store: store,
+			Fingerprint: ConfigFingerprint(k, m, params.F, params.Gamma, seed, start.Txns, start.PartitionHash),
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		o.Hooks = wrap(fab)
+		if join {
+			// A joiner waits for its admission in round-timeout windows,
+			// like any stalled peer, and gives up after its recovery windows.
+			o.StartupTimeout = roundTimeout
+			if err := fab.SendJoin(); err != nil {
+				return nil, fab, err
+			}
+		}
+		res, err := core.RunPeer(context.Background(), cx, corpus, o, start, id)
+		return res, fab, err
 	}
 
-	crashed := make(chan struct{})
+	lost := make(chan struct{})
+	coordinator := make(chan *Peer, 1)
 	results := make([]*core.PeerResult, m)
 	errs := make([]error, m)
 	var wg sync.WaitGroup
 	for id := 0; id < m; id++ {
-		store, err := NewStore(dirs[id])
-		if err != nil {
-			t.Fatal(err)
-		}
-		fab, err := NewPeer(Config{
-			ID: id, Transport: nodes[id], Store: store, Corpus: corpus,
-			Partition: part, Fingerprint: fp,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var hooks core.Hooks = fab
-		if id == victim {
-			hooks = &crashAfter{Peer: fab, round: crashRound, node: nodes[victim], crashed: crashed}
+		wrap := func(fab *Peer) core.Hooks { return fab }
+		switch {
+		case id == 0:
+			wrap = func(fab *Peer) core.Hooks { coordinator <- fab; return fab }
+		case id == victim && tc.leave:
+			wrap = func(fab *Peer) core.Hooks { return &leaveAt{Peer: fab, round: lossRound} }
+		case id == victim:
+			wrap = func(fab *Peer) core.Hooks {
+				return &crashAfter{Peer: fab, round: lossRound, node: nodes[victim], crashed: lost}
+			}
 		}
 		wg.Add(1)
-		go func(id int, hooks core.Hooks) {
+		go func(id int) {
 			defer wg.Done()
-			res, err := runPeer(id, nodes[id], hooks, false)
-			if id == victim {
+			res, _, err := runPeer(id, corpus, nodes[id], dirs[id], wrap, false)
+			switch {
+			case id == victim && tc.leave:
+				// The process exits after its leave: its listener goes too.
+				nodes[victim].Close()
+				close(lost)
+				if !errors.Is(err, core.ErrLeft) {
+					errs[id] = fmt.Errorf("leaving peer ended with %v, want core.ErrLeft", err)
+				}
+			case id == victim:
 				if !errors.Is(err, errTestCrash) {
 					errs[id] = fmt.Errorf("victim failed with %v, want the simulated crash", err)
 				}
-				return
+			default:
+				results[id], errs[id] = res, err
 			}
-			results[id], errs[id] = res, err
-		}(id, hooks)
+		}(id)
 	}
 
-	<-crashed
-	crashedAt := time.Now()
+	<-lost
+	lostAt := time.Now()
+	if tc.leave {
+		// Join once the coordinator is past the leave round's boundary, so
+		// the join is admitted when its deadline fires, with every slot's
+		// replica of that round in: the barrier is then the leave round.
+		coord := <-coordinator
+		for coord.Metrics().Snapshot().Rounds <= lossRound {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
 
 	// The replacement process: same slot, same address, fresh everything
-	// else. Resume reuses the victim's checkpoint store; join starts with
-	// an empty one and relies on the coordinator's state transfer.
+	// else, on the victim's checkpoint directory or a fresh one.
 	var ln2 net.Listener
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		ln2, err = net.Listen("tcp", addrs[victim])
@@ -387,34 +460,48 @@ func testRecovery(t *testing.T, freshStore bool) {
 	node2 := p2p.NewNode(victim, ln2, addrs, p2p.NodeOptions{DialTimeout: 2 * time.Second})
 	defer node2.Close()
 	dir2 := dirs[victim]
-	if freshStore {
+	if tc.freshStore {
 		dir2 = t.TempDir()
 	}
-	store2, err := NewStore(dir2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fab2, err := NewPeer(Config{
-		ID: victim, Transport: node2, Store: store2, Corpus: corpus,
-		Partition: part, Fingerprint: fp,
-	})
-	if err != nil {
-		t.Fatal(err)
+	corpus2 := corpus
+	if tc.divergent {
+		corpus2 = fabricCorpusWith(t, 32, 9, func(s string) string {
+			r := []rune(s)
+			slices.Reverse(r)
+			return string(r)
+		})
 	}
 	var resumedAt time.Time
-	resumed := &hookWrap{Peer: fab2, onBoundary: func() {
+	resumedRound := -1
+	onBoundary := func(round int) {
 		if resumedAt.IsZero() {
-			resumedAt = time.Now()
+			resumedAt, resumedRound = time.Now(), round
 		}
-	}}
-	if err := fab2.SendJoin(); err != nil {
-		t.Fatal(err)
 	}
-	res2, err := runPeer(victim, node2, resumed, true)
-	if err != nil {
-		t.Fatalf("replacement: %v", err)
+	res2, fab2, err2 := runPeer(victim, corpus2, node2, dir2, func(fab *Peer) core.Hooks {
+		return &hookWrap{Peer: fab, onBoundary: onBoundary}
+	}, true)
+	if tc.divergent {
+		node2.Close()
 	}
 	wg.Wait()
+
+	if tc.divergent {
+		if err2 == nil {
+			t.Fatal("the replacement on a divergent corpus completed the session")
+		}
+		if snap := fab2.Metrics().Snapshot(); snap.CheckpointsRestored != 0 || snap.Epoch != 0 || !resumedAt.IsZero() {
+			t.Errorf("the replacement on a divergent corpus was admitted: %+v", snap)
+		}
+		if errs[0] == nil {
+			t.Error("the coordinator completed a session whose slot was never retaken")
+		}
+		t.Logf("replacement: %v; coordinator: %v", err2, errs[0])
+		return
+	}
+	if err2 != nil {
+		t.Fatalf("replacement: %v", err2)
+	}
 	for id, err := range errs {
 		if err != nil {
 			t.Fatalf("peer %d: %v", id, err)
@@ -436,8 +523,17 @@ func testRecovery(t *testing.T, freshStore bool) {
 	if resumedAt.IsZero() {
 		t.Fatal("replacement never reached a round boundary")
 	}
-	recovery := resumedAt.Sub(crashedAt)
-	t.Logf("recovery (crash → replacement back in the round loop): %v", recovery)
+	// A crash comes before the loss round's checkpoint, so the session rolls
+	// back one cadence; a leave is that checkpoint, so nothing replays.
+	wantRound := lossRound - 1
+	if tc.leave {
+		wantRound = lossRound
+	}
+	if resumedRound != wantRound {
+		t.Errorf("replacement re-entered at round %d, want the barrier at round %d", resumedRound, wantRound)
+	}
+	recovery := resumedAt.Sub(lostAt)
+	t.Logf("recovery (loss → replacement back in the round loop): %v", recovery)
 	if recovery > 2*roundTimeout {
 		t.Errorf("recovery took %v, above the 2× round-timeout bound (%v)", recovery, 2*roundTimeout)
 	}
@@ -446,21 +542,31 @@ func testRecovery(t *testing.T, freshStore bool) {
 	if snap.CheckpointsRestored < 1 {
 		t.Errorf("replacement restored %d checkpoints, want ≥ 1", snap.CheckpointsRestored)
 	}
-	if freshStore && snap.BytesRebalanced == 0 {
-		t.Error("join recovery moved no partition-slice bytes")
-	}
 	if snap.Epoch < 1 {
 		t.Errorf("replacement still at epoch %d, want ≥ 1", snap.Epoch)
 	}
 }
 
+// leaveAt requests a graceful leave on reaching the given round boundary.
+type leaveAt struct {
+	*Peer
+	round int
+}
+
+func (l *leaveAt) RoundBoundary(st *core.SessionState) (*core.SessionState, error) {
+	if st.Round >= l.round {
+		l.RequestLeave()
+	}
+	return l.Peer.RoundBoundary(st)
+}
+
 // hookWrap forwards to the fabric peer, additionally observing boundaries.
 type hookWrap struct {
 	*Peer
-	onBoundary func()
+	onBoundary func(round int)
 }
 
 func (h *hookWrap) RoundBoundary(st *core.SessionState) (*core.SessionState, error) {
-	h.onBoundary()
+	h.onBoundary(st.Round)
 	return h.Peer.RoundBoundary(st)
 }

@@ -3,7 +3,6 @@ package fabric
 import (
 	"xmlclust/internal/core"
 	"xmlclust/internal/p2p"
-	"xmlclust/internal/txn"
 )
 
 // Control-plane messages of the elastic fabric. All of them implement
@@ -12,26 +11,22 @@ import (
 // what moves peers BETWEEN membership epochs — a node-level epoch filter
 // must never drop the very message that would advance a straggler.
 
-// JoinMsg asks the coordinator to admit the sender into the session: a
-// replacement for a crashed peer (-resume, HasStore true — the local
-// checkpoint store survived), or a fresh process taking over a slot
-// (-join, HasStore false — the coordinator streams the state over).
+// JoinMsg asks the coordinator to admit the sender into the session as the
+// process now occupying Slot: a replacement for a crashed or departed peer,
+// on a fresh machine or restarted on the old one's checkpoint directory.
+// Either way the admission hands it the slot's replica.
 type JoinMsg struct {
 	// Slot is the peer id the sender wants to occupy.
 	Slot int
-	// HasStore reports whether the sender can restore rounds ≤ Latest from
-	// its local checkpoint store.
-	HasStore bool
-	// Latest is the newest locally restorable round (-1 when none).
-	Latest int
-	// Fingerprint is the sender's run-configuration fingerprint; it must
-	// match the coordinator's or the join is rejected.
+	// Fingerprint is the sender's run-configuration fingerprint, corpus
+	// digest included; a join under another fingerprint is dropped.
 	Fingerprint uint64
 }
 
 // CheckpointMsg replicates a member's round-boundary state to the
-// coordinator, so a crashed member's slot can be handed to a fresh process
-// that never saw the member's disk.
+// coordinator, so a crashed or departed member's slot can be handed to a
+// process that never saw the member's disk. A graceful leave is the last
+// CheckpointMsg a member sends.
 type CheckpointMsg struct {
 	Slot        int
 	Fingerprint uint64
@@ -48,18 +43,10 @@ type SuspectMsg struct {
 	Phase int
 }
 
-// LeaveMsg announces a graceful departure at a round boundary: the sender
-// hands its partition back by attaching its final boundary state, which the
-// coordinator holds as the slot's checkpoint until a replacement joins.
-type LeaveMsg struct {
-	Slot        int
-	Fingerprint uint64
-	State       core.SessionState
-}
-
-// ResumeMsg is the coordinator's rollback barrier: every surviving member
-// restores its own checkpoint at Round from local storage and re-enters the
-// round loop under Epoch.
+// ResumeMsg is the coordinator's rollback barrier: every member re-enters
+// the round loop at Round under Epoch. A survivor restores its own
+// checkpoint at Round from local storage; a joining slot's message carries
+// the slot's replica at Round in State, under the run's Fingerprint.
 type ResumeMsg struct {
 	Epoch int
 	Round int
@@ -67,43 +54,36 @@ type ResumeMsg struct {
 	// epoch. Survivors must drop any cached transport connection to those
 	// slots: the connection leads to the dead predecessor, and TCP loses
 	// the first frame written to a dead socket silently.
-	Joined []int
-}
-
-// SliceMsg is the coordinator's state transfer to a storeless joiner: the
-// slot's replicated session state at the rollback round plus the columnar
-// blocks of the slot's partition slice (PR 7 format-2 layout) for
-// verification against the joiner's locally loaded corpus.
-type SliceMsg struct {
-	Slot        int
-	Epoch       int
-	Round       int
+	Joined      []int
 	Fingerprint uint64
-	State       core.SessionState
-	Slice       txn.ColumnarSlice
+	// State is the joining slot's replicated state (nil for survivors).
+	State *core.SessionState
 }
 
 // SessionControl marks the fabric messages as session-control payloads.
 func (JoinMsg) SessionControl()       {}
 func (CheckpointMsg) SessionControl() {}
 func (SuspectMsg) SessionControl()    {}
-func (LeaveMsg) SessionControl()      {}
 func (ResumeMsg) SessionControl()     {}
-func (SliceMsg) SessionControl()      {}
 
 func init() {
 	p2p.RegisterWireType(JoinMsg{})
 	p2p.RegisterWireType(CheckpointMsg{})
 	p2p.RegisterWireType(SuspectMsg{})
-	p2p.RegisterWireType(LeaveMsg{})
 	p2p.RegisterWireType(ResumeMsg{})
-	p2p.RegisterWireType(SliceMsg{})
 }
 
 // epochStamper is the transport capability of stamping an explicit epoch on
 // one send; p2p.Node and TCPTransport implement it.
 type epochStamper interface {
 	SendStamped(from, to, epoch int, payload any) error
+}
+
+// staleCounter is the transport capability of counting the frames it
+// dropped for carrying an older membership epoch (p2p.Node); Metrics reads
+// it at every snapshot.
+type staleCounter interface {
+	DroppedStale() int64
 }
 
 // connResetter is the transport capability of dropping a cached outgoing

@@ -14,11 +14,12 @@ type Metrics struct {
 	rounds      atomic.Int64
 	ckptWritten atomic.Int64
 	ckptLoaded  atomic.Int64
-	rebalanced  atomic.Int64 // bytes of partition slices sent or received
 	epoch       atomic.Int64
-	staleDrops  atomic.Int64
 	suspects    atomic.Int64
 	lastBeat    atomic.Int64 // unix nanos of the last round boundary
+	// stale is the transport's own stale-frame counter, when it keeps one
+	// (set by NewPeer, before any snapshot).
+	stale staleCounter
 }
 
 // MetricsSnapshot is the JSON shape served at GET /v1/stats.
@@ -26,7 +27,6 @@ type MetricsSnapshot struct {
 	Rounds              int64   `json:"rounds"`
 	CheckpointsWritten  int64   `json:"checkpoints_written"`
 	CheckpointsRestored int64   `json:"checkpoints_restored"`
-	BytesRebalanced     int64   `json:"bytes_rebalanced"`
 	Epoch               int64   `json:"epoch"`
 	StaleFramesDropped  int64   `json:"stale_frames_dropped"`
 	SuspectsRaised      int64   `json:"suspects_raised"`
@@ -34,10 +34,6 @@ type MetricsSnapshot struct {
 }
 
 func (m *Metrics) beat() { m.lastBeat.Store(time.Now().UnixNano()) }
-
-// AddStaleDrops folds node-level stale-frame drops into the snapshot (the
-// p2p layer counts them; the fabric only reports them).
-func (m *Metrics) AddStaleDrops(n int64) { m.staleDrops.Add(n) }
 
 // atomicFlag is a set/clear/test bool shared between the session goroutine
 // and the process's control surface (signal handlers, join bootstrap).
@@ -53,11 +49,12 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		Rounds:              m.rounds.Load(),
 		CheckpointsWritten:  m.ckptWritten.Load(),
 		CheckpointsRestored: m.ckptLoaded.Load(),
-		BytesRebalanced:     m.rebalanced.Load(),
 		Epoch:               m.epoch.Load(),
-		StaleFramesDropped:  m.staleDrops.Load(),
 		SuspectsRaised:      m.suspects.Load(),
 		LastBeatAgeSeconds:  -1,
+	}
+	if m.stale != nil {
+		s.StaleFramesDropped = m.stale.DroppedStale()
 	}
 	if beat := m.lastBeat.Load(); beat != 0 {
 		s.LastBeatAgeSeconds = time.Since(time.Unix(0, beat)).Seconds()

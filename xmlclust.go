@@ -454,33 +454,33 @@ type DistributedOptions struct {
 	// byte-identical to an uninterrupted run. Empty disables the fabric
 	// (the pre-fabric behavior: any peer failure fails the session).
 	CheckpointDir string
-	// CheckpointEvery is the checkpoint cadence in rounds (0 = every round).
+	// CheckpointEvery is the checkpoint cadence in rounds (0 = every round;
+	// negative values are rejected with an *OptionsError).
 	CheckpointEvery int
-	// Resume restarts this peer from its own CheckpointDir after a crash:
-	// the peer announces itself to the coordinator and restores the
-	// rollback barrier round from local storage. The local store must hold
-	// at least one checkpoint of this exact run (ErrCheckpointMismatch /
-	// ErrNoCheckpoint otherwise). Mutually exclusive with Join; invalid on
-	// peer 0 (coordinator death is not recoverable).
-	Resume bool
-	// Join lets a fresh process (no usable checkpoint store) take over this
-	// peer's slot: the coordinator streams the slot's replicated state plus
-	// its partition slice, which is verified against the locally loaded
-	// corpus before the session resumes. Mutually exclusive with Resume.
+	// Join makes this process take over peer ID's slot in a running session:
+	// after a crash, a graceful leave, or a restart on the old
+	// CheckpointDir. The coordinator admits it at the next rollback barrier
+	// and hands it the slot's replicated state; the process's own corpus is
+	// never shipped, and a corpus whose content digest differs from the
+	// coordinator's keeps the join from being admitted. Invalid on peer 0
+	// (coordinator death is not recoverable).
 	Join bool
 	// RecoveryWindows is how many extra round-timeout windows a stalled
 	// peer grants recovery before failing with ErrRecoveryTimeout
-	// (0 = default 2: recovery must complete within 2× RoundTimeout).
+	// (0 = default 2: recovery must complete within 2× RoundTimeout;
+	// negative values are rejected with an *OptionsError).
 	RecoveryWindows int
 	// Leave, when non-nil, requests a graceful departure: after it is
-	// closed (or receives), the peer hands its state to the coordinator at
-	// the next checkpoint boundary and the call returns ErrLeft. Requires
-	// the fabric (CheckpointDir).
+	// closed (or receives), the peer replicates its checkpoint to the
+	// coordinator at the next checkpoint boundary and the call returns
+	// ErrLeft; a replacement then takes the slot with Join. Requires the
+	// fabric (CheckpointDir).
 	Leave <-chan struct{}
 	// DebugAddr, when non-empty, serves the fabric counters over HTTP for
 	// the session's lifetime (GET /v1/stats, mirroring cxkserve): rounds,
-	// checkpoints written/restored, bytes rebalanced, current epoch,
-	// last-heartbeat age. Requires the fabric (CheckpointDir).
+	// checkpoints written/restored, current epoch, stale frames dropped,
+	// suspects raised, last-heartbeat age. Requires the fabric
+	// (CheckpointDir).
 	DebugAddr string
 	// DebugPprof additionally mounts the net/http/pprof handlers on the
 	// DebugAddr server (/debug/pprof/...), so a live round loop can be
@@ -493,7 +493,7 @@ type DistributedOptions struct {
 	// session (rounds complete in milliseconds); the failpoint makes "die
 	// mid-session at round N" deterministic, so the recovery-equivalence
 	// e2e can gate on it in CI. Requires the fabric (CheckpointDir); zero
-	// in production.
+	// in production, negative values are rejected with an *OptionsError.
 	FailpointRound int
 }
 

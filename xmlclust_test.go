@@ -141,9 +141,8 @@ func TestClusterDistributed(t *testing.T) {
 }
 
 // TestDistributedFabricValidation covers the option cross-checks of the
-// elastic fabric surface: fabric features without a checkpoint dir, the
-// Resume/Join exclusivity, the coordinator restriction, and a Resume against
-// an empty store.
+// elastic fabric surface: fabric features without a checkpoint dir,
+// negative fabric knobs, and the coordinator restriction.
 func TestDistributedFabricValidation(t *testing.T) {
 	corpus := sampleCorpus(t)
 	addrs := []string{"127.0.0.1:9", "127.0.0.1:9"} // never dialed: validation fails first
@@ -153,8 +152,6 @@ func TestDistributedFabricValidation(t *testing.T) {
 		name   string
 		mutate func(*DistributedOptions)
 	}{
-		{"resume+join", func(o *DistributedOptions) { o.CheckpointDir = t.TempDir(); o.ID = 1; o.Resume = true; o.Join = true }},
-		{"resume without fabric", func(o *DistributedOptions) { o.ID = 1; o.Resume = true }},
 		{"join without fabric", func(o *DistributedOptions) { o.ID = 1; o.Join = true }},
 		{"leave without fabric", func(o *DistributedOptions) { o.ID = 1; o.Leave = make(chan struct{}) }},
 		{"debug addr without fabric", func(o *DistributedOptions) { o.ID = 1; o.DebugAddr = "127.0.0.1:0" }},
@@ -168,22 +165,31 @@ func TestDistributedFabricValidation(t *testing.T) {
 		}
 	}
 
-	opts := base
-	opts.CheckpointDir = t.TempDir()
-	opts.Resume = true
-	if _, err := freshEngine(t, corpus).ClusterDistributed(context.Background(), opts); !errors.Is(err, ErrCoordinatorLost) {
-		t.Errorf("coordinator resume: want ErrCoordinatorLost, got %v", err)
+	// Negative fabric knobs are typed errors naming the field, not silent
+	// defaults or a silently disabled drill.
+	for _, tc := range []struct {
+		field  string
+		mutate func(*DistributedOptions)
+	}{
+		{"CheckpointEvery", func(o *DistributedOptions) { o.CheckpointEvery = -1 }},
+		{"RecoveryWindows", func(o *DistributedOptions) { o.RecoveryWindows = -2 }},
+		{"FailpointRound", func(o *DistributedOptions) { o.FailpointRound = -1 }},
+	} {
+		opts := base
+		opts.ID, opts.CheckpointDir = 1, t.TempDir()
+		tc.mutate(&opts)
+		_, err := freshEngine(t, corpus).ClusterDistributed(context.Background(), opts)
+		var oe *OptionsError
+		if !errors.As(err, &oe) || oe.Field != tc.field {
+			t.Errorf("negative %s: want an *OptionsError naming it, got %v", tc.field, err)
+		}
 	}
 
-	// A member resuming from an empty store must fail before touching the
-	// network beyond its own listener.
-	opts = base
-	opts.ID = 1
-	opts.Listen = "127.0.0.1:0"
+	opts := base
 	opts.CheckpointDir = t.TempDir()
-	opts.Resume = true
-	if _, err := freshEngine(t, corpus).ClusterDistributed(context.Background(), opts); !errors.Is(err, ErrNoCheckpoint) {
-		t.Errorf("resume from empty store: want ErrNoCheckpoint, got %v", err)
+	opts.Join = true
+	if _, err := freshEngine(t, corpus).ClusterDistributed(context.Background(), opts); !errors.Is(err, ErrCoordinatorLost) {
+		t.Errorf("coordinator join: want ErrCoordinatorLost, got %v", err)
 	}
 }
 
