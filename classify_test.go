@@ -3,8 +3,12 @@ package xmlclust
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
+
+	"xmlclust/internal/txn"
 )
 
 // TestClassifyTransactionsFixedPoint: at convergence a clustering is a fixed
@@ -221,5 +225,100 @@ func TestExtractTransactionsMatchesBuilder(t *testing.T) {
 	}
 	if corpus.Items.Len() != items {
 		t.Fatalf("re-extraction interned %d new items", corpus.Items.Len()-items)
+	}
+}
+
+// TestExtractTransactionsConcurrent: eight goroutines decompose, on one
+// engine, documents that share ⟨path, answer⟩ pairs the corpus has not seen.
+// A document resolves its leaves under one write lock of the item table, so
+// every pair is interned exactly once, item ids stay dense, and each
+// goroutine gets the transactions a serial extraction gets, compared by
+// ⟨path, answer⟩ since the ids depend on which goroutine came first.
+func TestExtractTransactionsConcurrent(t *testing.T) {
+	docs := make([]string, 12)
+	for i := range docs {
+		docs[i] = fmt.Sprintf(`<catalog><sw key="n%d"><name>unseen name %d</name><vendor>unseen vendor</vendor><tag>t%d</tag><tag>t%d</tag></sw></catalog>`,
+			i%4, i%3, i%5, (i+2)%5)
+	}
+	parseAll := func() []*Tree {
+		trees := make([]*Tree, len(docs))
+		for i, d := range docs {
+			tree, err := ParseString(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trees[i] = tree
+		}
+		return trees
+	}
+	// pairs renders each transaction as its sorted ⟨path, answer⟩ pairs.
+	pairs := func(c *Corpus, trs []*Transaction) [][]string {
+		out := make([][]string, len(trs))
+		for i, tr := range trs {
+			for _, id := range tr.Items {
+				it := c.Items.Get(id)
+				out[i] = append(out[i], c.Paths.Path(it.Path).String()+"="+it.Answer)
+			}
+			slices.Sort(out[i])
+		}
+		return out
+	}
+
+	serialCorpus := sampleCorpus(t)
+	serial, err := NewEngine(serialCorpus, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][][]string, len(docs))
+	for i, tree := range parseAll() {
+		want[i] = pairs(serialCorpus, serial.ExtractTransactions(tree, 0))
+	}
+
+	corpus := sampleCorpus(t)
+	eng, err := NewEngine(corpus, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 8
+	got := make([][][]*Transaction, goroutines)
+	trees := make([][]*Tree, goroutines)
+	for g := range trees {
+		trees[g] = parseAll()
+	}
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = make([][]*Transaction, len(docs))
+			for k := range docs {
+				i := (k + g) % len(docs) // each goroutine starts elsewhere, so first sightings race
+				got[g][i] = eng.ExtractTransactions(trees[g][i], 0)
+			}
+		}()
+	}
+	wg.Wait()
+
+	seen := map[string]txn.ItemID{}
+	for id := txn.ItemID(0); int(id) < corpus.Items.Len(); id++ {
+		it := corpus.Items.Get(id)
+		if it.ID != id {
+			t.Fatalf("item at %d carries id %d", id, it.ID)
+		}
+		key := corpus.Paths.Path(it.Path).String() + "=" + it.Answer
+		if prev, dup := seen[key]; dup {
+			t.Errorf("⟨%s⟩ interned twice: ids %d and %d", key, prev, id)
+		}
+		seen[key] = id
+	}
+	if corpus.Items.Len() != serialCorpus.Items.Len() {
+		t.Errorf("%d items after the concurrent extraction, %d after the serial one", corpus.Items.Len(), serialCorpus.Items.Len())
+	}
+	for g := range got {
+		for i := range docs {
+			if p := pairs(corpus, got[g][i]); !slices.EqualFunc(p, want[i], slices.Equal) {
+				t.Errorf("goroutine %d, document %d: %v, serial %v", g, i, p, want[i])
+			}
+		}
 	}
 }

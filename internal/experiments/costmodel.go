@@ -24,6 +24,10 @@ type CostModelResult struct {
 	Points   []CostModelPoint
 	OptimalM float64
 	Model    complexity.Model
+	// FitErr is why the model could not be calibrated on the measured
+	// extremes (wall-clock points at a small scale need not be
+	// hyperbolic); the predictions then use the default t_mem and t_comm.
+	FitErr error
 }
 
 // CostModel runs the Fig. 7-style sweep on one corpus and fits the
@@ -54,23 +58,30 @@ func CostModel(ds string, scale Scale) (*CostModelResult, error) {
 		}
 		measured = append(measured, CostModelPoint{M: m, Measured: r.SimTime})
 	}
+	return calibrate(ds, md, measured), nil
+}
+
+// calibrate fits md to the first and last measured points, when there are
+// two, and predicts every point from the result.
+func calibrate(ds string, md complexity.Model, measured []CostModelPoint) *CostModelResult {
+	r := &CostModelResult{Dataset: ds, Points: measured}
 	if len(measured) >= 2 {
 		first, last := measured[0], measured[len(measured)-1]
-		// Calibrate on the extremes; a failed fit (non-hyperbolic
-		// measurements at this scale) leaves the defaults in place.
-		_ = md.Fit(first.M, first.Measured, last.M, last.Measured)
+		r.FitErr = md.Fit(first.M, first.Measured, last.M, last.Measured)
 	}
 	for i := range measured {
 		measured[i].Predicted = md.GlobalTime(measured[i].M)
 	}
-	return &CostModelResult{
-		Dataset: ds, Points: measured, OptimalM: md.OptimalM(), Model: md,
-	}, nil
+	r.OptimalM, r.Model = md.OptimalM(), md
+	return r
 }
 
 // Write renders measured-vs-predicted rows.
 func (r *CostModelResult) Write(w io.Writer) {
 	fmt.Fprintf(w, "Sect. 4.3.4 cost-model validation (%s)\n", r.Dataset)
+	if r.FitErr != nil {
+		fmt.Fprintf(w, "fit failed: %v; default t_mem/t_comm used\n", r.FitErr)
+	}
 	fmt.Fprintf(w, "%6s  %16s  %16s\n", "m", "measured", "f(m) predicted")
 	for _, p := range r.Points {
 		fmt.Fprintf(w, "%6d  %16s  %16s\n",

@@ -3,7 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 
+	"xmlclust/internal/complexity"
 	"xmlclust/internal/dataset"
 )
 
@@ -293,6 +295,31 @@ func TestCostModelDriver(t *testing.T) {
 	res.Write(&sb)
 	if !strings.Contains(sb.String(), "cost-model") {
 		t.Errorf("output:\n%s", sb.String())
+	}
+}
+
+// TestCostModelReportsFailedFit: measurements that rise with m cannot come
+// from A/m + B(m−1) with positive A and B, so the fit fails. The result
+// carries the error, predicts with the default t_mem and t_comm, and Write
+// says so instead of printing a silent curve.
+func TestCostModelReportsFailedFit(t *testing.T) {
+	md := complexity.Model{S: 1000, K: 10, TrMax: 8, UMax: 30, H: 10, TMem: 2 * time.Nanosecond, TComm: 200 * time.Microsecond}
+	res := calibrate("DBLP", md, []CostModelPoint{{M: 2, Measured: time.Microsecond}, {M: 8, Measured: time.Millisecond}})
+	if res.FitErr == nil {
+		t.Fatal("a non-hyperbolic pair of points fitted")
+	}
+	if res.Model.TMem != md.TMem || res.Model.TComm != md.TComm {
+		t.Errorf("failed fit moved the constants: t_mem %v t_comm %v", res.Model.TMem, res.Model.TComm)
+	}
+	for _, p := range res.Points {
+		if want := md.GlobalTime(p.M); p.Predicted != want {
+			t.Errorf("m=%d predicted %v, default model says %v", p.M, p.Predicted, want)
+		}
+	}
+	var sb strings.Builder
+	res.Write(&sb)
+	if want := "fit failed: " + res.FitErr.Error() + "; default t_mem/t_comm used"; !strings.Contains(sb.String(), want) {
+		t.Errorf("output lacks %q:\n%s", want, sb.String())
 	}
 }
 

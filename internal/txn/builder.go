@@ -26,30 +26,52 @@ type DocSink interface {
 // documents, not safe for concurrent use.
 type LeafInterner struct {
 	byNode []ItemID // by Node.ID: item id + 1, 0 = leaf not met in this document
-	ids    []ItemID // the current tuple's ids, before NewTransaction copies them
 }
 
 // Transactions interns the leaves of res — which must be the tuple
 // extraction of t — into c's tables and returns one transaction per tuple,
-// in tuple order, carrying the given document id and label.
+// in tuple order, carrying the given document id and label. The
+// transactions are one block, and so are their item ids: each Items is a
+// capacity-clamped span of it, so appending to one reallocates it instead
+// of overwriting the next.
 func (li *LeafInterner) Transactions(c *Corpus, t *xmltree.Tree, res tuple.Result, doc, label int) []*Transaction {
-	li.byNode = slices.Grow(li.byNode[:0], len(t.Nodes))[:len(t.Nodes)]
-	clear(li.byNode)
+	li.intern(c, t, res)
+	n := 0
+	for _, tt := range res.Tuples {
+		n += len(tt.Leaves)
+	}
+	ids := make([]ItemID, n)
+	block := make([]Transaction, len(res.Tuples))
 	out := make([]*Transaction, len(res.Tuples))
 	for i, tt := range res.Tuples {
-		ids := li.ids[:0]
-		for _, lf := range tt.Leaves {
-			id := li.byNode[lf.Node.ID]
-			if id == 0 {
-				id = c.Items.Intern(c.Paths.Intern(lf.Path), lf.Node.Value) + 1
-				li.byNode[lf.Node.ID] = id
-			}
-			ids = append(ids, id-1)
+		span := ids[:len(tt.Leaves)]
+		for j, lf := range tt.Leaves {
+			span[j] = li.byNode[lf.Node.ID] - 1
 		}
-		li.ids = ids
-		out[i] = NewTransaction(ids, doc, tt.Index, label)
+		span = sortedSet(span)
+		ids = ids[len(span):]
+		block[i] = Transaction{Items: span[:len(span):len(span)], Doc: doc, TupleIndex: tt.Index, Label: label}
+		out[i] = &block[i]
 	}
 	return out
+}
+
+// intern resolves every distinct leaf node of res to its item id under one
+// write lock of the item table, so a document costs one lock, not one per
+// leaf.
+func (li *LeafInterner) intern(c *Corpus, t *xmltree.Tree, res tuple.Result) {
+	li.byNode = slices.Grow(li.byNode[:0], len(t.Nodes))[:len(t.Nodes)]
+	clear(li.byNode)
+	c.Items.mu.Lock()
+	defer c.Items.mu.Unlock()
+	for _, tt := range res.Tuples {
+		for _, lf := range tt.Leaves {
+			if li.byNode[lf.Node.ID] == 0 {
+				key := itemKey{path: c.Paths.Intern(lf.Path), answer: lf.Node.Value}
+				li.byNode[lf.Node.ID] = c.Items.internLocked(key) + 1
+			}
+		}
+	}
 }
 
 // Builder constructs a transactional corpus incrementally: Add one parsed

@@ -3,6 +3,7 @@ package txn
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"xmlclust/internal/tuple"
@@ -338,5 +339,58 @@ func TestBuilderInternsOncePerLeaf(t *testing.T) {
 	}
 	if got.Items.Len() != items || got.Paths.Len() != paths {
 		t.Fatal("re-extracting known documents interned new items or paths")
+	}
+}
+
+// TestTagPathMemoOverCorpus: for every path of a built corpus and of the
+// corpus loaded back from its file, the memoized TagPath is the id of the
+// path minus its last symbol — or the id itself for a tag path — and every
+// item carries its path's tag path.
+func TestTagPathMemoOverCorpus(t *testing.T) {
+	built := Build(builderTestTrees(t, 6), BuildOptions{})
+	for name, c := range map[string]*Corpus{"built": built, "loaded": roundtrip(t, built)} {
+		for id := xmltree.PathID(0); int(id) < c.Paths.Len(); id++ {
+			p := c.Paths.Path(id)
+			want := id
+			if p.IsComplete() {
+				var ok bool
+				if want, ok = c.Paths.Lookup(p[:len(p)-1]); !ok {
+					t.Fatalf("%s: tag path of %q not interned", name, p)
+				}
+			}
+			if got := c.Paths.TagPath(id); got != want {
+				t.Errorf("%s: TagPath(%q) = %q, want %q", name, p, c.Paths.Path(got), c.Paths.Path(want))
+			}
+		}
+		for id := ItemID(0); int(id) < c.Items.Len(); id++ {
+			if it := c.Items.Get(id); it.TagPath != c.Paths.TagPath(it.Path) {
+				t.Errorf("%s: item %v has tag path %d", name, it, it.TagPath)
+			}
+		}
+	}
+}
+
+// TestTransactionBlockSpansAreClamped: a document's transactions share one
+// block of item ids, each Items a span of it whose capacity ends where the
+// span does, so appending to one transaction leaves its neighbour as it was.
+func TestTransactionBlockSpansAreClamped(t *testing.T) {
+	tree, err := xmltree.ParseString(`<r><k>shared</k><a>one</a><a>two</a><a>three</a></r>`, xmltree.DefaultParseOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Build([]*xmltree.Tree{tree}, BuildOptions{})
+	if len(c.Transactions) != 3 {
+		t.Fatalf("%d transactions, want 3", len(c.Transactions))
+	}
+	for i, tr := range c.Transactions {
+		if cap(tr.Items) != len(tr.Items) {
+			t.Errorf("transaction %d: cap %d beyond its %d items", i, cap(tr.Items), len(tr.Items))
+		}
+	}
+	first, next := c.Transactions[0], c.Transactions[1]
+	want := slices.Clone(next.Items)
+	first.Items = append(first.Items, 99, 100)
+	if !slices.Equal(next.Items, want) {
+		t.Fatalf("appending to transaction 0 changed transaction 1: %v, want %v", next.Items, want)
 	}
 }

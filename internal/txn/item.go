@@ -23,7 +23,10 @@
 // which is the order a per-occurrence loop would intern them in, so path
 // and item ids do not depend on the shortcut. tuple.Extract works to the
 // same contract: the Path of a leaf is computed once per node and shared,
-// read-only, by every tuple.Leaf that refers to the node.
+// read-only, by every tuple.Leaf that refers to the node. A document's
+// leaves are resolved under one write lock of the ItemTable, and its
+// transactions and their item ids are allocated as one block each, the
+// Items spans capacity-clamped like Load's.
 package txn
 
 import (
@@ -117,21 +120,28 @@ func (it *ItemTable) Intern(path xmltree.PathID, answer string) ItemID {
 	}
 	it.mu.Lock()
 	defer it.mu.Unlock()
+	return it.internLocked(key)
+}
+
+// internLocked is Intern under the write lock. The lock order is ItemTable
+// before PathTable: a new item looks up its tag path with the lock held.
+func (it *ItemTable) internLocked(key itemKey) ItemID {
 	if id, ok := it.byKey[key]; ok {
 		return id
 	}
-	id = ItemID(len(it.items))
-	tp := it.paths.TagPath(path)
-	it.items = append(it.items, &Item{
-		ID:      id,
-		Path:    path,
-		TagPath: tp,
-		Answer:  answer,
-	})
-	it.tagPaths = append(it.tagPaths, tp)
-	it.vecs = append(it.vecs, vector.Sparse{})
-	it.byKey[key] = id
-	return id
+	return it.add(&Item{Path: key.path, Answer: key.answer})
+}
+
+// add registers a new item under the write lock: it assigns the id and the
+// tag path and extends the columns.
+func (it *ItemTable) add(item *Item) ItemID {
+	item.ID = ItemID(len(it.items))
+	item.TagPath = it.paths.TagPath(item.Path)
+	it.items = append(it.items, item)
+	it.tagPaths = append(it.tagPaths, item.TagPath)
+	it.vecs = append(it.vecs, item.Vector)
+	it.byKey[itemKey{path: item.Path, answer: item.Answer}] = item.ID
+	return item.ID
 }
 
 // Lookup returns the id of the item ⟨path, answer⟩ if it is interned.
@@ -146,27 +156,18 @@ func (it *ItemTable) Lookup(path xmltree.PathID, answer string) (ItemID, bool) {
 // its raw constituent decomposition. The answer must already be the
 // canonical merged-answer key so equal conflations intern to equal ids.
 func (it *ItemTable) InternSynthetic(path xmltree.PathID, answer string, vec vector.Sparse, constituents []ItemID) ItemID {
-	key := itemKey{path: path, answer: answer}
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	if id, ok := it.byKey[key]; ok {
+	if id, ok := it.byKey[itemKey{path: path, answer: answer}]; ok {
 		return id
 	}
-	id := ItemID(len(it.items))
-	tp := it.paths.TagPath(path)
-	it.items = append(it.items, &Item{
-		ID:           id,
+	return it.add(&Item{
 		Path:         path,
-		TagPath:      tp,
 		Answer:       answer,
 		Vector:       vec,
 		Synthetic:    true,
 		Constituents: append([]ItemID(nil), constituents...),
 	})
-	it.tagPaths = append(it.tagPaths, tp)
-	it.vecs = append(it.vecs, vec)
-	it.byKey[key] = id
-	return id
 }
 
 // Get returns the item for id. The returned pointer is shared; callers must

@@ -23,17 +23,14 @@ type Transaction struct {
 // NewTransaction builds a transaction from possibly unsorted, possibly
 // duplicated item ids.
 func NewTransaction(items []ItemID, doc, tupleIndex, label int) *Transaction {
-	sorted := append([]ItemID(nil), items...)
-	slices.Sort(sorted)
-	out := sorted[:0]
-	var prev ItemID = -1
-	for _, id := range sorted {
-		if id != prev {
-			out = append(out, id)
-			prev = id
-		}
-	}
-	return &Transaction{Items: out, Doc: doc, TupleIndex: tupleIndex, Label: label}
+	return &Transaction{Items: sortedSet(append([]ItemID(nil), items...)), Doc: doc, TupleIndex: tupleIndex, Label: label}
+}
+
+// sortedSet sorts ids in place and drops repeats; the set is the returned
+// prefix.
+func sortedSet(ids []ItemID) []ItemID {
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // Len returns the number of items.

@@ -36,10 +36,12 @@
 // touches no map. The one map left maps a raw token to its term id, so that
 // the stopword test, the stemmer and the term table are consulted once per
 // distinct token of the collection; it is read only while a new item's
-// answer is scanned. None of this changes a bit of the output: counts are
-// integers, and each (item, term) context sum still receives its addends in
-// occurrence order (reference_test.go holds the map-based fold this
-// replaced and demands identical bits).
+// answer is scanned. The tuple factor exp(n_{j,τ}/N_τ) is computed once per
+// distinct n_{j,τ} for a tuple length N_τ, from a table cleared when N_τ
+// changes. None of this changes a bit of the output: the exp argument is the
+// same, counts are integers, and each (item, term) context sum still
+// receives its addends in occurrence order (reference_test.go holds the
+// map-based fold this replaced and demands identical bits).
 package weighting
 
 import (
@@ -111,6 +113,10 @@ type Accumulator struct {
 	docSeen     []int32
 	docEpoch    int32
 	docItems    []txn.ItemID
+	// expTau[n] memoizes the tuple factor exp(n/N_τ) for N_τ = expLen;
+	// 0 = not computed yet. It is cleared whenever N_τ changes.
+	expTau []float64
+	expLen int
 }
 
 // NewAccumulator creates an accumulator bound to the corpus under
@@ -216,6 +222,11 @@ func (a *Accumulator) ObserveDoc(doc int, trs []*txn.Transaction) {
 			continue
 		}
 		nTau := float64(tr.Len())
+		if tr.Len() != a.expLen {
+			a.expLen = tr.Len()
+			a.expTau = slices.Grow(a.expTau[:0], tr.Len()+1)[:tr.Len()+1]
+			clear(a.expTau)
+		}
 		// n_{j,τ}: per-term count of TCUs (items) in this tuple.
 		for _, id := range tr.Items {
 			for _, t := range a.itemTerms[id] {
@@ -230,7 +241,11 @@ func (a *Accumulator) ObserveDoc(doc int, trs []*txn.Transaction) {
 			a.accN[id]++
 			ctx := a.accCtx[id]
 			for k, t := range terms {
-				tupleFactor := math.Exp(float64(njTau[t]) / nTau)
+				tupleFactor := a.expTau[njTau[t]]
+				if tupleFactor == 0 {
+					tupleFactor = math.Exp(float64(njTau[t]) / nTau)
+					a.expTau[njTau[t]] = tupleFactor
+				}
 				treeFactor := float64(njXT[t]) / float64(nXT)
 				ctx[k] += tupleFactor * treeFactor
 			}

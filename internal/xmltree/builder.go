@@ -36,7 +36,8 @@ type builder struct {
 // rec is one node of the tree under construction.
 type rec struct {
 	kind   NodeKind
-	parent int // index of the parent's rec, −1 for the root
+	below  int32 // levels below the root, set by finish
+	parent int   // index of the parent's rec, −1 for the root
 	label  string
 	value  string
 }
@@ -181,10 +182,14 @@ func (b *builder) finish() (*Tree, error) {
 	}
 	nodes := make([]Node, n)
 	ptrs := make([]*Node, 2*n-1) // Tree.Nodes, then the n−1 child links
+	below := int32(0)
 	for i, r := range b.recs {
 		nodes[i] = Node{Kind: r.kind, Label: r.label, Value: r.value}
 		ptrs[i] = &nodes[i]
 		if i > 0 {
+			// A parent precedes its children, so its level is already set.
+			b.recs[i].below = b.recs[r.parent].below + 1
+			below = max(below, b.recs[i].below)
 			nodes[i].Parent = &nodes[r.parent]
 			nodes[r.parent].ID++ // counts children until the next loop sets the real ID
 		}
@@ -203,5 +208,5 @@ func (b *builder) finish() (*Tree, error) {
 			p.Children = append(p.Children, &nodes[i])
 		}
 	}
-	return &Tree{Root: &nodes[0], Nodes: ptrs[:n:n]}, nil
+	return &Tree{Root: &nodes[0], Nodes: ptrs[:n:n], depth: int(below) + 1}, nil
 }

@@ -7,7 +7,8 @@ import (
 )
 
 // treeDiff compares two trees node for node — ids, kinds, labels, values,
-// parents, children and their order — and describes the first difference.
+// parents, children and their order — then their depths, and describes the
+// first difference.
 func treeDiff(got, want *Tree) string {
 	if got == nil || want == nil {
 		return fmt.Sprintf("tree %v, want %v", got, want)
@@ -34,6 +35,9 @@ func treeDiff(got, want *Tree) string {
 				return fmt.Sprintf("node %d: child %d is node %d, want %d", i, j, g.Children[j].ID, w.Children[j].ID)
 			}
 		}
+	}
+	if got.Depth() != want.Depth() {
+		return fmt.Sprintf("depth %d, want %d", got.Depth(), want.Depth())
 	}
 	return ""
 }

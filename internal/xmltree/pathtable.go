@@ -12,6 +12,7 @@ type PathTable struct {
 	mu    sync.RWMutex
 	byStr map[string]PathID
 	paths []Path
+	tags  []PathID // by id: TagPath(id) once it was asked for, −1 before
 }
 
 // NewPathTable creates an empty table.
@@ -30,13 +31,19 @@ func (pt *PathTable) Intern(p Path) PathID {
 	}
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
+	return pt.internLocked(key, p)
+}
+
+// internLocked is Intern under the write lock; key is p.String().
+func (pt *PathTable) internLocked(key string, p Path) PathID {
 	if id, ok := pt.byStr[key]; ok {
 		return id
 	}
-	id = PathID(len(pt.paths))
+	id := PathID(len(pt.paths))
 	cp := make(Path, len(p))
 	copy(cp, p)
 	pt.paths = append(pt.paths, cp)
+	pt.tags = append(pt.tags, -1)
 	pt.byStr[key] = id
 	return id
 }
@@ -65,11 +72,21 @@ func (pt *PathTable) Len() int {
 
 // TagPath returns the tag-path prefix of a complete path id (the path minus
 // its trailing attribute/S symbol) — unchanged if the path is already a tag
-// path — interned in the same table.
+// path — interned in the same table. The answer is memoized per id, so only
+// the first call for a path joins and looks up its prefix.
 func (pt *PathTable) TagPath(id PathID) PathID {
-	p := pt.Path(id)
-	if !p.IsComplete() {
-		return id
+	pt.mu.RLock()
+	tp, p := pt.tags[id], pt.paths[id]
+	pt.mu.RUnlock()
+	if tp >= 0 {
+		return tp
 	}
-	return pt.Intern(p[:len(p)-1])
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	if tp = id; p.IsComplete() {
+		prefix := p[:len(p)-1]
+		tp = pt.internLocked(prefix.String(), prefix)
+	}
+	pt.tags[id] = tp
+	return tp
 }

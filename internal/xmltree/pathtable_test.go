@@ -89,3 +89,37 @@ func TestPathTableConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestTagPathConcurrent: goroutines intern complete paths and ask for tag
+// paths of their own and of each other's ids at once. Every answer is the
+// id of the path minus its last symbol, whichever goroutine filled the memo.
+func TestTagPathConcurrent(t *testing.T) {
+	pt := NewPathTable()
+	complete := []string{"a.b.S", "a.c.S", "a.b.@k", "a.d.e.S", "a.c.@k", "f.S"}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				id := pt.Intern(ParsePath(complete[(g+i)%len(complete)]))
+				pt.TagPath(id)
+				pt.TagPath(PathID(i % pt.Len()))
+			}
+		}(g)
+	}
+	wg.Wait()
+	for id := PathID(0); int(id) < pt.Len(); id++ {
+		p := pt.Path(id)
+		want := id
+		if p.IsComplete() {
+			var ok bool
+			if want, ok = pt.Lookup(p[:len(p)-1]); !ok {
+				t.Fatalf("tag path of %q not interned", p)
+			}
+		}
+		if got := pt.TagPath(id); got != want {
+			t.Errorf("TagPath(%q) = %q, want %q", p, pt.Path(got), pt.Path(want))
+		}
+	}
+}

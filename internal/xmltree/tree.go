@@ -53,6 +53,8 @@ type Tree struct {
 	Root *Node
 	// Nodes lists all nodes in document order; Nodes[i].ID == i.
 	Nodes []*Node
+	// depth is Depth() as the parser counted it; 0 = not known, walk.
+	depth int
 }
 
 // NewTree creates an empty tree with the given root element label.
@@ -67,6 +69,7 @@ func NewTree(rootLabel string) *Tree {
 func (t *Tree) NewNode(kind NodeKind, label, value string, parent *Node) *Node {
 	n := &Node{ID: len(t.Nodes), Kind: kind, Label: label, Value: value, Parent: parent}
 	t.Nodes = append(t.Nodes, n)
+	t.depth = 0
 	if parent != nil {
 		parent.Children = append(parent.Children, n)
 	}
@@ -129,8 +132,13 @@ func NodePath(n *Node) Path {
 	return p
 }
 
-// Depth returns depth(XT): the length of the longest complete path.
+// Depth returns depth(XT): the length of the longest complete path. A
+// parsed tree answers from the count its parser kept; a tree grown with
+// NewNode is walked.
 func (t *Tree) Depth() int {
+	if t.depth > 0 {
+		return t.depth
+	}
 	max := 0
 	var walk func(n *Node, d int)
 	walk = func(n *Node, d int) {
