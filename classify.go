@@ -141,7 +141,7 @@ func (e *Engine) ClassifyTransactions(ctx context.Context, trs []*Transaction, r
 	if err := validateKFGamma(1, opts.F, opts.Gamma); err != nil {
 		return nil, err
 	}
-	if err := validateRunOptions(0, opts.Workers, 0); err != nil {
+	if err := validateRunOptions(0, opts.Workers); err != nil {
 		return nil, err
 	}
 	cx := e.simContext(sim.Params{F: opts.F, Gamma: opts.Gamma})

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	cxkcluster -k 8 [-f 0.5] [-gamma 0.7] [-peers 4] [-seed 1] [-tcp] sources...
+//	cxkcluster -k 8 [-f 0.5] [-gamma 0.7] [-peers 4] [-seed 1] sources...
 //
 // Each argument is an XML file, a directory (walked recursively for *.xml)
 // or a tar/tar.gz archive of XML documents. Ingestion is streaming: the
@@ -38,7 +38,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "worker goroutines per peer (0 = one per CPU, 1 = serial); output is identical for any value")
 		ingestW  = flag.Int("ingest-workers", 0, "parse/extract workers for ingestion (0 = one per CPU, 1 = serial); the corpus is identical for any value")
 		seed     = flag.Int64("seed", 1, "random seed")
-		tcp      = flag.Bool("tcp", false, "run peers over loopback TCP")
 		unequal  = flag.Bool("unequal", false, "skewed data distribution (half the peers hold twice the data)")
 		maxTup   = flag.Int("maxtuples", 0, "cap on tree tuples per document (0 = default)")
 		verbose  = flag.Bool("v", false, "print per-transaction assignments")
@@ -135,7 +134,7 @@ func main() {
 	}
 	res, err := eng.Cluster(ctx, xmlclust.ClusterOptions{
 		K: *k, F: *f, Gamma: *gamma, Peers: *peers, Workers: *workers,
-		Seed: *seed, UseTCP: *tcp, UnequalSplit: *unequal,
+		Seed: *seed, UnequalSplit: *unequal,
 		Events: events,
 	})
 	if errors.Is(err, xmlclust.ErrCanceled) {
@@ -186,8 +185,8 @@ func main() {
 }
 
 // progressPrinter renders the engine's event stream as one stderr line per
-// completed peer round plus start/termination markers. Events arrive
-// serialized, so no extra locking is needed. The index and memo counters on
+// completed peer round plus start/termination markers. Events arrive on
+// one goroutine, so no locking is needed. The index and memo counters on
 // events are run-wide running totals; the printer differences consecutive
 // events to report the work done (and saved) since the last line.
 func progressPrinter() func(xmlclust.Event) {

@@ -159,28 +159,24 @@ func validateKFGamma(k int, f, gamma float64) error {
 	return nil
 }
 
-// validateRunOptions checks the execution-shaping options: MaxRounds,
-// Workers and RoundTimeout must not be negative — zero always selects the
-// documented default, and negative values used to be accepted silently
-// while misbehaving downstream (a negative MaxRounds fell back to the
-// default round bound, a negative Workers aliased "one per CPU", a negative
-// RoundTimeout armed already-expired deadlines).
-func validateRunOptions(maxRounds, workers int, roundTimeout time.Duration) error {
+// validateRunOptions checks the execution-shaping options: MaxRounds and
+// Workers must not be negative — zero always selects the documented
+// default, and negative values used to be accepted silently while
+// misbehaving downstream (a negative MaxRounds fell back to the default
+// round bound, a negative Workers aliased "one per CPU").
+func validateRunOptions(maxRounds, workers int) error {
 	if maxRounds < 0 {
 		return &OptionsError{Field: "MaxRounds", Value: float64(maxRounds), Reason: "round bound must not be negative; use 0 for the default"}
 	}
 	if workers < 0 {
 		return &OptionsError{Field: "Workers", Value: float64(workers), Reason: "worker count must not be negative; use 0 for one worker per CPU"}
 	}
-	if roundTimeout < 0 {
-		return &OptionsError{Field: "RoundTimeout", Value: roundTimeout.Seconds(), Reason: "receive deadline must not be negative; use 0 to disable it"}
-	}
 	return nil
 }
 
 // ValidateClusterOptions checks a ClusterOptions value against every
 // constraint the entry points enforce (K ≥ 1, F and Gamma in [0,1],
-// non-negative MaxRounds / Workers / RoundTimeout), returning a typed
+// non-negative MaxRounds / Workers), returning a typed
 // *OptionsError naming the offending field. Engine.Cluster and
 // Engine.Sweep apply exactly this validation; callers that assemble
 // options from external input (flags, HTTP requests) can reject bad
@@ -189,7 +185,7 @@ func ValidateClusterOptions(opts ClusterOptions) error {
 	if err := validateKFGamma(opts.K, opts.F, opts.Gamma); err != nil {
 		return err
 	}
-	return validateRunOptions(opts.MaxRounds, opts.Workers, opts.RoundTimeout)
+	return validateRunOptions(opts.MaxRounds, opts.Workers)
 }
 
 // Event is one progress notification of a running job: phase changes,
@@ -208,22 +204,6 @@ const (
 	EventRoundEnd      = core.EventRoundEnd
 	EventDone          = core.EventDone
 )
-
-// serializedObserver adapts a user event callback to the concurrent
-// observer contract of the engines: peers emit from their own goroutines,
-// so the callback is serialized behind a mutex and never runs concurrently
-// with itself.
-func serializedObserver(fn func(Event)) core.Observer {
-	if fn == nil {
-		return nil
-	}
-	var mu sync.Mutex
-	return func(ev core.Event) {
-		mu.Lock()
-		defer mu.Unlock()
-		fn(ev)
-	}
-}
 
 // Cluster runs one clustering job on the engine's corpus. ctx cancels the
 // job at its next safe boundary (phase edges, blocking receives and the
@@ -249,16 +229,6 @@ func (e *Engine) Cluster(ctx context.Context, opts ClusterOptions) (*Result, err
 	} else {
 		part = core.EqualPartition(n, peers, opts.Seed)
 	}
-	var transport p2p.Transport
-	if opts.UseTCP {
-		t, err := p2p.NewTCPTransport(peers)
-		if err != nil {
-			return nil, err
-		}
-		defer t.Close()
-		transport = t
-	}
-	observer := serializedObserver(opts.Events)
 	// Kernel-counter snapshot for the per-job delta reported in Result.
 	// Jobs at the same (F, Gamma) share one context; when such jobs run
 	// concurrently (a sweep with K or Peers axes) the deltas attribute the
@@ -268,9 +238,8 @@ func (e *Engine) Cluster(ctx context.Context, opts ClusterOptions) (*Result, err
 
 	res, err := core.Run(ctx, cx, e.corpus, core.Options{
 		K: opts.K, Params: cx.Params, Peers: peers, Partition: part,
-		Seed: opts.Seed, MaxRounds: opts.MaxRounds, Transport: transport,
-		Workers: opts.Workers, RoundTimeout: opts.RoundTimeout,
-		Fast: fast, PKMeans: opts.Algorithm == PKMeans, Observer: observer,
+		Seed: opts.Seed, MaxRounds: opts.MaxRounds, Workers: opts.Workers,
+		Fast: fast, PKMeans: opts.Algorithm == PKMeans, Observer: opts.Events,
 	})
 	if err != nil {
 		return nil, err
@@ -302,7 +271,7 @@ func (e *Engine) ClusterDistributed(ctx context.Context, opts DistributedOptions
 	}
 	// DistributedOptions documents negative RoundTimeout/StartupTimeout as
 	// "no deadline", so only the unambiguous fields are range-checked here.
-	if err := validateRunOptions(opts.MaxRounds, opts.Workers, 0); err != nil {
+	if err := validateRunOptions(opts.MaxRounds, opts.Workers); err != nil {
 		return nil, err
 	}
 	for _, f := range []struct {
@@ -361,7 +330,7 @@ func (e *Engine) ClusterDistributed(ctx context.Context, opts DistributedOptions
 		Seed: opts.Seed, MaxRounds: opts.MaxRounds, Transport: node,
 		Workers: opts.Workers, RoundTimeout: rt, StartupTimeout: st,
 		Fast:     fastRun(opts.IndexReps, opts.DeltaRounds),
-		Observer: serializedObserver(opts.Events),
+		Observer: opts.Events,
 	}
 	// The one digest of this process's corpus: the startup check and the
 	// fabric's fingerprint share it.

@@ -143,9 +143,9 @@ func TestEngineValidation(t *testing.T) {
 }
 
 // TestRunOptionsValidation pins the execution-shaping option checks:
-// negative MaxRounds, Workers and RoundTimeout used to be accepted silently
-// (falling back to defaults or arming expired deadlines); every entry point
-// must now reject them with a typed *OptionsError naming the field.
+// negative MaxRounds and Workers used to be accepted silently (falling back
+// to defaults); every entry point must now reject them with a typed
+// *OptionsError naming the field.
 func TestRunOptionsValidation(t *testing.T) {
 	corpus := sampleCorpus(t)
 	eng, err := NewEngine(corpus, EngineOptions{})
@@ -168,7 +168,6 @@ func TestRunOptionsValidation(t *testing.T) {
 	}{
 		{"MaxRounds", ClusterOptions{K: 2, F: 0.5, Gamma: 0.5, MaxRounds: -1}},
 		{"Workers", ClusterOptions{K: 2, F: 0.5, Gamma: 0.5, Workers: -2}},
-		{"RoundTimeout", ClusterOptions{K: 2, F: 0.5, Gamma: 0.5, RoundTimeout: -time.Second}},
 	}
 	for _, c := range cases {
 		t.Run(c.field, func(t *testing.T) {
@@ -177,14 +176,11 @@ func TestRunOptionsValidation(t *testing.T) {
 			check(t, err, c.field)
 			_, err = eng.Sweep(context.Background(), SweepSpec{Base: c.opts})
 			check(t, err, c.field)
-			if c.field != "RoundTimeout" {
-				// DistributedOptions keeps negative-timeout = "no deadline".
-				_, err = eng.ClusterDistributed(context.Background(), DistributedOptions{
-					K: 2, F: 0.5, Gamma: 0.5, PeerAddrs: []string{"127.0.0.1:0"},
-					MaxRounds: c.opts.MaxRounds, Workers: c.opts.Workers,
-				})
-				check(t, err, c.field)
-			}
+			_, err = eng.ClusterDistributed(context.Background(), DistributedOptions{
+				K: 2, F: 0.5, Gamma: 0.5, PeerAddrs: []string{"127.0.0.1:0"},
+				MaxRounds: c.opts.MaxRounds, Workers: c.opts.Workers,
+			})
+			check(t, err, c.field)
 		})
 	}
 	t.Run("ClassifyWorkers", func(t *testing.T) {

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
 	"xmlclust/internal/cluster"
@@ -34,9 +32,9 @@ type Options struct {
 	Rule cluster.ReturnRule
 	// Workers bounds the goroutines each peer uses for its relocation
 	// passes (refinement is serial). 0/negative = one per CPU, 1 = serial.
-	// Peers always run concurrently with each other; Workers adds intra-peer
-	// parallelism on top, and the result stays byte-identical to Workers: 1
-	// for a fixed Seed.
+	// Run computes the peers of one phase concurrently; Workers adds
+	// intra-peer parallelism on top, and the result stays byte-identical to
+	// Workers: 1 for a fixed Seed.
 	Workers int
 	// Fast runs every peer on the fast engine: posting-list scoring instead
 	// of the dense kernel, local representatives memoized across rounds (see
@@ -51,36 +49,28 @@ type Options struct {
 	// summed objective. Run only: neither the StartMsg nor a SessionState
 	// carries it, so RunPeer rejects it.
 	PKMeans bool
-	// Transport overrides the default in-process channel transport.
-	Transport p2p.Transport
-	// SerializeCompute runs peers' compute sections under a mutual
-	// exclusion token so that measured per-peer compute times are not
-	// polluted by scheduler interleaving on machines with fewer cores than
-	// peers. Communication still overlaps. Benchmarks enable this; live
-	// deployments leave it off.
+	// SerializeCompute makes Run compute the peers of a phase one at a time
+	// instead of concurrently, so that measured per-peer compute times are
+	// not polluted by scheduler interleaving on machines with fewer cores
+	// than peers. Benchmarks enable this; RunPeer ignores it.
 	SerializeCompute bool
-	// RoundTimeout bounds every blocking receive of each peer's session;
-	// a peer that waits longer fails with ErrRoundDeadline instead of
-	// hanging on a dead neighbour. 0 disables the deadline (the default
-	// for trusted in-process runs).
-	RoundTimeout time.Duration
-	// StartupTimeout bounds the wait for the StartMsg (see
-	// PeerConfig.StartupTimeout); distributed peers boot in any order, so
-	// it is typically much longer than RoundTimeout. 0 falls back to
-	// RoundTimeout; negative disables it.
-	StartupTimeout time.Duration
 	// Observer, when non-nil, receives progress events from every peer
 	// session (see PeerConfig.Observer) plus one run-level Done event with
-	// Peer == -1 after all sessions terminate. Must be safe for concurrent
-	// calls.
+	// Peer == -1 after all sessions terminate. Run calls it from its own
+	// goroutine, in the schedule's order.
 	Observer Observer
-	// Epoch, Initial, Rejoin and Hooks attach the elastic peer fabric to a
-	// RunPeer session (see the matching PeerConfig fields; ignored by the
-	// in-process Run driver, whose peers share one failure domain).
-	Epoch   int
-	Initial *SessionState
-	Rejoin  bool
-	Hooks   Hooks
+	// Transport, RoundTimeout, StartupTimeout, Epoch, Initial, Rejoin and
+	// Hooks configure a RunPeer session (see the matching PeerConfig
+	// fields). Run ignores them: its peers share one address space and one
+	// failure domain, and a run that can no longer progress fails at once
+	// with ErrStalled.
+	Transport      p2p.Transport
+	RoundTimeout   time.Duration
+	StartupTimeout time.Duration
+	Epoch          int
+	Initial        *SessionState
+	Rejoin         bool
+	Hooks          Hooks
 }
 
 // DefaultMaxRounds bounds the collaborative loop.
@@ -252,109 +242,6 @@ func ResponsibilityPartition(k, m int) [][]int {
 		}
 	}
 	return zs
-}
-
-// Run executes CXK-means (or, with PKMeans, the PK-means baseline) as a thin
-// driver over the session engine: it plays
-// node N0 (startup), builds one Peer per partition part and runs all m
-// sessions concurrently over the shared transport. The corpus supplies the
-// transaction set S and interning tables; cx must be a similarity context
-// over the same corpus with Params equal to opts.Params.
-//
-// Cancellation of ctx aborts every session at its next safe boundary and
-// Run returns an error wrapping ErrCanceled; a nil ctx never cancels.
-func Run(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Options) (*Result, error) {
-	if err := opts.check(); err != nil {
-		return nil, err
-	}
-	m := opts.Peers
-	transport := opts.Transport
-	if transport == nil {
-		transport = p2p.NewChanTransport(m, Sizer(corpus.Items))
-		defer transport.Close()
-	}
-
-	// Node N0 startup (Fig. 5): define Z_1..Z_m and ship parameters. Peer 0
-	// plays N0 — the paper notes any peer can perform this trivial duty.
-	start := NewStartMsg(cx, corpus, opts)
-	for i := 0; i < m; i++ {
-		if err := transport.Send(0, i, start); err != nil {
-			return nil, err
-		}
-	}
-
-	var computeToken chan struct{}
-	if opts.SerializeCompute {
-		computeToken = make(chan struct{}, 1)
-		computeToken <- struct{}{}
-	}
-
-	peers := make([]*Peer, m)
-	for i := 0; i < m; i++ {
-		cfg := peerConfig(cx, corpus, opts, &start, i)
-		cfg.Transport, cfg.ComputeToken = transport, computeToken
-		peers[i] = NewPeer(cfg)
-	}
-
-	// The first session to fail cancels the others: they would otherwise wait
-	// for its next message until the caller's ctx dies.
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	t0 := time.Now()
-	var wg sync.WaitGroup
-	var failed sync.Once
-	var firstErr error
-	results := make([]*SessionResult, m)
-	for i := 0; i < m; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var err error
-			if results[i], err = peers[i].RunSession(ctx); err != nil {
-				failed.Do(func() {
-					firstErr = err
-					cancel()
-				})
-			}
-		}(i)
-	}
-	wg.Wait()
-	wall := time.Since(t0)
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	res := &Result{
-		Assign:   make([]int, len(corpus.Transactions)),
-		Reps:     results[0].Reps,
-		WallTime: wall,
-		Peers:    make([]PeerReport, m),
-	}
-	for i := range res.Assign {
-		res.Assign[i] = cluster.TrashCluster
-	}
-	for i, sr := range results {
-		res.Peers[i] = sr.Report
-		if sr.Rounds > res.Rounds {
-			res.Rounds = sr.Rounds
-		}
-		for localIdx, a := range sr.Assign {
-			res.Assign[opts.Partition[i][localIdx]] = a
-		}
-	}
-	if opts.Observer != nil {
-		msgs, bytes := res.TotalTraffic()
-		opts.Observer(Event{
-			Kind: EventDone, Peer: -1, Round: res.Rounds, Phase: PhaseDone,
-			SentMsgs: msgs, SentBytes: bytes,
-			CounterSnapshot: cx.Counters.Snapshot(),
-			Elapsed:         wall,
-		})
-	}
-	return res, nil
 }
 
 // check rejects the options neither Run nor RunPeer can run.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -304,90 +303,45 @@ func (c *closingTransport) Close() error {
 	return nil
 }
 
-// TestRunTransportClosedIsTyped: a receive stream that ends under a running
-// session fails the run with an error wrapping ErrTransportClosed, under
-// either policy.
+// TestRunTransportClosedIsTyped: a receive stream that ends under running
+// RunPeer sessions fails each of them with an error wrapping
+// ErrTransportClosed.
 func TestRunTransportClosedIsTyped(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
-	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
-	for _, pk := range []bool{false, true} {
-		tr := &closingTransport{Transport: p2p.NewChanTransport(2, nil),
-			recv: make(chan p2p.Envelope), listening: make(chan struct{})}
-		done := make(chan error, 1)
+	tr := &closingTransport{Transport: p2p.NewChanTransport(2),
+		recv: make(chan p2p.Envelope), listening: make(chan struct{})}
+	defer tr.Transport.Close()
+	done := make(chan error, 2)
+	for id := range 2 {
 		go func() {
-			_, err := Run(context.Background(), cx, corpus, Options{
-				K: 2, Params: cx.Params, Peers: 2, Transport: tr, PKMeans: pk,
+			cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
+			_, err := runPeer(context.Background(), cx, corpus, Options{
+				K: 2, Params: cx.Params, Peers: 2, Transport: tr,
 				Partition: EqualPartition(len(corpus.Transactions), 2, 7),
 				Seed:      7,
-			})
+			}, id)
 			done <- err
 		}()
-		<-tr.listening
-		tr.Close()
+	}
+	<-tr.listening
+	tr.Close()
+	for range 2 {
 		select {
 		case err := <-done:
 			if !errors.Is(err, ErrTransportClosed) {
-				t.Errorf("pk=%v: Run returned %v, want an error wrapping ErrTransportClosed", pk, err)
+				t.Errorf("RunPeer returned %v, want an error wrapping ErrTransportClosed", err)
 			}
 		case <-time.After(20 * time.Second):
-			t.Fatalf("pk=%v: Run still blocked after its transport closed", pk)
+			t.Fatal("RunPeer still blocked after its transport closed")
 		}
-		tr.Transport.Close()
-	}
-}
-
-// nthSendFailingTransport fails exactly one Send — the failAt-th — and
-// delivers every other message.
-type nthSendFailingTransport struct {
-	p2p.Transport
-	sends  atomic.Int32
-	failAt int32
-}
-
-func (f *nthSendFailingTransport) Send(from, to int, payload any) error {
-	if f.sends.Add(1) == f.failAt {
-		return errors.New("injected send failure")
-	}
-	return f.Transport.Send(from, to, payload)
-}
-
-// TestPKSendFailureFailsRun pins the send-error path of a PK-means run: one
-// lost message — in the seeding exchange or in a later round — must fail the
-// whole run with ErrSend promptly, not leave the other peers waiting for it
-// until the caller's context dies (this one never does).
-func TestPKSendFailureFailsRun(t *testing.T) {
-	corpus, _ := miniCorpus(t, 8)
-	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
-	// Run first sends the 3 StartMsgs; the seeding round then ships 6
-	// messages, sends 4 to 9.
-	for _, failAt := range []int32{5, 12} {
-		tr := &nthSendFailingTransport{Transport: p2p.NewChanTransport(3, nil), failAt: failAt}
-		done := make(chan error, 1)
-		go func() {
-			_, err := Run(context.Background(), cx, corpus, Options{
-				K: 2, Params: cx.Params, Peers: 3, Transport: tr, PKMeans: true,
-				Partition: EqualPartition(len(corpus.Transactions), 3, 7),
-				Seed:      7,
-			})
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			if !errors.Is(err, ErrSend) {
-				t.Errorf("send %d failed: Run returned %v, want an error wrapping ErrSend", failAt, err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("send %d failed: Run still blocked after 30s", failAt)
-		}
-		tr.Close()
 	}
 }
 
 // TestPKRejectsMalformedFrames: a frame's own numbers are used as indices
-// only after they are vetted. Each malformed frame waiting in a peer's inbox —
-// the seeding round's GlobalRepsMsg or a later round's LocalRepsMsg — must
-// fail a PK-means run with ErrUnexpectedMessage inside the deadline, never
-// panic or allocate by what the frame claims.
+// only after they are vetted. Each malformed frame queued for peer 0 — the
+// seeding round's GlobalRepsMsg or a later round's LocalRepsMsg — must fail
+// the run with ErrUnexpectedMessage under either policy, never panic or
+// allocate by what the frame claims.
 func TestPKRejectsMalformedFrames(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
 	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
@@ -403,7 +357,7 @@ func TestPKRejectsMalformedFrames(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		from int // the sender the transport reports
+		from int // the sender the envelope reports
 		msg  any
 	}{
 		{"round far past MaxRounds", 1, msg(1, 1<<31, 0, good)},
@@ -416,29 +370,19 @@ func TestPKRejectsMalformedFrames(t *testing.T) {
 		{"item past the table", 1, msg(1, 0, 1, pastTable)},
 		{"negative item", 1, msg(1, 1, 1, WireTxn{Items: []txn.ItemID{-1}})},
 	}
-	for _, c := range cases {
-		tr := p2p.NewChanTransport(2, nil)
-		if err := tr.Send(c.from, 0, c.msg); err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan error, 1)
-		go func() {
-			_, err := Run(context.Background(), cx, corpus, Options{
-				K: 2, Params: cx.Params, Peers: 2, Transport: tr, PKMeans: true,
+	for _, pk := range []bool{false, true} {
+		for _, c := range cases {
+			sch := newScheduler(context.Background(), cx, corpus, Options{
+				K: 2, Params: cx.Params, Peers: 2, PKMeans: pk,
 				Partition: EqualPartition(len(corpus.Transactions), 2, 7),
 				Seed:      7,
 			})
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			if !errors.Is(err, ErrUnexpectedMessage) {
-				t.Errorf("%s: Run returned %v, want an error wrapping ErrUnexpectedMessage", c.name, err)
+			const link = 1*2 + 0 // peer 1 → peer 0
+			sch.links[link] = append(sch.links[link], p2p.Envelope{From: c.from, To: 0, Payload: c.msg})
+			if _, err := sch.run(); !errors.Is(err, ErrUnexpectedMessage) {
+				t.Errorf("pk=%v %s: Run returned %v, want an error wrapping ErrUnexpectedMessage", pk, c.name, err)
 			}
-		case <-time.After(20 * time.Second):
-			t.Fatalf("%s: Run still blocked after 20s", c.name)
 		}
-		tr.Close()
 	}
 }
 
@@ -486,41 +430,6 @@ func TestUnequalPartitionRun(t *testing.T) {
 	}
 	if bestF < 0.5 {
 		t.Errorf("unequal-split best F = %v", bestF)
-	}
-}
-
-func TestRunOverTCPTransport(t *testing.T) {
-	corpus, labels := miniCorpus(t, 5)
-	bestF := -1.0
-	var msgs, bytes int64
-	for seed := int64(1); seed <= 5; seed++ {
-		tr, err := p2p.NewTCPTransport(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
-		res, err := Run(context.Background(), cx, corpus, Options{
-			K: 2, Params: cx.Params, Peers: 3,
-			Partition: EqualPartition(len(corpus.Transactions), 3, seed),
-			Seed:      seed, Transport: tr,
-		})
-		if err != nil {
-			tr.Close()
-			t.Fatal(err)
-		}
-		if f := eval.FMeasure(labels, res.Assign, 2); f > bestF {
-			bestF = f
-		}
-		m, b := tr.Stats()
-		msgs += m
-		bytes += b
-		tr.Close()
-	}
-	if bestF < 0.5 {
-		t.Errorf("TCP-run best F = %v", bestF)
-	}
-	if msgs == 0 || bytes == 0 {
-		t.Error("no TCP traffic recorded")
 	}
 }
 
@@ -663,31 +572,22 @@ func BenchmarkCXKRunM3(b *testing.B) {
 	}
 }
 
-// TestRunUnderMessageDelays shakes out ordering assumptions: random send
-// delays must change neither termination nor the result for a fixed seed
-// (aggregation is per-sender slotted, so arrival order is immaterial).
+// TestRunUnderMessageDelays shakes out ordering assumptions: RunPeer
+// sessions whose sends are randomly delayed must end where Run ends, in
+// the same rounds with the same assignment (aggregation is per-sender
+// slotted, so arrival order is immaterial).
 func TestRunUnderMessageDelays(t *testing.T) {
 	corpus, _ := miniCorpus(t, 6)
-	baseline := runCXK(t, corpus, 2, 3, 4)
-	inner := p2p.NewChanTransport(3, Sizer(corpus.Items))
-	delayed := p2p.NewDelayTransport(inner, 2*time.Millisecond, 99)
+	want := runCXKDelta(t, sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.7}), corpus, 2, 3, 4, 0, false)
+	delayed := p2p.NewDelayTransport(p2p.NewChanTransport(3), 2*time.Millisecond, 99)
 	defer delayed.Close()
-	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
-	res, err := Run(context.Background(), cx, corpus, Options{
-		K: 2, Params: cx.Params, Peers: 3,
-		Partition: EqualPartition(len(corpus.Transactions), 3, 4),
-		Seed:      4, Transport: delayed,
-	})
-	if err != nil {
-		t.Fatal(err)
+	got := runFleet(t, shared(delayed, 3), corpus, 2, 4, make([]bool, 3))
+	if got[0].Rounds != want.Rounds {
+		t.Errorf("delays changed the round count: %d vs %d", got[0].Rounds, want.Rounds)
 	}
-	if res.Rounds == 0 || res.Rounds > DefaultMaxRounds {
-		t.Fatalf("rounds = %d", res.Rounds)
-	}
-	for i := range res.Assign {
-		if res.Assign[i] != baseline.Assign[i] {
-			t.Fatalf("delays changed assignment %d: %d vs %d",
-				i, res.Assign[i], baseline.Assign[i])
+	for i := range want.Assign {
+		if got[0].Global[i] != want.Assign[i] {
+			t.Fatalf("delays changed assignment %d: %d vs %d", i, got[0].Global[i], want.Assign[i])
 		}
 	}
 }

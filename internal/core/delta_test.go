@@ -110,10 +110,10 @@ func assertTrafficEqual(t *testing.T, label string, want, got PeerReport) {
 	}
 }
 
-// runFleet runs one RunPeer per entry of fast over the shared transport, each
-// on a similarity context of its own as separate processes would have, and
+// runFleet runs one RunPeer per entry of fast, peer id over trs[id], each on
+// a similarity context of its own as separate processes would have, and
 // returns the per-peer results.
-func runFleet(t *testing.T, tr p2p.Transport, corpus *txn.Corpus, k int, seed int64, fast []bool) []*PeerResult {
+func runFleet(t *testing.T, trs []p2p.Transport, corpus *txn.Corpus, k int, seed int64, fast []bool) []*PeerResult {
 	t.Helper()
 	m := len(fast)
 	part := EqualPartition(len(corpus.Transactions), m, seed)
@@ -127,7 +127,7 @@ func runFleet(t *testing.T, tr p2p.Transport, corpus *txn.Corpus, k int, seed in
 			cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.7})
 			results[id], errs[id] = runPeer(context.Background(), cx, corpus, Options{
 				K: k, Params: cx.Params, Peers: m, Partition: part,
-				Seed: seed, Transport: tr, RoundTimeout: 30 * time.Second,
+				Seed: seed, Transport: trs[id], RoundTimeout: 30 * time.Second,
 				Fast: fast[id],
 			}, id)
 		}(id)
@@ -141,11 +141,16 @@ func runFleet(t *testing.T, tr p2p.Transport, corpus *txn.Corpus, k int, seed in
 	return results
 }
 
+// shared lists one transport m times: every peer of the fleet on it.
+func shared(tr p2p.Transport, m int) []p2p.Transport {
+	return slices.Repeat([]p2p.Transport{tr}, m)
+}
+
 // TestRunMixedEnginesIdentical is the wire-level equivalence gate: the engine
 // is a peer's own business, so fleets of three that mix fast and reference
 // peers must equal the all-fast and the all-reference fleet in assignment,
 // rounds, representatives and traffic — modeled per peer and round, and over
-// TCP the actual encoded bytes too.
+// TCP Nodes (one per peer, as cxkpeer runs) the actual encoded bytes too.
 func TestRunMixedEnginesIdentical(t *testing.T) {
 	gen, _ := dataset.ByName("DBLP")
 	col := gen(dataset.Spec{Docs: 20, Seed: 99})
@@ -157,20 +162,23 @@ func TestRunMixedEnginesIdentical(t *testing.T) {
 		var wantMsgs, wantBytes int64
 		for _, fast := range fleets {
 			label := fmt.Sprintf("tcp %v fleet %v", tcp, fast)
-			var tr p2p.Transport
-			stats := func() (int64, int64) { return 0, 0 }
+			var trs []p2p.Transport
+			var nodes []*p2p.Node
 			if tcp {
-				tt, err := p2p.NewTCPTransport(len(fast))
-				if err != nil {
-					t.Fatal(err)
+				nodes = startNodes(t, len(fast))
+				for _, n := range nodes {
+					trs = append(trs, n)
 				}
-				tr, stats = tt, tt.Stats
 			} else {
-				tr = p2p.NewChanTransport(len(fast), Sizer(corpus.Items))
+				trs = shared(p2p.NewChanTransport(len(fast)), len(fast))
 			}
-			got := runFleet(t, tr, corpus, k, 9, fast)
-			msgs, bytes := stats()
-			tr.Close()
+			got := runFleet(t, trs, corpus, k, 9, fast)
+			var msgs, bytes int64
+			for _, n := range nodes {
+				m, b := n.SentStats()
+				msgs, bytes = msgs+m, bytes+b
+				n.Close()
+			}
 			if want == nil {
 				if got[0].Rounds < 3 {
 					t.Fatalf("%s: converged in %d rounds; too short to tell the engines apart", label, got[0].Rounds)
@@ -204,7 +212,7 @@ func TestRunMixedEnginesIdentical(t *testing.T) {
 // replaying it on a second engine and context.
 func TestReferenceSessionRelocatesOncePerRound(t *testing.T) {
 	corpus, _ := miniCorpus(t, 6)
-	tr := p2p.NewChanTransport(1, nil)
+	tr := p2p.NewChanTransport(1)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 1, 7)
 	p := testPeer(corpus, tr, 0, part, nil)

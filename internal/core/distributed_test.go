@@ -51,7 +51,7 @@ func startNodes(t *testing.T, m int) []*p2p.Node {
 // TestRunPeerNodeEquivalence is the in-process vs multi-process engine
 // check: three RunPeer sessions over real TCP Nodes — each with its own
 // similarity context, as three OS processes would have — must produce the
-// byte-identical assignment of the in-process ChanTransport driver. One
+// byte-identical assignment of the in-process driver, Run. One
 // peer additionally runs behind a DelayTransport, so arrival-order
 // assumptions across the wire are exercised too.
 func TestRunPeerNodeEquivalence(t *testing.T) {
@@ -127,7 +127,7 @@ func TestRunPeerValidation(t *testing.T) {
 	if _, err := runPeer(ctx, cx, corpus, base, 0); err == nil {
 		t.Error("missing transport should fail")
 	}
-	tr := p2p.NewChanTransport(2, nil)
+	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
 	withTr := base
 	withTr.Transport = tr
@@ -149,7 +149,7 @@ func TestRunPeerValidation(t *testing.T) {
 	if _, err := runPeer(ctx, cx, corpus, bad, 0); err == nil {
 		t.Error("partition mismatch should fail")
 	}
-	small := p2p.NewChanTransport(1, nil)
+	small := p2p.NewChanTransport(1)
 	defer small.Close()
 	bad = withTr
 	bad.Transport = small
@@ -163,7 +163,7 @@ func TestRunPeerValidation(t *testing.T) {
 func TestCollectAssignmentsTimeout(t *testing.T) {
 	corpus, _ := miniCorpus(t, 2)
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
-	tr := p2p.NewChanTransport(2, nil)
+	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
 	opts := Options{Peers: 2, Partition: part, Transport: tr, RoundTimeout: 50 * time.Millisecond}
 	own := make([]int, len(part[0]))
@@ -179,7 +179,7 @@ func TestCollectAssignmentsMergesPartition(t *testing.T) {
 	corpus, _ := miniCorpus(t, 3)
 	n := len(corpus.Transactions)
 	part := UnequalPartition(n, 2, 3)
-	tr := p2p.NewChanTransport(2, nil)
+	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
 	own := make([]int, len(part[0]))
 	for i := range own {
@@ -268,7 +268,7 @@ func TestRunPeerDivergentAnswersFails(t *testing.T) {
 	if PartitionFingerprint(mine, [][]int{{0, 1}}) == PartitionFingerprint(theirs, [][]int{{0, 1}}) {
 		t.Fatal("the digest does not see answer text")
 	}
-	tr := p2p.NewChanTransport(2, nil)
+	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -1,19 +1,22 @@
 // Protocol notes — the Fig. 5 message pattern as implemented.
 //
-// The protocol is split into a machine and a driver. The machine
+// The protocol is split into a machine and its drivers. The machine
 // (machine.go) is peer i's session as a pure step function: Step takes one
 // input — a delivered envelope, a fired timer, a finished compute, a state to
 // install — and returns what to do next: sends, a timer to arm, events, and
 // at most one request it then waits on (a round boundary, a compute, done).
 // It advances startup → (broadcast-globals → relocate → exchange-locals →
 // refine-globals)* → done and holds the reorder and epoch buffers, but no
-// goroutine, clock, context or transport. Peer.RunSession is the driver: it
-// reads the transport under ctx, owns the receive deadlines
-// (PeerConfig.RoundTimeout), runs compute requests on cluster.Rounds, calls
-// the fabric Hooks and wraps failures in SessionError (ErrRoundDeadline /
-// ErrTransportClosed / ErrUnexpectedMessage / ErrSend). Run executes all m
-// sessions in one process over a shared transport, RunPeer exactly one per
-// OS process over a p2p.Node (see cmd/cxkpeer).
+// goroutine, clock, context or transport. Two drivers step it. Run executes
+// all m machines of one process on one deterministic schedule (schedule.go):
+// it drains per-link FIFO queues lowest link first, then runs the compute
+// requests that left the peers waiting as one wave, concurrently, applying
+// the results in peer order. Peer.RunSession drives one machine per OS
+// process over a p2p.Node (RunPeer, cmd/cxkpeer): it reads the transport
+// under ctx, owns the receive deadlines (PeerConfig.RoundTimeout), runs
+// compute requests on cluster.Rounds, calls the fabric Hooks and wraps
+// failures in SessionError (ErrRoundDeadline / ErrTransportClosed /
+// ErrUnexpectedMessage / ErrSend).
 //
 // Startup. The orchestrator (playing node N₀, which the paper notes can be
 // any peer — peer 0 in both drivers) computes the responsibility partition
@@ -84,8 +87,9 @@
 // every round message goes through accept, which buffers it per (round,
 // type) until its phase collects it, and a terminated peer's post-session
 // AssignMsg is parked for the coordinator's collection step. The protocol
-// therefore tolerates any interleaving a FIFO-per-pair transport can produce
-// (exercised by the DelayTransport robustness tests).
+// therefore tolerates any interleaving a FIFO-per-pair transport can
+// produce; TestLockstepMatchesRun runs Run's machines under random delivery
+// orders and ends where Run's fixed order ends.
 //
 // Untrusted numbers. Frames arrive from a TCP port anyone on the host can
 // dial, and the session indexes with what they say. accept therefore vets
@@ -94,15 +98,20 @@
 // cluster ids in [0, k), wire item ids inside the interning table, the
 // objective finite. A violation fails the session with ErrUnexpectedMessage.
 //
-// Failure handling. Sends propagate transport errors and fail the session
-// (a silent drop would starve the receiving peer); receives honour the
-// per-round deadline, so a dead peer surfaces as ErrRoundDeadline with the
-// round and phase it struck in rather than a hung process.
+// Failure handling. Under RunSession, sends propagate transport errors and
+// fail the session (a silent drop would starve the receiving peer), and
+// receives honour the per-round deadline, so a dead peer surfaces as
+// ErrRoundDeadline with the round and phase it struck in rather than a hung
+// process. Run arms no timer: when nothing is queued and nothing is left to
+// compute while a machine still waits, the run fails at once with
+// ErrStalled, naming the lowest waiting peer, its round and its phase. The
+// first failure of any machine ends Run; no other goroutine is left to stop.
 //
-// Accounting. Every peer records, per round: compute time (optionally
-// serialized across peers via a token so measurements are not polluted by
-// host-core oversubscription), modeled sent/received bytes and message
-// counts — a received message is counted where it is accepted, whichever
+// Accounting. Every peer records, per round: compute time (under
+// Options.SerializeCompute, Run computes one peer at a time so measurements
+// are not polluted by host-core oversubscription), modeled sent/received
+// bytes and message counts (core.Sizer) — a sent message is counted by the
+// driver that carries it, a received one where it is accepted, whichever
 // path it took there. Result.SimulatedTime folds these into the paper's
 // runtime metric: Σ_rounds (max_i compute + max_i wire-time).
 package core

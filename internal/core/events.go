@@ -77,9 +77,9 @@ type Event struct {
 	Elapsed time.Duration
 }
 
-// Observer receives progress events. Peers run concurrently, so an
-// Observer must be safe for concurrent calls (the public xmlclust surface
-// serializes them before user callbacks).
+// Observer receives progress events. Run calls it from its own goroutine and
+// RunSession from the session's, so only an Observer shared by concurrent
+// sessions must be safe for concurrent calls.
 type Observer func(Event)
 
 // TrafficTotals sums the report's per-round traffic counters — the

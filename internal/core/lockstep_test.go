@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -124,80 +125,25 @@ func (st *stepper) flush(t testing.TB) {
 	st.sent = nil
 }
 
-// lockstep runs Run's configuration as m machines on one goroutine. Held
-// requests are answered at once; envelopes wait on per-link FIFO queues and
-// are delivered one at a time from a link drawn from the schedule seed. A
-// virtual clock ticks once per delivery, and a peer left waiting with
-// nothing to deliver gets its armed timer fired at its deadline.
+// lockstep runs Run's configuration on the scheduler with the delivery order
+// drawn from the schedule seed: each envelope comes from a random non-empty
+// link instead of the lowest one.
 func lockstep(t *testing.T, corpus *txn.Corpus, opts Options, schedule int64) *Result {
 	t.Helper()
-	cx := sim.NewContext(corpus, opts.Params)
-	m := opts.Peers
-	const window = 1 << 20 // virtual ticks per timer
-	peers := make([]*stepper, m)
-	deadlines := make([]int, m)
-	links := make([][]p2p.Envelope, m*m) // from*m + to
-	start := NewStartMsg(cx, corpus, opts)
-	for i := range peers {
-		peers[i] = newStepper(NewPeer(peerConfig(cx, corpus, opts, &start, i)), m)
-		links[i] = append(links[i], p2p.Envelope{From: 0, To: i, Payload: start})
-	}
+	sch := newScheduler(context.Background(), sim.NewContext(corpus, opts.Params), corpus, opts)
 	rng := rand.New(rand.NewSource(schedule))
-	for clock := 0; ; clock++ {
-		for i, st := range peers {
-			for st.advance(t) {
-			}
-			for _, o := range st.sent {
-				links[i*m+o.to] = append(links[i*m+o.to], p2p.Envelope{From: i, To: o.to, Payload: o.payload})
-			}
-			st.sent = nil
-			if st.armed {
-				st.armed, deadlines[i] = false, clock+window
-			}
-			if st.err != nil {
-				t.Fatalf("peer %d at tick %d: %v", i, clock, st.err)
-			}
-		}
-		var ready []int
-		for l, q := range links {
-			if len(q) > 0 && !peers[l%m].done {
-				ready = append(ready, l)
-			}
-		}
-		if len(ready) > 0 {
-			l := ready[rng.Intn(len(ready))]
-			env := links[l][0]
-			links[l] = links[l][1:]
-			peers[l%m].deliver(env)
-			continue
-		}
-		waiting := -1
-		for i, st := range peers {
-			if !st.done && (waiting < 0 || deadlines[i] < deadlines[waiting]) {
-				waiting = i
-			}
-		}
-		if waiting < 0 {
-			break
-		}
-		clock = deadlines[waiting]
-		peers[waiting].take(peers[waiting].s.Step(timeout{}))
-	}
-	res := &Result{Assign: make([]int, len(corpus.Transactions)), Reps: peers[0].s.global}
-	for i, st := range peers {
-		res.Rounds = max(res.Rounds, st.s.rounds)
-		for li, a := range st.s.assign {
-			res.Assign[opts.Partition[i][li]] = a
-		}
+	sch.pick = func(ready []int) int { return ready[rng.Intn(len(ready))] }
+	res, err := sch.run()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return res
 }
 
-// TestLockstepMatchesRun: the machine has no hidden I/O. Stepped on one
-// goroutine under 20 delivery schedules per configuration, with no
-// transport, timer or goroutine of its own, it ends where Run's concurrent
-// sessions end: same assignments, representatives and round count, under
-// either policy.
+// TestLockstepMatchesRun: the result does not hang on Run's delivery order.
+// Under 20 random delivery schedules per configuration the machines end
+// where Run's fixed schedule ends: same assignments, representatives and
+// round count, under either policy.
 func TestLockstepMatchesRun(t *testing.T) {
 	gen, _ := dataset.ByName("DBLP")
 	corpus := gen(dataset.Spec{Docs: 30, Seed: 29}).BuildCorpus(dataset.ByHybrid, 8, 1)
@@ -217,8 +163,11 @@ func TestLockstepMatchesRun(t *testing.T) {
 					got := lockstep(t, corpus, opts, seed*7919+int64(m))
 					if !slices.Equal(got.Assign, want.Assign) || got.Rounds != want.Rounds ||
 						RepsDigest(corpus.Items, got.Reps) != RepsDigest(corpus.Items, want.Reps) {
-						t.Errorf("pk=%v m=%d k=%d seed=%d: lockstep ended in %d rounds, Run in %d, or assignments or representatives differ",
+						t.Errorf("pk=%v m=%d k=%d seed=%d: the random schedule ended in %d rounds, Run in %d, or assignments or representatives differ",
 							pk, m, k, seed, got.Rounds, want.Rounds)
+					}
+					for i := range want.Peers {
+						assertTrafficEqual(t, fmt.Sprintf("pk=%v m=%d k=%d seed=%d peer %d", pk, m, k, seed, i), want.Peers[i], got.Peers[i])
 					}
 				}
 			}

@@ -76,6 +76,12 @@ var (
 	// swallowed: a peer that cannot reach a neighbour fails its session
 	// instead of leaving the neighbour to starve.
 	ErrSend = errors.New("core: send failed")
+	// ErrStalled reports that an in-process run (Run) was left with no
+	// envelope queued and no compute pending while a peer still waited: the
+	// message it waits for will never be sent. On a network the same defect
+	// surfaces as ErrRoundDeadline once the deadline passes; in process it
+	// is detected at once.
+	ErrStalled = errors.New("core: run stalled")
 	// ErrCanceled reports that the run's context was canceled (or its
 	// deadline expired) and the session aborted at the nearest safe
 	// boundary — a phase edge, a blocking receive, or between relocation

@@ -21,9 +21,9 @@ type PeerConfig struct {
 	Ctx *sim.Context
 	// Local is S_i, the peer's local transaction set.
 	Local []*txn.Transaction
-	// Transport connects the peer to the network. For multi-process
-	// deployments this is a p2p.Node; in-process runs use ChanTransport or
-	// TCPTransport.
+	// Transport connects the peer to the network: a p2p.Node in a
+	// multi-process deployment. Run's sessions have none; its scheduler
+	// carries their envelopes.
 	Transport p2p.Transport
 	// Sizer models wire sizes for the per-round traffic report (nil
 	// records zero bytes).
@@ -58,12 +58,8 @@ type PeerConfig struct {
 	// assignments (every process of a distributed run must share one
 	// configuration and one corpus).
 	Expect *StartMsg
-	// ComputeToken, when non-nil, serializes compute sections across peers
-	// so per-peer timings stay clean on oversubscribed hosts.
-	ComputeToken chan struct{}
 	// Observer, when non-nil, receives progress events (phase changes,
-	// round boundaries, termination). Peers run concurrently, so it must be
-	// safe for concurrent calls.
+	// round boundaries, termination) on the goroutine driving the session.
 	Observer Observer
 	// Epoch is the membership epoch the session starts in (0 for a fresh
 	// session; a recovered session starts in the epoch of its restored
@@ -181,7 +177,7 @@ type SessionResult struct {
 // convergence, MaxRounds, ctx cancellation or a protocol failure. It drives
 // the session's state machine and does all of its I/O: it reads the
 // transport under ctx, owns the real timers, runs compute requests on the
-// peer's cluster.Rounds under the ComputeToken, and calls the Hooks. Errors
+// peer's cluster.Rounds, and calls the Hooks. Errors
 // are *SessionError values wrapping the typed causes of phase.go;
 // cancellation surfaces as ErrCanceled, observed at phase boundaries,
 // blocking receives and between relocation passes.
@@ -292,17 +288,13 @@ func (d *driver) boundary(ctx context.Context) (err error) {
 	return err
 }
 
-// compute answers a compute request under the optional compute token and
-// accounts its wall time to the request's round: one relocation pass against
-// the globals, the local representatives and the objective, or the global
-// representatives of the clusters the peer owns.
+// compute answers a compute request and accounts its wall time to the
+// request's round: one relocation pass against the globals, the local
+// representatives and the objective, or the global representatives of the
+// clusters the peer owns.
 func (d *driver) compute(ctx context.Context, c compute) (err error) {
 	if err := canceled(ctx); err != nil {
 		return err
-	}
-	if tok := d.cfg.ComputeToken; tok != nil {
-		<-tok
-		defer func() { tok <- struct{}{} }()
 	}
 	s, out := d.s, computed{}
 	s.report.Timed(c.round, func() {
@@ -399,9 +391,14 @@ func (d *driver) send(o send) error {
 		}
 		return fmt.Errorf("%w: to peer %d: %v", ErrSend, o.to, err)
 	}
+	d.account(o)
+	return nil
+}
+
+// account records a sent payload against its round.
+func (d *driver) account(o send) {
 	d.s.report.SentMsgsByRound[o.round]++
 	d.s.report.SentBytesByRound[o.round] += d.s.size(o.payload)
-	return nil
 }
 
 func canceled(ctx context.Context) error {

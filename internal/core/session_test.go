@@ -58,7 +58,7 @@ func TestPhaseStrings(t *testing.T) {
 // initialized protocol state.
 func TestSessionStartupPhase(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
-	tr := p2p.NewChanTransport(2, nil)
+	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
 	p := testPeer(corpus, tr, 0, part, nil)
@@ -95,7 +95,7 @@ func TestSessionStartupPhase(t *testing.T) {
 // per neighbour and installs the received representatives.
 func TestSessionBroadcastGlobalsPhase(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
-	tr := p2p.NewChanTransport(2, nil)
+	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
 	p := testPeer(corpus, tr, 0, part, nil)
@@ -137,7 +137,7 @@ func TestSessionBroadcastGlobalsPhase(t *testing.T) {
 // transition.
 func TestSessionRelocateAndExchangePhases(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
-	tr := p2p.NewChanTransport(2, nil)
+	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
 	p := testPeer(corpus, tr, 0, part, nil)
@@ -211,7 +211,7 @@ func TestSessionRelocateAndExchangePhases(t *testing.T) {
 // flags must transition straight to PhaseDone from the exchange phase.
 func TestSessionTerminatesWhenAllDone(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
-	tr := p2p.NewChanTransport(2, nil)
+	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
 	p := testPeer(corpus, tr, 0, part, nil)
@@ -249,7 +249,7 @@ func TestSessionTerminatesWhenAllDone(t *testing.T) {
 // (the per-round counts are inputs of Result.SimulatedTime).
 func TestSessionStartupBuffersEarlyMessages(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
-	tr := p2p.NewChanTransport(2, nil)
+	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
 	p := testPeer(corpus, tr, 0, part, nil)
@@ -296,9 +296,9 @@ func TestSessionStartupBuffersEarlyMessages(t *testing.T) {
 func TestReceivedCountsMatchSentUnderDelays(t *testing.T) {
 	corpus, _ := miniCorpus(t, 6)
 	const m = 3
-	tr := p2p.NewDelayTransport(p2p.NewChanTransport(m, Sizer(corpus.Items)), 2*time.Millisecond, 99)
+	tr := p2p.NewDelayTransport(p2p.NewChanTransport(m), 2*time.Millisecond, 99)
 	defer tr.Close()
-	res := runFleet(t, tr, corpus, 2, 4, make([]bool, m))
+	res := runFleet(t, shared(tr, m), corpus, 2, 4, make([]bool, m))
 	for r := 0; r < res[0].Rounds; r++ {
 		var sentBytes, recvBytes int64
 		for i := range res {
@@ -361,7 +361,7 @@ func TestSessionRejectsMalformedFrames(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, beforeStart := range []bool{true, false} {
-			tr := p2p.NewChanTransport(2, nil)
+			tr := p2p.NewChanTransport(2)
 			if beforeStart {
 				if err := tr.Send(c.from, 0, c.msg); err != nil {
 					t.Fatal(err)
@@ -405,7 +405,7 @@ func TestSessionRejectsMalformedFrames(t *testing.T) {
 
 func TestSessionStartupRejectsBadMessage(t *testing.T) {
 	corpus, _ := miniCorpus(t, 2)
-	tr := p2p.NewChanTransport(1, nil)
+	tr := p2p.NewChanTransport(1)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 1, 1)
 	p := testPeer(corpus, tr, 0, part, nil)
@@ -435,7 +435,7 @@ func TestSessionDeadPeerTimeout(t *testing.T) {
 	part := EqualPartition(len(corpus.Transactions), 3, 1)
 	start := startMsgFor(2, 3)
 	for _, pk := range []bool{false, true} {
-		tr := p2p.NewChanTransport(3, nil)
+		tr := p2p.NewChanTransport(3)
 		for i := 0; i < 3; i++ {
 			if err := tr.Send(0, i, start); err != nil {
 				t.Fatal(err)
@@ -472,7 +472,7 @@ func TestSessionDeadPeerTimeout(t *testing.T) {
 
 func TestSessionStartupDeadline(t *testing.T) {
 	corpus, _ := miniCorpus(t, 2)
-	tr := p2p.NewChanTransport(1, nil)
+	tr := p2p.NewChanTransport(1)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 1, 1)
 	p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) {
@@ -486,7 +486,7 @@ func TestSessionStartupDeadline(t *testing.T) {
 
 func TestSessionContextCancel(t *testing.T) {
 	corpus, _ := miniCorpus(t, 2)
-	tr := p2p.NewChanTransport(1, nil)
+	tr := p2p.NewChanTransport(1)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 1, 1)
 	p := testPeer(corpus, tr, 0, part, nil)
@@ -521,7 +521,7 @@ func TestSessionSendFailurePropagates(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
 	for _, pk := range []bool{false, true} {
-		inner := p2p.NewChanTransport(2, nil)
+		inner := p2p.NewChanTransport(2)
 		tr := &failingTransport{Transport: inner, failTo: 1}
 		if err := inner.Send(0, 0, startMsgFor(2, 2)); err != nil {
 			t.Fatal(err)
@@ -548,7 +548,7 @@ func TestRunSessionSinglePeer(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
 	ref := runCXK(t, corpus, 2, 1, 7)
 
-	tr := p2p.NewChanTransport(1, Sizer(corpus.Items))
+	tr := p2p.NewChanTransport(1)
 	defer tr.Close()
 	if err := tr.Send(0, 0, StartMsg{Zs: ResponsibilityPartition(2, 1), K: 2, F: 0.5, Gamma: 0.6}); err != nil {
 		t.Fatal(err)
@@ -574,7 +574,7 @@ func TestRunSessionSinglePeer(t *testing.T) {
 // ErrConfigMismatch instead of silently clustering a divergent partition.
 func TestSessionConfigMismatch(t *testing.T) {
 	corpus, _ := miniCorpus(t, 2)
-	tr := p2p.NewChanTransport(1, nil)
+	tr := p2p.NewChanTransport(1)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 1, 1)
 	msg := startMsgFor(2, 1)
@@ -603,7 +603,7 @@ func TestSessionConfigMismatch(t *testing.T) {
 // not produce a result.
 func TestRunPeerSeedMismatchFails(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
-	tr := p2p.NewChanTransport(2, Sizer(corpus.Items))
+	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
 	errc := make(chan error, 2)
 	for id, seed := range map[int]int64{0: 3, 1: 5} {
@@ -637,7 +637,7 @@ func TestRunPeerSeedMismatchFails(t *testing.T) {
 // long after one round-timeout has elapsed.
 func TestSessionStartupTimeoutOutlivesRoundTimeout(t *testing.T) {
 	corpus, _ := miniCorpus(t, 2)
-	tr := p2p.NewChanTransport(1, nil)
+	tr := p2p.NewChanTransport(1)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 1, 1)
 	p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) {

@@ -60,7 +60,7 @@ func (testCtl) SessionControl() {}
 func runSolo(t *testing.T, seed int64) (*SessionResult, []*SessionState) {
 	t.Helper()
 	corpus, _ := miniCorpus(t, 6)
-	tr := p2p.NewChanTransport(1, nil)
+	tr := p2p.NewChanTransport(1)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 1, seed)
 	var states []*SessionState
@@ -119,7 +119,7 @@ func TestSessionResumeFromEveryBoundary(t *testing.T) {
 	corpus, _ := miniCorpus(t, 6)
 	part := EqualPartition(len(corpus.Transactions), 1, 11)
 	for i, st := range states {
-		tr := p2p.NewChanTransport(1, nil)
+		tr := p2p.NewChanTransport(1)
 		p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) {
 			cfg.Seed = 11
 			cfg.Initial = st
@@ -151,7 +151,7 @@ func TestSessionRollbackMidRun(t *testing.T) {
 		t.Skip("session converged before a rollback target existed")
 	}
 	corpus, _ := miniCorpus(t, 6)
-	tr := p2p.NewChanTransport(1, nil)
+	tr := p2p.NewChanTransport(1)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 1, 11)
 	rolled := false
@@ -190,7 +190,7 @@ func TestSessionRollbackMidRun(t *testing.T) {
 func TestSessionRejoinInstallsControlState(t *testing.T) {
 	ref, states := runSolo(t, 11)
 	corpus, _ := miniCorpus(t, 6)
-	tr := p2p.NewChanTransport(1, nil)
+	tr := p2p.NewChanTransport(1)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 1, 11)
 	st := states[len(states)-1]
@@ -220,7 +220,7 @@ func TestSessionRejoinInstallsControlState(t *testing.T) {
 // can never terminate; the session must reject the configuration.
 func TestSessionRejoinWithoutHooksFails(t *testing.T) {
 	corpus, _ := miniCorpus(t, 2)
-	tr := p2p.NewChanTransport(1, nil)
+	tr := p2p.NewChanTransport(1)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 1, 1)
 	p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) { cfg.Rejoin = true })
@@ -235,7 +235,7 @@ func TestSessionRejoinWithoutHooksFails(t *testing.T) {
 // epoch-less control frames pass regardless.
 func TestSessionEpochFiltering(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
-	tr := p2p.NewChanTransport(2, nil)
+	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
 	ctlSeen := 0
@@ -295,7 +295,7 @@ func TestSessionEpochFiltering(t *testing.T) {
 // may grant extra windows before giving up with its own error.
 func TestSessionDeadlineHookExtends(t *testing.T) {
 	corpus, _ := miniCorpus(t, 2)
-	tr := p2p.NewChanTransport(1, nil)
+	tr := p2p.NewChanTransport(1)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 1, 1)
 	wantErr := errors.New("suspect confirmed dead")
@@ -371,7 +371,7 @@ func TestSessionInstallVetsState(t *testing.T) {
 		bad := clone()
 		c.corrupt(bad)
 
-		tr := p2p.NewChanTransport(1, nil)
+		tr := p2p.NewChanTransport(1)
 		p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) { cfg.Seed, cfg.Initial = 11, bad })
 		if _, err := p.RunSession(context.Background()); !errors.Is(err, ErrUnexpectedMessage) {
 			t.Errorf("%s: RunSession returned %v, want an error wrapping ErrUnexpectedMessage", c.name, err)

@@ -48,7 +48,7 @@ type Config struct {
 	// ID is this peer's slot (0 = coordinator).
 	ID int
 	// Transport is the session transport; control traffic is sent through
-	// it epoch-less when it supports stamping (p2p.Node, TCPTransport).
+	// it epoch-less when it supports stamping (p2p.Node).
 	Transport p2p.Transport
 	// Store is the local checkpoint store.
 	Store *Store

@@ -100,7 +100,7 @@ func intsEqual(a, b []int) bool {
 func runPair(t *testing.T, corpus *txn.Corpus, part [][]int, k int, initials []*core.SessionState) ([]*core.SessionResult, [][]*core.SessionState) {
 	t.Helper()
 	m := len(part)
-	tr := p2p.NewChanTransport(m, nil)
+	tr := p2p.NewChanTransport(m)
 	defer tr.Close()
 	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
 	states := make([][]*core.SessionState, m)
@@ -230,7 +230,7 @@ func TestCorruptCheckpointSurfacesOnRestore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the store vouches for fingerprint and slot only, yet Load failed: %v", err)
 	}
-	tr := p2p.NewChanTransport(1, nil)
+	tr := p2p.NewChanTransport(1)
 	defer tr.Close()
 	local := make([]*txn.Transaction, len(part[0]))
 	for j, idx := range part[0] {

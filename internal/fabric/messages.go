@@ -74,7 +74,7 @@ func init() {
 }
 
 // epochStamper is the transport capability of stamping an explicit epoch on
-// one send; p2p.Node and TCPTransport implement it.
+// one send; p2p.Node implements it.
 type epochStamper interface {
 	SendStamped(from, to, epoch int, payload any) error
 }

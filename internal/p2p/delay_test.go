@@ -6,7 +6,7 @@ import (
 )
 
 func TestDelayTransportDelivers(t *testing.T) {
-	inner := NewChanTransport(2, func(any) int64 { return 4 })
+	inner := NewChanTransport(2)
 	d := NewDelayTransport(inner, 2*time.Millisecond, 1)
 	defer d.Close()
 	if d.Peers() != 2 {
@@ -34,7 +34,7 @@ func TestDelayTransportDelivers(t *testing.T) {
 }
 
 func TestDelayTransportZeroDelay(t *testing.T) {
-	inner := NewChanTransport(2, nil)
+	inner := NewChanTransport(2)
 	d := NewDelayTransport(inner, 0, 1)
 	defer d.Close()
 	if err := d.Send(0, 1, testMsg{Body: "fast"}); err != nil {
@@ -44,7 +44,7 @@ func TestDelayTransportZeroDelay(t *testing.T) {
 }
 
 func TestDelayTransportCloses(t *testing.T) {
-	inner := NewChanTransport(2, nil)
+	inner := NewChanTransport(2)
 	d := NewDelayTransport(inner, time.Millisecond, 1)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)

@@ -83,9 +83,7 @@ func (e *DialError) Unwrap() error { return e.Err }
 // Envelope.Bytes with the actual wire size.
 //
 // Node implements Transport for its own id only: Send requires from == ID()
-// and Recv must be called with self == ID(). In-process deployments that
-// need all m peers in one struct use ChanTransport or the TCPTransport
-// adapter (m Nodes behind the old interface).
+// and Recv must be called with self == ID().
 type Node struct {
 	id    int
 	addrs []string

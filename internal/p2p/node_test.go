@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"strings"
@@ -276,6 +277,69 @@ func TestNodeConcurrentSenders(t *testing.T) {
 		case <-nodes[3].Recv(3):
 		case <-time.After(5 * time.Second):
 			t.Fatalf("only %d messages delivered", i)
+		}
+	}
+	for _, n := range nodes {
+		n.Close()
+	}
+}
+
+// TestNodeManyMessagesOrdered: frames of one link arrive in send order.
+func TestNodeManyMessagesOrdered(t *testing.T) {
+	defer checkGoroutines(t)()
+	nodes := newNodes(t, 2)
+	const n = 100
+	go func() {
+		for i := 0; i < n; i++ {
+			if err := nodes[0].Send(0, 1, testMsg{From: i}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < n; i++ {
+		select {
+		case env := <-nodes[1].Recv(1):
+			// Per-connection ordering must hold.
+			if env.Payload.(testMsg).From != i {
+				t.Fatalf("out of order: got %d want %d", env.Payload.(testMsg).From, i)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("stalled after %d messages", i)
+		}
+	}
+	for _, n := range nodes {
+		n.Close()
+	}
+}
+
+// TestNodeBidirectional: two nodes that dial each other at the same time
+// both deliver.
+func TestNodeBidirectional(t *testing.T) {
+	defer checkGoroutines(t)()
+	nodes := newNodes(t, 2)
+	var wg sync.WaitGroup
+	for dir := 0; dir < 2; dir++ {
+		wg.Add(1)
+		go func(from int) {
+			defer wg.Done()
+			to := 1 - from
+			for i := 0; i < 20; i++ {
+				if err := nodes[from].Send(from, to, testMsg{From: from, Body: fmt.Sprint(i)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(dir)
+	}
+	wg.Wait()
+	for peer := 0; peer < 2; peer++ {
+		for i := 0; i < 20; i++ {
+			select {
+			case <-nodes[peer].Recv(peer):
+			case <-time.After(5 * time.Second):
+				t.Fatalf("peer %d stalled at %d", peer, i)
+			}
 		}
 	}
 	for _, n := range nodes {

@@ -1,7 +1,6 @@
 package p2p
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +14,7 @@ type testMsg struct {
 func init() { RegisterWireType(testMsg{}) }
 
 func TestChanTransportDelivery(t *testing.T) {
-	tr := NewChanTransport(3, func(any) int64 { return 10 })
+	tr := NewChanTransport(3)
 	defer tr.Close()
 	if tr.Peers() != 3 {
 		t.Fatalf("Peers = %d", tr.Peers())
@@ -25,7 +24,7 @@ func TestChanTransportDelivery(t *testing.T) {
 	}
 	select {
 	case env := <-tr.Recv(2):
-		if env.From != 0 || env.To != 2 || env.Bytes != 10 {
+		if env.From != 0 || env.To != 2 {
 			t.Errorf("envelope = %+v", env)
 		}
 		if m, ok := env.Payload.(testMsg); !ok || m.Body != "hi" {
@@ -34,14 +33,10 @@ func TestChanTransportDelivery(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("message not delivered")
 	}
-	msgs, bytes := tr.Stats()
-	if msgs != 1 || bytes != 10 {
-		t.Errorf("stats = %d msgs %d bytes", msgs, bytes)
-	}
 }
 
 func TestChanTransportSelfSend(t *testing.T) {
-	tr := NewChanTransport(1, nil)
+	tr := NewChanTransport(1)
 	defer tr.Close()
 	if err := tr.Send(0, 0, testMsg{Body: "self"}); err != nil {
 		t.Fatal(err)
@@ -53,7 +48,7 @@ func TestChanTransportSelfSend(t *testing.T) {
 }
 
 func TestChanTransportUnknownPeer(t *testing.T) {
-	tr := NewChanTransport(2, nil)
+	tr := NewChanTransport(2)
 	defer tr.Close()
 	if err := tr.Send(0, 5, testMsg{}); err == nil {
 		t.Error("send to unknown peer should fail")
@@ -64,7 +59,7 @@ func TestChanTransportUnknownPeer(t *testing.T) {
 }
 
 func TestChanTransportClosed(t *testing.T) {
-	tr := NewChanTransport(2, nil)
+	tr := NewChanTransport(2)
 	tr.Close()
 	if err := tr.Send(0, 1, testMsg{}); err == nil {
 		t.Error("send after close should fail")
@@ -72,7 +67,7 @@ func TestChanTransportClosed(t *testing.T) {
 }
 
 func TestChanTransportConcurrentSenders(t *testing.T) {
-	tr := NewChanTransport(4, func(any) int64 { return 1 })
+	tr := NewChanTransport(4)
 	defer tr.Close()
 	const perSender = 50
 	var wg sync.WaitGroup
@@ -95,122 +90,6 @@ func TestChanTransportConcurrentSenders(t *testing.T) {
 		case <-time.After(time.Second):
 			t.Fatalf("only %d messages delivered", i)
 		}
-	}
-	msgs, bytes := tr.Stats()
-	if msgs != 4*perSender || bytes != 4*perSender {
-		t.Errorf("stats = %d msgs %d bytes", msgs, bytes)
-	}
-}
-
-func TestTCPTransportDelivery(t *testing.T) {
-	defer checkGoroutines(t)()
-	tr, err := NewTCPTransport(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	if tr.Peers() != 3 {
-		t.Fatalf("Peers = %d", tr.Peers())
-	}
-	if len(tr.Addrs()) != 3 {
-		t.Fatalf("Addrs = %v", tr.Addrs())
-	}
-	if err := tr.Send(1, 2, testMsg{From: 1, Body: "over tcp"}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case env := <-tr.Recv(2):
-		if m, ok := env.Payload.(testMsg); !ok || m.Body != "over tcp" || m.From != 1 {
-			t.Errorf("payload = %+v", env.Payload)
-		}
-		if env.From != 1 || env.To != 2 {
-			t.Errorf("envelope = %+v", env)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("tcp message not delivered")
-	}
-	msgs, bytes := tr.Stats()
-	if msgs != 1 || bytes <= 0 {
-		t.Errorf("stats = %d msgs %d bytes", msgs, bytes)
-	}
-}
-
-func TestTCPTransportManyMessagesOrdered(t *testing.T) {
-	defer checkGoroutines(t)()
-	tr, err := NewTCPTransport(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	const n = 100
-	go func() {
-		for i := 0; i < n; i++ {
-			if err := tr.Send(0, 1, testMsg{From: i}); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	for i := 0; i < n; i++ {
-		select {
-		case env := <-tr.Recv(1):
-			// Per-connection ordering must hold.
-			if env.Payload.(testMsg).From != i {
-				t.Fatalf("out of order: got %d want %d", env.Payload.(testMsg).From, i)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("stalled after %d messages", i)
-		}
-	}
-}
-
-func TestTCPTransportBidirectional(t *testing.T) {
-	defer checkGoroutines(t)()
-	tr, err := NewTCPTransport(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	var wg sync.WaitGroup
-	for dir := 0; dir < 2; dir++ {
-		wg.Add(1)
-		go func(from int) {
-			defer wg.Done()
-			to := 1 - from
-			for i := 0; i < 20; i++ {
-				if err := tr.Send(from, to, testMsg{From: from, Body: fmt.Sprint(i)}); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(dir)
-	}
-	wg.Wait()
-	for peer := 0; peer < 2; peer++ {
-		for i := 0; i < 20; i++ {
-			select {
-			case <-tr.Recv(peer):
-			case <-time.After(5 * time.Second):
-				t.Fatalf("peer %d stalled at %d", peer, i)
-			}
-		}
-	}
-}
-
-func TestTCPTransportCloseIdempotent(t *testing.T) {
-	defer checkGoroutines(t)()
-	tr, err := NewTCPTransport(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Send(0, 1, testMsg{}); err == nil {
-		t.Error("send after close should fail")
 	}
 }
 
@@ -244,7 +123,7 @@ func TestDefaultTimeModel(t *testing.T) {
 }
 
 func BenchmarkChanTransportSend(b *testing.B) {
-	tr := NewChanTransport(2, func(any) int64 { return 8 })
+	tr := NewChanTransport(2)
 	defer tr.Close()
 	go func() {
 		for range tr.Recv(1) {
@@ -253,48 +132,5 @@ func BenchmarkChanTransportSend(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Send(0, 1, testMsg{From: i})
-	}
-}
-
-// TestTCPTransportRecvStatsReconcile asserts the sender- and receiver-side
-// accounting of the TCP adapter agree exactly, and that the read path
-// stamps the actual wire size on every envelope.
-func TestTCPTransportRecvStatsReconcile(t *testing.T) {
-	defer checkGoroutines(t)()
-	tr, err := NewTCPTransport(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	const n = 30
-	for i := 0; i < n; i++ {
-		if err := tr.Send(i%3, (i+1)%3, testMsg{From: i, Body: "acct"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var envBytes int64
-	for peer := 0; peer < 3; peer++ {
-		for i := 0; i < n/3; i++ {
-			select {
-			case env := <-tr.Recv(peer):
-				if env.Bytes <= 0 {
-					t.Fatalf("peer %d: read path did not stamp wire size", peer)
-				}
-				envBytes += env.Bytes
-			case <-time.After(5 * time.Second):
-				t.Fatalf("peer %d stalled after %d messages", peer, i)
-			}
-		}
-	}
-	sentMsgs, sentBytes := tr.Stats()
-	recvMsgs, recvBytes := tr.RecvStats()
-	if sentMsgs != n || recvMsgs != n {
-		t.Errorf("messages: sent %d recv %d want %d", sentMsgs, recvMsgs, n)
-	}
-	if sentBytes != recvBytes || sentBytes <= 0 {
-		t.Errorf("bytes diverge: sent %d recv %d", sentBytes, recvBytes)
-	}
-	if envBytes != recvBytes {
-		t.Errorf("envelope sizes (%d) disagree with recv counter (%d)", envBytes, recvBytes)
 	}
 }

@@ -7,20 +7,13 @@
 // Frames are gob-encoded and length-prefixed ("net" + "encoding/gob" only),
 // so the frame size travels on the wire and both sides account identical
 // byte counts. One Node per OS process gives a genuinely distributed
-// deployment (see cmd/cxkpeer).
+// deployment (see cmd/cxkpeer). A Node stamps every delivered Envelope
+// with the actual encoded frame size.
 //
-// Two all-peers adapters implement the same Transport interface for
-// single-process runs:
-//
-//   - ChanTransport: in-process buffered channels — deterministic, zero
-//     dependency, used by tests and benchmarks;
-//   - TCPTransport: m Nodes on loopback ephemeral ports behind one struct —
-//     exercises the real wire format in one process.
-//
-// Every delivered Envelope is stamped with its wire size so algorithms can
-// account traffic per peer and per round; ChanTransport stamps the modeled
-// size produced by a Sizer, Node (and therefore TCPTransport) stamps the
-// actual encoded frame size on both the send and the receive path.
+// ChanTransport implements the same Transport interface for all m peers on
+// in-process buffered channels: the test double of the session and fabric
+// tests. In-process runs of the algorithms need no transport at all (see
+// core.Run).
 package p2p
 
 import (
@@ -34,12 +27,12 @@ type Envelope struct {
 	From    int
 	To      int
 	Epoch   int   // sender's membership epoch at send time (EpochAny = epoch-less)
-	Bytes   int64 // wire size (modeled or actual, per transport)
+	Bytes   int64 // actual wire size (Node; 0 on ChanTransport)
 	Payload any
 }
 
-// Sizer models the wire size of a payload (used by ChanTransport, and by
-// algorithms that want transport-independent accounting).
+// Sizer models the wire size of a payload, for algorithms that want
+// transport-independent accounting.
 type Sizer func(payload any) int64
 
 // EpochSetter is implemented by transports that stamp outgoing envelopes
@@ -68,7 +61,7 @@ type Transport interface {
 	Close() error
 }
 
-// Stats accumulates global transport counters.
+// Stats accumulates a Node's traffic counters.
 type Stats struct {
 	Messages atomic.Int64
 	Bytes    atomic.Int64
@@ -78,8 +71,6 @@ type Stats struct {
 type ChanTransport struct {
 	inboxes []chan Envelope
 	epochs  []atomic.Int64
-	sizer   Sizer
-	stats   Stats
 	closed  atomic.Bool
 }
 
@@ -87,13 +78,11 @@ type ChanTransport struct {
 // never blocks a sender (k representatives to m peers, with slack).
 const DefaultInboxDepth = 1024
 
-// NewChanTransport creates a transport for m peers. sizer may be nil, in
-// which case payload sizes are recorded as 0.
-func NewChanTransport(m int, sizer Sizer) *ChanTransport {
+// NewChanTransport creates a transport for m peers.
+func NewChanTransport(m int) *ChanTransport {
 	t := &ChanTransport{
 		inboxes: make([]chan Envelope, m),
 		epochs:  make([]atomic.Int64, m),
-		sizer:   sizer,
 	}
 	for i := range t.inboxes {
 		t.inboxes[i] = make(chan Envelope, DefaultInboxDepth)
@@ -109,17 +98,11 @@ func (t *ChanTransport) Send(from, to int, payload any) error {
 	if to < 0 || to >= len(t.inboxes) {
 		return fmt.Errorf("p2p: unknown peer %d", to)
 	}
-	var n int64
-	if t.sizer != nil {
-		n = t.sizer(payload)
-	}
 	var epoch int
 	if from >= 0 && from < len(t.epochs) {
 		epoch = int(t.epochs[from].Load())
 	}
-	t.stats.Messages.Add(1)
-	t.stats.Bytes.Add(n)
-	t.inboxes[to] <- Envelope{From: from, To: to, Epoch: epoch, Bytes: n, Payload: payload}
+	t.inboxes[to] <- Envelope{From: from, To: to, Epoch: epoch, Payload: payload}
 	return nil
 }
 
@@ -143,11 +126,6 @@ func (t *ChanTransport) Peers() int { return len(t.inboxes) }
 func (t *ChanTransport) Close() error {
 	t.closed.Store(true)
 	return nil
-}
-
-// Stats exposes the global counters.
-func (t *ChanTransport) Stats() (msgs, bytes int64) {
-	return t.stats.Messages.Load(), t.stats.Bytes.Load()
 }
 
 // TimeModel converts traffic into simulated wire time, mirroring the

@@ -331,25 +331,16 @@ type ClusterOptions struct {
 	DeltaRounds DeltaRoundsMode
 	// Algorithm selects CXK-means (default) or the PK-means baseline.
 	Algorithm Algorithm
-	// UseTCP runs the peers over loopback TCP instead of in-process
-	// channels.
-	UseTCP bool
 	// MaxRounds bounds the collaborative loop (0 = default; negative values
 	// are rejected with an *OptionsError).
 	MaxRounds int
-	// RoundTimeout bounds every blocking receive of each peer's session;
-	// a peer that waits longer fails the run instead of hanging on a dead
-	// neighbour. 0 disables the deadline (the in-process default); negative
-	// values are rejected with an *OptionsError. (DistributedOptions keeps
-	// its distinct negative-means-no-deadline convention.)
-	RoundTimeout time.Duration
 	// Events, when non-nil, receives typed progress events while the job
 	// runs: per-peer RoundStart/RoundEnd (with the peer's local objective),
 	// PhaseChange and RepsExchanged, plus one run-level Done (Peer == -1)
-	// with the final round count, total traffic and elapsed time. Calls are
-	// serialized — the callback never runs concurrently with itself — but
-	// arrive from the job's goroutines, not the caller's. The objective is a
-	// by-product of relocation, so enabling events costs the callbacks only.
+	// with the final round count, total traffic and elapsed time. Events
+	// arrive from one goroutine, the one that called Cluster, in an order
+	// fixed by the options. The objective is a by-product of relocation, so
+	// enabling events costs the callbacks only.
 	Events func(Event)
 }
 

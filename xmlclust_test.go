@@ -206,19 +206,6 @@ func TestClusterPKMeansBaseline(t *testing.T) {
 	}
 }
 
-func TestClusterOverTCP(t *testing.T) {
-	corpus := sampleCorpus(t)
-	res, err := freshEngine(t, corpus).Cluster(context.Background(), ClusterOptions{
-		K: 2, F: 0.5, Gamma: 0.6, Peers: 2, Seed: 4, UseTCP: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Assign) != len(corpus.Transactions) {
-		t.Error("assignment size mismatch")
-	}
-}
-
 func TestClusterValidation(t *testing.T) {
 	corpus := sampleCorpus(t)
 	if _, err := freshEngine(t, corpus).Cluster(context.Background(), ClusterOptions{K: 0}); err == nil {
