@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"strings"
-	"sync"
 	"testing"
 
 	"xmlclust/internal/dataset"
@@ -16,12 +15,12 @@ import (
 
 var updateEvents = flag.Bool("update-events", false, "rewrite testdata/events.golden from this build")
 
-// TestEventStreamPinned pins the observer stream of seeded runs. At m = 1
-// every Event field but Elapsed is recorded, in emission order; at m = 3 the
-// peers run concurrently, so each peer's own sequence is recorded, with the
-// fields that do not depend on the schedule (received traffic and the shared
-// context's counters do). Regenerate with -update-events only when a change
-// is meant to move the stream.
+// TestEventStreamPinned pins the observer stream of seeded runs in emission
+// order, across peers: Run's schedule is fixed, so the interleaving is too.
+// Every Event field but Elapsed is recorded, except the counter snapshot at
+// m = 3, where the peers of a compute wave run concurrently on one shared
+// path cache. Regenerate with -update-events only when a change is meant to
+// move the stream.
 func TestEventStreamPinned(t *testing.T) {
 	gen, _ := dataset.ByName("DBLP")
 	dblp := gen(dataset.Spec{Docs: 60, Seed: 29})
@@ -32,31 +31,22 @@ func TestEventStreamPinned(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				for _, m := range []int{1, 3} {
 					cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
-					var mu sync.Mutex
-					byPeer := map[int][]string{}
+					fmt.Fprintf(&b, "fast=%v k=%d seed=%d m=%d\n", fast, k, seed, m)
 					_, err := Run(context.Background(), cx, corpus, Options{
 						K: k, Params: cx.Params, Peers: m, Fast: fast, Workers: 1,
 						Partition: EqualPartition(len(corpus.Transactions), m, seed),
 						Seed:      seed,
 						Observer: func(ev Event) {
-							line := fmt.Sprintf("%v %d %v %016x %d %d", ev.Kind, ev.Round, ev.Phase,
-								math.Float64bits(ev.Objective), ev.SentMsgs, ev.SentBytes)
+							fmt.Fprintf(&b, "\t%d %v %d %v %016x %d %d %d %d", ev.Peer, ev.Kind, ev.Round, ev.Phase,
+								math.Float64bits(ev.Objective), ev.SentMsgs, ev.SentBytes, ev.RecvMsgs, ev.RecvBytes)
 							if m == 1 {
-								line += fmt.Sprintf(" %d %d %v", ev.RecvMsgs, ev.RecvBytes, ev.CounterSnapshot)
+								fmt.Fprintf(&b, " %v", ev.CounterSnapshot)
 							}
-							mu.Lock()
-							byPeer[ev.Peer] = append(byPeer[ev.Peer], line)
-							mu.Unlock()
+							b.WriteString("\n")
 						},
 					})
 					if err != nil {
 						t.Fatal(err)
-					}
-					for peer := -1; peer < m; peer++ {
-						fmt.Fprintf(&b, "fast=%v k=%d seed=%d m=%d peer=%d\n", fast, k, seed, m, peer)
-						for _, line := range byPeer[peer] {
-							b.WriteString("\t" + line + "\n")
-						}
 					}
 				}
 			}
