@@ -206,7 +206,7 @@ const (
 )
 
 // Cluster runs one clustering job on the engine's corpus. ctx cancels the
-// job at its next safe boundary (phase edges, blocking receives and the
+// job at its next safe boundary (round boundaries, compute requests and the
 // relocation fork-join all observe it) with an error wrapping ErrCanceled;
 // a nil ctx never cancels. Progress is streamed through opts.Events when
 // set.

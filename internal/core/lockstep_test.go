@@ -140,10 +140,10 @@ func lockstep(t *testing.T, corpus *txn.Corpus, opts Options, schedule int64) *R
 	return res
 }
 
-// TestLockstepMatchesRun: the result does not hang on Run's delivery order.
+// TestLockstepMatchesRun: the result does not depend on Run's delivery order.
 // Under 20 random delivery schedules per configuration the machines end
-// where Run's fixed schedule ends: same assignments, representatives and
-// round count, under either policy.
+// where Run's fixed schedule ends: same assignments, representatives, round
+// count and per-round traffic, under either policy.
 func TestLockstepMatchesRun(t *testing.T) {
 	gen, _ := dataset.ByName("DBLP")
 	corpus := gen(dataset.Spec{Docs: 30, Seed: 29}).BuildCorpus(dataset.ByHybrid, 8, 1)
@@ -175,9 +175,9 @@ func TestLockstepMatchesRun(t *testing.T) {
 	}
 }
 
-// TestLockstepStallFiresTimer: a peer left waiting for a neighbour that
-// never speaks gets its timer fired on the virtual clock and fails with
-// ErrRoundDeadline.
+// TestLockstepStallFiresTimer: a stepped peer left waiting for a neighbour
+// that never speaks has armed its timer, and fails with ErrRoundDeadline
+// when it fires.
 func TestLockstepStallFiresTimer(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
 	part := EqualPartition(len(corpus.Transactions), 2, 1)

@@ -60,9 +60,9 @@ func TestRunStalls(t *testing.T) {
 	}
 }
 
-// TestRunFailureLeavesNoGoroutine: however a run fails — canceled between
-// two waves, on a malformed envelope, on a stall — Run returns with every
-// goroutine it started gone, relocation workers included.
+// TestRunFailureLeavesNoGoroutine: however a run fails after its first
+// concurrent wave — canceled, on a malformed envelope, on a stall — Run
+// returns with every goroutine it started gone, relocation workers included.
 func TestRunFailureLeavesNoGoroutine(t *testing.T) {
 	corpus, _ := miniCorpus(t, 6)
 	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
@@ -89,6 +89,12 @@ func TestRunFailureLeavesNoGoroutine(t *testing.T) {
 		}},
 		{"malformed", ErrUnexpectedMessage, func() error {
 			sch := newScheduler(context.Background(), cx, corpus, opts)
+			if err := sch.drain(); err != nil {
+				return err
+			}
+			if err := sch.wave(); err != nil {
+				return err
+			}
 			sch.links[2*3+1] = append(sch.links[2*3+1], p2p.Envelope{From: 2, To: 1, Payload: "bogus"})
 			_, err := sch.run()
 			return err

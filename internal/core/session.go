@@ -45,7 +45,7 @@ type PeerConfig struct {
 	PKMeans bool
 	// RoundTimeout bounds every blocking receive of the session; a peer
 	// that waits longer fails with ErrRoundDeadline instead of hanging on
-	// a dead neighbour. 0 disables the deadline (trusted in-process runs).
+	// a dead neighbour. 0 disables the deadline.
 	RoundTimeout time.Duration
 	// StartupTimeout bounds the wait for N0's StartMsg. Peer processes of
 	// a distributed deployment boot in any order, so this is typically
