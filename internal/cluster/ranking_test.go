@@ -103,7 +103,7 @@ func sameConflation(t *testing.T, label string, a, b *txn.ItemTable, steps [][]t
 // some probes, and which ones depends on the pooled scratch a pass borrows.
 func sameWork(t *testing.T, label string, a, b *sim.Context) {
 	t.Helper()
-	ca, cb := &a.Counters, &b.Counters
+	ca, cb := a.Counters, b.Counters
 	for _, f := range []struct {
 		name string
 		x, y int64

@@ -74,6 +74,10 @@ func RelocateCtxIndexed(ctx context.Context, cx *sim.Context, s []*txn.Transacti
 	return assign, nil
 }
 
+// relocateBlock is how many transactions a relocation worker draws at a
+// time: scoring one costs about a microsecond, less than a goroutine.
+const relocateBlock = 16
+
 // RelocateScores performs the transaction-relocation step of Fig. 5 for a
 // fixed set of representatives: every transaction with zero similarity to
 // all representatives joins the trash cluster; the others join the argmax
@@ -91,9 +95,9 @@ func RelocateCtxIndexed(ctx context.Context, cx *sim.Context, s []*txn.Transacti
 // the flat scan over the dense kernel, with byte-identical results either
 // way.
 func RelocateScores(ctx context.Context, cx *sim.Context, s []*txn.Transaction, reps []*txn.Transaction, workers int, ix *sim.RepIndex, assign []int, scores []float64) error {
-	ws := sim.BorrowScratches(parallel.WorkerCount(workers, len(s)))
+	ws := sim.BorrowScratches(parallel.WorkerCount(workers, relocateBlock, len(s)))
 	defer ws.Release()
-	return parallel.ForCtxWorkers(ctx, workers, len(s), func(w, i int) {
+	return parallel.ForCtxWorkers(ctx, workers, relocateBlock, len(s), func(w, i int) {
 		j, v := RelocateOneIndexed(cx, s[i], reps, ix, ws.Worker(w))
 		assign[i] = j
 		if scores != nil {

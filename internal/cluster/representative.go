@@ -6,7 +6,7 @@
 // # The round engine
 //
 // Rounds (rounds.go) is the one copy of that body: Assign relocates the
-// run's transactions against a representative set, LocalReps and GlobalRep
+// run's transactions against a representative set, LocalReps and GlobalReps
 // refine representatives, Objective reads the clustering objective off the
 // last relocation. It comes in two modes with one job each. The fast engine
 // serves, and is two things: posting-list scoring, and one memo carried
@@ -46,8 +46,9 @@
 // re-derived from exact pair values every step; and because the sum over
 // members is serial and in member order (TestRefinementObjectiveStepByStep).
 // Nothing forks inside a representative — its work items, ranking included,
-// cost about a microsecond, less than a goroutine — so RepConfig.Workers
-// bounds relocation only.
+// cost about a microsecond, less than a goroutine. Rounds forks across
+// representatives instead, one cluster per work item: their synthetic items
+// are staged apart from the corpus and committed in cluster order.
 package cluster
 
 import (
@@ -92,10 +93,10 @@ const (
 type RepConfig struct {
 	Ctx  *sim.Context
 	Rule ReturnRule
-	// Workers bounds the goroutines of a relocation pass (Rounds.Assign;
-	// 0/negative = one per CPU, 1 = serial), with byte-identical output for
-	// any value. Computing a representative forks nothing: ranking and every
-	// refinement step are serial, whatever Workers says.
+	// Workers bounds the goroutines of a Rounds pass, relocation or
+	// refinement (0/negative = one per CPU, 1 = serial), with byte-identical
+	// output for any value. Computing one representative forks nothing:
+	// ranking and every refinement step are serial, whatever Workers says.
 	Workers int
 	// dense makes the refinement objective run the dense Eq. 4 kernel per
 	// member per step instead of the member index. A reference Rounds sets it,
@@ -105,6 +106,9 @@ type RepConfig struct {
 	// observe, when set, is told every refinement step's candidate and its
 	// objective value (the step-by-step equivalence tests).
 	observe func(rep *txn.Transaction, objective float64)
+	// log, when set, receives in order every staged id (≥ Ctx.Items.Base())
+	// the conflations resolved to, new or found (Rounds.fork).
+	log *[]txn.ItemID
 }
 
 // rankedItem pairs an item with its rank value.
@@ -335,6 +339,7 @@ func sortRanked(r []rankedItem) {
 // objective Σ_{tr∈C} simγJ(tr, rep′).
 func generateTreeTuple(cfg RepConfig, ranked []rankedItem, c []*txn.Transaction) *txn.Transaction {
 	chosen := conflationPool.Get().(*conflation) // the raw constituent ids accumulated so far
+	chosen.log = cfg.log
 	rep := refine(cfg, ranked, c, chosen)
 	chosen.release() // not deferred: a panic must not pool half-zeroed arrays
 	return rep
@@ -476,6 +481,7 @@ type conflation struct {
 	groups []pathGroup // first-met order: the order new items intern in
 	items  []*txn.Item // a merged group's records
 	out    []txn.ItemID
+	log    *[]txn.ItemID // RepConfig.log
 }
 
 var conflationPool = sync.Pool{New: func() any { return new(conflation) }}
@@ -532,6 +538,9 @@ func (c *conflation) transaction(tab *txn.ItemTable) *txn.Transaction {
 		if g.grew {
 			g.grew = false
 			g.item = c.merge(tab, g)
+			if c.log != nil && g.item >= tab.Base() {
+				*c.log = append(*c.log, g.item)
+			}
 		}
 		c.out = append(c.out, g.item)
 	}
@@ -567,6 +576,6 @@ func (c *conflation) release() {
 			c.seen[id] = false
 		}
 	}
-	c.groups = c.groups[:0]
+	c.groups, c.log = c.groups[:0], nil
 	conflationPool.Put(c)
 }

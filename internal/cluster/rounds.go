@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"xmlclust/internal/fnv"
+	"xmlclust/internal/parallel"
 	"xmlclust/internal/sim"
 	"xmlclust/internal/txn"
 )
@@ -34,7 +35,9 @@ import (
 // results equal a reference engine's exactly, including the lowest-index tie
 // rule. It holds while the similarity context and the transaction slice stay
 // fixed. A Rounds serves one sequential run and is not safe for concurrent
-// use — the one fork is the relocation pass inside Assign.
+// use. It forks two passes, each under RepConfig.Workers: relocation inside
+// Assign, one transaction per slot, and refinement inside LocalReps and
+// GlobalReps, one cluster per slot (fork).
 type Rounds struct {
 	cfg RepConfig
 	s   []*txn.Transaction
@@ -44,6 +47,14 @@ type Rounds struct {
 	local  repMemo       // nil in a reference engine
 	fps    []uint64
 	scores []float64 // winning similarity per transaction, latest pass
+
+	// The refinement passes' state (fork), kept from pass to pass: the stage,
+	// the context over it, a log per work item, the staged → adopted ids.
+	stage *txn.ItemTable
+	scx   *sim.Context
+	logs  [][]txn.ItemID
+	remap []txn.ItemID
+	order func(n int) []int // if set, runs a pass's n items serially in this order (tests)
 }
 
 // repMemo is the per-cluster memo of local representatives, keyed by the
@@ -115,7 +126,7 @@ func (r *Rounds) Objective() float64 {
 // result): the local representative and the size of every cluster, nil and
 // 0 for an empty one. On a fast engine a cluster whose membership is
 // unchanged since its representative was last computed gets that very object
-// back (Counters.RepsReused).
+// back (Counters.RepsReused). The others are computed in one pass (fork).
 func (r *Rounds) LocalReps(assign []int) (reps []*txn.Transaction, sizes []int) {
 	members := make([][]*txn.Transaction, r.k)
 	r.fps = slices.Grow(r.fps[:0], r.k)[:r.k]
@@ -129,10 +140,7 @@ func (r *Rounds) LocalReps(assign []int) (reps []*txn.Transaction, sizes []int) 
 		}
 	}
 	reps, sizes = make([]*txn.Transaction, r.k), make([]int, r.k)
-	// The cluster loop is ordered and serial: representative generation
-	// interns synthetic items, and interning order must not depend on a
-	// schedule (item ids are assigned sequentially). Nothing forks inside a
-	// representative computation either.
+	var todo []int // the clusters to compute, ascending
 	for j, mem := range members {
 		sizes[j] = len(mem)
 		if len(mem) == 0 {
@@ -143,17 +151,103 @@ func (r *Rounds) LocalReps(assign []int) (reps []*txn.Transaction, sizes []int) 
 			reps[j] = r.local[j].rep
 			continue
 		}
-		reps[j] = ComputeLocalRepresentative(r.cfg, mem)
+		todo = append(todo, j)
+	}
+	computed := r.fork(len(todo), func(cfg RepConfig, i int) *txn.Transaction {
+		return ComputeLocalRepresentative(cfg, members[todo[i]])
+	})
+	for i, j := range todo {
+		reps[j] = computed[i]
 		if r.local != nil {
-			r.local[j].fp, r.local[j].size, r.local[j].rep = r.fps[j], len(mem), reps[j]
+			r.local[j].fp, r.local[j].size, r.local[j].rep = r.fps[j], len(members[j]), reps[j]
 		}
 	}
 	return reps, sizes
 }
 
-// GlobalRep merges the weighted local representatives of one cluster into its
-// global representative: ComputeGlobalRepresentative under the engine's
-// configuration.
-func (r *Rounds) GlobalRep(weighted []WeightedRep) *txn.Transaction {
-	return ComputeGlobalRepresentative(r.cfg, weighted)
+// GlobalReps merges each input, the weighted local representatives of one
+// cluster, into that cluster's global representative
+// (ComputeGlobalRepresentative) in one pass (fork): nil for an input with no
+// non-empty representative.
+func (r *Rounds) GlobalReps(inputs [][]WeightedRep) []*txn.Transaction {
+	return r.fork(len(inputs), func(cfg RepConfig, i int) *txn.Transaction {
+		return ComputeGlobalRepresentative(cfg, inputs[i])
+	})
+}
+
+// fork runs a pass of n work items, one cluster each, drawn one at a time
+// under the Workers bound (inline and in index order for one worker), and
+// returns rep(cfg, i) for every i. The items intern synthetic items into a
+// stage over the corpus table, each logging the staged ids it resolved to,
+// and commit replays the logs in index order. So the ids are the serial
+// loop's under any schedule: a representative's choices never depend on a
+// synthetic id (its members hold committed items, its objective is a ratio
+// of counts, rank ties travel in one batch, and a conflated item is found or
+// made by its content), so each item meets the same keys in the same order
+// whichever ran first, and the serial loop creates exactly the keys no
+// earlier cluster met, in the order it met them.
+func (r *Rounds) fork(n int, rep func(cfg RepConfig, i int) *txn.Transaction) []*txn.Transaction {
+	out := make([]*txn.Transaction, n)
+	if n == 0 {
+		return out
+	}
+	if r.stage == nil {
+		r.stage = r.cfg.Ctx.Items.Stage()
+		r.scx = r.cfg.Ctx.WithItems(r.stage)
+	} else {
+		r.stage.Restage()
+	}
+	for len(r.logs) < n {
+		r.logs = append(r.logs, nil)
+	}
+	logs := r.logs[:n]
+	item := func(_, i int) {
+		cfg := r.cfg
+		cfg.Ctx, logs[i] = r.scx, logs[i][:0]
+		cfg.log = &logs[i]
+		out[i] = rep(cfg, i)
+	}
+	if r.order != nil {
+		for _, i := range r.order(n) {
+			item(0, i)
+		}
+	} else {
+		_ = parallel.ForCtxWorkers(nil, r.cfg.Workers, 1, n, item) // a nil ctx never cancels
+	}
+	r.commit(logs, out)
+	return out
+}
+
+// commit adopts a pass's staged items into the corpus table — the logs in
+// index order, each log in order, every staged id once — and rewrites the
+// staged ids of reps to the adopted ones, re-sorting each representative
+// that held one.
+func (r *Rounds) commit(logs [][]txn.ItemID, reps []*txn.Transaction) {
+	base := r.stage.Base()
+	staged := r.stage.Len() - int(base)
+	remap := slices.Grow(r.remap[:0], staged)[:staged]
+	for i := range remap {
+		remap[i] = -1
+	}
+	tab := r.cfg.Ctx.Items
+	for _, log := range logs {
+		for _, id := range log {
+			if remap[id-base] < 0 {
+				remap[id-base] = tab.Adopt(r.stage.Get(id))
+			}
+		}
+	}
+	for _, rep := range reps {
+		// Staged ids sort after the corpus's: they are the tail.
+		if rep == nil || rep.Len() == 0 || rep.Items[rep.Len()-1] < base {
+			continue
+		}
+		for k, id := range rep.Items {
+			if id >= base {
+				rep.Items[k] = remap[id-base]
+			}
+		}
+		slices.Sort(rep.Items)
+	}
+	r.remap = remap
 }

@@ -30,8 +30,8 @@ type Options struct {
 	Seed int64
 	// Rule selects the GenerateTreeTuple return reading.
 	Rule cluster.ReturnRule
-	// Workers bounds the goroutines each peer uses for its relocation
-	// passes (refinement is serial). 0/negative = one per CPU, 1 = serial.
+	// Workers bounds the goroutines each peer uses for its relocation and
+	// representative passes. 0/negative = one per CPU, 1 = serial.
 	// Run computes the peers of one phase concurrently; Workers adds
 	// intra-peer parallelism on top, and the result stays byte-identical to
 	// Workers: 1 for a fixed Seed.

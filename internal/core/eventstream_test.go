@@ -22,6 +22,47 @@ var updateEvents = flag.Bool("update-events", false, "rewrite testdata/events.go
 // path cache. Regenerate with -update-events only when a change is meant to
 // move the stream.
 func TestEventStreamPinned(t *testing.T) {
+	got := eventStream(t, 1, true)
+	if *updateEvents {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(eventsGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(eventsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameStream(t, got, string(want))
+}
+
+// TestEventStreamPinnedWorkers runs the pinned stream's jobs at one worker
+// per CPU: refinement then forks across clusters, and the stream must still
+// be the golden one. The counter snapshot is left out, there and of the
+// golden: two workers can both miss the path cache on one pair.
+func TestEventStreamPinnedWorkers(t *testing.T) {
+	want, err := os.ReadFile(eventsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(want), "\n")
+	for i, line := range lines {
+		if k := strings.LastIndex(line, " {"); k >= 0 && strings.HasSuffix(line, "}") {
+			lines[i] = line[:k]
+		}
+	}
+	sameStream(t, eventStream(t, 0, false), strings.Join(lines, "\n"))
+}
+
+const eventsGolden = "testdata/events.golden"
+
+// eventStream records the observer stream of the pinned jobs, run at the
+// given worker count on a corpus of its own, with each m = 1 event's counter
+// snapshot if snapshots is set.
+func eventStream(t *testing.T, workers int, snapshots bool) string {
+	t.Helper()
 	gen, _ := dataset.ByName("DBLP")
 	dblp := gen(dataset.Spec{Docs: 60, Seed: 29})
 	corpus := dblp.BuildCorpus(dataset.ByHybrid, 8, 1)
@@ -33,13 +74,13 @@ func TestEventStreamPinned(t *testing.T) {
 					cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
 					fmt.Fprintf(&b, "fast=%v k=%d seed=%d m=%d\n", fast, k, seed, m)
 					_, err := Run(context.Background(), cx, corpus, Options{
-						K: k, Params: cx.Params, Peers: m, Fast: fast, Workers: 1,
+						K: k, Params: cx.Params, Peers: m, Fast: fast, Workers: workers,
 						Partition: EqualPartition(len(corpus.Transactions), m, seed),
 						Seed:      seed,
 						Observer: func(ev Event) {
 							fmt.Fprintf(&b, "\t%d %v %d %v %016x %d %d %d %d", ev.Peer, ev.Kind, ev.Round, ev.Phase,
 								math.Float64bits(ev.Objective), ev.SentMsgs, ev.SentBytes, ev.RecvMsgs, ev.RecvBytes)
-							if m == 1 {
+							if m == 1 && snapshots {
 								fmt.Fprintf(&b, " %v", ev.CounterSnapshot)
 							}
 							b.WriteString("\n")
@@ -52,27 +93,20 @@ func TestEventStreamPinned(t *testing.T) {
 			}
 		}
 	}
-	const golden = "testdata/events.golden"
-	if *updateEvents {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.String() == string(want) {
+	return b.String()
+}
+
+// sameStream fails at the first line where got and want differ.
+func sameStream(t *testing.T, got, want string) {
+	t.Helper()
+	if got == want {
 		return
 	}
-	got, lines := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(got) && i < len(lines); i++ {
-		if got[i] != lines[i] {
-			t.Fatalf("event stream differs at line %d:\n got %s\nwant %s", i+1, got[i], lines[i])
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("event stream differs at line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("event stream has %d lines, golden %d", len(got), len(lines))
+	t.Fatalf("event stream has %d lines, golden %d", len(gl), len(wl))
 }

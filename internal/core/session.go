@@ -299,12 +299,11 @@ func (d *driver) compute(ctx context.Context, c compute) (err error) {
 	s, out := d.s, computed{}
 	s.report.Timed(c.round, func() {
 		if c.refine {
-			out.refined = make([]*txn.Transaction, len(s.zi))
+			inputs := make([][]cluster.WeightedRep, len(s.zi))
 			for i, j := range s.zi {
-				if reps := s.refineInputs(j); len(reps) > 0 {
-					out.refined[i] = d.engine.GlobalRep(reps)
-				}
+				inputs[i] = s.refineInputs(j)
 			}
+			out.refined = d.engine.GlobalReps(inputs)
 			return
 		}
 		if out.assign, err = d.engine.Assign(ctx, s.global); err != nil {

@@ -10,7 +10,7 @@ import (
 // forAll is ForCtxWorkers under the nil context, which never cancels.
 func forAll(workers, n int, fn func(worker, i int)) {
 	var never context.Context
-	if err := ForCtxWorkers(never, workers, n, fn); err != nil {
+	if err := ForCtxWorkers(never, workers, 16, n, fn); err != nil {
 		panic(err)
 	}
 }
@@ -18,7 +18,7 @@ func forAll(workers, n int, fn func(worker, i int)) {
 func TestForCtxNilAndBackground(t *testing.T) {
 	for _, ctx := range []context.Context{nil, context.Background()} {
 		var n atomic.Int64
-		if err := ForCtxWorkers(ctx, 4, 100, func(_, i int) { n.Add(1) }); err != nil {
+		if err := ForCtxWorkers(ctx, 4, 16, 100, func(_, i int) { n.Add(1) }); err != nil {
 			t.Fatalf("uncancelable ctx returned %v", err)
 		}
 		if n.Load() != 100 {
@@ -31,7 +31,7 @@ func TestForCtxCancelStopsEarly(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var n atomic.Int64
-		err := ForCtxWorkers(ctx, workers, 10000, func(_, i int) {
+		err := ForCtxWorkers(ctx, workers, 16, 10000, func(_, i int) {
 			if n.Add(1) == 10 {
 				cancel()
 			}
@@ -50,7 +50,7 @@ func TestForCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var n atomic.Int64
-	if err := ForCtxWorkers(ctx, 4, 100, func(_, i int) { n.Add(1) }); err == nil {
+	if err := ForCtxWorkers(ctx, 4, 16, 100, func(_, i int) { n.Add(1) }); err == nil {
 		t.Fatal("pre-canceled ctx returned nil")
 	}
 	if n.Load() != 0 {
@@ -104,17 +104,19 @@ func TestWorkerCount(t *testing.T) {
 	if cpuCapped > 2 {
 		cpuCapped = 2
 	}
-	for _, tc := range []struct{ workers, n, want int }{
-		{1, 100, 1},
-		{4, 100, 4},
-		{8, 100, 7}, // one worker per block of 16 indices at most
-		{8, 16, 1},  // a single block runs inline
-		{8, 17, 2},
-		{4, 0, 1},
-		{-1, 32, cpuCapped}, // <1 resolves to the CPU count, capped at the blocks
+	for _, tc := range []struct{ workers, block, n, want int }{
+		{1, 16, 100, 1},
+		{4, 16, 100, 4},
+		{8, 16, 100, 7}, // one worker per block of 16 indices at most
+		{8, 16, 16, 1},  // a single block runs inline
+		{8, 16, 17, 2},
+		{4, 16, 0, 1},
+		{-1, 16, 32, cpuCapped}, // <1 resolves to the CPU count, capped at the blocks
+		{8, 1, 5, 5},            // blocks of one: a worker per index at most
+		{8, 1, 1, 1},
 	} {
-		if got := WorkerCount(tc.workers, tc.n); got != tc.want {
-			t.Errorf("WorkerCount(%d, %d) = %d, want %d", tc.workers, tc.n, got, tc.want)
+		if got := WorkerCount(tc.workers, tc.block, tc.n); got != tc.want {
+			t.Errorf("WorkerCount(%d, %d, %d) = %d, want %d", tc.workers, tc.block, tc.n, got, tc.want)
 		}
 	}
 }
@@ -124,7 +126,7 @@ func TestWorkerCount(t *testing.T) {
 func TestForWorkersIDsAndCoverage(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
 		const n = 257
-		nw := WorkerCount(workers, n)
+		nw := WorkerCount(workers, 16, n)
 		var ran [n]atomic.Int64
 		var badID atomic.Bool
 		forAll(workers, n, func(w, i int) {
@@ -149,7 +151,7 @@ func TestForWorkersIDsAndCoverage(t *testing.T) {
 // the worker that ran it.
 func TestForWorkersPerWorkerStateIsPrivate(t *testing.T) {
 	const n = 1000
-	nw := WorkerCount(4, n)
+	nw := WorkerCount(4, 16, n)
 	sums := make([]int, nw)
 	forAll(4, n, func(w, i int) { sums[w] += i })
 	total := 0
@@ -165,7 +167,7 @@ func TestForCtxWorkersCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	err := ForCtxWorkers(ctx, 4, 100, func(_, _ int) { ran = true })
+	err := ForCtxWorkers(ctx, 4, 16, 100, func(_, _ int) { ran = true })
 	if err == nil {
 		t.Fatal("canceled ctx produced nil error")
 	}

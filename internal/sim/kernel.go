@@ -206,7 +206,8 @@ func (sc *Scratch) ensure(n1, n2, d1, d2 int) {
 // overwrite (it is a cache of a cache). Allocated on first structural use,
 // fixed size afterwards. The memo is only valid for one Context — PathIDs are
 // table-relative and Δ is pluggable — so bind clears it on a context switch
-// (rare: a scratch normally lives inside one clustering pass).
+// (rare: a scratch normally lives inside one clustering pass). A context
+// derived by WithItems shares its root's paths and Δ, and counts as the root.
 type structMemo struct {
 	key []uint64 // packed ordered pair + 1; 0 = empty slot
 	val []float64
@@ -228,10 +229,10 @@ func (m *structMemo) bind(cx *Context) {
 	if m.key == nil {
 		m.key = make([]uint64, structCacheSize)
 		m.val = make([]float64, structCacheSize)
-	} else if m.cx != cx {
+	} else if m.cx != cx.root {
 		clear(m.key)
 	}
-	m.cx = cx
+	m.cx = cx.root
 }
 
 // sim returns the Eq. 3 similarity of two interned tag paths through the

@@ -139,7 +139,7 @@ type Context struct {
 	Params   Params
 	Items    *txn.ItemTable
 	Paths    *xmltree.PathTable
-	Counters Counters
+	Counters *Counters // shared with the contexts derived by WithItems
 
 	// UseCache controls the tag-path pair cache (on by default; the
 	// ablation benchmark turns it off).
@@ -157,6 +157,7 @@ type Context struct {
 	ItemCache *struct{}
 
 	cache *PathCache
+	root  *Context // itself, or the context WithItems derived it from
 }
 
 type pathPair struct{ a, b xmltree.PathID }
@@ -255,14 +256,27 @@ func NewContextShared(c *txn.Corpus, p Params, cache *PathCache) *Context {
 	if cache == nil {
 		cache = NewPathCache()
 	}
-	return &Context{
+	cx := &Context{
 		Params:   p,
 		Items:    c.Items,
 		Paths:    c.Paths,
+		Counters: new(Counters),
 		UseCache: true,
 		TagSim:   semantics.Exact{},
 		cache:    cache,
 	}
+	cx.root = cx
+	return cx
+}
+
+// WithItems returns a context like cx over items, a stage of cx.Items
+// (txn.ItemTable.Stage): the same parameters, counters, path cache and
+// TagSim, so that work on either context is counted, cached and memoized
+// (structMemo) as one.
+func (cx *Context) WithItems(items *txn.ItemTable) *Context {
+	d := *cx
+	d.Items = items
+	return &d
 }
 
 // Cache exposes the context's tag-path pair cache (shared or private).

@@ -87,18 +87,51 @@ type itemKey struct {
 // engines' bulk resolution reads flat arrays instead of dereferencing an
 // Item per element. The columns are plain derived copies of the Item
 // fields, kept in lock step by Intern/InternSynthetic/SetVector.
+//
+// A table can also be a stage over another (Stage), which holds synthetic
+// items apart from it until they are committed to it (Adopt).
 type ItemTable struct {
 	paths *xmltree.PathTable
 
-	mu    sync.RWMutex
-	byKey map[itemKey]ItemID
-	items []*Item
-	// Columns of items, indexed by id.
-	tagPaths []xmltree.PathID
-	vecs     []vector.Sparse
+	mu      sync.RWMutex
+	byKey   map[itemKey]ItemID
+	columns // the table's own rows, from id base on
+	// A stage's parent and base, and the parent's rows below base as they
+	// were at (re)stage time; zero for a table that is not a stage.
+	parent *ItemTable
+	base   ItemID
+	below  columns
 	// vecVer counts SetVector calls, so a holder of copied vector headers
 	// notices a weighting pass that rewrote vectors in place (VecVersion).
 	vecVer atomic.Uint64
+}
+
+// columns are rows of items: the records, their tag paths and vectors.
+type columns struct {
+	items    []*Item
+	tagPaths []xmltree.PathID
+	vecs     []vector.Sparse
+}
+
+// row locates id: the columns holding it and its index there.
+func (it *ItemTable) row(id ItemID) (*columns, ItemID) {
+	if id < it.base {
+		return &it.below, id
+	}
+	return &it.columns, id - it.base
+}
+
+// rlock read-locks the table for reading the rows of ids, and reports
+// whether it did: a stage's rows below its base are fixed until it is
+// restaged, so workers reading only those never meet on its lock.
+func (it *ItemTable) rlock(ids []ItemID) bool {
+	for _, id := range ids {
+		if id >= it.base {
+			it.mu.RLock()
+			return true
+		}
+	}
+	return false
 }
 
 // NewItemTable creates an empty table bound to a path table.
@@ -135,7 +168,7 @@ func (it *ItemTable) internLocked(key itemKey) ItemID {
 // add registers a new item under the write lock: it assigns the id and the
 // tag path and extends the columns.
 func (it *ItemTable) add(item *Item) ItemID {
-	item.ID = ItemID(len(it.items))
+	item.ID = it.base + ItemID(len(it.items))
 	item.TagPath = it.paths.TagPath(item.Path)
 	it.items = append(it.items, item)
 	it.tagPaths = append(it.tagPaths, item.TagPath)
@@ -146,19 +179,37 @@ func (it *ItemTable) add(item *Item) ItemID {
 
 // Lookup returns the id of the item ⟨path, answer⟩ if it is interned.
 func (it *ItemTable) Lookup(path xmltree.PathID, answer string) (ItemID, bool) {
+	key := itemKey{path: path, answer: answer}
+	if id, ok := it.inParent(key); ok {
+		return id, true
+	}
 	it.mu.RLock()
-	id, ok := it.byKey[itemKey{path: path, answer: answer}]
+	id, ok := it.byKey[key]
 	it.mu.RUnlock()
 	return id, ok
+}
+
+// inParent looks key up in a stage's parent. An id at or above the base,
+// interned by another job since, is not the stage's: its row was not captured.
+func (it *ItemTable) inParent(key itemKey) (ItemID, bool) {
+	if it.parent == nil {
+		return 0, false
+	}
+	id, ok := it.parent.Lookup(key.path, key.answer)
+	return id, ok && id < it.base
 }
 
 // InternSynthetic interns a conflated item carrying a pre-merged vector and
 // its raw constituent decomposition. The answer must already be the
 // canonical merged-answer key so equal conflations intern to equal ids.
 func (it *ItemTable) InternSynthetic(path xmltree.PathID, answer string, vec vector.Sparse, constituents []ItemID) ItemID {
+	key := itemKey{path: path, answer: answer}
+	if id, ok := it.inParent(key); ok {
+		return id
+	}
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	if id, ok := it.byKey[itemKey{path: path, answer: answer}]; ok {
+	if id, ok := it.byKey[key]; ok {
 		return id
 	}
 	return it.add(&Item{
@@ -174,20 +225,26 @@ func (it *ItemTable) InternSynthetic(path xmltree.PathID, answer string, vec vec
 // treat it as read-only (except the weighting stage, which runs before any
 // concurrent access).
 func (it *ItemTable) Get(id ItemID) *Item {
+	if id < it.base {
+		return it.below.items[id]
+	}
 	it.mu.RLock()
 	defer it.mu.RUnlock()
-	return it.items[id]
+	return it.items[id-it.base]
 }
 
 // Resolve fills out (which must have len(ids)) with the items of ids under
 // a single lock acquisition — the bulk form of Get for loops that
 // dereference whole transactions at once.
 func (it *ItemTable) Resolve(ids []ItemID, out []*Item) {
-	it.mu.RLock()
+	locked := it.rlock(ids)
 	for i, id := range ids {
-		out[i] = it.items[id]
+		c, j := it.row(id)
+		out[i] = c.items[j]
 	}
-	it.mu.RUnlock()
+	if locked {
+		it.mu.RUnlock()
+	}
 }
 
 // ResolveColumns fills tps and vecs (each len(ids)) with the tag-path and
@@ -195,12 +252,15 @@ func (it *ItemTable) Resolve(ids []ItemID, out []*Item) {
 // fetch the operands of a transaction: no *Item is touched, and the copied
 // headers stay valid however the table grows.
 func (it *ItemTable) ResolveColumns(ids []ItemID, tps []xmltree.PathID, vecs []vector.Sparse) {
-	it.mu.RLock()
+	locked := it.rlock(ids)
 	for i, id := range ids {
-		tps[i] = it.tagPaths[id]
-		vecs[i] = it.vecs[id]
+		c, j := it.row(id)
+		tps[i] = c.tagPaths[j]
+		vecs[i] = c.vecs[j]
 	}
-	it.mu.RUnlock()
+	if locked {
+		it.mu.RUnlock()
+	}
 }
 
 // SameVectors reports whether vecs (len(ids)) still are the table's vectors
@@ -211,7 +271,7 @@ func (it *ItemTable) SameVectors(ids []ItemID, vecs []vector.Sparse) bool {
 	it.mu.RLock()
 	defer it.mu.RUnlock()
 	for i, id := range ids {
-		if !vector.Same(it.vecs[id], vecs[i]) {
+		if c, j := it.row(id); !vector.Same(c.vecs[j], vecs[i]) {
 			return false
 		}
 	}
@@ -227,16 +287,59 @@ func (it *ItemTable) VecVersion() uint64 { return it.vecVer.Load() }
 func (it *ItemTable) Len() int {
 	it.mu.RLock()
 	defer it.mu.RUnlock()
-	return len(it.items)
+	return int(it.base) + len(it.items)
 }
 
 // SetVector assigns the weighted TCU vector of an item (weighting stage).
 func (it *ItemTable) SetVector(id ItemID, v vector.Sparse) {
 	it.mu.Lock()
-	it.items[id].Vector = v
-	it.vecs[id] = v
+	c, i := it.row(id)
+	c.items[i].Vector = v
+	c.vecs[i] = v
 	it.mu.Unlock()
 	it.vecVer.Add(1)
+}
+
+// Stage returns a stage over it, for synthetic items: ids below Base,
+// it.Len() at the call, read through to it, and new items get ids from Base
+// on. Lookup and InternSynthetic find an item of it below Base before one of
+// the stage's own. Rows below Base are read as they were when the stage was
+// based, without its lock: synthetic interning only appends to a table, and
+// a corpus does not change while it is clustered.
+func (it *ItemTable) Stage() *ItemTable {
+	st := &ItemTable{paths: it.paths, byKey: make(map[itemKey]ItemID), parent: it}
+	st.Restage()
+	return st
+}
+
+// Restage empties a stage and rebases it on its parent's current length,
+// keeping its buffers. It must not run concurrently with other use.
+func (it *ItemTable) Restage() {
+	it.parent.mu.RLock()
+	below := it.parent.columns
+	it.parent.mu.RUnlock()
+	it.mu.Lock()
+	defer it.mu.Unlock()
+	it.below, it.base = below, ItemID(len(below.items))
+	clear(it.byKey)
+	clear(it.items) // drop the adopted items
+	it.items, it.tagPaths, it.vecs = it.items[:0], it.tagPaths[:0], it.vecs[:0]
+}
+
+// Base returns the first id a stage hands out (0 for a table that is not a
+// stage); ids below it are its parent's. Only Restage moves it.
+func (it *ItemTable) Base() ItemID { return it.base }
+
+// Adopt moves a staged item into it, the stage's parent, and returns its id
+// here: a new one, or that of the item of equal ⟨path, answer⟩ it holds
+// already. The stage must be restaged before it is read again.
+func (it *ItemTable) Adopt(item *Item) ItemID {
+	it.mu.Lock()
+	defer it.mu.Unlock()
+	if id, ok := it.byKey[itemKey{path: item.Path, answer: item.Answer}]; ok {
+		return id
+	}
+	return it.add(item)
 }
 
 // MergedAnswerKey canonicalizes a set of answers for conflated items: the

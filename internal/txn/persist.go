@@ -411,8 +411,8 @@ func Load(r io.Reader) (*Corpus, error) {
 		return nil, br.err
 	}
 	slab := make([]Item, nItems)
-	c.Items = &ItemTable{paths: c.Paths, byKey: make(map[itemKey]ItemID, nItems), items: make([]*Item, nItems),
-		tagPaths: make([]xmltree.PathID, nItems), vecs: make([]vector.Sparse, nItems)}
+	c.Items = &ItemTable{paths: c.Paths, byKey: make(map[itemKey]ItemID, nItems), columns: columns{items: make([]*Item, nItems),
+		tagPaths: make([]xmltree.PathID, nItems), vecs: make([]vector.Sparse, nItems)}}
 	for i := range slab {
 		p := u32at(pathIDs, i)
 		if p >= nPaths {

@@ -1,0 +1,182 @@
+package txn
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"xmlclust/internal/vector"
+	"xmlclust/internal/xmltree"
+)
+
+// stageFixture is a table of two raw items and one synthetic one at path
+// a.b.S, and a stage over it.
+func stageFixture(t *testing.T) (tab, st *ItemTable, p xmltree.PathID, raw []ItemID, syn ItemID) {
+	t.Helper()
+	paths := xmltree.NewPathTable()
+	tab = NewItemTable(paths)
+	p = paths.Intern(xmltree.ParsePath("a.b.S"))
+	raw = []ItemID{tab.Intern(p, "x"), tab.Intern(p, "y")}
+	tab.SetVector(raw[0], vector.FromEntries([]vector.Entry{{Term: 1, Weight: 2}}))
+	syn = tab.InternSynthetic(p, MergedAnswerKey([]string{"x", "y"}), vector.Sparse{}, raw)
+	return tab, tab.Stage(), p, raw, syn
+}
+
+func TestStageReadsThroughBelowBase(t *testing.T) {
+	tab, st, p, raw, syn := stageFixture(t)
+	if st.Base() != 3 || st.Len() != 3 {
+		t.Fatalf("base %d len %d, want 3 and 3", st.Base(), st.Len())
+	}
+	for _, id := range []ItemID{raw[0], raw[1], syn} {
+		if st.Get(id) != tab.Get(id) {
+			t.Errorf("Get(%d) is not the parent's item", id)
+		}
+	}
+	ids := []ItemID{raw[0], syn}
+	out := make([]*Item, 2)
+	st.Resolve(ids, out)
+	tps, vecs := make([]xmltree.PathID, 2), make([]vector.Sparse, 2)
+	st.ResolveColumns(ids, tps, vecs)
+	for i, id := range ids {
+		want := tab.Get(id)
+		if out[i] != want || tps[i] != want.TagPath || !vector.Same(vecs[i], want.Vector) {
+			t.Errorf("row %d of the stage differs from the parent's", id)
+		}
+	}
+	if id, ok := st.Lookup(p, "y"); !ok || id != raw[1] {
+		t.Errorf("Lookup(y) = %d, %v; want the parent's %d", id, ok, raw[1])
+	}
+}
+
+func TestStageInternsParentKeyToParentID(t *testing.T) {
+	tab, st, p, raw, syn := stageFixture(t)
+	key := MergedAnswerKey([]string{"x", "y"})
+	if got := st.InternSynthetic(p, key, vector.Sparse{}, raw); got != syn {
+		t.Errorf("InternSynthetic of a parent key = %d, want %d", got, syn)
+	}
+	if st.Len() != tab.Len() {
+		t.Errorf("stage grew to %d on keys its parent holds", st.Len())
+	}
+	z := tab.Intern(p, "z")
+	staged := st.InternSynthetic(p, MergedAnswerKey([]string{"x", "z"}), vector.Sparse{}, []ItemID{raw[0], z})
+	if staged != st.Base() || st.Get(staged).ID != staged || !st.Get(staged).Synthetic {
+		t.Errorf("a new key staged as %d, want the base %d", staged, st.Base())
+	}
+	if tab.Len() != 4 {
+		t.Errorf("staging wrote to the parent: %d items", tab.Len())
+	}
+}
+
+func TestStageIgnoresParentIDsAtOrAboveBase(t *testing.T) {
+	tab, st, p, raw, _ := stageFixture(t)
+	key := MergedAnswerKey([]string{"x", "w"})
+	late := tab.InternSynthetic(p, key, vector.Sparse{}, raw) // another job, after the stage was based
+	if late < st.Base() {
+		t.Fatalf("late id %d below base %d", late, st.Base())
+	}
+	if id, ok := st.Lookup(p, key); ok {
+		t.Errorf("Lookup returned %d, interned after the stage was based", id)
+	}
+	staged := st.InternSynthetic(p, key, vector.Sparse{}, raw)
+	if staged != st.Base() {
+		t.Errorf("InternSynthetic = %d, want a staged id %d", staged, st.Base())
+	}
+	if id, _ := st.Lookup(p, key); id != staged {
+		t.Errorf("Lookup after staging = %d, want %d", id, staged)
+	}
+	// Adopting it finds the late item: one id per key in the parent.
+	if got := tab.Adopt(st.Get(staged)); got != late {
+		t.Errorf("Adopt = %d, want the late id %d", got, late)
+	}
+}
+
+func TestStageRestageRebases(t *testing.T) {
+	tab, st, p, raw, _ := stageFixture(t)
+	key := MergedAnswerKey([]string{"x", "v"})
+	staged := st.InternSynthetic(p, key, vector.Sparse{}, raw)
+	adopted := tab.Adopt(st.Get(staged))
+	late := tab.Intern(p, "u") // the parent grew again
+	st.Restage()
+	if st.Base() != ItemID(tab.Len()) || st.Len() != tab.Len() {
+		t.Fatalf("restaged base %d len %d, parent %d", st.Base(), st.Len(), tab.Len())
+	}
+	if id, ok := st.Lookup(p, key); !ok || id != adopted {
+		t.Errorf("Lookup of the adopted key = %d, %v; want %d", id, ok, adopted)
+	}
+	if st.Get(late) != tab.Get(late) || st.Get(adopted) != tab.Get(adopted) {
+		t.Error("rows the parent gained before the restage do not read through")
+	}
+	next := st.InternSynthetic(p, MergedAnswerKey([]string{"u", "x"}), vector.Sparse{}, []ItemID{raw[0], late})
+	if next != st.Base() {
+		t.Errorf("first staged id after the restage = %d, want %d", next, st.Base())
+	}
+}
+
+func TestAdoptDeduplicates(t *testing.T) {
+	tab, st, p, raw, _ := stageFixture(t)
+	a := st.InternSynthetic(p, MergedAnswerKey([]string{"x", "t"}), vector.Sparse{}, raw)
+	b := st.InternSynthetic(p, MergedAnswerKey([]string{"x", "s"}), vector.Sparse{}, raw)
+	n := tab.Len()
+	ida := tab.Adopt(st.Get(a))
+	idb := tab.Adopt(st.Get(b))
+	if ida != ItemID(n) || idb != ItemID(n+1) || tab.Len() != n+2 {
+		t.Fatalf("adopted as %d and %d, table %d; want %d, %d and %d", ida, idb, tab.Len(), n, n+1, n+2)
+	}
+	if again := tab.Adopt(st.Get(a)); again != ida || tab.Len() != n+2 {
+		t.Errorf("second Adopt = %d (table %d), want %d (table %d)", again, tab.Len(), ida, n+2)
+	}
+	if id, ok := tab.Lookup(p, MergedAnswerKey([]string{"x", "s"})); !ok || id != idb {
+		t.Errorf("parent Lookup of an adopted key = %d, %v; want %d", id, ok, idb)
+	}
+	if got := tab.Get(idb); got.ID != idb || !got.Synthetic || len(got.Constituents) != 2 {
+		t.Errorf("adopted record %+v", got)
+	}
+}
+
+// TestStageConcurrentIntern: goroutines interning overlapping keys into one
+// stage get one staged id per key, and read the rows below its base while
+// another job appends to the parent (run under -race in CI).
+func TestStageConcurrentIntern(t *testing.T) {
+	tab, st, p, raw, _ := stageFixture(t)
+	const goroutines, keys = 8, 40
+	got := make([][]ItemID, goroutines)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := range 200 {
+			tab.Intern(p, fmt.Sprintf("other job %d", k))
+		}
+	}()
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range keys {
+				key := fmt.Sprintf("k%d", (k+g)%keys)
+				id := st.InternSynthetic(p, key, vector.Sparse{}, raw)
+				if found, ok := st.Lookup(p, key); !ok || found != id {
+					t.Errorf("Lookup(%s) = %d, %v after interning %d", key, found, ok, id)
+				}
+				st.Get(id)
+				tps, vecs := make([]xmltree.PathID, 2), make([]vector.Sparse, 2)
+				st.ResolveColumns([]ItemID{raw[0], id}, tps, vecs)
+				if !vector.Same(vecs[0], tab.Get(raw[0]).Vector) {
+					t.Errorf("row %d below the base changed", raw[0])
+				}
+				got[g] = append(got[g], id)
+			}
+		}()
+	}
+	wg.Wait()
+	if staged := st.Len() - int(st.Base()); staged != keys {
+		t.Fatalf("%d staged, want %d", staged, keys)
+	}
+	for g := range goroutines {
+		for k, id := range got[g] {
+			if want := got[0][(k+g)%keys]; id != want {
+				t.Fatalf("goroutine %d key %d: id %d, goroutine 0 got %d", g, (k+g)%keys, id, want)
+			}
+		}
+	}
+}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"xmlclust/internal/dataset"
 	"xmlclust/internal/fnv"
+	"xmlclust/internal/txn"
 )
 
 // pinnedClusterings is the output of every configuration of
@@ -174,5 +176,73 @@ func TestClusteringPinned(t *testing.T) {
 	}
 	if len(got) != len(pinnedClusterings) {
 		t.Errorf("%d configurations, table has %d", len(got), len(pinnedClusterings))
+	}
+}
+
+// TestRepresentativeForkMatchesSerial holds the representative passes, which
+// refine their clusters in parallel, to the serial loop: for CXK-means and
+// PK-means × the four generators × k ∈ {4, 16, 64}, every worker count must
+// reproduce the one-worker job. With one peer that is the assignment, the
+// rounds, every representative's item ids and the synthetic rows of the item
+// table — ids, paths, answers and constituents. With three peers, which
+// commit into one table concurrently, it is the assignment, RepsDigest, the
+// rounds and the table's length.
+func TestRepresentativeForkMatchesSerial(t *testing.T) {
+	type job struct {
+		assign []int
+		rounds int
+		reps   string // item ids (m = 1) or RepsDigest (m = 3)
+		table  string // synthetic rows (m = 1) or the length (m = 3)
+	}
+	run := func(alg Algorithm, col *dataset.Collection, k, peers, workers int) job {
+		corpus := col.BuildCorpus(dataset.ByHybrid, 8, 1)
+		base := corpus.Items.Len()
+		res, err := freshEngine(t, corpus).Cluster(context.Background(), ClusterOptions{
+			K: k, F: 0.5, Gamma: 0.7, Peers: peers, Workers: workers, Seed: 5, MaxRounds: 6, Algorithm: alg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := job{assign: res.Assign, rounds: res.Rounds}
+		if peers > 1 {
+			j.reps = fmt.Sprintf("%016x", RepsDigest(corpus, res.Reps))
+			j.table = fmt.Sprint(corpus.Items.Len())
+			return j
+		}
+		for _, rep := range res.Reps {
+			if rep != nil {
+				j.reps += fmt.Sprintln(rep.Items)
+			}
+		}
+		for id := base; id < corpus.Items.Len(); id++ {
+			it := corpus.Items.Get(txn.ItemID(id))
+			j.table += fmt.Sprintf("%d %d %q %v\n", it.ID, it.Path, it.Answer, it.Constituents)
+		}
+		return j
+	}
+	for _, alg := range []Algorithm{CXKMeans, PKMeans} {
+		for _, name := range dataset.Names() {
+			gen, _ := dataset.ByName(name)
+			col := gen(dataset.Spec{Docs: pinnedDocs[name], Seed: 29})
+			for _, k := range []int{4, 16, 64} {
+				for _, peers := range []int{1, 3} {
+					want := run(alg, col, k, peers, 1)
+					for _, workers := range []int{2, 4, 0} {
+						got := run(alg, col, k, peers, workers)
+						label := fmt.Sprintf("alg %d %s k=%d peers=%d workers=%d", alg, name, k, peers, workers)
+						switch {
+						case !slices.Equal(got.assign, want.assign):
+							t.Errorf("%s: assignment differs", label)
+						case got.rounds != want.rounds:
+							t.Errorf("%s: %d rounds, serial %d", label, got.rounds, want.rounds)
+						case got.reps != want.reps:
+							t.Errorf("%s: representatives differ\n got  %s\n want %s", label, got.reps, want.reps)
+						case got.table != want.table:
+							t.Errorf("%s: item table differs\n got  %s\n want %s", label, got.table, want.table)
+						}
+					}
+				}
+			}
+		}
 	}
 }

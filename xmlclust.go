@@ -313,9 +313,9 @@ type ClusterOptions struct {
 	// Peers is the number of P2P nodes; 1 = centralized (default 1).
 	Peers int
 	// Workers bounds the goroutines each peer uses for its relocation
-	// passes (representative refinement is serial, its work items being
-	// cheaper than a fork). 0 means one worker per CPU; 1 forces the
-	// serial path; negative values are rejected with an *OptionsError. For
+	// passes and its representative passes (one cluster per work item).
+	// 0 means one worker per CPU; 1 forces the serial path; negative
+	// values are rejected with an *OptionsError. For
 	// a fixed Seed the clustering output is byte-identical for every legal
 	// Workers value — only the wall time changes.
 	Workers int
