@@ -36,7 +36,7 @@ func main() {
 		gamma    = flag.Float64("gamma", 0.7, "γ-matching threshold ∈ [0,1]")
 		peers    = flag.Int("peers", 1, "number of P2P nodes (1 = centralized)")
 		workers  = flag.Int("workers", 0, "worker goroutines per peer (0 = one per CPU, 1 = serial); output is identical for any value")
-		ingestW  = flag.Int("ingest-workers", 0, "parse/extract workers for ingestion (0 = one per CPU, 1 = serial); the corpus is identical for any value")
+		ingestW  = flag.Int("ingest-workers", 0, "ingest workers: parse, extract and weigh (0 = one per CPU, 1 = serial); the corpus is identical for any value")
 		seed     = flag.Int64("seed", 1, "random seed")
 		unequal  = flag.Bool("unequal", false, "skewed data distribution (half the peers hold twice the data)")
 		maxTup   = flag.Int("maxtuples", 0, "cap on tree tuples per document (0 = default)")

@@ -31,7 +31,7 @@ func main() {
 		cxkOut  = flag.String("corpus", "", "also stream the collection through the ingestion pipeline and save the preprocessed corpus file here")
 		kind    = flag.String("kind", "hybrid", "reference classification for -corpus labels: structure | content | hybrid")
 		maxTup  = flag.Int("maxtuples", 0, "cap on tree tuples per document for -corpus (0 = default)")
-		ingestW = flag.Int("ingest-workers", 0, "parse/extract workers for -corpus (0 = one per CPU); the corpus is identical for any value")
+		ingestW = flag.Int("ingest-workers", 0, "ingest workers for -corpus: parse, extract and weigh (0 = one per CPU); the corpus is identical for any value")
 	)
 	flag.Parse()
 

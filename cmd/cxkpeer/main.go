@@ -62,7 +62,7 @@ func main() {
 		listen  = flag.String("listen", "", "local listen address (default: the -peers entry for -id)")
 		corpusF = flag.String("corpus", "", "corpus file from `cxkcluster -save`, or a directory / tar[.gz] archive / XML file to ingest (required)")
 		maxTup  = flag.Int("maxtuples", 0, "cap on tree tuples per document when ingesting raw XML (0 = default; must match across peers)")
-		ingestW = flag.Int("ingest-workers", 0, "parse/extract workers when ingesting raw XML (0 = one per CPU); the corpus is identical for any value")
+		ingestW = flag.Int("ingest-workers", 0, "ingest workers for raw XML: parse, extract and weigh (0 = one per CPU); the corpus is identical for any value")
 		k       = flag.Int("k", 4, "number of clusters")
 		f       = flag.Float64("f", 0.5, "structure/content balance f ∈ [0,1]")
 		gamma   = flag.Float64("gamma", 0.7, "γ-matching threshold")

@@ -3,6 +3,7 @@ package corpus
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -25,10 +26,10 @@ type Options struct {
 	// e.g. from a Trees source) takes precedence; −1 falls back to this
 	// slice, then to −1.
 	Labels []int
-	// Workers is the number of parse/extract workers (0 or negative = one
-	// per CPU, 1 = serial). The corpus is byte-identical for any value —
-	// workers only parse and extract; interning and weighting are
-	// serialized through an index-ordered merge.
+	// Workers is the number of workers that parse and extract, then weigh
+	// the items in the weighting finish (0 or negative = one per CPU, 1 =
+	// serial). The corpus is byte-identical for any value: interning and the
+	// fold run in an index-ordered merge, and one worker weighs each item.
 	Workers int
 }
 
@@ -83,9 +84,12 @@ func (s Stats) String() string {
 }
 
 // parsed is one document after the worker stage: the tree plus its
-// extracted tuples, ready for the order-sensitive merge.
+// extracted tuples, ready for the order-sensitive merge. own marks a tree
+// the build parsed, whose storage a later document may reuse; a tree the
+// source handed in is never reused.
 type parsed struct {
 	tree  *xmltree.Tree
+	own   bool
 	res   tuple.Result
 	label int
 }
@@ -113,17 +117,26 @@ func Build(src Source, opts Options) (*txn.Corpus, Stats, error) {
 	workers := parallel.Resolve(opts.Workers)
 	var queued atomic.Int64 // parsed documents not yet merged
 	peak := 0               // its maximum, which it reaches just before some merge
+	// Merged batches return to the workers, which parse and extract into
+	// their storage; the buffer holds as many as can be in flight.
+	spares := make(chan []parsed, batchesPerWorker*workers)
 	start := time.Now()
 	_, err := parallel.OrderedStream(workers, batchesPerWorker*workers,
 		func() ([]*Document, bool, error) { return nextBatch(src) },
 		func(_ int, batch []*Document) ([]parsed, error) {
-			out := make([]parsed, len(batch))
+			var out []parsed
+			select {
+			case out = <-spares:
+			default:
+			}
+			out = slices.Grow(out[:0], len(batch))[:len(batch)]
 			for i, d := range batch {
-				t, err := d.parse(parseOpts)
-				if err != nil {
+				p := &out[i]
+				if err := d.parse(p, parseOpts); err != nil {
 					return nil, fmt.Errorf("corpus: %s: %w", d.Name, err)
 				}
-				out[i] = parsed{tree: t, res: tuple.Extract(t, opts.Tuple), label: d.Label}
+				tuple.ExtractInto(&p.res, p.tree, opts.Tuple)
+				p.label = d.Label
 			}
 			queued.Add(int64(len(out)))
 			return out, nil
@@ -138,6 +151,10 @@ func Build(src Source, opts Options) (*txn.Corpus, Stats, error) {
 				}
 				b.AddExtracted(p.tree, p.res, label)
 			}
+			select {
+			case spares <- batch:
+			default:
+			}
 			return nil
 		},
 	)
@@ -145,7 +162,7 @@ func Build(src Source, opts Options) (*txn.Corpus, Stats, error) {
 		return nil, Stats{}, err
 	}
 	c := b.Finish()
-	wstats := acc.Finalize()
+	wstats := acc.FinalizeWorkers(workers)
 	stats := Stats{
 		Docs:            b.Docs(),
 		Transactions:    len(c.Transactions),
@@ -183,19 +200,23 @@ func nextBatch(src Source) (batch []*Document, ok bool, err error) {
 	return batch, len(batch) > 0, nil
 }
 
-// parse returns the document's tree.
-func (d *Document) parse(opts xmltree.ParseOptions) (*xmltree.Tree, error) {
-	if d.Tree != nil {
-		return d.Tree, nil
+// parse sets p.tree to the document's tree: the source's, or one parsed into
+// the storage of p's last tree if the build parsed that one.
+func (d *Document) parse(p *parsed, opts xmltree.ParseOptions) error {
+	reuse := p.tree
+	if !p.own {
+		reuse = nil
+	}
+	if p.tree, p.own = d.Tree, false; d.Tree != nil {
+		return nil
 	}
 	raw, err := d.Raw()
-	if err != nil {
-		return nil, err
+	if err == nil {
+		p.tree, err = xmltree.ParseBytesInto(reuse, raw, opts)
 	}
-	t, err := xmltree.ParseBytes(raw, opts)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	t.Name = d.Name
-	return t, nil
+	p.tree.Name, p.own = d.Name, true
+	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -512,6 +513,108 @@ func TestSavedBytesAcrossGenerators(t *testing.T) {
 			if got := fmt.Sprintf("%x", sha256.Sum256(saveBytes(t, c)))[:16]; got != want[key] {
 				t.Errorf("%s: saved corpus hashes to %s, want %s", key, got, want[key])
 			}
+		}
+	}
+}
+
+// playsAndRecords renders a run of DBLP records, a few Shakespeare plays,
+// another run of records, more plays and a last run: documents of two orders
+// of magnitude, so a worker's reused trees and tuple blocks are now too small
+// and now far too large for the next document.
+func playsAndRecords() (records [3][]string, plays [2][]string) {
+	for i := range records {
+		for _, tree := range dataset.DBLP(dataset.Spec{Docs: 120, Seed: int64(40 + i)}).Trees {
+			records[i] = append(records[i], xmltree.RenderString(tree))
+		}
+	}
+	for i := range plays {
+		for _, tree := range dataset.Shakespeare(dataset.Spec{Docs: 2, Seed: int64(40 + i)}).Trees {
+			plays[i] = append(plays[i], xmltree.RenderString(tree))
+		}
+	}
+	return records, plays
+}
+
+// batchOfDocs is the batch path over documents held as strings.
+func batchOfDocs(t testing.TB, docs []string) []byte {
+	t.Helper()
+	trees := make([]*xmltree.Tree, len(docs))
+	for i, doc := range docs {
+		trees[i] = xmltree.MustParseString(doc, xmltree.DefaultParseOptions())
+	}
+	c := txn.Build(trees, txn.BuildOptions{})
+	weighting.Apply(c)
+	return saveBytes(t, c)
+}
+
+// TestBuildReusesStorageAcrossDocumentSizes: workers parse into the trees of
+// merged batches and extract into their results. An archive with Shakespeare
+// plays between runs of DBLP records saves the bytes of the batch path at
+// workers 1, 2 and 8.
+func TestBuildReusesStorageAcrossDocumentSizes(t *testing.T) {
+	records, plays := playsAndRecords()
+	docs := slices.Concat(records[0], plays[0], records[1], plays[1], records[2])
+	want := batchOfDocs(t, docs)
+	archive := tarOf(t, docs)
+	for _, workers := range []int{1, 2, 8} {
+		src, err := corpus.Tar(bytes.NewReader(archive), "mix.tar")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, _, err := corpus.Build(src, corpus.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(saveBytes(t, c), want) {
+			t.Errorf("workers %d: the saved corpus differs from the batch path's", workers)
+		}
+	}
+}
+
+// TestBuildLeavesSourceTreesAlone: a tree the source hands in is never
+// parsed into, not even when its batch comes back to a worker whose next
+// document is a file that the tree's storage would hold. The source's trees
+// — parsed plays, so they have storage to give — are as they were after
+// builds at workers 1, 2 and 8.
+func TestBuildLeavesSourceTreesAlone(t *testing.T) {
+	records, plays := playsAndRecords()
+	dir := t.TempDir()
+	var files [3][]string
+	for i, run := range records {
+		for j, doc := range run {
+			p := filepath.Join(dir, fmt.Sprintf("run%d-%04d.xml", i, j))
+			if err := os.WriteFile(p, []byte(doc), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			files[i] = append(files[i], p)
+		}
+	}
+	var trees [2][]*xmltree.Tree
+	var rendered [2][]string
+	for i, run := range plays {
+		for _, doc := range run {
+			tree := xmltree.MustParseString(doc, xmltree.DefaultParseOptions())
+			trees[i] = append(trees[i], tree)
+			rendered[i] = append(rendered[i], xmltree.RenderString(tree))
+		}
+	}
+	want := batchOfDocs(t, slices.Concat(records[0], plays[0], records[1], plays[1], records[2]))
+	for _, workers := range []int{1, 2, 8} {
+		src := corpus.Multi(corpus.Files(files[0]...), corpus.Trees("plays", trees[0], nil),
+			corpus.Files(files[1]...), corpus.Trees("plays", trees[1], nil), corpus.Files(files[2]...))
+		c, _, err := corpus.Build(src, corpus.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range trees {
+			for j, tree := range trees[i] {
+				if xmltree.RenderString(tree) != rendered[i][j] {
+					t.Fatalf("workers %d: source tree %d of run %d changed in the build", workers, j, i)
+				}
+			}
+		}
+		if !bytes.Equal(saveBytes(t, c), want) {
+			t.Errorf("workers %d: the saved corpus differs from the batch path's", workers)
 		}
 	}
 }

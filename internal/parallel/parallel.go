@@ -2,12 +2,14 @@
 // pipeline is built on, one per kind of loop worth a goroutine.
 //
 // ForCtxWorkers forks relocation, where transactions are independent under a
-// fixed representative set, and refinement, where clusters are (cluster.Rounds
-// stages their synthetic items and commits them in cluster order). Every
-// worker writes only into the slot of the index it drew, and so a pass with N
-// workers is byte-identical to the serial one, for any N. OrderedStream
-// (stream.go) forks ingest: documents are parsed and their tuples extracted
-// on workers, and delivered in input order to the one goroutine that interns.
+// fixed representative set; refinement, where clusters are (cluster.Rounds
+// stages their synthetic items and commits them in cluster order); and the
+// weighting finish, where items are once the collection counters are final
+// (each weighs into its own span of one arena). Every worker writes only into
+// the slot of the index it drew, and so a pass with N workers is
+// byte-identical to the serial one, for any N. OrderedStream (stream.go)
+// forks ingest: documents are parsed and their tuples extracted on workers,
+// and delivered in input order to the one goroutine that interns.
 // Nothing forks inside a representative: its work items cost about a
 // microsecond, less than a fork. A reduction over forked terms would have to
 // add them in index order (float addition is not associative, so a

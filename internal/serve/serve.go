@@ -574,7 +574,7 @@ func (s *Service) refreshLocked(ctx context.Context) (int, error) {
 		live++
 	}
 	b.Finish()
-	acc.Finalize()
+	acc.FinalizeWorkers(s.cfg.Workers)
 
 	eng, err := xmlclust.NewEngine(c, xmlclust.EngineOptions{})
 	if err != nil {

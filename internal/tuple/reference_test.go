@@ -2,7 +2,9 @@ package tuple
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"xmlclust/internal/xmltree"
@@ -191,11 +193,11 @@ func TestVariantsMatchMapGrouping(t *testing.T) {
 }
 
 // TestExtractAllocations pins what extracting one DBLP-shaped record
-// allocates: the result (the tuple slice; per tuple the tuple, its leaves and
-// a path per leaf first met) plus a slice header per leaf and the variants of
-// the one element with several labels. The grouping tables are pooled working
-// memory: a map, an order slice or a radix slice per element would add three
-// allocations for each of the record's eight elements.
+// allocates: the result's four blocks — the tuple pointers, the tuples, their
+// leaves and the leaves' paths. The grouping tables and the alternatives are
+// pooled working memory: a map, an order slice or a radix slice per element
+// would add three allocations for each of the record's eight elements, and an
+// alternative made per leaf two for each of its seven leaves.
 func TestExtractAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drains sync.Pool at random; the guard runs without it")
@@ -209,8 +211,45 @@ func TestExtractAllocations(t *testing.T) {
 	Extract(tree, Options{}) // the pool's first extractor, its tables grown to this record
 	got := testing.AllocsPerRun(200, func() { Extract(tree, Options{}) })
 	t.Logf("Extract allocates %.0f objects for a record of %d nodes", got, len(tree.Nodes))
-	const want = 26
+	const want = 4
 	if got > want {
 		t.Fatalf("Extract allocates %.0f objects for one record, want at most %d", got, want)
+	}
+}
+
+// TestExtractIntoMatchesExtract: one Result reused for tree after tree, of
+// every size, holds what a fresh Extract returns — same leaves, same paths,
+// same diagnostics — whatever the earlier trees left in its blocks.
+func TestExtractIntoMatchesExtract(t *testing.T) {
+	trees := []*xmltree.Tree{paperTree(t)}
+	oracle := oracleTrees()
+	for _, name := range slices.Sorted(maps.Keys(oracle)) {
+		trees = append(trees, oracle[name])
+	}
+	rng := rand.New(rand.NewSource(40))
+	for i := 0; i < 40; i++ {
+		trees = append(trees, randomTree(rng))
+	}
+	var res Result
+	for i, tree := range trees {
+		for _, max := range []int{3, 0} {
+			want := Extract(tree, Options{MaxTuplesPerTree: max})
+			ExtractInto(&res, tree, Options{MaxTuplesPerTree: max})
+			if res.Truncated != want.Truncated || res.TotalCombinations != want.TotalCombinations || len(res.Tuples) != len(want.Tuples) {
+				t.Fatalf("tree %d, max %d: %d tuples of %d (truncated %v), want %d of %d (%v)", i, max,
+					len(res.Tuples), res.TotalCombinations, res.Truncated, len(want.Tuples), want.TotalCombinations, want.Truncated)
+			}
+			for j, tt := range res.Tuples {
+				w := want.Tuples[j]
+				if tt.Source != tree || tt.Index != j || len(tt.Leaves) != len(w.Leaves) {
+					t.Fatalf("tree %d, max %d: tuple %d is %+v, want %+v", i, max, j, *tt, *w)
+				}
+				for k, lf := range tt.Leaves {
+					if lf.Node != w.Leaves[k].Node || lf.Path.String() != w.Leaves[k].Path.String() {
+						t.Fatalf("tree %d, max %d: tuple %d leaf %d is %s, want %s", i, max, j, k, lf.Path, w.Leaves[k].Path)
+					}
+				}
+			}
+		}
 	}
 }

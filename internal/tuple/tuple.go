@@ -66,21 +66,36 @@ type Result struct {
 	// TotalCombinations is the untruncated number of tuples (saturating at
 	// a large sentinel to avoid overflow).
 	TotalCombinations int64
+	// The storage of Tuples, one block each: the tuples, their leaves and the
+	// paths of the leaves. ExtractInto reuses it.
+	block  []TreeTuple
+	leaves []Leaf
+	paths  []string
 }
 
 const combinationCap = int64(1) << 50
 
-// Extract enumerates the tree tuples of t.
+// Extract enumerates the tree tuples of t. A document's tuples, their leaves
+// and the leaves' paths are one allocation each.
 func Extract(t *xmltree.Tree, opts Options) Result {
+	var res Result
+	ExtractInto(&res, t, opts)
+	return res
+}
+
+// ExtractInto is Extract into the storage of res, the result of an earlier
+// extraction, whose tuples are overwritten: nothing may read them any more.
+func ExtractInto(res *Result, t *xmltree.Tree, opts Options) {
 	max := opts.MaxTuplesPerTree
 	if max <= 0 {
 		max = DefaultMaxTuplesPerTree
 	}
+	*res = Result{Tuples: res.Tuples[:0], block: res.block, leaves: res.leaves, paths: res.paths}
 	if t.Root == nil {
-		return Result{}
+		return
 	}
 	x := extractors.Get().(*extractor)
-	defer extractors.Put(x)
+	defer x.release()
 	x.max = max
 	if len(x.slots) > maxSlots {
 		clear(x.slots)
@@ -90,19 +105,45 @@ func Extract(t *xmltree.Tree, opts Options) Result {
 	clear(paths)
 	x.paths = paths
 	vs, total := x.variants(t.Root)
-	res := Result{TotalCombinations: total, Truncated: total > int64(len(vs))}
-	res.Tuples = make([]*TreeTuple, len(vs))
+	res.TotalCombinations, res.Truncated = total, total > int64(len(vs))
+
+	// One pass sizes the three blocks, a second fills them. The grouping
+	// column is free now: it takes the depth of each leaf at its first tuple.
+	depth, nLeaves, nSyms := x.groupOf, 0, 0
+	clear(depth)
+	for _, v := range vs {
+		nLeaves += len(v)
+		for _, n := range v {
+			if depth[n.ID] == 0 {
+				for cur := n; cur != nil; cur = cur.Parent {
+					depth[n.ID]++
+				}
+				nSyms += depth[n.ID]
+			}
+		}
+	}
+	res.Tuples = slices.Grow(res.Tuples, len(vs))[:len(vs)]
+	res.block = slices.Grow(res.block[:0], len(vs))[:len(vs)]
+	res.leaves = slices.Grow(res.leaves[:0], nLeaves)[:nLeaves]
+	res.paths = slices.Grow(res.paths[:0], nSyms)[:nSyms]
+	leaves, syms := res.leaves, res.paths
 	for i, v := range vs {
-		leaves := make([]Leaf, len(v))
+		lv := leaves[:len(v):len(v)]
+		leaves = leaves[len(v):]
 		for j, n := range v {
 			if paths[n.ID] == nil {
-				paths[n.ID] = xmltree.NodePath(n)
+				d := depth[n.ID]
+				paths[n.ID], syms = syms[:d:d], syms[d:]
+				for cur := n; cur != nil; cur = cur.Parent {
+					d--
+					paths[n.ID][d] = cur.Label
+				}
 			}
-			leaves[j] = Leaf{Node: n, Path: paths[n.ID]}
+			lv[j] = Leaf{Node: n, Path: paths[n.ID]}
 		}
-		res.Tuples[i] = &TreeTuple{Source: t, Index: i, Leaves: leaves}
+		res.block[i] = TreeTuple{Source: t, Index: i, Leaves: lv}
+		res.Tuples[i] = &res.block[i]
 	}
-	return res
 }
 
 // ExtractAll extracts tuples for every tree of a collection, preserving
@@ -136,7 +177,9 @@ type slot struct{ stamp, group int }
 // entries carry the stamp of the element they were filed for — stamped, not
 // cleared, so grouping is linear in an element's children however many labels
 // they carry — every child keeps its group in a column by Node.ID, and the
-// groups of the elements on the recursion path stack up in one slice.
+// groups of the elements on the recursion path stack up in one slice. The
+// alternatives an element returns, and their leaves, are cut from two arenas
+// that are rewound for the next document.
 type extractor struct {
 	max     int
 	slots   map[string]slot
@@ -144,6 +187,29 @@ type extractor struct {
 	groupOf []int // by Node.ID of a child: its group within its parent
 	paths   []xmltree.Path
 	groups  []group // zero beyond its length
+	alts    []variant
+	nodes   []*xmltree.Node
+}
+
+// release rewinds the arenas — dropping what they point into — and returns x
+// to the pool.
+func (x *extractor) release() {
+	clear(x.alts)
+	clear(x.nodes)
+	x.alts, x.nodes = x.alts[:0], x.nodes[:0]
+	extractors.Put(x)
+}
+
+// cut returns n entries of an arena, capacity-clamped, so that appending to
+// them copies instead of running into the next cut. A full arena is replaced,
+// not grown: what was cut from it stays where it is.
+func cut[T any](arena *[]T, n int) []T {
+	a := *arena
+	if cap(a)-len(a) < n {
+		a = make([]T, 0, max(2*cap(a), n, 64))
+	}
+	*arena = a[:len(a)+n]
+	return a[len(a) : len(a)+n : len(a)+n]
 }
 
 var extractors = sync.Pool{New: func() any { return &extractor{slots: make(map[string]slot)} }}
@@ -155,12 +221,15 @@ const maxSlots = 4096
 // variants returns up to max leaf-set alternatives for the subtree rooted at
 // n, together with the untruncated total count.
 func (x *extractor) variants(n *xmltree.Node) ([]variant, int64) {
-	if n.IsLeaf() {
-		return []variant{{n}}, 1
-	}
-	if len(n.Children) == 0 {
-		// Empty element: a single alternative contributing no leaves.
-		return []variant{{}}, 1
+	if n.IsLeaf() || len(n.Children) == 0 {
+		// A leaf is its own one alternative; an empty element has one that
+		// contributes no leaves.
+		alt := cut(&x.alts, 1)
+		if n.IsLeaf() {
+			alt[0] = cut(&x.nodes, 1)
+			alt[0][0] = n
+		}
+		return alt, 1
 	}
 	// Group children by label, preserving first-seen order.
 	base, ngroups := len(x.groups), 0
@@ -179,7 +248,7 @@ func (x *extractor) variants(n *xmltree.Node) ([]variant, int64) {
 		cv, ct := x.variants(c)
 		g := &x.groups[base+x.groupOf[c.ID]] // taken after the call: the stack may have moved
 		if g.alts == nil {
-			g.alts = cv // the child's own slice: nothing else holds it
+			g.alts = cv // the child's own cut: nothing else holds it
 		} else {
 			g.alts = append(g.alts, cv...)
 		}
@@ -204,7 +273,7 @@ func (x *extractor) variants(n *xmltree.Node) ([]variant, int64) {
 	// one walk sizes the variant, a second fills it.
 	out := groups[0].alts
 	if len(groups) > 1 {
-		out = make([]variant, limit)
+		out = cut(&x.alts, int(limit))
 		for idx := range out {
 			size, rem := 0, idx
 			for gi := len(groups) - 1; gi >= 0; gi-- {
@@ -212,7 +281,7 @@ func (x *extractor) variants(n *xmltree.Node) ([]variant, int64) {
 				size += len(alts[rem%len(alts)])
 				rem /= len(alts)
 			}
-			v, rem := make(variant, 0, size), idx
+			v, rem := cut(&x.nodes, size)[:0], idx
 			for gi := len(groups) - 1; gi >= 0; gi-- {
 				alts := groups[gi].alts
 				v = append(v, alts[rem%len(alts)]...)

@@ -355,7 +355,10 @@ func i32at(col []byte, i int) int { return int(int32(le.Uint32(col[4*i:]))) }
 // a raw item); spans and vector terms ascend strictly; no path, term or
 // ⟨path, answer⟩ pair is listed twice; the tag path of every complete path is
 // in the path table. What Load allocates does not grow with the number of
-// items or transactions, the groups of the maps it sizes up front aside.
+// items or transactions, the groups of the maps it sizes up front aside. The
+// two maps are filled on one helper goroutine beside the decoding of the
+// vectors, constituents and transactions; Load waits for it before it
+// returns, success or not.
 func Load(r io.Reader) (*Corpus, error) {
 	var head [8]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
@@ -398,39 +401,67 @@ func Load(r io.Reader) (*Corpus, error) {
 	}
 	c.Terms = &TermTable{byStr: make(map[string]int32, nTerms), terms: make([]string, nTerms)}
 	for i := range c.Terms.terms {
-		c.Terms.terms[i], c.Terms.byStr[str(i)] = str(i), int32(i)
+		c.Terms.terms[i] = str(i)
+	}
+	// A helper fills the two maps while this goroutine decodes the rest. It
+	// reads the terms and, once the item table is sent, the items' ID, Path
+	// and Answer, which nothing writes after the send.
+	tables := make(chan *ItemTable, 1)
+	helped := make(chan struct{})
+	go func() {
+		defer close(helped)
+		for i, term := range c.Terms.terms {
+			c.Terms.byStr[term] = int32(i)
+		}
+		if t := <-tables; t != nil {
+			for _, it := range t.items {
+				t.byKey[itemKey{path: it.Path, answer: it.Answer}] = it.ID
+			}
+		}
+	}()
+	err := c.loadItems(br, tagOf, nItems, nTxns, tables)
+	close(tables)
+	<-helped
+	if err != nil {
+		return nil, err
 	}
 	if len(c.Terms.byStr) != nTerms {
 		return nil, corrupt("term table lists a term twice")
 	}
+	if len(c.Items.byKey) != nItems {
+		return nil, corrupt("item table lists a ⟨path, answer⟩ pair twice")
+	}
+	return c, nil
+}
 
+// loadItems decodes the items, vectors, constituents and transactions blocks
+// into c. It sends the item table to tables once the item slab is filled, and
+// after that writes only the items' Vector and Constituents.
+func (c *Corpus) loadItems(br *blockReader, tagOf []xmltree.PathID, nItems, nTxns int, tables chan<- *ItemTable) error {
 	br.next("items")
 	pathIDs, flags := br.col(nItems, 4), br.col(nItems, 1)
-	str = br.strings(nItems)
+	str := br.strings(nItems)
 	if br.err != nil {
-		return nil, br.err
+		return br.err
 	}
 	slab := make([]Item, nItems)
 	c.Items = &ItemTable{paths: c.Paths, byKey: make(map[itemKey]ItemID, nItems), columns: columns{items: make([]*Item, nItems),
 		tagPaths: make([]xmltree.PathID, nItems), vecs: make([]vector.Sparse, nItems)}}
 	for i := range slab {
 		p := u32at(pathIDs, i)
-		if p >= nPaths {
-			return nil, corrupt("item %d references unknown path %d", i, p)
+		if p >= len(tagOf) {
+			return corrupt("item %d references unknown path %d", i, p)
 		}
 		it := &slab[i]
 		*it = Item{ID: ItemID(i), Path: xmltree.PathID(p), TagPath: tagOf[p], Answer: str(i), Synthetic: flags[i] != 0}
 		c.Items.items[i], c.Items.tagPaths[i] = it, it.TagPath
-		c.Items.byKey[itemKey{path: it.Path, answer: it.Answer}] = it.ID
 	}
-	if len(c.Items.byKey) != nItems {
-		return nil, corrupt("item table lists a ⟨path, answer⟩ pair twice")
-	}
+	tables <- c.Items
 
 	br.next("vectors")
 	offs, arena := br.spans(nItems, 12)
 	if br.err != nil {
-		return nil, br.err
+		return br.err
 	}
 	entries := make([]vector.Entry, len(arena)/12)
 	weights := arena[4*len(entries):]
@@ -441,7 +472,7 @@ func Load(r io.Reader) (*Corpus, error) {
 		lo, hi := u32at(offs, i), u32at(offs, i+1)
 		for k := lo + 1; k < hi; k++ { // what vector.FromEntries panics on
 			if entries[k-1].Term >= entries[k].Term {
-				return nil, corrupt("item %d: vector terms not strictly ascending", i)
+				return corrupt("item %d: vector terms not strictly ascending", i)
 			}
 		}
 		if lo < hi {
@@ -453,7 +484,7 @@ func Load(r io.Reader) (*Corpus, error) {
 	br.next("constituents")
 	offs, ids := br.ids(nItems)
 	if br.err != nil {
-		return nil, br.err
+		return br.err
 	}
 	for i := range slab {
 		lo, hi := u32at(offs, i), u32at(offs, i+1)
@@ -461,12 +492,12 @@ func Load(r io.Reader) (*Corpus, error) {
 			continue // Constituents stays nil, which is what marks an item raw
 		}
 		if !slab[i].Synthetic {
-			return nil, corrupt("raw item %d has constituents", i)
+			return corrupt("raw item %d has constituents", i)
 		}
 		slab[i].Constituents = ids[lo:hi:hi]
 		for _, cid := range ids[lo:hi] {
 			if cid < 0 || int(cid) >= i {
-				return nil, corrupt("synthetic item %d references unknown constituent %d", i, cid)
+				return corrupt("synthetic item %d references unknown constituent %d", i, cid)
 			}
 		}
 	}
@@ -475,7 +506,7 @@ func Load(r io.Reader) (*Corpus, error) {
 	docs, tuples, labels := br.col(nTxns, 4), br.col(nTxns, 4), br.col(nTxns, 4)
 	offs, ids = br.ids(nTxns)
 	if br.err != nil {
-		return nil, br.err
+		return br.err
 	}
 	trs := make([]Transaction, nTxns)
 	c.Transactions = make([]*Transaction, nTxns)
@@ -484,15 +515,15 @@ func Load(r io.Reader) (*Corpus, error) {
 		prev := ItemID(-1)
 		for _, id := range ids[lo:hi] {
 			if id < 0 || int(id) >= nItems {
-				return nil, corrupt("transaction %d references unknown item %d", i, id)
+				return corrupt("transaction %d references unknown item %d", i, id)
 			}
 			if id <= prev {
-				return nil, corrupt("transaction %d span not strictly ascending at item %d", i, id)
+				return corrupt("transaction %d span not strictly ascending at item %d", i, id)
 			}
 			prev = id
 		}
 		trs[i] = Transaction{Items: ids[lo:hi:hi], Doc: i32at(docs, i), TupleIndex: i32at(tuples, i), Label: i32at(labels, i)}
 		c.Transactions[i] = &trs[i]
 	}
-	return c, nil
+	return nil
 }

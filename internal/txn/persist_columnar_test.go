@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"xmlclust/internal/vector"
 	"xmlclust/internal/xmltree"
@@ -444,4 +445,30 @@ func TestLoadedCorpusGrowsSafely(t *testing.T) {
 		}
 	}
 	walkCorpus(again)
+}
+
+// TestLoadHelperLeavesNoGoroutine: Load fills its two maps on a helper
+// goroutine and waits for it on every return. A duplicate term and a
+// duplicate ⟨path, answer⟩ pair, which only the helper's maps reveal, and
+// every block damaged or cut short after the helper started fail with
+// ErrCorruptCorpus, and no failure leaves a goroutine behind.
+func TestLoadHelperLeavesNoGoroutine(t *testing.T) {
+	cases := corruptionCases(t)
+	c, _, _, _ := corruptionCorpus(t)
+	stream := savedStream(t, c)
+	_, starts := splitBlocks(t, stream)
+	for b := blkItems; b < numBlocks; b++ {
+		cases = append(cases, corruptionCase{fmt.Sprintf("cut-in-block-%d", b), stream[:starts[b]+12], ""})
+	}
+	for _, tc := range cases {
+		before := runtime.NumGoroutine()
+		mustBeCorrupt(t, tc.stream, tc.mention)
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("%s: %d goroutines before Load, %d after it failed", tc.name, before, n)
+		}
+	}
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"xmlclust/internal/dataset"
+	"xmlclust/internal/tuple"
 	"xmlclust/internal/txn"
 	"xmlclust/internal/vector"
 	"xmlclust/internal/weighting"
@@ -194,5 +196,103 @@ func TestWeighNewFrozenITF(t *testing.T) {
 		if math.IsInf(e.Weight, 0) || math.IsNaN(e.Weight) {
 			t.Fatalf("transient item weight is not finite: %v", tv)
 		}
+	}
+}
+
+// weighedCorpus builds a corpus of trees through a builder with an
+// accumulator attached, the way the streaming ingest does, and leaves the
+// weighting pass to the caller.
+func weighedCorpus(trees []*xmltree.Tree) (*txn.Corpus, *weighting.Accumulator) {
+	b := txn.NewBuilder(txn.BuildOptions{Tuple: tuple.Options{MaxTuplesPerTree: 64}})
+	acc := weighting.NewAccumulator(b.Corpus())
+	b.Observe(acc)
+	for _, tree := range trees {
+		b.Add(tree)
+	}
+	return b.Finish(), acc
+}
+
+// TestFinalizeWorkersEquivalence: the weighting finish weighs each item on
+// one worker into its own span of one arena, so workers 1, 2 and 8 give the
+// same Stats and the same vector bits on every generator — the bits a pass
+// that weighs item by item into storage of its own (WeighNew) gives.
+func TestFinalizeWorkersEquivalence(t *testing.T) {
+	for _, g := range []struct {
+		name string
+		docs int
+	}{{"DBLP", 120}, {"IEEE", 8}, {"Wikipedia", 120}, {"Shakespeare", 4}} {
+		gen, _ := dataset.ByName(g.name)
+		trees := gen(dataset.Spec{Docs: g.docs, Seed: 40}).Trees
+		ref, refAcc := weighedCorpus(trees)
+		refAcc.WeighNew()
+		var want weighting.Stats
+		for _, workers := range []int{1, 2, 8} {
+			c, acc := weighedCorpus(trees)
+			stats := acc.FinalizeWorkers(workers)
+			if workers == 1 {
+				want = stats
+			} else if stats != want {
+				t.Fatalf("%s, workers %d: stats %+v, want %+v", g.name, workers, stats, want)
+			}
+			for i := 0; i < c.Items.Len(); i++ {
+				got, exp := c.Items.Get(txn.ItemID(i)).Vector, ref.Items.Get(txn.ItemID(i)).Vector
+				same := got.Len() == exp.Len() && math.Float64bits(got.Norm()) == math.Float64bits(exp.Norm())
+				for k := 0; same && k < got.Len(); k++ {
+					e, x := got.Entries()[k], exp.Entries()[k]
+					same = e.Term == x.Term && math.Float64bits(e.Weight) == math.Float64bits(x.Weight)
+				}
+				if !same {
+					t.Fatalf("%s, workers %d: item %d vector %v, want %v", g.name, workers, i, got, exp)
+				}
+			}
+		}
+	}
+}
+
+// TestWeighNewAfterFinalizeWeighsTheNewItems: Finalize leaves a watermark
+// behind every id it passed, so a later WeighNew weighs exactly the items
+// interned since — one a document brought, one interned directly — and a
+// second WeighNew has nothing left to weigh.
+func TestWeighNewAfterFinalizeWeighsTheNewItems(t *testing.T) {
+	c, acc := weighedCorpus(accTestTrees(t, 4))
+	acc.Finalize()
+	before := c.Items.Len()
+	tree, err := xmltree.ParseString(`<paper key="k9"><title>novel wording here</title></paper>`, xmltree.DefaultParseOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := txn.ReopenBuilder(c, 4, txn.BuildOptions{})
+	b.Observe(acc)
+	b.Add(tree)
+	c.Items.Intern(c.Items.Get(0).Path, "another unseen answer")
+	if n, want := acc.WeighNew(), c.Items.Len()-before; n != want || want < 2 {
+		t.Fatalf("WeighNew after Finalize weighed %d items, want the %d interned since", n, want)
+	}
+	for i := before; i < c.Items.Len(); i++ {
+		if it := c.Items.Get(txn.ItemID(i)); it.Vector.IsZero() {
+			t.Fatalf("new item %d (%q) has no vector", i, it.Answer)
+		}
+	}
+	if n := acc.WeighNew(); n != 0 {
+		t.Fatalf("a second WeighNew weighed %d items", n)
+	}
+}
+
+// BenchmarkFinalize times the weighting finish over the items of a corpus of
+// the four generators, at one worker per CPU.
+func BenchmarkFinalize(b *testing.B) {
+	var trees []*xmltree.Tree
+	for _, g := range []struct {
+		name string
+		docs int
+	}{{"DBLP", 1000}, {"IEEE", 10}, {"Wikipedia", 500}, {"Shakespeare", 3}} {
+		gen, _ := dataset.ByName(g.name)
+		trees = append(trees, gen(dataset.Spec{Docs: g.docs, Seed: 40}).Trees...)
+	}
+	c, acc := weighedCorpus(trees)
+	b.ReportMetric(float64(c.Items.Len()), "items")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc.Finalize()
 	}
 }

@@ -28,7 +28,7 @@
 // The accumulator's state is dense. Term and item ids are dense integers,
 // so every table keyed by one is a slice indexed by it: n_{j,T} is a slice
 // that grows with the term table; each item carries its distinct terms in
-// first-seen order with its term frequencies and context sums in parallel
+// ascending order with its term frequencies and context sums in parallel
 // slices; the per-tuple and per-document counters n_{j,τ} and n_{j,XT} are
 // term-indexed arrays that each pass counts up and then counts back down to
 // zero; the items of the current document are marked by an epoch stamp.
@@ -42,13 +42,16 @@
 // same, counts are integers, and each (item, term) context sum still
 // receives its addends in occurrence order (reference_test.go holds the
 // map-based fold this replaced and demands identical bits).
+// Finalize fans out over items: an item's vector reads only its own sums and
+// the final counters, and it is weighed into its own span of one arena, in
+// term order, so the bits are the serial pass's for any worker count.
 package weighting
 
 import (
-	"cmp"
 	"math"
 	"slices"
 
+	"xmlclust/internal/parallel"
 	"xmlclust/internal/textproc"
 	"xmlclust/internal/txn"
 	"xmlclust/internal/vector"
@@ -83,7 +86,7 @@ type Accumulator struct {
 	// Per-item state, extended lazily as interning grows the item table
 	// (term interning therefore happens in item-id order, keeping term ids
 	// deterministic). itemTerms[id] lists the item's distinct terms in
-	// first-seen order; itemTF[id] (term frequencies) and accCtx[id]
+	// ascending order; itemTF[id] (term frequencies) and accCtx[id]
 	// (occurrence-context running sums, allocated at the item's first
 	// occurrence) are parallel to it:
 	// accCtx[id][k] = Σ over occurrences of exp(n_{j,τ}/N_τ)·(n_{j,XT}/N_XT).
@@ -91,9 +94,9 @@ type Accumulator struct {
 	itemTF    [][]int32
 	accCtx    [][]float64
 	accN      []int
-	// weighted marks items whose vector a Finalize or WeighNew pass has
-	// already assigned; WeighNew only touches unmarked items.
-	weighted []bool
+	// weighedTo is a watermark: every id below it has had its vector pass
+	// (Finalize or WeighNew), and WeighNew starts from it.
+	weighedTo int
 	// Collection-level counters, following the tuple-multiplicity reading:
 	// N_T = Σ_τ N_τ and n_{j,T} = Σ_τ n_{j,τ}, the latter indexed by term.
 	nT  int
@@ -168,15 +171,17 @@ func (a *Accumulator) syncItems() {
 			tf = append(tf, 1)
 			a.njTau[t] = int32(len(terms))
 		}
-		for _, t := range terms {
+		slices.Sort(terms) // the slot table takes each term's frequency along
+		itemTF := make([]int32, len(terms))
+		for k, t := range terms {
+			itemTF[k] = tf[a.njTau[t]-1]
 			a.njTau[t] = 0
 		}
 		a.terms, a.tf = terms, tf
 		a.itemTerms = append(a.itemTerms, slices.Clone(terms))
-		a.itemTF = append(a.itemTF, slices.Clone(tf))
+		a.itemTF = append(a.itemTF, itemTF)
 		a.accCtx = append(a.accCtx, nil)
 		a.accN = append(a.accN, 0)
-		a.weighted = append(a.weighted, false)
 		a.docSeen = append(a.docSeen, 0)
 	}
 }
@@ -264,33 +269,53 @@ func (a *Accumulator) ObserveDoc(doc int, trs []*txn.Transaction) {
 }
 
 // Finalize applies the collection-level itf factor and assigns every item's
-// TCU vector. Call once, after the last document.
-func (a *Accumulator) Finalize() Stats {
+// TCU vector, with one worker per CPU. Call once, after the last document.
+func (a *Accumulator) Finalize() Stats { return a.FinalizeWorkers(0) }
+
+// FinalizeWorkers is Finalize with the items weighed on the given number of
+// workers (0 or negative = one per CPU, 1 = serial). The vectors are the same
+// bits for any count.
+func (a *Accumulator) FinalizeWorkers(workers int) Stats {
 	a.syncItems()
-	stats := Stats{TotalTCUs: a.nT}
-	for id := range a.itemTerms {
-		a.weighted[id] = true
+	stats := Stats{TotalTCUs: a.nT, Vocabulary: a.c.Terms.Len()}
+	n := len(a.itemTerms)
+	// offs delimits each item's span of the entry arena; an empty span marks
+	// an item that keeps its vector.
+	offs := make([]int, n+1)
+	for id, terms := range a.itemTerms {
+		offs[id+1] = offs[id]
 		if a.c.Items.Get(txn.ItemID(id)).Synthetic {
 			// Synthetic representative items carry vectors conflated at
 			// intern time; re-deriving them from the merged answer key
 			// would clobber the exact conflation.
 			continue
 		}
-		if len(a.itemTerms[id]) == 0 {
+		if len(terms) == 0 {
 			stats.EmptyItems++
-			continue
 		}
-		a.c.Items.SetVector(txn.ItemID(id), a.weigh(id))
+		offs[id+1] += len(terms)
 	}
-	stats.Vocabulary = a.c.Terms.Len()
+	arena := make([]vector.Entry, offs[n])
+	vecs := make([]vector.Sparse, n)
+	_ = parallel.ForCtxWorkers(nil, workers, 64, n, func(_, id int) { // a nil ctx never cancels
+		if lo, hi := offs[id], offs[id+1]; lo < hi {
+			vecs[id] = a.weigh(id, arena[lo:lo:hi])
+		}
+	})
+	for id := range vecs {
+		if offs[id] < offs[id+1] {
+			a.c.Items.SetVector(txn.ItemID(id), vecs[id])
+		}
+	}
+	a.weighedTo = n
 	return stats
 }
 
 // weigh computes one item's ttf.itf vector from its term frequencies, its
-// context sums and the current collection counters.
-func (a *Accumulator) weigh(id int) vector.Sparse {
+// context sums and the current collection counters, appending its entries
+// to entries.
+func (a *Accumulator) weigh(id int, entries []vector.Entry) vector.Sparse {
 	terms := a.itemTerms[id]
-	entries := make([]vector.Entry, 0, len(terms))
 	for k, t := range terms {
 		nj := a.njT[t]
 		if nj < 1 {
@@ -311,7 +336,6 @@ func (a *Accumulator) weigh(id int) vector.Sparse {
 	if len(entries) == 0 {
 		return vector.Sparse{}
 	}
-	slices.SortFunc(entries, func(x, y vector.Entry) int { return cmp.Compare(x.Term, y.Term) })
 	return vector.FromEntries(entries)
 }
 
@@ -327,21 +351,17 @@ func (a *Accumulator) weigh(id int) vector.Sparse {
 // Returns the number of items weighted.
 func (a *Accumulator) WeighNew() int {
 	a.syncItems()
-	n := 0
-	for id := range a.itemTerms {
-		if a.weighted[id] {
-			continue
-		}
-		a.weighted[id] = true
-		n++
+	n := len(a.itemTerms) - a.weighedTo
+	for id := a.weighedTo; id < len(a.itemTerms); id++ {
 		if a.c.Items.Get(txn.ItemID(id)).Synthetic {
 			continue
 		}
 		if len(a.itemTerms[id]) == 0 || a.nT == 0 {
 			continue // zero vector: no text, or nothing observed yet
 		}
-		a.c.Items.SetVector(txn.ItemID(id), a.weigh(id))
+		a.c.Items.SetVector(txn.ItemID(id), a.weigh(id, make([]vector.Entry, 0, len(a.itemTerms[id]))))
 	}
+	a.weighedTo = len(a.itemTerms)
 	return n
 }
 

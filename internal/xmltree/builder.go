@@ -17,7 +17,8 @@ import (
 // character data in text, both scratch that survives from one document to
 // the next; finish cuts the tree from three allocations of exactly the
 // right size (the Tree, one []Node, one []*Node holding Tree.Nodes and every
-// Children slice). The leaf values are the only per-node allocations.
+// Children slice), or reuses those of a tree the caller is done with. The
+// leaf values are the only per-node allocations.
 type builder struct {
 	opts ParseOptions
 
@@ -174,14 +175,18 @@ func (b *builder) value(raw []byte) string {
 	return string(dst)
 }
 
-// finish returns the tree of the document fed so far.
-func (b *builder) finish() (*Tree, error) {
+// finish returns the tree of the document fed so far, built in the storage
+// of reuse when that holds it (see ParseBytesInto).
+func (b *builder) finish(reuse *Tree) (*Tree, error) {
 	n := len(b.recs)
 	if n == 0 {
 		return nil, fmt.Errorf("xmltree: document has no root element")
 	}
-	nodes := make([]Node, n)
-	ptrs := make([]*Node, 2*n-1) // Tree.Nodes, then the n−1 child links
+	t := reuse
+	if t == nil || cap(t.slab) < n || cap(t.links) < 2*n-1 { // links: Tree.Nodes, then n−1 child links
+		t = &Tree{slab: make([]Node, n), links: make([]*Node, 2*n-1)}
+	}
+	nodes, ptrs := t.slab[:n], t.links[:2*n-1]
 	below := int32(0)
 	for i, r := range b.recs {
 		nodes[i] = Node{Kind: r.kind, Label: r.label, Value: r.value}
@@ -208,5 +213,6 @@ func (b *builder) finish() (*Tree, error) {
 			p.Children = append(p.Children, &nodes[i])
 		}
 	}
-	return &Tree{Root: &nodes[0], Nodes: ptrs[:n:n], depth: int(below) + 1}, nil
+	*t = Tree{Root: &nodes[0], Nodes: ptrs[:n:n], depth: int(below) + 1, slab: t.slab, links: t.links}
+	return t, nil
 }

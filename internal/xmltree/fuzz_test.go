@@ -127,7 +127,7 @@ func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, doc string) {
 		for _, opts := range fuzzOptionSets {
 			want, wantErr := referenceParse(strings.NewReader(doc), opts)
-			if got, ok := newParser().scanTree([]byte(doc), opts); ok {
+			if got, ok := newParser().scanTree(nil, []byte(doc), opts); ok {
 				if wantErr != nil {
 					t.Fatalf("the scanner accepts %q, the reference refuses it: %v", doc, wantErr)
 				}

@@ -66,12 +66,20 @@ func Parse(r io.Reader, opts ParseOptions) (*Tree, error) {
 // Both feed the same builder, so which one read a document cannot be told
 // from the tree.
 func ParseBytes(data []byte, opts ParseOptions) (*Tree, error) {
+	return ParseBytesInto(nil, data, opts)
+}
+
+// ParseBytesInto is ParseBytes into the storage of reuse, a tree an earlier
+// parse returned and nothing reads any more (nil = fresh storage). If the
+// storage holds the document, reuse itself is rebuilt and returned, and only
+// the leaf values are allocated.
+func ParseBytesInto(reuse *Tree, data []byte, opts ParseOptions) (*Tree, error) {
 	p := parsers.Get().(*parser)
 	defer p.release()
-	if t, ok := p.scanTree(data, opts); ok {
+	if t, ok := p.scanTree(reuse, data, opts); ok {
 		return t, nil
 	}
-	return p.decodeTree(data, opts)
+	return p.decodeTree(reuse, data, opts)
 }
 
 // parser is a builder with the scratch of its two token sources. Parsers
@@ -96,17 +104,17 @@ func (p *parser) release() {
 // scanTree builds the tree of data from the scanner's tokens; !ok means the
 // scanner declined, or the builder refused the document (the decoder will
 // get it to refuse it again, in the same words).
-func (p *parser) scanTree(data []byte, opts ParseOptions) (t *Tree, ok bool) {
+func (p *parser) scanTree(reuse *Tree, data []byte, opts ParseOptions) (t *Tree, ok bool) {
 	p.reset(opts)
 	if !p.scan(data) {
 		return nil, false
 	}
-	t, err := p.finish()
+	t, err := p.finish(reuse)
 	return t, err == nil
 }
 
 // decodeTree builds the tree of data from encoding/xml's tokens.
-func (p *parser) decodeTree(data []byte, opts ParseOptions) (*Tree, error) {
+func (p *parser) decodeTree(reuse *Tree, data []byte, opts ParseOptions) (*Tree, error) {
 	p.reset(opts)
 	dec := xml.NewDecoder(bytes.NewReader(data))
 	dec.Strict = false
@@ -116,7 +124,7 @@ func (p *parser) decodeTree(data []byte, opts ParseOptions) (*Tree, error) {
 	for {
 		tok, err := dec.Token()
 		if err == io.EOF {
-			return p.finish()
+			return p.finish(reuse)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("xmltree: parse: %w", err)

@@ -20,18 +20,26 @@ func NewPathTable() *PathTable {
 	return &PathTable{byStr: make(map[string]PathID)}
 }
 
-// Intern returns the id for p, registering it if unseen.
+// Intern returns the id for p, registering it if unseen. The dotted key is
+// built in a stack buffer, and a string is made of it only for a new path.
 func (pt *PathTable) Intern(p Path) PathID {
-	key := p.String()
+	var buf [256]byte
+	key := buf[:0]
+	for i, sym := range p {
+		if i > 0 {
+			key = append(key, '.')
+		}
+		key = append(key, sym...)
+	}
 	pt.mu.RLock()
-	id, ok := pt.byStr[key]
+	id, ok := pt.byStr[string(key)]
 	pt.mu.RUnlock()
 	if ok {
 		return id
 	}
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
-	return pt.internLocked(key, p)
+	return pt.internLocked(string(key), p)
 }
 
 // internLocked is Intern under the write lock; key is p.String().

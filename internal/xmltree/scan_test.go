@@ -41,7 +41,7 @@ func TestScannerAccepts(t *testing.T) {
 		`<i><a>x</a></i>`,
 	} {
 		for _, opts := range fuzzOptionSets {
-			got, ok := newParser().scanTree([]byte(doc), opts)
+			got, ok := newParser().scanTree(nil, []byte(doc), opts)
 			want, err := referenceParse(strings.NewReader(doc), opts)
 			if err != nil {
 				// Only the builder refuses these (the inlined root, under one option set).
@@ -78,7 +78,7 @@ func TestScannerDeclines(t *testing.T) {
 		`<?xml version="1.0" standalone="yes" encoding="utf-8"?><a/>`, `<?xml version="1.0" standalone="maybe"?><a/>`, `<?xml version = "1.0"?><a/>`,
 		strings.Repeat("<d>", maxTreeDepth) + strings.Repeat("</d>", maxTreeDepth),
 	} {
-		if _, ok := newParser().scanTree([]byte(doc), DefaultParseOptions()); ok {
+		if _, ok := newParser().scanTree(nil, []byte(doc), DefaultParseOptions()); ok {
 			t.Errorf("scanner accepts %q", doc)
 		}
 	}
@@ -134,14 +134,14 @@ func TestScannerMatchesDecoderOnTokenSoup(t *testing.T) {
 		doc := b.String()
 		for _, opts := range fuzzOptionSets {
 			want, wantErr := referenceParse(strings.NewReader(doc), opts)
-			decoded, err := newParser().decodeTree([]byte(doc), opts)
+			decoded, err := newParser().decodeTree(nil, []byte(doc), opts)
 			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 				t.Fatalf("%q under %+v: decoder-fed builder says %v, the reference %v", doc, opts, err, wantErr)
 			}
 			if diff := treeDiff(decoded, want); err == nil && diff != "" {
 				t.Fatalf("%q under %+v, decoder-fed builder: %s", doc, opts, diff)
 			}
-			got, ok := newParser().scanTree([]byte(doc), opts)
+			got, ok := newParser().scanTree(nil, []byte(doc), opts)
 			if !ok {
 				continue
 			}
@@ -197,7 +197,7 @@ func TestParseDeclaredCharsets(t *testing.T) {
 func TestScanAllocations(t *testing.T) {
 	doc := []byte(dblpRecord)
 	p := newParser()
-	tree, ok := p.scanTree(doc, DefaultParseOptions())
+	tree, ok := p.scanTree(nil, doc, DefaultParseOptions())
 	if !ok {
 		t.Fatal("the scanner declined the record")
 	}
@@ -206,11 +206,67 @@ func TestScanAllocations(t *testing.T) {
 		t.Fatalf("record has %d leaves, want 10", leaves)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, ok := p.scanTree(doc, DefaultParseOptions()); !ok {
+		if _, ok := p.scanTree(nil, doc, DefaultParseOptions()); !ok {
 			t.Fatal("declined")
 		}
 	})
 	if max := float64(leaves + 3); allocs > max {
 		t.Errorf("a warm parse of a record with %d leaves allocates %.0f times, want at most %.0f", leaves, allocs, max)
+	}
+}
+
+// TestReparseAllocations is the allocation guard of a parse into a reused
+// tree: the tree, its nodes and its links are the old tree's, so a warm
+// reparse allocates the leaf values and nothing else.
+func TestReparseAllocations(t *testing.T) {
+	doc := []byte(dblpRecord)
+	p := newParser()
+	tree, ok := p.scanTree(nil, doc, DefaultParseOptions())
+	if !ok {
+		t.Fatal("the scanner declined the record")
+	}
+	leaves := len(tree.Leaves())
+	allocs := testing.AllocsPerRun(100, func() {
+		if again, ok := p.scanTree(tree, doc, DefaultParseOptions()); !ok || again != tree {
+			t.Fatal("the reparse did not rebuild the tree it was given")
+		}
+	})
+	if max := float64(leaves); allocs > max {
+		t.Errorf("a reparse of a record with %d leaves allocates %.0f times, want at most %.0f", leaves, allocs, max)
+	}
+}
+
+// TestParseBytesIntoMatchesParseBytes: a tree reused for a document of
+// another shape — smaller, larger, read by the decoder — is the tree a fresh
+// parse gives, and a tree too small for the document is left alone.
+func TestParseBytesIntoMatchesParseBytes(t *testing.T) {
+	docs := []string{
+		dblpRecord,
+		`<r><a x="1">one</a><b/></r>`,
+		`<r><ns:a xmlns:ns="u">decoded</ns:a></r>`,
+		strings.Repeat("<a>", 40) + "deep" + strings.Repeat("</a>", 40),
+		dblpRecord,
+	}
+	var reuse *Tree
+	for i, doc := range docs {
+		want, err := ParseString(doc, DefaultParseOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := ""
+		if reuse != nil {
+			before = reuse.String()
+		}
+		got, err := ParseBytesInto(reuse, []byte(doc), DefaultParseOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := treeDiff(got, want); d != "" {
+			t.Fatalf("document %d: %s", i, d)
+		}
+		if reuse != nil && got != reuse && reuse.String() != before {
+			t.Fatalf("document %d: a tree too small to reuse was changed", i)
+		}
+		reuse = got
 	}
 }

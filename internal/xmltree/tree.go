@@ -55,6 +55,10 @@ type Tree struct {
 	Nodes []*Node
 	// depth is Depth() as the parser counted it; 0 = not known, walk.
 	depth int
+	// slab and links are a parsed tree's node storage: the nodes, and the
+	// pointers of Nodes and every Children slice (ParseBytesInto reuses it).
+	slab  []Node
+	links []*Node
 }
 
 // NewTree creates an empty tree with the given root element label.

@@ -144,9 +144,10 @@ type CorpusOptions struct {
 	// Parse maps raw XML onto the tree model on the streaming path; nil
 	// selects the default options (attributes kept, text concatenated).
 	Parse *ParseOptions
-	// IngestWorkers is the number of parse/extract workers the streaming
-	// path fans out over (0 or negative = one per CPU, 1 = serial). The
-	// corpus is byte-identical for any value.
+	// IngestWorkers is the number of workers the streaming path fans out
+	// over (0 or negative = one per CPU, 1 = serial): they parse and
+	// extract, and then weigh the items in the weighting finish. The corpus
+	// is byte-identical for any value.
 	IngestWorkers int
 }
 
