@@ -72,7 +72,7 @@ func main() {
 		unequal = flag.Bool("unequal", false, "skewed data distribution (half the peers hold twice the data)")
 		roundTO = flag.Duration("round-timeout", 0, "per-round receive deadline (0 = default, negative = none)")
 		startTO = flag.Duration("startup-timeout", 0, "how long to wait for the coordinator's startup message (0 = default, negative = none)")
-		dialTO  = flag.Duration("dial-timeout", 30*time.Second, "how long to wait for peer listeners to come up")
+		dialTO  = flag.Duration("dial-timeout", 0, "how long a send keeps redialing a peer whose listener is not up yet, from 1ms pauses doubling to 2s (0 = default 30s)")
 		quiet   = flag.Bool("q", false, "suppress the per-peer summary on stderr")
 
 		ckptDir   = flag.String("checkpoint-dir", "", "enable the elastic peer fabric: persist round-boundary checkpoints here (crash recovery, -join, graceful leave on SIGHUP)")

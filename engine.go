@@ -276,8 +276,8 @@ func (e *Engine) ClusterDistributed(ctx context.Context, opts DistributedOptions
 	}
 	for _, f := range []struct {
 		name  string
-		value int
-	}{{"CheckpointEvery", opts.CheckpointEvery}, {"RecoveryWindows", opts.RecoveryWindows}, {"FailpointRound", opts.FailpointRound}} {
+		value int64
+	}{{"CheckpointEvery", int64(opts.CheckpointEvery)}, {"RecoveryWindows", int64(opts.RecoveryWindows)}, {"FailpointRound", int64(opts.FailpointRound)}, {"DialTimeout", int64(opts.DialTimeout)}} {
 		if f.value < 0 {
 			return nil, &OptionsError{Field: f.name, Value: float64(f.value), Reason: "must not be negative; use 0 for the default"}
 		}

@@ -128,6 +128,8 @@ type Result struct {
 	Reps []*txn.Transaction
 	// Rounds is the number of collaborative rounds executed.
 	Rounds int
+	// Capped reports that MaxRounds, not convergence, stopped the run.
+	Capped bool
 	// Peers holds per-peer accounting.
 	Peers []PeerReport
 	// WallTime is the end-to-end wall-clock duration of the run.

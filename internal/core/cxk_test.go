@@ -690,3 +690,43 @@ func BenchmarkPartitionFingerprint(b *testing.B) {
 	b.ReportMetric(float64(len(corpus.Transactions)), "txns")
 	b.ReportMetric(float64(refs), "item-refs")
 }
+
+// TestRunCapped checks that a run reports Capped exactly when MaxRounds,
+// not convergence, stopped it: a run converging on the last round it is
+// allowed is not capped and ends where the uncapped run ends, and one round
+// less is capped. PK-means's cap is MaxRounds+1, its seeding round counting.
+func TestRunCapped(t *testing.T) {
+	corpus, _ := miniCorpus(t, 8)
+	for _, pk := range []bool{false, true} {
+		run := func(maxRounds int) *Result {
+			t.Helper()
+			cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
+			res, err := Run(context.Background(), cx, corpus, Options{
+				K: 2, Params: cx.Params, Peers: 3, MaxRounds: maxRounds,
+				Partition: EqualPartition(len(corpus.Transactions), 3, 5),
+				Seed:      5, PKMeans: pk,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		free := run(0)
+		seeding := 0
+		if pk {
+			seeding = 1
+		}
+		last := free.Rounds - seeding // the cap that ends on the converging round
+		if free.Capped || last < 2 {
+			t.Fatalf("pk=%v: uncapped run: rounds %d, capped %v; want a converged run of at least %d rounds", pk, free.Rounds, free.Capped, 2+seeding)
+		}
+		if r := run(last); r.Capped {
+			t.Errorf("pk=%v: run converging on its last allowed round (MaxRounds %d) reported capped", pk, last)
+		} else {
+			assertResultsEqual(t, fmt.Sprintf("pk=%v MaxRounds=%d", pk, last), free, r)
+		}
+		if r := run(last - 1); !r.Capped || r.Rounds != free.Rounds-1 {
+			t.Errorf("pk=%v: MaxRounds %d: rounds %d, capped %v; want %d rounds, capped", pk, last-1, r.Rounds, r.Capped, free.Rounds-1)
+		}
+	}
+}

@@ -76,6 +76,7 @@ type session struct {
 	sizes   []int              // |C_i_j|
 	assign  []int              // local assignment
 	rounds  int
+	capped  bool // stopped by maxRounds, not by convergence
 	report  PeerReport
 	// seenStates fingerprints past local-representative states. Fig. 5
 	// terminates on exact representative stability; greedy representative
@@ -473,7 +474,8 @@ func (s *session) refined(c computed) {
 	s.bySender = nil
 	s.emit(EventRoundEnd, s.round, s.objective)
 	s.round++
-	if stop || s.round >= s.maxRounds {
+	s.capped = !stop && s.round >= s.maxRounds
+	if stop || s.capped {
 		s.enter(PhaseDone)
 	} else {
 		s.enter(PhaseBroadcastGlobals)
@@ -585,6 +587,7 @@ func (s *session) result() *SessionResult {
 		Assign:         append([]int(nil), s.assign...),
 		Reps:           append([]*txn.Transaction(nil), s.global...),
 		Rounds:         s.rounds,
+		Capped:         s.capped,
 		Report:         s.report,
 		PendingAssigns: s.pendAssign,
 	}

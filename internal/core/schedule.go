@@ -117,6 +117,7 @@ func (r *scheduler) run() (*Result, error) {
 	for i, sr := range r.results {
 		res.Peers[i] = sr.Report
 		res.Rounds = max(res.Rounds, sr.Rounds)
+		res.Capped = res.Capped || sr.Capped
 		for localIdx, a := range sr.Assign {
 			res.Assign[r.opts.Partition[i][localIdx]] = a
 		}

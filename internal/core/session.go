@@ -165,6 +165,8 @@ type SessionResult struct {
 	Reps []*txn.Transaction
 	// Rounds is the number of collaborative rounds executed.
 	Rounds int
+	// Capped reports that the round cap, not convergence, stopped it.
+	Capped bool
 	// Report carries the per-round accounting.
 	Report PeerReport
 	// PendingAssigns are AssignMsg reports from peers that terminated

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -42,6 +43,38 @@ func TestExecuteBasics(t *testing.T) {
 	}
 	if r.ItemSims == 0 || r.TxnSims == 0 {
 		t.Error("similarity counters empty")
+	}
+}
+
+// TestExecuteCapped checks that Execute copies core's Capped verdict into
+// its run and that AverageF sums it per cell: runs forced to a round cap of 1
+// are capped, one by one and four of four, and a converged run is not.
+// Which runs core calls capped is TestRunCapped's concern.
+func TestExecuteCapped(t *testing.T) {
+	spec := RunSpec{
+		Dataset: "DBLP", Kind: dataset.ByHybrid, F: 0.5, Gamma: 0.8,
+		Peers: 3, Docs: 48, MaxTuples: 16, Seed: 17, maxRounds: 1,
+	}
+	r, err := Execute(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Rounds != 1 || r.Capped != 1 || r.Runs != 1 {
+		t.Errorf("run under a cap of 1: rounds %d, capped %d of %d", r.Rounds, r.Capped, r.Runs)
+	}
+	agg, err := AverageF(spec, []float64{0.4, 0.6}, []int64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.Capped != 4 || agg.Runs != 4 {
+		t.Errorf("cell under a cap of 1: capped %d of %d, want 4 of 4", agg.Capped, agg.Runs)
+	}
+	spec.Peers, spec.maxRounds = 1, 0
+	if r, err = Execute(spec); err != nil {
+		t.Fatal(err)
+	}
+	if r.Capped != 0 || r.Runs != 1 {
+		t.Errorf("converged run: rounds %d, capped %d of %d; want 0 of 1", r.Rounds, r.Capped, r.Runs)
 	}
 }
 
@@ -123,8 +156,13 @@ func TestAccuracyTableDriver(t *testing.T) {
 	}
 	var sb strings.Builder
 	res.Write(&sb)
-	if !strings.Contains(sb.String(), "Table 1") {
+	if !strings.Contains(sb.String(), "Table 1") || !strings.Contains(sb.String(), "capped") {
 		t.Errorf("missing header:\n%s", sb.String())
+	}
+	for _, r := range res.Rows {
+		if r.Runs != 1 || r.Capped > r.Runs || !strings.Contains(sb.String(), fmt.Sprintf(" %d/%d\n", r.Capped, r.Runs)) {
+			t.Errorf("%s m=%d: capped %d of %d not printed:\n%s", r.Dataset, r.M, r.Capped, r.Runs, sb.String())
+		}
 	}
 	loss := res.CentralizedLoss(3)
 	if len(loss) != 3 {

@@ -61,6 +61,8 @@ type RunSpec struct {
 	Rule      cluster.ReturnRule
 	// DisablePathCache turns off the tag-path similarity cache (ablation).
 	DisablePathCache bool
+	// maxRounds lets the package's tests force a round cap (0 = default).
+	maxRounds int
 }
 
 // RunResult aggregates the metrics the paper reports.
@@ -90,6 +92,9 @@ type RunResult struct {
 	// transaction pairs. Divided by Docs it yields the ablation tables'
 	// allocs/doc column. Noisy under concurrent load; treat as indicative.
 	Mallocs uint64
+	// Capped counts the runs core.Result.Capped calls capped, of the Runs
+	// averaged (1 for Execute).
+	Capped, Runs int
 }
 
 // corpusKey caches prepared corpora across runs: corpus construction and
@@ -196,7 +201,7 @@ func ExecuteCtx(ctx context.Context, spec RunSpec) (RunResult, error) {
 
 	res, err := core.Run(ctx, cx, pc.corpus, core.Options{
 		K: k, Params: cx.Params, Peers: spec.Peers, Partition: part,
-		Seed: spec.Seed, Rule: spec.Rule, Workers: spec.Workers,
+		Seed: spec.Seed, Rule: spec.Rule, Workers: spec.Workers, MaxRounds: spec.maxRounds,
 		SerializeCompute: true,
 		Fast:             false, // the reference engine: timings follow the paper's cost model
 		PKMeans:          spec.Algorithm == PK,
@@ -209,6 +214,10 @@ func ExecuteCtx(ctx context.Context, spec RunSpec) (RunResult, error) {
 
 	cont := eval.NewContingency(pc.labels, res.Assign, k)
 	msgs, bytes := res.TotalTraffic()
+	capped := 0
+	if res.Capped {
+		capped = 1
+	}
 	var computeSum time.Duration
 	for i := range res.Peers {
 		computeSum += res.Peers[i].TotalCompute()
@@ -219,6 +228,8 @@ func ExecuteCtx(ctx context.Context, spec RunSpec) (RunResult, error) {
 		NMI:       cont.NMI(),
 		Trash:     eval.TrashFraction(pc.labels, res.Assign),
 		Rounds:    res.Rounds,
+		Capped:    capped,
+		Runs:      1,
 		SimTime:   res.SimulatedTime(p2p.DefaultTimeModel()),
 		WallTime:  res.WallTime,
 		Compute:   computeSum,
@@ -243,7 +254,6 @@ func AverageF(spec RunSpec, fs []float64, seeds []int64) (RunResult, error) {
 		return RunResult{}, fmt.Errorf("experiments: need at least one f and one seed")
 	}
 	var agg RunResult
-	runs := 0
 	for _, f := range fs {
 		for _, seed := range seeds {
 			s := spec
@@ -258,6 +268,8 @@ func AverageF(spec RunSpec, fs []float64, seeds []int64) (RunResult, error) {
 			agg.NMI += r.NMI
 			agg.Trash += r.Trash
 			agg.Rounds += r.Rounds
+			agg.Capped += r.Capped
+			agg.Runs += r.Runs
 			agg.SimTime += r.SimTime
 			agg.WallTime += r.WallTime
 			agg.Compute += r.Compute
@@ -265,10 +277,9 @@ func AverageF(spec RunSpec, fs []float64, seeds []int64) (RunResult, error) {
 			agg.Msgs += r.Msgs
 			agg.Txns = r.Txns
 			agg.K = r.K
-			runs++
 		}
 	}
-	inv := 1.0 / float64(runs)
+	inv := 1.0 / float64(agg.Runs)
 	agg.F *= inv
 	agg.Purity *= inv
 	agg.NMI *= inv

@@ -15,6 +15,8 @@ type TableRow struct {
 	NMI     float64
 	Trash   float64
 	Rounds  int
+	Capped  int // runs, of the Runs averaged, that stopped at the round cap
+	Runs    int
 }
 
 // TableResult reproduces one sub-table of Table 1 (equal split) or
@@ -44,7 +46,7 @@ func AccuracyTable(setting Setting, unequal bool, scale Scale) (*TableResult, er
 			}
 			res.Rows = append(res.Rows, TableRow{
 				Dataset: ds, K: r.K, M: m,
-				F: r.F, Purity: r.Purity, NMI: r.NMI, Trash: r.Trash, Rounds: r.Rounds,
+				F: r.F, Purity: r.Purity, NMI: r.NMI, Trash: r.Trash, Rounds: r.Rounds, Capped: r.Capped, Runs: r.Runs,
 			})
 		}
 	}
@@ -60,7 +62,7 @@ func (t *TableResult) Write(w io.Writer) {
 		table = "Table 2"
 	}
 	fmt.Fprintf(w, "%s — clustering accuracy, data %s distributed: %s\n", table, split, t.Setting.Name)
-	fmt.Fprintf(w, "%-12s %10s %8s %12s %8s %8s\n", "set", "#clusters", "#nodes", "F-measure", "purity", "NMI")
+	fmt.Fprintf(w, "%-12s %10s %8s %12s %8s %8s %8s %8s\n", "set", "#clusters", "#nodes", "F-measure", "purity", "NMI", "trash", "capped")
 	prev := ""
 	for _, r := range t.Rows {
 		name := r.Dataset
@@ -70,7 +72,7 @@ func (t *TableResult) Write(w io.Writer) {
 		} else {
 			prev = name
 		}
-		fmt.Fprintf(w, "%-12s %10s %8d %12.3f %8.3f %8.3f\n", name, kcol, r.M, r.F, r.Purity, r.NMI)
+		fmt.Fprintf(w, "%-12s %10s %8d %12.3f %8.3f %8.3f %8.3f %6d/%d\n", name, kcol, r.M, r.F, r.Purity, r.NMI, r.Trash, r.Capped, r.Runs)
 	}
 }
 

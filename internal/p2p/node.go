@@ -15,11 +15,12 @@ const (
 	// DefaultDialTimeout bounds how long a Node retries dialing a peer
 	// whose listener is not up yet (peer processes boot independently).
 	DefaultDialTimeout = 30 * time.Second
-	// DefaultDialRetry is the initial pause between dial attempts; the
-	// pause grows exponentially (with jitter) up to DefaultDialRetryMax.
-	DefaultDialRetry = 50 * time.Millisecond
-	// DefaultDialRetryMax caps the exponential dial backoff.
-	DefaultDialRetryMax = 2 * time.Second
+	// DialRetryBase is the first pause between dial attempts, at the scale of
+	// peer start-up skew on loopback or a LAN, so a send meeting a listener not
+	// up yet connects within about twice that skew. Pauses double up to DialRetryMax.
+	DialRetryBase = time.Millisecond
+	// DialRetryMax caps the exponential dial backoff.
+	DialRetryMax = 2 * time.Second
 	// DefaultWriteTimeout bounds one frame write. A peer that stops
 	// reading (wedged process, full socket buffers) would otherwise block
 	// the sender forever — the session's RoundTimeout only covers
@@ -30,17 +31,9 @@ const (
 // NodeOptions tunes a single Node.
 type NodeOptions struct {
 	// DialTimeout bounds how long Send waits for a peer's listener to come
-	// up; dials are retried until the deadline (0 = DefaultDialTimeout).
+	// up; dials are retried on the DialRetryBase schedule until the
+	// deadline (0 = DefaultDialTimeout).
 	DialTimeout time.Duration
-	// RetryInterval is the initial pause between dial attempts
-	// (0 = DefaultDialRetry). Successive attempts back off exponentially
-	// with full jitter — interval·2^n scaled by a random factor in
-	// [0.5, 1.0) — so a cluster of peers hammering one dead listener does
-	// not synchronize into retry storms.
-	RetryInterval time.Duration
-	// RetryMax caps the exponential backoff between dial attempts
-	// (0 = DefaultDialRetryMax).
-	RetryMax time.Duration
 	// WriteTimeout bounds each frame write (0 = DefaultWriteTimeout,
 	// negative = none). A timed-out write fails the Send, which fails the
 	// sending session instead of hanging it.
@@ -133,15 +126,6 @@ func ListenNode(id int, addrs []string, opts NodeOptions) (*Node, error) {
 func NewNode(id int, ln net.Listener, addrs []string, opts NodeOptions) *Node {
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = DefaultDialTimeout
-	}
-	if opts.RetryInterval <= 0 {
-		opts.RetryInterval = DefaultDialRetry
-	}
-	if opts.RetryMax <= 0 {
-		opts.RetryMax = DefaultDialRetryMax
-	}
-	if opts.RetryMax < opts.RetryInterval {
-		opts.RetryMax = opts.RetryInterval
 	}
 	if opts.WriteTimeout == 0 {
 		opts.WriteTimeout = DefaultWriteTimeout
@@ -368,7 +352,7 @@ func (n *Node) connTo(to int) (*nodeConn, error) {
 				Attempts: attempts, Elapsed: time.Since(t0),
 				Err: errors.New("node closed while retrying"),
 			}
-		case <-time.After(dialBackoff(n.opts.RetryInterval, n.opts.RetryMax, attempts-1)):
+		case <-time.After(min(dialBackoff(attempts-1), time.Until(deadline))):
 		}
 	}
 	// Handshake first, so the acceptor can attribute the connection before
@@ -397,17 +381,11 @@ func (n *Node) connTo(to int) (*nodeConn, error) {
 }
 
 // dialBackoff returns the pause before retrying a dial that has already
-// failed attempt+1 times: base·2^attempt capped at max, scaled by a random
-// factor in [0.5, 1.0) (full jitter keeps a fleet of dialers from
-// synchronizing into retry storms against one recovering listener).
-func dialBackoff(base, max time.Duration, attempt int) time.Duration {
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
+// failed attempt+1 times: DialRetryBase·2^attempt capped at DialRetryMax,
+// scaled by a random factor in [0.5, 1.0] (full jitter keeps a fleet of
+// dialers from synchronizing into retry storms against a recovering listener).
+func dialBackoff(attempt int) time.Duration {
+	d := min(DialRetryBase<<min(attempt, 30), DialRetryMax)
 	return d/2 + time.Duration(rand.Int64N(int64(d/2)+1))
 }
 

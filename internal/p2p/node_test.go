@@ -186,6 +186,13 @@ func TestNodeStatsReconcile(t *testing.T) {
 // must retry until the neighbour is up.
 func TestNodeDialRetry(t *testing.T) {
 	defer checkGoroutines(t)()
+	sendToLateListener(t, 150*time.Millisecond) // let several dial attempts fail
+}
+
+// sendToLateListener sends to a peer whose listener comes up skew after
+// the send starts, checks delivery, and returns how long the send took.
+func sendToLateListener(t *testing.T, skew time.Duration) time.Duration {
+	t.Helper()
 	// Reserve an address for node 1 without listening on it yet.
 	probe, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -202,10 +209,11 @@ func TestNodeDialRetry(t *testing.T) {
 	n0 := NewNode(0, ln0, addrs, NodeOptions{DialTimeout: 10 * time.Second})
 	defer n0.Close()
 
+	t0 := time.Now()
 	errCh := make(chan error, 1)
 	go func() { errCh <- n0.Send(0, 1, testMsg{Body: "late"}) }()
 
-	time.Sleep(150 * time.Millisecond) // let several dial attempts fail
+	time.Sleep(skew)
 	ln1, err := net.Listen("tcp", addr1)
 	if err != nil {
 		t.Skipf("could not re-bind reserved address %s: %v", addr1, err)
@@ -216,6 +224,7 @@ func TestNodeDialRetry(t *testing.T) {
 	if err := <-errCh; err != nil {
 		t.Fatalf("send did not survive late listener: %v", err)
 	}
+	took := time.Since(t0)
 	select {
 	case env := <-n1.Recv(1):
 		if env.Payload.(testMsg).Body != "late" {
@@ -224,8 +233,7 @@ func TestNodeDialRetry(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("message not delivered after late start")
 	}
-	n0.Close()
-	n1.Close()
+	return took
 }
 
 func TestNodeCloseIdempotentAndWaits(t *testing.T) {
@@ -544,21 +552,45 @@ func TestNodeWriteTimeout(t *testing.T) {
 	n0.Close()
 }
 
-// TestDialBackoff pins the exponential-backoff schedule: doubling from the
-// base, capped at max, with full jitter in [d/2, d).
+// TestDialBackoff pins the exponential-backoff schedule: doubling from
+// DialRetryBase, capped at DialRetryMax, with full jitter in [d/2, d].
 func TestDialBackoff(t *testing.T) {
-	base, max := 50*time.Millisecond, 400*time.Millisecond
-	want := []time.Duration{
-		50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond,
-		400 * time.Millisecond, 400 * time.Millisecond, 400 * time.Millisecond,
+	want := []time.Duration{DialRetryBase}
+	for want[len(want)-1] < DialRetryMax {
+		want = append(want, min(2*want[len(want)-1], DialRetryMax))
+	}
+	want = append(want, DialRetryMax, DialRetryMax)
+	if want[0] != time.Millisecond || len(want) != 14 {
+		t.Fatalf("schedule %v: want 1 ms doubling to the 2 s cap in 12 steps", want)
 	}
 	for attempt, w := range want {
-		for trial := 0; trial < 32; trial++ {
-			d := dialBackoff(base, max, attempt)
+		lo, hi := w, time.Duration(0)
+		for trial := 0; trial < 64; trial++ {
+			d := dialBackoff(attempt)
 			if d < w/2 || d > w {
 				t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d, w/2, w)
 			}
+			lo, hi = min(lo, d), max(hi, d)
 		}
+		if lo == hi {
+			t.Errorf("attempt %d: 64 pauses all equal %v, want jitter", attempt, lo)
+		}
+	}
+}
+
+// TestFirstContactLatency opens a peer's listener about 5 ms after a Send
+// to it starts: the send must connect within about twice that skew, not
+// after a first pause of 25–50 ms. The minimum over trials keeps it steady
+// under load.
+func TestFirstContactLatency(t *testing.T) {
+	defer checkGoroutines(t)()
+	best := time.Hour
+	for trial := 0; trial < 5; trial++ {
+		best = min(best, sendToLateListener(t, 5*time.Millisecond))
+	}
+	t.Logf("fastest first contact: %v", best)
+	if best >= 20*time.Millisecond {
+		t.Errorf("fastest of 5 first contacts took %v, want < 20ms", best)
 	}
 }
 
@@ -579,11 +611,7 @@ func TestDialErrorAttempts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := NewNode(0, self, []string{self.Addr().String(), dead}, NodeOptions{
-		DialTimeout:   300 * time.Millisecond,
-		RetryInterval: 20 * time.Millisecond,
-		RetryMax:      50 * time.Millisecond,
-	})
+	n := NewNode(0, self, []string{self.Addr().String(), dead}, NodeOptions{DialTimeout: 300 * time.Millisecond})
 	defer n.Close()
 
 	err = n.Send(0, 1, testMsg{From: 0, Body: "nobody home"})

@@ -432,7 +432,7 @@ type DistributedOptions struct {
 	// (0 = DefaultStartupTimeout, negative = no deadline).
 	StartupTimeout time.Duration
 	// DialTimeout bounds how long sends wait for a peer's listener to come
-	// up (0 = p2p default; peers boot independently).
+	// up (0 = the p2p default, 30 s; negative = an *OptionsError).
 	DialTimeout time.Duration
 	// Events, when non-nil, receives this peer's progress events (see
 	// ClusterOptions.Events; distributed runs emit only peer-level events).

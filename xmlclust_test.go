@@ -165,8 +165,15 @@ func TestDistributedFabricValidation(t *testing.T) {
 		}
 	}
 
-	// Negative fabric knobs are typed errors naming the field, not silent
-	// defaults or a silently disabled drill.
+	// Negative fabric knobs and a negative DialTimeout are typed errors
+	// naming the field, not silent defaults or a silently disabled drill.
+	// They are rejected before anything listens: the peer's own address is
+	// held here, so reaching Listen would fail with a plain error instead.
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
 	for _, tc := range []struct {
 		field  string
 		mutate func(*DistributedOptions)
@@ -174,9 +181,11 @@ func TestDistributedFabricValidation(t *testing.T) {
 		{"CheckpointEvery", func(o *DistributedOptions) { o.CheckpointEvery = -1 }},
 		{"RecoveryWindows", func(o *DistributedOptions) { o.RecoveryWindows = -2 }},
 		{"FailpointRound", func(o *DistributedOptions) { o.FailpointRound = -1 }},
+		{"DialTimeout", func(o *DistributedOptions) { o.DialTimeout = -1 }},
 	} {
 		opts := base
 		opts.ID, opts.CheckpointDir = 1, t.TempDir()
+		opts.PeerAddrs = []string{addrs[0], busy.Addr().String()}
 		tc.mutate(&opts)
 		_, err := freshEngine(t, corpus).ClusterDistributed(context.Background(), opts)
 		var oe *OptionsError
