@@ -196,13 +196,17 @@ type Event = core.Event
 // EventKind discriminates events.
 type EventKind = core.EventKind
 
-// The event kinds delivered to ClusterOptions.Events.
+// The event kinds delivered to ClusterOptions.Events, and under the fabric
+// to DistributedOptions.Events the last three too.
 const (
 	EventPhaseChange   = core.EventPhaseChange
 	EventRoundStart    = core.EventRoundStart
 	EventRepsExchanged = core.EventRepsExchanged
 	EventRoundEnd      = core.EventRoundEnd
 	EventDone          = core.EventDone
+	EventCheckpoint    = core.EventCheckpoint
+	EventRestore       = core.EventRestore
+	EventSuspect       = core.EventSuspect
 )
 
 // Cluster runs one clustering job on the engine's corpus. ctx cancels the
@@ -340,39 +344,29 @@ func (e *Engine) ClusterDistributed(ctx context.Context, opts DistributedOptions
 		if err != nil {
 			return nil, err
 		}
-		fab, err := fabric.NewPeer(fabric.Config{
-			ID: opts.ID, Transport: node, Store: store,
+		copts.Fabric = &core.Fabric{
+			Store: store,
 			Fingerprint: fabric.ConfigFingerprint(start.K, m, start.F, start.Gamma,
 				start.Seed, start.Txns, start.PartitionHash),
-			Every:           opts.CheckpointEvery,
-			RecoveryWindows: opts.RecoveryWindows,
-		})
-		if err != nil {
-			return nil, err
+			Every: opts.CheckpointEvery, RecoveryWindows: opts.RecoveryWindows, Leave: opts.Leave,
 		}
-		if opts.Join {
-			if err := fab.SendJoin(); err != nil {
-				return nil, err
+		if opts.FailpointRound > 0 {
+			copts.Fabric.Store = failpointStore{store, opts.FailpointRound}
+		}
+		copts.Rejoin = opts.Join
+		metrics := fabric.NewMetrics(node)
+		copts.Observer = func(ev core.Event) {
+			metrics.Observe(ev)
+			if opts.Events != nil {
+				opts.Events(ev)
 			}
-			copts.Rejoin = true
-		}
-		if opts.Leave != nil {
-			done := make(chan struct{})
-			defer close(done)
-			go func() {
-				select {
-				case <-opts.Leave:
-					fab.RequestLeave()
-				case <-done:
-				}
-			}()
 		}
 		if opts.DebugAddr != "" {
 			dln, err := net.Listen("tcp", opts.DebugAddr)
 			if err != nil {
 				return nil, fmt.Errorf("xmlclust: debug listener %s: %w", opts.DebugAddr, err)
 			}
-			handler := http.Handler(fab.Metrics().Handler())
+			handler := http.Handler(metrics.Handler())
 			if opts.DebugPprof {
 				dm := http.NewServeMux()
 				dm.Handle("/debug/pprof/", http.DefaultServeMux)
@@ -382,10 +376,6 @@ func (e *Engine) ClusterDistributed(ctx context.Context, opts DistributedOptions
 			srv := &http.Server{Handler: handler}
 			go srv.Serve(dln)
 			defer srv.Close()
-		}
-		copts.Hooks = fab
-		if opts.FailpointRound > 0 {
-			copts.Hooks = &failpointHooks{Hooks: fab, round: opts.FailpointRound}
 		}
 	}
 	pres, err := core.RunPeer(ctx, cx, e.corpus, copts, start, opts.ID)
@@ -403,16 +393,16 @@ func (e *Engine) ClusterDistributed(ctx context.Context, opts DistributedOptions
 	}, nil
 }
 
-// failpointHooks wraps the fabric hooks with the FailpointRound chaos drill:
-// on reaching the configured round boundary the process SIGKILLs itself —
-// before the boundary checkpoint, so recovery must barrier on the previous
-// round exactly as after a genuine mid-round crash.
-type failpointHooks struct {
-	core.Hooks
+// failpointStore wraps the checkpoint store with the FailpointRound chaos
+// drill: the first checkpoint at or past the configured round SIGKILLs the
+// process before it is written, so recovery must barrier on the previous
+// checkpoint exactly as after a genuine mid-round crash.
+type failpointStore struct {
+	*fabric.Store
 	round int
 }
 
-func (f *failpointHooks) RoundBoundary(st *core.SessionState) (*core.SessionState, error) {
+func (f failpointStore) Save(slot int, fp uint64, st *core.SessionState) error {
 	if st.Round >= f.round {
 		proc, err := os.FindProcess(os.Getpid())
 		if err == nil {
@@ -423,7 +413,7 @@ func (f *failpointHooks) RoundBoundary(st *core.SessionState) (*core.SessionStat
 		}
 		select {} // SIGKILL is in flight; never reach the checkpoint write
 	}
-	return f.Hooks.RoundBoundary(st)
+	return f.Store.Save(slot, fp, st)
 }
 
 // RepsDigest returns the canonical fingerprint of a representative set over

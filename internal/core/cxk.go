@@ -59,18 +59,15 @@ type Options struct {
 	// Peer == -1 after all sessions terminate. Run calls it from its own
 	// goroutine, in the schedule's order.
 	Observer Observer
-	// Transport, RoundTimeout, StartupTimeout, Epoch, Initial, Rejoin and
-	// Hooks configure a RunPeer session (see the matching PeerConfig
-	// fields). Run ignores them: its peers share one address space and one
-	// failure domain, and a run that can no longer progress fails at once
-	// with ErrStalled.
+	// Transport, RoundTimeout, StartupTimeout, Fabric and Rejoin configure
+	// a RunPeer session (see the matching PeerConfig fields). Run ignores
+	// them: its peers share one address space and one failure domain, and a
+	// run that can no longer progress fails at once with ErrStalled.
 	Transport      p2p.Transport
 	RoundTimeout   time.Duration
 	StartupTimeout time.Duration
-	Epoch          int
-	Initial        *SessionState
+	Fabric         *Fabric
 	Rejoin         bool
-	Hooks          Hooks
 }
 
 // DefaultMaxRounds bounds the collaborative loop.

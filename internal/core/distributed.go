@@ -64,8 +64,8 @@ func RunPeer(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Opti
 	if tp := opts.Transport.Peers(); tp != m {
 		return nil, fmt.Errorf("core: transport has %d peers, options say %d", tp, m)
 	}
-	if id == 0 && (opts.Rejoin || opts.Initial != nil) {
-		return nil, fmt.Errorf("core: the coordinator cannot rejoin or resume (%w on coordinator death)", ErrCoordinatorLost)
+	if id == 0 && opts.Rejoin {
+		return nil, fmt.Errorf("core: the coordinator cannot rejoin (%w on coordinator death)", ErrCoordinatorLost)
 	}
 	if id == 0 {
 		for i := 0; i < m; i++ {
@@ -82,7 +82,7 @@ func RunPeer(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Opti
 	}
 
 	cfg := peerConfig(cx, corpus, opts, &start, id)
-	cfg.Transport, cfg.Epoch, cfg.Initial, cfg.Rejoin, cfg.Hooks = opts.Transport, opts.Epoch, opts.Initial, opts.Rejoin, opts.Hooks
+	cfg.Transport, cfg.Fabric, cfg.Rejoin = opts.Transport, opts.Fabric, opts.Rejoin
 	peer := NewPeer(cfg)
 
 	t0 := time.Now()
@@ -181,7 +181,7 @@ func collectAssignments(ctx context.Context, opts Options, n int, ownAssign []in
 		case <-deadlineC:
 			return nil, fmt.Errorf("%w: collected %d of %d final assignments", ErrRoundDeadline, len(seen), m-1)
 		}
-		if _, ctl := env.Payload.(ControlPayload); ctl {
+		if isControl(env.Payload) {
 			// Late control traffic (e.g. checkpoint replicas from peers
 			// still draining their final round) is irrelevant once the
 			// coordinator's own session has terminated.

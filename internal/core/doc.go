@@ -2,21 +2,41 @@
 //
 // The protocol is split into a machine and its drivers. The machine
 // (machine.go) is peer i's session as a pure step function: Step takes one
-// input — a delivered envelope, a fired timer, a finished compute, a state to
-// install — and returns what to do next: sends, a timer to arm, events, and
-// at most one request it then waits on (a round boundary, a compute, done).
-// It advances startup → (broadcast-globals → relocate → exchange-locals →
-// refine-globals)* → done and holds the reorder and epoch buffers, but no
-// goroutine, clock, context or transport. Two drivers step it. Run executes
+// input — a delivered envelope, a fired timer, a finished compute, a loaded
+// checkpoint, a leave request — and returns what to do next: sends, a timer
+// to arm, events, checkpoints to save, and at most one request it then waits
+// on (a compute, a checkpoint to load, done). It advances startup →
+// (broadcast-globals → relocate → exchange-locals → refine-globals)* → done
+// and holds the reorder and epoch buffers, but no goroutine, clock, context
+// or transport. Two drivers step it. Run executes
 // all m machines of one process on one deterministic schedule (schedule.go):
 // it drains per-link FIFO queues lowest link first, then runs the compute
 // requests that left the peers waiting as one wave, concurrently, applying
 // the results in peer order. Peer.RunSession drives one machine per OS
 // process over a p2p.Node (RunPeer, cmd/cxkpeer): it reads the transport
 // under ctx, owns the receive deadlines (PeerConfig.RoundTimeout), runs
-// compute requests on cluster.Rounds, calls the fabric Hooks and wraps
-// failures in SessionError (ErrRoundDeadline / ErrTransportClosed /
+// compute requests on cluster.Rounds, does the fabric's store calls,
+// epoch-less sends and connection resets, and wraps failures in
+// SessionError (ErrRoundDeadline / ErrTransportClosed /
 // ErrUnexpectedMessage / ErrSend).
+//
+// The elastic fabric. PeerConfig.Fabric makes checkpointing, membership and
+// recovery transitions of the same machine (fabric.go). At every
+// cadence-aligned round boundary it emits a checkpoint, which the driver
+// saves; a member replicates the state to the coordinator (CheckpointMsg)
+// and leaves there if asked to, the coordinator records its own and admits
+// pending joins (JoinMsg). Admission rolls the session back to the barrier,
+// the newest round every slot has replicated, under the next epoch: the
+// coordinator installs its own replica, sends each joiner its slot's
+// replica and every survivor a ResumeMsg, which a survivor answers by
+// restoring its own checkpoint. A fired timer is failure detection: the
+// coordinator admits, a joiner re-announces itself, a member reports the
+// stall once (SuspectMsg), and after RecoveryWindows extra windows the
+// session fails with ErrRecoveryTimeout. A send failure is survivable except
+// a member's to the coordinator (ErrCoordinatorLost): coordinator death is
+// not recovered from. Control messages are taken in any phase and any
+// epoch, and vetted: a replica or a join must name its sender's own member
+// slot, a resume must come from slot 0.
 //
 // Startup. The orchestrator (playing node N₀, which the paper notes can be
 // any peer — peer 0 in both drivers) computes the responsibility partition

@@ -27,6 +27,13 @@ const (
 	// peer id; the run-level Done event (emitted once per Run) has
 	// Peer == -1 and the final round count.
 	EventDone
+	// EventCheckpoint, EventRestore and EventSuspect come from fabric
+	// sessions (PeerConfig.Fabric): the boundary state of Event.Round was
+	// checkpointed, a resumed state was installed, or a stall was reported
+	// to the coordinator.
+	EventCheckpoint
+	EventRestore
+	EventSuspect
 )
 
 // String implements fmt.Stringer.
@@ -42,6 +49,12 @@ func (k EventKind) String() string {
 		return "round-end"
 	case EventDone:
 		return "done"
+	case EventCheckpoint:
+		return "checkpoint"
+	case EventRestore:
+		return "restore"
+	case EventSuspect:
+		return "suspect"
 	default:
 		return fmt.Sprintf("event(%d)", int(k))
 	}
@@ -53,6 +66,8 @@ type Event struct {
 	Kind EventKind
 	// Peer is the emitting peer id, or -1 for run-level events.
 	Peer int
+	// Epoch is the peer's membership epoch (0 outside the fabric).
+	Epoch int
 	// Round is the collaborative round the event belongs to (0-based;
 	// for EventDone it is the total number of rounds executed).
 	Round int

@@ -20,9 +20,9 @@ func newSession(p *Peer) *session {
 }
 
 // stepper drives one session machine on the test goroutine through the
-// driver's own routing, boundary and compute, with neither transport nor
-// clock: sends are recorded, a boundary or compute request is held until
-// advance answers it, and an armed timer is flagged.
+// driver's own compute, with neither transport nor clock: sends are
+// recorded, a compute request is held until advance answers it, and an
+// armed timer is flagged.
 type stepper struct {
 	*driver
 	sent  []send
@@ -46,7 +46,7 @@ func (st *stepper) take(outs []any) {
 			st.sent = append(st.sent, o)
 		case armTimer:
 			st.armed = true
-		case boundary, compute:
+		case compute:
 			st.held = o
 		case done:
 			st.done, st.err = true, o.err
@@ -54,16 +54,8 @@ func (st *stepper) take(outs []any) {
 	}
 }
 
-// deliver hands one envelope to the driver's router and steps the machine
-// with whatever input comes of it.
-func (st *stepper) deliver(env p2p.Envelope) {
-	st.in = nil
-	if err := st.route(env); err != nil {
-		st.done, st.err = true, err
-	} else if st.in != nil {
-		st.take(st.s.Step(st.in))
-	}
-}
+// deliver steps the machine with one envelope.
+func (st *stepper) deliver(env p2p.Envelope) { st.take(st.s.Step(env)) }
 
 // got delivers payload from peer from, stamped with the machine's epoch.
 func (st *stepper) got(from int, payload any) {
@@ -72,17 +64,12 @@ func (st *stepper) got(from int, payload any) {
 
 // advance answers the held request; it reports whether one was held.
 func (st *stepper) advance(t testing.TB) bool {
-	var err error
-	switch h := st.held.(type) {
-	case boundary:
-		err = st.boundary(context.Background())
-	case compute:
-		err = st.compute(context.Background(), h)
-	default:
+	h, ok := st.held.(compute)
+	if !ok {
 		return false
 	}
 	st.held = nil
-	if err != nil {
+	if err := st.compute(context.Background(), h); err != nil {
 		t.Fatal(err)
 	}
 	st.take(st.s.Step(st.in))

@@ -13,11 +13,12 @@ import (
 )
 
 // A session is one peer's protocol state machine (Fig. 5; see doc.go):
-// Step takes one input — a p2p.Envelope, a timeout, a computed result or an
-// installState — and returns the outputs in order of execution: send,
-// armTimer, Event (stamped by the driver before it is observed), and at most
-// one request the machine then waits on — boundary (answered with an
-// installState), compute (answered with computed) or done.
+// Step takes one input — a p2p.Envelope, a timeout, a computed result, or
+// under the fabric a leave or a loaded state — and returns the outputs in
+// order of execution: send, armTimer, Event (stamped by the driver before it
+// is observed), the fabric's checkpoint and reset, and at most one request
+// the machine then waits on — compute (answered with computed), restore
+// (answered with the loaded state) or done.
 type (
 	timeout  struct{}
 	computed struct {
@@ -27,19 +28,16 @@ type (
 		objective float64
 		refined   []*txn.Transaction // parallel to zi; nil keeps the global
 	}
-	// installState answers a boundary (st == nil resumes the round) or rolls
-	// the session back to st — a fabric recovery, a rejoin state transfer.
-	installState struct{ st *SessionState }
+	// loaded answers a restore with the state the store holds.
+	loaded struct{ st *SessionState }
 
 	send struct {
 		to, round int
 		phase     Phase
 		payload   any
+		control   bool // a fabric control message
 	}
 	armTimer struct{ startup bool } // the wait on N0's StartMsg is the longer one
-	// boundary reports a round boundary: the state is quiescent and
-	// capturable, no message of the round is sent yet.
-	boundary struct{}
 	compute  struct {
 		round  int
 		refine bool // relocate against the globals, or refine the owned ones
@@ -56,11 +54,10 @@ type session struct {
 	sizer            p2p.Sizer
 	expect           *StartMsg
 
-	phase      Phase
-	round      int
-	atBoundary bool // in PhaseBroadcastGlobals, awaiting the boundary answer
-	received   int  // messages of the current exchange taken so far
-	out        []any
+	phase    Phase
+	round    int
+	received int // messages of the current exchange taken so far
+	out      []any
 
 	// objective is the peer's local clustering objective after the latest
 	// relocation; prevTotal is PK-means's objective summed over the peers in
@@ -111,17 +108,19 @@ type session struct {
 	epoch        int
 	pendFuture   []p2p.Envelope
 	staleDropped int64
+
+	// fab is the fabric policy (PeerConfig.Fabric; nil = off, see fabric.go).
+	fab *fabric
 }
 
 // newMachine builds peer cfg.ID's state machine for a session of m peers and
-// returns it with its opening outputs: the wait for the StartMsg (or the
-// rejoin state) is armed, or a session restored from cfg.Initial opens the
-// boundary of its round.
+// returns it with its opening outputs: the wait for the StartMsg, or for the
+// rejoin state after the join announcement, is armed.
 func newMachine(cfg *PeerConfig, m int) (*session, []any) {
 	s := &session{
 		id: cfg.ID, m: m, maxRounds: cfg.MaxRounds, seed: cfg.Seed, pk: cfg.PKMeans, local: cfg.Local,
 		items: cfg.Ctx.Items, sizer: cfg.Sizer, expect: cfg.Expect,
-		phase: PhaseStartup, epoch: cfg.Epoch, prevTotal: math.Inf(1),
+		phase: PhaseStartup, prevTotal: math.Inf(1),
 		seenStates: map[uint64]struct{}{},
 		pendGlobal: map[int][]GlobalRepsMsg{},
 		pendLocal:  map[int][]LocalRepsMsg{},
@@ -129,16 +128,18 @@ func newMachine(cfg *PeerConfig, m int) (*session, []any) {
 	if s.pk {
 		s.maxRounds++ // the seeding round counts
 	}
+	if cfg.Fabric != nil {
+		s.fab = newFabric(cfg.Fabric, m)
+	}
 	if cfg.Rejoin {
-		s.phase = PhaseRejoin
+		if s.fab == nil {
+			s.out = append(s.out, done{fmt.Errorf("%w: rejoin requires the fabric", ErrUnexpectedMessage)})
+			return s, s.out
+		}
+		s.phase, s.fab.joining = PhaseRejoin, true
+		s.control(0, JoinMsg{Slot: s.id, Fingerprint: s.fab.fp})
 	}
-	if cfg.Initial == nil {
-		s.arm(true)
-	} else if err := s.install(cfg.Initial); err != nil {
-		s.out = append(s.out, done{err})
-	} else {
-		s.openBoundary()
-	}
+	s.arm(true)
 	return s, s.out
 }
 
@@ -166,70 +167,62 @@ func (s *session) step(in any) error {
 	case p2p.Envelope:
 		return s.deliver(in)
 	case timeout:
-		return ErrRoundDeadline
-	case installState:
-		if in.st != nil {
-			if err := s.install(in.st); err != nil {
-				return err
-			}
-			s.emit(EventPhaseChange, s.round, 0)
-			s.openBoundary()
-			return nil
+		if s.fab == nil {
+			return ErrRoundDeadline
 		}
-		s.broadcastGlobals()
+		return s.expired()
+	case leave:
+		s.fab.leaving = true
+	case loaded:
+		return s.restored(in.st)
 	case computed:
 		if s.phase == PhaseRelocate {
-			s.relocated(in)
-		} else {
-			s.refined(in)
+			return s.relocated(in)
 		}
+		return s.refined(in)
 	}
-	return s.collect()
+	return nil
 }
 
 // listening reports whether the machine waits for protocol messages.
 func (s *session) listening() bool {
 	switch s.phase {
-	case PhaseStartup, PhaseRejoin, PhaseExchangeLocals:
+	case PhaseStartup, PhaseRejoin, PhaseBroadcastGlobals, PhaseExchangeLocals:
 		return true
-	case PhaseBroadcastGlobals:
-		return !s.atBoundary
 	}
 	return false
 }
 
-// enter moves to phase p, announces it and starts the phase: a boundary at
-// a round's entry, a compute request for relocation and refinement, the
-// local representatives' sends for the exchange.
-func (s *session) enter(p Phase) {
+// enter moves to phase p, announces it and starts the phase: the boundary
+// and the globals' sends at a round's entry, a compute request for
+// relocation and refinement, the local representatives' sends for the
+// exchange.
+func (s *session) enter(p Phase) error {
 	s.phase = p
 	s.emit(EventPhaseChange, s.round, 0)
 	switch p {
 	case PhaseBroadcastGlobals:
-		s.openBoundary()
+		return s.boundary()
 	case PhaseRelocate:
 		s.out = append(s.out, compute{round: s.round})
 	case PhaseExchangeLocals:
 		s.exchangeLocals()
+		return s.collect()
 	case PhaseRefineGlobals:
 		s.out = append(s.out, compute{round: s.round, refine: true})
 	case PhaseDone:
 		s.emit(EventDone, s.rounds, s.objective)
 		s.out = append(s.out, done{})
 	}
+	return nil
 }
 
-// openBoundary is the entry of PhaseBroadcastGlobals: the protocol state is
-// quiescent, so this is where a fabric checkpoints, and where a coordinator
-// admits pending joins, which may install a same-round state under a bumped
-// epoch.
-func (s *session) openBoundary() {
-	s.atBoundary = true
-	s.out = append(s.out, boundary{})
-}
-
-// deliver routes one envelope: the epoch filter first, then the phase.
+// deliver routes one envelope: control traffic to the fabric, then the epoch
+// filter, then the phase.
 func (s *session) deliver(env p2p.Envelope) error {
+	if isControl(env.Payload) {
+		return s.onControl(env)
+	}
 	if env.Epoch != p2p.EpochAny {
 		if env.Epoch < s.epoch {
 			s.staleDropped++
@@ -300,8 +293,7 @@ func (s *session) startup(msg StartMsg) error {
 		}
 	}
 	s.early = nil
-	s.enter(PhaseBroadcastGlobals)
-	return nil
+	return s.enter(PhaseBroadcastGlobals)
 }
 
 // broadcastGlobals is protocol phase 1 past its boundary: send the global
@@ -309,7 +301,6 @@ func (s *session) startup(msg StartMsg) error {
 // Under PK-means only the seeding round broadcasts: afterwards every peer
 // refines every global itself.
 func (s *session) broadcastGlobals() {
-	s.atBoundary = false
 	s.rounds = s.round + 1
 	s.report.GrowRound(s.round, len(s.local))
 	s.emit(EventRoundStart, s.round, 0)
@@ -335,7 +326,7 @@ func (s *session) broadcastGlobals() {
 // exchangeLocals sends each peer every local representative and refinement
 // covers all k globals. zs is replaced, not edited: in-process peers share
 // the StartMsg's slices.
-func (s *session) seeded() {
+func (s *session) seeded() error {
 	all := make([]int, s.k)
 	for j := range all {
 		all[j] = j
@@ -347,14 +338,14 @@ func (s *session) seeded() {
 	s.emit(EventRepsExchanged, s.round, 0)
 	s.emit(EventRoundEnd, s.round, 0)
 	s.round++
-	s.enter(PhaseBroadcastGlobals)
+	return s.enter(PhaseBroadcastGlobals)
 }
 
 // relocated closes protocol phase 2: one relocation pass against the
 // globals and the local representative of every non-empty cluster. The
 // globals are fixed for the round and relocation against a fixed set is a
 // pure function of it, so the pass is its own fixpoint.
-func (s *session) relocated(c computed) {
+func (s *session) relocated(c computed) error {
 	s.assign, s.sizes, s.objective = c.assign, c.sizes, c.objective
 	s.changed = !cluster.RepsEqual(c.localRp, s.localRp)
 	s.localRp = c.localRp
@@ -367,7 +358,7 @@ func (s *session) relocated(c computed) {
 		}
 		s.seenStates[fp] = struct{}{}
 	}
-	s.enter(PhaseExchangeLocals)
+	return s.enter(PhaseExchangeLocals)
 }
 
 // exchangeLocals is protocol phase 3: send each peer the local
@@ -408,7 +399,7 @@ func (s *session) exchangeLocals() {
 // consistent.
 func (s *session) collect() error {
 	switch {
-	case s.phase == PhaseBroadcastGlobals && !s.atBoundary:
+	case s.phase == PhaseBroadcastGlobals:
 		for ; s.received < s.m-1; s.received++ {
 			q := s.pendGlobal[s.round]
 			if len(q) == 0 {
@@ -420,10 +411,9 @@ func (s *session) collect() error {
 			}
 		}
 		if s.pk && s.round == 0 {
-			s.seeded()
-		} else {
-			s.enter(PhaseRelocate)
+			return s.seeded()
 		}
+		return s.enter(PhaseRelocate)
 	case s.phase == PhaseExchangeLocals:
 		for ; s.received < s.m-1; s.received++ {
 			q := s.pendLocal[s.round]
@@ -439,10 +429,9 @@ func (s *session) collect() error {
 		s.emit(EventRepsExchanged, s.round, 0)
 		if !s.anyContinue {
 			s.emit(EventRoundEnd, s.round, s.objective)
-			s.enter(PhaseDone) // V_1 = … = V_m = done
-		} else {
-			s.enter(PhaseRefineGlobals)
+			return s.enter(PhaseDone) // V_1 = … = V_m = done
 		}
+		return s.enter(PhaseRefineGlobals)
 	}
 	return nil
 }
@@ -464,7 +453,7 @@ func (s *session) refineInputs(j int) []cluster.WeightedRep {
 }
 
 // refined closes protocol phase 4 and advances the round.
-func (s *session) refined(c computed) {
+func (s *session) refined(c computed) error {
 	for i, j := range s.zi {
 		if c.refined[i] != nil {
 			s.global[j] = c.refined[i]
@@ -476,10 +465,9 @@ func (s *session) refined(c computed) {
 	s.round++
 	s.capped = !stop && s.round >= s.maxRounds
 	if stop || s.capped {
-		s.enter(PhaseDone)
-	} else {
-		s.enter(PhaseBroadcastGlobals)
+		return s.enter(PhaseDone)
 	}
+	return s.enter(PhaseBroadcastGlobals)
 }
 
 // converged is the PK-means stop rule, taken after the round's refinement:
@@ -505,7 +493,7 @@ func (s *session) converged() bool {
 }
 
 func (s *session) emit(kind EventKind, round int, objective float64) {
-	s.out = append(s.out, Event{Kind: kind, Peer: s.id, Round: round, Phase: s.phase, Objective: objective})
+	s.out = append(s.out, Event{Kind: kind, Peer: s.id, Epoch: s.epoch, Round: round, Phase: s.phase, Objective: objective})
 }
 
 func (s *session) send(to int, payload any) {

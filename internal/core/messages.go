@@ -115,11 +115,76 @@ type AssignMsg struct {
 	Assign []int
 }
 
+// The control plane of the elastic fabric (see fabric.go). Its messages go
+// out epoch-less (p2p.EpochAny) and a session takes them in any phase and any
+// epoch: control traffic is what moves peers between membership epochs, so no
+// epoch filter may drop the message that would advance a straggler.
+
+// JoinMsg asks the coordinator to admit the sender into the session as the
+// process now occupying Slot: a replacement for a crashed or departed peer,
+// on a fresh machine or restarted on the old one's checkpoint directory.
+// Either way the admission hands it the slot's replica.
+type JoinMsg struct {
+	// Slot is the peer id the sender wants to occupy.
+	Slot int
+	// Fingerprint is the sender's run-configuration fingerprint, corpus
+	// digest included; a join under another fingerprint is dropped.
+	Fingerprint uint64
+}
+
+// CheckpointMsg replicates a member's round-boundary state to the
+// coordinator, so a crashed or departed member's slot can be handed to a
+// process that never saw the member's disk. A graceful leave is the last
+// CheckpointMsg a member sends.
+type CheckpointMsg struct {
+	Slot        int
+	Fingerprint uint64
+	State       SessionState
+}
+
+// SuspectMsg reports a stalled receive: a member that exhausted one round
+// timeout tells the coordinator something is wrong (and, by getting an
+// error back from the transport, learns whether the coordinator itself is
+// the casualty).
+type SuspectMsg struct {
+	From  int
+	Round int
+	Phase int
+}
+
+// ResumeMsg is the coordinator's rollback barrier: every member re-enters
+// the round loop at Round under Epoch. A survivor restores its own
+// checkpoint at Round from local storage; a joining slot's message carries
+// the slot's replica at Round in State, under the run's Fingerprint.
+type ResumeMsg struct {
+	Epoch int
+	Round int
+	// Joined lists the slots being taken over by new processes in this
+	// epoch. Survivors must drop any cached transport connection to those
+	// slots: the connection leads to the dead predecessor, and TCP loses
+	// the first frame written to a dead socket silently.
+	Joined      []int
+	Fingerprint uint64
+	// State is the joining slot's replicated state (nil for survivors).
+	State *SessionState
+}
+
 func init() {
-	p2p.RegisterWireType(StartMsg{})
-	p2p.RegisterWireType(GlobalRepsMsg{})
-	p2p.RegisterWireType(LocalRepsMsg{})
-	p2p.RegisterWireType(AssignMsg{})
+	for _, msg := range []any{
+		StartMsg{}, GlobalRepsMsg{}, LocalRepsMsg{}, AssignMsg{},
+		JoinMsg{}, CheckpointMsg{}, SuspectMsg{}, ResumeMsg{},
+	} {
+		p2p.RegisterWireType(msg)
+	}
+}
+
+// isControl reports whether a payload belongs to the fabric's control plane.
+func isControl(payload any) bool {
+	switch payload.(type) {
+	case JoinMsg, CheckpointMsg, SuspectMsg, ResumeMsg:
+		return true
+	}
+	return false
 }
 
 // CheckHeader vets the sender and the round a received round message claims,

@@ -32,8 +32,8 @@ const (
 	// exhausted MaxRounds.
 	PhaseDone
 	// PhaseRejoin awaits a recovery state instead of a StartMsg: a peer
-	// launched with PeerConfig.Rejoin parks protocol traffic and waits for
-	// the fabric hooks to deliver an installable SessionState — the
+	// launched with PeerConfig.Rejoin announces itself to the coordinator,
+	// drops protocol traffic and waits for the ResumeMsg that carries the
 	// coordinator's replica of the slot, handed over at admission.
 	PhaseRejoin
 )

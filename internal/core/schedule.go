@@ -34,8 +34,7 @@ func Run(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Options)
 //   - drain delivers every queued envelope, lowest (sender, receiver) link
 //     first, and carries out each machine's outputs in order as RunSession
 //     does: a send is accounted and queued (dropped if its receiver is
-//     done), an Event is stamped and observed, a boundary is answered at
-//     once, a compute request is held;
+//     done), an Event is stamped and observed, a compute request is held;
 //   - wave runs the held compute requests together and applies their
 //     results in peer order.
 //
@@ -207,38 +206,28 @@ func (r *scheduler) wave() error {
 	return nil
 }
 
-// step feeds one input to machine i and carries out its outputs in order,
-// answering a boundary at once, until the machine waits.
+// step feeds one input to machine i and carries out its outputs in order.
 func (r *scheduler) step(i int, in any) error {
 	d, m := r.peers[i], len(r.peers)
-	for in != nil {
-		outs := d.s.Step(in)
-		in = nil
-		for _, o := range outs {
-			switch o := o.(type) {
-			case send:
-				d.account(o)
-				if r.results[o.to] == nil {
-					l := i*m + o.to
-					r.links[l] = append(r.links[l], p2p.Envelope{From: i, To: o.to, Payload: o.payload})
-				}
-			case Event:
-				d.observe(o)
-			case boundary:
-				if err := d.boundary(r.ctx); err != nil {
-					return r.fail(i, err)
-				}
-				in = d.in
-			case compute:
-				r.held[i] = &o
-			case done:
-				if o.err != nil {
-					return r.fail(i, o.err)
-				}
-				r.results[i] = d.s.result()
-				for from := range m {
-					r.links[from*m+i] = nil
-				}
+	for _, o := range d.s.Step(in) {
+		switch o := o.(type) {
+		case send:
+			d.account(o)
+			if r.results[o.to] == nil {
+				l := i*m + o.to
+				r.links[l] = append(r.links[l], p2p.Envelope{From: i, To: o.to, Payload: o.payload})
+			}
+		case Event:
+			d.observe(o)
+		case compute:
+			r.held[i] = &o
+		case done:
+			if o.err != nil {
+				return r.fail(i, o.err)
+			}
+			r.results[i] = d.s.result()
+			for from := range m {
+				r.links[from*m+i] = nil
 			}
 		}
 	}

@@ -61,27 +61,13 @@ type PeerConfig struct {
 	// Observer, when non-nil, receives progress events (phase changes,
 	// round boundaries, termination) on the goroutine driving the session.
 	Observer Observer
-	// Epoch is the membership epoch the session starts in (0 for a fresh
-	// session; a recovered session starts in the epoch of its restored
-	// state). Envelopes stamped with an older epoch are dropped, newer ones
-	// parked until the session catches up.
-	Epoch int
-	// Initial, when non-nil, is a restored SessionState the session
-	// installs instead of running startup: the peer skips the StartMsg wait
-	// and re-enters the round loop at Initial.Round. A process rejoining a
-	// running session uses Rejoin instead, and installs the coordinator's
-	// replica.
-	Initial *SessionState
-	// Rejoin makes the session await a recovery state transfer (delivered
-	// through Hooks.Control) instead of a StartMsg: the state machine
-	// starts in PhaseRejoin (cxkpeer -join). Mutually exclusive with
-	// Initial.
+	// Fabric, when non-nil, runs the session under the elastic fabric
+	// (see Fabric): checkpoints, joins, leaves and recovery.
+	Fabric *Fabric
+	// Rejoin makes the session announce itself to the coordinator and await
+	// its slot's replica instead of a StartMsg: the state machine starts in
+	// PhaseRejoin (cxkpeer -join). It requires Fabric.
 	Rejoin bool
-	// Hooks, when non-nil, attaches a fabric layer to the session: round
-	// boundaries (checkpointing), control messages (membership, recovery)
-	// and deadline expiries (failure detection) are routed through it. All
-	// calls happen on the goroutine running RunSession.
-	Hooks Hooks
 }
 
 // checkStart compares N0's StartMsg with the one this peer computed for its
@@ -179,10 +165,11 @@ type SessionResult struct {
 // convergence, MaxRounds, ctx cancellation or a protocol failure. It drives
 // the session's state machine and does all of its I/O: it reads the
 // transport under ctx, owns the real timers, runs compute requests on the
-// peer's cluster.Rounds, and calls the Hooks. Errors
-// are *SessionError values wrapping the typed causes of phase.go;
-// cancellation surfaces as ErrCanceled, observed at phase boundaries,
-// blocking receives and between relocation passes.
+// peer's cluster.Rounds, and under the fabric saves and loads checkpoints,
+// sends control traffic epoch-less, resets connections and turns a leave
+// request into an input. Errors are *SessionError values wrapping the typed
+// causes of phase.go; cancellation surfaces as ErrCanceled, observed at
+// blocking receives and around relocation passes.
 func (p *Peer) RunSession(ctx context.Context) (*SessionResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -190,13 +177,10 @@ func (p *Peer) RunSession(ctx context.Context) (*SessionResult, error) {
 	cfg := &p.cfg
 	d, outs := newDriver(p, cfg.Transport.Peers())
 	s := d.s
-	if s.phase == PhaseRejoin && cfg.Hooks == nil {
-		outs = []any{done{fmt.Errorf("%w: rejoin requires fabric hooks", ErrUnexpectedMessage)}}
-	}
 	for epoch := -1; ; outs = s.Step(d.in) {
-		if es, ok := cfg.Transport.(p2p.EpochSetter); ok && s.epoch != epoch {
+		if s.epoch != epoch {
 			epoch = s.epoch
-			es.SetEpoch(cfg.ID, epoch)
+			cfg.Transport.SetEpoch(cfg.ID, epoch)
 		}
 		d.in = nil
 		round, phase := s.round, s.phase
@@ -211,8 +195,14 @@ func (p *Peer) RunSession(ctx context.Context) (*SessionResult, error) {
 				d.arm(o.startup)
 			case Event:
 				d.observe(o)
-			case boundary:
-				err = d.boundary(ctx)
+			case checkpoint:
+				err = cfg.Fabric.Store.Save(cfg.ID, cfg.Fabric.Fingerprint, o.st)
+			case restore:
+				var st *SessionState
+				st, err = cfg.Fabric.Store.Load(cfg.ID, o.round, cfg.Fabric.Fingerprint)
+				d.in = loaded{st}
+			case reset:
+				cfg.Transport.ResetConn(o.to)
 			case compute:
 				err = d.compute(ctx, o)
 			case done:
@@ -238,6 +228,7 @@ type driver struct {
 	engine   *cluster.Rounds
 	t0       time.Time // session start, for Event.Elapsed
 	deadline time.Time // of the armed timer; zero = none
+	leave    <-chan struct{}
 	in       any
 }
 
@@ -246,8 +237,12 @@ type driver struct {
 func newDriver(p *Peer, m int) (*driver, []any) {
 	cfg := &p.cfg
 	s, outs := newMachine(cfg, m)
-	return &driver{cfg: cfg, s: s, t0: time.Now(), engine: cluster.NewRounds(
-		cluster.RepConfig{Ctx: cfg.Ctx, Rule: cfg.Rule, Workers: cfg.Workers}, cfg.Local, cfg.Fast)}, outs
+	d := &driver{cfg: cfg, s: s, t0: time.Now(), engine: cluster.NewRounds(
+		cluster.RepConfig{Ctx: cfg.Ctx, Rule: cfg.Rule, Workers: cfg.Workers}, cfg.Local, cfg.Fast)}
+	if cfg.Fabric != nil {
+		d.leave = cfg.Fabric.Leave
+	}
+	return d, outs
 }
 
 // arm starts the receive deadline. The wait on N0's StartMsg (and on a
@@ -274,20 +269,6 @@ func (d *driver) observe(ev Event) {
 	ev.CounterSnapshot = d.cfg.Ctx.Counters.Snapshot()
 	ev.Elapsed = time.Since(d.t0)
 	d.cfg.Observer(ev)
-}
-
-// boundary hands the round boundary's captured state to the hooks, whose
-// answer (nil: carry on; a state: roll back to it) is the next input.
-func (d *driver) boundary(ctx context.Context) (err error) {
-	if err := canceled(ctx); err != nil {
-		return err
-	}
-	var st *SessionState
-	if h := d.cfg.Hooks; h != nil {
-		st, err = h.RoundBoundary(d.s.capture())
-	}
-	d.in = installState{st}
-	return err
 }
 
 // compute answers a compute request and accounts its wall time to the
@@ -319,11 +300,16 @@ func (d *driver) compute(ctx context.Context, c compute) (err error) {
 	return err
 }
 
-// recv waits for one envelope, the context or the armed timer, and turns
-// it into the machine's next input if there is one: a protocol envelope, a
-// fired timer, or the state a hook returned for a control message or an
-// expired deadline.
+// recv waits for one envelope, the context, the armed timer or a leave
+// request, and turns it into the machine's next input. A leave request is
+// taken first, so the next boundary honours it.
 func (d *driver) recv(ctx context.Context) error {
+	select {
+	case <-d.leave:
+		d.leave, d.in = nil, leave{}
+		return nil
+	default:
+	}
 	var fired <-chan time.Time
 	if !d.deadline.IsZero() {
 		timer := time.NewTimer(time.Until(d.deadline))
@@ -335,64 +321,29 @@ func (d *driver) recv(ctx context.Context) error {
 		if !ok {
 			return ErrTransportClosed
 		}
-		return d.route(env)
+		d.in = env
 	case <-ctx.Done():
 		return canceled(ctx)
 	case <-fired:
-		return d.expired()
-	}
-}
-
-// route passes a protocol envelope to the machine and control traffic to
-// the hooks, in any phase and any epoch. A session without hooks cannot take
-// part in membership changes, so it fails loudly on control traffic.
-func (d *driver) route(env p2p.Envelope) error {
-	if _, ctl := env.Payload.(ControlPayload); !ctl {
-		d.in = env
-		return nil
-	}
-	h := d.cfg.Hooks
-	if h == nil {
-		return fmt.Errorf("%w: control message %T on a session without fabric hooks",
-			ErrUnexpectedMessage, env.Payload)
-	}
-	st, err := h.Control(env)
-	if st != nil {
-		d.in = installState{st}
-	}
-	return err
-}
-
-// expired handles a fired timer: without hooks the machine fails with
-// ErrRoundDeadline; with hooks, (nil, nil) grants one more window (the hook
-// bounds how many), a state rolls back, an error fails the session.
-func (d *driver) expired() error {
-	h := d.cfg.Hooks
-	if h == nil {
 		d.in = timeout{}
-		return nil
+	case <-d.leave:
+		d.leave, d.in = nil, leave{}
 	}
-	st, err := h.Deadline(d.s.phase, d.s.round)
-	if st != nil {
-		d.in = installState{st}
-	} else if err == nil {
-		d.arm(false)
-	}
-	return err
+	return nil
 }
 
-// send delivers a payload and accounts it. A transport failure fails the
-// session (a silent drop would leave the receiving peer to starve) unless
-// the hooks decide it is survivable: then the message is dropped
-// unaccounted and the deadline and recovery machinery reconciles.
+// send delivers a payload, a control message epoch-less, and accounts a
+// protocol one; the machine judges a failure.
 func (d *driver) send(o send) error {
-	if err := d.cfg.Transport.Send(d.cfg.ID, o.to, o.payload); err != nil {
-		if h := d.cfg.Hooks; h != nil {
-			return h.SendFailed(o.to, o.round, err)
-		}
-		return fmt.Errorf("%w: to peer %d: %v", ErrSend, o.to, err)
+	var err error
+	if o.control {
+		err = d.cfg.Transport.SendStamped(d.cfg.ID, o.to, p2p.EpochAny, o.payload)
+	} else if err = d.cfg.Transport.Send(d.cfg.ID, o.to, o.payload); err == nil {
+		d.account(o)
 	}
-	d.account(o)
+	if err != nil {
+		return d.s.sendFailed(o, err)
+	}
 	return nil
 }
 

@@ -267,20 +267,13 @@ func TestSessionStartupBuffersEarlyMessages(t *testing.T) {
 	if err := tr.Send(0, 0, startMsgFor(2, 2)); err != nil {
 		t.Fatal(err)
 	}
-	st.phase(t)
-	if s.phase != PhaseBroadcastGlobals {
-		t.Fatalf("after startup: %s", s.phase)
-	}
-	if len(s.pendGlobal[0]) != 1 {
-		t.Fatalf("early broadcast not buffered: %d", len(s.pendGlobal[0]))
-	}
-	if len(s.pendAssign) != 1 {
-		t.Fatalf("early AssignMsg not buffered: %d", len(s.pendAssign))
-	}
 	// Phase 1 must complete from the buffer alone — no further messages.
 	st.phase(t)
 	if s.phase != PhaseRelocate || s.global[1] == nil {
 		t.Fatalf("buffered broadcast not consumed: phase=%s", s.phase)
+	}
+	if len(s.pendAssign) != 1 {
+		t.Fatalf("early AssignMsg not buffered: %d", len(s.pendAssign))
 	}
 	if msgs, bytes := s.report.RecvMsgsByRound[0], s.report.RecvBytesByRound[0]; msgs != 1 || bytes != Sizer(corpus.Items)(early) {
 		t.Errorf("the broadcast that overtook the StartMsg is accounted as %d messages / %d B in round 0, want 1 / %d",

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"xmlclust/internal/cluster"
-	"xmlclust/internal/p2p"
 	"xmlclust/internal/txn"
 )
 
@@ -39,44 +38,6 @@ type SessionState struct {
 	// SeenStates are the cycle-detection fingerprints of past local
 	// representative states, sorted so the encoding is deterministic.
 	SeenStates []uint64
-}
-
-// ControlPayload marks message types that belong to the session-control
-// plane (membership, checkpointing, recovery) rather than the clustering
-// protocol itself. RunSession routes them to the configured Hooks from any
-// blocking receive, in any phase, regardless of epoch — control traffic is
-// what moves a session BETWEEN epochs.
-type ControlPayload interface {
-	SessionControl()
-}
-
-// Hooks lets a fabric layer ride along with a peer session: observe round
-// boundaries (checkpointing), consume control messages (membership and
-// recovery traffic), and decide what happens when a receive deadline
-// expires (failure detection). All methods are called from the goroutine
-// running RunSession; a returned *SessionState makes the session abandon its
-// current round and install that state — the rollback/rejoin primitive.
-type Hooks interface {
-	// RoundBoundary is invoked at the entry of every round, before the
-	// globals broadcast, with the session's captured state. Returning a
-	// non-nil state installs it (e.g. a coordinator admitting a pending
-	// join bumps the epoch in place); returning an error fails the session
-	// (ErrLeft terminates it as a graceful leave).
-	RoundBoundary(st *SessionState) (*SessionState, error)
-	// Control is invoked for every ControlPayload envelope. Returning a
-	// non-nil state rolls the session back to it.
-	Control(env p2p.Envelope) (*SessionState, error)
-	// Deadline is invoked when a blocking receive exceeds its deadline.
-	// Returning (nil, nil) re-arms the deadline for one more window
-	// (bounded by the hook's own accounting); a state rolls back; an error
-	// fails the session.
-	Deadline(phase Phase, round int) (*SessionState, error)
-	// SendFailed is invoked when a protocol send fails. Returning nil
-	// suppresses the failure — the message is dropped and the receive
-	// deadline / recovery machinery reconciles the session later (a dead
-	// neighbour must not cascade into every survivor failing with ErrSend
-	// before recovery can run). Returning an error fails the session.
-	SendFailed(to, round int, err error) error
 }
 
 // capture snapshots the session's restorable state. Valid at round

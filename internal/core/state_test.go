@@ -6,79 +6,48 @@ import (
 	"encoding/gob"
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"xmlclust/internal/cluster"
 	"xmlclust/internal/p2p"
+	"xmlclust/internal/sim"
 	"xmlclust/internal/txn"
 )
 
-// testHooks adapts closures to the Hooks interface.
-type testHooks struct {
-	onBoundary   func(st *SessionState) (*SessionState, error)
-	onControl    func(env p2p.Envelope) (*SessionState, error)
-	onDeadline   func(phase Phase, round int) (*SessionState, error)
-	onSendFailed func(to, round int, err error) error
-}
-
-func (h *testHooks) SendFailed(to, round int, err error) error {
-	if h.onSendFailed != nil {
-		return h.onSendFailed(to, round, err)
+// soloOpts configures a one-peer run over corpus.
+func soloOpts(corpus *txn.Corpus, seed int64) Options {
+	return Options{
+		K: 2, Params: sim.Params{F: 0.5, Gamma: 0.6}, Peers: 1, Seed: seed,
+		Partition: EqualPartition(len(corpus.Transactions), 1, seed),
 	}
-	return err
 }
 
-func (h *testHooks) RoundBoundary(st *SessionState) (*SessionState, error) {
-	if h.onBoundary != nil {
-		return h.onBoundary(st)
-	}
-	return nil, nil
-}
-
-func (h *testHooks) Control(env p2p.Envelope) (*SessionState, error) {
-	if h.onControl != nil {
-		return h.onControl(env)
-	}
-	return nil, nil
-}
-
-func (h *testHooks) Deadline(phase Phase, round int) (*SessionState, error) {
-	if h.onDeadline != nil {
-		return h.onDeadline(phase, round)
-	}
-	return nil, nil
-}
-
-// testCtl is a minimal control-plane payload for exercising Hooks.Control.
-type testCtl struct{ N int }
-
-func (testCtl) SessionControl() {}
-
-// runSolo runs a single-peer session to completion, capturing the boundary
-// state of every round through the fabric hook.
+// runSolo runs a single-peer fabric session to completion and returns its
+// result with the boundary state of every round, as checkpointed.
 func runSolo(t *testing.T, seed int64) (*SessionResult, []*SessionState) {
 	t.Helper()
 	corpus, _ := miniCorpus(t, 6)
-	tr := p2p.NewChanTransport(1)
-	defer tr.Close()
-	part := EqualPartition(len(corpus.Transactions), 1, seed)
-	var states []*SessionState
-	p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) {
-		cfg.Seed = seed
-		cfg.Hooks = &testHooks{onBoundary: func(st *SessionState) (*SessionState, error) {
-			states = append(states, st)
-			return nil, nil
-		}}
-	})
-	if err := tr.Send(0, 0, startMsgFor(2, 1)); err != nil {
-		t.Fatal(err)
+	f := newFabricSim(t, corpus, soloOpts(corpus, seed))
+	if f.drain(); !f.finished() {
+		t.Fatal("the solo session stalls")
 	}
-	res, err := p.RunSession(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	return f.results[0], f.stores[0].states(t, 0)
+}
+
+// resumeSolo starts a fresh single-peer fabric session from st, as the
+// answer to a restore, and runs it to completion.
+func resumeSolo(t *testing.T, seed int64, st *SessionState) (*SessionResult, []*SessionState) {
+	t.Helper()
+	corpus, _ := miniCorpus(t, 6)
+	f := newFabricSim(t, corpus, soloOpts(corpus, seed))
+	f.links[0] = nil
+	f.carry(0, f.peers[0].s.Step(loaded{st}))
+	if !f.finished() {
+		t.Fatal("the resumed session stalls")
 	}
-	return res, states
+	return f.results[0], f.stores[0].states(t, 0)
 }
 
 // TestSessionStateGobRoundTrip: the checkpoint payload must survive gob
@@ -110,26 +79,14 @@ func TestSessionStateGobRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSessionResumeFromEveryBoundary: installing the state captured at any
-// round boundary into a fresh session must replay the remaining rounds to
-// the same final assignments, representatives and round count — the
+// TestSessionResumeFromEveryBoundary: installing the state checkpointed at
+// any round boundary into a fresh session must replay the remaining rounds
+// to the same final assignments, representatives and round count — the
 // determinism contract checkpoint/restore recovery rests on.
 func TestSessionResumeFromEveryBoundary(t *testing.T) {
 	ref, states := runSolo(t, 11)
-	corpus, _ := miniCorpus(t, 6)
-	part := EqualPartition(len(corpus.Transactions), 1, 11)
 	for i, st := range states {
-		tr := p2p.NewChanTransport(1)
-		p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) {
-			cfg.Seed = 11
-			cfg.Initial = st
-			cfg.Hooks = &testHooks{}
-		})
-		res, err := p.RunSession(context.Background())
-		tr.Close()
-		if err != nil {
-			t.Fatalf("resume from boundary %d: %v", i, err)
-		}
+		res, _ := resumeSolo(t, 11, st)
 		if res.Rounds != ref.Rounds {
 			t.Fatalf("resume from boundary %d: %d rounds, reference %d", i, res.Rounds, ref.Rounds)
 		}
@@ -142,82 +99,100 @@ func TestSessionResumeFromEveryBoundary(t *testing.T) {
 	}
 }
 
-// TestSessionRollbackMidRun: a hook that rolls the session back to an
-// earlier boundary must not change the converged outcome (the protocol is
-// deterministic, so the replayed rounds reproduce themselves).
+// TestSessionRollbackMidRun: a live session rolled back to an earlier
+// boundary, in the middle of a later round, must not change the converged
+// outcome (the protocol is deterministic, so the replayed rounds reproduce
+// themselves).
 func TestSessionRollbackMidRun(t *testing.T) {
 	ref, states := runSolo(t, 11)
 	if len(states) < 2 {
 		t.Skip("session converged before a rollback target existed")
 	}
 	corpus, _ := miniCorpus(t, 6)
-	tr := p2p.NewChanTransport(1)
-	defer tr.Close()
-	part := EqualPartition(len(corpus.Transactions), 1, 11)
-	rolled := false
-	var saved *SessionState
-	p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) {
-		cfg.Seed = 11
-		cfg.Hooks = &testHooks{onBoundary: func(st *SessionState) (*SessionState, error) {
-			if st.Round == 0 && saved == nil {
-				saved = st
-			}
-			if st.Round == 1 && !rolled {
-				rolled = true
-				return saved, nil
-			}
-			return nil, nil
-		}}
-	})
-	if err := tr.Send(0, 0, startMsgFor(2, 1)); err != nil {
-		t.Fatal(err)
+	f := newFabricSim(t, corpus, soloOpts(corpus, 11))
+	d := f.peers[0]
+	f.crash = func(_ int, o any) bool {
+		c, ok := o.(compute)
+		return ok && c.round == 1
 	}
-	res, err := p.RunSession(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	if f.drain(); f.peers[0] != nil {
+		t.Fatal("the session never computed in round 1")
 	}
-	if !rolled {
-		t.Fatal("rollback hook never fired")
+	// The machine waits on its round-1 relocation; it gets round 0 instead.
+	f.peers[0], f.crash = d, nil
+	f.carry(0, d.s.Step(loaded{states[0]}))
+	if !f.finished() {
+		t.Fatal("the rolled-back session stalls")
 	}
-	if !slices.Equal(res.Assign, ref.Assign) || !cluster.RepsEqual(res.Reps, ref.Reps) {
+	if res := f.results[0]; !slices.Equal(res.Assign, ref.Assign) || !cluster.RepsEqual(res.Reps, ref.Reps) {
 		t.Fatal("rollback changed the converged outcome")
 	}
 }
 
 // TestSessionRejoinInstallsControlState: a peer launched in PhaseRejoin
-// must park protocol traffic until its hook turns a control message into an
-// installable state, then replay to the reference outcome.
+// announces itself to the coordinator and drops protocol traffic of the
+// slot's previous occupant, until the coordinator's ResumeMsg hands it the
+// slot's replica: it installs that under the resume's epoch, checkpoints it
+// as its own and replicates it, and re-enters the round loop. A ResumeMsg
+// from anyone but the coordinator is dropped.
 func TestSessionRejoinInstallsControlState(t *testing.T) {
-	ref, states := runSolo(t, 11)
-	corpus, _ := miniCorpus(t, 6)
-	tr := p2p.NewChanTransport(1)
-	defer tr.Close()
-	part := EqualPartition(len(corpus.Transactions), 1, 11)
-	st := states[len(states)-1]
-	p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) {
-		cfg.Seed = 11
-		cfg.Rejoin = true
-		cfg.Hooks = &testHooks{onControl: func(env p2p.Envelope) (*SessionState, error) {
-			if _, ok := env.Payload.(testCtl); ok {
-				return st, nil
+	corpus := fabricCorpus()
+	opts := fabricOpts(corpus, 2)
+	ref := newFabricSim(t, corpus, opts)
+	if ref.drain(); !ref.finished() {
+		t.Fatal("the reference session stalls")
+	}
+	replica := ref.stores[1].states(t, 1)[1]
+
+	cfg := peerConfig(ref.cx, corpus, opts, &ref.start, 1)
+	cfg.Fabric, cfg.Rejoin = &Fabric{Store: memStore{}, Fingerprint: 42}, true
+	s, outs := newMachine(&cfg, 2)
+	if len(outs) != 2 || outs[0] != (send{to: 0, phase: PhaseRejoin, payload: JoinMsg{Slot: 1, Fingerprint: 42}, control: true}) ||
+		outs[1] != (armTimer{startup: true}) {
+		t.Fatalf("a joiner opens with %v", outs)
+	}
+	// A timer that fires before the admission re-announces the join: the
+	// first announcement may have met a coordinator not listening yet.
+	if outs := s.Step(timeout{}); len(outs) != 2 || outs[0].(send).payload != (JoinMsg{Slot: 1, Fingerprint: 42}) {
+		t.Fatalf("a joiner's timeout yields %v, want the join re-announced", outs)
+	}
+	rep := toWire(corpus.Items, corpus.Transactions[0])
+	resume := ResumeMsg{Epoch: 1, Round: 1, Joined: []int{1}, Fingerprint: 42, State: replica}
+	for _, env := range []p2p.Envelope{
+		{From: 0, Payload: GlobalRepsMsg{From: 0, Round: 3, Reps: map[int]WireTxn{0: rep}}},
+		{From: 1, Epoch: p2p.EpochAny, Payload: resume},
+	} {
+		if outs := s.Step(env); len(outs) != 0 || s.phase != PhaseRejoin {
+			t.Fatalf("%T from %d: %v in %s", env.Payload, env.From, outs, s.phase)
+		}
+	}
+	if s.fab.dropped != 1 {
+		t.Errorf("dropped %d control messages, want 1", s.fab.dropped)
+	}
+	outs = s.Step(p2p.Envelope{From: 0, Epoch: p2p.EpochAny, Payload: resume})
+	if s.epoch != 1 || s.round != 1 || s.phase != PhaseBroadcastGlobals || s.fab.joining {
+		t.Fatalf("after the resume: epoch %d round %d %s joining %v", s.epoch, s.round, s.phase, s.fab.joining)
+	}
+	var saved, replicated, restored bool
+	for _, o := range outs {
+		switch o := o.(type) {
+		case checkpoint:
+			saved = o.st.Round == 1 && o.st.Epoch == 1
+		case send:
+			if _, ok := o.payload.(CheckpointMsg); ok && o.control {
+				replicated = true
 			}
-			return nil, nil
-		}}
-	})
-	if err := tr.Send(0, 0, testCtl{N: 1}); err != nil {
-		t.Fatal(err)
+		case Event:
+			restored = restored || o.Kind == EventRestore && o.Epoch == 1
+		}
 	}
-	res, err := p.RunSession(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(res.Assign, ref.Assign) || !cluster.RepsEqual(res.Reps, ref.Reps) {
-		t.Fatal("rejoined session diverged from the reference outcome")
+	if !saved || !replicated || !restored {
+		t.Errorf("after the resume: checkpointed %v, replicated %v, restored %v", saved, replicated, restored)
 	}
 }
 
-// TestSessionRejoinWithoutHooksFails: PhaseRejoin without a fabric layer
-// can never terminate; the session must reject the configuration.
+// TestSessionRejoinWithoutHooksFails: PhaseRejoin without the fabric can
+// never terminate; the session must reject the configuration.
 func TestSessionRejoinWithoutHooksFails(t *testing.T) {
 	corpus, _ := miniCorpus(t, 2)
 	tr := p2p.NewChanTransport(1)
@@ -232,25 +207,18 @@ func TestSessionRejoinWithoutHooksFails(t *testing.T) {
 
 // TestSessionEpochFiltering: protocol traffic from an older membership
 // epoch is dropped, newer traffic parked until the session catches up;
-// epoch-less control frames pass regardless.
+// control frames pass regardless of their stamp.
 func TestSessionEpochFiltering(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
 	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
-	ctlSeen := 0
 	p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) {
-		cfg.Epoch = 1
-		cfg.Hooks = &testHooks{onControl: func(env p2p.Envelope) (*SessionState, error) {
-			ctlSeen++
-			return nil, nil
-		}}
+		cfg.Fabric = &Fabric{Store: memStore{}, Fingerprint: 42}
 	})
 	st := newStepper(p, p.cfg.Transport.Peers())
 	s := st.s
-	if s.epoch != 1 {
-		t.Fatalf("session epoch = %d, want 1", s.epoch)
-	}
+	s.epoch = 1
 	rep := toWire(corpus.Items, corpus.Transactions[part[1][0]])
 	// Stale (epoch 0), future (epoch 2) and a control message precede the
 	// coordinator's current-epoch StartMsg.
@@ -262,7 +230,7 @@ func TestSessionEpochFiltering(t *testing.T) {
 	if err := tr.Send(1, 0, GlobalRepsMsg{From: 1, Round: 5, Reps: map[int]WireTxn{1: rep}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Send(1, 0, testCtl{N: 7}); err != nil {
+	if err := tr.Send(1, 0, CheckpointMsg{Slot: 1, Fingerprint: 42, State: SessionState{Round: 3}}); err != nil {
 		t.Fatal(err)
 	}
 	tr.SetEpoch(0, 1)
@@ -279,8 +247,8 @@ func TestSessionEpochFiltering(t *testing.T) {
 	if len(s.pendFuture) != 1 || s.pendFuture[0].Epoch != 2 {
 		t.Errorf("future-epoch envelope not parked: %+v", s.pendFuture)
 	}
-	if ctlSeen != 1 {
-		t.Errorf("control hook saw %d messages, want 1", ctlSeen)
+	if s.fab.latest[1] != 3 {
+		t.Errorf("the epoch-2 replica was not taken: slot 1's latest round is %d, want 3", s.fab.latest[1])
 	}
 	// Once the session advances to epoch 2, the parked envelope surfaces.
 	s.epoch = 2
@@ -290,33 +258,27 @@ func TestSessionEpochFiltering(t *testing.T) {
 	}
 }
 
-// TestSessionDeadlineHookExtends: with fabric hooks the deadline expiry is
-// a failure-detection event, not an immediate session failure — the hook
-// may grant extra windows before giving up with its own error.
+// TestSessionDeadlineHookExtends: under the fabric a deadline expiry is a
+// failure-detection event, not an immediate session failure — the session
+// grants RecoveryWindows extra windows before it gives up with
+// ErrRecoveryTimeout.
 func TestSessionDeadlineHookExtends(t *testing.T) {
 	corpus, _ := miniCorpus(t, 2)
 	tr := p2p.NewChanTransport(1)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 1, 1)
-	wantErr := errors.New("suspect confirmed dead")
-	calls := 0
 	p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) {
 		cfg.RoundTimeout = 30 * time.Millisecond
-		cfg.Hooks = &testHooks{onDeadline: func(phase Phase, round int) (*SessionState, error) {
-			calls++
-			if calls < 3 {
-				return nil, nil
-			}
-			return nil, wantErr
-		}}
+		cfg.Fabric = &Fabric{Store: memStore{}, RecoveryWindows: 2}
 	})
 	// No StartMsg ever arrives: the startup wait must expire three times.
+	t0 := time.Now()
 	_, err := p.RunSession(context.Background())
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("want the hook's error, got %v", err)
+	if !errors.Is(err, ErrRecoveryTimeout) || !strings.Contains(err.Error(), "through 3 windows") {
+		t.Fatalf("want ErrRecoveryTimeout after 3 windows, got %v", err)
 	}
-	if calls != 3 {
-		t.Errorf("deadline hook called %d times, want 3", calls)
+	if d := time.Since(t0); d < 90*time.Millisecond {
+		t.Errorf("gave up after %v, before three 30ms windows", d)
 	}
 }
 
@@ -324,8 +286,7 @@ func TestSessionDeadlineHookExtends(t *testing.T) {
 // a checkpoint file, a streamed join state — and its numbers index slices and
 // the interning table. One corruption per field: every one must come back as
 // ErrUnexpectedMessage before anything is assigned (no panic, the session
-// exactly as it was), from RunSession's Initial install and from a rollback
-// alike.
+// exactly as it was), from a restore and from a rollback alike.
 func TestSessionInstallVetsState(t *testing.T) {
 	_, states := runSolo(t, 11)
 	good := states[len(states)-1]
@@ -372,9 +333,11 @@ func TestSessionInstallVetsState(t *testing.T) {
 		c.corrupt(bad)
 
 		tr := p2p.NewChanTransport(1)
-		p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) { cfg.Seed, cfg.Initial = 11, bad })
-		if _, err := p.RunSession(context.Background()); !errors.Is(err, ErrUnexpectedMessage) {
-			t.Errorf("%s: RunSession returned %v, want an error wrapping ErrUnexpectedMessage", c.name, err)
+		outs := newSession(testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) {
+			cfg.Fabric = &Fabric{Store: memStore{}}
+		})).Step(loaded{bad})
+		if d, ok := outs[len(outs)-1].(done); !ok || !errors.Is(d.err, ErrUnexpectedMessage) {
+			t.Errorf("%s: a restore ended with %v, want an error wrapping ErrUnexpectedMessage", c.name, outs)
 		}
 
 		// Mid-run: a session that holds a good state keeps all of it.

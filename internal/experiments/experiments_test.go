@@ -114,6 +114,48 @@ func TestAverageF(t *testing.T) {
 	}
 }
 
+// TestAverageFRange: a two-seed cell bounds its mean F and trash fraction
+// by the runs' own minimum and maximum, and the table prints the bounds
+// beside the means.
+func TestAverageFRange(t *testing.T) {
+	spec := RunSpec{
+		Dataset: "DBLP", Kind: dataset.ByHybrid, F: 0.5, Gamma: 0.8,
+		Peers: 3, Docs: 48, MaxTuples: 16,
+	}
+	var runs []RunResult
+	for _, seed := range []int64{1, 2} {
+		spec.Seed = seed
+		r, err := Execute(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, r)
+	}
+	agg, err := AverageF(spec, []float64{0.5}, []int64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.FMin != min(runs[0].F, runs[1].F) || agg.FMax != max(runs[0].F, runs[1].F) ||
+		agg.TrashMin != min(runs[0].Trash, runs[1].Trash) || agg.TrashMax != max(runs[0].Trash, runs[1].Trash) {
+		t.Errorf("cell bounds F %v..%v, trash %v..%v; the runs have F %v, %v and trash %v, %v",
+			agg.FMin, agg.FMax, agg.TrashMin, agg.TrashMax, runs[0].F, runs[1].F, runs[0].Trash, runs[1].Trash)
+	}
+	if !(agg.FMin <= agg.F && agg.F <= agg.FMax) || !(agg.TrashMin <= agg.Trash && agg.Trash <= agg.TrashMax) {
+		t.Errorf("a mean outside its bounds: F %v in %v..%v, trash %v in %v..%v",
+			agg.F, agg.FMin, agg.FMax, agg.Trash, agg.TrashMin, agg.TrashMax)
+	}
+	var sb strings.Builder
+	(&TableResult{Rows: []TableRow{{Dataset: "DBLP", K: agg.K, M: 3, F: agg.F, Trash: agg.Trash,
+		FMin: agg.FMin, FMax: agg.FMax, TrashMin: agg.TrashMin, TrashMax: agg.TrashMax, Runs: 2}}}).Write(&sb)
+	for _, bounds := range []string{
+		fmt.Sprintf("%.3f-%.3f", agg.FMin, agg.FMax), fmt.Sprintf("%.3f-%.3f", agg.TrashMin, agg.TrashMax),
+	} {
+		if !strings.Contains(sb.String(), bounds) {
+			t.Errorf("bounds %s not printed:\n%s", bounds, sb.String())
+		}
+	}
+}
+
 func TestFig7Driver(t *testing.T) {
 	res, err := Fig7("DBLP", tinyScale())
 	if err != nil {

@@ -7,6 +7,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -95,6 +96,9 @@ type RunResult struct {
 	// Capped counts the runs core.Result.Capped calls capped, of the Runs
 	// averaged (1 for Execute).
 	Capped, Runs int
+	// FMin, FMax, TrashMin and TrashMax bound F and Trash over the Runs
+	// averaged (the run's own values for Execute).
+	FMin, FMax, TrashMin, TrashMax float64
 }
 
 // corpusKey caches prepared corpora across runs: corpus construction and
@@ -222,11 +226,16 @@ func ExecuteCtx(ctx context.Context, spec RunSpec) (RunResult, error) {
 	for i := range res.Peers {
 		computeSum += res.Peers[i].TotalCompute()
 	}
+	f, trash := cont.FMeasure(), eval.TrashFraction(pc.labels, res.Assign)
 	return RunResult{
-		F:         cont.FMeasure(),
+		F:         f,
+		FMin:      f,
+		FMax:      f,
 		Purity:    cont.Purity(),
 		NMI:       cont.NMI(),
-		Trash:     eval.TrashFraction(pc.labels, res.Assign),
+		Trash:     trash,
+		TrashMin:  trash,
+		TrashMax:  trash,
 		Rounds:    res.Rounds,
 		Capped:    capped,
 		Runs:      1,
@@ -253,7 +262,7 @@ func AverageF(spec RunSpec, fs []float64, seeds []int64) (RunResult, error) {
 	if len(fs) == 0 || len(seeds) == 0 {
 		return RunResult{}, fmt.Errorf("experiments: need at least one f and one seed")
 	}
-	var agg RunResult
+	agg := RunResult{FMin: math.Inf(1), FMax: math.Inf(-1), TrashMin: math.Inf(1), TrashMax: math.Inf(-1)}
 	for _, f := range fs {
 		for _, seed := range seeds {
 			s := spec
@@ -264,6 +273,8 @@ func AverageF(spec RunSpec, fs []float64, seeds []int64) (RunResult, error) {
 				return RunResult{}, err
 			}
 			agg.F += r.F
+			agg.FMin, agg.FMax = min(agg.FMin, r.F), max(agg.FMax, r.F)
+			agg.TrashMin, agg.TrashMax = min(agg.TrashMin, r.Trash), max(agg.TrashMax, r.Trash)
 			agg.Purity += r.Purity
 			agg.NMI += r.NMI
 			agg.Trash += r.Trash

@@ -1,3 +1,15 @@
+// Package fabric holds what the elastic peer fabric keeps outside the
+// session machine: the checkpoint Store, the run fingerprint that guards it
+// (ConfigFingerprint), and the Metrics a fabric session's events feed.
+//
+// The fabric's decisions (checkpoint, replicate, leave, admit a join, roll
+// back, suspect a peer) are a policy of the session machine, turned on by
+// core.Fabric, and its control messages are core's; RunSession's driver does
+// its I/O against a Store. Because the protocol is deterministic given
+// (corpus, partition, seed, k, f, γ), a session that loses a peer mid-round
+// and recovers replays to final assignments and representatives
+// byte-identical to an uninterrupted run — the equivalence the recovery
+// tests enforce.
 package fabric
 
 import (
@@ -15,9 +27,8 @@ import (
 // Typed checkpoint failures, matched with errors.Is.
 var (
 	// ErrCheckpointMismatch reports a checkpoint written under a different
-	// run configuration (k, f, γ, seed, corpus, partition or peer count):
-	// restoring it would replay a different protocol and diverge silently.
-	ErrCheckpointMismatch = errors.New("fabric: checkpoint configuration mismatch")
+	// run configuration (see core.ErrCheckpointMismatch).
+	ErrCheckpointMismatch = core.ErrCheckpointMismatch
 	// ErrNoCheckpoint reports that no restorable checkpoint exists for the
 	// requested slot (or round).
 	ErrNoCheckpoint = errors.New("fabric: no checkpoint")

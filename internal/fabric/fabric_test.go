@@ -58,21 +58,6 @@ func fabricCorpusWith(t testing.TB, docs int, seed int64, word func(string) stri
 	return corpus
 }
 
-// hookFns adapts closures to core.Hooks (nil fields are pass-through).
-type hookFns struct {
-	boundary func(st *core.SessionState) (*core.SessionState, error)
-}
-
-func (h *hookFns) RoundBoundary(st *core.SessionState) (*core.SessionState, error) {
-	if h.boundary != nil {
-		return h.boundary(st)
-	}
-	return nil, nil
-}
-func (h *hookFns) Control(env p2p.Envelope) (*core.SessionState, error)          { return nil, nil }
-func (h *hookFns) Deadline(ph core.Phase, round int) (*core.SessionState, error) { return nil, nil }
-func (h *hookFns) SendFailed(to, round int, err error) error                     { return err }
-
 func gobBytes(t *testing.T, st *core.SessionState) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -82,128 +67,175 @@ func gobBytes(t *testing.T, st *core.SessionState) []byte {
 	return buf.Bytes()
 }
 
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+var errTestCrash = errors.New("fabric test: simulated crash")
+
+// crashStore fails the first checkpoint at or past round: the process dies
+// at that boundary, before the checkpoint is written.
+type crashStore struct {
+	*Store
+	round int
+	crash func()
 }
 
-// runPair runs an m-peer in-process session over a channel transport,
-// capturing every peer's round-boundary states. When initials is non-nil
-// the peers install those states instead of waiting for a StartMsg.
-func runPair(t *testing.T, corpus *txn.Corpus, part [][]int, k int, initials []*core.SessionState) ([]*core.SessionResult, [][]*core.SessionState) {
-	t.Helper()
-	m := len(part)
-	tr := p2p.NewChanTransport(m)
-	defer tr.Close()
-	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
-	states := make([][]*core.SessionState, m)
-	peers := make([]*core.Peer, m)
-	for id := 0; id < m; id++ {
-		id := id
-		local := make([]*txn.Transaction, len(part[id]))
-		for j, idx := range part[id] {
-			local[j] = corpus.Transactions[idx]
+func (c crashStore) Save(slot int, fp uint64, st *core.SessionState) error {
+	if st.Round >= c.round {
+		if c.crash != nil {
+			c.crash()
 		}
-		cfg := core.PeerConfig{
-			ID: id, Ctx: cx, Local: local, Transport: tr,
-			Sizer: core.Sizer(corpus.Items), Seed: 1 + int64(id),
-			Hooks: &hookFns{boundary: func(st *core.SessionState) (*core.SessionState, error) {
-				states[id] = append(states[id], st)
-				return nil, nil
-			}},
-		}
-		if initials != nil {
-			cfg.Initial = initials[id]
-		}
-		peers[id] = core.NewPeer(cfg)
+		return errTestCrash
 	}
-	if initials == nil {
-		start := core.StartMsg{Zs: core.ResponsibilityPartition(k, m), K: k, F: 0.5, Gamma: 0.6}
-		for i := 0; i < m; i++ {
-			if err := tr.Send(0, i, start); err != nil {
-				t.Fatal(err)
-			}
-		}
+	return c.Store.Save(slot, fp, st)
+}
+
+// local returns the transactions of partition part id.
+func local(corpus *txn.Corpus, part []int) []*txn.Transaction {
+	out := make([]*txn.Transaction, len(part))
+	for j, idx := range part {
+		out[j] = corpus.Transactions[idx]
 	}
-	results := make([]*core.SessionResult, m)
-	errs := make([]error, m)
+	return out
+}
+
+// chanPeer configures peer id of an in-process fabric session over tr.
+func chanPeer(corpus *txn.Corpus, part [][]int, tr p2p.Transport, id int, store core.Checkpoints) core.PeerConfig {
+	return core.PeerConfig{
+		ID: id, Ctx: sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6}), Local: local(corpus, part[id]),
+		Transport: tr, Sizer: core.Sizer(corpus.Items), Seed: 1 + int64(id),
+		RoundTimeout: 200 * time.Millisecond,
+		Fabric:       &core.Fabric{Store: store, Fingerprint: 0xabcde},
+	}
+}
+
+// runChan runs the sessions of cfgs concurrently (cfgs[i] is peer i, or
+// nil if the test runs it itself) after N0's StartMsg for k clusters.
+func runChan(tr p2p.Transport, k int, cfgs []*core.PeerConfig) ([]*core.SessionResult, []error) {
+	m := len(cfgs)
+	start := core.StartMsg{Zs: core.ResponsibilityPartition(k, m), K: k, F: 0.5, Gamma: 0.6}
+	results, errs := make([]*core.SessionResult, m), make([]error, m)
 	var wg sync.WaitGroup
-	for id := 0; id < m; id++ {
+	for id, cfg := range cfgs {
+		tr.Send(0, id, start)
+		if cfg == nil {
+			continue
+		}
 		wg.Add(1)
-		go func(id int) {
+		go func() {
 			defer wg.Done()
-			results[id], errs[id] = peers[id].RunSession(context.Background())
-		}(id)
+			results[id], errs[id] = core.NewPeer(*cfg).RunSession(context.Background())
+		}()
 	}
 	wg.Wait()
-	for id, err := range errs {
-		if err != nil {
-			t.Fatalf("peer %d: %v", id, err)
-		}
-	}
-	return results, states
+	return results, errs
 }
 
 // TestCheckpointRestoreEveryBoundary is the fabric's determinism property
-// test: persisting the session state through the Store at EVERY round
-// boundary of a tie-heavy session and restarting both peers from the
-// restored states replays the remaining session to byte-identical output.
-// The store round-trip itself must be byte-stable under gob.
+// test: a 3-peer fabric session of a tie-heavy corpus is checkpointed
+// through the Store at EVERY round boundary, each checkpoint is byte-stable
+// across a store round trip, and for every boundary a run in which slot 2
+// dies at the next boundary recovers there: the coordinator installs its
+// own state, slot 1 restores its checkpoint file, a joiner installs slot
+// 2's replica, and the session ends byte-identical to the uninterrupted one.
 func TestCheckpointRestoreEveryBoundary(t *testing.T) {
 	corpus := fabricCorpus(t, 24, 5)
-	const k = 3
-	part := core.EqualPartition(len(corpus.Transactions), 2, 5)
-	ref, states := runPair(t, corpus, part, k, nil)
+	const k, m, fp = 3, 3, 0xabcde
+	part := core.EqualPartition(len(corpus.Transactions), m, 5)
+	stores := make([]*Store, m)
+	cfgs := make([]*core.PeerConfig, m)
+	tr := p2p.NewChanTransport(m)
+	for id := range cfgs {
+		var err error
+		if stores[id], err = NewStore(t.TempDir()); err != nil {
+			t.Fatal(err)
+		}
+		cfg := chanPeer(corpus, part, tr, id, stores[id])
+		cfgs[id] = &cfg
+	}
+	ref, errs := runChan(tr, k, cfgs)
+	tr.Close()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
 	refDigest := core.RepsDigest(corpus.Items, ref[0].Reps)
 
-	store, err := NewStore(t.TempDir())
+	again, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const fp = 0xabcde
-	common := len(states[0])
-	if len(states[1]) < common {
-		common = len(states[1])
+	boundaries := 0
+	for ; ; boundaries++ {
+		st, err := stores[0].Load(0, boundaries, fp)
+		if errors.Is(err, ErrNoCheckpoint) {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if err := again.Save(0, fp, st); err != nil {
+			t.Fatal(err)
+		}
+		back, err := again.Load(0, st.Round, fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gobBytes(t, st), gobBytes(t, back)) {
+			t.Fatalf("round %d: state changed across the store round-trip", st.Round)
+		}
 	}
-	if common < 2 {
-		t.Fatalf("only %d round boundaries; corpus converges too fast for the property", common)
+	if boundaries < 2 {
+		t.Fatalf("only %d round boundaries; corpus converges too fast for the property", boundaries)
 	}
-	for r := 0; r < common; r++ {
-		initials := make([]*core.SessionState, 2)
-		for id := 0; id < 2; id++ {
-			st := states[id][r]
-			if err := store.Save(id, fp, st); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := store.Load(id, st.Round, fp)
+	// A checkpoint from a differently configured run must refuse to load.
+	if _, err := stores[0].Load(0, 0, fp+1); !errors.Is(err, ErrCheckpointMismatch) {
+		t.Fatalf("want ErrCheckpointMismatch, got %v", err)
+	}
+
+	for r := 0; r+1 < boundaries; r++ {
+		tr := p2p.NewChanTransport(m)
+		cfgs := make([]*core.PeerConfig, m)
+		crashed := make(chan struct{})
+		for id := range cfgs {
+			store, err := NewStore(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(gobBytes(t, st), gobBytes(t, loaded)) {
-				t.Fatalf("peer %d round %d: state changed across the store round-trip", id, r)
+			cfg := chanPeer(corpus, part, tr, id, store)
+			if id == 2 {
+				cfg.Fabric.Store = crashStore{Store: store, round: r + 1, crash: func() { close(crashed) }}
 			}
-			initials[id] = loaded
+			cfgs[id] = &cfg
 		}
-		res, _ := runPair(t, corpus, part, k, initials)
-		for id := 0; id < 2; id++ {
-			if !intsEqual(res[id].Assign, ref[id].Assign) {
-				t.Fatalf("restore at boundary %d: peer %d assignments diverged", r, id)
+		var joined *core.SessionResult
+		var joinErr error
+		joinDone := make(chan struct{})
+		go func() {
+			defer close(joinDone)
+			<-crashed
+			store, err := NewStore(t.TempDir())
+			if err != nil {
+				joinErr = err
+				return
+			}
+			cfg := chanPeer(corpus, part, tr, 2, store)
+			cfg.Rejoin, cfg.StartupTimeout = true, cfg.RoundTimeout
+			joined, joinErr = core.NewPeer(cfg).RunSession(context.Background())
+		}()
+		res, errs := runChan(tr, k, cfgs)
+		if !errors.Is(errs[2], errTestCrash) {
+			t.Fatalf("boundary %d: slot 2 ended with %v, want the simulated crash", r, errs[2])
+		}
+		<-joinDone
+		tr.Close()
+		if err := errors.Join(errs[0], errs[1], joinErr); err != nil {
+			t.Fatalf("boundary %d: %v", r, err)
+		}
+		res[2] = joined
+		for id := range res {
+			if !slices.Equal(res[id].Assign, ref[id].Assign) {
+				t.Fatalf("recovery at boundary %d: peer %d assignments diverged", r, id)
+			}
+			if d := core.RepsDigest(corpus.Items, res[id].Reps); d != refDigest {
+				t.Fatalf("recovery at boundary %d: peer %d representatives diverged (%016x vs %016x)", r, id, d, refDigest)
 			}
 		}
-		if d := core.RepsDigest(corpus.Items, res[0].Reps); d != refDigest {
-			t.Fatalf("restore at boundary %d: representatives diverged (%016x vs %016x)", r, d, refDigest)
-		}
-	}
-	// A checkpoint from a differently configured run must refuse to load.
-	if _, err := store.Load(0, states[0][0].Round, fp+1); !errors.Is(err, ErrCheckpointMismatch) {
-		t.Fatalf("want ErrCheckpointMismatch, got %v", err)
 	}
 }
 
@@ -214,59 +246,44 @@ func TestCheckpointRestoreEveryBoundary(t *testing.T) {
 // core.ErrUnexpectedMessage — not panic it inside re-conflation.
 func TestCorruptCheckpointSurfacesOnRestore(t *testing.T) {
 	corpus := fabricCorpus(t, 24, 5)
-	part := core.EqualPartition(len(corpus.Transactions), 1, 5)
-	_, states := runPair(t, corpus, part, 3, nil)
-	st := states[0][len(states[0])-1]
-	st.Global[0] = core.WireTxn{Items: []txn.ItemID{txn.ItemID(corpus.Items.Len() + 1<<20)}}
-
+	part := core.EqualPartition(len(corpus.Transactions), 2, 5)
+	const fp = 0xabcde
 	store, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Save(0, 7, st); err != nil {
+	tr := p2p.NewChanTransport(2)
+	defer tr.Close()
+	cfgs := make([]*core.PeerConfig, 2)
+	for id := range cfgs {
+		cfg := chanPeer(corpus, part, tr, id, store)
+		cfgs[id] = &cfg
+	}
+	if _, errs := runChan(tr, 3, cfgs); errors.Join(errs...) != nil {
+		t.Fatal(errors.Join(errs...))
+	}
+	st, err := store.Load(1, 0, fp)
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := store.Load(0, st.Round, 7)
-	if err != nil {
+	st.Global[0] = core.WireTxn{Items: []txn.ItemID{txn.ItemID(corpus.Items.Len() + 1<<20)}}
+	if err := store.Save(1, fp, st); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Load(1, 0, fp); err != nil {
 		t.Fatalf("the store vouches for fingerprint and slot only, yet Load failed: %v", err)
 	}
-	tr := p2p.NewChanTransport(1)
-	defer tr.Close()
-	local := make([]*txn.Transaction, len(part[0]))
-	for j, idx := range part[0] {
-		local[j] = corpus.Transactions[idx]
+	// Peer 1 awaits a StartMsg; the coordinator's resume rolls it back to
+	// the corrupt round 0 instead.
+	if err := tr.SendStamped(0, 1, p2p.EpochAny, core.ResumeMsg{Epoch: 1, Round: 0, Fingerprint: fp}); err != nil {
+		t.Fatal(err)
 	}
-	peer := core.NewPeer(core.PeerConfig{
-		ID: 0, Ctx: sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6}), Local: local, Transport: tr,
-		Sizer: core.Sizer(corpus.Items), Seed: 1, Hooks: &hookFns{}, Initial: loaded,
-	})
-	if _, err := peer.RunSession(context.Background()); !errors.Is(err, core.ErrUnexpectedMessage) {
+	if _, err := core.NewPeer(*cfgs[1]).RunSession(context.Background()); !errors.Is(err, core.ErrUnexpectedMessage) {
 		t.Fatalf("restore from a corrupt checkpoint returned %v, want an error wrapping core.ErrUnexpectedMessage", err)
 	}
 }
 
 // ---------------------------------------------------------------- recovery
-
-var errTestCrash = errors.New("fabric test: simulated crash")
-
-// crashAfter wraps the fabric hooks of the victim: at the given round
-// boundary it kills the peer's transport (so survivors see dead-neighbour
-// send failures, like a SIGKILL) and fails the session.
-type crashAfter struct {
-	*Peer
-	round   int
-	node    *p2p.Node
-	crashed chan struct{}
-}
-
-func (c *crashAfter) RoundBoundary(st *core.SessionState) (*core.SessionState, error) {
-	if st.Round >= c.round {
-		c.node.Close()
-		close(c.crashed)
-		return nil, errTestCrash
-	}
-	return c.Peer.RoundBoundary(st)
-}
 
 // buildNodes starts m loopback nodes with a shared address table.
 func buildNodes(t *testing.T, m int) ([]*p2p.Node, []string) {
@@ -362,9 +379,11 @@ func testRecovery(t *testing.T, tc recoveryCase) {
 		dirs[i] = t.TempDir()
 	}
 
+	coordinator := make(chan *Metrics, 1)
 	// runPeer is one OS process of the deployment: its own corpus, its own
-	// similarity context, its own StartMsg and fingerprint.
-	runPeer := func(id int, corpus *txn.Corpus, node *p2p.Node, dir string, wrap func(*Peer) core.Hooks, join bool) (*core.PeerResult, *Peer, error) {
+	// similarity context, its own StartMsg and fingerprint. wrap may stand
+	// in for its store, and observe its events.
+	runPeer := func(id int, corpus *txn.Corpus, node *p2p.Node, dir string, wrap func(*core.Options), join bool) (*core.PeerResult, *Metrics, error) {
 		cx := sim.NewContext(corpus, params)
 		o := opts
 		o.Transport, o.Rejoin = node, join
@@ -373,41 +392,55 @@ func testRecovery(t *testing.T, tc recoveryCase) {
 		if err != nil {
 			return nil, nil, err
 		}
-		fab, err := NewPeer(Config{
-			ID: id, Transport: node, Store: store,
-			Fingerprint: ConfigFingerprint(k, m, params.F, params.Gamma, seed, start.Txns, start.PartitionHash),
-		})
-		if err != nil {
-			return nil, nil, err
+		metrics := NewMetrics(node)
+		if id == 0 && !join {
+			coordinator <- metrics
 		}
-		o.Hooks = wrap(fab)
+		o.Observer = metrics.Observe
+		o.Fabric = &core.Fabric{
+			Store:       store,
+			Fingerprint: ConfigFingerprint(k, m, params.F, params.Gamma, seed, start.Txns, start.PartitionHash),
+		}
 		if join {
 			// A joiner waits for its admission in round-timeout windows,
 			// like any stalled peer, and gives up after its recovery windows.
 			o.StartupTimeout = roundTimeout
-			if err := fab.SendJoin(); err != nil {
-				return nil, fab, err
-			}
 		}
+		wrap(&o)
 		res, err := core.RunPeer(context.Background(), cx, corpus, o, start, id)
-		return res, fab, err
+		return res, metrics, err
 	}
 
 	lost := make(chan struct{})
-	coordinator := make(chan *Peer, 1)
 	results := make([]*core.PeerResult, m)
 	errs := make([]error, m)
 	var wg sync.WaitGroup
 	for id := 0; id < m; id++ {
-		wrap := func(fab *Peer) core.Hooks { return fab }
+		wrap := func(*core.Options) {}
 		switch {
-		case id == 0:
-			wrap = func(fab *Peer) core.Hooks { coordinator <- fab; return fab }
 		case id == victim && tc.leave:
-			wrap = func(fab *Peer) core.Hooks { return &leaveAt{Peer: fab, round: lossRound} }
+			// Leave at the loss round's boundary: the request goes in
+			// during the round before it.
+			wrap = func(o *core.Options) {
+				leave := make(chan struct{})
+				o.Fabric.Leave = leave
+				observe := o.Observer
+				o.Observer = func(ev core.Event) {
+					observe(ev)
+					if ev.Kind == core.EventRoundStart && ev.Round == lossRound-1 {
+						close(leave)
+					}
+				}
+			}
 		case id == victim:
-			wrap = func(fab *Peer) core.Hooks {
-				return &crashAfter{Peer: fab, round: lossRound, node: nodes[victim], crashed: lost}
+			// Crash at the loss round's boundary, before its checkpoint: the
+			// transport dies with the process, so survivors see
+			// dead-neighbour send failures, like after a SIGKILL.
+			wrap = func(o *core.Options) {
+				o.Fabric.Store = crashStore{Store: o.Fabric.Store.(*Store), round: lossRound, crash: func() {
+					nodes[victim].Close()
+					close(lost)
+				}}
 			}
 		}
 		wg.Add(1)
@@ -439,7 +472,7 @@ func testRecovery(t *testing.T, tc recoveryCase) {
 		// the join is admitted when its deadline fires, with every slot's
 		// replica of that round in: the barrier is then the leave round.
 		coord := <-coordinator
-		for coord.Metrics().Snapshot().Rounds <= lossRound {
+		for coord.Snapshot().Rounds <= lossRound {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
@@ -478,8 +511,14 @@ func testRecovery(t *testing.T, tc recoveryCase) {
 			resumedAt, resumedRound = time.Now(), round
 		}
 	}
-	res2, fab2, err2 := runPeer(victim, corpus2, node2, dir2, func(fab *Peer) core.Hooks {
-		return &hookWrap{Peer: fab, onBoundary: onBoundary}
+	res2, metrics2, err2 := runPeer(victim, corpus2, node2, dir2, func(o *core.Options) {
+		observe := o.Observer
+		o.Observer = func(ev core.Event) {
+			observe(ev)
+			if ev.Kind == core.EventRoundStart {
+				onBoundary(ev.Round)
+			}
+		}
 	}, true)
 	if tc.divergent {
 		node2.Close()
@@ -490,7 +529,7 @@ func testRecovery(t *testing.T, tc recoveryCase) {
 		if err2 == nil {
 			t.Fatal("the replacement on a divergent corpus completed the session")
 		}
-		if snap := fab2.Metrics().Snapshot(); snap.CheckpointsRestored != 0 || snap.Epoch != 0 || !resumedAt.IsZero() {
+		if snap := metrics2.Snapshot(); snap.CheckpointsRestored != 0 || snap.Epoch != 0 || !resumedAt.IsZero() {
 			t.Errorf("the replacement on a divergent corpus was admitted: %+v", snap)
 		}
 		if errs[0] == nil {
@@ -511,7 +550,7 @@ func testRecovery(t *testing.T, tc recoveryCase) {
 	if results[0] == nil || results[0].Global == nil {
 		t.Fatal("coordinator produced no corpus-wide assignment")
 	}
-	if !intsEqual(results[0].Global, ref.Assign) {
+	if !slices.Equal(results[0].Global, ref.Assign) {
 		t.Fatal("recovered run diverged from the uninterrupted reference in assignments")
 	}
 	for _, pr := range []*core.PeerResult{results[0], results[1], results[3], res2} {
@@ -538,35 +577,11 @@ func testRecovery(t *testing.T, tc recoveryCase) {
 		t.Errorf("recovery took %v, above the 2× round-timeout bound (%v)", recovery, 2*roundTimeout)
 	}
 
-	snap := fab2.Metrics().Snapshot()
+	snap := metrics2.Snapshot()
 	if snap.CheckpointsRestored < 1 {
 		t.Errorf("replacement restored %d checkpoints, want ≥ 1", snap.CheckpointsRestored)
 	}
 	if snap.Epoch < 1 {
 		t.Errorf("replacement still at epoch %d, want ≥ 1", snap.Epoch)
 	}
-}
-
-// leaveAt requests a graceful leave on reaching the given round boundary.
-type leaveAt struct {
-	*Peer
-	round int
-}
-
-func (l *leaveAt) RoundBoundary(st *core.SessionState) (*core.SessionState, error) {
-	if st.Round >= l.round {
-		l.RequestLeave()
-	}
-	return l.Peer.RoundBoundary(st)
-}
-
-// hookWrap forwards to the fabric peer, additionally observing boundaries.
-type hookWrap struct {
-	*Peer
-	onBoundary func(round int)
-}
-
-func (h *hookWrap) RoundBoundary(st *core.SessionState) (*core.SessionState, error) {
-	h.onBoundary(st.Round)
-	return h.Peer.RoundBoundary(st)
 }

@@ -5,21 +5,45 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
+
+	"xmlclust/internal/core"
+	"xmlclust/internal/p2p"
 )
 
 // Metrics is the fabric's per-peer observability surface: monotonic counters
-// updated lock-free from the session goroutine, read from an optional debug
-// HTTP listener (cxkpeer -debug-addr) mirroring cxkserve's /v1/stats.
+// fed by the session's events (Observe) on the session goroutine, read from
+// an optional debug HTTP listener (cxkpeer -debug-addr) mirroring cxkserve's
+// /v1/stats.
 type Metrics struct {
 	rounds      atomic.Int64
 	ckptWritten atomic.Int64
 	ckptLoaded  atomic.Int64
 	epoch       atomic.Int64
 	suspects    atomic.Int64
-	lastBeat    atomic.Int64 // unix nanos of the last round boundary
-	// stale is the transport's own stale-frame counter, when it keeps one
-	// (set by NewPeer, before any snapshot).
-	stale staleCounter
+	lastBeat    atomic.Int64 // unix nanos of the last round start
+	// node is the session's transport, whose stale-frame counter every
+	// snapshot reads (nil: none).
+	node *p2p.Node
+}
+
+// NewMetrics returns counters for a session over node.
+func NewMetrics(node *p2p.Node) *Metrics { return &Metrics{node: node} }
+
+// Observe is a core.Observer: it counts a fabric session's round starts,
+// checkpoints, restores and suspects, and tracks its epoch.
+func (m *Metrics) Observe(ev core.Event) {
+	switch ev.Kind {
+	case core.EventRoundStart:
+		m.rounds.Add(1)
+		m.beat()
+	case core.EventCheckpoint:
+		m.ckptWritten.Add(1)
+	case core.EventRestore:
+		m.ckptLoaded.Add(1)
+	case core.EventSuspect:
+		m.suspects.Add(1)
+	}
+	m.epoch.Store(int64(ev.Epoch))
 }
 
 // MetricsSnapshot is the JSON shape served at GET /v1/stats.
@@ -35,14 +59,6 @@ type MetricsSnapshot struct {
 
 func (m *Metrics) beat() { m.lastBeat.Store(time.Now().UnixNano()) }
 
-// atomicFlag is a set/clear/test bool shared between the session goroutine
-// and the process's control surface (signal handlers, join bootstrap).
-type atomicFlag struct{ v atomic.Bool }
-
-func (f *atomicFlag) set()        { f.v.Store(true) }
-func (f *atomicFlag) clear()      { f.v.Store(false) }
-func (f *atomicFlag) isSet() bool { return f.v.Load() }
-
 // Snapshot captures the counters at one instant.
 func (m *Metrics) Snapshot() MetricsSnapshot {
 	s := MetricsSnapshot{
@@ -53,8 +69,8 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		SuspectsRaised:      m.suspects.Load(),
 		LastBeatAgeSeconds:  -1,
 	}
-	if m.stale != nil {
-		s.StaleFramesDropped = m.stale.DroppedStale()
+	if m.node != nil {
+		s.StaleFramesDropped = m.node.DroppedStale()
 	}
 	if beat := m.lastBeat.Load(); beat != 0 {
 		s.LastBeatAgeSeconds = time.Since(time.Unix(0, beat)).Seconds()

@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"xmlclust/internal/core"
 )
 
 func TestMetricsHandler(t *testing.T) {
@@ -67,19 +69,11 @@ func TestMetricsScrapeSeesStaleDrops(t *testing.T) {
 			n.Close()
 		}
 	}()
-	store, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fab, err := NewPeer(Config{ID: 1, Transport: nodes[1], Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(fab.Metrics().Handler())
+	srv := httptest.NewServer(NewMetrics(nodes[1]).Handler())
 	defer srv.Close()
 
 	nodes[1].SetEpoch(1, 1) // node 1 has moved on to epoch 1
-	if err := nodes[0].Send(0, 1, SuspectMsg{From: 0}); err != nil {
+	if err := nodes[0].Send(0, 1, core.SuspectMsg{From: 0}); err != nil {
 		t.Fatal(err)
 	}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {

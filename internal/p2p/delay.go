@@ -13,7 +13,7 @@ import (
 // robustness tests to shake out cross-peer ordering assumptions in the
 // round protocols.
 type DelayTransport struct {
-	Inner    Transport
+	Transport
 	MaxDelay time.Duration
 
 	mu  sync.Mutex
@@ -24,28 +24,29 @@ type DelayTransport struct {
 // seeded rng.
 func NewDelayTransport(inner Transport, maxDelay time.Duration, seed int64) *DelayTransport {
 	return &DelayTransport{
-		Inner:    inner,
-		MaxDelay: maxDelay,
-		rng:      rand.New(rand.NewSource(seed)),
+		Transport: inner,
+		MaxDelay:  maxDelay,
+		rng:       rand.New(rand.NewSource(seed)),
 	}
 }
 
 // Send implements Transport.
 func (d *DelayTransport) Send(from, to int, payload any) error {
+	d.delay()
+	return d.Transport.Send(from, to, payload)
+}
+
+// SendStamped implements Transport.
+func (d *DelayTransport) SendStamped(from, to, epoch int, payload any) error {
+	d.delay()
+	return d.Transport.SendStamped(from, to, epoch, payload)
+}
+
+func (d *DelayTransport) delay() {
 	if d.MaxDelay > 0 {
 		d.mu.Lock()
 		delay := time.Duration(d.rng.Int63n(int64(d.MaxDelay) + 1))
 		d.mu.Unlock()
 		time.Sleep(delay)
 	}
-	return d.Inner.Send(from, to, payload)
 }
-
-// Recv implements Transport.
-func (d *DelayTransport) Recv(self int) <-chan Envelope { return d.Inner.Recv(self) }
-
-// Peers implements Transport.
-func (d *DelayTransport) Peers() int { return d.Inner.Peers() }
-
-// Close implements Transport.
-func (d *DelayTransport) Close() error { return d.Inner.Close() }

@@ -198,6 +198,9 @@ func (n *Node) readLoop(conn net.Conn) {
 		if err != nil {
 			return
 		}
+		if f.From != h.From {
+			return // a frame under another peer's name: the connection lies
+		}
 		if f.To != n.id {
 			continue // misrouted frame; drop
 		}
@@ -389,7 +392,7 @@ func dialBackoff(attempt int) time.Duration {
 	return d/2 + time.Duration(rand.Int64N(int64(d/2)+1))
 }
 
-// SetEpoch implements EpochSetter for the node's own peer: outgoing frames
+// SetEpoch implements Transport for the node's own peer: outgoing frames
 // are stamped with the epoch and incoming frames with a strictly older
 // (non-EpochAny) epoch are dropped at the read loop. self must be the
 // node's own id.

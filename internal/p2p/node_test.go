@@ -101,6 +101,36 @@ func TestNodeRejectsForeignSender(t *testing.T) {
 	}
 }
 
+// TestNodeDropsImpersonatingConnection: a connection that handshook as peer
+// 1 and then writes a frame as peer 2 is cut: nothing it sends under another
+// name, or after that, is delivered.
+func TestNodeDropsImpersonatingConnection(t *testing.T) {
+	defer checkGoroutines(t)()
+	nodes := newNodes(t, 3)
+	conn, err := net.Dial("tcp", nodes[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for _, f := range []wireFrame{
+		{From: 1, To: 0, Payload: hello{From: 1}},
+		{From: 2, To: 0, Payload: testMsg{From: 2, Body: "forged"}},
+		{From: 1, To: 0, Payload: testMsg{From: 1, Body: "after"}},
+	} {
+		if _, err := writeFrame(conn, f); err != nil {
+			break // the node may already have cut the connection
+		}
+	}
+	select {
+	case env := <-nodes[0].Recv(0):
+		t.Fatalf("delivered %+v from a connection that handshook as peer 1", env)
+	case <-time.After(200 * time.Millisecond):
+	}
+	for _, n := range nodes {
+		n.Close()
+	}
+}
+
 func TestNodeSelfSend(t *testing.T) {
 	defer checkGoroutines(t)()
 	nodes := newNodes(t, 2)

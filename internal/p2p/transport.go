@@ -35,24 +35,25 @@ type Envelope struct {
 // transport-independent accounting.
 type Sizer func(payload any) int64
 
-// EpochSetter is implemented by transports that stamp outgoing envelopes
-// with the sending peer's membership epoch. The elastic session runtime
-// bumps the epoch on every membership change so stragglers from an old view
-// are rejected deterministically; transports without epochs keep stamping 0
-// and sessions simply never see a stale frame.
-type EpochSetter interface {
-	// SetEpoch sets the epoch stamped on peer self's outgoing envelopes
-	// (and, where the transport filters, the minimum epoch it delivers).
-	SetEpoch(self, epoch int)
-}
-
 // Transport moves envelopes between peers. Implementations must be safe
 // for concurrent Send from multiple goroutines; Recv(i) must be consumed by
 // peer i only.
 type Transport interface {
-	// Send delivers payload from one peer to another. Sending to self is
-	// allowed and delivered like any other message.
+	// Send delivers payload from one peer to another, stamped with the
+	// sender's epoch (SetEpoch). Sending to self is allowed and delivered
+	// like any other message.
 	Send(from, to int, payload any) error
+	// SendStamped sends with an explicit epoch stamp: control traffic goes
+	// out as EpochAny, so it crosses membership epochs.
+	SendStamped(from, to, epoch int, payload any) error
+	// SetEpoch sets the epoch stamped on peer self's sends (and, where the
+	// transport filters, the minimum epoch it delivers). The elastic session
+	// bumps it on every membership change, so stragglers from an old view
+	// are rejected deterministically.
+	SetEpoch(self, epoch int)
+	// ResetConn drops the cached connection to a peer, if the transport
+	// caches connections: the peer's slot is held by a new process.
+	ResetConn(to int)
 	// Recv returns the receive channel of a peer.
 	Recv(self int) <-chan Envelope
 	// Peers returns the number of peers m.
@@ -92,21 +93,29 @@ func NewChanTransport(m int) *ChanTransport {
 
 // Send implements Transport.
 func (t *ChanTransport) Send(from, to int, payload any) error {
+	var epoch int
+	if from >= 0 && from < len(t.epochs) {
+		epoch = int(t.epochs[from].Load())
+	}
+	return t.SendStamped(from, to, epoch, payload)
+}
+
+// SendStamped implements Transport.
+func (t *ChanTransport) SendStamped(from, to, epoch int, payload any) error {
 	if t.closed.Load() {
 		return fmt.Errorf("p2p: transport closed")
 	}
 	if to < 0 || to >= len(t.inboxes) {
 		return fmt.Errorf("p2p: unknown peer %d", to)
 	}
-	var epoch int
-	if from >= 0 && from < len(t.epochs) {
-		epoch = int(t.epochs[from].Load())
-	}
 	t.inboxes[to] <- Envelope{From: from, To: to, Epoch: epoch, Payload: payload}
 	return nil
 }
 
-// SetEpoch implements EpochSetter: envelopes sent by peer self are stamped
+// ResetConn implements Transport; channels cache no connection.
+func (t *ChanTransport) ResetConn(int) {}
+
+// SetEpoch implements Transport: envelopes sent by peer self are stamped
 // with the given epoch from now on. Delivery-side filtering is left to the
 // session layer (in-process runs share one address space, so the reused-
 // address staleness the Node filter guards against cannot occur here).

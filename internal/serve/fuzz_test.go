@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,8 +18,8 @@ import (
 // classify to a small seeded service, built afresh for every input so an
 // input fails or passes on its own. Neither request panics or answers 5xx.
 // The service maps every error it does not recognise to 400, so a 400 must
-// be one the body explains: it does not decode, its xml field is empty, or
-// its xml does not parse. A refused add leaves the document count as it was,
+// be one the body explains: it does not decode, it holds more than one JSON
+// value, its xml field is empty, or its xml does not parse. A refused add leaves the document count as it was,
 // and an accepted one reads back under its id.
 func FuzzServeBodies(f *testing.F) {
 	doc := serveDocs(1)[0]
@@ -53,10 +54,15 @@ func FuzzServeBodies(f *testing.F) {
 		}
 		h := NewHandler(s)
 		// explained reports whether the body earns a 400 when decoded into
-		// req, whose xml field is xml: the handlers decode the first JSON
-		// value only, then require a non-empty xml field that parses.
+		// req, whose xml field is xml: the handlers take one JSON value with
+		// nothing but white space after it, then require a non-empty xml
+		// field that parses.
 		explained := func(req any, xml *string) bool {
-			if json.NewDecoder(bytes.NewReader(body)).Decode(req) != nil || *xml == "" {
+			dec := json.NewDecoder(bytes.NewReader(body))
+			if dec.Decode(req) != nil || *xml == "" {
+				return true
+			}
+			if _, tail := dec.Token(); tail != io.EOF {
 				return true
 			}
 			_, err := xmlclust.ParseBytes([]byte(*xml))

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -195,9 +196,15 @@ func pathID(w http.ResponseWriter, r *http.Request) (int, bool) {
 	return id, true
 }
 
+// decode reads a body that holds one JSON value and nothing after it but
+// white space.
 func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(dst); err != nil {
+	err := dec.Decode(dst)
+	if _, tail := dec.Token(); err == nil && tail != io.EOF {
+		err = errors.New("serve: request body holds more than one JSON value")
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return false
 	}

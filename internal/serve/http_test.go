@@ -145,6 +145,39 @@ func TestHTTPErrors(t *testing.T) {
 	doJSON(t, http.MethodGet, srv.URL+"/v1/clusters/trash", nil, http.StatusOK, nil)
 }
 
+// TestHTTPTrailingBytes: a body that holds a valid request followed by
+// anything but white space is refused with 400 by add and by classify, and
+// the add leaves the corpus as it was; trailing white space is fine.
+func TestHTTPTrailingBytes(t *testing.T) {
+	s, srv := httpService(t)
+	valid, err := json.Marshal(addDocumentRequest{Name: "d", XML: "<a><b>text</b></a>"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(path, body string) int {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, path := range []string{"/v1/documents", "/v1/classify"} {
+		for _, tail := range []string{"}{trailing", " {}", "x"} {
+			before := s.Stats().Docs
+			if code := post(path, string(valid)+tail); code != http.StatusBadRequest {
+				t.Errorf("POST %s with %q after the request: status %d, want 400", path, tail, code)
+			}
+			if s.Stats().Docs != before {
+				t.Errorf("POST %s with %q after the request changed the document count", path, tail)
+			}
+		}
+	}
+	if code := post("/v1/documents", string(valid)+" \n"); code != http.StatusCreated {
+		t.Errorf("an add followed by white space: status %d, want 201", code)
+	}
+}
+
 // TestHTTPDepthBomb sends 2.2 M nested elements — 15.4 MB, under the body
 // cap, so the request reaches the parser — to both endpoints that parse.
 // A tree that deep would overflow the stack of the first recursive walk,

@@ -480,8 +480,8 @@ type DistributedOptions struct {
 	DebugPprof bool
 	// FailpointRound is a chaos-engineering failpoint for recovery drills:
 	// when > 0, the process kills itself (SIGKILL, uncatchable — exactly
-	// like an external kill) on reaching this round boundary, before the
-	// boundary checkpoint is written. Wall-clock kill schedules race the
+	// like an external kill) at its first checkpoint at or past this round,
+	// before the checkpoint is written. Wall-clock kill schedules race the
 	// session (rounds complete in milliseconds); the failpoint makes "die
 	// mid-session at round N" deterministic, so the recovery-equivalence
 	// e2e can gate on it in CI. Requires the fabric (CheckpointDir); zero
