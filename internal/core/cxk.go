@@ -54,15 +54,23 @@ type Options struct {
 	// not polluted by scheduler interleaving on machines with fewer cores
 	// than peers. Benchmarks enable this; RunPeer ignores it.
 	SerializeCompute bool
-	// Observer, when non-nil, receives progress events from every peer
-	// session (see PeerConfig.Observer) plus one run-level Done event with
-	// Peer == -1 after all sessions terminate. Run calls it from its own
-	// goroutine, in the schedule's order.
+	// Observer, when non-nil, receives progress events (phase changes,
+	// round boundaries, termination) from every peer session, plus under
+	// Run one run-level Done event with Peer == -1 after all sessions
+	// terminate. Run calls it from its own goroutine, in the schedule's order.
 	Observer Observer
 	// Transport, RoundTimeout, StartupTimeout, Fabric and Rejoin configure
-	// a RunPeer session (see the matching PeerConfig fields). Run ignores
-	// them: its peers share one address space and one failure domain, and a
-	// run that can no longer progress fails at once with ErrStalled.
+	// a RunPeer session. Run ignores them: its peers share one address space
+	// and one failure domain, and a run that can no longer progress fails at
+	// once with ErrStalled. Transport is the process's p2p.Node. RoundTimeout
+	// bounds every blocking receive, so a peer fails with ErrRoundDeadline
+	// instead of hanging on a dead neighbour (0 disables it). StartupTimeout
+	// bounds the wait for N0's StartMsg: processes boot in any order, so it
+	// is typically much longer (0 falls back to RoundTimeout, negative
+	// disables it). Fabric runs the session under the elastic fabric (see
+	// Fabric); Rejoin, which requires it, makes the session announce itself
+	// to the coordinator and await its slot's replica instead of a StartMsg
+	// (cxkpeer -join).
 	Transport      p2p.Transport
 	RoundTimeout   time.Duration
 	StartupTimeout time.Duration
@@ -254,23 +262,6 @@ func (opts *Options) check() error {
 		return fmt.Errorf("core: partition has %d parts for %d peers", len(opts.Partition), opts.Peers)
 	}
 	return nil
-}
-
-// peerConfig derives peer id's configuration from the run's options, the
-// same for Run and RunPeer: S_i is partition part id, the seed is Seed+id,
-// and start is the run's StartMsg, which the peer checks N0's against. The
-// transport and the fabric fields are the caller's.
-func peerConfig(cx *sim.Context, corpus *txn.Corpus, opts Options, start *StartMsg, id int) PeerConfig {
-	local := make([]*txn.Transaction, len(opts.Partition[id]))
-	for j, idx := range opts.Partition[id] {
-		local[j] = corpus.Transactions[idx]
-	}
-	return PeerConfig{
-		ID: id, Ctx: cx, Local: local, Sizer: Sizer(corpus.Items), MaxRounds: opts.MaxRounds,
-		Seed: opts.Seed + int64(id), Rule: opts.Rule, Workers: opts.Workers, Fast: opts.Fast, PKMeans: opts.PKMeans,
-		RoundTimeout: opts.RoundTimeout, StartupTimeout: opts.StartupTimeout,
-		Expect: start, Observer: opts.Observer,
-	}
 }
 
 // NewStartMsg builds node N0's StartMsg for a run configuration. Every

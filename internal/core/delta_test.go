@@ -215,15 +215,10 @@ func TestReferenceSessionRelocatesOncePerRound(t *testing.T) {
 	tr := p2p.NewChanTransport(1)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 1, 7)
-	p := testPeer(corpus, tr, 0, part, nil)
-	cx := p.cfg.Ctx
-	st := newStepper(p, p.cfg.Transport.Peers())
-	s := st.s
-	if err := tr.Send(0, 0, startMsgFor(2, 1)); err != nil {
-		t.Fatal(err)
-	}
+	st := newStepper(corpus, testOpts(tr, part), 0)
+	s, cx := st.s, st.cx
 	cx2 := sim.NewContext(corpus, cx.Params)
-	replay := cluster.NewRounds(cluster.RepConfig{Ctx: cx2, Workers: 1}, p.cfg.Local, false)
+	replay := cluster.NewRounds(cluster.RepConfig{Ctx: cx2, Workers: 1}, s.local, false)
 	rounds := 0
 	for s.phase != PhaseDone {
 		if s.phase != PhaseRelocate {
@@ -246,9 +241,9 @@ func TestReferenceSessionRelocatesOncePerRound(t *testing.T) {
 		refine := cx2.Counters.TxnSims.Load()
 		replay.LocalReps(s.assign)
 		refine = cx2.Counters.TxnSims.Load() - refine
-		if want := int64(len(p.cfg.Local)*nonEmpty) + refine; got != want {
+		if want := int64(len(s.local)*nonEmpty) + refine; got != want {
 			t.Errorf("round %d: relocate phase made %d kernel calls, want %d documents × %d representatives + %d of the refinement = %d",
-				rounds, got, len(p.cfg.Local), nonEmpty, refine, want)
+				rounds, got, len(s.local), nonEmpty, refine, want)
 		}
 	}
 	if rounds < 2 {

@@ -158,57 +158,6 @@ func TestRunPeerValidation(t *testing.T) {
 	}
 }
 
-// TestCollectAssignmentsTimeout: the coordinator must not hang when a peer
-// dies between its session end and its final report.
-func TestCollectAssignmentsTimeout(t *testing.T) {
-	corpus, _ := miniCorpus(t, 2)
-	part := EqualPartition(len(corpus.Transactions), 2, 1)
-	tr := p2p.NewChanTransport(2)
-	defer tr.Close()
-	opts := Options{Peers: 2, Partition: part, Transport: tr, RoundTimeout: 50 * time.Millisecond}
-	own := make([]int, len(part[0]))
-	_, err := collectAssignments(context.Background(), opts, len(corpus.Transactions), own, nil)
-	if !errors.Is(err, ErrRoundDeadline) {
-		t.Fatalf("want ErrRoundDeadline, got %v", err)
-	}
-}
-
-// TestCollectAssignmentsMergesPartition checks the local→corpus index
-// mapping through an unequal partition.
-func TestCollectAssignmentsMergesPartition(t *testing.T) {
-	corpus, _ := miniCorpus(t, 3)
-	n := len(corpus.Transactions)
-	part := UnequalPartition(n, 2, 3)
-	tr := p2p.NewChanTransport(2)
-	defer tr.Close()
-	own := make([]int, len(part[0]))
-	for i := range own {
-		own[i] = 0
-	}
-	other := make([]int, len(part[1]))
-	for i := range other {
-		other[i] = 1
-	}
-	if err := tr.Send(1, 0, AssignMsg{From: 1, Rounds: 1, Assign: other}); err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{Peers: 2, Partition: part, Transport: tr, RoundTimeout: time.Second}
-	full, err := collectAssignments(context.Background(), opts, n, own, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, idx := range part[0] {
-		if full[idx] != 0 {
-			t.Errorf("index %d not mapped to peer 0's assignment", idx)
-		}
-	}
-	for _, idx := range part[1] {
-		if full[idx] != 1 {
-			t.Errorf("index %d not mapped to peer 1's assignment", idx)
-		}
-	}
-}
-
 // twinCorpora builds two corpora of one shape: the same documents with every
 // answer spelled backwards in the second. The reversal is injective, so
 // items intern in the same first-seen order — the transactions, item ids and

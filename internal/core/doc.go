@@ -8,19 +8,21 @@
 // on (a compute, a checkpoint to load, done). It advances startup →
 // (broadcast-globals → relocate → exchange-locals → refine-globals)* → done
 // and holds the reorder and epoch buffers, but no goroutine, clock, context
-// or transport. Two drivers step it. Run executes
-// all m machines of one process on one deterministic schedule (schedule.go):
-// it drains per-link FIFO queues lowest link first, then runs the compute
-// requests that left the peers waiting as one wave, concurrently, applying
-// the results in peer order. Peer.RunSession drives one machine per OS
-// process over a p2p.Node (RunPeer, cmd/cxkpeer): it reads the transport
-// under ctx, owns the receive deadlines (PeerConfig.RoundTimeout), runs
-// compute requests on cluster.Rounds, does the fabric's store calls,
-// epoch-less sends and connection resets, and wraps failures in
-// SessionError (ErrRoundDeadline / ErrTransportClosed /
-// ErrUnexpectedMessage / ErrSend).
+// or transport. Both ends of a run are its transitions: peer 0's machine
+// opens by sending N0's StartMsg, and closes by collecting every member's
+// final AssignMsg into the corpus-wide assignment. Two drivers step it, and
+// only carry outputs and feed inputs. Run executes all m machines of one
+// process on one deterministic schedule (schedule.go): it drains per-link
+// FIFO queues lowest link first, then runs the compute requests that left
+// the peers waiting as one wave, concurrently, applying the results in peer
+// order. RunPeer drives one machine per OS process over a p2p.Node
+// (cmd/cxkpeer): it reads the transport under ctx, owns the receive
+// deadlines (Options.RoundTimeout), runs compute requests on cluster.Rounds,
+// does the fabric's store calls, epoch-less sends and connection resets,
+// and wraps failures in SessionError (ErrRoundDeadline / ErrTransportClosed
+// / ErrUnexpectedMessage / ErrSend).
 //
-// The elastic fabric. PeerConfig.Fabric makes checkpointing, membership and
+// The elastic fabric. Options.Fabric makes checkpointing, membership and
 // recovery transitions of the same machine (fabric.go). At every
 // cadence-aligned round boundary it emits a checkpoint, which the driver
 // saves; a member replicates the state to the coordinator (CheckpointMsg)
@@ -38,9 +40,10 @@
 // epoch, and vetted: a replica or a join must name its sender's own member
 // slot, a resume must come from slot 0.
 //
-// Startup. The orchestrator (playing node N₀, which the paper notes can be
-// any peer — peer 0 in both drivers) computes the responsibility partition
-// Z₁..Z_m of the cluster ids and sends every peer a StartMsg. Peer i then
+// Startup. Peer 0's machine plays node N₀ (the paper notes any peer can):
+// it opens by sending every peer, itself included, the StartMsg with the
+// responsibility partition Z₁..Z_m of the cluster ids. A StartMsg that
+// cannot be delivered fails the coordinator, under the fabric too. Peer i then
 // selects q_i = |Z_i| initial global representatives from its local
 // transactions, drawn from distinct source documents. On a real network a
 // fast neighbour's round message can overtake the StartMsg (FIFO holds per
@@ -103,22 +106,33 @@
 // shared in-process table this reproduces the sender's exact item ids, so
 // multi-process runs are byte-identical to in-process runs.
 //
+// Result collection. A member that reaches done sends the coordinator its
+// local assignment (AssignMsg) and ends. The coordinator places its own
+// through the partition, arms its timer and stays in done until every
+// member's report is in, then ends with the corpus-wide assignment — the
+// one Run returns and cxkpeer prints. A timer that fires meanwhile fails it
+// with ErrRoundDeadline, under the fabric too. StartMsg and AssignMsg are
+// not round traffic: neither is accounted.
+//
 // Message reordering. A peer may run one phase ahead of a slow neighbour;
 // every round message goes through accept, which buffers it per (round,
-// type) until its phase collects it, and a terminated peer's post-session
-// AssignMsg is parked for the coordinator's collection step. The protocol
-// therefore tolerates any interleaving a FIFO-per-pair transport can
-// produce; TestLockstepMatchesRun runs Run's machines under random delivery
-// orders and ends where Run's fixed order ends.
+// type) until its phase collects it, and a member's AssignMsg that
+// overtakes the coordinator's final round is placed whenever it arrives.
+// The protocol therefore tolerates any interleaving a FIFO-per-pair
+// transport can produce; TestLockstepMatchesRun runs Run's machines under
+// random delivery orders and ends where Run's fixed order ends.
 //
 // Untrusted numbers. Frames arrive from a TCP port anyone on the host can
 // dial, and the session indexes with what they say. accept therefore vets
 // every round message before anything is grown or indexed by it: the sender
 // is the transport-level sender and in [0, m), the round in [0, MaxRounds),
 // cluster ids in [0, k), wire item ids inside the interning table, the
-// objective finite. A violation fails the session with ErrUnexpectedMessage.
+// objective finite. A report must come to the coordinator, from a member
+// slot that has not reported yet, with one cluster in [trash, k) per
+// transaction of that member's part. A violation fails the session with
+// ErrUnexpectedMessage.
 //
-// Failure handling. Under RunSession, sends propagate transport errors and
+// Failure handling. Under RunPeer, sends propagate transport errors and
 // fail the session (a silent drop would starve the receiving peer), and
 // receives honour the per-round deadline, so a dead peer surfaces as
 // ErrRoundDeadline with the round and phase it struck in rather than a hung

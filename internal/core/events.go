@@ -28,7 +28,7 @@ const (
 	// Peer == -1 and the final round count.
 	EventDone
 	// EventCheckpoint, EventRestore and EventSuspect come from fabric
-	// sessions (PeerConfig.Fabric): the boundary state of Event.Round was
+	// sessions (Options.Fabric): the boundary state of Event.Round was
 	// checkpointed, a resumed state was installed, or a stall was reported
 	// to the coordinator.
 	EventCheckpoint
@@ -93,7 +93,7 @@ type Event struct {
 }
 
 // Observer receives progress events. Run calls it from its own goroutine and
-// RunSession from the session's, so only an Observer shared by concurrent
+// RunPeer from the session's, so only an Observer shared by concurrent
 // sessions must be safe for concurrent calls.
 type Observer func(Event)
 

@@ -12,7 +12,7 @@ import (
 // checkpoints replicated to the coordinator, joins and leaves at round
 // boundaries under epoch-stamped views, and recovery by rolling every peer
 // back to the newest round all slots have replicated (see doc.go). The
-// policy is part of the session machine; RunSession's driver does its I/O.
+// policy is part of the session machine; RunPeer's driver does its I/O.
 type Fabric struct {
 	// Store keeps this peer's boundary checkpoints (fabric.Store).
 	Store Checkpoints
@@ -60,7 +60,7 @@ type (
 	leave struct{}
 )
 
-// fabric is the policy state of a session under PeerConfig.Fabric.
+// fabric is the policy state of a session under Options.Fabric.
 type fabric struct {
 	fp               uint64
 	every, windows   int
@@ -157,14 +157,16 @@ func (s *session) expired() error {
 }
 
 // sendFailed judges a failed send. Without the fabric every failure fails
-// the session (a silent drop would leave the receiving peer to starve).
-// Under it a member that cannot reach the coordinator is done, and any other
-// failure is survivable: the message is dropped, and the receive deadline
-// and the coordinator's barrier reconcile the session — a dead neighbour
-// must not cascade into every survivor failing before recovery can run.
+// the session (a silent drop would leave the receiving peer to starve), and
+// so does N0's StartMsg failing to reach a peer under it. Under the fabric a
+// member that cannot reach the coordinator is done, and any other failure is
+// survivable: the message is dropped, and the receive deadline and the
+// coordinator's barrier reconcile the session — a dead neighbour must not
+// cascade into every survivor failing before recovery can run.
 func (s *session) sendFailed(o send, err error) error {
+	_, isStart := o.payload.(StartMsg)
 	switch {
-	case s.fab == nil:
+	case s.fab == nil || isStart:
 		return fmt.Errorf("%w: to peer %d: %v", ErrSend, o.to, err)
 	case s.id != 0 && o.to == 0:
 		return fmt.Errorf("%w: %T in round %d: %v", ErrCoordinatorLost, o.payload, o.round, err)

@@ -66,7 +66,7 @@ type fabricSim struct {
 	peers   []*driver // nil: crashed
 	stores  []memStore
 	links   [][]p2p.Envelope
-	results []*SessionResult
+	results []*PeerResult
 	// crash, when set, is asked before each output of a peer whether the
 	// peer dies instead of carrying it out.
 	crash func(id int, out any) bool
@@ -78,21 +78,20 @@ func newFabricSim(t *testing.T, corpus *txn.Corpus, opts Options) *fabricSim {
 	f := &fabricSim{
 		t: t, cx: cx, corpus: corpus, opts: opts, start: NewStartMsg(cx, corpus, opts),
 		peers: make([]*driver, m), stores: make([]memStore, m),
-		links: make([][]p2p.Envelope, m*m), results: make([]*SessionResult, m),
+		links: make([][]p2p.Envelope, m*m), results: make([]*PeerResult, m),
 	}
-	for i := range m {
+	for i := m - 1; i >= 0; i-- { // the coordinator's StartMsgs need their receivers up
 		f.launch(i, false)
-		f.links[i] = append(f.links[i], p2p.Envelope{From: 0, To: i, Payload: f.start})
 	}
 	return f
 }
 
 // launch starts a process in slot id on a fresh store, as a joiner or not.
 func (f *fabricSim) launch(id int, join bool) {
-	cfg := peerConfig(f.cx, f.corpus, f.opts, &f.start, id)
+	opts := f.opts
 	f.stores[id] = memStore{}
-	cfg.Fabric, cfg.Rejoin = &Fabric{Store: f.stores[id], Fingerprint: 42}, join
-	d, outs := newDriver(NewPeer(cfg), f.opts.Peers)
+	opts.Fabric, opts.Rejoin = &Fabric{Store: f.stores[id], Fingerprint: 42}, join
+	d, outs := newDriver(f.cx, f.corpus, &opts, f.start, id)
 	f.peers[id] = d
 	f.carry(id, outs)
 }
@@ -182,17 +181,6 @@ func (f *fabricSim) expire(ids ...int) {
 // finished reports whether every slot has a result.
 func (f *fabricSim) finished() bool { return !slices.Contains(f.results, nil) }
 
-// assign assembles the corpus-wide assignment from the slots' results.
-func (f *fabricSim) assign() []int {
-	out := make([]int, len(f.corpus.Transactions))
-	for i, res := range f.results {
-		for j, a := range res.Assign {
-			out[f.opts.Partition[i][j]] = a
-		}
-	}
-	return out
-}
-
 func fabricOpts(corpus *txn.Corpus, m int) Options {
 	return Options{
 		K: 5, Params: sim.Params{F: 0.5, Gamma: 0.6}, Peers: m, Seed: 3, Workers: 1,
@@ -241,7 +229,7 @@ func TestFabricSteppedRecovery(t *testing.T) {
 		t.Fatalf("the recovered session stalls: %v", f.results)
 	}
 
-	if got := f.assign(); !slices.Equal(got, ref.Assign) {
+	if got := f.results[0].Global; !slices.Equal(got, ref.Assign) {
 		t.Error("the recovered session's assignments differ from the unfaulted run's")
 	}
 	want := RepsDigest(corpus.Items, ref.Reps)

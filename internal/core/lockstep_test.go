@@ -14,11 +14,6 @@ import (
 	"xmlclust/internal/txn"
 )
 
-func newSession(p *Peer) *session {
-	s, _ := newMachine(&p.cfg, p.cfg.Transport.Peers())
-	return s
-}
-
 // stepper drives one session machine on the test goroutine through the
 // driver's own compute, with neither transport nor clock: sends are
 // recorded, a compute request is held until advance answers it, and an
@@ -32,8 +27,8 @@ type stepper struct {
 	err   error
 }
 
-func newStepper(p *Peer, m int) *stepper {
-	d, outs := newDriver(p, m)
+func newStepper(corpus *txn.Corpus, opts Options, id int) *stepper {
+	d, outs := testDriver(corpus, opts, id)
 	st := &stepper{driver: d}
 	st.take(outs)
 	return st
@@ -89,7 +84,7 @@ func (st *stepper) phase(t testing.TB) {
 		}
 		st.flush(t)
 		select {
-		case env := <-st.cfg.Transport.Recv(st.s.id):
+		case env := <-st.opts.Transport.Recv(st.s.id):
 			st.deliver(env)
 		default:
 			t.Fatalf("peer %d would block in %s", st.s.id, st.s.phase)
@@ -168,8 +163,8 @@ func TestLockstepMatchesRun(t *testing.T) {
 func TestLockstepStallFiresTimer(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
-	st := newStepper(testPeer(corpus, nil, 0, part, nil), 2)
-	st.got(0, startMsgFor(2, 2))
+	st := newStepper(corpus, testOpts(nil, part), 0)
+	st.got(0, st.s.start)
 	for st.advance(t) {
 	}
 	if !st.armed || st.done {

@@ -12,13 +12,14 @@ import (
 	"xmlclust/internal/txn"
 )
 
-// A session is one peer's protocol state machine (Fig. 5; see doc.go):
-// Step takes one input — a p2p.Envelope, a timeout, a computed result, or
-// under the fabric a leave or a loaded state — and returns the outputs in
-// order of execution: send, armTimer, Event (stamped by the driver before it
-// is observed), the fabric's checkpoint and reset, and at most one request
-// the machine then waits on — compute (answered with computed), restore
-// (answered with the loaded state) or done.
+// A session is one peer's protocol state machine (Fig. 5; see doc.go), from
+// N0's StartMsg to the coordinator's corpus-wide assignment: Step takes one
+// input — a p2p.Envelope, a timeout, a computed result, or under the fabric a
+// leave or a loaded state — and returns the outputs in order of execution:
+// send, armTimer, Event (stamped by the driver before it is observed), the
+// fabric's checkpoint and reset, and at most one request the machine then
+// waits on — compute (answered with computed), restore (answered with the
+// loaded state) or done.
 type (
 	timeout  struct{}
 	computed struct {
@@ -48,11 +49,12 @@ type (
 type session struct {
 	id, m, maxRounds int
 	seed             int64
-	pk               bool // the PK-means policy (PeerConfig.PKMeans)
+	pk               bool // the PK-means policy (Options.PKMeans)
 	local            []*txn.Transaction
 	items            *txn.ItemTable
 	sizer            p2p.Sizer
-	expect           *StartMsg
+	start            StartMsg // the run's, which N0's must equal
+	partition        [][]int
 
 	phase    Phase
 	round    int
@@ -91,14 +93,16 @@ type session struct {
 
 	// Reordering buffers: peers may run ahead by one phase, so messages are
 	// buffered per (round, type) once accept has vetted and accounted them.
-	// Round messages that overtake the StartMsg wait in early. A peer that
-	// terminates ahead of this one may deliver its post-session AssignMsg
-	// while this session still drains the final round; those are parked in
-	// pendAssign for the post-session consumer (see RunPeer).
+	// Round messages that overtake the StartMsg wait in early.
 	early      []p2p.Envelope
 	pendGlobal map[int][]GlobalRepsMsg
 	pendLocal  map[int][]LocalRepsMsg
-	pendAssign []AssignMsg
+
+	// The coordinator's collection: the corpus-wide assignment, and which
+	// slots have placed theirs in it. A member's report can overtake the
+	// coordinator's final round; accept places it whenever it arrives.
+	final    []int
+	reported []bool
 
 	// epoch is the membership epoch the session currently runs in. FIFO
 	// holds per connection, not across connections, so after a membership
@@ -109,35 +113,52 @@ type session struct {
 	pendFuture   []p2p.Envelope
 	staleDropped int64
 
-	// fab is the fabric policy (PeerConfig.Fabric; nil = off, see fabric.go).
+	// fab is the fabric policy (Options.Fabric; nil = off, see fabric.go).
 	fab *fabric
 }
 
-// newMachine builds peer cfg.ID's state machine for a session of m peers and
-// returns it with its opening outputs: the wait for the StartMsg, or for the
-// rejoin state after the join announcement, is armed.
-func newMachine(cfg *PeerConfig, m int) (*session, []any) {
+// newMachine builds peer id's state machine for a run of opts over corpus,
+// whose StartMsg is start, and returns it with its opening outputs. Peer 0
+// plays N0 — the paper notes any peer can perform this trivial duty — and
+// opens by sending every peer, itself included, the StartMsg. Then the wait
+// for the StartMsg, or for the rejoin state after the join announcement, is
+// armed.
+func newMachine(corpus *txn.Corpus, opts *Options, start StartMsg, id int) (*session, []any) {
+	m := opts.Peers
 	s := &session{
-		id: cfg.ID, m: m, maxRounds: cfg.MaxRounds, seed: cfg.Seed, pk: cfg.PKMeans, local: cfg.Local,
-		items: cfg.Ctx.Items, sizer: cfg.Sizer, expect: cfg.Expect,
+		id: id, m: m, maxRounds: opts.MaxRounds, seed: opts.Seed + int64(id), pk: opts.PKMeans,
+		items: corpus.Items, sizer: Sizer(corpus.Items), start: start, partition: opts.Partition,
 		phase: PhaseStartup, prevTotal: math.Inf(1),
 		seenStates: map[uint64]struct{}{},
 		pendGlobal: map[int][]GlobalRepsMsg{},
 		pendLocal:  map[int][]LocalRepsMsg{},
 	}
+	for _, idx := range opts.Partition[id] {
+		s.local = append(s.local, corpus.Transactions[idx])
+	}
+	if s.maxRounds <= 0 {
+		s.maxRounds = DefaultMaxRounds
+	}
 	if s.pk {
 		s.maxRounds++ // the seeding round counts
 	}
-	if cfg.Fabric != nil {
-		s.fab = newFabric(cfg.Fabric, m)
+	if opts.Fabric != nil {
+		s.fab = newFabric(opts.Fabric, m)
 	}
-	if cfg.Rejoin {
+	if opts.Rejoin {
 		if s.fab == nil {
 			s.out = append(s.out, done{fmt.Errorf("%w: rejoin requires the fabric", ErrUnexpectedMessage)})
 			return s, s.out
 		}
 		s.phase, s.fab.joining = PhaseRejoin, true
 		s.control(0, JoinMsg{Slot: s.id, Fingerprint: s.fab.fp})
+	}
+	if id == 0 {
+		s.final = slices.Repeat([]int{cluster.TrashCluster}, len(corpus.Transactions))
+		s.reported = make([]bool, m)
+		for i := range m {
+			s.send(i, start)
+		}
 	}
 	s.arm(true)
 	return s, s.out
@@ -167,6 +188,9 @@ func (s *session) step(in any) error {
 	case p2p.Envelope:
 		return s.deliver(in)
 	case timeout:
+		if s.phase == PhaseDone {
+			return fmt.Errorf("%w: no assignment from slot %d", ErrRoundDeadline, slices.Index(s.reported, false))
+		}
 		if s.fab == nil {
 			return ErrRoundDeadline
 		}
@@ -187,7 +211,7 @@ func (s *session) step(in any) error {
 // listening reports whether the machine waits for protocol messages.
 func (s *session) listening() bool {
 	switch s.phase {
-	case PhaseStartup, PhaseRejoin, PhaseBroadcastGlobals, PhaseExchangeLocals:
+	case PhaseStartup, PhaseRejoin, PhaseBroadcastGlobals, PhaseExchangeLocals, PhaseDone:
 		return true
 	}
 	return false
@@ -196,7 +220,8 @@ func (s *session) listening() bool {
 // enter moves to phase p, announces it and starts the phase: the boundary
 // and the globals' sends at a round's entry, a compute request for
 // relocation and refinement, the local representatives' sends for the
-// exchange.
+// exchange, and at the end a member's report to the coordinator or the
+// coordinator's collection.
 func (s *session) enter(p Phase) error {
 	s.phase = p
 	s.emit(EventPhaseChange, s.round, 0)
@@ -212,7 +237,14 @@ func (s *session) enter(p Phase) error {
 		s.out = append(s.out, compute{round: s.round, refine: true})
 	case PhaseDone:
 		s.emit(EventDone, s.rounds, s.objective)
-		s.out = append(s.out, done{})
+		if s.id != 0 {
+			s.send(0, AssignMsg{From: s.id, Assign: s.assign})
+			s.out = append(s.out, done{})
+			return nil
+		}
+		s.place(0, s.assign)
+		s.arm(false)
+		return s.collect()
 	}
 	return nil
 }
@@ -269,10 +301,8 @@ func (s *session) startup(msg StartMsg) error {
 		return fmt.Errorf("%w: StartMsg for %d peers, transport has %d (peer %d)",
 			ErrUnexpectedMessage, len(msg.Zs), s.m, s.id)
 	}
-	if s.expect != nil {
-		if err := checkStart(s.expect, msg); err != nil {
-			return err
-		}
+	if err := checkStart(&s.start, msg); err != nil {
+		return err
 	}
 	s.k, s.zs, s.zi = msg.K, msg.Zs, msg.Zs[s.id]
 	s.global = make([]*txn.Transaction, s.k)
@@ -396,9 +426,13 @@ func (s *session) exchangeLocals() {
 // collect takes the buffered messages the current phase waits for and
 // leaves the phase once all m−1 are in. When every peer is done the session
 // terminates; the flags are identical at every peer, so termination is
-// consistent.
+// consistent. The coordinator ends once every slot has reported.
 func (s *session) collect() error {
 	switch {
+	case s.phase == PhaseDone:
+		if !slices.Contains(s.reported, false) {
+			s.out = append(s.out, done{})
+		}
 	case s.phase == PhaseBroadcastGlobals:
 		for ; s.received < s.m-1; s.received++ {
 			q := s.pendGlobal[s.round]
@@ -502,18 +536,12 @@ func (s *session) send(to int, payload any) {
 
 func (s *session) arm(startup bool) { s.out = append(s.out, armTimer{startup}) }
 
-func (s *session) size(payload any) int64 {
-	if s.sizer == nil {
-		return 0
-	}
-	return s.sizer(payload)
-}
-
 // accept is where every round message is consumed, whether it arrived in
 // its phase or was held back until the StartMsg: the numbers it claims are
 // vetted against the session's dimensions before anything is grown or
 // indexed by them (frames arrive from a port anyone on the host can dial),
 // it is accounted to its round, and it is buffered under (type, round). A
+// member's final AssignMsg is vetted and placed instead (onAssign). A
 // violation fails the session with ErrUnexpectedMessage.
 func (s *session) accept(env p2p.Envelope) error {
 	nItems := s.items.Len()
@@ -546,15 +574,48 @@ func (s *session) accept(env p2p.Envelope) error {
 		round = msg.Round
 		s.pendLocal[round] = append(s.pendLocal[round], msg)
 	case AssignMsg:
-		s.pendAssign = append(s.pendAssign, msg) // vetted by collectAssignments
-		return nil
+		return s.onAssign(env, msg)
 	default:
 		return fmt.Errorf("%w: %T in phase %s", ErrUnexpectedMessage, env.Payload, s.phase)
 	}
 	s.report.GrowRound(round, len(s.local))
 	s.report.RecvMsgsByRound[round]++
-	s.report.RecvBytesByRound[round] += s.size(env.Payload)
+	s.report.RecvBytesByRound[round] += s.sizer(env.Payload)
 	return nil
+}
+
+// onAssign vets a member's final assignment and places it in the coordinator's
+// corpus-wide one. An AssignMsg has no round, so the header check's round is
+// a formality; it is not round traffic and is not accounted.
+func (s *session) onAssign(env p2p.Envelope, msg AssignMsg) error {
+	if err := CheckHeader(env, msg.From, 0, s.m, 1); err != nil {
+		return err
+	}
+	if s.id != 0 || msg.From == 0 || s.reported[msg.From] {
+		return fmt.Errorf("%w: AssignMsg from peer %d at peer %d is not a first member report",
+			ErrUnexpectedMessage, msg.From, s.id)
+	}
+	if n := len(s.partition[msg.From]); len(msg.Assign) != n {
+		return fmt.Errorf("%w: peer %d reported %d assignments for %d local transactions",
+			ErrUnexpectedMessage, msg.From, len(msg.Assign), n)
+	}
+	for i, a := range msg.Assign {
+		if a < cluster.TrashCluster || a >= s.k {
+			return fmt.Errorf("%w: peer %d assigns transaction %d to cluster %d, outside [%d,%d)",
+				ErrUnexpectedMessage, msg.From, i, a, cluster.TrashCluster, s.k)
+		}
+	}
+	s.place(msg.From, msg.Assign)
+	return nil
+}
+
+// place maps slot from's local assignment into the corpus-wide one through
+// the partition.
+func (s *session) place(from int, assign []int) {
+	for i, a := range assign {
+		s.final[s.partition[from][i]] = a
+	}
+	s.reported[from] = true
 }
 
 // takeFuture returns the first parked envelope the session has caught up
@@ -570,14 +631,15 @@ func (s *session) takeFuture() (p2p.Envelope, bool) {
 }
 
 // result snapshots the session outcome.
-func (s *session) result() *SessionResult {
-	return &SessionResult{
-		Assign:         append([]int(nil), s.assign...),
-		Reps:           append([]*txn.Transaction(nil), s.global...),
-		Rounds:         s.rounds,
-		Capped:         s.capped,
-		Report:         s.report,
-		PendingAssigns: s.pendAssign,
+func (s *session) result() *PeerResult {
+	return &PeerResult{
+		ID:     s.id,
+		Rounds: s.rounds,
+		Capped: s.capped,
+		Assign: append([]int(nil), s.assign...),
+		Reps:   append([]*txn.Transaction(nil), s.global...),
+		Report: s.report,
+		Global: s.final,
 	}
 }
 

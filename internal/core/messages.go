@@ -103,13 +103,12 @@ type WeightedWireRep struct {
 	Weight int
 }
 
-// AssignMsg reports a peer's final local assignment to the coordinator
-// after its session terminates. Fig. 5 leaves result collection out of
-// scope; multi-process deployments (RunPeer / cmd/cxkpeer) use it so the
-// coordinator can assemble the corpus-wide assignment.
+// AssignMsg reports a member's final local assignment to the coordinator
+// as its session terminates. Fig. 5 leaves result collection out of scope;
+// the coordinator's session ends by assembling the corpus-wide assignment
+// from these reports, in Run and RunPeer alike.
 type AssignMsg struct {
-	From   int
-	Rounds int
+	From int
 	// Assign is the sender's local assignment in local transaction order
 	// (the coordinator maps it back through the shared partition).
 	Assign []int
@@ -282,13 +281,11 @@ func WireTxnSize(items *txn.ItemTable, w WireTxn) int64 {
 	return n
 }
 
-// Sizer returns a p2p.Sizer that models wire sizes for the core message
-// types against the given item table.
+// Sizer returns a p2p.Sizer that models wire sizes for the round messages
+// against the given item table.
 func Sizer(items *txn.ItemTable) p2p.Sizer {
 	return func(payload any) int64 {
 		switch m := payload.(type) {
-		case StartMsg:
-			return int64(16 + 8*m.K)
 		case GlobalRepsMsg:
 			n := int64(16)
 			for _, r := range m.Reps {
@@ -301,8 +298,6 @@ func Sizer(items *txn.ItemTable) p2p.Sizer {
 				n += 16 + WireTxnSize(items, r.Rep)
 			}
 			return n
-		case AssignMsg:
-			return int64(24 + 8*len(m.Assign))
 		default:
 			return 64
 		}

@@ -29,10 +29,11 @@ const (
 	// advances the round.
 	PhaseRefineGlobals
 	// PhaseDone is the terminal phase: the session has converged or
-	// exhausted MaxRounds.
+	// exhausted MaxRounds. A member reports its assignment to the
+	// coordinator, which collects the m−1 reports here.
 	PhaseDone
 	// PhaseRejoin awaits a recovery state instead of a StartMsg: a peer
-	// launched with PeerConfig.Rejoin announces itself to the coordinator,
+	// launched with Options.Rejoin announces itself to the coordinator,
 	// drops protocol traffic and waits for the ResumeMsg that carries the
 	// coordinator's replica of the slot, handed over at admission.
 	PhaseRejoin

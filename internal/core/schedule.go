@@ -5,18 +5,18 @@ import (
 	"slices"
 	"time"
 
-	"xmlclust/internal/cluster"
 	"xmlclust/internal/p2p"
 	"xmlclust/internal/sim"
 	"xmlclust/internal/txn"
 )
 
 // Run executes CXK-means (or, with PKMeans, the PK-means baseline) in one
-// process: it plays node N0 (startup), builds one session machine per
-// partition part and steps all m of them on one deterministic schedule (see
-// scheduler). The corpus supplies the transaction set S and interning
-// tables; cx must be a similarity context over the same corpus with Params
-// equal to opts.Params.
+// process: it builds one session machine per partition part and steps all m
+// of them on one deterministic schedule (see scheduler). Peer 0's machine
+// plays node N0 at the start and collects the corpus-wide assignment at the
+// end, as in a RunPeer deployment. The corpus supplies the transaction set S
+// and interning tables; cx must be a similarity context over the same corpus
+// with Params equal to opts.Params.
 //
 // Cancellation of ctx aborts the run at its next safe boundary and Run
 // returns an error wrapping ErrCanceled; a nil ctx never cancels.
@@ -32,9 +32,9 @@ func Run(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Options)
 // steps until nothing is queued and nothing is held:
 //
 //   - drain delivers every queued envelope, lowest (sender, receiver) link
-//     first, and carries out each machine's outputs in order as RunSession
-//     does: a send is accounted and queued (dropped if its receiver is
-//     done), an Event is stamped and observed, a compute request is held;
+//     first, and carries out each machine's outputs in order as RunPeer's
+//     driver does: a send is accounted and queued (dropped if its receiver
+//     is done), an Event is stamped and observed, a compute request is held;
 //   - wave runs the held compute requests together and applies their
 //     results in peer order.
 //
@@ -47,11 +47,10 @@ type scheduler struct {
 	ctx     context.Context
 	opts    Options
 	cx      *sim.Context
-	corpus  *txn.Corpus
 	peers   []*driver
 	links   [][]p2p.Envelope // sender*m + receiver
 	held    []*compute       // per peer: the compute request it waits on
-	results []*SessionResult // per peer, once done
+	results []*PeerResult    // per peer, once done
 	// pick chooses the next link to deliver from among the non-empty ones,
 	// in ascending order; nil takes the first. Tests use it to explore other
 	// delivery orders.
@@ -64,26 +63,26 @@ func newScheduler(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts
 	}
 	m := opts.Peers
 	r := &scheduler{
-		ctx: ctx, opts: opts, cx: cx, corpus: corpus,
+		ctx: ctx, opts: opts, cx: cx,
 		peers:   make([]*driver, m),
 		links:   make([][]p2p.Envelope, m*m),
 		held:    make([]*compute, m),
-		results: make([]*SessionResult, m),
+		results: make([]*PeerResult, m),
 	}
-	// Node N0 startup (Fig. 5): define Z_1..Z_m and ship parameters. Peer 0
-	// plays N0 — the paper notes any peer can perform this trivial duty. A
-	// fresh machine opens with its startup timer only, which Run never arms.
+	r.opts.Fabric, r.opts.Rejoin = nil, false // Run ignores them (see Options)
 	start := NewStartMsg(cx, corpus, opts)
 	for i := range m {
-		r.peers[i], _ = newDriver(NewPeer(peerConfig(cx, corpus, opts, &start, i)), m)
-		r.links[i] = append(r.links[i], p2p.Envelope{From: 0, To: i, Payload: start})
+		var outs []any
+		r.peers[i], outs = newDriver(cx, corpus, &r.opts, start, i)
+		_ = r.carry(i, outs) // sends and a timer: a machine cannot fail before its first input
 	}
 	return r
 }
 
-// run drives the machines to their end and assembles the corpus-wide
-// result. The first failure, of a machine or of a compute request, ends the
-// run at once: no other goroutine is left to stop.
+// run drives the machines to their end and reports the run: the corpus-wide
+// assignment is the one peer 0's machine collected. The first failure, of a
+// machine or of a compute request, ends the run at once: no other goroutine
+// is left to stop.
 func (r *scheduler) run() (*Result, error) {
 	t0 := time.Now()
 	for {
@@ -105,21 +104,15 @@ func (r *scheduler) run() (*Result, error) {
 	wall := time.Since(t0)
 
 	res := &Result{
-		Assign:   make([]int, len(r.corpus.Transactions)),
+		Assign:   r.results[0].Global,
 		Reps:     r.results[0].Reps,
 		WallTime: wall,
 		Peers:    make([]PeerReport, len(r.peers)),
 	}
-	for i := range res.Assign {
-		res.Assign[i] = cluster.TrashCluster
-	}
-	for i, sr := range r.results {
-		res.Peers[i] = sr.Report
-		res.Rounds = max(res.Rounds, sr.Rounds)
-		res.Capped = res.Capped || sr.Capped
-		for localIdx, a := range sr.Assign {
-			res.Assign[r.opts.Partition[i][localIdx]] = a
-		}
+	for i, pr := range r.results {
+		res.Peers[i] = pr.Report
+		res.Rounds = max(res.Rounds, pr.Rounds)
+		res.Capped = res.Capped || pr.Capped
 	}
 	if r.opts.Observer != nil {
 		msgs, bytes := res.TotalTraffic()
@@ -206,10 +199,13 @@ func (r *scheduler) wave() error {
 	return nil
 }
 
-// step feeds one input to machine i and carries out its outputs in order.
-func (r *scheduler) step(i int, in any) error {
+// step feeds one input to machine i and carries out its outputs.
+func (r *scheduler) step(i int, in any) error { return r.carry(i, r.peers[i].s.Step(in)) }
+
+// carry carries out machine i's outputs in order.
+func (r *scheduler) carry(i int, outs []any) error {
 	d, m := r.peers[i], len(r.peers)
-	for _, o := range d.s.Step(in) {
+	for _, o := range outs {
 		switch o := o.(type) {
 		case send:
 			d.account(o)

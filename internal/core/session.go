@@ -12,64 +12,6 @@ import (
 	"xmlclust/internal/txn"
 )
 
-// PeerConfig assembles everything one peer process N_i of Fig. 5 needs to
-// join a CXK-means session.
-type PeerConfig struct {
-	// ID is this peer's dense id in [0, Transport.Peers()).
-	ID int
-	// Ctx is the similarity context over the peer's interning tables.
-	Ctx *sim.Context
-	// Local is S_i, the peer's local transaction set.
-	Local []*txn.Transaction
-	// Transport connects the peer to the network: a p2p.Node in a
-	// multi-process deployment. Run's sessions have none; its scheduler
-	// carries their envelopes.
-	Transport p2p.Transport
-	// Sizer models wire sizes for the per-round traffic report (nil
-	// records zero bytes).
-	Sizer p2p.Sizer
-	// MaxRounds bounds the collaborative loop (0 = DefaultMaxRounds).
-	MaxRounds int
-	// Seed drives the initial representative selection.
-	Seed int64
-	// Rule selects the GenerateTreeTuple return reading.
-	Rule cluster.ReturnRule
-	// Workers bounds intra-peer parallelism (see Options.Workers).
-	Workers int
-	// Fast selects the fast engine over the reference one (see
-	// Options.Fast). It is local to the peer: nothing of it travels, and fast
-	// and reference peers can share a session.
-	Fast bool
-	// PKMeans runs the session under the PK-means policy (see
-	// Options.PKMeans).
-	PKMeans bool
-	// RoundTimeout bounds every blocking receive of the session; a peer
-	// that waits longer fails with ErrRoundDeadline instead of hanging on
-	// a dead neighbour. 0 disables the deadline.
-	RoundTimeout time.Duration
-	// StartupTimeout bounds the wait for N0's StartMsg. Peer processes of
-	// a distributed deployment boot in any order, so this is typically
-	// much longer than RoundTimeout. 0 falls back to RoundTimeout;
-	// negative disables the startup deadline.
-	StartupTimeout time.Duration
-	// Expect, when non-nil, is the StartMsg this peer computed for its own
-	// configuration (NewStartMsg); a StartMsg from N0 that disagrees fails
-	// the session with ErrConfigMismatch instead of computing silently wrong
-	// assignments (every process of a distributed run must share one
-	// configuration and one corpus).
-	Expect *StartMsg
-	// Observer, when non-nil, receives progress events (phase changes,
-	// round boundaries, termination) on the goroutine driving the session.
-	Observer Observer
-	// Fabric, when non-nil, runs the session under the elastic fabric
-	// (see Fabric): checkpoints, joins, leaves and recovery.
-	Fabric *Fabric
-	// Rejoin makes the session announce itself to the coordinator and await
-	// its slot's replica instead of a StartMsg: the state machine starts in
-	// PhaseRejoin (cxkpeer -join). It requires Fabric.
-	Rejoin bool
-}
-
 // checkStart compares N0's StartMsg with the one this peer computed for its
 // own configuration.
 func checkStart(want *StartMsg, got StartMsg) error {
@@ -128,59 +70,23 @@ func PartitionFingerprint(corpus *txn.Corpus, part [][]int) uint64 {
 	return h
 }
 
-// Peer is one protocol participant. Create it with NewPeer and execute the
-// protocol with RunSession; a Peer can run several sessions sequentially.
-type Peer struct {
-	cfg PeerConfig
-}
-
-// NewPeer validates and captures a peer configuration.
-func NewPeer(cfg PeerConfig) *Peer {
-	if cfg.MaxRounds <= 0 {
-		cfg.MaxRounds = DefaultMaxRounds
-	}
-	return &Peer{cfg: cfg}
-}
-
-// SessionResult is the local outcome of one completed session.
-type SessionResult struct {
-	// Assign is the final local assignment, parallel to PeerConfig.Local.
-	Assign []int
-	// Reps are the final global representatives as seen by this peer (all
-	// peers converge to the same set on termination).
-	Reps []*txn.Transaction
-	// Rounds is the number of collaborative rounds executed.
-	Rounds int
-	// Capped reports that the round cap, not convergence, stopped it.
-	Capped bool
-	// Report carries the per-round accounting.
-	Report PeerReport
-	// PendingAssigns are AssignMsg reports from peers that terminated
-	// ahead of this one and whose messages overtook the final round
-	// (coordinator only; consumed by RunPeer's collection step).
-	PendingAssigns []AssignMsg
-}
-
-// RunSession executes the CXK-means protocol for this peer until
-// convergence, MaxRounds, ctx cancellation or a protocol failure. It drives
-// the session's state machine and does all of its I/O: it reads the
-// transport under ctx, owns the real timers, runs compute requests on the
-// peer's cluster.Rounds, and under the fabric saves and loads checkpoints,
-// sends control traffic epoch-less, resets connections and turns a leave
-// request into an input. Errors are *SessionError values wrapping the typed
-// causes of phase.go; cancellation surfaces as ErrCanceled, observed at
-// blocking receives and around relocation passes.
-func (p *Peer) RunSession(ctx context.Context) (*SessionResult, error) {
+// run drives the session's state machine from its opening outputs to its
+// end and does all of its I/O: it reads the transport under ctx, owns the
+// real timers, runs compute requests on the peer's cluster.Rounds, and under
+// the fabric saves and loads checkpoints, sends control traffic epoch-less,
+// resets connections and turns a leave request into an input. Errors are
+// *SessionError values wrapping the typed causes of phase.go; cancellation
+// surfaces as ErrCanceled, observed before each send, at blocking receives
+// and around relocation passes.
+func (d *driver) run(ctx context.Context, outs []any) (*PeerResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg := &p.cfg
-	d, outs := newDriver(p, cfg.Transport.Peers())
-	s := d.s
+	s, tr, fab := d.s, d.opts.Transport, d.opts.Fabric
 	for epoch := -1; ; outs = s.Step(d.in) {
 		if s.epoch != epoch {
 			epoch = s.epoch
-			cfg.Transport.SetEpoch(cfg.ID, epoch)
+			tr.SetEpoch(s.id, epoch)
 		}
 		d.in = nil
 		round, phase := s.round, s.phase
@@ -188,7 +94,10 @@ func (p *Peer) RunSession(ctx context.Context) (*SessionResult, error) {
 		for i := 0; err == nil && i < len(outs); i++ {
 			switch o := outs[i].(type) {
 			case send:
-				if err = d.send(o); err != nil {
+				if err = canceled(ctx); err == nil { // a send can block for DialTimeout
+					err = d.send(o)
+				}
+				if err != nil {
 					round, phase = o.round, o.phase
 				}
 			case armTimer:
@@ -196,18 +105,20 @@ func (p *Peer) RunSession(ctx context.Context) (*SessionResult, error) {
 			case Event:
 				d.observe(o)
 			case checkpoint:
-				err = cfg.Fabric.Store.Save(cfg.ID, cfg.Fabric.Fingerprint, o.st)
+				err = fab.Store.Save(s.id, fab.Fingerprint, o.st)
 			case restore:
 				var st *SessionState
-				st, err = cfg.Fabric.Store.Load(cfg.ID, o.round, cfg.Fabric.Fingerprint)
+				st, err = fab.Store.Load(s.id, o.round, fab.Fingerprint)
 				d.in = loaded{st}
 			case reset:
-				cfg.Transport.ResetConn(o.to)
+				tr.ResetConn(o.to)
 			case compute:
 				err = d.compute(ctx, o)
 			case done:
 				if err = o.err; err == nil {
-					return s.result(), nil
+					res := s.result()
+					res.WallTime = time.Since(d.t0)
+					return res, nil
 				}
 			}
 		}
@@ -215,15 +126,17 @@ func (p *Peer) RunSession(ctx context.Context) (*SessionResult, error) {
 			err = d.recv(ctx)
 		}
 		if err != nil {
-			return nil, &SessionError{Peer: cfg.ID, Round: round, Phase: phase, Err: err}
+			return nil, &SessionError{Peer: s.id, Round: round, Phase: phase, Err: err}
 		}
 	}
 }
 
-// driver is RunSession's side of the session: the I/O, the clock and the
-// compute sections. in is the machine's next input.
+// driver is the I/O side of one session: RunPeer's transport, clock and
+// compute sections, and the compute sections of Run's scheduler. in is the
+// machine's next input.
 type driver struct {
-	cfg      *PeerConfig
+	opts     *Options
+	cx       *sim.Context
 	s        *session
 	engine   *cluster.Rounds
 	t0       time.Time // session start, for Event.Elapsed
@@ -232,15 +145,15 @@ type driver struct {
 	in       any
 }
 
-// newDriver builds the driver of peer p's session of m peers and returns it
-// with the machine's opening outputs.
-func newDriver(p *Peer, m int) (*driver, []any) {
-	cfg := &p.cfg
-	s, outs := newMachine(cfg, m)
-	d := &driver{cfg: cfg, s: s, t0: time.Now(), engine: cluster.NewRounds(
-		cluster.RepConfig{Ctx: cfg.Ctx, Rule: cfg.Rule, Workers: cfg.Workers}, cfg.Local, cfg.Fast)}
-	if cfg.Fabric != nil {
-		d.leave = cfg.Fabric.Leave
+// newDriver builds the driver of peer id's session of a run of opts and
+// returns it with the machine's opening outputs. cx is the similarity
+// context over corpus, start the run's StartMsg.
+func newDriver(cx *sim.Context, corpus *txn.Corpus, opts *Options, start StartMsg, id int) (*driver, []any) {
+	s, outs := newMachine(corpus, opts, start, id)
+	d := &driver{opts: opts, cx: cx, s: s, t0: time.Now(), engine: cluster.NewRounds(
+		cluster.RepConfig{Ctx: cx, Rule: opts.Rule, Workers: opts.Workers}, s.local, opts.Fast)}
+	if opts.Fabric != nil {
+		d.leave = opts.Fabric.Leave
 	}
 	return d, outs
 }
@@ -249,9 +162,9 @@ func newDriver(p *Peer, m int) (*driver, []any) {
 // rejoin state) uses StartupTimeout: peer processes boot in any order, so
 // it must tolerate the whole cluster's spin-up, not one round's slack.
 func (d *driver) arm(startup bool) {
-	t := d.cfg.RoundTimeout
-	if startup && d.cfg.StartupTimeout != 0 {
-		t = d.cfg.StartupTimeout
+	t := d.opts.RoundTimeout
+	if startup && d.opts.StartupTimeout != 0 {
+		t = d.opts.StartupTimeout
 	}
 	d.deadline = time.Time{}
 	if t > 0 {
@@ -262,13 +175,13 @@ func (d *driver) arm(startup bool) {
 // observe stamps an event with the traffic so far, the work counters and
 // the elapsed time, and publishes it.
 func (d *driver) observe(ev Event) {
-	if d.cfg.Observer == nil {
+	if d.opts.Observer == nil {
 		return
 	}
 	ev.SentMsgs, ev.SentBytes, ev.RecvMsgs, ev.RecvBytes = d.s.report.TrafficTotals()
-	ev.CounterSnapshot = d.cfg.Ctx.Counters.Snapshot()
+	ev.CounterSnapshot = d.cx.Counters.Snapshot()
 	ev.Elapsed = time.Since(d.t0)
-	d.cfg.Observer(ev)
+	d.opts.Observer(ev)
 }
 
 // compute answers a compute request and accounts its wall time to the
@@ -317,7 +230,7 @@ func (d *driver) recv(ctx context.Context) error {
 		fired = timer.C
 	}
 	select {
-	case env, ok := <-d.cfg.Transport.Recv(d.cfg.ID):
+	case env, ok := <-d.opts.Transport.Recv(d.s.id):
 		if !ok {
 			return ErrTransportClosed
 		}
@@ -337,8 +250,8 @@ func (d *driver) recv(ctx context.Context) error {
 func (d *driver) send(o send) error {
 	var err error
 	if o.control {
-		err = d.cfg.Transport.SendStamped(d.cfg.ID, o.to, p2p.EpochAny, o.payload)
-	} else if err = d.cfg.Transport.Send(d.cfg.ID, o.to, o.payload); err == nil {
+		err = d.opts.Transport.SendStamped(d.s.id, o.to, p2p.EpochAny, o.payload)
+	} else if err = d.opts.Transport.Send(d.s.id, o.to, o.payload); err == nil {
 		d.account(o)
 	}
 	if err != nil {
@@ -347,10 +260,15 @@ func (d *driver) send(o send) error {
 	return nil
 }
 
-// account records a sent payload against its round.
+// account records a sent round message against its round. N0's StartMsg
+// and a member's final AssignMsg are not round traffic.
 func (d *driver) account(o send) {
+	switch o.payload.(type) {
+	case StartMsg, AssignMsg:
+		return
+	}
 	d.s.report.SentMsgsByRound[o.round]++
-	d.s.report.SentBytesByRound[o.round] += d.s.size(o.payload)
+	d.s.report.SentBytesByRound[o.round] += d.s.sizer(o.payload)
 }
 
 func canceled(ctx context.Context) error {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,25 +15,23 @@ import (
 	"xmlclust/internal/txn"
 )
 
-// testPeer builds a Peer for corpus partition part over the given transport.
-func testPeer(corpus *txn.Corpus, tr p2p.Transport, id int, part [][]int, extra func(*PeerConfig)) *Peer {
-	cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
-	local := make([]*txn.Transaction, len(part[id]))
-	for j, idx := range part[id] {
-		local[j] = corpus.Transactions[idx]
-	}
-	cfg := PeerConfig{
-		ID: id, Ctx: cx, Local: local, Transport: tr,
-		Sizer: Sizer(corpus.Items), Seed: 1 + int64(id),
-	}
-	if extra != nil {
-		extra(&cfg)
-	}
-	return NewPeer(cfg)
+// testOpts configures a k = 2 run over corpus partition part on tr.
+func testOpts(tr p2p.Transport, part [][]int) Options {
+	return Options{K: 2, Params: sim.Params{F: 0.5, Gamma: 0.6}, Peers: len(part), Partition: part, Seed: 1, Transport: tr}
 }
 
-func startMsgFor(k, m int) StartMsg {
-	return StartMsg{Zs: ResponsibilityPartition(k, m), K: k, F: 0.5, Gamma: 0.6}
+// testDriver builds peer id's driver of a run of opts over corpus, as
+// RunPeer does, and returns it with the machine's opening outputs.
+func testDriver(corpus *txn.Corpus, opts Options, id int) (*driver, []any) {
+	cx := sim.NewContext(corpus, opts.Params)
+	return newDriver(cx, corpus, &opts, NewStartMsg(cx, corpus, opts), id)
+}
+
+// runSession runs peer id's session of opts to its end: RunPeer without the
+// entry checks, so the PK-means policy and a rejoining coordinator run too.
+func runSession(ctx context.Context, corpus *txn.Corpus, opts Options, id int) (*PeerResult, error) {
+	d, outs := testDriver(corpus, opts, id)
+	return d.run(ctx, outs)
 }
 
 // ---------------------------------------------------------------- phases
@@ -61,16 +60,12 @@ func TestSessionStartupPhase(t *testing.T) {
 	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
-	p := testPeer(corpus, tr, 0, part, nil)
-	st := newStepper(p, p.cfg.Transport.Peers())
+	st := newStepper(corpus, testOpts(tr, part), 0)
 	s := st.s
 	if s.phase != PhaseStartup {
 		t.Fatalf("fresh session in %s", s.phase)
 	}
-	if err := tr.Send(0, 0, startMsgFor(2, 2)); err != nil {
-		t.Fatal(err)
-	}
-	st.phase(t)
+	st.phase(t) // the coordinator takes its own StartMsg
 	if s.phase != PhaseBroadcastGlobals {
 		t.Fatalf("after startup: %s", s.phase)
 	}
@@ -98,13 +93,10 @@ func TestSessionBroadcastGlobalsPhase(t *testing.T) {
 	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
-	p := testPeer(corpus, tr, 0, part, nil)
-	st := newStepper(p, p.cfg.Transport.Peers())
+	st := newStepper(corpus, testOpts(tr, part), 0)
 	s := st.s
-	if err := tr.Send(0, 0, startMsgFor(2, 2)); err != nil {
-		t.Fatal(err)
-	}
 	st.phase(t)
+	<-tr.Recv(1) // peer 1's StartMsg
 	// Pre-queue peer 1's broadcast: it owns cluster 1.
 	rep := toWire(corpus.Items, corpus.Transactions[part[1][0]])
 	if err := tr.Send(1, 0, GlobalRepsMsg{From: 1, Round: 0, Reps: map[int]WireTxn{1: rep}}); err != nil {
@@ -140,12 +132,10 @@ func TestSessionRelocateAndExchangePhases(t *testing.T) {
 	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
-	p := testPeer(corpus, tr, 0, part, nil)
-	st := newStepper(p, p.cfg.Transport.Peers())
+	st := newStepper(corpus, testOpts(tr, part), 0)
 	s := st.s
-	if err := tr.Send(0, 0, startMsgFor(2, 2)); err != nil {
-		t.Fatal(err)
-	}
+	st.flush(t) // the StartMsgs
+	<-tr.Recv(1)
 	rep := toWire(corpus.Items, corpus.Transactions[part[1][0]])
 	if err := tr.Send(1, 0, GlobalRepsMsg{From: 1, Round: 0, Reps: map[int]WireTxn{1: rep}}); err != nil {
 		t.Fatal(err)
@@ -214,12 +204,8 @@ func TestSessionTerminatesWhenAllDone(t *testing.T) {
 	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
-	p := testPeer(corpus, tr, 0, part, nil)
-	st := newStepper(p, p.cfg.Transport.Peers())
+	st := newStepper(corpus, testOpts(tr, part), 0)
 	s := st.s
-	if err := tr.Send(0, 0, startMsgFor(2, 2)); err != nil {
-		t.Fatal(err)
-	}
 	rep := toWire(corpus.Items, corpus.Transactions[part[1][0]])
 	if err := tr.Send(1, 0, GlobalRepsMsg{From: 1, Round: 0, Reps: map[int]WireTxn{1: rep}}); err != nil {
 		t.Fatal(err)
@@ -241,30 +227,153 @@ func TestSessionTerminatesWhenAllDone(t *testing.T) {
 	}
 }
 
+// collecting steps the coordinator of a one-round, two-peer run over part
+// into its collection: it takes its own StartMsg and member 1's globals and
+// done flag, relocates, refines, stops at the round cap and waits for member
+// 1's report.
+func collecting(t *testing.T, corpus *txn.Corpus, part [][]int, fab *Fabric) *stepper {
+	t.Helper()
+	opts := testOpts(nil, part)
+	opts.MaxRounds, opts.Fabric = 1, fab
+	st := newStepper(corpus, opts, 0)
+	rep := toWire(corpus.Items, corpus.Transactions[part[1][0]])
+	for _, env := range []p2p.Envelope{
+		{From: 0, Payload: st.s.start},
+		{From: 1, Payload: GlobalRepsMsg{From: 1, Reps: map[int]WireTxn{1: rep}}},
+		{From: 1, Payload: LocalRepsMsg{From: 1, Flag: FlagDone}},
+	} {
+		st.armed = false // the exchange's timer must not stand in for the collection's
+		st.deliver(env)
+		for st.advance(t) {
+		}
+	}
+	if st.s.phase != PhaseDone || st.done {
+		t.Fatalf("coordinator in %s, done %v (%v), want collecting", st.s.phase, st.done, st.err)
+	}
+	if !st.armed {
+		t.Fatal("the coordinator entered its collection without arming a timer")
+	}
+	return st
+}
+
+// TestCollectAssignmentsTimeout: the coordinator must not hang when a member
+// dies between its session end and its final report. The timer that fires
+// during the collection fails the session with ErrRoundDeadline, under the
+// fabric too: there is no round left to recover.
+func TestCollectAssignmentsTimeout(t *testing.T) {
+	corpus, _ := miniCorpus(t, 4)
+	part := EqualPartition(len(corpus.Transactions), 2, 1)
+	for _, fab := range []*Fabric{nil, {Store: memStore{}}} {
+		st := collecting(t, corpus, part, fab)
+		st.take(st.s.Step(timeout{}))
+		if !st.done || !errors.Is(st.err, ErrRoundDeadline) {
+			t.Errorf("fabric %v: a timer with slot 1's report missing ended in %v, want ErrRoundDeadline", fab != nil, st.err)
+		}
+	}
+}
+
+// TestCollectAssignmentsMergesPartition checks the coordinator's local→corpus
+// index mapping through an unequal partition.
+func TestCollectAssignmentsMergesPartition(t *testing.T) {
+	corpus, _ := miniCorpus(t, 4)
+	n := len(corpus.Transactions)
+	part := UnequalPartition(n, 2, 3)
+	st := collecting(t, corpus, part, nil)
+	own := st.s.assign
+	st.got(1, AssignMsg{From: 1, Assign: slices.Repeat([]int{1}, len(part[1]))})
+	if !st.done || st.err != nil {
+		t.Fatalf("the last report left the coordinator done %v, %v", st.done, st.err)
+	}
+	global := st.s.result().Global
+	if len(global) != n {
+		t.Fatalf("the corpus-wide assignment covers %d of %d", len(global), n)
+	}
+	for i, idx := range part[0] {
+		if global[idx] != own[i] {
+			t.Errorf("index %d not mapped to peer 0's assignment", idx)
+		}
+	}
+	for _, idx := range part[1] {
+		if global[idx] != 1 {
+			t.Errorf("index %d not mapped to peer 1's assignment", idx)
+		}
+	}
+}
+
+// TestCoordinatorVetsReports: a report is bytes from a port anyone can dial,
+// and the coordinator indexes the corpus-wide assignment with it. One check
+// per field: each bad report, taken before or after the StartMsg, fails the
+// session with ErrUnexpectedMessage, where a good one from each member
+// passes.
+func TestCoordinatorVetsReports(t *testing.T) {
+	corpus, _ := miniCorpus(t, 6)
+	part := EqualPartition(len(corpus.Transactions), 3, 1)
+	good := func(from int) AssignMsg {
+		return AssignMsg{From: from, Assign: make([]int, len(part[from]))}
+	}
+	with := func(from, i, a int) AssignMsg {
+		msg := good(from)
+		msg.Assign[i] = a
+		return msg
+	}
+	cases := []struct {
+		name string
+		at   int // the peer that takes the reports
+		envs []p2p.Envelope
+	}{
+		{"good reports", 0, []p2p.Envelope{{From: 1, Payload: with(1, 0, -1)}, {From: 2, Payload: with(2, 0, 1)}}},
+		{"sender is not the frame's", 0, []p2p.Envelope{{From: 2, Payload: good(1)}, {From: 2, Payload: good(2)}}},
+		{"sender past m", 0, []p2p.Envelope{{From: 3, Payload: AssignMsg{From: 3}}}},
+		{"the coordinator's slot", 0, []p2p.Envelope{{From: 0, Payload: good(0)}}},
+		{"a member takes a report", 1, []p2p.Envelope{{From: 2, Payload: good(2)}}},
+		{"second report of a slot", 0, []p2p.Envelope{{From: 1, Payload: good(1)}, {From: 1, Payload: good(1)}}},
+		{"too short", 0, []p2p.Envelope{{From: 1, Payload: AssignMsg{From: 1, Assign: good(1).Assign[1:]}}}},
+		{"too long", 0, []p2p.Envelope{{From: 2, Payload: AssignMsg{From: 2, Assign: append(good(2).Assign, 0)}}}},
+		{"cluster past k", 0, []p2p.Envelope{{From: 1, Payload: with(1, 0, 2)}}},
+		{"cluster far past k", 0, []p2p.Envelope{{From: 1, Payload: with(1, 1, 99999)}}},
+		{"below the trash cluster", 0, []p2p.Envelope{{From: 2, Payload: with(2, 1, -2)}}},
+	}
+	for _, c := range cases {
+		for _, beforeStart := range []bool{true, false} {
+			st := newStepper(corpus, testOpts(nil, part), c.at)
+			envs := append([]p2p.Envelope{{From: 0, Payload: st.s.start}}, c.envs...)
+			if beforeStart {
+				envs = append(c.envs, envs[0])
+			}
+			for _, env := range envs {
+				if !st.done {
+					st.deliver(env)
+				}
+			}
+			if wantErr := c.name != "good reports"; wantErr != errors.Is(st.err, ErrUnexpectedMessage) || st.done != wantErr {
+				t.Errorf("%s (before the StartMsg: %v): done %v, %v", c.name, beforeStart, st.done, st.err)
+			}
+		}
+	}
+}
+
 // TestSessionStartupBuffersEarlyMessages reproduces a real-network race:
 // on separate TCP connections a fast neighbour's round-0 broadcast (or even
-// a post-session AssignMsg) can overtake the coordinator's StartMsg. The
-// startup phase must buffer, not reject, and the buffered broadcast must
-// feed phase 1 afterwards — and count as received in its round like any other
-// (the per-round counts are inputs of Result.SimulatedTime).
+// its final AssignMsg) can overtake the coordinator's StartMsg. The
+// startup phase must buffer, not reject: the buffered broadcast must feed
+// phase 1 afterwards — and count as received in its round like any other
+// (the per-round counts are inputs of Result.SimulatedTime) — and the report
+// counts toward the coordinator's collection.
 func TestSessionStartupBuffersEarlyMessages(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
 	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
-	p := testPeer(corpus, tr, 0, part, nil)
-	st := newStepper(p, p.cfg.Transport.Peers())
+	st := newStepper(corpus, testOpts(tr, part), 0)
 	s := st.s
 	rep := toWire(corpus.Items, corpus.Transactions[part[1][0]])
-	// The neighbour's broadcast and a stray assignment report arrive first.
+	// The neighbour's broadcast and its assignment report arrive first.
 	early := GlobalRepsMsg{From: 1, Round: 0, Reps: map[int]WireTxn{1: rep}}
 	if err := tr.Send(1, 0, early); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Send(1, 0, AssignMsg{From: 1, Rounds: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Send(0, 0, startMsgFor(2, 2)); err != nil {
+	report := slices.Repeat([]int{1}, len(part[1]))
+	if err := tr.Send(1, 0, AssignMsg{From: 1, Assign: report}); err != nil {
 		t.Fatal(err)
 	}
 	// Phase 1 must complete from the buffer alone — no further messages.
@@ -272,8 +381,8 @@ func TestSessionStartupBuffersEarlyMessages(t *testing.T) {
 	if s.phase != PhaseRelocate || s.global[1] == nil {
 		t.Fatalf("buffered broadcast not consumed: phase=%s", s.phase)
 	}
-	if len(s.pendAssign) != 1 {
-		t.Fatalf("early AssignMsg not buffered: %d", len(s.pendAssign))
+	if !s.reported[1] || s.final[part[1][0]] != 1 {
+		t.Fatalf("early AssignMsg not collected: reported %v", s.reported)
 	}
 	if msgs, bytes := s.report.RecvMsgsByRound[0], s.report.RecvBytesByRound[0]; msgs != 1 || bytes != Sizer(corpus.Items)(early) {
 		t.Errorf("the broadcast that overtook the StartMsg is accounted as %d messages / %d B in round 0, want 1 / %d",
@@ -318,8 +427,7 @@ func TestReceivedCountsMatchSentUnderDelays(t *testing.T) {
 // TestSessionRejectsMalformedFrames: a frame's own numbers are used as
 // indices only after they are vetted. Each malformed round message — sent
 // before or after the StartMsg — must fail the session with
-// ErrUnexpectedMessage inside the deadline, never panic or allocate by what
-// the frame claims.
+// ErrUnexpectedMessage, never panic or allocate by what the frame claims.
 func TestSessionRejectsMalformedFrames(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
@@ -354,42 +462,26 @@ func TestSessionRejectsMalformedFrames(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, beforeStart := range []bool{true, false} {
-			tr := p2p.NewChanTransport(2)
-			if beforeStart {
-				if err := tr.Send(c.from, 0, c.msg); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := tr.Send(0, 0, startMsgFor(2, 2)); err != nil {
-				t.Fatal(err)
-			}
+			st := newStepper(corpus, testOpts(nil, part), 0)
+			bad := p2p.Envelope{From: c.from, Payload: c.msg}
+			envs := []p2p.Envelope{bad, {From: 0, Payload: st.s.start}}
 			if !beforeStart {
-				if err := tr.Send(c.from, 0, c.msg); err != nil {
-					t.Fatal(err)
-				}
+				envs[0], envs[1] = envs[1], envs[0]
 			}
 			// Peer 1's well-formed round-0 traffic, so that a LocalRepsMsg case
 			// is reached: only the malformed frame can fail the session.
 			for _, msg := range []any{global(1, 0, 1, good), LocalRepsMsg{From: 1, Round: 0, Flag: FlagDone}} {
-				if err := tr.Send(1, 0, msg); err != nil {
-					t.Fatal(err)
+				envs = append(envs, p2p.Envelope{From: 1, Payload: msg})
+			}
+			for _, env := range envs {
+				if st.deliver(env); !st.done {
+					for st.advance(t) {
+					}
 				}
 			}
-			p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) { cfg.RoundTimeout = 5 * time.Second })
-			errc := make(chan error, 1)
-			go func() {
-				_, err := p.RunSession(context.Background())
-				errc <- err
-			}()
-			select {
-			case err := <-errc:
-				if !errors.Is(err, ErrUnexpectedMessage) {
-					t.Errorf("%s (before the StartMsg: %v): want ErrUnexpectedMessage, got %v", c.name, beforeStart, err)
-				}
-			case <-time.After(20 * time.Second):
-				t.Fatalf("%s (before the StartMsg: %v): session neither failed nor finished", c.name, beforeStart)
+			if !st.done || !errors.Is(st.err, ErrUnexpectedMessage) {
+				t.Errorf("%s (before the StartMsg: %v): want ErrUnexpectedMessage, got done %v, %v", c.name, beforeStart, st.done, st.err)
 			}
-			tr.Close()
 		}
 	}
 }
@@ -401,13 +493,12 @@ func TestSessionStartupRejectsBadMessage(t *testing.T) {
 	tr := p2p.NewChanTransport(1)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 1, 1)
-	p := testPeer(corpus, tr, 0, part, nil)
 	// Protocol messages (globals/locals/assignments) are buffered during
 	// startup — only a genuinely foreign payload is a protocol violation.
 	if err := tr.Send(0, 0, "bogus payload"); err != nil {
 		t.Fatal(err)
 	}
-	_, err := p.RunSession(context.Background())
+	_, err := runSession(context.Background(), corpus, testOpts(tr, part), 0)
 	if err == nil {
 		t.Fatal("bad startup message must fail the session")
 	}
@@ -426,22 +517,14 @@ func TestSessionStartupRejectsBadMessage(t *testing.T) {
 func TestSessionDeadPeerTimeout(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
 	part := EqualPartition(len(corpus.Transactions), 3, 1)
-	start := startMsgFor(2, 3)
 	for _, pk := range []bool{false, true} {
 		tr := p2p.NewChanTransport(3)
-		for i := 0; i < 3; i++ {
-			if err := tr.Send(0, i, start); err != nil {
-				t.Fatal(err)
-			}
-		}
+		opts := testOpts(tr, part)
+		opts.RoundTimeout, opts.PKMeans = 100*time.Millisecond, pk
 		errc := make(chan error, 2)
 		for _, id := range []int{0, 1} {
-			p := testPeer(corpus, tr, id, part, func(cfg *PeerConfig) {
-				cfg.RoundTimeout = 100 * time.Millisecond
-				cfg.PKMeans = pk
-			})
 			go func() {
-				_, err := p.RunSession(context.Background())
+				_, err := runSession(context.Background(), corpus, opts, id)
 				errc <- err
 			}()
 		}
@@ -463,15 +546,19 @@ func TestSessionDeadPeerTimeout(t *testing.T) {
 	}
 }
 
+// memberOpts configures member 1 of a two-peer run whose coordinator the
+// test plays, or never starts.
+func memberOpts(corpus *txn.Corpus, tr p2p.Transport) Options {
+	return testOpts(tr, EqualPartition(len(corpus.Transactions), 2, 1))
+}
+
 func TestSessionStartupDeadline(t *testing.T) {
 	corpus, _ := miniCorpus(t, 2)
-	tr := p2p.NewChanTransport(1)
+	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
-	part := EqualPartition(len(corpus.Transactions), 1, 1)
-	p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) {
-		cfg.RoundTimeout = 50 * time.Millisecond
-	})
-	_, err := p.RunSession(context.Background()) // no StartMsg ever arrives
+	opts := memberOpts(corpus, tr)
+	opts.RoundTimeout = 50 * time.Millisecond
+	_, err := runSession(context.Background(), corpus, opts, 1) // no StartMsg ever arrives
 	if !errors.Is(err, ErrRoundDeadline) {
 		t.Fatalf("want ErrRoundDeadline, got %v", err)
 	}
@@ -479,16 +566,14 @@ func TestSessionStartupDeadline(t *testing.T) {
 
 func TestSessionContextCancel(t *testing.T) {
 	corpus, _ := miniCorpus(t, 2)
-	tr := p2p.NewChanTransport(1)
+	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
-	part := EqualPartition(len(corpus.Transactions), 1, 1)
-	p := testPeer(corpus, tr, 0, part, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	_, err := p.RunSession(ctx)
+	_, err := runSession(ctx, corpus, memberOpts(corpus, tr), 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -507,58 +592,115 @@ func (f *failingTransport) Send(from, to int, payload any) error {
 	return f.Transport.Send(from, to, payload)
 }
 
+func (f *failingTransport) SendStamped(from, to, epoch int, payload any) error {
+	if to == f.failTo {
+		return fmt.Errorf("link to %d down", to)
+	}
+	return f.Transport.SendStamped(from, to, epoch, payload)
+}
+
 // TestSessionSendFailurePropagates: a failed send must fail the session
 // with ErrSend instead of being silently swallowed (the old engine dropped
 // the error and left the receiving peer to starve), under either policy.
+// A StartMsg that cannot reach a peer fails the coordinator at startup.
 func TestSessionSendFailurePropagates(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
-	part := EqualPartition(len(corpus.Transactions), 2, 1)
 	for _, pk := range []bool{false, true} {
+		for _, id := range []int{0, 1} {
+			inner := p2p.NewChanTransport(2)
+			opts := memberOpts(corpus, &failingTransport{Transport: inner, failTo: 1 - id})
+			opts.PKMeans = pk
+			d, outs := testDriver(corpus, opts, id)
+			if id == 1 {
+				if err := inner.Send(0, 1, d.s.start); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err := d.run(context.Background(), outs)
+			inner.Close()
+			if err == nil {
+				t.Fatalf("pk=%v peer %d: send failure must fail the session", pk, id)
+			}
+			if !errors.Is(err, ErrSend) {
+				t.Errorf("pk=%v peer %d: want ErrSend, got %v", pk, id, err)
+			}
+			want := []Phase{PhaseStartup, PhaseBroadcastGlobals}[id]
+			var se *SessionError
+			if !errors.As(err, &se) || se.Phase != want {
+				t.Errorf("pk=%v peer %d: send failure not attributed to %s: %+v", pk, id, want, err)
+			}
+		}
+	}
+	// Under the fabric a failed StartMsg still fails the coordinator, and a
+	// member whose startup window expires reports the stall to a coordinator
+	// it cannot reach: the coordinator is lost.
+	for id, want := range []error{ErrSend, ErrCoordinatorLost} {
 		inner := p2p.NewChanTransport(2)
-		tr := &failingTransport{Transport: inner, failTo: 1}
-		if err := inner.Send(0, 0, startMsgFor(2, 2)); err != nil {
-			t.Fatal(err)
-		}
-		p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) { cfg.PKMeans = pk })
-		_, err := p.RunSession(context.Background())
+		opts := memberOpts(corpus, &failingTransport{Transport: inner, failTo: 1 - id})
+		opts.Fabric, opts.RoundTimeout = &Fabric{Store: memStore{}}, 20*time.Millisecond
+		_, err := runSession(context.Background(), corpus, opts, id)
 		inner.Close()
-		if err == nil {
-			t.Fatalf("pk=%v: send failure must fail the session", pk)
-		}
-		if !errors.Is(err, ErrSend) {
-			t.Errorf("pk=%v: want ErrSend, got %v", pk, err)
+		if !errors.Is(err, want) {
+			t.Errorf("fabric peer %d: want %v, got %v", id, want, err)
 		}
 		var se *SessionError
-		if !errors.As(err, &se) || se.Phase != PhaseBroadcastGlobals {
-			t.Errorf("pk=%v: send failure not attributed to broadcast-globals: %+v", pk, err)
+		if !errors.As(err, &se) || se.Phase != PhaseStartup {
+			t.Errorf("fabric peer %d: send failure not attributed to startup: %+v", id, err)
 		}
 	}
 }
 
-// TestRunSessionSinglePeer runs the full engine through the public Peer
-// surface for m=1 and cross-checks the thin-driver path.
+// cancelingTransport cancels the run at its first send and counts sends.
+type cancelingTransport struct {
+	p2p.Transport
+	cancel context.CancelFunc
+	sends  int
+}
+
+func (c *cancelingTransport) Send(from, to int, payload any) error {
+	c.sends++
+	c.cancel()
+	return c.Transport.Send(from, to, payload)
+}
+
+// TestSessionCancelBetweenStartSends: each of N0's opening sends can block
+// up to DialTimeout, so a coordinator cancelled during one must return
+// before the next instead of after all m.
+func TestSessionCancelBetweenStartSends(t *testing.T) {
+	corpus, _ := miniCorpus(t, 3)
+	inner := p2p.NewChanTransport(3)
+	defer inner.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tr := &cancelingTransport{Transport: inner, cancel: cancel}
+	_, err := runSession(ctx, corpus, testOpts(tr, EqualPartition(len(corpus.Transactions), 3, 1)), 0)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if tr.sends != 1 {
+		t.Errorf("the cancelled coordinator made %d StartMsg sends, want 1", tr.sends)
+	}
+}
+
+// TestRunSessionSinglePeer runs the full engine through a driven session for
+// m=1 and cross-checks it against Run.
 func TestRunSessionSinglePeer(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
 	ref := runCXK(t, corpus, 2, 1, 7)
 
 	tr := p2p.NewChanTransport(1)
 	defer tr.Close()
-	if err := tr.Send(0, 0, StartMsg{Zs: ResponsibilityPartition(2, 1), K: 2, F: 0.5, Gamma: 0.6}); err != nil {
-		t.Fatal(err)
-	}
-	part := EqualPartition(len(corpus.Transactions), 1, 7)
-	p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) { cfg.Seed = 7 })
-	res, err := p.RunSession(context.Background())
+	opts := testOpts(tr, EqualPartition(len(corpus.Transactions), 1, 7))
+	opts.Seed = 7
+	res, err := runSession(context.Background(), corpus, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rounds != ref.Rounds {
 		t.Errorf("rounds %d vs driver %d", res.Rounds, ref.Rounds)
 	}
-	for i, a := range res.Assign {
-		if ref.Assign[part[0][i]] != a {
-			t.Fatalf("assignment %d differs from driver run", i)
-		}
+	if !slices.Equal(res.Global, ref.Assign) {
+		t.Fatal("assignment differs from driver run")
 	}
 }
 
@@ -567,21 +709,15 @@ func TestRunSessionSinglePeer(t *testing.T) {
 // ErrConfigMismatch instead of silently clustering a divergent partition.
 func TestSessionConfigMismatch(t *testing.T) {
 	corpus, _ := miniCorpus(t, 2)
-	tr := p2p.NewChanTransport(1)
+	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
-	part := EqualPartition(len(corpus.Transactions), 1, 1)
-	msg := startMsgFor(2, 1)
-	msg.Txns = len(corpus.Transactions)
-	msg.PartitionHash = PartitionFingerprint(corpus, part)
-	p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) {
-		want := msg
-		want.Seed = 5 // coordinator announces seed 0
-		cfg.Expect = &want
-	})
-	if err := tr.Send(0, 0, msg); err != nil {
+	d, outs := testDriver(corpus, memberOpts(corpus, tr), 1)
+	msg := d.s.start
+	msg.Seed += 4 // the coordinator announces another seed
+	if err := tr.Send(0, 1, msg); err != nil {
 		t.Fatal(err)
 	}
-	_, err := p.RunSession(context.Background())
+	_, err := d.run(context.Background(), outs)
 	if !errors.Is(err, ErrConfigMismatch) {
 		t.Fatalf("want ErrConfigMismatch, got %v", err)
 	}
@@ -630,22 +766,24 @@ func TestRunPeerSeedMismatchFails(t *testing.T) {
 // long after one round-timeout has elapsed.
 func TestSessionStartupTimeoutOutlivesRoundTimeout(t *testing.T) {
 	corpus, _ := miniCorpus(t, 2)
-	tr := p2p.NewChanTransport(1)
+	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
-	part := EqualPartition(len(corpus.Transactions), 1, 1)
-	p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) {
-		cfg.RoundTimeout = 50 * time.Millisecond
-		cfg.StartupTimeout = 5 * time.Second
-	})
+	opts := memberOpts(corpus, tr)
+	opts.RoundTimeout, opts.StartupTimeout = 300*time.Millisecond, 10*time.Second
+	coordinator := make(chan error, 1)
 	go func() {
-		time.Sleep(200 * time.Millisecond) // > RoundTimeout, < StartupTimeout
-		tr.Send(0, 0, startMsgFor(2, 1))
+		time.Sleep(600 * time.Millisecond) // > RoundTimeout, < StartupTimeout
+		_, err := runSession(context.Background(), corpus, opts, 0)
+		coordinator <- err
 	}()
-	res, err := p.RunSession(context.Background())
+	res, err := runSession(context.Background(), corpus, opts, 1)
 	if err != nil {
 		t.Fatalf("late coordinator killed the session: %v", err)
 	}
 	if res.Rounds == 0 {
 		t.Error("session did not run")
+	}
+	if err := <-coordinator; err != nil {
+		t.Errorf("the late coordinator: %v", err)
 	}
 }

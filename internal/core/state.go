@@ -27,7 +27,7 @@ type SessionState struct {
 	// exactly as announced in the StartMsg.
 	K  int
 	Zs [][]int
-	// Assign is the local assignment, parallel to PeerConfig.Local.
+	// Assign is the local assignment, parallel to the peer's partition part.
 	Assign []int
 	// Sizes holds the per-cluster local membership counts |C_i_j|.
 	Sizes []int

@@ -26,7 +26,7 @@ func soloOpts(corpus *txn.Corpus, seed int64) Options {
 
 // runSolo runs a single-peer fabric session to completion and returns its
 // result with the boundary state of every round, as checkpointed.
-func runSolo(t *testing.T, seed int64) (*SessionResult, []*SessionState) {
+func runSolo(t *testing.T, seed int64) (*PeerResult, []*SessionState) {
 	t.Helper()
 	corpus, _ := miniCorpus(t, 6)
 	f := newFabricSim(t, corpus, soloOpts(corpus, seed))
@@ -38,7 +38,7 @@ func runSolo(t *testing.T, seed int64) (*SessionResult, []*SessionState) {
 
 // resumeSolo starts a fresh single-peer fabric session from st, as the
 // answer to a restore, and runs it to completion.
-func resumeSolo(t *testing.T, seed int64, st *SessionState) (*SessionResult, []*SessionState) {
+func resumeSolo(t *testing.T, seed int64, st *SessionState) (*PeerResult, []*SessionState) {
 	t.Helper()
 	corpus, _ := miniCorpus(t, 6)
 	f := newFabricSim(t, corpus, soloOpts(corpus, seed))
@@ -144,9 +144,8 @@ func TestSessionRejoinInstallsControlState(t *testing.T) {
 	}
 	replica := ref.stores[1].states(t, 1)[1]
 
-	cfg := peerConfig(ref.cx, corpus, opts, &ref.start, 1)
-	cfg.Fabric, cfg.Rejoin = &Fabric{Store: memStore{}, Fingerprint: 42}, true
-	s, outs := newMachine(&cfg, 2)
+	opts.Fabric, opts.Rejoin = &Fabric{Store: memStore{}, Fingerprint: 42}, true
+	s, outs := newMachine(corpus, &opts, ref.start, 1)
 	if len(outs) != 2 || outs[0] != (send{to: 0, phase: PhaseRejoin, payload: JoinMsg{Slot: 1, Fingerprint: 42}, control: true}) ||
 		outs[1] != (armTimer{startup: true}) {
 		t.Fatalf("a joiner opens with %v", outs)
@@ -197,9 +196,9 @@ func TestSessionRejoinWithoutHooksFails(t *testing.T) {
 	corpus, _ := miniCorpus(t, 2)
 	tr := p2p.NewChanTransport(1)
 	defer tr.Close()
-	part := EqualPartition(len(corpus.Transactions), 1, 1)
-	p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) { cfg.Rejoin = true })
-	_, err := p.RunSession(context.Background())
+	opts := testOpts(tr, EqualPartition(len(corpus.Transactions), 1, 1))
+	opts.Rejoin = true
+	_, err := runSession(context.Background(), corpus, opts, 0)
 	if !errors.Is(err, ErrUnexpectedMessage) {
 		t.Fatalf("want ErrUnexpectedMessage, got %v", err)
 	}
@@ -213,15 +212,14 @@ func TestSessionEpochFiltering(t *testing.T) {
 	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
 	part := EqualPartition(len(corpus.Transactions), 2, 1)
-	p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) {
-		cfg.Fabric = &Fabric{Store: memStore{}, Fingerprint: 42}
-	})
-	st := newStepper(p, p.cfg.Transport.Peers())
+	opts := testOpts(tr, part)
+	opts.Fabric = &Fabric{Store: memStore{}, Fingerprint: 42}
+	st := newStepper(corpus, opts, 0)
 	s := st.s
 	s.epoch = 1
 	rep := toWire(corpus.Items, corpus.Transactions[part[1][0]])
 	// Stale (epoch 0), future (epoch 2) and a control message precede the
-	// coordinator's current-epoch StartMsg.
+	// coordinator's current-epoch StartMsg to itself.
 	tr.SetEpoch(1, 0)
 	if err := tr.Send(1, 0, GlobalRepsMsg{From: 1, Round: 0, Reps: map[int]WireTxn{1: rep}}); err != nil {
 		t.Fatal(err)
@@ -233,10 +231,7 @@ func TestSessionEpochFiltering(t *testing.T) {
 	if err := tr.Send(1, 0, CheckpointMsg{Slot: 1, Fingerprint: 42, State: SessionState{Round: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	tr.SetEpoch(0, 1)
-	if err := tr.Send(0, 0, startMsgFor(2, 2)); err != nil {
-		t.Fatal(err)
-	}
+	tr.SetEpoch(0, 1) // the coordinator's own StartMsg goes out now
 	st.phase(t)
 	if s.phase != PhaseBroadcastGlobals {
 		t.Fatalf("after startup: %s", s.phase)
@@ -264,16 +259,14 @@ func TestSessionEpochFiltering(t *testing.T) {
 // ErrRecoveryTimeout.
 func TestSessionDeadlineHookExtends(t *testing.T) {
 	corpus, _ := miniCorpus(t, 2)
-	tr := p2p.NewChanTransport(1)
+	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
-	part := EqualPartition(len(corpus.Transactions), 1, 1)
-	p := testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) {
-		cfg.RoundTimeout = 30 * time.Millisecond
-		cfg.Fabric = &Fabric{Store: memStore{}, RecoveryWindows: 2}
-	})
+	opts := memberOpts(corpus, tr)
+	opts.RoundTimeout = 30 * time.Millisecond
+	opts.Fabric = &Fabric{Store: memStore{}, RecoveryWindows: 2}
 	// No StartMsg ever arrives: the startup wait must expire three times.
 	t0 := time.Now()
-	_, err := p.RunSession(context.Background())
+	_, err := runSession(context.Background(), corpus, opts, 1)
 	if !errors.Is(err, ErrRecoveryTimeout) || !strings.Contains(err.Error(), "through 3 windows") {
 		t.Fatalf("want ErrRecoveryTimeout after 3 windows, got %v", err)
 	}
@@ -333,15 +326,17 @@ func TestSessionInstallVetsState(t *testing.T) {
 		c.corrupt(bad)
 
 		tr := p2p.NewChanTransport(1)
-		outs := newSession(testPeer(corpus, tr, 0, part, func(cfg *PeerConfig) {
-			cfg.Fabric = &Fabric{Store: memStore{}}
-		})).Step(loaded{bad})
+		opts := testOpts(tr, part)
+		opts.Fabric = &Fabric{Store: memStore{}}
+		d, _ := testDriver(corpus, opts, 0)
+		outs := d.s.Step(loaded{bad})
 		if d, ok := outs[len(outs)-1].(done); !ok || !errors.Is(d.err, ErrUnexpectedMessage) {
 			t.Errorf("%s: a restore ended with %v, want an error wrapping ErrUnexpectedMessage", c.name, outs)
 		}
 
 		// Mid-run: a session that holds a good state keeps all of it.
-		s := newSession(testPeer(corpus, tr, 0, part, nil))
+		d, _ = testDriver(corpus, testOpts(tr, part), 0)
+		s := d.s
 		if err := s.install(clone()); err != nil {
 			t.Fatalf("%s: the uncorrupted state does not install: %v", c.name, err)
 		}

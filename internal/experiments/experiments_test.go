@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -153,6 +154,34 @@ func TestAverageFRange(t *testing.T) {
 		if !strings.Contains(sb.String(), bounds) {
 			t.Errorf("bounds %s not printed:\n%s", bounds, sb.String())
 		}
+	}
+}
+
+// TestFloors pins both floors on six labelled transactions, four of class 0
+// and two of class 1, at k = 2. Seed 3 draws clusters 0 1 0 0 1 1, so
+// cluster 0 holds three of class 0 and cluster 1 one of class 0 and both of
+// class 1: class 0 scores F = 2·1·¾/(1+¾) = 6/7 on cluster 0, class 1
+// scores 2·⅔·1/(⅔+1) = 4/5 on cluster 1, and the floor is
+// (4·6/7 + 2·4/5)/6 = 88/105. In the single cluster class 0 scores
+// 2·⅔/(⅔+1) = 4/5 and class 1 2·⅓/(⅓+1) = 1/2, so that floor is
+// (4·4/5 + 2·1/2)/6 = 7/10. The table prints both beside the cell's F.
+func TestFloors(t *testing.T) {
+	random, single := floors([]int{0, 0, 0, 0, 1, 1}, 2, 3)
+	if math.Abs(random-88.0/105) > 1e-12 || math.Abs(single-0.7) > 1e-12 {
+		t.Errorf("floors F random %v, single %v; want 88/105 = %v and 0.7", random, single, 88.0/105)
+	}
+	var sb strings.Builder
+	(&TableResult{Rows: []TableRow{{Dataset: "DBLP", FRandom: random, FSingle: single}}}).Write(&sb)
+	if !strings.Contains(sb.String(), "0.838     0.700") {
+		t.Errorf("floors not printed:\n%s", sb.String())
+	}
+	spec := RunSpec{Dataset: "DBLP", Kind: dataset.ByHybrid, F: 0.5, Gamma: 0.8, Peers: 1, Docs: 48, MaxTuples: 16}
+	r, err := AverageF(spec, []float64{0.5}, []int64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.FRandom <= 0 || r.FRandom >= 1 || r.FSingle <= 0 || r.FSingle >= 1 {
+		t.Errorf("cell floors F random %v, single %v outside (0, 1)", r.FRandom, r.FSingle)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"sync"
 	"time"
@@ -99,6 +100,10 @@ type RunResult struct {
 	// FMin, FMax, TrashMin and TrashMax bound F and Trash over the Runs
 	// averaged (the run's own values for Execute).
 	FMin, FMax, TrashMin, TrashMax float64
+	// FRandom and FSingle are the F of two floors on the run's corpus and
+	// labels: a random assignment over [0, k) seeded by the run's seed, and
+	// the single-cluster partition.
+	FRandom, FSingle float64
 }
 
 // corpusKey caches prepared corpora across runs: corpus construction and
@@ -227,7 +232,10 @@ func ExecuteCtx(ctx context.Context, spec RunSpec) (RunResult, error) {
 		computeSum += res.Peers[i].TotalCompute()
 	}
 	f, trash := cont.FMeasure(), eval.TrashFraction(pc.labels, res.Assign)
+	fRandom, fSingle := floors(pc.labels, k, spec.Seed)
 	return RunResult{
+		FRandom:   fRandom,
+		FSingle:   fSingle,
 		F:         f,
 		FMin:      f,
 		FMax:      f,
@@ -255,6 +263,17 @@ func ExecuteCtx(ctx context.Context, spec RunSpec) (RunResult, error) {
 	}, nil
 }
 
+// floors scores the random and the single-cluster partition of labels.
+func floors(labels []int, k int, seed int64) (random, single float64) {
+	rng := rand.New(rand.NewSource(seed))
+	assign := make([]int, len(labels))
+	for i := range assign {
+		assign[i] = rng.Intn(k)
+	}
+	return eval.NewContingency(labels, assign, k).FMeasure(),
+		eval.NewContingency(labels, make([]int, len(labels)), k).FMeasure()
+}
+
 // AverageF runs the spec for every f value and seed given, averaging the
 // F-measure — the tables' "F-measure (avg)" protocol (Sect. 5.5.2 averages
 // over multiple runs and over the f sub-range of each clustering setting).
@@ -273,6 +292,8 @@ func AverageF(spec RunSpec, fs []float64, seeds []int64) (RunResult, error) {
 				return RunResult{}, err
 			}
 			agg.F += r.F
+			agg.FRandom += r.FRandom
+			agg.FSingle += r.FSingle
 			agg.FMin, agg.FMax = min(agg.FMin, r.F), max(agg.FMax, r.F)
 			agg.TrashMin, agg.TrashMax = min(agg.TrashMin, r.Trash), max(agg.TrashMax, r.Trash)
 			agg.Purity += r.Purity
@@ -292,6 +313,8 @@ func AverageF(spec RunSpec, fs []float64, seeds []int64) (RunResult, error) {
 	}
 	inv := 1.0 / float64(agg.Runs)
 	agg.F *= inv
+	agg.FRandom *= inv
+	agg.FSingle *= inv
 	agg.Purity *= inv
 	agg.NMI *= inv
 	agg.Trash *= inv

@@ -19,6 +19,8 @@ type TableRow struct {
 	Runs    int
 	// FMin, FMax, TrashMin and TrashMax bound F and Trash over the runs.
 	FMin, FMax, TrashMin, TrashMax float64
+	// FRandom and FSingle are the floors' F (see RunResult).
+	FRandom, FSingle float64
 }
 
 // TableResult reproduces one sub-table of Table 1 (equal split) or
@@ -50,6 +52,7 @@ func AccuracyTable(setting Setting, unequal bool, scale Scale) (*TableResult, er
 				Dataset: ds, K: r.K, M: m,
 				F: r.F, Purity: r.Purity, NMI: r.NMI, Trash: r.Trash, Rounds: r.Rounds, Capped: r.Capped, Runs: r.Runs,
 				FMin: r.FMin, FMax: r.FMax, TrashMin: r.TrashMin, TrashMax: r.TrashMax,
+				FRandom: r.FRandom, FSingle: r.FSingle,
 			})
 		}
 	}
@@ -65,8 +68,8 @@ func (t *TableResult) Write(w io.Writer) {
 		table = "Table 2"
 	}
 	fmt.Fprintf(w, "%s — clustering accuracy, data %s distributed: %s\n", table, split, t.Setting.Name)
-	fmt.Fprintf(w, "%-12s %10s %8s %12s %12s %8s %8s %8s %12s %8s\n",
-		"set", "#clusters", "#nodes", "F-measure", "F min-max", "purity", "NMI", "trash", "trash min-max", "capped")
+	fmt.Fprintf(w, "%-12s %10s %8s %12s %12s %8s %8s %8s %12s %9s %9s %8s\n",
+		"set", "#clusters", "#nodes", "F-measure", "F min-max", "purity", "NMI", "trash", "trash min-max", "F random", "F single", "capped")
 	prev := ""
 	for _, r := range t.Rows {
 		name := r.Dataset
@@ -76,8 +79,8 @@ func (t *TableResult) Write(w io.Writer) {
 		} else {
 			prev = name
 		}
-		fmt.Fprintf(w, "%-12s %10s %8d %12.3f %6.3f-%.3f %8.3f %8.3f %8.3f %6.3f-%.3f %6d/%d\n", name, kcol, r.M,
-			r.F, r.FMin, r.FMax, r.Purity, r.NMI, r.Trash, r.TrashMin, r.TrashMax, r.Capped, r.Runs)
+		fmt.Fprintf(w, "%-12s %10s %8d %12.3f %6.3f-%.3f %8.3f %8.3f %8.3f %6.3f-%.3f %9.3f %9.3f %6d/%d\n", name, kcol, r.M,
+			r.F, r.FMin, r.FMax, r.Purity, r.NMI, r.Trash, r.TrashMin, r.TrashMax, r.FRandom, r.FSingle, r.Capped, r.Runs)
 	}
 }
 

@@ -4,8 +4,8 @@
 //
 // The fabric's decisions (checkpoint, replicate, leave, admit a join, roll
 // back, suspect a peer) are a policy of the session machine, turned on by
-// core.Fabric, and its control messages are core's; RunSession's driver does
-// its I/O against a Store. Because the protocol is deterministic given
+// core.Fabric, and its control messages are core's; core.RunPeer's driver
+// does its I/O against a Store. Because the protocol is deterministic given
 // (corpus, partition, seed, k, f, γ), a session that loses a peer mid-round
 // and recovers replays to final assignments and representatives
 // byte-identical to an uninterrupted run — the equivalence the recovery

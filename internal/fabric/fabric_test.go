@@ -87,41 +87,33 @@ func (c crashStore) Save(slot int, fp uint64, st *core.SessionState) error {
 	return c.Store.Save(slot, fp, st)
 }
 
-// local returns the transactions of partition part id.
-func local(corpus *txn.Corpus, part []int) []*txn.Transaction {
-	out := make([]*txn.Transaction, len(part))
-	for j, idx := range part {
-		out[j] = corpus.Transactions[idx]
-	}
-	return out
-}
-
-// chanPeer configures peer id of an in-process fabric session over tr.
-func chanPeer(corpus *txn.Corpus, part [][]int, tr p2p.Transport, id int, store core.Checkpoints) core.PeerConfig {
-	return core.PeerConfig{
-		ID: id, Ctx: sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6}), Local: local(corpus, part[id]),
-		Transport: tr, Sizer: core.Sizer(corpus.Items), Seed: 1 + int64(id),
-		RoundTimeout: 200 * time.Millisecond,
-		Fabric:       &core.Fabric{Store: store, Fingerprint: 0xabcde},
+// chanOpts configures a k-cluster in-process fabric session of the
+// partition part over tr, on the given store.
+func chanOpts(part [][]int, tr p2p.Transport, k int, store core.Checkpoints) *core.Options {
+	return &core.Options{
+		K: k, Params: sim.Params{F: 0.5, Gamma: 0.6}, Peers: len(part), Partition: part, Seed: 1,
+		Transport: tr, RoundTimeout: 200 * time.Millisecond,
+		Fabric: &core.Fabric{Store: store, Fingerprint: 0xabcde},
 	}
 }
 
-// runChan runs the sessions of cfgs concurrently (cfgs[i] is peer i, or
-// nil if the test runs it itself) after N0's StartMsg for k clusters.
-func runChan(tr p2p.Transport, k int, cfgs []*core.PeerConfig) ([]*core.SessionResult, []error) {
-	m := len(cfgs)
-	start := core.StartMsg{Zs: core.ResponsibilityPartition(k, m), K: k, F: 0.5, Gamma: 0.6}
-	results, errs := make([]*core.SessionResult, m), make([]error, m)
+// runOne runs peer id's session of opts through RunPeer, on a similarity
+// context of its own.
+func runOne(corpus *txn.Corpus, opts *core.Options, id int) (*core.PeerResult, error) {
+	cx := sim.NewContext(corpus, opts.Params)
+	return core.RunPeer(context.Background(), cx, corpus, *opts, core.NewStartMsg(cx, corpus, *opts), id)
+}
+
+// runChan runs the sessions of opts concurrently, opts[i] peer i's.
+func runChan(corpus *txn.Corpus, opts []*core.Options) ([]*core.PeerResult, []error) {
+	m := len(opts)
+	results, errs := make([]*core.PeerResult, m), make([]error, m)
 	var wg sync.WaitGroup
-	for id, cfg := range cfgs {
-		tr.Send(0, id, start)
-		if cfg == nil {
-			continue
-		}
+	for id, o := range opts {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[id], errs[id] = core.NewPeer(*cfg).RunSession(context.Background())
+			results[id], errs[id] = runOne(corpus, o, id)
 		}()
 	}
 	wg.Wait()
@@ -140,17 +132,16 @@ func TestCheckpointRestoreEveryBoundary(t *testing.T) {
 	const k, m, fp = 3, 3, 0xabcde
 	part := core.EqualPartition(len(corpus.Transactions), m, 5)
 	stores := make([]*Store, m)
-	cfgs := make([]*core.PeerConfig, m)
+	opts := make([]*core.Options, m)
 	tr := p2p.NewChanTransport(m)
-	for id := range cfgs {
+	for id := range opts {
 		var err error
 		if stores[id], err = NewStore(t.TempDir()); err != nil {
 			t.Fatal(err)
 		}
-		cfg := chanPeer(corpus, part, tr, id, stores[id])
-		cfgs[id] = &cfg
+		opts[id] = chanOpts(part, tr, k, stores[id])
 	}
-	ref, errs := runChan(tr, k, cfgs)
+	ref, errs := runChan(corpus, opts)
 	tr.Close()
 	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
@@ -190,20 +181,19 @@ func TestCheckpointRestoreEveryBoundary(t *testing.T) {
 
 	for r := 0; r+1 < boundaries; r++ {
 		tr := p2p.NewChanTransport(m)
-		cfgs := make([]*core.PeerConfig, m)
+		opts := make([]*core.Options, m)
 		crashed := make(chan struct{})
-		for id := range cfgs {
+		for id := range opts {
 			store, err := NewStore(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := chanPeer(corpus, part, tr, id, store)
+			opts[id] = chanOpts(part, tr, k, store)
 			if id == 2 {
-				cfg.Fabric.Store = crashStore{Store: store, round: r + 1, crash: func() { close(crashed) }}
+				opts[id].Fabric.Store = crashStore{Store: store, round: r + 1, crash: func() { close(crashed) }}
 			}
-			cfgs[id] = &cfg
 		}
-		var joined *core.SessionResult
+		var joined *core.PeerResult
 		var joinErr error
 		joinDone := make(chan struct{})
 		go func() {
@@ -214,11 +204,11 @@ func TestCheckpointRestoreEveryBoundary(t *testing.T) {
 				joinErr = err
 				return
 			}
-			cfg := chanPeer(corpus, part, tr, 2, store)
-			cfg.Rejoin, cfg.StartupTimeout = true, cfg.RoundTimeout
-			joined, joinErr = core.NewPeer(cfg).RunSession(context.Background())
+			o := chanOpts(part, tr, k, store)
+			o.Rejoin, o.StartupTimeout = true, o.RoundTimeout
+			joined, joinErr = runOne(corpus, o, 2)
 		}()
-		res, errs := runChan(tr, k, cfgs)
+		res, errs := runChan(corpus, opts)
 		if !errors.Is(errs[2], errTestCrash) {
 			t.Fatalf("boundary %d: slot 2 ended with %v, want the simulated crash", r, errs[2])
 		}
@@ -254,12 +244,8 @@ func TestCorruptCheckpointSurfacesOnRestore(t *testing.T) {
 	}
 	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
-	cfgs := make([]*core.PeerConfig, 2)
-	for id := range cfgs {
-		cfg := chanPeer(corpus, part, tr, id, store)
-		cfgs[id] = &cfg
-	}
-	if _, errs := runChan(tr, 3, cfgs); errors.Join(errs...) != nil {
+	opts := chanOpts(part, tr, 3, store)
+	if _, errs := runChan(corpus, []*core.Options{opts, opts}); errors.Join(errs...) != nil {
 		t.Fatal(errors.Join(errs...))
 	}
 	st, err := store.Load(1, 0, fp)
@@ -278,7 +264,7 @@ func TestCorruptCheckpointSurfacesOnRestore(t *testing.T) {
 	if err := tr.SendStamped(0, 1, p2p.EpochAny, core.ResumeMsg{Epoch: 1, Round: 0, Fingerprint: fp}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.NewPeer(*cfgs[1]).RunSession(context.Background()); !errors.Is(err, core.ErrUnexpectedMessage) {
+	if _, err := runOne(corpus, opts, 1); !errors.Is(err, core.ErrUnexpectedMessage) {
 		t.Fatalf("restore from a corrupt checkpoint returned %v, want an error wrapping core.ErrUnexpectedMessage", err)
 	}
 }
