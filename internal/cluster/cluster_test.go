@@ -25,7 +25,7 @@ func twoTopicDocs(t testing.TB, perGroup int) *txn.Corpus {
 			<name>mining frequent patterns number%d</name>
 			<venue>KDD</venue>
 		</paper></db>`, i, i)
-		tree, err := xmltree.ParseString(doc, xmltree.DefaultParseOptions())
+		tree, err := xmltree.ParseString(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +38,7 @@ func twoTopicDocs(t testing.TB, perGroup int) *txn.Corpus {
 			<heading>routing wireless networks number%d</heading>
 			<lab>NETLAB</lab>
 		</report></db>`, i, i)
-		tree, err := xmltree.ParseString(doc, xmltree.DefaultParseOptions())
+		tree, err := xmltree.ParseString(doc)
 		if err != nil {
 			t.Fatal(err)
 		}

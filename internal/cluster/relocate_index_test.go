@@ -29,7 +29,7 @@ func tieHeavyCorpus(t testing.TB, n int, seed int64) *txn.Corpus {
 		w2 := words[rng.Intn(len(words))]
 		doc := fmt.Sprintf(`<db><%s key="d%d"><%s>%s %s</%s><venue>%s</venue></%s></db>`,
 			tg[0], i, tg[1], w1, w2, tg[1], words[rng.Intn(len(words))], tg[0])
-		tree, err := xmltree.ParseString(doc, xmltree.DefaultParseOptions())
+		tree, err := xmltree.ParseString(doc)
 		if err != nil {
 			t.Fatal(err)
 		}

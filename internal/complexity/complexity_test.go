@@ -166,7 +166,7 @@ func TestFromCorpus(t *testing.T) {
 	}
 	var trees []*xmltree.Tree
 	for _, d := range docs {
-		tr, err := xmltree.ParseString(d, xmltree.DefaultParseOptions())
+		tr, err := xmltree.ParseString(d)
 		if err != nil {
 			t.Fatal(err)
 		}

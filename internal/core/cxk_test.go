@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -30,7 +31,7 @@ func miniCorpus(t testing.TB, perGroup int) (*txn.Corpus, []int) {
 			<name>mining frequent patterns number%d</name>
 			<venue>KDD</venue>
 		</paper></db>`, i, i)
-		tree, err := xmltree.ParseString(doc, xmltree.DefaultParseOptions())
+		tree, err := xmltree.ParseString(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +44,7 @@ func miniCorpus(t testing.TB, perGroup int) (*txn.Corpus, []int) {
 			<heading>routing wireless networks number%d</heading>
 			<lab>NETLAB</lab>
 		</report></db>`, i, i)
-		tree, err := xmltree.ParseString(doc, xmltree.DefaultParseOptions())
+		tree, err := xmltree.ParseString(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -572,22 +573,27 @@ func BenchmarkCXKRunM3(b *testing.B) {
 	}
 }
 
-// TestRunUnderMessageDelays shakes out ordering assumptions: RunPeer
-// sessions whose sends are randomly delayed must end where Run ends, in
-// the same rounds with the same assignment (aggregation is per-sender
+// TestRunUnderMessageDelays shakes out ordering assumptions: stepped
+// sessions under random interleavings of delivery and compute, where round
+// messages reach peers still in the round before, must end where Run ends,
+// in the same rounds with the same assignment (aggregation is per-sender
 // slotted, so arrival order is immaterial).
 func TestRunUnderMessageDelays(t *testing.T) {
-	corpus, _ := miniCorpus(t, 6)
-	want := runCXKDelta(t, sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.7}), corpus, 2, 3, 4, 0, false)
-	delayed := p2p.NewDelayTransport(p2p.NewChanTransport(3), 2*time.Millisecond, 99)
-	defer delayed.Close()
-	got := runFleet(t, shared(delayed, 3), corpus, 2, 4, make([]bool, 3))
-	if got[0].Rounds != want.Rounds {
-		t.Errorf("delays changed the round count: %d vs %d", got[0].Rounds, want.Rounds)
+	gen, _ := dataset.ByName("DBLP")
+	corpus := gen(dataset.Spec{Docs: 30, Seed: 29}).BuildCorpus(dataset.ByHybrid, 8, 1)
+	const k, m, seed = 5, 3, 4
+	want := runCXKDelta(t, sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6}), corpus, k, m, seed, 1, false)
+	opts := Options{
+		K: k, Params: sim.Params{F: 0.5, Gamma: 0.6}, Peers: m, Seed: seed, Workers: 1,
+		Partition: EqualPartition(len(corpus.Transactions), m, seed),
 	}
-	for i := range want.Assign {
-		if got[0].Global[i] != want.Assign[i] {
-			t.Fatalf("delays changed assignment %d: %d vs %d", i, got[0].Global[i], want.Assign[i])
+	for schedule := int64(1); schedule <= 10; schedule++ {
+		peers, _ := interleave(t, corpus, opts, schedule)
+		if got := peers[0].s.rounds; got != want.Rounds {
+			t.Errorf("schedule %d changed the round count: %d vs %d", schedule, got, want.Rounds)
+		}
+		if !slices.Equal(peers[0].s.final, want.Assign) {
+			t.Errorf("schedule %d changed the assignment", schedule)
 		}
 	}
 }

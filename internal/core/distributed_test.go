@@ -51,9 +51,7 @@ func startNodes(t *testing.T, m int) []*p2p.Node {
 // TestRunPeerNodeEquivalence is the in-process vs multi-process engine
 // check: three RunPeer sessions over real TCP Nodes — each with its own
 // similarity context, as three OS processes would have — must produce the
-// byte-identical assignment of the in-process driver, Run. One
-// peer additionally runs behind a DelayTransport, so arrival-order
-// assumptions across the wire are exercised too.
+// byte-identical assignment of the in-process driver, Run.
 func TestRunPeerNodeEquivalence(t *testing.T) {
 	corpus, _ := miniCorpus(t, 6)
 	const m, k, seed = 3, 2, 4
@@ -70,13 +68,9 @@ func TestRunPeerNodeEquivalence(t *testing.T) {
 			defer wg.Done()
 			// Each "process" builds its own similarity context.
 			cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
-			var tr p2p.Transport = nodes[i]
-			if i == 1 {
-				tr = p2p.NewDelayTransport(nodes[i], 2*time.Millisecond, 99)
-			}
 			results[i], errs[i] = runPeer(context.Background(), cx, corpus, Options{
 				K: k, Params: cx.Params, Peers: m, Partition: part,
-				Seed: seed, Transport: tr, RoundTimeout: 30 * time.Second,
+				Seed: seed, Transport: nodes[i], RoundTimeout: 30 * time.Second,
 			}, i)
 		}(i)
 	}
@@ -175,7 +169,7 @@ func twinCorpora(t *testing.T, docs int) (*txn.Corpus, *txn.Corpus) {
 			doc := fmt.Sprintf(`<db><paper key="%s"><writer>%s</writer><name>%s</name></paper></db>`,
 				word(fmt.Sprintf("p%d", i)), word([]string{"alice cooper", "bob dylan"}[i%2]),
 				word(fmt.Sprintf("mining patterns number%d", i%3)))
-			tree, err := xmltree.ParseString(doc, xmltree.DefaultParseOptions())
+			tree, err := xmltree.ParseString(doc)
 			if err != nil {
 				t.Fatal(err)
 			}

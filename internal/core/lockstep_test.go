@@ -122,6 +122,70 @@ func lockstep(t *testing.T, corpus *txn.Corpus, opts Options, schedule int64) *R
 	return res
 }
 
+// interleave runs every peer of opts as a stepper on the test goroutine over
+// one ChanTransport, in an order drawn from the schedule seed: at each step
+// a random ready peer either answers its held compute request or takes the
+// next envelope queued for it. The scheduler drains every queue before any
+// peer computes; here a peer can run a round ahead of one that has not read
+// its mail yet. early counts the round messages delivered to a peer still
+// in an earlier round.
+func interleave(t *testing.T, corpus *txn.Corpus, opts Options, schedule int64) (peers []*stepper, early int) {
+	t.Helper()
+	tr := p2p.NewChanTransport(opts.Peers)
+	defer tr.Close()
+	opts.Transport = tr
+	peers = make([]*stepper, opts.Peers)
+	for i := range peers {
+		peers[i] = newStepper(corpus, opts, i)
+	}
+	rng := rand.New(rand.NewSource(schedule))
+	for {
+		for _, st := range peers {
+			st.flush(t)
+			if st.err != nil {
+				t.Fatal(st.err)
+			}
+		}
+		var ready []*stepper // a peer listed twice may do either
+		for _, st := range peers {
+			if st.held != nil {
+				ready = append(ready, st)
+			}
+			if !st.done && len(tr.Recv(st.s.id)) > 0 {
+				ready = append(ready, st)
+			}
+		}
+		if len(ready) == 0 {
+			for _, st := range peers {
+				if !st.done {
+					t.Fatalf("schedule %d: peer %d stalls in %s", schedule, st.s.id, st.s.phase)
+				}
+			}
+			return peers, early
+		}
+		st := ready[rng.Intn(len(ready))]
+		if rng.Intn(2) == 0 && st.advance(t) {
+			continue
+		}
+		select {
+		case env := <-tr.Recv(st.s.id):
+			round := -1
+			switch msg := env.Payload.(type) {
+			case GlobalRepsMsg:
+				round = msg.Round
+			case LocalRepsMsg:
+				round = msg.Round
+			}
+			if round > st.s.round {
+				early++
+			}
+			st.deliver(env)
+		default:
+			st.advance(t)
+		}
+	}
+}
+
 // TestLockstepMatchesRun: the result does not depend on Run's delivery order.
 // Under 20 random delivery schedules per configuration the machines end
 // where Run's fixed schedule ends: same assignments, representatives, round

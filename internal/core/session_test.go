@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"xmlclust/internal/cluster"
+	"xmlclust/internal/dataset"
 	"xmlclust/internal/p2p"
 	"xmlclust/internal/sim"
 	"xmlclust/internal/txn"
@@ -390,37 +391,47 @@ func TestSessionStartupBuffersEarlyMessages(t *testing.T) {
 	}
 }
 
-// TestReceivedCountsMatchSentUnderDelays: in a converged 3-peer run whose
-// sends are randomly delayed — RunPeer processes, so round messages can
-// overtake the coordinator's StartMsg — every peer must account, round by
-// round, exactly the messages the other two sent it, and the fleet as many
-// modeled bytes received as sent.
+// TestReceivedCountsMatchSentUnderDelays: in a 4-round, 3-peer run under
+// random interleavings of delivery and compute — round messages overtake the
+// coordinator's StartMsg and reach peers still in the round before — every
+// peer must account, round by round, exactly the messages the other two
+// sent it, and the fleet as many modeled bytes received as sent.
 func TestReceivedCountsMatchSentUnderDelays(t *testing.T) {
-	corpus, _ := miniCorpus(t, 6)
+	gen, _ := dataset.ByName("DBLP")
+	corpus := gen(dataset.Spec{Docs: 30, Seed: 29}).BuildCorpus(dataset.ByHybrid, 8, 1)
 	const m = 3
-	tr := p2p.NewDelayTransport(p2p.NewChanTransport(m), 2*time.Millisecond, 99)
-	defer tr.Close()
-	res := runFleet(t, shared(tr, m), corpus, 2, 4, make([]bool, m))
-	for r := 0; r < res[0].Rounds; r++ {
-		var sentBytes, recvBytes int64
-		for i := range res {
-			// The pattern is symmetric: a peer sends each of the others one
-			// GlobalRepsMsg and one LocalRepsMsg per round.
-			var want int64
-			for h := range res {
-				if h != i {
-					want += res[h].Report.SentMsgsByRound[r] / (m - 1)
+	opts := Options{
+		K: 5, Params: sim.Params{F: 0.5, Gamma: 0.6}, Peers: m, Seed: 4, Workers: 1,
+		Partition: EqualPartition(len(corpus.Transactions), m, 4),
+	}
+	early := 0
+	for schedule := int64(1); schedule <= 20; schedule++ {
+		peers, e := interleave(t, corpus, opts, schedule)
+		early += e
+		for r := 0; r < peers[0].s.rounds; r++ {
+			var sentBytes, recvBytes int64
+			for i, p := range peers {
+				// The pattern is symmetric: a peer sends each of the others
+				// one GlobalRepsMsg and one LocalRepsMsg per round.
+				var want int64
+				for h, q := range peers {
+					if h != i {
+						want += q.s.report.SentMsgsByRound[r] / (m - 1)
+					}
 				}
+				if got := p.s.report.RecvMsgsByRound[r]; got != want || want != 2*(m-1) {
+					t.Errorf("schedule %d round %d: peer %d accounted %d received messages, the others sent it %d", schedule, r, i, got, want)
+				}
+				sentBytes += p.s.report.SentBytesByRound[r]
+				recvBytes += p.s.report.RecvBytesByRound[r]
 			}
-			if got := res[i].Report.RecvMsgsByRound[r]; got != want || want != 2*(m-1) {
-				t.Errorf("round %d: peer %d accounted %d received messages, the others sent it %d", r, i, got, want)
+			if sentBytes != recvBytes {
+				t.Errorf("schedule %d round %d: %d modeled bytes sent, %d received", schedule, r, sentBytes, recvBytes)
 			}
-			sentBytes += res[i].Report.SentBytesByRound[r]
-			recvBytes += res[i].Report.RecvBytesByRound[r]
 		}
-		if sentBytes != recvBytes {
-			t.Errorf("round %d: %d modeled bytes sent, %d received", r, sentBytes, recvBytes)
-		}
+	}
+	if early == 0 {
+		t.Fatal("no schedule delivered a round message to a peer still in an earlier round")
 	}
 }
 

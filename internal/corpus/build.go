@@ -18,9 +18,6 @@ import (
 type Options struct {
 	// Tuple bounds tree tuple extraction per document.
 	Tuple tuple.Options
-	// Parse maps raw XML onto the tree model; nil selects
-	// xmltree.DefaultParseOptions(). Ignored for pre-parsed Tree documents.
-	Parse *xmltree.ParseOptions
 	// Labels optionally assigns ground-truth classes by document index
 	// (source order). A label the source itself carries (Document.Label ≥ 0,
 	// e.g. from a Trees source) takes precedence; −1 falls back to this
@@ -106,10 +103,6 @@ type parsed struct {
 // success or not.
 func Build(src Source, opts Options) (*txn.Corpus, Stats, error) {
 	defer src.Close()
-	parseOpts := xmltree.DefaultParseOptions()
-	if opts.Parse != nil {
-		parseOpts = *opts.Parse
-	}
 	b := txn.NewBuilder(txn.BuildOptions{Tuple: opts.Tuple})
 	acc := weighting.NewAccumulator(b.Corpus())
 	b.Observe(acc)
@@ -132,7 +125,7 @@ func Build(src Source, opts Options) (*txn.Corpus, Stats, error) {
 			out = slices.Grow(out[:0], len(batch))[:len(batch)]
 			for i, d := range batch {
 				p := &out[i]
-				if err := d.parse(p, parseOpts); err != nil {
+				if err := d.parse(p); err != nil {
 					return nil, fmt.Errorf("corpus: %s: %w", d.Name, err)
 				}
 				tuple.ExtractInto(&p.res, p.tree, opts.Tuple)
@@ -202,7 +195,7 @@ func nextBatch(src Source) (batch []*Document, ok bool, err error) {
 
 // parse sets p.tree to the document's tree: the source's, or one parsed into
 // the storage of p's last tree if the build parsed that one.
-func (d *Document) parse(p *parsed, opts xmltree.ParseOptions) error {
+func (d *Document) parse(p *parsed) error {
 	reuse := p.tree
 	if !p.own {
 		reuse = nil
@@ -212,7 +205,7 @@ func (d *Document) parse(p *parsed, opts xmltree.ParseOptions) error {
 	}
 	raw, err := d.Raw()
 	if err == nil {
-		p.tree, err = xmltree.ParseBytesInto(reuse, raw, opts)
+		p.tree, err = xmltree.ParseBytesInto(reuse, raw)
 	}
 	if err != nil {
 		return err

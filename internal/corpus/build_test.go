@@ -45,7 +45,7 @@ func batchFromFiles(t testing.TB, paths []string, maxTuples int) *txn.Corpus {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, err := xmltree.Parse(f, xmltree.DefaultParseOptions())
+		tree, err := xmltree.Parse(f)
 		f.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -336,7 +336,7 @@ func TestBuildEquivalenceMatrix(t *testing.T) {
 		if err := os.WriteFile(paths[i], []byte(doc), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		trees[i] = xmltree.MustParseString(doc, xmltree.DefaultParseOptions())
+		trees[i] = xmltree.MustParseString(doc)
 		sawLarge = sawLarge || len(doc) > corpus.BatchBytes
 		sawEmpty = sawEmpty || len(trees[i].Leaves()) == 0
 	}
@@ -540,7 +540,7 @@ func batchOfDocs(t testing.TB, docs []string) []byte {
 	t.Helper()
 	trees := make([]*xmltree.Tree, len(docs))
 	for i, doc := range docs {
-		trees[i] = xmltree.MustParseString(doc, xmltree.DefaultParseOptions())
+		trees[i] = xmltree.MustParseString(doc)
 	}
 	c := txn.Build(trees, txn.BuildOptions{})
 	weighting.Apply(c)
@@ -593,7 +593,7 @@ func TestBuildLeavesSourceTreesAlone(t *testing.T) {
 	var rendered [2][]string
 	for i, run := range plays {
 		for _, doc := range run {
-			tree := xmltree.MustParseString(doc, xmltree.DefaultParseOptions())
+			tree := xmltree.MustParseString(doc)
 			trees[i] = append(trees[i], tree)
 			rendered[i] = append(rendered[i], xmltree.RenderString(tree))
 		}

@@ -25,7 +25,7 @@ func BenchmarkBuilderMerge(b *testing.B) {
 	}{{"DBLP", 600}, {"IEEE", 8}, {"Wikipedia", 60}, {"Shakespeare", 2}} {
 		gen, _ := dataset.ByName(part.name)
 		for _, t := range gen(dataset.Spec{Docs: part.docs, Seed: 1}).Trees {
-			parsed, err := xmltree.ParseString(xmltree.RenderString(t), xmltree.DefaultParseOptions())
+			parsed, err := xmltree.ParseString(xmltree.RenderString(t))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -254,9 +254,9 @@ func TestTarSmallEntryCutShort(t *testing.T) {
 
 func TestTreesSourceLabels(t *testing.T) {
 	trees := []*xmltree.Tree{
-		xmltree.MustParseString("<a/>", xmltree.DefaultParseOptions()),
-		xmltree.MustParseString("<b/>", xmltree.DefaultParseOptions()),
-		xmltree.MustParseString("<c/>", xmltree.DefaultParseOptions()),
+		xmltree.MustParseString("<a/>"),
+		xmltree.MustParseString("<b/>"),
+		xmltree.MustParseString("<c/>"),
 	}
 	src := Trees("gen", trees, []int{4, 9}) // short labels: third doc → −1
 	want := []int{4, 9, -1}
@@ -284,7 +284,7 @@ func TestMultiConcatenates(t *testing.T) {
 	root := t.TempDir()
 	writeFile(t, filepath.Join(root, "x.xml"), "<x/>")
 	a := Files(filepath.Join(root, "x.xml"))
-	b := Trees("g", []*xmltree.Tree{xmltree.MustParseString("<y/>", xmltree.DefaultParseOptions())}, nil)
+	b := Trees("g", []*xmltree.Tree{xmltree.MustParseString("<y/>")}, nil)
 	names := drain(t, Multi(a, b))
 	if len(names) != 2 || !strings.HasSuffix(names[0], "x.xml") {
 		t.Fatalf("multi order wrong: %v", names)

@@ -160,8 +160,11 @@ func TestIEEESchemaVariants(t *testing.T) {
 func TestDBLPTupleRatio(t *testing.T) {
 	// ~2 transactions per document (1–3 authors), as in the real subset.
 	c := DBLP(Spec{Docs: 60, Seed: 5})
-	tuples, _ := tuple.ExtractAll(c.Trees, tuple.Options{})
-	ratio := float64(len(tuples)) / float64(len(c.Trees))
+	tuples := 0
+	for _, tree := range c.Trees {
+		tuples += len(tuple.Extract(tree, tuple.Options{}).Tuples)
+	}
+	ratio := float64(tuples) / float64(len(c.Trees))
 	if ratio < 1.2 || ratio > 3 {
 		t.Errorf("tuples per document = %.2f, want ≈2", ratio)
 	}
@@ -169,9 +172,8 @@ func TestDBLPTupleRatio(t *testing.T) {
 
 func TestIEEEManyTuplesPerDoc(t *testing.T) {
 	c := IEEE(Spec{Docs: 6, Seed: 6})
-	_, results := tuple.ExtractAll(c.Trees, tuple.Options{MaxTuplesPerTree: 64})
-	for i, r := range results {
-		if len(r.Tuples) < 5 {
+	for i, tree := range c.Trees {
+		if r := tuple.Extract(tree, tuple.Options{MaxTuplesPerTree: 64}); len(r.Tuples) < 5 {
 			t.Errorf("doc %d yields only %d tuples", i, len(r.Tuples))
 		}
 	}
@@ -304,7 +306,7 @@ func TestRenderedDocsParse(t *testing.T) {
 		c := gen(Spec{Docs: 4, Seed: 11})
 		for i, tree := range c.Trees {
 			out := xmltree.RenderString(tree)
-			re, err := xmltree.ParseString(out, xmltree.DefaultParseOptions())
+			re, err := xmltree.ParseString(out)
 			if err != nil {
 				t.Fatalf("%s doc %d roundtrip: %v", name, i, err)
 			}
@@ -347,7 +349,7 @@ func TestDBLPHeterogeneous(t *testing.T) {
 }
 
 func TestRenameTags(t *testing.T) {
-	tree, _ := xmltree.ParseString(`<a><b x="1">t</b></a>`, xmltree.DefaultParseOptions())
+	tree, _ := xmltree.ParseString(`<a><b x="1">t</b></a>`)
 	RenameTags(tree, map[string]string{"b": "c"})
 	if got := tree.Answer(xmltree.ParsePath("a.c.S")); len(got) != 1 {
 		t.Errorf("renamed path not answerable: %v", got)

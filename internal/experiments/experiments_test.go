@@ -146,8 +146,7 @@ func TestAverageFRange(t *testing.T) {
 			agg.F, agg.FMin, agg.FMax, agg.Trash, agg.TrashMin, agg.TrashMax)
 	}
 	var sb strings.Builder
-	(&TableResult{Rows: []TableRow{{Dataset: "DBLP", K: agg.K, M: 3, F: agg.F, Trash: agg.Trash,
-		FMin: agg.FMin, FMax: agg.FMax, TrashMin: agg.TrashMin, TrashMax: agg.TrashMax, Runs: 2}}}).Write(&sb)
+	(&TableResult{Rows: []TableRow{{Dataset: "DBLP", M: 3, RunResult: agg}}}).Write(&sb)
 	for _, bounds := range []string{
 		fmt.Sprintf("%.3f-%.3f", agg.FMin, agg.FMax), fmt.Sprintf("%.3f-%.3f", agg.TrashMin, agg.TrashMax),
 	} {
@@ -171,7 +170,7 @@ func TestFloors(t *testing.T) {
 		t.Errorf("floors F random %v, single %v; want 88/105 = %v and 0.7", random, single, 88.0/105)
 	}
 	var sb strings.Builder
-	(&TableResult{Rows: []TableRow{{Dataset: "DBLP", FRandom: random, FSingle: single}}}).Write(&sb)
+	(&TableResult{Rows: []TableRow{{Dataset: "DBLP", RunResult: RunResult{FRandom: random, FSingle: single}}}}).Write(&sb)
 	if !strings.Contains(sb.String(), "0.838     0.700") {
 		t.Errorf("floors not printed:\n%s", sb.String())
 	}

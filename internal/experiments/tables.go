@@ -5,22 +5,12 @@ import (
 	"io"
 )
 
-// TableRow is one (dataset, m) accuracy entry of Tables 1–2.
+// TableRow is one (dataset, m) accuracy entry of Tables 1–2: the cell's
+// RunResult, averaged over its runs by AverageF.
 type TableRow struct {
 	Dataset string
-	K       int
 	M       int
-	F       float64
-	Purity  float64
-	NMI     float64
-	Trash   float64
-	Rounds  int
-	Capped  int // runs, of the Runs averaged, that stopped at the round cap
-	Runs    int
-	// FMin, FMax, TrashMin and TrashMax bound F and Trash over the runs.
-	FMin, FMax, TrashMin, TrashMax float64
-	// FRandom and FSingle are the floors' F (see RunResult).
-	FRandom, FSingle float64
+	RunResult
 }
 
 // TableResult reproduces one sub-table of Table 1 (equal split) or
@@ -48,12 +38,7 @@ func AccuracyTable(setting Setting, unequal bool, scale Scale) (*TableResult, er
 			if err != nil {
 				return nil, fmt.Errorf("table %s m=%d: %w", ds, m, err)
 			}
-			res.Rows = append(res.Rows, TableRow{
-				Dataset: ds, K: r.K, M: m,
-				F: r.F, Purity: r.Purity, NMI: r.NMI, Trash: r.Trash, Rounds: r.Rounds, Capped: r.Capped, Runs: r.Runs,
-				FMin: r.FMin, FMax: r.FMax, TrashMin: r.TrashMin, TrashMax: r.TrashMax,
-				FRandom: r.FRandom, FSingle: r.FSingle,
-			})
+			res.Rows = append(res.Rows, TableRow{Dataset: ds, M: m, RunResult: r})
 		}
 	}
 	return res, nil

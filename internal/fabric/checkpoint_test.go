@@ -134,7 +134,7 @@ func goldenCorpus(t *testing.T, name string) *txn.Corpus {
 		`<db><paper key="p0"><writer>alice</writer><name>%s</name></paper></db>`,
 		`<db><paper key="p1"><writer>bob</writer><name>%s</name><name>second %s</name></paper></db>`,
 	} {
-		tree, err := xmltree.ParseString(strings.ReplaceAll(doc, "%s", fmt.Sprintf("%s %d", name, i)), xmltree.DefaultParseOptions())
+		tree, err := xmltree.ParseString(strings.ReplaceAll(doc, "%s", fmt.Sprintf("%s %d", name, i)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,7 +47,7 @@ func fabricCorpusWith(t testing.TB, docs int, seed int64, word func(string) stri
 			<venue>%s</venue>
 		</paper></db>`, word(fmt.Sprintf("p%d", i)), word(authors[g]),
 			word(fmt.Sprintf("%s number%d", topics[g], rng.Intn(3))), word(venues[rng.Intn(len(venues))]))
-		tree, err := xmltree.ParseString(doc, xmltree.DefaultParseOptions())
+		tree, err := xmltree.ParseString(doc)
 		if err != nil {
 			t.Fatal(err)
 		}

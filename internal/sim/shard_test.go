@@ -22,7 +22,7 @@ func manyPathCorpus(t testing.TB) *txn.Corpus {
 			i%4, i, i, i, i, i, i, i, i, i%4)
 	}
 	sb.WriteString("</catalog>")
-	tree, err := xmltree.ParseString(sb.String(), xmltree.DefaultParseOptions())
+	tree, err := xmltree.ParseString(sb.String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func buildCtx(t *testing.T, f, gamma float64) (*Context, *txn.Corpus) {
 	t.Helper()
 	var trees []*xmltree.Tree
 	for _, d := range testDocs {
-		tree, err := xmltree.ParseString(d, xmltree.DefaultParseOptions())
+		tree, err := xmltree.ParseString(d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +299,7 @@ func TestGammaMonotonicity(t *testing.T) {
 func BenchmarkTransactionSim(b *testing.B) {
 	var trees []*xmltree.Tree
 	for _, d := range testDocs {
-		tree, _ := xmltree.ParseString(d, xmltree.DefaultParseOptions())
+		tree, _ := xmltree.ParseString(d)
 		trees = append(trees, tree)
 	}
 	corpus := txn.Build(trees, txn.BuildOptions{})

@@ -146,19 +146,6 @@ func ExtractInto(res *Result, t *xmltree.Tree, opts Options) {
 	}
 }
 
-// ExtractAll extracts tuples for every tree of a collection, preserving
-// order. The returned slice concatenates per-tree tuples.
-func ExtractAll(trees []*xmltree.Tree, opts Options) ([]*TreeTuple, []Result) {
-	var all []*TreeTuple
-	results := make([]Result, len(trees))
-	for i, t := range trees {
-		r := Extract(t, opts)
-		results[i] = r
-		all = append(all, r.Tuples...)
-	}
-	return all, results
-}
-
 // variant is the leaf set of one subtree alternative, in document order.
 type variant []*xmltree.Node
 

@@ -31,7 +31,7 @@ const paperDoc = `
 
 func paperTree(t *testing.T) *xmltree.Tree {
 	t.Helper()
-	tree, err := xmltree.ParseString(paperDoc, xmltree.DefaultParseOptions())
+	tree, err := xmltree.ParseString(paperDoc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestTupleAuthorsAreAlternatives(t *testing.T) {
 
 func TestSingleRecordNoAlternatives(t *testing.T) {
 	doc := `<root><a>1</a><b>2</b><c attr="x">3</c></root>`
-	tree, _ := xmltree.ParseString(doc, xmltree.DefaultParseOptions())
+	tree, _ := xmltree.ParseString(doc)
 	res := Extract(tree, Options{})
 	if len(res.Tuples) != 1 {
 		t.Fatalf("tuples = %d, want 1", len(res.Tuples))
@@ -97,7 +97,7 @@ func TestSingleRecordNoAlternatives(t *testing.T) {
 
 func TestEmptyElementContributesNothing(t *testing.T) {
 	doc := `<root><a>1</a><empty/></root>`
-	tree, _ := xmltree.ParseString(doc, xmltree.DefaultParseOptions())
+	tree, _ := xmltree.ParseString(doc)
 	res := Extract(tree, Options{})
 	if len(res.Tuples) != 1 {
 		t.Fatalf("tuples = %d, want 1", len(res.Tuples))
@@ -110,7 +110,7 @@ func TestEmptyElementContributesNothing(t *testing.T) {
 func TestCrossProductCount(t *testing.T) {
 	// Two groups with 2 and 3 same-label children → 6 tuples.
 	doc := `<r><a>1</a><a>2</a><b>x</b><b>y</b><b>z</b></r>`
-	tree, _ := xmltree.ParseString(doc, xmltree.DefaultParseOptions())
+	tree, _ := xmltree.ParseString(doc)
 	res := Extract(tree, Options{})
 	if len(res.Tuples) != 6 {
 		t.Fatalf("tuples = %d, want 6", len(res.Tuples))
@@ -133,7 +133,7 @@ func TestNestedAlternatives(t *testing.T) {
 	// Nested same-label children multiply through the levels:
 	// outer group has 2 children, each with 2 inner alternatives → 4.
 	doc := `<r><g><x>1</x><x>2</x></g><g><x>3</x><x>4</x></g></r>`
-	tree, _ := xmltree.ParseString(doc, xmltree.DefaultParseOptions())
+	tree, _ := xmltree.ParseString(doc)
 	res := Extract(tree, Options{})
 	if len(res.Tuples) != 4 {
 		t.Fatalf("tuples = %d, want 4", len(res.Tuples))
@@ -197,18 +197,6 @@ func TestLeavesInDocumentOrder(t *testing.T) {
 	}
 }
 
-func TestExtractAll(t *testing.T) {
-	t1 := paperTree(t)
-	t2, _ := xmltree.ParseString(`<r><a>1</a></r>`, xmltree.DefaultParseOptions())
-	all, results := ExtractAll([]*xmltree.Tree{t1, t2}, Options{})
-	if len(all) != 4 {
-		t.Fatalf("total tuples = %d, want 4", len(all))
-	}
-	if len(results) != 2 || len(results[0].Tuples) != 3 || len(results[1].Tuples) != 1 {
-		t.Fatalf("per-tree results wrong: %+v", results)
-	}
-}
-
 // TestPropertyRandomTreesInvariant extracts tuples from random trees and
 // checks the defining invariant plus the count formula on every tuple.
 func TestPropertyRandomTreesInvariant(t *testing.T) {
@@ -264,7 +252,7 @@ func TestMaterializePreservesValues(t *testing.T) {
 }
 
 func BenchmarkExtractPaperDoc(b *testing.B) {
-	tree, _ := xmltree.ParseString(paperDoc, xmltree.DefaultParseOptions())
+	tree, _ := xmltree.ParseString(paperDoc)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Extract(tree, Options{})

@@ -17,7 +17,7 @@ func builderTestTrees(t *testing.T, n int) []*xmltree.Tree {
 		doc := fmt.Sprintf(
 			`<doc id="%d"><title>title %d</title><a>alpha %d</a><a>beta</a><nested><deep>leaf %d</deep></nested></doc>`,
 			i, i, i%3, i)
-		tree, err := xmltree.ParseString(doc, xmltree.DefaultParseOptions())
+		tree, err := xmltree.ParseString(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestBuilderTruncationAndDepth(t *testing.T) {
 		wide += fmt.Sprintf("<x><y>a%d</y></x>", i)
 	}
 	wide += "</r>"
-	tree, err := xmltree.ParseString(wide, xmltree.DefaultParseOptions())
+	tree, err := xmltree.ParseString(wide)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestBuilderInternsOncePerLeaf(t *testing.T) {
 	opts := tuple.Options{MaxTuplesPerTree: 4}
 	var trees []*xmltree.Tree
 	for _, d := range docs {
-		trees = append(trees, xmltree.MustParseString(d, xmltree.DefaultParseOptions()))
+		trees = append(trees, xmltree.MustParseString(d))
 	}
 	b := NewBuilder(BuildOptions{Tuple: opts})
 	for _, tree := range trees {
@@ -374,7 +374,7 @@ func TestTagPathMemoOverCorpus(t *testing.T) {
 // block of item ids, each Items a span of it whose capacity ends where the
 // span does, so appending to one transaction leaves its neighbour as it was.
 func TestTransactionBlockSpansAreClamped(t *testing.T) {
-	tree, err := xmltree.ParseString(`<r><k>shared</k><a>one</a><a>two</a><a>three</a></r>`, xmltree.DefaultParseOptions())
+	tree, err := xmltree.ParseString(`<r><k>shared</k><a>one</a><a>two</a><a>three</a></r>`)
 	if err != nil {
 		t.Fatal(err)
 	}

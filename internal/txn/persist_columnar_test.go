@@ -86,7 +86,7 @@ func savedBlocks(t testing.TB, c *Corpus) [][]byte {
 // one byte apart, and a synthetic item. It returns the ids of those three.
 func corruptionCorpus(t testing.TB) (c *Corpus, twinA, twinB, syn ItemID) {
 	t.Helper()
-	tree, err := xmltree.ParseString(paperDoc, xmltree.DefaultParseOptions())
+	tree, err := xmltree.ParseString(paperDoc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func TestLoadedCorpusGrowsSafely(t *testing.T) {
 	grown := c.Items.InternSynthetic(s.Path, MergedAnswerKey([]string{"a", "b", "c"}), s.Vector, append(s.Constituents, 2))
 	c.Items.SetVector(1, vector.FromMap(map[int32]float64{0: 2}))
 	b := ReopenBuilder(c, 1, BuildOptions{})
-	b.Add(xmltree.MustParseString(`<dblp><article key="k"><author>M.J. Zaki</author></article></dblp>`, xmltree.DefaultParseOptions()))
+	b.Add(xmltree.MustParseString(`<dblp><article key="k"><author>M.J. Zaki</author></article></dblp>`))
 	b.Finish()
 	if c.Items.Get(0) != first || c.Items.Get(syn) != s {
 		t.Fatal("growing the table moved the items it was loaded with")

@@ -204,7 +204,7 @@ func TestPersistRoundtripWeightedSyntheticCorpus(t *testing.T) {
 }
 
 func TestPersistPreservesMaxDepthAndTruncation(t *testing.T) {
-	tree, _ := xmltree.ParseString(paperDoc, xmltree.DefaultParseOptions())
+	tree, _ := xmltree.ParseString(paperDoc)
 	c := Build([]*xmltree.Tree{tree}, BuildOptions{})
 	c.TruncatedDocs = 3
 	back := roundtrip(t, c)

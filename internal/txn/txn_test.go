@@ -30,7 +30,7 @@ const paperDoc = `
 
 func buildPaperCorpus(t *testing.T) *Corpus {
 	t.Helper()
-	tree, err := xmltree.ParseString(paperDoc, xmltree.DefaultParseOptions())
+	tree, err := xmltree.ParseString(paperDoc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestTransactionEqualClone(t *testing.T) {
 }
 
 func TestBuildLabelsPropagate(t *testing.T) {
-	tree, _ := xmltree.ParseString(paperDoc, xmltree.DefaultParseOptions())
+	tree, _ := xmltree.ParseString(paperDoc)
 	c := Build([]*xmltree.Tree{tree}, BuildOptions{Labels: []int{7}})
 	for _, tr := range c.Transactions {
 		if tr.Label != 7 {

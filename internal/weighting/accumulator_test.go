@@ -20,7 +20,7 @@ func accTestTrees(t *testing.T, n int) []*xmltree.Tree {
 		doc := fmt.Sprintf(
 			`<paper key="k%d"><title>clustering xml trees %d</title><author>greco</author><author>tagarelli %d</author><venue>icpp</venue></paper>`,
 			i, i%4, i%2)
-		tree, err := xmltree.ParseString(doc, xmltree.DefaultParseOptions())
+		tree, err := xmltree.ParseString(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,14 +82,14 @@ func TestAccumulatorEmptyDocs(t *testing.T) {
 	}
 	trees := make([]*xmltree.Tree, len(docs))
 	for i, d := range docs {
-		trees[i] = xmltree.MustParseString(d, xmltree.DefaultParseOptions())
+		trees[i] = xmltree.MustParseString(d)
 	}
 	batch := txn.Build(trees, txn.BuildOptions{})
 	batchStats := weighting.Apply(batch)
 
 	trees2 := make([]*xmltree.Tree, len(docs))
 	for i, d := range docs {
-		trees2[i] = xmltree.MustParseString(d, xmltree.DefaultParseOptions())
+		trees2[i] = xmltree.MustParseString(d)
 	}
 	b := txn.NewBuilder(txn.BuildOptions{})
 	acc := weighting.NewAccumulator(b.Corpus())
@@ -139,8 +139,7 @@ func TestWeighNewFrozenITF(t *testing.T) {
 	// Stream one more document with fresh vocabulary through a reopened
 	// builder; its items exist but are unweighted until WeighNew runs.
 	tree, err := xmltree.ParseString(
-		`<paper key="k9"><title>quantum entanglement puzzles</title><author>unseen scribe</author><venue>icpp</venue></paper>`,
-		xmltree.DefaultParseOptions())
+		`<paper key="k9"><title>quantum entanglement puzzles</title><author>unseen scribe</author><venue>icpp</venue></paper>`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +256,7 @@ func TestWeighNewAfterFinalizeWeighsTheNewItems(t *testing.T) {
 	c, acc := weighedCorpus(accTestTrees(t, 4))
 	acc.Finalize()
 	before := c.Items.Len()
-	tree, err := xmltree.ParseString(`<paper key="k9"><title>novel wording here</title></paper>`, xmltree.DefaultParseOptions())
+	tree, err := xmltree.ParseString(`<paper key="k9"><title>novel wording here</title></paper>`)
 	if err != nil {
 		t.Fatal(err)
 	}

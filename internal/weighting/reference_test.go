@@ -245,7 +245,7 @@ func TestAccumulatorMatchesReferenceFold(t *testing.T) {
 		online = append(online, trees[cut:]...)
 		// Between collections: a document of empty elements (transactions
 		// without items) and a rootless one (no transactions).
-		batch = append(batch, xmltree.MustParseString(`<r><a/><b/></r>`, xmltree.DefaultParseOptions()), &xmltree.Tree{})
+		batch = append(batch, xmltree.MustParseString(`<r><a/><b/></r>`), &xmltree.Tree{})
 	}
 
 	s := newFoldSides()

@@ -13,7 +13,7 @@ func buildCorpus(t *testing.T, docs ...string) *txn.Corpus {
 	t.Helper()
 	var trees []*xmltree.Tree
 	for _, d := range docs {
-		tree, err := xmltree.ParseString(d, xmltree.DefaultParseOptions())
+		tree, err := xmltree.ParseString(d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func BenchmarkApply(b *testing.B) {
 	}
 	var trees []*xmltree.Tree
 	for _, d := range docs {
-		tr, _ := xmltree.ParseString(d, xmltree.DefaultParseOptions())
+		tr, _ := xmltree.ParseString(d)
 		trees = append(trees, tr)
 	}
 	b.ReportAllocs()

@@ -42,27 +42,18 @@ func treeDiff(got, want *Tree) string {
 	return ""
 }
 
-// fuzzOptionSets are the ParseOptions shapes FuzzParse exercises: the
-// default mapping, per-text-run leaves, and the strip/inline/depth knobs
-// used for the IEEE and Wikipedia corpora.
-var fuzzOptionSets = []ParseOptions{
-	DefaultParseOptions(),
-	{ConcatenateText: false, KeepAttributes: true},
-	{ConcatenateText: true, StripTags: []string{"drop", "style"}, InlineTags: []string{"i", "b"}},
-	{ConcatenateText: false, MaxDepth: 3},
-}
-
-// FuzzParse feeds arbitrary byte soup to the XML → tree mapping. The
-// parser may reject input with an error but must never panic, and any
-// accepted document must come back with a usable root. It is also the gate
-// of the byte scanner and of the builder both token sources share: whatever
-// the scanner accepts, referenceParse — the encoding/xml parser this package
-// had before either — must turn into the same tree node for node, and
-// whatever Parse answers, tree or error text, must be its answer. The seed
-// corpus is
-// drawn from the package's test fixtures, the malformed/truncated shapes
-// the error-path tests use, and the constructs on either side of the edge
-// of the scanner's subset.
+// FuzzParse feeds arbitrary byte soup to the XML → tree mapping — the one
+// mapping of Sect. 3.1, which every caller parses with. The parser may
+// reject input with an error but must never panic, and any accepted
+// document must come back with a usable root. It is also the gate of the
+// byte scanner and of the builder both token sources share: whatever the
+// scanner accepts, referenceParse — the encoding/xml parser this package had
+// before either — must turn into the same tree node for node; so must the
+// decoder-fed builder, error text included; and whatever Parse answers,
+// tree or error text, must be its answer. The seed corpus is drawn from the
+// package's test fixtures, the malformed/truncated shapes the error-path
+// tests use, and the constructs on either side of the edge of the scanner's
+// subset.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		paperDoc, // the Fig. 2 DBLP fixture shared with tree_test.go
@@ -80,8 +71,7 @@ func FuzzParse(f *testing.F) {
 		`<a>&unknown;</a>`,      // undefined entity
 		`<?xml version="1.0"?>`, // prolog only
 		`<a>` + strings.Repeat("<d>", 50) + "deep" + strings.Repeat("</d>", 50) + `</a>`,
-		// One level past maxTreeDepth: rejected by the default mapping,
-		// accepted (flattened) where MaxDepth truncates the tree first.
+		// One level past maxTreeDepth: rejected.
 		strings.Repeat("<d>", maxTreeDepth) + "bomb",
 		"<a>\xff\xfe binary \x00 soup</a>",
 		`<a xmlns:x="u"><x:b x:k="v">ns</x:b></a>`,
@@ -118,41 +108,47 @@ func FuzzParse(f *testing.F) {
 		`<1a/>`, `<a.b-c_d/>`, `<é/>`, `<a\u00e9/>`, `<a é="1"/>`,
 		"<a>\x01</a>", "<a>\xc3</a>", "<a>\xef\xbf\xbe</a>", "<a>\xef\xbf\xbd</a>", "<a k='\x00'/>",
 		`<a><b>x</a></b>`, `<a><b>x</a>`, `<`, `<a`, `<a k="v`, `<!-`, `<!--x`, `<?pi`,
-		`<i><a>x</a></i>`, `<a><i>x<drop>y</drop></i>z<b>w</b></a>`, // inline and strip at the root
-		`<a><d><d><d><d>deep</d>e</d>f</d>g</d>h</a>`, // past MaxDepth 3
+		`<i><a>x</a></i>`, `<a><i>x<drop>y</drop></i>z<b>w</b></a>`, // text runs around children
+		`<a><d><d><d><d>deep</d>e</d>f</d>g</d>h</a>`, // a text leaf at every level
+		`<a><b></a></a>`, `<a><b><c></a></b></a>`, // an end tag naming an outer element
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, doc string) {
-		for _, opts := range fuzzOptionSets {
-			want, wantErr := referenceParse(strings.NewReader(doc), opts)
-			if got, ok := newParser().scanTree(nil, []byte(doc), opts); ok {
-				if wantErr != nil {
-					t.Fatalf("the scanner accepts %q, the reference refuses it: %v", doc, wantErr)
-				}
-				if diff := treeDiff(got, want); diff != "" {
-					t.Fatalf("scanner and reference disagree on %q: %s", doc, diff)
-				}
+		want, wantErr := referenceParse(strings.NewReader(doc))
+		if got, ok := newParser().scanTree(nil, []byte(doc)); ok {
+			if wantErr != nil {
+				t.Fatalf("the scanner accepts %q, the reference refuses it: %v", doc, wantErr)
 			}
-			tree, err := ParseString(doc, opts)
-			if err != nil {
-				if wantErr == nil || err.Error() != wantErr.Error() {
-					t.Fatalf("Parse fails on %q with %q, the reference says %v", doc, err, wantErr)
-				}
-				continue
+			if diff := treeDiff(got, want); diff != "" {
+				t.Fatalf("scanner and reference disagree on %q: %s", doc, diff)
 			}
-			if diff := treeDiff(tree, want); wantErr != nil || diff != "" {
-				t.Fatalf("Parse and the reference disagree on %q: %v %s", doc, wantErr, diff)
+		}
+		decoded, err := newParser().decodeTree(nil, []byte(doc))
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("the decoder-fed builder says %v on %q, the reference %v", err, doc, wantErr)
+		}
+		if diff := treeDiff(decoded, want); err == nil && diff != "" {
+			t.Fatalf("decoder and reference disagree on %q: %s", doc, diff)
+		}
+		tree, err := ParseString(doc)
+		if err != nil {
+			if wantErr == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("Parse fails on %q with %q, the reference says %v", doc, err, wantErr)
 			}
-			if tree == nil || tree.Root == nil {
-				t.Fatalf("nil tree/root without error for %q", doc)
-			}
-			// The accepted tree must be internally consistent enough for the
-			// downstream pipeline: walkable and renderable.
-			if d := tree.Depth(); d < 1 {
-				t.Fatalf("accepted tree has depth %d for %q", d, doc)
-			}
+			return
+		}
+		if diff := treeDiff(tree, want); wantErr != nil || diff != "" {
+			t.Fatalf("Parse and the reference disagree on %q: %v %s", doc, wantErr, diff)
+		}
+		if tree == nil || tree.Root == nil {
+			t.Fatalf("nil tree/root without error for %q", doc)
+		}
+		// The accepted tree must be internally consistent enough for the
+		// downstream pipeline: walkable and renderable.
+		if d := tree.Depth(); d < 1 {
+			t.Fatalf("accepted tree has depth %d for %q", d, doc)
 		}
 	})
 }

@@ -10,32 +10,16 @@ import (
 	"unicode/utf8"
 )
 
-// ParseOptions controls how raw XML is mapped onto the tree model.
-type ParseOptions struct {
-	// ConcatenateText merges all #PCDATA directly under one element into a
-	// single S leaf (the paper does this for the Shakespeare speech lines).
-	// When false, each non-blank text run becomes its own S leaf.
-	ConcatenateText bool
-	// KeepAttributes maps XML attributes to "@name" leaves. The paper's
-	// model includes them (e.g. dblp.inproceedings.@key).
-	KeepAttributes bool
-	// StripTags lists element names to filter out entirely (with their
-	// subtrees); used to drop stylistic/non-logical markup as done for the
-	// IEEE and Wikipedia corpora (Sect. 5.2).
-	StripTags []string
-	// InlineTags lists element names whose tags are removed but whose
-	// content is hoisted into the parent (typical for formatting markup such
-	// as <b> or <it> inside text).
-	InlineTags []string
-	// MaxDepth, when positive, truncates the tree below the given depth.
-	MaxDepth int
-}
+// ParseOptions is empty: a document maps onto its tree one way, the way
+// Sect. 3.1 of the paper describes (see builder).
+//
+// Deprecated: goes with the next benchmark PR.
+type ParseOptions struct{}
 
-// DefaultParseOptions returns the configuration used throughout the paper
-// reproduction: attributes kept, text concatenated per element.
-func DefaultParseOptions() ParseOptions {
-	return ParseOptions{ConcatenateText: true, KeepAttributes: true}
-}
+// DefaultParseOptions returns the empty ParseOptions.
+//
+// Deprecated: goes with the next benchmark PR.
+func DefaultParseOptions() ParseOptions { return ParseOptions{} }
 
 // maxTreeDepth bounds the depth of a tree Parse will build. Tree walks
 // (Tree.Depth, tuple extraction, rendering) recurse once per level, and a
@@ -44,14 +28,16 @@ func DefaultParseOptions() ParseOptions {
 // paper's collections are under 20 deep.
 const maxTreeDepth = 10000
 
-// Parse reads one XML document from r and builds its tree. A document whose
-// tree would be deeper than maxTreeDepth is an error.
-func Parse(r io.Reader, opts ParseOptions) (*Tree, error) {
+// Parse reads one XML document from r and builds its tree: elements are
+// nodes, attributes "@name" leaves, and the character data under an element
+// its one S leaf. A document whose tree would be deeper than maxTreeDepth is
+// an error. Options are ignored: the parameter goes with DefaultParseOptions.
+func Parse(r io.Reader, _ ...ParseOptions) (*Tree, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("xmltree: parse: %w", err)
 	}
-	return ParseBytes(data, opts)
+	return ParseBytes(data)
 }
 
 // ParseBytes is Parse over a document already in memory; data is only read,
@@ -65,21 +51,21 @@ func Parse(r io.Reader, opts ParseOptions) (*Tree, error) {
 // names, name spaces, CDATA, DOCTYPE and declared charsets are its business.
 // Both feed the same builder, so which one read a document cannot be told
 // from the tree.
-func ParseBytes(data []byte, opts ParseOptions) (*Tree, error) {
-	return ParseBytesInto(nil, data, opts)
+func ParseBytes(data []byte) (*Tree, error) {
+	return ParseBytesInto(nil, data)
 }
 
 // ParseBytesInto is ParseBytes into the storage of reuse, a tree an earlier
 // parse returned and nothing reads any more (nil = fresh storage). If the
 // storage holds the document, reuse itself is rebuilt and returned, and only
 // the leaf values are allocated.
-func ParseBytesInto(reuse *Tree, data []byte, opts ParseOptions) (*Tree, error) {
+func ParseBytesInto(reuse *Tree, data []byte) (*Tree, error) {
 	p := parsers.Get().(*parser)
 	defer p.release()
-	if t, ok := p.scanTree(reuse, data, opts); ok {
+	if t, ok := p.scanTree(reuse, data); ok {
 		return t, nil
 	}
-	return p.decodeTree(reuse, data, opts)
+	return p.decodeTree(reuse, data)
 }
 
 // parser is a builder with the scratch of its two token sources. Parsers
@@ -97,15 +83,15 @@ func newParser() *parser {
 var parsers = sync.Pool{New: func() any { return newParser() }}
 
 func (p *parser) release() {
-	p.reset(ParseOptions{})
+	p.reset()
 	parsers.Put(p)
 }
 
 // scanTree builds the tree of data from the scanner's tokens; !ok means the
 // scanner declined, or the builder refused the document (the decoder will
 // get it to refuse it again, in the same words).
-func (p *parser) scanTree(reuse *Tree, data []byte, opts ParseOptions) (t *Tree, ok bool) {
-	p.reset(opts)
+func (p *parser) scanTree(reuse *Tree, data []byte) (t *Tree, ok bool) {
+	p.reset()
 	if !p.scan(data) {
 		return nil, false
 	}
@@ -114,8 +100,8 @@ func (p *parser) scanTree(reuse *Tree, data []byte, opts ParseOptions) (t *Tree,
 }
 
 // decodeTree builds the tree of data from encoding/xml's tokens.
-func (p *parser) decodeTree(reuse *Tree, data []byte, opts ParseOptions) (*Tree, error) {
-	p.reset(opts)
+func (p *parser) decodeTree(reuse *Tree, data []byte) (*Tree, error) {
+	p.reset()
 	dec := xml.NewDecoder(bytes.NewReader(data))
 	dec.Strict = false
 	dec.AutoClose = xml.HTMLAutoClose
@@ -131,12 +117,8 @@ func (p *parser) decodeTree(reuse *Tree, data []byte, opts ParseOptions) (*Tree,
 		}
 		switch el := tok.(type) {
 		case xml.StartElement:
-			attrs, err := p.start(el.Name.Local)
-			if err != nil {
+			if err := p.start(el.Name.Local); err != nil {
 				return nil, err
-			}
-			if !attrs {
-				continue
 			}
 			for _, a := range el.Attr {
 				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
@@ -176,14 +158,14 @@ func charsetReader(charset string, r io.Reader) (io.Reader, error) {
 }
 
 // ParseString parses an XML document held in a string.
-func ParseString(s string, opts ParseOptions) (*Tree, error) {
-	return ParseBytes([]byte(s), opts)
+func ParseString(s string) (*Tree, error) {
+	return ParseBytes([]byte(s))
 }
 
 // MustParseString is ParseString that panics on error; for tests and
 // examples operating on literal documents.
-func MustParseString(s string, opts ParseOptions) *Tree {
-	t, err := ParseString(s, opts)
+func MustParseString(s string) *Tree {
+	t, err := ParseString(s)
 	if err != nil {
 		panic(err)
 	}

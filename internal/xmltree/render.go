@@ -8,8 +8,8 @@ import (
 
 // Render writes the tree back out as indented XML. Attribute leaves become
 // XML attributes on their parent element; text leaves become character
-// data. The output reparses to an equivalent tree under
-// DefaultParseOptions (modulo whitespace normalization).
+// data. Parse reads the output back into an equivalent tree (modulo
+// whitespace normalization).
 func Render(w io.Writer, t *Tree) error {
 	if t.Root == nil {
 		return fmt.Errorf("xmltree: render: empty tree")

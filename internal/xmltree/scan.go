@@ -31,8 +31,7 @@ import (
 
 // scanner is the scratch of scan.
 type scanner struct {
-	open []string // labels of the open elements
-	ent  []byte   // a run of character data after entity expansion
+	ent []byte // a run of character data after entity expansion
 	// elems and attrs map the names seen in start tags to node labels, so a
 	// label is allocated (and a name vetted) once, not once per node.
 	elems, attrs map[string]string
@@ -45,7 +44,6 @@ const maxLabels = 4096
 // scan feeds the builder the tokens of data. It reports false when it
 // declined, or when the builder refused a token.
 func (p *parser) scan(data []byte) bool {
-	p.open = p.open[:0]
 	for i := 0; i < len(data); {
 		if data[i] != '<' {
 			j := bytes.IndexByte(data[i:], '<')
@@ -78,7 +76,7 @@ func (p *parser) scan(data []byte) bool {
 			return false
 		}
 	}
-	return len(p.open) == 0
+	return len(p.stack) == 0
 }
 
 // startTag reads a start or empty-element tag whose name begins at data[i]
@@ -92,8 +90,7 @@ func (p *parser) startTag(data []byte, i int) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	attrs, err := p.start(label)
-	if err != nil {
+	if p.start(label) != nil {
 		return 0, false
 	}
 	for i = end; ; {
@@ -102,7 +99,6 @@ func (p *parser) startTag(data []byte, i int) (int, bool) {
 		}
 		switch data[i] {
 		case '>':
-			p.open = append(p.open, label)
 			return i + 1, true
 		case '/':
 			if i+1 == len(data) || data[i+1] != '>' {
@@ -132,19 +128,18 @@ func (p *parser) startTag(data []byte, i int) (int, bool) {
 		if !ok {
 			return 0, false
 		}
-		if attrs {
-			p.attr(attr, val)
-		}
+		p.attr(attr, val)
 		i += n + 2
 	}
 }
 
-// endTag reads the end tag whose name begins at data[i].
+// endTag reads the end tag whose name begins at data[i]; it must name the
+// innermost open element.
 func (p *parser) endTag(data []byte, i int) (int, bool) {
-	if len(p.open) == 0 {
+	label, ok := p.open()
+	if !ok {
 		return 0, false
 	}
-	label := p.open[len(p.open)-1]
 	if len(data)-i < len(label) || string(data[i:i+len(label)]) != label {
 		return 0, false
 	}
@@ -152,7 +147,6 @@ func (p *parser) endTag(data []byte, i int) (int, bool) {
 	if i = space(data, i+len(label)); i == len(data) || data[i] != '>' {
 		return 0, false
 	}
-	p.open = p.open[:len(p.open)-1]
 	p.end()
 	return i + 1, true
 }

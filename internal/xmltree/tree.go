@@ -7,7 +7,6 @@ package xmltree
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -203,45 +202,6 @@ func (t *Tree) Answer(p Path) []string {
 	return out
 }
 
-// CompletePaths returns P_XT: the set of distinct complete paths, sorted.
-func (t *Tree) CompletePaths() []Path {
-	seen := map[string]Path{}
-	for _, n := range t.Nodes {
-		if n.IsLeaf() {
-			p := NodePath(n)
-			seen[p.String()] = p
-		}
-	}
-	return sortPathMap(seen)
-}
-
-// MaximalTagPaths returns TP_XT: the distinct tag paths obtained by removing
-// the last symbol of every complete path, sorted.
-func (t *Tree) MaximalTagPaths() []Path {
-	seen := map[string]Path{}
-	for _, n := range t.Nodes {
-		if n.IsLeaf() {
-			p := NodePath(n)
-			tp := p[:len(p)-1]
-			seen[tp.String()] = tp
-		}
-	}
-	return sortPathMap(seen)
-}
-
-func sortPathMap(m map[string]Path) []Path {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Path, len(keys))
-	for i, k := range keys {
-		out[i] = m[k]
-	}
-	return out
-}
-
 // Leaves returns the leaf nodes in document order.
 func (t *Tree) Leaves() []*Node {
 	var out []*Node
@@ -251,24 +211,6 @@ func (t *Tree) Leaves() []*Node {
 		}
 	}
 	return out
-}
-
-// Clone produces a deep copy of the tree (fresh nodes, same labels/values).
-func (t *Tree) Clone() *Tree {
-	c := &Tree{DocID: t.DocID, Name: t.Name}
-	if t.Root == nil {
-		return c
-	}
-	var cp func(n *Node, parent *Node) *Node
-	cp = func(n *Node, parent *Node) *Node {
-		nn := c.NewNode(n.Kind, n.Label, n.Value, parent)
-		for _, ch := range n.Children {
-			cp(ch, nn)
-		}
-		return nn
-	}
-	c.Root = cp(t.Root, nil)
-	return c
 }
 
 // String renders an indented dump of the tree for debugging and examples.

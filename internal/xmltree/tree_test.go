@@ -27,7 +27,7 @@ const paperDoc = `<?xml version="1.0"?>
 
 func mustPaperTree(t *testing.T) *Tree {
 	t.Helper()
-	tree, err := ParseString(paperDoc, DefaultParseOptions())
+	tree, err := ParseString(paperDoc)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -94,9 +94,21 @@ func TestDepth(t *testing.T) {
 	}
 }
 
+// TestCompleteAndTagPaths: P_XT of Fig. 2 is the set of its leaves' paths,
+// each complete, and dropping the last symbol of one gives a tag path.
 func TestCompleteAndTagPaths(t *testing.T) {
 	tree := mustPaperTree(t)
-	cps := tree.CompletePaths()
+	cps := map[string]bool{}
+	for _, l := range tree.Leaves() {
+		p := NodePath(l)
+		cps[p.String()] = true
+		if !p.IsComplete() {
+			t.Errorf("path %v should be complete", p)
+		}
+		if p[:len(p)-1].IsComplete() {
+			t.Errorf("tag path %v claims to be complete", p[:len(p)-1])
+		}
+	}
 	wantCPs := map[string]bool{
 		"dblp.inproceedings.@key":        true,
 		"dblp.inproceedings.author.S":    true,
@@ -108,21 +120,9 @@ func TestCompleteAndTagPaths(t *testing.T) {
 	if len(cps) != len(wantCPs) {
 		t.Fatalf("complete paths = %v", cps)
 	}
-	for _, p := range cps {
-		if !wantCPs[p.String()] {
+	for p := range cps {
+		if !wantCPs[p] {
 			t.Errorf("unexpected complete path %v", p)
-		}
-		if !p.IsComplete() {
-			t.Errorf("path %v should be complete", p)
-		}
-	}
-	tps := tree.MaximalTagPaths()
-	if len(tps) != 6 {
-		t.Fatalf("maximal tag paths = %v", tps)
-	}
-	for _, p := range tps {
-		if p.IsComplete() {
-			t.Errorf("tag path %v claims to be complete", p)
 		}
 	}
 }
@@ -144,51 +144,47 @@ func TestNodePathAndLeaves(t *testing.T) {
 	}
 }
 
+// TestParseTextConcatenation: the runs of character data under one element,
+// split by its children, comments and processing instructions, are joined
+// with a space into its one S leaf; a child's text stays the child's.
 func TestParseTextConcatenation(t *testing.T) {
-	doc := `<a><b>first part <i>inline</i> second part</b></a>`
-	tree, err := ParseString(doc, ParseOptions{ConcatenateText: true, InlineTags: []string{"i"}})
+	doc := `<a><b>first<i>inline</i>second<!-- c -->third<?pi x?>fourth</b></a>`
+	tree, err := ParseString(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	texts := tree.Answer(ParsePath("a.b.S"))
-	if len(texts) != 1 {
-		t.Fatalf("texts = %v, want one concatenated leaf", texts)
+	if got := tree.Answer(ParsePath("a.b.S")); len(got) != 1 || got[0] != "first second third fourth" {
+		t.Errorf("a.b.S = %q, want one leaf \"first second third fourth\"", got)
 	}
-	for _, frag := range []string{"first part", "inline", "second part"} {
-		if !strings.Contains(texts[0], frag) {
-			t.Errorf("concatenated text %q missing %q", texts[0], frag)
-		}
+	if got := tree.Answer(ParsePath("a.b.i.S")); len(got) != 1 || got[0] != "inline" {
+		t.Errorf("a.b.i.S = %q, want [inline]", got)
 	}
 }
 
+// TestParseSeparateTextRuns: text on either side of a child element is one
+// S leaf, the element's last child, after the child and its attributes.
 func TestParseSeparateTextRuns(t *testing.T) {
-	doc := `<a>one<b>mid</b>two</a>`
-	tree, err := ParseString(doc, ParseOptions{ConcatenateText: false, KeepAttributes: true})
+	tree, err := ParseString(`<a k="v">one<b>mid</b>two</a>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	texts := tree.Answer(ParsePath("a.S"))
-	if len(texts) != 2 {
-		t.Fatalf("want 2 text leaves, got %v", texts)
+	var labels []string
+	for _, c := range tree.Root.Children {
+		labels = append(labels, c.Label)
 	}
-}
-
-func TestParseStripTags(t *testing.T) {
-	doc := `<doc><keep>yes</keep><drop><keep>no</keep></drop></doc>`
-	tree, err := ParseString(doc, ParseOptions{ConcatenateText: true, StripTags: []string{"drop"}})
-	if err != nil {
-		t.Fatal(err)
+	if got := strings.Join(labels, " "); got != "@k b S" {
+		t.Errorf("children of a are %s, want @k b S", got)
 	}
-	if got := tree.Answer(ParsePath("doc.keep.S")); len(got) != 1 || got[0] != "yes" {
-		t.Errorf("strip failed: %v", got)
+	if got := tree.Answer(ParsePath("a.S")); len(got) != 1 || got[0] != "one two" {
+		t.Errorf("a.S = %q, want one leaf \"one two\"", got)
 	}
 }
 
 func TestParseErrors(t *testing.T) {
-	if _, err := ParseString("", DefaultParseOptions()); err == nil {
+	if _, err := ParseString(""); err == nil {
 		t.Error("empty document should fail")
 	}
-	if _, err := ParseString("no xml here", DefaultParseOptions()); err == nil {
+	if _, err := ParseString("no xml here"); err == nil {
 		t.Error("non-XML should fail")
 	}
 }
@@ -203,62 +199,31 @@ func nested(n int) string {
 // maxTreeDepth levels, one more element is an error, and the error arrives
 // without building the rest of a depth bomb.
 func TestParseDepthLimit(t *testing.T) {
-	tree, err := ParseString(nested(maxTreeDepth-1), DefaultParseOptions())
+	tree, err := ParseString(nested(maxTreeDepth - 1))
 	if err != nil {
 		t.Fatalf("tree of depth %d rejected: %v", maxTreeDepth, err)
 	}
 	if d := tree.Depth(); d != maxTreeDepth {
 		t.Fatalf("Depth() = %d, want %d", d, maxTreeDepth)
 	}
-	if _, err := ParseString(nested(maxTreeDepth), DefaultParseOptions()); err == nil {
+	if _, err := ParseString(nested(maxTreeDepth)); err == nil {
 		t.Fatalf("tree of depth %d accepted", maxTreeDepth+1)
 	}
 	// 2.2 M levels, 15.4 MB: under cxkserve's 16 MB body cap.
-	if _, err := ParseString(nested(2_200_000), DefaultParseOptions()); err == nil {
+	if _, err := ParseString(nested(2_200_000)); err == nil {
 		t.Fatal("depth bomb accepted")
-	}
-	// Elements that add no tree level do not count: truncated below
-	// MaxDepth, inlined, or inside a stripped subtree.
-	for _, opts := range []ParseOptions{
-		{ConcatenateText: true, MaxDepth: 3},
-		{ConcatenateText: true, InlineTags: []string{"a"}},
-	} {
-		doc := "<r>" + nested(maxTreeDepth+5) + "</r>"
-		tree, err := ParseString(doc, opts)
-		if err != nil {
-			t.Fatalf("%+v: %v", opts, err)
-		}
-		if d := tree.Depth(); d > 4 {
-			t.Fatalf("%+v: depth %d", opts, d)
-		}
-	}
-	if _, err := ParseString("<r>"+nested(maxTreeDepth+5)+"<k>v</k></r>", ParseOptions{StripTags: []string{"a"}}); err != nil {
-		t.Fatalf("stripped subtree counted towards the depth: %v", err)
 	}
 }
 
 func TestParseWhitespaceNormalization(t *testing.T) {
 	doc := "<a><b>  lots   of\n\t spaces  </b></a>"
-	tree, err := ParseString(doc, DefaultParseOptions())
+	tree, err := ParseString(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := tree.Answer(ParsePath("a.b.S"))
 	if len(got) != 1 || got[0] != "lots of spaces" {
 		t.Errorf("whitespace not normalized: %q", got)
-	}
-}
-
-func TestClone(t *testing.T) {
-	tree := mustPaperTree(t)
-	c := tree.Clone()
-	if c.Depth() != tree.Depth() || len(c.Nodes) != len(tree.Nodes) {
-		t.Fatal("clone structure differs")
-	}
-	// Mutating the clone must not affect the original.
-	c.AddText(c.Root, "extra")
-	if len(c.Nodes) == len(tree.Nodes) {
-		t.Error("clone shares node storage")
 	}
 }
 
@@ -288,7 +253,7 @@ func TestPathString(t *testing.T) {
 func TestRenderRoundtrip(t *testing.T) {
 	tree := mustPaperTree(t)
 	out := RenderString(tree)
-	re, err := ParseString(out, DefaultParseOptions())
+	re, err := ParseString(out)
 	if err != nil {
 		t.Fatalf("reparse: %v", err)
 	}
@@ -315,7 +280,7 @@ func TestRenderEscapes(t *testing.T) {
 	tree := NewTree("a")
 	tree.AddText(tree.Root, `tricky <text> & "quotes"`)
 	out := RenderString(tree)
-	re, err := ParseString(out, DefaultParseOptions())
+	re, err := ParseString(out)
 	if err != nil {
 		t.Fatalf("reparse escaped: %v\n%s", err, out)
 	}
@@ -326,7 +291,7 @@ func TestRenderEscapes(t *testing.T) {
 }
 
 func TestMultipleRootsRejected(t *testing.T) {
-	if _, err := ParseString("<a/><b/>", DefaultParseOptions()); err == nil {
+	if _, err := ParseString("<a/><b/>"); err == nil {
 		t.Error("multiple roots should fail")
 	}
 }

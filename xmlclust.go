@@ -83,22 +83,20 @@ type Transaction = txn.Transaction
 // collects transactions with zero similarity to every representative.
 const TrashCluster = cluster.TrashCluster
 
-// ParseOptions re-exports the XML → tree mapping knobs.
-type ParseOptions = xmltree.ParseOptions
-
-// Parse reads one XML document.
-func Parse(r io.Reader, opts ParseOptions) (*Tree, error) {
-	return xmltree.Parse(r, opts)
+// Parse reads one XML document: elements become nodes, attributes "@name"
+// leaves, and the character data under an element its one S leaf.
+func Parse(r io.Reader) (*Tree, error) {
+	return xmltree.Parse(r)
 }
 
-// ParseFile parses one XML file with the default options.
+// ParseFile parses one XML file.
 func ParseFile(path string) (*Tree, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	t, err := xmltree.Parse(f, xmltree.DefaultParseOptions())
+	t, err := xmltree.Parse(f)
 	if err != nil {
 		return nil, fmt.Errorf("xmlclust: %s: %w", path, err)
 	}
@@ -119,15 +117,15 @@ func ParseFiles(paths []string) ([]*Tree, error) {
 	return trees, nil
 }
 
-// ParseString parses an XML document held in a string with default options.
+// ParseString parses an XML document held in a string.
 func ParseString(s string) (*Tree, error) {
-	return xmltree.ParseString(s, xmltree.DefaultParseOptions())
+	return xmltree.ParseString(s)
 }
 
-// ParseBytes parses an XML document held in memory with default options.
-// data is only read, and the tree keeps no reference to it.
+// ParseBytes parses an XML document held in memory. data is only read, and
+// the tree keeps no reference to it.
 func ParseBytes(data []byte) (*Tree, error) {
-	return xmltree.ParseBytes(data, xmltree.DefaultParseOptions())
+	return xmltree.ParseBytes(data)
 }
 
 // CorpusOptions controls preprocessing.
@@ -141,9 +139,6 @@ type CorpusOptions struct {
 	// carry their own labels (TreeSource) take precedence on the streaming
 	// path.
 	Labels []int
-	// Parse maps raw XML onto the tree model on the streaming path; nil
-	// selects the default options (attributes kept, text concatenated).
-	Parse *ParseOptions
 	// IngestWorkers is the number of workers the streaming path fans out
 	// over (0 or negative = one per CPU, 1 = serial): they parse and
 	// extract, and then weigh the items in the weighting finish. The corpus
@@ -213,7 +208,6 @@ func OpenSource(path string) (Source, error) { return corpus.Open(path) }
 func BuildCorpusFromSource(src Source, opts CorpusOptions) (*Corpus, IngestStats, error) {
 	return corpus.Build(src, corpus.Options{
 		Tuple:   tuple.Options{MaxTuplesPerTree: opts.MaxTuplesPerTree},
-		Parse:   opts.Parse,
 		Labels:  opts.Labels,
 		Workers: opts.IngestWorkers,
 	})

@@ -428,7 +428,7 @@ func TestParseFilesMissing(t *testing.T) {
 }
 
 func TestParseReader(t *testing.T) {
-	tree, err := Parse(strings.NewReader("<a><b>text</b></a>"), ParseOptions{ConcatenateText: true, KeepAttributes: true})
+	tree, err := Parse(strings.NewReader("<a><b>text</b></a>"))
 	if err != nil {
 		t.Fatal(err)
 	}
