@@ -1,15 +1,15 @@
 package xmlclust
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section (Sect. 5), plus the DESIGN.md ablations. Each
-// benchmark runs the corresponding experiment driver and prints the same
-// rows/series the paper reports, so that
+// evaluation section (Sect. 5), plus ablations of this implementation's own
+// choices. Each benchmark runs the corresponding experiment driver and
+// prints the same rows/series the paper reports, so that
 //
 //	go test -bench=. -benchmem
 //
 // regenerates the full evaluation. Sizes come from the "quick" profile by
 // default; set XMLCLUST_SCALE=paper for the paper-geometry profile (much
-// slower). See EXPERIMENTS.md for the paper-vs-measured comparison.
+// slower). README.md "Testing" lists this run beside the test suite.
 
 import (
 	"context"
@@ -195,7 +195,7 @@ func BenchmarkAblationGamma(b *testing.B) {
 }
 
 // BenchmarkAblationGenerateReturn compares the three readings of Fig. 6's
-// GenerateTreeTuple return value (DESIGN.md interpretation choices).
+// GenerateTreeTuple return value (cluster.ReturnRule).
 func BenchmarkAblationGenerateReturn(b *testing.B) {
 	scale := benchScale()
 	for i := 0; i < b.N; i++ {
@@ -281,22 +281,6 @@ func BenchmarkCostModel(b *testing.B) {
 		}
 		printBench("costmodel", func() { res.Write(os.Stdout) })
 		b.ReportMetric(res.OptimalM, "predicted-m*")
-	}
-}
-
-// BenchmarkAblationSemantics evaluates the Sect. 6 semantic-enrichment
-// extension on a two-dialect DBLP corpus: exact Δ vs lexical tag matching
-// vs dictionary+lexical chain.
-func BenchmarkAblationSemantics(b *testing.B) {
-	scale := benchScale()
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.SemanticsAblation(scale, 17)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printBench("abl-semantics", func() { experiments.WriteSemanticsAblation(os.Stdout, pts) })
-		b.ReportMetric(pts[0].F, "F-exact")
-		b.ReportMetric(pts[2].F, "F-semantic")
 	}
 }
 

@@ -60,9 +60,8 @@ type RepIndex struct {
 }
 
 // Enabled reports whether the index is active — false for the (F, Gamma) it
-// cannot answer (γ = 0 or a semantic tag matcher) and after a rewrite of a
-// representative item's vector, in which cases scans fall back to the flat
-// path.
+// cannot answer (γ = 0) and after a rewrite of a representative item's
+// vector, in which cases scans fall back to the flat path.
 func (ri *RepIndex) Enabled() bool { return ri != nil && ri.ix.Enabled() }
 
 // Entries reports the number of inverted-index keys (distinct terms +

@@ -1,5 +1,5 @@
 // Command cxkbench runs the paper's evaluation experiments and prints the
-// tables and figure series (Sect. 5 of the paper; see EXPERIMENTS.md).
+// tables and figure series (Sect. 5 of the paper).
 //
 // Usage:
 //
@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -34,8 +35,9 @@ import (
 )
 
 func main() {
+	exps := []string{"fig7", "fig8", "table1", "table2", "gamma", "rules", "cache", "workers", "cost", "sweep", "kernel", "relocate", "all"}
 	var (
-		exp     = flag.String("exp", "all", "experiment: fig7 | fig8 | table1 | table2 | gamma | rules | cache | workers | semantics | cost | sweep | kernel | relocate | all")
+		exp     = flag.String("exp", "all", "experiment: "+strings.Join(exps, " | "))
 		ds      = flag.String("dataset", "", "restrict to one corpus (fig7/fig8/gamma/workers/sweep/kernel)")
 		scaleFl = flag.String("scale", "quick", "profile: quick | paper")
 		workers = flag.Int("workers", 1, "intra-peer worker goroutines, also used as ingest workers for corpus preparation (0 = one per CPU); results are identical for any value")
@@ -43,6 +45,9 @@ func main() {
 		minSpd  = flag.Float64("min-speedup", 0, "kernel/relocate experiment: exit non-zero if the gated speedup (vs seed / at k=256) falls below this bar (0 = no gate)")
 	)
 	flag.Parse()
+	if !slices.Contains(exps, *exp) {
+		check(fmt.Errorf("unknown experiment %q (have %s)", *exp, strings.Join(exps, " | ")))
+	}
 	if *jsonFl != "" {
 		// Fail on an unwritable artifact path before burning benchmark time,
 		// not after: CI jobs that upload the JSON want the error up front.
@@ -142,12 +147,6 @@ func main() {
 			experiments.WriteWorkersAblation(os.Stdout, d, pts)
 			fmt.Println()
 		}
-	}
-	if want("semantics") {
-		pts, err := experiments.SemanticsAblation(scale, scale.Seeds[0])
-		check(err)
-		experiments.WriteSemanticsAblation(os.Stdout, pts)
-		fmt.Println()
 	}
 	if want("cost") {
 		res, err := experiments.CostModel("DBLP", scale)

@@ -64,7 +64,7 @@ import (
 )
 
 // ReturnRule selects how GenerateTreeTuple resolves the greedy-refinement
-// ambiguities in Fig. 6 (see DESIGN.md).
+// ambiguities in Fig. 6.
 //
 // The pseudocode batches items by equal rank and stops at the first
 // objective decrease. With the paper's integer frequency ranks the batches

@@ -319,55 +319,3 @@ func TestRenderedDocsParse(t *testing.T) {
 		}
 	}
 }
-
-func TestDBLPHeterogeneous(t *testing.T) {
-	c := DBLPHeterogeneous(Spec{Docs: 16, Seed: 3})
-	if c.Name != "DBLP-hetero" {
-		t.Errorf("name = %q", c.Name)
-	}
-	// Even documents keep the original vocabulary, odd ones are renamed.
-	sawWriter, sawAuthor := false, false
-	for i, tree := range c.Trees {
-		for _, n := range tree.Nodes {
-			switch n.Label {
-			case "writer":
-				if i%2 == 0 {
-					t.Errorf("doc %d (original dialect) has renamed tag", i)
-				}
-				sawWriter = true
-			case "author":
-				if i%2 == 1 {
-					t.Errorf("doc %d (synonym dialect) kept original tag", i)
-				}
-				sawAuthor = true
-			}
-		}
-	}
-	if !sawWriter || !sawAuthor {
-		t.Error("both dialects should appear")
-	}
-}
-
-func TestRenameTags(t *testing.T) {
-	tree, _ := xmltree.ParseString(`<a><b x="1">t</b></a>`)
-	RenameTags(tree, map[string]string{"b": "c"})
-	if got := tree.Answer(xmltree.ParsePath("a.c.S")); len(got) != 1 {
-		t.Errorf("renamed path not answerable: %v", got)
-	}
-	// Attribute labels untouched.
-	if got := tree.Answer(xmltree.ParsePath("a.c.@x")); len(got) != 1 {
-		t.Errorf("attribute lost: %v", got)
-	}
-}
-
-func TestDBLPSynonymDictionary(t *testing.T) {
-	classes := DBLPSynonymDictionary()
-	if len(classes) == 0 {
-		t.Fatal("empty dictionary")
-	}
-	for _, cl := range classes {
-		if len(cl) != 2 {
-			t.Errorf("class %v should pair original with synonym", cl)
-		}
-	}
-}

@@ -33,7 +33,7 @@ var ieeeHybrid = func() [][2]int {
 // IEEE generates the journal-article corpus: long, sectioned documents with
 // a complex schema, the heaviest workload of the four (the real collection
 // has 211909 transactions; the synthetic default is scaled down but keeps
-// the many-tuples-per-document profile — see DESIGN.md §3).
+// the many-tuples-per-document profile).
 func IEEE(spec Spec) *Collection {
 	docs := spec.docsOr(90)
 	rng := rand.New(rand.NewSource(spec.Seed))

@@ -37,7 +37,7 @@ var shakHybrid = func() [][2]int {
 // whose tuple decomposition yields thousands of transactions each (the
 // extraction cap keeps the combinatorial product bounded; see
 // tuple.Options). The real archive has 7 plays; the synthetic default uses
-// 14 so that all 12 hybrid classes are populated (DESIGN.md §3).
+// 14 so that all 12 hybrid classes are populated.
 func Shakespeare(spec Spec) *Collection {
 	docs := spec.docsOr(14)
 	rng := rand.New(rand.NewSource(spec.Seed))

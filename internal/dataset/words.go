@@ -4,8 +4,6 @@
 // texts), IEEE (2 structural × 8 topical → 14 hybrid, long sectioned
 // articles), Shakespeare (3 structural × 5 topical → 12 hybrid, few long
 // plays) and Wikipedia (21 topical classes over a homogeneous structure).
-// See DESIGN.md §3 for why this substitution preserves the paper's
-// conclusions.
 package dataset
 
 import (

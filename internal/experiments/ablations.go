@@ -51,7 +51,7 @@ type RulePoint struct {
 }
 
 // ReturnRuleAblation compares the three readings of Fig. 6's return value
-// (DESIGN.md "Deliberate interpretation choices").
+// (cluster.ReturnRule).
 func ReturnRuleAblation(ds string, kind dataset.ClassKind, scale Scale, seed int64) ([]RulePoint, error) {
 	rules := []RulePoint{
 		{Rule: cluster.ReturnBestObjective, Label: "best-objective (default)"},

@@ -347,6 +347,30 @@ func TestScales(t *testing.T) {
 	}
 }
 
+// TestTableFs: the quick profile averages each setting's one sampled f
+// (so its tables stay as they were), and only PaperScale widens the sweep
+// to three f values inside the setting's sub-range of the paper.
+func TestTableFs(t *testing.T) {
+	ranges := []struct {
+		s      Setting
+		lo, hi float64
+	}{{ContentDriven, 0, 0.3}, {HybridDriven, 0.4, 0.6}, {StructureDriven, 0.7, 1}}
+	for _, r := range ranges {
+		if got := QuickScale().tableFs(r.s); fmt.Sprint(got) != fmt.Sprint(r.s.Fs) {
+			t.Errorf("quick %s: fs = %v, want %v", r.s.Name, got, r.s.Fs)
+		}
+		got := PaperScale().tableFs(r.s)
+		if len(got) != 3 {
+			t.Errorf("paper %s: fs = %v, want three values", r.s.Name, got)
+		}
+		for i, f := range got {
+			if f < r.lo || f > r.hi || (i > 0 && f <= got[i-1]) {
+				t.Errorf("paper %s: fs = %v, not increasing inside [%v, %v]", r.s.Name, got, r.lo, r.hi)
+			}
+		}
+	}
+}
+
 func TestTableDatasets(t *testing.T) {
 	if got := TableDatasets(dataset.ByContent); len(got) != 4 {
 		t.Errorf("content datasets = %v", got)
@@ -428,29 +452,5 @@ func TestCostModelReportsFailedFit(t *testing.T) {
 	res.Write(&sb)
 	if want := "fit failed: " + res.FitErr.Error() + "; default t_mem/t_comm used"; !strings.Contains(sb.String(), want) {
 		t.Errorf("output lacks %q:\n%s", want, sb.String())
-	}
-}
-
-func TestSemanticsAblationDriver(t *testing.T) {
-	pts, err := SemanticsAblation(tinyScale(), 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	for _, p := range pts {
-		if p.F < 0 || p.F > 1 {
-			t.Errorf("%s F = %v", p.Matcher, p.F)
-		}
-	}
-	// Semantic matching must not hurt on the two-dialect corpus.
-	if pts[2].F+1e-9 < pts[0].F {
-		t.Errorf("chain F=%.3f worse than exact F=%.3f", pts[2].F, pts[0].F)
-	}
-	var sb strings.Builder
-	WriteSemanticsAblation(&sb, pts)
-	if !strings.Contains(sb.String(), "semantic") {
-		t.Errorf("output:\n%s", sb.String())
 	}
 }

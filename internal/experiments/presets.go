@@ -14,25 +14,12 @@ type Setting struct {
 
 // The three settings with their paper f sub-ranges. The quick profile
 // samples one representative f per sub-range; PaperScale widens the sweep
-// through Setting.WideFs.
+// through Scale.TableFs.
 var (
 	ContentDriven   = Setting{Name: "content-driven (f∈[0,0.3])", Kind: dataset.ByContent, Fs: []float64{0.2}}
 	HybridDriven    = Setting{Name: "structure/content-driven (f∈[0.4,0.6])", Kind: dataset.ByHybrid, Fs: []float64{0.5}}
 	StructureDriven = Setting{Name: "structure-driven (f∈[0.7,1])", Kind: dataset.ByStructure, Fs: []float64{0.85}}
 )
-
-// WideFs returns the denser f sampling of the setting's sub-range used by
-// the paper-geometry profile.
-func (s Setting) WideFs() []float64 {
-	switch s.Kind {
-	case dataset.ByContent:
-		return []float64{0.1, 0.2, 0.3}
-	case dataset.ByHybrid:
-		return []float64{0.4, 0.5, 0.6}
-	default:
-		return []float64{0.7, 0.8, 0.9}
-	}
-}
 
 // BestGamma returns the tuned similarity threshold for a dataset/setting
 // pair. The paper tunes γ per dataset and setting and reports results for
@@ -67,7 +54,7 @@ func BestGamma(ds string, kind dataset.ClassKind) float64 {
 // Scale bundles the corpus sizes and network sizes of one experiment
 // profile. The paper's full datasets are large (IEEE: 211909 transactions);
 // the profiles scale the synthetic corpora so the whole suite runs on a
-// laptop while keeping every qualitative trend (DESIGN.md §3).
+// laptop while keeping every qualitative trend (see package dataset).
 type Scale struct {
 	Name string
 	// Docs per dataset (full size). The "half" series uses Docs/2.
@@ -84,6 +71,9 @@ type Scale struct {
 	// accuracy is more initialization-sensitive than runtime, so the quick
 	// profile averages more seeds here (the paper averages 10 runs).
 	TableSeeds []int64
+	// TableFs are the f values the accuracy tables average over, per
+	// setting kind (a kind without an entry = the setting's own Fs).
+	TableFs map[dataset.ClassKind][]float64
 	// Workers is each peer's intra-peer worker count, threaded into every
 	// RunSpec the drivers build. The profiles default to 1 (serial) so that
 	// per-peer compute timings match the paper's one-core-per-peer testbed;
@@ -97,6 +87,14 @@ func (s Scale) tableSeeds() []int64 {
 		return s.TableSeeds
 	}
 	return s.Seeds
+}
+
+// tableFs resolves the f list of one setting for accuracy tables.
+func (s Scale) tableFs(setting Setting) []float64 {
+	if fs := s.TableFs[setting.Kind]; len(fs) > 0 {
+		return fs
+	}
+	return setting.Fs
 }
 
 // QuickScale keeps a full suite run in the minutes range; used by the
@@ -130,6 +128,11 @@ func PaperScale() Scale {
 		TableMs:    []int{1, 3, 5, 7, 9},
 		Seeds:      []int64{17, 29, 43},
 		TableSeeds: []int64{17, 29, 43, 59, 71},
+		TableFs: map[dataset.ClassKind][]float64{
+			dataset.ByContent:   {0.1, 0.2, 0.3},
+			dataset.ByHybrid:    {0.4, 0.5, 0.6},
+			dataset.ByStructure: {0.7, 0.8, 0.9},
+		},
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package experiments contains one driver per table and figure of the
-// paper's evaluation (Sect. 5), plus the ablations called out in DESIGN.md.
-// Every driver is deterministic for a fixed configuration and prints the
-// same rows/series the paper reports.
+// paper's evaluation (Sect. 5), plus ablations of this implementation's own
+// choices. Every driver is deterministic for a fixed configuration and
+// prints the same rows/series the paper reports.
 package experiments
 
 import (

@@ -22,8 +22,8 @@ type TableResult struct {
 }
 
 // AccuracyTable runs one sub-table: every dataset of the setting × every
-// network size, averaging the F-measure over the setting's f values and the
-// scale's seeds.
+// network size, averaging the F-measure over the scale's f values for the
+// setting and its table seeds.
 func AccuracyTable(setting Setting, unequal bool, scale Scale) (*TableResult, error) {
 	res := &TableResult{Setting: setting, Unequal: unequal}
 	for _, ds := range TableDatasets(setting.Kind) {
@@ -34,7 +34,7 @@ func AccuracyTable(setting Setting, unequal bool, scale Scale) (*TableResult, er
 				Peers: m, Workers: scale.Workers, Unequal: unequal,
 				Docs: scale.Docs[ds], MaxTuples: scale.MaxTuples,
 			}
-			r, err := AverageF(spec, setting.Fs, scale.tableSeeds())
+			r, err := AverageF(spec, scale.tableFs(setting), scale.tableSeeds())
 			if err != nil {
 				return nil, fmt.Errorf("table %s m=%d: %w", ds, m, err)
 			}

@@ -12,8 +12,8 @@ import (
 // This file is the dense transaction-similarity kernel, the reference
 // implementation of Eq. 4: the public Transactions API, what posting-list
 // scoring (repindex.go) is pinned against bit for bit, and what relocation
-// and the refinement objective run where the sweep cannot (γ ≤ 0, semantic Δ,
-// a stale index) or must not (a reference run). It computes the γ-matching
+// and the refinement objective run where the sweep cannot (γ ≤ 0, a stale
+// index) or must not (a reference run). It computes the γ-matching
 // marks of a transaction pair in one row-major pass over the full
 // item-similarity matrix — every row, every call, nothing carried from one
 // call to the next — and exposes three readings of them:
@@ -205,9 +205,9 @@ func (sc *Scratch) ensure(n1, n2, d1, d2 int) {
 // functions of the pair), so results are bit-identical; collisions simply
 // overwrite (it is a cache of a cache). Allocated on first structural use,
 // fixed size afterwards. The memo is only valid for one Context — PathIDs are
-// table-relative and Δ is pluggable — so bind clears it on a context switch
-// (rare: a scratch normally lives inside one clustering pass). A context
-// derived by WithItems shares its root's paths and Δ, and counts as the root.
+// table-relative — so bind clears it on a context switch (rare: a scratch
+// normally lives inside one clustering pass). A context derived by WithItems
+// shares its root's paths, and counts as the root.
 type structMemo struct {
 	key []uint64 // packed ordered pair + 1; 0 = empty slot
 	val []float64

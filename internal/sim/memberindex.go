@@ -78,8 +78,8 @@ type colEntry struct {
 }
 
 // Members indexes the cluster members for a refinement and returns the
-// objective over them, or nil where posting-list scoring cannot serve (γ ≤ 0,
-// a semantic Δ) and the caller runs the dense kernel per member. The index
+// objective over them, or nil where posting-list scoring cannot serve (γ ≤ 0)
+// and the caller runs the dense kernel per member. The index
 // lives in sc and is valid until the next call.
 func (sc *Scratch) Members(cx *Context, members []*txn.Transaction) *MemberIndex {
 	if !sweepable(cx) {

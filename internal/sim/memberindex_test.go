@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"xmlclust/internal/semantics"
 	"xmlclust/internal/txn"
 	"xmlclust/internal/vector"
 	"xmlclust/internal/xmltree"
@@ -124,18 +123,13 @@ func TestMemberIndexObjectiveExact(t *testing.T) {
 	}
 }
 
-// TestMemberIndexDeclines: where posting-list scoring cannot serve — γ ≤ 0,
-// a semantic Δ — there is no member index and refinement runs the dense
-// kernel, as a disabled RepIndex sends relocation down the flat scan.
+// TestMemberIndexDeclines: where posting-list scoring cannot serve — γ ≤ 0 —
+// there is no member index and refinement runs the dense kernel, as a
+// disabled RepIndex sends relocation down the flat scan.
 func TestMemberIndexDeclines(t *testing.T) {
 	corpus := randomKernelCorpus(rand.New(rand.NewSource(3)), 30, 10)
 	sc := NewScratch()
 	if sc.Members(NewContext(corpus, Params{F: 0.5, Gamma: 0}), corpus.Transactions) != nil {
 		t.Error("γ = 0 was indexed")
-	}
-	cx := NewContext(corpus, Params{F: 0.5, Gamma: 0.6})
-	cx.TagSim = semantics.NewLexical()
-	if sc.Members(cx, corpus.Transactions) != nil {
-		t.Error("a semantic Δ was indexed")
 	}
 }

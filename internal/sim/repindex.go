@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"xmlclust/internal/semantics"
 	"xmlclust/internal/txn"
 	"xmlclust/internal/vector"
 	"xmlclust/internal/xmltree"
@@ -68,7 +67,7 @@ type RepIndex struct {
 	cx   *Context
 	reps []*txn.Transaction
 
-	on     bool // γ > 0 and exact Δ at Build
+	on     bool // γ > 0 at Build
 	active int  // non-nil, non-empty reps (the flat scan's real workload)
 	// transposed marks the index a MemberIndex keeps over cluster members:
 	// the indexed side is the documents and the queries are representative
@@ -115,10 +114,9 @@ type RepIndex struct {
 func NewRepIndex() *RepIndex { return &RepIndex{} }
 
 // Enabled reports whether the index answers queries: γ must be positive (at
-// γ ≤ 0 every pair matches and nothing is sparse), the tag similarity must be
-// the paper's exact Δ (the equivalence suites cover no other), and no
-// representative vector may have been rewritten since Build (see the
-// staleness contract). When false, callers use the flat scan.
+// γ ≤ 0 every pair matches and nothing is sparse), and no representative
+// vector may have been rewritten since Build (see the staleness contract).
+// When false, callers use the flat scan.
 func (ix *RepIndex) Enabled() bool {
 	if !ix.on || ix.stale.Load() {
 		return false
@@ -265,10 +263,9 @@ func (ix *RepIndex) Build(cx *Context, reps []*txn.Transaction) {
 }
 
 // sweepable reports whether posting-list scoring serves cx: γ must be
-// positive and Δ the paper's exact one (see Enabled).
+// positive (see Enabled).
 func sweepable(cx *Context) bool {
-	_, exact := cx.TagSim.(semantics.Exact)
-	return cx.Params.Gamma > 0 && exact
+	return cx.Params.Gamma > 0
 }
 
 // exclusiveSums turns the list lengths in off[:len-1] into start offsets in

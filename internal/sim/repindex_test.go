@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"xmlclust/internal/semantics"
 	"xmlclust/internal/txn"
 	"xmlclust/internal/vector"
 	"xmlclust/internal/xmltree"
@@ -200,9 +199,8 @@ func TestRepIndexStaleWeights(t *testing.T) {
 	}
 }
 
-// TestRepIndexDisabled pins the self-disabling conditions: γ ≤ 0 (every
-// pair matches, nothing is sparse) and non-exact tag similarity (outside
-// what the equivalence suites prove).
+// TestRepIndexDisabled pins the self-disabling condition γ ≤ 0 (every pair
+// matches, nothing is sparse).
 func TestRepIndexDisabled(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	corpus := randomKernelCorpus(rng, 30, 10)
@@ -213,13 +211,6 @@ func TestRepIndexDisabled(t *testing.T) {
 	ix.Build(cx, reps)
 	if ix.Enabled() {
 		t.Error("index enabled at γ = 0")
-	}
-
-	cx = NewContext(corpus, Params{F: 0.5, Gamma: 0.5})
-	cx.TagSim = semantics.NewLexical()
-	ix.Build(cx, reps)
-	if ix.Enabled() {
-		t.Error("index enabled under a semantic tag matcher")
 	}
 }
 

@@ -24,13 +24,13 @@
 //     similarity matrix of one transaction pair, row by row, and reads the
 //     marks off it: the public Transactions API, the reference the sweep is
 //     pinned against bit for bit, and the fallback where the sweep cannot run
-//     (γ ≤ 0, a semantic Δ, an index whose weights went stale). It carries no
+//     (γ ≤ 0, an index whose weights went stale). It carries no
 //     state from call to call and skips no row; SeedTransactions (seed.go) is
 //     the frozen pointer-based oracle behind both.
 //
 // Underneath both sit PathCache — the sharded store of Eq. 3 tag-path pair
 // similarities, the precomputation Sect. 4.3.2 identifies as the key
-// optimization; values depend only on the paths and Δ, never on (f, γ), so
+// optimization; values depend only on the paths, never on (f, γ), so
 // one cache serves every parameter combination over a corpus — with a
 // direct-mapped per-goroutine probe in front of it (structMemo). Operands
 // come from one place for both engines: a transaction is its sorted item ids,
@@ -49,7 +49,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"xmlclust/internal/semantics"
 	"xmlclust/internal/txn"
 	"xmlclust/internal/vector"
 	"xmlclust/internal/xmltree"
@@ -144,11 +143,6 @@ type Context struct {
 	// UseCache controls the tag-path pair cache (on by default; the
 	// ablation benchmark turns it off).
 	UseCache bool
-	// TagSim generalizes the Dirichlet function Δ of Eq. 3. The default is
-	// exact tag equality, as published; semantic matchers (synonym
-	// dictionaries, lexical tag-name overlap) implement the extension
-	// sketched in Sect. 4.1.1/Sect. 6 of the paper.
-	TagSim semantics.TagSimilarity
 
 	// Deprecated: goes with the next benchmark PR. The item-pair memo is
 	// gone (recomputing Eq. 1 is cheaper than probing it); nothing reads
@@ -177,13 +171,12 @@ type cacheShard struct {
 
 // PathCache is the sharded store of Eq. 3 tag-path pair similarities — the
 // precomputation Sect. 4.3.2 identifies as the key optimization. The cached
-// values depend only on the tag paths and the Δ function, never on (f, γ),
-// so one PathCache can be shared by every Context over the same PathTable
-// and TagSim: a parameter sweep then pays the structural alignments once
-// and every subsequent cell runs against a warm cache.
+// values depend only on the tag paths, never on (f, γ), so one PathCache can
+// be shared by every Context over the same PathTable: a parameter sweep then
+// pays the structural alignments once and every subsequent cell runs against
+// a warm cache.
 //
-// A PathCache is safe for concurrent use. It must NOT be shared between
-// contexts whose TagSim differs (the cached values would disagree).
+// A PathCache is safe for concurrent use.
 type PathCache struct {
 	shards [cacheShards]cacheShard
 }
@@ -251,7 +244,7 @@ func NewContext(c *txn.Corpus, p Params) *Context {
 // NewContextShared builds a similarity context that consults the given
 // shared PathCache (nil allocates a private one). Contexts with different
 // Params may share a cache — the structural pair similarities are
-// independent of (f, γ) — as long as they agree on TagSim.
+// independent of (f, γ).
 func NewContextShared(c *txn.Corpus, p Params, cache *PathCache) *Context {
 	if cache == nil {
 		cache = NewPathCache()
@@ -262,7 +255,6 @@ func NewContextShared(c *txn.Corpus, p Params, cache *PathCache) *Context {
 		Paths:    c.Paths,
 		Counters: new(Counters),
 		UseCache: true,
-		TagSim:   semantics.Exact{},
 		cache:    cache,
 	}
 	cx.root = cx
@@ -270,9 +262,9 @@ func NewContextShared(c *txn.Corpus, p Params, cache *PathCache) *Context {
 }
 
 // WithItems returns a context like cx over items, a stage of cx.Items
-// (txn.ItemTable.Stage): the same parameters, counters, path cache and
-// TagSim, so that work on either context is counted, cached and memoized
-// (structMemo) as one.
+// (txn.ItemTable.Stage): the same parameters, counters and path cache, so
+// that work on either context is counted, cached and memoized (structMemo)
+// as one.
 func (cx *Context) WithItems(items *txn.ItemTable) *Context {
 	d := *cx
 	d.Items = items
@@ -308,7 +300,7 @@ func (cx *Context) TagPathSim(pa, pb xmltree.PathID) float64 {
 		}
 		cx.Counters.CacheMisses.Add(1)
 	}
-	s := PathSimWith(cx.Paths.Path(pa), cx.Paths.Path(pb), cx.TagSim)
+	s := PathSim(cx.Paths.Path(pa), cx.Paths.Path(pb))
 	cx.Counters.PathSims.Add(1)
 	if cx.UseCache {
 		cx.cache.store(key, s)
@@ -325,12 +317,6 @@ func (cx *Context) TagPathSim(pa, pb xmltree.PathID) float64 {
 // The positional factor penalizes tags that match but sit at different
 // depths.
 func PathSim(pi, pj xmltree.Path) float64 {
-	return PathSimWith(pi, pj, semantics.Exact{})
-}
-
-// PathSimWith is PathSim with a pluggable tag similarity in place of Δ —
-// the semantic-enrichment extension of Sect. 4.1.1.
-func PathSimWith(pi, pj xmltree.Path, tagSim semantics.TagSimilarity) float64 {
 	n, m := len(pi), len(pj)
 	if n == 0 || m == 0 {
 		if n == m {
@@ -340,20 +326,19 @@ func PathSimWith(pi, pj xmltree.Path, tagSim semantics.TagSimilarity) float64 {
 	}
 	total := 0.0
 	for h, t := range pi {
-		total += bestTagMatch(t, pj, h+1, tagSim)
+		total += bestTagMatch(t, pj, h+1)
 	}
 	for k, t := range pj {
-		total += bestTagMatch(t, pi, k+1, tagSim)
+		total += bestTagMatch(t, pi, k+1)
 	}
 	return total / float64(n+m)
 }
 
-// bestTagMatch is s(t, p, a) with 1-based position a.
-func bestTagMatch(t string, p xmltree.Path, a int, tagSim semantics.TagSimilarity) float64 {
+// bestTagMatch is s(t, p, a) with 1-based position a; Δ(t, t_l) is t == t_l.
+func bestTagMatch(t string, p xmltree.Path, a int) float64 {
 	best := 0.0
 	for l1, tl := range p {
-		d := tagSim.Sim(t, tl)
-		if d == 0 {
+		if t != tl {
 			continue
 		}
 		l := l1 + 1
@@ -361,7 +346,7 @@ func bestTagMatch(t string, p xmltree.Path, a int, tagSim semantics.TagSimilarit
 		if dist < 0 {
 			dist = -dist
 		}
-		v := d / float64(1+dist)
+		v := 1 / float64(1+dist)
 		if v > best {
 			best = v
 		}
@@ -386,11 +371,6 @@ func (cx *Context) Item(a, b *txn.Item) float64 {
 		s += (1 - f) * cx.Content(a, b)
 	}
 	return s
-}
-
-// ItemIDs is Item on interned ids.
-func (cx *Context) ItemIDs(a, b txn.ItemID) float64 {
-	return cx.Item(cx.Items.Get(a), cx.Items.Get(b))
 }
 
 // Matched reports γ-matching of two items (Eq. 2).

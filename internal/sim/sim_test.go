@@ -39,6 +39,17 @@ func TestPathSimEq3Manual(t *testing.T) {
 	}
 }
 
+// TestPathSimExactDelta: Δ of Eq. 3 is exact tag equality, so a case or
+// spelling variant of a tag, or a synonym, matches nothing. Each pair shares
+// only its first tag: simS = (1+0 + 1+0)/4.
+func TestPathSimExactDelta(t *testing.T) {
+	for _, b := range []string{"r.Author", "r.author-name", "r.writer"} {
+		if got := PathSim(xmltree.ParsePath("r.author"), xmltree.ParsePath(b)); !approx(got, 0.5) {
+			t.Errorf("r.author vs %s: sim = %v, want 0.5", b, got)
+		}
+	}
+}
+
 // TestPathSimPositionPenalty: same tags, shifted by one level.
 // p_i = a.b (n=2), p_j = r.a.b (m=3).
 // For p_i: s(a, p_j, 1): a at position 2 → 1/(1+1) = 0.5; s(b, p_j, 2): b at

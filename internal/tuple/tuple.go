@@ -311,8 +311,8 @@ func satMul(a, b int64) int64 {
 }
 
 // Materialize builds the tuple as a standalone xmltree.Tree: the union of
-// the root-to-leaf paths of its retained leaves. Used by tests to check the
-// tree tuple invariant and by examples for display.
+// the root-to-leaf paths of its retained leaves. CheckInvariant, the tree
+// tuple invariant oracle the tests run, reads it.
 func (t *TreeTuple) Materialize() *xmltree.Tree {
 	out := &xmltree.Tree{DocID: t.Source.DocID, Name: t.ID()}
 	if len(t.Leaves) == 0 {

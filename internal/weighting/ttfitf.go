@@ -13,7 +13,7 @@
 // occurrence while the item is a single domain object. We assign to the
 // item the average of its per-occurrence ttf.itf weights; this keeps the
 // item domain well-defined without losing the context sensitivity of the
-// scheme (documented in DESIGN.md).
+// scheme.
 //
 // The scheme decomposes into a per-document part and a collection part: the
 // tuple and tree factors of an occurrence depend only on the occurrence's

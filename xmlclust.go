@@ -274,8 +274,8 @@ type RepIndexMode int
 
 const (
 	// RepIndexAuto (the zero value) selects the fast engine; posting-list
-	// scoring steps aside where its premises fail (γ = 0, semantic tag
-	// matchers) and those scans run the dense kernel.
+	// scoring steps aside where its premise fails (γ = 0) and those scans
+	// run the dense kernel.
 	RepIndexAuto RepIndexMode = iota
 	// RepIndexOff selects the reference engine.
 	RepIndexOff
