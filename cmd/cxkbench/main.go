@@ -8,6 +8,7 @@
 //	cxkbench -exp table1|table2|gamma|rules|cache|sweep|kernel|all
 //	cxkbench -scale paper             # paper-geometry profile (slow)
 //	cxkbench -exp kernel -json BENCH_kernel.json -min-speedup 1.3
+//	cxkbench -exp fidelity -json FIDELITY.json
 //
 // The sweep experiment exercises the public Engine API: one Engine fans an
 // f×γ grid over its shared similarity caches (Engine.Sweep), printing the
@@ -18,6 +19,9 @@
 // numbers (ns/op, allocs/op, speedup-vs-seed, clustering F-measure) as a
 // machine-readable JSON artifact and gating on a minimum speedup — the CI
 // bench-regression smoke and the input of the bench trajectory.
+//
+// The fidelity experiment writes the fidelity ledger (FIDELITY.json, see
+// experiments.Ledger) to -json, or to stdout; "all" does not include it.
 package main
 
 import (
@@ -35,13 +39,13 @@ import (
 )
 
 func main() {
-	exps := []string{"fig7", "fig8", "table1", "table2", "gamma", "rules", "cache", "workers", "cost", "sweep", "kernel", "relocate", "all"}
+	exps := []string{"fig7", "fig8", "table1", "table2", "gamma", "rules", "cache", "workers", "cost", "sweep", "kernel", "relocate", "fidelity", "all"}
 	var (
 		exp     = flag.String("exp", "all", "experiment: "+strings.Join(exps, " | "))
 		ds      = flag.String("dataset", "", "restrict to one corpus (fig7/fig8/gamma/workers/sweep/kernel)")
 		scaleFl = flag.String("scale", "quick", "profile: quick | paper")
 		workers = flag.Int("workers", 1, "intra-peer worker goroutines, also used as ingest workers for corpus preparation (0 = one per CPU); results are identical for any value")
-		jsonFl  = flag.String("json", "", "write the kernel/relocate experiment's results as JSON to this path (e.g. BENCH_kernel.json)")
+		jsonFl  = flag.String("json", "", "write the kernel/relocate/fidelity experiment's results as JSON to this path (e.g. BENCH_kernel.json)")
 		minSpd  = flag.Float64("min-speedup", 0, "kernel/relocate experiment: exit non-zero if the gated speedup (vs seed / at k=256) falls below this bar (0 = no gate)")
 	)
 	flag.Parse()
@@ -170,6 +174,9 @@ func main() {
 		check(runKernel(d, scale, *workers, *jsonFl, *minSpd))
 		fmt.Println()
 	}
+	if *exp == "fidelity" {
+		check(writeFidelity(scale, *jsonFl))
+	}
 	if want("relocate") {
 		d := "DBLP"
 		if *ds != "" {
@@ -213,6 +220,27 @@ func runSweep(ds string, scale experiments.Scale, workers int) error {
 		len(cells), time.Since(t0).Round(time.Millisecond),
 		xmlclust.SweepDuration(cells).Round(time.Millisecond), eng.CachedPathSims())
 	return nil
+}
+
+// writeFidelity runs the fidelity ledger at scale and writes it to path, or
+// to stdout when path is empty.
+func writeFidelity(scale experiments.Scale, path string) error {
+	l, err := experiments.Fidelity(scale, nil, scale.TableMs, experiments.FidelitySeeds)
+	if err != nil {
+		return err
+	}
+	if path == "" {
+		return l.Write(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := l.Write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func canonical(name string) string {

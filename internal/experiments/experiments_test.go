@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -452,5 +456,59 @@ func TestCostModelReportsFailedFit(t *testing.T) {
 	res.Write(&sb)
 	if want := "fit failed: " + res.FitErr.Error() + "; default t_mem/t_comm used"; !strings.Contains(sb.String(), want) {
 		t.Errorf("output lacks %q:\n%s", want, sb.String())
+	}
+}
+
+// TestFidelityLedgerRegenerates reruns the committed FIDELITY.json on DBLP
+// and Shakespeare at m ∈ {1, 3} over its first two seeds: every run must
+// equal the committed run of the same cell and seed, and every cell summary
+// must be the one its committed runs give. The whole ledger is regenerated
+// and diffed in CI (cxkbench -exp fidelity).
+func TestFidelityLedgerRegenerates(t *testing.T) {
+	raw, err := os.ReadFile("../../FIDELITY.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed Ledger
+	if err := json.Unmarshal(raw, &committed); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(committed.Seeds, FidelitySeeds) || committed.Scale != QuickScale().Name {
+		t.Fatalf("ledger of scale %q, seeds %v; want %q, %v", committed.Scale, committed.Seeds, QuickScale().Name, FidelitySeeds)
+	}
+	cells := map[string]LedgerCell{}
+	for _, c := range committed.Cells {
+		key := fmt.Sprintf("%s/%s/%d", c.Setting, c.Dataset, c.M)
+		cells[key] = c
+		summary := summarize(c.Dataset, c.M, c.Runs)
+		summary.Setting = c.Setting
+		if !reflect.DeepEqual(summary, c) {
+			t.Errorf("cell %s: summary %+v is not the one its runs give, %+v", key, c, summary)
+		}
+	}
+	seeds := FidelitySeeds[:2]
+	got, err := Fidelity(QuickScale(), []string{"DBLP", "Shakespeare"}, []int{1, 3}, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range got.Cells {
+		key := fmt.Sprintf("%s/%s/%d", c.Setting, c.Dataset, c.M)
+		want, ok := cells[key]
+		if !ok {
+			t.Errorf("cell %s is not in the committed ledger", key)
+			continue
+		}
+		var runs []LedgerRun
+		for _, r := range want.Runs {
+			if slices.Contains(seeds, r.Seed) {
+				runs = append(runs, r)
+			}
+		}
+		if !reflect.DeepEqual(c.Runs, runs) {
+			t.Errorf("cell %s: runs\n%+v\nwant the committed\n%+v", key, c.Runs, runs)
+		}
+	}
+	if len(got.Cells) != 12 {
+		t.Errorf("regenerated %d cells, want 12", len(got.Cells))
 	}
 }
