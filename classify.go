@@ -185,9 +185,7 @@ func (e *Engine) ClassifyTransactions(ctx context.Context, trs []*Transaction, r
 // unaffected); the serving layer weights them with the accumulator's
 // frozen-itf online pass before classifying.
 func (e *Engine) ExtractTransactions(t *Tree, maxTuples int) []*Transaction {
-	res := tuple.Extract(t, tuple.Options{MaxTuplesPerTree: maxTuples})
-	var intern txn.LeafInterner // per call: classifies run concurrently
-	return intern.Transactions(e.corpus, t, res, -1, -1)
+	return txn.Transactions(e.corpus, tuple.Extract(t, tuple.Options{MaxTuplesPerTree: maxTuples}), -1, -1)
 }
 
 // Classify extracts a document's transactions against the engine's item

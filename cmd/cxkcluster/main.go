@@ -7,8 +7,8 @@
 //
 // Each argument is an XML file, a directory (walked recursively for *.xml)
 // or a tar/tar.gz archive of XML documents. Ingestion is streaming: the
-// pipeline holds O(-ingest-workers) parsed trees at any instant, so corpus
-// size is bounded by the transactional model, not by the XML.
+// pipeline holds O(-ingest-workers) documents and no tree at any instant,
+// so corpus size is bounded by the transactional model, not by the XML.
 //
 // The run is cancellable: SIGINT/SIGTERM (Ctrl-C) aborts the job at the
 // next clean round boundary. -progress streams round-by-round events to

@@ -3,7 +3,6 @@ package corpus
 import (
 	"fmt"
 	"io"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"xmlclust/internal/tuple"
 	"xmlclust/internal/txn"
 	"xmlclust/internal/weighting"
-	"xmlclust/internal/xmltree"
 )
 
 // Options configures a streaming corpus build.
@@ -54,11 +52,11 @@ type Stats struct {
 	Terms        int
 	// TruncatedDocs counts documents whose tuple enumeration hit the cap.
 	TruncatedDocs int
-	// PeakQueuedTrees is the high-water mark of parsed documents held
-	// between the workers and the merge: those of the batches that were
-	// complete while an earlier one was still being parsed or merged. It is
-	// bounded by the batches in flight (two per worker of at most 64 KiB of
-	// XML plus one document each), never by the corpus size.
+	// PeakQueuedTrees is the high-water mark of extracted documents (tuples;
+	// no tree is built) between the workers and the merge: those of the
+	// batches complete while an earlier one was still being extracted or
+	// merged. It is bounded by the batches in flight (two per worker of at
+	// most 64 KiB of XML plus one document each), never by the corpus size.
 	PeakQueuedTrees int
 	// Workers echoes the resolved worker count.
 	Workers int
@@ -76,26 +74,22 @@ func (s Stats) DocsPerSec() float64 {
 
 // String renders a one-line summary for CLI output.
 func (s Stats) String() string {
-	return fmt.Sprintf("%d documents → %d transactions, %d items, vocabulary %d (%.0f docs/s, %d workers, peak %d parsed documents queued, %d truncated)",
+	return fmt.Sprintf("%d documents → %d transactions, %d items, vocabulary %d (%.0f docs/s, %d workers, peak %d extracted documents queued, %d truncated)",
 		s.Docs, s.Transactions, s.Items, s.Terms, s.DocsPerSec(), s.Workers, s.PeakQueuedTrees, s.TruncatedDocs)
 }
 
-// parsed is one document after the worker stage: the tree plus its
-// extracted tuples, ready for the order-sensitive merge. own marks a tree
-// the build parsed, whose storage a later document may reuse; a tree the
-// source handed in is never reused.
-type parsed struct {
-	tree  *xmltree.Tree
-	own   bool
+// extracted is one document after the worker stage, ready for the merge.
+type extracted struct {
 	res   tuple.Result
 	label int
 }
 
 // Build streams every document of src through the full preprocessing
-// pipeline — parse, tuple extraction, interning, transaction construction,
-// ttf.itf weighting — holding at most O(Workers) batches of documents at
-// any instant. Parsing and extraction fan out over Options.Workers
-// goroutines, a batch of consecutive documents at a time; an index-ordered
+// pipeline — tuple extraction in the pass that parses, interning,
+// transaction construction, ttf.itf weighting — holding at most O(Workers)
+// batches of documents at any instant; raw XML never becomes a tree.
+// Extraction fans out over Options.Workers goroutines, a batch of
+// consecutive documents at a time; an index-ordered
 // merge serializes interning and the per-document weighting fold, so the
 // resulting corpus is byte-identical to the batch txn.Build +
 // weighting.Apply path (and to itself) for any worker count and wherever the
@@ -108,33 +102,24 @@ func Build(src Source, opts Options) (*txn.Corpus, Stats, error) {
 	b.Observe(acc)
 
 	workers := parallel.Resolve(opts.Workers)
-	var queued atomic.Int64 // parsed documents not yet merged
+	var queued atomic.Int64 // extracted documents not yet merged
 	peak := 0               // its maximum, which it reaches just before some merge
-	// Merged batches return to the workers, which parse and extract into
-	// their storage; the buffer holds as many as can be in flight.
-	spares := make(chan []parsed, batchesPerWorker*workers)
 	start := time.Now()
 	_, err := parallel.OrderedStream(workers, batchesPerWorker*workers,
 		func() ([]*Document, bool, error) { return nextBatch(src) },
-		func(_ int, batch []*Document) ([]parsed, error) {
-			var out []parsed
-			select {
-			case out = <-spares:
-			default:
-			}
-			out = slices.Grow(out[:0], len(batch))[:len(batch)]
+		func(_ int, batch []*Document) ([]extracted, error) {
+			out := make([]extracted, len(batch))
 			for i, d := range batch {
-				p := &out[i]
-				if err := d.parse(p); err != nil {
+				res, err := d.extract(opts.Tuple)
+				if err != nil {
 					return nil, fmt.Errorf("corpus: %s: %w", d.Name, err)
 				}
-				tuple.ExtractInto(&p.res, p.tree, opts.Tuple)
-				p.label = d.Label
+				out[i] = extracted{res: res, label: d.Label}
 			}
 			queued.Add(int64(len(out)))
 			return out, nil
 		},
-		func(_ int, batch []parsed) error {
+		func(_ int, batch []extracted) error {
 			peak = max(peak, int(queued.Load()))
 			queued.Add(-int64(len(batch)))
 			for _, p := range batch {
@@ -142,11 +127,7 @@ func Build(src Source, opts Options) (*txn.Corpus, Stats, error) {
 				if i := b.Docs(); label < 0 && i < len(opts.Labels) {
 					label = opts.Labels[i]
 				}
-				b.AddExtracted(p.tree, p.res, label)
-			}
-			select {
-			case spares <- batch:
-			default:
+				b.AddTuples(p.res, label)
 			}
 			return nil
 		},
@@ -193,23 +174,15 @@ func nextBatch(src Source) (batch []*Document, ok bool, err error) {
 	return batch, len(batch) > 0, nil
 }
 
-// parse sets p.tree to the document's tree: the source's, or one parsed into
-// the storage of p's last tree if the build parsed that one.
-func (d *Document) parse(p *parsed) error {
-	reuse := p.tree
-	if !p.own {
-		reuse = nil
-	}
-	if p.tree, p.own = d.Tree, false; d.Tree != nil {
-		return nil
+// extract returns the tuples of the document: the source's tree walked, or
+// the raw XML extracted in the pass that reads it.
+func (d *Document) extract(opts tuple.Options) (tuple.Result, error) {
+	if d.Tree != nil {
+		return tuple.Extract(d.Tree, opts), nil
 	}
 	raw, err := d.Raw()
-	if err == nil {
-		p.tree, err = xmltree.ParseBytesInto(reuse, raw)
-	}
 	if err != nil {
-		return err
+		return tuple.Result{}, err
 	}
-	p.tree.Name, p.own = d.Name, true
-	return nil
+	return tuple.ExtractBytes(raw, opts)
 }

@@ -247,7 +247,7 @@ func writeTarGz(t testing.TB, w *bytes.Buffer, dir string) {
 // TestBuildBoundedQueue states what bounds ingest memory: the raw XML in
 // flight between the source and the merge is at most two batches per
 // worker, each of at most BatchBytes plus one document — however large the
-// corpus. PeakQueuedTrees counts the parsed documents among those, so
+// corpus. PeakQueuedTrees counts the extracted documents among those, so
 // multiplied by the smallest document it must fit the bound too. The
 // archive is several times the bound, so a pipeline that let the source run
 // ahead of the merge would show.
@@ -271,7 +271,7 @@ func TestBuildBoundedQueue(t *testing.T) {
 			t.Fatalf("workers=%d: a %d-byte archive cannot show a %d-byte bound", workers, len(archive), bound)
 		}
 		if stats.PeakQueuedTrees < 1 || stats.PeakQueuedTrees*smallest > bound {
-			t.Fatalf("workers=%d: %d parsed documents of at least %d bytes queued, over the %d bytes in flight the pipeline allows — ingest is not bounded-memory",
+			t.Fatalf("workers=%d: %d extracted documents of at least %d bytes queued, over the %d bytes in flight the pipeline allows — ingest is not bounded-memory",
 				workers, stats.PeakQueuedTrees, smallest, bound)
 		}
 		if stats.Docs != docs {
@@ -457,14 +457,15 @@ func dblpTar(t testing.TB, n int) (archive []byte, smallest, largest int) {
 
 // TestBuildAllocationBound guards what ingest allocates per document: the
 // fold of a document into the ttf.itf accumulator touches no map, leaves
-// are interned and their paths built once per node rather than once per
+// are interned and their paths built once per leaf rather than once per
 // tuple that retains them, tokens are stemmed once per distinct token, and
-// an in-memory document is scanned in place into a tree of three
-// allocations plus one per leaf. Building 500 DBLP documents from a tar
-// measures 5.6 MB (7.1–7.4 MB under the race detector, which CI runs this
-// with); with encoding/xml tokens and a frame per element it was 8.1 MB,
-// and with a map-based fold and per-occurrence interning 13.2 MB, on the
-// same input. The bound is 1.3× the mean of the two current measurements.
+// an in-memory document is scanned in place into its tuples, with no tree,
+// one allocation per leaf plus the result's four blocks. Building 500 DBLP
+// documents from a tar measures 3.4 MB (5.4 MB under the race detector,
+// which CI runs this with); scanned into a tree first it was 4.2 MB, with
+// encoding/xml tokens and a frame per element 8.1 MB, and with a map-based
+// fold and per-occurrence interning 13.2 MB, on the same input. The bound
+// is 1.3× the mean of the two measurements of the tree-building parse.
 func TestBuildAllocationBound(t *testing.T) {
 	archive, _, _ := dblpTar(t, 500)
 	build := func() {
@@ -547,11 +548,11 @@ func batchOfDocs(t testing.TB, docs []string) []byte {
 	return saveBytes(t, c)
 }
 
-// TestBuildReusesStorageAcrossDocumentSizes: workers parse into the trees of
-// merged batches and extract into their results. An archive with Shakespeare
-// plays between runs of DBLP records saves the bytes of the batch path at
-// workers 1, 2 and 8.
-func TestBuildReusesStorageAcrossDocumentSizes(t *testing.T) {
+// TestBuildMatchesBatchAcrossDocumentSizes: workers extract raw XML in the
+// pass that reads it, the batch path walks parsed trees. An archive with
+// Shakespeare plays between runs of DBLP records saves the bytes of the
+// batch path at workers 1, 2 and 8.
+func TestBuildMatchesBatchAcrossDocumentSizes(t *testing.T) {
 	records, plays := playsAndRecords()
 	docs := slices.Concat(records[0], plays[0], records[1], plays[1], records[2])
 	want := batchOfDocs(t, docs)
@@ -571,11 +572,10 @@ func TestBuildReusesStorageAcrossDocumentSizes(t *testing.T) {
 	}
 }
 
-// TestBuildLeavesSourceTreesAlone: a tree the source hands in is never
-// parsed into, not even when its batch comes back to a worker whose next
-// document is a file that the tree's storage would hold. The source's trees
-// — parsed plays, so they have storage to give — are as they were after
-// builds at workers 1, 2 and 8.
+// TestBuildLeavesSourceTreesAlone: a tree the source hands in is only
+// walked, between documents the workers extract from files. The source's
+// trees — parsed plays — are as they were after builds at workers 1, 2
+// and 8.
 func TestBuildLeavesSourceTreesAlone(t *testing.T) {
 	records, plays := playsAndRecords()
 	dir := t.TempDir()

@@ -2,9 +2,9 @@
 // abstractions that yield XML documents one at a time (directory walks,
 // file lists, tar archives, in-process tree generators) and a parallel
 // bounded-memory Build driver that turns any Source into a weighted
-// transactional corpus without ever materializing the whole collection of
-// parsed trees. The output is byte-identical to the batch
-// txn.Build + weighting.Apply path for any worker count.
+// transactional corpus without ever building a tree of raw XML. The output
+// is byte-identical to the batch txn.Build + weighting.Apply path for any
+// worker count.
 package corpus
 
 import (

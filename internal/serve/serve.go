@@ -2,14 +2,15 @@
 // cmd/cxkserve: a long-lived Service holds a clustered corpus in memory and
 // keeps answering while the collection changes.
 //
-// Writes go through the online path: AddDocument streams the raw XML
-// through a reopened txn.Builder (shared interning tables), folds the
-// document into the ttf.itf accumulator, weights the unseen items with the
-// frozen-itf online pass (weighting.Accumulator.WeighNew) and assigns the
-// new transactions to the current representatives with one posting-list
-// sweep each. RemoveDocument tombstones a document. Classify is the
-// read-only probe: it scores a document against the current representatives
-// without changing any clustering state.
+// Writes go through the online path: AddDocument extracts the tree tuples
+// of the raw XML as it parses it (no tree, outside the service lock),
+// appends them through a reopened txn.Builder (shared interning tables),
+// folds the document into the ttf.itf accumulator, weights the unseen items
+// with the frozen-itf online pass (weighting.Accumulator.WeighNew) and
+// assigns the new transactions to the current representatives with one
+// posting-list sweep each. RemoveDocument tombstones a document. Classify
+// is the read-only probe: it scores a document against the current
+// representatives without changing any clustering state.
 //
 // Both online ingestion and removal are approximations — new items carry
 // frozen itf factors and representatives are not recomputed per write — so
@@ -264,18 +265,18 @@ func emptySnapshot(cfg Config) (*snapshot, error) {
 	}, nil
 }
 
-// AddDocument ingests one raw XML document online: parse, append through
-// the builder (which folds it into the ttf.itf accumulator), weight the
+// AddDocument ingests one raw XML document online: extract its tuples as it
+// is parsed (outside the lock), append them through the builder (which
+// folds them into the ttf.itf accumulator), weight the
 // unseen items with frozen itf factors, and assign its transactions to the
 // current representatives. The document is marked dirty so the next
 // maintenance round accounts for it in the drift. label is the optional
 // ground-truth class (−1 = unknown).
 func (s *Service) AddDocument(ctx context.Context, name string, xmlData []byte, label int) (DocInfo, error) {
-	tree, err := xmlclust.ParseBytes(xmlData)
+	tuples, err := tuple.ExtractBytes(xmlData, s.cfg.buildOptions().Tuple)
 	if err != nil {
 		return DocInfo{}, fmt.Errorf("serve: add %q: %w", name, err)
 	}
-	tree.Name = name
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -283,7 +284,7 @@ func (s *Service) AddDocument(ctx context.Context, name string, xmlData []byte, 
 	id := len(s.docs)
 	rec := &docRecord{id: id, name: name, label: label, xml: append([]byte(nil), xmlData...)}
 	start := len(sn.corpus.Transactions)
-	sn.builder.AddLabeled(tree, label)
+	sn.builder.AddTuples(tuples, label)
 	end := len(sn.corpus.Transactions)
 	sn.acc.WeighNew()
 
@@ -341,16 +342,17 @@ func (s *Service) RemoveDocument(id int) (DocInfo, error) {
 // majority cluster. It is read-only with respect to clustering state —
 // assignments, representatives and the drift accounting are untouched and
 // the document is NOT added — though unseen paths/items/terms are interned
-// (append-only) and weighted with frozen itf factors.
+// (append-only) and weighted with frozen itf factors. The tuples are
+// extracted outside the lock.
 func (s *Service) Classify(ctx context.Context, xmlData []byte) (*xmlclust.Classification, error) {
-	tree, err := xmlclust.ParseBytes(xmlData)
+	tuples, err := tuple.ExtractBytes(xmlData, s.cfg.buildOptions().Tuple)
 	if err != nil {
 		return nil, fmt.Errorf("serve: classify: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sn := s.snap
-	trs := sn.eng.ExtractTransactions(tree, s.cfg.MaxTuplesPerTree)
+	trs := txn.Transactions(sn.corpus, tuples, -1, -1)
 	sn.acc.WeighNew()
 	res, err := sn.eng.ClassifyTransactions(ctx, trs, sn.reps, s.classifyOptionsLocked())
 	if err != nil {
@@ -563,13 +565,12 @@ func (s *Service) refreshLocked(ctx context.Context) (int, error) {
 		if rec.removed {
 			continue
 		}
-		tree, err := xmlclust.ParseBytes(rec.xml)
+		tuples, err := tuple.ExtractBytes(rec.xml, s.cfg.buildOptions().Tuple)
 		if err != nil {
 			return 0, fmt.Errorf("serve: refresh: reparse %q: %w", rec.name, err)
 		}
-		tree.Name = rec.name
 		start := len(c.Transactions)
-		b.AddLabeled(tree, rec.label)
+		b.AddTuples(tuples, rec.label)
 		ranges[rec.id] = [2]int{start, len(c.Transactions)}
 		live++
 	}

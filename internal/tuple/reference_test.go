@@ -10,20 +10,25 @@ import (
 	"xmlclust/internal/xmltree"
 )
 
-// variantsByMap is variants as it was while it grouped an element's children
-// through a map, an order slice and a radix slice of its own, kept verbatim
-// as the oracle of TestVariantsMatchMapGrouping.
-func variantsByMap(n *xmltree.Node, max int) ([]variant, int64) {
+// nodes is the leaf set of one subtree alternative as the oracle enumerates
+// it: the leaf nodes, in document order.
+type nodes []*xmltree.Node
+
+// variantsByMap is the tree-walk oracle of extraction: the recursion over a
+// tree's nodes that extraction was before it became a handler of parse
+// events, as it stood while it grouped an element's children through a map,
+// an order slice and a radix slice of its own.
+func variantsByMap(n *xmltree.Node, max int) ([]nodes, int64) {
 	if n.IsLeaf() {
-		return []variant{{n}}, 1
+		return []nodes{{n}}, 1
 	}
 	if len(n.Children) == 0 {
 		// Empty element: a single alternative contributing no leaves.
-		return []variant{{}}, 1
+		return []nodes{{}}, 1
 	}
 	// Group children by label, preserving first-seen order.
 	type group struct {
-		alts  []variant
+		alts  []nodes
 		total int64
 	}
 	order := make([]string, 0, 4)
@@ -62,10 +67,10 @@ func variantsByMap(n *xmltree.Node, max int) ([]variant, int64) {
 	if limit > enumerable {
 		limit = enumerable
 	}
-	out := make([]variant, 0, limit)
+	out := make([]nodes, 0, limit)
 	for idx := int64(0); idx < limit; idx++ {
 		rem := idx
-		v := variant{}
+		v := nodes{}
 		ok := true
 		for gi := len(order) - 1; gi >= 0; gi-- {
 			r := int64(radices[gi])
@@ -80,11 +85,141 @@ func variantsByMap(n *xmltree.Node, max int) ([]variant, int64) {
 		if !ok {
 			break
 		}
-		// Restore document order of leaves (groups were visited reversed).
-		sortByDocOrder(v)
+		// Restore document order of leaves (groups were visited reversed):
+		// node ids are in document order.
+		slices.SortFunc(v, func(a, b *xmltree.Node) int { return a.ID - b.ID })
 		out = append(out, v)
 	}
 	return out, total
+}
+
+// walkLeaves lists the leaves of t in the order a walk meets them: the
+// order of Result.Leaves for Extract(t) and, t parsed, for ExtractBytes.
+func walkLeaves(t *xmltree.Tree) nodes {
+	var out nodes
+	var walk func(n *xmltree.Node)
+	walk = func(n *xmltree.Node) {
+		if n.IsLeaf() {
+			out = append(out, n)
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	if t.Root != nil {
+		walk(t.Root)
+	}
+	return out
+}
+
+// tupleNodes maps the tuples of res, extracted from t, to leaf nodes of t.
+func tupleNodes(t *xmltree.Tree, res Result) []nodes {
+	leaves := walkLeaves(t)
+	out := make([]nodes, len(res.Tuples))
+	for i, tt := range res.Tuples {
+		for _, lf := range tt {
+			out[i] = append(out[i], leaves[lf])
+		}
+	}
+	return out
+}
+
+// sameAsOracle describes how res, an extraction of t at the cap max, differs
+// from what the oracle enumerates on t — leaf for leaf in every tuple, each
+// leaf's path and answer, the totals and the depth — or returns "".
+func sameAsOracle(t *xmltree.Tree, res Result, max int) string {
+	if max <= 0 {
+		max = DefaultMaxTuplesPerTree
+	}
+	var want []nodes
+	total := int64(0)
+	if t.Root != nil {
+		want, total = variantsByMap(t.Root, max)
+	}
+	if res.TotalCombinations != total || res.Truncated != (total > int64(len(want))) || res.Depth != t.Depth() {
+		return fmt.Sprintf("total %d truncated %v depth %d, want %d over %d variants, depth %d",
+			res.TotalCombinations, res.Truncated, res.Depth, total, len(want), t.Depth())
+	}
+	leaves := walkLeaves(t)
+	if len(res.Leaves) != len(leaves) {
+		return fmt.Sprintf("%d leaves, want %d", len(res.Leaves), len(leaves))
+	}
+	for i, lf := range res.Leaves {
+		if p := xmltree.NodePath(leaves[i]).String(); lf.Path.String() != p || lf.Answer != leaves[i].Value {
+			return fmt.Sprintf("leaf %d is %s = %q, want %s = %q", i, lf.Path, lf.Answer, p, leaves[i].Value)
+		}
+	}
+	got := tupleNodes(t, res)
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d tuples, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			return fmt.Sprintf("tuple %d holds nodes %v, want %v", i, ids(got[i]), ids(want[i]))
+		}
+	}
+	return ""
+}
+
+func ids(v nodes) []int {
+	out := make([]int, len(v))
+	for i, n := range v {
+		out[i] = n.ID
+	}
+	return out
+}
+
+// materialize builds a tuple of src as a standalone tree: the union of the
+// root-to-leaf paths of its leaves.
+func materialize(src *xmltree.Tree, v nodes) *xmltree.Tree {
+	out := &xmltree.Tree{}
+	made := map[*xmltree.Node]*xmltree.Node{}
+	var ensure func(n *xmltree.Node) *xmltree.Node
+	ensure = func(n *xmltree.Node) *xmltree.Node {
+		if m, ok := made[n]; ok {
+			return m
+		}
+		var parent *xmltree.Node
+		if n.Parent != nil {
+			parent = ensure(n.Parent)
+		}
+		m := out.NewNode(n.Kind, n.Label, n.Value, parent)
+		if n.Parent == nil {
+			out.Root = m
+		}
+		made[n] = m
+		return m
+	}
+	if len(v) == 0 && src.Root != nil {
+		ensure(src.Root)
+	}
+	for _, n := range v {
+		ensure(n)
+	}
+	return out
+}
+
+// checkInvariant verifies that a tuple of src satisfies the tree tuple
+// condition |Aτ(p)| ≤ 1 for every complete and tag path of the tuple.
+func checkInvariant(src *xmltree.Tree, v nodes) error {
+	counts := map[string]int{}
+	var walk func(n *xmltree.Node, prefix string)
+	walk = func(n *xmltree.Node, prefix string) {
+		p := prefix + n.Label
+		counts[p]++
+		for _, c := range n.Children {
+			walk(c, p+".")
+		}
+	}
+	if m := materialize(src, v); m.Root != nil {
+		walk(m.Root, "")
+	}
+	for p, c := range counts {
+		if c > 1 {
+			return fmt.Errorf("tuple %v: path %s has %d answers", ids(v), p, c)
+		}
+	}
+	return nil
 }
 
 // leafy adds an element with one text child.
@@ -121,6 +256,17 @@ func oracleTrees() map[string]*xmltree.Tree {
 	}
 	trees["300-distinct-labels"] = wide
 
+	// Siblings past the scan's reach with the same labels: their groups go
+	// through the label table, where only the stamp tells them apart.
+	siblings := xmltree.NewTree("r")
+	for s := 0; s < 2; s++ {
+		w := siblings.AddElement(siblings.Root, "w")
+		for i := 0; i < 24; i++ {
+			leafy(siblings, w, fmt.Sprintf("l%d", i%(12-s)), fmt.Sprint(s, i))
+		}
+	}
+	trees["wide-siblings"] = siblings
+
 	// Labels interleaved, repeats at two depths, an empty element among them
 	// and a label that means one group under one parent and another under the
 	// next: the stamp, not the label alone, must say which group.
@@ -148,13 +294,13 @@ func oracleTrees() map[string]*xmltree.Tree {
 	return trees
 }
 
-// TestVariantsMatchMapGrouping: Extract enumerates, pointer for pointer, the
-// leaf sets the map-grouping variants enumerated — same groups in first-seen
-// order, same mixed-radix order with the last group least significant, same
-// cap, same totals up to saturation — on the shapes above, the paper's
-// document and random trees, at caps that truncate everywhere, somewhere and
-// nowhere. The extractor is pooled, so the trees also run one after the other
-// through whatever the last one left in it.
+// TestVariantsMatchMapGrouping: Extract enumerates, leaf for leaf, the leaf
+// sets the tree-walk oracle enumerates — same groups in first-seen order,
+// same mixed-radix order with the last group least significant, same cap,
+// same totals up to saturation — on the shapes above, the paper's document
+// and random trees, at caps that truncate everywhere, somewhere and nowhere.
+// The extractor is pooled, so the trees also run one after the other through
+// whatever the last one left in it.
 func TestVariantsMatchMapGrouping(t *testing.T) {
 	trees := oracleTrees()
 	trees["paper"] = paperTree(t)
@@ -163,28 +309,14 @@ func TestVariantsMatchMapGrouping(t *testing.T) {
 		trees[fmt.Sprint("random-", i)] = randomTree(rng)
 	}
 	saturated := false
-	for name, tree := range trees {
+	for _, name := range slices.Sorted(maps.Keys(trees)) {
+		tree := trees[name]
 		for _, max := range []int{1, 3, 17, 4096} {
-			want, total := variantsByMap(tree.Root, max)
 			res := Extract(tree, Options{MaxTuplesPerTree: max})
-			if res.TotalCombinations != total || res.Truncated != (total > int64(len(want))) {
-				t.Fatalf("%s, max %d: total %d truncated %v, want %d over %d variants",
-					name, max, res.TotalCombinations, res.Truncated, total, len(want))
+			if d := sameAsOracle(tree, res, max); d != "" {
+				t.Fatalf("%s, max %d: %s", name, max, d)
 			}
-			if len(res.Tuples) != len(want) {
-				t.Fatalf("%s, max %d: %d tuples, want %d", name, max, len(res.Tuples), len(want))
-			}
-			for i, tt := range res.Tuples {
-				if len(tt.Leaves) != len(want[i]) {
-					t.Fatalf("%s, max %d: tuple %d has %d leaves, want %d", name, max, i, len(tt.Leaves), len(want[i]))
-				}
-				for j, lf := range tt.Leaves {
-					if lf.Node != want[i][j] {
-						t.Fatalf("%s, max %d: tuple %d leaf %d is node %d, want node %d", name, max, i, j, lf.Node.ID, want[i][j].ID)
-					}
-				}
-			}
-			saturated = saturated || total == combinationCap
+			saturated = saturated || res.TotalCombinations == combinationCap
 		}
 	}
 	if !saturated {
@@ -193,18 +325,20 @@ func TestVariantsMatchMapGrouping(t *testing.T) {
 }
 
 // TestExtractAllocations pins what extracting one DBLP-shaped record
-// allocates: the result's four blocks — the tuple pointers, the tuples, their
-// leaves and the leaves' paths. The grouping tables and the alternatives are
-// pooled working memory: a map, an order slice or a radix slice per element
-// would add three allocations for each of the record's eight elements, and an
-// alternative made per leaf two for each of its seven leaves.
+// allocates: the result's four blocks — the leaves, their paths, the tuples
+// and their leaf indices — and, read from its bytes, the leaf values besides.
+// The grouping tables and the alternatives are pooled working memory: a map,
+// an order slice or a radix slice per element would add three allocations
+// for each of the record's eight elements, and an alternative made per leaf
+// two for each of its seven leaves.
 func TestExtractAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drains sync.Pool at random; the guard runs without it")
 	}
-	tree, err := xmltree.ParseString(`<dblp><article key="journals/x/Y26"><author>A. Author</author>` +
+	doc := []byte(`<dblp><article key="journals/x/Y26"><author>A. Author</author>` +
 		`<title>A title of some words</title><journal>J</journal><volume>4</volume><year>2026</year>` +
 		`<pages>1-12</pages></article></dblp>`)
+	tree, err := xmltree.ParseBytes(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,41 +349,14 @@ func TestExtractAllocations(t *testing.T) {
 	if got > want {
 		t.Fatalf("Extract allocates %.0f objects for one record, want at most %d", got, want)
 	}
-}
-
-// TestExtractIntoMatchesExtract: one Result reused for tree after tree, of
-// every size, holds what a fresh Extract returns — same leaves, same paths,
-// same diagnostics — whatever the earlier trees left in its blocks.
-func TestExtractIntoMatchesExtract(t *testing.T) {
-	trees := []*xmltree.Tree{paperTree(t)}
-	oracle := oracleTrees()
-	for _, name := range slices.Sorted(maps.Keys(oracle)) {
-		trees = append(trees, oracle[name])
-	}
-	rng := rand.New(rand.NewSource(40))
-	for i := 0; i < 40; i++ {
-		trees = append(trees, randomTree(rng))
-	}
-	var res Result
-	for i, tree := range trees {
-		for _, max := range []int{3, 0} {
-			want := Extract(tree, Options{MaxTuplesPerTree: max})
-			ExtractInto(&res, tree, Options{MaxTuplesPerTree: max})
-			if res.Truncated != want.Truncated || res.TotalCombinations != want.TotalCombinations || len(res.Tuples) != len(want.Tuples) {
-				t.Fatalf("tree %d, max %d: %d tuples of %d (truncated %v), want %d of %d (%v)", i, max,
-					len(res.Tuples), res.TotalCombinations, res.Truncated, len(want.Tuples), want.TotalCombinations, want.Truncated)
-			}
-			for j, tt := range res.Tuples {
-				w := want.Tuples[j]
-				if tt.Source != tree || tt.Index != j || len(tt.Leaves) != len(w.Leaves) {
-					t.Fatalf("tree %d, max %d: tuple %d is %+v, want %+v", i, max, j, *tt, *w)
-				}
-				for k, lf := range tt.Leaves {
-					if lf.Node != w.Leaves[k].Node || lf.Path.String() != w.Leaves[k].Path.String() {
-						t.Fatalf("tree %d, max %d: tuple %d leaf %d is %s, want %s", i, max, j, k, lf.Path, w.Leaves[k].Path)
-					}
-				}
-			}
+	leaves := len(tree.Leaves())
+	got = testing.AllocsPerRun(200, func() {
+		if _, err := ExtractBytes(doc, Options{}); err != nil {
+			t.Fatal(err)
 		}
+	})
+	t.Logf("ExtractBytes allocates %.0f objects for a record of %d leaves", got, leaves)
+	if got > float64(want+leaves) {
+		t.Fatalf("ExtractBytes allocates %.0f objects for one record, want at most %d", got, want+leaves)
 	}
 }

@@ -3,6 +3,7 @@ package tuple
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"xmlclust/internal/xmltree"
@@ -50,30 +51,29 @@ func TestPaperExampleYieldsThreeTuples(t *testing.T) {
 		t.Errorf("total = %d, want 3", res.TotalCombinations)
 	}
 	// Each tuple has 6 leaves (key, one author, title, year, booktitle, pages).
-	for _, tt := range res.Tuples {
-		if len(tt.Leaves) != 6 {
-			t.Errorf("tuple %s has %d leaves, want 6", tt.ID(), len(tt.Leaves))
+	for i, tt := range res.Tuples {
+		if len(tt) != 6 {
+			t.Errorf("tuple %d has %d leaves, want 6", i, len(tt))
 		}
 	}
 }
 
 func TestTuplesSatisfyInvariant(t *testing.T) {
-	res := Extract(paperTree(t), Options{})
-	for _, tt := range res.Tuples {
-		if err := tt.CheckInvariant(); err != nil {
+	tree := paperTree(t)
+	for _, v := range tupleNodes(tree, Extract(tree, Options{})) {
+		if err := checkInvariant(tree, v); err != nil {
 			t.Error(err)
 		}
 	}
 }
 
 func TestTupleAuthorsAreAlternatives(t *testing.T) {
-	res := Extract(paperTree(t), Options{})
+	tree := paperTree(t)
 	authorSets := map[string]int{}
-	for _, tt := range res.Tuples {
-		m := tt.Materialize()
-		authors := m.Answer(xmltree.ParsePath("dblp.inproceedings.author.S"))
+	for i, v := range tupleNodes(tree, Extract(tree, Options{})) {
+		authors := materialize(tree, v).Answer(xmltree.ParsePath("dblp.inproceedings.author.S"))
 		if len(authors) != 1 {
-			t.Fatalf("tuple %s has %d authors, want 1", tt.ID(), len(authors))
+			t.Fatalf("tuple %d has %d authors, want 1", i, len(authors))
 		}
 		authorSets[authors[0]]++
 	}
@@ -90,7 +90,7 @@ func TestSingleRecordNoAlternatives(t *testing.T) {
 	if len(res.Tuples) != 1 {
 		t.Fatalf("tuples = %d, want 1", len(res.Tuples))
 	}
-	if got := len(res.Tuples[0].Leaves); got != 4 {
+	if got := len(res.Tuples[0]); got != 4 {
 		t.Errorf("leaves = %d, want 4", got)
 	}
 }
@@ -102,7 +102,7 @@ func TestEmptyElementContributesNothing(t *testing.T) {
 	if len(res.Tuples) != 1 {
 		t.Fatalf("tuples = %d, want 1", len(res.Tuples))
 	}
-	if got := len(res.Tuples[0].Leaves); got != 1 {
+	if got := len(res.Tuples[0]); got != 1 {
 		t.Errorf("leaves = %d, want 1 (empty element has no answer)", got)
 	}
 }
@@ -116,14 +116,14 @@ func TestCrossProductCount(t *testing.T) {
 		t.Fatalf("tuples = %d, want 6", len(res.Tuples))
 	}
 	seen := map[string]bool{}
-	for _, tt := range res.Tuples {
-		m := tt.Materialize()
+	for _, v := range tupleNodes(tree, res) {
+		m := materialize(tree, v)
 		key := fmt.Sprint(m.Answer(xmltree.ParsePath("r.a.S")), m.Answer(xmltree.ParsePath("r.b.S")))
 		if seen[key] {
 			t.Errorf("duplicate combination %s", key)
 		}
 		seen[key] = true
-		if err := tt.CheckInvariant(); err != nil {
+		if err := checkInvariant(tree, v); err != nil {
 			t.Error(err)
 		}
 	}
@@ -159,8 +159,8 @@ func TestTruncationCap(t *testing.T) {
 	if res.TotalCombinations != 256 {
 		t.Errorf("total = %d, want 256", res.TotalCombinations)
 	}
-	for _, tt := range res.Tuples {
-		if err := tt.CheckInvariant(); err != nil {
+	for _, v := range tupleNodes(tree, res) {
+		if err := checkInvariant(tree, v); err != nil {
 			t.Error(err)
 		}
 	}
@@ -174,24 +174,18 @@ func TestDeterministicEnumeration(t *testing.T) {
 		t.Fatal("nondeterministic count")
 	}
 	for i := range a.Tuples {
-		la, lb := a.Tuples[i].Leaves, b.Tuples[i].Leaves
-		if len(la) != len(lb) {
-			t.Fatalf("tuple %d leaf count differs", i)
-		}
-		for j := range la {
-			if la[j].Node.ID != lb[j].Node.ID {
-				t.Fatalf("tuple %d leaf %d differs", i, j)
-			}
+		if !slices.Equal(a.Tuples[i], b.Tuples[i]) {
+			t.Fatalf("tuple %d differs", i)
 		}
 	}
 }
 
 func TestLeavesInDocumentOrder(t *testing.T) {
-	res := Extract(paperTree(t), Options{})
-	for _, tt := range res.Tuples {
-		for j := 1; j < len(tt.Leaves); j++ {
-			if tt.Leaves[j-1].Node.ID >= tt.Leaves[j].Node.ID {
-				t.Errorf("tuple %s leaves out of order", tt.ID())
+	tree := paperTree(t)
+	for i, v := range tupleNodes(tree, Extract(tree, Options{})) {
+		for j := 1; j < len(v); j++ {
+			if v[j-1].ID >= v[j].ID {
+				t.Errorf("tuple %d leaves out of order", i)
 			}
 		}
 	}
@@ -207,8 +201,8 @@ func TestPropertyRandomTreesInvariant(t *testing.T) {
 		if len(res.Tuples) == 0 {
 			t.Fatalf("trial %d: no tuples", trial)
 		}
-		for _, tt := range res.Tuples {
-			if err := tt.CheckInvariant(); err != nil {
+		for _, v := range tupleNodes(tree, res) {
+			if err := checkInvariant(tree, v); err != nil {
 				t.Fatalf("trial %d: %v\n%s", trial, err, tree)
 			}
 		}
@@ -241,8 +235,8 @@ func randomTree(rng *rand.Rand) *xmltree.Tree {
 }
 
 func TestMaterializePreservesValues(t *testing.T) {
-	res := Extract(paperTree(t), Options{})
-	m := res.Tuples[0].Materialize()
+	tree := paperTree(t)
+	m := materialize(tree, tupleNodes(tree, Extract(tree, Options{}))[0])
 	if m.Root.Label != "dblp" {
 		t.Errorf("materialized root = %q", m.Root.Label)
 	}

@@ -17,71 +17,84 @@ type DocSink interface {
 	ObserveDoc(doc int, trs []*Transaction)
 }
 
-// LeafInterner turns the tuples of one extracted document into transactions
-// over a corpus's item domain, interning each distinct leaf node once: a
-// leaf retained by many tuples resolves its ⟨path, answer⟩ pair at its first
-// occurrence (in tuple order, so interning order — hence every path and
-// item id — is that of a per-occurrence loop) and later tuples copy the id.
-// The zero value is ready; a LeafInterner is scratch to reuse across
-// documents, not safe for concurrent use.
-type LeafInterner struct {
-	byNode []ItemID // by Node.ID: item id + 1, 0 = leaf not met in this document
+// Transactions interns the leaves of res — one document's tuple extraction
+// — into c's tables and returns one transaction per tuple, in tuple order,
+// carrying the given document id and label. Each distinct leaf is resolved
+// to its ⟨path, answer⟩ item once, at its first occurrence in tuple order
+// (so interning order — hence every path and item id — is that of a
+// per-occurrence loop), under one write lock of the item table; later
+// tuples copy the id. The transactions are one block, and so are their item
+// ids: each Items is a capacity-clamped span of it, so appending to one
+// reallocates it instead of overwriting the next.
+func Transactions(c *Corpus, res tuple.Result, doc, label int) []*Transaction {
+	var in interner
+	return in.transactions(c, res, doc, label)
 }
 
-// Transactions interns the leaves of res — which must be the tuple
-// extraction of t — into c's tables and returns one transaction per tuple,
-// in tuple order, carrying the given document id and label. The
-// transactions are one block, and so are their item ids: each Items is a
-// capacity-clamped span of it, so appending to one reallocates it instead
-// of overwriting the next.
-func (li *LeafInterner) Transactions(c *Corpus, t *xmltree.Tree, res tuple.Result, doc, label int) []*Transaction {
-	li.intern(c, t, res)
+// interner is the scratch of Transactions that a Builder keeps.
+type interner struct {
+	byLeaf []ItemID // by leaf of the document: item id + 1, 0 = not met yet
+	// paths memoizes the ids of at most 4096 paths by the address of their
+	// last symbol: tuple extraction spells a path out in one read-only array
+	// that every leaf on it shares, across documents, so the ids of a
+	// collection's few paths are looked up without spelling out their keys.
+	paths map[*string]xmltree.PathID
+}
+
+func (in *interner) transactions(c *Corpus, res tuple.Result, doc, label int) []*Transaction {
+	byLeaf := slices.Grow(in.byLeaf[:0], len(res.Leaves))[:len(res.Leaves)]
+	in.byLeaf = byLeaf
+	clear(byLeaf)
 	n := 0
+	c.Items.mu.Lock()
 	for _, tt := range res.Tuples {
-		n += len(tt.Leaves)
+		n += len(tt)
+		for _, i := range tt {
+			if byLeaf[i] == 0 {
+				lf := res.Leaves[i]
+				byLeaf[i] = c.Items.internLocked(itemKey{path: in.path(c, lf.Path), answer: lf.Answer}) + 1
+			}
+		}
 	}
+	c.Items.mu.Unlock()
 	ids := make([]ItemID, n)
 	block := make([]Transaction, len(res.Tuples))
 	out := make([]*Transaction, len(res.Tuples))
 	for i, tt := range res.Tuples {
-		span := ids[:len(tt.Leaves)]
-		for j, lf := range tt.Leaves {
-			span[j] = li.byNode[lf.Node.ID] - 1
+		span := ids[:len(tt)]
+		for j, lf := range tt {
+			span[j] = byLeaf[lf] - 1
 		}
 		span = sortedSet(span)
 		ids = ids[len(span):]
-		block[i] = Transaction{Items: span[:len(span):len(span)], Doc: doc, TupleIndex: tt.Index, Label: label}
+		block[i] = Transaction{Items: span[:len(span):len(span)], Doc: doc, TupleIndex: i, Label: label}
 		out[i] = &block[i]
 	}
 	return out
 }
 
-// intern resolves every distinct leaf node of res to its item id under one
-// write lock of the item table, so a document costs one lock, not one per
-// leaf.
-func (li *LeafInterner) intern(c *Corpus, t *xmltree.Tree, res tuple.Result) {
-	li.byNode = slices.Grow(li.byNode[:0], len(t.Nodes))[:len(t.Nodes)]
-	clear(li.byNode)
-	c.Items.mu.Lock()
-	defer c.Items.mu.Unlock()
-	for _, tt := range res.Tuples {
-		for _, lf := range tt.Leaves {
-			if li.byNode[lf.Node.ID] == 0 {
-				key := itemKey{path: c.Paths.Intern(lf.Path), answer: lf.Node.Value}
-				li.byNode[lf.Node.ID] = c.Items.internLocked(key) + 1
-			}
-		}
+// path interns p, a complete path, in c.Paths.
+func (in *interner) path(c *Corpus, p xmltree.Path) xmltree.PathID {
+	key := &p[len(p)-1]
+	if id, ok := in.paths[key]; ok {
+		return id
 	}
+	id := c.Paths.Intern(p)
+	if in.paths == nil || len(in.paths) >= 4096 {
+		in.paths = map[*string]xmltree.PathID{}
+	}
+	in.paths[key] = id
+	return id
 }
 
-// Builder constructs a transactional corpus incrementally: Add one parsed
-// tree at a time, Finish once. Unlike the batch Build entry point, the
-// builder never retains the trees it is fed — each tree is released to the
-// garbage collector as soon as its tuples are extracted and interned — so
-// corpus size is bounded by the transactional model, not by the XML.
+// Builder constructs a transactional corpus incrementally: Add one document
+// at a time — a parsed tree, or the tuples of raw XML — and Finish once.
+// Unlike the batch Build entry point, the builder retains nothing of a
+// document but its transactions, so corpus size is bounded by the
+// transactional model, not by the XML.
 // Documents are numbered in Add order, which fully determines the interning
-// tables: feeding the same trees in the same order yields a corpus
-// byte-identical to Build's, however the trees were produced.
+// tables: feeding the same documents in the same order yields a corpus
+// byte-identical to Build's, whether they came as trees or as raw XML.
 //
 // A Builder is not safe for concurrent use; parallel ingestion serializes
 // Add calls through an index-ordered merge (see internal/corpus).
@@ -89,7 +102,7 @@ type Builder struct {
 	opts   BuildOptions
 	c      *Corpus
 	sinks  []DocSink
-	intern LeafInterner
+	intern interner
 	docs   int
 	done   bool
 }
@@ -154,28 +167,30 @@ func (b *Builder) Add(t *xmltree.Tree) {
 
 // AddLabeled is Add with an explicit ground-truth label (−1 = unknown).
 func (b *Builder) AddLabeled(t *xmltree.Tree, label int) {
-	b.AddExtracted(t, tuple.Extract(t, b.opts.Tuple), label)
+	b.AddTuples(tuple.Extract(t, b.opts.Tuple), label)
 }
 
-// AddExtracted appends a document whose tuple extraction already ran —
-// the entry point of the parallel ingest pipeline, where extraction happens
-// on worker goroutines and only the order-sensitive interning is serialized
-// here. res must be tuple.Extract(t, opts.Tuple) for the builder's options.
-func (b *Builder) AddExtracted(t *xmltree.Tree, res tuple.Result, label int) {
+// AddExtracted is AddTuples; the tree is not read.
+//
+// Deprecated: goes with the next benchmark PR.
+func (b *Builder) AddExtracted(_ *xmltree.Tree, res tuple.Result, label int) { b.AddTuples(res, label) }
+
+// AddTuples appends a document given as its tuple extraction — the entry
+// point of raw XML, which tuple.ExtractBytes extracts without a tree, and
+// of the parallel ingest pipeline, where extraction happens on worker
+// goroutines and only the order-sensitive interning is serialized here.
+func (b *Builder) AddTuples(res tuple.Result, label int) {
 	if b.done {
 		panic("txn: Builder.Add after Finish")
 	}
 	docID := b.docs
 	b.docs++
-	t.DocID = docID
-	if d := t.Depth(); d > b.c.MaxDepth {
-		b.c.MaxDepth = d
-	}
+	b.c.MaxDepth = max(b.c.MaxDepth, res.Depth)
 	if res.Truncated {
 		b.c.TruncatedDocs++
 	}
 	start := len(b.c.Transactions)
-	b.c.Transactions = append(b.c.Transactions, b.intern.Transactions(b.c, t, res, docID, label)...)
+	b.c.Transactions = append(b.c.Transactions, b.intern.transactions(b.c, res, docID, label)...)
 	for _, s := range b.sinks {
 		s.ObserveDoc(docID, b.c.Transactions[start:])
 	}

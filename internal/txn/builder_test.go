@@ -244,12 +244,12 @@ func perOccurrenceBuild(trees []*xmltree.Tree, opts tuple.Options) *Corpus {
 		if d := t.Depth(); d > c.MaxDepth {
 			c.MaxDepth = d
 		}
-		for _, tt := range res.Tuples {
+		for i, tt := range res.Tuples {
 			var ids []ItemID
-			for _, lf := range tt.Leaves {
-				ids = append(ids, c.Items.Intern(c.Paths.Intern(xmltree.NodePath(lf.Node)), lf.Node.Value))
+			for _, lf := range tt {
+				ids = append(ids, c.Items.Intern(c.Paths.Intern(res.Leaves[lf].Path), res.Leaves[lf].Answer))
 			}
-			c.Transactions = append(c.Transactions, NewTransaction(ids, doc, tt.Index, -1))
+			c.Transactions = append(c.Transactions, NewTransaction(ids, doc, i, -1))
 		}
 	}
 	return c
@@ -269,7 +269,7 @@ func TestBuilderInternsOncePerLeaf(t *testing.T) {
 		`<r><a>same</a><a>same</a><b>x</b></r>`,
 		// 3×3×2 = 18 combinations against a cap of 4.
 		`<r><a>1</a><a>2</a><a>3</a><b>1</b><b>2</b><b>3</b><c>1</c><c>2</c></r>`,
-		// Fewer nodes than its predecessor, and node ids that collide with it.
+		// Fewer leaves than its predecessor, and leaf indices that collide with it.
 		`<r><b>x</b></r>`,
 		`<r/>`,
 	}
@@ -313,7 +313,7 @@ func TestBuilderInternsOncePerLeaf(t *testing.T) {
 		t.Fatalf("doc 2 has %d transactions, want the cap of 4", len(byDoc[2]))
 	}
 	// Doc 3's only leaf is doc 1's <b>x</b> item, not whatever sat at its
-	// node id in the scratch.
+	// leaf index in the scratch.
 	if len(byDoc[3]) != 1 || byDoc[3][0].Len() != 1 || !byDoc[1][0].Contains(byDoc[3][0].Items[0]) {
 		t.Fatalf("doc 3 = %v", byDoc[3])
 	}
@@ -321,13 +321,12 @@ func TestBuilderInternsOncePerLeaf(t *testing.T) {
 		t.Fatalf("doc 4 (empty root) = %v, want one empty transaction", byDoc[4])
 	}
 
-	// A fresh interner over the finished tables — what classification of a
+	// Transactions over the finished tables — what classification of a
 	// document uses — resolves every document to the builder's id sets and
 	// interns nothing.
 	items, paths := got.Items.Len(), got.Paths.Len()
 	for doc, tree := range trees {
-		var li LeafInterner
-		trs := li.Transactions(got, tree, tuple.Extract(tree, opts), -1, -1)
+		trs := Transactions(got, tuple.Extract(tree, opts), -1, -1)
 		if len(trs) != len(byDoc[doc]) {
 			t.Fatalf("doc %d: %d transient transactions, builder made %d", doc, len(trs), len(byDoc[doc]))
 		}

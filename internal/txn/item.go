@@ -15,15 +15,13 @@
 // Load checks every index, then slices the arenas — one string, one array
 // per column, capacity-clamped spans — so a loaded table keeps growing.
 //
-// Interning is once per leaf node. A tree tuple collection repeats its
-// leaves — a leaf outside every repeated group is retained by every tuple
-// of its document — so the builder resolves each distinct leaf node of a
-// document to its item id once (LeafInterner, a scratch indexed by
-// Node.ID) and the tuples copy ids. Leaves are first met in tuple order,
-// which is the order a per-occurrence loop would intern them in, so path
-// and item ids do not depend on the shortcut. tuple.Extract works to the
-// same contract: the Path of a leaf is computed once per node and shared,
-// read-only, by every tuple.Leaf that refers to the node. A document's
+// Interning is once per leaf. A tree tuple collection repeats its leaves —
+// a leaf outside every repeated group is retained by every tuple of its
+// document — so the builder resolves each distinct leaf of a document to its
+// item id once (Transactions, with a scratch indexed like
+// tuple.Result.Leaves) and the tuples copy ids. Leaves are first met in
+// tuple order, which is the order a per-occurrence loop would intern them
+// in, so path and item ids do not depend on the shortcut. A document's
 // leaves are resolved under one write lock of the ItemTable, and its
 // transactions and their item ids are allocated as one block each, the
 // Items spans capacity-clamped like Load's.

@@ -103,7 +103,7 @@ type Corpus struct {
 type BuildOptions struct {
 	Tuple tuple.Options
 	// Labels optionally assigns a ground-truth class per document (indexed
-	// by DocID); transactions inherit their document's label.
+	// by document id); transactions inherit their document's label.
 	Labels []int
 }
 

@@ -6,23 +6,32 @@ import (
 	"unicode/utf8"
 )
 
-// builder is the XML → tree state machine: the one place that knows how
-// elements, attributes and character data map onto the tree model of
+// Handler receives a document in the terms of the tree model of Sect. 3.1,
+// in document order: Open and Close bracket an element, and Leaf is an
+// "@name" or S leaf of the innermost open element, with its δ value. Reset
+// drops a document read in part.
+type Handler interface {
+	Open(label string)
+	Leaf(label, value string)
+	Close()
+	Reset()
+}
+
+// builder is the XML → tree model state machine: the one place that knows
+// how elements, attributes and character data map onto the tree model of
 // Sect. 3.1 — an element is a node, an attribute an "@name" leaf, and the
 // #PCDATA under an element its one S leaf, its runs joined with a space. It
 // is fed tokens by either source — the byte scanner or the encoding/xml
-// decoder — through start, attr, chars and end, and finish hands out the
-// tree. Its stack is the stack of open elements.
+// decoder — through start, attr, chars and end, and hands the document on
+// to its Handler. Its stack is the stack of open elements.
 //
-// Nothing is allocated per token. Nodes are recorded in recs and pending
-// character data in text, both scratch that survives from one document to
-// the next; finish cuts the tree from three allocations of exactly the
-// right size (the Tree, one []Node, one []*Node holding Tree.Nodes and every
-// Children slice), or reuses those of a tree the caller is done with. The
-// leaf values are the only per-node allocations.
+// Nothing is allocated per token: pending character data is kept in text,
+// scratch that survives from one document to the next. The leaf values are
+// the only allocations.
 type builder struct {
-	recs  []rec   // the nodes so far, in document order; the index is the Node.ID
-	stack []frame // the open elements, innermost last
+	h      Handler
+	stack  []frame // the open elements, innermost last
+	rooted bool    // the root element was opened
 	// text holds the pending character data of the open elements, one
 	// region per frame, innermost last: only the innermost element ever
 	// receives text, and it closes before the ones around it.
@@ -30,24 +39,15 @@ type builder struct {
 	val  []byte // scratch of value
 }
 
-// rec is one node of the tree under construction.
-type rec struct {
-	kind   NodeKind
-	below  int32 // levels below the root, set by finish
-	parent int   // index of the parent's rec, −1 for the root
-	label  string
-	value  string
-}
-
 // frame is one open element.
 type frame struct {
-	node int // rec of the element
-	text int // where the element's pending character data starts in builder.text
+	label string
+	text  int // where the element's pending character data starts in builder.text
 }
 
 func (b *builder) reset() {
-	clear(b.recs) // drop the previous document's strings
-	*b = builder{recs: b.recs[:0], stack: b.stack[:0], text: b.text[:0], val: b.val}
+	*b = builder{h: b.h, stack: b.stack[:0], text: b.text[:0], val: b.val}
+	b.h.Reset()
 }
 
 // start opens an element; the caller follows with one attr call per
@@ -57,21 +57,19 @@ func (b *builder) start(name string) error {
 	if len(b.stack)+1 >= maxTreeDepth {
 		return fmt.Errorf("xmltree: parse: tree deeper than %d levels", maxTreeDepth)
 	}
-	parent := -1
-	if len(b.stack) > 0 {
-		parent = b.stack[len(b.stack)-1].node
-	} else if len(b.recs) > 0 {
+	if len(b.stack) == 0 && b.rooted {
 		return fmt.Errorf("xmltree: multiple root elements (second: %s)", name)
 	}
-	b.recs = append(b.recs, rec{kind: Element, parent: parent, label: name})
-	b.stack = append(b.stack, frame{node: len(b.recs) - 1, text: len(b.text)})
+	b.rooted = true
+	b.stack = append(b.stack, frame{label: name, text: len(b.text)})
+	b.h.Open(name)
 	return nil
 }
 
 // attr adds an attribute leaf to the element start just opened; label is
 // the leaf's label, "@name".
 func (b *builder) attr(label string, raw []byte) {
-	b.recs = append(b.recs, rec{kind: Attribute, parent: b.stack[len(b.stack)-1].node, label: label, value: b.value(raw)})
+	b.h.Leaf(label, b.value(raw))
 }
 
 // chars takes one run of character data: the text between two pieces of
@@ -92,7 +90,7 @@ func (b *builder) open() (label string, ok bool) {
 	if len(b.stack) == 0 {
 		return "", false
 	}
-	return b.recs[b.stack[len(b.stack)-1].node].label, true
+	return b.stack[len(b.stack)-1].label, true
 }
 
 // end closes the innermost open element, whose pending character data
@@ -107,9 +105,18 @@ func (b *builder) end() bool {
 	v := b.value(b.text[f.text:])
 	b.text = b.text[:f.text]
 	if v != "" {
-		b.recs = append(b.recs, rec{kind: Text, parent: f.node, label: TextLabel, value: v})
+		b.h.Leaf(TextLabel, v)
 	}
+	b.h.Close()
 	return true
+}
+
+// finish reports whether the document fed so far had a root element.
+func (b *builder) finish() error {
+	if b.rooted {
+		return nil
+	}
+	return fmt.Errorf("xmltree: document has no root element")
 }
 
 // value is a leaf's δ value: raw with leading and trailing white space
@@ -147,26 +154,51 @@ func (b *builder) value(raw []byte) string {
 	return string(dst)
 }
 
-// finish returns the tree of the document fed so far, built in the storage
-// of reuse when that holds it (see ParseBytesInto).
-func (b *builder) finish(reuse *Tree) (*Tree, error) {
-	n := len(b.recs)
-	if n == 0 {
-		return nil, fmt.Errorf("xmltree: document has no root element")
+// treeBuilder is the Handler that builds a Tree. Nodes are recorded in recs,
+// scratch that survives from one document to the next; tree cuts the tree
+// from three allocations of exactly the right size (the Tree, one []Node,
+// one []*Node holding Tree.Nodes and every Children slice).
+type treeBuilder struct {
+	recs []rec
+	open int // rec of the innermost open element, −1 for none
+}
+
+// rec is one node of the tree under construction.
+type rec struct {
+	kind   NodeKind
+	parent int // index of the parent's rec, −1 for the root
+	label  string
+	value  string
+}
+
+func (tb *treeBuilder) Reset() {
+	clear(tb.recs) // drop the previous document's strings
+	tb.recs, tb.open = tb.recs[:0], -1
+}
+
+func (tb *treeBuilder) Open(label string) {
+	tb.recs = append(tb.recs, rec{kind: Element, parent: tb.open, label: label})
+	tb.open = len(tb.recs) - 1
+}
+
+func (tb *treeBuilder) Leaf(label, value string) {
+	kind := Attribute
+	if label == TextLabel {
+		kind = Text
 	}
-	t := reuse
-	if t == nil || cap(t.slab) < n || cap(t.links) < 2*n-1 { // links: Tree.Nodes, then n−1 child links
-		t = &Tree{slab: make([]Node, n), links: make([]*Node, 2*n-1)}
-	}
-	nodes, ptrs := t.slab[:n], t.links[:2*n-1]
-	below := int32(0)
-	for i, r := range b.recs {
+	tb.recs = append(tb.recs, rec{kind: kind, parent: tb.open, label: label, value: value})
+}
+
+func (tb *treeBuilder) Close() { tb.open = tb.recs[tb.open].parent }
+
+// tree returns the tree of the document recorded; it has a root.
+func (tb *treeBuilder) tree() *Tree {
+	n := len(tb.recs)
+	nodes, ptrs := make([]Node, n), make([]*Node, 2*n-1) // ptrs: Tree.Nodes, then n−1 child links
+	for i, r := range tb.recs {
 		nodes[i] = Node{Kind: r.kind, Label: r.label, Value: r.value}
 		ptrs[i] = &nodes[i]
 		if i > 0 {
-			// A parent precedes its children, so its level is already set.
-			b.recs[i].below = b.recs[r.parent].below + 1
-			below = max(below, b.recs[i].below)
 			nodes[i].Parent = &nodes[r.parent]
 			nodes[r.parent].ID++ // counts children until the next loop sets the real ID
 		}
@@ -185,6 +217,5 @@ func (b *builder) finish(reuse *Tree) (*Tree, error) {
 			p.Children = append(p.Children, &nodes[i])
 		}
 	}
-	*t = Tree{Root: &nodes[0], Nodes: ptrs[:n:n], depth: int(below) + 1, slab: t.slab, links: t.links}
-	return t, nil
+	return &Tree{Root: &nodes[0], Nodes: ptrs[:n:n]}
 }

@@ -2,6 +2,8 @@ package xmltree
 
 import (
 	"fmt"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -53,71 +55,18 @@ func treeDiff(got, want *Tree) string {
 // tree or error text, must be its answer. The seed corpus is drawn from the
 // package's test fixtures, the malformed/truncated shapes the error-path
 // tests use, and the constructs on either side of the edge of the scanner's
-// subset.
+// subset (testdata/seeds.txt, which FuzzExtract starts from too).
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		paperDoc, // the Fig. 2 DBLP fixture shared with tree_test.go
-		`<db><paper key="p1"><writer>alice</writer><name>mining patterns</name></paper></db>`,
-		`<a><b>x</b><b>y</b><c attr="v">z</c></a>`,
-		`<r>text <i>inline</i> tail<drop><deep/></drop></r>`,
-		`<Speech><Speaker>HAMLET</Speaker><Line>To be, or not to be</Line></Speech>`,
-		// Malformed and truncated shapes.
-		``,
-		`no xml here`,
-		`<a/><b/>`,              // multiple roots
-		`<a><b></a></b>`,        // crossed tags
-		`<a><b>unterminated`,    // truncated mid-element
-		`<a attr=>bad attr</a>`, // mangled attribute
-		`<a>&unknown;</a>`,      // undefined entity
-		`<?xml version="1.0"?>`, // prolog only
-		`<a>` + strings.Repeat("<d>", 50) + "deep" + strings.Repeat("</d>", 50) + `</a>`,
+	seeds := append(readSeeds(f, "testdata/seeds.txt"),
+		`<a>`+strings.Repeat("<d>", 50)+"deep"+strings.Repeat("</d>", 50)+`</a>`,
 		// One level past maxTreeDepth: rejected.
-		strings.Repeat("<d>", maxTreeDepth) + "bomb",
-		"<a>\xff\xfe binary \x00 soup</a>",
-		`<a xmlns:x="u"><x:b x:k="v">ns</x:b></a>`,
-		`<!-- comment only -->`,
-		`<![CDATA[loose cdata]]>`,
-		// The edge of the scanner's subset: what it must decline, and what
-		// it must get right to accept.
-		`<a k="1" k="2"/>`,                     // duplicate attribute: two leaves
-		`<a><br>x</a>`,                         // HTML auto-close
-		`<a><BR/><Link>x</Link></a>`,           // auto-close folds case
-		`<a>x]]>y</a>`,                         // ]]> in text
-		`<a k="x]]>y">]] ></a>`,                // ]]> in a value is fine
-		`<?>`,                                  // no target
-		`<a><?pi x?>t</a>`,                     // PI splits a text run
-		`<a>s<!-- c -->t<!---->u</a>`,          // so do comments
-		`<a><!-- -- --></a>`,                   // -- inside a comment
-		"<a>\u00a0x\u0085 y\u2003z\u3000</a>",  // the spaces strings.Fields splits on
-		"<a k=' \t v\r\n w '>l1\r\nl2\rl3</a>", // CRLF
-		`<a>&#x41;&#65;&#x1F600;&amp;&lt;&gt;&apos;&quot;</a>`,
-		`<a>&#0;</a>`, `<a>&#xD800;</a>`, `<a>&#xFFFE;</a>`, `<a>&#99999999999999999999;</a>`, `<a>&#x;</a>`, `<a>&#X41;</a>`,
-		`<a>&bogus;</a>`, `<a>&amp</a>`, `<a>&;</a>`, `<a k="&lt;&bogus;"/>`,
-		`<a>&uuml;&nbsp;&frac12;</a>`,              // the HTML entity table
-		"\ufeff<a>bom</a>",                         // a BOM
-		`<a><![CDATA[<raw> & ]]></a>`,              // CDATA
-		`<!DOCTYPE a [<!ENTITY e "v">]><a>&e;</a>`, // DOCTYPE with an internal subset
-		`<a xmlns="u"><b/></a>`, `<x:a xmlns:x="u"/>`, `<a x:k="v"/>`,
-		`<a k="1<2"/>`, `<a k="1>2" j='"'/>`, // < and > in values
-		`<a/>tail`, `<a/><!-- c --> `, `<a></a></a>`, // after the root closes
-		"<?xml version=\"1.0\" encoding=\"ISO-8859-1\"?><a>J\xfcrgen &uuml;</a>",
-		`<?xml version="1.0" encoding="utf-8" standalone="yes"?><a/>`,
-		`<?xml version='1.0' encoding='KOI8-R'?><a/>`,
-		`<?xml version="1.1"?><a/>`, `<?xml encoding="latin1" version="1.0"?><a/>`, `<?xml?><a/>`,
-		`<a k=v/>`, `<a k/>`, `<a k = "v"j="w" />`, `<a / >`, `<a></a >`, `<a></ a>`,
-		`<1a/>`, `<a.b-c_d/>`, `<é/>`, `<a\u00e9/>`, `<a é="1"/>`,
-		"<a>\x01</a>", "<a>\xc3</a>", "<a>\xef\xbf\xbe</a>", "<a>\xef\xbf\xbd</a>", "<a k='\x00'/>",
-		`<a><b>x</a></b>`, `<a><b>x</a>`, `<`, `<a`, `<a k="v`, `<!-`, `<!--x`, `<?pi`,
-		`<i><a>x</a></i>`, `<a><i>x<drop>y</drop></i>z<b>w</b></a>`, // text runs around children
-		`<a><d><d><d><d>deep</d>e</d>f</d>g</d>h</a>`, // a text leaf at every level
-		`<a><b></a></a>`, `<a><b><c></a></b></a>`, // an end tag naming an outer element
-	}
+		strings.Repeat("<d>", maxTreeDepth)+"bomb")
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, doc string) {
 		want, wantErr := referenceParse(strings.NewReader(doc))
-		if got, ok := newParser().scanTree(nil, []byte(doc)); ok {
+		if got, ok := newParser().scanTree([]byte(doc)); ok {
 			if wantErr != nil {
 				t.Fatalf("the scanner accepts %q, the reference refuses it: %v", doc, wantErr)
 			}
@@ -125,7 +74,7 @@ func FuzzParse(f *testing.F) {
 				t.Fatalf("scanner and reference disagree on %q: %s", doc, diff)
 			}
 		}
-		decoded, err := newParser().decodeTree(nil, []byte(doc))
+		decoded, err := newParser().decodeTree([]byte(doc))
 		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 			t.Fatalf("the decoder-fed builder says %v on %q, the reference %v", err, doc, wantErr)
 		}
@@ -151,4 +100,25 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("accepted tree has depth %d for %q", d, doc)
 		}
 	})
+}
+
+// readSeeds returns the documents of a seed file: one Go-quoted string a
+// line, lines that start with # being comments.
+func readSeeds(tb testing.TB, path string) []string {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var seeds []string
+	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		s, err := strconv.Unquote(line)
+		if err != nil {
+			tb.Fatalf("%s: %q: %v", path, line, err)
+		}
+		seeds = append(seeds, s)
+	}
+	return seeds
 }

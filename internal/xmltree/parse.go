@@ -41,39 +41,50 @@ func Parse(r io.Reader, _ ...ParseOptions) (*Tree, error) {
 }
 
 // ParseBytes is Parse over a document already in memory; data is only read,
-// and the tree keeps no reference to it.
+// and the tree keeps no reference to it. It is Feed with a Handler that
+// builds the tree.
+func ParseBytes(data []byte) (*Tree, error) {
+	p := parsers.Get().(*parser)
+	defer p.release()
+	if err := p.feed(data, &p.tb); err != nil {
+		return nil, err
+	}
+	return p.tb.tree(), nil
+}
+
+// Feed reads one XML document from data and feeds h its elements and
+// leaves, as Parse would build them into a tree; data is only read.
 //
 // The document is first read by the byte scanner (scan.go), which knows the
 // strict, well-formed UTF-8 subset of XML that nearly all documents lie in.
-// At the first byte outside that subset the scanner declines and the
-// document is read again from its first byte by encoding/xml, configured as
-// leniently as it goes: unbalanced and auto-closing HTML tags, HTML entity
-// names, name spaces, CDATA, DOCTYPE and declared charsets are its business.
-// Both feed the same builder, so which one read a document cannot be told
-// from the tree.
-func ParseBytes(data []byte) (*Tree, error) {
-	return ParseBytesInto(nil, data)
-}
-
-// ParseBytesInto is ParseBytes into the storage of reuse, a tree an earlier
-// parse returned and nothing reads any more (nil = fresh storage). If the
-// storage holds the document, reuse itself is rebuilt and returned, and only
-// the leaf values are allocated.
-func ParseBytesInto(reuse *Tree, data []byte) (*Tree, error) {
+// At the first byte outside that subset the scanner declines, h is Reset
+// and the document is read again from its first byte by encoding/xml,
+// configured as leniently as it goes: unbalanced and auto-closing HTML tags,
+// HTML entity names, name spaces, CDATA, DOCTYPE and declared charsets are
+// its business. Both feed the same builder, so which one read a document
+// cannot be told from what h receives. On an error, h holds a document read
+// in part.
+func Feed(data []byte, h Handler) error {
 	p := parsers.Get().(*parser)
 	defer p.release()
-	if t, ok := p.scanTree(reuse, data); ok {
-		return t, nil
-	}
-	return p.decodeTree(reuse, data)
+	return p.feed(data, h)
 }
 
-// parser is a builder with the scratch of its two token sources. Parsers
-// are pooled: a warm one reads a document without allocating anything but
-// the tree.
+func (p *parser) feed(data []byte, h Handler) error {
+	p.h = h
+	if p.scan(data) && p.finish() == nil {
+		return nil
+	}
+	return p.decode(data)
+}
+
+// parser is a builder with the scratch of its two token sources and of the
+// tree it builds for Parse. Parsers are pooled: a warm one reads a document
+// without allocating anything but the leaf values and the tree.
 type parser struct {
 	builder
 	scanner
+	tb treeBuilder
 }
 
 func newParser() *parser {
@@ -83,24 +94,13 @@ func newParser() *parser {
 var parsers = sync.Pool{New: func() any { return newParser() }}
 
 func (p *parser) release() {
-	p.reset()
+	p.h = nil
+	p.tb.Reset()
 	parsers.Put(p)
 }
 
-// scanTree builds the tree of data from the scanner's tokens; !ok means the
-// scanner declined, or the builder refused the document (the decoder will
-// get it to refuse it again, in the same words).
-func (p *parser) scanTree(reuse *Tree, data []byte) (t *Tree, ok bool) {
-	p.reset()
-	if !p.scan(data) {
-		return nil, false
-	}
-	t, err := p.finish(reuse)
-	return t, err == nil
-}
-
-// decodeTree builds the tree of data from encoding/xml's tokens.
-func (p *parser) decodeTree(reuse *Tree, data []byte) (*Tree, error) {
+// decode feeds the handler encoding/xml's tokens of data.
+func (p *parser) decode(data []byte) error {
 	p.reset()
 	dec := xml.NewDecoder(bytes.NewReader(data))
 	dec.Strict = false
@@ -110,15 +110,15 @@ func (p *parser) decodeTree(reuse *Tree, data []byte) (*Tree, error) {
 	for {
 		tok, err := dec.Token()
 		if err == io.EOF {
-			return p.finish(reuse)
+			return p.finish()
 		}
 		if err != nil {
-			return nil, fmt.Errorf("xmltree: parse: %w", err)
+			return fmt.Errorf("xmltree: parse: %w", err)
 		}
 		switch el := tok.(type) {
 		case xml.StartElement:
 			if err := p.start(el.Name.Local); err != nil {
-				return nil, err
+				return err
 			}
 			for _, a := range el.Attr {
 				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
@@ -128,7 +128,7 @@ func (p *parser) decodeTree(reuse *Tree, data []byte) (*Tree, error) {
 			}
 		case xml.EndElement:
 			if !p.end() {
-				return nil, fmt.Errorf("xmltree: unbalanced end element %s", el.Name.Local)
+				return fmt.Errorf("xmltree: unbalanced end element %s", el.Name.Local)
 			}
 		case xml.CharData:
 			p.chars(el)

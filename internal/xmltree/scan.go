@@ -26,7 +26,7 @@ import (
 // charset, a missing quote — it declines, and encoding/xml reads the
 // document instead. Declining is always right, so it is the answer to
 // every doubt: what is accepted here is only what encoding/xml, as
-// decodeTree configures it, provably tokenizes the same way. FuzzParse
+// decode configures it, provably tokenizes the same way. FuzzParse
 // holds the two against each other.
 
 // scanner is the scratch of scan.
@@ -41,9 +41,10 @@ type scanner struct {
 // hundred names, and a hostile document must not grow a pooled map forever.
 const maxLabels = 4096
 
-// scan feeds the builder the tokens of data. It reports false when it
-// declined, or when the builder refused a token.
+// scan feeds the builder the tokens of data from its first byte. It reports
+// false when it declined, or when the builder refused a token.
 func (p *parser) scan(data []byte) bool {
+	p.reset()
 	for i := 0; i < len(data); {
 		if data[i] != '<' {
 			j := bytes.IndexByte(data[i:], '<')

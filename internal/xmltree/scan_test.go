@@ -40,7 +40,7 @@ func TestScannerAccepts(t *testing.T) {
 		`<?XML anything?><a/>`,
 		`<i><a>x</a></i>`,
 	} {
-		got, ok := newParser().scanTree(nil, []byte(doc))
+		got, ok := newParser().scanTree([]byte(doc))
 		want, err := referenceParse(strings.NewReader(doc))
 		if err != nil {
 			t.Fatalf("the reference refuses %q: %v", doc, err)
@@ -72,7 +72,7 @@ func TestScannerDeclines(t *testing.T) {
 		`<?xml version="1.0" standalone="yes" encoding="utf-8"?><a/>`, `<?xml version="1.0" standalone="maybe"?><a/>`, `<?xml version = "1.0"?><a/>`,
 		strings.Repeat("<d>", maxTreeDepth) + strings.Repeat("</d>", maxTreeDepth),
 	} {
-		if _, ok := newParser().scanTree(nil, []byte(doc)); ok {
+		if _, ok := newParser().scanTree([]byte(doc)); ok {
 			t.Errorf("scanner accepts %q", doc)
 		}
 	}
@@ -127,14 +127,14 @@ func TestScannerMatchesDecoderOnTokenSoup(t *testing.T) {
 		}
 		doc := b.String()
 		want, wantErr := referenceParse(strings.NewReader(doc))
-		decoded, err := newParser().decodeTree(nil, []byte(doc))
+		decoded, err := newParser().decodeTree([]byte(doc))
 		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 			t.Fatalf("%q: decoder-fed builder says %v, the reference %v", doc, err, wantErr)
 		}
 		if diff := treeDiff(decoded, want); err == nil && diff != "" {
 			t.Fatalf("%q, decoder-fed builder: %s", doc, diff)
 		}
-		got, ok := newParser().scanTree(nil, []byte(doc))
+		got, ok := newParser().scanTree([]byte(doc))
 		if !ok {
 			continue
 		}
@@ -189,7 +189,7 @@ func TestParseDeclaredCharsets(t *testing.T) {
 func TestScanAllocations(t *testing.T) {
 	doc := []byte(dblpRecord)
 	p := newParser()
-	tree, ok := p.scanTree(nil, doc)
+	tree, ok := p.scanTree(doc)
 	if !ok {
 		t.Fatal("the scanner declined the record")
 	}
@@ -198,67 +198,11 @@ func TestScanAllocations(t *testing.T) {
 		t.Fatalf("record has %d leaves, want 10", leaves)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, ok := p.scanTree(nil, doc); !ok {
+		if _, ok := p.scanTree(doc); !ok {
 			t.Fatal("declined")
 		}
 	})
 	if max := float64(leaves + 3); allocs > max {
 		t.Errorf("a warm parse of a record with %d leaves allocates %.0f times, want at most %.0f", leaves, allocs, max)
-	}
-}
-
-// TestReparseAllocations is the allocation guard of a parse into a reused
-// tree: the tree, its nodes and its links are the old tree's, so a warm
-// reparse allocates the leaf values and nothing else.
-func TestReparseAllocations(t *testing.T) {
-	doc := []byte(dblpRecord)
-	p := newParser()
-	tree, ok := p.scanTree(nil, doc)
-	if !ok {
-		t.Fatal("the scanner declined the record")
-	}
-	leaves := len(tree.Leaves())
-	allocs := testing.AllocsPerRun(100, func() {
-		if again, ok := p.scanTree(tree, doc); !ok || again != tree {
-			t.Fatal("the reparse did not rebuild the tree it was given")
-		}
-	})
-	if max := float64(leaves); allocs > max {
-		t.Errorf("a reparse of a record with %d leaves allocates %.0f times, want at most %.0f", leaves, allocs, max)
-	}
-}
-
-// TestParseBytesIntoMatchesParseBytes: a tree reused for a document of
-// another shape — smaller, larger, read by the decoder — is the tree a fresh
-// parse gives, and a tree too small for the document is left alone.
-func TestParseBytesIntoMatchesParseBytes(t *testing.T) {
-	docs := []string{
-		dblpRecord,
-		`<r><a x="1">one</a><b/></r>`,
-		`<r><ns:a xmlns:ns="u">decoded</ns:a></r>`,
-		strings.Repeat("<a>", 40) + "deep" + strings.Repeat("</a>", 40),
-		dblpRecord,
-	}
-	var reuse *Tree
-	for i, doc := range docs {
-		want, err := ParseString(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := ""
-		if reuse != nil {
-			before = reuse.String()
-		}
-		got, err := ParseBytesInto(reuse, []byte(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := treeDiff(got, want); d != "" {
-			t.Fatalf("document %d: %s", i, d)
-		}
-		if reuse != nil && got != reuse && reuse.String() != before {
-			t.Fatalf("document %d: a tree too small to reuse was changed", i)
-		}
-		reuse = got
 	}
 }

@@ -44,20 +44,12 @@ func (n *Node) IsLeaf() bool { return n.Kind != Element }
 
 // Tree is an XML tree XT = ⟨T, δ⟩.
 type Tree struct {
-	// DocID identifies the source document within a collection.
-	DocID int
 	// Name is an optional human-readable identifier (e.g. file name).
 	Name string
 	// Root is the distinguished root rT.
 	Root *Node
 	// Nodes lists all nodes in document order; Nodes[i].ID == i.
 	Nodes []*Node
-	// depth is Depth() as the parser counted it; 0 = not known, walk.
-	depth int
-	// slab and links are a parsed tree's node storage: the nodes, and the
-	// pointers of Nodes and every Children slice (ParseBytesInto reuses it).
-	slab  []Node
-	links []*Node
 }
 
 // NewTree creates an empty tree with the given root element label.
@@ -72,7 +64,6 @@ func NewTree(rootLabel string) *Tree {
 func (t *Tree) NewNode(kind NodeKind, label, value string, parent *Node) *Node {
 	n := &Node{ID: len(t.Nodes), Kind: kind, Label: label, Value: value, Parent: parent}
 	t.Nodes = append(t.Nodes, n)
-	t.depth = 0
 	if parent != nil {
 		parent.Children = append(parent.Children, n)
 	}
@@ -135,13 +126,8 @@ func NodePath(n *Node) Path {
 	return p
 }
 
-// Depth returns depth(XT): the length of the longest complete path. A
-// parsed tree answers from the count its parser kept; a tree grown with
-// NewNode is walked.
+// Depth returns depth(XT): the length of the longest complete path.
 func (t *Tree) Depth() int {
-	if t.depth > 0 {
-		return t.depth
-	}
 	max := 0
 	var walk func(n *Node, d int)
 	walk = func(n *Node, d int) {

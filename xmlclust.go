@@ -41,11 +41,12 @@
 // # Ingestion
 //
 // Ingestion is a bounded-memory pipeline: documents stream out of the
-// Source through parallel parse/extract workers into an index-ordered
-// merge, so only O(IngestWorkers) parsed trees exist at any instant and
-// the corpus is byte-identical for any worker count. Trees already in
-// memory go through the batch form (ParseFiles + BuildCorpus), which
-// yields the identical corpus for the same documents in the same order.
+// Source through parallel workers, which extract tree tuples as they parse,
+// into an index-ordered merge, so only O(IngestWorkers) documents exist at
+// any instant, and no tree, and the corpus is byte-identical for any worker
+// count. Trees already in memory go through the batch form (ParseFiles +
+// BuildCorpus), which yields the identical corpus for the same documents in
+// the same order.
 //
 // The internal packages implement the substrates (tree model, tuple
 // extraction, transactional model, similarity, representatives, the P2P
@@ -198,10 +199,10 @@ func MultiSource(srcs ...Source) Source { return corpus.Multi(srcs...) }
 func OpenSource(path string) (Source, error) { return corpus.Open(path) }
 
 // BuildCorpusFromSource streams every document of src through the full
-// preprocessing pipeline — parse, tuple extraction, transactional model,
-// ttf.itf weighting — holding only O(IngestWorkers) batches of parsed trees
-// in memory at any instant, so corpus size is bounded by the transactional
-// model and not by the XML. Parsing and extraction fan out over
+// preprocessing pipeline — tuple extraction in the pass that parses,
+// transactional model, ttf.itf weighting — holding only O(IngestWorkers)
+// batches of documents in memory at any instant, so corpus size is bounded
+// by the transactional model and not by the XML. Extraction fans out over
 // CorpusOptions.IngestWorkers goroutines behind an index-ordered merge:
 // the corpus is byte-identical to BuildCorpus on the same documents in the
 // same order, for any worker count.
