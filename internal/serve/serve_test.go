@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"xmlclust"
@@ -43,6 +44,56 @@ func addAll(t *testing.T, s *Service, docs []string) {
 			t.Fatalf("AddDocument %d: %v", i, err)
 		}
 	}
+}
+
+// TestQueryClusterMatchesDocuments: in every state a service passes
+// through — adds before any refresh, a refresh, adds after it, a removal, a
+// maintenance round, a second refresh — QueryCluster(cl) is Documents()
+// filtered to the live documents of cluster cl, the trash included.
+func TestQueryClusterMatchesDocuments(t *testing.T) {
+	s, err := NewService(serveConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	check := func(when string, clusters int) {
+		t.Helper()
+		want := map[int][]DocInfo{}
+		for _, info := range s.Documents() {
+			if !info.Removed {
+				want[info.Cluster] = append(want[info.Cluster], info)
+			}
+		}
+		if len(want) != clusters {
+			t.Fatalf("%s: the live documents are in %d clusters, want %d", when, len(want), clusters)
+		}
+		for _, cl := range []int{xmlclust.TrashCluster, 0, 1} {
+			if got := s.QueryCluster(cl); !reflect.DeepEqual(got, want[cl]) {
+				t.Fatalf("%s: QueryCluster(%d) = %v, want %v", when, cl, got, want[cl])
+			}
+		}
+	}
+	docs := serveDocs(4)
+	addAll(t, s, docs[:5])
+	check("adds before a refresh", 1)
+	if err := s.Refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	check("a refresh", 2)
+	addAll(t, s, docs[5:])
+	check("adds after a refresh", 2)
+	if _, err := s.RemoveDocument(2); err != nil {
+		t.Fatal(err)
+	}
+	check("a removal", 2)
+	if _, err := s.MaintenanceRound(ctx); err != nil {
+		t.Fatal(err)
+	}
+	check("a maintenance round", 2)
+	if err := s.Refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	check("a second refresh", 2)
 }
 
 func TestServiceAddClassifyQuery(t *testing.T) {

@@ -513,19 +513,17 @@ type DistributedResult struct {
 // slice cast no votes, so a document wholly outside the slice follows the
 // all-trash rule and maps to TrashCluster instead of being dropped.
 func DocumentClusters(corpus *Corpus, assign []int) map[int]int {
-	votes := map[int]map[int]int{}
+	votes := map[int][]int{}
 	for i, tr := range corpus.Transactions {
-		if votes[tr.Doc] == nil {
-			votes[tr.Doc] = map[int]int{}
+		if i < len(assign) {
+			votes[tr.Doc] = append(votes[tr.Doc], assign[i])
+		} else if _, ok := votes[tr.Doc]; !ok {
+			votes[tr.Doc] = nil
 		}
-		if i >= len(assign) {
-			continue
-		}
-		votes[tr.Doc][assign[i]]++
 	}
 	out := make(map[int]int, len(votes))
 	for doc, v := range votes {
-		out[doc] = majorityFromVotes(v)
+		out[doc] = MajorityCluster(v)
 	}
 	return out
 }
@@ -535,26 +533,27 @@ func DocumentClusters(corpus *Corpus, assign []int) map[int]int {
 // cluster id, trash votes never outvote a real cluster, and an empty or
 // all-trash assignment yields TrashCluster. It is the same vote
 // DocumentClusters applies per document, exposed for online classification
-// where a single document's transactions are assigned at a time.
+// where a single document's transactions are assigned at a time. The votes
+// are counted by cluster id, on the stack for the first 64 ids.
 func MajorityCluster(assign []int) int {
-	votes := make(map[int]int, 4)
+	top := TrashCluster
 	for _, cl := range assign {
-		votes[cl]++
+		top = max(top, cl)
 	}
-	return majorityFromVotes(votes)
-}
-
-// majorityFromVotes picks the non-trash cluster with the most votes, ties
-// to the lower id; TrashCluster when no real cluster got any vote. The scan
-// is order-independent, so map iteration order cannot leak into results.
-func majorityFromVotes(votes map[int]int) int {
-	best, bestN := TrashCluster, -1
-	for cl, n := range votes {
-		if cl == TrashCluster {
-			continue
+	var small [64]int
+	votes := small[:]
+	if top >= len(small) {
+		votes = make([]int, top+1)
+	}
+	for _, cl := range assign {
+		if cl >= 0 {
+			votes[cl]++
 		}
-		if n > bestN || (n == bestN && cl < best) {
-			best, bestN = cl, n
+	}
+	best := TrashCluster
+	for cl, n := range votes[:top+1] {
+		if n > 0 && (best == TrashCluster || n > votes[best]) {
+			best = cl
 		}
 	}
 	return best

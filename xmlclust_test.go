@@ -382,6 +382,7 @@ func TestMajorityCluster(t *testing.T) {
 		{"tie to lower id", []int{5, 2, 2, 5}, 2},
 		{"trash never outvotes", []int{TrashCluster, TrashCluster, 3}, 3},
 		{"single vote", []int{0}, 0},
+		{"ids past the stack counts", []int{70, 3, 70, TrashCluster, 3, 200, 70}, 70},
 	}
 	for _, tc := range cases {
 		if got := MajorityCluster(tc.assign); got != tc.want {
