@@ -14,10 +14,9 @@ import (
 // it: the leaf nodes, in document order.
 type nodes []*xmltree.Node
 
-// variantsByMap is the tree-walk oracle of extraction: the recursion over a
-// tree's nodes that extraction was before it became a handler of parse
-// events, as it stood while it grouped an element's children through a map,
-// an order slice and a radix slice of its own.
+// variantsByMap is the tree-walk oracle of extraction: a recursion over a
+// tree's nodes that groups an element's children through a map, an order
+// slice and a radix slice of its own, and sorts leaves by Node.ID.
 func variantsByMap(n *xmltree.Node, max int) ([]nodes, int64) {
 	if n.IsLeaf() {
 		return []nodes{{n}}, 1
