@@ -189,8 +189,8 @@ func TestEngineConcurrentClusterClassify(t *testing.T) {
 
 // TestExtractTransactionsMatchesBuilder: decomposing the corpus's own
 // documents again must land on the item sets the builder made of them and
-// intern nothing — both go through txn.LeafInterner, the builder with a
-// scratch it keeps, ExtractTransactions with one per call.
+// intern nothing — both go through the interning of txn.Transactions, the
+// builder with a scratch it keeps, ExtractTransactions with one per call.
 func TestExtractTransactionsMatchesBuilder(t *testing.T) {
 	var trees []*Tree
 	for _, d := range append([]string{
