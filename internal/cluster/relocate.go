@@ -156,6 +156,18 @@ func RepsEqual(a, b []*txn.Transaction) bool {
 	return slices.EqualFunc(a, b, repEqual)
 }
 
+// RepsChanged counts the slots where two representative slices of one
+// length differ by RepsEqual's rule.
+func RepsChanged(a, b []*txn.Transaction) int {
+	n := 0
+	for j := range a {
+		if !repEqual(a[j], b[j]) {
+			n++
+		}
+	}
+	return n
+}
+
 // repEqual reports whether two representatives are byte-identical. The
 // pointer check catches the common cases for free: memoized representatives
 // and kept-alive empty-cluster reps are the same object across rounds.

@@ -736,3 +736,47 @@ func TestRunCapped(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundEndChangeCounts checks the change counts of EventRoundEnd on
+// converging two-peer runs: both peers report the same pair every round,
+// the first round finds every global new, every round before the last has a
+// peer that changed, and the round where the run converged has none. Its
+// globals count is what the previous round's refinement moved: relocation
+// against them left every local representative as it was.
+func TestRoundEndChangeCounts(t *testing.T) {
+	corpus, _ := miniCorpus(t, 8)
+	const k, m = 2, 2
+	type pair struct{ peers, globals int }
+	for seed := int64(1); seed <= 4; seed++ {
+		byPeer := make([][]pair, m)
+		cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
+		res, err := Run(context.Background(), cx, corpus, Options{
+			K: k, Params: cx.Params, Peers: m,
+			Partition: EqualPartition(len(corpus.Transactions), m, seed),
+			Seed:      seed,
+			Observer: func(ev Event) {
+				if ev.Kind == EventRoundEnd {
+					byPeer[ev.Peer] = append(byPeer[ev.Peer], pair{ev.PeersChanged, ev.GlobalsChanged})
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Capped || res.Rounds < 2 {
+			t.Fatalf("seed %d: rounds %d, capped %v; want a run converging in two rounds or more", seed, res.Rounds, res.Capped)
+		}
+		got := byPeer[0]
+		if len(got) != res.Rounds || !slices.Equal(got, byPeer[1]) {
+			t.Fatalf("seed %d: round ends: peer 0 %v, peer 1 %v; want %d equal pairs", seed, got, byPeer[1], res.Rounds)
+		}
+		if got[0].globals != k {
+			t.Errorf("seed %d: first round: %d globals changed, want all %d", seed, got[0].globals, k)
+		}
+		for r, p := range got {
+			if p.peers < 0 || p.peers > m || p.globals < 0 || p.globals > k || (p.peers == 0) != (r == len(got)-1) {
+				t.Errorf("seed %d: round %d of %d: %d peers, %d globals changed", seed, r, len(got), p.peers, p.globals)
+			}
+		}
+	}
+}

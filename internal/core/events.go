@@ -21,7 +21,8 @@ const (
 	// exchange of the round (all neighbour messages collected).
 	EventRepsExchanged
 	// EventRoundEnd reports that a peer completed a round; Event.Objective
-	// carries the peer's local clustering objective for the round.
+	// carries the peer's local clustering objective for the round, and
+	// Event.PeersChanged and Event.GlobalsChanged what changed in it.
 	EventRoundEnd
 	// EventDone reports run termination. Peer-level Done events carry the
 	// peer id; the run-level Done event (emitted once per Run) has
@@ -77,6 +78,15 @@ type Event struct {
 	// sum Σ (1 − simγJ(tr, rep)) over the peer's transactions — populated on
 	// RoundEnd and the peer-level Done. Lower is better.
 	Objective float64
+	// PeersChanged and GlobalsChanged are set on RoundEnd: how many of the
+	// m peers sent FlagContinue in the round (the peer's own flag counted),
+	// and how many of the k global representatives the round ran against
+	// differ from the previous round's (cluster.RepsChanged; in the first
+	// round, and the first after a restore, every non-nil one). Both are the
+	// same at every peer, a restored peer's first round aside: each peer
+	// receives every flag, and holds every global once the round's
+	// broadcast is in.
+	PeersChanged, GlobalsChanged int
 	// SentMsgs/SentBytes/RecvMsgs/RecvBytes total the peer's modeled
 	// traffic so far (cumulative over all completed accounting rounds).
 	SentMsgs, SentBytes int64

@@ -85,11 +85,17 @@ type session struct {
 	// PK-means it holds the bits of past summed objectives, which can orbit
 	// for the same reason.
 	seenStates map[uint64]struct{}
-	// changed / bySender / anyContinue carry intermediate per-round state
-	// between the Relocate, ExchangeLocals and RefineGlobals phases.
-	changed     bool
-	bySender    []LocalRepsMsg
-	anyContinue bool
+	// changed / bySender / peersChanged carry intermediate per-round state
+	// between the Relocate, ExchangeLocals and RefineGlobals phases;
+	// peersChanged counts the round's FlagContinue, own flag included.
+	changed      bool
+	bySender     []LocalRepsMsg
+	peersChanged int
+	// prevGlobal holds the globals of the previous round (nil ones before
+	// the first), and globalsChanged how many of this round's differ from
+	// them (Event.GlobalsChanged).
+	prevGlobal     []*txn.Transaction
+	globalsChanged int
 
 	// Reordering buffers: peers may run ahead by one phase, so messages are
 	// buffered per (round, type) once accept has vetted and accounted them.
@@ -306,6 +312,7 @@ func (s *session) startup(msg StartMsg) error {
 	}
 	s.k, s.zs, s.zi = msg.K, msg.Zs, msg.Zs[s.id]
 	s.global = make([]*txn.Transaction, s.k)
+	s.prevGlobal = make([]*txn.Transaction, s.k)
 	s.localRp = make([]*txn.Transaction, s.k)
 	s.sizes = make([]int, s.k)
 	s.assign = make([]int, len(s.local))
@@ -418,7 +425,10 @@ func (s *session) exchangeLocals() {
 	// seed; floating-point aggregation is order-sensitive).
 	s.bySender = make([]LocalRepsMsg, s.m)
 	s.bySender[s.id].Objective = s.objective
-	s.anyContinue = s.changed
+	s.peersChanged = 0
+	if s.changed {
+		s.peersChanged = 1
+	}
 	s.arm(false)
 	s.received = 0
 }
@@ -444,6 +454,8 @@ func (s *session) collect() error {
 				s.global[j] = fromWire(s.items, w)
 			}
 		}
+		s.globalsChanged = cluster.RepsChanged(s.global, s.prevGlobal)
+		s.prevGlobal = append(s.prevGlobal[:0], s.global...)
 		if s.pk && s.round == 0 {
 			return s.seeded()
 		}
@@ -456,12 +468,12 @@ func (s *session) collect() error {
 			}
 			s.pendLocal[s.round] = q[1:]
 			if q[0].Flag == FlagContinue {
-				s.anyContinue = true
+				s.peersChanged++
 			}
 			s.bySender[q[0].From] = q[0]
 		}
 		s.emit(EventRepsExchanged, s.round, 0)
-		if !s.anyContinue {
+		if s.peersChanged == 0 {
 			s.emit(EventRoundEnd, s.round, s.objective)
 			return s.enter(PhaseDone) // V_1 = … = V_m = done
 		}
@@ -527,7 +539,11 @@ func (s *session) converged() bool {
 }
 
 func (s *session) emit(kind EventKind, round int, objective float64) {
-	s.out = append(s.out, Event{Kind: kind, Peer: s.id, Epoch: s.epoch, Round: round, Phase: s.phase, Objective: objective})
+	ev := Event{Kind: kind, Peer: s.id, Epoch: s.epoch, Round: round, Phase: s.phase, Objective: objective}
+	if kind == EventRoundEnd {
+		ev.PeersChanged, ev.GlobalsChanged = s.peersChanged, s.globalsChanged
+	}
+	s.out = append(s.out, ev)
 }
 
 func (s *session) send(to int, payload any) {

@@ -172,8 +172,8 @@ func TestSessionRelocateAndExchangePhases(t *testing.T) {
 	if s.phase != PhaseRefineGlobals {
 		t.Fatalf("after exchange-locals: %s", s.phase)
 	}
-	if !s.anyContinue {
-		t.Error("continue flag lost")
+	if s.peersChanged != 1 {
+		t.Errorf("%d peers changed, want 1: the continue flag is lost or miscounted", s.peersChanged)
 	}
 	// The outgoing exchange carries peer 1's clusters only.
 	<-tr.Recv(1) // drop the phase-1 broadcast
@@ -214,7 +214,7 @@ func TestSessionTerminatesWhenAllDone(t *testing.T) {
 	for s.phase != PhaseExchangeLocals {
 		st.phase(t)
 	}
-	s.changed, s.anyContinue = false, false // force local stability
+	s.changed, s.peersChanged = false, 0 // force local stability
 	if err := tr.Send(1, 0, LocalRepsMsg{From: 1, Round: 0, Flag: FlagDone}); err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,8 @@ func (s *session) install(st *SessionState) error {
 	for _, fp := range st.SeenStates {
 		s.seenStates[fp] = struct{}{}
 	}
-	s.changed, s.bySender, s.anyContinue, s.early = false, nil, false, nil
+	s.prevGlobal = make([]*txn.Transaction, s.k)
+	s.changed, s.bySender, s.peersChanged, s.early = false, nil, 0, nil
 	s.pendGlobal, s.pendLocal = map[int][]GlobalRepsMsg{}, map[int][]LocalRepsMsg{}
 	s.phase = PhaseBroadcastGlobals
 	return nil

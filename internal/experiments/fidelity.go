@@ -50,17 +50,19 @@ type Spread struct {
 
 // LedgerRun is one run of a cell: its seed and f, and what it scored.
 type LedgerRun struct {
-	Seed    int64   `json:"seed"`
-	FKnob   float64 `json:"f_knob"`
-	F       float64 `json:"f"`
-	Purity  float64 `json:"purity"`
-	NMI     float64 `json:"nmi"`
-	Trash   float64 `json:"trash"`
-	Rounds  int     `json:"rounds"`
-	Capped  bool    `json:"capped"`
-	Msgs    int64   `json:"msgs"`
-	FRandom float64 `json:"f_random"`
-	FSingle float64 `json:"f_single"`
+	Seed   int64   `json:"seed"`
+	FKnob  float64 `json:"f_knob"`
+	F      float64 `json:"f"`
+	Purity float64 `json:"purity"`
+	NMI    float64 `json:"nmi"`
+	Trash  float64 `json:"trash"`
+	Rounds int     `json:"rounds"`
+	Capped bool    `json:"capped"`
+	// ChangedTail is RunResult.ChangedTail: a capped run's last rounds.
+	ChangedTail []RoundChange `json:"changed_tail,omitempty"`
+	Msgs        int64         `json:"msgs"`
+	FRandom     float64       `json:"f_random"`
+	FSingle     float64       `json:"f_single"`
 }
 
 // settingKeys names the three settings in the ledger.
@@ -111,6 +113,7 @@ func ledgerCell(spec RunSpec, fs []float64, seeds []int64) (LedgerCell, error) {
 			runs = append(runs, LedgerRun{
 				Seed: seed, FKnob: f, F: r.F, Purity: r.Purity, NMI: r.NMI, Trash: r.Trash,
 				Rounds: r.Rounds, Capped: r.Capped == 1, Msgs: r.Msgs, FRandom: r.FRandom, FSingle: r.FSingle,
+				ChangedTail: r.ChangedTail,
 			})
 		}
 	}

@@ -97,6 +97,9 @@ type RunResult struct {
 	// Capped counts the runs core.Result.Capped calls capped, of the Runs
 	// averaged (1 for Execute).
 	Capped, Runs int
+	// ChangedTail holds, for a capped run of Execute, what changed in each
+	// of its last 5 rounds (nil otherwise).
+	ChangedTail []RoundChange
 	// FMin, FMax, TrashMin and TrashMax bound F and Trash over the Runs
 	// averaged (the run's own values for Execute).
 	FMin, FMax, TrashMin, TrashMax float64
@@ -105,6 +108,17 @@ type RunResult struct {
 	// the single-cluster partition.
 	FRandom, FSingle float64
 }
+
+// RoundChange is what changed in one round: how many peers sent
+// FlagContinue and how many global representatives differ from the
+// previous round's (core.Event's PeersChanged and GlobalsChanged).
+type RoundChange struct {
+	Peers   int `json:"peers"`
+	Globals int `json:"globals"`
+}
+
+// tailRounds is how many of a capped run's last rounds ChangedTail keeps.
+const tailRounds = 5
 
 // corpusKey caches prepared corpora across runs: corpus construction and
 // ttf.itf weighting are deterministic in these fields.
@@ -208,12 +222,18 @@ func ExecuteCtx(ctx context.Context, spec RunSpec) (RunResult, error) {
 		part = core.EqualPartition(n, spec.Peers, spec.Seed)
 	}
 
+	var changed []RoundChange // peer 0's round ends; every peer reports the same
 	res, err := core.Run(ctx, cx, pc.corpus, core.Options{
 		K: k, Params: cx.Params, Peers: spec.Peers, Partition: part,
 		Seed: spec.Seed, Rule: spec.Rule, Workers: spec.Workers, MaxRounds: spec.maxRounds,
 		SerializeCompute: true,
 		Fast:             false, // the reference engine: timings follow the paper's cost model
 		PKMeans:          spec.Algorithm == PK,
+		Observer: func(ev core.Event) {
+			if ev.Kind == core.EventRoundEnd && ev.Peer == 0 {
+				changed = append(changed, RoundChange{Peers: ev.PeersChanged, Globals: ev.GlobalsChanged})
+			}
+		},
 	})
 	if err != nil {
 		return RunResult{}, err
@@ -233,7 +253,7 @@ func ExecuteCtx(ctx context.Context, spec RunSpec) (RunResult, error) {
 	}
 	f, trash := cont.FMeasure(), eval.TrashFraction(pc.labels, res.Assign)
 	fRandom, fSingle := floors(pc.labels, k, spec.Seed)
-	return RunResult{
+	r := RunResult{
 		FRandom:   fRandom,
 		FSingle:   fSingle,
 		F:         f,
@@ -260,7 +280,11 @@ func ExecuteCtx(ctx context.Context, spec RunSpec) (RunResult, error) {
 		CacheHits: cx.Counters.CacheHits.Load(),
 		PathSims:  cx.Counters.PathSims.Load(),
 		Mallocs:   memAfter.Mallocs - memBefore.Mallocs,
-	}, nil
+	}
+	if res.Capped {
+		r.ChangedTail = changed[max(0, len(changed)-tailRounds):]
+	}
+	return r, nil
 }
 
 // floors scores the random and the single-cluster partition of labels.

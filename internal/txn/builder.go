@@ -52,7 +52,7 @@ func (in *interner) transactions(c *Corpus, res tuple.Result, doc, label int) []
 		for _, i := range tt {
 			if byLeaf[i] == 0 {
 				lf := res.Leaves[i]
-				byLeaf[i] = c.Items.internLocked(itemKey{path: in.path(c, lf.Path), answer: lf.Answer}) + 1
+				byLeaf[i] = c.Items.internLocked(in.path(c, lf.Path), lf.Answer) + 1
 			}
 		}
 	}
@@ -190,7 +190,8 @@ func (b *Builder) AddTuples(res tuple.Result, label int) {
 		b.c.TruncatedDocs++
 	}
 	start := len(b.c.Transactions)
-	b.c.Transactions = append(b.c.Transactions, b.intern.transactions(b.c, res, docID, label)...)
+	trs := b.intern.transactions(b.c, res, docID, label)
+	b.c.Transactions = append(grow(b.c.Transactions, len(trs)), trs...)
 	for _, s := range b.sinks {
 		s.ObserveDoc(docID, b.c.Transactions[start:])
 	}

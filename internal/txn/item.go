@@ -24,7 +24,12 @@
 // in, so path and item ids do not depend on the shortcut. A document's
 // leaves are resolved under one write lock of the ItemTable, and its
 // transactions and their item ids are allocated as one block each, the
-// Items spans capacity-clamped like Load's.
+// Items spans capacity-clamped like Load's. The index behind interning is
+// two-level: the complete path id picks a map, and that map is keyed by the
+// answer alone, so a lookup hashes one string and no struct. Columns that
+// grow by an item or a document at a time double their capacity when full
+// (grow): what a build allocates for one is then about twice its final size,
+// where append's quarter steps allocate five times it.
 package txn
 
 import (
@@ -72,13 +77,12 @@ func (i *Item) Flatten() []ItemID {
 	return i.Constituents
 }
 
-type itemKey struct {
-	path   xmltree.PathID
-	answer string
-}
-
 // ItemTable interns items by (complete path, answer). It is safe for
 // concurrent use: peers conflate representative items concurrently.
+//
+// The index is one map per complete path, from answer to id, in a slice
+// indexed by path id; a path no item uses yet has no map. The columns grow
+// by doubling.
 //
 // Besides the canonical *Item records the table maintains two parallel
 // columns — tag paths and TCU vectors indexed by id — so the similarity
@@ -92,8 +96,8 @@ type ItemTable struct {
 	paths *xmltree.PathTable
 
 	mu      sync.RWMutex
-	byKey   map[itemKey]ItemID
-	columns // the table's own rows, from id base on
+	byPath  []map[string]ItemID // by complete path id: answer → id
+	columns                     // the table's own rows, from id base on
 	// A stage's parent and base, and the parent's rows below base as they
 	// were at (re)stage time; zero for a table that is not a stage.
 	parent *ItemTable
@@ -134,7 +138,7 @@ func (it *ItemTable) rlock(ids []ItemID) bool {
 
 // NewItemTable creates an empty table bound to a path table.
 func NewItemTable(paths *xmltree.PathTable) *ItemTable {
-	return &ItemTable{paths: paths, byKey: make(map[itemKey]ItemID)}
+	return &ItemTable{paths: paths}
 }
 
 // Paths returns the bound path table.
@@ -142,58 +146,83 @@ func (it *ItemTable) Paths() *xmltree.PathTable { return it.paths }
 
 // Intern returns the id of the item ⟨path, answer⟩, registering it if new.
 func (it *ItemTable) Intern(path xmltree.PathID, answer string) ItemID {
-	key := itemKey{path: path, answer: answer}
 	it.mu.RLock()
-	id, ok := it.byKey[key]
+	id, ok := it.find(path, answer)
 	it.mu.RUnlock()
 	if ok {
 		return id
 	}
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	return it.internLocked(key)
+	return it.internLocked(path, answer)
+}
+
+// find looks ⟨path, answer⟩ up in the table's own index, under its lock.
+func (it *ItemTable) find(path xmltree.PathID, answer string) (ItemID, bool) {
+	if int(path) >= len(it.byPath) {
+		return 0, false
+	}
+	id, ok := it.byPath[path][answer]
+	return id, ok
 }
 
 // internLocked is Intern under the write lock. The lock order is ItemTable
 // before PathTable: a new item looks up its tag path with the lock held.
-func (it *ItemTable) internLocked(key itemKey) ItemID {
-	if id, ok := it.byKey[key]; ok {
+func (it *ItemTable) internLocked(path xmltree.PathID, answer string) ItemID {
+	if id, ok := it.find(path, answer); ok {
 		return id
 	}
-	return it.add(&Item{Path: key.path, Answer: key.answer})
+	return it.add(&Item{Path: path, Answer: answer})
 }
 
 // add registers a new item under the write lock: it assigns the id and the
-// tag path and extends the columns.
+// tag path, extends the columns and indexes the item under its path.
 func (it *ItemTable) add(item *Item) ItemID {
 	item.ID = it.base + ItemID(len(it.items))
 	item.TagPath = it.paths.TagPath(item.Path)
-	it.items = append(it.items, item)
-	it.tagPaths = append(it.tagPaths, item.TagPath)
-	it.vecs = append(it.vecs, item.Vector)
-	it.byKey[itemKey{path: item.Path, answer: item.Answer}] = item.ID
+	it.items = append(grow(it.items, 1), item)
+	it.tagPaths = append(grow(it.tagPaths, 1), item.TagPath)
+	it.vecs = append(grow(it.vecs, 1), item.Vector)
+	if n := int(item.Path) + 1; n > len(it.byPath) {
+		it.byPath = append(it.byPath, make([]map[string]ItemID, n-len(it.byPath))...)
+	}
+	m := it.byPath[item.Path]
+	if m == nil {
+		m = make(map[string]ItemID)
+		it.byPath[item.Path] = m
+	}
+	m[item.Answer] = item.ID
 	return item.ID
+}
+
+// grow returns s with room for n more elements. A full slice doubles its
+// capacity, where append would grow a long one by a quarter.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n > cap(s) {
+		s = append(make([]T, 0, max(2*cap(s), len(s)+n, 16)), s...)
+	}
+	return s
 }
 
 // Lookup returns the id of the item ⟨path, answer⟩ if it is interned.
 func (it *ItemTable) Lookup(path xmltree.PathID, answer string) (ItemID, bool) {
-	key := itemKey{path: path, answer: answer}
-	if id, ok := it.inParent(key); ok {
+	if id, ok := it.inParent(path, answer); ok {
 		return id, true
 	}
 	it.mu.RLock()
-	id, ok := it.byKey[key]
+	id, ok := it.find(path, answer)
 	it.mu.RUnlock()
 	return id, ok
 }
 
-// inParent looks key up in a stage's parent. An id at or above the base,
-// interned by another job since, is not the stage's: its row was not captured.
-func (it *ItemTable) inParent(key itemKey) (ItemID, bool) {
+// inParent looks ⟨path, answer⟩ up in a stage's parent. An id at or above the
+// base, interned by another job since, is not the stage's: its row was not
+// captured.
+func (it *ItemTable) inParent(path xmltree.PathID, answer string) (ItemID, bool) {
 	if it.parent == nil {
 		return 0, false
 	}
-	id, ok := it.parent.Lookup(key.path, key.answer)
+	id, ok := it.parent.Lookup(path, answer)
 	return id, ok && id < it.base
 }
 
@@ -201,13 +230,12 @@ func (it *ItemTable) inParent(key itemKey) (ItemID, bool) {
 // its raw constituent decomposition. The answer must already be the
 // canonical merged-answer key so equal conflations intern to equal ids.
 func (it *ItemTable) InternSynthetic(path xmltree.PathID, answer string, vec vector.Sparse, constituents []ItemID) ItemID {
-	key := itemKey{path: path, answer: answer}
-	if id, ok := it.inParent(key); ok {
+	if id, ok := it.inParent(path, answer); ok {
 		return id
 	}
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	if id, ok := it.byKey[key]; ok {
+	if id, ok := it.find(path, answer); ok {
 		return id
 	}
 	return it.add(&Item{
@@ -305,7 +333,7 @@ func (it *ItemTable) SetVector(id ItemID, v vector.Sparse) {
 // based, without its lock: synthetic interning only appends to a table, and
 // a corpus does not change while it is clustered.
 func (it *ItemTable) Stage() *ItemTable {
-	st := &ItemTable{paths: it.paths, byKey: make(map[itemKey]ItemID), parent: it}
+	st := &ItemTable{paths: it.paths, parent: it}
 	st.Restage()
 	return st
 }
@@ -319,7 +347,9 @@ func (it *ItemTable) Restage() {
 	it.mu.Lock()
 	defer it.mu.Unlock()
 	it.below, it.base = below, ItemID(len(below.items))
-	clear(it.byKey)
+	for _, m := range it.byPath {
+		clear(m) // in place: the next round stages about as many items
+	}
 	clear(it.items) // drop the adopted items
 	it.items, it.tagPaths, it.vecs = it.items[:0], it.tagPaths[:0], it.vecs[:0]
 }
@@ -334,7 +364,7 @@ func (it *ItemTable) Base() ItemID { return it.base }
 func (it *ItemTable) Adopt(item *Item) ItemID {
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	if id, ok := it.byKey[itemKey{path: item.Path, answer: item.Answer}]; ok {
+	if id, ok := it.find(item.Path, item.Answer); ok {
 		return id
 	}
 	return it.add(item)

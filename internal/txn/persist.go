@@ -356,9 +356,9 @@ func i32at(col []byte, i int) int { return int(int32(le.Uint32(col[4*i:]))) }
 // ⟨path, answer⟩ pair is listed twice; the tag path of every complete path is
 // in the path table. What Load allocates does not grow with the number of
 // items or transactions, the groups of the maps it sizes up front aside. The
-// two maps are filled on one helper goroutine beside the decoding of the
-// vectors, constituents and transactions; Load waits for it before it
-// returns, success or not.
+// term map and the item index are filled on one helper goroutine beside the
+// decoding of the vectors, constituents and transactions; Load waits for it
+// before it returns, success or not.
 func Load(r io.Reader) (*Corpus, error) {
 	var head [8]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
@@ -403,19 +403,39 @@ func Load(r io.Reader) (*Corpus, error) {
 	for i := range c.Terms.terms {
 		c.Terms.terms[i] = str(i)
 	}
-	// A helper fills the two maps while this goroutine decodes the rest. It
-	// reads the terms and, once the item table is sent, the items' ID, Path
-	// and Answer, which nothing writes after the send.
+	// A helper fills the term map and the item index while this goroutine
+	// decodes the rest. It reads the terms and, once the item table is sent,
+	// the items' ID, Path and Answer, which nothing writes after the send. It
+	// counts the items of each path first, so every path's map is allocated
+	// once at its size, and then the inserts that add a pair: a pair listed
+	// twice adds one.
 	tables := make(chan *ItemTable, 1)
 	helped := make(chan struct{})
+	indexed := 0
 	go func() {
 		defer close(helped)
 		for i, term := range c.Terms.terms {
 			c.Terms.byStr[term] = int32(i)
 		}
-		if t := <-tables; t != nil {
-			for _, it := range t.items {
-				t.byKey[itemKey{path: it.Path, answer: it.Answer}] = it.ID
+		t := <-tables
+		if t == nil {
+			return
+		}
+		perPath := make([]int, nPaths)
+		for _, item := range t.items {
+			perPath[item.Path]++
+		}
+		t.byPath = make([]map[string]ItemID, nPaths)
+		for p, n := range perPath {
+			if n > 0 {
+				t.byPath[p] = make(map[string]ItemID, n)
+			}
+		}
+		for _, item := range t.items {
+			m := t.byPath[item.Path]
+			n := len(m)
+			if m[item.Answer] = item.ID; len(m) > n {
+				indexed++
 			}
 		}
 	}()
@@ -428,7 +448,7 @@ func Load(r io.Reader) (*Corpus, error) {
 	if len(c.Terms.byStr) != nTerms {
 		return nil, corrupt("term table lists a term twice")
 	}
-	if len(c.Items.byKey) != nItems {
+	if indexed != nItems {
 		return nil, corrupt("item table lists a ⟨path, answer⟩ pair twice")
 	}
 	return c, nil
@@ -445,7 +465,7 @@ func (c *Corpus) loadItems(br *blockReader, tagOf []xmltree.PathID, nItems, nTxn
 		return br.err
 	}
 	slab := make([]Item, nItems)
-	c.Items = &ItemTable{paths: c.Paths, byKey: make(map[itemKey]ItemID, nItems), columns: columns{items: make([]*Item, nItems),
+	c.Items = &ItemTable{paths: c.Paths, columns: columns{items: make([]*Item, nItems),
 		tagPaths: make([]xmltree.PathID, nItems), vecs: make([]vector.Sparse, nItems)}}
 	for i := range slab {
 		p := u32at(pathIDs, i)

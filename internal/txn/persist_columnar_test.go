@@ -447,9 +447,9 @@ func TestLoadedCorpusGrowsSafely(t *testing.T) {
 	walkCorpus(again)
 }
 
-// TestLoadHelperLeavesNoGoroutine: Load fills its two maps on a helper
-// goroutine and waits for it on every return. A duplicate term and a
-// duplicate ⟨path, answer⟩ pair, which only the helper's maps reveal, and
+// TestLoadHelperLeavesNoGoroutine: Load fills its term map and item index on
+// a helper goroutine and waits for it on every return. A duplicate term and
+// a duplicate ⟨path, answer⟩ pair, which only the helper's maps reveal, and
 // every block damaged or cut short after the helper started fail with
 // ErrCorruptCorpus, and no failure leaves a goroutine behind.
 func TestLoadHelperLeavesNoGoroutine(t *testing.T) {

@@ -79,9 +79,19 @@ func TestPersistRoundtrip(t *testing.T) {
 	if len(bs.Constituents) != 2 || bs.Constituents[0] != 0 || bs.Constituents[1] != 1 {
 		t.Fatalf("synthetic constituents = %v", bs.Constituents)
 	}
-	// Interning identity: re-interning an existing pair yields the old id.
-	if got := back.Items.Intern(it0.Path, it0.Answer); got != 0 {
-		t.Errorf("re-intern gave %d, want 0", got)
+	// Interning identity: every pair is found and re-interns to its id; a
+	// new answer, and a first item under a path the file did not index,
+	// get the next ids.
+	n := c.Items.Len()
+	for id := ItemID(0); int(id) < n; id++ {
+		it := c.Items.Get(id)
+		if got, ok := back.Items.Lookup(it.Path, it.Answer); !ok || got != id || back.Items.Intern(it.Path, it.Answer) != id {
+			t.Errorf("item %d found as %d, %v after Load", id, got, ok)
+		}
+	}
+	fresh := back.Paths.Intern(xmltree.ParsePath("dblp.new.S"))
+	if a, b := back.Items.Intern(it0.Path, "no item's answer"), back.Items.Intern(fresh, "x"); a != ItemID(n) || b != ItemID(n+1) {
+		t.Errorf("new items after Load got %d and %d, want %d and %d", a, b, n, n+1)
 	}
 }
 

@@ -95,13 +95,18 @@ func TestStageRestageRebases(t *testing.T) {
 	key := MergedAnswerKey([]string{"x", "v"})
 	staged := st.InternSynthetic(p, key, vector.Sparse{}, raw)
 	adopted := tab.Adopt(st.Get(staged))
-	late := tab.Intern(p, "u") // the parent grew again
+	q := tab.Paths().Intern(xmltree.ParsePath("a.c.S"))
+	st.InternSynthetic(q, key, vector.Sparse{}, raw) // staged, never adopted
+	late := tab.Intern(p, "u")                       // the parent grew again
 	st.Restage()
 	if st.Base() != ItemID(tab.Len()) || st.Len() != tab.Len() {
 		t.Fatalf("restaged base %d len %d, parent %d", st.Base(), st.Len(), tab.Len())
 	}
 	if id, ok := st.Lookup(p, key); !ok || id != adopted {
 		t.Errorf("Lookup of the adopted key = %d, %v; want %d", id, ok, adopted)
+	}
+	if id, ok := st.Lookup(q, key); ok {
+		t.Errorf("Lookup of a key staged before the restage and not adopted = %d", id)
 	}
 	if st.Get(late) != tab.Get(late) || st.Get(adopted) != tab.Get(adopted) {
 		t.Error("rows the parent gained before the restage do not read through")

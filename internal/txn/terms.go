@@ -29,7 +29,7 @@ func (tt *TermTable) Intern(term string) int32 {
 		return id
 	}
 	id = int32(len(tt.terms))
-	tt.terms = append(tt.terms, term)
+	tt.terms = append(grow(tt.terms, 1), term)
 	tt.byStr[term] = id
 	return id
 }

@@ -72,10 +72,15 @@ func TestPaperSharedItems(t *testing.T) {
 	}
 }
 
+// TestItemTableInternSemantics also checks the two levels of the index: an
+// answer under two paths is two items, and a path id nothing was indexed
+// under yet — one the path table holds, or one past every indexed path —
+// finds nothing until an item is interned under it.
 func TestItemTableInternSemantics(t *testing.T) {
 	paths := xmltree.NewPathTable()
 	items := NewItemTable(paths)
 	p := paths.Intern(xmltree.ParsePath("a.b.S"))
+	q := paths.Intern(xmltree.ParsePath("a.c.S"))
 	id1 := items.Intern(p, "hello")
 	id2 := items.Intern(p, "hello")
 	id3 := items.Intern(p, "world")
@@ -84,6 +89,21 @@ func TestItemTableInternSemantics(t *testing.T) {
 	}
 	if id1 == id3 {
 		t.Errorf("different answers share id")
+	}
+	if idq := items.Intern(q, "hello"); idq == id1 || idq == id3 || items.Intern(q, "hello") != idq {
+		t.Errorf("hello under a second path interned as %d (under the first: %d)", idq, id1)
+	}
+	if id, ok := items.Lookup(q, "world"); ok {
+		t.Errorf("Lookup(q, world) = %d: world was interned under p only", id)
+	}
+	unused := paths.Intern(xmltree.ParsePath("a.d.S"))
+	for _, path := range []xmltree.PathID{unused, unused + 100} {
+		if id, ok := items.Lookup(path, "hello"); ok {
+			t.Errorf("Lookup on path %d, with nothing under it, = %d", path, id)
+		}
+	}
+	if id := items.Intern(unused, "hello"); id != 3 || items.Len() != 4 {
+		t.Errorf("first item under a new path: id %d of %d items, want 3 of 4", id, items.Len())
 	}
 	it := items.Get(id1)
 	if it.Answer != "hello" || it.Path != p {

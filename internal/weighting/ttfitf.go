@@ -32,6 +32,7 @@
 // slices; the per-tuple and per-document counters n_{j,τ} and n_{j,XT} are
 // term-indexed arrays that each pass counts up and then counts back down to
 // zero; the items of the current document are marked by an epoch stamp.
+// The item- and term-indexed slices double their capacity when they fill.
 // Folding a document therefore costs its (item, term) occurrences and
 // touches no map. The one map left maps a raw token to its term id, so that
 // the stopword test, the stemmer and the term table are consulted once per
@@ -140,9 +141,9 @@ func (a *Accumulator) termOf(tok []byte) int32 {
 	if term, ok := textproc.Term(word); ok {
 		t = a.c.Terms.Intern(term)
 		for n := a.c.Terms.Len(); len(a.njT) < n; {
-			a.njT = append(a.njT, 0)
-			a.njTau = append(a.njTau, 0)
-			a.njXT = append(a.njXT, 0)
+			a.njT = append(grow(a.njT, 1), 0)
+			a.njTau = append(grow(a.njTau, 1), 0)
+			a.njXT = append(grow(a.njXT, 1), 0)
 		}
 	}
 	a.tokenTerm[word] = t
@@ -153,6 +154,10 @@ func (a *Accumulator) termOf(tok []byte) int32 {
 // last call, preprocessing their answers and interning their terms.
 func (a *Accumulator) syncItems() {
 	n := a.c.Items.Len()
+	if k := n - len(a.itemTerms); k > 0 {
+		a.itemTerms, a.itemTF, a.accCtx = grow(a.itemTerms, k), grow(a.itemTF, k), grow(a.accCtx, k)
+		a.accN, a.docSeen = grow(a.accN, k), grow(a.docSeen, k)
+	}
 	for id := len(a.itemTerms); id < n; id++ {
 		terms, tf := a.terms[:0], a.tf[:0]
 		// njTau doubles as this answer's slot table: position+1 of a term
@@ -184,6 +189,17 @@ func (a *Accumulator) syncItems() {
 		a.accN = append(a.accN, 0)
 		a.docSeen = append(a.docSeen, 0)
 	}
+}
+
+// grow returns s with room for n more elements. A full slice doubles its
+// capacity, where append would grow a long one by a quarter: the per-item
+// and per-term columns grow a few entries per document, and each quarter
+// step would copy them whole.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n > cap(s) {
+		s = append(make([]T, 0, max(2*cap(s), len(s)+n, 16)), s...)
+	}
+	return s
 }
 
 // ObserveDoc folds one completed document into the accumulator: trs must be
