@@ -37,10 +37,21 @@ const batchBytes = 64 << 10
 
 // batchesPerWorker is how many batches per worker may be in flight between
 // the source and the merge: two, so that a worker finishing early finds the
-// next batch waiting. Raw XML in flight is therefore at most
+// next batch waiting. A tar archive's batches are read into batch buffers of
+// batchBytes, no more buffers than batches in flight, which go back on a
+// free list once their batch is extracted; an entry larger than a buffer is
+// a batch of its own, in bytes of its own. Raw XML held, the idle buffers on
+// the free list included, is therefore at most
 // batchesPerWorker × workers × (batchBytes + the largest document), whatever
 // the size of the corpus.
 const batchesPerWorker = 2
+
+// batch is a run of consecutive documents, and the buffer that holds the raw
+// XML of those of them read from a tar archive (nil for other sources).
+type batch struct {
+	docs []*Document
+	buf  []byte
+}
 
 // Stats describes one streaming ingestion run.
 type Stats struct {
@@ -102,22 +113,20 @@ func Build(src Source, opts Options) (*txn.Corpus, Stats, error) {
 	b.Observe(acc)
 
 	workers := parallel.Resolve(opts.Workers)
+	window := batchesPerWorker * workers
+	// free is the list of idle batch buffers. A buffer is made only when the
+	// list is empty and put back only once its batch is extracted, so there
+	// are never more buffers than batches in flight, and a put never blocks.
+	free := make(chan []byte, window)
 	var queued atomic.Int64 // extracted documents not yet merged
 	peak := 0               // its maximum, which it reaches just before some merge
 	start := time.Now()
-	_, err := parallel.OrderedStream(workers, batchesPerWorker*workers,
-		func() ([]*Document, bool, error) { return nextBatch(src) },
-		func(_ int, batch []*Document) ([]extracted, error) {
-			out := make([]extracted, len(batch))
-			for i, d := range batch {
-				res, err := d.extract(opts.Tuple)
-				if err != nil {
-					return nil, fmt.Errorf("corpus: %s: %w", d.Name, err)
-				}
-				out[i] = extracted{res: res, label: d.Label}
-			}
+	_, err := parallel.OrderedStream(workers, window,
+		func() (batch, bool, error) { return nextBatch(src, free) },
+		func(_ int, in batch) ([]extracted, error) {
+			out, err := extractBatch(in, opts.Tuple, free)
 			queued.Add(int64(len(out)))
-			return out, nil
+			return out, err
 		},
 		func(_ int, batch []extracted) error {
 			peak = max(peak, int(queued.Load()))
@@ -152,26 +161,51 @@ func Build(src Source, opts Options) (*txn.Corpus, Stats, error) {
 
 // nextBatch pulls the next run of consecutive documents off src: it ends
 // once it holds batchBytes of raw XML, or with a document whose size is not
-// known before a worker opens it.
-func nextBatch(src Source) (batch []*Document, ok bool, err error) {
+// known before a worker opens it. A tar archive's entries are read into a
+// batch buffer from free, and the batch ends when the next does not fit.
+func nextBatch(src Source, free chan []byte) (b batch, ok bool, err error) {
+	ts, _ := src.(*tarSource)
 	for size := 0; size < batchBytes; {
-		d, err := src.Next()
-		if err == io.EOF {
+		var d *Document
+		if ts != nil {
+			d, b.buf, err = ts.next(b.buf, free)
+		} else {
+			d, err = src.Next()
+		}
+		if err == io.EOF || err == errBatchFull {
 			break
 		}
 		if err != nil {
-			return nil, false, err
+			return batch{}, false, err
 		}
 		if d == nil {
-			return nil, false, fmt.Errorf("corpus: source yielded a nil document")
+			return batch{}, false, fmt.Errorf("corpus: source yielded a nil document")
 		}
-		batch = append(batch, d)
+		b.docs = append(b.docs, d)
 		if d.Data == nil {
 			break
 		}
 		size += len(d.Data)
 	}
-	return batch, len(batch) > 0, nil
+	return b, len(b.docs) > 0, nil
+}
+
+// extractBatch extracts the documents of a batch, then puts its buffer back
+// on free: the tuples copied what they keep, so the source may fill it
+// again. A batch that fails keeps its buffer.
+func extractBatch(in batch, opts tuple.Options, free chan<- []byte) ([]extracted, error) {
+	out := make([]extracted, len(in.docs))
+	for i, d := range in.docs {
+		res, err := d.extract(opts)
+		if err != nil {
+			return nil, fmt.Errorf("corpus: %s: %w", d.Name, err)
+		}
+		out[i] = extracted{res: res, label: d.Label}
+	}
+	if in.buf != nil {
+		free <- in.buf[:0]
+	}
+	return out, nil
 }
 
 // extract returns the tuples of the document: the source's tree walked, or

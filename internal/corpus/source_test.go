@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"xmlclust/internal/tuple"
 	"xmlclust/internal/xmltree"
 )
 
@@ -193,62 +194,128 @@ func TestTarSourcePlainAndGzip(t *testing.T) {
 	}
 }
 
+// tarReads are the two ways the tar source reads an entry: Next, into bytes
+// of its own, and the batch-buffer path Build takes, onto the end of a batch
+// buffer from a free list, where an entry that does not fit what is left of
+// the buffer starts the next one. No buffer goes back on the list here: the
+// documents read are checked after the last.
+var tarReads = []struct {
+	name string
+	read func(src Source) func() (*Document, error)
+}{
+	{"Next", func(src Source) func() (*Document, error) { return src.Next }},
+	{"batch buffer", func(src Source) func() (*Document, error) {
+		free, buf := make(chan []byte, 1), []byte(nil)
+		return func() (d *Document, err error) {
+			if d, buf, err = src.(*tarSource).next(buf, free); err == errBatchFull {
+				d, buf, err = src.(*tarSource).next(nil, free)
+			}
+			return d, err
+		}
+	}},
+}
+
 // TestTarEntryBuffering covers the two per-document constants of the tar
-// path: an entry is read whole whether or not it fits the buffer its header
-// sized (empty, small, larger than the preallocation cap, and cut short by
-// a damaged archive), and the document hands out those bytes themselves —
-// even an empty entry is Data, not a document of unknown size.
+// path, on both ways it reads: an entry is read whole whether or not it fits
+// the bytes its header sized (empty, small, larger than the preallocation
+// cap, filling most of a batch buffer, not fitting what is left of it, and
+// cut short by a damaged archive), and the document hands out those bytes
+// themselves — even an empty entry is Data, not a document of unknown size —
+// with no capacity past them, so no entry overwrites another.
 func TestTarEntryBuffering(t *testing.T) {
 	big := "<a>" + strings.Repeat("x", maxEntryPrealloc+12345) + "</a>"
-	entries := map[string]string{"big.xml": big, "empty.xml": "", "small.xml": "<s>v</s>"}
+	most := "<m>" + strings.Repeat("y", batchBytes-12) + "</m>" // leaves 5 bytes of a batch buffer
+	names := []string{"big.xml", "empty.xml", "most.xml", "small.xml"}
+	entries := map[string]string{"big.xml": big, "empty.xml": "", "most.xml": most, "small.xml": "<s>v</s>"}
 	data := makeTar(t, false, entries)
-	src, err := Tar(bytes.NewReader(data), "t.tar")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	for _, name := range []string{"big.xml", "empty.xml", "small.xml"} {
-		d, err := src.Next()
+	for _, r := range tarReads {
+		src, err := Tar(bytes.NewReader(data), "t.tar")
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		if d.Data == nil || string(d.Data) != entries[name] {
-			t.Fatalf("%s: Data holds %d bytes (nil: %v), want %d", name, len(d.Data), d.Data == nil, len(entries[name]))
+		next := r.read(src)
+		var docs []*Document
+		for _, name := range names {
+			d, err := next()
+			if err != nil {
+				t.Fatalf("%s: %s: %v", r.name, name, err)
+			}
+			docs = append(docs, d)
 		}
-	}
-	if _, err := src.Next(); err != io.EOF {
-		t.Fatalf("after the last entry: %v, want io.EOF", err)
-	}
+		if _, err := next(); err != io.EOF {
+			t.Fatalf("%s: after the last entry: %v, want io.EOF", r.name, err)
+		}
+		src.Close()
+		for i, d := range docs {
+			if want := entries[names[i]]; d.Data == nil || string(d.Data) != want {
+				t.Fatalf("%s: %s: Data holds %d bytes (nil: %v), want %d", r.name, names[i], len(d.Data), d.Data == nil, len(want))
+			}
+			if len(d.Data) <= maxEntryPrealloc && cap(d.Data) != len(d.Data) {
+				t.Fatalf("%s: %s: Data has capacity %d past its %d bytes", r.name, names[i], cap(d.Data), len(d.Data))
+			}
+		}
 
-	// The archive ends in the middle of big.xml: an error, not a short document.
-	cut, err := Tar(bytes.NewReader(data[:len(data)/2]), "cut.tar")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cut.Close()
-	if d, err := cut.Next(); err == nil || err == io.EOF {
-		t.Fatalf("truncated archive yielded %v, %v", d, err)
+		// The archive ends in the middle of big.xml: an error naming it, not a short document.
+		cut, err := Tar(bytes.NewReader(data[:len(data)/2]), "cut.tar")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, err := r.read(cut)(); err == nil || !strings.Contains(err.Error(), "tar entry big.xml") {
+			t.Fatalf("%s: truncated archive yielded %v, %v", r.name, d, err)
+		}
+		cut.Close()
 	}
 }
 
 // TestTarSmallEntryCutShort: an entry under the preallocation cap is read
-// into exactly the bytes its header declares, so an archive that ends inside
-// it must be an error naming the entry — not a document padded with zeros.
+// into exactly the bytes its header declares — its own or a batch buffer's —
+// so an archive that ends inside it must be an error naming the entry, not a
+// document padded with zeros.
 func TestTarSmallEntryCutShort(t *testing.T) {
 	doc := "<s>" + strings.Repeat("v", 600) + "</s>"
 	data := makeTar(t, false, map[string]string{"first.xml": "<f/>", "small.xml": doc})
-	// first.xml: a header and one padded block; small.xml's header; then 100 of its bytes.
-	src, err := Tar(bytes.NewReader(data[:3*512+100]), "cut.tar")
-	if err != nil {
-		t.Fatal(err)
+	for _, r := range tarReads {
+		// first.xml: a header and one padded block; small.xml's header; then 100 of its bytes.
+		src, err := Tar(bytes.NewReader(data[:3*512+100]), "cut.tar")
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := r.read(src)
+		if d, err := next(); err != nil || string(d.Data) != "<f/>" || cap(d.Data) != len(d.Data) {
+			t.Fatalf("%s: the entry before the cut: %v, %v", r.name, d, err)
+		}
+		d, err := next()
+		if err == nil || err == io.EOF || !strings.Contains(err.Error(), "tar entry small.xml") {
+			t.Fatalf("%s: an entry cut short yielded %v, %v", r.name, d, err)
+		}
+		src.Close()
 	}
-	defer src.Close()
-	if d, err := src.Next(); err != nil || string(d.Data) != "<f/>" || cap(d.Data) != len(d.Data) {
-		t.Fatalf("the entry before the cut: %v, %v", d, err)
+}
+
+// TestBatchBufferRecycledAfterExtraction: a worker puts its batch buffer
+// back on the free list, emptied, only once every document of the batch is
+// extracted. The batch's last document is opened while it is extracted, and
+// it looks at the list then.
+func TestBatchBufferRecycledAfterExtraction(t *testing.T) {
+	const doc = "<r><a>kept</a></r>"
+	buf := append(make([]byte, 0, batchBytes), doc...)
+	free := make(chan []byte, 1)
+	early := false
+	in := batch{buf: buf, docs: []*Document{
+		{Name: "read.xml", Label: -1, Data: buf[:len(doc):len(doc)]},
+		{Name: "opened.xml", Label: -1, Open: func() (io.ReadCloser, error) {
+			early = len(free) > 0
+			return io.NopCloser(strings.NewReader(doc)), nil
+		}},
+	}}
+	if out, err := extractBatch(in, tuple.Options{}, free); err != nil || len(out) != 2 {
+		t.Fatalf("the batch extracted %d documents, %v", len(out), err)
 	}
-	d, err := src.Next()
-	if err == nil || err == io.EOF || !strings.Contains(err.Error(), "tar entry small.xml") {
-		t.Fatalf("an entry cut short yielded %v, %v", d, err)
+	if early {
+		t.Fatal("the batch buffer was back on the free list while its batch was being extracted")
+	}
+	if b := <-free; len(b) != 0 || cap(b) != batchBytes {
+		t.Fatalf("the free list got back %d bytes of a buffer of %d", len(b), cap(b))
 	}
 }
 

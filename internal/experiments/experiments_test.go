@@ -460,10 +460,10 @@ func TestCostModelReportsFailedFit(t *testing.T) {
 }
 
 // TestFidelityLedgerRegenerates reruns the committed FIDELITY.json on DBLP
-// and Shakespeare at m ∈ {1, 3} over its first two seeds: every run must
-// equal the committed run of the same cell and seed, and every cell summary
-// must be the one its committed runs give. The whole ledger is regenerated
-// and diffed in CI (cxkbench -exp fidelity).
+// and Shakespeare at m ∈ {1, 3}, and their content controls, over its first
+// two seeds: every run must equal the committed run of the same cell and
+// seed, and every cell summary must be the one its committed runs give. The
+// whole ledger is regenerated and diffed in CI (cxkbench -exp fidelity).
 func TestFidelityLedgerRegenerates(t *testing.T) {
 	raw, err := os.ReadFile("../../FIDELITY.json")
 	if err != nil {
@@ -477,8 +477,14 @@ func TestFidelityLedgerRegenerates(t *testing.T) {
 		t.Fatalf("ledger of scale %q, seeds %v; want %q, %v", committed.Scale, committed.Seeds, QuickScale().Name, FidelitySeeds)
 	}
 	cells := map[string]LedgerCell{}
-	for _, c := range committed.Cells {
-		key := fmt.Sprintf("%s/%s/%d", c.Setting, c.Dataset, c.M)
+	keyOf := func(c LedgerCell, control bool) string {
+		if control {
+			return fmt.Sprintf("control/%s/%s", c.Setting, c.Dataset)
+		}
+		return fmt.Sprintf("%s/%s/%d", c.Setting, c.Dataset, c.M)
+	}
+	for i, c := range append(slices.Clone(committed.Cells), committed.ContentControl...) {
+		key := keyOf(c, i >= len(committed.Cells))
 		cells[key] = c
 		summary := summarize(c.Dataset, c.M, c.Runs)
 		summary.Setting = c.Setting
@@ -491,8 +497,8 @@ func TestFidelityLedgerRegenerates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range got.Cells {
-		key := fmt.Sprintf("%s/%s/%d", c.Setting, c.Dataset, c.M)
+	for i, c := range append(slices.Clone(got.Cells), got.ContentControl...) {
+		key := keyOf(c, i >= len(got.Cells))
 		want, ok := cells[key]
 		if !ok {
 			t.Errorf("cell %s is not in the committed ledger", key)
@@ -508,7 +514,7 @@ func TestFidelityLedgerRegenerates(t *testing.T) {
 			t.Errorf("cell %s: runs\n%+v\nwant the committed\n%+v", key, c.Runs, runs)
 		}
 	}
-	if len(got.Cells) != 12 {
-		t.Errorf("regenerated %d cells, want 12", len(got.Cells))
+	if len(got.Cells) != 12 || len(got.ContentControl) != 2 {
+		t.Errorf("regenerated %d cells and %d controls, want 12 and 2", len(got.Cells), len(got.ContentControl))
 	}
 }

@@ -14,12 +14,16 @@ var FidelitySeeds = []int64{17, 29, 43, 59, 71}
 
 // Ledger is the fidelity ledger, FIDELITY.json: Table 1 (data split
 // equally) on the reference engine, every run of every cell recorded, with
-// each cell's summary beside its runs. Every number in it is deterministic,
-// so a regenerated ledger equals the committed one byte for byte.
+// each cell's summary beside its runs, and then the controls the cells are
+// read against. Every number in it is deterministic, so a regenerated ledger
+// equals the committed one byte for byte.
 type Ledger struct {
 	Scale string       `json:"scale"`
 	Seeds []int64      `json:"seeds"`
 	Cells []LedgerCell `json:"cells"`
+	// ContentControl is control (a), content only (contentControl), one
+	// cell per content-labelled dataset, at m = 1.
+	ContentControl []LedgerCell `json:"control_content"`
 }
 
 // LedgerCell is one (setting, dataset, m) cell of Table 1: the spread of
@@ -95,6 +99,25 @@ func Fidelity(scale Scale, datasets []string, ms []int, seeds []int64) (*Ledger,
 				l.Cells = append(l.Cells, cell)
 			}
 		}
+	}
+	for _, ds := range TableDatasets(ContentDriven.Kind) {
+		if len(datasets) > 0 && !slices.Contains(datasets, ds) {
+			continue
+		}
+		var runs []LedgerRun
+		for _, seed := range seeds {
+			r, err := contentControl(RunSpec{
+				Dataset: ds, Kind: ContentDriven.Kind, Workers: scale.Workers,
+				Docs: scale.Docs[ds], MaxTuples: scale.MaxTuples, Seed: seed,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("fidelity content control %s: %w", ds, err)
+			}
+			runs = append(runs, r)
+		}
+		cell := summarize(ds, 1, runs)
+		cell.Setting = "content"
+		l.ContentControl = append(l.ContentControl, cell)
 	}
 	return l, nil
 }

@@ -59,15 +59,84 @@ var (
 // skew ("unsupported corpus format", not wrapped) and plain I/O with errors.Is.
 var ErrCorruptCorpus = errors.New("corrupt corpus stream")
 
-// blockWriter encodes one block at a time into one buffer and writes it.
+// saveWindow is the most of the corpus file Save holds at once: every block
+// streams through one window of this size, however long the block is.
+const saveWindow = 64 << 10
+
+// blockWriter streams blocks through one fixed window. Each block's length
+// is written from the counting pass ahead of its payload, so the payload is
+// never held whole: whenever the window fills, its first saveWindow bytes are
+// written, and the block's running checksum takes the payload among them.
 type blockWriter struct {
-	w   io.Writer
-	buf []byte // 8 bytes kept for the length, then the open block's payload
-	err error  // the first failure; later blocks are not written
+	w       io.Writer
+	lengths []int  // every block's length as counted
+	block   int    // the open block's index into lengths (−1 before the first)
+	buf     []byte // the window: bytes not written yet, fewer than saveWindow between calls
+	from    int    // where the open block's payload starts in buf (0 once some of it is written)
+	sent    int    // the open block's payload bytes already written
+	crc     uint32 // CRC-32C of the open block's payload already written
+	err     error  // the first failure; nothing is written after it
 }
 
-func (bw *blockWriter) u32(v int)    { bw.buf = le.AppendUint32(bw.buf, uint32(v)) }
-func (bw *blockWriter) u64(v uint64) { bw.buf = le.AppendUint64(bw.buf, v) }
+func (bw *blockWriter) u32(v int) {
+	if bw.buf = le.AppendUint32(bw.buf, uint32(v)); len(bw.buf) >= saveWindow {
+		bw.spill()
+	}
+}
+
+func (bw *blockWriter) u64(v uint64) {
+	if bw.buf = le.AppendUint64(bw.buf, v); len(bw.buf) >= saveWindow {
+		bw.spill()
+	}
+}
+
+// text appends s a window's room at a time, so a long string never grows it.
+func (bw *blockWriter) text(s string) {
+	for len(s) > 0 {
+		k := min(len(s), saveWindow-len(bw.buf))
+		bw.buf = append(bw.buf, s[:k]...)
+		s = s[k:]
+		bw.spill()
+	}
+}
+
+// spill writes the window's first saveWindow bytes once it holds them, and
+// keeps the few that ran past.
+func (bw *blockWriter) spill() {
+	if len(bw.buf) < saveWindow {
+		return
+	}
+	bw.crc = crc32.Update(bw.crc, castagnoli, bw.buf[bw.from:saveWindow])
+	bw.sent += saveWindow - bw.from
+	bw.from = 0
+	bw.write(bw.buf[:saveWindow])
+	bw.buf = bw.buf[:copy(bw.buf, bw.buf[saveWindow:])]
+}
+
+func (bw *blockWriter) write(b []byte) {
+	if bw.err == nil {
+		_, bw.err = bw.w.Write(b)
+	}
+}
+
+// end closes the open block, if any, with its checksum, and opens the next
+// one by its counted length. A block that streamed other than its counted
+// length would make the file unreadable: Save fails instead.
+func (bw *blockWriter) end() {
+	if bw.block >= 0 {
+		bw.crc = crc32.Update(bw.crc, castagnoli, bw.buf[bw.from:])
+		if n, want := bw.sent+len(bw.buf)-bw.from, bw.lengths[bw.block]; n != want && bw.err == nil {
+			bw.err = fmt.Errorf("block %d streamed %d bytes where %d were counted", bw.block, n, want)
+		}
+		crc := bw.crc
+		bw.from = len(bw.buf) // the checksum is not payload
+		bw.u32(int(crc))
+	}
+	if bw.block++; bw.block < len(bw.lengths) {
+		bw.u64(uint64(bw.lengths[bw.block]))
+		bw.from, bw.sent, bw.crc = len(bw.buf), 0, 0
+	}
+}
 
 // u32s appends a column of n values.
 func (bw *blockWriter) u32s(n int, at func(i int) int) {
@@ -87,7 +156,7 @@ func (bw *blockWriter) offsets(n int, length func(i int) int) {
 func (bw *blockWriter) strings(n int, at func(i int) string) {
 	bw.offsets(n, func(i int) int { return len(at(i)) })
 	for i := 0; i < n; i++ {
-		bw.buf = append(bw.buf, at(i)...)
+		bw.text(at(i))
 	}
 }
 
@@ -99,17 +168,6 @@ func (bw *blockWriter) ids(n int, of func(i int) []ItemID) {
 			bw.u32(int(id))
 		}
 	}
-}
-
-// end frames the open block — length in front, checksum behind — and writes it.
-func (bw *blockWriter) end() {
-	payload := bw.buf[8:]
-	le.PutUint64(bw.buf, uint64(len(payload)))
-	bw.u32(int(crc32.Checksum(payload, castagnoli)))
-	if bw.err == nil {
-		_, bw.err = bw.w.Write(bw.buf)
-	}
-	bw.buf = bw.buf[:8]
 }
 
 // fits reports whether a column of n entries, or an arena of n positions, is
@@ -125,8 +183,10 @@ func fits(column string, n int) error {
 // done once and reused across clustering runs. Every block is derived from
 // the tables and Transactions, so a corpus saves the same bytes however it
 // was assembled — built, loaded or written as a literal. A counting pass
-// sizes every block first: one buffer, as long as the longest, takes them in
-// turn, and nothing is allocated per item or per transaction.
+// sizes every block first, so each block's length is written ahead of its
+// payload, which streams through one fixed window of saveWindow bytes with a
+// running checksum: however large the corpus, Save holds at most that window
+// of the file, and nothing is allocated per item or per transaction.
 func (c *Corpus) Save(w io.Writer) error {
 	c.Items.mu.RLock()
 	items := c.Items.items
@@ -170,12 +230,12 @@ func (c *Corpus) Save(w io.Writer) error {
 		stream += 8 + size + 4
 	}
 	if g, ok := w.(interface{ Grow(n int) }); ok {
-		g.Grow(stream) // a buffer in memory grows once, not block by block
+		g.Grow(stream) // a buffer in memory grows once, not window by window
 	}
-	bw := blockWriter{w: w, buf: make([]byte, 0, 8+longest+4)}
+	bw := blockWriter{w: w, lengths: sizes[:], block: -1, buf: make([]byte, 0, min(stream, saveWindow)+8)}
 	bw.buf = append(bw.buf, persistMagic...)
 	bw.u32(persistFormat)
-	_, bw.err = w.Write(bw.buf) // the header: as long as the length field whose place it takes
+	bw.end() // opens the first block
 
 	for _, v := range [...]int{len(paths), len(terms), n, nt, c.TruncatedDocs, c.MaxDepth, min(longest, math.MaxInt32)} {
 		bw.u64(uint64(v))
@@ -192,6 +252,7 @@ func (c *Corpus) Save(w io.Writer) error {
 		if it.Synthetic {
 			bw.buf[len(bw.buf)-1] = 1
 		}
+		bw.spill()
 	}
 	bw.strings(n, func(i int) string { return items[i].Answer })
 	bw.end()
@@ -216,6 +277,7 @@ func (c *Corpus) Save(w io.Writer) error {
 	bw.u32s(nt, func(i int) int { return txns[i].Label })
 	bw.ids(nt, span)
 	bw.end()
+	bw.write(bw.buf)
 	if bw.err != nil {
 		return fmt.Errorf("txn: save corpus: %w", bw.err)
 	}

@@ -222,3 +222,68 @@ func TestPersistPreservesMaxDepthAndTruncation(t *testing.T) {
 		t.Errorf("metadata lost: %+v", back)
 	}
 }
+
+// windowWriter records the Writes Save makes, and fails the k-th (k > 0).
+type windowWriter struct {
+	k, calls, largest int
+	got               bytes.Buffer
+}
+
+var errWriteFails = errors.New("the write fails")
+
+func (w *windowWriter) Write(p []byte) (int, error) {
+	w.calls++
+	w.largest = max(w.largest, len(p))
+	if w.calls == w.k {
+		return 0, errWriteFails
+	}
+	return w.got.Write(p)
+}
+
+// TestSaveStreamsThroughWindow: Save holds one window of the file, not its
+// longest block. Through a writer that records its Writes, none is longer
+// than the window, and the bytes are a bytes.Buffer's save. Through a writer
+// that fails its k-th Write, for every k the save makes — the writes tile
+// the stream, so each block boundary falls in one of them — Save returns
+// that error and writes nothing after it. A block that streams other than
+// its counted length fails the save.
+func TestSaveStreamsThroughWindow(t *testing.T) {
+	long, err := xmltree.ParseString("<doc><title>" + strings.Repeat("long ", saveWindow/4) + "</title></doc>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Build(append(builderTestTrees(t, 2000), long), BuildOptions{})
+	want := savedStream(t, c)
+	roundtrip(t, c)
+	_, starts := splitBlocks(t, want)
+	windows := map[int]bool{}
+	for _, at := range starts {
+		windows[at/saveWindow] = true
+	}
+	if len(windows) < 4 {
+		t.Fatalf("the %d block boundaries fall in %d windows of the stream, want at least 4", len(starts), len(windows))
+	}
+
+	var rec windowWriter
+	if err := c.Save(&rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.largest > saveWindow || !bytes.Equal(rec.got.Bytes(), want) {
+		t.Fatalf("Save wrote %d bytes in Writes of up to %d, want the %d of a buffer's save in Writes of up to %d",
+			rec.got.Len(), rec.largest, len(want), saveWindow)
+	}
+	for k := 1; k <= rec.calls; k++ {
+		w := windowWriter{k: k}
+		if err := c.Save(&w); !errors.Is(err, errWriteFails) || w.calls != k || !bytes.HasPrefix(want, w.got.Bytes()) {
+			t.Fatalf("write %d of %d fails: Save returned %v after %d writes", k, rec.calls, err, w.calls)
+		}
+	}
+
+	bw := blockWriter{w: &rec, lengths: []int{8}, block: -1}
+	bw.end()
+	bw.u32(1)
+	bw.end()
+	if bw.err == nil || !strings.Contains(bw.err.Error(), "block 0 streamed 4 bytes where 8 were counted") {
+		t.Fatalf("a block 4 bytes short of its count: %v", bw.err)
+	}
+}
