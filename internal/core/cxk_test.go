@@ -573,31 +573,6 @@ func BenchmarkCXKRunM3(b *testing.B) {
 	}
 }
 
-// TestRunUnderMessageDelays shakes out ordering assumptions: stepped
-// sessions under random interleavings of delivery and compute, where round
-// messages reach peers still in the round before, must end where Run ends,
-// in the same rounds with the same assignment (aggregation is per-sender
-// slotted, so arrival order is immaterial).
-func TestRunUnderMessageDelays(t *testing.T) {
-	gen, _ := dataset.ByName("DBLP")
-	corpus := gen(dataset.Spec{Docs: 30, Seed: 29}).BuildCorpus(dataset.ByHybrid, 8, 1)
-	const k, m, seed = 5, 3, 4
-	want := runCXKDelta(t, sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6}), corpus, k, m, seed, 1, false)
-	opts := Options{
-		K: k, Params: sim.Params{F: 0.5, Gamma: 0.6}, Peers: m, Seed: seed, Workers: 1,
-		Partition: EqualPartition(len(corpus.Transactions), m, seed),
-	}
-	for schedule := int64(1); schedule <= 10; schedule++ {
-		peers, _ := interleave(t, corpus, opts, schedule)
-		if got := peers[0].s.rounds; got != want.Rounds {
-			t.Errorf("schedule %d changed the round count: %d vs %d", schedule, got, want.Rounds)
-		}
-		if !slices.Equal(peers[0].s.final, want.Assign) {
-			t.Errorf("schedule %d changed the assignment", schedule)
-		}
-	}
-}
-
 // ---------------------------------------------------------------- Workers
 
 func runWorkers(t testing.TB, cx *sim.Context, corpus *txn.Corpus, k, m int, seed int64, workers int, pk bool) *Result {

@@ -116,11 +116,11 @@
 //
 // Message reordering. A peer may run one phase ahead of a slow neighbour;
 // every round message goes through accept, which buffers it per (round,
-// type) until its phase collects it, and a member's AssignMsg that
-// overtakes the coordinator's final round is placed whenever it arrives.
-// The protocol therefore tolerates any interleaving a FIFO-per-pair
-// transport can produce; TestLockstepMatchesRun runs Run's machines under
-// random delivery orders and ends where Run's fixed order ends.
+// type) until its phase collects it and refuses a second from one sender,
+// and a member's AssignMsg that overtakes the coordinator's final round is
+// placed whenever it arrives. TestExploreSchedules tries every order on 11
+// transactions (CXK, PK and the fabric; k, m ∈ {2, 3}; one fault a path at
+// m = 2): each ends with Run's result and events, or with a typed error.
 //
 // Untrusted numbers. Frames arrive from a TCP port anyone on the host can
 // dial, and the session indexes with what they say. accept therefore vets

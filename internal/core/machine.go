@@ -98,8 +98,9 @@ type session struct {
 	globalsChanged int
 
 	// Reordering buffers: peers may run ahead by one phase, so messages are
-	// buffered per (round, type) once accept has vetted and accounted them.
-	// Round messages that overtake the StartMsg wait in early.
+	// buffered per (round, type) once accept has vetted and accounted them;
+	// a taken one keeps its header there, so a second is refused. Round
+	// messages that overtake the StartMsg wait in early.
 	early      []p2p.Envelope
 	pendGlobal map[int][]GlobalRepsMsg
 	pendLocal  map[int][]LocalRepsMsg
@@ -446,13 +447,13 @@ func (s *session) collect() error {
 	case s.phase == PhaseBroadcastGlobals:
 		for ; s.received < s.m-1; s.received++ {
 			q := s.pendGlobal[s.round]
-			if len(q) == 0 {
+			if len(q) == s.received {
 				return nil
 			}
-			s.pendGlobal[s.round] = q[1:]
-			for j, w := range q[0].Reps {
+			for j, w := range q[s.received].Reps {
 				s.global[j] = fromWire(s.items, w)
 			}
+			q[s.received].Reps = nil // taken: the header stays to refuse a copy
 		}
 		s.globalsChanged = cluster.RepsChanged(s.global, s.prevGlobal)
 		s.prevGlobal = append(s.prevGlobal[:0], s.global...)
@@ -463,14 +464,14 @@ func (s *session) collect() error {
 	case s.phase == PhaseExchangeLocals:
 		for ; s.received < s.m-1; s.received++ {
 			q := s.pendLocal[s.round]
-			if len(q) == 0 {
+			if len(q) == s.received {
 				return nil
 			}
-			s.pendLocal[s.round] = q[1:]
-			if q[0].Flag == FlagContinue {
+			if q[s.received].Flag == FlagContinue {
 				s.peersChanged++
 			}
-			s.bySender[q[0].From] = q[0]
+			s.bySender[q[s.received].From] = q[s.received]
+			q[s.received].Reps = nil
 		}
 		s.emit(EventRepsExchanged, s.round, 0)
 		if s.peersChanged == 0 {
@@ -556,9 +557,10 @@ func (s *session) arm(startup bool) { s.out = append(s.out, armTimer{startup}) }
 // its phase or was held back until the StartMsg: the numbers it claims are
 // vetted against the session's dimensions before anything is grown or
 // indexed by them (frames arrive from a port anyone on the host can dial),
-// it is accounted to its round, and it is buffered under (type, round). A
-// member's final AssignMsg is vetted and placed instead (onAssign). A
-// violation fails the session with ErrUnexpectedMessage.
+// it is accounted to its round, and it is buffered under (type, round), one
+// per sender and epoch. A member's final AssignMsg is vetted and placed
+// instead (onAssign). A violation fails the session with
+// ErrUnexpectedMessage.
 func (s *session) accept(env p2p.Envelope) error {
 	nItems := s.items.Len()
 	var round int
@@ -573,6 +575,9 @@ func (s *session) accept(env p2p.Envelope) error {
 			}
 		}
 		round = msg.Round
+		if slices.ContainsFunc(s.pendGlobal[round], func(q GlobalRepsMsg) bool { return q.From == msg.From }) {
+			return fmt.Errorf("%w: a second GlobalRepsMsg from peer %d in round %d", ErrUnexpectedMessage, msg.From, round)
+		}
 		s.pendGlobal[round] = append(s.pendGlobal[round], msg)
 	case LocalRepsMsg:
 		if err := CheckHeader(env, msg.From, msg.Round, s.m, s.maxRounds); err != nil {
@@ -588,6 +593,9 @@ func (s *session) accept(env p2p.Envelope) error {
 			}
 		}
 		round = msg.Round
+		if slices.ContainsFunc(s.pendLocal[round], func(q LocalRepsMsg) bool { return q.From == msg.From }) {
+			return fmt.Errorf("%w: a second LocalRepsMsg from peer %d in round %d", ErrUnexpectedMessage, msg.From, round)
+		}
 		s.pendLocal[round] = append(s.pendLocal[round], msg)
 	case AssignMsg:
 		return s.onAssign(env, msg)

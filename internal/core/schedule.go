@@ -51,10 +51,6 @@ type scheduler struct {
 	links   [][]p2p.Envelope // sender*m + receiver
 	held    []*compute       // per peer: the compute request it waits on
 	results []*PeerResult    // per peer, once done
-	// pick chooses the next link to deliver from among the non-empty ones,
-	// in ascending order; nil takes the first. Tests use it to explore other
-	// delivery orders.
-	pick func(ready []int) int
 }
 
 func newScheduler(ctx context.Context, cx *sim.Context, corpus *txn.Corpus, opts Options) *scheduler {
@@ -142,21 +138,10 @@ func (r *scheduler) drain() error {
 	}
 }
 
-// next returns the link to deliver from, or -1 if every queue is empty.
+// next returns the lowest link with a queued envelope, or -1 if every queue
+// is empty.
 func (r *scheduler) next() int {
-	if r.pick == nil {
-		return slices.IndexFunc(r.links, func(q []p2p.Envelope) bool { return len(q) > 0 })
-	}
-	var ready []int
-	for l, q := range r.links {
-		if len(q) > 0 {
-			ready = append(ready, l)
-		}
-	}
-	if len(ready) == 0 {
-		return -1
-	}
-	return r.pick(ready)
+	return slices.IndexFunc(r.links, func(q []p2p.Envelope) bool { return len(q) > 0 })
 }
 
 // wave runs the held compute requests — inline when there is one, one at a

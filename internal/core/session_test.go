@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"xmlclust/internal/cluster"
-	"xmlclust/internal/dataset"
 	"xmlclust/internal/p2p"
 	"xmlclust/internal/sim"
 	"xmlclust/internal/txn"
@@ -33,6 +32,99 @@ func testDriver(corpus *txn.Corpus, opts Options, id int) (*driver, []any) {
 func runSession(ctx context.Context, corpus *txn.Corpus, opts Options, id int) (*PeerResult, error) {
 	d, outs := testDriver(corpus, opts, id)
 	return d.run(ctx, outs)
+}
+
+// stepper drives one session machine on the test goroutine through the
+// driver's own compute, with neither transport nor clock: sends are
+// recorded, a compute request is held until advance answers it, and an
+// armed timer is flagged.
+type stepper struct {
+	*driver
+	sent  []send
+	held  any
+	armed bool
+	done  bool
+	err   error
+}
+
+func newStepper(corpus *txn.Corpus, opts Options, id int) *stepper {
+	d, outs := testDriver(corpus, opts, id)
+	st := &stepper{driver: d}
+	st.take(outs)
+	return st
+}
+
+func (st *stepper) take(outs []any) {
+	for _, o := range outs {
+		switch o := o.(type) {
+		case send:
+			st.sent = append(st.sent, o)
+		case armTimer:
+			st.armed = true
+		case compute:
+			st.held = o
+		case done:
+			st.done, st.err = true, o.err
+		}
+	}
+}
+
+// deliver steps the machine with one envelope.
+func (st *stepper) deliver(env p2p.Envelope) { st.take(st.s.Step(env)) }
+
+// got delivers payload from peer from, stamped with the machine's epoch.
+func (st *stepper) got(from int, payload any) {
+	st.deliver(p2p.Envelope{From: from, To: st.s.id, Epoch: st.s.epoch, Payload: payload})
+}
+
+// advance answers the held request; it reports whether one was held.
+func (st *stepper) advance(t testing.TB) bool {
+	h, ok := st.held.(compute)
+	if !ok {
+		return false
+	}
+	st.held = nil
+	if err := st.compute(context.Background(), h); err != nil {
+		t.Fatal(err)
+	}
+	st.take(st.s.Step(st.in))
+	return true
+}
+
+// phase runs st through its current phase: held requests are answered, sends
+// go out over the peer's transport, and envelopes queued there are delivered
+// one at a time, until the phase changes or the session ends. A session that
+// would block fails the test.
+func (st *stepper) phase(t testing.TB) {
+	t.Helper()
+	from := st.s.phase
+	for !st.done && st.s.phase == from {
+		if st.advance(t) {
+			continue
+		}
+		st.flush(t)
+		select {
+		case env := <-st.opts.Transport.Recv(st.s.id):
+			st.deliver(env)
+		default:
+			t.Fatalf("peer %d would block in %s", st.s.id, st.s.phase)
+		}
+	}
+	st.flush(t)
+	if st.err != nil {
+		t.Fatal(st.err)
+	}
+}
+
+// flush hands the recorded sends to the driver, which transmits and
+// accounts them.
+func (st *stepper) flush(t testing.TB) {
+	for _, o := range st.sent {
+		if err := st.send(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.sent = nil
 }
 
 // ---------------------------------------------------------------- phases
@@ -353,88 +445,6 @@ func TestCoordinatorVetsReports(t *testing.T) {
 	}
 }
 
-// TestSessionStartupBuffersEarlyMessages reproduces a real-network race:
-// on separate TCP connections a fast neighbour's round-0 broadcast (or even
-// its final AssignMsg) can overtake the coordinator's StartMsg. The
-// startup phase must buffer, not reject: the buffered broadcast must feed
-// phase 1 afterwards — and count as received in its round like any other
-// (the per-round counts are inputs of Result.SimulatedTime) — and the report
-// counts toward the coordinator's collection.
-func TestSessionStartupBuffersEarlyMessages(t *testing.T) {
-	corpus, _ := miniCorpus(t, 4)
-	tr := p2p.NewChanTransport(2)
-	defer tr.Close()
-	part := EqualPartition(len(corpus.Transactions), 2, 1)
-	st := newStepper(corpus, testOpts(tr, part), 0)
-	s := st.s
-	rep := toWire(corpus.Items, corpus.Transactions[part[1][0]])
-	// The neighbour's broadcast and its assignment report arrive first.
-	early := GlobalRepsMsg{From: 1, Round: 0, Reps: map[int]WireTxn{1: rep}}
-	if err := tr.Send(1, 0, early); err != nil {
-		t.Fatal(err)
-	}
-	report := slices.Repeat([]int{1}, len(part[1]))
-	if err := tr.Send(1, 0, AssignMsg{From: 1, Assign: report}); err != nil {
-		t.Fatal(err)
-	}
-	// Phase 1 must complete from the buffer alone — no further messages.
-	st.phase(t)
-	if s.phase != PhaseRelocate || s.global[1] == nil {
-		t.Fatalf("buffered broadcast not consumed: phase=%s", s.phase)
-	}
-	if !s.reported[1] || s.final[part[1][0]] != 1 {
-		t.Fatalf("early AssignMsg not collected: reported %v", s.reported)
-	}
-	if msgs, bytes := s.report.RecvMsgsByRound[0], s.report.RecvBytesByRound[0]; msgs != 1 || bytes != Sizer(corpus.Items)(early) {
-		t.Errorf("the broadcast that overtook the StartMsg is accounted as %d messages / %d B in round 0, want 1 / %d",
-			msgs, bytes, Sizer(corpus.Items)(early))
-	}
-}
-
-// TestReceivedCountsMatchSentUnderDelays: in a 4-round, 3-peer run under
-// random interleavings of delivery and compute — round messages overtake the
-// coordinator's StartMsg and reach peers still in the round before — every
-// peer must account, round by round, exactly the messages the other two
-// sent it, and the fleet as many modeled bytes received as sent.
-func TestReceivedCountsMatchSentUnderDelays(t *testing.T) {
-	gen, _ := dataset.ByName("DBLP")
-	corpus := gen(dataset.Spec{Docs: 30, Seed: 29}).BuildCorpus(dataset.ByHybrid, 8, 1)
-	const m = 3
-	opts := Options{
-		K: 5, Params: sim.Params{F: 0.5, Gamma: 0.6}, Peers: m, Seed: 4, Workers: 1,
-		Partition: EqualPartition(len(corpus.Transactions), m, 4),
-	}
-	early := 0
-	for schedule := int64(1); schedule <= 20; schedule++ {
-		peers, e := interleave(t, corpus, opts, schedule)
-		early += e
-		for r := 0; r < peers[0].s.rounds; r++ {
-			var sentBytes, recvBytes int64
-			for i, p := range peers {
-				// The pattern is symmetric: a peer sends each of the others
-				// one GlobalRepsMsg and one LocalRepsMsg per round.
-				var want int64
-				for h, q := range peers {
-					if h != i {
-						want += q.s.report.SentMsgsByRound[r] / (m - 1)
-					}
-				}
-				if got := p.s.report.RecvMsgsByRound[r]; got != want || want != 2*(m-1) {
-					t.Errorf("schedule %d round %d: peer %d accounted %d received messages, the others sent it %d", schedule, r, i, got, want)
-				}
-				sentBytes += p.s.report.SentBytesByRound[r]
-				recvBytes += p.s.report.RecvBytesByRound[r]
-			}
-			if sentBytes != recvBytes {
-				t.Errorf("schedule %d round %d: %d modeled bytes sent, %d received", schedule, r, sentBytes, recvBytes)
-			}
-		}
-	}
-	if early == 0 {
-		t.Fatal("no schedule delivered a round message to a peer still in an earlier round")
-	}
-}
-
 // TestSessionRejectsMalformedFrames: a frame's own numbers are used as
 // indices only after they are vetted. Each malformed round message — sent
 // before or after the StartMsg — must fail the session with
@@ -554,6 +564,25 @@ func TestSessionDeadPeerTimeout(t *testing.T) {
 			}
 		}
 		tr.Close()
+	}
+}
+
+// TestLockstepStallFiresTimer: a stepped peer left waiting for a neighbour
+// that never speaks has armed its timer, and fails with ErrRoundDeadline
+// when it fires.
+func TestLockstepStallFiresTimer(t *testing.T) {
+	corpus, _ := miniCorpus(t, 4)
+	part := EqualPartition(len(corpus.Transactions), 2, 1)
+	st := newStepper(corpus, testOpts(nil, part), 0)
+	st.got(0, st.s.start)
+	for st.advance(t) {
+	}
+	if !st.armed || st.done {
+		t.Fatalf("peer waits in %s without an armed timer", st.s.phase)
+	}
+	st.take(st.s.Step(timeout{}))
+	if !errors.Is(st.err, ErrRoundDeadline) {
+		t.Fatalf("want ErrRoundDeadline, got %v", st.err)
 	}
 }
 

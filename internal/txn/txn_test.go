@@ -291,3 +291,19 @@ func TestCorpusMaxDepth(t *testing.T) {
 		t.Errorf("MaxDepth = %d, want 4", c.MaxDepth)
 	}
 }
+
+// TestGrowDoubles: 65 536 appends one at a time from empty reallocate at
+// most 13 times, from 16 by doubling; growth by quarters would take dozens.
+func TestGrowDoubles(t *testing.T) {
+	var s []int32
+	reallocs := 0
+	for i := range 1 << 16 {
+		c := cap(s)
+		if s = append(grow(s, 1), int32(i)); cap(s) != c {
+			reallocs++
+		}
+	}
+	if reallocs > 13 {
+		t.Errorf("%d reallocations for %d appends, want at most 13", reallocs, len(s))
+	}
+}
