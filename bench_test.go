@@ -1,15 +1,13 @@
 package xmlclust
 
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section (Sect. 5), plus ablations of this implementation's own
-// choices. Each benchmark runs the corresponding experiment driver and
-// prints the same rows/series the paper reports, so that
-//
-//	go test -bench=. -benchmem
-//
-// regenerates the full evaluation. Sizes come from the "quick" profile by
-// default; set XMLCLUST_SCALE=paper for the paper-geometry profile (much
-// slower). README.md "Testing" lists this run beside the test suite.
+// Benchmark harness: the paper's timed figures (Sect. 5: Figs. 7–8), the
+// ablations of this implementation's own choices and the public API's
+// pipelines. Each experiment benchmark runs its driver and prints the series
+// the paper reports. The accuracy results (Tables 1–2, the γ tuning, the
+// return-rule readings) are deterministic, so they are no benchmark: they
+// live in FIDELITY.json, which `cxkbench -exp fidelity` regenerates. Sizes
+// come from the "quick" profile by default; set XMLCLUST_SCALE=paper for
+// the paper-geometry profile (much slower).
 
 import (
 	"context"
@@ -74,79 +72,6 @@ func BenchmarkFig7Shakespeare(b *testing.B) { benchFig7(b, "Shakespeare") }
 // BenchmarkFig7Wikipedia regenerates Fig. 7(d).
 func BenchmarkFig7Wikipedia(b *testing.B) { benchFig7(b, "Wikipedia") }
 
-// ---------------------------------------------------------------- Tables 1–2
-
-func benchTable(b *testing.B, setting experiments.Setting, unequal bool, key string) {
-	scale := benchScale()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AccuracyTable(setting, unequal, scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printBench(key, func() {
-			res.Write(os.Stdout)
-			loss := res.CentralizedLoss(scale.TableMs[len(scale.TableMs)-1])
-			for ds, l := range loss {
-				printBenchRowLoss(ds, l)
-			}
-		})
-		// Average F at m=1 and max m across datasets as summary metrics.
-		var f1, fm float64
-		var n1, nm int
-		maxM := scale.TableMs[len(scale.TableMs)-1]
-		for _, r := range res.Rows {
-			if r.M == 1 {
-				f1 += r.F
-				n1++
-			}
-			if r.M == maxM {
-				fm += r.F
-				nm++
-			}
-		}
-		if n1 > 0 {
-			b.ReportMetric(f1/float64(n1), "F/m=1")
-		}
-		if nm > 0 {
-			b.ReportMetric(fm/float64(nm), "F/m=max")
-		}
-	}
-}
-
-func printBenchRowLoss(ds string, loss float64) {
-	fmt.Printf("loss vs centralized at max m — %s: %+.3f\n", ds, loss)
-}
-
-// BenchmarkTable1a regenerates Table 1(a): content-driven, equal split.
-func BenchmarkTable1a(b *testing.B) {
-	benchTable(b, experiments.ContentDriven, false, "t1a")
-}
-
-// BenchmarkTable1b regenerates Table 1(b): structure/content-driven, equal split.
-func BenchmarkTable1b(b *testing.B) {
-	benchTable(b, experiments.HybridDriven, false, "t1b")
-}
-
-// BenchmarkTable1c regenerates Table 1(c): structure-driven, equal split.
-func BenchmarkTable1c(b *testing.B) {
-	benchTable(b, experiments.StructureDriven, false, "t1c")
-}
-
-// BenchmarkTable2a regenerates Table 2(a): content-driven, unequal split.
-func BenchmarkTable2a(b *testing.B) {
-	benchTable(b, experiments.ContentDriven, true, "t2a")
-}
-
-// BenchmarkTable2b regenerates Table 2(b): structure/content-driven, unequal split.
-func BenchmarkTable2b(b *testing.B) {
-	benchTable(b, experiments.HybridDriven, true, "t2b")
-}
-
-// BenchmarkTable2c regenerates Table 2(c): structure-driven, unequal split.
-func BenchmarkTable2c(b *testing.B) {
-	benchTable(b, experiments.StructureDriven, true, "t2c")
-}
-
 // ---------------------------------------------------------------- Fig. 8
 
 func benchFig8(b *testing.B, ds string) {
@@ -172,42 +97,6 @@ func BenchmarkFig8DBLP(b *testing.B) { benchFig8(b, "DBLP") }
 func BenchmarkFig8IEEE(b *testing.B) { benchFig8(b, "IEEE") }
 
 // ---------------------------------------------------------------- Ablations
-
-// BenchmarkAblationGamma reproduces the γ tuning protocol of Sect. 5.1 on
-// DBLP (hybrid setting, centralized).
-func BenchmarkAblationGamma(b *testing.B) {
-	scale := benchScale()
-	gammas := []float64{0.5, 0.6, 0.7, 0.8, 0.9}
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.GammaSweep("DBLP", dataset.ByHybrid, 0.5, gammas, scale, 17)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printBench("abl-gamma", func() { experiments.WriteGammaSweep(os.Stdout, "DBLP", pts) })
-		best := 0.0
-		for _, p := range pts {
-			if p.F > best {
-				best = p.F
-			}
-		}
-		b.ReportMetric(best, "best-F")
-	}
-}
-
-// BenchmarkAblationGenerateReturn compares the three readings of Fig. 6's
-// GenerateTreeTuple return value (cluster.ReturnRule).
-func BenchmarkAblationGenerateReturn(b *testing.B) {
-	scale := benchScale()
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.ReturnRuleAblation("DBLP", dataset.ByHybrid, scale, 17)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printBench("abl-rule", func() { experiments.WriteRuleAblation(os.Stdout, "DBLP", pts) })
-		b.ReportMetric(pts[0].F, "F-best-objective")
-		b.ReportMetric(pts[2].F, "F-fig6-literal")
-	}
-}
 
 // BenchmarkAblationPathCache measures the Sect. 4.3.2 tag-path pair cache.
 func BenchmarkAblationPathCache(b *testing.B) {

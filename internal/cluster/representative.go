@@ -74,7 +74,7 @@ import (
 // prose reading ("until the sum of pairwise similarities … cannot be
 // further maximized"): grow the representative up to the |trmax| size
 // bound and return the refinement with the maximum objective. The two
-// literal readings are kept for the ablation benchmark.
+// literal readings are kept for the fidelity ledger's rules section.
 type ReturnRule int
 
 const (

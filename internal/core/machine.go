@@ -77,13 +77,16 @@ type session struct {
 	rounds  int
 	capped  bool // stopped by maxRounds, not by convergence
 	report  PeerReport
-	// seenStates fingerprints past local-representative states. Fig. 5
-	// terminates on exact representative stability; greedy representative
-	// refinement can cycle through a short orbit of states instead of
-	// reaching a fixpoint, so a revisited state is treated as stable
-	// (guaranteeing termination without changing converged results). Under
-	// PK-means it holds the bits of past summed objectives, which can orbit
-	// for the same reason.
+	// seenStates fingerprints this peer's past local-representative states.
+	// Fig. 5 terminates on exact representative stability; greedy
+	// representative refinement can cycle through a short orbit of states
+	// instead of reaching a fixpoint, so a peer whose own locals revisit a
+	// state reports itself unchanged (a run whose every state is new ends as
+	// Fig. 5 says). It does not bound the run: maxRounds does. It is per
+	// peer, so a run can end with every peer's own locals revisiting an
+	// earlier state while the joint state (the globals and every peer's
+	// locals) never repeated. Under PK-means it holds the bits of past summed
+	// objectives, which can orbit for the same reason.
 	seenStates map[uint64]struct{}
 	// changed / bySender / peersChanged carry intermediate per-round state
 	// between the Relocate, ExchangeLocals and RefineGlobals phases;

@@ -769,16 +769,20 @@ func TestSessionConfigMismatch(t *testing.T) {
 
 // TestRunPeerSeedMismatchFails drives the config check through the full
 // distributed entry point: two RunPeer processes with different seeds must
-// not produce a result.
+// not produce a result. The peer that reports ErrConfigMismatch cancels the
+// shared context, as a deployment stops its other processes, so the other
+// peer does not sit out its round timeout.
 func TestRunPeerSeedMismatchFails(t *testing.T) {
 	corpus, _ := miniCorpus(t, 4)
 	tr := p2p.NewChanTransport(2)
 	defer tr.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	errc := make(chan error, 2)
 	for id, seed := range map[int]int64{0: 3, 1: 5} {
 		go func(id int, seed int64) {
 			cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.6})
-			_, err := runPeer(context.Background(), cx, corpus, Options{
+			_, err := runPeer(ctx, cx, corpus, Options{
 				K: 2, Params: cx.Params, Peers: 2,
 				Partition: EqualPartition(len(corpus.Transactions), 2, seed),
 				Seed:      seed, Transport: tr, RoundTimeout: 2 * time.Second,
@@ -794,6 +798,7 @@ func TestRunPeerSeedMismatchFails(t *testing.T) {
 		}
 		if errors.Is(err, ErrConfigMismatch) {
 			sawMismatch = true
+			cancel()
 		}
 	}
 	if !sawMismatch {

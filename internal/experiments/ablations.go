@@ -5,83 +5,8 @@ import (
 	"io"
 	"time"
 
-	"xmlclust/internal/cluster"
 	"xmlclust/internal/dataset"
 )
-
-// GammaPoint is one sample of the γ sensitivity sweep.
-type GammaPoint struct {
-	Gamma float64
-	F     float64
-	Trash float64
-}
-
-// GammaSweep reproduces the paper's γ tuning protocol (Sect. 5.1 varies γ
-// in [0.5, 1) with step 0.05; the sweep here uses 0.1 steps by default).
-func GammaSweep(ds string, kind dataset.ClassKind, f float64, gammas []float64, scale Scale, seed int64) ([]GammaPoint, error) {
-	var out []GammaPoint
-	for _, g := range gammas {
-		r, err := Execute(RunSpec{
-			Dataset: ds, Kind: kind, F: f, Gamma: g, Peers: 1, Workers: scale.Workers,
-			Docs: scale.Docs[ds], MaxTuples: scale.MaxTuples, Seed: seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("gamma sweep %s γ=%.2f: %w", ds, g, err)
-		}
-		out = append(out, GammaPoint{Gamma: g, F: r.F, Trash: r.Trash})
-	}
-	return out, nil
-}
-
-// WriteGammaSweep renders the sweep.
-func WriteGammaSweep(w io.Writer, ds string, pts []GammaPoint) {
-	fmt.Fprintf(w, "Ablation — γ sensitivity (%s, centralized)\n", ds)
-	fmt.Fprintf(w, "%8s %12s %8s\n", "γ", "F-measure", "trash")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%8.2f %12.3f %8.2f\n", p.Gamma, p.F, p.Trash)
-	}
-}
-
-// RulePoint compares the GenerateTreeTuple return readings.
-type RulePoint struct {
-	Rule  cluster.ReturnRule
-	Label string
-	F     float64
-	Trash float64
-}
-
-// ReturnRuleAblation compares the three readings of Fig. 6's return value
-// (cluster.ReturnRule).
-func ReturnRuleAblation(ds string, kind dataset.ClassKind, scale Scale, seed int64) ([]RulePoint, error) {
-	rules := []RulePoint{
-		{Rule: cluster.ReturnBestObjective, Label: "best-objective (default)"},
-		{Rule: cluster.ReturnLastImproving, Label: "last-improving (first decrease stops)"},
-		{Rule: cluster.ReturnPrevious, Label: "previous (Fig. 6 literal)"},
-	}
-	f := HybridDriven.Fs[0]
-	for i := range rules {
-		r, err := Execute(RunSpec{
-			Dataset: ds, Kind: kind, F: f, Gamma: BestGamma(ds, kind), Peers: 1,
-			Workers: scale.Workers,
-			Docs:    scale.Docs[ds], MaxTuples: scale.MaxTuples, Seed: seed,
-			Rule: rules[i].Rule,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("rule ablation %s: %w", rules[i].Label, err)
-		}
-		rules[i].F = r.F
-		rules[i].Trash = r.Trash
-	}
-	return rules, nil
-}
-
-// WriteRuleAblation renders the comparison.
-func WriteRuleAblation(w io.Writer, ds string, pts []RulePoint) {
-	fmt.Fprintf(w, "Ablation — GenerateTreeTuple return rule (%s, hybrid, centralized)\n", ds)
-	for _, p := range pts {
-		fmt.Fprintf(w, "%-40s F=%.3f trash=%.2f\n", p.Label, p.F, p.Trash)
-	}
-}
 
 // CachePoint compares runtimes with and without the tag-path pair cache.
 type CachePoint struct {

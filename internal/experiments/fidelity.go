@@ -5,18 +5,21 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
+
+	"xmlclust/internal/cluster"
 )
 
-// FidelitySeeds are the run seeds of the fidelity ledger: QuickScale's three
-// table seeds plus two.
+// FidelitySeeds are the run seeds of every ledger cell. Accuracy is more
+// initialization-sensitive than runtime, so the ledger averages more seeds
+// than Scale.Seeds (the paper averages 10 runs).
 var FidelitySeeds = []int64{17, 29, 43, 59, 71}
 
-// Ledger is the fidelity ledger, FIDELITY.json: Table 1 (data split
-// equally) on the reference engine, every run of every cell recorded, with
-// each cell's summary beside its runs, and then the controls the cells are
-// read against. Every number in it is deterministic, so a regenerated ledger
-// equals the committed one byte for byte.
+// Ledger is the fidelity ledger, FIDELITY.json: the paper's accuracy results
+// on the reference engine, every run of every cell recorded, with each
+// cell's summary beside its runs. Table 1 (data split equally) comes first,
+// then the controls and the other readings, each against a Table 1 cell.
+// Every number in it is deterministic, so a regenerated ledger equals the
+// committed one byte for byte.
 type Ledger struct {
 	Scale string       `json:"scale"`
 	Seeds []int64      `json:"seeds"`
@@ -24,15 +27,32 @@ type Ledger struct {
 	// ContentControl is control (a), content only (contentControl), one
 	// cell per content-labelled dataset, at m = 1.
 	ContentControl []LedgerCell `json:"control_content"`
+	// Unequal is Table 2, the data split unequally, at every m > 1: at
+	// m = 1 both splits give the one peer every transaction, so that row is
+	// Table 1's cell.
+	Unequal []LedgerCell `json:"cells_unequal"`
+	// Gamma is Sect. 5.1's γ tuning on Table 1's hybrid DBLP cell at m = 1,
+	// one cell per γ of gammaPoints; BestGamma's γ is that cell.
+	Gamma []LedgerCell `json:"gamma"`
+	// Rules reads Fig. 6's return value the two other ways (returnRules) on
+	// that cell, which is the default reading.
+	Rules []LedgerCell `json:"rules"`
+	// FControl is control (b): every Table 1 dataset and label kind at
+	// m = 1, with f = 0 (content through tree tuples) and f = 1 (structure
+	// only), at the kind's BestGamma.
+	FControl []LedgerCell `json:"control_f"`
 }
 
-// LedgerCell is one (setting, dataset, m) cell of Table 1: the spread of
+// LedgerCell is one cell of the ledger — a setting, a dataset and m, and
+// for the gamma and rules sections the γ or the rule — with the spread of
 // each quality measure over its runs, the mean rounds and messages, how many
 // runs hit the round cap, and the mean of the two floors.
 type LedgerCell struct {
 	Setting string      `json:"setting"`
 	Dataset string      `json:"dataset"`
 	M       int         `json:"m"`
+	Gamma   float64     `json:"gamma,omitempty"`
+	Rule    string      `json:"rule,omitempty"`
 	F       Spread      `json:"f"`
 	Purity  Spread      `json:"purity"`
 	NMI     Spread      `json:"nmi"`
@@ -69,82 +89,158 @@ type LedgerRun struct {
 	FSingle     float64       `json:"f_single"`
 }
 
+// The ledger's sections, in the order of Ledger.sections.
+const (
+	sectionCells = iota
+	sectionContentControl
+	sectionUnequal
+	sectionGamma
+	sectionRules
+	sectionFControl
+)
+
+func (l *Ledger) sections() []*[]LedgerCell {
+	return []*[]LedgerCell{&l.Cells, &l.ContentControl, &l.Unequal, &l.Gamma, &l.Rules, &l.FControl}
+}
+
 // settingKeys names the three settings in the ledger.
 var settingKeys = []struct {
 	key     string
 	setting Setting
 }{{"content", ContentDriven}, {"hybrid", HybridDriven}, {"structure", StructureDriven}}
 
-// Fidelity runs the ledger at scale over seeds, for the network sizes ms;
-// datasets, when non-empty, restricts it to those corpora.
-func Fidelity(scale Scale, datasets []string, ms []int, seeds []int64) (*Ledger, error) {
-	l := &Ledger{Scale: scale.Name, Seeds: seeds}
+// gammaPoints are the γ of the gamma section: Sect. 5.1 tunes γ in
+// [0.5, 1), here in steps of 0.1 without BestGamma's 0.8.
+var gammaPoints = []float64{0.5, 0.6, 0.7, 0.9}
+
+// returnRules are the readings of Fig. 6's return value in the rules
+// section, by their ledger names.
+var returnRules = []struct {
+	name string
+	rule cluster.ReturnRule
+}{{"last-improving", cluster.ReturnLastImproving}, {"previous", cluster.ReturnPrevious}}
+
+// plannedCell is a ledger cell before it runs: its section, the fields that
+// name it in the ledger, the spec its runs share and the f values they
+// sweep; content marks control (a), which runs contentControl.
+type plannedCell struct {
+	section int
+	id      LedgerCell
+	spec    RunSpec
+	fs      []float64
+	content bool
+}
+
+// ledgerPlan lists the ledger's cells at scale, section by section.
+func ledgerPlan(scale Scale) []plannedCell {
+	cell := func(section int, key string, s Setting, ds string, m int) plannedCell {
+		return plannedCell{
+			section: section,
+			id:      LedgerCell{Setting: key, Dataset: ds, M: m},
+			spec: RunSpec{
+				Dataset: ds, Kind: s.Kind, Gamma: BestGamma(ds, s.Kind),
+				Peers: m, Workers: scale.Workers,
+				Docs: scale.Docs[ds], MaxTuples: scale.MaxTuples,
+			},
+			fs: scale.tableFs(s),
+		}
+	}
+	var plan []plannedCell
 	for _, s := range settingKeys {
 		for _, ds := range TableDatasets(s.setting.Kind) {
-			if len(datasets) > 0 && !slices.Contains(datasets, ds) {
-				continue
-			}
-			for _, m := range ms {
-				spec := RunSpec{
-					Dataset: ds, Kind: s.setting.Kind,
-					Gamma: BestGamma(ds, s.setting.Kind),
-					Peers: m, Workers: scale.Workers,
-					Docs: scale.Docs[ds], MaxTuples: scale.MaxTuples,
-				}
-				cell, err := ledgerCell(spec, scale.tableFs(s.setting), seeds)
-				if err != nil {
-					return nil, fmt.Errorf("fidelity %s %s m=%d: %w", s.key, ds, m, err)
-				}
-				cell.Setting = s.key
-				l.Cells = append(l.Cells, cell)
+			for _, m := range scale.TableMs {
+				plan = append(plan, cell(sectionCells, s.key, s.setting, ds, m))
 			}
 		}
 	}
 	for _, ds := range TableDatasets(ContentDriven.Kind) {
-		if len(datasets) > 0 && !slices.Contains(datasets, ds) {
-			continue
-		}
-		var runs []LedgerRun
-		for _, seed := range seeds {
-			r, err := contentControl(RunSpec{
-				Dataset: ds, Kind: ContentDriven.Kind, Workers: scale.Workers,
-				Docs: scale.Docs[ds], MaxTuples: scale.MaxTuples, Seed: seed,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fidelity content control %s: %w", ds, err)
+		p := cell(sectionContentControl, "content", ContentDriven, ds, 1)
+		p.fs, p.content = []float64{0}, true
+		plan = append(plan, p)
+	}
+	for _, s := range settingKeys {
+		for _, ds := range TableDatasets(s.setting.Kind) {
+			for _, m := range scale.TableMs {
+				if m > 1 {
+					p := cell(sectionUnequal, s.key, s.setting, ds, m)
+					p.spec.Unequal = true
+					plan = append(plan, p)
+				}
 			}
-			runs = append(runs, r)
 		}
-		cell := summarize(ds, 1, runs)
-		cell.Setting = "content"
-		l.ContentControl = append(l.ContentControl, cell)
+	}
+	for _, g := range gammaPoints {
+		p := cell(sectionGamma, "hybrid", HybridDriven, "DBLP", 1)
+		p.spec.Gamma, p.id.Gamma = g, g
+		plan = append(plan, p)
+	}
+	for _, r := range returnRules {
+		p := cell(sectionRules, "hybrid", HybridDriven, "DBLP", 1)
+		p.spec.Rule, p.id.Rule = r.rule, r.name
+		plan = append(plan, p)
+	}
+	for _, s := range settingKeys {
+		for _, ds := range TableDatasets(s.setting.Kind) {
+			for _, f := range []float64{0, 1} {
+				p := cell(sectionFControl, s.key, s.setting, ds, 1)
+				p.fs = []float64{f}
+				plan = append(plan, p)
+			}
+		}
+	}
+	return plan
+}
+
+// Fidelity runs the ledger at scale over seeds.
+func Fidelity(scale Scale, seeds []int64) (*Ledger, error) {
+	l := &Ledger{Scale: scale.Name, Seeds: seeds}
+	for _, p := range ledgerPlan(scale) {
+		cell, err := p.run(seeds)
+		if err != nil {
+			return nil, err
+		}
+		section := l.sections()[p.section]
+		*section = append(*section, cell)
 	}
 	return l, nil
 }
 
-// ledgerCell runs spec for every f and seed and summarizes the runs.
-func ledgerCell(spec RunSpec, fs []float64, seeds []int64) (LedgerCell, error) {
+// run runs the cell for every f and seed and summarizes the runs.
+func (p plannedCell) run(seeds []int64) (LedgerCell, error) {
+	run := executeRun
+	if p.content {
+		run = contentControl
+	}
 	var runs []LedgerRun
-	for _, f := range fs {
+	for _, f := range p.fs {
 		for _, seed := range seeds {
-			s := spec
+			s := p.spec
 			s.F, s.Seed = f, seed
-			r, err := Execute(s)
+			r, err := run(s)
 			if err != nil {
-				return LedgerCell{}, err
+				return LedgerCell{}, fmt.Errorf("fidelity %s %s m=%d: %w", p.id.Setting, p.id.Dataset, p.id.M, err)
 			}
-			runs = append(runs, LedgerRun{
-				Seed: seed, FKnob: f, F: r.F, Purity: r.Purity, NMI: r.NMI, Trash: r.Trash,
-				Rounds: r.Rounds, Capped: r.Capped == 1, Msgs: r.Msgs, FRandom: r.FRandom, FSingle: r.FSingle,
-				ChangedTail: r.ChangedTail,
-			})
+			runs = append(runs, r)
 		}
 	}
-	return summarize(spec.Dataset, spec.Peers, runs), nil
+	return summarize(p.id, runs), nil
 }
 
-// summarize is the cell of a dataset at m peers holding runs.
-func summarize(ds string, m int, runs []LedgerRun) LedgerCell {
+// executeRun is one CXK-means run of spec as the ledger records it.
+func executeRun(spec RunSpec) (LedgerRun, error) {
+	r, err := Execute(spec)
+	if err != nil {
+		return LedgerRun{}, err
+	}
+	return LedgerRun{
+		Seed: spec.Seed, FKnob: spec.F, F: r.F, Purity: r.Purity, NMI: r.NMI, Trash: r.Trash,
+		Rounds: r.Rounds, Capped: r.Capped == 1, Msgs: r.Msgs, FRandom: r.FRandom, FSingle: r.FSingle,
+		ChangedTail: r.ChangedTail,
+	}, nil
+}
+
+// summarize is the cell id names, holding runs.
+func summarize(id LedgerCell, runs []LedgerRun) LedgerCell {
 	spread := func(of func(LedgerRun) float64) Spread {
 		s := Spread{Min: math.Inf(1), Max: math.Inf(-1)}
 		for _, r := range runs {
@@ -156,7 +252,7 @@ func summarize(ds string, m int, runs []LedgerRun) LedgerCell {
 		return s
 	}
 	c := LedgerCell{
-		Dataset: ds, M: m, Runs: runs,
+		Setting: id.Setting, Dataset: id.Dataset, M: id.M, Gamma: id.Gamma, Rule: id.Rule, Runs: runs,
 		F:       spread(func(r LedgerRun) float64 { return r.F }),
 		Purity:  spread(func(r LedgerRun) float64 { return r.Purity }),
 		NMI:     spread(func(r LedgerRun) float64 { return r.NMI }),

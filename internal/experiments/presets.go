@@ -26,7 +26,8 @@ var (
 // the best value ("typically above 0.85" on the real corpora); on the
 // synthetic corpora the optimum sits lower for content-driven runs because
 // the generated TCU texts have less verbatim repetition than real
-// bibliographic fields. The ablation benchmark reproduces the sweep.
+// bibliographic fields. The fidelity ledger's gamma section records the
+// sweep on DBLP.
 func BestGamma(ds string, kind dataset.ClassKind) float64 {
 	type key struct {
 		ds   string
@@ -63,15 +64,12 @@ type Scale struct {
 	MaxTuples int
 	// FigMs are the network sizes for the runtime figures (paper: 1..19).
 	FigMs []int
-	// TableMs are the network sizes for the accuracy tables (paper: 1..9).
+	// TableMs are the network sizes of the fidelity ledger's cells, Tables
+	// 1–2 (paper: 1..9).
 	TableMs []int
 	// Seeds are the run seeds averaged over by the runtime figures.
 	Seeds []int64
-	// TableSeeds are the run seeds for the accuracy tables (empty = Seeds);
-	// accuracy is more initialization-sensitive than runtime, so the quick
-	// profile averages more seeds here (the paper averages 10 runs).
-	TableSeeds []int64
-	// TableFs are the f values the accuracy tables average over, per
+	// TableFs are the f values a ledger cell averages over, per
 	// setting kind (a kind without an entry = the setting's own Fs).
 	TableFs map[dataset.ClassKind][]float64
 	// Workers is each peer's intra-peer worker count, threaded into every
@@ -81,15 +79,7 @@ type Scale struct {
 	Workers int
 }
 
-// tableSeeds resolves the seed list for accuracy tables.
-func (s Scale) tableSeeds() []int64 {
-	if len(s.TableSeeds) > 0 {
-		return s.TableSeeds
-	}
-	return s.Seeds
-}
-
-// tableFs resolves the f list of one setting for accuracy tables.
+// tableFs resolves the f list of one setting for ledger cells.
 func (s Scale) tableFs(setting Setting) []float64 {
 	if fs := s.TableFs[setting.Kind]; len(fs) > 0 {
 		return fs
@@ -106,11 +96,10 @@ func QuickScale() Scale {
 		Docs: map[string]int{
 			"DBLP": 160, "IEEE": 36, "Shakespeare": 8, "Wikipedia": 84,
 		},
-		MaxTuples:  40,
-		FigMs:      []int{1, 3, 5, 9, 13, 19},
-		TableMs:    []int{1, 3, 5, 9},
-		Seeds:      []int64{17},
-		TableSeeds: []int64{17, 29, 43},
+		MaxTuples: 40,
+		FigMs:     []int{1, 3, 5, 9, 13, 19},
+		TableMs:   []int{1, 3, 5, 9},
+		Seeds:     []int64{17},
 	}
 }
 
@@ -123,11 +112,10 @@ func PaperScale() Scale {
 		Docs: map[string]int{
 			"DBLP": 240, "IEEE": 90, "Shakespeare": 14, "Wikipedia": 210,
 		},
-		MaxTuples:  64,
-		FigMs:      []int{1, 3, 5, 7, 9, 11, 13, 15, 17, 19},
-		TableMs:    []int{1, 3, 5, 7, 9},
-		Seeds:      []int64{17, 29, 43},
-		TableSeeds: []int64{17, 29, 43, 59, 71},
+		MaxTuples: 64,
+		FigMs:     []int{1, 3, 5, 7, 9, 11, 13, 15, 17, 19},
+		TableMs:   []int{1, 3, 5, 7, 9},
+		Seeds:     []int64{17, 29, 43},
 		TableFs: map[dataset.ClassKind][]float64{
 			dataset.ByContent:   {0.1, 0.2, 0.3},
 			dataset.ByHybrid:    {0.4, 0.5, 0.6},

@@ -1,7 +1,9 @@
-// Package experiments contains one driver per table and figure of the
-// paper's evaluation (Sect. 5), plus ablations of this implementation's own
-// choices. Every driver is deterministic for a fixed configuration and
-// prints the same rows/series the paper reports.
+// Package experiments runs the paper's evaluation (Sect. 5). Its accuracy
+// results — Tables 1–2, the γ tuning and the readings of Fig. 6's return
+// value — are sections of one record, the fidelity ledger (Fidelity,
+// FIDELITY.json); Figs. 7–8, the cost model and the ablations of this
+// implementation's own choices print text. Every driver is deterministic
+// for a fixed configuration, apart from the times it measures.
 package experiments
 
 import (

@@ -95,6 +95,13 @@ var rules = []rule{
 	{". +bench !internal/txn/ !internal/cluster/rounds.go", "selector", `\.(Stage|Restage|Adopt)$`,
 		"an item-table stage is used outside internal/txn and cluster.Rounds"},
 
+	// The accuracy results (Tables 1–2, γ, the return rule) have one record, FIDELITY.json.
+	{". +tests", "ident", `^(AccuracyTable|TableResult|TableRow|CentralizedLoss|TableSeeds|tableSeeds|GammaSweep|GammaPoint|WriteGammaSweep|ReturnRuleAblation|RulePoint|WriteRuleAblation|runSweep)$`,
+		"a text driver of the accuracy results is back beside the fidelity ledger"},
+	{"cmd/cxkbench/", "literal", `^(table1|table2|gamma|rules|sweep)$`, "a cxkbench experiment the fidelity ledger replaced is back"},
+	{". +tests", "ident", `^(benchTable|printBenchRowLoss|BenchmarkTable[12][a-c]|BenchmarkAblationGamma|BenchmarkAblationGenerateReturn)$`,
+		"a benchmark wrapper of the accuracy results is back beside the fidelity ledger"},
+
 	// Raw XML never becomes a tree in ingest or serve.
 	{". +bench", "ident", `^(ParseBytesInto|ExtractInto|LeafInterner)$`, "a parse or extraction into reused storage is back"},
 	{"internal/corpus/ internal/serve/", "selector", `(xmltree|xmlclust)\.Parse`, "ingest or serve parses raw XML into a tree again"},
