@@ -122,9 +122,9 @@ type Classification struct {
 	Assign []int
 	// Sims holds the winning similarity per transaction (0 for trash).
 	Sims []float64
-	// IndexCandidates and IndexSkipped are the representative-index deltas
-	// of this call (see Result for their meaning and the concurrency
-	// attribution caveat; zero when the scan ran the dense kernel).
+	// IndexCandidates and IndexSkipped are the representative-index counts
+	// of this call (see Result for their meaning; zero when the scan ran the
+	// dense kernel).
 	IndexCandidates int64
 	IndexSkipped    int64
 }
@@ -137,39 +137,47 @@ type Classification struct {
 // (the serving layer does exactly that). ctx cancels the scan with an
 // error wrapping ErrCanceled; a nil ctx never cancels.
 func (e *Engine) ClassifyTransactions(ctx context.Context, trs []*Transaction, reps []*Transaction, opts ClassifyOptions) (*Classification, error) {
+	return e.ClassifyStaged(ctx, e.corpus.Items, trs, reps, opts)
+}
+
+// ClassifyStaged is ClassifyTransactions for transactions whose items may
+// sit in items, a stage over the corpus's item table (txn.Overlay). The work
+// is counted apart from the engine's other jobs, so the index counters of
+// concurrent calls do not mix.
+func (e *Engine) ClassifyStaged(ctx context.Context, items *txn.ItemTable, trs []*Transaction, reps []*Transaction, opts ClassifyOptions) (*Classification, error) {
 	if err := validateKFGamma(1, opts.F, opts.Gamma); err != nil {
 		return nil, err
 	}
 	if err := validateRunOptions(0, opts.Workers); err != nil {
 		return nil, err
 	}
-	cx := e.simContext(sim.Params{F: opts.F, Gamma: opts.Gamma})
-	before := cx.Counters.Snapshot()
+	root := e.simContext(sim.Params{F: opts.F, Gamma: opts.Gamma})
 
 	// A matching prebuilt index wins; otherwise build one for this call
 	// unless the mode asks for the reference kernel.
 	var ix *sim.RepIndex
 	if opts.IndexReps != RepIndexOff {
-		if opts.Index.matches(cx, reps) {
+		if opts.Index.matches(root, reps) {
 			ix = opts.Index.ix
 		} else {
 			ix = sim.NewRepIndex()
-			ix.Build(cx, reps)
+			ix.Build(root, reps)
 		}
 	}
 
+	cx := root.WithItems(items)
+	cx.Counters = new(sim.Counters)
 	assign := make([]int, len(trs))
 	sims := make([]float64, len(trs))
 	if err := cluster.RelocateScores(ctx, cx, trs, reps, opts.Workers, ix, assign, sims); err != nil {
 		return nil, fmt.Errorf("xmlclust: classify: %w: %w", ErrCanceled, err)
 	}
-	d := cx.Counters.Snapshot().Sub(before)
 	return &Classification{
 		Cluster:         MajorityCluster(assign),
 		Assign:          assign,
 		Sims:            sims,
-		IndexCandidates: d.IndexCandidates,
-		IndexSkipped:    d.IndexSkipped,
+		IndexCandidates: cx.Counters.IndexCandidates.Load(),
+		IndexSkipped:    cx.Counters.IndexSkipped.Load(),
 	}, nil
 }
 
@@ -182,8 +190,9 @@ func (e *Engine) ClassifyTransactions(ctx context.Context, trs []*Transaction, r
 //
 // Items first seen here have zero content vectors until a weighting pass
 // assigns them, so their content similarity is 0 (structural similarity is
-// unaffected); the serving layer weights them with the accumulator's
-// frozen-itf online pass before classifying.
+// unaffected). The serving layer interns nothing: it stages a document's
+// unseen items (txn.Overlay), weighs them there and classifies through the
+// stage (ClassifyStaged).
 func (e *Engine) ExtractTransactions(t *Tree, maxTuples int) []*Transaction {
 	return txn.Transactions(e.corpus, tuple.Extract(t, tuple.Options{MaxTuplesPerTree: maxTuples}), -1, -1)
 }

@@ -18,13 +18,16 @@
 // bench-regression smoke and the input of the bench trajectory.
 //
 // The fidelity experiment writes the fidelity ledger (FIDELITY.json, see
-// experiments.Ledger) to -json, or to stdout; "all" does not include it.
+// experiments.Ledger) to -json, or to stdout; "all" does not include it. It
+// runs the ledger on the fast engine and on the reference engine, writes the
+// reference engine's, and fails unless the two are the same bytes.
 // The ledger is the one record of the paper's accuracy results: Tables 1–2,
 // the γ tuning, the return-rule readings and the controls they are read
 // against.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -138,25 +141,36 @@ func main() {
 	}
 }
 
-// writeFidelity runs the fidelity ledger at scale and writes it to path, or
-// to stdout when path is empty.
+// writeFidelity runs the fidelity ledger at scale on both engines, the fast
+// one first, and writes the reference engine's to path, or to stdout when
+// path is empty. The two must be the same bytes; when they are not, the
+// fast engine's goes to path.fast (when path is set) and the run fails.
 func writeFidelity(scale experiments.Scale, path string) error {
-	l, err := experiments.Fidelity(scale, experiments.FidelitySeeds)
-	if err != nil {
-		return err
+	var ledgers [2]bytes.Buffer
+	for i, fast := range []bool{true, false} {
+		l, err := experiments.Fidelity(scale, experiments.FidelitySeeds, fast)
+		if err != nil {
+			return err
+		}
+		if err := l.Write(&ledgers[i]); err != nil {
+			return err
+		}
+		experiments.ClearCorpusCache() // the engines share no corpus, so neither grows the other's
 	}
+	fast, ref := ledgers[0].Bytes(), ledgers[1].Bytes()
+	write := func(suffix string, b []byte) error { return os.WriteFile(path+suffix, b, 0o644) }
 	if path == "" {
-		return l.Write(os.Stdout)
+		write = func(_ string, b []byte) error { _, err := os.Stdout.Write(b); return err }
 	}
-	f, err := os.Create(path)
-	if err != nil {
+	if err := write("", ref); err != nil || bytes.Equal(fast, ref) {
 		return err
 	}
-	if err := l.Write(f); err != nil {
-		f.Close()
-		return err
+	if path != "" {
+		if err := write(".fast", fast); err != nil {
+			return err
+		}
 	}
-	return f.Close()
+	return fmt.Errorf("fidelity: the fast engine's ledger differs from the reference engine's")
 }
 
 func canonical(name string) string {

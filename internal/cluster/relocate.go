@@ -133,7 +133,7 @@ func RelocateOneIndexed(cx *sim.Context, tr *txn.Transaction, reps []*txn.Transa
 			sc = sim.NewScratch()
 		}
 		rq := sc.Query()
-		n := ix.Candidates(tr, rq)
+		n := ix.CandidatesIn(cx, tr, rq)
 		cx.Counters.IndexCandidates.Add(int64(n))
 		cx.Counters.IndexSkipped.Add(int64(ix.Active() - n))
 		return rq.Best() // (-1, 0) without a candidate: the trash cluster

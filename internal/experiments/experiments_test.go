@@ -51,9 +51,8 @@ func TestExecuteBasics(t *testing.T) {
 }
 
 // TestExecuteCapped checks that Execute copies core's Capped verdict into
-// its run and that AverageF sums it per cell: runs forced to a round cap of 1
-// are capped, one by one and four of four, and a converged run is not.
-// Which runs core calls capped is TestRunCapped's concern.
+// its run: a run forced to a round cap of 1 is capped, and a converged run
+// is not. Which runs core calls capped is TestRunCapped's concern.
 func TestExecuteCapped(t *testing.T) {
 	spec := RunSpec{
 		Dataset: "DBLP", Kind: dataset.ByHybrid, F: 0.5, Gamma: 0.8,
@@ -65,13 +64,6 @@ func TestExecuteCapped(t *testing.T) {
 	}
 	if r.Rounds != 1 || r.Capped != 1 || r.Runs != 1 {
 		t.Errorf("run under a cap of 1: rounds %d, capped %d of %d", r.Rounds, r.Capped, r.Runs)
-	}
-	agg, err := AverageF(spec, []float64{0.4, 0.6}, []int64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.Capped != 4 || agg.Runs != 4 {
-		t.Errorf("cell under a cap of 1: capped %d of %d, want 4 of 4", agg.Capped, agg.Runs)
 	}
 	spec.Peers, spec.maxRounds = 1, 0
 	if r, err = Execute(spec); err != nil {
@@ -118,8 +110,8 @@ func TestAverageF(t *testing.T) {
 	}
 }
 
-// TestAverageFRange: a two-seed cell bounds its mean F and trash fraction
-// by the runs' own minimum and maximum.
+// TestAverageFRange: a two-seed cell's F and trash fraction are the means
+// of its runs'.
 func TestAverageFRange(t *testing.T) {
 	spec := RunSpec{
 		Dataset: "DBLP", Kind: dataset.ByHybrid, F: 0.5, Gamma: 0.8,
@@ -138,14 +130,9 @@ func TestAverageFRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agg.FMin != min(runs[0].F, runs[1].F) || agg.FMax != max(runs[0].F, runs[1].F) ||
-		agg.TrashMin != min(runs[0].Trash, runs[1].Trash) || agg.TrashMax != max(runs[0].Trash, runs[1].Trash) {
-		t.Errorf("cell bounds F %v..%v, trash %v..%v; the runs have F %v, %v and trash %v, %v",
-			agg.FMin, agg.FMax, agg.TrashMin, agg.TrashMax, runs[0].F, runs[1].F, runs[0].Trash, runs[1].Trash)
-	}
-	if !(agg.FMin <= agg.F && agg.F <= agg.FMax) || !(agg.TrashMin <= agg.Trash && agg.Trash <= agg.TrashMax) {
-		t.Errorf("a mean outside its bounds: F %v in %v..%v, trash %v in %v..%v",
-			agg.F, agg.FMin, agg.FMax, agg.Trash, agg.TrashMin, agg.TrashMax)
+	if f, trash := (runs[0].F+runs[1].F)*0.5, (runs[0].Trash+runs[1].Trash)*0.5; agg.F != f || agg.Trash != trash || agg.Runs != 2 {
+		t.Errorf("cell F %v, trash %v over %d runs; the runs have F %v, %v and trash %v, %v",
+			agg.F, agg.Trash, agg.Runs, runs[0].F, runs[1].F, runs[0].Trash, runs[1].Trash)
 	}
 }
 
@@ -162,13 +149,13 @@ func TestFloors(t *testing.T) {
 	if math.Abs(random-88.0/105) > 1e-12 || math.Abs(single-0.7) > 1e-12 {
 		t.Errorf("floors F random %v, single %v; want 88/105 = %v and 0.7", random, single, 88.0/105)
 	}
-	spec := RunSpec{Dataset: "DBLP", Kind: dataset.ByHybrid, F: 0.5, Gamma: 0.8, Peers: 1, Docs: 48, MaxTuples: 16}
-	r, err := AverageF(spec, []float64{0.5}, []int64{1, 2})
+	spec := RunSpec{Dataset: "DBLP", Kind: dataset.ByHybrid, F: 0.5, Gamma: 0.8, Peers: 1, Docs: 48, MaxTuples: 16, Seed: 1}
+	r, err := Execute(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.FRandom <= 0 || r.FRandom >= 1 || r.FSingle <= 0 || r.FSingle >= 1 {
-		t.Errorf("cell floors F random %v, single %v outside (0, 1)", r.FRandom, r.FSingle)
+		t.Errorf("run floors F random %v, single %v outside (0, 1)", r.FRandom, r.FSingle)
 	}
 }
 
@@ -391,8 +378,9 @@ func readLedger(t *testing.T) *Ledger {
 // its runs give. Table 1 on DBLP and Shakespeare at m ∈ {1, 3}, their
 // content controls, and the last cell of every later section are rerun,
 // side by side, over the first two seeds: every run must equal the
-// committed run of the same cell and seed. The whole ledger is regenerated
-// and diffed in CI (cxkbench -exp fidelity).
+// committed run of the same cell and seed, on either engine. The whole
+// ledger is regenerated on both engines and diffed in CI (cxkbench -exp
+// fidelity).
 func TestFidelityLedgerRegenerates(t *testing.T) {
 	committed := readLedger(t)
 	if !slices.Equal(committed.Seeds, FidelitySeeds) || committed.Scale != QuickScale().Name {
@@ -438,26 +426,34 @@ func TestFidelityLedgerRegenerates(t *testing.T) {
 		t.Errorf("%d cells to rerun, want 12 of Table 1, 2 content controls and the last of 4 sections", len(reruns))
 	}
 	seeds := FidelitySeeds[:2]
-	t.Run("rerun", func(t *testing.T) {
-		for _, r := range reruns {
-			t.Run(r.key, func(t *testing.T) {
-				t.Parallel()
-				got, err := r.p.run(seeds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var runs []LedgerRun
-				for _, run := range r.want.Runs {
-					if slices.Contains(seeds, run.Seed) {
-						runs = append(runs, run)
+	// The reference engine's reruns, then the fast engine's.
+	for _, engine := range []struct {
+		name string
+		fast bool
+	}{{"rerun", false}, {"rerun-fast", true}} {
+		fast := engine.fast
+		t.Run(engine.name, func(t *testing.T) {
+			for _, r := range reruns {
+				t.Run(r.key, func(t *testing.T) {
+					t.Parallel()
+					r.p.spec.fast = fast
+					got, err := r.p.run(seeds)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				if !reflect.DeepEqual(got.Runs, runs) {
-					t.Errorf("runs\n%+v\nwant the committed\n%+v", got.Runs, runs)
-				}
-			})
-		}
-	})
+					var runs []LedgerRun
+					for _, run := range r.want.Runs {
+						if slices.Contains(seeds, run.Seed) {
+							runs = append(runs, run)
+						}
+					}
+					if !reflect.DeepEqual(got.Runs, runs) {
+						t.Errorf("runs\n%+v\nwant the committed\n%+v", got.Runs, runs)
+					}
+				})
+			}
+		})
+	}
 }
 
 // TestLedgerOrdering reads the committed ledger as a typology is validated

@@ -14,12 +14,12 @@ import (
 // than Scale.Seeds (the paper averages 10 runs).
 var FidelitySeeds = []int64{17, 29, 43, 59, 71}
 
-// Ledger is the fidelity ledger, FIDELITY.json: the paper's accuracy results
-// on the reference engine, every run of every cell recorded, with each
-// cell's summary beside its runs. Table 1 (data split equally) comes first,
-// then the controls and the other readings, each against a Table 1 cell.
-// Every number in it is deterministic, so a regenerated ledger equals the
-// committed one byte for byte.
+// Ledger is the fidelity ledger, FIDELITY.json: the paper's accuracy results,
+// every run of every cell recorded, with each cell's summary beside its
+// runs. Table 1 (data split equally) comes first, then the controls and the
+// other readings, each against a Table 1 cell. Every number in it is
+// deterministic, so a regenerated ledger equals the committed one byte for
+// byte, on either engine.
 type Ledger struct {
 	Scale string       `json:"scale"`
 	Seeds []int64      `json:"seeds"`
@@ -191,10 +191,12 @@ func ledgerPlan(scale Scale) []plannedCell {
 	return plan
 }
 
-// Fidelity runs the ledger at scale over seeds.
-func Fidelity(scale Scale, seeds []int64) (*Ledger, error) {
+// Fidelity runs the ledger at scale over seeds, on the fast engine when
+// fast is set and on the reference engine otherwise.
+func Fidelity(scale Scale, seeds []int64, fast bool) (*Ledger, error) {
 	l := &Ledger{Scale: scale.Name, Seeds: seeds}
 	for _, p := range ledgerPlan(scale) {
+		p.spec.fast = fast
 		cell, err := p.run(seeds)
 		if err != nil {
 			return nil, err

@@ -9,7 +9,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -67,6 +66,9 @@ type RunSpec struct {
 	DisablePathCache bool
 	// maxRounds lets the package's tests force a round cap (0 = default).
 	maxRounds int
+	// fast runs the fast engine (core.Options.Fast) in place of the
+	// reference one; the fidelity ledger is the same either way.
+	fast bool
 }
 
 // RunResult aggregates the metrics the paper reports.
@@ -96,18 +98,15 @@ type RunResult struct {
 	// transaction pairs. Divided by Docs it yields the ablation tables'
 	// allocs/doc column. Noisy under concurrent load; treat as indicative.
 	Mallocs uint64
-	// Capped counts the runs core.Result.Capped calls capped, of the Runs
-	// averaged (1 for Execute).
+	// Capped is 1 for a run core.Result.Capped calls capped (Execute), and
+	// Runs the number of runs averaged (1 for Execute).
 	Capped, Runs int
 	// ChangedTail holds, for a capped run of Execute, what changed in each
 	// of its last 5 rounds (nil otherwise).
 	ChangedTail []RoundChange
-	// FMin, FMax, TrashMin and TrashMax bound F and Trash over the Runs
-	// averaged (the run's own values for Execute).
-	FMin, FMax, TrashMin, TrashMax float64
 	// FRandom and FSingle are the F of two floors on the run's corpus and
-	// labels: a random assignment over [0, k) seeded by the run's seed, and
-	// the single-cluster partition.
+	// labels (Execute): a random assignment over [0, k) seeded by the run's
+	// seed, and the single-cluster partition.
 	FRandom, FSingle float64
 }
 
@@ -229,7 +228,7 @@ func ExecuteCtx(ctx context.Context, spec RunSpec) (RunResult, error) {
 		K: k, Params: cx.Params, Peers: spec.Peers, Partition: part,
 		Seed: spec.Seed, Rule: spec.Rule, Workers: spec.Workers, MaxRounds: spec.maxRounds,
 		SerializeCompute: true,
-		Fast:             false, // the reference engine: timings follow the paper's cost model
+		Fast:             spec.fast, // the reference engine by default: timings follow the paper's cost model
 		PKMeans:          spec.Algorithm == PK,
 		Observer: func(ev core.Event) {
 			if ev.Kind == core.EventRoundEnd && ev.Peer == 0 {
@@ -259,13 +258,9 @@ func ExecuteCtx(ctx context.Context, spec RunSpec) (RunResult, error) {
 		FRandom:   fRandom,
 		FSingle:   fSingle,
 		F:         f,
-		FMin:      f,
-		FMax:      f,
 		Purity:    cont.Purity(),
 		NMI:       cont.NMI(),
 		Trash:     trash,
-		TrashMin:  trash,
-		TrashMax:  trash,
 		Rounds:    res.Rounds,
 		Capped:    capped,
 		Runs:      1,
@@ -307,7 +302,7 @@ func AverageF(spec RunSpec, fs []float64, seeds []int64) (RunResult, error) {
 	if len(fs) == 0 || len(seeds) == 0 {
 		return RunResult{}, fmt.Errorf("experiments: need at least one f and one seed")
 	}
-	agg := RunResult{FMin: math.Inf(1), FMax: math.Inf(-1), TrashMin: math.Inf(1), TrashMax: math.Inf(-1)}
+	var agg RunResult
 	for _, f := range fs {
 		for _, seed := range seeds {
 			s := spec
@@ -318,15 +313,10 @@ func AverageF(spec RunSpec, fs []float64, seeds []int64) (RunResult, error) {
 				return RunResult{}, err
 			}
 			agg.F += r.F
-			agg.FRandom += r.FRandom
-			agg.FSingle += r.FSingle
-			agg.FMin, agg.FMax = min(agg.FMin, r.F), max(agg.FMax, r.F)
-			agg.TrashMin, agg.TrashMax = min(agg.TrashMin, r.Trash), max(agg.TrashMax, r.Trash)
 			agg.Purity += r.Purity
 			agg.NMI += r.NMI
 			agg.Trash += r.Trash
 			agg.Rounds += r.Rounds
-			agg.Capped += r.Capped
 			agg.Runs += r.Runs
 			agg.SimTime += r.SimTime
 			agg.WallTime += r.WallTime
@@ -339,8 +329,6 @@ func AverageF(spec RunSpec, fs []float64, seeds []int64) (RunResult, error) {
 	}
 	inv := 1.0 / float64(agg.Runs)
 	agg.F *= inv
-	agg.FRandom *= inv
-	agg.FSingle *= inv
 	agg.Purity *= inv
 	agg.NMI *= inv
 	agg.Trash *= inv

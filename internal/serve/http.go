@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -197,11 +198,23 @@ func pathID(w http.ResponseWriter, r *http.Request) (int, bool) {
 }
 
 // decode reads a body that holds one JSON value and nothing after it but
-// white space.
+// white space. The body is read once, into one buffer of the declared
+// length (a body without one grows it as it is read), and decoded from
+// there.
 func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	err := dec.Decode(dst)
-	if _, tail := dec.Token(); err == nil && tail != io.EOF {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	var buf []byte
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= maxBodyBytes {
+		buf = make([]byte, n)
+		_, err = io.ReadFull(body, buf)
+	} else {
+		buf, err = io.ReadAll(body)
+	}
+	if err == nil {
+		err = json.Unmarshal(buf, dst)
+	}
+	if syntax := (*json.SyntaxError)(nil); errors.As(err, &syntax) && leadingValue(buf) {
 		err = errors.New("serve: request body holds more than one JSON value")
 	}
 	if err != nil {
@@ -209,6 +222,12 @@ func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 		return false
 	}
 	return true
+}
+
+// leadingValue reports whether buf starts with a whole JSON value: when buf
+// as a whole is not valid JSON, something other than white space follows it.
+func leadingValue(buf []byte) bool {
+	return json.NewDecoder(bytes.NewReader(buf)).Decode(new(json.RawMessage)) == nil
 }
 
 func statusFor(err error) int {

@@ -146,27 +146,30 @@ func TestHTTPErrors(t *testing.T) {
 }
 
 // TestHTTPTrailingBytes: a body that holds a valid request followed by
-// anything but white space is refused with 400 by add and by classify, and
-// the add leaves the corpus as it was; trailing white space is fine.
+// anything but white space is refused with 400 by add and by classify, as
+// more than one JSON value, and the add leaves the corpus as it was;
+// trailing white space is fine.
 func TestHTTPTrailingBytes(t *testing.T) {
 	s, srv := httpService(t)
 	valid, err := json.Marshal(addDocumentRequest{Name: "d", XML: "<a><b>text</b></a>"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var msg []byte
 	post := func(path, body string) int {
 		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		msg, _ = io.ReadAll(resp.Body)
 		resp.Body.Close()
 		return resp.StatusCode
 	}
 	for _, path := range []string{"/v1/documents", "/v1/classify"} {
 		for _, tail := range []string{"}{trailing", " {}", "x"} {
 			before := s.Stats().Docs
-			if code := post(path, string(valid)+tail); code != http.StatusBadRequest {
-				t.Errorf("POST %s with %q after the request: status %d, want 400", path, tail, code)
+			if code := post(path, string(valid)+tail); code != http.StatusBadRequest || !bytes.Contains(msg, []byte("more than one JSON value")) {
+				t.Errorf("POST %s with %q after the request: status %d (%s), want 400 for more than one JSON value", path, tail, code, msg)
 			}
 			if s.Stats().Docs != before {
 				t.Errorf("POST %s with %q after the request changed the document count", path, tail)

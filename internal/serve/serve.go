@@ -10,7 +10,12 @@
 // assigns the new transactions to the current representatives with one
 // posting-list sweep each. RemoveDocument tombstones a document. Classify
 // is the read-only probe: it scores a document against the current
-// representatives without changing any clustering state.
+// representatives and leaves the service as it found it: the document's
+// unseen items go into a pooled per-request overlay (txn.Overlay) and are
+// weighed there read-only (weighting.Accumulator.WeighStaged), so the item
+// and term tables, the accumulator and its token memo are as they were.
+// Only an unseen complete path is interned, in the path table, which grows
+// with the schema, not with traffic.
 //
 // Both online ingestion and removal are approximations — new items carry
 // frozen itf factors and representatives are not recomputed per write — so
@@ -28,11 +33,9 @@
 // (pinned by TestIncrementalEquivalence).
 //
 // A Service is safe for concurrent use. One RWMutex serializes writes and
-// maintenance; reads (Stats, QueryCluster, Documents) share the read lock.
-// Classify takes the write lock too: it never mutates clustering state, but
-// it may intern unseen paths/items/terms and assign their frozen weights
-// through the shared accumulator. Requests therefore block briefly during a
-// refresh; the refresh itself honors context cancellation.
+// maintenance; reads (Classify, Stats, QueryCluster, Documents) share the
+// read lock. Requests therefore block briefly during a refresh; the refresh
+// itself honors context cancellation.
 package serve
 
 import (
@@ -41,6 +44,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xmlclust"
@@ -191,6 +195,14 @@ type snapshot struct {
 	// handled soundly, so the index stays valid until reps change — i.e.
 	// until the snapshot itself is replaced.
 	idx *xmlclust.RepIndex
+	// overlays pools Classify's per-request overlays over corpus.
+	overlays sync.Pool
+}
+
+// overlay is one classify request's stage and weighing scratch.
+type overlay struct {
+	stage   *txn.Overlay
+	weights weighting.Staged
 }
 
 // Service is the incremental clustering service. Create with NewService.
@@ -209,8 +221,8 @@ type Service struct {
 	refreshes  int
 	rounds     int
 	reassigned int
-	idxCand    int64
-	idxSkip    int64
+	idxCand    atomic.Int64 // Classify adds under the read lock
+	idxSkip    atomic.Int64
 	repsReused int64
 }
 
@@ -306,8 +318,8 @@ func (s *Service) AddDocument(ctx context.Context, name string, xmlData []byte, 
 		return s.docInfoLocked(id), err
 	}
 	sn.assign = append(sn.assign, res.Assign...)
-	s.idxCand += res.IndexCandidates
-	s.idxSkip += res.IndexSkipped
+	s.idxCand.Add(res.IndexCandidates)
+	s.idxSkip.Add(res.IndexSkipped)
 	return s.docInfoLocked(id), nil
 }
 
@@ -339,27 +351,32 @@ func (s *Service) RemoveDocument(id int) (DocInfo, error) {
 
 // Classify scores a raw XML document against the current representatives
 // and returns the per-transaction assignment plus the document-level
-// majority cluster. It is read-only with respect to clustering state —
-// assignments, representatives and the drift accounting are untouched and
-// the document is NOT added — though unseen paths/items/terms are interned
-// (append-only) and weighted with frozen itf factors. The tuples are
-// extracted outside the lock.
+// majority cluster. The document is NOT added, and nothing but the index
+// counters and the path table changes: the document resolves through a
+// per-request overlay (see the package doc), under the read lock. Its unseen
+// items get the weights WeighNew gives an item no document observed. The
+// tuples are extracted outside the lock.
 func (s *Service) Classify(ctx context.Context, xmlData []byte) (*xmlclust.Classification, error) {
 	tuples, err := tuple.ExtractBytes(xmlData, s.cfg.buildOptions().Tuple)
 	if err != nil {
 		return nil, fmt.Errorf("serve: classify: %w", err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	sn := s.snap
-	trs := txn.Transactions(sn.corpus, tuples, -1, -1)
-	sn.acc.WeighNew()
-	res, err := sn.eng.ClassifyTransactions(ctx, trs, sn.reps, s.classifyOptionsLocked())
+	ov, ok := sn.overlays.Get().(*overlay)
+	if !ok {
+		ov = &overlay{stage: txn.NewOverlay(sn.corpus)}
+	}
+	defer sn.overlays.Put(ov)
+	items, trs := ov.stage.Resolve(tuples)
+	sn.acc.WeighStaged(items, &ov.weights)
+	res, err := sn.eng.ClassifyStaged(ctx, items, trs, sn.reps, s.classifyOptionsLocked())
 	if err != nil {
 		return nil, err
 	}
-	s.idxCand += res.IndexCandidates
-	s.idxSkip += res.IndexSkipped
+	s.idxCand.Add(res.IndexCandidates)
+	s.idxSkip.Add(res.IndexSkipped)
 	return res, nil
 }
 
@@ -434,7 +451,7 @@ func (s *Service) Stats() Stats {
 		Drift:     s.driftLocked(),
 		Refreshes: s.refreshes, MaintenanceRounds: s.rounds, Reassigned: s.reassigned,
 		IndexEntries: s.snap.idx.Entries(), IndexedReps: s.snap.idx.Reps(),
-		IndexCandidates: s.idxCand, IndexSkipped: s.idxSkip,
+		IndexCandidates: s.idxCand.Load(), IndexSkipped: s.idxSkip.Load(),
 		RepsReused:   s.repsReused,
 		ClusterSizes: make([]int, s.cfg.K),
 	}
@@ -535,8 +552,8 @@ func (s *Service) MaintenanceRound(ctx context.Context) (RoundStats, error) {
 	}
 	s.rounds++
 	s.reassigned += rs.Reassigned
-	s.idxCand += rs.IndexCandidates
-	s.idxSkip += rs.IndexSkipped
+	s.idxCand.Add(rs.IndexCandidates)
+	s.idxSkip.Add(rs.IndexSkipped)
 	return rs, nil
 }
 
@@ -592,8 +609,8 @@ func (s *Service) refreshLocked(ctx context.Context) (int, error) {
 			return 0, err
 		}
 		assign, reps, rounds = res.Assign, res.Reps, res.Rounds
-		s.idxCand += res.IndexCandidates
-		s.idxSkip += res.IndexSkipped
+		s.idxCand.Add(res.IndexCandidates)
+		s.idxSkip.Add(res.IndexSkipped)
 		s.repsReused += res.RepsReused
 	}
 

@@ -159,7 +159,7 @@ func (mx *MemberIndex) Objective(rep *txn.Transaction) float64 {
 	if len(mx.fresh.Items) > 0 {
 		// One row per new item; the sweep lists its pairs row by row, and with
 		// one pseudo-representative a pair's column is its IC position.
-		cx.Counters.ItemSims.Add(int64(mx.ix.sweep(&mx.fresh, rq)))
+		cx.Counters.ItemSims.Add(int64(mx.ix.sweep(cx, &mx.fresh, rq)))
 		for x := 0; x < len(rq.pairs); {
 			row := rq.pairs[x].row
 			col := &mx.cols[mx.freshAt[row]]

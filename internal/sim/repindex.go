@@ -396,13 +396,19 @@ func (rq *RepQuery) prepare(ix *RepIndex, n1, nd int) {
 // relocation winner with rq.Best(). Every score is bit-identical to
 // Context.Transactions(tr, rep); the index must be Enabled.
 func (ix *RepIndex) Candidates(tr *txn.Transaction, rq *RepQuery) int {
-	evaluated := ix.sweep(tr, rq)
+	return ix.CandidatesIn(ix.cx, tr, rq)
+}
+
+// CandidatesIn is Candidates for a transaction resolved, and its work
+// counted, through cx: the index's context or one WithItems derived from it.
+func (ix *RepIndex) CandidatesIn(cx *Context, tr *txn.Transaction, rq *RepQuery) int {
+	evaluated := ix.sweep(cx, tr, rq)
 	rq.score = rq.score[:0]
 	for _, j := range rq.cand {
 		rq.score = append(rq.score, rq.evaluate(tr, ix.reps[j], rq.head[j]))
 	}
-	ix.cx.Counters.ItemSims.Add(int64(evaluated))
-	ix.cx.Counters.TxnSims.Add(int64(len(rq.cand)))
+	cx.Counters.ItemSims.Add(int64(evaluated))
+	cx.Counters.TxnSims.Add(int64(len(rq.cand)))
 	return len(rq.cand)
 }
 
@@ -410,14 +416,13 @@ func (ix *RepIndex) Candidates(tr *txn.Transaction, rq *RepQuery) int {
 // (row of tr, indexed position) pair whose Eq. 1 value reaches γ — row by
 // row, linked per representative from rq.head — and in rq.cand the
 // representatives that have one, and returns the number of pairs it looked
-// at.
-func (ix *RepIndex) sweep(tr *txn.Transaction, rq *RepQuery) (evaluated int) {
+// at. tr is resolved through cx.
+func (ix *RepIndex) sweep(cx *Context, tr *txn.Transaction, rq *RepQuery) (evaluated int) {
 	rq.cand, rq.pairs = rq.cand[:0], rq.pairs[:0]
 	n1 := tr.Len()
 	if n1 == 0 || ix.active == 0 {
 		return 0
 	}
-	cx := ix.cx
 	f, gamma := cx.Params.F, cx.Params.Gamma
 
 	doc := &rq.doc

@@ -28,7 +28,27 @@ type DocSink interface {
 // reallocates it instead of overwriting the next.
 func Transactions(c *Corpus, res tuple.Result, doc, label int) []*Transaction {
 	var in interner
-	return in.transactions(c, res, doc, label)
+	return in.transactions(c, c.Items, res, doc, label)
+}
+
+// Overlay resolves documents that are not added, one at a time, and leaves
+// the item table as it found it: an unseen item goes into a stage over it,
+// restaged for reuse and never adopted. Only an unseen complete path is
+// interned, in c.Paths, which grows with the schema, not with the documents.
+type Overlay struct {
+	c     *Corpus
+	items *ItemTable
+	in    interner
+}
+
+// NewOverlay returns an overlay over c.
+func NewOverlay(c *Corpus) *Overlay { return &Overlay{c: c, items: c.Items.Stage()} }
+
+// Resolve rebases the stage on the table as it is now and returns it with
+// res's transactions, as Transactions gives them with doc and label −1.
+func (o *Overlay) Resolve(res tuple.Result) (*ItemTable, []*Transaction) {
+	o.items.Restage()
+	return o.items, o.in.transactions(o.c, o.items, res, -1, -1)
 }
 
 // interner is the scratch of Transactions that a Builder keeps.
@@ -41,22 +61,22 @@ type interner struct {
 	paths map[*string]xmltree.PathID
 }
 
-func (in *interner) transactions(c *Corpus, res tuple.Result, doc, label int) []*Transaction {
+func (in *interner) transactions(c *Corpus, items *ItemTable, res tuple.Result, doc, label int) []*Transaction {
 	byLeaf := slices.Grow(in.byLeaf[:0], len(res.Leaves))[:len(res.Leaves)]
 	in.byLeaf = byLeaf
 	clear(byLeaf)
 	n := 0
-	c.Items.mu.Lock()
+	items.mu.Lock()
 	for _, tt := range res.Tuples {
 		n += len(tt)
 		for _, i := range tt {
 			if byLeaf[i] == 0 {
 				lf := res.Leaves[i]
-				byLeaf[i] = c.Items.internLocked(in.path(c, lf.Path), lf.Answer) + 1
+				byLeaf[i] = items.internLocked(in.path(c, lf.Path), lf.Answer) + 1
 			}
 		}
 	}
-	c.Items.mu.Unlock()
+	items.mu.Unlock()
 	ids := make([]ItemID, n)
 	block := make([]Transaction, len(res.Tuples))
 	out := make([]*Transaction, len(res.Tuples))
@@ -190,7 +210,7 @@ func (b *Builder) AddTuples(res tuple.Result, label int) {
 		b.c.TruncatedDocs++
 	}
 	start := len(b.c.Transactions)
-	trs := b.intern.transactions(b.c, res, docID, label)
+	trs := b.intern.transactions(b.c, b.c.Items, res, docID, label)
 	b.c.Transactions = append(grow(b.c.Transactions, len(trs)), trs...)
 	for _, s := range b.sinks {
 		s.ObserveDoc(docID, b.c.Transactions[start:])

@@ -90,8 +90,9 @@ func (i *Item) Flatten() []ItemID {
 // Item per element. The columns are plain derived copies of the Item
 // fields, kept in lock step by Intern/InternSynthetic/SetVector.
 //
-// A table can also be a stage over another (Stage), which holds synthetic
-// items apart from it until they are committed to it (Adopt).
+// A table can also be a stage over another (Stage), which holds items apart
+// from it: a round's synthetic items until they are committed to it (Adopt),
+// or a classified document's unseen ones.
 type ItemTable struct {
 	paths *xmltree.PathTable
 
@@ -166,10 +167,14 @@ func (it *ItemTable) find(path xmltree.PathID, answer string) (ItemID, bool) {
 	return id, ok
 }
 
-// internLocked is Intern under the write lock. The lock order is ItemTable
-// before PathTable: a new item looks up its tag path with the lock held.
+// internLocked is Intern under the write lock; a stage also looks in its
+// parent. The lock order is stage before parent, and ItemTable before
+// PathTable: a new item looks up its tag path with the lock held.
 func (it *ItemTable) internLocked(path xmltree.PathID, answer string) ItemID {
 	if id, ok := it.find(path, answer); ok {
+		return id
+	}
+	if id, ok := it.inParent(path, answer); ok {
 		return id
 	}
 	return it.add(&Item{Path: path, Answer: answer})
@@ -326,12 +331,12 @@ func (it *ItemTable) SetVector(id ItemID, v vector.Sparse) {
 	it.vecVer.Add(1)
 }
 
-// Stage returns a stage over it, for synthetic items: ids below Base,
-// it.Len() at the call, read through to it, and new items get ids from Base
-// on. Lookup and InternSynthetic find an item of it below Base before one of
-// the stage's own. Rows below Base are read as they were when the stage was
-// based, without its lock: synthetic interning only appends to a table, and
-// a corpus does not change while it is clustered.
+// Stage returns a stage over it, for items it is not to hold: ids below
+// Base, it.Len() at the call, read through to it, and new items get ids from
+// Base on; for a key it holds below Base, Lookup and interning give its id.
+// Rows below Base are read as they were when the stage was based, without
+// its lock: interning only appends to a table, and a corpus does not change
+// while it is clustered or classified against.
 func (it *ItemTable) Stage() *ItemTable {
 	st := &ItemTable{paths: it.paths, parent: it}
 	st.Restage()

@@ -3,6 +3,7 @@ package weighting_test
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"xmlclust/internal/dataset"
@@ -293,5 +294,51 @@ func BenchmarkFinalize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		acc.Finalize()
+	}
+}
+
+// TestWeighStagedMatchesWeighNew stages a document with unseen items and
+// terms over one of two twin corpora and weighs it with WeighStaged, twice
+// on one scratch; the other twin interns and weighs the same document with
+// WeighNew. The staged transactions and vectors are the interned ones bit
+// for bit — item ids from the table's length, term ids from the
+// vocabulary's, in first-met order — and the staging twin's accumulator and
+// corpus are deeply what they were.
+func TestWeighStagedMatchesWeighNew(t *testing.T) {
+	a, accA := weighedCorpus(accTestTrees(t, 5))
+	b, accB := weighedCorpus(accTestTrees(t, 5))
+	accA.Finalize()
+	accB.Finalize()
+	res, err := tuple.ExtractBytes([]byte(`<paper key="k9"><title>clustering quantum puzzles 9</title>`+
+		`<author>greco</author><author>novel scribe</author><venue>icpp</venue></paper>`), tuple.Options{MaxTuplesPerTree: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ov := txn.NewOverlay(a)
+	var sc weighting.Staged
+	for pass := 0; pass < 2; pass++ {
+		st, staged := ov.Resolve(res)
+		accA.WeighStaged(st, &sc)
+		if pass == 0 {
+			interned := txn.Transactions(b, res, -1, -1)
+			accB.WeighNew()
+			if !reflect.DeepEqual(staged, interned) {
+				t.Fatalf("staged transactions %v, interned %v", staged, interned)
+			}
+			if st.Len() == a.Items.Len() || st.Len() != b.Items.Len() {
+				t.Fatalf("staged %d items over %d; interning grew the twin to %d", st.Len()-a.Items.Len(), a.Items.Len(), b.Items.Len())
+			}
+		}
+		for id := txn.ItemID(0); int(id) < st.Len(); id++ {
+			if got, want := st.Get(id).Vector, b.Items.Get(id).Vector; !vector.Equal(got, want) {
+				t.Fatalf("pass %d: item %d (%q) staged %v, interned %v", pass, id, st.Get(id).Answer, got, want)
+			}
+		}
+	}
+	c, accC := weighedCorpus(accTestTrees(t, 5))
+	accC.Finalize()
+	if !reflect.DeepEqual(accA, accC) || !reflect.DeepEqual(a, c) {
+		t.Fatal("WeighStaged or StageTransactions wrote to the accumulator or the corpus")
 	}
 }

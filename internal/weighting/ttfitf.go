@@ -333,19 +333,11 @@ func (a *Accumulator) FinalizeWorkers(workers int) Stats {
 func (a *Accumulator) weigh(id int, entries []vector.Entry) vector.Sparse {
 	terms := a.itemTerms[id]
 	for k, t := range terms {
-		nj := a.njT[t]
-		if nj < 1 {
-			// Term unseen by any observed document (transient classify-time
-			// items): treat it as occurring once so the idf stays finite.
-			nj = 1
-		}
-		idf := math.Log(float64(a.nT) / float64(nj))
 		avgCtx := 1.0
 		if a.accN[id] > 0 {
 			avgCtx = a.accCtx[id][k] / float64(a.accN[id])
 		}
-		w := float64(a.itemTF[id][k]) * avgCtx * idf
-		if w > 0 {
+		if w := a.weight(t, a.itemTF[id][k], avgCtx); w > 0 {
 			entries = append(entries, vector.Entry{Term: t, Weight: w})
 		}
 	}
@@ -353,6 +345,78 @@ func (a *Accumulator) weigh(id int, entries []vector.Entry) vector.Sparse {
 		return vector.Sparse{}
 	}
 	return vector.FromEntries(entries)
+}
+
+// weight is tf · avgCtx · ln(N_T/n_{j,T}); a term no observed document
+// holds (a classify-time item's) counts once, so the idf stays finite.
+func (a *Accumulator) weight(t, tf int32, avgCtx float64) float64 {
+	nj := 1
+	if int(t) < len(a.njT) {
+		nj = max(a.njT[t], 1)
+	}
+	return float64(tf) * avgCtx * math.Log(float64(a.nT)/float64(nj))
+}
+
+// Staged is WeighStaged's scratch, kept from call to call: the call's terms
+// that the term table lacks, by id, and the scan and weight buffers.
+type Staged struct {
+	terms map[string]int32
+	scan  textproc.Scanner
+	ids   []int32
+	arena []vector.Entry
+}
+
+// WeighStaged assigns TCU vectors to the items st stages over the corpus's
+// item table (txn.Overlay) and writes nothing else: each gets the bits
+// WeighNew gives an item no document observed, and a term the table lacks
+// the id it would be interned under. The vectors live in sc's arena until
+// its next call; calls on scratches of their own may run concurrently.
+func (a *Accumulator) WeighStaged(st *txn.ItemTable, sc *Staged) {
+	if sc.terms == nil {
+		sc.terms = map[string]int32{}
+	}
+	clear(sc.terms)
+	sc.arena = sc.arena[:0]
+	for id, end := st.Base(), txn.ItemID(st.Len()); id < end; id++ {
+		ids := sc.ids[:0]
+		sc.scan.Reset(st.Get(id).Answer)
+		for tok, ok := sc.scan.Next(); ok; tok, ok = sc.scan.Next() {
+			if t := a.stagedTerm(tok, sc); t >= 0 {
+				ids = append(ids, t)
+			}
+		}
+		sc.ids = ids
+		slices.Sort(ids) // at N_T = 0 all weigh −∞: a zero vector, as in WeighNew
+		lo := len(sc.arena)
+		for k, n := 0, 0; k < len(ids); k += n {
+			for n = 1; k+n < len(ids) && ids[k+n] == ids[k]; n++ {
+			}
+			if w := a.weight(ids[k], int32(n), 1); w > 0 {
+				sc.arena = append(sc.arena, vector.Entry{Term: ids[k], Weight: w})
+			}
+		}
+		st.SetVector(id, vector.FromEntries(slices.Clip(sc.arena[lo:]))) // no entry: a zero vector
+	}
+}
+
+// stagedTerm is termOf without a write; a new term gets an id of sc's.
+func (a *Accumulator) stagedTerm(tok []byte, sc *Staged) int32 {
+	if t, ok := a.tokenTerm[string(tok)]; ok {
+		return t
+	}
+	term, ok := textproc.Term(string(tok))
+	if !ok {
+		return -1
+	}
+	t, ok := a.c.Terms.Lookup(term)
+	if !ok {
+		t, ok = sc.terms[term]
+	}
+	if !ok {
+		t = int32(a.c.Terms.Len() + len(sc.terms))
+		sc.terms[term] = t
+	}
+	return t
 }
 
 // WeighNew assigns TCU vectors to the items interned since the last
