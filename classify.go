@@ -181,27 +181,14 @@ func (e *Engine) ClassifyStaged(ctx context.Context, items *txn.ItemTable, trs [
 	}, nil
 }
 
-// ExtractTransactions decomposes a parsed tree into transactions over the
-// engine's item domain WITHOUT adding the document to the corpus: unseen
-// paths and items are interned into the shared tables (append-only and
-// concurrency-safe — existing ids and similarities are unaffected), but
-// nothing is appended to the corpus's transaction set. The returned
-// transactions carry document id −1 to mark them transient.
-//
-// Items first seen here have zero content vectors until a weighting pass
-// assigns them, so their content similarity is 0 (structural similarity is
-// unaffected). The serving layer interns nothing: it stages a document's
-// unseen items (txn.Overlay), weighs them there and classifies through the
-// stage (ClassifyStaged).
-func (e *Engine) ExtractTransactions(t *Tree, maxTuples int) []*Transaction {
-	return txn.Transactions(e.corpus, tuple.Extract(t, tuple.Options{MaxTuplesPerTree: maxTuples}), -1, -1)
-}
-
 // Classify extracts a document's transactions against the engine's item
 // domain and classifies them against reps, returning the per-transaction
-// assignment and the document-level majority cluster. The document is NOT
-// added to the corpus and no clustering state changes (see
-// ExtractTransactions for the interning and weighting caveats).
+// assignment and the document-level majority cluster. Nothing is added to
+// the corpus: the document's unseen items are staged for the call
+// (txn.Overlay) with zero content vectors, so their content similarity is 0
+// (structural similarity is unaffected); only an unseen complete path is
+// interned. The serving layer weighs staged items before it classifies.
 func (e *Engine) Classify(ctx context.Context, t *Tree, reps []*Transaction, opts ClassifyOptions) (*Classification, error) {
-	return e.ClassifyTransactions(ctx, e.ExtractTransactions(t, opts.MaxTuplesPerTree), reps, opts)
+	items, trs := txn.NewOverlay(e.corpus).Resolve(tuple.Extract(t, tuple.Options{MaxTuplesPerTree: opts.MaxTuplesPerTree}))
+	return e.ClassifyStaged(ctx, items, trs, reps, opts)
 }

@@ -3,11 +3,10 @@ package xmlclust
 import (
 	"context"
 	"errors"
-	"fmt"
-	"slices"
 	"sync"
 	"testing"
 
+	"xmlclust/internal/tuple"
 	"xmlclust/internal/txn"
 )
 
@@ -68,8 +67,8 @@ func TestClassifyEmptyRepsIsTrash(t *testing.T) {
 }
 
 // TestClassifyDocument: a held-out document classifies into the cluster of
-// its topic, and the read-only contract holds — the corpus transaction set
-// does not grow and the extracted transactions are marked transient.
+// its topic, and the read-only contract holds — neither the corpus
+// transaction set nor its item table grows.
 func TestClassifyDocument(t *testing.T) {
 	corpus := sampleCorpus(t)
 	eng, err := NewEngine(corpus, EngineOptions{})
@@ -87,20 +86,7 @@ func TestClassifyDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	txnsBefore := len(corpus.Transactions)
-	trs := eng.ExtractTransactions(tree, 0)
-	if len(trs) == 0 {
-		t.Fatal("no transactions extracted from held-out doc")
-	}
-	for _, tr := range trs {
-		if tr.Doc != -1 {
-			t.Fatalf("transient transaction carries doc id %d, want -1", tr.Doc)
-		}
-	}
-	if len(corpus.Transactions) != txnsBefore {
-		t.Fatalf("ExtractTransactions grew the corpus: %d → %d", txnsBefore, len(corpus.Transactions))
-	}
-
+	txnsBefore, itemsBefore := len(corpus.Transactions), corpus.Items.Len()
 	cls, err := eng.Classify(context.Background(), tree, res.Reps, ClassifyOptions{F: 0.5, Gamma: 0.6})
 	if err != nil {
 		t.Fatal(err)
@@ -108,8 +94,9 @@ func TestClassifyDocument(t *testing.T) {
 	if want := dc[0]; cls.Cluster != want { // docs 0-2 are the sw topic
 		t.Fatalf("held-out sw doc classified to %d, corpus sw docs sit in %d", cls.Cluster, want)
 	}
-	if len(corpus.Transactions) != txnsBefore {
-		t.Fatalf("Classify grew the corpus: %d → %d", txnsBefore, len(corpus.Transactions))
+	if len(corpus.Transactions) != txnsBefore || corpus.Items.Len() != itemsBefore {
+		t.Fatalf("Classify grew the corpus: %d → %d transactions, %d → %d items",
+			txnsBefore, len(corpus.Transactions), itemsBefore, corpus.Items.Len())
 	}
 }
 
@@ -187,11 +174,12 @@ func TestEngineConcurrentClusterClassify(t *testing.T) {
 	}
 }
 
-// TestExtractTransactionsMatchesBuilder: decomposing the corpus's own
-// documents again must land on the item sets the builder made of them and
-// intern nothing — both go through the interning of txn.Transactions, the
-// builder with a scratch it keeps, ExtractTransactions with one per call.
-func TestExtractTransactionsMatchesBuilder(t *testing.T) {
+// TestOverlayMatchesBuilder: resolving the corpus's own documents again
+// through an overlay, as Classify does, must land on the item sets the
+// builder made of them and stage nothing — both go through the interning of
+// txn.Transactions, the builder with a scratch it keeps, the overlay with
+// its own.
+func TestOverlayMatchesBuilder(t *testing.T) {
 	var trees []*Tree
 	for _, d := range append([]string{
 		`<r><k>shared leaf</k><a>one</a><a>two</a><a>two</a></r>`, // 3 tuples, 2 distinct item sets
@@ -203,122 +191,28 @@ func TestExtractTransactionsMatchesBuilder(t *testing.T) {
 		trees = append(trees, tree)
 	}
 	corpus := BuildCorpus(trees, CorpusOptions{})
-	eng, err := NewEngine(corpus, EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	items := corpus.Items.Len()
+	ov := txn.NewOverlay(corpus)
 	next := 0
 	for doc, tree := range trees {
-		for _, tr := range eng.ExtractTransactions(tree, 0) {
+		staged, trs := ov.Resolve(tuple.Extract(tree, tuple.Options{}))
+		for _, tr := range trs {
 			if next >= len(corpus.Transactions) || corpus.Transactions[next].Doc != doc {
 				t.Fatalf("doc %d: more transient transactions than the builder made", doc)
 			}
 			if want := corpus.Transactions[next]; !tr.Equal(want) || tr.TupleIndex != want.TupleIndex || tr.Doc != -1 {
-				t.Fatalf("doc %d tuple %d: extracted %v, builder %v", doc, tr.TupleIndex, tr.Items, want.Items)
+				t.Fatalf("doc %d tuple %d: resolved %v, builder %v", doc, tr.TupleIndex, tr.Items, want.Items)
 			}
 			next++
 		}
+		if staged.Len() != items {
+			t.Fatalf("doc %d: the overlay staged %d items", doc, staged.Len()-items)
+		}
 	}
 	if next != len(corpus.Transactions) {
-		t.Fatalf("extracted %d transactions, corpus has %d", next, len(corpus.Transactions))
+		t.Fatalf("resolved %d transactions, corpus has %d", next, len(corpus.Transactions))
 	}
 	if corpus.Items.Len() != items {
-		t.Fatalf("re-extraction interned %d new items", corpus.Items.Len()-items)
-	}
-}
-
-// TestExtractTransactionsConcurrent: eight goroutines decompose, on one
-// engine, documents that share ⟨path, answer⟩ pairs the corpus has not seen.
-// A document resolves its leaves under one write lock of the item table, so
-// every pair is interned exactly once, item ids stay dense, and each
-// goroutine gets the transactions a serial extraction gets, compared by
-// ⟨path, answer⟩ since the ids depend on which goroutine came first.
-func TestExtractTransactionsConcurrent(t *testing.T) {
-	docs := make([]string, 12)
-	for i := range docs {
-		docs[i] = fmt.Sprintf(`<catalog><sw key="n%d"><name>unseen name %d</name><vendor>unseen vendor</vendor><tag>t%d</tag><tag>t%d</tag></sw></catalog>`,
-			i%4, i%3, i%5, (i+2)%5)
-	}
-	parseAll := func() []*Tree {
-		trees := make([]*Tree, len(docs))
-		for i, d := range docs {
-			tree, err := ParseString(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			trees[i] = tree
-		}
-		return trees
-	}
-	// pairs renders each transaction as its sorted ⟨path, answer⟩ pairs.
-	pairs := func(c *Corpus, trs []*Transaction) [][]string {
-		out := make([][]string, len(trs))
-		for i, tr := range trs {
-			for _, id := range tr.Items {
-				it := c.Items.Get(id)
-				out[i] = append(out[i], c.Paths.Path(it.Path).String()+"="+it.Answer)
-			}
-			slices.Sort(out[i])
-		}
-		return out
-	}
-
-	serialCorpus := sampleCorpus(t)
-	serial, err := NewEngine(serialCorpus, EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([][][]string, len(docs))
-	for i, tree := range parseAll() {
-		want[i] = pairs(serialCorpus, serial.ExtractTransactions(tree, 0))
-	}
-
-	corpus := sampleCorpus(t)
-	eng, err := NewEngine(corpus, EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const goroutines = 8
-	got := make([][][]*Transaction, goroutines)
-	trees := make([][]*Tree, goroutines)
-	for g := range trees {
-		trees[g] = parseAll()
-	}
-	var wg sync.WaitGroup
-	for g := range goroutines {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[g] = make([][]*Transaction, len(docs))
-			for k := range docs {
-				i := (k + g) % len(docs) // each goroutine starts elsewhere, so first sightings race
-				got[g][i] = eng.ExtractTransactions(trees[g][i], 0)
-			}
-		}()
-	}
-	wg.Wait()
-
-	seen := map[string]txn.ItemID{}
-	for id := txn.ItemID(0); int(id) < corpus.Items.Len(); id++ {
-		it := corpus.Items.Get(id)
-		if it.ID != id {
-			t.Fatalf("item at %d carries id %d", id, it.ID)
-		}
-		key := corpus.Paths.Path(it.Path).String() + "=" + it.Answer
-		if prev, dup := seen[key]; dup {
-			t.Errorf("⟨%s⟩ interned twice: ids %d and %d", key, prev, id)
-		}
-		seen[key] = id
-	}
-	if corpus.Items.Len() != serialCorpus.Items.Len() {
-		t.Errorf("%d items after the concurrent extraction, %d after the serial one", corpus.Items.Len(), serialCorpus.Items.Len())
-	}
-	for g := range got {
-		for i := range docs {
-			if p := pairs(corpus, got[g][i]); !slices.EqualFunc(p, want[i], slices.Equal) {
-				t.Errorf("goroutine %d, document %d: %v, serial %v", g, i, p, want[i])
-			}
-		}
+		t.Fatalf("re-resolution interned %d new items", corpus.Items.Len()-items)
 	}
 }

@@ -155,7 +155,6 @@ func writeFidelity(scale experiments.Scale, path string) error {
 		if err := l.Write(&ledgers[i]); err != nil {
 			return err
 		}
-		experiments.ClearCorpusCache() // the engines share no corpus, so neither grows the other's
 	}
 	fast, ref := ledgers[0].Bytes(), ledgers[1].Bytes()
 	write := func(suffix string, b []byte) error { return os.WriteFile(path+suffix, b, 0o644) }

@@ -32,7 +32,10 @@ import (
 // Content vectors live in the corpus and are shared across all runs.
 // Sweep-heavy workloads (the paper's Sect. 5 protocol re-clusters one
 // corpus across f, γ, k and peer-count grids) therefore pay the similarity
-// groundwork once instead of once per cell.
+// groundwork once instead of once per cell. A job's synthetic items live in a
+// table of its own, which dies with it: the corpus gets only those of the
+// representatives the job returns, so that they resolve there, and a
+// repeated job adds none.
 //
 // An Engine is safe for concurrent use: multiple jobs may run on it at the
 // same time (Sweep does exactly that).
@@ -251,7 +254,7 @@ func (e *Engine) Cluster(ctx context.Context, opts ClusterOptions) (*Result, err
 	msgs, bytes := res.TotalTraffic()
 	return &Result{
 		Assign:          res.Assign,
-		Reps:            res.Reps,
+		Reps:            core.Reconflate(e.corpus.Items, res.Items, res.Reps),
 		Rounds:          res.Rounds,
 		WallTime:        res.WallTime,
 		SimulatedTime:   res.SimulatedTime(p2p.DefaultTimeModel()),
@@ -386,10 +389,10 @@ func (e *Engine) ClusterDistributed(ctx context.Context, opts DistributedOptions
 		ID:          pres.ID,
 		LocalAssign: pres.Assign,
 		Assign:      pres.Global,
-		Reps:        pres.Reps,
+		Reps:        core.Reconflate(e.corpus.Items, pres.Items, pres.Reps),
 		Rounds:      pres.Rounds,
 		WallTime:    pres.WallTime,
-		RepsDigest:  core.RepsDigest(e.corpus.Items, pres.Reps),
+		RepsDigest:  core.RepsDigest(pres.Items, pres.Reps),
 	}, nil
 }
 

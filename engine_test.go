@@ -51,7 +51,7 @@ func freshEngine(t testing.TB, corpus *Corpus) *Engine {
 // TestEngineWarmMatchesFresh is the cache-purity contract: a shared Engine —
 // including one whose caches are already warm from prior runs with other
 // parameters — produces output byte-identical to a fresh Engine's for the
-// same options and seed.
+// same options and seed, and a repeated job leaves nothing in the corpus.
 func TestEngineWarmMatchesFresh(t *testing.T) {
 	corpus := sampleCorpus(t)
 	eng, err := NewEngine(corpus, EngineOptions{})
@@ -73,6 +73,7 @@ func TestEngineWarmMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		items := corpus.Items.Len()
 		got, err := eng.Cluster(context.Background(), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -85,6 +86,9 @@ func TestEngineWarmMatchesFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameResult(t, want, again, "second warm run")
+		if corpus.Items.Len() != items {
+			t.Errorf("repeating a job added %d items to the corpus", corpus.Items.Len()-items)
+		}
 	}
 	if eng.CachedPathSims() == 0 {
 		t.Error("engine accumulated no structural pair similarities")

@@ -92,6 +92,8 @@ type runCfg struct {
 // one helper every whole-clustering test of this package goes through: select
 // k initial representatives from distinct documents, then alternate
 // relocation and refinement until assignments and representatives are stable.
+// The representatives are re-conflated in the corpus's table at the end, as
+// a job hands over its result.
 func xkmeans(cx *sim.Context, s []*txn.Transaction, cfg runCfg) *clustering {
 	maxIter := cfg.MaxIter
 	if maxIter <= 0 {
@@ -119,6 +121,13 @@ func xkmeans(cx *sim.Context, s []*txn.Transaction, cfg runCfg) *clustering {
 		if stable {
 			break
 		}
+	}
+	for j, rep := range cl.Reps {
+		var raw []txn.ItemID
+		for _, id := range rep.Items {
+			raw = append(raw, rounds.Items().Get(id).Flatten()...)
+		}
+		cl.Reps[j] = ConflateItems(cx.Items, raw)
 	}
 	return cl
 }

@@ -11,7 +11,7 @@ import (
 
 // forkTrace is what a run of representative passes leaves behind: every
 // representative of every pass, as item ids, and the synthetic rows the run
-// added to the item table.
+// added to its item table (Rounds.Items).
 type forkTrace struct {
 	reps [][]txn.ItemID
 	rows []string
@@ -21,7 +21,8 @@ type forkTrace struct {
 // each, on a corpus of its own, with the passes' work items run serially in
 // the order order returns (nil: the fork under workers). A global pass
 // merges each cluster's local representative with its neighbour's, as two
-// peers would, so global passes conflate committed synthetic items too.
+// peers would, so global passes conflate committed synthetic items too. The
+// corpus's table must not grow.
 func forkPasses(t *testing.T, ds string, k, workers int, order func(n int) []int) forkTrace {
 	t.Helper()
 	corpus, _ := synthCorpus(t, ds, 40)
@@ -61,8 +62,11 @@ func forkPasses(t *testing.T, ds string, k, workers int, order func(n int) []int
 			}
 		}
 	}
-	for id := base; id < cx.Items.Len(); id++ {
-		it := cx.Items.Get(txn.ItemID(id))
+	if cx.Items.Len() != base {
+		t.Fatalf("the passes added %d items to the corpus", cx.Items.Len()-base)
+	}
+	for id := base; id < r.Items().Len(); id++ {
+		it := r.Items().Get(txn.ItemID(id))
 		tr.rows = append(tr.rows, fmt.Sprintf("%d %d %q %v %v", it.ID, it.Path, it.Answer, it.Constituents, it.Vector.Entries()))
 	}
 	return tr

@@ -37,7 +37,8 @@ import (
 // fixed. A Rounds serves one sequential run and is not safe for concurrent
 // use. It forks two passes, each under RepConfig.Workers: relocation inside
 // Assign, one transaction per slot, and refinement inside LocalReps and
-// GlobalReps, one cluster per slot (fork).
+// GlobalReps, one cluster per slot (fork). Its synthetic items go to a table
+// of its own (Items): the corpus is left as it was found.
 type Rounds struct {
 	cfg RepConfig
 	s   []*txn.Transaction
@@ -74,12 +75,18 @@ type repMemo []struct {
 // cluster count is the length of the representative slice handed to Assign.
 func NewRounds(cfg RepConfig, s []*txn.Transaction, fast bool) *Rounds {
 	cfg.dense = !fast
-	r := &Rounds{cfg: cfg, s: s}
+	cfg.Ctx = cfg.Ctx.WithItems(cfg.Ctx.Items.Stage())
+	stage := cfg.Ctx.Items.Stage()
+	r := &Rounds{cfg: cfg, s: s, stage: stage, scx: cfg.Ctx.WithItems(stage)}
 	if fast {
 		r.ix = sim.NewRepIndex()
 	}
 	return r
 }
+
+// Items returns the run's item table, a stage over the corpus's made at
+// construction, which every representative the run returns resolves in.
+func (r *Rounds) Items() *txn.ItemTable { return r.cfg.Ctx.Items }
 
 // Assign is the relocation step of Fig. 5 against reps: every transaction
 // joins its argmax cluster (ties to the lowest index, nil and empty
@@ -178,7 +185,7 @@ func (r *Rounds) GlobalReps(inputs [][]WeightedRep) []*txn.Transaction {
 // fork runs a pass of n work items, one cluster each, drawn one at a time
 // under the Workers bound (inline and in index order for one worker), and
 // returns rep(cfg, i) for every i. The items intern synthetic items into a
-// stage over the corpus table, each logging the staged ids it resolved to,
+// stage over the run's table, each logging the staged ids it resolved to,
 // and commit replays the logs in index order. So the ids are the serial
 // loop's under any schedule: a representative's choices never depend on a
 // synthetic id (its members hold committed items, its objective is a ratio
@@ -191,12 +198,7 @@ func (r *Rounds) fork(n int, rep func(cfg RepConfig, i int) *txn.Transaction) []
 	if n == 0 {
 		return out
 	}
-	if r.stage == nil {
-		r.stage = r.cfg.Ctx.Items.Stage()
-		r.scx = r.cfg.Ctx.WithItems(r.stage)
-	} else {
-		r.stage.Restage()
-	}
+	r.stage.Restage()
 	for len(r.logs) < n {
 		r.logs = append(r.logs, nil)
 	}
@@ -218,7 +220,7 @@ func (r *Rounds) fork(n int, rep func(cfg RepConfig, i int) *txn.Transaction) []
 	return out
 }
 
-// commit adopts a pass's staged items into the corpus table — the logs in
+// commit adopts a pass's staged items into the run's table — the logs in
 // index order, each log in order, every staged id once — and rewrites the
 // staged ids of reps to the adopted ones, re-sorting each representative
 // that held one.
@@ -238,7 +240,7 @@ func (r *Rounds) commit(logs [][]txn.ItemID, reps []*txn.Transaction) {
 		}
 	}
 	for _, rep := range reps {
-		// Staged ids sort after the corpus's: they are the tail.
+		// Staged ids sort after the run's: they are the tail.
 		if rep == nil || rep.Len() == 0 || rep.Items[rep.Len()-1] < base {
 			continue
 		}

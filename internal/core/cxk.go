@@ -131,6 +131,8 @@ type Result struct {
 	Assign []int
 	// Reps are the final global representatives.
 	Reps []*txn.Transaction
+	// Items is the coordinator's job table, which Reps resolve in.
+	Items *txn.ItemTable
 	// Rounds is the number of collaborative rounds executed.
 	Rounds int
 	// Capped reports that MaxRounds, not convergence, stopped the run.

@@ -512,8 +512,8 @@ func TestWireRoundtrip(t *testing.T) {
 		t.Error("nil roundtrip should stay nil")
 	}
 	// Representatives carry synthetic (conflated) items whose ids are
-	// process-local: the wire form must flatten them to raw corpus ids, and
-	// re-conflation on a shared table must reproduce the exact transaction.
+	// job-local: the wire form must flatten them to raw corpus ids, and
+	// re-conflation in the same table must reproduce the exact transaction.
 	var all []txn.ItemID
 	for _, tx := range corpus.Transactions[:2] {
 		all = append(all, tx.Items...)

@@ -196,7 +196,7 @@ func TestRunMixedEnginesIdentical(t *testing.T) {
 				if got[id].Rounds != want[id].Rounds {
 					t.Errorf("%s: peer %d ran %d rounds, reference %d", label, id, got[id].Rounds, want[id].Rounds)
 				}
-				if g, w := RepsDigest(corpus.Items, got[id].Reps), RepsDigest(corpus.Items, want[id].Reps); g != w {
+				if g, w := RepsDigest(got[id].Items, got[id].Reps), RepsDigest(want[id].Items, want[id].Reps); g != w {
 					t.Errorf("%s: peer %d representatives digest %x, reference %x", label, id, g, w)
 				}
 				assertTrafficEqual(t, fmt.Sprintf("%s peer %d", label, id), want[id].Report, got[id].Report)

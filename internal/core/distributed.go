@@ -22,6 +22,8 @@ type PeerResult struct {
 	// Reps are the final global representatives as seen by this peer (all
 	// peers converge to the same set on termination).
 	Reps []*txn.Transaction
+	// Items is the peer's job table, which Reps resolve in.
+	Items *txn.ItemTable
 	// Report carries the per-round accounting.
 	Report PeerReport
 	// Global is the corpus-wide assignment the coordinator (ID 0) collects

@@ -100,11 +100,12 @@
 // run CXK-means only.
 //
 // Wire form. Representatives travel as flattened raw item ids: synthetic
-// (conflated) items are interned per process, so toWire decomposes them
-// into their raw constituents — stable across every process that loaded the
-// same corpus — and fromWire re-conflates them in the local table. On a
-// shared in-process table this reproduces the sender's exact item ids, so
-// multi-process runs are byte-identical to in-process runs.
+// (conflated) items live in each peer's job table (cluster.Rounds.Items), so
+// toWire decomposes them into their raw constituents — stable across every
+// process that loaded the same corpus — and fromWire re-conflates them in
+// the receiver's table. In-process peers own a table each, as processes do,
+// so multi-process runs are byte-identical to in-process runs, and a run
+// leaves the corpus as it found it.
 //
 // Result collection. A member that reaches done sends the coordinator its
 // local assignment (AssignMsg) and ends. The coordinator places its own

@@ -87,7 +87,9 @@ type fabricSim struct {
 	// that dies, and before which output of the step (carried counts them)
 	// plus one. events: per peer, how many were held to want, Run's. asked:
 	// per peer, the digests of its compute requests, held to wantAsked, the
-	// faultless path's. memo: the answers, shared by a search's worlds.
+	// faultless path's. memo: the answers, shared by a search's worlds, by
+	// request and job table: tables numbers each job table it meets, since
+	// an answer's representatives resolve in the table that computed it.
 	faulted          bool
 	kill             [2]int
 	carried          int
@@ -95,6 +97,7 @@ type fabricSim struct {
 	want             [][]Event
 	asked, wantAsked [][]uint64
 	memo             map[uint64]computed
+	tables           map[*txn.ItemTable]uint64
 	// tape: every send per link. Under focus = i+1 only machine i runs: the
 	// links into it start with what the tape says the others sent it, and
 	// what it sends is held to the tape, taped counting per link.
@@ -105,7 +108,7 @@ type fabricSim struct {
 
 func newFabricSim(t testing.TB, corpus *txn.Corpus, opts Options) *fabricSim {
 	cx := sim.NewContext(corpus, opts.Params)
-	return (&fabricSim{t: t, cx: cx, corpus: corpus, opts: opts, start: NewStartMsg(cx, corpus, opts)}).boot()
+	return (&fabricSim{t: t, cx: cx, corpus: corpus, opts: opts, start: NewStartMsg(cx, corpus, opts), tables: map[*txn.ItemTable]uint64{}}).boot()
 }
 
 // boot launches the slots of a new world.
@@ -246,21 +249,23 @@ func (f *fabricSim) observe(id int, ev Event) error {
 }
 
 // answer answers peer id's held compute request, from the memo when the same
-// machine asked it before. Until the path's fault the request must be the
-// faultless path's: refinement takes its inputs in peer order, whatever
-// order they arrived in.
+// machine asked it before in the same job table. Until the path's fault the
+// request must be the faultless path's, by content: refinement takes its
+// inputs in peer order, whatever order they arrived in, and the table's ids
+// follow the arrival order.
 func (f *fabricSim) answer(id int) {
 	d, c := f.peers[id], *f.held[id]
 	f.held[id] = nil
-	key := fold(mix(fingerprintReps(d.s.global), uint64(id)), reflect.ValueOf(c))
+	key := fold(mix(RepsDigest(d.s.items, d.s.global), uint64(id)), reflect.ValueOf(c))
 	if c.refine {
-		key = fold(mix(key, fingerprintReps(d.s.localRp)), reflect.ValueOf([]any{d.s.zi, d.s.sizes, d.s.bySender}))
+		key = fold(mix(key, RepsDigest(d.s.items, d.s.localRp)), reflect.ValueOf([]any{d.s.zi, d.s.sizes, d.s.bySender}))
 	}
 	n := len(f.asked[id])
 	if f.asked[id] = append(f.asked[id], key); f.wantAsked != nil && !f.faulted && (n >= len(f.wantAsked[id]) || f.wantAsked[id][n] != key) {
 		f.err = fmt.Errorf("peer %d: compute request %d is not the faultless path's", id, n)
 		return
 	}
+	key = mix(key, f.table(id))
 	in, ok := f.memo[key]
 	if !ok {
 		if err := d.compute(context.Background(), c); err != nil {
@@ -486,10 +491,22 @@ func (f *fabricSim) digest() uint64 {
 	h := fold(0, reflect.ValueOf([]any{f.held, f.links, f.stores, f.faulted, f.kill, f.events, f.taped}))
 	for i, d := range f.peers {
 		if h = fold(h, reflect.ValueOf(f.results[i] == nil)); d != nil {
-			h = fold(h, reflect.ValueOf(d.s).Elem())
+			h = fold(mix(h, f.table(i)), reflect.ValueOf(d.s).Elem())
 		}
 	}
 	return h
+}
+
+// table numbers peer id's job table: a machine's representatives are item
+// ids in it.
+func (f *fabricSim) table(id int) uint64 {
+	items := f.peers[id].s.items
+	n, ok := f.tables[items]
+	if !ok {
+		n = uint64(len(f.tables))
+		f.tables[items] = n
+	}
+	return n
 }
 
 // fold hashes v into h by content: pointers are followed and a map is
@@ -604,9 +621,9 @@ func TestFabricSteppedRecovery(t *testing.T) {
 	if got := f.results[0].Global; !slices.Equal(got, ref.Assign) {
 		t.Error("the recovered session's assignments differ from the unfaulted run's")
 	}
-	want := RepsDigest(corpus.Items, ref.Reps)
+	want := RepsDigest(ref.Items, ref.Reps)
 	for id, res := range f.results {
-		if got := RepsDigest(corpus.Items, res.Reps); got != want {
+		if got := RepsDigest(res.Items, res.Reps); got != want {
 			t.Errorf("slot %d ends with representatives %016x, want %016x", id, got, want)
 		}
 	}
@@ -699,9 +716,9 @@ func newExplorer(t *testing.T, corpus *txn.Corpus, opts Options) *explorer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start, memo := NewStartMsg(cx, corpus, opts), map[uint64]computed{}
+	start, memo, tables := NewStartMsg(cx, corpus, opts), map[uint64]computed{}, map[*txn.ItemTable]uint64{}
 	return &explorer{t: t, ref: res, seen: map[uint64]bool{}, world: func(focus int, ref *fabricSim) *fabricSim {
-		f := &fabricSim{t: t, cx: cx, corpus: corpus, opts: opts, start: start, want: want, memo: memo, focus: focus}
+		f := &fabricSim{t: t, cx: cx, corpus: corpus, opts: opts, start: start, want: want, memo: memo, tables: tables, focus: focus}
 		if ref != nil {
 			f.tape, f.wantAsked = ref.tape, ref.asked
 		}
@@ -773,7 +790,7 @@ func (x *explorer) check(w *fabricSim, path []choice) {
 			err = fmt.Errorf("peer %d: %w", i, ErrStalled)
 		case i == 0 && !slices.Equal(res.Global, x.ref.Assign):
 			err = errors.New("assignments differ from Run's")
-		case RepsDigest(w.corpus.Items, res.Reps) != RepsDigest(w.corpus.Items, x.ref.Reps):
+		case RepsDigest(res.Items, res.Reps) != RepsDigest(x.ref.Items, x.ref.Reps):
 			err = fmt.Errorf("peer %d ends with representatives other than Run's", i)
 		case w.faulted:
 		case w.events[i] != len(w.want[i]):

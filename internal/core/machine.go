@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -128,23 +129,21 @@ type session struct {
 }
 
 // newMachine builds peer id's state machine for a run of opts over corpus,
-// whose StartMsg is start, and returns it with its opening outputs. Peer 0
-// plays N0 — the paper notes any peer can perform this trivial duty — and
-// opens by sending every peer, itself included, the StartMsg. Then the wait
-// for the StartMsg, or for the rejoin state after the join announcement, is
-// armed.
-func newMachine(corpus *txn.Corpus, opts *Options, start StartMsg, id int) (*session, []any) {
+// whose StartMsg is start, and returns it with its opening outputs: local is
+// its part of the corpus, items the job's table it works in (Rounds.Items).
+// Peer 0 plays N0 — the paper notes any peer can perform this trivial duty —
+// and opens by sending every peer, itself included, the StartMsg. Then the
+// wait for the StartMsg, or for the rejoin state after the join announcement,
+// is armed.
+func newMachine(items *txn.ItemTable, local []*txn.Transaction, corpus *txn.Corpus, opts *Options, start StartMsg, id int) (*session, []any) {
 	m := opts.Peers
 	s := &session{
-		id: id, m: m, maxRounds: opts.MaxRounds, seed: opts.Seed + int64(id), pk: opts.PKMeans,
-		items: corpus.Items, sizer: Sizer(corpus.Items), start: start, partition: opts.Partition,
+		id: id, m: m, maxRounds: opts.MaxRounds, seed: opts.Seed + int64(id), pk: opts.PKMeans, local: local,
+		items: items, sizer: Sizer(items), start: start, partition: opts.Partition,
 		phase: PhaseStartup, prevTotal: math.Inf(1),
 		seenStates: map[uint64]struct{}{},
 		pendGlobal: map[int][]GlobalRepsMsg{},
 		pendLocal:  map[int][]LocalRepsMsg{},
-	}
-	for _, idx := range opts.Partition[id] {
-		s.local = append(s.local, corpus.Transactions[idx])
 	}
 	if s.maxRounds <= 0 {
 		s.maxRounds = DefaultMaxRounds
@@ -453,8 +452,8 @@ func (s *session) collect() error {
 			if len(q) == s.received {
 				return nil
 			}
-			for j, w := range q[s.received].Reps {
-				s.global[j] = fromWire(s.items, w)
+			for _, j := range slices.Sorted(maps.Keys(q[s.received].Reps)) { // in key order: the job table's ids follow it
+				s.global[j] = fromWire(s.items, q[s.received].Reps[j])
 			}
 			q[s.received].Reps = nil // taken: the header stays to refuse a copy
 		}
@@ -665,6 +664,7 @@ func (s *session) result() *PeerResult {
 		Capped: s.capped,
 		Assign: append([]int(nil), s.assign...),
 		Reps:   append([]*txn.Transaction(nil), s.global...),
+		Items:  s.items,
 		Report: s.report,
 		Global: s.final,
 	}

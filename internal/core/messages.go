@@ -36,7 +36,7 @@ import (
 // WireTxn is the transport representation of a (representative)
 // transaction: the flattened raw item ids of its leaves. Raw item ids are
 // stable across every process that loaded the same corpus, while synthetic
-// (conflated) representative items are process-local — so senders flatten
+// (conflated) representative items are job-local — so senders flatten
 // to raw constituents (toWire) and receivers re-conflate in their own
 // interning table (fromWire). WireTxnSize accounts for the full semantic
 // payload (paths, answers, TCU vectors) a cross-machine deployment ships,
@@ -219,11 +219,10 @@ func CheckWireRep(j, k int, w WireTxn, nItems int) error {
 }
 
 // toWire converts a transaction to its wire form: the flattened raw item
-// ids (nil-safe). Synthetic (conflated) representative items are
-// process-local — their ids do not exist in a remote peer's interning
-// table — but they are fully determined by their raw constituents, which
-// are corpus items and therefore share ids across every process that loaded
-// the same corpus.
+// ids (nil-safe). Synthetic (conflated) representative items are local to
+// the sender's job table, but they are fully determined by their raw
+// constituents, which are corpus items and therefore share ids across every
+// process that loaded the same corpus.
 func toWire(items *txn.ItemTable, tr *txn.Transaction) WireTxn {
 	if tr == nil {
 		return WireTxn{}
@@ -237,9 +236,8 @@ func toWire(items *txn.ItemTable, tr *txn.Transaction) WireTxn {
 
 // fromWire rebuilds a transaction by re-conflating the raw ids in the local
 // interning table (nil for the empty wire form). Conflation is
-// deterministic and dedupes through the table, so on a shared in-process
-// table it reproduces the sender's exact item ids, and across processes it
-// reproduces items with identical semantics (path, merged answer, vector).
+// deterministic and dedupes through the table, so it reproduces the
+// sender's items by content (path, merged answer, vector), not by id.
 func fromWire(items *txn.ItemTable, w WireTxn) *txn.Transaction {
 	if len(w.Items) == 0 {
 		return nil
@@ -252,7 +250,7 @@ func fromWire(items *txn.ItemTable, w WireTxn) *txn.Transaction {
 // two processes (or two runs) with the same corpus produce equal digests
 // exactly when their representatives are identical item sets. This is the
 // cross-process equality check behind the fabric's recovery-equivalence
-// gate — synthetic item ids are process-local, raw constituents are not.
+// gate — synthetic item ids are local to a job's table, raw ids are not.
 func RepsDigest(items *txn.ItemTable, reps []*txn.Transaction) uint64 {
 	h := fnv.Offset
 	for _, rep := range reps {

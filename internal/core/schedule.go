@@ -102,6 +102,7 @@ func (r *scheduler) run() (*Result, error) {
 	res := &Result{
 		Assign:   r.results[0].Global,
 		Reps:     r.results[0].Reps,
+		Items:    r.results[0].Items,
 		WallTime: wall,
 		Peers:    make([]PeerReport, len(r.peers)),
 	}

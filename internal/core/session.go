@@ -149,9 +149,13 @@ type driver struct {
 // returns it with the machine's opening outputs. cx is the similarity
 // context over corpus, start the run's StartMsg.
 func newDriver(cx *sim.Context, corpus *txn.Corpus, opts *Options, start StartMsg, id int) (*driver, []any) {
-	s, outs := newMachine(corpus, opts, start, id)
-	d := &driver{opts: opts, cx: cx, s: s, t0: time.Now(), engine: cluster.NewRounds(
-		cluster.RepConfig{Ctx: cx, Rule: opts.Rule, Workers: opts.Workers}, s.local, opts.Fast)}
+	var local []*txn.Transaction
+	for _, idx := range opts.Partition[id] {
+		local = append(local, corpus.Transactions[idx])
+	}
+	engine := cluster.NewRounds(cluster.RepConfig{Ctx: cx, Rule: opts.Rule, Workers: opts.Workers}, local, opts.Fast)
+	s, outs := newMachine(engine.Items(), local, corpus, opts, start, id)
+	d := &driver{opts: opts, cx: cx, s: s, t0: time.Now(), engine: engine}
 	if opts.Fabric != nil {
 		d.leave = opts.Fabric.Leave
 	}

@@ -143,6 +143,12 @@ func wireReps(items *txn.ItemTable, reps []*txn.Transaction) []WireTxn {
 	return out
 }
 
+// Reconflate rebuilds reps, which resolve in src, in dst through their wire
+// form, as a receiver does: how a job hands its result to the corpus.
+func Reconflate(dst, src *txn.ItemTable, reps []*txn.Transaction) []*txn.Transaction {
+	return unwireReps(dst, wireReps(src, reps))
+}
+
 // unwireReps re-conflates a wire-form representative slice in the local
 // interning table.
 func unwireReps(items *txn.ItemTable, reps []WireTxn) []*txn.Transaction {

@@ -115,7 +115,7 @@ func TestSessionRejoinInstallsControlState(t *testing.T) {
 	replica := ref.stores[1].states(t, 1)[1]
 
 	opts.Fabric, opts.Rejoin = &Fabric{Store: memStore{}, Fingerprint: 42}, true
-	s, outs := newMachine(corpus, &opts, ref.start, 1)
+	s, outs := newMachine(corpus.Items.Stage(), ref.peers[1].s.local, corpus, &opts, ref.start, 1)
 	if len(outs) != 2 || outs[0] != (send{to: 0, phase: PhaseRejoin, payload: JoinMsg{Slot: 1, Fingerprint: 42}, control: true}) ||
 		outs[1] != (armTimer{startup: true}) {
 		t.Fatalf("a joiner opens with %v", outs)

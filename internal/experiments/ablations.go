@@ -26,7 +26,6 @@ type CachePoint struct {
 func PathCacheAblation(ds string, scale Scale, seed int64) ([]CachePoint, error) {
 	var out []CachePoint
 	for _, cached := range []bool{true, false} {
-		ClearCorpusCache() // isolate counters per run
 		spec := RunSpec{
 			Dataset: ds, Kind: dataset.ByHybrid, F: 0.5,
 			Gamma: BestGamma(ds, dataset.ByHybrid), Peers: 1,

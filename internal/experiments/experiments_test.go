@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -283,30 +284,45 @@ func TestTableDatasets(t *testing.T) {
 	}
 }
 
+// TestCorpusCacheReuse: runs that differ only in what they do with a corpus
+// share the prepared one, and no run leaves anything in it — CXK and PK, one
+// and three peers, either engine: its item table and its saved bytes are as
+// they were.
 func TestCorpusCacheReuse(t *testing.T) {
-	ClearCorpusCache()
 	spec := RunSpec{
 		Dataset: "DBLP", Kind: dataset.ByHybrid, F: 0.5, Gamma: 0.8,
 		Peers: 1, Docs: 48, MaxTuples: 16, Seed: 1,
 	}
-	if _, err := Execute(spec); err != nil {
+	pc, err := prepare(spec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	corpusMu.Lock()
-	n := len(corpusCache)
-	corpusMu.Unlock()
-	if n != 1 {
-		t.Fatalf("cache entries = %d", n)
-	}
-	spec.Seed = 2
-	if _, err := Execute(spec); err != nil {
+	items := pc.corpus.Items.Len()
+	var before, after bytes.Buffer
+	if err := pc.corpus.Save(&before); err != nil {
 		t.Fatal(err)
 	}
-	corpusMu.Lock()
-	n2 := len(corpusCache)
-	corpusMu.Unlock()
-	if n2 != 1 {
-		t.Errorf("seed change should reuse corpus, entries = %d", n2)
+	for _, alg := range []Algorithm{CXK, PK} {
+		for _, m := range []int{1, 3} {
+			for _, fast := range []bool{false, true} {
+				spec.Algorithm, spec.Peers, spec.fast, spec.Seed = alg, m, fast, spec.Seed+1
+				if _, err := Execute(spec); err != nil {
+					t.Fatal(err)
+				}
+				if again, _ := prepare(spec); again != pc {
+					t.Fatalf("%v m=%d: the run did not reuse the cached corpus", alg, m)
+				}
+				if n := pc.corpus.Items.Len(); n != items {
+					t.Errorf("%v m=%d fast=%v: the cached corpus's item table grew %d → %d", alg, m, fast, items, n)
+				}
+			}
+		}
+	}
+	if err := pc.corpus.Save(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Error("the runs changed the cached corpus's saved bytes")
 	}
 }
 

@@ -182,13 +182,6 @@ func prepare(spec RunSpec) (*preparedCorpus, error) {
 	return pc, nil
 }
 
-// ClearCorpusCache drops prepared corpora (tests use it to bound memory).
-func ClearCorpusCache() {
-	corpusMu.Lock()
-	corpusCache = map[corpusKey]*preparedCorpus{}
-	corpusMu.Unlock()
-}
-
 // Execute runs one clustering experiment on a background context.
 func Execute(spec RunSpec) (RunResult, error) {
 	return ExecuteCtx(context.Background(), spec)

@@ -146,7 +146,7 @@ func TestCheckpointRestoreEveryBoundary(t *testing.T) {
 	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
-	refDigest := core.RepsDigest(corpus.Items, ref[0].Reps)
+	refDigest := core.RepsDigest(ref[0].Items, ref[0].Reps)
 
 	again, err := NewStore(t.TempDir())
 	if err != nil {
@@ -222,7 +222,7 @@ func TestCheckpointRestoreEveryBoundary(t *testing.T) {
 			if !slices.Equal(res[id].Assign, ref[id].Assign) {
 				t.Fatalf("recovery at boundary %d: peer %d assignments diverged", r, id)
 			}
-			if d := core.RepsDigest(corpus.Items, res[id].Reps); d != refDigest {
+			if d := core.RepsDigest(res[id].Items, res[id].Reps); d != refDigest {
 				t.Fatalf("recovery at boundary %d: peer %d representatives diverged (%016x vs %016x)", r, id, d, refDigest)
 			}
 		}
@@ -352,7 +352,7 @@ func testRecovery(t *testing.T, tc recoveryCase) {
 	if ref.Rounds <= lossRound {
 		t.Fatalf("reference converged in %d rounds; nothing to lose mid-session", ref.Rounds)
 	}
-	refDigest := core.RepsDigest(corpus.Items, ref.Reps)
+	refDigest := core.RepsDigest(ref.Items, ref.Reps)
 
 	nodes, addrs := buildNodes(t, m)
 	defer func() {
@@ -540,7 +540,7 @@ func testRecovery(t *testing.T, tc recoveryCase) {
 		t.Fatal("recovered run diverged from the uninterrupted reference in assignments")
 	}
 	for _, pr := range []*core.PeerResult{results[0], results[1], results[3], res2} {
-		if d := core.RepsDigest(corpus.Items, pr.Reps); d != refDigest {
+		if d := core.RepsDigest(pr.Items, pr.Reps); d != refDigest {
 			t.Fatalf("peer %d representatives diverged (%016x vs %016x)", pr.ID, d, refDigest)
 		}
 	}

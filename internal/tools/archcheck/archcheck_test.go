@@ -91,9 +91,14 @@ var rules = []rule{
 		"core.Run drives goroutines, a cancel fan-out or timers again"},
 	{"internal/core/schedule.go", "ident", `^pick$`, "the scheduler's test hook is back: tests step machines in fabricSim"},
 
-	// Synthetic items are staged and committed by cluster.Rounds alone.
+	// Synthetic items are staged and committed by cluster.Rounds alone, in
+	// the job's table: a corpus holds only what a job returns.
 	{". +bench !internal/txn/ !internal/cluster/rounds.go", "selector", `\.(Stage|Restage|Adopt)$`,
 		"an item-table stage is used outside internal/txn and cluster.Rounds"},
+	{"internal/core/ !internal/core/session.go", "selector", `^corpus\.Items$`,
+		"the session interns into the corpus's item table again: a peer works in its job's table (cluster.Rounds.Items), and only PartitionFingerprint reads the corpus's"},
+	{". +tests", "ident", `^ExtractTransactions$`, "Engine.ExtractTransactions is back: Classify stages a document's items, it interns none"},
+	{". +tests", "ident", `^ClearCorpusCache$`, "the corpus cache is cleared again: no run grows a cached corpus"},
 
 	// The accuracy results (Tables 1–2, γ, the return rule) have one record, FIDELITY.json.
 	{". +tests", "ident", `^(AccuracyTable|TableResult|TableRow|CentralizedLoss|TableSeeds|tableSeeds|GammaSweep|GammaPoint|WriteGammaSweep|ReturnRuleAblation|RulePoint|WriteRuleAblation|runSweep)$`,

@@ -78,7 +78,7 @@ func (i *Item) Flatten() []ItemID {
 }
 
 // ItemTable interns items by (complete path, answer). It is safe for
-// concurrent use: peers conflate representative items concurrently.
+// concurrent use: a pass's workers conflate representative items concurrently.
 //
 // The index is one map per complete path, from answer to id, in a slice
 // indexed by path id; a path no item uses yet has no map. The columns grow
@@ -91,16 +91,16 @@ func (i *Item) Flatten() []ItemID {
 // fields, kept in lock step by Intern/InternSynthetic/SetVector.
 //
 // A table can also be a stage over another (Stage), which holds items apart
-// from it: a round's synthetic items until they are committed to it (Adopt),
-// or a classified document's unseen ones.
+// from it: a job's synthetic items, a pass's until they are committed to the
+// job's stage (Adopt), or a classified document's unseen ones.
 type ItemTable struct {
 	paths *xmltree.PathTable
 
 	mu      sync.RWMutex
 	byPath  []map[string]ItemID // by complete path id: answer → id
 	columns                     // the table's own rows, from id base on
-	// A stage's parent and base, and the parent's rows below base as they
-	// were at (re)stage time; zero for a table that is not a stage.
+	// A stage's parent and base, and the parent's own rows below base as
+	// they were at (re)stage time; zero for a table that is not a stage.
 	parent *ItemTable
 	base   ItemID
 	below  columns
@@ -116,12 +116,16 @@ type columns struct {
 	vecs     []vector.Sparse
 }
 
-// row locates id: the columns holding it and its index there.
+// row locates id: the columns holding it — its own, or a stage's captured
+// rows of its parent — and its index there.
 func (it *ItemTable) row(id ItemID) (*columns, ItemID) {
-	if id < it.base {
-		return &it.below, id
+	if id >= it.base {
+		return &it.columns, id - it.base
 	}
-	return &it.columns, id - it.base
+	for id < it.parent.base {
+		it = it.parent
+	}
+	return &it.below, id - it.parent.base
 }
 
 // rlock read-locks the table for reading the rows of ids, and reports
@@ -257,7 +261,8 @@ func (it *ItemTable) InternSynthetic(path xmltree.PathID, answer string, vec vec
 // concurrent access).
 func (it *ItemTable) Get(id ItemID) *Item {
 	if id < it.base {
-		return it.below.items[id]
+		c, j := it.row(id)
+		return c.items[j]
 	}
 	it.mu.RLock()
 	defer it.mu.RUnlock()
@@ -336,7 +341,8 @@ func (it *ItemTable) SetVector(id ItemID, v vector.Sparse) {
 // Base on; for a key it holds below Base, Lookup and interning give its id.
 // Rows below Base are read as they were when the stage was based, without
 // its lock: interning only appends to a table, and a corpus does not change
-// while it is clustered or classified against.
+// while it is clustered or classified against. It may itself be a stage,
+// not to be restaged while the new one is in use.
 func (it *ItemTable) Stage() *ItemTable {
 	st := &ItemTable{paths: it.paths, parent: it}
 	st.Restage()
@@ -351,7 +357,7 @@ func (it *ItemTable) Restage() {
 	it.parent.mu.RUnlock()
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	it.below, it.base = below, ItemID(len(below.items))
+	it.below, it.base = below, it.parent.base+ItemID(len(below.items))
 	for _, m := range it.byPath {
 		clear(m) // in place: the next round stages about as many items
 	}

@@ -4,11 +4,15 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
+	"xmlclust/internal/cluster"
+	"xmlclust/internal/core"
 	"xmlclust/internal/dataset"
 	"xmlclust/internal/fnv"
+	"xmlclust/internal/sim"
 	"xmlclust/internal/txn"
 )
 
@@ -159,6 +163,14 @@ func TestClusteringPinned(t *testing.T) {
 							line = fmt.Sprintf("PK-means %s msgs %d", line, res.TrafficMsgs)
 						}
 						got = append(got, line)
+						if alg == CXKMeans && peers == 1 {
+							assign, digest, rounds := centralizedXK(corpus, k, f)
+							key := fmt.Sprintf("%s k=%d f=%.1f", name, k, f)
+							same := slices.Equal(assign, res.Assign) && digest == RepsDigest(corpus, res.Reps) && rounds == res.Rounds
+							if same == xkParts[key] {
+								t.Errorf("%s: centralized XK-means and the one-peer session agree: %v; xkParts lists them as parting: %v", key, same, xkParts[key])
+							}
+						}
 					}
 				}
 			}
@@ -179,14 +191,48 @@ func TestClusteringPinned(t *testing.T) {
 	}
 }
 
+// xkParts names the configurations of TestClusteringPinned where the
+// one-peer session and centralizedXK part. The session refines each local
+// representative once more, as the global representative of one input,
+// which is not always the identity: here one cluster's 3-item local
+// representative becomes a 2-item global, so the final representatives
+// differ while the assignment and the rounds agree.
+var xkParts = map[string]bool{"DBLP k=16 f=0.0": true}
+
+// centralizedXK is XK-means with no session: relocate, refine each cluster's
+// representative from its members (an empty cluster keeps its own), and stop
+// when the assignment and the representatives repeat, or after MaxRounds (6)
+// rounds. It returns the assignment, RepsDigest and the round count.
+func centralizedXK(corpus *Corpus, k int, f float64) ([]int, uint64, int) {
+	cx := sim.NewContext(corpus, sim.Params{F: f, Gamma: 0.7})
+	r := cluster.NewRounds(cluster.RepConfig{Ctx: cx, Workers: 1}, corpus.Transactions, true)
+	reps := make([]*txn.Transaction, k)
+	copy(reps, cluster.SelectInitial(corpus.Transactions, k, rand.New(rand.NewSource(5))))
+	var assign []int
+	for rounds := 1; ; rounds++ {
+		next, _ := r.Assign(nil, reps)
+		locals, _ := r.LocalReps(next)
+		for j, rep := range locals {
+			if rep == nil {
+				locals[j] = reps[j]
+			}
+		}
+		if slices.Equal(next, assign) && cluster.RepsEqual(locals, reps) || rounds == 6 {
+			return next, core.RepsDigest(r.Items(), locals), rounds
+		}
+		assign, reps = next, locals
+	}
+}
+
 // TestRepresentativeForkMatchesSerial holds the representative passes, which
 // refine their clusters in parallel, to the serial loop: for CXK-means and
 // PK-means × the four generators × k ∈ {4, 16, 64}, every worker count must
-// reproduce the one-worker job. With one peer that is the assignment, the
-// rounds, every representative's item ids and the synthetic rows of the item
-// table — ids, paths, answers and constituents. With three peers, which
-// commit into one table concurrently, it is the assignment, RepsDigest, the
-// rounds and the table's length.
+// reproduce the one-worker run (core.Run, as Engine.Cluster calls it). With
+// one peer that is the assignment, the rounds, every representative's item
+// ids and the synthetic rows of the job's item table — ids, paths, answers and
+// constituents. With three peers, each in a table of its own, it is the
+// assignment, RepsDigest, the rounds and the coordinator's table's length.
+// The corpus's table never grows.
 func TestRepresentativeForkMatchesSerial(t *testing.T) {
 	type job struct {
 		assign []int
@@ -197,16 +243,21 @@ func TestRepresentativeForkMatchesSerial(t *testing.T) {
 	run := func(alg Algorithm, col *dataset.Collection, k, peers, workers int) job {
 		corpus := col.BuildCorpus(dataset.ByHybrid, 8, 1)
 		base := corpus.Items.Len()
-		res, err := freshEngine(t, corpus).Cluster(context.Background(), ClusterOptions{
-			K: k, F: 0.5, Gamma: 0.7, Peers: peers, Workers: workers, Seed: 5, MaxRounds: 6, Algorithm: alg,
+		cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.7})
+		res, err := core.Run(context.Background(), cx, corpus, core.Options{
+			K: k, Params: cx.Params, Peers: peers, Partition: core.EqualPartition(len(corpus.Transactions), peers, 5),
+			Workers: workers, Seed: 5, MaxRounds: 6, Fast: true, PKMeans: alg == PKMeans,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if corpus.Items.Len() != base {
+			t.Fatalf("the run added %d items to the corpus", corpus.Items.Len()-base)
+		}
 		j := job{assign: res.Assign, rounds: res.Rounds}
 		if peers > 1 {
-			j.reps = fmt.Sprintf("%016x", RepsDigest(corpus, res.Reps))
-			j.table = fmt.Sprint(corpus.Items.Len())
+			j.reps = fmt.Sprintf("%016x", core.RepsDigest(res.Items, res.Reps))
+			j.table = fmt.Sprint(res.Items.Len())
 			return j
 		}
 		for _, rep := range res.Reps {
@@ -214,8 +265,8 @@ func TestRepresentativeForkMatchesSerial(t *testing.T) {
 				j.reps += fmt.Sprintln(rep.Items)
 			}
 		}
-		for id := base; id < corpus.Items.Len(); id++ {
-			it := corpus.Items.Get(txn.ItemID(id))
+		for id := base; id < res.Items.Len(); id++ {
+			it := res.Items.Get(txn.ItemID(id))
 			j.table += fmt.Sprintf("%d %d %q %v\n", it.ID, it.Path, it.Answer, it.Constituents)
 		}
 		return j
