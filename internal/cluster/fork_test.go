@@ -22,8 +22,10 @@ type forkTrace struct {
 // the order order returns (nil: the fork under workers). A global pass
 // merges each cluster's local representative with its neighbour's, as two
 // peers would, so global passes conflate committed synthetic items too. The
-// corpus's table must not grow.
-func forkPasses(t *testing.T, ds string, k, workers int, order func(n int) []int) forkTrace {
+// corpus's table must not grow. direct runs the oracle instead of the passes:
+// the serial loop, every representative computed in index order straight into
+// the run's table, with no stage, no commit and no memo.
+func forkPasses(t *testing.T, ds string, k, workers int, order func(n int) []int, direct bool) forkTrace {
 	t.Helper()
 	corpus, _ := synthCorpus(t, ds, 40)
 	cx := ctxFor(corpus, 0.5, 0.6)
@@ -47,14 +49,34 @@ func forkPasses(t *testing.T, ds string, k, workers int, order func(n int) []int
 		if err != nil {
 			t.Fatal(err)
 		}
-		locals, sizes := r.LocalReps(assign)
+		var locals, globals []*txn.Transaction
+		var sizes []int
+		if direct {
+			members := make([][]*txn.Transaction, k)
+			for i, a := range assign {
+				if a >= 0 {
+					members[a] = append(members[a], s[i])
+				}
+			}
+			for _, mem := range members {
+				locals, sizes = append(locals, ComputeLocalRepresentative(r.cfg, mem)), append(sizes, len(mem))
+			}
+		} else {
+			locals, sizes = r.LocalReps(assign)
+		}
 		keep(locals)
 		inputs := make([][]WeightedRep, k)
 		for j := range inputs {
 			n := (j + 1) % k
 			inputs[j] = []WeightedRep{{Rep: locals[j], Weight: sizes[j]}, {Rep: locals[n], Weight: sizes[n]}}
 		}
-		globals := r.GlobalReps(inputs)
+		if direct {
+			for _, in := range inputs {
+				globals = append(globals, ComputeGlobalRepresentative(r.cfg, in))
+			}
+		} else {
+			globals = r.GlobalReps(inputs)
+		}
 		keep(globals)
 		for j, g := range globals {
 			if g != nil {
@@ -76,7 +98,8 @@ func forkPasses(t *testing.T, ds string, k, workers int, order func(n int) []int
 // under adversarial schedules: work items run in reverse and in seeded random
 // orders — so a cluster finds staged items that a later cluster made — must
 // leave every representative and the item table's synthetic rows exactly as
-// index order leaves them, and so must the fork at several workers.
+// index order leaves them, and so must the fork at several workers and the
+// serial loop without a stage, which holds commit to cluster order.
 func TestRepresentativeForkScheduleOrders(t *testing.T) {
 	reverse := func(n int) []int {
 		order := make([]int, n)
@@ -87,15 +110,16 @@ func TestRepresentativeForkScheduleOrders(t *testing.T) {
 	}
 	for _, ds := range []string{"DBLP", "Wikipedia"} {
 		for _, k := range []int{4, 16} {
-			want := forkPasses(t, ds, k, 1, nil)
+			want := forkPasses(t, ds, k, 1, nil, false)
 			if len(want.rows) == 0 {
 				t.Fatalf("%s k=%d: no synthetic item was interned", ds, k)
 			}
 			rng := rand.New(rand.NewSource(int64(k)))
 			for name, got := range map[string]forkTrace{
-				"reverse":   forkPasses(t, ds, k, 1, reverse),
-				"random":    forkPasses(t, ds, k, 1, rng.Perm),
-				"workers 4": forkPasses(t, ds, k, 4, nil),
+				"reverse":   forkPasses(t, ds, k, 1, reverse, false),
+				"random":    forkPasses(t, ds, k, 1, rng.Perm, false),
+				"workers 4": forkPasses(t, ds, k, 4, nil, false),
+				"serial":    forkPasses(t, ds, k, 1, nil, true),
 			} {
 				label := fmt.Sprintf("%s k=%d %s", ds, k, name)
 				for i := range want.reps {

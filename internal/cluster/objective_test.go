@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"xmlclust/internal/sim"
@@ -201,13 +202,14 @@ func TestRefinementObjectiveStepByStep(t *testing.T) {
 // TestLocalRepresentativeAllocations is the refinement allocation guard (CI
 // runs it beside the two zero-alloc kernel guards): a warm
 // ComputeLocalRepresentative — pools warm, its synthetic items interned
-// already — allocates for each step's candidate transaction and the keys of
-// the groups that grew, O(steps), and nothing for ranking, per member, per
-// posting or per pair: the ranking view, the conflation, the index, its
-// columns and the pair lists are pooled. Two assertions: a
-// budget of steps × a small constant, and the sharper one — the same cluster
-// with every member listed twice (same items, same ranks, twice the rows,
-// holders and pairs) allocates exactly as much.
+// already — allocates for each step's candidate transaction, O(steps), and
+// nothing for ranking, per member, per posting, per pair or per conflated
+// group: the ranking view, the conflation and its key, the index, its columns
+// and the pair lists are pooled. Three assertions: a budget of steps × a small
+// constant; the sharper one — the same cluster with every member listed twice
+// (same items, same ranks, twice the rows, holders and pairs) allocates
+// exactly as much; and a warm ConflateItems whose groups are all interned
+// allocates its transaction alone.
 func TestLocalRepresentativeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drains sync.Pool at random; the guard runs without it")
@@ -227,11 +229,22 @@ func TestLocalRepresentativeAllocations(t *testing.T) {
 	steps2, allocs2 := measure(twice)
 	t.Logf("%d members: %d steps, %.0f allocs/op (%.1f per step); listed twice: %d steps, %.0f allocs/op",
 		len(members), steps, allocs, allocs/float64(steps), steps2, allocs2)
-	const perStep = 8 // measured 4.2: two allocations per candidate transaction, a merged-answer key per grown group
+	const perStep = 3 // measured 2.4: two allocations per candidate transaction
 	if allocs > float64(perStep*steps) {
 		t.Errorf("%.0f allocs/op for %d steps, budget %d per step", allocs, steps, perStep)
 	}
 	if steps2 == steps && allocs2 != allocs {
 		t.Errorf("twice the members allocate %.0f/op, once %.0f/op: something allocates per member", allocs2, allocs)
+	}
+	var raw []txn.ItemID
+	for _, tr := range members {
+		raw = append(raw, tr.Items...)
+	}
+	merged := func(id txn.ItemID) bool { return cx.Items.Get(id).Synthetic }
+	if !slices.ContainsFunc(ConflateItems(cx.Items, raw).Items, merged) {
+		t.Fatal("no group of the conflation merged")
+	}
+	if n := testing.AllocsPerRun(20, func() { ConflateItems(cx.Items, raw) }); n != 2 {
+		t.Errorf("a warm ConflateItems allocates %.0f/op, want 2: its transaction", n)
 	}
 }

@@ -25,11 +25,14 @@
 // Both representative functions rank IC, the cluster's distinct items, through
 // one pooled view of arrays indexed by item, tag-path, path and term id, and
 // conflate through pooled path groups whose merged-answer keys stay sorted as
-// ids arrive. Every rank and every conflated item has the bits of the
-// map-and-merge code this replaced, kept verbatim in reference_test.go as the
-// oracle; the argument sits beside each replacement. An array is zeroed by
-// walking what one computation touched, grows with the table and has one
-// borrower at a time: nothing is shared by concurrent jobs or carried over.
+// ids arrive. A key is built and looked up in pooled bytes: a group whose item
+// is interned allocates nothing, one that interns it what the item keeps, its
+// key, constituents and an exact-length copy of the pooled sum. Every rank and
+// every conflated item has the bits of the map-and-merge code this replaced,
+// kept verbatim in reference_test.go as the oracle; the argument sits beside
+// each replacement. An array is zeroed by walking what one computation
+// touched, grows with the table and has one borrower at a time: nothing is
+// shared by concurrent jobs or carried over.
 //
 // # Refinement
 //
@@ -54,7 +57,6 @@ package cluster
 import (
 	"cmp"
 	"slices"
-	"strings"
 	"sync"
 
 	"xmlclust/internal/sim"
@@ -476,10 +478,12 @@ func ConflateItems(tab *txn.ItemTable, rawIDs []txn.ItemID) *txn.Transaction {
 // carrying the groups across steps re-merges only the groups that grew.
 // release zeroes the id-indexed arrays by walking the groups.
 type conflation struct {
-	seen   []bool      // raw item id → in a group
-	slot   []int32     // complete path id → group index + 1
-	groups []pathGroup // first-met order: the order new items intern in
-	items  []*txn.Item // a merged group's records
+	seen   []bool         // raw item id → in a group
+	slot   []int32        // complete path id → group index + 1
+	groups []pathGroup    // first-met order: the order new items intern in
+	items  []*txn.Item    // a merged group's records
+	key    []byte         // a grown group's merged-answer key
+	parts  []vector.Entry // a missed group's constituent entries, summed
 	out    []txn.ItemID
 	log    *[]txn.ItemID // RepConfig.log
 }
@@ -526,11 +530,7 @@ func (c *conflation) addItem(it *txn.Item) {
 }
 
 // transaction conflates the groups into a tree-tuple-form transaction. A
-// group that grew is merged afresh — constituents in ascending id order, so
-// the summed vector has the bits a one-shot conflation gives it — unless the
-// content-addressed item it merges to is interned already, which the
-// (path, merged answer key) lookup tells before any vector is summed. The key
-// is the group's answer list joined: txn.MergedAnswerKey of its answers.
+// group that grew is merged afresh (merge), the others keep their item.
 func (c *conflation) transaction(tab *txn.ItemTable) *txn.Transaction {
 	c.out = c.out[:0]
 	for k := range c.groups {
@@ -547,26 +547,36 @@ func (c *conflation) transaction(tab *txn.ItemTable) *txn.Transaction {
 	return txn.NewTransaction(c.out, -1, -1, -1)
 }
 
+// merge returns the item a group of two or more conflates to, looking it up
+// by (path, merged answer key) before any vector is summed. The key,
+// txn.MergedAnswerKey of the group's answers, lives in pooled bytes, so a hit
+// allocates nothing; a miss allocates its key, constituents and an
+// exact-length copy of the sum taken in pooled parts. Constituents are summed
+// in ascending id order: the bits a one-shot conflation gives.
 func (c *conflation) merge(tab *txn.ItemTable, g *pathGroup) txn.ItemID {
 	if len(g.ids) == 1 {
 		return g.ids[0]
 	}
-	key := strings.Join(g.answers, "\x1f")
-	if id, ok := tab.Lookup(g.path, key); ok {
+	c.key = c.key[:0]
+	for i, a := range g.answers {
+		if i > 0 {
+			c.key = append(c.key, '\x1f')
+		}
+		c.key = append(c.key, a...)
+	}
+	if id, ok := tab.LookupBytes(g.path, c.key); ok {
 		return id
 	}
 	slices.Sort(g.ids)
 	c.items = slices.Grow(c.items[:0], len(g.ids))[:len(g.ids)]
 	tab.Resolve(g.ids, c.items)
-	n := 0
+	c.parts = c.parts[:0]
 	for _, it := range c.items {
-		n += it.Vector.Len()
+		c.parts = append(c.parts, it.Vector.Entries()...)
 	}
-	parts := make([]vector.Entry, 0, n)
-	for _, it := range c.items {
-		parts = append(parts, it.Vector.Entries()...)
-	}
-	return tab.InternSynthetic(g.path, key, vector.Collect(parts), g.ids)
+	sum := vector.Collect(c.parts).Entries()
+	vec := vector.FromEntries(append(make([]vector.Entry, 0, len(sum)), sum...))
+	return tab.InternSynthetic(g.path, string(c.key), vec, g.ids)
 }
 
 func (c *conflation) release() {

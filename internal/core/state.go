@@ -143,10 +143,29 @@ func wireReps(items *txn.ItemTable, reps []*txn.Transaction) []WireTxn {
 	return out
 }
 
-// Reconflate rebuilds reps, which resolve in src, in dst through their wire
-// form, as a receiver does: how a job hands its result to the corpus.
+// Reconflate rebuilds reps, which resolve in src, a job's stage over dst, in
+// dst: how a job hands its result to the corpus. An item below src's base is
+// dst's and keeps its id; a job item is interned in dst by its ⟨path, answer⟩
+// with its own vector and constituents — the ids, in the order and with the
+// bits that re-conflating the wire form gives, without a second sum. An empty
+// representative becomes nil.
 func Reconflate(dst, src *txn.ItemTable, reps []*txn.Transaction) []*txn.Transaction {
-	return unwireReps(dst, wireReps(src, reps))
+	out := make([]*txn.Transaction, len(reps))
+	var ids []txn.ItemID
+	for i, rep := range reps {
+		if rep == nil || rep.Len() == 0 {
+			continue
+		}
+		ids = append(ids[:0], rep.Items...)
+		for k, id := range ids {
+			if id >= src.Base() {
+				it := src.Get(id)
+				ids[k] = dst.InternSynthetic(it.Path, it.Answer, it.Vector, it.Constituents)
+			}
+		}
+		out[i] = txn.NewTransaction(ids, -1, -1, -1)
+	}
+	return out
 }
 
 // unwireReps re-conflates a wire-form representative slice in the local

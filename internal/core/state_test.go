@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -325,5 +326,56 @@ func TestSessionInstallVetsState(t *testing.T) {
 			t.Errorf("%s: a rejected state changed the session", c.name)
 		}
 		tr.Close()
+	}
+}
+
+// TestReconflateMatchesWire: a job hands its representatives to the corpus by
+// content (Reconflate) exactly as re-conflating their wire form does, the
+// oracle, run on a twin corpus: the same representative ids, the same table
+// length and the same saved bytes after every job, for both algorithms, one
+// and three peers, both engines and two cluster counts, twice over, so that
+// later jobs meet the items earlier ones handed over.
+func TestReconflateMatchesWire(t *testing.T) {
+	content, _ := miniCorpus(t, 16)
+	wire, _ := miniCorpus(t, 16)
+	saved := func(c *txn.Corpus) []byte {
+		var buf bytes.Buffer
+		if err := c.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	job := func(c *txn.Corpus, pk bool, m int, fast bool, k int) *Result {
+		cx := sim.NewContext(c, sim.Params{F: 0.5, Gamma: 0.6})
+		res, err := Run(context.Background(), cx, c, Options{
+			K: k, Params: cx.Params, Peers: m, Seed: int64(k + m),
+			Partition: EqualPartition(len(c.Transactions), m, int64(k+m)), PKMeans: pk, Fast: fast,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for pass := 0; pass < 2; pass++ {
+		for _, pk := range []bool{false, true} {
+			for _, m := range []int{1, 3} {
+				for _, fast := range []bool{false, true} {
+					for _, k := range []int{4, 16} {
+						label := fmt.Sprintf("pass %d pk=%v m=%d fast=%v k=%d", pass, pk, m, fast, k)
+						a, b := job(content, pk, m, fast, k), job(wire, pk, m, fast, k)
+						got := Reconflate(content.Items, a.Items, a.Reps)
+						want := unwireReps(wire.Items, wireReps(b.Items, b.Reps))
+						for j := range want {
+							if (got[j] == nil) != (want[j] == nil) || got[j] != nil && !slices.Equal(got[j].Items, want[j].Items) {
+								t.Fatalf("%s: representative %d is %v by content, %v by wire", label, j, got[j], want[j])
+							}
+						}
+						if content.Items.Len() != wire.Items.Len() || !bytes.Equal(saved(content), saved(wire)) {
+							t.Fatalf("%s: the corpora part: %d and %d items", label, content.Items.Len(), wire.Items.Len())
+						}
+					}
+				}
+			}
+		}
 	}
 }

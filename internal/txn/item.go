@@ -152,7 +152,7 @@ func (it *ItemTable) Paths() *xmltree.PathTable { return it.paths }
 // Intern returns the id of the item ⟨path, answer⟩, registering it if new.
 func (it *ItemTable) Intern(path xmltree.PathID, answer string) ItemID {
 	it.mu.RLock()
-	id, ok := it.find(path, answer)
+	id, ok := find(it, path, answer)
 	it.mu.RUnlock()
 	if ok {
 		return id
@@ -162,12 +162,13 @@ func (it *ItemTable) Intern(path xmltree.PathID, answer string) ItemID {
 	return it.internLocked(path, answer)
 }
 
-// find looks ⟨path, answer⟩ up in the table's own index, under its lock.
-func (it *ItemTable) find(path xmltree.PathID, answer string) (ItemID, bool) {
+// find looks ⟨path, answer⟩ up in the table's own index, under its lock. The
+// conversion of a byte answer in the map index copies nothing.
+func find[K string | []byte](it *ItemTable, path xmltree.PathID, answer K) (ItemID, bool) {
 	if int(path) >= len(it.byPath) {
 		return 0, false
 	}
-	id, ok := it.byPath[path][answer]
+	id, ok := it.byPath[path][string(answer)]
 	return id, ok
 }
 
@@ -175,10 +176,10 @@ func (it *ItemTable) find(path xmltree.PathID, answer string) (ItemID, bool) {
 // parent. The lock order is stage before parent, and ItemTable before
 // PathTable: a new item looks up its tag path with the lock held.
 func (it *ItemTable) internLocked(path xmltree.PathID, answer string) ItemID {
-	if id, ok := it.find(path, answer); ok {
+	if id, ok := find(it, path, answer); ok {
 		return id
 	}
-	if id, ok := it.inParent(path, answer); ok {
+	if id, ok := inParent(it, path, answer); ok {
 		return id
 	}
 	return it.add(&Item{Path: path, Answer: answer})
@@ -215,11 +216,20 @@ func grow[T any](s []T, n int) []T {
 
 // Lookup returns the id of the item ⟨path, answer⟩ if it is interned.
 func (it *ItemTable) Lookup(path xmltree.PathID, answer string) (ItemID, bool) {
-	if id, ok := it.inParent(path, answer); ok {
+	return lookup(it, path, answer)
+}
+
+// LookupBytes is Lookup with the answer as bytes; it allocates nothing.
+func (it *ItemTable) LookupBytes(path xmltree.PathID, answer []byte) (ItemID, bool) {
+	return lookup(it, path, answer)
+}
+
+func lookup[K string | []byte](it *ItemTable, path xmltree.PathID, answer K) (ItemID, bool) {
+	if id, ok := inParent(it, path, answer); ok {
 		return id, true
 	}
 	it.mu.RLock()
-	id, ok := it.find(path, answer)
+	id, ok := find(it, path, answer)
 	it.mu.RUnlock()
 	return id, ok
 }
@@ -227,11 +237,11 @@ func (it *ItemTable) Lookup(path xmltree.PathID, answer string) (ItemID, bool) {
 // inParent looks ⟨path, answer⟩ up in a stage's parent. An id at or above the
 // base, interned by another job since, is not the stage's: its row was not
 // captured.
-func (it *ItemTable) inParent(path xmltree.PathID, answer string) (ItemID, bool) {
+func inParent[K string | []byte](it *ItemTable, path xmltree.PathID, answer K) (ItemID, bool) {
 	if it.parent == nil {
 		return 0, false
 	}
-	id, ok := it.parent.Lookup(path, answer)
+	id, ok := lookup(it.parent, path, answer)
 	return id, ok && id < it.base
 }
 
@@ -239,12 +249,12 @@ func (it *ItemTable) inParent(path xmltree.PathID, answer string) (ItemID, bool)
 // its raw constituent decomposition. The answer must already be the
 // canonical merged-answer key so equal conflations intern to equal ids.
 func (it *ItemTable) InternSynthetic(path xmltree.PathID, answer string, vec vector.Sparse, constituents []ItemID) ItemID {
-	if id, ok := it.inParent(path, answer); ok {
+	if id, ok := inParent(it, path, answer); ok {
 		return id
 	}
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	if id, ok := it.find(path, answer); ok {
+	if id, ok := find(it, path, answer); ok {
 		return id
 	}
 	return it.add(&Item{
@@ -375,7 +385,7 @@ func (it *ItemTable) Base() ItemID { return it.base }
 func (it *ItemTable) Adopt(item *Item) ItemID {
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	if id, ok := it.find(item.Path, item.Answer); ok {
+	if id, ok := find(it, item.Path, item.Answer); ok {
 		return id
 	}
 	return it.add(item)

@@ -48,6 +48,27 @@ func TestStageReadsThroughBelowBase(t *testing.T) {
 	}
 }
 
+// TestLookupBytes: the byte-keyed lookup answers as Lookup does through a
+// stage over a stage, and a hit allocates nothing.
+func TestLookupBytes(t *testing.T) {
+	tab, st, p, raw, _ := stageFixture(t)
+	job := st.Stage()
+	own := job.InternSynthetic(p, MergedAnswerKey([]string{"x", "q"}), vector.Sparse{}, raw)
+	for _, key := range []string{"x", MergedAnswerKey([]string{"x", "y"}), MergedAnswerKey([]string{"x", "q"}), "absent"} {
+		id, ok := job.Lookup(p, key)
+		if gotID, gotOK := job.LookupBytes(p, []byte(key)); gotID != id || gotOK != ok {
+			t.Errorf("LookupBytes(%q) = %d, %v; Lookup gives %d, %v", key, gotID, gotOK, id, ok)
+		}
+	}
+	if _, ok := tab.LookupBytes(p, []byte(MergedAnswerKey([]string{"x", "q"}))); ok {
+		t.Errorf("the parent finds the staged item %d", own)
+	}
+	key := []byte(MergedAnswerKey([]string{"x", "y"}))
+	if n := testing.AllocsPerRun(100, func() { job.LookupBytes(p, key) }); n != 0 {
+		t.Errorf("a byte-keyed hit allocates %.0f times", n)
+	}
+}
+
 func TestStageInternsParentKeyToParentID(t *testing.T) {
 	tab, st, p, raw, syn := stageFixture(t)
 	key := MergedAnswerKey([]string{"x", "y"})
@@ -76,6 +97,9 @@ func TestStageIgnoresParentIDsAtOrAboveBase(t *testing.T) {
 	}
 	if id, ok := st.Lookup(p, key); ok {
 		t.Errorf("Lookup returned %d, interned after the stage was based", id)
+	}
+	if id, ok := st.LookupBytes(p, []byte(key)); ok {
+		t.Errorf("LookupBytes returned %d, interned after the stage was based", id)
 	}
 	staged := st.InternSynthetic(p, key, vector.Sparse{}, raw)
 	if staged != st.Base() {
