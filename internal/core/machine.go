@@ -349,13 +349,15 @@ func (s *session) broadcastGlobals() {
 		s.received = s.m - 1
 		return
 	}
-	own := map[int]WireTxn{}
-	for _, j := range s.zi {
-		own[j] = toWire(s.items, s.global[j])
-	}
-	for h := 0; h < s.m; h++ {
-		if h != s.id {
-			s.send(h, GlobalRepsMsg{From: s.id, Round: s.round, Reps: own})
+	if s.m > 1 { // a lone peer has no one to send its globals to
+		own := map[int]WireTxn{}
+		for _, j := range s.zi {
+			own[j] = toWire(s.items, s.global[j])
+		}
+		for h := 0; h < s.m; h++ {
+			if h != s.id {
+				s.send(h, GlobalRepsMsg{From: s.id, Round: s.round, Reps: own})
+			}
 		}
 	}
 	s.arm(false)

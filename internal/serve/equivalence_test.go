@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"xmlclust"
@@ -38,6 +40,77 @@ func TestIncrementalEquivalence(t *testing.T) {
 	t.Run("delta-off-reference", func(t *testing.T) {
 		testIncrementalEquivalence(t, xmlclust.RepIndexAuto, xmlclust.DeltaRoundsOff)
 	})
+}
+
+// fromScratch is the batch job on the documents docs holds, named
+// "doc<key>" and in key order: a fresh corpus and Engine.Cluster under the
+// service's options, with delta rounds as refDelta says.
+func fromScratch(t *testing.T, cfg Config, refDelta xmlclust.DeltaRoundsMode, docs map[int]string) (*xmlclust.Corpus, *xmlclust.Result) {
+	t.Helper()
+	var trees []*xmlclust.Tree
+	for _, i := range slices.Sorted(maps.Keys(docs)) {
+		tree, err := xmlclust.ParseString(docs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree.Name = fmt.Sprintf("doc%d", i)
+		trees = append(trees, tree)
+	}
+	corpus := xmlclust.BuildCorpus(trees, xmlclust.CorpusOptions{MaxTuplesPerTree: cfg.MaxTuplesPerTree})
+	eng, err := xmlclust.NewEngine(corpus, xmlclust.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := eng.Cluster(context.Background(), xmlclust.ClusterOptions{
+		K: cfg.K, F: cfg.F, Gamma: cfg.Gamma,
+		Seed: cfg.Seed, Workers: cfg.Workers, MaxRounds: cfg.MaxRounds,
+		IndexReps: cfg.IndexReps, DeltaRounds: refDelta,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return corpus, ref
+}
+
+// TestServiceKeepsNoCallerBytes: AddDocument and Classify keep no reference
+// to the bytes they are given. Every document goes in through one buffer
+// that is overwritten as soon as the call returns, as the HTTP handler
+// reuses a pooled request body, and a refresh still equals the batch job.
+func TestServiceKeepsNoCallerBytes(t *testing.T) {
+	s, err := NewService(serveConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	docs := serveDocs(4)
+	var buf []byte
+	through := func(doc string, call func([]byte) error) {
+		buf = append(buf[:0], doc...)
+		if err := call(buf); err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 'x'
+		}
+	}
+	live := map[int]string{}
+	for i, doc := range docs {
+		live[i] = doc
+		through(doc, func(b []byte) error { _, err := s.AddDocument(ctx, fmt.Sprintf("doc%d", i), b, -1); return err })
+		through(docs[len(docs)-1-i], func(b []byte) error { _, err := s.Classify(ctx, b); return err })
+	}
+	if err := s.Refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	_, ref := fromScratch(t, serveConfig(), xmlclust.DeltaRoundsAuto, live)
+	if got := s.Assignment(); !slices.Equal(got, ref.Assign) {
+		t.Fatalf("refresh after reused buffers assigns %v, the batch job %v", got, ref.Assign)
+	}
+	for j, rep := range s.Representatives() {
+		if (rep == nil) != (ref.Reps[j] == nil) || rep != nil && !rep.Equal(ref.Reps[j]) {
+			t.Fatalf("representative %d: %v after reused buffers, %v from the batch job", j, rep, ref.Reps[j])
+		}
+	}
 }
 
 func testIncrementalEquivalence(t *testing.T, mode xmlclust.RepIndexMode, refDelta xmlclust.DeltaRoundsMode) {
@@ -103,31 +176,13 @@ func testIncrementalEquivalence(t *testing.T, mode xmlclust.RepIndexMode, refDel
 	}
 
 	// From-scratch reference: the live documents in original add order.
-	var trees []*xmlclust.Tree
+	live := map[int]string{}
 	for i, doc := range docs {
-		if i == 2 || i == 7 {
-			continue // removed above
+		if i != 2 && i != 7 { // removed above
+			live[i] = doc
 		}
-		tree, err := xmlclust.ParseString(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree.Name = fmt.Sprintf("doc%d", i)
-		trees = append(trees, tree)
 	}
-	corpus := xmlclust.BuildCorpus(trees, xmlclust.CorpusOptions{MaxTuplesPerTree: cfg.MaxTuplesPerTree})
-	eng, err := xmlclust.NewEngine(corpus, xmlclust.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := eng.Cluster(ctx, xmlclust.ClusterOptions{
-		K: cfg.K, F: cfg.F, Gamma: cfg.Gamma,
-		Seed: cfg.Seed, Workers: cfg.Workers, MaxRounds: cfg.MaxRounds,
-		IndexReps: mode, DeltaRounds: refDelta,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	corpus, ref := fromScratch(t, cfg, refDelta, live)
 
 	// With the index on, the service must actually be using it: the stats
 	// surface reports a live index and counter movement.

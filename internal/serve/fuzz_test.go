@@ -20,10 +20,12 @@ import (
 // The service maps every error it does not recognise to 400, so a 400 must
 // be one the body explains: it does not decode, it holds more than one JSON
 // value, its xml field is empty, or its xml does not parse. A refused add leaves the document count as it was,
-// and an accepted one reads back under its id.
+// and an accepted one reads back under its id. The xml member decodes as
+// encoding/json decodes a string: a classify request and struct{ XML string }
+// both fail, or both hold the same bytes.
 func FuzzServeBodies(f *testing.F) {
 	doc := serveDocs(1)[0]
-	valid, _ := json.Marshal(addDocumentRequest{Name: "fuzz", XML: doc})
+	valid, _ := json.Marshal(addBody{Name: "fuzz", XML: doc})
 	for _, seed := range []string{
 		string(valid),
 		string(valid[:len(valid)/2]),
@@ -35,6 +37,15 @@ func FuzzServeBodies(f *testing.F) {
 		`{"xml":` + fmt.Sprintf("%q", doc) + `}`,
 		``,
 		`null`,
+		`{"xml":"<a>\"\\\/\b\f\n\r\t\u00e9\u00C9\u4e2d\ud83d\ude00 \ufffd</a>"}`,
+		`{"xml":"<a>\ud800 \udc00 \ud800\ud800 \ud83d\u0041 \ud83d</a>"}`,
+		"{\"xml\":\"<a>\xff \xc3 \xe2\x82 \xef\xbf\xbd</a>\"}",
+		`{"xml":5}`,
+		`{"xml":{"a":"<a>x</a>"},"name":"obj"}`,
+		`{"xml":["<a>x</a>"]}`,
+		`{"xml":true}`,
+		`{"xml":"<a>x</a>","xml":null}`,
+		`{"XML":"<a>y</a>","label":"3"}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -57,20 +68,27 @@ func FuzzServeBodies(f *testing.F) {
 		// req, whose xml field is xml: the handlers take one JSON value with
 		// nothing but white space after it, then require a non-empty xml
 		// field that parses.
-		explained := func(req any, xml *string) bool {
+		explained := func(req any, xml *xmlText) bool {
 			dec := json.NewDecoder(bytes.NewReader(body))
-			if dec.Decode(req) != nil || *xml == "" {
+			if dec.Decode(req) != nil || len(*xml) == 0 {
 				return true
 			}
 			if _, tail := dec.Token(); tail != io.EOF {
 				return true
 			}
-			_, err := xmlclust.ParseBytes([]byte(*xml))
+			_, err := xmlclust.ParseBytes(*xml)
 			return err != nil
 		}
 		var add addDocumentRequest
 		var cls classifyRequest
 		addRefused, clsRefused := explained(&add, &add.XML), explained(&cls, &cls.XML)
+
+		var got classifyRequest
+		var want struct{ XML string }
+		gotErr, wantErr := json.Unmarshal(body, &got), json.Unmarshal(body, &want)
+		if (gotErr == nil) != (wantErr == nil) || gotErr == nil && string(got.XML) != want.XML {
+			t.Fatalf("xml member decoded to %q (%v), encoding/json gives %q (%v)", got.XML, gotErr, want.XML, wantErr)
+		}
 		do := func(method, path string, body []byte, refused bool) *httptest.ResponseRecorder {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))

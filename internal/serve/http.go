@@ -2,11 +2,18 @@ package serve
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
+	"sync"
+	"unicode"
+	"unicode/utf16"
+	"unicode/utf8"
 
 	"xmlclust"
 )
@@ -14,6 +21,10 @@ import (
 // maxBodyBytes bounds request bodies (raw XML documents are small compared
 // to the corpora the paper serves; 16 MiB is generous).
 const maxBodyBytes = 16 << 20
+
+// maxPooledBytes bounds the buffers a handler keeps for later requests, so
+// one large body does not pin its size for the life of the process.
+const maxPooledBytes = 1 << 20
 
 // NewHandler exposes a Service over HTTP:
 //
@@ -32,7 +43,7 @@ const maxBodyBytes = 16 << 20
 // for unknown documents, 410 for removed ones, 503 when a request's work
 // was canceled mid-flight.
 func NewHandler(s *Service) http.Handler {
-	h := &handler{s: s}
+	h := &handler{s: s, bodies: sync.Pool{New: func() any { return new(body) }}}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))
@@ -50,17 +61,99 @@ func NewHandler(s *Service) http.Handler {
 }
 
 type handler struct {
-	s *Service
+	s      *Service
+	bodies sync.Pool // *body
+}
+
+// body is one request's pooled scratch: the bytes of the request body, and
+// the xml member unquoted from them.
+type body struct {
+	raw []byte
+	xml xmlText
+}
+
+func (h *handler) release(b *body) {
+	if cap(b.raw) <= maxPooledBytes && cap(b.xml) <= maxPooledBytes {
+		h.bodies.Put(b)
+	}
 }
 
 type addDocumentRequest struct {
-	Name  string `json:"name"`
-	XML   string `json:"xml"`
-	Label *int   `json:"label"`
+	Name  string  `json:"name"`
+	XML   xmlText `json:"xml"`
+	Label *int    `json:"label"`
 }
 
 type classifyRequest struct {
-	XML string `json:"xml"`
+	XML xmlText `json:"xml"`
+}
+
+// xmlText is a request's xml member: the JSON string unquoted into bytes
+// as encoding/json unquotes a string, with no string built. It decodes into
+// its own storage, so a pooled body reuses it.
+type xmlText []byte
+
+func (t *xmlText) UnmarshalJSON(data []byte) error {
+	out, ok := appendUnquoted((*t)[:0], data)
+	if !ok { // null, or no string: as encoding/json decodes it into a string
+		var str string
+		return json.Unmarshal(data, &str)
+	}
+	*t = out
+	return nil
+}
+
+// appendUnquoted appends the JSON string literal lit, unquoted, to dst:
+// escapes decoded, and an unpaired surrogate escape or a byte that is not
+// UTF-8 turned into U+FFFD, as encoding/json does. It reports false when
+// lit is not a string literal.
+func appendUnquoted(dst, lit []byte) ([]byte, bool) {
+	if len(lit) < 2 || lit[0] != '"' || lit[len(lit)-1] != '"' {
+		return dst, false
+	}
+	s := lit[1 : len(lit)-1]
+	for i := 0; i < len(s); {
+		switch c := s[i]; {
+		case c < ' ' || c == '"' || c == '\\' && i+1 == len(s):
+			return dst, false
+		case c < utf8.RuneSelf && c != '\\':
+			dst = append(dst, c)
+			i++
+		case c >= utf8.RuneSelf: // DecodeRune reads a byte that is not UTF-8 as U+FFFD
+			r, n := utf8.DecodeRune(s[i:])
+			dst = utf8.AppendRune(dst, r)
+			i += n
+		case s[i+1] == 'u':
+			r := hex4(s[i:])
+			i += 6
+			if utf16.IsSurrogate(r) {
+				if r = utf16.DecodeRune(r, hex4(s[i:])); r != unicode.ReplacementChar {
+					i += 6 // a valid pair
+				}
+			}
+			dst = utf8.AppendRune(dst, r)
+		default:
+			x := strings.IndexByte("\"\\/bfnrt", s[i+1])
+			if x < 0 {
+				return dst, false
+			}
+			dst = append(dst, "\"\\/\b\f\n\r\t"[x])
+			i += 2
+		}
+	}
+	return dst, true
+}
+
+// hex4 decodes the escape \uXXXX at the start of s, or returns −1.
+func hex4(s []byte) rune {
+	var b [2]byte
+	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
+		return -1
+	}
+	if _, err := hex.Decode(b[:], s[2:6]); err != nil {
+		return -1
+	}
+	return rune(b[0])<<8 | rune(b[1])
 }
 
 type classifyResponse struct {
@@ -75,11 +168,13 @@ type clusterResponse struct {
 }
 
 func (h *handler) addDocument(w http.ResponseWriter, r *http.Request) {
+	b := h.bodies.Get().(*body)
+	defer h.release(b)
 	var req addDocumentRequest
-	if !decode(w, r, &req) {
+	if !decode(w, r, b, &req, &req.XML) {
 		return
 	}
-	if req.XML == "" {
+	if len(req.XML) == 0 {
 		writeError(w, http.StatusBadRequest, errors.New("serve: empty xml field"))
 		return
 	}
@@ -87,7 +182,7 @@ func (h *handler) addDocument(w http.ResponseWriter, r *http.Request) {
 	if req.Label != nil {
 		label = *req.Label
 	}
-	info, err := h.s.AddDocument(r.Context(), req.Name, []byte(req.XML), label)
+	info, err := h.s.AddDocument(r.Context(), req.Name, req.XML, label)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -126,15 +221,17 @@ func (h *handler) removeDocument(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *handler) classify(w http.ResponseWriter, r *http.Request) {
+	b := h.bodies.Get().(*body)
+	defer h.release(b)
 	var req classifyRequest
-	if !decode(w, r, &req) {
+	if !decode(w, r, b, &req, &req.XML) {
 		return
 	}
-	if req.XML == "" {
+	if len(req.XML) == 0 {
 		writeError(w, http.StatusBadRequest, errors.New("serve: empty xml field"))
 		return
 	}
-	res, err := h.s.Classify(r.Context(), []byte(req.XML))
+	res, err := h.s.Classify(r.Context(), req.XML)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -198,23 +295,26 @@ func pathID(w http.ResponseWriter, r *http.Request) (int, bool) {
 }
 
 // decode reads a body that holds one JSON value and nothing after it but
-// white space. The body is read once, into one buffer of the declared
-// length (a body without one grows it as it is read), and decoded from
-// there.
-func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var buf []byte
+// white space into dst, whose xml member is xml. The body is read once, into
+// b's buffer grown to the declared length (a body without one grows it as it
+// is read), and decoded from there; xml unquotes into b's other buffer.
+func decode(w http.ResponseWriter, r *http.Request, b *body, dst any, xml *xmlText) bool {
+	rd := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	*xml = b.xml[:0]
 	var err error
 	if n := r.ContentLength; n >= 0 && n <= maxBodyBytes {
-		buf = make([]byte, n)
-		_, err = io.ReadFull(body, buf)
+		b.raw = slices.Grow(b.raw[:0], int(n))[:n]
+		_, err = io.ReadFull(rd, b.raw)
 	} else {
-		buf, err = io.ReadAll(body)
+		buf := bytes.NewBuffer(b.raw[:0])
+		_, err = buf.ReadFrom(rd)
+		b.raw = buf.Bytes()
 	}
 	if err == nil {
-		err = json.Unmarshal(buf, dst)
+		err = json.Unmarshal(b.raw, dst)
+		b.xml = *xml
 	}
-	if syntax := (*json.SyntaxError)(nil); errors.As(err, &syntax) && leadingValue(buf) {
+	if syntax := (*json.SyntaxError)(nil); errors.As(err, &syntax) && leadingValue(b.raw) {
 		err = errors.New("serve: request body holds more than one JSON value")
 	}
 	if err != nil {

@@ -2,14 +2,29 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// addBody and classifyBody are request bodies as a client marshals them.
+type addBody struct {
+	Name  string `json:"name"`
+	XML   string `json:"xml"`
+	Label *int   `json:"label"`
+}
+
+type classifyBody struct {
+	XML string `json:"xml"`
+}
 
 func httpService(t *testing.T) (*Service, *httptest.Server) {
 	t.Helper()
@@ -60,7 +75,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	for i, doc := range docs {
 		var info DocInfo
 		doJSON(t, http.MethodPost, srv.URL+"/v1/documents",
-			addDocumentRequest{Name: fmt.Sprintf("doc%d", i), XML: doc},
+			addBody{Name: fmt.Sprintf("doc%d", i), XML: doc},
 			http.StatusCreated, &info)
 		if info.ID != i {
 			t.Fatalf("doc %d got id %d", i, info.ID)
@@ -77,7 +92,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	// Classify a held-out report.
 	var cl classifyResponse
 	doJSON(t, http.MethodPost, srv.URL+"/v1/classify",
-		classifyRequest{XML: `<db><report key="rx"><editor>bob dylan</editor><heading>routing wireless networks holdout</heading><lab>NETLAB</lab></report></db>`},
+		classifyBody{XML: `<db><report key="rx"><editor>bob dylan</editor><heading>routing wireless networks holdout</heading><lab>NETLAB</lab></report></db>`},
 		http.StatusOK, &cl)
 	var report DocInfo
 	doJSON(t, http.MethodGet, srv.URL+"/v1/documents/3", nil, http.StatusOK, &report) // doc 3 is a report
@@ -125,9 +140,9 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed JSON: status %d", resp.StatusCode)
 	}
-	doJSON(t, http.MethodPost, srv.URL+"/v1/documents", addDocumentRequest{Name: "x"}, http.StatusBadRequest, nil)
-	doJSON(t, http.MethodPost, srv.URL+"/v1/documents", addDocumentRequest{Name: "x", XML: "<unclosed"}, http.StatusBadRequest, nil)
-	doJSON(t, http.MethodPost, srv.URL+"/v1/classify", classifyRequest{XML: "<unclosed"}, http.StatusBadRequest, nil)
+	doJSON(t, http.MethodPost, srv.URL+"/v1/documents", addBody{Name: "x"}, http.StatusBadRequest, nil)
+	doJSON(t, http.MethodPost, srv.URL+"/v1/documents", addBody{Name: "x", XML: "<unclosed"}, http.StatusBadRequest, nil)
+	doJSON(t, http.MethodPost, srv.URL+"/v1/classify", classifyBody{XML: "<unclosed"}, http.StatusBadRequest, nil)
 
 	// Unknown / removed / non-integer document ids.
 	doJSON(t, http.MethodGet, srv.URL+"/v1/documents/5", nil, http.StatusNotFound, nil)
@@ -135,9 +150,25 @@ func TestHTTPErrors(t *testing.T) {
 	doJSON(t, http.MethodGet, srv.URL+"/v1/documents/abc", nil, http.StatusBadRequest, nil)
 	var info DocInfo
 	doJSON(t, http.MethodPost, srv.URL+"/v1/documents",
-		addDocumentRequest{Name: "d", XML: "<a><b>text</b></a>"}, http.StatusCreated, &info)
+		addBody{Name: "d", XML: "<a><b>text</b></a>"}, http.StatusCreated, &info)
 	doJSON(t, http.MethodDelete, fmt.Sprintf("%s/v1/documents/%d", srv.URL, info.ID), nil, http.StatusOK, nil)
 	doJSON(t, http.MethodDelete, fmt.Sprintf("%s/v1/documents/%d", srv.URL, info.ID), nil, http.StatusGone, nil)
+
+	// No xml, or a null one, right after a request that had one: the pooled
+	// body must not lend the last request's document.
+	for path, ok := range map[string]int{"/v1/documents": http.StatusCreated, "/v1/classify": http.StatusOK} {
+		for _, body := range []string{`{"name":"y"}`, `{"xml":null}`} {
+			doJSON(t, http.MethodPost, srv.URL+path, addBody{Name: "z", XML: "<a><b>text</b></a>"}, ok, nil)
+			resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("POST %s %s after a body with xml: status %d, want 400", path, body, resp.StatusCode)
+			}
+		}
+	}
 
 	// Bad cluster id.
 	doJSON(t, http.MethodGet, srv.URL+"/v1/clusters/abc", nil, http.StatusBadRequest, nil)
@@ -151,7 +182,7 @@ func TestHTTPErrors(t *testing.T) {
 // trailing white space is fine.
 func TestHTTPTrailingBytes(t *testing.T) {
 	s, srv := httpService(t)
-	valid, err := json.Marshal(addDocumentRequest{Name: "d", XML: "<a><b>text</b></a>"})
+	valid, err := json.Marshal(addBody{Name: "d", XML: "<a><b>text</b></a>"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,6 +244,123 @@ func TestHTTPDepthBomb(t *testing.T) {
 	}
 	var info DocInfo
 	doJSON(t, http.MethodPost, srv.URL+"/v1/documents",
-		addDocumentRequest{Name: "after", XML: "<a><b>still serving</b></a>"}, http.StatusCreated, &info)
+		addBody{Name: "after", XML: "<a><b>still serving</b></a>"}, http.StatusCreated, &info)
 	doJSON(t, http.MethodGet, fmt.Sprintf("%s/v1/documents/%d", srv.URL, info.ID), nil, http.StatusOK, nil)
+}
+
+// TestServeRequestAllocations: once the handler's pool is warm, decoding a
+// classify body allocates nothing that grows with the body. The body is read
+// into a pooled buffer and its xml member unquoted into another, so a
+// 256 KiB body costs the bytes a 1 KiB body costs, within a small constant.
+// GOMAXPROCS 1 and no collection keep the pool's one buffer where Get
+// looks first.
+func TestServeRequestAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drains sync.Pool at random; the guard runs without it")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	h := &handler{bodies: sync.Pool{New: func() any { return new(body) }}}
+	cost := func(size int) uint64 {
+		xml := "<a>" + strings.Repeat("<b>x &amp; y é</b>\n", size/24) + "</a>"
+		raw, err := json.Marshal(classifyBody{XML: xml}) // escapes <, > and & as \u003c …
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd := bytes.NewReader(raw)
+		r := httptest.NewRequest(http.MethodPost, "/v1/classify", rd)
+		w := httptest.NewRecorder()
+		decodeOnce := func() {
+			rd.Reset(raw)
+			b := h.bodies.Get().(*body)
+			var req classifyRequest
+			if !decode(w, r, b, &req, &req.XML) || string(req.XML) != xml {
+				t.Fatalf("a %d-byte body did not decode to its document: %s", len(raw), w.Body)
+			}
+			h.release(b)
+		}
+		decodeOnce()
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			decodeOnce()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	small, large := cost(1<<10), cost(256<<10)
+	t.Logf("warm decode of a classify body: %d B for 1 KiB, %d B for 256 KiB", small, large)
+	if large > small+256 {
+		t.Fatalf("a 256 KiB body's decode allocates %d B, a 1 KiB body's %d B: the decode allocates with the body", large, small)
+	}
+}
+
+// TestHTTPConcurrentAddClassify posts adds and classifies from several
+// goroutines at once (run it with -race): pooled request buffers pass from
+// one request to the next, and no request may read another's bytes. Every
+// classify lands in its document's cluster, and every added document's
+// retained copy is the document its request carried.
+func TestHTTPConcurrentAddClassify(t *testing.T) {
+	s, srv := httpService(t)
+	seed := serveDocs(4)
+	addAll(t, s, seed)
+	if err := s.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	post := func(path string, body any) (int, []byte) {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			t.Error(err)
+			return 0, nil
+		}
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Error(err)
+			return 0, nil
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, out
+	}
+	// Bodies of many sizes, so a short body follows a long one in a buffer.
+	late := serveDocs(16)
+	lateDoc := func(i int) string { return late[i] + strings.Repeat(" ", 37*i) }
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := g; i < len(late); i += 4 {
+				if code, out := post("/v1/documents", addBody{Name: fmt.Sprint("late", i), XML: lateDoc(i)}); code != http.StatusCreated {
+					t.Errorf("add late%d: %d %s", i, code, out)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := range 12 {
+				j := (g + i) % len(seed)
+				code, out := post("/v1/classify", classifyBody{XML: seed[j] + strings.Repeat("\n", 101*i)})
+				var res classifyResponse
+				if err := json.Unmarshal(out, &res); code != http.StatusOK || err != nil {
+					t.Errorf("classify: %d %s", code, out)
+				} else if info, _ := s.Document(j); res.Cluster != info.Cluster {
+					t.Errorf("document %d classified to %d, it sits in %d", j, res.Cluster, info.Cluster)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, rec := range s.docs[len(seed):] {
+		var i int
+		if _, err := fmt.Sscanf(rec.name, "late%d", &i); err != nil || string(rec.xml) != lateDoc(i) {
+			t.Errorf("document %d (%s) kept %q", rec.id, rec.name, rec.xml)
+		}
+	}
+	if n := len(s.docs) - len(seed); n != len(late) {
+		t.Errorf("%d documents added, want %d", n, len(late))
+	}
 }

@@ -32,6 +32,15 @@
 // identically, so assignments and representatives match byte for byte
 // (pinned by TestIncrementalEquivalence).
 //
+// Each live document keeps its majority cluster, and each cluster lists its
+// live members in id order; both change where the assignment does (an add,
+// a removal, a maintenance reassignment, a refresh), so QueryCluster reads
+// one list and never walks the documents.
+//
+// The HTTP handler reads a request body into a pooled buffer and unquotes
+// its xml member into another: a request allocates nothing per body byte
+// but the copy AddDocument keeps. Neither it nor Classify retains xmlData.
+//
 // A Service is safe for concurrent use. One RWMutex serializes writes and
 // maintenance; reads (Classify, Stats, QueryCluster, Documents) share the
 // read lock. Requests therefore block briefly during a refresh; the refresh
@@ -42,6 +51,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -164,13 +174,15 @@ type RoundStats struct {
 }
 
 // docRecord retains what a refresh needs to rebuild the document exactly:
-// its raw XML, name and label, in add order.
+// its raw XML, name and label, in add order. cluster is a live document's
+// majority vote under the current assignment.
 type docRecord struct {
 	id      int
 	name    string
 	label   int
 	xml     []byte
 	removed bool
+	cluster int
 }
 
 // snapshot is the mutable clustered state: the live corpus plus the engine,
@@ -212,6 +224,9 @@ type Service struct {
 	mu   sync.RWMutex
 	docs []*docRecord
 	snap *snapshot
+	// members lists each cluster's live documents (by docRecord.cluster,
+	// the trash included) in id order.
+	members map[int][]int
 	// dirty marks documents whose assignment has not been confirmed against
 	// the current representatives; dirtyTxns counts transactions touched
 	// since the last refresh (the drift numerator).
@@ -237,7 +252,7 @@ func NewService(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Service{cfg: cfg, snap: snap, dirty: map[int]struct{}{}}, nil
+	return &Service{cfg: cfg, snap: snap, dirty: map[int]struct{}{}, members: map[int][]int{}}, nil
 }
 
 func (cfg Config) clusterOptions() xmlclust.ClusterOptions {
@@ -283,7 +298,8 @@ func emptySnapshot(cfg Config) (*snapshot, error) {
 // unseen items with frozen itf factors, and assign its transactions to the
 // current representatives. The document is marked dirty so the next
 // maintenance round accounts for it in the drift. label is the optional
-// ground-truth class (−1 = unknown).
+// ground-truth class (−1 = unknown). The service keeps a copy of xmlData
+// and never xmlData itself, so the caller may reuse it on return.
 func (s *Service) AddDocument(ctx context.Context, name string, xmlData []byte, label int) (DocInfo, error) {
 	tuples, err := tuple.ExtractBytes(xmlData, s.cfg.buildOptions().Tuple)
 	if err != nil {
@@ -315,9 +331,11 @@ func (s *Service) AddDocument(ctx context.Context, name string, xmlData []byte, 
 		for i := 0; i < n; i++ {
 			sn.assign = append(sn.assign, xmlclust.TrashCluster)
 		}
+		s.file(rec, xmlclust.TrashCluster)
 		return s.docInfoLocked(id), err
 	}
 	sn.assign = append(sn.assign, res.Assign...)
+	s.file(rec, xmlclust.MajorityCluster(res.Assign))
 	s.idxCand.Add(res.IndexCandidates)
 	s.idxSkip.Add(res.IndexSkipped)
 	return s.docInfoLocked(id), nil
@@ -344,6 +362,7 @@ func (s *Service) RemoveDocument(id int) (DocInfo, error) {
 		s.dirtyTxns += n
 		delete(s.snap.ranges, id)
 		delete(s.dirty, id)
+		s.unfile(rec)
 	}
 	info.Removed = true
 	return info, nil
@@ -355,7 +374,7 @@ func (s *Service) RemoveDocument(id int) (DocInfo, error) {
 // counters and the path table changes: the document resolves through a
 // per-request overlay (see the package doc), under the read lock. Its unseen
 // items get the weights WeighNew gives an item no document observed. The
-// tuples are extracted outside the lock.
+// tuples are extracted outside the lock. xmlData is not retained.
 func (s *Service) Classify(ctx context.Context, xmlData []byte) (*xmlclust.Classification, error) {
 	tuples, err := tuple.ExtractBytes(xmlData, s.cfg.buildOptions().Tuple)
 	if err != nil {
@@ -402,18 +421,18 @@ func (s *Service) Documents() []DocInfo {
 }
 
 // QueryCluster lists the live documents whose majority cluster is cl
-// (xmlclust.TrashCluster queries the trash).
+// (xmlclust.TrashCluster queries the trash) in id order, nil when there
+// are none. It reads the cluster's member list alone.
 func (s *Service) QueryCluster(cl int) []DocInfo {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []DocInfo
-	for id, rec := range s.docs {
-		if rec.removed {
-			continue
-		}
-		if info := s.docInfoLocked(id); info.Cluster == cl {
-			out = append(out, info)
-		}
+	ids := s.members[cl]
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]DocInfo, len(ids))
+	for i, id := range ids {
+		out[i] = s.docInfoLocked(id)
 	}
 	return out
 }
@@ -480,9 +499,25 @@ func (s *Service) docInfoLocked(id int) DocInfo {
 	}
 	if r, ok := s.snap.ranges[id]; ok {
 		info.Transactions = r[1] - r[0]
-		info.Cluster = xmlclust.MajorityCluster(s.snap.assign[r[0]:r[1]])
+		info.Cluster = rec.cluster
 	}
 	return info
+}
+
+// file lists live document rec under cluster cl, its majority vote, and
+// unfile takes it off its list; both keep s.members in id order.
+func (s *Service) file(rec *docRecord, cl int) {
+	rec.cluster = cl
+	ids := s.members[cl]
+	i, _ := slices.BinarySearch(ids, rec.id)
+	s.members[cl] = slices.Insert(ids, i, rec.id)
+}
+
+func (s *Service) unfile(rec *docRecord) {
+	ids := s.members[rec.cluster]
+	if i, ok := slices.BinarySearch(ids, rec.id); ok {
+		s.members[rec.cluster] = slices.Delete(ids, i, i+1)
+	}
 }
 
 func (s *Service) driftLocked() float64 {
@@ -528,6 +563,10 @@ func (s *Service) MaintenanceRound(ctx context.Context) (RoundStats, error) {
 				sn.assign[r[0]+i] = a
 				rs.Reassigned++
 			}
+		}
+		if rec, cl := s.docs[id], xmlclust.MajorityCluster(res.Assign); cl != rec.cluster {
+			s.unfile(rec)
+			s.file(rec, cl)
 		}
 		rs.IndexCandidates += res.IndexCandidates
 		rs.IndexSkipped += res.IndexSkipped
@@ -631,6 +670,13 @@ func (s *Service) refreshLocked(ctx context.Context) (int, error) {
 		corpus: c, eng: eng, builder: nb, acc: acc,
 		reps: reps, assign: assign, ranges: ranges, liveTxns: len(c.Transactions),
 		idx: idx,
+	}
+	s.members = map[int][]int{}
+	for _, rec := range s.docs {
+		if r, ok := ranges[rec.id]; ok {
+			rec.cluster = xmlclust.MajorityCluster(assign[r[0]:r[1]])
+			s.members[rec.cluster] = append(s.members[rec.cluster], rec.id)
+		}
 	}
 	s.dirty = map[int]struct{}{}
 	s.dirtyTxns = 0

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -46,54 +47,85 @@ func addAll(t *testing.T, s *Service, docs []string) {
 	}
 }
 
-// TestQueryClusterMatchesDocuments: in every state a service passes
-// through — adds before any refresh, a refresh, adds after it, a removal, a
-// maintenance round, a second refresh — QueryCluster(cl) is Documents()
-// filtered to the live documents of cluster cl, the trash included.
+// walkCluster is QueryCluster as a walk over every document that recomputes
+// each live document's majority from the assignment: the oracle of the
+// member lists.
+func walkCluster(s *Service, cl int) []DocInfo {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var out []DocInfo
+	for id, rec := range s.docs {
+		if r, ok := s.snap.ranges[id]; ok && xmlclust.MajorityCluster(s.snap.assign[r[0]:r[1]]) == cl {
+			out = append(out, DocInfo{ID: id, Name: rec.name, Label: rec.label, Cluster: cl, Transactions: r[1] - r[0]})
+		}
+	}
+	return out
+}
+
+// TestQueryClusterMatchesDocuments runs a seeded history of adds (some
+// with a canceled context, which parks the document in the trash until
+// maintenance moves it), removals, maintenance rounds and refreshes. After
+// every step each cluster's QueryCluster, and Stats' counts, equal the
+// walk over every document, and a query's slice has no spare capacity.
 func TestQueryClusterMatchesDocuments(t *testing.T) {
-	s, err := NewService(serveConfig())
+	cfg := serveConfig()
+	cfg.DriftThreshold = 10 // maintenance re-relocates; refreshes come from the history
+	s, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	check := func(when string, clusters int) {
-		t.Helper()
-		want := map[int][]DocInfo{}
-		for _, info := range s.Documents() {
-			if !info.Removed {
-				want[info.Cluster] = append(want[info.Cluster], info)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	rng := rand.New(rand.NewSource(55))
+	docs := serveDocs(12)
+	next, reassigned := 0, 0
+	for step := 0; step < 80; step++ {
+		var what string
+		switch op := rng.Intn(10); {
+		case op < 5 && next < len(docs):
+			ctx := context.Background()
+			what = "add"
+			if rng.Intn(3) == 0 {
+				ctx, what = canceled, "canceled add"
+			}
+			if _, err := s.AddDocument(ctx, fmt.Sprint("doc", next), []byte(docs[next]), next%2); err != nil && ctx != canceled {
+				t.Fatalf("step %d: %s: %v", step, what, err)
+			}
+			next++
+		case op < 7:
+			what = "remove"
+			s.RemoveDocument(rng.Intn(next + 1))
+		case op < 9:
+			what = "maintenance"
+			rs, err := s.MaintenanceRound(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			reassigned += rs.Reassigned
+		default:
+			what = "refresh"
+			if err := s.Refresh(context.Background()); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if len(want) != clusters {
-			t.Fatalf("%s: the live documents are in %d clusters, want %d", when, len(want), clusters)
-		}
+		st := s.Stats()
 		for _, cl := range []int{xmlclust.TrashCluster, 0, 1} {
-			if got := s.QueryCluster(cl); !reflect.DeepEqual(got, want[cl]) {
-				t.Fatalf("%s: QueryCluster(%d) = %v, want %v", when, cl, got, want[cl])
+			got, want := s.QueryCluster(cl), walkCluster(s, cl)
+			if !reflect.DeepEqual(got, want) || cap(got) != len(got) {
+				t.Fatalf("step %d (%s): QueryCluster(%d) = %v (cap %d), the walk gives %v", step, what, cl, got, cap(got), want)
+			}
+			n := st.Trash
+			if cl >= 0 {
+				n = st.ClusterSizes[cl]
+			}
+			if n != len(want) {
+				t.Fatalf("step %d (%s): Stats counts %d documents in cluster %d, the walk %d", step, what, n, cl, len(want))
 			}
 		}
 	}
-	docs := serveDocs(4)
-	addAll(t, s, docs[:5])
-	check("adds before a refresh", 1)
-	if err := s.Refresh(ctx); err != nil {
-		t.Fatal(err)
+	if reassigned == 0 || s.Stats().Refreshes == 0 {
+		t.Fatalf("the history reassigned %d transactions in maintenance and refreshed %d times; it must do both", reassigned, s.Stats().Refreshes)
 	}
-	check("a refresh", 2)
-	addAll(t, s, docs[5:])
-	check("adds after a refresh", 2)
-	if _, err := s.RemoveDocument(2); err != nil {
-		t.Fatal(err)
-	}
-	check("a removal", 2)
-	if _, err := s.MaintenanceRound(ctx); err != nil {
-		t.Fatal(err)
-	}
-	check("a maintenance round", 2)
-	if err := s.Refresh(ctx); err != nil {
-		t.Fatal(err)
-	}
-	check("a second refresh", 2)
 }
 
 func TestServiceAddClassifyQuery(t *testing.T) {
