@@ -593,33 +593,6 @@ func TestRelocateWorkersEquivalence(t *testing.T) {
 	}
 }
 
-// TestRepresentativeWorkersEquivalence checks local and global
-// representative generation across worker counts and return rules.
-func TestRepresentativeWorkersEquivalence(t *testing.T) {
-	corpus, _ := synthCorpus(t, "IEEE", 6)
-	cx := ctxFor(corpus, 0.5, 0.7)
-	half := len(corpus.Transactions) / 2
-	for _, rule := range []ReturnRule{ReturnBestObjective, ReturnLastImproving, ReturnPrevious} {
-		serial := ComputeLocalRepresentative(RepConfig{Ctx: cx, Rule: rule, Workers: 1}, corpus.Transactions[:half])
-		for _, w := range []int{4, 0} {
-			got := ComputeLocalRepresentative(RepConfig{Ctx: cx, Rule: rule, Workers: w}, corpus.Transactions[:half])
-			if (serial == nil) != (got == nil) || (serial != nil && !serial.Equal(got)) {
-				t.Errorf("rule %d workers %d: local representative differs", rule, w)
-			}
-		}
-	}
-	l1 := ComputeLocalRepresentative(RepConfig{Ctx: cx, Workers: 1}, corpus.Transactions[:half])
-	l2 := ComputeLocalRepresentative(RepConfig{Ctx: cx, Workers: 1}, corpus.Transactions[half:])
-	wreps := []WeightedRep{{Rep: l1, Weight: half}, {Rep: l2, Weight: len(corpus.Transactions) - half}}
-	serial := ComputeGlobalRepresentative(RepConfig{Ctx: cx, Workers: 1}, wreps)
-	for _, w := range []int{4, 0} {
-		got := ComputeGlobalRepresentative(RepConfig{Ctx: cx, Workers: w}, wreps)
-		if (serial == nil) != (got == nil) || (serial != nil && !serial.Equal(got)) {
-			t.Errorf("workers %d: global representative differs", w)
-		}
-	}
-}
-
 // TestRelocateOneMatchesRelocate pins the single-transaction kernel (the
 // serving layer's classify path) to the batch relocation it was factored out
 // of: same winner, and a winning similarity equal to a direct Transactions

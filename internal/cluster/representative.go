@@ -13,7 +13,8 @@
 // between rounds — the local representative of every cluster, keyed by the
 // fingerprint and size of its membership. The reference engine specifies: the
 // dense kernel, nothing carried. For any call sequence both give the same
-// bytes, including the lowest-index tie rule (TestRoundsTierMatrix). The peer
+// bytes, including the lowest-index tie rule, and representatives of the same
+// content, each in its job's table (TestRoundsTierMatrix). The peer
 // session drives it, for CXK-means and PK-means; the centralized algorithm
 // of [33,32] is a session with one peer.
 // Underneath sit one batch relocation (RelocateScores) and one
@@ -50,8 +51,8 @@
 // members is serial and in member order (TestRefinementObjectiveStepByStep).
 // Nothing forks inside a representative — its work items, ranking included,
 // cost about a microsecond, less than a goroutine. Rounds forks across
-// representatives instead, one cluster per work item: their synthetic items
-// are staged apart from the corpus and committed in cluster order.
+// representatives instead, one cluster per work item, each interning into
+// the job's table as it goes.
 package cluster
 
 import (
@@ -108,9 +109,6 @@ type RepConfig struct {
 	// observe, when set, is told every refinement step's candidate and its
 	// objective value (the step-by-step equivalence tests).
 	observe func(rep *txn.Transaction, objective float64)
-	// log, when set, receives in order every staged id (≥ Ctx.Items.Base())
-	// the conflations resolved to, new or found (Rounds.fork).
-	log *[]txn.ItemID
 }
 
 // rankedItem pairs an item with its rank value.
@@ -341,7 +339,6 @@ func sortRanked(r []rankedItem) {
 // objective Σ_{tr∈C} simγJ(tr, rep′).
 func generateTreeTuple(cfg RepConfig, ranked []rankedItem, c []*txn.Transaction) *txn.Transaction {
 	chosen := conflationPool.Get().(*conflation) // the raw constituent ids accumulated so far
-	chosen.log = cfg.log
 	rep := refine(cfg, ranked, c, chosen)
 	chosen.release() // not deferred: a panic must not pool half-zeroed arrays
 	return rep
@@ -485,7 +482,6 @@ type conflation struct {
 	key    []byte         // a grown group's merged-answer key
 	parts  []vector.Entry // a missed group's constituent entries, summed
 	out    []txn.ItemID
-	log    *[]txn.ItemID // RepConfig.log
 }
 
 var conflationPool = sync.Pool{New: func() any { return new(conflation) }}
@@ -538,9 +534,6 @@ func (c *conflation) transaction(tab *txn.ItemTable) *txn.Transaction {
 		if g.grew {
 			g.grew = false
 			g.item = c.merge(tab, g)
-			if c.log != nil && g.item >= tab.Base() {
-				*c.log = append(*c.log, g.item)
-			}
 		}
 		c.out = append(c.out, g.item)
 	}
@@ -586,6 +579,6 @@ func (c *conflation) release() {
 			c.seen[id] = false
 		}
 	}
-	c.groups, c.log = c.groups[:0], nil
+	c.groups = c.groups[:0]
 	conflationPool.Put(c)
 }

@@ -20,12 +20,12 @@ import (
 // And it keeps one memo from round to round: per cluster, the
 // fingerprint of its member transaction indices and the local representative
 // computed for exactly that membership. Reuse is exact by a pure-replay
-// argument: recomputing for the same members under the same context would
-// re-intern identical content-addressed synthetic items (no table change) and
-// re-derive the identical item sequence, so downstream interning order — and
-// every later representative — is unaffected by the skip. Being a pure
-// function of the membership, an entry cannot go stale, whatever the run does
-// between two rounds (rollback, restore, epoch change).
+// argument over content: the members are corpus transactions, and
+// recomputing for the same members under the same context would find, by
+// ⟨path, merged answer⟩, the very synthetic items the memo's representative
+// holds, and re-derive it item for item. Being a pure function of the
+// membership, an entry cannot go stale, whatever the run does between two
+// rounds (rollback, restore, epoch change).
 //
 // A reference engine is the specification the fast one is checked against:
 // the dense Eq. 4 kernel per (document, representative) pair in relocation
@@ -33,12 +33,15 @@ import (
 //
 // The contract is byte-identity: for any call sequence, a fast engine's
 // results equal a reference engine's exactly, including the lowest-index tie
-// rule. It holds while the similarity context and the transaction slice stay
-// fixed. A Rounds serves one sequential run and is not safe for concurrent
-// use. It forks two passes, each under RepConfig.Workers: relocation inside
-// Assign, one transaction per slot, and refinement inside LocalReps and
-// GlobalReps, one cluster per slot (fork). Its synthetic items go to a table
-// of its own (Items): the corpus is left as it was found.
+// rule, and its representatives have the same content. It holds while the
+// similarity context and the transaction slice stay fixed. A Rounds serves
+// one sequential run and is not safe for concurrent use. It forks two
+// passes, each under RepConfig.Workers: relocation inside Assign, one
+// transaction per slot, and refinement inside LocalReps and GlobalReps, one
+// cluster per slot (fork). Its synthetic items go to a table of its own
+// (Items): the corpus is left as it was found. Their ids are handles,
+// numbered in the order the schedule interns them; what a job hands out is
+// ordered by content.
 type Rounds struct {
 	cfg RepConfig
 	s   []*txn.Transaction
@@ -47,15 +50,8 @@ type Rounds struct {
 	ix     *sim.RepIndex // nil in a reference engine
 	local  repMemo       // nil in a reference engine
 	fps    []uint64
-	scores []float64 // winning similarity per transaction, latest pass
-
-	// The refinement passes' state (fork), kept from pass to pass: the stage,
-	// the context over it, a log per work item, the staged → adopted ids.
-	stage *txn.ItemTable
-	scx   *sim.Context
-	logs  [][]txn.ItemID
-	remap []txn.ItemID
-	order func(n int) []int // if set, runs a pass's n items serially in this order (tests)
+	scores []float64         // winning similarity per transaction, latest pass
+	order  func(n int) []int // if set, runs a pass's n items serially in this order (tests)
 }
 
 // repMemo is the per-cluster memo of local representatives, keyed by the
@@ -76,8 +72,7 @@ type repMemo []struct {
 func NewRounds(cfg RepConfig, s []*txn.Transaction, fast bool) *Rounds {
 	cfg.dense = !fast
 	cfg.Ctx = cfg.Ctx.WithItems(cfg.Ctx.Items.Stage())
-	stage := cfg.Ctx.Items.Stage()
-	r := &Rounds{cfg: cfg, s: s, stage: stage, scx: cfg.Ctx.WithItems(stage)}
+	r := &Rounds{cfg: cfg, s: s}
 	if fast {
 		r.ix = sim.NewRepIndex()
 	}
@@ -160,8 +155,8 @@ func (r *Rounds) LocalReps(assign []int) (reps []*txn.Transaction, sizes []int) 
 		}
 		todo = append(todo, j)
 	}
-	computed := r.fork(len(todo), func(cfg RepConfig, i int) *txn.Transaction {
-		return ComputeLocalRepresentative(cfg, members[todo[i]])
+	computed := r.fork(len(todo), func(i int) *txn.Transaction {
+		return ComputeLocalRepresentative(r.cfg, members[todo[i]])
 	})
 	for i, j := range todo {
 		reps[j] = computed[i]
@@ -177,38 +172,24 @@ func (r *Rounds) LocalReps(assign []int) (reps []*txn.Transaction, sizes []int) 
 // (ComputeGlobalRepresentative) in one pass (fork): nil for an input with no
 // non-empty representative.
 func (r *Rounds) GlobalReps(inputs [][]WeightedRep) []*txn.Transaction {
-	return r.fork(len(inputs), func(cfg RepConfig, i int) *txn.Transaction {
-		return ComputeGlobalRepresentative(cfg, inputs[i])
+	return r.fork(len(inputs), func(i int) *txn.Transaction {
+		return ComputeGlobalRepresentative(r.cfg, inputs[i])
 	})
 }
 
 // fork runs a pass of n work items, one cluster each, drawn one at a time
 // under the Workers bound (inline and in index order for one worker), and
-// returns rep(cfg, i) for every i. The items intern synthetic items into a
-// stage over the run's table, each logging the staged ids it resolved to,
-// and commit replays the logs in index order. So the ids are the serial
-// loop's under any schedule: a representative's choices never depend on a
-// synthetic id (its members hold committed items, its objective is a ratio
-// of counts, rank ties travel in one batch, and a conflated item is found or
-// made by its content), so each item meets the same keys in the same order
-// whichever ran first, and the serial loop creates exactly the keys no
-// earlier cluster met, in the order it met them.
-func (r *Rounds) fork(n int, rep func(cfg RepConfig, i int) *txn.Transaction) []*txn.Transaction {
+// returns rep(i) for every i. The items intern straight into the run's
+// table, so the ids a pass hands out follow the schedule; its choices do
+// not: a representative's members hold corpus items, its objective is a
+// ratio of counts, rank ties travel in one batch, and a conflated item is
+// found or made by its content, its raw constituents summed in raw-id
+// order. Ids still order one sum: a global ranking adds IC's content up in
+// id order (view.sumContent), so a rank's last bit can follow the schedule
+// where ranks near-tie (TestRepresentativeForkScheduleOrders).
+func (r *Rounds) fork(n int, rep func(i int) *txn.Transaction) []*txn.Transaction {
 	out := make([]*txn.Transaction, n)
-	if n == 0 {
-		return out
-	}
-	r.stage.Restage()
-	for len(r.logs) < n {
-		r.logs = append(r.logs, nil)
-	}
-	logs := r.logs[:n]
-	item := func(_, i int) {
-		cfg := r.cfg
-		cfg.Ctx, logs[i] = r.scx, logs[i][:0]
-		cfg.log = &logs[i]
-		out[i] = rep(cfg, i)
-	}
+	item := func(_, i int) { out[i] = rep(i) }
 	if r.order != nil {
 		for _, i := range r.order(n) {
 			item(0, i)
@@ -216,40 +197,5 @@ func (r *Rounds) fork(n int, rep func(cfg RepConfig, i int) *txn.Transaction) []
 	} else {
 		_ = parallel.ForCtxWorkers(nil, r.cfg.Workers, 1, n, item) // a nil ctx never cancels
 	}
-	r.commit(logs, out)
 	return out
-}
-
-// commit adopts a pass's staged items into the run's table — the logs in
-// index order, each log in order, every staged id once — and rewrites the
-// staged ids of reps to the adopted ones, re-sorting each representative
-// that held one.
-func (r *Rounds) commit(logs [][]txn.ItemID, reps []*txn.Transaction) {
-	base := r.stage.Base()
-	staged := r.stage.Len() - int(base)
-	remap := slices.Grow(r.remap[:0], staged)[:staged]
-	for i := range remap {
-		remap[i] = -1
-	}
-	tab := r.cfg.Ctx.Items
-	for _, log := range logs {
-		for _, id := range log {
-			if remap[id-base] < 0 {
-				remap[id-base] = tab.Adopt(r.stage.Get(id))
-			}
-		}
-	}
-	for _, rep := range reps {
-		// Staged ids sort after the run's: they are the tail.
-		if rep == nil || rep.Len() == 0 || rep.Items[rep.Len()-1] < base {
-			continue
-		}
-		for k, id := range rep.Items {
-			if id >= base {
-				rep.Items[k] = remap[id-base]
-			}
-		}
-		slices.Sort(rep.Items)
-	}
-	r.remap = remap
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -67,7 +68,8 @@ func tierMatrixSets(cx *sim.Context, s []*txn.Transaction, k int) [][]*txn.Trans
 // reference engine, at one and four workers, every Assign must equal the flat
 // argmax over the seed similarity (sim.SeedTransactions), every Objective the
 // seed objective Σ(1 − SeedTransactions) bit for bit, and every LocalReps the
-// reference engine's memo-free representatives.
+// reference engine's memo-free representatives, by content: each engine
+// interns into a job table of its own.
 func TestRoundsTierMatrix(t *testing.T) {
 	const k = 6
 	corpus := tieHeavyCorpus(t, 60, 29)
@@ -77,14 +79,15 @@ func TestRoundsTierMatrix(t *testing.T) {
 		sets := tierMatrixSets(cx, s, k)
 		wantAssign := make([][]int, len(sets))
 		wantObjective := make([]float64, len(sets))
-		wantLocals := make([][]*txn.Transaction, len(sets))
+		wantLocals := make([][][]txn.ItemID, len(sets))
 		plain := NewRounds(RepConfig{Ctx: cx, Workers: 1}, s, false)
 		for step, reps := range sets {
 			wantAssign[step], wantObjective[step] = seedRelocate(cx, s, reps)
 			if _, err := plain.Assign(nil, reps); err != nil {
 				t.Fatal(err)
 			}
-			wantLocals[step], _ = plain.LocalReps(wantAssign[step])
+			locals, _ := plain.LocalReps(wantAssign[step])
+			wantLocals[step] = content(plain.Items(), locals)
 		}
 		for _, fast := range []bool{true, false} {
 			for _, workers := range []int{1, 4} {
@@ -102,7 +105,7 @@ func TestRoundsTierMatrix(t *testing.T) {
 					if obj := r.Objective(); obj != wantObjective[step] {
 						t.Fatalf("%s: step %d: objective %v, seed objective %v", label, step, obj, wantObjective[step])
 					}
-					if locals, _ := r.LocalReps(got); !RepsEqual(locals, wantLocals[step]) {
+					if locals, _ := r.LocalReps(got); !reflect.DeepEqual(content(r.Items(), locals), wantLocals[step]) {
 						t.Fatalf("%s: step %d: local representatives differ from the memo-free ones", label, step)
 					}
 				}

@@ -550,6 +550,8 @@ func TestSizerPositive(t *testing.T) {
 }
 
 func TestFingerprintDistinguishes(t *testing.T) {
+	corpus, _ := miniCorpus(t, 2)
+	fingerprintReps := func(reps []*txn.Transaction) uint64 { return RepsDigest(corpus.Items, reps) }
 	a := []*txn.Transaction{txn.NewTransaction([]txn.ItemID{1, 2}, 0, 0, -1), nil}
 	b := []*txn.Transaction{txn.NewTransaction([]txn.ItemID{1, 3}, 0, 0, -1), nil}
 	c := []*txn.Transaction{nil, txn.NewTransaction([]txn.ItemID{1, 2}, 0, 0, -1)}
@@ -575,12 +577,12 @@ func BenchmarkCXKRunM3(b *testing.B) {
 
 // ---------------------------------------------------------------- Workers
 
-func runWorkers(t testing.TB, cx *sim.Context, corpus *txn.Corpus, k, m int, seed int64, workers int, pk bool) *Result {
+// runJob runs one in-process job of seed 9, split across m peers.
+func runJob(t testing.TB, cx *sim.Context, corpus *txn.Corpus, k, m, workers int, pk, fast bool) *Result {
 	t.Helper()
 	res, err := Run(context.Background(), cx, corpus, Options{
-		K: k, Params: cx.Params, Peers: m, Workers: workers,
-		Partition: EqualPartition(len(corpus.Transactions), m, seed),
-		Seed:      seed, PKMeans: pk,
+		K: k, Params: cx.Params, Peers: m, Workers: workers, Seed: 9,
+		Partition: EqualPartition(len(corpus.Transactions), m, 9), PKMeans: pk, Fast: fast,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -601,12 +603,8 @@ func assertResultsEqual(t *testing.T, label string, want, got *Result) {
 	if len(want.Reps) != len(got.Reps) {
 		t.Fatalf("%s: rep count %d vs %d", label, len(want.Reps), len(got.Reps))
 	}
-	for j := range want.Reps {
-		switch {
-		case want.Reps[j] == nil && got.Reps[j] == nil:
-		case want.Reps[j] == nil || got.Reps[j] == nil:
-			t.Errorf("%s: rep %d nil-ness differs", label, j)
-		case !want.Reps[j].Equal(got.Reps[j]):
+	for j := range want.Reps { // by content: job ids follow each run's schedule
+		if w, g := toWire(want.Items, want.Reps[j]), toWire(got.Items, got.Reps[j]); !slices.Equal(w.Items, g.Items) {
 			t.Errorf("%s: rep %d differs", label, j)
 		}
 	}
@@ -619,12 +617,15 @@ func TestRunWorkersEquivalence(t *testing.T) { checkWorkersEquivalence(t, false)
 
 func TestPKWorkersEquivalence(t *testing.T) { checkWorkersEquivalence(t, true) }
 
-func checkWorkersEquivalence(t *testing.T, pk bool) {
-	type corpusCase struct {
-		name   string
-		corpus *txn.Corpus
-		k      int
-	}
+// corpusCase is a corpus the equivalence tests run on, with its cluster count.
+type corpusCase struct {
+	name   string
+	corpus *txn.Corpus
+	k      int
+}
+
+// equivalenceCases are the two-topic mini corpus and two generated ones.
+func equivalenceCases(t *testing.T) []corpusCase {
 	mini, _ := miniCorpus(t, 8)
 	cases := []corpusCase{{"two-topic", mini, 2}}
 	for _, ds := range []struct {
@@ -638,12 +639,16 @@ func checkWorkersEquivalence(t *testing.T, pk bool) {
 		col := gen(dataset.Spec{Docs: ds.docs, Seed: 99})
 		cases = append(cases, corpusCase{ds.name, col.BuildCorpus(dataset.ByHybrid, 24, 1), col.K(dataset.ByHybrid)})
 	}
-	for _, c := range cases {
+	return cases
+}
+
+func checkWorkersEquivalence(t *testing.T, pk bool) {
+	for _, c := range equivalenceCases(t) {
 		cx := sim.NewContext(c.corpus, sim.Params{F: 0.5, Gamma: 0.7})
 		for _, m := range []int{1, 3} {
-			serial := runWorkers(t, cx, c.corpus, c.k, m, 9, 1, pk)
+			serial := runJob(t, cx, c.corpus, c.k, m, 1, pk, false)
 			for _, w := range []int{4, 0} {
-				got := runWorkers(t, cx, c.corpus, c.k, m, 9, w, pk)
+				got := runJob(t, cx, c.corpus, c.k, m, w, pk, false)
 				assertResultsEqual(t, fmt.Sprintf("%s m=%d workers=%d", c.name, m, w), serial, got)
 			}
 		}

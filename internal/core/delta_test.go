@@ -15,51 +15,19 @@ import (
 	"xmlclust/internal/txn"
 )
 
-func runCXKDelta(t testing.TB, cx *sim.Context, corpus *txn.Corpus, k, m int, seed int64, workers int, fast bool) *Result {
-	t.Helper()
-	res, err := Run(context.Background(), cx, corpus, Options{
-		K: k, Params: cx.Params, Peers: m, Workers: workers,
-		Partition: EqualPartition(len(corpus.Transactions), m, seed),
-		Seed:      seed,
-		Fast:      fast,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
 // TestRunDeltaEquivalence asserts the collaborative engine produces
-// byte-identical results — assignments, rounds AND representative item
-// sequences — on the fast and on the reference engine, across network sizes,
+// the same results — assignments and rounds, and representatives by
+// content — on the fast and on the reference engine, across network sizes,
 // worker counts and several corpora. This is the session-level byte-identity
 // gate (posting-list scoring and the local-representative memo run in the
 // fast configuration here).
 func TestRunDeltaEquivalence(t *testing.T) {
-	type corpusCase struct {
-		name   string
-		corpus *txn.Corpus
-		k      int
-	}
-	mini, _ := miniCorpus(t, 8)
-	cases := []corpusCase{{"two-topic", mini, 2}}
-	for _, ds := range []struct {
-		name string
-		docs int
-	}{{"DBLP", 20}, {"IEEE", 6}} {
-		gen, ok := dataset.ByName(ds.name)
-		if !ok {
-			t.Fatalf("unknown dataset %q", ds.name)
-		}
-		col := gen(dataset.Spec{Docs: ds.docs, Seed: 99})
-		cases = append(cases, corpusCase{ds.name, col.BuildCorpus(dataset.ByHybrid, 24, 1), col.K(dataset.ByHybrid)})
-	}
-	for _, c := range cases {
+	for _, c := range equivalenceCases(t) {
 		cx := sim.NewContext(c.corpus, sim.Params{F: 0.5, Gamma: 0.7})
 		for _, m := range []int{1, 3} {
-			plain := runCXKDelta(t, cx, c.corpus, c.k, m, 9, 1, false)
+			plain := runJob(t, cx, c.corpus, c.k, m, 1, false, false)
 			for _, workers := range []int{1, 4} {
-				got := runCXKDelta(t, cx, c.corpus, c.k, m, 9, workers, true)
+				got := runJob(t, cx, c.corpus, c.k, m, workers, false, true)
 				assertResultsEqual(t, fmt.Sprintf("%s m=%d workers=%d fast", c.name, m, workers), plain, got)
 			}
 		}
@@ -77,13 +45,13 @@ func TestRunDeltaCountersAndTraffic(t *testing.T) {
 	k := col.K(dataset.ByHybrid)
 
 	cxOff := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.7})
-	off := runCXKDelta(t, cxOff, corpus, k, 3, 9, 1, false)
+	off := runJob(t, cxOff, corpus, k, 3, 1, false, false)
 	if d := cxOff.Counters.Snapshot(); d != (sim.CounterSnapshot{}) {
 		t.Fatalf("reference run moved the fast engine's counters: %+v", d)
 	}
 
 	cxOn := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.7})
-	on := runCXKDelta(t, cxOn, corpus, k, 3, 9, 1, true)
+	on := runJob(t, cxOn, corpus, k, 3, 1, false, true)
 	assertResultsEqual(t, "counters run", off, on)
 	if on.Rounds < 3 {
 		t.Skipf("run converged in %d rounds; too short to exercise the memo", on.Rounds)

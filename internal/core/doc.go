@@ -99,11 +99,12 @@
 // StartMsg nor a SessionState carries the policy, so RunPeer and the fabric
 // run CXK-means only.
 //
-// Wire form. Representatives travel as flattened raw item ids: synthetic
-// (conflated) items live in each peer's job table (cluster.Rounds.Items), so
-// toWire decomposes them into their raw constituents — stable across every
-// process that loaded the same corpus — and fromWire re-conflates them in
-// the receiver's table. In-process peers own a table each, as processes do,
+// Wire form. Representatives travel as flattened raw item ids, ascending:
+// synthetic (conflated) items live in each peer's job table
+// (cluster.Rounds.Items), numbered as its schedule interned them, so toWire
+// decomposes them into their raw constituents — stable across every process
+// that loaded the same corpus — and fromWire re-conflates them in the
+// receiver's table. In-process peers own a table each, as processes do,
 // so multi-process runs are byte-identical to in-process runs, and a run
 // leaves the corpus as it found it.
 //

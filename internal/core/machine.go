@@ -8,7 +8,6 @@ import (
 	"slices"
 
 	"xmlclust/internal/cluster"
-	"xmlclust/internal/fnv"
 	"xmlclust/internal/p2p"
 	"xmlclust/internal/txn"
 )
@@ -86,9 +85,12 @@ type session struct {
 	// Fig. 5 says). It does not bound the run: maxRounds does. It is per
 	// peer, so a run can end with every peer's own locals revisiting an
 	// earlier state while the joint state (the globals and every peer's
-	// locals) never repeated. Under PK-means it holds the bits of past summed
+	// locals) never repeated. A state is hashed by content (digestReps, into
+	// flat), so a restored session, whose table interned in another order,
+	// still knows it. Under PK-means it holds the bits of past summed
 	// objectives, which can orbit for the same reason.
 	seenStates map[uint64]struct{}
+	flat       []txn.ItemID
 	// changed / bySender / peersChanged carry intermediate per-round state
 	// between the Relocate, ExchangeLocals and RefineGlobals phases;
 	// peersChanged counts the round's FlagContinue, own flag included.
@@ -394,7 +396,8 @@ func (s *session) relocated(c computed) error {
 	if s.pk {
 		s.changed = true // PK-means stops on the summed objective alone
 	} else if s.changed {
-		fp := fingerprintReps(s.localRp)
+		var fp uint64
+		fp, s.flat = digestReps(s.items, s.localRp, s.flat)
 		if _, cycle := s.seenStates[fp]; cycle {
 			s.changed = false
 		}
@@ -670,20 +673,4 @@ func (s *session) result() *PeerResult {
 		Report: s.report,
 		Global: s.final,
 	}
-}
-
-// fingerprintReps hashes a representative slice (FNV-1a over item ids and
-// separators) for cycle detection.
-func fingerprintReps(reps []*txn.Transaction) uint64 {
-	h := fnv.Offset
-	for _, rep := range reps {
-		h = fnv.Mix(h, ^uint64(0)) // cluster separator
-		if rep == nil {
-			continue
-		}
-		for _, id := range rep.Items {
-			h = fnv.Mix(h, uint64(id))
-		}
-	}
-	return h
 }

@@ -219,19 +219,31 @@ func CheckWireRep(j, k int, w WireTxn, nItems int) error {
 }
 
 // toWire converts a transaction to its wire form: the flattened raw item
-// ids (nil-safe). Synthetic (conflated) representative items are local to
-// the sender's job table, but they are fully determined by their raw
-// constituents, which are corpus items and therefore share ids across every
-// process that loaded the same corpus.
+// ids, ascending (nil-safe). Synthetic (conflated) representative items are
+// local to the sender's job table, and their ids follow its schedule, but
+// they are fully determined by their raw constituents, which are corpus
+// items and therefore share ids across every process that loaded the same
+// corpus. Sorted, the form is content alone, and a receiver re-conflating it
+// meets the path groups in the order of their smallest raw id.
 func toWire(items *txn.ItemTable, tr *txn.Transaction) WireTxn {
 	if tr == nil {
 		return WireTxn{}
 	}
-	out := make([]txn.ItemID, 0, len(tr.Items))
+	return WireTxn{Items: flatten(make([]txn.ItemID, 0, len(tr.Items)), items, tr)}
+}
+
+// flatten returns the flattened raw ids of tr, ascending, in buf's storage.
+func flatten(buf []txn.ItemID, items *txn.ItemTable, tr *txn.Transaction) []txn.ItemID {
+	dst := buf[:0]
 	for _, id := range tr.Items {
-		out = append(out, items.Get(id).Flatten()...)
+		if it := items.Get(id); it.Constituents == nil {
+			dst = append(dst, id)
+		} else {
+			dst = append(dst, it.Constituents...)
+		}
 	}
-	return WireTxn{Items: out}
+	slices.Sort(dst)
+	return dst
 }
 
 // fromWire rebuilds a transaction by re-conflating the raw ids in the local
@@ -246,22 +258,31 @@ func fromWire(items *txn.ItemTable, w WireTxn) *txn.Transaction {
 }
 
 // RepsDigest canonically fingerprints a representative set: FNV-1a over
-// each representative's sorted flattened raw item ids with separators, so
-// two processes (or two runs) with the same corpus produce equal digests
-// exactly when their representatives are identical item sets. This is the
-// cross-process equality check behind the fabric's recovery-equivalence
-// gate — synthetic item ids are local to a job's table, raw ids are not.
+// each representative's wire form with separators, so two processes (or two
+// runs) with the same corpus produce equal digests exactly when their
+// representatives are identical item sets. This is the cross-process
+// equality check behind the fabric's recovery-equivalence gate — synthetic
+// item ids are local to a job's table, raw ids are not.
 func RepsDigest(items *txn.ItemTable, reps []*txn.Transaction) uint64 {
+	h, _ := digestReps(items, reps, nil)
+	return h
+}
+
+// digestReps is RepsDigest flattening each representative into scratch,
+// which it returns for the next call: warm, it allocates nothing.
+func digestReps(items *txn.ItemTable, reps []*txn.Transaction, scratch []txn.ItemID) (uint64, []txn.ItemID) {
 	h := fnv.Offset
 	for _, rep := range reps {
 		h = fnv.Mix(h, ^uint64(0)) // representative separator
-		ids := slices.Clone(toWire(items, rep).Items)
-		slices.Sort(ids)
-		for _, id := range ids {
+		if rep == nil {
+			continue
+		}
+		scratch = flatten(scratch, items, rep)
+		for _, id := range scratch {
 			h = fnv.Mix(h, uint64(id))
 		}
 	}
-	return h
+	return h, scratch
 }
 
 // WireTxnSize models the semantic wire size of a representative: each item

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -146,9 +147,12 @@ func wireReps(items *txn.ItemTable, reps []*txn.Transaction) []WireTxn {
 // Reconflate rebuilds reps, which resolve in src, a job's stage over dst, in
 // dst: how a job hands its result to the corpus. An item below src's base is
 // dst's and keeps its id; a job item is interned in dst by its ⟨path, answer⟩
-// with its own vector and constituents — the ids, in the order and with the
-// bits that re-conflating the wire form gives, without a second sum. An empty
-// representative becomes nil.
+// with its own vector and constituents, without a second sum. Job ids follow
+// the job's schedule, so a representative's job items go in by content, in
+// ascending order of their smallest raw constituent (an order without ties:
+// the items sit at distinct paths, so their constituents are disjoint) —
+// the ids, in the order and with the bits that re-conflating the wire form
+// gives. An empty representative becomes nil.
 func Reconflate(dst, src *txn.ItemTable, reps []*txn.Transaction) []*txn.Transaction {
 	out := make([]*txn.Transaction, len(reps))
 	var ids []txn.ItemID
@@ -157,11 +161,14 @@ func Reconflate(dst, src *txn.ItemTable, reps []*txn.Transaction) []*txn.Transac
 			continue
 		}
 		ids = append(ids[:0], rep.Items...)
-		for k, id := range ids {
-			if id >= src.Base() {
-				it := src.Get(id)
-				ids[k] = dst.InternSynthetic(it.Path, it.Answer, it.Vector, it.Constituents)
-			}
+		tail, _ := slices.BinarySearch(ids, src.Base()) // job ids sort last
+		job := ids[tail:]
+		slices.SortFunc(job, func(a, b txn.ItemID) int {
+			return cmp.Compare(src.Get(a).Constituents[0], src.Get(b).Constituents[0])
+		})
+		for k, id := range job {
+			it := src.Get(id)
+			job[k] = dst.InternSynthetic(it.Path, it.Answer, it.Vector, it.Constituents)
 		}
 		out[i] = txn.NewTransaction(ids, -1, -1, -1)
 	}

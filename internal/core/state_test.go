@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -94,9 +95,42 @@ func TestSessionResumeFromEveryBoundary(t *testing.T) {
 		if !slices.Equal(res.Assign, ref.Assign) {
 			t.Fatalf("resume from boundary %d diverged in assignments", i)
 		}
-		if !cluster.RepsEqual(res.Reps, ref.Reps) {
+		if RepsDigest(res.Items, res.Reps) != RepsDigest(ref.Items, ref.Reps) {
 			t.Fatalf("resume from boundary %d diverged in representatives", i)
 		}
+	}
+}
+
+// TestRestoreKnowsSeenStates: a checkpoint's SeenStates hash representatives
+// by content, so a session restored into a job table that interned the same
+// items in another order still knows a state it saw: relocating back to the
+// checkpoint's locals after they moved on reads as a cycle, and the session
+// reports itself unchanged.
+func TestRestoreKnowsSeenStates(t *testing.T) {
+	ref, states := runSolo(t, 11)
+	last := states[len(states)-1]
+	corpus, _ := miniCorpus(t, 6)
+	s := newFabricSim(t, corpus, soloOpts(corpus, 11)).peers[0].s
+	for j := len(last.LocalRp) - 1; j >= 0; j-- { // the other order
+		fromWire(s.items, last.LocalRp[j])
+	}
+	if err := s.install(last); err != nil {
+		t.Fatal(err)
+	}
+	seen := s.localRp
+	if cluster.RepsEqual(seen, unwireReps(ref.Items, last.LocalRp)) {
+		t.Fatal("the restored table numbers the items as the run's did")
+	}
+	s.localRp = make([]*txn.Transaction, s.k) // the locals moved on
+	if err := s.relocated(computed{assign: s.assign, sizes: s.sizes, localRp: seen}); err != nil {
+		t.Fatal(err)
+	}
+	if s.changed {
+		t.Error("a restored session does not recognise a state it saw before the checkpoint")
+	}
+	warm := func() { _, s.flat = digestReps(s.items, seen, s.flat) }
+	if warm(); testing.AllocsPerRun(10, warm) != 0 {
+		t.Error("a warm state fingerprint allocates")
 	}
 }
 
@@ -334,7 +368,9 @@ func TestSessionInstallVetsState(t *testing.T) {
 // oracle, run on a twin corpus: the same representative ids, the same table
 // length and the same saved bytes after every job, for both algorithms, one
 // and three peers, both engines and two cluster counts, twice over, so that
-// later jobs meet the items earlier ones handed over.
+// later jobs meet the items earlier ones handed over. First, job ids follow
+// the schedule: the same representatives in a table that numbered their
+// items in reverse must have the same wire form and leave the same corpus.
 func TestReconflateMatchesWire(t *testing.T) {
 	content, _ := miniCorpus(t, 16)
 	wire, _ := miniCorpus(t, 16)
@@ -355,6 +391,30 @@ func TestReconflateMatchesWire(t *testing.T) {
 			t.Fatal(err)
 		}
 		return res
+	}
+	res := job(content, false, 1, true, 4)
+	tab, base := wire.Items.Stage(), res.Items.Base()
+	rev := make([]txn.ItemID, res.Items.Len()-int(base)) // by job id − base: its id in tab, interned last first
+	for k := len(rev) - 1; k >= 0; k-- {
+		it := res.Items.Get(base + txn.ItemID(k))
+		rev[k] = tab.InternSynthetic(it.Path, it.Answer, it.Vector, it.Constituents)
+	}
+	reps := make([]*txn.Transaction, len(res.Reps))
+	for j, rep := range res.Reps {
+		if rep != nil {
+			items := slices.Clone(rep.Items)
+			for k, id := range items {
+				if id >= base {
+					items[k] = rev[id-base]
+				}
+			}
+			reps[j] = txn.NewTransaction(items, -1, -1, -1)
+		}
+	}
+	Reconflate(content.Items, res.Items, res.Reps)
+	Reconflate(wire.Items, tab, reps)
+	if !bytes.Equal(saved(content), saved(wire)) || !reflect.DeepEqual(wireReps(tab, reps), wireReps(res.Items, res.Reps)) {
+		t.Fatal("reversed job ids: the corpora or the wire forms part")
 	}
 	for pass := 0; pass < 2; pass++ {
 		for _, pk := range []bool{false, true} {

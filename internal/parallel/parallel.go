@@ -2,8 +2,8 @@
 // pipeline is built on, one per kind of loop worth a goroutine.
 //
 // ForCtxWorkers forks relocation, where transactions are independent under a
-// fixed representative set; refinement, where clusters are (cluster.Rounds
-// stages their synthetic items and commits them in cluster order); and the
+// fixed representative set; refinement, where clusters are (their synthetic
+// items are found or made by content in the job's table); and the
 // weighting finish, where items are once the collection counters are final
 // (each weighs into its own span of one arena). Every worker writes only into
 // the slot of the index it drew, and so a pass with N workers is

@@ -252,8 +252,10 @@ func TestHTTPDepthBomb(t *testing.T) {
 // classify body allocates nothing that grows with the body. The body is read
 // into a pooled buffer and its xml member unquoted into another, so a
 // 256 KiB body costs the bytes a 1 KiB body costs, within a small constant.
-// GOMAXPROCS 1 and no collection keep the pool's one buffer where Get
-// looks first.
+// And a warm classify stages its unseen items into the records the pooled
+// overlay kept: per unseen item it allocates what extraction and weighing
+// do (4 objects), where a new *Item each made it 5. GOMAXPROCS 1 and no
+// collection keep the pools' one buffer and overlay where Get looks first.
 func TestServeRequestAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drains sync.Pool at random; the guard runs without it")
@@ -293,6 +295,28 @@ func TestServeRequestAllocations(t *testing.T) {
 	t.Logf("warm decode of a classify body: %d B for 1 KiB, %d B for 256 KiB", small, large)
 	if large > small+256 {
 		t.Fatalf("a 256 KiB body's decode allocates %d B, a 1 KiB body's %d B: the decode allocates with the body", large, small)
+	}
+
+	s, _ := httpService(t)
+	addAll(t, s, serveDocs(4))
+	if err := s.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	mallocs := func(unseen int) float64 {
+		var attrs strings.Builder
+		for i := range unseen {
+			fmt.Fprintf(&attrs, ` a%d="unseen%d"`, i, i) // an item at a path of its own
+		}
+		doc := []byte(`<db><paper key="q"` + attrs.String() + `><writer>alice cooper</writer></paper></db>`)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := s.Classify(context.Background(), doc); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := mallocs(16), mallocs(512)
+	if perItem := (many - few) / (512 - 16); perItem > 4.5 {
+		t.Fatalf("a warm classify allocates %.2f objects per unseen item (%.0f for 16, %.0f for 512): the overlay allocates its records again", perItem, few, many)
 	}
 }
 

@@ -91,10 +91,12 @@ var rules = []rule{
 		"core.Run drives goroutines, a cancel fan-out or timers again"},
 	{"internal/core/schedule.go", "ident", `^pick$`, "the scheduler's test hook is back: tests step machines in fabricSim"},
 
-	// Synthetic items are staged and committed by cluster.Rounds alone, in
-	// the job's table: a corpus holds only what a job returns.
-	{". +bench !internal/txn/ !internal/cluster/rounds.go", "selector", `\.(Stage|Restage|Adopt)$`,
+	// Refinement interns straight into the job's table, a stage that
+	// cluster.Rounds alone makes: a corpus holds only what a job returns.
+	{". +bench !internal/txn/ !internal/cluster/rounds.go", "selector", `\.(Stage|Restage)$`,
 		"an item-table stage is used outside internal/txn and cluster.Rounds"},
+	{"internal/txn/ internal/cluster/ +tests", "ident", `^(Adopt|commit|remap|logs)$`,
+		"a pass stages, logs and commits its synthetic items again: it interns into the job's table"},
 	{"internal/core/ !internal/core/session.go", "selector", `^corpus\.Items$`,
 		"the session interns into the corpus's item table again: a peer works in its job's table (cluster.Rounds.Items), and only PartitionFingerprint reads the corpus's"},
 	{". +tests", "ident", `^ExtractTransactions$`, "Engine.ExtractTransactions is back: Classify stages a document's items, it interns none"},

@@ -33,7 +33,7 @@ func Transactions(c *Corpus, res tuple.Result, doc, label int) []*Transaction {
 
 // Overlay resolves documents that are not added, one at a time, and leaves
 // the item table as it found it: an unseen item goes into a stage over it,
-// restaged for reuse and never adopted. Only an unseen complete path is
+// restaged for reuse, records and all. Only an unseen complete path is
 // interned, in c.Paths, which grows with the schema, not with the documents.
 type Overlay struct {
 	c     *Corpus

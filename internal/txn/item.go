@@ -91,8 +91,7 @@ func (i *Item) Flatten() []ItemID {
 // fields, kept in lock step by Intern/InternSynthetic/SetVector.
 //
 // A table can also be a stage over another (Stage), which holds items apart
-// from it: a job's synthetic items, a pass's until they are committed to the
-// job's stage (Adopt), or a classified document's unseen ones.
+// from it: a job's synthetic items, or a classified document's unseen ones.
 type ItemTable struct {
 	paths *xmltree.PathTable
 
@@ -122,10 +121,7 @@ func (it *ItemTable) row(id ItemID) (*columns, ItemID) {
 	if id >= it.base {
 		return &it.columns, id - it.base
 	}
-	for id < it.parent.base {
-		it = it.parent
-	}
-	return &it.below, id - it.parent.base
+	return &it.below, id
 }
 
 // rlock read-locks the table for reading the rows of ids, and reports
@@ -182,15 +178,24 @@ func (it *ItemTable) internLocked(path xmltree.PathID, answer string) ItemID {
 	if id, ok := inParent(it, path, answer); ok {
 		return id
 	}
-	return it.add(&Item{Path: path, Answer: answer})
+	return it.add(Item{Path: path, Answer: answer})
 }
 
 // add registers a new item under the write lock: it assigns the id and the
-// tag path, extends the columns and indexes the item under its path.
-func (it *ItemTable) add(item *Item) ItemID {
-	item.ID = it.base + ItemID(len(it.items))
+// tag path, extends the columns and indexes the item under its path. The
+// record is the one a restaged stage left in the slot, overwritten, or a new
+// one.
+func (it *ItemTable) add(rec Item) ItemID {
+	n := len(it.items)
+	it.items = grow(it.items, 1)[:n+1]
+	item := it.items[n]
+	if item == nil {
+		item = new(Item)
+		it.items[n] = item
+	}
+	*item = rec
+	item.ID = it.base + ItemID(n)
 	item.TagPath = it.paths.TagPath(item.Path)
-	it.items = append(grow(it.items, 1), item)
 	it.tagPaths = append(grow(it.tagPaths, 1), item.TagPath)
 	it.vecs = append(grow(it.vecs, 1), item.Vector)
 	if n := int(item.Path) + 1; n > len(it.byPath) {
@@ -257,7 +262,7 @@ func (it *ItemTable) InternSynthetic(path xmltree.PathID, answer string, vec vec
 	if id, ok := find(it, path, answer); ok {
 		return id
 	}
-	return it.add(&Item{
+	return it.add(Item{
 		Path:         path,
 		Answer:       answer,
 		Vector:       vec,
@@ -351,8 +356,7 @@ func (it *ItemTable) SetVector(id ItemID, v vector.Sparse) {
 // Base on; for a key it holds below Base, Lookup and interning give its id.
 // Rows below Base are read as they were when the stage was based, without
 // its lock: interning only appends to a table, and a corpus does not change
-// while it is clustered or classified against. It may itself be a stage,
-// not to be restaged while the new one is in use.
+// while it is clustered or classified against. It must not itself be a stage.
 func (it *ItemTable) Stage() *ItemTable {
 	st := &ItemTable{paths: it.paths, parent: it}
 	st.Restage()
@@ -360,36 +364,25 @@ func (it *ItemTable) Stage() *ItemTable {
 }
 
 // Restage empties a stage and rebases it on its parent's current length,
-// keeping its buffers. It must not run concurrently with other use.
+// keeping its buffers and its records: the next item staged in a slot
+// overwrites the record there, so an *Item taken before is not to be read
+// after. It must not run concurrently with other use.
 func (it *ItemTable) Restage() {
 	it.parent.mu.RLock()
 	below := it.parent.columns
 	it.parent.mu.RUnlock()
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	it.below, it.base = below, it.parent.base+ItemID(len(below.items))
+	it.below, it.base = below, ItemID(len(below.items))
 	for _, m := range it.byPath {
-		clear(m) // in place: the next round stages about as many items
+		clear(m) // in place: the next use stages about as many items
 	}
-	clear(it.items) // drop the adopted items
 	it.items, it.tagPaths, it.vecs = it.items[:0], it.tagPaths[:0], it.vecs[:0]
 }
 
 // Base returns the first id a stage hands out (0 for a table that is not a
 // stage); ids below it are its parent's. Only Restage moves it.
 func (it *ItemTable) Base() ItemID { return it.base }
-
-// Adopt moves a staged item into it, the stage's parent, and returns its id
-// here: a new one, or that of the item of equal ⟨path, answer⟩ it holds
-// already. The stage must be restaged before it is read again.
-func (it *ItemTable) Adopt(item *Item) ItemID {
-	it.mu.Lock()
-	defer it.mu.Unlock()
-	if id, ok := find(it, item.Path, item.Answer); ok {
-		return id
-	}
-	return it.add(item)
-}
 
 // MergedAnswerKey canonicalizes a set of answers for conflated items: the
 // distinct answers, sorted, joined with the unit separator.

@@ -49,10 +49,9 @@ func TestStageReadsThroughBelowBase(t *testing.T) {
 }
 
 // TestLookupBytes: the byte-keyed lookup answers as Lookup does through a
-// stage over a stage, and a hit allocates nothing.
+// stage, and a hit allocates nothing.
 func TestLookupBytes(t *testing.T) {
-	tab, st, p, raw, _ := stageFixture(t)
-	job := st.Stage()
+	tab, job, p, raw, _ := stageFixture(t)
 	own := job.InternSynthetic(p, MergedAnswerKey([]string{"x", "q"}), vector.Sparse{}, raw)
 	for _, key := range []string{"x", MergedAnswerKey([]string{"x", "y"}), MergedAnswerKey([]string{"x", "q"}), "absent"} {
 		id, ok := job.Lookup(p, key)
@@ -108,57 +107,38 @@ func TestStageIgnoresParentIDsAtOrAboveBase(t *testing.T) {
 	if id, _ := st.Lookup(p, key); id != staged {
 		t.Errorf("Lookup after staging = %d, want %d", id, staged)
 	}
-	// Adopting it finds the late item: one id per key in the parent.
-	if got := tab.Adopt(st.Get(staged)); got != late {
-		t.Errorf("Adopt = %d, want the late id %d", got, late)
-	}
 }
 
+// TestStageRestageRebases: a restaged stage forgets what it staged, reads
+// through to what its parent gained, and stages into its old records,
+// overwritten whole.
 func TestStageRestageRebases(t *testing.T) {
 	tab, st, p, raw, _ := stageFixture(t)
 	key := MergedAnswerKey([]string{"x", "v"})
-	staged := st.InternSynthetic(p, key, vector.Sparse{}, raw)
-	adopted := tab.Adopt(st.Get(staged))
+	parentID := tab.InternSynthetic(p, key, vector.Sparse{}, raw)
 	q := tab.Paths().Intern(xmltree.ParsePath("a.c.S"))
-	st.InternSynthetic(q, key, vector.Sparse{}, raw) // staged, never adopted
-	late := tab.Intern(p, "u")                       // the parent grew again
+	old := st.Get(st.InternSynthetic(q, key, vector.FromEntries([]vector.Entry{{Term: 1, Weight: 1}}), raw))
+	late := tab.Intern(p, "u") // the parent grew again
 	st.Restage()
 	if st.Base() != ItemID(tab.Len()) || st.Len() != tab.Len() {
 		t.Fatalf("restaged base %d len %d, parent %d", st.Base(), st.Len(), tab.Len())
 	}
-	if id, ok := st.Lookup(p, key); !ok || id != adopted {
-		t.Errorf("Lookup of the adopted key = %d, %v; want %d", id, ok, adopted)
+	if id, ok := st.Lookup(p, key); !ok || id != parentID {
+		t.Errorf("Lookup of the parent's key = %d, %v; want %d", id, ok, parentID)
 	}
 	if id, ok := st.Lookup(q, key); ok {
-		t.Errorf("Lookup of a key staged before the restage and not adopted = %d", id)
+		t.Errorf("Lookup of a key staged before the restage = %d", id)
 	}
-	if st.Get(late) != tab.Get(late) || st.Get(adopted) != tab.Get(adopted) {
+	if st.Get(late) != tab.Get(late) || st.Get(parentID) != tab.Get(parentID) {
 		t.Error("rows the parent gained before the restage do not read through")
 	}
-	next := st.InternSynthetic(p, MergedAnswerKey([]string{"u", "x"}), vector.Sparse{}, []ItemID{raw[0], late})
+	next := st.Intern(p, "w")
 	if next != st.Base() {
 		t.Errorf("first staged id after the restage = %d, want %d", next, st.Base())
 	}
-}
-
-func TestAdoptDeduplicates(t *testing.T) {
-	tab, st, p, raw, _ := stageFixture(t)
-	a := st.InternSynthetic(p, MergedAnswerKey([]string{"x", "t"}), vector.Sparse{}, raw)
-	b := st.InternSynthetic(p, MergedAnswerKey([]string{"x", "s"}), vector.Sparse{}, raw)
-	n := tab.Len()
-	ida := tab.Adopt(st.Get(a))
-	idb := tab.Adopt(st.Get(b))
-	if ida != ItemID(n) || idb != ItemID(n+1) || tab.Len() != n+2 {
-		t.Fatalf("adopted as %d and %d, table %d; want %d, %d and %d", ida, idb, tab.Len(), n, n+1, n+2)
-	}
-	if again := tab.Adopt(st.Get(a)); again != ida || tab.Len() != n+2 {
-		t.Errorf("second Adopt = %d (table %d), want %d (table %d)", again, tab.Len(), ida, n+2)
-	}
-	if id, ok := tab.Lookup(p, MergedAnswerKey([]string{"x", "s"})); !ok || id != idb {
-		t.Errorf("parent Lookup of an adopted key = %d, %v; want %d", id, ok, idb)
-	}
-	if got := tab.Get(idb); got.ID != idb || !got.Synthetic || len(got.Constituents) != 2 {
-		t.Errorf("adopted record %+v", got)
+	if got := st.Get(next); got != old || got.ID != next || got.Answer != "w" || got.Synthetic ||
+		got.Constituents != nil || got.Vector.Len() != 0 {
+		t.Errorf("the restaged slot holds %+v, want the old record overwritten", got)
 	}
 }
 

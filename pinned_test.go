@@ -1,10 +1,12 @@
 package xmlclust
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -225,51 +227,39 @@ func centralizedXK(corpus *Corpus, k int, f float64) ([]int, uint64, int) {
 }
 
 // TestRepresentativeForkMatchesSerial holds the representative passes, which
-// refine their clusters in parallel, to the serial loop: for CXK-means and
-// PK-means × the four generators × k ∈ {4, 16, 64}, every worker count must
-// reproduce the one-worker run (core.Run, as Engine.Cluster calls it). With
-// one peer that is the assignment, the rounds, every representative's item
-// ids and the synthetic rows of the job's item table — ids, paths, answers and
-// constituents. With three peers, each in a table of its own, it is the
-// assignment, RepsDigest, the rounds and the coordinator's table's length.
-// The corpus's table never grows.
+// refine their clusters in parallel and intern into the job's table as they
+// go, to the serial loop: for CXK-means and PK-means × the four generators ×
+// k ∈ {4, 16, 64} × one and three peers, two Engine.Cluster jobs on one
+// corpus (the second meets the items the first handed over) must give, at
+// every worker count and at GOMAXPROCS 1 and 2, the one-worker run's
+// assignments, rounds and Result.Reps ids, and the same corpus bytes after
+// both: job ids follow the schedule, and the handoff orders them by content.
 func TestRepresentativeForkMatchesSerial(t *testing.T) {
-	type job struct {
-		assign []int
-		rounds int
-		reps   string // item ids (m = 1) or RepsDigest (m = 3)
-		table  string // synthetic rows (m = 1) or the length (m = 3)
-	}
-	run := func(alg Algorithm, col *dataset.Collection, k, peers, workers int) job {
+	run := func(alg Algorithm, col *dataset.Collection, k, peers, workers int) string {
 		corpus := col.BuildCorpus(dataset.ByHybrid, 8, 1)
-		base := corpus.Items.Len()
-		cx := sim.NewContext(corpus, sim.Params{F: 0.5, Gamma: 0.7})
-		res, err := core.Run(context.Background(), cx, corpus, core.Options{
-			K: k, Params: cx.Params, Peers: peers, Partition: core.EqualPartition(len(corpus.Transactions), peers, 5),
-			Workers: workers, Seed: 5, MaxRounds: 6, Fast: true, PKMeans: alg == PKMeans,
-		})
+		e, err := NewEngine(corpus, EngineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if corpus.Items.Len() != base {
-			t.Fatalf("the run added %d items to the corpus", corpus.Items.Len()-base)
-		}
-		j := job{assign: res.Assign, rounds: res.Rounds}
-		if peers > 1 {
-			j.reps = fmt.Sprintf("%016x", core.RepsDigest(res.Items, res.Reps))
-			j.table = fmt.Sprint(res.Items.Len())
-			return j
-		}
-		for _, rep := range res.Reps {
-			if rep != nil {
-				j.reps += fmt.Sprintln(rep.Items)
+		var out bytes.Buffer
+		for seed := range int64(2) {
+			res, err := e.Cluster(context.Background(), ClusterOptions{
+				K: k, F: 0.5, Gamma: 0.7, Peers: peers, Workers: workers, Seed: 5 + seed, MaxRounds: 6, Algorithm: alg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintln(&out, res.Assign, res.Rounds)
+			for _, rep := range res.Reps {
+				if rep != nil {
+					fmt.Fprintln(&out, rep.Items)
+				}
 			}
 		}
-		for id := base; id < res.Items.Len(); id++ {
-			it := res.Items.Get(txn.ItemID(id))
-			j.table += fmt.Sprintf("%d %d %q %v\n", it.ID, it.Path, it.Answer, it.Constituents)
+		if err := SaveCorpus(&out, corpus); err != nil {
+			t.Fatal(err)
 		}
-		return j
+		return out.String()
 	}
 	for _, alg := range []Algorithm{CXKMeans, PKMeans} {
 		for _, name := range dataset.Names() {
@@ -278,19 +268,15 @@ func TestRepresentativeForkMatchesSerial(t *testing.T) {
 			for _, k := range []int{4, 16, 64} {
 				for _, peers := range []int{1, 3} {
 					want := run(alg, col, k, peers, 1)
-					for _, workers := range []int{2, 4, 0} {
-						got := run(alg, col, k, peers, workers)
-						label := fmt.Sprintf("alg %d %s k=%d peers=%d workers=%d", alg, name, k, peers, workers)
-						switch {
-						case !slices.Equal(got.assign, want.assign):
-							t.Errorf("%s: assignment differs", label)
-						case got.rounds != want.rounds:
-							t.Errorf("%s: %d rounds, serial %d", label, got.rounds, want.rounds)
-						case got.reps != want.reps:
-							t.Errorf("%s: representatives differ\n got  %s\n want %s", label, got.reps, want.reps)
-						case got.table != want.table:
-							t.Errorf("%s: item table differs\n got  %s\n want %s", label, got.table, want.table)
+					for _, procs := range []int{1, 2} {
+						prev := runtime.GOMAXPROCS(procs)
+						for _, workers := range []int{2, 0} {
+							if got := run(alg, col, k, peers, workers); got != want {
+								t.Errorf("alg %d %s k=%d peers=%d workers=%d GOMAXPROCS=%d: the jobs or the corpus differ from one worker's",
+									alg, name, k, peers, workers, procs)
+							}
 						}
+						runtime.GOMAXPROCS(prev)
 					}
 				}
 			}
