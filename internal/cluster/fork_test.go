@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -27,10 +28,12 @@ func content(tab *txn.ItemTable, reps []*txn.Transaction) [][]txn.ItemID {
 }
 
 // forkRun is what a run of representative passes gives: every round's
-// assignment, and every representative of every pass by content.
+// assignment, every representative of every pass by content, and every
+// global ranking as each item's rank bits by content.
 type forkRun struct {
 	assigns [][]int
 	reps    [][][]txn.ItemID
+	ranks   []map[string]uint64
 }
 
 // forkPasses runs rounds of relocation, one local pass and one global pass
@@ -64,6 +67,13 @@ func forkPasses(t *testing.T, ds string, k, workers int, order func(n int) []int
 			n := (j + 1) % k
 			inputs[j] = []WeightedRep{{Rep: locals[j], Weight: sizes[j]}, {Rep: locals[n], Weight: sizes[n]}}
 		}
+		for _, in := range inputs {
+			ranks := map[string]uint64{}
+			for _, ri := range viewGlobalRanking(r.cfg.Ctx, in) {
+				ranks[fmt.Sprint(r.Items().Get(ri.id).Flatten())] = math.Float64bits(ri.rank)
+			}
+			run.ranks = append(run.ranks, ranks)
+		}
 		globals := r.GlobalReps(inputs)
 		run.reps = append(run.reps, content(r.Items(), locals), content(r.Items(), globals))
 		for j, g := range globals {
@@ -86,7 +96,7 @@ func forkPasses(t *testing.T, ds string, k, workers int, order func(n int) []int
 // they run, so its synthetic ids follow the schedule, and nothing computed
 // may. Work items run in index, reversed and shuffled order, and under the
 // fork at two workers and one per CPU, must give the same assignments,
-// rounds and representatives by content.
+// rounds, representatives by content and rank bits by content.
 func TestRepresentativeForkScheduleOrders(t *testing.T) {
 	reverse := func(n int) []int {
 		order := make([]int, n)
@@ -111,6 +121,8 @@ func TestRepresentativeForkScheduleOrders(t *testing.T) {
 					t.Errorf("%s: assignments differ over %d and %d rounds", label, len(got.assigns), len(want.assigns))
 				case !reflect.DeepEqual(got.reps, want.reps):
 					t.Errorf("%s: representatives differ by content", label)
+				case !reflect.DeepEqual(got.ranks, want.ranks):
+					t.Errorf("%s: a global ranking's ranks differ by content", label)
 				}
 			}
 		}

@@ -16,7 +16,8 @@ import (
 // against a vector.Collect'ed sum, and conflation grouping through two maps
 // with a txn.MergedAnswerKey per grown group. Only names that the package
 // still uses for the new code carry a ref prefix (sortRanked, conflation,
-// pathGroup); bodies are unchanged.
+// pathGroup); bodies are unchanged but for distinctItems, which puts a job's
+// own items in content order, as the ranking now sums them.
 
 // structuralRanks computes rankS(e) = Σ{h : group p' with simS(e,·) ≥ γ}/|PC|
 // for every item of IC, where the groups are IC's distinct complete paths
@@ -77,8 +78,9 @@ func contentRank(e *txn.Item, sum vector.Sparse) float64 {
 	return vector.Dot(e.Vector, sum) / n
 }
 
-// distinctItems returns the union of items over the transactions, sorted by
-// id (the set IC of Fig. 6).
+// distinctItems returns the union of items over the transactions (the set IC
+// of Fig. 6): those below the table's base by id, then its own by their
+// flattened raw constituents.
 func distinctItems(trs []*txn.Transaction, tab *txn.ItemTable) []*txn.Item {
 	n := 0
 	for _, tr := range trs {
@@ -92,6 +94,10 @@ func distinctItems(trs []*txn.Transaction, tab *txn.ItemTable) []*txn.Item {
 	ids = slices.Compact(ids)
 	items := make([]*txn.Item, len(ids))
 	tab.Resolve(ids, items)
+	own, _ := slices.BinarySearch(ids, tab.Base())
+	slices.SortFunc(items[own:], func(a, b *txn.Item) int {
+		return slices.Compare(a.Flatten(), b.Flatten())
+	})
 	return items
 }
 

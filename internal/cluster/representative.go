@@ -30,7 +30,7 @@
 // is interned allocates nothing, one that interns it what the item keeps, its
 // key, constituents and an exact-length copy of the pooled sum. Every rank and
 // every conflated item has the bits of the map-and-merge code this replaced,
-// kept verbatim in reference_test.go as the oracle; the argument sits beside
+// kept in reference_test.go as the oracle; the argument sits beside
 // each replacement. An array is zeroed by walking what one computation
 // touched, grows with the table and has one borrower at a time: nothing is
 // shared by concurrent jobs or carried over.
@@ -136,8 +136,12 @@ type view struct {
 
 var viewPool = sync.Pool{New: func() any { return new(view) }}
 
-// collect sets IC to the distinct items of trs, ascending by id: an id is
-// stamped when first met, so only distinct ids are sorted.
+// collect sets IC to the distinct items of trs in content order: an id is
+// stamped when first met, so only distinct ids are sorted. Ids below the
+// table's base are the corpus's, fixed before the job, and stay ascending;
+// the job's own, above it, follow the schedule that interned them, so they
+// come after, ordered by their raw constituents (byContent). Every sum over
+// IC is then added up in an order no schedule moves.
 func (v *view) collect(tab *txn.ItemTable, trs []*txn.Transaction) {
 	ids := v.ids[:0]
 	for _, tr := range trs {
@@ -154,6 +158,23 @@ func (v *view) collect(tab *txn.ItemTable, trs []*txn.Transaction) {
 	slices.Sort(ids)
 	v.ids, v.items = ids, slices.Grow(v.items[:0], len(ids))[:len(ids)]
 	tab.Resolve(ids, v.items)
+	job, _ := slices.BinarySearch(ids, tab.Base())
+	slices.SortFunc(v.items[job:], byContent)
+}
+
+// byContent orders items by their raw constituents, compared as sequences;
+// a raw item is its own one constituent. Items of one table with the same
+// constituents are one item, so the order is total.
+func byContent(a, b *txn.Item) int {
+	ra, rb := [1]txn.ItemID{a.ID}, [1]txn.ItemID{b.ID}
+	ka, kb := a.Constituents, b.Constituents
+	if ka == nil {
+		ka = ra[:]
+	}
+	if kb == nil {
+		kb = rb[:]
+	}
+	return slices.Compare(ka, kb)
 }
 
 // rank returns IC ranked by f·rankS + (1−f)·rankC (Fig. 6), each rank times
@@ -190,10 +211,11 @@ func (v *view) rank(cx *sim.Context, weighted bool) []rankedItem {
 // rankStructure computes rankS(e) = Σ{h : group p' with simS(e,·) ≥ γ}/|PC|
 // once per tag-path slot of IC, where the groups are IC's distinct complete
 // paths and h their item counts (the set PC of Fig. 6); simS depends only on
-// tag paths. Slots are numbered as IC, ascending, meets the tag paths, and
-// Eq. 3 is asked for each ordered pair of slots in that order: the pairs and
-// the order of the map-keyed ranking this replaced, so the path cache keeps
-// the same orientations and every sim.Counters field moves as it did.
+// tag paths. Slots are numbered as IC, in collect's order, meets the tag
+// paths, and Eq. 3 is asked for each ordered pair of slots in that order: the
+// pairs and the order of the map-keyed ranking this replaced, so the path
+// cache keeps the same orientations and every sim.Counters field moves as it
+// did.
 func (v *view) rankStructure(cx *sim.Context) {
 	tags, h, paths := v.tags[:0], v.h[:0], 0
 	for _, it := range v.items {
@@ -224,8 +246,8 @@ func (v *view) rankStructure(cx *sim.Context) {
 
 // sumContent adds Σ_{e′∈IC} normalized(u_e′) up per term, so that
 // rankC(e) = Σ_{e′} cos(u_e,u_e′) = normalized(u_e)·Σ: Fig. 6's quadratic
-// cosine pass made linear. Each term's sum has the bits vector.Collect gave
-// it: items come in id order, so the addends come in Collect's order, and a
+// cosine pass made linear. Each term's sum has the bits vector.Collect gives
+// it over IC in collect's order: the addends come in Collect's order, and a
 // sum starts at 0, where 0 + x = x. Zero-norm items are skipped, as they were.
 func (v *view) sumContent() {
 	for _, it := range v.items {

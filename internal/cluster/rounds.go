@@ -182,11 +182,10 @@ func (r *Rounds) GlobalReps(inputs [][]WeightedRep) []*txn.Transaction {
 // returns rep(i) for every i. The items intern straight into the run's
 // table, so the ids a pass hands out follow the schedule; its choices do
 // not: a representative's members hold corpus items, its objective is a
-// ratio of counts, rank ties travel in one batch, and a conflated item is
-// found or made by its content, its raw constituents summed in raw-id
-// order. Ids still order one sum: a global ranking adds IC's content up in
-// id order (view.sumContent), so a rank's last bit can follow the schedule
-// where ranks near-tie (TestRepresentativeForkScheduleOrders).
+// ratio of counts, a ranking adds IC's content up with the job's own items
+// ordered by their raw constituents (view.collect), rank ties travel in one
+// batch, and a conflated item is found or made by its content, its raw
+// constituents summed in raw-id order (TestRepresentativeForkScheduleOrders).
 func (r *Rounds) fork(n int, rep func(i int) *txn.Transaction) []*txn.Transaction {
 	out := make([]*txn.Transaction, n)
 	item := func(_, i int) { out[i] = rep(i) }

@@ -6,7 +6,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -370,7 +369,7 @@ func TestSessionInstallVetsState(t *testing.T) {
 // and three peers, both engines and two cluster counts, twice over, so that
 // later jobs meet the items earlier ones handed over. First, job ids follow
 // the schedule: the same representatives in a table that numbered their
-// items in reverse must have the same wire form and leave the same corpus.
+// items in reverse must leave the same corpus.
 func TestReconflateMatchesWire(t *testing.T) {
 	content, _ := miniCorpus(t, 16)
 	wire, _ := miniCorpus(t, 16)
@@ -394,27 +393,15 @@ func TestReconflateMatchesWire(t *testing.T) {
 	}
 	res := job(content, false, 1, true, 4)
 	tab, base := wire.Items.Stage(), res.Items.Base()
-	rev := make([]txn.ItemID, res.Items.Len()-int(base)) // by job id − base: its id in tab, interned last first
-	for k := len(rev) - 1; k >= 0; k-- {
-		it := res.Items.Get(base + txn.ItemID(k))
-		rev[k] = tab.InternSynthetic(it.Path, it.Answer, it.Vector, it.Constituents)
+	for id := txn.ItemID(res.Items.Len()) - 1; id >= base; id-- { // the job's items, numbered last first
+		it := res.Items.Get(id)
+		tab.InternSynthetic(it.Path, it.Answer, it.Vector, it.Constituents)
 	}
-	reps := make([]*txn.Transaction, len(res.Reps))
-	for j, rep := range res.Reps {
-		if rep != nil {
-			items := slices.Clone(rep.Items)
-			for k, id := range items {
-				if id >= base {
-					items[k] = rev[id-base]
-				}
-			}
-			reps[j] = txn.NewTransaction(items, -1, -1, -1)
-		}
-	}
+	reps := unwireReps(tab, wireReps(res.Items, res.Reps)) // found by content: tab's ids
 	Reconflate(content.Items, res.Items, res.Reps)
 	Reconflate(wire.Items, tab, reps)
-	if !bytes.Equal(saved(content), saved(wire)) || !reflect.DeepEqual(wireReps(tab, reps), wireReps(res.Items, res.Reps)) {
-		t.Fatal("reversed job ids: the corpora or the wire forms part")
+	if tab.Len() != res.Items.Len() || !bytes.Equal(saved(content), saved(wire)) {
+		t.Fatal("reversed job ids: the corpora part")
 	}
 	for pass := 0; pass < 2; pass++ {
 		for _, pk := range []bool{false, true} {

@@ -95,8 +95,8 @@ var rules = []rule{
 	// cluster.Rounds alone makes: a corpus holds only what a job returns.
 	{". +bench !internal/txn/ !internal/cluster/rounds.go", "selector", `\.(Stage|Restage)$`,
 		"an item-table stage is used outside internal/txn and cluster.Rounds"},
-	{"internal/txn/ internal/cluster/ +tests", "ident", `^(Adopt|commit|remap|logs)$`,
-		"a pass stages, logs and commits its synthetic items again: it interns into the job's table"},
+	{"internal/txn/ internal/cluster/", "decl", `^func \(\*ItemTable\) Adopt$|^func \(\*Rounds\) (commit|remap)$`,
+		"a pass stages and commits its synthetic items again: it interns into the job's table"},
 	{"internal/core/ !internal/core/session.go", "selector", `^corpus\.Items$`,
 		"the session interns into the corpus's item table again: a peer works in its job's table (cluster.Rounds.Items), and only PartitionFingerprint reads the corpus's"},
 	{". +tests", "ident", `^ExtractTransactions$`, "Engine.ExtractTransactions is back: Classify stages a document's items, it interns none"},

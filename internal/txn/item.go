@@ -356,8 +356,12 @@ func (it *ItemTable) SetVector(id ItemID, v vector.Sparse) {
 // Base on; for a key it holds below Base, Lookup and interning give its id.
 // Rows below Base are read as they were when the stage was based, without
 // its lock: interning only appends to a table, and a corpus does not change
-// while it is clustered or classified against. It must not itself be a stage.
+// while it is clustered or classified against. It must not itself be a stage:
+// a stage reads its parent's rows, not theirs.
 func (it *ItemTable) Stage() *ItemTable {
+	if it.parent != nil {
+		panic("txn: a stage over a stage")
+	}
 	st := &ItemTable{paths: it.paths, parent: it}
 	st.Restage()
 	return st

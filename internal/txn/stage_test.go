@@ -22,6 +22,8 @@ func stageFixture(t *testing.T) (tab, st *ItemTable, p xmltree.PathID, raw []Ite
 	return tab, tab.Stage(), p, raw, syn
 }
 
+// TestStageReadsThroughBelowBase: a stage reads its parent's rows below its
+// base and answers lookups there; it is never itself staged.
 func TestStageReadsThroughBelowBase(t *testing.T) {
 	tab, st, p, raw, syn := stageFixture(t)
 	if st.Base() != 3 || st.Len() != 3 {
@@ -46,6 +48,12 @@ func TestStageReadsThroughBelowBase(t *testing.T) {
 	if id, ok := st.Lookup(p, "y"); !ok || id != raw[1] {
 		t.Errorf("Lookup(y) = %d, %v; want the parent's %d", id, ok, raw[1])
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a stage of a stage, which would read its parent's rows, was made")
+		}
+	}()
+	st.Stage()
 }
 
 // TestLookupBytes: the byte-keyed lookup answers as Lookup does through a

@@ -269,14 +269,15 @@ func TestRepresentativeForkMatchesSerial(t *testing.T) {
 				for _, peers := range []int{1, 3} {
 					want := run(alg, col, k, peers, 1)
 					for _, procs := range []int{1, 2} {
-						prev := runtime.GOMAXPROCS(procs)
-						for _, workers := range []int{2, 0} {
-							if got := run(alg, col, k, peers, workers); got != want {
-								t.Errorf("alg %d %s k=%d peers=%d workers=%d GOMAXPROCS=%d: the jobs or the corpus differ from one worker's",
-									alg, name, k, peers, workers, procs)
+						func() {
+							defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+							for _, workers := range []int{2, 0} {
+								if got := run(alg, col, k, peers, workers); got != want {
+									t.Errorf("alg %d %s k=%d peers=%d workers=%d GOMAXPROCS=%d: the jobs or the corpus differ from one worker's",
+										alg, name, k, peers, workers, procs)
+								}
 							}
-						}
-						runtime.GOMAXPROCS(prev)
+						}()
 					}
 				}
 			}
